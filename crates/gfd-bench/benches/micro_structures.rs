@@ -887,6 +887,66 @@ fn bench_intersect_crossover(_c: &mut Criterion) {
     );
 }
 
+/// Asserted guard for the unit pipeline's serial set-up (DESIGN.md §4,
+/// "unit set-up cost"): what `run_reason` does before it dispatches a
+/// unit — `build_plans_lazy` + `generate_units` + `order_units` — against
+/// an implication probe's pattern-sized `G^X_Q`, where a handful of rules
+/// own a unit. That must cost one linear pass over Σ: under 5 ms a probe
+/// at |Σ| = 4000 and within 12x of |Σ| = 500 (8x the rules). Building
+/// Σ's whole producer→consumer graph to rank five units read ≈114 ms and
+/// grew with |Σ|·cap.
+fn bench_unit_setup(_c: &mut Criterion) {
+    use gfd_bench::fmt_duration;
+    use gfd_core::{build_plans_lazy, generate_units, order_units, CanonicalGraph};
+    use gfd_gen::{real_life_workload, Dataset};
+    use std::time::{Duration, Instant};
+
+    let per_probe = |size: usize| -> Duration {
+        let w = real_life_workload(Dataset::DBpedia, size, 42, None);
+        let probes: Vec<CanonicalGraph> = w
+            .probes
+            .iter()
+            .filter_map(|p| CanonicalGraph::for_phi(&p.phi).ok())
+            .map(|(canon, _)| canon)
+            .collect();
+        assert!(!probes.is_empty(), "generator produced no consistent probe");
+        let sweep = || {
+            let start = Instant::now();
+            let mut units_seen = 0usize;
+            for canon in &probes {
+                let (pivots, plans) = build_plans_lazy(&w.sigma, &canon.index);
+                let mut units = generate_units(&w.sigma, canon, &pivots, true);
+                order_units(&mut units, &w.sigma, canon, &pivots, None);
+                units_seen += units.len();
+                black_box((plans, units));
+            }
+            assert!(units_seen > 0, "no probe produced a unit");
+            start.elapsed()
+        };
+        sweep(); // warm-up
+        let best = (0..9).map(|_| sweep()).min().expect("nine sweeps");
+        best / probes.len() as u32
+    };
+    let small = per_probe(500);
+    let large = per_probe(4000);
+    println!(
+        "unit_setup/per_probe: sigma_500 {}  sigma_4000 {}  ({:.1}x)",
+        fmt_duration(small),
+        fmt_duration(large),
+        large.as_secs_f64() / small.as_secs_f64().max(1e-9),
+    );
+    assert!(
+        large < Duration::from_millis(5),
+        "per-probe unit set-up at |Σ| = 4000 must stay under 5 ms, got {large:?}"
+    );
+    // 12x for 8x the rules, plus an absolute floor against timer noise on
+    // the sub-millisecond small side.
+    assert!(
+        large <= small.mul_f64(12.0) + Duration::from_micros(200),
+        "unit set-up must scale linearly in |Σ|: sigma_500={small:?} sigma_4000={large:?}"
+    );
+}
+
 fn bench_ablations(c: &mut Criterion) {
     let w = synthetic_workload(80, 5, 3, 42);
     let mut group = c.benchmark_group("seq_sat_ablations");
@@ -918,6 +978,7 @@ criterion_group!(
     bench_scheduler,
     bench_trace_overhead,
     bench_atomics_zero_cost,
+    bench_unit_setup,
     bench_ablations
 );
 criterion_main!(benches);

@@ -144,50 +144,93 @@ impl CanonicalGraph {
     /// pivot inside component `comp`? (Label-subset test; homomorphism is
     /// non-injective, so counts don't matter, presence does.)
     pub fn component_may_host(&self, pattern: &Pattern, comp: u32) -> bool {
+        self.hosts(&LabelNeeds::of(pattern, None), comp)
+    }
+
+    fn hosts(&self, needs: &LabelNeeds, comp: u32) -> bool {
         let profile = &self.profiles[comp as usize];
-        let (need_nodes, need_edges) = pattern.concrete_labels();
-        if !need_nodes
-            .iter()
-            .all(|l| profile.node_labels.binary_search(l).is_ok())
-        {
-            return false;
-        }
-        if !need_edges
-            .iter()
-            .all(|l| profile.edge_labels.binary_search(l).is_ok())
-        {
-            return false;
-        }
-        // Wildcard-labelled pattern edges need at least one edge.
-        if pattern.edges().iter().any(|e| e.label.is_wildcard()) && !profile.has_edge {
-            return false;
-        }
-        true
+        let present =
+            |have: &[LabelId], need: &[LabelId]| need.iter().all(|l| have.binary_search(l).is_ok());
+        present(&profile.node_labels, &needs.node_labels)
+            && present(&profile.edge_labels, &needs.edge_labels)
+            // Wildcard-labelled pattern edges need at least one edge.
+            && (!needs.wildcard_edge || profile.has_edge)
     }
 
     /// Pivot candidates for a pattern whose plan starts at `pivot_var`:
     /// label-compatible nodes whose component passes the host filter.
     ///
-    /// Note: for disconnected patterns only the pivot's component is
-    /// filtered — the remaining components of the pattern roam the whole
-    /// canonical graph during the search, which keeps the unit count linear
-    /// (a deliberate deviation from the paper's per-component pivot tuples,
-    /// documented in DESIGN.md).
+    /// Note: for disconnected patterns only the pivot's own pattern
+    /// component is filtered (a connected sub-pattern maps into a single
+    /// canonical component, so its labels must all be there) — the
+    /// remaining components of the pattern roam the whole canonical graph
+    /// during the search, which keeps the unit count linear (a deliberate
+    /// deviation from the paper's per-component pivot tuples, documented
+    /// in DESIGN.md).
     pub fn pivot_candidates(&self, pattern: &Pattern, pivot_var: VarId) -> Vec<NodeId> {
-        let label = pattern.label(pivot_var);
-        let connected = pattern.is_connected();
-        self.index
-            .candidates(label)
+        let candidates = self.index.candidates(pattern.label(pivot_var));
+        if candidates.is_empty() {
+            // Nearly every rule of a large Σ on a pattern-sized `G^X_Q`.
+            return Vec::new();
+        }
+        let needs = LabelNeeds::of(pattern, Some(pivot_var));
+        // Candidates are node-id sorted and `GΣ` lays each component out
+        // contiguously, so one remembered verdict serves a whole run.
+        let mut last = (u32::MAX, false);
+        candidates
             .iter()
             .copied()
             .filter(|&z| {
-                if connected {
-                    self.component_may_host(pattern, self.component_of(z))
-                } else {
-                    true
+                let comp = self.component_of(z);
+                if comp != last.0 {
+                    last = (comp, self.hosts(&needs, comp));
                 }
+                last.1
             })
             .collect()
+    }
+}
+
+/// What a connected (sub-)pattern needs of the one canonical component
+/// every match of it lies in.
+struct LabelNeeds {
+    /// Distinct concrete node labels.
+    node_labels: Vec<LabelId>,
+    /// Distinct concrete edge labels.
+    edge_labels: Vec<LabelId>,
+    /// Is any edge wildcard-labelled?
+    wildcard_edge: bool,
+}
+
+impl LabelNeeds {
+    /// The needs of the pattern component containing `within`, or of the
+    /// whole pattern for `None`.
+    fn of(pattern: &Pattern, within: Option<VarId>) -> Self {
+        let (comp, _) = pattern.components();
+        let inside = |v: VarId| within.is_none_or(|w| comp[v.index()] == comp[w.index()]);
+        let mut node_labels: Vec<LabelId> = pattern
+            .vars()
+            .filter(|&v| inside(v) && !pattern.label(v).is_wildcard())
+            .map(|v| pattern.label(v))
+            .collect();
+        node_labels.sort_unstable();
+        node_labels.dedup();
+        let mut edge_labels = Vec::new();
+        let mut wildcard_edge = false;
+        for e in pattern.edges().iter().filter(|e| inside(e.src)) {
+            if e.label.is_wildcard() {
+                wildcard_edge = true;
+            } else {
+                edge_labels.push(e.label);
+            }
+        }
+        edge_labels.sort_unstable();
+        edge_labels.dedup();
+        LabelNeeds {
+            node_labels,
+            edge_labels,
+            wildcard_edge,
+        }
     }
 }
 
@@ -344,6 +387,31 @@ mod tests {
         let cands = canon.pivot_candidates(&g0.pattern, pivots[0]);
         // Only the two `t` nodes of g0's own component qualify.
         assert_eq!(cands.len(), 2);
+    }
+
+    #[test]
+    fn disconnected_pattern_filters_on_the_pivots_own_component() {
+        let mut vocab = Vocab::new();
+        let sigma = two_pattern_sigma(&mut vocab);
+        let (canon, node_of) = CanonicalGraph::for_sigma(&sigma);
+        let (t, u, e) = (vocab.label("t"), vocab.label("u"), vocab.label("e"));
+        // Q = (x:t -e-> y:t) ⊎ (z:u): no canonical component hosts all of
+        // Q's labels, but each pattern component has a host.
+        let mut q = Pattern::new();
+        let x = q.add_node(t, "x");
+        let y = q.add_node(t, "y");
+        q.add_edge(x, e, y);
+        let z = q.add_node(u, "z");
+        assert_eq!(canon.pivot_candidates(&q, x), node_of[0]);
+        assert_eq!(canon.pivot_candidates(&q, z), node_of[1]);
+        // A `t` pivot whose own component needs an edge label GΣ lacks
+        // anywhere near a `t` node has no candidate at all.
+        let mut r = Pattern::new();
+        let x = r.add_node(t, "x");
+        let y = r.add_node(t, "y");
+        r.add_edge(x, vocab.label("f"), y);
+        r.add_node(u, "z");
+        assert!(canon.pivot_candidates(&r, x).is_empty());
     }
 
     #[test]

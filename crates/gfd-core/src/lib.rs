@@ -17,7 +17,7 @@
 //!   `ParSat`/`ParImp` of `gfd-parallel` (which instantiate it with
 //!   `workers > 1`);
 //! * pivoted work units and their dependency-graph ordering ([`mod@unit`]);
-//! * model extraction ([`model`]) and dependency ordering ([`ordering`]).
+//! * model extraction ([`model`]).
 
 #![warn(missing_docs)]
 
@@ -31,7 +31,6 @@ pub mod error;
 pub mod gfd;
 pub mod literal;
 pub mod model;
-pub mod ordering;
 pub mod seq_imp;
 pub mod seq_sat;
 pub mod sigma;
@@ -51,7 +50,6 @@ pub use error::{AttrKey, Conflict};
 pub use gfd::{Gfd, FALSE_ATTR_NAME};
 pub use literal::{Literal, Operand};
 pub use model::extract_model;
-pub use ordering::order_gfds;
 pub use seq_imp::{
     ggd_imp_with_config, imp_with_config, seq_imp, seq_imp_with, ImpOutcome, ImpResult, ImpliedVia,
 };

@@ -5,20 +5,24 @@
 //! are the grain of data-partitioned parallelism; splitting a straggler
 //! produces *prefix units* that resume deeper search-tree branches.
 //!
-//! The coordinator orders units topologically along a dependency graph:
-//! unit `w1` precedes `w2` when an attribute of `Y1` occurs in `X2` *and*
-//! the pivots are within `dQ1` hops (close enough to interact) — so
-//! producers run before consumers and pending re-checks are minimized.
+//! The driver orders units topologically along a dependency graph: unit
+//! `w1` precedes `w2` when an attribute of `Y1` occurs in `X2` *and* the
+//! pivots are within `dQ1` hops (close enough to interact) — so producers
+//! run before consumers and pending re-checks are minimized. Both the
+//! sequential and the parallel algorithms get their order here (they are
+//! the same driver at different worker counts).
+//!
+//! Set-up is serial, so it is kept to `O(‖Σ‖ + units · ball + edges · log
+//! units)`: nothing is built per rule of Σ unless the rule owns a unit
+//! (DESIGN.md §4, "unit set-up cost").
 
 use crate::canonical::CanonicalGraph;
 use crate::sigma::GfdSet;
-use gfd_graph::{neighborhood, GfdId, NodeId, VarId};
-use rustc_hash::{FxHashMap, FxHashSet};
+use gfd_graph::neighborhood::BallScratch;
+use gfd_graph::{AttrId, GfdId, NodeId, VarId};
+use rustc_hash::FxHashMap;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Min-heap of `((priority key), unit index)` pairs used by the Kahn
-/// frontier (BinaryHeap pops max, so entries are `Reverse`-wrapped).
-type MinHeap = BinaryHeap<std::cmp::Reverse<((bool, bool, usize), usize)>>;
 
 /// A unit of work: match GFD `gfd` with plan positions `0..prefix.len()`
 /// pre-assigned (`prefix\[0\]` is the pivot node `z`).
@@ -50,23 +54,67 @@ pub fn generate_units(
 ) -> Vec<WorkUnit> {
     let mut units = Vec::new();
     for (id, gfd) in sigma.iter() {
-        let candidates = if prune_components {
-            canon.pivot_candidates(&gfd.pattern, pivots[id.index()])
+        let pivot = pivots[id.index()];
+        let pruned;
+        let candidates: &[NodeId] = if prune_components {
+            pruned = canon.pivot_candidates(&gfd.pattern, pivot);
+            &pruned
         } else {
-            canon
-                .index
-                .candidates(gfd.pattern.label(pivots[id.index()]))
-                .to_vec()
+            canon.index.candidates(gfd.pattern.label(pivot))
         };
-        for z in candidates {
-            units.push(WorkUnit {
-                gfd: id,
-                prefix: vec![z],
-                priority: 0,
-            });
-        }
+        units.extend(candidates.iter().map(|&z| WorkUnit {
+            gfd: id,
+            prefix: vec![z],
+            priority: 0,
+        }));
     }
     units
+}
+
+/// What the edge test needs to know of a rule that owns a unit.
+struct RuleAttrs {
+    /// Premise attributes (what the rule consumes).
+    consumes: AttrSet,
+    /// Consequence attributes with at least one and at most `cap`
+    /// consumers in Σ (what it usefully produces).
+    produces: AttrSet,
+    /// Pattern radius at the pivot.
+    radius: u32,
+}
+
+/// A small set of attribute names: sorted, with a one-word Bloom signature
+/// (bit `id mod 64`) that settles most disjointness tests — the common
+/// outcome — without touching the slice.
+struct AttrSet {
+    sorted: Vec<AttrId>,
+    signature: u64,
+}
+
+impl AttrSet {
+    fn new(attrs: impl Iterator<Item = AttrId>) -> Self {
+        let mut sorted: Vec<AttrId> = attrs.collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let signature = sorted.iter().fold(0, |s, a| s | 1u64 << (a.index() % 64));
+        AttrSet { sorted, signature }
+    }
+}
+
+/// Do the two sets share an attribute?
+fn intersects(a: &AttrSet, b: &AttrSet) -> bool {
+    if a.signature & b.signature == 0 {
+        return false;
+    }
+    let (a, b) = (&a.sorted, &b.sorted);
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
 }
 
 /// Assign priorities to `units` from the dependency-graph topological
@@ -86,115 +134,142 @@ pub fn order_units(
     if n == 0 {
         return;
     }
+    let is_boosted = |g: GfdId| boosted.is_some_and(|b| b[g.index()]);
 
-    // attr -> GFDs whose premise mentions it.
-    let mut consumers: FxHashMap<gfd_graph::AttrId, Vec<usize>> = FxHashMap::default();
-    for (id, gfd) in sigma.iter() {
-        let mut seen = FxHashSet::default();
-        for a in gfd.premise_attrs() {
-            if seen.insert(a) {
-                consumers.entry(a).or_default().push(id.index());
-            }
+    // attr -> how many GFDs mention it in their premise. The ubiquity cap
+    // below needs only this count: an attribute consumed by a large
+    // fraction of Σ orders nothing useful and would make the dependency
+    // graph quadratic.
+    let mut consumer_count: FxHashMap<AttrId, u32> = FxHashMap::default();
+    let mut scratch: Vec<AttrId> = Vec::new();
+    for (_, gfd) in sigma.iter() {
+        scratch.clear();
+        scratch.extend(gfd.premise_attrs());
+        scratch.sort_unstable();
+        scratch.dedup();
+        for &a in &scratch {
+            *consumer_count.entry(a).or_default() += 1;
         }
     }
-    // Per GFD: the GFDs consuming what it produces, and the pattern radius
-    // at its pivot. The ubiquity cap mirrors `gfd_core::ordering`: an
-    // attribute consumed by a large fraction of Σ orders nothing useful
-    // and would make this step O(|Σ|²).
-    let cap = 32.max(sigma.len() / 8);
-    let mut consumer_gfds: Vec<Vec<usize>> = Vec::with_capacity(sigma.len());
-    let mut radius: Vec<u32> = Vec::with_capacity(sigma.len());
-    for (id, gfd) in sigma.iter() {
-        let mut out = FxHashSet::default();
-        for a in gfd.consequence_attrs() {
-            if let Some(cs) = consumers.get(&a) {
-                if cs.len() <= cap {
-                    out.extend(cs.iter().copied());
-                }
-            }
-        }
-        let mut v: Vec<usize> = out.into_iter().collect();
-        v.sort_unstable();
-        consumer_gfds.push(v);
-        radius.push(gfd.pattern.radius_at(pivots[id.index()]));
-    }
+    let cap = 32.max(sigma.len() / 8) as u32;
 
-    // Units pivoted at each canonical node (sparse: a node hosts few
-    // units because the component filter rejects most patterns).
-    let mut node_units: Vec<Vec<u32>> = vec![Vec::new(); canon.graph.node_count()];
+    // Attribute slices and radius, only for the rules that own a unit.
+    let mut rules: Vec<Option<RuleAttrs>> = Vec::new();
+    rules.resize_with(sigma.len(), || None);
+    for u in units.iter() {
+        let gfd = &sigma[u.gfd];
+        rules[u.gfd.index()].get_or_insert_with(|| RuleAttrs {
+            consumes: AttrSet::new(gfd.premise_attrs()),
+            produces: AttrSet::new(
+                gfd.consequence_attrs()
+                    .filter(|a| consumer_count.get(a).is_some_and(|&c| c <= cap)),
+            ),
+            radius: gfd.pattern.radius_at(pivots[u.gfd.index()]),
+        });
+    }
+    let rule = |g: GfdId| {
+        rules[g.index()]
+            .as_ref()
+            .expect("built for every unit's rule")
+    };
+
+    // Units pivoted at each canonical node, as one counting sort:
+    // `at_node[node_start[z]..node_start[z + 1]]` are the units at `z`.
+    let mut node_start = vec![0u32; canon.graph.node_count() + 1];
+    for u in units.iter() {
+        node_start[u.pivot().index() + 1] += 1;
+    }
+    for z in 0..canon.graph.node_count() {
+        node_start[z + 1] += node_start[z];
+    }
+    let mut fill = node_start.clone();
+    let mut at_node = vec![0u32; n];
     for (i, u) in units.iter().enumerate() {
-        node_units[u.pivot().index()].push(i as u32);
+        let slot = &mut fill[u.pivot().index()];
+        at_node[*slot as usize] = i as u32;
+        *slot += 1;
     }
 
-    // Edges: w1 -> w2 when gfd2 consumes gfd1's output and pivot2 is within
-    // dQ1 hops of pivot1. Balls are small: canonical components are
-    // pattern-sized. Iterating units-at-node (few) and testing consumer
-    // membership by binary search keeps this near-linear in the unit count.
-    let mut successors: Vec<Vec<u32>> = vec![Vec::new(); n];
+    // Edges: w1 -> w2 when gfd2 consumes what gfd1 produces and pivot2 is
+    // within dQ1 hops of pivot1. Balls are small (canonical components are
+    // pattern-sized), so a bounded BFS over one reused scratch costs the
+    // ball, not |V|, and the units pivoted at one node share it.
+    // `succ[succ_of[i].0..succ_of[i].1]` are the successors of unit `i`.
+    let mut succ: Vec<u32> = Vec::new();
+    let mut succ_of = vec![(0u32, 0u32); n];
     let mut in_deg = vec![0u32; n];
-    for (i, u) in units.iter().enumerate() {
-        let gi = u.gfd.index();
-        if consumer_gfds[gi].is_empty() {
+    let mut bfs = BallScratch::new(canon.graph.node_count());
+    let mut ball: Vec<(NodeId, u32)> = Vec::new();
+    for z in canon.graph.nodes() {
+        let here = &at_node[node_start[z.index()] as usize..node_start[z.index() + 1] as usize];
+        let producers = || {
+            here.iter()
+                .map(|&i| (i, rule(units[i as usize].gfd)))
+                .filter(|(_, r)| !r.produces.sorted.is_empty())
+        };
+        let Some(reach) = producers().map(|(_, r)| r.radius).max() else {
             continue;
-        }
-        let ball = neighborhood::ball(&canon.graph, u.pivot(), radius[gi]);
-        for z in ball.iter() {
-            for &j in &node_units[z.index()] {
-                let j = j as usize;
-                if j != i
-                    && consumer_gfds[gi]
-                        .binary_search(&units[j].gfd.index())
-                        .is_ok()
-                {
-                    successors[i].push(j as u32);
-                    in_deg[j] += 1;
+        };
+        ball.clear();
+        bfs.for_each_within(&canon.graph, z, reach, |v, d| ball.push((v, d)));
+        for (i, r1) in producers() {
+            let first = succ.len() as u32;
+            // BFS order: distances never decrease along `ball`.
+            for &(v, _) in ball.iter().take_while(|&&(_, d)| d <= r1.radius) {
+                let (lo, hi) = (node_start[v.index()], node_start[v.index() + 1]);
+                for &j in &at_node[lo as usize..hi as usize] {
+                    if j != i && intersects(&r1.produces, &rule(units[j as usize].gfd).consumes) {
+                        succ.push(j);
+                        in_deg[j as usize] += 1;
+                    }
                 }
             }
+            succ_of[i as usize] = (first, succ.len() as u32);
         }
     }
 
     // Kahn with priority tiers; cycles broken by forcing the best
-    // remaining node.
-    let key = |i: usize| -> (bool, bool, usize) {
-        let g = units[i].gfd.index();
-        let b = boosted.is_some_and(|b| b[g]);
-        let empty = sigma.as_slice()[g].has_empty_premise();
-        (!b, !empty, i)
+    // remaining node. Keys order by (boosted, empty premise, unit index),
+    // packed so the frontier heap compares one integer. A unit enters the
+    // heap once (when its in-degree reaches 0) and is forced only while
+    // the heap is empty, so nothing popped was emitted before.
+    let key = |i: usize| -> u64 {
+        let g = units[i].gfd;
+        let tier = u64::from(!is_boosted(g)) << 1 | u64::from(!sigma[g].has_empty_premise());
+        tier << 32 | i as u64
     };
-    let mut heap: MinHeap = BinaryHeap::new();
-    for (i, &d) in in_deg.iter().enumerate() {
-        if d == 0 {
-            heap.push(std::cmp::Reverse((key(i), i)));
-        }
-    }
+    let mut heap: BinaryHeap<Reverse<u64>> = (0..n)
+        .filter(|&i| in_deg[i] == 0)
+        .map(|i| Reverse(key(i)))
+        .collect();
     let mut emitted = vec![false; n];
     // Cycle breaking: when the frontier empties, force the next unemitted
-    // node from this pre-sorted list (amortized O(n) across the run).
-    let mut fallback: Vec<usize> = (0..n).collect();
-    fallback.sort_by_key(|&i| key(i));
+    // node from this key-sorted list (amortized O(n) across the run).
+    let mut fallback: Vec<u64> = (0..n).map(key).collect();
+    fallback.sort_unstable();
     let mut fb_cursor = 0usize;
-    let mut rank = 0u32;
-    let mut priorities = vec![0u32; n];
-    while rank < n as u32 {
+    // Unit indices in topological order.
+    let mut topo: Vec<u32> = Vec::with_capacity(n);
+    while topo.len() < n {
         let next = match heap.pop() {
-            Some(std::cmp::Reverse((_, i))) if !emitted[i] => i,
-            Some(_) => continue,
-            None => {
-                while emitted[fallback[fb_cursor]] {
-                    fb_cursor += 1;
+            Some(Reverse(k)) => k as u32 as usize,
+            None => loop {
+                let i = fallback[fb_cursor] as u32 as usize;
+                if !emitted[i] {
+                    break i;
                 }
-                fallback[fb_cursor]
-            }
+                fb_cursor += 1;
+            },
         };
         emitted[next] = true;
-        priorities[next] = rank;
-        rank += 1;
-        for &j in &successors[next] {
+        topo.push(next as u32);
+        let (lo, hi) = succ_of[next];
+        for &j in &succ[lo as usize..hi as usize] {
             let j = j as usize;
             if !emitted[j] {
-                in_deg[j] = in_deg[j].saturating_sub(1);
+                in_deg[j] -= 1;
                 if in_deg[j] == 0 {
-                    heap.push(std::cmp::Reverse((key(j), j)));
+                    heap.push(Reverse(key(j)));
                 }
             }
         }
@@ -202,19 +277,13 @@ pub fn order_units(
     // Final order: boosted units jump the whole queue (the paper's
     // implication rule gives X-subsumed units the highest priority
     // outright), then topological rank.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| {
-        let b = boosted.is_some_and(|b| b[units[i].gfd.index()]);
-        (!b, priorities[i])
-    });
-    let mut final_priority = vec![0u32; n];
-    for (rank, &i) in order.iter().enumerate() {
-        final_priority[i] = rank as u32;
+    let (front, back): (Vec<u32>, Vec<u32>) = topo
+        .into_iter()
+        .partition(|&i| is_boosted(units[i as usize].gfd));
+    for (priority, &i) in front.iter().chain(&back).enumerate() {
+        units[i as usize].priority = priority as u32;
     }
-    for (i, u) in units.iter_mut().enumerate() {
-        u.priority = final_priority[i];
-    }
-    units.sort_by_key(|u| u.priority);
+    units.sort_unstable_by_key(|u| u.priority);
 }
 
 #[cfg(test)]
@@ -301,6 +370,64 @@ mod tests {
         // Boost the consumer (index 0).
         order_units(&mut units, &sigma, &canon, &pivots, Some(&[true, false]));
         assert_eq!(units[0].gfd.index(), 0);
+    }
+
+    /// One-node rules over a shared label: `premise → consequence` on
+    /// attribute names, all pivoted at the same nodes.
+    fn attr_rule(vocab: &mut Vocab, premise: Option<&str>, consequence: &str) -> Gfd {
+        let mut p = Pattern::new();
+        let x = p.add_node(vocab.label("t"), "x");
+        let premise = premise
+            .map(|a| vec![Literal::eq_const(x, vocab.attr(a), 1i64)])
+            .unwrap_or_default();
+        let consequence = vec![Literal::eq_const(x, vocab.attr(consequence), 1i64)];
+        Gfd::new(
+            format!("{premise:?}->{consequence:?}"),
+            p,
+            premise,
+            consequence,
+        )
+    }
+
+    /// The rule order of the units pivoted at canonical node 0.
+    fn rule_order_at_first_node(sigma: &GfdSet) -> Vec<usize> {
+        let (canon, _) = CanonicalGraph::for_sigma(sigma);
+        let (pivots, _) = build_plans(sigma, &canon.index);
+        let mut units = generate_units(sigma, &canon, &pivots, true);
+        order_units(&mut units, sigma, &canon, &pivots, None);
+        assert_eq!(units.len(), sigma.len() * sigma.len());
+        units
+            .iter()
+            .filter(|u| u.pivot() == NodeId::new(0))
+            .map(|u| u.gfd.index())
+            .collect()
+    }
+
+    #[test]
+    fn chain_is_topologically_sorted() {
+        let mut vocab = Vocab::new();
+        // c<-b, b<-a, seed a. Input order is reversed on purpose.
+        let sigma = GfdSet::from_vec(vec![
+            attr_rule(&mut vocab, Some("b"), "c"),
+            attr_rule(&mut vocab, Some("a"), "b"),
+            attr_rule(&mut vocab, None, "a"),
+        ]);
+        assert_eq!(
+            rule_order_at_first_node(&sigma),
+            vec![2, 1, 0],
+            "seed, then a→b, then b→c"
+        );
+    }
+
+    #[test]
+    fn cycles_do_not_hang_and_emit_everything() {
+        let mut vocab = Vocab::new();
+        let sigma = GfdSet::from_vec(vec![
+            attr_rule(&mut vocab, Some("a"), "b"),
+            attr_rule(&mut vocab, Some("b"), "a"),
+        ]);
+        // No unit is ever free; forcing falls back to input order.
+        assert_eq!(rule_order_at_first_node(&sigma), vec![0, 1]);
     }
 
     #[test]

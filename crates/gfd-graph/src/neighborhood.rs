@@ -31,6 +31,62 @@ pub fn ball(graph: &Graph, center: NodeId, radius: u32) -> NodeSet {
     set
 }
 
+/// Reusable state for many radius-bounded BFS runs over one graph: an
+/// epoch-stamped visited array and a queue, so a run costs the ball it
+/// visits — not the `O(|V|)` a fresh [`NodeSet`] per [`ball`] costs.
+#[derive(Debug)]
+pub struct BallScratch {
+    /// `stamp[v] == epoch` iff the current run has reached `v`.
+    stamp: Vec<u32>,
+    epoch: u32,
+    queue: Vec<(NodeId, u32)>,
+}
+
+impl BallScratch {
+    /// Scratch for graphs of up to `node_count` nodes.
+    pub fn new(node_count: usize) -> Self {
+        BallScratch {
+            stamp: vec![0; node_count],
+            epoch: 0,
+            queue: Vec::new(),
+        }
+    }
+
+    /// Call `visit(node, distance)` once for every node within `radius`
+    /// undirected hops of `center` (the nodes of [`ball`], `center`
+    /// included), in BFS order — so distances never decrease.
+    pub fn for_each_within(
+        &mut self,
+        graph: &Graph,
+        center: NodeId,
+        radius: u32,
+        mut visit: impl FnMut(NodeId, u32),
+    ) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.queue.clear();
+        self.stamp[center.index()] = self.epoch;
+        self.queue.push((center, 0));
+        let mut head = 0;
+        while let Some(&(v, d)) = self.queue.get(head) {
+            head += 1;
+            visit(v, d);
+            if d == radius {
+                continue;
+            }
+            for &(_, u) in graph.out_edges(v).iter().chain(graph.in_edges(v)) {
+                if self.stamp[u.index()] != self.epoch {
+                    self.stamp[u.index()] = self.epoch;
+                    self.queue.push((u, d + 1));
+                }
+            }
+        }
+    }
+}
+
 /// Undirected BFS distances from `start`, capped at `max` (nodes farther
 /// than `max`, or unreachable, get `u32::MAX`).
 pub fn distances_within(graph: &Graph, start: NodeId, max: u32) -> Vec<u32> {
@@ -115,6 +171,25 @@ mod tests {
         let b = ball(&g, NodeId::new(1), 0);
         assert_eq!(b.len(), 1);
         assert!(b.contains(NodeId::new(1)));
+    }
+
+    #[test]
+    fn scratch_runs_visit_exactly_the_ball() {
+        let g = path(6);
+        let mut scratch = BallScratch::new(g.node_count());
+        // Back-to-back runs from different centres share the scratch; a
+        // stale stamp from one run must not hide a node from the next.
+        for (center, radius) in [(2, 1), (3, 1), (0, 2), (5, 0), (2, 10)] {
+            let center = NodeId::new(center);
+            let mut got = Vec::new();
+            scratch.for_each_within(&g, center, radius, |v, d| got.push((d, v)));
+            assert_eq!(got[0], (0, center));
+            assert!(got.is_sorted_by_key(|&(d, _)| d));
+            let mut got: Vec<NodeId> = got.into_iter().map(|(_, v)| v).collect();
+            got.sort();
+            let want: Vec<NodeId> = ball(&g, center, radius).iter().collect();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
