@@ -6,8 +6,8 @@
 //! ~4.1× and `np` by 1.7–1.8× on average.
 
 use gfd_bench::{banner, fmt_duration, scale, time_median, Table};
+use gfd_core::{imp_with_config, ReasonConfig};
 use gfd_gen::{real_life_workload, Dataset};
-use gfd_parallel::{par_imp, ParConfig};
 use std::time::Duration;
 
 fn main() {
@@ -46,26 +46,26 @@ fn main() {
         ]);
         let mut first_makespan: Option<Duration> = None;
         for &p in &scale.workers {
-            let base = ParConfig::with_workers(p).with_ttl(scale.default_ttl);
+            let base = ReasonConfig::with_workers(p).with_ttl(scale.default_ttl);
             let mut makespan = Duration::ZERO;
             let t = time_median(scale.repeats, || {
                 let mut mk = Duration::ZERO;
                 for probe in &probes {
-                    let r = par_imp(&w.sigma, &probe.phi, &base);
+                    let r = imp_with_config(&w.sigma, &probe.phi, &base);
                     assert_eq!(r.is_implied(), probe.expect_implied);
-                    mk += r.metrics.makespan().unwrap_or(r.metrics.elapsed);
+                    mk += r.stats.makespan().unwrap_or(r.stats.elapsed);
                 }
                 makespan = mk;
             });
             let t_np = time_median(scale.repeats, || {
                 for probe in &probes {
-                    let r = par_imp(&w.sigma, &probe.phi, &base.clone().without_pipeline());
+                    let r = imp_with_config(&w.sigma, &probe.phi, &base.clone().without_pipeline());
                     assert_eq!(r.is_implied(), probe.expect_implied);
                 }
             });
             let t_nb = time_median(scale.repeats, || {
                 for probe in &probes {
-                    let r = par_imp(&w.sigma, &probe.phi, &base.clone().without_split());
+                    let r = imp_with_config(&w.sigma, &probe.phi, &base.clone().without_split());
                     assert_eq!(r.is_implied(), probe.expect_implied);
                 }
             });

@@ -7,8 +7,8 @@
 //! insensitive to |Σ| thanks to early termination.
 
 use gfd_bench::{banner, fmt_duration, scale, time_median, Table};
+use gfd_core::{sat_with_config, ReasonConfig};
 use gfd_gen::synthetic_workload;
-use gfd_parallel::{par_sat, ParConfig};
 
 fn main() {
     let scale = scale();
@@ -17,7 +17,7 @@ fn main() {
         "SeqSat 1321s / ParSat 430s at |Σ|=10000; ParSat ≈ 3.14x faster on average",
     );
 
-    let cfg = ParConfig::with_workers(4).with_ttl(scale.default_ttl);
+    let cfg = ReasonConfig::with_workers(4).with_ttl(scale.default_ttl);
     let mut table = Table::new(&[
         "|Σ|",
         "SeqSat",
@@ -33,15 +33,15 @@ fn main() {
         });
         let mut makespan = std::time::Duration::ZERO;
         let t_par = time_median(scale.repeats, || {
-            let r = par_sat(&w.sigma, &cfg);
+            let r = sat_with_config(&w.sigma, &cfg);
             assert!(r.is_satisfiable());
-            makespan = r.metrics.makespan().unwrap_or(r.metrics.elapsed);
+            makespan = r.stats.makespan().unwrap_or(r.stats.elapsed);
         });
         let t_np = time_median(scale.repeats, || {
-            assert!(par_sat(&w.sigma, &cfg.clone().without_pipeline()).is_satisfiable());
+            assert!(sat_with_config(&w.sigma, &cfg.clone().without_pipeline()).is_satisfiable());
         });
         let t_nb = time_median(scale.repeats, || {
-            assert!(par_sat(&w.sigma, &cfg.clone().without_split()).is_satisfiable());
+            assert!(sat_with_config(&w.sigma, &cfg.clone().without_split()).is_satisfiable());
         });
         table.row(vec![
             size.to_string(),
@@ -64,7 +64,7 @@ fn main() {
             assert!(!gfd_core::seq_sat(&w.sigma).is_satisfiable());
         });
         let t_par = time_median(scale.repeats, || {
-            assert!(!par_sat(&w.sigma, &cfg).is_satisfiable());
+            assert!(!sat_with_config(&w.sigma, &cfg).is_satisfiable());
         });
         table.row(vec![
             size.to_string(),

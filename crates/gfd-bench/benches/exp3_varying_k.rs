@@ -6,8 +6,8 @@
 //! large k; at k = 10 ParSat/ParImp remain practical.
 
 use gfd_bench::{banner, fmt_duration, scale, time_median, Table};
+use gfd_core::{imp_with_config, sat_with_config, ReasonConfig};
 use gfd_gen::synthetic_workload;
-use gfd_parallel::{par_imp, par_sat, ParConfig};
 
 fn main() {
     let scale = scale();
@@ -16,7 +16,7 @@ fn main() {
         "k=10: SeqSat 1253s, ParSat 398s | SeqImp 538s, ParImp 201s",
     );
 
-    let cfg = ParConfig::with_workers(4).with_ttl(scale.default_ttl);
+    let cfg = ReasonConfig::with_workers(4).with_ttl(scale.default_ttl);
 
     println!("\nFig. 6(g) — satisfiability:");
     let mut table = Table::new(&["k", "SeqSat", "ParSat", "np", "nb", "splits"]);
@@ -27,15 +27,15 @@ fn main() {
         });
         let mut splits = 0u64;
         let t_par = time_median(scale.repeats, || {
-            let r = par_sat(&w.sigma, &cfg);
+            let r = sat_with_config(&w.sigma, &cfg);
             assert!(r.is_satisfiable());
-            splits = r.metrics.units_split;
+            splits = r.stats.units_split;
         });
         let t_np = time_median(scale.repeats, || {
-            assert!(par_sat(&w.sigma, &cfg.clone().without_pipeline()).is_satisfiable());
+            assert!(sat_with_config(&w.sigma, &cfg.clone().without_pipeline()).is_satisfiable());
         });
         let t_nb = time_median(scale.repeats, || {
-            assert!(par_sat(&w.sigma, &cfg.clone().without_split()).is_satisfiable());
+            assert!(sat_with_config(&w.sigma, &cfg.clone().without_split()).is_satisfiable());
         });
         table.row(vec![
             k.to_string(),
@@ -62,13 +62,17 @@ fn main() {
             run_all(&|phi| gfd_core::seq_imp(&w.sigma, phi).is_implied())
         });
         let t_par = time_median(scale.repeats, || {
-            run_all(&|phi| par_imp(&w.sigma, phi, &cfg).is_implied())
+            run_all(&|phi| imp_with_config(&w.sigma, phi, &cfg).is_implied())
         });
         let t_np = time_median(scale.repeats, || {
-            run_all(&|phi| par_imp(&w.sigma, phi, &cfg.clone().without_pipeline()).is_implied())
+            run_all(&|phi| {
+                imp_with_config(&w.sigma, phi, &cfg.clone().without_pipeline()).is_implied()
+            })
         });
         let t_nb = time_median(scale.repeats, || {
-            run_all(&|phi| par_imp(&w.sigma, phi, &cfg.clone().without_split()).is_implied())
+            run_all(&|phi| {
+                imp_with_config(&w.sigma, phi, &cfg.clone().without_split()).is_implied()
+            })
         });
         table.row(vec![
             k.to_string(),

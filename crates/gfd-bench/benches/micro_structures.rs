@@ -3,11 +3,11 @@
 //! component pruning).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gfd_core::{seq_sat_with, EqRel, ReasonOptions};
+use gfd_core::{sat_with_config, EqRel, ReasonConfig};
 use gfd_gen::synthetic_workload;
 use gfd_graph::{AttrId, Graph, LabelIndex, NodeId, Pattern, Vocab};
 use gfd_match::{dual_simulation, MatchPlan};
-use gfd_parallel::{DispatchMode, ParConfig};
+use gfd_runtime::DispatchMode;
 use std::hint::black_box;
 
 fn bench_eq_rel(c: &mut Criterion) {
@@ -355,16 +355,16 @@ fn bench_deque(c: &mut Criterion) {
 /// per batch; the bench pins that it is never slower.
 fn bench_scheduler(c: &mut Criterion) {
     let w = synthetic_workload(60, 5, 3, 7);
-    assert!(gfd_parallel::par_sat(&w.sigma, &ParConfig::with_workers(2)).is_satisfiable());
+    assert!(sat_with_config(&w.sigma, &ReasonConfig::with_workers(2)).is_satisfiable());
     let mut group = c.benchmark_group("sched");
     for p in [2usize, 4, 8] {
         for (name, dispatch) in [
             ("work_stealing", DispatchMode::WorkStealing),
             ("coordinator_dispatch", DispatchMode::Coordinator),
         ] {
-            let cfg = ParConfig::with_workers(p).with_dispatch(dispatch);
+            let cfg = ReasonConfig::with_workers(p).with_dispatch(dispatch);
             group.bench_with_input(BenchmarkId::new(name, p), &cfg, |b, cfg| {
-                b.iter(|| black_box(gfd_parallel::par_sat(&w.sigma, cfg).is_satisfiable()))
+                b.iter(|| black_box(sat_with_config(&w.sigma, cfg).is_satisfiable()))
             });
         }
     }
@@ -385,7 +385,7 @@ fn bench_scheduler(c: &mut Criterion) {
 /// what the ring's drop counter is for.
 fn bench_trace_overhead(_c: &mut Criterion) {
     use gfd_bench::fmt_duration;
-    use gfd_parallel::{EventKind, TraceBuf, TraceSpec};
+    use gfd_runtime::{EventKind, TraceBuf, TraceSpec};
     use std::time::{Duration, Instant};
 
     // Half 1: the no-op event site, measured directly.
@@ -410,11 +410,11 @@ fn bench_trace_overhead(_c: &mut Criterion) {
     // would dominate a millisecond-scale run as a fixed cost, which is
     // start-up amortization, not per-event overhead.
     let w = synthetic_workload(60, 5, 3, 7);
-    let off_cfg = ParConfig::with_workers(4).with_trace(TraceSpec::disabled());
-    let on_cfg = ParConfig::with_workers(4).with_trace(TraceSpec::with_capacity(1 << 12));
-    let run = |cfg: &ParConfig| {
+    let off_cfg = ReasonConfig::with_workers(4).with_trace(TraceSpec::disabled());
+    let on_cfg = ReasonConfig::with_workers(4).with_trace(TraceSpec::with_capacity(1 << 12));
+    let run = |cfg: &ReasonConfig| {
         let start = Instant::now();
-        black_box(gfd_parallel::par_sat(&w.sigma, cfg).is_satisfiable());
+        black_box(sat_with_config(&w.sigma, cfg).is_satisfiable());
         start.elapsed()
     };
     let (_, _) = (run(&off_cfg), run(&on_cfg)); // warm-up
@@ -956,11 +956,12 @@ fn bench_ablations(c: &mut Criterion) {
         ("no_component_pruning", true, false),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &(), |b, _| {
-            let opts = ReasonOptions {
+            let cfg = ReasonConfig {
                 use_dependency_order: dep,
                 prune_components: prune,
+                ..ReasonConfig::with_workers(1)
             };
-            b.iter(|| black_box(seq_sat_with(&w.sigma, &opts).is_satisfiable()))
+            b.iter(|| black_box(sat_with_config(&w.sigma, &cfg).is_satisfiable()))
         });
     }
     group.finish();

@@ -2,36 +2,36 @@
 //!
 //! This is the baseline the paper compares against (`ParImpRDF`, following
 //! Hellings et al.'s chase for RDF FDs): a round-based fixpoint that
-//! re-enumerates every match of every rule each round, with **no**
+//! re-evaluates every premise of every rule each round, with **no**
 //! dependency ordering, **no** inverted pending index, and **no** early
 //! consequence cut inside a round. Same answers as `SeqSat`/`SeqImp`,
 //! strictly more work — which is exactly the point of the comparison in
 //! Fig. 5 and Fig. 6(f).
 //!
-//! Since the scheduler port, each round's **premise scan** runs as a
-//! [`Task`] on the shared `gfd-runtime` work-stealing scheduler instead
-//! of a private loop: the cached match lists are chunked into scan units,
-//! every worker evaluates premises against its own clone of the
-//! round-start relation (premise evaluation only path-compresses, so a
-//! clone is semantically inert), and the fired `(rule, match)` pairs are
-//! applied **serially in deterministic order** between rounds. A premise
-//! that a mid-round enforcement would have unlocked simply fires one
-//! round later — the fixpoint (and any conflict) is unchanged because
-//! enforcement is monotone, while the round structure the baseline is
-//! *supposed* to pay for is preserved. Snapshot semantics hold at every
-//! worker count (including the sequential `workers = 1`), so
-//! [`ChaseStats`] round/eval counts are identical across `p` — they can
-//! run higher than the pre-port scan, which applied consequences
-//! mid-round, did for cascading rule orders; that is a uniform shift of
-//! the baseline, not a scan-order artifact.
+//! There is one chase, [`dep_chase_with_config`], over generalized
+//! dependencies: a GFD is a [`gfd_core::Dependency`] with a literal
+//! consequence, so the literal-only baseline (`chase_sat` / `chase_imp`)
+//! is the special case that never materializes a node. Each round's
+//! **premise scan** runs as a [`Task`] on the shared `gfd-runtime`
+//! scheduler: the cached match lists are chunked into scan units, every
+//! worker evaluates premises against its own clone of the round-start
+//! relation (premise evaluation only path-compresses, so a clone is
+//! semantically inert), and the fired `(rule, match)` pairs are planned
+//! in parallel and committed **in deterministic order** between rounds.
+//! A premise that a mid-round enforcement would have unlocked simply
+//! fires one round later — the fixpoint (and any conflict) is unchanged
+//! because enforcement is monotone, while the round structure the
+//! baseline is *supposed* to pay for is preserved. Snapshot semantics
+//! hold at every worker count (including the sequential `workers = 1`),
+//! so [`ChaseStats`] round/eval counts are identical across `p`.
 
 use gfd_core::{
-    eval_premise_lits, generate_deducible, Budget, CanonicalGraph, Conflict, Consequence, DepSet,
-    EqRel, GfdSet, Interrupt, Literal, Operand, PremiseStatus,
+    eval_premise_lits, generate_deducible, run_task, Budget, CanonicalGraph, Conflict, Consequence,
+    DepSet, EqRel, GenerateConsequence, GfdSet, Interrupt, Literal, Operand, PremiseStatus,
 };
-use gfd_graph::{AttrId, Graph, LabelId, MatchIndex, NodeId, ValueId, VarId};
+use gfd_graph::{AttrId, Graph, LabelId, MatchIndex, NodeId, Pattern, ValueId, VarId};
 use gfd_match::{find_all_matches, Match};
-use gfd_runtime::sched::{run_scheduler_with, SchedOptions, SchedRun, Task, WorkerCtx};
+use gfd_runtime::sched::{Task, WorkerCtx};
 use gfd_runtime::{
     failpoint, DispatchMode, EventKind, RunMetrics, TraceBuf, TraceSpec, CONTROL_WORKER,
 };
@@ -138,20 +138,6 @@ impl ChaseConfig {
             None => self.max_generated_nodes,
         }
     }
-
-    /// Scheduler options for one round's scan: the global deadline plus
-    /// whatever of the unit budget is left after `units_so_far`.
-    fn round_sched_options(&self, units_so_far: u64) -> SchedOptions {
-        SchedOptions {
-            deadline: self.budget.deadline,
-            max_units: self
-                .budget
-                .max_units
-                .map(|max| max.saturating_sub(units_so_far)),
-            unit_retries: 0,
-            trace: self.trace,
-        }
-    }
 }
 
 /// Counters reported by the chase.
@@ -172,8 +158,7 @@ pub struct ChaseStats {
     pub realization_checks: u64,
     /// Firings committed by splicing a concurrently-built patch — the
     /// parallel-independent set of the conflict partition (DESIGN.md
-    /// §12.2). Zero for the literal [`GfdSet`] baseline, which keeps
-    /// the fully serial apply.
+    /// §12.2).
     pub apply_independent: u64,
     /// Firings whose touched classes or nodes overlapped an earlier
     /// firing of the same round, replayed through the serial fallback.
@@ -186,40 +171,23 @@ pub struct ChaseStats {
     pub apply_time: Duration,
 }
 
-/// Outcome of chasing Σ over a canonical graph.
-pub enum ChaseOutcome {
-    /// Fixpoint reached without conflict; the final relation is returned.
-    Fixpoint(EqRel),
-    /// Two distinct constants were forced onto one class.
-    Conflict(Conflict),
-    /// The run was cut short — deadline, unit budget, or an injected
-    /// fault — before the fixpoint: no definite answer.
-    Interrupted(Interrupt),
+/// What a fired rule does: bind and merge attributes of the match, or
+/// materialize a target subgraph.
+#[derive(Clone, Copy)]
+enum Action<'a> {
+    Literals(&'a [Literal]),
+    Generate(&'a GenerateConsequence),
 }
 
-/// Apply the consequence of `gfd` at `m`; returns whether anything changed.
-fn apply_consequence(eq: &mut EqRel, gfd: &gfd_core::Gfd, m: &[NodeId]) -> Result<bool, Conflict> {
-    apply_literals(eq, &gfd.consequence, m)
-}
-
-/// Apply a literal-conjunction consequence at `m`; returns whether
-/// anything changed. Shared by the [`GfdSet`] baseline and the literal
-/// arm of the generalized [`DepSet`] chase.
-fn apply_literals(eq: &mut EqRel, lits: &[Literal], m: &[NodeId]) -> Result<bool, Conflict> {
-    let mut changed = false;
-    for lit in lits {
-        let k1 = (m[lit.var.index()], lit.attr);
-        match &lit.rhs {
-            Operand::Const(c) => {
-                changed |= eq.bind(k1, *c)?.changed;
-            }
-            Operand::Attr(v2, a2) => {
-                let k2 = (m[v2.index()], *a2);
-                changed |= eq.merge(k1, k2)?.changed;
-            }
-        }
-    }
-    Ok(changed)
+/// A rule as the chase reads it. Borrowed from its owner, so a literal
+/// [`GfdSet`] is chased in place rather than cloned into a [`DepSet`] on
+/// every call — the clone would cost the `chase_imp` baseline more than
+/// the chase itself.
+#[derive(Clone, Copy)]
+struct Rule<'a> {
+    pattern: &'a Pattern,
+    premise: &'a [Literal],
+    action: Action<'a>,
 }
 
 /// A contiguous slice of one rule's cached match list.
@@ -240,12 +208,11 @@ struct ScanWorker {
     premise_evals: u64,
 }
 
-/// One round's premise scan as a scheduler workload. The task only needs
-/// each rule's premise literals, so the same scan serves the classic
-/// [`GfdSet`] baseline and the generalized [`DepSet`] chase — a rule's
-/// consequence action is irrelevant until the serial apply phase.
+/// One round's premise scan as a scheduler workload. The task only reads
+/// each rule's premise literals — a rule's consequence action is
+/// irrelevant until the apply phase.
 struct ScanTask<'a> {
-    premises: &'a [&'a [Literal]],
+    rules: &'a [Rule<'a>],
     matches: &'a [Vec<Match>],
     snapshot: &'a EqRel,
     ttl: Duration,
@@ -267,7 +234,7 @@ impl Task for ScanTask<'_> {
         let span = ctx.trace_start();
         let evals0 = w.premise_evals;
         let fired0 = w.fired.len() as u64;
-        let premise = self.premises[unit.rule as usize];
+        let premise = self.rules[unit.rule as usize].premise;
         let list = &self.matches[unit.rule as usize];
         let deadline = Instant::now() + self.ttl;
         for idx in unit.start..unit.end {
@@ -425,7 +392,7 @@ struct ApplyWorker {
 /// concurrently. Nothing here touches the live graph or relation —
 /// mutation happens only in the deterministic commit walk.
 struct ApplyTask<'a, I: MatchIndex> {
-    deps: &'a DepSet,
+    rules: &'a [Rule<'a>],
     matches: &'a [Vec<Match>],
     /// The round's pending `(rule, match index)` firings, sorted.
     pending: &'a [(u32, u32)],
@@ -450,17 +417,16 @@ impl<I: MatchIndex> Task for ApplyTask<'_, I> {
         let deadline = Instant::now() + self.ttl;
         for i in unit.start..unit.end {
             let (rule, idx) = self.pending[i as usize];
-            let dep = &self.deps.as_slice()[rule as usize];
             let m = &self.matches[rule as usize][idx as usize];
-            let plan = match &dep.consequence {
-                Consequence::Literals(lits) => {
+            let plan = match self.rules[rule as usize].action {
+                Action::Literals(lits) => {
                     let mut patch = Patch::default();
                     patch
                         .ops
                         .extend(lits.iter().map(|lit| rel_op(lit, m, m.len())));
                     FiringPlan::Patch(patch)
                 }
-                Consequence::Generate(gen) => {
+                Action::Generate(gen) => {
                     w.realization_checks += 1;
                     if generate_deducible(&mut w.eq, self.index, gen, m) {
                         FiringPlan::Realized
@@ -506,29 +472,12 @@ impl<I: MatchIndex> Task for ApplyTask<'_, I> {
     }
 }
 
-/// Fold one scheduler run's counters and per-worker times into the
-/// accumulated chase metrics.
-fn absorb_run<W>(metrics: &mut RunMetrics, run: &SchedRun<W>) {
-    metrics.trace.merge(&run.trace);
-    metrics.units_dispatched += run.units_executed;
-    metrics.units_split += run.units_split;
-    metrics.units_stolen += run.units_stolen;
-    metrics.units_panicked += run.units_panicked;
-    metrics.units_retried += run.units_retried;
-    for (acc, d) in metrics.worker_busy.iter_mut().zip(&run.worker_busy) {
-        *acc += *d;
-    }
-    for (acc, d) in metrics.worker_idle.iter_mut().zip(&run.worker_idle) {
-        *acc += *d;
-    }
-}
-
 /// Dispatch the planning pass for one round's pending firings. Returns
 /// the plans in pending order plus one worker's snapshot clone (reused
 /// as the partition probe), or the interrupt that cut the pass short.
 #[allow(clippy::too_many_arguments)]
 fn plan_round<I: MatchIndex>(
-    deps: &DepSet,
+    rules: &[Rule<'_>],
     all_matches: &[Vec<Match>],
     pending: &[(u32, u32)],
     index: &I,
@@ -551,18 +500,23 @@ fn plan_round<I: MatchIndex>(
     }
     let stop = AtomicBool::new(false);
     let task = ApplyTask {
-        deps,
+        rules,
         matches: all_matches,
         pending,
         index,
         snapshot,
         ttl: config.ttl,
     };
-    metrics.units_generated += units.len();
-    let opts = config.round_sched_options(metrics.units_dispatched);
-    let run = run_scheduler_with(&task, units, p, config.dispatch, &stop, opts);
-    absorb_run(metrics, &run);
-    let interrupt = Interrupt::from_outcome(&run.outcome);
+    let run = run_task(
+        &task,
+        units,
+        p,
+        config.dispatch,
+        &stop,
+        &config.budget,
+        config.trace,
+        metrics,
+    );
     let mut plans: Vec<Option<FiringPlan>> = (0..pending.len()).map(|_| None).collect();
     let mut probe: Option<EqRel> = None;
     for w in run.workers {
@@ -572,7 +526,7 @@ fn plan_round<I: MatchIndex>(
         }
         probe.get_or_insert(w.eq);
     }
-    if let Some(interrupt) = interrupt {
+    if let Some(interrupt) = run.interrupt {
         return Err(interrupt);
     }
     let plans = plans
@@ -652,140 +606,11 @@ fn partition_independent(plans: &[FiringPlan], probe: &mut EqRel) -> Vec<bool> {
     independent
 }
 
-/// Chase Σ over `canon` starting from `eq0` until fixpoint or conflict,
-/// with the default (sequential) configuration.
-///
-/// Match lists are enumerated once per rule and cached (the graph topology
-/// never changes); every round re-evaluates every premise — the naive part.
-pub fn chase_to_fixpoint(
-    sigma: &GfdSet,
-    canon: &CanonicalGraph,
-    eq0: EqRel,
-) -> (ChaseOutcome, ChaseStats) {
-    let (outcome, stats, _) =
-        chase_to_fixpoint_with_config(sigma, canon, eq0, &ChaseConfig::default());
-    (outcome, stats)
-}
-
-/// Chase Σ over `canon` to fixpoint or conflict, with each round's
-/// premise scan dispatched on the shared work-stealing scheduler. Also
-/// returns the unified scheduler metrics accumulated over all rounds.
-pub fn chase_to_fixpoint_with_config(
-    sigma: &GfdSet,
-    canon: &CanonicalGraph,
-    eq0: EqRel,
-    config: &ChaseConfig,
-) -> (ChaseOutcome, ChaseStats, RunMetrics) {
-    let start = Instant::now();
-    let p = config.workers.max(1);
-    let mut stats = ChaseStats::default();
-    let mut metrics = RunMetrics {
-        workers: p,
-        ..Default::default()
-    };
-    metrics.worker_busy = vec![Duration::ZERO; p];
-    metrics.worker_idle = vec![Duration::ZERO; p];
-    let mut eq = eq0;
-
-    // Enumerate all matches up front (no pivoting, no pruning: naive).
-    let mut all_matches: Vec<Vec<Match>> = Vec::with_capacity(sigma.len());
-    for (_, gfd) in sigma.iter() {
-        let ms = find_all_matches(&canon.graph, &canon.index, &gfd.pattern);
-        stats.matches_enumerated += ms.len() as u64;
-        all_matches.push(ms);
-    }
-
-    let premises: Vec<&[Literal]> = sigma
-        .as_slice()
-        .iter()
-        .map(|g| g.premise.as_slice())
-        .collect();
-    let ctl = ControlTrace::new(config.trace);
-    let done = |outcome: ChaseOutcome, stats: ChaseStats, mut metrics: RunMetrics| {
-        ctl.flush_into(&mut metrics);
-        metrics.elapsed = start.elapsed();
-        metrics.deadline_slack_ms = config.budget.deadline_slack_ms();
-        (outcome, stats, metrics)
-    };
-    loop {
-        // Round boundary: the cooperative deadline check the scheduler
-        // cannot make for us between scans.
-        if config.budget.expired() {
-            metrics.early_terminated = true;
-            return done(
-                ChaseOutcome::Interrupted(Interrupt::Deadline),
-                stats,
-                metrics,
-            );
-        }
-        stats.rounds += 1;
-        let round = stats.rounds as u32;
-        let round_span = ctl.start();
-        let (fired, interrupt) = scan_round(
-            &premises,
-            &all_matches,
-            &eq,
-            config,
-            p,
-            &mut stats,
-            &mut metrics,
-        );
-        if let Some(interrupt) = interrupt {
-            // A degraded scan saw only part of this round's premises;
-            // claiming a fixpoint (or applying a partial round) would be
-            // answering a question we did not finish asking.
-            metrics.early_terminated = true;
-            return done(ChaseOutcome::Interrupted(interrupt), stats, metrics);
-        }
-
-        // ---- serial apply phase (the deliberately naive baseline) ----
-        if failpoint::triggered("chase/apply") {
-            metrics.early_terminated = true;
-            return done(
-                ChaseOutcome::Interrupted(Interrupt::Aborted(
-                    "failpoint chase/apply fired".to_string(),
-                )),
-                stats,
-                metrics,
-            );
-        }
-        let apply_start = Instant::now();
-        let apply_span = ctl.start();
-        let fired_count = fired.len() as u64;
-        let mut changed = false;
-        for (rule, idx) in fired {
-            let id = gfd_graph::GfdId::new(rule as usize);
-            let gfd = &sigma.as_slice()[rule as usize];
-            match apply_consequence(&mut eq, gfd, &all_matches[rule as usize][idx as usize]) {
-                Ok(c) => changed |= c,
-                Err(e) => {
-                    metrics.early_terminated = true;
-                    return done(ChaseOutcome::Conflict(e.with_gfd(id)), stats, metrics);
-                }
-            }
-        }
-        stats.apply_time += apply_start.elapsed();
-        // The literal baseline applies fully serially: its whole round is
-        // booked as the conflicting residual (`a = 0` independent).
-        ctl.span(EventKind::ApplyCommit, round, apply_span, 0, fired_count);
-        ctl.span(
-            EventKind::ChaseRound,
-            round,
-            round_span,
-            fired_count,
-            sigma.len() as u64,
-        );
-        if !changed {
-            return done(ChaseOutcome::Fixpoint(eq), stats, metrics);
-        }
-    }
-}
-
 /// Dispatch one round's premise scan on the shared scheduler and collect
 /// the fired `(rule, match index)` pairs in deterministic order (the
 /// sequential scan's order, whatever the worker interleaving was).
 fn scan_round(
-    premises: &[&[Literal]],
+    rules: &[Rule<'_>],
     all_matches: &[Vec<Match>],
     snapshot: &EqRel,
     config: &ChaseConfig,
@@ -810,15 +635,21 @@ fn scan_round(
     }
     let stop = AtomicBool::new(false);
     let task = ScanTask {
-        premises,
+        rules,
         matches: all_matches,
         snapshot,
         ttl: config.ttl,
     };
-    metrics.units_generated += units.len();
-    let opts = config.round_sched_options(metrics.units_dispatched);
-    let run = run_scheduler_with(&task, units, p, config.dispatch, &stop, opts);
-    absorb_run(metrics, &run);
+    let run = run_task(
+        &task,
+        units,
+        p,
+        config.dispatch,
+        &stop,
+        &config.budget,
+        config.trace,
+        metrics,
+    );
     let mut fired: Vec<(u32, u32)> = Vec::new();
     for w in run.workers {
         stats.premise_evals += w.premise_evals;
@@ -826,7 +657,7 @@ fn scan_round(
     }
     fired.sort_unstable();
     stats.scan_time += scan_start.elapsed();
-    (fired, Interrupt::from_outcome(&run.outcome))
+    (fired, run.interrupt)
 }
 
 /// Outcome of chasing a generalized dependency set over a growable graph.
@@ -857,8 +688,8 @@ pub enum DepChaseOutcome {
 /// budget exhaustion, starting from `eq0`.
 ///
 /// Each round runs the premise scan of **every** dependency as scan units
-/// on the shared scheduler (identical to the literal chase), then the
-/// apply phase handles both consequence actions in two passes:
+/// on the shared scheduler, then the apply phase handles both consequence
+/// actions in two passes:
 ///
 /// * a **parallel planning pass**, also on the scheduler: every
 ///   generating firing's *realization* is checked against the
@@ -879,9 +710,51 @@ pub enum DepChaseOutcome {
 /// When a round materialized topology, matches are re-enumerated against
 /// the grown graph before the next round; fixpoint is reached when a
 /// round applies nothing new. Literal-only sets never materialize, so
-/// this degenerates to exactly the cached-match literal chase.
+/// for them the match lists are enumerated once and every round only
+/// re-evaluates premises — the baseline `chase_sat` / `chase_imp` run
+/// (this chase over a borrowed [`GfdSet`]).
 pub fn dep_chase_with_config(
     deps: &DepSet,
+    graph0: Graph,
+    eq0: EqRel,
+    config: &ChaseConfig,
+) -> (DepChaseOutcome, ChaseStats, RunMetrics) {
+    let rules: Vec<Rule<'_>> = deps
+        .iter()
+        .map(|(_, dep)| Rule {
+            pattern: &dep.pattern,
+            premise: &dep.premise,
+            action: match &dep.consequence {
+                Consequence::Literals(lits) => Action::Literals(lits),
+                Consequence::Generate(gen) => Action::Generate(gen),
+            },
+        })
+        .collect();
+    chase(&rules, graph0, eq0, config)
+}
+
+/// [`dep_chase_with_config`] over a literal Σ: every GFD read as a
+/// dependency with a literal consequence.
+pub(crate) fn gfd_chase_with_config(
+    sigma: &GfdSet,
+    graph0: Graph,
+    eq0: EqRel,
+    config: &ChaseConfig,
+) -> (DepChaseOutcome, ChaseStats, RunMetrics) {
+    let rules: Vec<Rule<'_>> = sigma
+        .iter()
+        .map(|(_, gfd)| Rule {
+            pattern: &gfd.pattern,
+            premise: &gfd.premise,
+            action: Action::Literals(&gfd.consequence),
+        })
+        .collect();
+    chase(&rules, graph0, eq0, config)
+}
+
+/// The chase loop behind both entry points above.
+fn chase(
+    rules: &[Rule<'_>],
     graph0: Graph,
     eq0: EqRel,
     config: &ChaseConfig,
@@ -893,16 +766,9 @@ pub fn dep_chase_with_config(
         workers: p,
         ..Default::default()
     };
-    metrics.worker_busy = vec![Duration::ZERO; p];
-    metrics.worker_idle = vec![Duration::ZERO; p];
 
     let mut graph = graph0;
     let mut eq = eq0;
-    let premises: Vec<&[Literal]> = deps
-        .as_slice()
-        .iter()
-        .map(|d| d.premise.as_slice())
-        .collect();
     // A generating firing's identity: once materialized (or found
     // realized), the same `(rule, match)` never fires again.
     type FiredKey = (u32, Match);
@@ -911,8 +777,7 @@ pub fn dep_chase_with_config(
     let ctl = ControlTrace::new(config.trace);
     let done = |outcome: DepChaseOutcome, stats: ChaseStats, mut metrics: RunMetrics| {
         ctl.flush_into(&mut metrics);
-        metrics.elapsed = start.elapsed();
-        metrics.deadline_slack_ms = config.budget.deadline_slack_ms();
+        config.budget.stamp(start, &mut metrics);
         (outcome, stats, metrics)
     };
     let max_generated = config.effective_max_generated();
@@ -920,9 +785,9 @@ pub fn dep_chase_with_config(
     'rebuild: loop {
         // (Re-)freeze the current topology and enumerate premise matches.
         let canon = CanonicalGraph::from_graph(graph.clone());
-        let mut all_matches: Vec<Vec<Match>> = Vec::with_capacity(deps.len());
-        for (_, dep) in deps.iter() {
-            let ms = find_all_matches(&canon.graph, &canon.index, &dep.pattern);
+        let mut all_matches: Vec<Vec<Match>> = Vec::with_capacity(rules.len());
+        for rule in rules {
+            let ms = find_all_matches(&canon.graph, &canon.index, rule.pattern);
             stats.matches_enumerated += ms.len() as u64;
             all_matches.push(ms);
         }
@@ -940,7 +805,7 @@ pub fn dep_chase_with_config(
             let round = stats.rounds as u32;
             let round_span = ctl.start();
             let (fired, interrupt) = scan_round(
-                &premises,
+                rules,
                 &all_matches,
                 &eq,
                 config,
@@ -971,9 +836,9 @@ pub fn dep_chase_with_config(
             // itself.
             let mut pending: Vec<(u32, u32)> = Vec::with_capacity(fired.len());
             for &(rule, idx) in &fired {
-                match &deps.as_slice()[rule as usize].consequence {
-                    Consequence::Literals(_) => pending.push((rule, idx)),
-                    Consequence::Generate(_) => {
+                match rules[rule as usize].action {
+                    Action::Literals(_) => pending.push((rule, idx)),
+                    Action::Generate(_) => {
                         let key: FiredKey =
                             (rule, all_matches[rule as usize][idx as usize].clone());
                         if fired_gen.insert(key) {
@@ -998,7 +863,7 @@ pub fn dep_chase_with_config(
                 (Vec::new(), Vec::new())
             } else {
                 match plan_round(
-                    deps,
+                    rules,
                     &all_matches,
                     &pending,
                     &canon.index,
@@ -1037,19 +902,19 @@ pub fn dep_chase_with_config(
             let mut changed = false;
             for (i, &(rule, idx)) in pending.iter().enumerate() {
                 let id = gfd_graph::GfdId::new(rule as usize);
-                let dep = &deps.as_slice()[rule as usize];
                 let m = &all_matches[rule as usize][idx as usize];
-                match (&dep.consequence, &plans[i]) {
+                match (rules[rule as usize].action, &plans[i]) {
                     (_, FiringPlan::Realized) => {}
-                    (Consequence::Literals(lits), FiringPlan::Patch(patch)) => {
-                        let applied = if independent[i] {
+                    (Action::Literals(_), FiringPlan::Patch(patch)) => {
+                        // A literal patch is the serial apply — the same
+                        // binds and merges in the same order — so the
+                        // partition only decides where it is booked.
+                        if independent[i] {
                             stats.apply_independent += 1;
-                            splice_ops(&mut eq, &patch.ops, &[])
                         } else {
                             stats.apply_conflicts += 1;
-                            apply_literals(&mut eq, lits, m)
-                        };
-                        match applied {
+                        }
+                        match splice_ops(&mut eq, &patch.ops, &[]) {
                             Ok(c) => changed |= c,
                             Err(e) => {
                                 metrics.early_terminated = true;
@@ -1061,7 +926,7 @@ pub fn dep_chase_with_config(
                             }
                         }
                     }
-                    (Consequence::Generate(gen), FiringPlan::Patch(patch)) => {
+                    (Action::Generate(gen), FiringPlan::Patch(patch)) => {
                         let materialized = if independent[i] {
                             stats.apply_independent += 1;
                             splice_patch(&mut graph, &mut eq, patch)
@@ -1118,7 +983,7 @@ pub fn dep_chase_with_config(
                 round,
                 round_span,
                 fired.len() as u64,
-                deps.len() as u64,
+                rules.len() as u64,
             );
             if !changed {
                 return done(
@@ -1142,7 +1007,8 @@ pub fn dep_chase_with_config(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_core::{Gfd, Literal};
+    use crate::sat_chase::{chase_sat, chase_sat_with_config};
+    use gfd_core::{Gfd, GfdSet, Literal, SatOutcome};
     use gfd_graph::{Pattern, ValueId as VId, VarId, Vocab};
 
     fn unary(vocab: &mut Vocab, name: &str, pre: Vec<Literal>, post: Vec<Literal>) -> Gfd {
@@ -1174,60 +1040,64 @@ mod tests {
         ])
     }
 
+    fn zero_one_sigma(vocab: &mut Vocab) -> GfdSet {
+        let a = vocab.attr("a");
+        let x = VarId::new(0);
+        GfdSet::from_vec(vec![
+            unary(vocab, "zero", vec![], vec![Literal::eq_const(x, a, 0i64)]),
+            unary(vocab, "one", vec![], vec![Literal::eq_const(x, a, 1i64)]),
+        ])
+    }
+
+    /// Chase a literal Σ over its own `GΣ` (what `chase_sat` runs),
+    /// returning the fixpoint relation and the `GΣ` node of every
+    /// pattern variable.
+    fn chase_literal(
+        sigma: &GfdSet,
+        cfg: &ChaseConfig,
+    ) -> (EqRel, Vec<Vec<NodeId>>, ChaseStats, RunMetrics) {
+        let (canon, node_of) = CanonicalGraph::for_sigma(sigma);
+        let (outcome, stats, metrics) =
+            gfd_chase_with_config(sigma, canon.graph, EqRel::new(), cfg);
+        match outcome {
+            DepChaseOutcome::Fixpoint { eq, .. } => (*eq, node_of, stats, metrics),
+            DepChaseOutcome::Conflict(c) => panic!("unexpected conflict: {c}"),
+            DepChaseOutcome::BudgetExhausted { .. } => panic!("literal rules generate nothing"),
+            DepChaseOutcome::Interrupted(i) => panic!("unexpected interrupt: {i}"),
+        }
+    }
+
     #[test]
     fn chase_derives_chains_across_rounds() {
         let mut vocab = Vocab::new();
         let c = vocab.attr("c");
         let sigma = chain_sigma(&mut vocab);
-        let (canon, node_of) = CanonicalGraph::for_sigma(&sigma);
-        let (outcome, stats) = chase_to_fixpoint(&sigma, &canon, EqRel::new());
-        match outcome {
-            ChaseOutcome::Fixpoint(mut eq) => {
-                // Every t-node (one per unary pattern copy) derives c=1.
-                for nodes in &node_of {
-                    assert!(eq.deduces_const((nodes[0], c), VId::of(1i64)));
-                }
-            }
-            ChaseOutcome::Conflict(c) => panic!("unexpected conflict: {c}"),
-            ChaseOutcome::Interrupted(i) => panic!("unexpected interrupt: {i}"),
+        let (mut eq, node_of, stats, _) = chase_literal(&sigma, &ChaseConfig::default());
+        // Every t-node (one per unary pattern copy) derives c=1.
+        for nodes in &node_of {
+            assert!(eq.deduces_const((nodes[0], c), VId::of(1i64)));
         }
         // The chain needs multiple rounds — the naive overhead the paper
         // measures.
         assert!(stats.rounds >= 3, "rounds = {}", stats.rounds);
         assert!(stats.premise_evals > stats.matches_enumerated);
+        // Literal firings materialize nothing.
+        assert_eq!(stats.generated_nodes, 0);
     }
 
     #[test]
     fn chase_detects_conflicts() {
         let mut vocab = Vocab::new();
-        let a = vocab.attr("a");
-        let x = VarId::new(0);
-        let sigma = GfdSet::from_vec(vec![
-            unary(
-                &mut vocab,
-                "zero",
-                vec![],
-                vec![Literal::eq_const(x, a, 0i64)],
-            ),
-            unary(
-                &mut vocab,
-                "one",
-                vec![],
-                vec![Literal::eq_const(x, a, 1i64)],
-            ),
-        ]);
-        let (canon, _) = CanonicalGraph::for_sigma(&sigma);
-        let (outcome, _) = chase_to_fixpoint(&sigma, &canon, EqRel::new());
-        assert!(matches!(outcome, ChaseOutcome::Conflict(_)));
+        let sigma = zero_one_sigma(&mut vocab);
+        let r = chase_sat(&sigma);
+        assert!(matches!(r.outcome, SatOutcome::Unsatisfiable(_)));
     }
 
     #[test]
     fn empty_sigma_fixpoints_immediately() {
-        let sigma = GfdSet::new();
-        let (canon, _) = CanonicalGraph::for_sigma(&sigma);
-        let (outcome, stats) = chase_to_fixpoint(&sigma, &canon, EqRel::new());
-        assert!(matches!(outcome, ChaseOutcome::Fixpoint(_)));
+        let (_, _, stats, metrics) = chase_literal(&GfdSet::new(), &ChaseConfig::default());
         assert_eq!(stats.rounds, 1);
+        assert_eq!(metrics.workers, 1);
     }
 
     /// The scheduler port must not change what the chase derives: every
@@ -1238,7 +1108,6 @@ mod tests {
         let mut vocab = Vocab::new();
         let c = vocab.attr("c");
         let sigma = chain_sigma(&mut vocab);
-        let (canon, node_of) = CanonicalGraph::for_sigma(&sigma);
         for p in [1usize, 2, 8] {
             for dispatch in [DispatchMode::WorkStealing, DispatchMode::Coordinator] {
                 let cfg = ChaseConfig {
@@ -1248,22 +1117,16 @@ mod tests {
                     dispatch,
                     ..ChaseConfig::default()
                 };
-                let (outcome, stats, metrics) =
-                    chase_to_fixpoint_with_config(&sigma, &canon, EqRel::new(), &cfg);
-                match outcome {
-                    ChaseOutcome::Fixpoint(mut eq) => {
-                        for nodes in &node_of {
-                            assert!(
-                                eq.deduces_const((nodes[0], c), VId::of(1i64)),
-                                "p={p} {dispatch:?}"
-                            );
-                        }
-                    }
-                    ChaseOutcome::Conflict(e) => panic!("p={p} {dispatch:?}: {e}"),
-                    ChaseOutcome::Interrupted(i) => panic!("p={p} {dispatch:?}: {i}"),
+                let (mut eq, node_of, stats, metrics) = chase_literal(&sigma, &cfg);
+                for nodes in &node_of {
+                    assert!(
+                        eq.deduces_const((nodes[0], c), VId::of(1i64)),
+                        "p={p} {dispatch:?}"
+                    );
                 }
                 assert!(stats.rounds >= 3);
                 assert_eq!(metrics.workers, p);
+                assert_eq!(metrics.worker_busy.len(), p);
                 assert!(metrics.units_dispatched >= metrics.units_generated as u64);
             }
         }
@@ -1277,18 +1140,16 @@ mod tests {
     fn tracing_records_rule_and_phase_spans() {
         let mut vocab = Vocab::new();
         let sigma = chain_sigma(&mut vocab);
-        let (canon, _) = CanonicalGraph::for_sigma(&sigma);
         let cfg = ChaseConfig {
             trace: TraceSpec::enabled(),
             ..ChaseConfig::with_workers(2)
         };
-        let (outcome, stats, metrics) =
-            chase_to_fixpoint_with_config(&sigma, &canon, EqRel::new(), &cfg);
-        assert!(matches!(outcome, ChaseOutcome::Fixpoint(_)));
+        let (_, _, stats, metrics) = chase_literal(&sigma, &cfg);
         let count =
             |k: EventKind| metrics.trace.events.iter().filter(|e| e.kind == k).count() as u64;
         assert!(count(EventKind::RuleEval) > 0, "no scan spans recorded");
         assert_eq!(count(EventKind::ChaseRound), stats.rounds);
+        assert_eq!(count(EventKind::ApplyPlan), stats.rounds);
         assert_eq!(count(EventKind::ApplyCommit), stats.rounds);
         // Control spans carry the control worker id; scan spans do not.
         for e in &metrics.trace.events {
@@ -1301,37 +1162,18 @@ mod tests {
             }
         }
 
-        let (_, _, quiet) =
-            chase_to_fixpoint_with_config(&sigma, &canon, EqRel::new(), &ChaseConfig::default());
+        let (_, _, _, quiet) = chase_literal(&sigma, &ChaseConfig::default());
         assert!(quiet.trace.is_empty(), "default config must not trace");
     }
 
     #[test]
     fn conflicts_survive_the_parallel_scan() {
         let mut vocab = Vocab::new();
-        let a = vocab.attr("a");
-        let x = VarId::new(0);
-        let sigma = GfdSet::from_vec(vec![
-            unary(
-                &mut vocab,
-                "zero",
-                vec![],
-                vec![Literal::eq_const(x, a, 0i64)],
-            ),
-            unary(
-                &mut vocab,
-                "one",
-                vec![],
-                vec![Literal::eq_const(x, a, 1i64)],
-            ),
-        ]);
-        let (canon, _) = CanonicalGraph::for_sigma(&sigma);
+        let sigma = zero_one_sigma(&mut vocab);
         for p in [2usize, 4] {
-            let cfg = ChaseConfig::with_workers(p);
-            let (outcome, _, metrics) =
-                chase_to_fixpoint_with_config(&sigma, &canon, EqRel::new(), &cfg);
-            assert!(matches!(outcome, ChaseOutcome::Conflict(_)), "p={p}");
-            assert!(metrics.early_terminated);
+            let r = chase_sat_with_config(&sigma, &ChaseConfig::with_workers(p));
+            assert!(matches!(r.outcome, SatOutcome::Unsatisfiable(_)), "p={p}");
+            assert!(r.metrics.early_terminated);
         }
     }
 }

@@ -2,8 +2,10 @@
 //! `ParImpRDF`, following Hellings et al. \[5\] with triple patterns
 //! represented as graphs).
 
-use crate::chase::{chase_to_fixpoint_with_config, ChaseConfig, ChaseOutcome, ChaseStats};
-use gfd_core::{consequence_deducible, CanonicalGraph, Gfd, GfdSet, ImpOutcome, ImpliedVia};
+use crate::chase::{gfd_chase_with_config, ChaseConfig, ChaseStats, DepChaseOutcome};
+use gfd_core::{
+    consequence_deducible, CanonicalGraph, Gfd, GfdSet, ImpOutcome, ImpliedVia, Interrupt,
+};
 use gfd_runtime::RunMetrics;
 use std::time::{Duration, Instant};
 
@@ -34,43 +36,39 @@ pub fn chase_imp(sigma: &GfdSet, phi: &Gfd) -> ChaseImpResult {
     chase_imp_with_config(sigma, phi, &ChaseConfig::default())
 }
 
-/// [`chase_imp`] with the per-round premise scan dispatched on the
-/// shared scheduler.
+/// [`chase_imp`] under an explicit configuration: the one chase
+/// ([`crate::chase::dep_chase_with_config`]) over Σ read as
+/// literal-consequence dependencies, started from `EqX` on `G^X_Q`.
 pub fn chase_imp_with_config(sigma: &GfdSet, phi: &Gfd, config: &ChaseConfig) -> ChaseImpResult {
     let start = Instant::now();
-    let stats = ChaseStats::default();
-
+    let trivial = |via: ImpliedVia| ChaseImpResult {
+        outcome: ImpOutcome::Implied(via),
+        stats: ChaseStats::default(),
+        metrics: RunMetrics {
+            workers: config.workers.max(1),
+            ..Default::default()
+        },
+        elapsed: start.elapsed(),
+    };
     if phi.consequence.is_empty() {
-        return ChaseImpResult {
-            outcome: ImpOutcome::Implied(ImpliedVia::Consequence),
-            stats,
-            metrics: RunMetrics::default(),
-            elapsed: start.elapsed(),
-        };
+        return trivial(ImpliedVia::Consequence);
     }
-    let (canon, eqx) = match CanonicalGraph::for_phi(phi) {
-        Ok(pair) => pair,
-        Err(_) => {
-            return ChaseImpResult {
-                outcome: ImpOutcome::Implied(ImpliedVia::PremiseInconsistent),
-                stats,
-                metrics: RunMetrics::default(),
-                elapsed: start.elapsed(),
-            }
-        }
+    let Ok((canon, eqx)) = CanonicalGraph::for_phi(phi) else {
+        return trivial(ImpliedVia::PremiseInconsistent);
     };
 
-    let (outcome, stats, metrics) = chase_to_fixpoint_with_config(sigma, &canon, eqx, config);
+    let (outcome, stats, metrics) = gfd_chase_with_config(sigma, canon.graph, eqx, config);
     let outcome = match outcome {
-        ChaseOutcome::Conflict(c) => ImpOutcome::Implied(ImpliedVia::Conflict(c)),
-        ChaseOutcome::Fixpoint(mut eq) => {
+        DepChaseOutcome::Conflict(c) => ImpOutcome::Implied(ImpliedVia::Conflict(c)),
+        DepChaseOutcome::Fixpoint { mut eq, .. } => {
             if consequence_deducible(&mut eq, phi) {
                 ImpOutcome::Implied(ImpliedVia::Consequence)
             } else {
                 ImpOutcome::NotImplied
             }
         }
-        ChaseOutcome::Interrupted(i) => ImpOutcome::Unknown(i),
+        DepChaseOutcome::BudgetExhausted { .. } => ImpOutcome::Unknown(Interrupt::FreshNodes),
+        DepChaseOutcome::Interrupted(i) => ImpOutcome::Unknown(i),
     };
     ChaseImpResult {
         outcome,
@@ -175,6 +173,10 @@ mod tests {
         let a = vocab.attr("A");
         let trivial = Gfd::new("t", q.clone(), vec![], vec![]);
         assert!(chase_imp(&sigma, &trivial).is_implied());
+        // The short-circuits report the configured worker count, like
+        // every run that reaches the scheduler.
+        let r = chase_imp_with_config(&sigma, &trivial, &ChaseConfig::with_workers(3));
+        assert_eq!(r.metrics.workers, 3);
         let inconsistent = Gfd::new(
             "i",
             q,

@@ -5,8 +5,8 @@
 //! over `GΣ` to fixpoint and report conflicts, without early termination
 //! inside a round, ordering, or pending indexes.
 
-use crate::chase::{chase_to_fixpoint_with_config, ChaseConfig, ChaseOutcome, ChaseStats};
-use gfd_core::{extract_model, CanonicalGraph, EqRel, GfdSet, SatOutcome};
+use crate::chase::{gfd_chase_with_config, ChaseConfig, ChaseStats, DepChaseOutcome};
+use gfd_core::{extract_model, CanonicalGraph, EqRel, GfdSet, Interrupt, SatOutcome};
 use gfd_runtime::RunMetrics;
 use std::time::{Duration, Instant};
 
@@ -36,27 +36,20 @@ pub fn chase_sat(sigma: &GfdSet) -> ChaseSatResult {
     chase_sat_with_config(sigma, &ChaseConfig::default())
 }
 
-/// Check the satisfiability of Σ by chasing `GΣ` to fixpoint, the
-/// per-round premise scan running on the shared scheduler.
+/// Check the satisfiability of Σ by chasing `GΣ` to fixpoint: the one
+/// chase ([`crate::chase::dep_chase_with_config`]) over Σ read as
+/// literal-consequence dependencies, which never materializes a node.
 pub fn chase_sat_with_config(sigma: &GfdSet, config: &ChaseConfig) -> ChaseSatResult {
     let start = Instant::now();
-    if sigma.is_empty() {
-        return ChaseSatResult {
-            outcome: SatOutcome::Satisfiable(Box::new(gfd_graph::Graph::new())),
-            stats: ChaseStats::default(),
-            metrics: RunMetrics::default(),
-            elapsed: start.elapsed(),
-        };
-    }
     let (canon, _) = CanonicalGraph::for_sigma(sigma);
-    let (outcome, stats, metrics) =
-        chase_to_fixpoint_with_config(sigma, &canon, EqRel::new(), config);
+    let (outcome, stats, metrics) = gfd_chase_with_config(sigma, canon.graph, EqRel::new(), config);
     let outcome = match outcome {
-        ChaseOutcome::Conflict(c) => SatOutcome::Unsatisfiable(c),
-        ChaseOutcome::Fixpoint(mut eq) => {
-            SatOutcome::Satisfiable(Box::new(extract_model(&canon.graph, &mut eq)))
+        DepChaseOutcome::Conflict(c) => SatOutcome::Unsatisfiable(c),
+        DepChaseOutcome::Fixpoint { graph, mut eq } => {
+            SatOutcome::Satisfiable(Box::new(extract_model(&graph, &mut eq)))
         }
-        ChaseOutcome::Interrupted(i) => SatOutcome::Unknown(i),
+        DepChaseOutcome::BudgetExhausted { .. } => SatOutcome::Unknown(Interrupt::FreshNodes),
+        DepChaseOutcome::Interrupted(i) => SatOutcome::Unknown(i),
     };
     ChaseSatResult {
         outcome,
@@ -101,6 +94,8 @@ mod tests {
 
     #[test]
     fn empty_sigma() {
-        assert!(chase_sat(&GfdSet::new()).is_satisfiable());
+        let r = chase_sat_with_config(&GfdSet::new(), &ChaseConfig::with_workers(2));
+        assert!(r.is_satisfiable());
+        assert_eq!(r.metrics.workers, 2);
     }
 }

@@ -5,7 +5,7 @@ use crate::cmd_sat::interrupted;
 use crate::output::fmt_duration;
 use crate::traceopt::{dep_rule_names, TraceArgs, TRACE_HELP};
 use gfd_detect::{detect_deps, suggest_repairs, DetectConfig};
-use gfd_parallel::{EventKind, RunMetrics, TraceBuf, CONTROL_WORKER};
+use gfd_runtime::{EventKind, RunMetrics, TraceBuf, CONTROL_WORKER};
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -24,6 +24,8 @@ error-detection application, ϕ1–ϕ4 of Example 1). FILE may mix `gfd` and
 violation with a witness of the missing subgraph.
   --graph NAME  only check the named graph (default: all graphs)
   --limit N     stop after N violations (default: all)
+  --workers N   parallel workers (default 4; 0 = one worker per CPU)
+  --ttl-ms T    straggler TTL in milliseconds (default 100)
   --repair      print minimal repair suggestions per violation
   --quiet       summary only, no per-violation explanations
   --metrics     print scheduler metrics (units, splits, steals, idle time)
@@ -331,7 +333,7 @@ fn run_stream(
         if opts.budget.expired() {
             return Err(interrupted(
                 &gfd_core::Interrupt::Deadline,
-                &gfd_parallel::RunMetrics {
+                &gfd_runtime::RunMetrics {
                     deadline_slack_ms: opts.budget.deadline_slack_ms(),
                     ..Default::default()
                 },

@@ -5,7 +5,6 @@ use crate::cmd_sat::interrupted;
 use crate::output::{fmt_chase_stats, fmt_duration, fmt_metrics};
 use crate::traceopt::{dep_rule_names, gfd_rule_names, TraceArgs, TRACE_HELP};
 use gfd_core::{DepSet, ReasonConfig};
-use gfd_parallel::ParConfig;
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -19,8 +18,8 @@ mix `gfd` and `ggd` blocks: a generating candidate against literal rules
 runs on the unified driver (realization early-exit); a generating Σ runs
 the GGD chase over the candidate's canonical graph.
   --phi NAME     the candidate rule ϕ (by its name in the file)
-  --workers N    parallel workers (default 4)
-  --seq          use the sequential algorithm (workers = 1)
+  --workers N    workers (default 4; 0 or 1 = the sequential algorithm)
+  --seq          shorthand for --workers 1
   --ttl-ms T     straggler TTL in milliseconds (default 2000)
   --metrics      print scheduler metrics (units, splits, steals, idle)
   --gen-budget B fresh-node budget of the GGD chase (default 100000);
@@ -43,8 +42,9 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
         .ok_or_else(|| ArgError::new("imp requires --phi NAME"))?
         .to_string();
     let workers = args.opt_usize("workers", 4)?;
+    // One door: SeqImp is the same call as ParImp, at one worker.
+    let workers = if args.flag("seq") { 1 } else { workers };
     let ttl = Duration::from_millis(args.opt_u64("ttl-ms", 2000)?);
-    let sequential = args.flag("seq");
     let show_metrics = args.flag("metrics");
     let gen_budget = args.opt_u64("gen-budget", 100_000)?;
     let budget = parse_budget(&args)?;
@@ -72,50 +72,26 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
     );
     let start = Instant::now();
 
-    // Route: a literal Σ with a literal ϕ is exactly the pre-refactor
-    // SeqImp/ParImp; a literal Σ with a generating ϕ runs the same driver
-    // under `Goal::GgdImp`; a generating Σ needs the chase.
-    let (implied, metrics, chase_stats, rule_names) = match (sigma.to_gfds(), phi.as_gfd()) {
-        (Some(gfds), Some(gfd)) => {
-            let cfg = if sequential {
-                gfd_core::ReasonConfig {
-                    split: false,
-                    ..ParConfig::with_workers(1)
-                        .with_ttl(ttl)
-                        .with_budget(budget)
-                        .with_trace(tracing.spec())
-                }
-            } else {
-                ParConfig::with_workers(workers)
-                    .with_ttl(ttl)
-                    .with_budget(budget)
-                    .with_trace(tracing.spec())
-            };
-            let r = gfd_parallel::par_imp(&gfds, &gfd, &cfg);
+    // Route: a literal Σ runs the unified driver — `Goal::Imp` for a
+    // literal ϕ, `Goal::GgdImp` for a generating one; a generating Σ needs
+    // the chase.
+    let (implied, metrics, chase_stats, rule_names) = match sigma.to_gfds() {
+        Some(gfds) => {
+            let cfg = ReasonConfig::with_workers(workers)
+                .with_ttl(ttl)
+                .with_budget(budget)
+                .with_trace(tracing.spec());
+            let r = gfd_core::ggd_imp_with_config(&gfds, &phi, &cfg);
             // Check the unknown arm before the yes/no split: a deadline
             // expiry must exit 2, not report NOT IMPLIED.
-            if let gfd_core::ImpOutcome::Unknown(i) = &r.outcome {
-                return Err(interrupted(i, &r.metrics));
-            }
-            (r.is_implied(), r.metrics, None, gfd_rule_names(&gfds))
-        }
-        (Some(gfds), None) => {
-            let cfg = ReasonConfig {
-                workers: if sequential { 1 } else { workers.max(1) },
-                ttl,
-                budget,
-                trace: tracing.spec(),
-                ..ReasonConfig::default()
-            };
-            let r = gfd_core::ggd_imp_with_config(&gfds, &phi, &cfg);
             if let Some(i) = r.interrupt() {
                 return Err(interrupted(i, &r.stats));
             }
             (r.is_implied(), r.stats, None, gfd_rule_names(&gfds))
         }
-        (None, _) => {
+        None => {
             let cfg = gfd_chase::ChaseConfig {
-                workers: if sequential { 1 } else { workers.max(1) },
+                workers,
                 ttl,
                 max_generated_nodes: gen_budget,
                 budget,

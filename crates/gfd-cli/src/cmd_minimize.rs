@@ -8,8 +8,7 @@
 
 use crate::args::{load_document, ArgError, Parsed};
 use crate::output::fmt_duration;
-use gfd_core::GfdSet;
-use gfd_parallel::ParConfig;
+use gfd_core::{GfdSet, ReasonConfig};
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -19,8 +18,9 @@ gfd minimize FILE [--workers N] [--ttl-ms T] [--seq] [--out PATH]
 Removes rules implied by the rest of the set (a cover). Order-dependent
 but always sound: the reduced set is equivalent to the original.
   --out PATH    write the reduced set (DSL) to PATH
-  --workers N   parallel workers for each implication check (default 4)
-  --seq         use sequential SeqImp
+  --workers N   workers for each implication check (default 4;
+                0 or 1 = sequential SeqImp)
+  --seq         shorthand for --workers 1
 Exit code: 0 (prints how many rules were removed), 2 on error.
 ";
 
@@ -31,8 +31,8 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
     }
     let path = args.positional(0, "FILE")?.to_string();
     let workers = args.opt_usize("workers", 4)?;
+    let workers = if args.flag("seq") { 1 } else { workers };
     let ttl = Duration::from_millis(args.opt_u64("ttl-ms", 2000)?);
-    let sequential = args.flag("seq");
     let out_path = args.opt_str("out")?.map(str::to_string);
     args.finish()?;
 
@@ -50,7 +50,7 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
         return Err(ArgError::new(format!("{path} contains no GFDs")));
     }
 
-    let cfg = ParConfig::with_workers(workers).with_ttl(ttl);
+    let cfg = ReasonConfig::with_workers(workers).with_ttl(ttl);
     let start = Instant::now();
     let mut kept: Vec<bool> = vec![true; rules.len()];
     for i in 0..rules.len() {
@@ -66,12 +66,7 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
         if sigma_i.is_empty() {
             continue;
         }
-        let implied = if sequential {
-            gfd_core::seq_imp(&sigma_i, &rules[i]).is_implied()
-        } else {
-            gfd_parallel::par_imp(&sigma_i, &rules[i], &cfg).is_implied()
-        };
-        if implied {
+        if gfd_core::imp_with_config(&sigma_i, &rules[i], &cfg).is_implied() {
             kept[i] = false;
             let _ = writeln!(out, "removed {} (implied by the rest)", rules[i].name);
         }

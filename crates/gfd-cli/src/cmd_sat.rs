@@ -1,9 +1,10 @@
 //! `gfd sat FILE` — satisfiability checking.
 
 use crate::args::{load_document, parse_budget, ArgError, Parsed};
-use crate::output::{fmt_duration, fmt_metrics};
-use crate::traceopt::{dep_rule_names, gfd_rule_names, TraceArgs, TRACE_HELP};
-use gfd_parallel::ParConfig;
+use crate::output::{fmt_chase_stats, fmt_duration, fmt_metrics};
+use crate::traceopt::{dep_rule_names, TraceArgs, TRACE_HELP};
+use gfd_chase::DepSatOutcome;
+use gfd_core::{ReasonConfig, SatOutcome};
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -15,8 +16,8 @@ gfd sat FILE [--workers N] [--ttl-ms T] [--seq] [--model] [--metrics]
 Checks whether the rule set in FILE has a model (§IV–V of the paper).
 FILE may mix `gfd` and `ggd` blocks: literal-only sets run the
 SeqSat/ParSat driver, sets with generating rules the GGD chase.
-  --workers N    parallel workers (default 4)
-  --seq          use the sequential algorithm (workers = 1)
+  --workers N    workers (default 4; 0 or 1 = the sequential algorithm)
+  --seq          shorthand for --workers 1
   --ttl-ms T     straggler TTL in milliseconds (default 2000)
   --model        on satisfiable sets, print the extracted model
   --metrics      print scheduler metrics (units, splits, steals, idle)
@@ -36,8 +37,9 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
     }
     let path = args.positional(0, "FILE")?.to_string();
     let workers = args.opt_usize("workers", 4)?;
+    // One door: SeqSat is the same call as ParSat, at one worker.
+    let workers = if args.flag("seq") { 1 } else { workers };
     let ttl = Duration::from_millis(args.opt_u64("ttl-ms", 2000)?);
-    let sequential = args.flag("seq");
     let show_model = args.flag("model");
     let show_metrics = args.flag("metrics");
     let gen_budget = args.opt_u64("gen-budget", 100_000)?;
@@ -50,64 +52,69 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
     if doc.deps.is_empty() {
         return Err(ArgError::new(format!("{path} contains no rules")));
     }
-    if doc.deps.has_generating() {
-        return run_generating(
-            &path,
-            doc,
-            &vocab,
-            workers,
-            ttl,
-            sequential,
-            show_model,
-            show_metrics,
-            gen_budget,
-            budget,
-            &tracing,
-            out,
-        );
-    }
-    let sigma = doc.gfds;
-    let _ = writeln!(
-        out,
-        "{}: {} rule(s), total size {}",
-        path,
-        sigma.len(),
-        sigma.total_size()
-    );
-
+    let sigma = doc.deps;
     let start = Instant::now();
-    // The sequential and parallel algorithms share one driver: `--seq` is
-    // the workers = 1 instantiation, and both report the same metrics.
-    let (satisfiable, model, metrics) = if sequential {
-        let cfg = gfd_core::ReasonConfig {
-            split: false,
-            ..ParConfig::with_workers(1)
-                .with_ttl(ttl)
-                .with_budget(budget)
-                .with_trace(tracing.spec())
-        };
-        let r = gfd_core::sat_with_config(&sigma, &cfg);
-        // An interrupted run has no verdict: check before the yes/no
-        // split so a timeout cannot masquerade as UNSATISFIABLE.
-        if let Some(i) = r.interrupt() {
-            return Err(interrupted(i, &r.stats));
-        }
-        let model = r.model().cloned();
-        (r.is_satisfiable(), model, r.stats)
-    } else {
-        let cfg = ParConfig::with_workers(workers)
+    // Route: a literal Σ runs the unified driver; a Σ with generating
+    // rules the chase over `GΣ` (scan and planning units on the shared
+    // scheduler, generation committed in order between rounds) under a
+    // fresh-node termination budget. An interrupted run has no verdict:
+    // both routes check that before the yes/no split, so a timeout cannot
+    // masquerade as UNSATISFIABLE.
+    let (model, metrics, chase_stats) = if !sigma.has_generating() {
+        let gfds = doc.gfds;
+        let _ = writeln!(
+            out,
+            "{}: {} rule(s), total size {}",
+            path,
+            gfds.len(),
+            gfds.total_size()
+        );
+        let cfg = ReasonConfig::with_workers(workers)
             .with_ttl(ttl)
             .with_budget(budget)
             .with_trace(tracing.spec());
-        let r = gfd_parallel::par_sat(&sigma, &cfg);
-        if let gfd_core::SatOutcome::Unknown(i) = &r.outcome {
-            return Err(interrupted(i, &r.metrics));
+        let r = gfd_core::sat_with_config(&gfds, &cfg);
+        match r.outcome {
+            SatOutcome::Unknown(i) => return Err(interrupted(&i, &r.stats)),
+            SatOutcome::Satisfiable(m) => (Some(m), r.stats, None),
+            SatOutcome::Unsatisfiable(_) => (None, r.stats, None),
         }
-        let sat = r.is_satisfiable();
-        (sat, None, r.metrics)
+    } else {
+        let generating = sigma.iter().filter(|(_, d)| d.is_generating()).count();
+        let _ = writeln!(
+            out,
+            "{}: {} rule(s) ({} generating), total size {} — GGD chase",
+            path,
+            sigma.len(),
+            generating,
+            sigma.total_size()
+        );
+        let cfg = gfd_chase::ChaseConfig {
+            workers,
+            ttl,
+            max_generated_nodes: gen_budget,
+            budget,
+            trace: tracing.spec(),
+            ..gfd_chase::ChaseConfig::default()
+        };
+        let r = gfd_chase::dep_sat_with_config(&sigma, &cfg);
+        match r.outcome {
+            DepSatOutcome::Unknown { generated_nodes } => {
+                return Err(ArgError::new(format!(
+                    "generation budget ({gen_budget}) exhausted after materializing \
+                     {generated_nodes} node(s); the set may have no finite chase — \
+                     raise --gen-budget to keep going"
+                )))
+            }
+            DepSatOutcome::Interrupted(i) => return Err(interrupted(&i, &r.metrics)),
+            DepSatOutcome::Satisfiable(m) => (Some(m), r.metrics, Some(r.stats)),
+            DepSatOutcome::Unsatisfiable(_) => (None, r.metrics, Some(r.stats)),
+        }
     };
     let elapsed = start.elapsed();
 
+    // Both routes hand back the model exactly when Σ is satisfiable.
+    let satisfiable = model.is_some();
     let verdict = if satisfiable {
         "SATISFIABLE"
     } else {
@@ -116,28 +123,27 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
     let _ = writeln!(out, "{verdict} ({})", fmt_duration(elapsed));
     if show_metrics {
         let _ = write!(out, "{}", fmt_metrics(&metrics));
-    }
-    tracing.emit(&metrics, &gfd_rule_names(&sigma), out)?;
-    if show_model {
-        if let Some(model) = &model {
-            let _ = writeln!(
-                out,
-                "model: {} nodes, {} edges, {} attributes",
-                model.node_count(),
-                model.edge_count(),
-                model.attr_count()
-            );
-            let _ = write!(out, "{}", gfd_dsl::print_graph("model", model, &vocab));
-        } else if satisfiable {
-            let _ = writeln!(out, "model: (run with --seq to extract a model)");
+        if let Some(stats) = &chase_stats {
+            let _ = write!(out, "{}", fmt_chase_stats(stats));
         }
+    }
+    tracing.emit(&metrics, &dep_rule_names(&sigma), out)?;
+    if let Some(model) = model.filter(|_| show_model) {
+        let _ = writeln!(
+            out,
+            "model: {} nodes, {} edges, {} attributes",
+            model.node_count(),
+            model.edge_count(),
+            model.attr_count()
+        );
+        let _ = write!(out, "{}", gfd_dsl::print_graph("model", &model, &vocab));
     }
     Ok(if satisfiable { 0 } else { 1 })
 }
 
 /// Render an interrupted run as the uniform exit-2 diagnostic, with the
 /// budget context (panics, retries, deadline slack) that explains it.
-pub(crate) fn interrupted(i: &gfd_core::Interrupt, m: &gfd_parallel::RunMetrics) -> ArgError {
+pub(crate) fn interrupted(i: &gfd_core::Interrupt, m: &gfd_runtime::RunMetrics) -> ArgError {
     let mut msg = format!("run interrupted: {i}");
     if let Some(slack) = m.deadline_slack_ms {
         msg.push_str(&format!(" (deadline slack {slack}ms)"));
@@ -150,80 +156,4 @@ pub(crate) fn interrupted(i: &gfd_core::Interrupt, m: &gfd_parallel::RunMetrics)
     }
     msg.push_str("; raise --deadline-ms/--max-units to keep going");
     ArgError::new(msg)
-}
-
-/// The GGD route: the set contains generating rules, so satisfiability
-/// runs the chase over `GΣ` (scan units on the shared scheduler, serial
-/// generation between rounds) with a fresh-node termination budget.
-#[allow(clippy::too_many_arguments)]
-fn run_generating(
-    path: &str,
-    doc: gfd_dsl::Document,
-    vocab: &gfd_graph::Vocab,
-    workers: usize,
-    ttl: Duration,
-    sequential: bool,
-    show_model: bool,
-    show_metrics: bool,
-    gen_budget: u64,
-    budget: gfd_core::Budget,
-    tracing: &TraceArgs,
-    out: &mut dyn Write,
-) -> Result<i32, ArgError> {
-    let sigma = doc.deps;
-    let generating = sigma.iter().filter(|(_, d)| d.is_generating()).count();
-    let _ = writeln!(
-        out,
-        "{}: {} rule(s) ({} generating), total size {} — GGD chase",
-        path,
-        sigma.len(),
-        generating,
-        sigma.total_size()
-    );
-    let cfg = gfd_chase::ChaseConfig {
-        workers: if sequential { 1 } else { workers.max(1) },
-        ttl,
-        max_generated_nodes: gen_budget,
-        budget,
-        trace: tracing.spec(),
-        ..gfd_chase::ChaseConfig::default()
-    };
-    let start = Instant::now();
-    let r = gfd_chase::dep_sat_with_config(&sigma, &cfg);
-    let elapsed = start.elapsed();
-    if let gfd_chase::DepSatOutcome::Unknown { generated_nodes } = &r.outcome {
-        return Err(ArgError::new(format!(
-            "generation budget ({gen_budget}) exhausted after materializing \
-             {generated_nodes} node(s); the set may have no finite chase — \
-             raise --gen-budget to keep going"
-        )));
-    }
-    if let gfd_chase::DepSatOutcome::Interrupted(i) = &r.outcome {
-        return Err(interrupted(i, &r.metrics));
-    }
-    let satisfiable = r.is_satisfiable();
-    let verdict = if satisfiable {
-        "SATISFIABLE"
-    } else {
-        "UNSATISFIABLE"
-    };
-    let _ = writeln!(out, "{verdict} ({})", fmt_duration(elapsed));
-    if show_metrics {
-        let _ = write!(out, "{}", fmt_metrics(&r.metrics));
-        let _ = write!(out, "{}", crate::output::fmt_chase_stats(&r.stats));
-    }
-    tracing.emit(&r.metrics, &dep_rule_names(&sigma), out)?;
-    if show_model {
-        if let Some(model) = r.model() {
-            let _ = writeln!(
-                out,
-                "model: {} nodes, {} edges, {} attributes",
-                model.node_count(),
-                model.edge_count(),
-                model.attr_count()
-            );
-            let _ = write!(out, "{}", gfd_dsl::print_graph("model", model, vocab));
-        }
-    }
-    Ok(if satisfiable { 0 } else { 1 })
 }

@@ -56,8 +56,11 @@ COMMANDS:
     help            show this message
 
 COMMON OPTIONS:
-    --workers N     parallel workers (default 4; 0 = sequential algorithm)
-    --ttl-ms T      straggler-splitting TTL in milliseconds (default 2000)
+    --workers N     parallel workers (default 4). sat, imp, minimize: 0 or 1
+                    is the sequential algorithm (--seq is shorthand for 1).
+                    detect: 0 = one worker per CPU
+    --ttl-ms T      straggler-splitting TTL in milliseconds (default 2000;
+                    detect: 100)
 
 OBSERVABILITY (sat, imp, detect, ged-sat, ged-imp):
     --trace FILE    write a Chrome trace-event timeline (chrome://tracing,
@@ -151,6 +154,55 @@ mod tests {
         let (code, text) = run_vec(&["help"]);
         assert_eq!(code, 0);
         assert!(text.contains("minimize"));
+    }
+
+    /// `--workers 0` means "sequential" to the reasoning commands and
+    /// "all CPUs" to detection; the help says which where it applies.
+    #[test]
+    fn help_states_what_zero_workers_means_per_command() {
+        assert!(USAGE.contains("sat, imp, minimize: 0 or 1"), "{USAGE}");
+        assert!(USAGE.contains("detect: 0 = one worker per CPU"), "{USAGE}");
+        assert!(!USAGE.contains("0 = sequential algorithm"), "{USAGE}");
+        for cmd in ["sat", "imp", "minimize"] {
+            let (code, text) = run_vec(&[cmd, "--help"]);
+            assert_eq!(code, 0);
+            assert!(text.contains("0 or 1 = "), "{cmd}: {text}");
+            assert!(text.contains("shorthand for --workers 1"), "{cmd}: {text}");
+        }
+        let (code, text) = run_vec(&["detect", "--help"]);
+        assert_eq!(code, 0);
+        assert!(text.contains("0 = one worker per CPU"), "{text}");
+    }
+
+    /// One door: the model a satisfiable run produces is printed at every
+    /// worker count, byte for byte what `--seq` prints.
+    #[test]
+    fn sat_model_is_printed_at_every_worker_count() {
+        let dir = std::env::temp_dir().join("gfd-cli-test-sat-model");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sat.gfd");
+        std::fs::write(
+            &path,
+            "gfd a { pattern { node x: person node y: city edge x -in-> y } \
+                     then { x.v = 1 x.w = y.w } }\n\
+             gfd b { pattern { node x: person } when { x.v = 1 } then { x.u = 2 } }\n",
+        )
+        .unwrap();
+        let model_of = |extra: &[&str]| {
+            let mut args = vec!["sat", path.to_str().unwrap(), "--model"];
+            args.extend_from_slice(extra);
+            let (code, text) = run_vec(&args);
+            assert_eq!(code, 0, "{text}");
+            let at = text
+                .find("model: ")
+                .unwrap_or_else(|| panic!("no model in {text}"));
+            text[at..].to_string()
+        };
+        let seq = model_of(&["--seq"]);
+        assert!(seq.contains("graph model"), "{seq}");
+        assert!(!seq.contains("run with --seq"), "{seq}");
+        assert_eq!(model_of(&["--workers", "4"]), seq);
+        assert_eq!(model_of(&["--workers", "1"]), seq);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Shared output formatting helpers.
 
-use gfd_parallel::RunMetrics;
+use gfd_runtime::RunMetrics;
 use std::time::Duration;
 
 /// Render a duration compactly (`1.23s`, `45ms`, `890µs`).

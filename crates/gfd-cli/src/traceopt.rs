@@ -6,7 +6,7 @@
 //! tracing on for the run (the default stays the zero-cost disabled path).
 
 use crate::args::{ArgError, Parsed};
-use gfd_parallel::{RunMetrics, TraceSpec};
+use gfd_runtime::{RunMetrics, TraceSpec};
 use std::io::Write;
 
 /// Help text fragment shared by every command that takes the flags.

@@ -16,7 +16,9 @@
 //! limit tripped — a conflict, a witness, a counterexample — is still
 //! returned: budgets bound work, not soundness.
 
-use gfd_runtime::{AbortInfo, Exhaustion, RunOutcome, SchedOptions};
+use gfd_runtime::sched::{run_scheduler_with, Task};
+use gfd_runtime::{DispatchMode, Exhaustion, RunMetrics, RunOutcome, SchedOptions, TraceSpec};
+use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
 /// Resource limits for one reasoning or detection run. The default is
@@ -82,16 +84,6 @@ impl Budget {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// The scheduler-level slice of this budget. Tracing defaults to off;
-    /// drivers overwrite `trace` from their own config before running.
-    pub fn sched_options(&self) -> SchedOptions {
-        SchedOptions {
-            deadline: self.deadline,
-            max_units: self.max_units,
-            ..Default::default()
-        }
-    }
-
     /// Milliseconds of deadline slack remaining right now (negative once
     /// the deadline has been overshot); `None` without a deadline.
     ///
@@ -106,6 +98,62 @@ impl Budget {
         } else {
             -((now - deadline).as_millis() as i64).max(1)
         })
+    }
+
+    /// Close a run's books: the wall time since `start` and the deadline
+    /// slack left, read once on the driver's exit path.
+    pub fn stamp(&self, start: Instant, metrics: &mut RunMetrics) {
+        metrics.elapsed = start.elapsed();
+        metrics.deadline_slack_ms = self.deadline_slack_ms();
+    }
+}
+
+/// What [`run_task`] hands back besides the counters it booked.
+pub struct TaskRun<W> {
+    /// Per-worker final task states, in worker-id order.
+    pub workers: Vec<W>,
+    /// Why the run degraded, if it did; `None` when it ran to quiescence
+    /// or was stopped by its own task.
+    pub interrupt: Option<Interrupt>,
+    /// The scheduler's own verdict `interrupt` was derived from.
+    pub outcome: RunOutcome,
+}
+
+/// Run `task` over `units` on the shared scheduler under `budget` and book
+/// the run into `metrics` — the one prologue and epilogue every driver
+/// (reasoning, GED search, detection, the chase's scan and planning
+/// passes) wraps around its scheduler run.
+///
+/// `metrics` accumulates: a driver that schedules several runs (the chase,
+/// round after round) passes the same record each time, and the unit cap
+/// left for this run is `budget.max_units` less what the record has
+/// already dispatched.
+#[allow(clippy::too_many_arguments)]
+pub fn run_task<T: Task>(
+    task: &T,
+    units: Vec<T::Unit>,
+    workers: usize,
+    dispatch: DispatchMode,
+    stop: &AtomicBool,
+    budget: &Budget,
+    trace: TraceSpec,
+    metrics: &mut RunMetrics,
+) -> TaskRun<T::Worker> {
+    metrics.units_generated += units.len();
+    let opts = SchedOptions {
+        deadline: budget.deadline,
+        max_units: budget
+            .max_units
+            .map(|max| max.saturating_sub(metrics.units_dispatched)),
+        unit_retries: 0,
+        trace,
+    };
+    let run = run_scheduler_with(task, units, workers, dispatch, stop, opts);
+    let (workers, outcome) = metrics.absorb(run);
+    TaskRun {
+        workers,
+        interrupt: Interrupt::from_outcome(&outcome),
+        outcome,
     }
 }
 
@@ -122,7 +170,7 @@ pub enum Interrupt {
     /// The fresh-node budget was consumed (generating chase).
     FreshNodes,
     /// A unit panicked and the run was cancelled; the string is the
-    /// structured abort description ([`AbortInfo`]).
+    /// structured abort description ([`gfd_runtime::AbortInfo`]).
     Aborted(String),
 }
 
@@ -136,11 +184,6 @@ impl Interrupt {
             RunOutcome::BudgetExceeded(Exhaustion::Units) => Some(Interrupt::Units),
             RunOutcome::Aborted(info) => Some(Interrupt::Aborted(info.to_string())),
         }
-    }
-
-    /// The abort description, when this interrupt is a panic.
-    pub fn abort_info(info: &AbortInfo) -> Interrupt {
-        Interrupt::Aborted(info.to_string())
     }
 }
 
@@ -166,9 +209,6 @@ mod tests {
         assert!(b.is_unlimited());
         assert!(!b.expired());
         assert!(b.deadline_slack_ms().is_none());
-        let opts = b.sched_options();
-        assert!(opts.deadline.is_none());
-        assert!(opts.max_units.is_none());
     }
 
     #[test]
@@ -202,6 +242,49 @@ mod tests {
         let b = Budget::unlimited().with_deadline(Instant::now() - Duration::from_micros(10));
         let slack = b.deadline_slack_ms().unwrap();
         assert!(slack <= -1, "overshoot must be strictly negative: {slack}");
+    }
+
+    /// The unit cap spans every run booked into one record: what a
+    /// multi-run driver (the chase) has already dispatched is charged
+    /// against `max_units` before the next run starts.
+    #[test]
+    fn run_task_charges_the_unit_cap_across_accumulated_runs() {
+        use gfd_runtime::sched::WorkerCtx;
+        struct Count;
+        impl Task for Count {
+            type Unit = u32;
+            type Worker = u32;
+            fn worker(&self, _id: usize) -> u32 {
+                0
+            }
+            fn run_unit(&self, w: &mut u32, _unit: u32, _ctx: &WorkerCtx<'_, u32>) {
+                *w += 1;
+            }
+        }
+        let budget = Budget::unlimited().with_max_units(3);
+        let stop = AtomicBool::new(false);
+        let mut metrics = RunMetrics::default();
+        let run = |metrics: &mut RunMetrics| {
+            run_task(
+                &Count,
+                vec![0, 1],
+                1,
+                DispatchMode::WorkStealing,
+                &stop,
+                &budget,
+                TraceSpec::disabled(),
+                metrics,
+            )
+        };
+        let first = run(&mut metrics);
+        assert_eq!(first.interrupt, None);
+        assert_eq!(first.workers, vec![2]);
+        let second = run(&mut metrics);
+        assert_eq!(second.interrupt, Some(Interrupt::Units));
+        assert_eq!(second.workers, vec![1], "one unit of the cap was left");
+        assert_eq!(metrics.units_generated, 4);
+        assert_eq!(metrics.units_dispatched, 3);
+        assert_eq!(metrics.worker_busy.len(), 1);
     }
 
     #[test]

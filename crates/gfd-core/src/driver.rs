@@ -27,7 +27,7 @@
 //! thread. Sequential and parallel reasoning therefore cannot drift
 //! semantically — they are the same code path.
 
-use crate::budget::{Budget, Interrupt};
+use crate::budget::{run_task, Budget};
 use crate::canonical::{build_plans_lazy, consequence_deducible, CanonicalGraph};
 use crate::dependency::{generate_deducible, Consequence, Dependency};
 use crate::enforce::EnforceEngine;
@@ -39,7 +39,7 @@ use crate::unit::{generate_units, order_units, WorkUnit};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use gfd_graph::GfdId;
 use gfd_match::{HomSearch, Match, MatchPlan, RunOutcome, SearchLimits};
-use gfd_runtime::sched::{run_scheduler_with, Task, WorkerCtx};
+use gfd_runtime::sched::{Task, WorkerCtx};
 use gfd_runtime::{DispatchMode, EventKind, RunMetrics, RunOutcome as SchedOutcome, TraceSpec};
 use parking_lot::Mutex;
 use rustc_hash::FxHashSet;
@@ -90,8 +90,9 @@ pub enum TerminalEvent {
 
 /// Tuning knobs of the unified driver (§V-B, §VI-C).
 ///
-/// Sequential runs are `workers = 1`; `gfd-parallel` re-exports this type
-/// as `ParConfig`.
+/// `ParSat`/`ParImp` are this configuration at `workers = p`,
+/// `SeqSat`/`SeqImp` at `workers = 1`; the paper's ablation variants
+/// (`*np`, `*nb`, no ordering, no pruning) are its other knobs.
 #[derive(Clone, Debug)]
 pub struct ReasonConfig {
     /// Number of workers `p`. `1` runs inline on the calling thread.
@@ -557,7 +558,6 @@ pub fn run_reason(
         });
         order_units(&mut units, sigma, canon, &pivots, boosted.as_deref());
     }
-    metrics.units_generated = units.len();
 
     let stop = AtomicBool::new(false);
     let mut delta_txs = Vec::with_capacity(p);
@@ -580,18 +580,16 @@ pub fn run_reason(
         terminal: Mutex::new(None),
     };
 
-    let mut opts = cfg.budget.sched_options();
-    opts.trace = cfg.trace;
-    let run = run_scheduler_with(&task, units, p, cfg.dispatch, &stop, opts);
-
-    metrics.trace = run.trace;
-    metrics.units_dispatched = run.units_executed;
-    metrics.units_split = run.units_split;
-    metrics.units_stolen = run.units_stolen;
-    metrics.units_panicked = run.units_panicked;
-    metrics.units_retried = run.units_retried;
-    metrics.worker_busy = run.worker_busy;
-    metrics.worker_idle = run.worker_idle;
+    let run = run_task(
+        &task,
+        units,
+        p,
+        cfg.dispatch,
+        &stop,
+        &cfg.budget,
+        cfg.trace,
+        &mut metrics,
+    );
     let mut workers = run.workers;
     for w in &workers {
         metrics.matches += w.matches;
@@ -646,14 +644,13 @@ pub fn run_reason(
     // the fixpoint: its merged state must never be read as a model. Any
     // terminal event found on the way — enforcement is monotone, so a
     // conflict derived from partial work is still definitive — survives.
-    let engine = if terminal.is_none() && Interrupt::from_outcome(&run.outcome).is_some() {
+    let engine = if terminal.is_none() && run.interrupt.is_some() {
         None
     } else {
         engine
     };
 
-    metrics.elapsed = start.elapsed();
-    metrics.deadline_slack_ms = cfg.budget.deadline_slack_ms();
+    cfg.budget.stamp(start, &mut metrics);
     ReasonRun {
         terminal,
         engine,

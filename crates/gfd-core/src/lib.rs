@@ -13,9 +13,9 @@
 //! * the enforcement engine shared by every algorithm ([`enforce`]);
 //! * the unified reasoning driver ([`driver`]) — the one goal-parameterized
 //!   fixpoint loop, run on the `gfd-runtime` work-stealing scheduler, behind
-//!   **SeqSat** ([`seq_sat()`]), **SeqImp** ([`seq_imp()`]) *and* the parallel
-//!   `ParSat`/`ParImp` of `gfd-parallel` (which instantiate it with
-//!   `workers > 1`);
+//!   [`sat_with_config`] and [`imp_with_config`]: **ParSat**/**ParImp** at
+//!   `workers = p`, **SeqSat** ([`seq_sat()`]) / **SeqImp** ([`seq_imp()`])
+//!   at `workers = 1`;
 //! * pivoted work units and their dependency-graph ordering ([`mod@unit`]);
 //! * model extraction ([`model`]).
 
@@ -37,7 +37,7 @@ pub mod sigma;
 pub mod unit;
 pub mod validate;
 
-pub use budget::{Budget, Interrupt};
+pub use budget::{run_task, Budget, Interrupt, TaskRun};
 pub use canonical::{
     build_plans, build_plans_lazy, choose_pivot, consequence_deducible, consequence_lits_deducible,
     CanonicalGraph,
@@ -51,11 +51,9 @@ pub use gfd::{Gfd, FALSE_ATTR_NAME};
 pub use literal::{Literal, Operand};
 pub use model::extract_model;
 pub use seq_imp::{
-    ggd_imp_with_config, imp_with_config, seq_imp, seq_imp_with, ImpOutcome, ImpResult, ImpliedVia,
+    ggd_imp_with_config, imp_with_config, seq_imp, ImpOutcome, ImpResult, ImpliedVia,
 };
-pub use seq_sat::{
-    sat_with_config, seq_sat, seq_sat_with, ReasonOptions, ReasonStats, SatOutcome, SatResult,
-};
+pub use seq_sat::{sat_with_config, seq_sat, SatOutcome, SatResult};
 pub use sigma::GfdSet;
 pub use unit::{generate_units, order_units, WorkUnit};
 pub use validate::{find_violations, graph_satisfies, graph_satisfies_all, Violation};

@@ -13,9 +13,9 @@ use crate::driver::{run_reason, Goal, ReasonConfig, TerminalEvent};
 use crate::eq::EqRel;
 use crate::error::Conflict;
 use crate::gfd::Gfd;
-use crate::seq_sat::{ReasonOptions, ReasonStats};
 use crate::sigma::GfdSet;
 use gfd_graph::NodeId;
+use gfd_runtime::RunMetrics;
 
 /// Why `Σ |= ϕ` holds.
 #[derive(Clone, Debug)]
@@ -48,7 +48,7 @@ pub struct ImpResult {
     /// Implied (with the reason) or not.
     pub outcome: ImpOutcome,
     /// Counters.
-    pub stats: ReasonStats,
+    pub stats: RunMetrics,
 }
 
 impl ImpResult {
@@ -71,9 +71,9 @@ impl ImpResult {
     }
 }
 
-/// Check `Σ |= ϕ` with default options.
+/// `SeqImp`: [`imp_with_config`] at `workers = 1` (nothing to split for).
 pub fn seq_imp(sigma: &GfdSet, phi: &Gfd) -> ImpResult {
-    seq_imp_with(sigma, phi, &ReasonOptions::default())
+    imp_with_config(sigma, phi, &ReasonConfig::with_workers(1).without_split())
 }
 
 /// The trivial short-circuits shared by the sequential and parallel
@@ -101,15 +101,8 @@ fn imp_shortcuts(sigma: &GfdSet, phi: &Gfd) -> Result<(CanonicalGraph, EqRel), I
     Ok((canon, eqx))
 }
 
-/// Check `Σ |= ϕ` sequentially: the `workers = 1` instantiation of the
-/// unified driver.
-pub fn seq_imp_with(sigma: &GfdSet, phi: &Gfd, opts: &ReasonOptions) -> ImpResult {
-    imp_with_config(sigma, phi, &opts.sequential_config())
-}
-
-/// Check `Σ |= ϕ` under a full driver configuration. This is the shared
-/// entry point behind both `SeqImp` (`cfg.workers == 1`) and `ParImp`
-/// (`gfd_parallel::par_imp`).
+/// Check `Σ |= ϕ` — the one entry point: `ParImp` is `cfg.workers = p`,
+/// `SeqImp` is `cfg.workers = 1`.
 ///
 /// Relative to satisfiability the driver differs in two ways (§VI-C):
 /// units whose premise is subsumed by `X` get the highest priority, and
@@ -125,7 +118,7 @@ pub fn imp_with_config(sigma: &GfdSet, phi: &Gfd, cfg: &ReasonConfig) -> ImpResu
         Err(outcome) => {
             return ImpResult {
                 outcome,
-                stats: ReasonStats {
+                stats: RunMetrics {
                     workers: cfg.workers.max(1),
                     elapsed: start.elapsed(),
                     ..Default::default()
@@ -133,7 +126,20 @@ pub fn imp_with_config(sigma: &GfdSet, phi: &Gfd, cfg: &ReasonConfig) -> ImpResu
             }
         }
     };
-    let run = run_reason(sigma, Goal::Imp(phi), eqx, &canon, cfg);
+    run_imp(sigma, Goal::Imp(phi), eqx, &canon, cfg, start)
+}
+
+/// Run the driver for an implication goal over the prepared `(G^X_Q, EqX)`
+/// and read off the verdict — the shared tail of both implication arms.
+fn run_imp(
+    sigma: &GfdSet,
+    goal: Goal<'_>,
+    eqx: EqRel,
+    canon: &CanonicalGraph,
+    cfg: &ReasonConfig,
+    start: std::time::Instant,
+) -> ImpResult {
+    let run = run_reason(sigma, goal, eqx, canon, cfg);
     let outcome = match run.terminal {
         Some(TerminalEvent::Conflict(c)) => ImpOutcome::Implied(ImpliedVia::Conflict(c)),
         Some(TerminalEvent::Consequence) => ImpOutcome::Implied(ImpliedVia::Consequence),
@@ -164,7 +170,7 @@ pub fn ggd_imp_with_config(sigma: &GfdSet, phi: &Dependency, cfg: &ReasonConfig)
     let start = std::time::Instant::now();
     let trivial = |outcome: ImpOutcome| ImpResult {
         outcome,
-        stats: ReasonStats {
+        stats: RunMetrics {
             workers: cfg.workers.max(1),
             elapsed: start.elapsed(),
             ..Default::default()
@@ -193,20 +199,7 @@ pub fn ggd_imp_with_config(sigma: &GfdSet, phi: &Dependency, cfg: &ReasonConfig)
     if sigma.is_empty() {
         return trivial(ImpOutcome::NotImplied);
     }
-    let run = run_reason(sigma, Goal::GgdImp(phi), eqx, &canon, cfg);
-    let outcome = match run.terminal {
-        Some(TerminalEvent::Conflict(c)) => ImpOutcome::Implied(ImpliedVia::Conflict(c)),
-        Some(TerminalEvent::Consequence) => ImpOutcome::Implied(ImpliedVia::Consequence),
-        // Degraded run, no terminal event: claiming "not implied" would
-        // turn a timeout into a wrong definite verdict.
-        None => match Interrupt::from_outcome(&run.sched_outcome) {
-            Some(interrupt) => ImpOutcome::Unknown(interrupt),
-            None => ImpOutcome::NotImplied,
-        },
-    };
-    let mut stats = run.metrics;
-    stats.elapsed = start.elapsed();
-    ImpResult { outcome, stats }
+    run_imp(sigma, Goal::GgdImp(phi), eqx, &canon, cfg, start)
 }
 
 #[cfg(test)]
@@ -335,12 +328,13 @@ mod tests {
     #[test]
     fn example8_results_stable_without_ordering() {
         let ex = example8();
-        let opts = ReasonOptions {
+        let cfg = ReasonConfig {
             use_dependency_order: false,
             prune_components: false,
+            ..ReasonConfig::with_workers(1)
         };
-        assert!(seq_imp_with(&ex.sigma, &ex.phi13, &opts).is_implied());
-        assert!(seq_imp_with(&ex.sigma, &ex.phi14, &opts).is_implied());
+        assert!(imp_with_config(&ex.sigma, &ex.phi13, &cfg).is_implied());
+        assert!(imp_with_config(&ex.sigma, &ex.phi14, &cfg).is_implied());
     }
 
     #[test]

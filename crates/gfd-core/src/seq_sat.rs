@@ -20,46 +20,6 @@ use crate::model::extract_model;
 use crate::sigma::GfdSet;
 use gfd_runtime::RunMetrics;
 
-/// Tuning knobs shared by the sequential algorithms (a subset of the full
-/// [`ReasonConfig`]; the TTL/pipelining/splitting knobs only matter with
-/// more than one worker).
-#[derive(Clone, Debug)]
-pub struct ReasonOptions {
-    /// Process work units in dependency-graph topological order (paper
-    /// default). With `false`, input order is used — the ablation baseline.
-    pub use_dependency_order: bool,
-    /// Skip (pattern, component) pairs whose label profiles cannot host a
-    /// match (the paper's "pruning to eliminate irrelevant matches early").
-    pub prune_components: bool,
-}
-
-impl Default for ReasonOptions {
-    fn default() -> Self {
-        ReasonOptions {
-            use_dependency_order: true,
-            prune_components: true,
-        }
-    }
-}
-
-impl ReasonOptions {
-    /// The single-worker driver configuration these options denote.
-    pub(crate) fn sequential_config(&self) -> ReasonConfig {
-        ReasonConfig {
-            workers: 1,
-            split: false,
-            use_dependency_order: self.use_dependency_order,
-            prune_components: self.prune_components,
-            ..ReasonConfig::default()
-        }
-    }
-}
-
-/// Counters reported by the reasoning algorithms — the unified
-/// [`RunMetrics`] (sequential runs populate the same counters with one
-/// worker).
-pub type ReasonStats = RunMetrics;
-
 /// The outcome of satisfiability checking.
 #[derive(Clone, Debug)]
 pub enum SatOutcome {
@@ -80,7 +40,7 @@ pub struct SatResult {
     /// Satisfiable (with model) or the witnessing conflict.
     pub outcome: SatOutcome,
     /// Counters.
-    pub stats: ReasonStats,
+    pub stats: RunMetrics,
 }
 
 impl SatResult {
@@ -111,20 +71,13 @@ impl SatResult {
     }
 }
 
-/// Check satisfiability of Σ with default options.
+/// `SeqSat`: [`sat_with_config`] at `workers = 1` (nothing to split for).
 pub fn seq_sat(sigma: &GfdSet) -> SatResult {
-    seq_sat_with(sigma, &ReasonOptions::default())
+    sat_with_config(sigma, &ReasonConfig::with_workers(1).without_split())
 }
 
-/// Check satisfiability of Σ sequentially: the `workers = 1`
-/// instantiation of the unified driver.
-pub fn seq_sat_with(sigma: &GfdSet, opts: &ReasonOptions) -> SatResult {
-    sat_with_config(sigma, &opts.sequential_config())
-}
-
-/// Check satisfiability of Σ under a full driver configuration. This is
-/// the shared entry point behind both `SeqSat` (`cfg.workers == 1`) and
-/// `ParSat` (`gfd_parallel::par_sat`).
+/// Check satisfiability of Σ — the one entry point: `ParSat` is
+/// `cfg.workers = p`, `SeqSat` is `cfg.workers = 1`.
 pub fn sat_with_config(sigma: &GfdSet, cfg: &ReasonConfig) -> SatResult {
     if sigma.is_empty() {
         // Vacuously satisfiable; the empty population works.
@@ -305,19 +258,20 @@ mod tests {
         let r = seq_sat(&sigma);
         assert!(!r.is_satisfiable());
         // Regardless of ordering options (Church–Rosser).
-        let r2 = seq_sat_with(
+        let r2 = sat_with_config(
             &sigma,
-            &ReasonOptions {
+            &ReasonConfig {
                 use_dependency_order: false,
-                prune_components: true,
+                ..ReasonConfig::with_workers(1)
             },
         );
         assert!(!r2.is_satisfiable());
-        let r3 = seq_sat_with(
+        let r3 = sat_with_config(
             &sigma,
-            &ReasonOptions {
+            &ReasonConfig {
                 use_dependency_order: false,
                 prune_components: false,
+                ..ReasonConfig::with_workers(1)
             },
         );
         assert!(!r3.is_satisfiable());

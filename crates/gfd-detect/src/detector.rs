@@ -11,10 +11,10 @@
 use crate::report::{DetectionReport, RuleStats, ViolationRecord};
 use crate::units::{initial_units, DetectUnit, RulePlans};
 use gfd_core::validate::literal_holds;
-use gfd_core::{Budget, Consequence, DepSet, GfdSet, Interrupt};
+use gfd_core::{run_task, Budget, Consequence, DepSet, GfdSet, Interrupt};
 use gfd_graph::{Graph, LabelIndex, MatchIndex, NodeId};
 use gfd_match::{HomSearch, RunOutcome, SearchLimits};
-use gfd_runtime::sched::{run_scheduler_with, Task, WorkerCtx};
+use gfd_runtime::sched::{Task, WorkerCtx};
 use gfd_runtime::{DispatchMode, EventKind, RunMetrics, TraceSpec};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -328,32 +328,20 @@ pub fn detect_units<I: MatchIndex>(
 
     let mut metrics = RunMetrics {
         workers,
-        units_generated: units.len(),
         ..Default::default()
     };
-    let mut opts = config.budget.sched_options();
-    opts.trace = config.trace;
-    let run = run_scheduler_with(&task, units, workers, config.dispatch, &stop, opts);
-    metrics.trace = run.trace;
-    metrics.units_dispatched = run.units_executed;
-    metrics.units_split = run.units_split;
-    metrics.units_stolen = run.units_stolen;
-    metrics.worker_busy = run.worker_busy;
-    metrics.worker_idle = run.worker_idle;
-    metrics.units_panicked = run.units_panicked;
-    metrics.units_retried = run.units_retried;
-    metrics.elapsed = start.elapsed();
-    metrics.deadline_slack_ms = config.budget.deadline_slack_ms();
-    let interrupted = Interrupt::from_outcome(&run.outcome);
-    merge_report(sigma, run.workers, metrics, config, interrupted)
-}
-
-/// Sequential reference detector (one worker, same code path). Used by
-/// tests to check the parallel pool finds the identical violation set.
-pub fn detect_sequential(graph: &Graph, sigma: &GfdSet, config: &DetectConfig) -> DetectionReport {
-    let mut cfg = config.clone();
-    cfg.workers = 1;
-    detect(graph, sigma, &cfg)
+    let run = run_task(
+        &task,
+        units,
+        workers,
+        config.dispatch,
+        &stop,
+        &config.budget,
+        config.trace,
+        &mut metrics,
+    );
+    config.budget.stamp(start, &mut metrics);
+    merge_report(sigma, run.workers, metrics, config, run.interrupt)
 }
 
 fn merge_report(
@@ -438,7 +426,7 @@ mod tests {
     #[test]
     fn parallel_agrees_with_sequential() {
         let (g, sigma, _) = chain_setup(64);
-        let seq = detect_sequential(&g, &sigma, &DetectConfig::default());
+        let seq = detect(&g, &sigma, &DetectConfig::with_workers(1));
         let par = detect(&g, &sigma, &DetectConfig::with_workers(8));
         let key = |r: &ViolationRecord| (r.gfd, r.m.clone());
         let s: Vec<_> = seq.violations.iter().map(key).collect();

@@ -42,9 +42,9 @@ use crate::ged::{Ged, GedLiteral, GedSet};
 use crate::imp::GedImpOutcome;
 use crate::sat::{extract_witness, GedSatOutcome};
 use crate::store::GedStore;
-use gfd_core::{Budget, Interrupt};
+use gfd_core::{run_task, Budget, Interrupt};
 use gfd_graph::{Graph, NodeId};
-use gfd_runtime::sched::{run_scheduler_with, Task, WorkerCtx};
+use gfd_runtime::sched::{Task, WorkerCtx};
 use gfd_runtime::{DispatchMode, EventKind, RunMetrics, TraceSpec};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -414,33 +414,29 @@ fn run_ged(
         witness: Mutex::new(None),
         refuted: AtomicBool::new(false),
     };
-    let seed_units = vec![BranchUnit { store: seed }];
-
     let mut metrics = RunMetrics {
         workers: p,
-        units_generated: seed_units.len(),
         ..Default::default()
     };
-    let mut opts = cfg.budget.sched_options();
-    opts.trace = cfg.trace;
-    let run = run_scheduler_with(&task, seed_units, p, cfg.dispatch, &stop, opts);
-    metrics.trace = run.trace;
-    metrics.units_dispatched = run.units_executed;
-    metrics.units_split = run.units_split;
-    metrics.units_stolen = run.units_stolen;
-    metrics.worker_busy = run.worker_busy;
-    metrics.worker_idle = run.worker_idle;
-    metrics.units_panicked = run.units_panicked;
-    metrics.units_retried = run.units_retried;
+    let run = run_task(
+        &task,
+        vec![BranchUnit { store: seed }],
+        p,
+        cfg.dispatch,
+        &stop,
+        &cfg.budget,
+        cfg.trace,
+        &mut metrics,
+    );
     metrics.branches = run.workers.iter().map(|w| w.branches_explored).sum();
     metrics.early_terminated = stop.load(Ordering::Relaxed);
-    metrics.elapsed = start.elapsed();
-    metrics.deadline_slack_ms = cfg.budget.deadline_slack_ms();
+    cfg.budget.stamp(start, &mut metrics);
 
     // Panic aborts outrank budget reasons (the run did not merely run
     // out of resources); the cooperative flags cover exhaustion detected
     // inside a unit, the scheduler outcome covers unit boundaries.
-    let interrupt = Interrupt::from_outcome(&run.outcome)
+    let interrupt = run
+        .interrupt
         .or_else(|| {
             task.deadline_exceeded
                 .load(Ordering::Relaxed)

@@ -17,7 +17,7 @@
 //!   ([`neighborhood`]);
 //! * small utilities: node bitsets, label indexes, DOT export.
 //!
-//! Everything downstream (`gfd-match`, `gfd-core`, `gfd-parallel`) works
+//! Everything downstream (`gfd-match`, `gfd-core`, `gfd-detect`) works
 //! purely on the integer ids defined here.
 
 #![warn(missing_docs)]

@@ -1,9 +1,9 @@
 //! The unified run metrics reported by every scheduler workload.
 //!
-//! One type serves all three reasoning layers (it replaced the former
-//! `ReasonStats` / `WorkerStats` / ad-hoc detection atomics): sequential
-//! runs populate the same counters as parallel ones, just with one worker.
+//! One type serves all three reasoning layers: sequential runs populate
+//! the same counters as parallel ones, just with one worker.
 
+use crate::sched::{RunOutcome, SchedRun};
 use gfd_trace::Trace;
 use std::time::Duration;
 
@@ -96,9 +96,39 @@ impl RunMetrics {
         Some(max / mean)
     }
 
+    /// Book one finished scheduler run into this record and hand back
+    /// what is not a counter: the per-worker task states and how the run
+    /// ended. This is the only place that reads [`SchedRun`]'s counter
+    /// fields; every driver reaches it through `gfd_core::run_task`.
+    ///
+    /// Counters add, so a multi-run flow (the chase's scan and planning
+    /// passes, round after round) absorbs into one record with the same
+    /// result as [`merge`](Self::merge)-ing single-run records. The run is
+    /// taken by value so that a first absorb moves the per-worker vectors
+    /// and the trace in rather than copying them.
+    pub fn absorb<W>(&mut self, run: SchedRun<W>) -> (Vec<W>, RunOutcome) {
+        self.units_dispatched += run.units_executed;
+        self.units_split += run.units_split;
+        self.units_stolen += run.units_stolen;
+        self.units_panicked += run.units_panicked;
+        self.units_retried += run.units_retried;
+        if self.worker_busy.is_empty() && self.worker_idle.is_empty() {
+            self.worker_busy = run.worker_busy;
+            self.worker_idle = run.worker_idle;
+        } else {
+            add_per_worker(&mut self.worker_busy, &run.worker_busy);
+            add_per_worker(&mut self.worker_idle, &run.worker_idle);
+        }
+        if self.trace.is_empty() {
+            self.trace = run.trace;
+        } else {
+            self.trace.merge(&run.trace);
+        }
+        (run.workers, run.outcome)
+    }
+
     /// Fold another run's metrics into this one — the accumulator for
-    /// multi-run flows (one streamed `DeltaBatch` after another, or the
-    /// chase's per-round scheduler runs).
+    /// multi-run flows (one streamed `DeltaBatch` after another).
     ///
     /// Counters sum; `elapsed` sums; `workers` takes the max;
     /// `early_terminated` is sticky; `deadline_slack_ms` takes the most
@@ -122,20 +152,8 @@ impl RunMetrics {
         if other.deadline_slack_ms.is_some() {
             self.deadline_slack_ms = other.deadline_slack_ms;
         }
-        if self.worker_busy.len() < other.worker_busy.len() {
-            self.worker_busy
-                .resize(other.worker_busy.len(), Duration::ZERO);
-        }
-        for (acc, d) in self.worker_busy.iter_mut().zip(&other.worker_busy) {
-            *acc += *d;
-        }
-        if self.worker_idle.len() < other.worker_idle.len() {
-            self.worker_idle
-                .resize(other.worker_idle.len(), Duration::ZERO);
-        }
-        for (acc, d) in self.worker_idle.iter_mut().zip(&other.worker_idle) {
-            *acc += *d;
-        }
+        add_per_worker(&mut self.worker_busy, &other.worker_busy);
+        add_per_worker(&mut self.worker_idle, &other.worker_idle);
         self.early_terminated |= other.early_terminated;
         self.trace.merge(&other.trace);
     }
@@ -191,6 +209,17 @@ impl RunMetrics {
         ));
         out.push('}');
         out
+    }
+}
+
+/// Element-wise add of per-worker times, extending `acc` with zeros when
+/// `other` has more workers.
+fn add_per_worker(acc: &mut Vec<Duration>, other: &[Duration]) {
+    if acc.len() < other.len() {
+        acc.resize(other.len(), Duration::ZERO);
+    }
+    for (a, d) in acc.iter_mut().zip(other) {
+        *a += *d;
     }
 }
 
@@ -307,6 +336,69 @@ mod tests {
         total.merge(&RunMetrics::default());
         assert_eq!(total.units_dispatched, snapshot);
         assert_eq!(total.deadline_slack_ms, Some(-3), "None must not clobber");
+    }
+
+    /// Absorbing two scheduler runs into one record is the same as
+    /// merging two single-run records — per-worker vectors (of different
+    /// lengths) and traces included — and hands the worker states and
+    /// outcome through untouched.
+    #[test]
+    fn absorb_agrees_with_merge_of_single_run_records() {
+        use gfd_trace::{EventKind, TraceEvent};
+        let ms = Duration::from_millis;
+        let run = |workers: Vec<u8>, n: u64, busy: Vec<Duration>, outcome: RunOutcome| SchedRun {
+            workers,
+            outcome,
+            units_executed: 10 * n,
+            units_stolen: 3 * n,
+            units_split: 2 * n,
+            units_panicked: n,
+            units_retried: n + 1,
+            worker_idle: busy.iter().map(|d| *d + ms(1)).collect(),
+            worker_busy: busy,
+            trace: Trace {
+                events: vec![TraceEvent {
+                    kind: EventKind::UnitExec,
+                    worker: 0,
+                    id: n as u32,
+                    t0_ns: 0,
+                    dur_ns: 5,
+                    a: 0,
+                    b: 0,
+                }],
+                dropped: n,
+            },
+        };
+        let first = || run(vec![7, 8], 1, vec![ms(10), ms(20)], RunOutcome::Completed);
+        let second = || {
+            run(
+                vec![9, 9, 9],
+                2,
+                vec![ms(1), ms(2), ms(3)],
+                RunOutcome::Stopped,
+            )
+        };
+
+        let mut absorbed = RunMetrics::default();
+        let (states, outcome) = absorbed.absorb(first());
+        assert_eq!(states, vec![7, 8]);
+        assert_eq!(outcome, RunOutcome::Completed);
+        let (states, outcome) = absorbed.absorb(second());
+        assert_eq!(states, vec![9, 9, 9]);
+        assert_eq!(outcome, RunOutcome::Stopped);
+
+        let mut merged = RunMetrics::default();
+        for run in [first(), second()] {
+            let mut single = RunMetrics::default();
+            single.absorb(run);
+            merged.merge(&single);
+        }
+        assert_eq!(absorbed.units_dispatched, 30);
+        assert_eq!(absorbed.worker_busy, vec![ms(11), ms(22), ms(3)]);
+        assert_eq!(absorbed.worker_idle, vec![ms(13), ms(24), ms(4)]);
+        assert_eq!(absorbed.to_json(&[]), merged.to_json(&[]));
+        assert_eq!(absorbed.trace.events, merged.trace.events);
+        assert_eq!(absorbed.trace.dropped, 3);
     }
 
     #[test]

@@ -38,44 +38,44 @@ fn main() {
         "p", "wall", "makespan", "imbalance", "units", "splits"
     );
     for p in [1, 2, 4, 8] {
-        let cfg = ParConfig::with_workers(p).with_ttl(Duration::from_millis(20));
-        let r = gfd::par_sat(&workload.sigma, &cfg);
+        let cfg = ReasonConfig::with_workers(p).with_ttl(Duration::from_millis(20));
+        let r = gfd::sat_with_config(&workload.sigma, &cfg);
         assert_eq!(r.is_satisfiable(), seq.is_satisfiable());
         println!(
             "{:>3}  {:>10.2?}  {:>10.2?}  {:>9.2}  {:>7}  {:>7}",
             p,
-            r.metrics.elapsed,
-            r.metrics.makespan().unwrap_or_default(),
-            r.metrics.imbalance().unwrap_or(f64::NAN),
-            r.metrics.units_dispatched,
-            r.metrics.units_split,
+            r.stats.elapsed,
+            r.stats.makespan().unwrap_or_default(),
+            r.stats.imbalance().unwrap_or(f64::NAN),
+            r.stats.units_dispatched,
+            r.stats.units_split,
         );
     }
 
     // An unsatisfiable variant: early termination kicks in.
     let dirty = real_life_workload(Dataset::Pokec, size, 7, Some(3));
-    let r = gfd::par_sat(
+    let r = gfd::sat_with_config(
         &dirty.sigma,
-        &ParConfig::with_workers(4).with_ttl(Duration::from_millis(20)),
+        &ReasonConfig::with_workers(4).with_ttl(Duration::from_millis(20)),
     );
     println!(
         "\nwith an injected conflict chain: satisfiable = {}, early_terminated = {}",
         r.is_satisfiable(),
-        r.metrics.early_terminated
+        r.stats.early_terminated
     );
     assert!(!r.is_satisfiable());
 
     // Implication probes in parallel.
     println!("\nParImp on {} probes:", workload.probes.len());
-    let cfg = ParConfig::with_workers(4).with_ttl(Duration::from_millis(20));
+    let cfg = ReasonConfig::with_workers(4).with_ttl(Duration::from_millis(20));
     for probe in &workload.probes {
-        let r = gfd::par_imp(&workload.sigma, &probe.phi, &cfg);
+        let r = gfd::imp_with_config(&workload.sigma, &probe.phi, &cfg);
         println!(
             "  {:<28} implied = {:<5} (expected {:<5}) wall = {:?}",
             probe.phi.name,
             r.is_implied(),
             probe.expect_implied,
-            r.metrics.elapsed
+            r.stats.elapsed
         );
         assert_eq!(r.is_implied(), probe.expect_implied);
     }

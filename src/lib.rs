@@ -24,8 +24,10 @@
 //!     &mut vocab,
 //! ).unwrap().gfds;
 //!
+//! // One door: `ParSat` is `sat_with_config` at `workers = p`, and
+//! // `SeqSat` (`seq_sat`) is the same call at `workers = 1`.
 //! assert!(!gfd::seq_sat(&sigma).is_satisfiable());
-//! let par = gfd::par_sat(&sigma, &ParConfig::with_workers(4));
+//! let par = gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(4));
 //! assert!(!par.is_satisfiable());
 //! ```
 //!
@@ -36,9 +38,8 @@
 //! | [`graph`] | graphs, patterns, vocabularies, neighborhoods |
 //! | [`matching`] | homomorphism search, splitting, simulation |
 //! | [`runtime`] | the work-stealing scheduler every workload runs on |
-//! | [`core`] | GFDs, canonical graphs, the unified reasoning driver, `SeqSat`, `SeqImp`, validation |
-//! | [`parallel`] | `ParSat`, `ParImp` — the same driver at `workers > 1` |
-//! | [`chase`] | the chase baselines (`ParImpRDF`) |
+//! | [`core`] | GFDs, canonical graphs, validation, and the unified reasoning driver behind `sat_with_config` / `imp_with_config`: `ParSat`/`ParImp` at `workers = p`, `SeqSat`/`SeqImp` at `workers = 1`, the ablation knobs in `ReasonConfig` |
+//! | [`chase`] | the one chase (`dep_chase_with_config`): the `ParImpRDF` baselines over literal rules, GGD reasoning over generating ones |
 //! | [`gen`] | schema-driven GFD/graph generators and workloads |
 //! | [`dsl`] | the text format |
 //! | [`detect`] | parallel violation detection on data graphs |
@@ -57,11 +58,8 @@ pub use gfd_match as matching;
 /// The shared work-stealing scheduler (re-export of `gfd-runtime`).
 pub use gfd_runtime as runtime;
 
-/// GFDs and sequential reasoning (re-export of `gfd-core`).
+/// GFDs and sequential / parallel reasoning (re-export of `gfd-core`).
 pub use gfd_core as core;
-
-/// Parallel reasoning (re-export of `gfd-parallel`).
-pub use gfd_parallel as parallel;
 
 /// Chase baselines (re-export of `gfd-chase`).
 pub use gfd_chase as chase;
@@ -87,21 +85,20 @@ pub use gfd_io as io;
 
 pub use gfd_chase::{chase_imp, chase_sat, dep_imp, dep_sat};
 pub use gfd_core::{
-    find_violations, graph_satisfies, graph_satisfies_all, seq_imp, seq_sat, Consequence, DepSet,
-    Dependency, GenerateConsequence, Gfd, GfdSet, ImpOutcome, Literal, SatOutcome,
+    find_violations, graph_satisfies, graph_satisfies_all, imp_with_config, sat_with_config,
+    seq_imp, seq_sat, Consequence, DepSet, Dependency, GenerateConsequence, Gfd, GfdSet,
+    ImpOutcome, Literal, ReasonConfig, SatOutcome,
 };
 pub use gfd_graph::{Graph, LabelId, Pattern, Value, ValueId, ValueTable, Vocab};
-pub use gfd_parallel::{par_imp, par_sat, ParConfig};
 
 /// The most commonly used names in one import.
 pub mod prelude {
     pub use gfd_core::{
-        find_violations, graph_satisfies, graph_satisfies_all, seq_imp, seq_sat, Consequence,
-        DepSet, Dependency, GenerateConsequence, Gfd, GfdSet, ImpOutcome, ImpliedVia, Literal,
-        Operand, SatOutcome,
+        find_violations, graph_satisfies, graph_satisfies_all, imp_with_config, sat_with_config,
+        seq_imp, seq_sat, Consequence, DepSet, Dependency, GenerateConsequence, Gfd, GfdSet,
+        ImpOutcome, ImpliedVia, Literal, Operand, ReasonConfig, SatOutcome,
     };
     pub use gfd_graph::{AttrId, Graph, LabelId, NodeId, Pattern, Value, ValueId, ValueTable, VarId, Vocab};
-    pub use gfd_parallel::{par_imp, par_sat, ParConfig};
 }
 
 #[cfg(test)]
@@ -120,6 +117,6 @@ mod tests {
             vec![Literal::eq_const(x, a, 1i64)],
         )]);
         assert!(seq_sat(&sigma).is_satisfiable());
-        assert!(par_sat(&sigma, &ParConfig::with_workers(2)).is_satisfiable());
+        assert!(sat_with_config(&sigma, &ReasonConfig::with_workers(2)).is_satisfiable());
     }
 }

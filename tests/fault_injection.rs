@@ -14,7 +14,9 @@
 //! the `SERIAL` lock and disarms on entry and exit.
 
 use gfd::chase::{dep_sat_with_config, ChaseConfig, DepSatOutcome};
-use gfd::core::{sat_with_config, Interrupt, ReasonConfig};
+use gfd::core::{imp_with_config, sat_with_config, Budget, Interrupt, ReasonConfig};
+use gfd::detect::{detect, DetectConfig};
+use gfd::ged::{ged_sat_with_config, GedReasonConfig};
 use gfd::incr::{IncrConfig, IncrementalDetector};
 use gfd::io::{checkpoint_to_string, parse_checkpoint, Checkpoint};
 use gfd::prelude::*;
@@ -24,7 +26,7 @@ use gfd::runtime::{
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Process-global failpoint registry ⇒ the suite must not interleave.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -297,6 +299,110 @@ fn reasoning_driver_maps_a_unit_panic_to_unknown() {
         // Disarmed, the same set gets its real verdict — no sticky state.
         let r = sat_with_config(&sigma, &ReasonConfig::with_workers(p));
         assert!(r.is_satisfiable(), "p={p}");
+    }
+}
+
+/// Every driver wraps its scheduler run in the same prologue/epilogue
+/// (`gfd_core::run_task`), so each must land the same two degraded runs —
+/// a `sched/unit` panic and an already-expired deadline — in its own
+/// unknown arm, with the right [`Interrupt`] and the panic count resp. a
+/// negative deadline slack on its metrics. One row per driver.
+#[test]
+fn every_driver_lands_degraded_runs_in_its_unknown_arm() {
+    let _g = serial();
+    let mut vocab = Vocab::new();
+    let doc = gfd::dsl::parse_document(
+        "graph g { node n0: t { v = 2 } node n1: t { v = 1 } node n2: u }\n\
+         gfd a { pattern { node x: t } then { x.v = 1 } }\n\
+         gfd b { pattern { node y: u } then { y.w = 2 } }\n\
+         gfd phi { pattern { node x: t } then { x.q = 9 } }\n\
+         ggd has_team { pattern { node x: t } \
+         create { node m: team edge x -memberOf-> m } }\n\
+         ged lo { pattern { node x: _ } then { x.a < 5 } }\n\
+         ged hi { pattern { node x: _ } then { x.a > 7 } }\n",
+        &mut vocab,
+    )
+    .unwrap();
+    let (graph, geds) = (&doc.graphs[0].1, &doc.geds);
+    let phi = doc.gfds.as_slice()[2].clone();
+    let sigma = GfdSet::from_vec(doc.gfds.as_slice()[..2].to_vec());
+
+    type Degraded = (Option<Interrupt>, gfd::runtime::RunMetrics);
+    type Driver<'a> = (&'a str, Box<dyn Fn(usize, Budget) -> Degraded + 'a>);
+    let drivers: Vec<Driver<'_>> = vec![
+        (
+            "sat",
+            Box::new(|p, b| {
+                let r = sat_with_config(&sigma, &ReasonConfig::with_workers(p).with_budget(b));
+                (r.interrupt().cloned(), r.stats)
+            }),
+        ),
+        (
+            "imp",
+            Box::new(|p, b| {
+                let cfg = ReasonConfig::with_workers(p).with_budget(b);
+                let r = imp_with_config(&sigma, &phi, &cfg);
+                (r.interrupt().cloned(), r.stats)
+            }),
+        ),
+        (
+            "detect",
+            Box::new(|p, b| {
+                let r = detect(graph, &sigma, &DetectConfig::with_workers(p).with_budget(b));
+                (r.interrupted, r.metrics)
+            }),
+        ),
+        (
+            "ged-sat",
+            Box::new(|p, b| {
+                let r = ged_sat_with_config(geds, &GedReasonConfig::with_workers(p).with_budget(b));
+                assert!(
+                    r.outcome.is_none() == r.interrupt.is_some(),
+                    "ged-sat p={p}"
+                );
+                (r.interrupt, r.metrics)
+            }),
+        ),
+        (
+            "dep chase",
+            Box::new(|p, b| {
+                let r =
+                    dep_sat_with_config(&doc.deps, &ChaseConfig::with_workers(p).with_budget(b));
+                let interrupt = match r.outcome {
+                    DepSatOutcome::Interrupted(i) => Some(i),
+                    _ => None,
+                };
+                (interrupt, r.metrics)
+            }),
+        ),
+    ];
+
+    for (name, run) in &drivers {
+        for p in worker_counts() {
+            failpoint::arm("sched/unit=1").unwrap();
+            let (interrupt, metrics) = run(p, Budget::unlimited());
+            failpoint::disarm_all();
+            match interrupt {
+                Some(Interrupt::Aborted(msg)) => {
+                    assert!(msg.contains("sched/unit"), "{name} p={p}: {msg}")
+                }
+                other => panic!("{name} p={p}: expected an abort, got {other:?}"),
+            }
+            assert!(metrics.units_panicked >= 1, "{name} p={p}");
+            assert_eq!(metrics.workers, p, "{name}");
+
+            let expired = Instant::now() - Duration::from_millis(5);
+            let (interrupt, metrics) = run(p, Budget::unlimited().with_deadline(expired));
+            assert_eq!(interrupt, Some(Interrupt::Deadline), "{name} p={p}");
+            let slack = metrics.deadline_slack_ms.expect("a deadline was set");
+            assert!(slack < 0, "{name} p={p}: slack {slack}ms");
+
+            // Disarmed and unbudgeted, the same input gets a verdict.
+            let (interrupt, metrics) = run(p, Budget::unlimited());
+            assert_eq!(interrupt, None, "{name} p={p}: sticky state");
+            assert_eq!(metrics.units_panicked, 0, "{name} p={p}");
+            assert_eq!(metrics.deadline_slack_ms, None, "{name} p={p}");
+        }
     }
 }
 

@@ -103,7 +103,7 @@ fn example2_first_pair_unsatisfiable() {
     .gfds;
     assert!(!gfd::seq_sat(&sigma).is_satisfiable());
     assert!(!gfd::chase_sat(&sigma).is_satisfiable());
-    assert!(!gfd::par_sat(&sigma, &ParConfig::with_workers(2)).is_satisfiable());
+    assert!(!gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(2)).is_satisfiable());
 }
 
 const Q6_Q7_RULES: &str = r#"
@@ -148,7 +148,7 @@ fn example2_distinct_pattern_interaction_unsatisfiable() {
     }
     // …but together they conflict (Q7 maps into Q6's canonical copy).
     assert!(!gfd::seq_sat(&sigma).is_satisfiable());
-    assert!(!gfd::par_sat(&sigma, &ParConfig::with_workers(3)).is_satisfiable());
+    assert!(!gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(3)).is_satisfiable());
     assert!(!gfd::chase_sat(&sigma).is_satisfiable());
 }
 
@@ -204,7 +204,7 @@ fn example4_pending_recheck_chain() {
     assert!(!gfd::seq_sat(&sigma).is_satisfiable());
     for p in [1, 2, 4] {
         assert!(
-            !gfd::par_sat(&sigma, &ParConfig::with_workers(p)).is_satisfiable(),
+            !gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(p)).is_satisfiable(),
             "p={p}"
         );
     }
@@ -280,9 +280,15 @@ fn example8_implication_both_ways() {
 
     // Every algorithm agrees (Example 10 runs these on ParImp).
     for p in [1, 2, 4] {
-        let cfg = ParConfig::with_workers(p);
-        assert!(gfd::par_imp(&sigma, &phi13, &cfg).is_implied(), "p={p}");
-        assert!(gfd::par_imp(&sigma, &phi14, &cfg).is_implied(), "p={p}");
+        let cfg = ReasonConfig::with_workers(p);
+        assert!(
+            gfd::imp_with_config(&sigma, &phi13, &cfg).is_implied(),
+            "p={p}"
+        );
+        assert!(
+            gfd::imp_with_config(&sigma, &phi14, &cfg).is_implied(),
+            "p={p}"
+        );
     }
     assert!(gfd::chase_imp(&sigma, &phi13).is_implied());
     assert!(gfd::chase_imp(&sigma, &phi14).is_implied());

@@ -1,8 +1,8 @@
 //! Stress and behaviour tests of the parallel runtime: splitting,
 //! stealing, early termination, metrics, and worker-count invariance.
 
-use gfd::parallel::DispatchMode;
 use gfd::prelude::*;
+use gfd::runtime::DispatchMode;
 use std::time::Duration;
 
 /// A workload whose matching is deliberately heavy: wildcard star
@@ -54,27 +54,27 @@ fn tiny_ttl_forces_splits_without_changing_answers() {
     let sigma = heavy_sigma(&mut vocab);
     let seq = gfd::seq_sat(&sigma);
 
-    let cfg = ParConfig::with_workers(3).with_ttl(Duration::ZERO);
-    let r = gfd::par_sat(&sigma, &cfg);
+    let cfg = ReasonConfig::with_workers(3).with_ttl(Duration::ZERO);
+    let r = gfd::sat_with_config(&sigma, &cfg);
     assert_eq!(r.is_satisfiable(), seq.is_satisfiable());
     assert!(
-        r.metrics.units_split > 0,
+        r.stats.units_split > 0,
         "TTL=0 on a heavy workload must split: {:?}",
-        r.metrics
+        r.stats
     );
     // Split units were dispatched too.
-    assert!(r.metrics.units_dispatched >= r.metrics.units_generated as u64);
+    assert!(r.stats.units_dispatched >= r.stats.units_generated as u64);
 }
 
 #[test]
 fn no_split_mode_never_splits() {
     let mut vocab = Vocab::new();
     let sigma = heavy_sigma(&mut vocab);
-    let cfg = ParConfig::with_workers(3)
+    let cfg = ReasonConfig::with_workers(3)
         .with_ttl(Duration::ZERO)
         .without_split();
-    let r = gfd::par_sat(&sigma, &cfg);
-    assert_eq!(r.metrics.units_split, 0);
+    let r = gfd::sat_with_config(&sigma, &cfg);
+    assert_eq!(r.stats.units_split, 0);
     assert!(r.is_satisfiable());
 }
 
@@ -82,15 +82,15 @@ fn no_split_mode_never_splits() {
 fn all_units_are_processed_exactly_once_on_quiescent_runs() {
     let mut vocab = Vocab::new();
     let sigma = heavy_sigma(&mut vocab);
-    let cfg = ParConfig::with_workers(4);
-    let r = gfd::par_sat(&sigma, &cfg);
-    assert!(!r.metrics.early_terminated);
+    let cfg = ReasonConfig::with_workers(4);
+    let r = gfd::sat_with_config(&sigma, &cfg);
+    assert!(!r.stats.early_terminated);
     assert_eq!(
-        r.metrics.units_dispatched,
-        r.metrics.units_generated as u64 + r.metrics.units_split
+        r.stats.units_dispatched,
+        r.stats.units_generated as u64 + r.stats.units_split
     );
     // Per-worker stats were collected on the drain path.
-    assert_eq!(r.metrics.worker_busy.len(), 4);
+    assert_eq!(r.stats.worker_busy.len(), 4);
 }
 
 #[test]
@@ -99,9 +99,9 @@ fn match_counts_are_stable_across_worker_counts() {
     let sigma = heavy_sigma(&mut vocab);
     let mut counts = Vec::new();
     for p in [1, 2, 4] {
-        let r = gfd::par_sat(&sigma, &ParConfig::with_workers(p));
+        let r = gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(p));
         assert!(r.is_satisfiable());
-        counts.push(r.metrics.matches);
+        counts.push(r.stats.matches);
     }
     assert_eq!(counts[0], counts[1]);
     assert_eq!(counts[1], counts[2]);
@@ -113,14 +113,14 @@ fn dispatch_modes_do_not_change_outcomes() {
     let sigma = heavy_sigma(&mut vocab);
     let expected = gfd::seq_sat(&sigma).is_satisfiable();
     for dispatch in [DispatchMode::WorkStealing, DispatchMode::Coordinator] {
-        let cfg = ParConfig {
+        let cfg = ReasonConfig {
             dispatch,
-            ..ParConfig::with_workers(3)
+            ..ReasonConfig::with_workers(3)
         };
-        let r = gfd::par_sat(&sigma, &cfg);
+        let r = gfd::sat_with_config(&sigma, &cfg);
         assert_eq!(r.is_satisfiable(), expected, "{dispatch:?}");
         if dispatch == DispatchMode::Coordinator {
-            assert_eq!(r.metrics.units_stolen, 0, "coordinator mode never steals");
+            assert_eq!(r.stats.units_stolen, 0, "coordinator mode never steals");
         }
     }
 }
@@ -130,10 +130,10 @@ fn early_termination_reports_quickly_on_conflicts() {
     // Large satisfiable base + a conflict pair: the run must terminate
     // early rather than process everything.
     let w = gfd::gen::real_life_workload(gfd::gen::Dataset::Yago2, 120, 5, Some(2));
-    let cfg = ParConfig::with_workers(4);
-    let r = gfd::par_sat(&w.sigma, &cfg);
+    let cfg = ReasonConfig::with_workers(4);
+    let r = gfd::sat_with_config(&w.sigma, &cfg);
     assert!(!r.is_satisfiable());
-    assert!(r.metrics.early_terminated);
+    assert!(r.stats.early_terminated);
 }
 
 #[test]
@@ -142,7 +142,7 @@ fn consequence_termination_for_implication() {
     let implied: Vec<_> = w.probes.iter().filter(|p| p.expect_implied).collect();
     assert!(!implied.is_empty());
     for probe in implied {
-        let r = gfd::par_imp(&w.sigma, &probe.phi, &ParConfig::with_workers(4));
+        let r = gfd::imp_with_config(&w.sigma, &probe.phi, &ReasonConfig::with_workers(4));
         assert!(r.is_implied());
     }
 }
@@ -158,7 +158,7 @@ fn many_workers_on_tiny_input_is_fine() {
     )
     .unwrap()
     .gfds;
-    let r = gfd::par_sat(&sigma, &ParConfig::with_workers(16));
+    let r = gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(16));
     assert!(r.is_satisfiable());
 }
 
@@ -167,10 +167,251 @@ fn repeated_runs_are_deterministic_in_outcome() {
     let w = gfd::gen::real_life_workload(gfd::gen::Dataset::Tiny, 40, 9, None);
     let expected = gfd::seq_sat(&w.sigma).is_satisfiable();
     for run in 0..5 {
-        let r = gfd::par_sat(
+        let r = gfd::sat_with_config(
             &w.sigma,
-            &ParConfig::with_workers(3).with_ttl(Duration::from_micros(200)),
+            &ReasonConfig::with_workers(3).with_ttl(Duration::from_micros(200)),
         );
         assert_eq!(r.is_satisfiable(), expected, "run {run} diverged");
     }
+}
+
+// ---- one door: `sat_with_config` / `imp_with_config` at `workers = p`
+// against `seq_sat` / `seq_imp` (the same calls at `workers = 1`) ----
+
+fn wildcard_unary(name: &str, lits: Vec<Literal>, premise: Vec<Literal>) -> Gfd {
+    let mut p = Pattern::new();
+    p.add_node(LabelId::WILDCARD, "x");
+    Gfd::new(name, p, premise, lits)
+}
+
+#[test]
+fn agrees_with_seq_sat_on_unsat_wildcard_conflict() {
+    let mut vocab = Vocab::new();
+    let a = vocab.attr("A");
+    let x = VarId::new(0);
+    let sigma = GfdSet::from_vec(vec![
+        wildcard_unary("phi5", vec![Literal::eq_const(x, a, 0i64)], vec![]),
+        wildcard_unary("phi6", vec![Literal::eq_const(x, a, 1i64)], vec![]),
+    ]);
+    assert!(!gfd::seq_sat(&sigma).is_satisfiable());
+    for p in [1, 2, 4] {
+        let r = gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(p));
+        assert!(!r.is_satisfiable(), "p={p}");
+        assert!(r.stats.early_terminated);
+    }
+}
+
+#[test]
+fn agrees_with_seq_sat_on_satisfiable_set() {
+    let mut vocab = Vocab::new();
+    let t = vocab.label("t");
+    let e = vocab.label("e");
+    let a = vocab.attr("a");
+    let b = vocab.attr("b");
+    let mut gfds = Vec::new();
+    for i in 0..6 {
+        let mut p = Pattern::new();
+        let x = p.add_node(t, "x");
+        let y = p.add_node(t, "y");
+        p.add_edge(x, e, y);
+        gfds.push(Gfd::new(
+            format!("g{i}"),
+            p,
+            if i % 2 == 0 {
+                vec![]
+            } else {
+                vec![Literal::eq_const(x, a, 1i64)]
+            },
+            vec![Literal::eq_const(x, a, 1i64), Literal::eq_attr(x, b, y, b)],
+        ));
+    }
+    let sigma = GfdSet::from_vec(gfds);
+    assert!(gfd::seq_sat(&sigma).is_satisfiable());
+    for p in [1, 2, 4, 8] {
+        let r = gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(p));
+        // The model must satisfy Σ.
+        let model = r
+            .model()
+            .unwrap_or_else(|| panic!("p={p}: not satisfiable"));
+        assert!(gfd::graph_satisfies_all(model, &sigma));
+    }
+}
+
+#[test]
+fn variants_agree() {
+    let mut vocab = Vocab::new();
+    let a = vocab.attr("A");
+    let b = vocab.attr("B");
+    let x = VarId::new(0);
+    // Chain: seed a=1; a=1 → b=1; b=1 ∧ a=1 → conflict on a.
+    let sigma = GfdSet::from_vec(vec![
+        wildcard_unary("seed", vec![Literal::eq_const(x, a, 1i64)], vec![]),
+        wildcard_unary(
+            "prop",
+            vec![Literal::eq_const(x, b, 1i64)],
+            vec![Literal::eq_const(x, a, 1i64)],
+        ),
+        wildcard_unary(
+            "deny",
+            vec![Literal::eq_const(x, a, 2i64)],
+            vec![Literal::eq_const(x, b, 1i64)],
+        ),
+    ]);
+    let expect = gfd::seq_sat(&sigma).is_satisfiable();
+    let base = ReasonConfig::with_workers(3);
+    let no_order = ReasonConfig {
+        use_dependency_order: false,
+        ..base.clone()
+    };
+    for cfg in [
+        base.clone(),
+        base.clone().without_pipeline(),
+        base.clone().without_split(),
+        no_order,
+        base.with_dispatch(DispatchMode::Coordinator),
+    ] {
+        assert_eq!(
+            gfd::sat_with_config(&sigma, &cfg).is_satisfiable(),
+            expect,
+            "{cfg:?}"
+        );
+    }
+}
+
+#[test]
+fn empty_sigma_is_satisfiable() {
+    let r = gfd::sat_with_config(&GfdSet::new(), &ReasonConfig::with_workers(2));
+    assert!(r.is_satisfiable());
+}
+
+/// The paper's Example 8: Σ = {ϕ11, ϕ12} implies ϕ13 (consequence
+/// deduced) and ϕ14 (conflict).
+fn example8() -> (GfdSet, Gfd, Gfd) {
+    let mut vocab = Vocab::new();
+    let a_lbl = vocab.label("a");
+    let b_lbl = vocab.label("b");
+    let c_lbl = vocab.label("c");
+    let p_lbl = vocab.label("p");
+    let attr_a = vocab.attr("A");
+    let attr_b = vocab.attr("B");
+    let attr_c = vocab.attr("C");
+
+    let mut q8 = Pattern::new();
+    let x8 = q8.add_node(a_lbl, "x");
+    let y8 = q8.add_node(b_lbl, "y");
+    q8.add_edge(x8, p_lbl, y8);
+
+    let mut q9 = Pattern::new();
+    let x9 = q9.add_node(a_lbl, "x");
+    let y9 = q9.add_node(c_lbl, "y");
+    q9.add_edge(x9, p_lbl, y9);
+
+    let mut q7 = Pattern::new();
+    let x7 = q7.add_node(a_lbl, "x");
+    let y7 = q7.add_node(b_lbl, "y");
+    let z7 = q7.add_node(c_lbl, "z");
+    let w7 = q7.add_node(c_lbl, "w");
+    q7.add_edge(x7, p_lbl, y7);
+    q7.add_edge(x7, p_lbl, z7);
+    q7.add_edge(x7, p_lbl, w7);
+
+    let phi11 = Gfd::new(
+        "phi11",
+        q8,
+        vec![],
+        vec![Literal::eq_const(x8, attr_a, 1i64)],
+    );
+    let phi12 = Gfd::new(
+        "phi12",
+        q9,
+        vec![
+            Literal::eq_const(x9, attr_a, 1i64),
+            Literal::eq_const(y9, attr_b, 2i64),
+        ],
+        vec![Literal::eq_const(y9, attr_c, 2i64)],
+    );
+    let phi13 = Gfd::new(
+        "phi13",
+        q7.clone(),
+        vec![Literal::eq_const(VarId::new(2), attr_b, 2i64)],
+        vec![Literal::eq_const(VarId::new(2), attr_c, 2i64)],
+    );
+    let phi14 = Gfd::new(
+        "phi14",
+        q7,
+        vec![Literal::eq_const(VarId::new(0), attr_a, 0i64)],
+        vec![Literal::eq_const(VarId::new(2), attr_c, 2i64)],
+    );
+    (GfdSet::from_vec(vec![phi11, phi12]), phi13, phi14)
+}
+
+#[test]
+fn example8_matches_sequential_across_worker_counts() {
+    let (sigma, phi13, phi14) = example8();
+    assert!(gfd::seq_imp(&sigma, &phi13).is_implied());
+    assert!(gfd::seq_imp(&sigma, &phi14).is_implied());
+    for p in [1, 2, 4] {
+        let cfg = ReasonConfig::with_workers(p);
+        let r13 = gfd::imp_with_config(&sigma, &phi13, &cfg);
+        assert!(r13.is_implied(), "phi13 p={p}: {:?}", r13.outcome);
+        let r14 = gfd::imp_with_config(&sigma, &phi14, &cfg);
+        assert!(r14.is_implied(), "phi14 p={p}: {:?}", r14.outcome);
+    }
+}
+
+#[test]
+fn not_implied_matches_sequential() {
+    let (sigma, phi13, _) = example8();
+    // Remove phi12: phi13 no longer follows.
+    let smaller = GfdSet::from_vec(vec![sigma.as_slice()[0].clone()]);
+    assert!(!gfd::seq_imp(&smaller, &phi13).is_implied());
+    for p in [1, 3] {
+        let r = gfd::imp_with_config(&smaller, &phi13, &ReasonConfig::with_workers(p));
+        assert!(!r.is_implied(), "p={p}");
+    }
+}
+
+#[test]
+fn ablation_variants_agree() {
+    let (sigma, phi13, phi14) = example8();
+    let base = ReasonConfig::with_workers(2);
+    for phi in [&phi13, &phi14] {
+        for cfg in [
+            base.clone(),
+            base.clone().without_pipeline(),
+            base.clone().without_split(),
+            base.clone().with_dispatch(DispatchMode::Coordinator),
+        ] {
+            assert!(
+                gfd::imp_with_config(&sigma, phi, &cfg).is_implied(),
+                "{cfg:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn trivial_cases_short_circuit() {
+    let (sigma, _, _) = example8();
+    let mut vocab = Vocab::new();
+    let mut q = Pattern::new();
+    let x = q.add_node(vocab.label("a"), "x");
+    let a = vocab.attr("A");
+    // Empty consequence.
+    let trivial = Gfd::new("t", q.clone(), vec![], vec![]);
+    let r = gfd::imp_with_config(&sigma, &trivial, &ReasonConfig::with_workers(2));
+    assert!(r.is_implied());
+    assert_eq!(r.stats.units_dispatched, 0);
+    // Inconsistent premise.
+    let inconsistent = Gfd::new(
+        "i",
+        q,
+        vec![Literal::eq_const(x, a, 1i64), Literal::eq_const(x, a, 2i64)],
+        vec![Literal::eq_const(x, a, 3i64)],
+    );
+    let r = gfd::imp_with_config(&sigma, &inconsistent, &ReasonConfig::with_workers(2));
+    assert!(matches!(
+        r.outcome,
+        ImpOutcome::Implied(ImpliedVia::PremiseInconsistent)
+    ));
 }
