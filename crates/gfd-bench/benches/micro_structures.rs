@@ -8,7 +8,55 @@ use gfd_gen::synthetic_workload;
 use gfd_graph::{AttrId, Graph, LabelIndex, NodeId, Pattern, Vocab};
 use gfd_match::{dual_simulation, MatchPlan};
 use gfd_runtime::DispatchMode;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
+
+// ---- allocation counting for the `match_alloc_free` guard: one
+// thread-local increment per allocation, nothing the timings can see
+// (the same few lines as in `tests/alloc_free_match.rs` — a global
+// allocator is declared per binary) ----
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator plus a per-thread count of allocations and
+/// reallocations (per-thread, so parallel tests do not see each other).
+struct CountingAlloc;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract. The counter is a const-initialised thread-local
+// `Cell` with no destructor, so touching it neither allocates nor
+// re-enters the allocator; `try_with` ignores a thread tearing down.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller's `layout` obligations pass straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc`/`realloc` above, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Run `f` and count the allocations this thread made meanwhile.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
 
 fn bench_eq_rel(c: &mut Criterion) {
     let mut g = c.benchmark_group("eq_rel");
@@ -184,35 +232,6 @@ fn bench_structures(c: &mut Criterion) {
             }
             total
         })
-    });
-    group.finish();
-}
-
-/// Head-to-head: streamed two-pointer intersection vs the galloping
-/// (exponential-probe) fallback `intersect_sorted_view` switches to when
-/// one side is ≥8x longer. Balanced inputs stay on the two-pointer; the
-/// skewed cases pin that galloping wins by a wide margin there.
-fn bench_intersect(c: &mut Criterion) {
-    // `long` = every 3rd id of a 192k universe; `short` = 64 scattered
-    // ids (1000x skew); `mid` = comparable density for the balanced case.
-    let long: Vec<NodeId> = (0..65_536usize).map(|i| NodeId::new(i * 3)).collect();
-    let short: Vec<NodeId> = (0..64usize).map(|i| NodeId::new(i * 3001)).collect();
-    let mid: Vec<NodeId> = (0..65_536usize).map(|i| NodeId::new(i * 3 + 1)).collect();
-    let expect = gfd_match::intersect_slices_two_pointer(&short, &long);
-    assert_eq!(gfd_match::intersect_slices_gallop(&short, &long), expect);
-
-    let mut group = c.benchmark_group("intersect");
-    group.bench_function("skewed_1000x/two_pointer", |b| {
-        b.iter(|| black_box(gfd_match::intersect_slices_two_pointer(&short, &long)))
-    });
-    group.bench_function("skewed_1000x/gallop", |b| {
-        b.iter(|| black_box(gfd_match::intersect_slices_gallop(&short, &long)))
-    });
-    group.bench_function("balanced/two_pointer", |b| {
-        b.iter(|| black_box(gfd_match::intersect_slices_two_pointer(&mid, &long)))
-    });
-    group.bench_function("balanced/gallop", |b| {
-        b.iter(|| black_box(gfd_match::intersect_slices_gallop(&mid, &long)))
     });
     group.finish();
 }
@@ -674,7 +693,7 @@ fn bench_literal_interning(_c: &mut Criterion) {
     guard("balanced_int", make_int_pool(), make_int_pool(), 1.0);
 }
 
-/// Asserted guard for the three-way intersection crossover
+/// Asserted guard for the bitset / merge intersection crossover
 /// (DESIGN.md §15). Pins the plan-layer constants, checks the slice
 /// kernels agree, and asserts the regime map the planner encodes:
 ///
@@ -684,14 +703,13 @@ fn bench_literal_interning(_c: &mut Criterion) {
 ///   same plan with the bitset demoted (`MatchPlan::without_bitset`):
 ///   sorted merge + per-candidate probes — same `HomSearch`, same
 ///   ordering, same matches, only the strategy differs;
-/// * skewed 1000x: galloping beats the two-pointer walk;
 /// * balanced sparse: the two-pointer stays ahead of the bitset (the
 ///   case the `BITSET_ANCHOR_DEGREE` gate protects).
 fn bench_intersect_crossover(_c: &mut Criterion) {
     use gfd_bench::fmt_duration;
     use gfd_match::{
-        intersect_slices_bitset, intersect_slices_gallop, intersect_slices_two_pointer,
-        HomSearch, IntersectStrategy, SearchLimits, BITSET_ANCHOR_DEGREE, BITSET_MIN_CANDIDATES,
+        intersect_slices_bitset, intersect_slices_two_pointer, HomSearch, IntersectStrategy,
+        SearchLimits, BITSET_ANCHOR_DEGREE, BITSET_MIN_CANDIDATES,
     };
     use std::ops::ControlFlow;
     use std::time::{Duration, Instant};
@@ -702,14 +720,14 @@ fn bench_intersect_crossover(_c: &mut Criterion) {
     assert_eq!(BITSET_ANCHOR_DEGREE, 64, "plan-layer bitset gate moved");
     assert_eq!(BITSET_MIN_CANDIDATES, 64, "runtime bitset gate moved");
 
-    // Skew and balanced shapes mirror `bench_intersect`; the kernels
-    // must agree everywhere.
+    // `long` = every 3rd id of a 192k universe; `short` = 64 scattered
+    // ids (1000x skew); `mid` = comparable density for the balanced case.
+    // The kernels must agree everywhere.
     let long: Vec<NodeId> = (0..65_536usize).map(|i| NodeId::new(i * 3)).collect();
     let short: Vec<NodeId> = (0..64usize).map(|i| NodeId::new(i * 3001)).collect();
     let mid: Vec<NodeId> = (0..65_536usize).map(|i| NodeId::new(i * 3 + 1)).collect();
     for (a, b) in [(&short, &long), (&mid, &long)] {
         let expect = intersect_slices_two_pointer(a, b);
-        assert_eq!(intersect_slices_gallop(a, b), expect);
         assert_eq!(intersect_slices_bitset(a, b), expect);
     }
 
@@ -857,22 +875,6 @@ fn bench_intersect_crossover(_c: &mut Criterion) {
         "bitset plan must win the hub regime: merge={hub_merge:?} bitset={hub_bit:?}"
     );
 
-    let skew_two = time(&|| {
-        (0..64).map(|_| intersect_slices_two_pointer(&short, &long).len()).sum()
-    });
-    let skew_gal = time(&|| {
-        (0..64).map(|_| intersect_slices_gallop(&short, &long).len()).sum()
-    });
-    println!(
-        "intersect_crossover/skewed_1000x: two_pointer {}  gallop {}",
-        fmt_duration(skew_two),
-        fmt_duration(skew_gal),
-    );
-    assert!(
-        skew_gal <= skew_two + floor,
-        "gallop must win the 1000x skew: two={skew_two:?} gallop={skew_gal:?}"
-    );
-
     let bal_two = time(&|| intersect_slices_two_pointer(&mid, &long).len());
     let bal_bit = time(&|| intersect_slices_bitset(&mid, &long).len());
     println!(
@@ -885,6 +887,49 @@ fn bench_intersect_crossover(_c: &mut Criterion) {
         "two-pointer must stay ahead on the balanced sparse case: \
          two={bal_two:?} bitset={bal_bit:?}"
     );
+}
+
+/// Asserted guard for the allocation-free match kernel (DESIGN.md
+/// §15.5): over the hub workload's diamond and chain rules, a pivoted
+/// search that has swept every pivot once sweeps them again — `reset` per
+/// pivot, as a detection unit does — without a single allocation. A `Vec`
+/// creeping back into `push_frame` or a boxed match into `run` fails here
+/// (`tests/alloc_free_match.rs` pins the same per intersection strategy).
+fn bench_match_alloc_free(_c: &mut Criterion) {
+    use gfd_gen::{hub_workload, HubGenConfig};
+    use gfd_match::{HomSearch, SearchLimits};
+    use std::ops::ControlFlow;
+
+    let w = hub_workload(&HubGenConfig::default());
+    let idx = LabelIndex::build(&w.graph);
+    let mut matches = 0u64;
+    for (_, gfd) in w.sigma.iter() {
+        let pivot = gfd_core::choose_pivot(&gfd.pattern, &idx);
+        let plan = MatchPlan::build(&gfd.pattern, Some(pivot), Some(&idx));
+        let mut search = HomSearch::new(&w.graph, &idx, &gfd.pattern, &plan);
+        let mut sweep = || {
+            let mut n = 0u64;
+            for z in w.graph.nodes() {
+                search.reset(&[z]);
+                search.run(
+                    |m| {
+                        black_box(m);
+                        n += 1;
+                        ControlFlow::Continue(())
+                    },
+                    SearchLimits::none(),
+                );
+            }
+            n
+        };
+        let cold = sweep();
+        let (warm, allocs) = allocations_of(sweep);
+        assert_eq!(warm, cold, "a reset search must find the same matches");
+        assert_eq!(allocs, 0, "warmed sweep of rule {} allocated", gfd.name);
+        matches += warm;
+    }
+    assert!(matches > 10_000, "hub fixture went quiet: {matches}");
+    println!("match_alloc_free: {matches} matches per warmed sweep, 0 allocations");
 }
 
 /// Asserted guard for the unit pipeline's serial set-up (DESIGN.md §4,
@@ -972,7 +1017,6 @@ criterion_group!(
     bench_eq_rel,
     bench_structures,
     bench_matching,
-    bench_intersect,
     bench_literal_interning,
     bench_intersect_crossover,
     bench_deque,
@@ -980,6 +1024,7 @@ criterion_group!(
     bench_trace_overhead,
     bench_atomics_zero_cost,
     bench_unit_setup,
+    bench_match_alloc_free,
     bench_ablations
 );
 criterion_main!(benches);

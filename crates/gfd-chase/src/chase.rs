@@ -30,13 +30,14 @@ use gfd_core::{
     DepSet, EqRel, GenerateConsequence, GfdSet, Interrupt, Literal, Operand, PremiseStatus,
 };
 use gfd_graph::{AttrId, Graph, LabelId, MatchIndex, NodeId, Pattern, ValueId, VarId};
-use gfd_match::{find_all_matches, Match};
+use gfd_match::{for_each_match, Match};
 use gfd_runtime::sched::{Task, WorkerCtx};
 use gfd_runtime::{
     failpoint, DispatchMode, EventKind, RunMetrics, TraceBuf, TraceSpec, CONTROL_WORKER,
 };
 use rustc_hash::FxHashSet;
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
@@ -190,6 +191,37 @@ struct Rule<'a> {
     action: Action<'a>,
 }
 
+/// One rule's enumerated matches as a flat strided table — row `i` is
+/// `nodes[i * arity..][..arity]` — filled straight from the matcher's lent
+/// callback: one buffer per rule and rebuild instead of one box per match.
+struct MatchTable {
+    arity: usize,
+    nodes: Vec<NodeId>,
+}
+
+impl MatchTable {
+    /// Every match of `pattern` in `canon`, in the matcher's order.
+    fn enumerate(canon: &CanonicalGraph, pattern: &Pattern) -> Self {
+        let mut nodes = Vec::new();
+        for_each_match(&canon.graph, &canon.index, pattern, |m| {
+            nodes.extend_from_slice(m);
+            ControlFlow::Continue(())
+        });
+        MatchTable {
+            arity: pattern.node_count(),
+            nodes,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.nodes.len().checked_div(self.arity).unwrap_or(0)
+    }
+
+    fn get(&self, i: usize) -> &[NodeId] {
+        &self.nodes[i * self.arity..][..self.arity]
+    }
+}
+
 /// A contiguous slice of one rule's cached match list.
 #[derive(Clone, Copy)]
 struct ScanUnit {
@@ -213,7 +245,7 @@ struct ScanWorker {
 /// irrelevant until the apply phase.
 struct ScanTask<'a> {
     rules: &'a [Rule<'a>],
-    matches: &'a [Vec<Match>],
+    matches: &'a [MatchTable],
     snapshot: &'a EqRel,
     ttl: Duration,
 }
@@ -240,7 +272,7 @@ impl Task for ScanTask<'_> {
         for idx in unit.start..unit.end {
             w.premise_evals += 1;
             if let PremiseStatus::Satisfied =
-                eval_premise_lits(&mut w.eq, premise, &list[idx as usize])
+                eval_premise_lits(&mut w.eq, premise, list.get(idx as usize))
             {
                 w.fired.push((unit.rule, idx));
             }
@@ -393,7 +425,7 @@ struct ApplyWorker {
 /// mutation happens only in the deterministic commit walk.
 struct ApplyTask<'a, I: MatchIndex> {
     rules: &'a [Rule<'a>],
-    matches: &'a [Vec<Match>],
+    matches: &'a [MatchTable],
     /// The round's pending `(rule, match index)` firings, sorted.
     pending: &'a [(u32, u32)],
     index: &'a I,
@@ -417,7 +449,7 @@ impl<I: MatchIndex> Task for ApplyTask<'_, I> {
         let deadline = Instant::now() + self.ttl;
         for i in unit.start..unit.end {
             let (rule, idx) = self.pending[i as usize];
-            let m = &self.matches[rule as usize][idx as usize];
+            let m = self.matches[rule as usize].get(idx as usize);
             let plan = match self.rules[rule as usize].action {
                 Action::Literals(lits) => {
                     let mut patch = Patch::default();
@@ -478,7 +510,7 @@ impl<I: MatchIndex> Task for ApplyTask<'_, I> {
 #[allow(clippy::too_many_arguments)]
 fn plan_round<I: MatchIndex>(
     rules: &[Rule<'_>],
-    all_matches: &[Vec<Match>],
+    all_matches: &[MatchTable],
     pending: &[(u32, u32)],
     index: &I,
     snapshot: &EqRel,
@@ -611,7 +643,7 @@ fn partition_independent(plans: &[FiringPlan], probe: &mut EqRel) -> Vec<bool> {
 /// sequential scan's order, whatever the worker interleaving was).
 fn scan_round(
     rules: &[Rule<'_>],
-    all_matches: &[Vec<Match>],
+    all_matches: &[MatchTable],
     snapshot: &EqRel,
     config: &ChaseConfig,
     p: usize,
@@ -785,12 +817,11 @@ fn chase(
     'rebuild: loop {
         // (Re-)freeze the current topology and enumerate premise matches.
         let canon = CanonicalGraph::from_graph(graph.clone());
-        let mut all_matches: Vec<Vec<Match>> = Vec::with_capacity(rules.len());
-        for rule in rules {
-            let ms = find_all_matches(&canon.graph, &canon.index, rule.pattern);
-            stats.matches_enumerated += ms.len() as u64;
-            all_matches.push(ms);
-        }
+        let all_matches: Vec<MatchTable> = rules
+            .iter()
+            .map(|rule| MatchTable::enumerate(&canon, rule.pattern))
+            .collect();
+        stats.matches_enumerated += all_matches.iter().map(|t| t.len() as u64).sum::<u64>();
 
         loop {
             if config.budget.expired() {
@@ -840,7 +871,7 @@ fn chase(
                     Action::Literals(_) => pending.push((rule, idx)),
                     Action::Generate(_) => {
                         let key: FiredKey =
-                            (rule, all_matches[rule as usize][idx as usize].clone());
+                            (rule, all_matches[rule as usize].get(idx as usize).into());
                         if fired_gen.insert(key) {
                             pending.push((rule, idx));
                         }
@@ -902,7 +933,7 @@ fn chase(
             let mut changed = false;
             for (i, &(rule, idx)) in pending.iter().enumerate() {
                 let id = gfd_graph::GfdId::new(rule as usize);
-                let m = &all_matches[rule as usize][idx as usize];
+                let m = all_matches[rule as usize].get(idx as usize);
                 match (rules[rule as usize].action, &plans[i]) {
                     (_, FiringPlan::Realized) => {}
                     (Action::Literals(_), FiringPlan::Patch(patch)) => {

@@ -35,7 +35,7 @@ use crate::eq::{EqOp, EqRel};
 use crate::error::Conflict;
 use crate::gfd::Gfd;
 use crate::sigma::GfdSet;
-use crate::unit::{generate_units, order_units, WorkUnit};
+use crate::unit::{generate_units, order_units, Prefix, WorkUnit};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use gfd_graph::GfdId;
 use gfd_match::{HomSearch, Match, MatchPlan, RunOutcome, SearchLimits};
@@ -243,8 +243,11 @@ struct ReasonTask<'a> {
 }
 
 /// Per-worker reasoning state.
-struct ReasonWorker {
+struct ReasonWorker<'a> {
     engine: EnforceEngine,
+    /// The worker's one matcher, built by its first unit and rebound to
+    /// each later unit's pattern on the buffers it already grew.
+    search: Option<HomSearch<'a>>,
     rx_delta: Option<Receiver<DeltaPayload>>,
     tx_peers: Vec<Sender<DeltaPayload>>,
     broadcast_cursor: usize,
@@ -258,7 +261,7 @@ struct ReasonWorker {
 impl<'a> ReasonTask<'a> {
     /// Raise a terminal event: record it (first writer wins) and set the
     /// global stop flag so every worker aborts its search.
-    fn terminal(&self, w: &mut ReasonWorker, event: TerminalEvent) {
+    fn terminal(&self, w: &mut ReasonWorker<'_>, event: TerminalEvent) {
         if w.done {
             return;
         }
@@ -272,7 +275,7 @@ impl<'a> ReasonTask<'a> {
 
     /// Apply queued remote deltas (cascading local pending rechecks), then
     /// re-test the consequence for implication goals.
-    fn apply_inbox(&self, w: &mut ReasonWorker) {
+    fn apply_inbox(&self, w: &mut ReasonWorker<'_>) {
         if let Some(rx) = &w.rx_delta {
             while let Ok(ops) = rx.try_recv() {
                 if let Err(c) = w.engine.apply_remote_ops(self.sigma, &ops) {
@@ -284,7 +287,7 @@ impl<'a> ReasonTask<'a> {
         self.check_consequence(w);
     }
 
-    fn check_consequence(&self, w: &mut ReasonWorker) {
+    fn check_consequence(&self, w: &mut ReasonWorker<'_>) {
         if w.done || matches!(self.goal, Goal::Sat) {
             return;
         }
@@ -300,7 +303,7 @@ impl<'a> ReasonTask<'a> {
     /// Ship ops recorded since the last broadcast to every peer. The
     /// payload is shared as one `Arc<[EqOp]>`: a single allocation however
     /// many peers there are.
-    fn broadcast(&self, w: &mut ReasonWorker) {
+    fn broadcast(&self, w: &mut ReasonWorker<'_>) {
         if w.tx_peers.is_empty() {
             return;
         }
@@ -320,7 +323,7 @@ impl<'a> ReasonTask<'a> {
     /// it (streaming `HomMatch ∥ CheckAttr`).
     fn run_streaming(
         &self,
-        w: &mut ReasonWorker,
+        w: &mut ReasonWorker<'_>,
         search: &mut HomSearch<'_>,
         gfd_id: GfdId,
         priority: u32,
@@ -391,7 +394,7 @@ impl<'a> ReasonTask<'a> {
     /// Exp-1/Exp-4.
     fn run_collect_then_check(
         &self,
-        w: &mut ReasonWorker,
+        w: &mut ReasonWorker<'_>,
         search: &mut HomSearch<'_>,
         gfd_id: GfdId,
         priority: u32,
@@ -408,7 +411,7 @@ impl<'a> ReasonTask<'a> {
             let outcome = search.run(
                 |m| {
                     *count += 1;
-                    matches.push(m);
+                    matches.push(m.into());
                     ControlFlow::Continue(())
                 },
                 limits,
@@ -425,7 +428,7 @@ impl<'a> ReasonTask<'a> {
             if w.done || self.stop.load(Ordering::Relaxed) {
                 return;
             }
-            if let Err(c) = w.engine.process_match(self.sigma, gfd_id, m) {
+            if let Err(c) = w.engine.process_match(self.sigma, gfd_id, &m) {
                 self.terminal(w, TerminalEvent::Conflict(c));
                 return;
             }
@@ -454,7 +457,7 @@ impl<'a> ReasonTask<'a> {
             .into_iter()
             .map(|prefix| WorkUnit {
                 gfd: gfd_id,
-                prefix,
+                prefix: Prefix::Split(prefix.into_boxed_slice()),
                 priority,
             })
             .collect();
@@ -462,11 +465,11 @@ impl<'a> ReasonTask<'a> {
     }
 }
 
-impl Task for ReasonTask<'_> {
+impl<'a> Task for ReasonTask<'a> {
     type Unit = WorkUnit;
-    type Worker = ReasonWorker;
+    type Worker = ReasonWorker<'a>;
 
-    fn worker(&self, id: usize) -> ReasonWorker {
+    fn worker(&self, id: usize) -> ReasonWorker<'a> {
         let rx_delta = self.delta_rxs.lock()[id].take();
         let tx_peers = self
             .delta_txs
@@ -477,6 +480,7 @@ impl Task for ReasonTask<'_> {
             .collect();
         ReasonWorker {
             engine: EnforceEngine::with_eq(self.eq0.clone()),
+            search: None,
             rx_delta,
             tx_peers,
             broadcast_cursor: 0,
@@ -487,7 +491,7 @@ impl Task for ReasonTask<'_> {
         }
     }
 
-    fn run_unit(&self, w: &mut ReasonWorker, unit: WorkUnit, ctx: &WorkerCtx<'_, WorkUnit>) {
+    fn run_unit(&self, w: &mut ReasonWorker<'a>, unit: WorkUnit, ctx: &WorkerCtx<'_, WorkUnit>) {
         if w.done || self.stop.load(Ordering::Relaxed) {
             return;
         }
@@ -496,12 +500,19 @@ impl Task for ReasonTask<'_> {
             return;
         }
         let gfd_id = unit.gfd;
-        let gfd = &self.sigma[gfd_id];
-        let plan = self.plans[gfd_id.index()]
+        let (sigma, canon, plans): (&'a GfdSet, &'a CanonicalGraph, &'a [_]) =
+            (self.sigma, self.canon, self.plans);
+        let pattern = &sigma[gfd_id].pattern;
+        let plan = plans[gfd_id.index()]
             .as_ref()
             .expect("a unit exists, so its GFD has pivot candidates and a plan");
-        let mut search = HomSearch::new(&self.canon.graph, &self.canon.index, &gfd.pattern, plan)
-            .with_prefix(&unit.prefix);
+        // The search leaves the worker for the unit (the run_* helpers
+        // borrow the worker whole); after a panic the next unit builds one.
+        let mut search = w
+            .search
+            .take()
+            .unwrap_or_else(|| HomSearch::new(&canon.graph, &canon.index, pattern, plan));
+        search.rebind(pattern, plan, unit.prefix.as_slice());
 
         let span = ctx.trace_start();
         let matches0 = w.matches;
@@ -517,10 +528,11 @@ impl Task for ReasonTask<'_> {
             w.matches - matches0,
             0,
         );
+        w.search = Some(search);
         self.broadcast(w);
     }
 
-    fn on_idle(&self, w: &mut ReasonWorker, _ctx: &WorkerCtx<'_, WorkUnit>) {
+    fn on_idle(&self, w: &mut ReasonWorker<'a>, _ctx: &WorkerCtx<'_, WorkUnit>) {
         self.apply_inbox(w);
     }
 }
@@ -628,7 +640,7 @@ pub fn run_reason(
                 }
             }
             for (gfd, m) in pendings {
-                if let Err(c) = engine.process_match(sigma, gfd, m) {
+                if let Err(c) = engine.process_match(sigma, gfd, &m) {
                     terminal = Some(TerminalEvent::Conflict(c));
                     break 'merge;
                 }

@@ -20,7 +20,7 @@ use crate::error::{AttrKey, Conflict};
 use crate::gfd::Gfd;
 use crate::literal::Operand;
 use crate::sigma::GfdSet;
-use gfd_graph::GfdId;
+use gfd_graph::{GfdId, NodeId};
 use gfd_match::Match;
 use std::collections::VecDeque;
 
@@ -39,7 +39,7 @@ pub enum PremiseStatus {
 
 /// Evaluate the premise of `gfd` at `m` against `eq` without mutating
 /// anything (beyond union-find path compression).
-pub fn eval_premise(eq: &mut EqRel, gfd: &Gfd, m: &[gfd_graph::NodeId]) -> PremiseStatus {
+pub fn eval_premise(eq: &mut EqRel, gfd: &Gfd, m: &[NodeId]) -> PremiseStatus {
     eval_premise_lits(eq, &gfd.premise, m)
 }
 
@@ -50,7 +50,7 @@ pub fn eval_premise(eq: &mut EqRel, gfd: &Gfd, m: &[gfd_graph::NodeId]) -> Premi
 pub fn eval_premise_lits(
     eq: &mut EqRel,
     premise: &[crate::literal::Literal],
-    m: &[gfd_graph::NodeId],
+    m: &[NodeId],
 ) -> PremiseStatus {
     let mut waiting: Vec<AttrKey> = Vec::new();
     for lit in premise {
@@ -174,13 +174,20 @@ impl EnforceEngine {
 
     /// Process one match of `gfd` (identified by `id` within `sigma`):
     /// evaluate the premise, enforce or register, then cascade rechecks.
-    pub fn process_match(&mut self, sigma: &GfdSet, id: GfdId, m: Match) -> Result<(), Conflict> {
+    /// The match is only borrowed — typically lent by the matcher — and
+    /// copied just when it has to wait in the pending index.
+    pub fn process_match(
+        &mut self,
+        sigma: &GfdSet,
+        id: GfdId,
+        m: &[NodeId],
+    ) -> Result<(), Conflict> {
         self.stats.matches_processed += 1;
         let gfd = &sigma[id];
-        match eval_premise(&mut self.eq, gfd, &m) {
+        match eval_premise(&mut self.eq, gfd, m) {
             PremiseStatus::Falsified => Ok(()),
             PremiseStatus::Satisfied => {
-                self.enforce_consequence(gfd, id, &m)?;
+                self.enforce_consequence(gfd, id, m)?;
                 self.cascade(sigma)
             }
             PremiseStatus::Pending(keys) => {
@@ -190,12 +197,12 @@ impl EnforceEngine {
         }
     }
 
-    fn register_pending(&mut self, gfd: GfdId, m: Match, keys: &[AttrKey]) {
+    fn register_pending(&mut self, gfd: GfdId, m: &[NodeId], keys: &[AttrKey]) {
         self.stats.pending_registered += 1;
         let id = self.pending.len() as u32;
         self.pending.push(PendingEntry {
             gfd,
-            m,
+            m: m.into(),
             resolved: false,
             epoch: 0,
         });
@@ -210,7 +217,7 @@ impl EnforceEngine {
         &mut self,
         gfd: &Gfd,
         id: GfdId,
-        m: &[gfd_graph::NodeId],
+        m: &[NodeId],
     ) -> Result<(), Conflict> {
         for lit in &gfd.consequence {
             let k1: AttrKey = (m[lit.var.index()], lit.attr);
@@ -246,16 +253,17 @@ impl EnforceEngine {
             self.stats.rechecks += 1;
             let gfd_id = entry.gfd;
             let gfd = &sigma[gfd_id];
-            // Clone the match out to appease the borrow checker; matches
-            // are small (k ≤ 10 nodes).
-            let m = entry.m.clone();
-            match eval_premise(&mut self.eq, gfd, &m) {
+            // Enforcement needs `&mut self`: the match leaves its entry for
+            // the evaluation (no allocation) and goes back before any return.
+            let m = std::mem::take(&mut self.pending[id as usize].m);
+            let enforced = match eval_premise(&mut self.eq, gfd, &m) {
                 PremiseStatus::Falsified => {
                     self.pending[id as usize].resolved = true;
+                    Ok(())
                 }
                 PremiseStatus::Satisfied => {
                     self.pending[id as usize].resolved = true;
-                    self.enforce_consequence(gfd, gfd_id, &m)?;
+                    self.enforce_consequence(gfd, gfd_id, &m)
                 }
                 PremiseStatus::Pending(keys) => {
                     let entry = &mut self.pending[id as usize];
@@ -264,8 +272,11 @@ impl EnforceEngine {
                     for key in keys {
                         self.eq.add_watcher(key, (id, epoch));
                     }
+                    Ok(())
                 }
-            }
+            };
+            self.pending[id as usize].m = m;
+            enforced?;
         }
         Ok(())
     }
@@ -316,7 +327,7 @@ mod tests {
             vec![Literal::eq_const(VarId::new(0), a, 1i64)],
         )]);
         let mut e = EnforceEngine::new();
-        e.process_match(&sigma, GfdId::new(0), m0()).unwrap();
+        e.process_match(&sigma, GfdId::new(0), &m0()).unwrap();
         assert!(e.eq.deduces_const((NodeId::new(0), a), ValueId::of(1)));
         assert_eq!(e.delta_len(), 1);
         assert_eq!(e.stats.matches_processed, 1);
@@ -341,8 +352,8 @@ mod tests {
             ),
         ]);
         let mut e = EnforceEngine::new();
-        e.process_match(&sigma, GfdId::new(0), m0()).unwrap();
-        let err = e.process_match(&sigma, GfdId::new(1), m0()).unwrap_err();
+        e.process_match(&sigma, GfdId::new(0), &m0()).unwrap();
+        let err = e.process_match(&sigma, GfdId::new(1), &m0()).unwrap_err();
         assert_eq!(err.gfd, Some(GfdId::new(1)));
     }
 
@@ -370,10 +381,10 @@ mod tests {
             ),
         ]);
         let mut e = EnforceEngine::new();
-        e.process_match(&sigma, GfdId::new(0), m0()).unwrap();
+        e.process_match(&sigma, GfdId::new(0), &m0()).unwrap();
         assert_eq!(e.pending_count(), 1);
         assert!(!e.eq.deduces_const((NodeId::new(0), b), ValueId::of(1)));
-        e.process_match(&sigma, GfdId::new(1), m0()).unwrap();
+        e.process_match(&sigma, GfdId::new(1), &m0()).unwrap();
         // The cascade must have fired g0.
         assert_eq!(e.pending_count(), 0);
         assert!(e.eq.deduces_const((NodeId::new(0), b), ValueId::of(1)));
@@ -410,11 +421,64 @@ mod tests {
             ),
         ]);
         let mut e = EnforceEngine::new();
-        e.process_match(&sigma, GfdId::new(0), m0()).unwrap();
-        e.process_match(&sigma, GfdId::new(1), m0()).unwrap();
+        e.process_match(&sigma, GfdId::new(0), &m0()).unwrap();
+        e.process_match(&sigma, GfdId::new(1), &m0()).unwrap();
         assert_eq!(e.pending_count(), 2);
-        e.process_match(&sigma, GfdId::new(2), m0()).unwrap();
+        e.process_match(&sigma, GfdId::new(2), &m0()).unwrap();
         assert!(e.eq.deduces_const((NodeId::new(0), c), ValueId::of(1)));
+        assert_eq!(e.pending_count(), 0);
+    }
+
+    #[test]
+    fn rechecks_leave_pending_matches_intact() {
+        // g0: a=1 ∧ b=1 → c=1, pending at n nodes. Binding a=1 rechecks
+        // each entry once and leaves it pending on b — with its match
+        // back in place; binding b=1 rechecks it again and fires it.
+        let mut vocab = Vocab::new();
+        let a = vocab.attr("a");
+        let b = vocab.attr("b");
+        let c = vocab.attr("c");
+        let x = VarId::new(0);
+        let sigma = GfdSet::from_vec(vec![
+            unary_gfd(
+                &mut vocab,
+                "g0",
+                vec![Literal::eq_const(x, a, 1i64), Literal::eq_const(x, b, 1i64)],
+                vec![Literal::eq_const(x, c, 1i64)],
+            ),
+            unary_gfd(
+                &mut vocab,
+                "g1",
+                vec![],
+                vec![Literal::eq_const(x, a, 1i64)],
+            ),
+            unary_gfd(
+                &mut vocab,
+                "g2",
+                vec![],
+                vec![Literal::eq_const(x, b, 1i64)],
+            ),
+        ]);
+        let n = 5;
+        let mut e = EnforceEngine::new();
+        for rule in [0, 1] {
+            for i in 0..n {
+                e.process_match(&sigma, GfdId::new(rule), &[NodeId::new(i)])
+                    .unwrap();
+            }
+        }
+        assert_eq!(e.stats.rechecks, n as u64);
+        let (_, pending) = e.clone().into_state();
+        let expect: Vec<(GfdId, Match)> = (0..n)
+            .map(|i| (GfdId::new(0), vec![NodeId::new(i)].into_boxed_slice()))
+            .collect();
+        assert_eq!(pending, expect);
+        for i in 0..n {
+            e.process_match(&sigma, GfdId::new(2), &[NodeId::new(i)])
+                .unwrap();
+            assert!(e.eq.deduces_const((NodeId::new(i), c), ValueId::of(1)));
+        }
+        assert_eq!(e.stats.rechecks, 2 * n as u64);
         assert_eq!(e.pending_count(), 0);
     }
 
@@ -439,8 +503,8 @@ mod tests {
             ),
         ]);
         let mut e = EnforceEngine::new();
-        e.process_match(&sigma, GfdId::new(0), m0()).unwrap();
-        e.process_match(&sigma, GfdId::new(1), m0()).unwrap();
+        e.process_match(&sigma, GfdId::new(0), &m0()).unwrap();
+        e.process_match(&sigma, GfdId::new(1), &m0()).unwrap();
         // a=2 contradicts the premise a=1: no pending entry, no b.
         assert_eq!(e.pending_count(), 0);
         assert!(!e.eq.has_class((NodeId::new(0), b)));
@@ -464,9 +528,9 @@ mod tests {
             unary_gfd(&mut vocab, "g1", vec![], vec![Literal::eq_attr(x, a, x, b)]),
         ]);
         let mut e = EnforceEngine::new();
-        e.process_match(&sigma, GfdId::new(0), m0()).unwrap();
+        e.process_match(&sigma, GfdId::new(0), &m0()).unwrap();
         assert_eq!(e.pending_count(), 1);
-        e.process_match(&sigma, GfdId::new(1), m0()).unwrap();
+        e.process_match(&sigma, GfdId::new(1), &m0()).unwrap();
         assert!(e.eq.deduces_const((NodeId::new(0), c), ValueId::of(1)));
     }
 
@@ -501,9 +565,9 @@ mod tests {
             ),
         ]);
         let mut e = EnforceEngine::new();
-        e.process_match(&sigma, GfdId::new(0), m0()).unwrap();
-        e.process_match(&sigma, GfdId::new(1), m0()).unwrap();
-        e.process_match(&sigma, GfdId::new(2), m0()).unwrap();
+        e.process_match(&sigma, GfdId::new(0), &m0()).unwrap();
+        e.process_match(&sigma, GfdId::new(1), &m0()).unwrap();
+        e.process_match(&sigma, GfdId::new(2), &m0()).unwrap();
         assert!(e.eq.deduces_const((NodeId::new(0), c), ValueId::of(1)));
     }
 
@@ -520,7 +584,7 @@ mod tests {
             vec![Literal::eq_const(x, b, 1i64)],
         )]);
         let mut e = EnforceEngine::new();
-        e.process_match(&sigma, GfdId::new(0), m0()).unwrap();
+        e.process_match(&sigma, GfdId::new(0), &m0()).unwrap();
         assert_eq!(e.pending_count(), 1);
         // A "remote" worker bound a=1.
         let base = e.delta_len();
@@ -546,7 +610,7 @@ mod tests {
             vec![Literal::eq_const(x, b, 1i64)],
         )]);
         let mut e = EnforceEngine::new();
-        e.process_match(&sigma, GfdId::new(0), m0()).unwrap();
+        e.process_match(&sigma, GfdId::new(0), &m0()).unwrap();
         let (delta, pending) = e.into_state();
         assert!(delta.is_empty());
         assert_eq!(pending.len(), 1);

@@ -55,5 +55,5 @@ pub use seq_imp::{
 };
 pub use seq_sat::{sat_with_config, seq_sat, SatOutcome, SatResult};
 pub use sigma::GfdSet;
-pub use unit::{generate_units, order_units, WorkUnit};
+pub use unit::{generate_units, order_units, Prefix, WorkUnit};
 pub use validate::{find_violations, graph_satisfies, graph_satisfies_all, Violation};

@@ -24,14 +24,35 @@ use rustc_hash::FxHashMap;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A unit of work: match GFD `gfd` with plan positions `0..prefix.len()`
-/// pre-assigned (`prefix\[0\]` is the pivot node `z`).
+/// The fixed assignments of a unit's leading plan positions (position 0
+/// is the pivot node `z`). Initial units vastly outnumber split remainders,
+/// so their one-node prefix is inline: no allocation per generated unit.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Prefix {
+    /// An initial unit `(Q[z], ϕ)`: only the pivot is fixed.
+    Pivot(NodeId),
+    /// A split remainder: plan positions `0..len` are fixed.
+    Split(Box<[NodeId]>),
+}
+
+impl Prefix {
+    /// The assignments as a slice, position `i` ↦ `as_slice()[i]`.
+    pub fn as_slice(&self) -> &[NodeId] {
+        match self {
+            Prefix::Pivot(z) => std::slice::from_ref(z),
+            Prefix::Split(p) => p,
+        }
+    }
+}
+
+/// A unit of work: match GFD `gfd` with the plan positions of `prefix`
+/// pre-assigned.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkUnit {
     /// The GFD to enforce.
     pub gfd: GfdId,
     /// Fixed assignments for the leading plan positions.
-    pub prefix: Vec<NodeId>,
+    pub prefix: Prefix,
     /// Position in the topological order (0 = run first). Split units
     /// inherit their parent's priority.
     pub priority: u32,
@@ -40,7 +61,7 @@ pub struct WorkUnit {
 impl WorkUnit {
     /// The pivot node (`z` of the paper's `(Q[z], ϕ)`).
     pub fn pivot(&self) -> NodeId {
-        self.prefix[0]
+        self.prefix.as_slice()[0]
     }
 }
 
@@ -64,7 +85,7 @@ pub fn generate_units(
         };
         units.extend(candidates.iter().map(|&z| WorkUnit {
             gfd: id,
-            prefix: vec![z],
+            prefix: Prefix::Pivot(z),
             priority: 0,
         }));
     }
@@ -338,7 +359,7 @@ mod tests {
         // both components host the pattern: 4 candidates each.
         assert_eq!(units.len(), 8);
         for u in &units {
-            assert_eq!(u.prefix.len(), 1);
+            assert_eq!(u.prefix.as_slice().len(), 1);
         }
     }
 

@@ -9,7 +9,7 @@ use crate::gfd::Gfd;
 use crate::literal::{Literal, Operand};
 use crate::sigma::GfdSet;
 use gfd_graph::{GfdId, Graph, LabelIndex};
-use gfd_match::{HomSearch, Match, MatchPlan, SearchLimits};
+use gfd_match::{for_each_match, Match};
 use std::ops::ControlFlow;
 
 /// A witnessed violation of a GFD in a data graph.
@@ -51,20 +51,15 @@ pub fn graph_satisfies(graph: &Graph, gfd: &Gfd) -> bool {
 
 /// [`graph_satisfies`] with a prebuilt label index.
 pub fn graph_satisfies_indexed(graph: &Graph, index: &LabelIndex, gfd: &Gfd) -> bool {
-    let plan = MatchPlan::build(&gfd.pattern, None, Some(index));
     let mut ok = true;
-    let mut search = HomSearch::new(graph, index, &gfd.pattern, &plan);
-    search.run(
-        |m| {
-            if premise_holds(graph, gfd, &m) && !consequence_holds(graph, gfd, &m) {
-                ok = false;
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        },
-        SearchLimits::none(),
-    );
+    for_each_match(graph, index, &gfd.pattern, |m| {
+        if premise_holds(graph, gfd, m) && !consequence_holds(graph, gfd, m) {
+            ok = false;
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
     ok
 }
 
@@ -85,20 +80,18 @@ pub fn find_violations(graph: &Graph, sigma: &GfdSet, limit: usize) -> Vec<Viola
         if out.len() >= limit {
             break;
         }
-        let plan = MatchPlan::build(&gfd.pattern, None, Some(&index));
-        let mut search = HomSearch::new(graph, &index, &gfd.pattern, &plan);
-        search.run(
-            |m| {
-                if premise_holds(graph, gfd, &m) && !consequence_holds(graph, gfd, &m) {
-                    out.push(Violation { gfd: id, m });
-                    if out.len() >= limit {
-                        return ControlFlow::Break(());
-                    }
+        for_each_match(graph, &index, &gfd.pattern, |m| {
+            if premise_holds(graph, gfd, m) && !consequence_holds(graph, gfd, m) {
+                out.push(Violation {
+                    gfd: id,
+                    m: m.into(),
+                });
+                if out.len() >= limit {
+                    return ControlFlow::Break(());
                 }
-                ControlFlow::Continue(())
-            },
-            SearchLimits::none(),
-        );
+            }
+            ControlFlow::Continue(())
+        });
     }
     out
 }

@@ -129,12 +129,12 @@ impl<I: MatchIndex> DetectTask<'_, I> {
         &self,
         local: &mut Local,
         gfd_id: gfd_graph::GfdId,
-        m: Box<[NodeId]>,
+        m: &[NodeId],
     ) -> ControlFlow<()> {
         let dep = self.sigma.get(gfd_id);
         let stats = &mut local.per_rule[gfd_id.index()];
         stats.matches += 1;
-        let premise_ok = dep.premise.iter().all(|l| literal_holds(self.graph, l, &m));
+        let premise_ok = dep.premise.iter().all(|l| literal_holds(self.graph, l, m));
         if !premise_ok {
             return ControlFlow::Continue(());
         }
@@ -144,7 +144,7 @@ impl<I: MatchIndex> DetectTask<'_, I> {
                 let failed: Vec<usize> = lits
                     .iter()
                     .enumerate()
-                    .filter(|(_, l)| !literal_holds(self.graph, l, &m))
+                    .filter(|(_, l)| !literal_holds(self.graph, l, m))
                     .map(|(i, _)| i)
                     .collect();
                 if failed.is_empty() {
@@ -153,7 +153,7 @@ impl<I: MatchIndex> DetectTask<'_, I> {
                 failed
             }
             Consequence::Generate(gen) => {
-                let realized = gen.realized(self.index, &m, &mut |lit, asn| {
+                let realized = gen.realized(self.index, m, &mut |lit, asn| {
                     literal_holds(self.graph, lit, asn)
                 });
                 if realized {
@@ -168,7 +168,7 @@ impl<I: MatchIndex> DetectTask<'_, I> {
         local.per_rule[gfd_id.index()].violations += 1;
         local.violations.push(ViolationRecord {
             gfd: gfd_id,
-            m,
+            m: m.into(),
             failed,
         });
         if self.stop.load(Ordering::Relaxed) {
@@ -183,7 +183,7 @@ impl<I: MatchIndex> DetectTask<'_, I> {
         &self,
         local: &mut Local,
         gfd_id: gfd_graph::GfdId,
-        mut search: HomSearch<'_, I>,
+        search: &mut HomSearch<'_, I>,
         ctx: &WorkerCtx<'_, DetectUnit>,
     ) {
         loop {
@@ -251,21 +251,22 @@ impl<I: MatchIndex> Task for DetectTask<'_, I> {
         let plan = &self.plans.plans[gfd_id.index()];
         let span = ctx.trace_start();
         let stats0 = local.per_rule[gfd_id.index()];
+        // One search per unit, restarted per pivot on the buffers the
+        // first pivot grew.
+        let mut search = HomSearch::new(self.graph, self.index, &dep.pattern, plan);
         match unit {
             DetectUnit::Pivots { batch, .. } => {
                 for z in batch {
                     if self.stop.load(Ordering::Relaxed) {
                         break;
                     }
-                    let search = HomSearch::new(self.graph, self.index, &dep.pattern, plan)
-                        .with_prefix(&[z]);
-                    self.run_unit_search(local, gfd_id, search, ctx);
+                    search.reset(&[z]);
+                    self.run_unit_search(local, gfd_id, &mut search, ctx);
                 }
             }
             DetectUnit::Prefix { prefix, .. } => {
-                let search =
-                    HomSearch::new(self.graph, self.index, &dep.pattern, plan).with_prefix(&prefix);
-                self.run_unit_search(local, gfd_id, search, ctx);
+                search.reset(&prefix);
+                self.run_unit_search(local, gfd_id, &mut search, ctx);
             }
         }
         let stats = &local.per_rule[gfd_id.index()];
@@ -486,6 +487,25 @@ mod tests {
         };
         let report = detect(&g, &sigma, &config);
         assert_eq!(report.violations.len(), 79);
+    }
+
+    #[test]
+    fn zero_batch_size_means_one_pivot_per_unit() {
+        let (g, sigma, _) = chain_setup(40);
+        let run = |batch_size| {
+            let config = DetectConfig {
+                batch_size,
+                ..DetectConfig::with_workers(2)
+            };
+            let report = detect(&g, &sigma, &config);
+            let s = report.per_rule[0];
+            (
+                report.violations,
+                (s.matches, s.premise_hits, s.violations),
+                report.metrics.units_dispatched,
+            )
+        };
+        assert_eq!(run(0), run(1));
     }
 
     #[test]

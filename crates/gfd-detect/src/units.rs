@@ -92,7 +92,7 @@ pub fn units_for_pivots(
     rule_pivots: Vec<(GfdId, Vec<NodeId>)>,
     batch_size: usize,
 ) -> Vec<DetectUnit> {
-    assert!(batch_size > 0, "batch_size must be positive");
+    let batch_size = batch_size.max(1);
     let mut per_rule: Vec<std::vec::IntoIter<DetectUnit>> = Vec::with_capacity(rule_pivots.len());
     for (id, candidates) in rule_pivots {
         let batches: Vec<DetectUnit> = candidates

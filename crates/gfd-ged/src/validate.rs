@@ -2,7 +2,7 @@
 
 use crate::ged::{Ged, GedLiteral, GedSet};
 use gfd_graph::{GfdId, Graph, LabelIndex, NodeId};
-use gfd_match::{HomSearch, MatchPlan, SearchLimits};
+use gfd_match::for_each_match;
 use std::ops::ControlFlow;
 
 /// A witnessed GED violation.
@@ -64,20 +64,15 @@ pub fn ged_graph_satisfies(graph: &Graph, ged: &Ged) -> bool {
 
 /// [`ged_graph_satisfies`] with a prebuilt index.
 pub fn ged_graph_satisfies_indexed(graph: &Graph, index: &LabelIndex, ged: &Ged) -> bool {
-    let plan = MatchPlan::build(&ged.pattern, None, Some(index));
     let mut ok = true;
-    let mut search = HomSearch::new(graph, index, &ged.pattern, &plan);
-    search.run(
-        |m| {
-            if ged_premise_holds(graph, ged, &m) && !ged_consequence_holds(graph, ged, &m) {
-                ok = false;
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        },
-        SearchLimits::none(),
-    );
+    for_each_match(graph, index, &ged.pattern, |m| {
+        if ged_premise_holds(graph, ged, m) && !ged_consequence_holds(graph, ged, m) {
+            ok = false;
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
     ok
 }
 
@@ -89,20 +84,18 @@ pub fn ged_find_violations(graph: &Graph, sigma: &GedSet, limit: usize) -> Vec<G
         if out.len() >= limit {
             break;
         }
-        let plan = MatchPlan::build(&ged.pattern, None, Some(&index));
-        let mut search = HomSearch::new(graph, &index, &ged.pattern, &plan);
-        search.run(
-            |m| {
-                if ged_premise_holds(graph, ged, &m) && !ged_consequence_holds(graph, ged, &m) {
-                    out.push(GedViolation { ged: id, m });
-                    if out.len() >= limit {
-                        return ControlFlow::Break(());
-                    }
+        for_each_match(graph, &index, &ged.pattern, |m| {
+            if ged_premise_holds(graph, ged, m) && !ged_consequence_holds(graph, ged, m) {
+                out.push(GedViolation {
+                    ged: id,
+                    m: m.into(),
+                });
+                if out.len() >= limit {
+                    return ControlFlow::Break(());
                 }
-                ControlFlow::Continue(())
-            },
-            SearchLimits::none(),
-        );
+            }
+            ControlFlow::Continue(())
+        });
     }
     out
 }

@@ -36,7 +36,10 @@ impl NodeSet {
         fresh
     }
 
-    /// Remove a node; returns `true` if it was present.
+    /// Remove a node; returns `true` if it was present. Inlined: the
+    /// matcher reads the bitset fold's survivors back with one `remove`
+    /// per candidate.
+    #[inline]
     pub fn remove(&mut self, node: NodeId) -> bool {
         let (w, b) = (node.index() / 64, node.index() % 64);
         let mask = 1u64 << b;

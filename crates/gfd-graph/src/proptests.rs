@@ -97,7 +97,7 @@ proptest! {
 
     /// Anchored-expansion candidate lists from the label sub-slices are
     /// identical to the Vec-scan filter over the whole adjacency — the
-    /// property `HomSearch::make_frame` relies on.
+    /// property `HomSearch`'s frame construction relies on.
     #[test]
     fn csr_candidate_slices_match_vec_scan(g in arb_graph()) {
         let csr = g.freeze();

@@ -21,9 +21,9 @@ pub mod simulation;
 
 pub use plan::{Anchor, AnchorDir, IntersectStrategy, MatchPlan, PlanStep, BITSET_ANCHOR_DEGREE};
 pub use search::{
-    count_matches, find_all_matches, gallop_lower_bound, has_match, intersect_slices_bitset,
-    intersect_slices_gallop, intersect_slices_two_pointer, HomSearch, Match, RunOutcome,
-    SearchLimits, BITSET_MIN_CANDIDATES,
+    count_matches, find_all_matches, for_each_match, has_match, intersect_slices_bitset,
+    intersect_slices_two_pointer, HomSearch, Match, RunOutcome, SearchLimits,
+    BITSET_MIN_CANDIDATES,
 };
 pub use simulation::{dual_simulation, may_embed};
 

@@ -56,8 +56,8 @@ pub enum IntersectStrategy {
 pub const BITSET_ANCHOR_DEGREE: usize = 64;
 
 /// Length-ratio between the largest and smallest anchor estimates past
-/// which the plan expects the galloping merge to win (mirrors the
-/// matcher's runtime `GALLOP_FACTOR`).
+/// which the plan labels the step `Gallop` (mirrors the matcher's runtime
+/// `PROBE_FACTOR`, past which it probes per candidate instead of merging).
 const SKEW_FACTOR: usize = 8;
 
 /// One step of a plan: which variable to place and how it connects to the

@@ -11,15 +11,24 @@
 //!   untried sibling branches of the shallowest open level into *prefix
 //!   assignments* that other workers can resume independently (the paper's
 //!   Example 6).
+//!
+//! The search is **allocation-free in steady state** (DESIGN.md §15.5):
+//! frames index one candidate arena, matches are lent from one buffer, and
+//! [`HomSearch::reset`] / [`HomSearch::rebind`] restart on grown buffers.
 
 use crate::plan::{Anchor, AnchorDir, IntersectStrategy, MatchPlan};
-use gfd_graph::{Dir, Graph, LabelIndex, MatchIndex, NodeId, NodeSet, Pattern, TopologyView};
+use gfd_graph::{
+    Dir, Graph, LabelId, LabelIndex, MatchIndex, NodeId, NodeSet, Pattern, TopologyView,
+};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-/// A complete match: `match_[v.index()]` is the graph node assigned to
-/// pattern variable `v`.
+/// An *owned* complete match: `match_[v.index()]` is the graph node
+/// assigned to pattern variable `v`. [`HomSearch::run`] lends each match
+/// to its callback as a `&[NodeId]` of the same layout; box one only
+/// where it has to outlive the callback (a recorded violation, a pending
+/// premise, [`find_all_matches`]).
 pub type Match = Box<[NodeId]>;
 
 /// Why a call to [`HomSearch::run`] returned.
@@ -60,23 +69,30 @@ impl<'a> SearchLimits<'a> {
 /// How often (in search steps) the limits are polled.
 const CHECK_INTERVAL: u32 = 256;
 
-enum Candidates<'a> {
-    Borrowed(&'a [NodeId]),
-    Owned(Vec<NodeId>),
+/// One open level of the search: the candidates of a plan position and
+/// how many of them were tried.
+///
+/// Arena invariant (DESIGN.md §15.5): frames own *stack-ordered* ranges
+/// of the search's candidate pool — frame `k + 1` starts where frame `k`
+/// ends and the top frame ends at `pool.len()` — so pushing a frame
+/// appends to the pool and popping one is `pool.truncate(start)`.
+struct Frame<'a> {
+    /// An unfiltered component root reads the label index in place; its
+    /// pool range is empty.
+    root: Option<&'a [NodeId]>,
+    start: usize,
+    end: usize,
+    /// Next untried candidate: an index into `root`, else into the pool.
+    cursor: usize,
 }
 
-impl Candidates<'_> {
-    fn as_slice(&self) -> &[NodeId] {
-        match self {
-            Candidates::Borrowed(s) => s,
-            Candidates::Owned(v) => v,
+impl Frame<'_> {
+    fn untried<'s>(&'s self, pool: &'s [NodeId]) -> &'s [NodeId] {
+        match self.root {
+            Some(root) => &root[self.cursor..],
+            None => &pool[self.cursor..self.end],
         }
     }
-}
-
-struct Frame<'a> {
-    candidates: Candidates<'a>,
-    cursor: usize,
 }
 
 /// A resumable homomorphism search of one pattern in one graph.
@@ -99,12 +115,18 @@ pub struct HomSearch<'a, I: MatchIndex = LabelIndex> {
     /// split prefix).
     prefix: Vec<NodeId>,
     frames: Vec<Frame<'a>>,
+    /// Candidate arena every non-root frame indexes into.
+    pool: Vec<NodeId>,
+    /// Bound node per plan position (what anchors and splits read).
     assignment: Vec<NodeId>,
+    /// The same bindings per pattern variable — the buffer lent to `run`'s
+    /// callback, written as positions are bound.
+    emit: Vec<NodeId>,
+    /// Was frame 0 pushed? Started with no open frame means exhausted.
     started: bool,
-    exhausted: bool,
     /// Scratch bitsets for the word-at-a-time anchor merge, sized once
-    /// to the graph and reset in-pass (the draining intersection) or
-    /// sparsely between frames (DESIGN.md §15).
+    /// to the graph and left empty by every frame that uses them
+    /// (DESIGN.md §15).
     scratch_cand: NodeSet,
     scratch_adj: NodeSet,
 }
@@ -124,24 +146,18 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
             filters: None,
             prefix: Vec::new(),
             frames: Vec::new(),
+            pool: Vec::new(),
             assignment: vec![NodeId::new(0); plan.len()],
+            emit: vec![NodeId::new(0); plan.len()],
             started: false,
-            exhausted: false,
             scratch_cand: NodeSet::default(),
             scratch_adj: NodeSet::default(),
         }
     }
 
-    /// Fix the leading plan positions to `prefix` (position `i` ↦
-    /// `prefix[i]`). With a single element this is pivoted search; longer
-    /// prefixes resume split work units.
+    /// Builder form of [`HomSearch::reset`].
     pub fn with_prefix(mut self, prefix: &[NodeId]) -> Self {
-        assert!(
-            prefix.len() <= self.plan.len(),
-            "prefix longer than the plan"
-        );
-        assert!(!self.started, "prefix must be set before running");
-        self.prefix = prefix.to_vec();
+        self.reset(prefix);
         self
     }
 
@@ -153,93 +169,45 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
         self
     }
 
-    /// Is the search complete (no further matches)?
-    pub fn is_exhausted(&self) -> bool {
-        self.exhausted
+    /// Restart the search of the same pattern from `prefix` (position `i`
+    /// ↦ `prefix[i]`; one element is pivoted search, longer prefixes
+    /// resume split work units), whatever state it was in — fresh,
+    /// interrupted or exhausted. Filters stay; every buffer keeps its
+    /// capacity, so a warmed search restarts without allocating.
+    pub fn reset(&mut self, prefix: &[NodeId]) {
+        assert!(
+            prefix.len() <= self.plan.len(),
+            "prefix longer than the plan"
+        );
+        self.prefix.clear();
+        self.prefix.extend_from_slice(prefix);
+        self.frames.clear();
+        self.pool.clear();
+        self.started = false;
     }
 
-    /// Current search depth (number of open stack frames).
-    pub fn depth(&self) -> usize {
-        self.frames.len()
+    /// [`HomSearch::reset`] onto another pattern of the same graph, of
+    /// any arity. Filters are per pattern, so they are dropped.
+    pub fn rebind(&mut self, pattern: &'a Pattern, plan: &'a MatchPlan, prefix: &[NodeId]) {
+        self.pattern = pattern;
+        self.plan = plan;
+        self.filters = None;
+        // Stale bindings are harmless: a position is bound before it is read.
+        self.assignment.resize(plan.len(), NodeId::new(0));
+        self.emit.resize(plan.len(), NodeId::new(0));
+        self.reset(prefix);
     }
 
-    fn passes_filter(&self, var: gfd_graph::VarId, node: NodeId) -> bool {
-        self.filters.is_none_or(|f| f[var.index()].contains(node))
-    }
-
-    fn anchor_holds(&self, anchor: &Anchor, candidate: NodeId) -> bool {
-        let anchored = self.assignment[anchor.pos];
-        match anchor.dir {
-            AnchorDir::FromAnchor => self
-                .view
-                .has_edge_pattern(anchored, anchor.label, candidate),
-            AnchorDir::ToAnchor => self
-                .view
-                .has_edge_pattern(candidate, anchor.label, anchored),
-        }
-    }
-
-    fn self_loops_hold(&self, step: &crate::plan::PlanStep, node: NodeId) -> bool {
-        step.self_loops
-            .iter()
-            .all(|&l| self.view.has_edge_pattern(node, l, node))
-    }
-
-    /// Is `node` a valid binding for plan position `pos`, given the bound
-    /// positions `0..pos`?
-    fn valid_at(&self, pos: usize, node: NodeId) -> bool {
+    /// Open the frame of plan position `pos`, given the bound positions
+    /// `0..pos`: seed candidates are appended to the pool and every
+    /// narrowing step — dedup, anchor intersection, the final validity
+    /// filter — compacts that tail in place (the write index never passes
+    /// the read index), so a frame push allocates only when the pool has
+    /// to grow.
+    fn push_frame(&mut self, pos: usize) {
+        let (graph, index, view, filters) = (self.graph, self.index, self.view, self.filters);
         let step = &self.plan.steps()[pos];
-        self.pattern
-            .label(step.var)
-            .pattern_matches(self.graph.label(node))
-            && self.passes_filter(step.var, node)
-            && self.self_loops_hold(step, node)
-            && step.anchors.iter().all(|a| self.anchor_holds(a, node))
-    }
-
-    fn make_frame(&mut self, pos: usize) -> Frame<'a> {
-        // Fixed prefix positions carry exactly one (validated) candidate.
-        if pos < self.prefix.len() {
-            let node = self.prefix[pos];
-            let candidates = if self.valid_at(pos, node) {
-                vec![node]
-            } else {
-                Vec::new()
-            };
-            return Frame {
-                candidates: Candidates::Owned(candidates),
-                cursor: 0,
-            };
-        }
-
-        let step = &self.plan.steps()[pos];
-        if step.anchors.is_empty() {
-            // Component root: candidates from the label index.
-            let base = self.index.candidates(self.pattern.label(step.var));
-            let candidates = if self.filters.is_some() || !step.self_loops.is_empty() {
-                Candidates::Owned(
-                    base.iter()
-                        .copied()
-                        .filter(|&n| {
-                            self.passes_filter(step.var, n) && self.self_loops_hold(step, n)
-                        })
-                        .collect(),
-                )
-            } else {
-                Candidates::Borrowed(base)
-            };
-            return Frame {
-                candidates,
-                cursor: 0,
-            };
-        }
-
-        // Anchored: expand from the anchor with the smallest
-        // label-matching adjacency, located in O(log d + log δ) on the
-        // topology view (instead of filtering the anchor's full
-        // adjacency). The closures borrow only the assignment so the
-        // scratch bitsets stay free for the word-merge below.
-        let view = self.view;
+        let var_label = self.pattern.label(step.var);
         let assignment = &self.assignment;
         let probe_for = |a: &Anchor| -> (NodeId, Dir) {
             let anchored = assignment[a.pos];
@@ -248,142 +216,160 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
                 AnchorDir::ToAnchor => (anchored, Dir::In),
             }
         };
-        // This runs once per frame push on the DFS hot path: pick the
-        // seed and merge anchors by re-probing `matching_len` (an
-        // O(log d) lookup over at most a handful of anchors) rather than
-        // materializing every anchor's adjacency.
-        let len_for = |a: &Anchor| -> usize {
-            let (v, dir) = probe_for(a);
-            view.matching_len(v, dir, a.label)
-        };
-        let best_i = (0..step.anchors.len())
-            .min_by_key(|&i| len_for(&step.anchors[i]))
-            .expect("anchored step has anchors");
+        let pool = &mut self.pool;
+        let start = pool.len();
+        // Which anchors the candidates already satisfy by construction.
+        let (mut seed_i, mut merged_i, mut use_bitset) = (None, None, false);
 
-        // Candidate node ids from the seed adjacency, visited in
-        // (label, node) order. Under a concrete label node ids strictly
-        // increase; under a wildcard anchor label the same node can recur
-        // across label groups, so sort once and dedup adjacently — never
-        // an O(d·c) `contains`.
-        let seed = &step.anchors[best_i];
-        let mut candidates: Vec<NodeId> = Vec::with_capacity(len_for(seed));
-        let (seed_v, seed_dir) = probe_for(seed);
-        view.for_each_matching(seed_v, seed_dir, seed.label, |(_, n)| candidates.push(n));
-        if seed.label.is_wildcard() {
-            candidates.sort_unstable();
-        }
-        candidates.dedup();
-
-        // Non-seed concrete anchors; wildcard anchors have no single
-        // sorted sub-slice, so they always stay per-candidate probes.
-        let extra: Vec<usize> = (0..step.anchors.len())
-            .filter(|&i| i != best_i && !step.anchors[i].label.is_wildcard())
-            .collect();
-
-        let use_bitset = step.strategy == IntersectStrategy::Bitset
-            && !extra.is_empty()
-            && candidates.len() >= BITSET_MIN_CANDIDATES;
-        let mut merged_i = None;
-        if use_bitset {
-            // Bitset regime (plan-gated, DESIGN.md §15): fold *every*
-            // remaining concrete anchor adjacency into the candidate
-            // bitset, one u64 AND per 64 nodes. Scratch sets are sized
-            // once to the graph; each anchor adjacency streams straight
-            // into the adjacency scratch, and the draining intersection
-            // zeroes it again in the same word pass — one insert per
-            // streamed edge, no staging list, no sparse replay. A frame
-            // costs O(candidates + Σ adjacency + words), never
-            // O(node_count) bit-by-bit.
-            let probes: Vec<(NodeId, Dir, gfd_graph::LabelId)> = extra
-                .iter()
-                .map(|&i| {
-                    let a = &step.anchors[i];
-                    let (v, d) = probe_for(a);
-                    (v, d, a.label)
-                })
-                .collect();
-            let cap = self.graph.node_count();
-            self.scratch_cand.reserve_nodes(cap);
-            self.scratch_adj.reserve_nodes(cap);
-            for &c in &candidates {
-                self.scratch_cand.insert(c);
+        if let Some(&node) = self.prefix.get(pos) {
+            // Fixed prefix positions carry exactly one candidate, validated
+            // by the filter pass like any other.
+            pool.push(node);
+        } else if step.anchors.is_empty() {
+            // Component root: candidates from the label index, read in
+            // place when there is nothing to filter them by.
+            let base = index.candidates(var_label);
+            if filters.is_none() && step.self_loops.is_empty() {
+                self.frames.push(Frame {
+                    root: Some(base),
+                    start,
+                    end: start,
+                    cursor: 0,
+                });
+                return;
             }
-            for (v, dir, label) in probes {
-                view.collect_matching_into(v, dir, label, &mut self.scratch_adj);
-                let left = self.scratch_cand.intersect_with_drain(&mut self.scratch_adj);
-                if left == 0 {
-                    break;
+            pool.extend_from_slice(base);
+        } else {
+            // Anchored: expand from the anchor with the smallest
+            // label-matching adjacency, located in O(log d + log δ) on the
+            // topology view (instead of filtering the anchor's full
+            // adjacency). This runs once per frame push on the DFS hot
+            // path: pick the seed and merge anchors by re-probing
+            // `matching_len` (an O(log d) lookup over at most a handful of
+            // anchors) rather than materializing every anchor's adjacency.
+            let len_for = |a: &Anchor| -> usize {
+                let (v, dir) = probe_for(a);
+                view.matching_len(v, dir, a.label)
+            };
+            let best_i = (0..step.anchors.len())
+                .min_by_key(|&i| len_for(&step.anchors[i]))
+                .expect("anchored step has anchors");
+            seed_i = Some(best_i);
+
+            // Candidate node ids from the seed adjacency, visited in
+            // (label, node) order. Under a concrete label node ids strictly
+            // increase; under a wildcard anchor label the same node can
+            // recur across label groups, so sort once and dedup adjacently
+            // — never an O(d·c) `contains`.
+            let seed = &step.anchors[best_i];
+            let (seed_v, seed_dir) = probe_for(seed);
+            view.for_each_matching(seed_v, seed_dir, seed.label, |(_, n)| pool.push(n));
+            if seed.label.is_wildcard() {
+                pool[start..].sort_unstable();
+                let mut last = None;
+                retain_tail(pool, start, |n| last.replace(n) != Some(n));
+            }
+
+            // Non-seed concrete anchors; wildcard anchors have no single
+            // sorted sub-slice, so they always stay per-candidate probes.
+            let extra = || {
+                (0..step.anchors.len())
+                    .filter(move |&i| i != best_i && !step.anchors[i].label.is_wildcard())
+            };
+            use_bitset = step.strategy == IntersectStrategy::Bitset
+                && extra().next().is_some()
+                && pool.len() - start >= BITSET_MIN_CANDIDATES;
+            if use_bitset {
+                // Bitset regime (plan-gated, DESIGN.md §15): fold *every*
+                // remaining concrete anchor adjacency into the candidate
+                // bitset, one u64 AND per 64 nodes. Scratch sets are sized
+                // once to the graph; each anchor adjacency streams straight
+                // into the adjacency scratch, and the draining intersection
+                // zeroes it again in the same word pass — one insert per
+                // streamed edge, no staging list, no sparse replay. A frame
+                // costs O(candidates + Σ adjacency + words), never
+                // O(node_count) bit-by-bit. The survivors are read back —
+                // and their bits cleared — by the filter pass below.
+                let (cand, adj) = (&mut self.scratch_cand, &mut self.scratch_adj);
+                cand.reserve_nodes(graph.node_count());
+                adj.reserve_nodes(graph.node_count());
+                for &c in &pool[start..] {
+                    cand.insert(c);
+                }
+                for i in extra() {
+                    let a = &step.anchors[i];
+                    let (v, dir) = probe_for(a);
+                    view.collect_matching_into(v, dir, a.label, adj);
+                    if cand.intersect_with_drain(adj) == 0 {
+                        break;
+                    }
+                }
+            } else if let Some((adj_len, mi)) =
+                extra().map(|i| (len_for(&step.anchors[i]), i)).min()
+            {
+                // Sorted-merge intersection with the next-smallest concrete
+                // anchor adjacency: both sequences are ascending, so one
+                // streamed two-pointer pass replaces per-candidate edge
+                // probes for that anchor — unless the adjacency is ≥
+                // PROBE_FACTOR× longer than the candidates: then the
+                // O(c·log d) membership probes of the filter pass below
+                // are the cheaper intersection, and the anchor is left to
+                // them. (The opposite skew cannot occur: the seed is the
+                // smallest adjacency, so candidates never outnumber it.)
+                if adj_len < PROBE_FACTOR * (pool.len() - start) {
+                    let merge = &step.anchors[mi];
+                    let (v, dir) = probe_for(merge);
+                    intersect_tail(view, pool, start, v, dir, merge.label);
+                    merged_i = Some(mi);
                 }
             }
-            let survivors: Vec<NodeId> = self.scratch_cand.iter().collect();
-            self.scratch_cand.clear_sparse(candidates.iter().copied());
-            candidates = survivors;
-        } else {
-            // Sorted-merge intersection with the next-smallest concrete
-            // anchor adjacency: both sequences are ascending, so one
-            // two-pointer (or galloping, under skew) pass replaces
-            // per-candidate edge probes for that anchor.
-            merged_i = extra
-                .iter()
-                .copied()
-                .min_by_key(|&i| len_for(&step.anchors[i]));
-            if let Some(mi) = merged_i {
-                let merge = &step.anchors[mi];
-                let (merge_v, merge_dir) = probe_for(merge);
-                candidates =
-                    intersect_sorted_view(view, &candidates, merge_v, merge_dir, merge.label);
-            }
         }
 
-        let var_label = self.pattern.label(step.var);
-        candidates.retain(|&node| {
-            var_label.pattern_matches(self.graph.label(node))
-                && self.passes_filter(step.var, node)
-                && self.self_loops_hold(step, node)
-                // Homomorphism: no injectivity check; just the anchors
-                // not already covered by the seed slice, the merge, or
-                // the bitset fold.
+        let scratch_cand = &mut self.scratch_cand;
+        retain_tail(pool, start, |node| {
+            // `remove` both tests the fold's verdict and clears the bit:
+            // candidates ⊇ survivors, so the scratch set is empty again
+            // once every candidate was visited.
+            (!use_bitset || scratch_cand.remove(node))
+                && var_label.pattern_matches(graph.label(node))
+                && filters.is_none_or(|f| f[step.var.index()].contains(node))
                 && step
-                    .anchors
+                    .self_loops
                     .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| {
-                        i != best_i
-                            && Some(i) != merged_i
-                            && (!use_bitset || step.anchors[i].label.is_wildcard())
-                    })
-                    .all(|(_, a)| self.anchor_holds(a, node))
+                    .all(|&l| view.has_edge_pattern(node, l, node))
+                // Homomorphism: no injectivity check; just the anchors not
+                // already covered by the seed slice, the merge, or the
+                // bitset fold.
+                && step.anchors.iter().enumerate().all(|(i, a)| {
+                    Some(i) == seed_i
+                        || Some(i) == merged_i
+                        || (use_bitset && !a.label.is_wildcard())
+                        || match probe_for(a) {
+                            (anchored, Dir::Out) => view.has_edge_pattern(anchored, a.label, node),
+                            (anchored, Dir::In) => view.has_edge_pattern(node, a.label, anchored),
+                        }
+                })
         });
-        Frame {
-            candidates: Candidates::Owned(candidates),
-            cursor: 0,
-        }
+        self.frames.push(Frame {
+            root: None,
+            start,
+            end: pool.len(),
+            cursor: start,
+        });
     }
 
-    /// Extract the current complete assignment as a var-indexed match.
-    fn emit(&self) -> Match {
-        let mut m = vec![NodeId::new(0); self.plan.len()].into_boxed_slice();
-        for pos in 0..self.plan.len() {
-            m[self.plan.var_at(pos).index()] = self.assignment[pos];
-        }
-        m
-    }
-
-    /// Run the search, invoking `on_match` for every match found.
+    /// Run the search, lending every match found to `on_match` as a
+    /// var-indexed slice (valid for the call only — copy it to keep it).
     ///
     /// Returns when the space is exhausted, a limit triggers, or the
     /// callback breaks. Can be called again after `Deadline` to resume.
     pub fn run<F>(&mut self, mut on_match: F, limits: SearchLimits<'_>) -> RunOutcome
     where
-        F: FnMut(Match) -> ControlFlow<()>,
+        F: FnMut(&[NodeId]) -> ControlFlow<()>,
     {
-        if self.exhausted {
-            return RunOutcome::Exhausted;
-        }
         if !self.started {
             self.started = true;
-            let f = self.make_frame(0);
-            self.frames.push(f);
+            self.push_frame(0);
         }
 
         let mut ticks: u32 = 0;
@@ -405,26 +391,27 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
 
             let depth = match self.frames.len() {
                 0 => {
-                    self.exhausted = true;
+                    debug_assert!(self.pool.is_empty(), "frames own the whole pool");
                     return RunOutcome::Exhausted;
                 }
                 d => d - 1,
             };
             let frame = &mut self.frames[depth];
-            match frame.candidates.as_slice().get(frame.cursor) {
-                Some(&node) => {
+            match frame.untried(&self.pool).first().copied() {
+                Some(node) => {
                     frame.cursor += 1;
                     self.assignment[depth] = node;
+                    self.emit[self.plan.var_at(depth).index()] = node;
                     if depth + 1 == self.plan.len() {
-                        if on_match(self.emit()).is_break() {
+                        if on_match(&self.emit).is_break() {
                             return RunOutcome::Stopped;
                         }
                     } else {
-                        let f = self.make_frame(depth + 1);
-                        self.frames.push(f);
+                        self.push_frame(depth + 1);
                     }
                 }
                 None => {
+                    self.pool.truncate(frame.start);
                     self.frames.pop();
                 }
             }
@@ -435,33 +422,47 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
     /// prefix assignments (plan positions `0..=d`), removing them from this
     /// search. Returns an empty vector when there is nothing to split.
     pub fn split_shallowest(&mut self) -> Vec<Vec<NodeId>> {
-        for depth in 0..self.frames.len() {
-            let untried =
-                self.frames[depth].candidates.as_slice().len() - self.frames[depth].cursor;
-            if untried == 0 {
+        for (depth, frame) in self.frames.iter_mut().enumerate() {
+            let untried = frame.untried(&self.pool);
+            if untried.is_empty() {
                 continue;
             }
-            let frame = &self.frames[depth];
-            let mut prefixes = Vec::with_capacity(untried);
-            for &cand in &frame.candidates.as_slice()[frame.cursor..] {
-                let mut p = Vec::with_capacity(depth + 1);
-                p.extend_from_slice(&self.assignment[..depth]);
-                p.push(cand);
-                prefixes.push(p);
-            }
+            let prefixes = untried
+                .iter()
+                .map(|&cand| {
+                    let mut p = Vec::with_capacity(depth + 1);
+                    p.extend_from_slice(&self.assignment[..depth]);
+                    p.push(cand);
+                    p
+                })
+                .collect();
             // Consume them locally: this search keeps only the branch it is
             // currently inside.
-            let frame = &mut self.frames[depth];
-            frame.cursor = frame.candidates.as_slice().len();
+            frame.cursor = frame.root.map_or(frame.end, <[NodeId]>::len);
             return prefixes;
         }
         Vec::new()
     }
 }
 
-/// Length-ratio at which [`intersect_sorted_view`] abandons the linear
-/// two-pointer merge for a galloping (exponential-probe) strategy.
-const GALLOP_FACTOR: usize = 8;
+/// Keep the elements of `pool[start..]` that satisfy `keep`, in order and
+/// in place, and cut the pool after the last one kept.
+fn retain_tail(pool: &mut Vec<NodeId>, start: usize, mut keep: impl FnMut(NodeId) -> bool) {
+    let mut write = start;
+    for read in start..pool.len() {
+        let node = pool[read];
+        if keep(node) {
+            pool[write] = node;
+            write += 1;
+        }
+    }
+    pool.truncate(write);
+}
+
+/// Length-ratio (anchor adjacency : live candidates) past which
+/// `push_frame` probes each candidate for the edge instead of streaming
+/// the adjacency through [`intersect_tail`].
+const PROBE_FACTOR: usize = 8;
 
 /// Minimum live candidate count for a plan-gated
 /// [`IntersectStrategy::Bitset`] step to actually take the bitset path:
@@ -471,33 +472,9 @@ const GALLOP_FACTOR: usize = 8;
 /// can be far smaller).
 pub const BITSET_MIN_CANDIDATES: usize = 64;
 
-/// Least index `j >= start` with `slice[j] >= target`, assuming `slice`
-/// is ascending. Probes exponentially (`start+1`, `start+2`, `start+4`,
-/// …) to bracket the answer, then binary-searches the bracketed window:
-/// O(log gap) comparisons instead of the two-pointer's O(gap).
-pub fn gallop_lower_bound(slice: &[NodeId], start: usize, target: NodeId) -> usize {
-    if start >= slice.len() || slice[start] >= target {
-        return start;
-    }
-    // Invariant: slice[lo] < target.
-    let mut lo = start;
-    let mut step = 1;
-    loop {
-        let hi = lo + step;
-        if hi >= slice.len() {
-            return lo + 1 + slice[lo + 1..].partition_point(|&x| x < target);
-        }
-        if slice[hi] >= target {
-            return lo + 1 + slice[lo + 1..hi].partition_point(|&x| x < target);
-        }
-        lo = hi;
-        step *= 2;
-    }
-}
-
-/// Plain two-pointer intersection of two ascending slices. The baseline
-/// the adaptive strategies in `intersect_sorted_view` are measured
-/// against (see the `micro_structures` bench).
+/// Plain two-pointer intersection of two ascending slices: the reference
+/// the matcher's in-place merge is tested against, and the baseline of
+/// the `micro_structures` crossover guard.
 pub fn intersect_slices_two_pointer(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     let (mut i, mut j) = (0, 0);
@@ -520,7 +497,7 @@ pub fn intersect_slices_two_pointer(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
 /// matcher's hub regime). O(|a| + |b| + max_id/64) including the
 /// materialization; wins over the pointer merges when both sides are
 /// dense and several intersections share one materialized side — the
-/// `micro_structures` bench pins the crossover against the other two.
+/// `micro_structures` bench pins the crossover against the two-pointer.
 pub fn intersect_slices_bitset(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
     let cap = match (a.last(), b.last()) {
         (Some(x), Some(y)) => x.index().max(y.index()) + 1,
@@ -538,124 +515,77 @@ pub fn intersect_slices_bitset(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
     sa.iter().collect()
 }
 
-/// Galloping intersection of two ascending slices where `short` is much
-/// shorter than `long`: for each element of `short`, advance a cursor
-/// into `long` by [`gallop_lower_bound`]. O(|short| · log(|long|/|short|)).
-pub fn intersect_slices_gallop(short: &[NodeId], long: &[NodeId]) -> Vec<NodeId> {
-    let mut out = Vec::with_capacity(short.len());
-    let mut j = 0;
-    for &x in short {
-        j = gallop_lower_bound(long, j, x);
-        if j == long.len() {
-            break;
-        }
-        if long[j] == x {
-            out.push(x);
-            j += 1;
-        }
-    }
-    out
-}
-
-/// Intersect an ascending candidate list with the concrete-label
-/// adjacency of `(v, dir)` — whose node ids the view emits ascending.
-///
-/// Adaptive on the length ratio (satellite of the parallel-apply PR):
-///
-/// * adjacency ≥ [`GALLOP_FACTOR`]× longer — probe each candidate with
-///   a direction-aware `has_edge_pattern` membership test instead of
-///   streaming the long adjacency: O(c·log d);
-/// * candidates ≥ [`GALLOP_FACTOR`]× longer — stream the short
-///   adjacency and advance the candidate cursor by
-///   [`gallop_lower_bound`]: O(d·log(c/d));
-/// * comparable lengths — the original single streamed two-pointer
-///   pass (no materialized second list).
-fn intersect_sorted_view<V: TopologyView>(
+/// Intersect the ascending candidates `pool[start..]`, in place, with the
+/// concrete-label adjacency of `(v, dir)` — whose node ids the view emits
+/// ascending — in one streamed two-pointer pass (no materialized second
+/// list). Every survivor is written at or before the index it was read
+/// from, so the unread candidates are never clobbered.
+fn intersect_tail<V: TopologyView>(
     view: &V,
-    candidates: &[NodeId],
+    pool: &mut Vec<NodeId>,
+    start: usize,
     v: NodeId,
     dir: Dir,
-    label: gfd_graph::LabelId,
-) -> Vec<NodeId> {
-    let adj_len = view.matching_len(v, dir, label);
-    if candidates.is_empty() || adj_len == 0 {
-        return Vec::new();
-    }
-    if adj_len >= GALLOP_FACTOR * candidates.len() {
-        return candidates
-            .iter()
-            .copied()
-            .filter(|&c| match dir {
-                Dir::Out => view.has_edge_pattern(v, label, c),
-                Dir::In => view.has_edge_pattern(c, label, v),
-            })
-            .collect();
-    }
-    let gallop = candidates.len() >= GALLOP_FACTOR * adj_len;
-    let mut out = Vec::with_capacity(candidates.len().min(adj_len));
-    let mut i = 0;
+    label: LabelId,
+) {
+    let end = pool.len();
+    let (mut read, mut write) = (start, start);
     let _ = view.try_for_matching(v, dir, label, &mut |(_, n)| {
-        if gallop {
-            i = gallop_lower_bound(candidates, i, n);
-        } else {
-            while i < candidates.len() && candidates[i] < n {
-                i += 1;
-            }
+        while read < end && pool[read] < n {
+            read += 1;
         }
-        if i == candidates.len() {
+        if read == end {
             return ControlFlow::Break(());
         }
-        if candidates[i] == n {
-            out.push(n);
-            i += 1;
+        if pool[read] == n {
+            pool[write] = n;
+            write += 1;
+            read += 1;
         }
+        ControlFlow::Continue(())
+    });
+    pool.truncate(write);
+}
+
+/// Lend every match of `pattern` in `graph` to `on_match`, under the
+/// stats-driven whole-graph plan, until it breaks.
+pub fn for_each_match(
+    graph: &Graph,
+    index: &LabelIndex,
+    pattern: &Pattern,
+    on_match: impl FnMut(&[NodeId]) -> ControlFlow<()>,
+) {
+    let plan = MatchPlan::build(pattern, None, Some(index));
+    HomSearch::new(graph, index, pattern, &plan).run(on_match, SearchLimits::none());
+}
+
+/// Convenience: collect every match of `pattern` in `graph`.
+pub fn find_all_matches(graph: &Graph, index: &LabelIndex, pattern: &Pattern) -> Vec<Match> {
+    let mut out = Vec::new();
+    for_each_match(graph, index, pattern, |m| {
+        out.push(m.into());
         ControlFlow::Continue(())
     });
     out
 }
 
-/// Convenience: collect every match of `pattern` in `graph`.
-pub fn find_all_matches(graph: &Graph, index: &LabelIndex, pattern: &Pattern) -> Vec<Match> {
-    let plan = MatchPlan::build(pattern, None, Some(index));
-    let mut out = Vec::new();
-    let mut search = HomSearch::new(graph, index, pattern, &plan);
-    search.run(
-        |m| {
-            out.push(m);
-            ControlFlow::Continue(())
-        },
-        SearchLimits::none(),
-    );
-    out
-}
-
 /// Convenience: does `pattern` have at least one match in `graph`?
 pub fn has_match(graph: &Graph, index: &LabelIndex, pattern: &Pattern) -> bool {
-    let plan = MatchPlan::build(pattern, None, Some(index));
     let mut found = false;
-    let mut search = HomSearch::new(graph, index, pattern, &plan);
-    search.run(
-        |_| {
-            found = true;
-            ControlFlow::Break(())
-        },
-        SearchLimits::none(),
-    );
+    for_each_match(graph, index, pattern, |_| {
+        found = true;
+        ControlFlow::Break(())
+    });
     found
 }
 
 /// Convenience: count matches of `pattern` in `graph`.
 pub fn count_matches(graph: &Graph, index: &LabelIndex, pattern: &Pattern) -> usize {
-    let plan = MatchPlan::build(pattern, None, Some(index));
     let mut n = 0usize;
-    let mut search = HomSearch::new(graph, index, pattern, &plan);
-    search.run(
-        |_| {
-            n += 1;
-            ControlFlow::Continue(())
-        },
-        SearchLimits::none(),
-    );
+    for_each_match(graph, index, pattern, |_| {
+        n += 1;
+        ControlFlow::Continue(())
+    });
     n
 }
 
@@ -775,7 +705,7 @@ mod tests {
             let mut s = HomSearch::new(&g, &idx, &p, &plan).with_prefix(&[NodeId::new(start)]);
             s.run(
                 |m| {
-                    found.push(m);
+                    found.push(m.to_vec());
                     ControlFlow::Continue(())
                 },
                 SearchLimits::none(),
@@ -822,7 +752,6 @@ mod tests {
         );
         assert_eq!(outcome, RunOutcome::Stopped);
         assert_eq!(n, 1);
-        assert!(!s.is_exhausted());
     }
 
     #[test]
@@ -873,7 +802,7 @@ mod tests {
         let mut local = Vec::new();
         s.run(
             |m| {
-                local.push(m);
+                local.push(m.to_vec());
                 ControlFlow::Break(())
             },
             SearchLimits::none(),
@@ -883,7 +812,7 @@ mod tests {
         // Finish the local branch.
         s.run(
             |m| {
-                local.push(m);
+                local.push(m.to_vec());
                 ControlFlow::Continue(())
             },
             SearchLimits::none(),
@@ -894,17 +823,13 @@ mod tests {
             let mut r = HomSearch::new(&g, &idx, &p, &plan).with_prefix(prefix);
             r.run(
                 |m| {
-                    from_splits.push(m);
+                    from_splits.push(m.to_vec());
                     ControlFlow::Continue(())
                 },
                 SearchLimits::none(),
             );
         }
-        let mut all: Vec<Vec<NodeId>> = local
-            .iter()
-            .chain(from_splits.iter())
-            .map(|m| m.to_vec())
-            .collect();
+        let mut all: Vec<Vec<NodeId>> = local.into_iter().chain(from_splits).collect();
         all.sort();
         all.dedup();
         assert_eq!(all.len(), 8, "union of split + local must be all matches");
@@ -1217,41 +1142,11 @@ mod tests {
         xs.iter().copied().map(NodeId::new).collect()
     }
 
+    /// `intersect_tail` against the slice two-pointer baseline, in both
+    /// directions and at both length skews, on the tail of a pool whose
+    /// head (the frames below) must stay untouched.
     #[test]
-    fn gallop_lower_bound_matches_linear_scan() {
-        let slice = ids(&[1, 3, 4, 8, 9, 15, 20, 21, 22, 40, 41, 99]);
-        for start in 0..=slice.len() {
-            for t in 0..=100 {
-                let target = NodeId::new(t);
-                let linear = (start..slice.len())
-                    .find(|&j| slice[j] >= target)
-                    .unwrap_or(slice.len());
-                assert_eq!(
-                    gallop_lower_bound(&slice, start, target),
-                    linear,
-                    "start={start} target={target}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn slice_intersections_agree_across_skews() {
-        let a = ids(&(0..400).step_by(3).collect::<Vec<_>>());
-        let b = ids(&[2, 3, 6, 7, 9, 150, 151, 153, 399]);
-        let expect = intersect_slices_two_pointer(&a, &b);
-        assert_eq!(intersect_slices_gallop(&b, &a), expect);
-        assert_eq!(intersect_slices_two_pointer(&b, &a), expect);
-        assert_eq!(intersect_slices_gallop(&[], &a), Vec::<NodeId>::new());
-        assert_eq!(intersect_slices_gallop(&b, &[]), Vec::<NodeId>::new());
-    }
-
-    /// A hub with many `e`-successors so the three intersect regimes
-    /// (adjacency-heavy probe, candidate-heavy gallop, balanced
-    /// two-pointer) can all be driven through `intersect_sorted_view`
-    /// and checked against each other.
-    #[test]
-    fn intersect_sorted_view_is_skew_invariant() {
+    fn intersect_tail_merges_in_place() {
         let mut v = Vocab::new();
         let t = v.label("t");
         let e = v.label("e");
@@ -1265,26 +1160,29 @@ mod tests {
         }
         let view = g.freeze();
         let even: Vec<NodeId> = spokes.iter().copied().step_by(2).collect();
+        let head = ids(&[7, 7, 3]);
+        let intersect = |cands: &[NodeId], v: NodeId, dir: Dir| {
+            let mut pool = head.clone();
+            pool.extend_from_slice(cands);
+            intersect_tail(&view, &mut pool, head.len(), v, dir, e);
+            assert_eq!(pool[..head.len()], head[..]);
+            pool.split_off(head.len())
+        };
 
-        // Adjacency (128 edges) >= 8x candidates: membership-probe path.
+        // Fewer candidates than edges, then more.
         let few: Vec<NodeId> = spokes[..12].to_vec();
-        let got = intersect_sorted_view(&view, &few, hub, Dir::Out, e);
-        assert_eq!(got, intersect_slices_two_pointer(&few, &even));
-
-        // Candidates cover every spoke plus hub: galloping path (and the
-        // balanced two-pointer on the reverse direction must agree).
+        assert_eq!(
+            intersect(&few, hub, Dir::Out),
+            intersect_slices_two_pointer(&few, &even)
+        );
         let mut all: Vec<NodeId> = vec![hub];
         all.extend(&spokes);
-        let got = intersect_sorted_view(&view, &all, hub, Dir::Out, e);
-        assert_eq!(got, even);
-        for &s in &spokes[..8] {
-            let got = intersect_sorted_view(&view, &all, s, Dir::In, e);
-            let expect = if spokes.iter().position(|&x| x == s).unwrap() % 2 == 0 {
-                vec![hub]
-            } else {
-                vec![]
-            };
-            assert_eq!(got, expect);
+        assert_eq!(intersect(&all, hub, Dir::Out), even);
+        assert_eq!(intersect(&[], hub, Dir::Out), vec![]);
+        // A spoke has at most one in-neighbour.
+        for (i, &s) in spokes[..8].iter().enumerate() {
+            let expect = if i % 2 == 0 { vec![hub] } else { vec![] };
+            assert_eq!(intersect(&all, s, Dir::In), expect);
         }
     }
 }

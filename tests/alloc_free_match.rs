@@ -1,0 +1,263 @@
+//! Allocation regression for the match kernel (DESIGN.md §15.5).
+//!
+//! A counting `#[global_allocator]` (per-thread counter, so the tests of
+//! this binary can run in parallel) pins two claims:
+//!
+//! * a **warmed** [`HomSearch`] — run once, `reset`, run again — makes
+//!   *zero* allocations in the second run, whichever intersection
+//!   strategy the plan picked;
+//! * a whole `detect` allocates `O(units + violations)`, not
+//!   `O(matches)`.
+//!
+//! `cargo test --release --test alloc_free_match -- --ignored --nocapture`
+//! prints the full-size allocation scoreboard recorded in CHANGES.md.
+
+use gfd::detect::{detect, DetectConfig};
+use gfd::gen::{hub_workload, real_life_workload, Dataset, HubGenConfig};
+use gfd::graph::LabelIndex;
+use gfd::matching::{HomSearch, IntersectStrategy, MatchPlan, SearchLimits};
+use gfd::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::ops::ControlFlow;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator plus a per-thread count of allocations and
+/// reallocations (per-thread, so parallel tests do not see each other).
+struct CountingAlloc;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract. The counter is a const-initialised thread-local
+// `Cell` with no destructor, so touching it neither allocates nor
+// re-enters the allocator; `try_with` ignores a thread tearing down.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller's `layout` obligations pass straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc`/`realloc` above, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Run `f` and count the allocations this thread made meanwhile.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Root `r -e-> h1, h2`; `h1 -f-> w_i` for `i < deg_f`, `h2 -g-> w_i` for
+/// even `i < deg_g`; every node labelled `t`. The pair frequencies of `f`
+/// and `g` are exactly the two degrees, which is what the planner reads
+/// to pick the strategy of the diamond-closing step.
+fn hub_graph(vocab: &mut Vocab, deg_f: usize, deg_g: usize) -> Graph {
+    let (t, e) = (vocab.label("t"), vocab.label("e"));
+    let (f, g_) = (vocab.label("f"), vocab.label("g"));
+    let mut g = Graph::new();
+    let r = g.add_node(t);
+    let h1 = g.add_node(t);
+    let h2 = g.add_node(t);
+    g.add_edge(r, e, h1);
+    g.add_edge(r, e, h2);
+    for i in 0..deg_f.max(deg_g) {
+        let w = g.add_node(t);
+        if i < deg_f {
+            g.add_edge(h1, f, w);
+        }
+        if i < deg_g && i % 2 == 0 {
+            g.add_edge(h2, g_, w);
+        }
+    }
+    g
+}
+
+/// Diamond `x -e-> y, x -e-> z, y -f-> w, z -g-> w`; chain `x -e-> y
+/// -f-> w`; and the chain again with a wildcard first edge (the in-place
+/// sort + dedup of a wildcard seed adjacency).
+fn patterns(vocab: &mut Vocab) -> Vec<Pattern> {
+    let (t, e) = (vocab.label("t"), vocab.label("e"));
+    let (f, g) = (vocab.label("f"), vocab.label("g"));
+    let mut diamond = Pattern::new();
+    let x = diamond.add_node(t, "x");
+    let y = diamond.add_node(t, "y");
+    let z = diamond.add_node(t, "z");
+    let w = diamond.add_node(t, "w");
+    diamond.add_edge(x, e, y);
+    diamond.add_edge(x, e, z);
+    diamond.add_edge(y, f, w);
+    diamond.add_edge(z, g, w);
+    let chain = |first| {
+        let mut p = Pattern::new();
+        let x = p.add_node(t, "x");
+        let y = p.add_node(t, "y");
+        let w = p.add_node(t, "w");
+        p.add_edge(x, first, y);
+        p.add_edge(y, f, w);
+        p
+    };
+    vec![diamond, chain(e), chain(LabelId::WILDCARD)]
+}
+
+fn count(search: &mut HomSearch<'_>) -> u64 {
+    let mut n = 0;
+    search.run(
+        |m| {
+            std::hint::black_box(m);
+            n += 1;
+            ControlFlow::Continue(())
+        },
+        SearchLimits::none(),
+    );
+    n
+}
+
+#[test]
+fn warmed_search_allocates_nothing() {
+    // (deg_f, 2·deg_g) → the strategy the stats plan gives the diamond's
+    // closing step: both ≥ 64 → bitset; skew ≥ 8× → gallop; else merge.
+    for (deg_f, deg_g, strategy) in [
+        (400, 300, IntersectStrategy::Bitset),
+        (60, 12, IntersectStrategy::Gallop),
+        (60, 40, IntersectStrategy::TwoPointer),
+    ] {
+        let mut vocab = Vocab::new();
+        let graph = hub_graph(&mut vocab, deg_f, deg_g);
+        let index = LabelIndex::build(&graph);
+        let patterns = patterns(&mut vocab);
+        let diamond_plan = MatchPlan::build(&patterns[0], None, Some(&index));
+        assert!(
+            diamond_plan.steps().iter().any(|s| s.strategy == strategy),
+            "degrees ({deg_f}, {deg_g}) were chosen to plan {strategy:?}"
+        );
+
+        for pattern in &patterns {
+            // Whole-graph search: run, reset, run again.
+            let plan = MatchPlan::build(pattern, None, Some(&index));
+            let mut search = HomSearch::new(&graph, &index, pattern, &plan);
+            let cold = count(&mut search);
+            assert!(cold > 0, "{strategy:?}: the pattern must match");
+            search.reset(&[]);
+            let (warm, allocs) = allocations_of(|| count(&mut search));
+            assert_eq!(warm, cold);
+            assert_eq!(allocs, 0, "{strategy:?}: warmed whole-graph run");
+
+            // Pivoted, the way a detection unit drives it: one search,
+            // `reset` per pivot of the batch.
+            let pivot = VarId::new(0);
+            let plan = MatchPlan::build(pattern, Some(pivot), Some(&index));
+            let mut search = HomSearch::new(&graph, &index, pattern, &plan);
+            let sweep = |search: &mut HomSearch<'_>| {
+                let mut n = 0;
+                for z in graph.nodes() {
+                    search.reset(&[z]);
+                    n += count(search);
+                }
+                n
+            };
+            let pivoted = sweep(&mut search);
+            assert_eq!(pivoted, cold, "pivots partition the match set");
+            let (again, allocs) = allocations_of(|| sweep(&mut search));
+            assert_eq!(again, cold);
+            assert_eq!(allocs, 0, "{strategy:?}: warmed pivot sweep");
+        }
+    }
+}
+
+fn hub(nodes: usize, hubs: usize, hub_degree: usize, rules: usize) -> (Graph, GfdSet) {
+    let w = hub_workload(&HubGenConfig {
+        nodes,
+        hubs,
+        hub_degree,
+        rules,
+        seed: 42,
+        ..HubGenConfig::default()
+    });
+    (w.graph, w.sigma)
+}
+
+#[test]
+fn detect_allocates_per_unit_not_per_match() {
+    let (graph, sigma) = hub(4_000, 16, 96, 6);
+    // One worker runs inline on this thread, so the per-thread counter
+    // sees the whole operation.
+    let config = DetectConfig::with_workers(1);
+    let (report, allocs) = allocations_of(|| detect(&graph, &sigma, &config));
+    let matches = report.total_matches();
+    assert!(matches > 50_000, "match-bound workload, got {matches}");
+    assert!(
+        allocs < matches / 10,
+        "{allocs} allocations for {matches} matches"
+    );
+}
+
+#[test]
+fn reasoning_unit_costs_no_allocation_of_its_own() {
+    // Without component pruning the same Σ dispatches several times the
+    // units, and every extra one matches nothing (its component cannot
+    // host the pattern). Such a unit must be free: the worker rebinds its
+    // one search and the pivot sits inline in the unit. A search built per
+    // unit reads ≈ 6 allocations for each of them.
+    let w = real_life_workload(Dataset::DBpedia, 400, 42, None);
+    let run = |prune_components| {
+        let config = ReasonConfig {
+            prune_components,
+            ..ReasonConfig::with_workers(1)
+        };
+        let (result, allocs) = allocations_of(|| sat_with_config(&w.sigma, &config));
+        assert!(result.is_satisfiable());
+        (result.stats.units_dispatched, allocs)
+    };
+    let (units, allocs) = run(true);
+    let (more_units, more_allocs) = run(false);
+    println!("pruned: {units} units, {allocs} allocations; unpruned: {more_units}, {more_allocs}");
+    assert!(more_units > 2 * units, "{units} → {more_units} units");
+    assert!(
+        more_allocs.saturating_sub(allocs) < more_units - units,
+        "{} extra allocations for {} extra units",
+        more_allocs.saturating_sub(allocs),
+        more_units - units
+    );
+}
+
+/// The full-size numbers of CHANGES.md / ROADMAP (parent: 6 570 079 and
+/// 1 120 032 allocations).
+#[test]
+#[ignore = "full-size scoreboard; run with --release -- --ignored --nocapture"]
+fn allocation_scoreboard() {
+    let (graph, sigma) = hub(50_000, 64, 192, 12);
+    let config = DetectConfig::with_workers(1);
+    let (report, detect_allocs) = allocations_of(|| detect(&graph, &sigma, &config));
+    println!(
+        "detect(hub 50k): {detect_allocs} allocations, {} matches, {} violations",
+        report.total_matches(),
+        report.violations.len()
+    );
+    assert!(detect_allocs <= 10_000);
+
+    let w = real_life_workload(Dataset::DBpedia, 4000, 42, None);
+    let config = ReasonConfig::with_workers(1);
+    let (result, sat_allocs) = allocations_of(|| sat_with_config(&w.sigma, &config));
+    println!(
+        "sat_with_config(DBpedia 4000): {sat_allocs} allocations, satisfiable = {}",
+        result.is_satisfiable()
+    );
+    // Below the parent by at least the unit prefixes and the matches that
+    // never go pending.
+    assert!(sat_allocs < 1_120_032 - 57_118 - (31_681 - 22_631));
+}

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 /// dependency, so the hash containers are std's under the old names —
 /// every set is sorted before it is read, so the hasher cannot matter.
 mod reference {
-    use gfd::core::{CanonicalGraph, GfdSet, WorkUnit};
+    use gfd::core::{CanonicalGraph, GfdSet, Prefix, WorkUnit};
     use gfd::graph::{self as gfd_graph, neighborhood, NodeId, Pattern, VarId};
     use std::collections::BinaryHeap;
 
@@ -65,7 +65,7 @@ mod reference {
             for z in candidates {
                 units.push(WorkUnit {
                     gfd: id,
-                    prefix: vec![z],
+                    prefix: Prefix::Pivot(z),
                     priority: 0,
                 });
             }
