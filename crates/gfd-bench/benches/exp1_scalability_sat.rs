@@ -11,7 +11,6 @@
 use gfd_bench::{banner, fmt_duration, scale, time_median, Table};
 use gfd_core::{sat_with_config, ReasonConfig};
 use gfd_gen::{real_life_workload, Dataset};
-use gfd_runtime::DispatchMode;
 use std::time::Duration;
 
 fn main() {
@@ -40,7 +39,6 @@ fn main() {
             "p",
             "ParSat wall",
             "makespan",
-            "coord wall",
             "np wall",
             "nb wall",
             "splits",
@@ -60,12 +58,6 @@ fn main() {
                 splits = r.stats.units_split;
                 steals = r.stats.units_stolen;
             });
-            // The pre-unification dispatch topology: one central queue,
-            // an idle round-trip per hand-out.
-            let coordinator = base.clone().with_dispatch(DispatchMode::Coordinator);
-            let t_coord = time_median(scale.repeats, || {
-                assert!(sat_with_config(&w.sigma, &coordinator).is_satisfiable());
-            });
             let t_np = time_median(scale.repeats, || {
                 assert!(
                     sat_with_config(&w.sigma, &base.clone().without_pipeline()).is_satisfiable()
@@ -80,7 +72,6 @@ fn main() {
                 p.to_string(),
                 fmt_duration(t),
                 fmt_duration(makespan),
-                fmt_duration(t_coord),
                 fmt_duration(t_np),
                 fmt_duration(t_nb),
                 splits.to_string(),

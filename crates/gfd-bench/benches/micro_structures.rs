@@ -6,8 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gfd_core::{sat_with_config, EqRel, ReasonConfig};
 use gfd_gen::synthetic_workload;
 use gfd_graph::{AttrId, Graph, LabelIndex, NodeId, Pattern, Vocab};
-use gfd_match::{dual_simulation, MatchPlan};
-use gfd_runtime::DispatchMode;
+use gfd_match::MatchPlan;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -123,9 +122,6 @@ fn bench_matching(c: &mut Criterion) {
     });
     group.bench_function("plan_build", |b| {
         b.iter(|| black_box(MatchPlan::build(&path4, None, Some(&idx))))
-    });
-    group.bench_function("dual_simulation", |b| {
-        b.iter(|| black_box(dual_simulation(&g, &idx, &path4).is_some()))
     });
     group.finish();
 }
@@ -368,24 +364,17 @@ fn bench_deque(c: &mut Criterion) {
     group.finish();
 }
 
-/// Head-to-head: the old centralized coordinator dispatch vs per-worker
-/// deques with work stealing, on the same satisfiability workload at
-/// p ∈ {2, 4, 8}. Work stealing removes the idle round-trip a worker paid
-/// per batch; the bench pins that it is never slower.
+/// One small satisfiability workload on the work-stealing scheduler at
+/// p ∈ {2, 4, 8}: what a whole scheduled run costs as workers are added.
 fn bench_scheduler(c: &mut Criterion) {
     let w = synthetic_workload(60, 5, 3, 7);
     assert!(sat_with_config(&w.sigma, &ReasonConfig::with_workers(2)).is_satisfiable());
     let mut group = c.benchmark_group("sched");
     for p in [2usize, 4, 8] {
-        for (name, dispatch) in [
-            ("work_stealing", DispatchMode::WorkStealing),
-            ("coordinator_dispatch", DispatchMode::Coordinator),
-        ] {
-            let cfg = ReasonConfig::with_workers(p).with_dispatch(dispatch);
-            group.bench_with_input(BenchmarkId::new(name, p), &cfg, |b, cfg| {
-                b.iter(|| black_box(sat_with_config(&w.sigma, cfg).is_satisfiable()))
-            });
-        }
+        let cfg = ReasonConfig::with_workers(p);
+        group.bench_with_input(BenchmarkId::new("work_stealing", p), &cfg, |b, cfg| {
+            b.iter(|| black_box(sat_with_config(&w.sigma, cfg).is_satisfiable()))
+        });
     }
     group.finish();
 }

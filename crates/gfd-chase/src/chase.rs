@@ -32,9 +32,7 @@ use gfd_core::{
 use gfd_graph::{AttrId, Graph, LabelId, MatchIndex, NodeId, Pattern, ValueId, VarId};
 use gfd_match::{for_each_match, Match};
 use gfd_runtime::sched::{Task, WorkerCtx};
-use gfd_runtime::{
-    failpoint, DispatchMode, EventKind, RunMetrics, TraceBuf, TraceSpec, CONTROL_WORKER,
-};
+use gfd_runtime::{failpoint, EventKind, RunMetrics, TraceBuf, TraceSpec, CONTROL_WORKER};
 use rustc_hash::FxHashSet;
 use std::cell::RefCell;
 use std::ops::ControlFlow;
@@ -81,8 +79,6 @@ pub struct ChaseConfig {
     pub ttl: Duration,
     /// Matches per initial scan unit.
     pub batch: usize,
-    /// How units reach the workers.
-    pub dispatch: DispatchMode,
     /// Termination guard for generating dependencies: the chase gives up
     /// (reporting "unknown" instead of looping forever) once this many
     /// fresh nodes have been materialized. GGD chains like
@@ -92,8 +88,7 @@ pub struct ChaseConfig {
     pub max_generated_nodes: u64,
     /// Unified resource budget (DESIGN.md §11.2): the deadline is checked
     /// at round boundaries and inside the scan via the scheduler, the unit
-    /// cap across all rounds, and the fresh-node axis tightens
-    /// `max_generated_nodes`. Exhaustion degrades to an `Interrupted`
+    /// cap across all rounds. Exhaustion degrades to an `Interrupted`
     /// outcome — the chase never claims a fixpoint it did not reach.
     pub budget: Budget,
     /// Structured tracing (DESIGN.md §13): per-rule scan spans on the
@@ -108,7 +103,6 @@ impl Default for ChaseConfig {
             workers: 1,
             ttl: Duration::from_millis(100),
             batch: 256,
-            dispatch: DispatchMode::WorkStealing,
             max_generated_nodes: 100_000,
             budget: Budget::unlimited(),
             trace: gfd_runtime::TraceSpec::disabled(),
@@ -129,15 +123,6 @@ impl ChaseConfig {
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
         self
-    }
-
-    /// The effective fresh-node cap: the legacy `max_generated_nodes`
-    /// knob tightened by the budget's fresh-node axis.
-    fn effective_max_generated(&self) -> u64 {
-        match self.budget.max_fresh_nodes {
-            Some(b) => self.max_generated_nodes.min(b),
-            None => self.max_generated_nodes,
-        }
     }
 }
 
@@ -222,6 +207,29 @@ impl MatchTable {
     }
 }
 
+/// Straggler hand-off shared by the chase's two range tasks: once
+/// `deadline` has passed with `next..end` of a unit's range still to do,
+/// offer that rest in two halves (the back half is what an idle worker
+/// will steal) and tell the caller to end the unit.
+fn offer_rest<U>(
+    ctx: &WorkerCtx<'_, U>,
+    deadline: Instant,
+    next: u32,
+    end: u32,
+    unit: impl Fn(u32, u32) -> U,
+) -> bool {
+    if next >= end || Instant::now() < deadline {
+        return false;
+    }
+    let mid = next + (end - next) / 2;
+    let mut rest = vec![unit(next, mid)];
+    if mid < end {
+        rest.push(unit(mid, end));
+    }
+    ctx.split(rest);
+    true
+}
+
 /// A contiguous slice of one rule's cached match list.
 #[derive(Clone, Copy)]
 struct ScanUnit {
@@ -276,24 +284,12 @@ impl Task for ScanTask<'_> {
             {
                 w.fired.push((unit.rule, idx));
             }
-            // Straggler: offer the rest of the range in two halves (the
-            // back half is what an idle worker will steal).
-            let next = idx + 1;
-            if next < unit.end && Instant::now() >= deadline {
-                let mid = next + (unit.end - next) / 2;
-                let mut rest = vec![ScanUnit {
-                    rule: unit.rule,
-                    start: next,
-                    end: mid,
-                }];
-                if mid < unit.end {
-                    rest.push(ScanUnit {
-                        rule: unit.rule,
-                        start: mid,
-                        end: unit.end,
-                    });
-                }
-                ctx.split(rest);
+            let rest = |start, end| ScanUnit {
+                rule: unit.rule,
+                start,
+                end,
+            };
+            if offer_rest(ctx, deadline, idx + 1, unit.end, rest) {
                 break;
             }
         }
@@ -482,22 +478,8 @@ impl<I: MatchIndex> Task for ApplyTask<'_, I> {
                 }
             };
             w.plans.push((i, plan));
-            // Straggler: offer the rest of the range in two halves, as
-            // the scan does.
-            let next = i + 1;
-            if next < unit.end && Instant::now() >= deadline {
-                let mid = next + (unit.end - next) / 2;
-                let mut rest = vec![ApplyUnit {
-                    start: next,
-                    end: mid,
-                }];
-                if mid < unit.end {
-                    rest.push(ApplyUnit {
-                        start: mid,
-                        end: unit.end,
-                    });
-                }
-                ctx.split(rest);
+            let rest = |start, end| ApplyUnit { start, end };
+            if offer_rest(ctx, deadline, i + 1, unit.end, rest) {
                 return;
             }
         }
@@ -543,7 +525,6 @@ fn plan_round<I: MatchIndex>(
         &task,
         units,
         p,
-        config.dispatch,
         &stop,
         &config.budget,
         config.trace,
@@ -676,7 +657,6 @@ fn scan_round(
         &task,
         units,
         p,
-        config.dispatch,
         &stop,
         &config.budget,
         config.trace,
@@ -812,7 +792,6 @@ fn chase(
         config.budget.stamp(start, &mut metrics);
         (outcome, stats, metrics)
     };
-    let max_generated = config.effective_max_generated();
 
     'rebuild: loop {
         // (Re-)freeze the current topology and enumerate premise matches.
@@ -978,7 +957,7 @@ fn chase(
                             Ok(fresh) => {
                                 stats.generated_nodes += fresh as u64;
                                 changed = true;
-                                if stats.generated_nodes > max_generated {
+                                if stats.generated_nodes > config.max_generated_nodes {
                                     metrics.early_terminated = true;
                                     return done(
                                         DepChaseOutcome::BudgetExhausted {
@@ -1132,34 +1111,28 @@ mod tests {
     }
 
     /// The scheduler port must not change what the chase derives: every
-    /// worker count, dispatch mode, and a TTL of zero (forced splitting
-    /// with tiny batches) reach the same fixpoint as the sequential scan.
+    /// worker count under a TTL of zero (forced splitting with tiny
+    /// batches) reaches the same fixpoint as the sequential scan.
     #[test]
     fn scan_parallelism_is_answer_invariant() {
         let mut vocab = Vocab::new();
         let c = vocab.attr("c");
         let sigma = chain_sigma(&mut vocab);
         for p in [1usize, 2, 8] {
-            for dispatch in [DispatchMode::WorkStealing, DispatchMode::Coordinator] {
-                let cfg = ChaseConfig {
-                    workers: p,
-                    ttl: Duration::ZERO,
-                    batch: 1,
-                    dispatch,
-                    ..ChaseConfig::default()
-                };
-                let (mut eq, node_of, stats, metrics) = chase_literal(&sigma, &cfg);
-                for nodes in &node_of {
-                    assert!(
-                        eq.deduces_const((nodes[0], c), VId::of(1i64)),
-                        "p={p} {dispatch:?}"
-                    );
-                }
-                assert!(stats.rounds >= 3);
-                assert_eq!(metrics.workers, p);
-                assert_eq!(metrics.worker_busy.len(), p);
-                assert!(metrics.units_dispatched >= metrics.units_generated as u64);
+            let cfg = ChaseConfig {
+                workers: p,
+                ttl: Duration::ZERO,
+                batch: 1,
+                ..ChaseConfig::default()
+            };
+            let (mut eq, node_of, stats, metrics) = chase_literal(&sigma, &cfg);
+            for nodes in &node_of {
+                assert!(eq.deduces_const((nodes[0], c), VId::of(1i64)), "p={p}");
             }
+            assert!(stats.rounds >= 3);
+            assert_eq!(metrics.workers, p);
+            assert_eq!(metrics.worker_busy.len(), p);
+            assert!(metrics.units_dispatched >= metrics.units_generated as u64);
         }
     }
 

@@ -80,7 +80,7 @@ impl DepSatResult {
     }
 }
 
-/// Map a chase worker/TTL/dispatch configuration onto the unified
+/// Map a chase worker/TTL/budget/trace configuration onto the unified
 /// driver's knobs for the literal-only fast path. The TTL passes
 /// through verbatim: `Duration::ZERO` means "force splitting on every
 /// unit" on both routes, matching the repo-wide convention the
@@ -89,8 +89,8 @@ fn reason_config(cfg: &ChaseConfig) -> ReasonConfig {
     ReasonConfig {
         workers: cfg.workers.max(1),
         ttl: cfg.ttl,
-        dispatch: cfg.dispatch,
         budget: cfg.budget,
+        trace: cfg.trace,
         ..ReasonConfig::default()
     }
 }
@@ -336,6 +336,47 @@ mod tests {
         let phi = sat.as_slice()[0].clone();
         let ri = dep_imp(&deps, &Dependency::from_gfd(phi.clone()));
         assert_eq!(ri.is_implied(), seq_imp(&sat, &phi).is_implied());
+    }
+
+    /// The literal fast path must carry the chase config's tracing through
+    /// to the driver it routes to, at every worker count.
+    #[test]
+    fn literal_fast_path_keeps_tracing() {
+        use gfd_runtime::{EventKind, TraceSpec};
+        let mut vocab = Vocab::new();
+        let a = vocab.attr("a");
+        let b = vocab.attr("b");
+        let x = VarId::new(0);
+        let seed = Gfd::new(
+            "seed",
+            unary(&mut vocab, "t"),
+            vec![],
+            vec![Literal::eq_const(x, a, 1i64)],
+        );
+        let phi = Gfd::new(
+            "phi",
+            unary(&mut vocab, "t"),
+            vec![Literal::eq_const(x, b, 2i64)],
+            vec![Literal::eq_const(x, a, 1i64)],
+        );
+        let deps = DepSet::from_gfds(GfdSet::from_vec(vec![seed]));
+        let rule_evals = |metrics: &RunMetrics| {
+            let evals = metrics.trace.events.iter();
+            evals.filter(|e| e.kind == EventKind::RuleEval).count()
+        };
+        for workers in [1usize, 2] {
+            let cfg = ChaseConfig {
+                trace: TraceSpec::enabled(),
+                ..ChaseConfig::with_workers(workers)
+            };
+            let sat = dep_sat_with_config(&deps, &cfg);
+            assert!(sat.is_satisfiable());
+            assert!(rule_evals(&sat.metrics) > 0, "dep_sat, workers={workers}");
+            let imp = dep_imp_with_config(&deps, &Dependency::from_gfd(phi.clone()), &cfg);
+            assert!(imp.is_implied());
+            assert_eq!(imp.stats.rounds, 0, "literal Σ must use the driver path");
+            assert!(rule_evals(&imp.metrics) > 0, "dep_imp, workers={workers}");
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The unified resource budget every reasoning driver honors
 //! (DESIGN.md §11.2).
 //!
-//! Before this module each driver grew its own ad-hoc limit — the GED
-//! search counted branches, the generating chase counted fresh nodes,
-//! `SeqSat`/`SeqImp`/detection had nothing. [`Budget`] is the one struct
-//! threaded through all of them: a wall-clock deadline and a max-units
-//! cap enforced cooperatively by the scheduler at unit boundaries
-//! (`gfd_runtime::SchedOptions`), plus the driver-specific branch and
-//! fresh-node caps, interpreted by the drivers that have those notions.
+//! [`Budget`] is the one struct threaded through every driver: a
+//! wall-clock deadline and a max-units cap enforced cooperatively by the
+//! scheduler at unit boundaries (`gfd_runtime::SchedOptions`). The two
+//! driver-specific caps — explored branches for the GED search, fresh
+//! nodes for the generating chase — are fields of those drivers' own
+//! configs (`GedReasonConfig::max_branches`,
+//! `ChaseConfig::max_generated_nodes`) and report through the same
+//! [`Interrupt`].
 //!
 //! Exhausting any limit **degrades, never panics**: a run that cannot
 //! finish reports [`Interrupt`] through its driver's unknown/partial arm
@@ -29,11 +30,6 @@ pub struct Budget {
     pub deadline: Option<Instant>,
     /// Maximum scheduler work units to execute.
     pub max_units: Option<u64>,
-    /// Maximum search branches (branch-and-bound drivers: the GED
-    /// small-model search).
-    pub max_branches: Option<u64>,
-    /// Maximum fresh nodes materialized (generating chase).
-    pub max_fresh_nodes: Option<u64>,
 }
 
 impl Budget {
@@ -62,18 +58,6 @@ impl Budget {
     /// Cap the scheduler work units executed.
     pub fn with_max_units(mut self, max: u64) -> Self {
         self.max_units = Some(max);
-        self
-    }
-
-    /// Cap the branches explored by branch-and-bound drivers.
-    pub fn with_max_branches(mut self, max: u64) -> Self {
-        self.max_branches = Some(max);
-        self
-    }
-
-    /// Cap the fresh nodes the generating chase may materialize.
-    pub fn with_max_fresh_nodes(mut self, max: u64) -> Self {
-        self.max_fresh_nodes = Some(max);
         self
     }
 
@@ -128,12 +112,10 @@ pub struct TaskRun<W> {
 /// round after round) passes the same record each time, and the unit cap
 /// left for this run is `budget.max_units` less what the record has
 /// already dispatched.
-#[allow(clippy::too_many_arguments)]
 pub fn run_task<T: Task>(
     task: &T,
     units: Vec<T::Unit>,
     workers: usize,
-    dispatch: DispatchMode,
     stop: &AtomicBool,
     budget: &Budget,
     trace: TraceSpec,
@@ -148,7 +130,7 @@ pub fn run_task<T: Task>(
         unit_retries: 0,
         trace,
     };
-    let run = run_scheduler_with(task, units, workers, dispatch, stop, opts);
+    let run = run_scheduler_with(task, units, workers, DispatchMode::default(), stop, opts);
     let (workers, outcome) = metrics.absorb(run);
     TaskRun {
         workers,
@@ -215,13 +197,9 @@ mod tests {
     fn builders_set_each_axis() {
         let b = Budget::unlimited()
             .with_deadline_ms(10_000)
-            .with_max_units(5)
-            .with_max_branches(7)
-            .with_max_fresh_nodes(9);
+            .with_max_units(5);
         assert!(!b.is_unlimited());
         assert_eq!(b.max_units, Some(5));
-        assert_eq!(b.max_branches, Some(7));
-        assert_eq!(b.max_fresh_nodes, Some(9));
         assert!(!b.expired());
         let slack = b.deadline_slack_ms().unwrap();
         assert!(slack > 8_000 && slack <= 10_000, "{slack}");
@@ -269,7 +247,6 @@ mod tests {
                 &Count,
                 vec![0, 1],
                 1,
-                DispatchMode::WorkStealing,
                 &stop,
                 &budget,
                 TraceSpec::disabled(),

@@ -1,17 +1,17 @@
 //! The unified reasoning driver: one fixpoint loop for `SeqSat`, `SeqImp`,
 //! `ParSat` and `ParImp`, run on the `gfd-runtime` work-stealing scheduler.
 //!
-//! The paper's §V workload model is instantiated once here as
-//! `ReasonTask`: pivoted work units `(Q[z], ϕ)` generated and
-//! priority-ordered by [`crate::unit`], matched by `HomSearch`, enforced
-//! into a per-worker [`EnforceEngine`], with
+//! Pivoted work units `(Q[z], ϕ)` are generated and priority-ordered by
+//! [`crate::unit`] and matched by the search-unit engine
+//! ([`crate::engine::SearchTask`], which owns the per-worker `HomSearch`,
+//! the TTL slices and straggler splitting). What reasoning adds is its
+//! match-action, `ReasonAction`: every match is enforced into a per-worker
+//! [`EnforceEngine`], with
 //!
-//! * **asynchronous `ΔEq` broadcast** — each worker ships the ops recorded
-//!   since its last broadcast to every peer as one shared `Arc<[EqOp]>`
-//!   payload (a single allocation however many peers there are);
-//! * **straggler splitting** — a unit matching past the TTL carves its
-//!   untried sibling branches into prefix units pushed to the front of the
-//!   worker's own deque (priority inheritance, paper's Example 6);
+//! * **asynchronous `ΔEq` broadcast** — after each TTL slice a worker
+//!   ships the ops recorded since its last broadcast to every peer as one
+//!   shared `Arc<[EqOp]>` payload (a single allocation however many peers
+//!   there are), and drains its own inbox before each unit and when idle;
 //! * **early termination** — a conflict, or for implication a deduced
 //!   consequence, raises the scheduler's stop flag;
 //! * **final convergence** — after quiescence the workers' op logs and
@@ -31,16 +31,16 @@ use crate::budget::{run_task, Budget};
 use crate::canonical::{build_plans_lazy, consequence_deducible, CanonicalGraph};
 use crate::dependency::{generate_deducible, Consequence, Dependency};
 use crate::enforce::EnforceEngine;
+use crate::engine::{MatchAction, SearchTask};
 use crate::eq::{EqOp, EqRel};
 use crate::error::Conflict;
 use crate::gfd::Gfd;
 use crate::sigma::GfdSet;
-use crate::unit::{generate_units, order_units, Prefix, WorkUnit};
+use crate::unit::{generate_units, order_units};
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use gfd_graph::GfdId;
-use gfd_match::{HomSearch, Match, MatchPlan, RunOutcome, SearchLimits};
-use gfd_runtime::sched::{Task, WorkerCtx};
-use gfd_runtime::{DispatchMode, EventKind, RunMetrics, RunOutcome as SchedOutcome, TraceSpec};
+use gfd_graph::{GfdId, NodeId, Pattern};
+use gfd_match::{Match, MatchPlan};
+use gfd_runtime::{RunMetrics, RunOutcome as SchedOutcome, TraceSpec};
 use parking_lot::Mutex;
 use rustc_hash::FxHashSet;
 use std::ops::ControlFlow;
@@ -112,9 +112,6 @@ pub struct ReasonConfig {
     pub use_dependency_order: bool,
     /// Skip units whose pivot component cannot host the pattern.
     pub prune_components: bool,
-    /// How units reach the workers: per-worker deques with stealing
-    /// (default) or the centralized-queue baseline.
-    pub dispatch: DispatchMode,
     /// Resource limits (deadline, max units). Exhaustion degrades the run
     /// to an unknown outcome (DESIGN.md §11.2); the default is unlimited.
     pub budget: Budget,
@@ -133,7 +130,6 @@ impl Default for ReasonConfig {
             split: true,
             use_dependency_order: true,
             prune_components: true,
-            dispatch: DispatchMode::WorkStealing,
             budget: Budget::unlimited(),
             trace: TraceSpec::default(),
         }
@@ -164,12 +160,6 @@ impl ReasonConfig {
     /// Override the TTL.
     pub fn with_ttl(mut self, ttl: Duration) -> Self {
         self.ttl = ttl;
-        self
-    }
-
-    /// Override the dispatch mode.
-    pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
         self
     }
 
@@ -225,13 +215,17 @@ fn goal_consequence_deduced(goal: Goal<'_>, canon: &CanonicalGraph, eq: &mut EqR
     }
 }
 
-/// The goal-parameterized reasoning workload run by the scheduler.
-struct ReasonTask<'a> {
+/// Reasoning's match-action (see [`crate::engine`]): enforce every match
+/// into the worker's [`EnforceEngine`] and keep the peers' relations in
+/// step.
+struct ReasonAction<'a> {
     sigma: &'a GfdSet,
     canon: &'a CanonicalGraph,
     plans: &'a [Option<MatchPlan>],
     goal: Goal<'a>,
-    cfg: &'a ReasonConfig,
+    /// `false` is the `*np` ablation: matches are buffered and enforced
+    /// only once their search ended.
+    pipeline: bool,
     eq0: &'a EqRel,
     stop: &'a AtomicBool,
     /// `ΔEq` broadcast mesh: sender `i` feeds worker `i`'s inbox. Each
@@ -243,25 +237,34 @@ struct ReasonTask<'a> {
 }
 
 /// Per-worker reasoning state.
-struct ReasonWorker<'a> {
+struct ReasonWorker {
     engine: EnforceEngine,
-    /// The worker's one matcher, built by its first unit and rebound to
-    /// each later unit's pattern on the buffers it already grew.
-    search: Option<HomSearch<'a>>,
     rx_delta: Option<Receiver<DeltaPayload>>,
     tx_peers: Vec<Sender<DeltaPayload>>,
     broadcast_cursor: usize,
     last_y_version: u64,
     /// This worker already raised a terminal event; stop doing work.
     done: bool,
-    matches: u64,
+    /// The `*np` ablation's matches of the search in progress.
+    buffered: Vec<Match>,
     ops_sent: u64,
 }
 
-impl<'a> ReasonTask<'a> {
+impl ReasonWorker {
+    /// `Break` once this worker raised a terminal event.
+    fn proceed(&self) -> ControlFlow<()> {
+        if self.done {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+}
+
+impl ReasonAction<'_> {
     /// Raise a terminal event: record it (first writer wins) and set the
     /// global stop flag so every worker aborts its search.
-    fn terminal(&self, w: &mut ReasonWorker<'_>, event: TerminalEvent) {
+    fn terminal(&self, w: &mut ReasonWorker, event: TerminalEvent) {
         if w.done {
             return;
         }
@@ -275,7 +278,7 @@ impl<'a> ReasonTask<'a> {
 
     /// Apply queued remote deltas (cascading local pending rechecks), then
     /// re-test the consequence for implication goals.
-    fn apply_inbox(&self, w: &mut ReasonWorker<'_>) {
+    fn apply_inbox(&self, w: &mut ReasonWorker) {
         if let Some(rx) = &w.rx_delta {
             while let Ok(ops) = rx.try_recv() {
                 if let Err(c) = w.engine.apply_remote_ops(self.sigma, &ops) {
@@ -287,7 +290,7 @@ impl<'a> ReasonTask<'a> {
         self.check_consequence(w);
     }
 
-    fn check_consequence(&self, w: &mut ReasonWorker<'_>) {
+    fn check_consequence(&self, w: &mut ReasonWorker) {
         if w.done || matches!(self.goal, Goal::Sat) {
             return;
         }
@@ -303,7 +306,7 @@ impl<'a> ReasonTask<'a> {
     /// Ship ops recorded since the last broadcast to every peer. The
     /// payload is shared as one `Arc<[EqOp]>`: a single allocation however
     /// many peers there are.
-    fn broadcast(&self, w: &mut ReasonWorker<'_>) {
+    fn broadcast(&self, w: &mut ReasonWorker) {
         if w.tx_peers.is_empty() {
             return;
         }
@@ -319,157 +322,20 @@ impl<'a> ReasonTask<'a> {
         }
     }
 
-    /// Pipelined mode: enforce each match the moment `HomMatch` produces
-    /// it (streaming `HomMatch ∥ CheckAttr`).
-    fn run_streaming(
-        &self,
-        w: &mut ReasonWorker<'_>,
-        search: &mut HomSearch<'_>,
-        gfd_id: GfdId,
-        priority: u32,
-        ctx: &WorkerCtx<'_, WorkUnit>,
-    ) {
-        loop {
-            let deadline = self.cfg.split.then(|| Instant::now() + self.cfg.ttl);
-            let limits = SearchLimits {
-                deadline,
-                stop: Some(self.stop),
-            };
-            let sigma = self.sigma;
-            let canon = self.canon;
-            let engine = &mut w.engine;
-            let matches = &mut w.matches;
-            let goal = self.goal;
-            let mut last_version = w.last_y_version;
-            let mut conflict: Option<Conflict> = None;
-            let mut y_hit = false;
-            let outcome = search.run(
-                |m| {
-                    *matches += 1;
-                    match engine.process_match(sigma, gfd_id, m) {
-                        Err(c) => {
-                            conflict = Some(c);
-                            ControlFlow::Break(())
-                        }
-                        Ok(()) => {
-                            if !matches!(goal, Goal::Sat) {
-                                let v = engine.eq.version();
-                                if v != last_version {
-                                    last_version = v;
-                                    if goal_consequence_deduced(goal, canon, &mut engine.eq) {
-                                        y_hit = true;
-                                        return ControlFlow::Break(());
-                                    }
-                                }
-                            }
-                            ControlFlow::Continue(())
-                        }
-                    }
-                },
-                limits,
-            );
-            w.last_y_version = last_version;
-            if let Some(c) = conflict {
-                self.terminal(w, TerminalEvent::Conflict(c));
-                return;
-            }
-            if y_hit {
-                self.terminal(w, TerminalEvent::Consequence);
-                return;
-            }
-            match outcome {
-                RunOutcome::Exhausted | RunOutcome::Stopped => return,
-                RunOutcome::Deadline => {
-                    self.split_straggler(search, gfd_id, priority, ctx);
-                    // Broadcast between TTL periods so long units still
-                    // propagate their enforcements promptly.
-                    self.broadcast(w);
-                }
-            }
+    /// Enforce one match (`HomMatch ∥ CheckAttr`).
+    fn enforce(&self, w: &mut ReasonWorker, rule: GfdId, m: &[NodeId]) -> ControlFlow<()> {
+        match w.engine.process_match(self.sigma, rule, m) {
+            Err(c) => self.terminal(w, TerminalEvent::Conflict(c)),
+            Ok(()) => self.check_consequence(w),
         }
-    }
-
-    /// Non-pipelined (`*np`) mode: first enumerate every match of the
-    /// unit, then enforce them one by one — the ablation baseline of
-    /// Exp-1/Exp-4.
-    fn run_collect_then_check(
-        &self,
-        w: &mut ReasonWorker<'_>,
-        search: &mut HomSearch<'_>,
-        gfd_id: GfdId,
-        priority: u32,
-        ctx: &WorkerCtx<'_, WorkUnit>,
-    ) {
-        let mut matches: Vec<Match> = Vec::new();
-        loop {
-            let deadline = self.cfg.split.then(|| Instant::now() + self.cfg.ttl);
-            let limits = SearchLimits {
-                deadline,
-                stop: Some(self.stop),
-            };
-            let count = &mut w.matches;
-            let outcome = search.run(
-                |m| {
-                    *count += 1;
-                    matches.push(m.into());
-                    ControlFlow::Continue(())
-                },
-                limits,
-            );
-            match outcome {
-                RunOutcome::Exhausted | RunOutcome::Stopped => break,
-                RunOutcome::Deadline => {
-                    self.split_straggler(search, gfd_id, priority, ctx);
-                    self.broadcast(w);
-                }
-            }
-        }
-        for m in matches {
-            if w.done || self.stop.load(Ordering::Relaxed) {
-                return;
-            }
-            if let Err(c) = w.engine.process_match(self.sigma, gfd_id, &m) {
-                self.terminal(w, TerminalEvent::Conflict(c));
-                return;
-            }
-            self.check_consequence(w);
-        }
-    }
-
-    /// TTL expired: carve the shallowest untried sibling branches into
-    /// prefix units and push them to the front of this worker's deque
-    /// (paper's Example 6; the split inherits the parent's priority).
-    fn split_straggler(
-        &self,
-        search: &mut HomSearch<'_>,
-        gfd_id: GfdId,
-        priority: u32,
-        ctx: &WorkerCtx<'_, WorkUnit>,
-    ) {
-        if !self.cfg.split {
-            return;
-        }
-        let prefixes = search.split_shallowest();
-        if prefixes.is_empty() {
-            return;
-        }
-        let units: Vec<WorkUnit> = prefixes
-            .into_iter()
-            .map(|prefix| WorkUnit {
-                gfd: gfd_id,
-                prefix: Prefix::Split(prefix.into_boxed_slice()),
-                priority,
-            })
-            .collect();
-        ctx.split(units);
+        w.proceed()
     }
 }
 
-impl<'a> Task for ReasonTask<'a> {
-    type Unit = WorkUnit;
-    type Worker = ReasonWorker<'a>;
+impl<'a> MatchAction<'a> for ReasonAction<'a> {
+    type Worker = ReasonWorker;
 
-    fn worker(&self, id: usize) -> ReasonWorker<'a> {
+    fn worker(&self, id: usize) -> ReasonWorker {
         let rx_delta = self.delta_rxs.lock()[id].take();
         let tx_peers = self
             .delta_txs
@@ -480,59 +346,53 @@ impl<'a> Task for ReasonTask<'a> {
             .collect();
         ReasonWorker {
             engine: EnforceEngine::with_eq(self.eq0.clone()),
-            search: None,
             rx_delta,
             tx_peers,
             broadcast_cursor: 0,
             last_y_version: 0,
             done: false,
-            matches: 0,
+            buffered: Vec::new(),
             ops_sent: 0,
         }
     }
 
-    fn run_unit(&self, w: &mut ReasonWorker<'a>, unit: WorkUnit, ctx: &WorkerCtx<'_, WorkUnit>) {
-        if w.done || self.stop.load(Ordering::Relaxed) {
-            return;
-        }
-        self.apply_inbox(w);
-        if w.done {
-            return;
-        }
-        let gfd_id = unit.gfd;
-        let (sigma, canon, plans): (&'a GfdSet, &'a CanonicalGraph, &'a [_]) =
-            (self.sigma, self.canon, self.plans);
-        let pattern = &sigma[gfd_id].pattern;
-        let plan = plans[gfd_id.index()]
+    fn rule(&self, rule: GfdId) -> (&'a Pattern, &'a MatchPlan) {
+        let plan = self.plans[rule.index()]
             .as_ref()
             .expect("a unit exists, so its GFD has pivot candidates and a plan");
-        // The search leaves the worker for the unit (the run_* helpers
-        // borrow the worker whole); after a panic the next unit builds one.
-        let mut search = w
-            .search
-            .take()
-            .unwrap_or_else(|| HomSearch::new(&canon.graph, &canon.index, pattern, plan));
-        search.rebind(pattern, plan, unit.prefix.as_slice());
+        (&self.sigma[rule].pattern, plan)
+    }
 
-        let span = ctx.trace_start();
-        let matches0 = w.matches;
-        if self.cfg.pipeline {
-            self.run_streaming(w, &mut search, gfd_id, unit.priority, ctx);
+    fn before_unit(&self, w: &mut ReasonWorker) -> ControlFlow<()> {
+        w.proceed()?;
+        self.apply_inbox(w);
+        w.proceed()
+    }
+
+    fn on_match(&self, w: &mut ReasonWorker, rule: GfdId, m: &[NodeId]) -> ControlFlow<()> {
+        if self.pipeline {
+            self.enforce(w, rule, m)
         } else {
-            self.run_collect_then_check(w, &mut search, gfd_id, unit.priority, ctx);
+            w.buffered.push(m.into());
+            ControlFlow::Continue(())
         }
-        ctx.trace_span(
-            EventKind::RuleEval,
-            gfd_id.index() as u32,
-            span,
-            w.matches - matches0,
-            0,
-        );
-        w.search = Some(search);
+    }
+
+    /// Broadcast between TTL periods, so long units still propagate their
+    /// enforcements promptly, and at the end of the search — where `*np`
+    /// first enforces what it buffered.
+    fn after_slice(&self, w: &mut ReasonWorker, rule: GfdId, last: bool) {
+        if last && !self.pipeline {
+            for m in std::mem::take(&mut w.buffered) {
+                if self.stop.load(Ordering::Relaxed) || self.enforce(w, rule, &m).is_break() {
+                    break;
+                }
+            }
+        }
         self.broadcast(w);
     }
 
-    fn on_idle(&self, w: &mut ReasonWorker<'a>, _ctx: &WorkerCtx<'_, WorkUnit>) {
+    fn on_idle(&self, w: &mut ReasonWorker) {
         self.apply_inbox(w);
     }
 }
@@ -579,55 +439,53 @@ pub fn run_reason(
         delta_txs.push(tx);
         delta_rxs.push(Some(rx));
     }
-    let task = ReasonTask {
-        sigma,
-        canon,
-        plans: &plans,
-        goal,
-        cfg,
-        eq0: &eq0,
+    let task = SearchTask {
+        graph: &canon.graph,
+        index: &canon.index,
+        ttl: cfg.split.then_some(cfg.ttl),
         stop: &stop,
-        delta_txs,
-        delta_rxs: Mutex::new(delta_rxs),
-        terminal: Mutex::new(None),
+        action: ReasonAction {
+            sigma,
+            canon,
+            plans: &plans,
+            goal,
+            pipeline: cfg.pipeline,
+            eq0: &eq0,
+            stop: &stop,
+            delta_txs,
+            delta_rxs: Mutex::new(delta_rxs),
+            terminal: Mutex::new(None),
+        },
     };
 
-    let run = run_task(
-        &task,
-        units,
-        p,
-        cfg.dispatch,
-        &stop,
-        &cfg.budget,
-        cfg.trace,
-        &mut metrics,
-    );
-    let mut workers = run.workers;
-    for w in &workers {
+    let run = run_task(&task, units, p, &stop, &cfg.budget, cfg.trace, &mut metrics);
+    let mut engines: Vec<EnforceEngine> = Vec::with_capacity(run.workers.len());
+    for w in run.workers {
         metrics.matches += w.matches;
-        metrics.delta_ops_broadcast += w.ops_sent;
-        metrics.pending += w.engine.stats.pending_registered;
-        metrics.rechecks += w.engine.stats.rechecks;
+        metrics.delta_ops_broadcast += w.state.ops_sent;
+        metrics.pending += w.state.engine.stats.pending_registered;
+        metrics.rechecks += w.state.engine.stats.rechecks;
+        engines.push(w.state.engine);
     }
 
-    let mut terminal = task.terminal.into_inner();
+    let mut terminal = task.action.terminal.into_inner();
     metrics.early_terminated = terminal.is_some();
 
     let engine = if terminal.is_some() {
         None
-    } else if workers.len() == 1 {
+    } else if engines.len() == 1 {
         // One worker with no peers: its engine already is the global
         // fixpoint — no convergence replay needed.
-        Some(workers.pop().expect("one worker").engine)
+        engines.pop()
     } else {
         // ---- final convergence phase ----
         // Replay every worker's full op log, then the unresolved pending
         // matches, into one engine: any enforcement that any interleaving
         // could have produced is reproduced here (DESIGN.md §7).
-        let mut deltas: Vec<Vec<EqOp>> = Vec::with_capacity(workers.len());
+        let mut deltas: Vec<Vec<EqOp>> = Vec::with_capacity(engines.len());
         let mut pendings: Vec<(GfdId, Match)> = Vec::new();
-        for w in workers {
-            let (delta, pending) = w.engine.into_state();
+        for engine in engines {
+            let (delta, pending) = engine.into_state();
             deltas.push(delta);
             pendings.extend(pending);
         }

@@ -11,6 +11,10 @@
 //! * the equivalence relation `Eq` with constant bindings, conflicts,
 //!   watcher-based pending rechecks and replayable deltas ([`eq`]);
 //! * the enforcement engine shared by every algorithm ([`enforce`]);
+//! * the search-unit engine ([`engine`]) — the one scheduler `Task` that
+//!   enumerates a unit's matches (per-worker `HomSearch` reuse, TTL
+//!   slices, straggler splitting) for whatever *match-action* an analysis
+//!   posts: enforcement here, violation recording in `gfd-detect`;
 //! * the unified reasoning driver ([`driver`]) — the one goal-parameterized
 //!   fixpoint loop, run on the `gfd-runtime` work-stealing scheduler, behind
 //!   [`sat_with_config`] and [`imp_with_config`]: **ParSat**/**ParImp** at
@@ -26,6 +30,7 @@ pub mod canonical;
 pub mod dependency;
 pub mod driver;
 pub mod enforce;
+pub mod engine;
 pub mod eq;
 pub mod error;
 pub mod gfd;
@@ -45,6 +50,7 @@ pub use canonical::{
 pub use dependency::{generate_deducible, Consequence, DepSet, Dependency, GenerateConsequence};
 pub use driver::{run_reason, Goal, ReasonConfig, ReasonRun, TerminalEvent};
 pub use enforce::{eval_premise, eval_premise_lits, EnforceEngine, EngineStats, PremiseStatus};
+pub use engine::{MatchAction, SearchTask, SearchWorker};
 pub use eq::{EqOp, EqRel};
 pub use error::{AttrKey, Conflict};
 pub use gfd::{Gfd, FALSE_ATTR_NAME};

@@ -24,34 +24,40 @@ use rustc_hash::FxHashMap;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// The fixed assignments of a unit's leading plan positions (position 0
-/// is the pivot node `z`). Initial units vastly outnumber split remainders,
-/// so their one-node prefix is inline: no allocation per generated unit.
+/// Where a unit's searches start: the fixed assignments of the leading
+/// plan positions (position 0 is the pivot node `z`). Initial reasoning
+/// units vastly outnumber split remainders, so their one-node prefix is
+/// inline: no allocation per generated unit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Prefix {
     /// An initial unit `(Q[z], ϕ)`: only the pivot is fixed.
     Pivot(NodeId),
-    /// A split remainder: plan positions `0..len` are fixed.
+    /// A split remainder: plan positions `0..len` are fixed (never empty).
     Split(Box<[NodeId]>),
+    /// A batch of pivots, searched one after the other (never empty) —
+    /// detection's grain, where one pivot is too little work to dispatch.
+    Pivots(Box<[NodeId]>),
 }
 
 impl Prefix {
-    /// The assignments as a slice, position `i` ↦ `as_slice()[i]`.
-    pub fn as_slice(&self) -> &[NodeId] {
+    /// The prefix of each search the unit runs, in order: position `i` of
+    /// the plan ↦ `start[i]`.
+    pub fn starts(&self) -> std::slice::Chunks<'_, NodeId> {
         match self {
-            Prefix::Pivot(z) => std::slice::from_ref(z),
-            Prefix::Split(p) => p,
+            Prefix::Pivot(z) => std::slice::from_ref(z).chunks(1),
+            // One chunk: the whole prefix.
+            Prefix::Split(p) => p.chunks(p.len().max(1)),
+            Prefix::Pivots(batch) => batch.chunks(1),
         }
     }
 }
 
-/// A unit of work: match GFD `gfd` with the plan positions of `prefix`
-/// pre-assigned.
+/// A unit of work: match rule `gfd` from each start of `prefix`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkUnit {
-    /// The GFD to enforce.
+    /// The rule to match.
     pub gfd: GfdId,
-    /// Fixed assignments for the leading plan positions.
+    /// Where the unit's searches start.
     pub prefix: Prefix,
     /// Position in the topological order (0 = run first). Split units
     /// inherit their parent's priority.
@@ -59,9 +65,13 @@ pub struct WorkUnit {
 }
 
 impl WorkUnit {
-    /// The pivot node (`z` of the paper's `(Q[z], ϕ)`).
+    /// The pivot node (`z` of the paper's `(Q[z], ϕ)`; the first one of
+    /// a batch).
     pub fn pivot(&self) -> NodeId {
-        self.prefix.as_slice()[0]
+        match &self.prefix {
+            Prefix::Pivot(z) => *z,
+            Prefix::Split(p) | Prefix::Pivots(p) => p[0],
+        }
     }
 }
 
@@ -359,7 +369,7 @@ mod tests {
         // both components host the pattern: 4 candidates each.
         assert_eq!(units.len(), 8);
         for u in &units {
-            assert_eq!(u.prefix.as_slice().len(), 1);
+            assert!(matches!(u.prefix, Prefix::Pivot(_)));
         }
     }
 

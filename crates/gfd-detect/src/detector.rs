@@ -1,21 +1,21 @@
 //! The parallel detection engine.
 //!
-//! Since the scheduler unification, detection is a second [`Task`]
-//! implementation on the shared `gfd-runtime` work-stealing scheduler —
-//! the same dispatch, TTL straggler splitting, stop-flag early termination
-//! and [`RunMetrics`] as the reasoning driver, with detection-specific
-//! semantics (premise/consequence evaluation against the *data* graph and
-//! a global violation budget) layered on top. The engine no longer owns a
-//! private queue/TTL/split loop.
+//! Detection runs on the same search-unit engine as reasoning
+//! ([`gfd_core::SearchTask`] on the shared `gfd-runtime` scheduler): the
+//! same dispatch, per-worker `HomSearch` reuse, TTL straggler splitting,
+//! stop-flag early termination and [`RunMetrics`]. What is detection's own
+//! is its match-action — premise/consequence evaluation against the *data*
+//! graph and a global violation budget.
 
 use crate::report::{DetectionReport, RuleStats, ViolationRecord};
-use crate::units::{initial_units, DetectUnit, RulePlans};
+use crate::units::{initial_units, RulePlans};
 use gfd_core::validate::literal_holds;
-use gfd_core::{run_task, Budget, Consequence, DepSet, GfdSet, Interrupt};
-use gfd_graph::{Graph, LabelIndex, MatchIndex, NodeId};
-use gfd_match::{HomSearch, RunOutcome, SearchLimits};
-use gfd_runtime::sched::{Task, WorkerCtx};
-use gfd_runtime::{DispatchMode, EventKind, RunMetrics, TraceSpec};
+use gfd_core::{
+    run_task, Budget, Consequence, DepSet, GfdSet, Interrupt, MatchAction, SearchTask, WorkUnit,
+};
+use gfd_graph::{GfdId, Graph, LabelIndex, MatchIndex, NodeId, Pattern};
+use gfd_match::MatchPlan;
+use gfd_runtime::{RunMetrics, TraceSpec};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -32,9 +32,6 @@ pub struct DetectConfig {
     pub max_violations: usize,
     /// Pivot candidates per initial work unit.
     pub batch_size: usize,
-    /// How units reach the workers: per-worker deques with stealing
-    /// (default) or the centralized-queue baseline.
-    pub dispatch: DispatchMode,
     /// Unified resource budget (DESIGN.md §11.2): deadline and unit cap
     /// enforced by the scheduler at unit boundaries. Exhaustion yields a
     /// partial report flagged with [`DetectionReport::interrupted`] — the
@@ -53,7 +50,6 @@ impl Default for DetectConfig {
             ttl: Duration::from_millis(100),
             max_violations: usize::MAX,
             batch_size: 1024,
-            dispatch: DispatchMode::WorkStealing,
             budget: Budget::unlimited(),
             trace: TraceSpec::disabled(),
         }
@@ -84,10 +80,11 @@ impl DetectConfig {
     }
 }
 
-/// The detection workload run by the shared scheduler. Generic over the
-/// [`MatchIndex`] like the matcher itself: the static pipeline passes a
-/// [`LabelIndex`], the incremental engine a `gfd_graph::DeltaIndex`.
-struct DetectTask<'a, I: MatchIndex> {
+/// Detection's match-action (see [`gfd_core::engine`]): check each match
+/// against its rule on the data graph. Generic over the [`MatchIndex`]
+/// like the matcher itself: the static pipeline passes a [`LabelIndex`],
+/// the incremental engine a `gfd_graph::DeltaIndex`.
+struct DetectAction<'a, I: MatchIndex> {
     graph: &'a Graph,
     index: &'a I,
     sigma: &'a DepSet,
@@ -96,14 +93,9 @@ struct DetectTask<'a, I: MatchIndex> {
     found: AtomicUsize,
     stop: &'a AtomicBool,
     max_violations: usize,
-    ttl: Duration,
 }
 
-impl<I: MatchIndex> DetectTask<'_, I> {
-    fn budget_left(&self) -> bool {
-        self.found.load(Ordering::Relaxed) < self.max_violations
-    }
-
+impl<I: MatchIndex> DetectAction<'_, I> {
     /// Reserve one violation slot; returns false when the budget is spent.
     fn reserve(&self) -> bool {
         let prev = self.found.fetch_add(1, Ordering::Relaxed);
@@ -117,6 +109,39 @@ impl<I: MatchIndex> DetectTask<'_, I> {
         }
         true
     }
+}
+
+/// Thread-local accumulation, merged after the scheduler joins.
+struct Local {
+    violations: Vec<ViolationRecord>,
+    per_rule: Vec<RuleStats>,
+}
+
+impl<'a, I: MatchIndex> MatchAction<'a> for DetectAction<'a, I> {
+    type Worker = Local;
+
+    fn worker(&self, _id: usize) -> Local {
+        Local {
+            violations: Vec::new(),
+            per_rule: vec![RuleStats::default(); self.sigma.len()],
+        }
+    }
+
+    fn rule(&self, rule: GfdId) -> (&'a Pattern, &'a MatchPlan) {
+        (
+            &self.sigma.get(rule).pattern,
+            &self.plans.plans[rule.index()],
+        )
+    }
+
+    fn before_unit(&self, _local: &mut Local) -> ControlFlow<()> {
+        if self.found.load(Ordering::Relaxed) < self.max_violations {
+            ControlFlow::Continue(())
+        } else {
+            self.stop.store(true, Ordering::Relaxed);
+            ControlFlow::Break(())
+        }
+    }
 
     /// Check one match against its rule, recording a violation if the
     /// premise holds on the data but the consequence does not: for
@@ -125,12 +150,7 @@ impl<I: MatchIndex> DetectTask<'_, I> {
     /// the target subgraph (the witness of the missing subgraph is the
     /// `(rule, match)` pair itself — the report renders the required
     /// nodes/edges/assignments from it).
-    fn check_match(
-        &self,
-        local: &mut Local,
-        gfd_id: gfd_graph::GfdId,
-        m: &[NodeId],
-    ) -> ControlFlow<()> {
+    fn on_match(&self, local: &mut Local, gfd_id: GfdId, m: &[NodeId]) -> ControlFlow<()> {
         let dep = self.sigma.get(gfd_id);
         let stats = &mut local.per_rule[gfd_id.index()];
         stats.matches += 1;
@@ -178,105 +198,8 @@ impl<I: MatchIndex> DetectTask<'_, I> {
         }
     }
 
-    /// Run one pivoted search until exhausted, splitting on TTL expiry.
-    fn run_unit_search(
-        &self,
-        local: &mut Local,
-        gfd_id: gfd_graph::GfdId,
-        search: &mut HomSearch<'_, I>,
-        ctx: &WorkerCtx<'_, DetectUnit>,
-    ) {
-        loop {
-            let deadline = Instant::now() + self.ttl;
-            let limits = SearchLimits {
-                deadline: Some(deadline),
-                stop: Some(self.stop),
-            };
-            let outcome = search.run(|m| self.check_match(local, gfd_id, m), limits);
-            match outcome {
-                RunOutcome::Exhausted | RunOutcome::Stopped => return,
-                RunOutcome::Deadline => {
-                    // Straggler: carve off the untried sibling branches and
-                    // offer them through the scheduler (an idle worker will
-                    // steal them), then keep going locally.
-                    let prefixes = search.split_shallowest();
-                    if !prefixes.is_empty() {
-                        ctx.split(
-                            prefixes
-                                .into_iter()
-                                .map(|prefix| DetectUnit::Prefix {
-                                    gfd: gfd_id,
-                                    prefix,
-                                })
-                                .collect(),
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Thread-local accumulation, merged after the scheduler joins.
-#[derive(Default)]
-struct Local {
-    violations: Vec<ViolationRecord>,
-    per_rule: Vec<RuleStats>,
-}
-
-impl Local {
-    fn new(rules: usize) -> Self {
-        Local {
-            violations: Vec::new(),
-            per_rule: vec![RuleStats::default(); rules],
-        }
-    }
-}
-
-impl<I: MatchIndex> Task for DetectTask<'_, I> {
-    type Unit = DetectUnit;
-    type Worker = Local;
-
-    fn worker(&self, _id: usize) -> Local {
-        Local::new(self.sigma.len())
-    }
-
-    fn run_unit(&self, local: &mut Local, unit: DetectUnit, ctx: &WorkerCtx<'_, DetectUnit>) {
-        if self.stop.load(Ordering::Relaxed) || !self.budget_left() {
-            self.stop.store(true, Ordering::Relaxed);
-            return;
-        }
-        let gfd_id = unit.gfd();
-        let dep = self.sigma.get(gfd_id);
-        let plan = &self.plans.plans[gfd_id.index()];
-        let span = ctx.trace_start();
-        let stats0 = local.per_rule[gfd_id.index()];
-        // One search per unit, restarted per pivot on the buffers the
-        // first pivot grew.
-        let mut search = HomSearch::new(self.graph, self.index, &dep.pattern, plan);
-        match unit {
-            DetectUnit::Pivots { batch, .. } => {
-                for z in batch {
-                    if self.stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    search.reset(&[z]);
-                    self.run_unit_search(local, gfd_id, &mut search, ctx);
-                }
-            }
-            DetectUnit::Prefix { prefix, .. } => {
-                search.reset(&prefix);
-                self.run_unit_search(local, gfd_id, &mut search, ctx);
-            }
-        }
-        let stats = &local.per_rule[gfd_id.index()];
-        ctx.trace_span(
-            EventKind::RuleEval,
-            gfd_id.index() as u32,
-            span,
-            stats.matches - stats0.matches,
-            stats.violations - stats0.violations,
-        );
+    fn fired(&self, local: &Local, rule: GfdId) -> u64 {
+        local.per_rule[rule.index()].violations
     }
 }
 
@@ -310,21 +233,26 @@ pub fn detect_units<I: MatchIndex>(
     index: &I,
     sigma: &DepSet,
     plans: &RulePlans,
-    units: Vec<DetectUnit>,
+    units: Vec<WorkUnit>,
     config: &DetectConfig,
 ) -> DetectionReport {
     let start = Instant::now();
     let workers = config.effective_workers();
     let stop = AtomicBool::new(false);
-    let task = DetectTask {
+    let task = SearchTask {
         graph,
         index,
-        sigma,
-        plans,
-        found: AtomicUsize::new(0),
+        ttl: Some(config.ttl),
         stop: &stop,
-        max_violations: config.max_violations,
-        ttl: config.ttl,
+        action: DetectAction {
+            graph,
+            index,
+            sigma,
+            plans,
+            found: AtomicUsize::new(0),
+            stop: &stop,
+            max_violations: config.max_violations,
+        },
     };
 
     let mut metrics = RunMetrics {
@@ -335,14 +263,14 @@ pub fn detect_units<I: MatchIndex>(
         &task,
         units,
         workers,
-        config.dispatch,
         &stop,
         &config.budget,
         config.trace,
         &mut metrics,
     );
     config.budget.stamp(start, &mut metrics);
-    merge_report(sigma, run.workers, metrics, config, run.interrupt)
+    let locals = run.workers.into_iter().map(|w| w.state).collect();
+    merge_report(sigma, locals, metrics, config, run.interrupt)
 }
 
 fn merge_report(
@@ -433,22 +361,6 @@ mod tests {
         let s: Vec<_> = seq.violations.iter().map(key).collect();
         let p: Vec<_> = par.violations.iter().map(key).collect();
         assert_eq!(s, p);
-    }
-
-    #[test]
-    fn dispatch_modes_agree() {
-        let (g, sigma, _) = chain_setup(64);
-        let stealing = detect(&g, &sigma, &DetectConfig::with_workers(4));
-        let coordinator = detect(
-            &g,
-            &sigma,
-            &DetectConfig {
-                dispatch: DispatchMode::Coordinator,
-                ..DetectConfig::with_workers(4)
-            },
-        );
-        assert_eq!(stealing.violations.len(), coordinator.violations.len());
-        assert_eq!(coordinator.metrics.units_stolen, 0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod report;
 pub mod units;
 
 pub use detector::{detect, detect_deps, detect_units, DetectConfig};
-pub use gfd_runtime::{DispatchMode, RunMetrics};
+pub use gfd_runtime::RunMetrics;
 pub use repair::{suggest_repairs, Repair, RepairKind, RepairNode};
 pub use report::{DetectionReport, RuleStats, ViolationRecord};
-pub use units::{initial_units, units_for_pivots, DetectUnit, RulePlans};
+pub use units::{initial_units, units_for_pivots, RulePlans};

@@ -1,42 +1,13 @@
-//! Detection work units: pivot batches and split remainders.
+//! Detection work units: pivot batches over the *data* graph.
 //!
-//! A detection unit mirrors the paper's reasoning unit `(Q[z], ϕ)`: one GFD
-//! plus a set of candidate pivot nodes in the *data* graph. Units start as
-//! contiguous batches of pivot candidates; TTL splitting produces
-//! prefix-assignment units exactly like `ParSat`'s Example 6.
+//! A detection unit mirrors the paper's reasoning unit `(Q[z], ϕ)` — and
+//! is the same type, [`WorkUnit`]: one rule plus a batch of candidate
+//! pivot nodes ([`Prefix::Pivots`]). TTL splitting turns a straggler's
+//! untried branches into prefix units exactly like `ParSat`'s Example 6.
 
-use gfd_core::DepSet;
+use gfd_core::{DepSet, Prefix, WorkUnit};
 use gfd_graph::{GfdId, MatchIndex, NodeId, VarId};
 use gfd_match::MatchPlan;
-
-/// A unit of detection work.
-#[derive(Clone, Debug)]
-pub enum DetectUnit {
-    /// Enumerate matches of the GFD pivoted at each node in the batch.
-    Pivots {
-        /// The rule to check.
-        gfd: GfdId,
-        /// Candidate pivot nodes (all carry the pivot variable's label).
-        batch: Vec<NodeId>,
-    },
-    /// Resume a split search from a fixed assignment of the leading plan
-    /// positions.
-    Prefix {
-        /// The rule to check.
-        gfd: GfdId,
-        /// Assignment of plan positions `0..len`.
-        prefix: Vec<NodeId>,
-    },
-}
-
-impl DetectUnit {
-    /// Which GFD this unit checks.
-    pub fn gfd(&self) -> GfdId {
-        match self {
-            DetectUnit::Pivots { gfd, .. } | DetectUnit::Prefix { gfd, .. } => *gfd,
-        }
-    }
-}
 
 /// Per-rule matching context shared by all workers.
 pub struct RulePlans {
@@ -74,7 +45,7 @@ pub fn initial_units<I: MatchIndex>(
     index: &I,
     plans: &RulePlans,
     batch_size: usize,
-) -> Vec<DetectUnit> {
+) -> Vec<WorkUnit> {
     let per_rule = sigma
         .iter()
         .map(|(id, dep)| {
@@ -91,15 +62,16 @@ pub fn initial_units<I: MatchIndex>(
 pub fn units_for_pivots(
     rule_pivots: Vec<(GfdId, Vec<NodeId>)>,
     batch_size: usize,
-) -> Vec<DetectUnit> {
+) -> Vec<WorkUnit> {
     let batch_size = batch_size.max(1);
-    let mut per_rule: Vec<std::vec::IntoIter<DetectUnit>> = Vec::with_capacity(rule_pivots.len());
+    let mut per_rule: Vec<std::vec::IntoIter<WorkUnit>> = Vec::with_capacity(rule_pivots.len());
     for (id, candidates) in rule_pivots {
-        let batches: Vec<DetectUnit> = candidates
+        let batches: Vec<WorkUnit> = candidates
             .chunks(batch_size)
-            .map(|chunk| DetectUnit::Pivots {
+            .map(|chunk| WorkUnit {
                 gfd: id,
-                batch: chunk.to_vec(),
+                prefix: Prefix::Pivots(chunk.into()),
+                priority: 0,
             })
             .collect();
         per_rule.push(batches.into_iter());
@@ -162,9 +134,9 @@ mod tests {
         assert_eq!(units.len(), 5);
         let mut seen = [0usize; 2];
         for u in &units {
-            if let DetectUnit::Pivots { gfd, batch } = u {
+            if let Prefix::Pivots(batch) = &u.prefix {
                 assert!(batch.len() <= 2);
-                seen[gfd.index()] += batch.len();
+                seen[u.gfd.index()] += batch.len();
             }
         }
         assert_eq!(seen, [5, 3]);
@@ -177,7 +149,7 @@ mod tests {
         let plans = RulePlans::build(&sigma, &index);
         let units = initial_units(&sigma, &index, &plans, 2);
         // First two units must come from distinct rules.
-        assert_ne!(units[0].gfd(), units[1].gfd());
+        assert_ne!(units[0].gfd, units[1].gfd);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! store is cloned per child, so branches share nothing mutable and any
 //! worker can run any branch.
 //!
-//! Scheduling discipline (mirrors `gfd_core::driver::ReasonTask`):
+//! Scheduling discipline (the same shape as the search-unit engine's,
+//! `gfd_core::engine` — but the unit here is a store, not a pivoted
+//! pattern search, so this driver is its own [`Task`]):
 //!
 //! * a worker explores its unit's subtree **depth-first** on a local
 //!   stack — with one worker and no TTL expiry this is exactly the old
@@ -45,7 +47,7 @@ use crate::store::GedStore;
 use gfd_core::{run_task, Budget, Interrupt};
 use gfd_graph::{Graph, NodeId};
 use gfd_runtime::sched::{Task, WorkerCtx};
-use gfd_runtime::{DispatchMode, EventKind, RunMetrics, TraceSpec};
+use gfd_runtime::{EventKind, RunMetrics, TraceSpec};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -62,17 +64,14 @@ pub struct GedReasonConfig {
     /// Branch splitting on TTL expiry; with `false` every seed unit runs
     /// its whole subtree on one worker.
     pub split: bool,
-    /// How units reach the workers: per-worker deques with stealing
-    /// (default) or the centralized-queue baseline.
-    pub dispatch: DispatchMode,
     /// Budget on explored branches. The exact search is exponential in
     /// pathological inputs; exceeding the budget ends the run with
     /// `outcome: None` rather than looping. Shared across all workers.
     pub max_branches: usize,
     /// Unified resource budget (DESIGN.md §11.2): wall-clock deadline and
-    /// scheduler unit cap, checked cooperatively at branch boundaries, plus
-    /// an optional branch cap that tightens `max_branches`. Exhaustion
-    /// degrades to `outcome: None` with the [`Interrupt`] reason attached.
+    /// scheduler unit cap, checked cooperatively at branch boundaries.
+    /// Exhaustion degrades to `outcome: None` with the [`Interrupt`]
+    /// reason attached.
     pub budget: Budget,
     /// Structured tracing (DESIGN.md §13): per-unit `GedBranch` spans
     /// counting the branches each scheduled subtree explored, plus the
@@ -86,7 +85,6 @@ impl Default for GedReasonConfig {
             workers: 1,
             ttl: Duration::from_millis(100),
             split: true,
-            dispatch: DispatchMode::WorkStealing,
             max_branches: 1_000_000,
             budget: Budget::unlimited(),
             trace: TraceSpec::disabled(),
@@ -109,12 +107,6 @@ impl GedReasonConfig {
         self
     }
 
-    /// Override the dispatch mode.
-    pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
     /// Override the branch budget.
     pub fn with_max_branches(mut self, max_branches: usize) -> Self {
         self.max_branches = max_branches;
@@ -125,17 +117,6 @@ impl GedReasonConfig {
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
         self
-    }
-
-    /// The effective branch cap: the legacy `max_branches` knob tightened
-    /// by the budget's branch axis, whichever is smaller.
-    fn effective_max_branches(&self) -> usize {
-        match self.budget.max_branches {
-            Some(b) => self
-                .max_branches
-                .min(usize::try_from(b).unwrap_or(usize::MAX)),
-            None => self.max_branches,
-        }
     }
 }
 
@@ -197,8 +178,6 @@ struct GedTask<'a> {
     stop: &'a AtomicBool,
     /// Branches explored across all workers (the budget counter).
     branches: AtomicUsize,
-    /// The effective branch cap ([`GedReasonConfig::effective_max_branches`]).
-    max_branches: usize,
     budget_exceeded: AtomicBool,
     deadline_exceeded: AtomicBool,
     /// Satisfiability: the first quiescent store (first writer wins).
@@ -354,7 +333,7 @@ impl GedTask<'_> {
                 self.stop.store(true, Ordering::Relaxed);
                 return;
             }
-            if self.branches.fetch_add(1, Ordering::Relaxed) >= self.max_branches {
+            if self.branches.fetch_add(1, Ordering::Relaxed) >= self.cfg.max_branches {
                 self.budget_exceeded.store(true, Ordering::Relaxed);
                 self.stop.store(true, Ordering::Relaxed);
                 return;
@@ -408,7 +387,6 @@ fn run_ged(
         cfg,
         stop: &stop,
         branches: AtomicUsize::new(0),
-        max_branches: cfg.effective_max_branches(),
         budget_exceeded: AtomicBool::new(false),
         deadline_exceeded: AtomicBool::new(false),
         witness: Mutex::new(None),
@@ -422,7 +400,6 @@ fn run_ged(
         &task,
         vec![BranchUnit { store: seed }],
         p,
-        cfg.dispatch,
         &stop,
         &cfg.budget,
         cfg.trace,
@@ -586,15 +563,11 @@ mod tests {
         let mut vocab = Vocab::new();
         let sigma = unsat_disjunctive(&mut vocab, 3);
         for p in [1usize, 2, 8] {
-            for dispatch in [DispatchMode::WorkStealing, DispatchMode::Coordinator] {
-                let cfg = GedReasonConfig::with_workers(p)
-                    .with_ttl(Duration::ZERO)
-                    .with_dispatch(dispatch);
-                let run = ged_sat_with_config(&sigma, &cfg);
-                let out = run.outcome.expect("within budget");
-                assert!(!out.is_satisfiable(), "p={p} {dispatch:?}");
-                assert!(run.metrics.branches >= 3, "tree not explored");
-            }
+            let cfg = GedReasonConfig::with_workers(p).with_ttl(Duration::ZERO);
+            let run = ged_sat_with_config(&sigma, &cfg);
+            let out = run.outcome.expect("within budget");
+            assert!(!out.is_satisfiable(), "p={p}");
+            assert!(run.metrics.branches >= 3, "tree not explored");
         }
     }
 
@@ -618,6 +591,7 @@ mod tests {
             let cfg = GedReasonConfig::with_workers(p).with_max_branches(2);
             let run = ged_sat_with_config(&sigma, &cfg);
             assert!(run.outcome.is_none(), "p={p}: budget should be unknown");
+            assert_eq!(run.interrupt, Some(Interrupt::Branches), "p={p}");
             assert!(run.metrics.early_terminated);
         }
     }
@@ -635,17 +609,6 @@ mod tests {
             assert_eq!(run.interrupt, Some(Interrupt::Deadline), "p={p}");
             assert!(run.metrics.deadline_slack_ms.unwrap() < 0);
         }
-    }
-
-    #[test]
-    fn budget_branch_axis_tightens_the_legacy_knob() {
-        let mut vocab = Vocab::new();
-        let sigma = unsat_disjunctive(&mut vocab, 2);
-        let cfg =
-            GedReasonConfig::with_workers(1).with_budget(Budget::unlimited().with_max_branches(2));
-        let run = ged_sat_with_config(&sigma, &cfg);
-        assert!(run.outcome.is_none());
-        assert_eq!(run.interrupt, Some(Interrupt::Branches));
     }
 
     #[test]

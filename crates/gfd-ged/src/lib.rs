@@ -35,8 +35,8 @@
 //! counterexample), and TTL straggler splitting hands open branches to
 //! idle workers. [`ged_sat`]/[`ged_implies`] are the `workers = 1`
 //! instantiation; [`ged_sat_with_config`]/[`ged_implies_with_config`]
-//! expose the worker count, TTL, dispatch mode and branch budget, and
-//! report the unified [`gfd_runtime::RunMetrics`].
+//! expose the worker count, TTL and branch budget, and report the
+//! unified [`gfd_runtime::RunMetrics`].
 
 #![warn(missing_docs)]
 

@@ -91,19 +91,6 @@ impl NodeSet {
         self.len = 0;
     }
 
-    /// Remove the listed nodes without zeroing the whole word array —
-    /// the cheap way to reset a large scratch set that only ever held
-    /// these members.
-    pub fn clear_sparse(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
-        for n in nodes {
-            let (w, b) = (n.index() / 64, n.index() % 64);
-            if let Some(word) = self.words.get_mut(w) {
-                *word &= !(1u64 << b);
-            }
-        }
-        self.len = 0;
-    }
-
     /// Intersect in place: `self ∩= other`, one `AND` per 64 nodes.
     /// Returns the new cardinality.
     pub fn intersect_with(&mut self, other: &NodeSet) -> usize {
@@ -124,8 +111,7 @@ impl NodeSet {
     /// Intersect in place while draining `other`: `self ∩= other` and
     /// every word of `other` is zeroed in the same pass. Fuses the
     /// scratch reset into the merge, so a large reused scratch set
-    /// needs neither a full [`NodeSet::clear`] nor a
-    /// [`NodeSet::clear_sparse`] replay of its members afterwards.
+    /// needs no full [`NodeSet::clear`] afterwards.
     /// Returns the new cardinality of `self`.
     pub fn intersect_with_drain(&mut self, other: &mut NodeSet) -> usize {
         let n = self.words.len().min(other.words.len());
@@ -143,23 +129,6 @@ impl NodeSet {
             *w = 0;
         }
         other.len = 0;
-        self.len = len;
-        len
-    }
-
-    /// Subtract in place: `self ∖= other`, one `AND NOT` per 64 nodes.
-    /// Returns the new cardinality.
-    pub fn difference_with(&mut self, other: &NodeSet) -> usize {
-        let n = self.words.len().min(other.words.len());
-        let mut len = 0usize;
-        for i in 0..n {
-            let w = self.words[i] & !other.words[i];
-            self.words[i] = w;
-            len += w.count_ones() as usize;
-        }
-        for w in &self.words[n..] {
-            len += w.count_ones() as usize;
-        }
         self.len = len;
         len
     }
@@ -242,18 +211,8 @@ mod tests {
             i.iter().map(|n| n.index()).collect::<Vec<_>>(),
             vec![5, 64]
         );
-        let mut d = a.clone();
-        assert_eq!(d.difference_with(&b), 3);
-        assert_eq!(
-            d.iter().map(|n| n.index()).collect::<Vec<_>>(),
-            vec![1, 130, 200]
-        );
-        // Shorter `other` word array: the tail survives difference,
-        // dies under intersection.
+        // Shorter `other` word array: the tail dies under intersection.
         let small: NodeSet = [1usize].into_iter().map(NodeId::new).collect();
-        let mut d2 = a.clone();
-        assert_eq!(d2.difference_with(&small), 4);
-        assert!(d2.contains(NodeId::new(200)));
         let mut i2 = a.clone();
         assert_eq!(i2.intersect_with(&small), 1);
         assert!(!i2.contains(NodeId::new(200)));
@@ -279,18 +238,6 @@ mod tests {
         assert_eq!(cand.intersect_with_drain(&mut adj), 1);
         assert!(cand.contains(NodeId::new(64)));
         assert!(adj.is_empty());
-    }
-
-    #[test]
-    fn clear_sparse_resets_only_listed_bits() {
-        let mut s = NodeSet::with_capacity(256);
-        s.reserve_nodes(1024);
-        s.insert(NodeId::new(3));
-        s.insert(NodeId::new(700));
-        s.clear_sparse([NodeId::new(3), NodeId::new(700)]);
-        assert!(s.is_empty());
-        assert!(!s.contains(NodeId::new(3)));
-        assert!(!s.contains(NodeId::new(700)));
     }
 
     #[test]

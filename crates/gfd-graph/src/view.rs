@@ -186,9 +186,8 @@ impl TopologyView for CsrTopology {
 /// needs for component roots and pivot enumeration.
 ///
 /// Implemented by [`LabelIndex`] (frozen CSR) and [`crate::DeltaIndex`]
-/// (CSR + delta overlay); `gfd_match::HomSearch` and `dual_simulation`
-/// are generic over it, so the same search code serves the static and
-/// the streaming pipeline.
+/// (CSR + delta overlay); `gfd_match::HomSearch` is generic over it, so
+/// the same search code serves the static and the streaming pipeline.
 pub trait MatchIndex: Sync {
     /// The topology representation this index carries.
     type View: TopologyView;

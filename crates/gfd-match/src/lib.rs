@@ -8,8 +8,6 @@
 //!   variable orderings (the VF2-style expansion order);
 //! * [`search::HomSearch`] — the resumable backtracking matcher with
 //!   deadline interruption and shallowest-frontier **work-unit splitting**;
-//! * [`simulation`] — dual graph simulation used as a cheap pruning /
-//!   multi-query-optimization test;
 //! * [`brute`] — an exhaustive oracle for tests.
 
 #![warn(missing_docs)]
@@ -17,7 +15,6 @@
 pub mod brute;
 pub mod plan;
 pub mod search;
-pub mod simulation;
 
 pub use plan::{Anchor, AnchorDir, IntersectStrategy, MatchPlan, PlanStep, BITSET_ANCHOR_DEGREE};
 pub use search::{
@@ -25,7 +22,6 @@ pub use search::{
     intersect_slices_two_pointer, HomSearch, Match, RunOutcome, SearchLimits,
     BITSET_MIN_CANDIDATES,
 };
-pub use simulation::{dual_simulation, may_embed};
 
 #[cfg(test)]
 mod proptests {
@@ -91,24 +87,6 @@ mod proptests {
             brute.sort();
             // No dedup: the matcher must emit each match exactly once.
             prop_assert_eq!(fast, brute);
-        }
-
-        /// Dual-simulation sets contain every homomorphic image.
-        #[test]
-        fn simulation_is_sound(g in arb_graph(), p in arb_pattern()) {
-            let idx = LabelIndex::build(&g);
-            let matches = brute_force_matches(&g, &p);
-            match crate::simulation::dual_simulation(&g, &idx, &p) {
-                None => prop_assert!(matches.is_empty(),
-                    "simulation said no match but {} exist", matches.len()),
-                Some(sim) => {
-                    for m in &matches {
-                        for v in p.vars() {
-                            prop_assert!(sim[v.index()].contains(m[v.index()]));
-                        }
-                    }
-                }
-            }
         }
 
         /// Pivoted searches partition the full match set by pivot value.

@@ -109,7 +109,7 @@ pub struct HomSearch<'a, I: MatchIndex = LabelIndex> {
     view: &'a I::View,
     pattern: &'a Pattern,
     plan: &'a MatchPlan,
-    /// Optional per-variable candidate filters (e.g. dual-simulation sets).
+    /// Optional per-variable candidate filters.
     filters: Option<&'a [NodeSet]>,
     /// Fixed assignments for leading plan positions (pivot node and/or a
     /// split prefix).
@@ -162,7 +162,7 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
     }
 
     /// Restrict candidates of each variable to the given node sets
-    /// (indexed by `VarId`), e.g. dual-simulation sets.
+    /// (indexed by `VarId`).
     pub fn with_filters(mut self, filters: &'a [NodeSet]) -> Self {
         assert_eq!(filters.len(), self.pattern.node_count());
         self.filters = Some(filters);

@@ -7,15 +7,12 @@
 //!
 //! * a generic [`Task`] trait: a workload describes how to create per-worker
 //!   state and how to execute one unit; the scheduler owns dispatch;
-//! * per-worker **lock-free Chase–Lev deques** with work stealing
-//!   ([`DispatchMode::WorkStealing`], the default): a worker pops its own
-//!   deque from the front without ever taking a lock, steals the back half
-//!   of a victim's deque when idle (one top-CAS per claimed unit), and
-//!   pushes split units to its own front so straggler remainders inherit
-//!   their parent's priority and cache locality;
-//! * a **coordinator** baseline ([`DispatchMode::Coordinator`]): one shared
-//!   queue all workers pop from, the centralized-dispatch shape the
-//!   original runtime used (kept for the head-to-head benches);
+//! * per-worker **lock-free Chase–Lev deques** with work stealing, the one
+//!   dispatch topology: a worker pops its own deque from the front without
+//!   ever taking a lock, steals the back half of a victim's deque when idle
+//!   (one top-CAS per claimed unit), and pushes split units to its own
+//!   front so straggler remainders inherit their parent's priority and
+//!   cache locality;
 //! * quiescence detection via an in-flight unit counter, a shared stop flag
 //!   for early termination, and per-worker busy (thread CPU time) and idle
 //!   accounting;
@@ -23,9 +20,10 @@
 //!
 //! The crate is deliberately workload-agnostic: it knows nothing about
 //! graphs, GFDs, or `ΔEq` broadcast. Those live in the [`Task`]
-//! implementations (`gfd_core::driver::ReasonTask`, `gfd_detect`'s
-//! `DetectTask`, `gfd_ged`'s branch-and-bound `GedTask`, and
-//! `gfd_chase`'s per-round premise scan). Branch-and-bound workloads use
+//! implementations: `gfd_core::engine::SearchTask` (the search-unit engine
+//! reasoning and detection post their match-actions against), `gfd_ged`'s
+//! branch-and-bound `GedTask`, and `gfd_chase`'s per-round premise scan
+//! and apply-planning passes. Branch-and-bound workloads use
 //! the same two primitives every other task does: the shared stop flag
 //! doubles as first-witness / first-counterexample cancellation, and
 //! [`WorkerCtx::split`] hands open branches to idle thieves.
@@ -42,8 +40,8 @@ pub mod sched;
 
 pub use metrics::RunMetrics;
 pub use sched::{
-    run_scheduler, run_scheduler_with, AbortInfo, DispatchMode, Exhaustion, RunOutcome,
-    SchedOptions, SchedRun, Task, WorkerCtx,
+    run_scheduler_with, AbortInfo, DispatchMode, Exhaustion, RunOutcome, SchedOptions, SchedRun,
+    Task, WorkerCtx,
 };
 // The tracing vocabulary tasks record with (`WorkerCtx::trace_span` et
 // al.) and the spec/trace types the configs and metrics carry.

@@ -1,6 +1,6 @@
 //! The generic work-stealing scheduler.
 //!
-//! Dispatch topology (the work-stealing default):
+//! Dispatch topology:
 //!
 //! * Seed units are dealt round-robin across `p` per-worker lock-free
 //!   [Chase–Lev deques](crate::deque) in priority order, so every deque
@@ -20,20 +20,14 @@
 //!   its parent unit is still counted*, the counter can only reach zero
 //!   when every unit, split or not, has been fully executed.
 //!
-//! The former coordinator topology — one central queue handing batches to
-//! whichever worker reports done, costing an idle channel round-trip per
-//! batch — survives as [`DispatchMode::Coordinator`] for the head-to-head
-//! benchmarks.
-//!
 //! # Fault tolerance (DESIGN.md §11)
 //!
 //! Every unit executes inside a `catch_unwind` envelope. A panicking
 //! unit can therefore never wedge the run: the in-flight counter is
 //! decremented on the unwind path too, the per-worker deques are
-//! lock-free [Chase–Lev deques](crate::deque) (the coordinator's single
-//! shared queue keeps a `parking_lot` mutex — no lock poisoning either
-//! way), and the run terminates with a structured
-//! [`RunOutcome::Aborted`] carrying the worker id, the unit description
+//! lock-free [Chase–Lev deques](crate::deque) (no lock to poison), and
+//! the run terminates with a structured [`RunOutcome::Aborted`]
+//! carrying the worker id, the unit description
 //! and the panic payload — all worker threads joined. With
 //! [`SchedOptions::unit_retries`] > 0 a panicked unit is requeued (from
 //! a clone taken before execution, see [`Task::clone_unit`]) up to that
@@ -51,20 +45,19 @@ use gfd_trace::{EventKind, SpanStart, Trace, TraceBuf, TraceSpec};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// How units travel from the queue(s) to the workers.
+/// How units travel from the queues to the workers: one topology, so one
+/// variant. The type (and the `mode` parameter of [`run_scheduler_with`])
+/// stays only because `gfdbench/` names it — ROADMAP item 3's benchmark
+/// PR removes both.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DispatchMode {
-    /// Per-worker deques with back-half stealing (the default).
+    /// Per-worker deques with back-half stealing.
     #[default]
     WorkStealing,
-    /// One shared queue every worker pops from — the centralized-dispatch
-    /// baseline the original coordinator/worker runtime implemented.
-    Coordinator,
 }
 
 /// A schedulable workload.
@@ -222,19 +215,10 @@ struct StolenFrom {
     claimed: u64,
 }
 
-/// The queue topology behind one run: lock-free per-worker Chase–Lev
-/// deques under [`DispatchMode::WorkStealing`], one mutexed shared queue
-/// under [`DispatchMode::Coordinator`].
-enum Queues<U> {
+struct Shared<'s, U> {
     /// One [`WsDeque`] per worker; worker `i` owns `deques[i]`'s bottom
     /// end, every other worker may CAS its top.
-    Stealing(Vec<WsDeque<Envelope<U>>>),
-    /// The centralized-dispatch baseline.
-    Central(Mutex<VecDeque<Envelope<U>>>),
-}
-
-struct Shared<'s, U> {
-    queues: Queues<U>,
+    deques: Vec<WsDeque<Envelope<U>>>,
     /// Units seeded or split but not yet fully executed — the quiescence
     /// protocol, model-checked in `gfd-model` (DESIGN.md §14.4).
     quiesce: Quiesce,
@@ -252,30 +236,22 @@ struct Shared<'s, U> {
 
 impl<U> Shared<'_, U> {
     /// Next unit for worker `id`: own bottom (lock-free, highest
-    /// priority first), else steal a victim's back half (work stealing),
-    /// or the single shared front (coordinator). A unit that arrived via
-    /// a steal is reported with the claim count and victim id so the
-    /// worker loop can trace it — the steal logic itself is identical
-    /// with tracing on or off (the non-interference contract of
+    /// priority first), else steal a victim's back half. A unit that
+    /// arrived via a steal is reported with the claim count and victim id
+    /// so the worker loop can trace it — the steal logic itself is
+    /// identical with tracing on or off (the non-interference contract of
     /// DESIGN.md §13).
     fn pop(&self, id: usize) -> Option<(Envelope<U>, Option<StolenFrom>)> {
         failpoint::maybe_panic("sched/dispatch");
-        match &self.queues {
-            Queues::Central(q) => q.lock().pop_front().map(|u| (u, None)),
-            Queues::Stealing(deques) => {
-                if let Some(u) = deques[id].pop() {
-                    return Some((u, None));
-                }
-                self.steal(id)
-            }
+        if let Some(u) = self.deques[id].pop() {
+            return Some((u, None));
         }
+        self.steal(id)
     }
 
     fn steal(&self, thief: usize) -> Option<(Envelope<U>, Option<StolenFrom>)> {
         failpoint::maybe_panic("sched/steal");
-        let Queues::Stealing(deques) = &self.queues else {
-            return None;
-        };
+        let deques = &self.deques;
         let p = deques.len();
         for k in 1..p {
             let victim = (thief + k) % p;
@@ -369,16 +345,6 @@ pub struct WorkerCtx<'s, U> {
 }
 
 impl<U> WorkerCtx<'_, U> {
-    /// The id of the worker this context belongs to.
-    pub fn worker_id(&self) -> usize {
-        self.worker
-    }
-
-    /// Is structured tracing recording on this run?
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.borrow().enabled()
-    }
-
     /// Open a span (reads the clock only when tracing is enabled).
     pub fn trace_start(&self) -> SpanStart {
         self.trace.borrow().start()
@@ -397,8 +363,7 @@ impl<U> WorkerCtx<'_, U> {
     }
 
     /// Enqueue split units carved off a straggler. They go to the front of
-    /// this worker's own deque (the shared queue's front under
-    /// [`DispatchMode::Coordinator`]), preserving the given order, so the
+    /// this worker's own deque, preserving the given order, so the
     /// remainder inherits the parent unit's priority.
     pub fn split(&self, units: Vec<U>) {
         if units.is_empty() {
@@ -411,23 +376,11 @@ impl<U> WorkerCtx<'_, U> {
         // Count-first split publication (the Quiesce protocol invariant):
         // the in-flight counter rises before any unit becomes stealable.
         self.shared.quiesce.split(units.len(), || {
-            match &self.shared.queues {
-                Queues::Central(q) => {
-                    let mut q = q.lock();
-                    for u in units.into_iter().rev() {
-                        q.push_front((u, 0));
-                    }
-                }
-                Queues::Stealing(deques) => {
-                    // Owner-end pushes in reverse order: the first split
-                    // unit lands bottom-most, so this worker pops it
-                    // next — the same front-of-deque priority the
-                    // mutexed queues gave split remainders.
-                    let dq = &deques[self.worker];
-                    for u in units.into_iter().rev() {
-                        dq.push((u, 0));
-                    }
-                }
+            // Owner-end pushes in reverse order: the first split unit
+            // lands bottom-most, so this worker pops it next.
+            let dq = &self.shared.deques[self.worker];
+            for u in units.into_iter().rev() {
+                dq.push((u, 0));
             }
         });
     }
@@ -556,10 +509,7 @@ fn worker_loop<T: Task>(task: &T, shared: &Shared<'_, T::Unit>, id: usize) -> Wo
                         // attempt count bumped.
                         shared.units_retried.fetch_add(1, Ordering::Relaxed);
                         ctx.trace_instant(EventKind::PanicRetry, 0, attempt as u64, 0);
-                        match &shared.queues {
-                            Queues::Central(q) => q.lock().push_front((clone, attempt + 1)),
-                            Queues::Stealing(deques) => deques[id].push((clone, attempt + 1)),
-                        }
+                        shared.deques[id].push((clone, attempt + 1));
                     } else {
                         shared.quiesce.complete_one();
                         shared.abort(id, label, payload);
@@ -595,69 +545,47 @@ fn worker_loop<T: Task>(task: &T, shared: &Shared<'_, T::Unit>, id: usize) -> Wo
     Some((worker, busy, idle, ctx.trace.into_inner()))
 }
 
-/// Run `task` over `seed` units on `workers` threads until quiescence or
-/// until `stop` is raised. Equivalent to [`run_scheduler_with`] with
-/// default [`SchedOptions`] (no limits, no retries).
-pub fn run_scheduler<T: Task>(
-    task: &T,
-    seed: Vec<T::Unit>,
-    workers: usize,
-    mode: DispatchMode,
-    stop: &AtomicBool,
-) -> SchedRun<T::Worker> {
-    run_scheduler_with(task, seed, workers, mode, stop, SchedOptions::default())
-}
-
 /// Run `task` over `seed` units on `workers` threads until quiescence,
 /// until `stop` is raised, or until a limit in `opts` trips.
 ///
 /// Seed units are dealt round-robin across the per-worker deques in the
-/// given order (all into one queue under [`DispatchMode::Coordinator`]),
-/// so seeding in priority order keeps every deque priority-ascending.
+/// given order, so seeding in priority order keeps every deque
+/// priority-ascending.
 ///
 /// With `workers == 1` the single worker runs inline on the calling
 /// thread — the sequential algorithms are exactly this instantiation and
 /// pay no thread-spawn cost.
 ///
 /// Unit panics are isolated: see the module docs and [`RunOutcome`].
+/// (`_mode` selects nothing — see [`DispatchMode`].)
 pub fn run_scheduler_with<T: Task>(
     task: &T,
     seed: Vec<T::Unit>,
     workers: usize,
-    mode: DispatchMode,
+    _mode: DispatchMode,
     stop: &AtomicBool,
     opts: SchedOptions,
 ) -> SchedRun<T::Worker> {
     let p = workers.max(1);
     let in_flight = seed.len();
-    let queues = match mode {
-        DispatchMode::Coordinator => {
-            let q: VecDeque<Envelope<T::Unit>> = seed.into_iter().map(|u| (u, 0)).collect();
-            Queues::Central(Mutex::new(q))
+    // Deal round-robin, then load each deque in *reverse* order: the
+    // owner pops the bottom (last pushed), so pushing lowest-priority
+    // first leaves the highest-priority unit bottom-most — every deque
+    // pops priority-ascending. The deques are still caller-owned here;
+    // workers take over ownership when the threads spawn (the spawn is
+    // the happens-before edge).
+    let deques: Vec<WsDeque<Envelope<T::Unit>>> = (0..p).map(|_| WsDeque::new()).collect();
+    let mut dealt: Vec<Vec<Envelope<T::Unit>>> = (0..p).map(|_| Vec::new()).collect();
+    for (i, unit) in seed.into_iter().enumerate() {
+        dealt[i % p].push((unit, 0));
+    }
+    for (dq, units) in deques.iter().zip(dealt) {
+        for u in units.into_iter().rev() {
+            dq.push(u);
         }
-        DispatchMode::WorkStealing => {
-            // Deal round-robin, then load each deque in *reverse* order:
-            // the owner pops the bottom (last pushed), so pushing
-            // lowest-priority first leaves the highest-priority unit
-            // bottom-most — every deque pops priority-ascending, exactly
-            // as the mutexed front-pop queues did. The deques are still
-            // caller-owned here; workers take over ownership when the
-            // threads spawn (the spawn is the happens-before edge).
-            let deques: Vec<WsDeque<Envelope<T::Unit>>> = (0..p).map(|_| WsDeque::new()).collect();
-            let mut dealt: Vec<Vec<Envelope<T::Unit>>> = (0..p).map(|_| Vec::new()).collect();
-            for (i, unit) in seed.into_iter().enumerate() {
-                dealt[i % p].push((unit, 0));
-            }
-            for (dq, units) in deques.iter().zip(dealt) {
-                for u in units.into_iter().rev() {
-                    dq.push(u);
-                }
-            }
-            Queues::Stealing(deques)
-        }
-    };
+    }
     let shared = Shared {
-        queues,
+        deques,
         quiesce: Quiesce::new(in_flight),
         stop,
         opts,
@@ -763,6 +691,17 @@ mod tests {
         seed.iter().sum()
     }
 
+    /// [`run_scheduler_with`] under default options (no limits, no retries).
+    fn run_scheduler<T: Task>(
+        task: &T,
+        seed: Vec<T::Unit>,
+        workers: usize,
+        stop: &AtomicBool,
+    ) -> SchedRun<T::Worker> {
+        let mode = DispatchMode::WorkStealing;
+        run_scheduler_with(task, seed, workers, mode, stop, SchedOptions::default())
+    }
+
     #[test]
     fn all_units_run_exactly_once_across_worker_counts() {
         for p in [1usize, 2, 4, 8] {
@@ -772,7 +711,7 @@ mod tests {
                 executed: TestCounter::new(0),
             };
             let stop = AtomicBool::new(false);
-            let run = run_scheduler(&task, seed.clone(), p, DispatchMode::WorkStealing, &stop);
+            let run = run_scheduler(&task, seed.clone(), p, &stop);
             assert_eq!(run.workers.iter().sum::<u64>(), total(&seed), "p={p}");
             assert_eq!(run.units_executed, 100);
             assert_eq!(run.units_split, 0);
@@ -784,22 +723,16 @@ mod tests {
 
     #[test]
     fn splits_preserve_the_total() {
-        for mode in [DispatchMode::WorkStealing, DispatchMode::Coordinator] {
-            let seed: Vec<u64> = vec![1000, 3, 7, 2000];
-            let task = SumTask {
-                split_above: 10,
-                executed: TestCounter::new(0),
-            };
-            let stop = AtomicBool::new(false);
-            let run = run_scheduler(&task, seed.clone(), 3, mode, &stop);
-            assert_eq!(run.workers.iter().sum::<u64>(), total(&seed), "{mode:?}");
-            assert!(run.units_split > 0, "{mode:?}");
-            assert_eq!(
-                run.units_executed,
-                seed.len() as u64 + run.units_split,
-                "{mode:?}"
-            );
-        }
+        let seed: Vec<u64> = vec![1000, 3, 7, 2000];
+        let task = SumTask {
+            split_above: 10,
+            executed: TestCounter::new(0),
+        };
+        let stop = AtomicBool::new(false);
+        let run = run_scheduler(&task, seed.clone(), 3, &stop);
+        assert_eq!(run.workers.iter().sum::<u64>(), total(&seed));
+        assert!(run.units_split > 0);
+        assert_eq!(run.units_executed, seed.len() as u64 + run.units_split);
     }
 
     #[test]
@@ -816,13 +749,7 @@ mod tests {
             }
         }
         let stop = AtomicBool::new(true);
-        let run = run_scheduler(
-            &StopTask,
-            (0..1000).collect(),
-            4,
-            DispatchMode::WorkStealing,
-            &stop,
-        );
+        let run = run_scheduler(&StopTask, (0..1000).collect(), 4, &stop);
         // Pre-raised stop: nothing (or at most a unit per worker mid-pop)
         // runs.
         assert!(run.units_executed <= 4);
@@ -857,7 +784,7 @@ mod tests {
         let mut seed = vec![0u64; 64];
         seed[0] = 200;
         let stop = AtomicBool::new(false);
-        let run = run_scheduler(&SpinTask, seed, 2, DispatchMode::WorkStealing, &stop);
+        let run = run_scheduler(&SpinTask, seed, 2, &stop);
         assert_eq!(run.units_executed, 64);
         assert!(run.units_stolen > 0, "no steals on a skewed workload");
     }
@@ -869,23 +796,10 @@ mod tests {
             executed: TestCounter::new(0),
         };
         let stop = AtomicBool::new(false);
-        let run = run_scheduler(&task, Vec::new(), 8, DispatchMode::WorkStealing, &stop);
+        let run = run_scheduler(&task, Vec::new(), 8, &stop);
         assert_eq!(run.units_executed, 0);
         assert_eq!(run.workers.len(), 8);
         assert_eq!(run.outcome, RunOutcome::Completed);
-    }
-
-    #[test]
-    fn coordinator_mode_uses_one_queue() {
-        let seed: Vec<u64> = (1..=50).collect();
-        let task = SumTask {
-            split_above: u64::MAX,
-            executed: TestCounter::new(0),
-        };
-        let stop = AtomicBool::new(false);
-        let run = run_scheduler(&task, seed.clone(), 4, DispatchMode::Coordinator, &stop);
-        assert_eq!(run.workers.iter().sum::<u64>(), total(&seed));
-        assert_eq!(run.units_stolen, 0, "coordinator mode never steals");
     }
 
     /// A task whose units panic when the payload exceeds a threshold,
@@ -936,7 +850,7 @@ mod tests {
                 attempts: TestCounter::new(0),
             };
             let stop = AtomicBool::new(false);
-            let run = run_scheduler(&task, seed, p, DispatchMode::WorkStealing, &stop);
+            let run = run_scheduler(&task, seed, p, &stop);
             let RunOutcome::Aborted(info) = &run.outcome else {
                 panic!("p={p}: expected Aborted, got {:?}", run.outcome);
             };
@@ -1116,13 +1030,7 @@ mod tests {
             executed: TestCounter::new(0),
         };
         let stop = AtomicBool::new(false);
-        let run = run_scheduler(
-            &task,
-            vec![1000, 3, 7, 2000],
-            2,
-            DispatchMode::WorkStealing,
-            &stop,
-        );
+        let run = run_scheduler(&task, vec![1000, 3, 7, 2000], 2, &stop);
         assert!(run.trace.is_empty());
     }
 

@@ -9,7 +9,7 @@
 //! * **implication** — does Σ entail another GFD ϕ? (NP-complete)
 //!
 //! plus the substrates they need: property graphs, homomorphism matching,
-//! graph simulation, a chase baseline, generators and a text format.
+//! a chase baseline, generators and a text format.
 //!
 //! ## Quick start
 //!
@@ -36,13 +36,13 @@
 //! | module | contents |
 //! |---|---|
 //! | [`graph`] | graphs, patterns, vocabularies, neighborhoods |
-//! | [`matching`] | homomorphism search, splitting, simulation |
-//! | [`runtime`] | the work-stealing scheduler every workload runs on |
-//! | [`core`] | GFDs, canonical graphs, validation, and the unified reasoning driver behind `sat_with_config` / `imp_with_config`: `ParSat`/`ParImp` at `workers = p`, `SeqSat`/`SeqImp` at `workers = 1`, the ablation knobs in `ReasonConfig` |
+//! | [`matching`] | homomorphism search, plans, splitting, the brute-force oracle |
+//! | [`runtime`] | the work-stealing scheduler every workload runs on (one dispatch topology) |
+//! | [`core`] | GFDs, canonical graphs, validation, the search-unit engine (`SearchTask` + `MatchAction`: the one scheduler task that enumerates matches, for reasoning and detection alike), and the unified reasoning driver behind `sat_with_config` / `imp_with_config`: `ParSat`/`ParImp` at `workers = p`, `SeqSat`/`SeqImp` at `workers = 1`, the ablation knobs in `ReasonConfig` |
 //! | [`chase`] | the one chase (`dep_chase_with_config`): the `ParImpRDF` baselines over literal rules, GGD reasoning over generating ones |
 //! | [`gen`] | schema-driven GFD/graph generators and workloads |
 //! | [`dsl`] | the text format |
-//! | [`detect`] | parallel violation detection on data graphs |
+//! | [`detect`] | parallel violation detection on data graphs (a match-action on the engine) |
 //! | [`incr`] | incremental detection over streaming delta batches |
 //! | [`ged`] | GEDs: id literals, order predicates, disjunction (§IX) |
 //! | [`io`] | JSON and SNAP edge-list interchange |

@@ -6,14 +6,13 @@
 //! Since the scheduler port, the suite also pins the branch-parallel
 //! driver to the sequential search: every worker count (`GFD_EQ_WORKERS`
 //! overrides the default `{1, 2, 8}` sweep, the same convention as
-//! `scheduler_equivalence`), both dispatch modes, and TTL-zero forced
-//! splitting must produce the sequential answers, including on
+//! `scheduler_equivalence`) under TTL-zero forced splitting must
+//! produce the sequential answers, including on
 //! budget-capped rule sets where both sides must report "unknown".
 
 use gfd::ged::driver::{ged_implies_with_config, ged_sat_with_config, GedReasonConfig};
 use gfd::ged::{ged_implies, ged_sat, CmpOp, Ged, GedLiteral, GedSet};
 use gfd::prelude::*;
-use gfd::runtime::DispatchMode;
 use std::time::Duration;
 
 fn lift(sigma: &GfdSet) -> GedSet {
@@ -29,17 +28,10 @@ fn worker_counts() -> Vec<usize> {
     }
 }
 
-/// Scheduler configs to sweep per worker count: TTL-zero forces a split
-/// attempt after every explored branch, in both dispatch modes.
-fn sched_configs(p: usize) -> Vec<GedReasonConfig> {
-    [DispatchMode::WorkStealing, DispatchMode::Coordinator]
-        .into_iter()
-        .map(|dispatch| {
-            GedReasonConfig::with_workers(p)
-                .with_ttl(Duration::ZERO)
-                .with_dispatch(dispatch)
-        })
-        .collect()
+/// The scheduler config swept per worker count: TTL-zero forces a split
+/// attempt after every explored branch.
+fn sched_config(p: usize) -> GedReasonConfig {
+    GedReasonConfig::with_workers(p).with_ttl(Duration::ZERO)
 }
 
 /// Small hand-built rule sets with known answers, as DSL documents.
@@ -175,8 +167,8 @@ fn implication_cases_agree() {
     }
 }
 
-/// The scheduled search at every worker count, dispatch mode, and with
-/// TTL-zero forced splitting agrees with the sequential `ged_sat` on
+/// The scheduled search at every worker count with TTL-zero forced
+/// splitting agrees with the sequential `ged_sat` on
 /// satisfiable and unsatisfiable sets.
 #[test]
 fn scheduled_sat_agrees_with_sequential() {
@@ -196,24 +188,21 @@ fn scheduled_sat_agrees_with_sequential() {
     for (i, sigma) in cases.iter().enumerate() {
         let expected = ged_sat(sigma).is_satisfiable();
         for p in worker_counts() {
-            for cfg in sched_configs(p) {
-                let run = ged_sat_with_config(sigma, &cfg);
-                let out = run.outcome.expect("within budget");
-                assert_eq!(
-                    out.is_satisfiable(),
-                    expected,
-                    "sat diverged: case {i} p={p} {:?}",
-                    cfg.dispatch
-                );
-                // Any witness a parallel run extracts must be a model.
-                if let Some(wit) = out.witness() {
-                    for (_, ged) in sigma.iter() {
-                        assert!(
-                            gfd::ged::ged_graph_satisfies(wit, ged),
-                            "case {i} p={p}: witness violates {}",
-                            ged.name
-                        );
-                    }
+            let run = ged_sat_with_config(sigma, &sched_config(p));
+            let out = run.outcome.expect("within budget");
+            assert_eq!(
+                out.is_satisfiable(),
+                expected,
+                "sat diverged: case {i} p={p}"
+            );
+            // Any witness a parallel run extracts must be a model.
+            if let Some(wit) = out.witness() {
+                for (_, ged) in sigma.iter() {
+                    assert!(
+                        gfd::ged::ged_graph_satisfies(wit, ged),
+                        "case {i} p={p}: witness violates {}",
+                        ged.name
+                    );
                 }
             }
         }
@@ -221,8 +210,8 @@ fn scheduled_sat_agrees_with_sequential() {
 }
 
 /// Implication with disjunctions, order predicates and id literals —
-/// the branching cases the GFD driver never sees — is worker-count,
-/// dispatch-mode and split-order invariant.
+/// the branching cases the GFD driver never sees — is worker-count
+/// and split-order invariant.
 #[test]
 fn scheduled_imp_agrees_with_sequential() {
     let mut vocab = Vocab::new();
@@ -305,15 +294,12 @@ fn scheduled_imp_agrees_with_sequential() {
     for (i, (sigma, phi)) in cases.iter().enumerate() {
         let expected = ged_implies(sigma, phi).is_implied();
         for p in worker_counts() {
-            for cfg in sched_configs(p) {
-                let run = ged_implies_with_config(sigma, phi, &cfg);
-                assert_eq!(
-                    run.outcome.expect("within budget").is_implied(),
-                    expected,
-                    "imp diverged: case {i} p={p} {:?}",
-                    cfg.dispatch
-                );
-            }
+            let run = ged_implies_with_config(sigma, phi, &sched_config(p));
+            assert_eq!(
+                run.outcome.expect("within budget").is_implied(),
+                expected,
+                "imp diverged: case {i} p={p}"
+            );
         }
     }
     // The generated probe sweep, scheduled.
@@ -323,8 +309,7 @@ fn scheduled_imp_agrees_with_sequential() {
         for probe in &w.probes {
             let phi = Ged::from_gfd(&probe.phi);
             for p in worker_counts() {
-                let cfg = GedReasonConfig::with_workers(p).with_ttl(Duration::ZERO);
-                let run = ged_implies_with_config(&sigma_ged, &phi, &cfg);
+                let run = ged_implies_with_config(&sigma_ged, &phi, &sched_config(p));
                 assert_eq!(
                     run.outcome.expect("within budget").is_implied(),
                     probe.expect_implied,
@@ -361,17 +346,12 @@ fn budget_capped_runs_agree_on_unknown() {
     // Sanity: with the full budget the set is unsatisfiable everywhere.
     assert!(!ged_sat(&sigma).is_satisfiable());
     for p in worker_counts() {
-        for cfg in sched_configs(p) {
-            let capped = cfg.clone().with_max_branches(2);
-            let run = ged_sat_with_config(&sigma, &capped);
-            assert!(
-                run.outcome.is_none(),
-                "p={p} {:?}: capped run should be unknown",
-                capped.dispatch
-            );
-            let full = ged_sat_with_config(&sigma, &cfg);
-            assert!(!full.outcome.expect("within budget").is_satisfiable());
-        }
+        let cfg = sched_config(p);
+        let capped = cfg.clone().with_max_branches(2);
+        let run = ged_sat_with_config(&sigma, &capped);
+        assert!(run.outcome.is_none(), "p={p}: capped run should be unknown");
+        let full = ged_sat_with_config(&sigma, &cfg);
+        assert!(!full.outcome.expect("within budget").is_satisfiable());
     }
 }
 

@@ -2,7 +2,6 @@
 //! stealing, early termination, metrics, and worker-count invariance.
 
 use gfd::prelude::*;
-use gfd::runtime::DispatchMode;
 use std::time::Duration;
 
 /// A workload whose matching is deliberately heavy: wildcard star
@@ -105,24 +104,6 @@ fn match_counts_are_stable_across_worker_counts() {
     }
     assert_eq!(counts[0], counts[1]);
     assert_eq!(counts[1], counts[2]);
-}
-
-#[test]
-fn dispatch_modes_do_not_change_outcomes() {
-    let mut vocab = Vocab::new();
-    let sigma = heavy_sigma(&mut vocab);
-    let expected = gfd::seq_sat(&sigma).is_satisfiable();
-    for dispatch in [DispatchMode::WorkStealing, DispatchMode::Coordinator] {
-        let cfg = ReasonConfig {
-            dispatch,
-            ..ReasonConfig::with_workers(3)
-        };
-        let r = gfd::sat_with_config(&sigma, &cfg);
-        assert_eq!(r.is_satisfiable(), expected, "{dispatch:?}");
-        if dispatch == DispatchMode::Coordinator {
-            assert_eq!(r.stats.units_stolen, 0, "coordinator mode never steals");
-        }
-    }
 }
 
 #[test]
@@ -268,7 +249,6 @@ fn variants_agree() {
         base.clone().without_pipeline(),
         base.clone().without_split(),
         no_order,
-        base.with_dispatch(DispatchMode::Coordinator),
     ] {
         assert_eq!(
             gfd::sat_with_config(&sigma, &cfg).is_satisfiable(),
@@ -380,7 +360,6 @@ fn ablation_variants_agree() {
             base.clone(),
             base.clone().without_pipeline(),
             base.clone().without_split(),
-            base.clone().with_dispatch(DispatchMode::Coordinator),
         ] {
             assert!(
                 gfd::imp_with_config(&sigma, phi, &cfg).is_implied(),

@@ -1,8 +1,8 @@
 //! Scheduler-equivalence suite: the three reasoning workloads (Sat, Imp,
 //! Detect) run on one shared work-stealing scheduler, and this file pins
-//! the contract that made the unification safe — every worker count, every
-//! dispatch mode, and TTL-forced splitting on every unit produce exactly
-//! the sequential answers.
+//! the contract that made the unification safe — every worker count and
+//! TTL-forced splitting on every unit produce exactly the sequential
+//! answers.
 //!
 //! CI runs this suite once per entry of `GFD_EQ_WORKERS` (a single worker
 //! count overriding the default `{1, 2, 8}` sweep), and again with
@@ -11,7 +11,7 @@
 
 use gfd::detect::{detect, DetectConfig};
 use gfd::prelude::*;
-use gfd::runtime::{DispatchMode, TraceSpec};
+use gfd::runtime::TraceSpec;
 use std::time::Duration;
 
 /// Worker counts to sweep: `GFD_EQ_WORKERS=n` pins a single count (the CI
@@ -48,15 +48,12 @@ fn sat_agrees_with_sequential_under_forced_splitting() {
         let w = gfd::gen::real_life_workload(gfd::gen::Dataset::Tiny, 40, seed, None);
         let expected = gfd::seq_sat(&w.sigma).is_satisfiable();
         for p in worker_counts() {
-            for dispatch in [DispatchMode::WorkStealing, DispatchMode::Coordinator] {
-                let cfg = splitty(p).with_dispatch(dispatch);
-                let r = gfd::sat_with_config(&w.sigma, &cfg);
-                assert_eq!(
-                    r.is_satisfiable(),
-                    expected,
-                    "sat diverged: seed={seed} p={p} {dispatch:?}"
-                );
-            }
+            let r = gfd::sat_with_config(&w.sigma, &splitty(p));
+            assert_eq!(
+                r.is_satisfiable(),
+                expected,
+                "sat diverged: seed={seed} p={p}"
+            );
         }
     }
 }
@@ -80,11 +77,8 @@ fn imp_agrees_with_sequential_under_forced_splitting() {
         let expected = gfd::seq_imp(&w.sigma, &probe.phi).is_implied();
         assert_eq!(expected, probe.expect_implied, "oracle drifted");
         for p in worker_counts() {
-            for dispatch in [DispatchMode::WorkStealing, DispatchMode::Coordinator] {
-                let cfg = splitty(p).with_dispatch(dispatch);
-                let r = gfd::imp_with_config(&w.sigma, &probe.phi, &cfg);
-                assert_eq!(r.is_implied(), expected, "imp diverged: p={p} {dispatch:?}");
-            }
+            let r = gfd::imp_with_config(&w.sigma, &probe.phi, &splitty(p));
+            assert_eq!(r.is_implied(), expected, "imp diverged: p={p}");
         }
     }
 }
@@ -111,23 +105,20 @@ fn detect_agrees_with_the_oracle_under_forced_splitting() {
     oracle.sort();
     assert!(!oracle.is_empty());
     for p in worker_counts() {
-        for dispatch in [DispatchMode::WorkStealing, DispatchMode::Coordinator] {
-            let config = DetectConfig {
-                ttl: Duration::ZERO,
-                batch_size: 4,
-                dispatch,
-                trace: trace_spec(),
-                ..DetectConfig::with_workers(p)
-            };
-            let report = detect(&graph, &w.sigma, &config);
-            let mut got: Vec<(usize, Vec<usize>)> = report
-                .violations
-                .iter()
-                .map(|v| (v.gfd.index(), v.m.iter().map(|n| n.index()).collect()))
-                .collect();
-            got.sort();
-            assert_eq!(got, oracle, "detect diverged: p={p} {dispatch:?}");
-        }
+        let config = DetectConfig {
+            ttl: Duration::ZERO,
+            batch_size: 4,
+            trace: trace_spec(),
+            ..DetectConfig::with_workers(p)
+        };
+        let report = detect(&graph, &w.sigma, &config);
+        let mut got: Vec<(usize, Vec<usize>)> = report
+            .violations
+            .iter()
+            .map(|v| (v.gfd.index(), v.m.iter().map(|n| n.index()).collect()))
+            .collect();
+        got.sort();
+        assert_eq!(got, oracle, "detect diverged: p={p}");
     }
 }
 
