@@ -30,7 +30,7 @@ fn main() {
     for &size in &scale.exp2_sigmas {
         let w = synthetic_workload(size, 6, 5, 42);
         let probes: Vec<_> = w.probes.iter().take(scale.imp_probes).collect();
-        let run_all = |f: &dyn Fn(&gfd_core::Gfd) -> bool| {
+        let run_all = |f: &dyn Fn(&gfd_core::Dependency) -> bool| {
             for p in &probes {
                 assert_eq!(f(&p.phi), p.expect_implied);
             }

@@ -49,7 +49,7 @@ fn main() {
     for &l in &scale.ls {
         let w = synthetic_workload(scale.exp3_sigma, 5, l, 42);
         let probes: Vec<_> = w.probes.iter().take(scale.imp_probes).collect();
-        let run_all = |f: &dyn Fn(&gfd_core::Gfd) -> bool| {
+        let run_all = |f: &dyn Fn(&gfd_core::Dependency) -> bool| {
             for p in &probes {
                 assert_eq!(f(&p.phi), p.expect_implied);
             }

@@ -9,13 +9,13 @@
 
 use gfd_bench::{banner, fmt_duration, scale, time_median, Table};
 use gfd_core::{imp_with_config, sat_with_config, ReasonConfig};
-use gfd_core::{Gfd, GfdSet, Literal};
+use gfd_core::{DepSet, Dependency, Literal};
 use gfd_gen::{real_life_workload, Dataset};
 use gfd_graph::{LabelId, Pattern, VarId};
 
 /// Add heavy-tailed rules: wildcard chains whose pivot units explode on
 /// hub nodes of the canonical graph.
-fn add_stragglers(sigma: &mut GfdSet, count: usize) {
+fn add_stragglers(sigma: &mut DepSet, count: usize) {
     let attr = gfd_graph::AttrId::new(0);
     for i in 0..count {
         let mut p = Pattern::new();
@@ -26,7 +26,7 @@ fn add_stragglers(sigma: &mut GfdSet, count: usize) {
         for w in vars.windows(2) {
             p.add_edge(w[0], LabelId::WILDCARD, w[1]);
         }
-        sigma.push(Gfd::new(
+        sigma.push(Dependency::new(
             format!("straggler{i}"),
             p,
             vec![Literal::eq_const(vars[0], attr, 1i64)],

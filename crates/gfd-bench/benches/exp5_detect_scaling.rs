@@ -90,7 +90,7 @@ fn main() {
     pat.add_edge(x, LabelId(2), y);
     pat.add_edge(y, LabelId(2), z);
     let a = gfd_graph::AttrId::new(0);
-    let sigma = gfd_core::GfdSet::from_vec(vec![gfd_core::Gfd::new(
+    let sigma = gfd_core::DepSet::from_vec(vec![gfd_core::Dependency::new(
         "chain",
         pat,
         vec![],

@@ -1,7 +1,6 @@
 //! Exp-8 (beyond paper): GGD chase makespan on the shared scheduler.
 //!
-//! The generalized rule layer routes mixed GFD+GGD sets through the
-//! chase: per round, premise scans run as scan units on the
+//! Mixed GFD+GGD sets are routed through the chase: per round, premise scans run as scan units on the
 //! work-stealing scheduler, and the apply phase now plans every fired
 //! consequence in parallel too — realization checks and patch building
 //! on the scheduler, then a conflict partition commits independent

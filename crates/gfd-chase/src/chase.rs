@@ -8,10 +8,10 @@
 //! strictly more work — which is exactly the point of the comparison in
 //! Fig. 5 and Fig. 6(f).
 //!
-//! There is one chase, [`dep_chase_with_config`], over generalized
-//! dependencies: a GFD is a [`gfd_core::Dependency`] with a literal
-//! consequence, so the literal-only baseline (`chase_sat` / `chase_imp`)
-//! is the special case that never materializes a node. Each round's
+//! There is one chase, [`dep_chase_with_config`], over a [`DepSet`]: a GFD
+//! is a [`gfd_core::Dependency`] with a literal consequence, so the
+//! literal-only baseline (`chase_sat` / `chase_imp`) is the special case
+//! that never materializes a node. Each round's
 //! **premise scan** runs as a [`Task`] on the shared `gfd-runtime`
 //! scheduler: the cached match lists are chunked into scan units, every
 //! worker evaluates premises against its own clone of the round-start
@@ -26,8 +26,8 @@
 //! so [`ChaseStats`] round/eval counts are identical across `p`.
 
 use gfd_core::{
-    eval_premise_lits, generate_deducible, run_task, Budget, CanonicalGraph, Conflict, Consequence,
-    DepSet, EqRel, GenerateConsequence, GfdSet, Interrupt, Literal, Operand, PremiseStatus,
+    eval_premise, generate_deducible, run_task, Budget, CanonicalGraph, Conflict, Consequence,
+    DepSet, Dependency, EqRel, Interrupt, Literal, Operand, PremiseStatus,
 };
 use gfd_graph::{AttrId, Graph, LabelId, MatchIndex, NodeId, Pattern, ValueId, VarId};
 use gfd_match::{for_each_match, Match};
@@ -157,25 +157,6 @@ pub struct ChaseStats {
     pub apply_time: Duration,
 }
 
-/// What a fired rule does: bind and merge attributes of the match, or
-/// materialize a target subgraph.
-#[derive(Clone, Copy)]
-enum Action<'a> {
-    Literals(&'a [Literal]),
-    Generate(&'a GenerateConsequence),
-}
-
-/// A rule as the chase reads it. Borrowed from its owner, so a literal
-/// [`GfdSet`] is chased in place rather than cloned into a [`DepSet`] on
-/// every call — the clone would cost the `chase_imp` baseline more than
-/// the chase itself.
-#[derive(Clone, Copy)]
-struct Rule<'a> {
-    pattern: &'a Pattern,
-    premise: &'a [Literal],
-    action: Action<'a>,
-}
-
 /// One rule's enumerated matches as a flat strided table — row `i` is
 /// `nodes[i * arity..][..arity]` — filled straight from the matcher's lent
 /// callback: one buffer per rule and rebuild instead of one box per match.
@@ -252,7 +233,7 @@ struct ScanWorker {
 /// each rule's premise literals — a rule's consequence action is
 /// irrelevant until the apply phase.
 struct ScanTask<'a> {
-    rules: &'a [Rule<'a>],
+    rules: &'a [Dependency],
     matches: &'a [MatchTable],
     snapshot: &'a EqRel,
     ttl: Duration,
@@ -274,13 +255,13 @@ impl Task for ScanTask<'_> {
         let span = ctx.trace_start();
         let evals0 = w.premise_evals;
         let fired0 = w.fired.len() as u64;
-        let premise = self.rules[unit.rule as usize].premise;
+        let premise = &self.rules[unit.rule as usize].premise;
         let list = &self.matches[unit.rule as usize];
         let deadline = Instant::now() + self.ttl;
         for idx in unit.start..unit.end {
             w.premise_evals += 1;
             if let PremiseStatus::Satisfied =
-                eval_premise_lits(&mut w.eq, premise, list.get(idx as usize))
+                eval_premise(&mut w.eq, premise, list.get(idx as usize))
             {
                 w.fired.push((unit.rule, idx));
             }
@@ -420,7 +401,7 @@ struct ApplyWorker {
 /// concurrently. Nothing here touches the live graph or relation —
 /// mutation happens only in the deterministic commit walk.
 struct ApplyTask<'a, I: MatchIndex> {
-    rules: &'a [Rule<'a>],
+    rules: &'a [Dependency],
     matches: &'a [MatchTable],
     /// The round's pending `(rule, match index)` firings, sorted.
     pending: &'a [(u32, u32)],
@@ -446,15 +427,15 @@ impl<I: MatchIndex> Task for ApplyTask<'_, I> {
         for i in unit.start..unit.end {
             let (rule, idx) = self.pending[i as usize];
             let m = self.matches[rule as usize].get(idx as usize);
-            let plan = match self.rules[rule as usize].action {
-                Action::Literals(lits) => {
+            let plan = match &self.rules[rule as usize].consequence {
+                Consequence::Literals(lits) => {
                     let mut patch = Patch::default();
                     patch
                         .ops
                         .extend(lits.iter().map(|lit| rel_op(lit, m, m.len())));
                     FiringPlan::Patch(patch)
                 }
-                Action::Generate(gen) => {
+                Consequence::Generate(gen) => {
                     w.realization_checks += 1;
                     if generate_deducible(&mut w.eq, self.index, gen, m) {
                         FiringPlan::Realized
@@ -491,7 +472,7 @@ impl<I: MatchIndex> Task for ApplyTask<'_, I> {
 /// as the partition probe), or the interrupt that cut the pass short.
 #[allow(clippy::too_many_arguments)]
 fn plan_round<I: MatchIndex>(
-    rules: &[Rule<'_>],
+    rules: &[Dependency],
     all_matches: &[MatchTable],
     pending: &[(u32, u32)],
     index: &I,
@@ -623,7 +604,7 @@ fn partition_independent(plans: &[FiringPlan], probe: &mut EqRel) -> Vec<bool> {
 /// the fired `(rule, match index)` pairs in deterministic order (the
 /// sequential scan's order, whatever the worker interleaving was).
 fn scan_round(
-    rules: &[Rule<'_>],
+    rules: &[Dependency],
     all_matches: &[MatchTable],
     snapshot: &EqRel,
     config: &ChaseConfig,
@@ -672,7 +653,7 @@ fn scan_round(
     (fired, run.interrupt)
 }
 
-/// Outcome of chasing a generalized dependency set over a growable graph.
+/// Outcome of chasing a dependency set over a growable graph.
 pub enum DepChaseOutcome {
     /// Fixpoint reached: the chased graph (base plus every materialized
     /// subgraph) and the final relation.
@@ -696,7 +677,7 @@ pub enum DepChaseOutcome {
     Interrupted(Interrupt),
 }
 
-/// Chase a generalized [`DepSet`] over `graph0` to fixpoint, conflict or
+/// Chase a [`DepSet`] over `graph0` to fixpoint, conflict or
 /// budget exhaustion, starting from `eq0`.
 ///
 /// Each round runs the premise scan of **every** dependency as scan units
@@ -723,54 +704,14 @@ pub enum DepChaseOutcome {
 /// the grown graph before the next round; fixpoint is reached when a
 /// round applies nothing new. Literal-only sets never materialize, so
 /// for them the match lists are enumerated once and every round only
-/// re-evaluates premises — the baseline `chase_sat` / `chase_imp` run
-/// (this chase over a borrowed [`GfdSet`]).
+/// re-evaluates premises — the baseline `chase_sat` / `chase_imp` run.
 pub fn dep_chase_with_config(
     deps: &DepSet,
     graph0: Graph,
     eq0: EqRel,
     config: &ChaseConfig,
 ) -> (DepChaseOutcome, ChaseStats, RunMetrics) {
-    let rules: Vec<Rule<'_>> = deps
-        .iter()
-        .map(|(_, dep)| Rule {
-            pattern: &dep.pattern,
-            premise: &dep.premise,
-            action: match &dep.consequence {
-                Consequence::Literals(lits) => Action::Literals(lits),
-                Consequence::Generate(gen) => Action::Generate(gen),
-            },
-        })
-        .collect();
-    chase(&rules, graph0, eq0, config)
-}
-
-/// [`dep_chase_with_config`] over a literal Σ: every GFD read as a
-/// dependency with a literal consequence.
-pub(crate) fn gfd_chase_with_config(
-    sigma: &GfdSet,
-    graph0: Graph,
-    eq0: EqRel,
-    config: &ChaseConfig,
-) -> (DepChaseOutcome, ChaseStats, RunMetrics) {
-    let rules: Vec<Rule<'_>> = sigma
-        .iter()
-        .map(|(_, gfd)| Rule {
-            pattern: &gfd.pattern,
-            premise: &gfd.premise,
-            action: Action::Literals(&gfd.consequence),
-        })
-        .collect();
-    chase(&rules, graph0, eq0, config)
-}
-
-/// The chase loop behind both entry points above.
-fn chase(
-    rules: &[Rule<'_>],
-    graph0: Graph,
-    eq0: EqRel,
-    config: &ChaseConfig,
-) -> (DepChaseOutcome, ChaseStats, RunMetrics) {
+    let rules = deps.as_slice();
     let start = Instant::now();
     let p = config.workers.max(1);
     let mut stats = ChaseStats::default();
@@ -798,7 +739,7 @@ fn chase(
         let canon = CanonicalGraph::from_graph(graph.clone());
         let all_matches: Vec<MatchTable> = rules
             .iter()
-            .map(|rule| MatchTable::enumerate(&canon, rule.pattern))
+            .map(|rule| MatchTable::enumerate(&canon, &rule.pattern))
             .collect();
         stats.matches_enumerated += all_matches.iter().map(|t| t.len() as u64).sum::<u64>();
 
@@ -846,9 +787,9 @@ fn chase(
             // itself.
             let mut pending: Vec<(u32, u32)> = Vec::with_capacity(fired.len());
             for &(rule, idx) in &fired {
-                match rules[rule as usize].action {
-                    Action::Literals(_) => pending.push((rule, idx)),
-                    Action::Generate(_) => {
+                match &rules[rule as usize].consequence {
+                    Consequence::Literals(_) => pending.push((rule, idx)),
+                    Consequence::Generate(_) => {
                         let key: FiredKey =
                             (rule, all_matches[rule as usize].get(idx as usize).into());
                         if fired_gen.insert(key) {
@@ -913,9 +854,9 @@ fn chase(
             for (i, &(rule, idx)) in pending.iter().enumerate() {
                 let id = gfd_graph::GfdId::new(rule as usize);
                 let m = all_matches[rule as usize].get(idx as usize);
-                match (rules[rule as usize].action, &plans[i]) {
+                match (&rules[rule as usize].consequence, &plans[i]) {
                     (_, FiringPlan::Realized) => {}
-                    (Action::Literals(_), FiringPlan::Patch(patch)) => {
+                    (Consequence::Literals(_), FiringPlan::Patch(patch)) => {
                         // A literal patch is the serial apply — the same
                         // binds and merges in the same order — so the
                         // partition only decides where it is booked.
@@ -936,7 +877,7 @@ fn chase(
                             }
                         }
                     }
-                    (Action::Generate(gen), FiringPlan::Patch(patch)) => {
+                    (Consequence::Generate(gen), FiringPlan::Patch(patch)) => {
                         let materialized = if independent[i] {
                             stats.apply_independent += 1;
                             splice_patch(&mut graph, &mut eq, patch)
@@ -1018,22 +959,22 @@ fn chase(
 mod tests {
     use super::*;
     use crate::sat_chase::{chase_sat, chase_sat_with_config};
-    use gfd_core::{Gfd, GfdSet, Literal, SatOutcome};
+    use gfd_core::{DepSet, Dependency, Literal, SatOutcome};
     use gfd_graph::{Pattern, ValueId as VId, VarId, Vocab};
 
-    fn unary(vocab: &mut Vocab, name: &str, pre: Vec<Literal>, post: Vec<Literal>) -> Gfd {
+    fn unary(vocab: &mut Vocab, name: &str, pre: Vec<Literal>, post: Vec<Literal>) -> Dependency {
         let mut p = Pattern::new();
         p.add_node(vocab.label("t"), "x");
-        Gfd::new(name, p, pre, post)
+        Dependency::new(name, p, pre, post)
     }
 
-    fn chain_sigma(vocab: &mut Vocab) -> GfdSet {
+    fn chain_sigma(vocab: &mut Vocab) -> DepSet {
         let a = vocab.attr("a");
         let b = vocab.attr("b");
         let c = vocab.attr("c");
         let x = VarId::new(0);
         // Deliberately ordered so each round unlocks the next rule.
-        GfdSet::from_vec(vec![
+        DepSet::from_vec(vec![
             unary(
                 vocab,
                 "b_to_c",
@@ -1050,10 +991,10 @@ mod tests {
         ])
     }
 
-    fn zero_one_sigma(vocab: &mut Vocab) -> GfdSet {
+    fn zero_one_sigma(vocab: &mut Vocab) -> DepSet {
         let a = vocab.attr("a");
         let x = VarId::new(0);
-        GfdSet::from_vec(vec![
+        DepSet::from_vec(vec![
             unary(vocab, "zero", vec![], vec![Literal::eq_const(x, a, 0i64)]),
             unary(vocab, "one", vec![], vec![Literal::eq_const(x, a, 1i64)]),
         ])
@@ -1063,12 +1004,12 @@ mod tests {
     /// returning the fixpoint relation and the `GΣ` node of every
     /// pattern variable.
     fn chase_literal(
-        sigma: &GfdSet,
+        sigma: &DepSet,
         cfg: &ChaseConfig,
     ) -> (EqRel, Vec<Vec<NodeId>>, ChaseStats, RunMetrics) {
         let (canon, node_of) = CanonicalGraph::for_sigma(sigma);
         let (outcome, stats, metrics) =
-            gfd_chase_with_config(sigma, canon.graph, EqRel::new(), cfg);
+            dep_chase_with_config(sigma, canon.graph, EqRel::new(), cfg);
         match outcome {
             DepChaseOutcome::Fixpoint { eq, .. } => (*eq, node_of, stats, metrics),
             DepChaseOutcome::Conflict(c) => panic!("unexpected conflict: {c}"),
@@ -1105,7 +1046,7 @@ mod tests {
 
     #[test]
     fn empty_sigma_fixpoints_immediately() {
-        let (_, _, stats, metrics) = chase_literal(&GfdSet::new(), &ChaseConfig::default());
+        let (_, _, stats, metrics) = chase_literal(&DepSet::new(), &ChaseConfig::default());
         assert_eq!(stats.rounds, 1);
         assert_eq!(metrics.workers, 1);
     }

@@ -1,36 +1,35 @@
-//! Reasoning over generalized dependency sets (GFDs + GGDs): the routing
-//! layer of the third `Goal`.
+//! Reasoning over dependency sets that may generate (GFDs + GGDs): the
+//! routing layer.
 //!
 //! * A **literal-only** [`DepSet`] is exactly a GFD set: [`dep_sat`] and
-//!   [`dep_imp`] lower it through the [`Dependency`]↔`Gfd` shim and run
-//!   the original `gfd-core` algorithms — same engine, same answers,
-//!   same metrics (the "pure-GFD inputs behave identically" guarantee).
-//!   A generating *candidate* ϕ against a literal Σ still runs on the
-//!   unified driver via [`gfd_core::ggd_imp_with_config`]
-//!   (`Goal::GgdImp`), because literal enforcement never changes the
-//!   topology the realization check probes.
-//! * A **mixed** set routes through the chase
-//!   ([`crate::chase::dep_chase_with_config`]): scan units stay on the
-//!   shared scheduler, generating consequences are applied in the serial
-//!   between-rounds step, and the fresh-node budget turns potential
-//!   non-termination into an explicit `Unknown` outcome.
+//!   [`dep_imp`] hand it, as it is, to the `gfd-core` enforcement driver
+//!   ([`gfd_core::sat_with_config`] / [`gfd_core::imp_with_config`]) —
+//!   same engine, same answers, same metrics. A generating *candidate* ϕ
+//!   against a literal Σ runs there too, because literal enforcement never
+//!   changes the topology the realization check probes.
+//! * A set with **generating rules** — which that driver refuses — routes
+//!   through the chase ([`crate::chase::dep_chase_with_config`]): scan
+//!   units stay on the shared scheduler, generating consequences are
+//!   applied in the serial between-rounds step, and the fresh-node budget
+//!   turns potential non-termination into an explicit `Unknown` outcome.
 //!
 //! Satisfiability of a mixed Σ chases the disjoint union of every
-//! premise pattern (the `GΣ` construction, unchanged); implication
+//! premise pattern (the `GΣ` construction, unchanged: [`chase_sat_with_config`]
+//! takes any Σ); implication
 //! chases ϕ's canonical graph `G^X_Q` and then tests ϕ's consequence —
 //! literal deducibility or generating-target realization — on the chased
 //! result.
 
 use crate::chase::{dep_chase_with_config, ChaseConfig, ChaseStats, DepChaseOutcome};
+use crate::sat_chase::chase_sat_with_config;
 use gfd_core::{
-    consequence_lits_deducible, extract_model, generate_deducible, ggd_imp_with_config,
-    imp_with_config, sat_with_config, CanonicalGraph, Conflict, Consequence, DepSet, Dependency,
-    EqRel, ImpOutcome, ImpliedVia, Interrupt, ReasonConfig, SatOutcome,
+    consequence_deducible_on, imp_with_config, sat_with_config, CanonicalGraph, Conflict, DepSet,
+    Dependency, ImpOutcome, ImpliedVia, Interrupt, ReasonConfig, SatOutcome,
 };
-use gfd_graph::{Graph, LabelIndex, NodeId};
+use gfd_graph::{Graph, LabelIndex};
 use gfd_runtime::RunMetrics;
 
-/// The outcome of satisfiability over a generalized dependency set.
+/// The outcome of satisfiability over a dependency set that may generate.
 #[derive(Debug)]
 pub enum DepSatOutcome {
     /// Σ has a model (the chased graph populated through the relation).
@@ -95,47 +94,29 @@ fn reason_config(cfg: &ChaseConfig) -> ReasonConfig {
     }
 }
 
-/// Check satisfiability of a generalized Σ with the default
-/// configuration.
+/// Check satisfiability of Σ with the default configuration.
 pub fn dep_sat(deps: &DepSet) -> DepSatResult {
     dep_sat_with_config(deps, &ChaseConfig::default())
 }
 
-/// Check satisfiability of a generalized Σ: literal-only sets run the
-/// original `SeqSat`/`ParSat` driver, mixed sets the generating chase
-/// over `GΣ`.
+/// Check satisfiability of Σ: literal-only sets run the `SeqSat`/`ParSat`
+/// driver, mixed sets the generating chase over `GΣ`
+/// ([`chase_sat_with_config`]).
 pub fn dep_sat_with_config(deps: &DepSet, config: &ChaseConfig) -> DepSatResult {
-    if let Some(gfds) = deps.to_gfds() {
-        let r = sat_with_config(&gfds, &reason_config(config));
-        let outcome = match r.outcome {
-            SatOutcome::Satisfiable(m) => DepSatOutcome::Satisfiable(m),
-            SatOutcome::Unsatisfiable(c) => DepSatOutcome::Unsatisfiable(c),
-            SatOutcome::Unknown(i) => DepSatOutcome::Interrupted(i),
-        };
-        return DepSatResult {
-            outcome,
-            stats: ChaseStats::default(),
-            metrics: r.stats,
-        };
-    }
-
-    // GΣ: the disjoint union of every premise pattern, exactly as for
-    // GFDs — generating rules contribute their premise side only; their
-    // targets are materialized by the chase itself.
-    let mut graph = Graph::new();
-    for (_, dep) in deps.iter() {
-        graph.append_disjoint(&dep.pattern.to_graph());
-    }
-    let (outcome, stats, metrics) = dep_chase_with_config(deps, graph, EqRel::new(), config);
+    let (outcome, stats, metrics) = if deps.has_generating() {
+        let r = chase_sat_with_config(deps, config);
+        (r.outcome, r.stats, r.metrics)
+    } else {
+        let r = sat_with_config(deps, &reason_config(config));
+        (r.outcome, ChaseStats::default(), r.stats)
+    };
     let outcome = match outcome {
-        DepChaseOutcome::Fixpoint { graph, mut eq } => {
-            DepSatOutcome::Satisfiable(Box::new(extract_model(&graph, &mut eq)))
-        }
-        DepChaseOutcome::Conflict(c) => DepSatOutcome::Unsatisfiable(c),
-        DepChaseOutcome::BudgetExhausted { generated_nodes } => {
-            DepSatOutcome::Unknown { generated_nodes }
-        }
-        DepChaseOutcome::Interrupted(i) => DepSatOutcome::Interrupted(i),
+        SatOutcome::Satisfiable(m) => DepSatOutcome::Satisfiable(m),
+        SatOutcome::Unsatisfiable(c) => DepSatOutcome::Unsatisfiable(c),
+        SatOutcome::Unknown(Interrupt::FreshNodes) => DepSatOutcome::Unknown {
+            generated_nodes: stats.generated_nodes,
+        },
+        SatOutcome::Unknown(i) => DepSatOutcome::Interrupted(i),
     };
     DepSatResult {
         outcome,
@@ -144,7 +125,7 @@ pub fn dep_sat_with_config(deps: &DepSet, config: &ChaseConfig) -> DepSatResult 
     }
 }
 
-/// The outcome of implication over a generalized dependency set.
+/// The outcome of implication over a dependency set that may generate.
 #[derive(Debug)]
 pub enum DepImpOutcome {
     /// `Σ |= ϕ`.
@@ -186,22 +167,17 @@ impl DepImpResult {
     }
 }
 
-/// Check `Σ |= ϕ` over generalized dependencies with the default
-/// configuration.
+/// Check `Σ |= ϕ` with the default configuration.
 pub fn dep_imp(deps: &DepSet, phi: &Dependency) -> DepImpResult {
     dep_imp_with_config(deps, phi, &ChaseConfig::default())
 }
 
-/// Check `Σ |= ϕ` over generalized dependencies: when Σ is literal the
-/// unified driver decides it (including generating candidates, via
-/// `Goal::GgdImp`); a mixed Σ chases `G^X_Q` to fixpoint and tests ϕ's
-/// consequence on the result.
+/// Check `Σ |= ϕ`: when Σ is literal the enforcement driver decides it
+/// (generating candidates included); a mixed Σ chases `G^X_Q` to fixpoint
+/// and tests ϕ's consequence on the result.
 pub fn dep_imp_with_config(deps: &DepSet, phi: &Dependency, config: &ChaseConfig) -> DepImpResult {
-    if let Some(gfds) = deps.to_gfds() {
-        let r = match phi.as_gfd() {
-            Some(gfd) => imp_with_config(&gfds, &gfd, &reason_config(config)),
-            None => ggd_imp_with_config(&gfds, phi, &reason_config(config)),
-        };
+    if !deps.has_generating() {
+        let r = imp_with_config(deps, phi, &reason_config(config));
         let outcome = match r.outcome {
             ImpOutcome::Implied(via) => DepImpOutcome::Implied(via),
             ImpOutcome::NotImplied => DepImpOutcome::NotImplied,
@@ -222,23 +198,19 @@ pub fn dep_imp_with_config(deps: &DepSet, phi: &Dependency, config: &ChaseConfig
             ..Default::default()
         },
     };
-    // Trivial short-circuits mirror `imp_shortcuts`.
-    if matches!(&phi.consequence, Consequence::Literals(lits) if lits.is_empty()) {
+    // Trivial short-circuits mirror `imp_with_config`'s.
+    if phi.consequence.literals().is_some_and(<[_]>::is_empty) {
         return zero(DepImpOutcome::Implied(ImpliedVia::Consequence));
     }
-    let (canon, eqx) = match CanonicalGraph::for_premise(&phi.pattern, &phi.premise) {
+    let (canon, eqx) = match CanonicalGraph::for_phi(phi) {
         Ok(pair) => pair,
         Err(_) => return zero(DepImpOutcome::Implied(ImpliedVia::PremiseInconsistent)),
     };
-    let identity: Vec<NodeId> = (0..phi.pattern.node_count()).map(NodeId::new).collect();
-    {
-        let mut probe = eqx.clone();
-        if consequence_holds_on(&mut probe, &canon.index, phi, &identity) {
-            return zero(DepImpOutcome::Implied(ImpliedVia::Consequence));
-        }
+    if consequence_deducible_on(&mut eqx.clone(), &canon.index, phi) {
+        return zero(DepImpOutcome::Implied(ImpliedVia::Consequence));
     }
 
-    let (outcome, stats, metrics) = dep_chase_with_config(deps, canon.graph.clone(), eqx, config);
+    let (outcome, stats, metrics) = dep_chase_with_config(deps, canon.graph, eqx, config);
     let outcome = match outcome {
         DepChaseOutcome::Conflict(c) => DepImpOutcome::Implied(ImpliedVia::Conflict(c)),
         DepChaseOutcome::BudgetExhausted { generated_nodes } => {
@@ -246,8 +218,7 @@ pub fn dep_imp_with_config(deps: &DepSet, phi: &Dependency, config: &ChaseConfig
         }
         DepChaseOutcome::Interrupted(i) => DepImpOutcome::Interrupted(i),
         DepChaseOutcome::Fixpoint { graph, mut eq } => {
-            let index = LabelIndex::build(&graph);
-            if consequence_holds_on(&mut eq, &index, phi, &identity) {
+            if consequence_deducible_on(&mut eq, &LabelIndex::build(&graph), phi) {
                 DepImpOutcome::Implied(ImpliedVia::Consequence)
             } else {
                 DepImpOutcome::NotImplied
@@ -261,25 +232,10 @@ pub fn dep_imp_with_config(deps: &DepSet, phi: &Dependency, config: &ChaseConfig
     }
 }
 
-/// Does ϕ's consequence hold at the identity match under `eq` over the
-/// indexed graph — literal deducibility or generating-target
-/// realization?
-fn consequence_holds_on<I: gfd_graph::MatchIndex>(
-    eq: &mut EqRel,
-    index: &I,
-    phi: &Dependency,
-    identity: &[NodeId],
-) -> bool {
-    match &phi.consequence {
-        Consequence::Literals(lits) => consequence_lits_deducible(eq, lits),
-        Consequence::Generate(gen) => generate_deducible(eq, index, gen, identity),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_core::{seq_imp, seq_sat, GenerateConsequence, Gfd, GfdSet, Literal};
+    use gfd_core::{seq_imp, seq_sat, GenerateConsequence, Literal};
     use gfd_graph::{Pattern, ValueId, VarId, Vocab};
 
     fn unary(vocab: &mut Vocab, label: &str) -> Pattern {
@@ -298,14 +254,14 @@ mod tests {
         let y = gen.add_fresh(vocab.label("tier1"), "y");
         gen.add_edge(VarId::new(0), vocab.label("next"), y);
         gen.push_attr(Literal::eq_const(y, a1, 1i64));
-        let ggd = Dependency::new("grow", t0, vec![], Consequence::Generate(gen));
+        let ggd = Dependency::new("grow", t0, vec![], gen);
         let t1 = unary(vocab, "tier1");
-        let lit = Dependency::from_gfd(Gfd::new(
+        let lit = Dependency::new(
             "mark",
             t1,
             vec![Literal::eq_const(VarId::new(0), a1, 1i64)],
             vec![Literal::eq_const(VarId::new(0), b, 7i64)],
-        ));
+        );
         DepSet::from_vec(vec![ggd, lit])
     }
 
@@ -315,27 +271,55 @@ mod tests {
         let a = vocab.attr("a");
         let x = VarId::new(0);
         let mk = |vocab: &mut Vocab, v: i64| {
-            Gfd::new(
+            Dependency::new(
                 "g",
                 unary(vocab, "t"),
                 vec![],
                 vec![Literal::eq_const(x, a, v)],
             )
         };
-        let unsat = GfdSet::from_vec(vec![mk(&mut vocab, 0), mk(&mut vocab, 1)]);
-        let deps = DepSet::from_gfds(unsat.clone());
-        let r = dep_sat(&deps);
+        let unsat = DepSet::from_vec(vec![mk(&mut vocab, 0), mk(&mut vocab, 1)]);
+        let r = dep_sat(&unsat);
         assert!(!r.is_satisfiable());
         assert!(!seq_sat(&unsat).is_satisfiable());
         assert_eq!(r.stats.rounds, 0, "fast path must not chase");
 
-        let sat = GfdSet::from_vec(vec![mk(&mut vocab, 0)]);
-        let deps = DepSet::from_gfds(sat.clone());
-        let r = dep_sat(&deps);
+        let sat = DepSet::from_vec(vec![mk(&mut vocab, 0)]);
+        let r = dep_sat(&sat);
         assert!(r.is_satisfiable());
-        let phi = sat.as_slice()[0].clone();
-        let ri = dep_imp(&deps, &Dependency::from_gfd(phi.clone()));
-        assert_eq!(ri.is_implied(), seq_imp(&sat, &phi).is_implied());
+        let phi = &sat.as_slice()[0];
+        let ri = dep_imp(&sat, phi);
+        assert_eq!(ri.is_implied(), seq_imp(&sat, phi).is_implied());
+    }
+
+    /// The enforcement driver refuses a Σ with a generating rule at its
+    /// door, with the documented message; the routing doors answer the
+    /// same Σ through the chase.
+    #[test]
+    fn generating_sigma_is_refused_by_the_driver_and_chased_by_the_router() {
+        let mut vocab = Vocab::new();
+        let deps = chain_deps(&mut vocab);
+        let phi = deps.as_slice()[1].clone();
+        let cfg = ReasonConfig::with_workers(1);
+        let refusal = |run: &(dyn Fn() + std::panic::RefUnwindSafe)| {
+            let payload = std::panic::catch_unwind(run).expect_err("the driver must refuse");
+            let message = payload
+                .downcast_ref::<&str>()
+                .expect("a literal assert message");
+            assert!(
+                message.contains("admits literal consequences only"),
+                "{message}"
+            );
+        };
+        refusal(&|| drop(sat_with_config(&deps, &cfg)));
+        refusal(&|| drop(imp_with_config(&deps, &phi, &cfg)));
+
+        let sat = dep_sat_with_config(&deps, &ChaseConfig::with_workers(1));
+        assert!(sat.is_satisfiable());
+        assert!(sat.stats.rounds > 0, "a generating Σ is chased");
+        let imp = dep_imp_with_config(&deps, &phi, &ChaseConfig::with_workers(1));
+        assert!(!imp.is_unknown());
+        assert!(imp.stats.rounds > 0, "a generating Σ is chased");
     }
 
     /// The literal fast path must carry the chase config's tracing through
@@ -347,19 +331,19 @@ mod tests {
         let a = vocab.attr("a");
         let b = vocab.attr("b");
         let x = VarId::new(0);
-        let seed = Gfd::new(
+        let seed = Dependency::new(
             "seed",
             unary(&mut vocab, "t"),
             vec![],
             vec![Literal::eq_const(x, a, 1i64)],
         );
-        let phi = Gfd::new(
+        let phi = Dependency::new(
             "phi",
             unary(&mut vocab, "t"),
             vec![Literal::eq_const(x, b, 2i64)],
             vec![Literal::eq_const(x, a, 1i64)],
         );
-        let deps = DepSet::from_gfds(GfdSet::from_vec(vec![seed]));
+        let deps = DepSet::from_vec(vec![seed]);
         let rule_evals = |metrics: &RunMetrics| {
             let evals = metrics.trace.events.iter();
             evals.filter(|e| e.kind == EventKind::RuleEval).count()
@@ -372,7 +356,7 @@ mod tests {
             let sat = dep_sat_with_config(&deps, &cfg);
             assert!(sat.is_satisfiable());
             assert!(rule_evals(&sat.metrics) > 0, "dep_sat, workers={workers}");
-            let imp = dep_imp_with_config(&deps, &Dependency::from_gfd(phi.clone()), &cfg);
+            let imp = dep_imp_with_config(&deps, &phi, &cfg);
             assert!(imp.is_implied());
             assert_eq!(imp.stats.rounds, 0, "literal Σ must use the driver path");
             assert!(rule_evals(&imp.metrics) > 0, "dep_imp, workers={workers}");
@@ -396,7 +380,8 @@ mod tests {
         let a1 = vocab.attr("a1");
         let b = vocab.attr("b");
         let derived = model.nodes().any(|n| {
-            model.attr(n, a1) == Some(ValueId::of(1i64)) && model.attr(n, b) == Some(ValueId::of(7i64))
+            model.attr(n, a1) == Some(ValueId::of(1i64))
+                && model.attr(n, b) == Some(ValueId::of(7i64))
         });
         assert!(derived, "generated node must cascade into literal rules");
     }
@@ -406,12 +391,12 @@ mod tests {
         let mut vocab = Vocab::new();
         let mut deps = chain_deps(&mut vocab);
         let a1 = vocab.attr("a1");
-        deps.push(Dependency::from_gfd(Gfd::new(
+        deps.push(Dependency::new(
             "deny",
             unary(&mut vocab, "tier1"),
             vec![],
             vec![Literal::eq_const(VarId::new(0), a1, -1i64)],
-        )));
+        ));
         let r = dep_sat(&deps);
         assert!(
             matches!(r.outcome, DepSatOutcome::Unsatisfiable(_)),
@@ -427,12 +412,7 @@ mod tests {
         let mut gen = GenerateConsequence::over(&p);
         let y = gen.add_fresh(vocab.label("person"), "y");
         gen.add_edge(VarId::new(0), vocab.label("parentOf"), y);
-        let deps = DepSet::from_vec(vec![Dependency::new(
-            "spawn",
-            p,
-            vec![],
-            Consequence::Generate(gen),
-        )]);
+        let deps = DepSet::from_vec(vec![Dependency::new("spawn", p, vec![], gen)]);
         let cfg = ChaseConfig {
             max_generated_nodes: 50,
             ..ChaseConfig::default()
@@ -460,9 +440,9 @@ mod tests {
         p.add_edge(x, e, y);
         let mut gen = GenerateConsequence::over(&p);
         gen.push_attr(Literal::eq_const(y, a, 1i64));
-        let phi = Dependency::new("target", p.clone(), vec![], Consequence::Generate(gen));
-        let sigma_rule = Gfd::new("seed", p, vec![], vec![Literal::eq_const(y, a, 1i64)]);
-        let deps = DepSet::from_gfds(GfdSet::from_vec(vec![sigma_rule]));
+        let phi = Dependency::new("target", p.clone(), vec![], gen);
+        let sigma_rule = Dependency::new("seed", p, vec![], vec![Literal::eq_const(y, a, 1i64)]);
+        let deps = DepSet::from_vec(vec![sigma_rule]);
         let r = dep_imp(&deps, &phi);
         assert!(r.is_implied(), "attr-only target forced by Σ");
         assert_eq!(r.stats.rounds, 0, "literal Σ must use the driver path");
@@ -481,7 +461,7 @@ mod tests {
         let mut gen = GenerateConsequence::over(&t0);
         let y = gen.add_fresh(vocab.label("tier1"), "y");
         gen.add_edge(VarId::new(0), vocab.label("next"), y);
-        let phi = Dependency::new("has_child", t0, vec![], Consequence::Generate(gen));
+        let phi = Dependency::new("has_child", t0, vec![], gen);
         let r = dep_imp(&deps, &phi);
         assert!(r.is_implied(), "the chain GGD creates exactly that child");
         assert!(r.stats.rounds > 0, "mixed Σ must chase");
@@ -491,7 +471,7 @@ mod tests {
         let mut gen = GenerateConsequence::over(&t0);
         let y = gen.add_fresh(vocab.label("tier1"), "y");
         gen.add_edge(VarId::new(0), vocab.label("unrelated"), y);
-        let phi = Dependency::new("wrong_edge", t0, vec![], Consequence::Generate(gen));
+        let phi = Dependency::new("wrong_edge", t0, vec![], gen);
         assert!(!dep_imp(&deps, &phi).is_implied());
     }
 

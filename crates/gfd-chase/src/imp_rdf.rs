@@ -2,10 +2,11 @@
 //! `ParImpRDF`, following Hellings et al. \[5\] with triple patterns
 //! represented as graphs).
 
-use crate::chase::{gfd_chase_with_config, ChaseConfig, ChaseStats, DepChaseOutcome};
+use crate::chase::{dep_chase_with_config, ChaseConfig, ChaseStats, DepChaseOutcome};
 use gfd_core::{
-    consequence_deducible, CanonicalGraph, Gfd, GfdSet, ImpOutcome, ImpliedVia, Interrupt,
+    consequence_deducible_on, CanonicalGraph, DepSet, Dependency, ImpOutcome, ImpliedVia, Interrupt,
 };
+use gfd_graph::LabelIndex;
 use gfd_runtime::RunMetrics;
 use std::time::{Duration, Instant};
 
@@ -32,14 +33,18 @@ impl ChaseImpResult {
 /// Check `Σ |= ϕ` by chasing Σ over `G^X_Q` to fixpoint, then testing the
 /// consequence. No dependency ordering, no inverted index, no intra-round
 /// early exit — the baseline `SeqImp` beats by ~1.4× in Fig. 5.
-pub fn chase_imp(sigma: &GfdSet, phi: &Gfd) -> ChaseImpResult {
+pub fn chase_imp(sigma: &DepSet, phi: &Dependency) -> ChaseImpResult {
     chase_imp_with_config(sigma, phi, &ChaseConfig::default())
 }
 
 /// [`chase_imp`] under an explicit configuration: the one chase
-/// ([`crate::chase::dep_chase_with_config`]) over Σ read as
-/// literal-consequence dependencies, started from `EqX` on `G^X_Q`.
-pub fn chase_imp_with_config(sigma: &GfdSet, phi: &Gfd, config: &ChaseConfig) -> ChaseImpResult {
+/// ([`crate::chase::dep_chase_with_config`]) over Σ, started from `EqX` on
+/// `G^X_Q`.
+pub fn chase_imp_with_config(
+    sigma: &DepSet,
+    phi: &Dependency,
+    config: &ChaseConfig,
+) -> ChaseImpResult {
     let start = Instant::now();
     let trivial = |via: ImpliedVia| ChaseImpResult {
         outcome: ImpOutcome::Implied(via),
@@ -50,18 +55,18 @@ pub fn chase_imp_with_config(sigma: &GfdSet, phi: &Gfd, config: &ChaseConfig) ->
         },
         elapsed: start.elapsed(),
     };
-    if phi.consequence.is_empty() {
+    if phi.consequence.literals().is_some_and(<[_]>::is_empty) {
         return trivial(ImpliedVia::Consequence);
     }
     let Ok((canon, eqx)) = CanonicalGraph::for_phi(phi) else {
         return trivial(ImpliedVia::PremiseInconsistent);
     };
 
-    let (outcome, stats, metrics) = gfd_chase_with_config(sigma, canon.graph, eqx, config);
+    let (outcome, stats, metrics) = dep_chase_with_config(sigma, canon.graph, eqx, config);
     let outcome = match outcome {
         DepChaseOutcome::Conflict(c) => ImpOutcome::Implied(ImpliedVia::Conflict(c)),
-        DepChaseOutcome::Fixpoint { mut eq, .. } => {
-            if consequence_deducible(&mut eq, phi) {
+        DepChaseOutcome::Fixpoint { graph, mut eq } => {
+            if consequence_deducible_on(&mut eq, &LabelIndex::build(&graph), phi) {
                 ImpOutcome::Implied(ImpliedVia::Consequence)
             } else {
                 ImpOutcome::NotImplied
@@ -85,7 +90,7 @@ mod tests {
     use gfd_graph::{Pattern, VarId, Vocab};
 
     /// The Example 8 fixture once more: the chase must agree with SeqImp.
-    fn example8() -> (GfdSet, Gfd, Gfd) {
+    fn example8() -> (DepSet, Dependency, Dependency) {
         let mut vocab = Vocab::new();
         let a_lbl = vocab.label("a");
         let b_lbl = vocab.label("b");
@@ -112,13 +117,13 @@ mod tests {
         q7.add_edge(x7, p_lbl, z7);
         q7.add_edge(x7, p_lbl, w7);
 
-        let phi11 = Gfd::new(
+        let phi11 = Dependency::new(
             "phi11",
             q8,
             vec![],
             vec![Literal::eq_const(x8, attr_a, 1i64)],
         );
-        let phi12 = Gfd::new(
+        let phi12 = Dependency::new(
             "phi12",
             q9,
             vec![
@@ -127,19 +132,19 @@ mod tests {
             ],
             vec![Literal::eq_const(y9, attr_c, 2i64)],
         );
-        let phi13 = Gfd::new(
+        let phi13 = Dependency::new(
             "phi13",
             q7.clone(),
             vec![Literal::eq_const(VarId::new(2), attr_b, 2i64)],
             vec![Literal::eq_const(VarId::new(2), attr_c, 2i64)],
         );
-        let phi14 = Gfd::new(
+        let phi14 = Dependency::new(
             "phi14",
             q7,
             vec![Literal::eq_const(VarId::new(0), attr_a, 0i64)],
             vec![Literal::eq_const(VarId::new(2), attr_c, 2i64)],
         );
-        (GfdSet::from_vec(vec![phi11, phi12]), phi13, phi14)
+        (DepSet::from_vec(vec![phi11, phi12]), phi13, phi14)
     }
 
     #[test]
@@ -159,7 +164,7 @@ mod tests {
     #[test]
     fn not_implied_cases_agree() {
         let (sigma, phi13, _) = example8();
-        let smaller = GfdSet::from_vec(vec![sigma.as_slice()[0].clone()]);
+        let smaller = DepSet::from_vec(vec![sigma.as_slice()[0].clone()]);
         assert!(!chase_imp(&smaller, &phi13).is_implied());
         assert!(!seq_imp(&smaller, &phi13).is_implied());
     }
@@ -171,13 +176,13 @@ mod tests {
         let mut q = Pattern::new();
         let x = q.add_node(vocab.label("a"), "x");
         let a = vocab.attr("A");
-        let trivial = Gfd::new("t", q.clone(), vec![], vec![]);
+        let trivial = Dependency::new("t", q.clone(), vec![], vec![]);
         assert!(chase_imp(&sigma, &trivial).is_implied());
         // The short-circuits report the configured worker count, like
         // every run that reaches the scheduler.
         let r = chase_imp_with_config(&sigma, &trivial, &ChaseConfig::with_workers(3));
         assert_eq!(r.metrics.workers, 3);
-        let inconsistent = Gfd::new(
+        let inconsistent = Dependency::new(
             "i",
             q,
             vec![Literal::eq_const(x, a, 1i64), Literal::eq_const(x, a, 2i64)],

@@ -5,8 +5,8 @@
 //! over `GΣ` to fixpoint and report conflicts, without early termination
 //! inside a round, ordering, or pending indexes.
 
-use crate::chase::{gfd_chase_with_config, ChaseConfig, ChaseStats, DepChaseOutcome};
-use gfd_core::{extract_model, CanonicalGraph, EqRel, GfdSet, Interrupt, SatOutcome};
+use crate::chase::{dep_chase_with_config, ChaseConfig, ChaseStats, DepChaseOutcome};
+use gfd_core::{extract_model, CanonicalGraph, DepSet, EqRel, Interrupt, SatOutcome};
 use gfd_runtime::RunMetrics;
 use std::time::{Duration, Instant};
 
@@ -32,17 +32,17 @@ impl ChaseSatResult {
 
 /// Check the satisfiability of Σ by chasing `GΣ` to fixpoint with the
 /// default (sequential) configuration.
-pub fn chase_sat(sigma: &GfdSet) -> ChaseSatResult {
+pub fn chase_sat(sigma: &DepSet) -> ChaseSatResult {
     chase_sat_with_config(sigma, &ChaseConfig::default())
 }
 
-/// Check the satisfiability of Σ by chasing `GΣ` to fixpoint: the one
-/// chase ([`crate::chase::dep_chase_with_config`]) over Σ read as
-/// literal-consequence dependencies, which never materializes a node.
-pub fn chase_sat_with_config(sigma: &GfdSet, config: &ChaseConfig) -> ChaseSatResult {
+/// Check the satisfiability of Σ by chasing `GΣ` to fixpoint with the one
+/// chase ([`crate::chase::dep_chase_with_config`]); on a literal Σ — the
+/// baseline's input — it never materializes a node.
+pub fn chase_sat_with_config(sigma: &DepSet, config: &ChaseConfig) -> ChaseSatResult {
     let start = Instant::now();
     let (canon, _) = CanonicalGraph::for_sigma(sigma);
-    let (outcome, stats, metrics) = gfd_chase_with_config(sigma, canon.graph, EqRel::new(), config);
+    let (outcome, stats, metrics) = dep_chase_with_config(sigma, canon.graph, EqRel::new(), config);
     let outcome = match outcome {
         DepChaseOutcome::Conflict(c) => SatOutcome::Unsatisfiable(c),
         DepChaseOutcome::Fixpoint { graph, mut eq } => {
@@ -62,7 +62,7 @@ pub fn chase_sat_with_config(sigma: &GfdSet, config: &ChaseConfig) -> ChaseSatRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_core::{graph_satisfies_all, seq_sat, Gfd, Literal};
+    use gfd_core::{graph_satisfies_all, seq_sat, Dependency, Literal};
     use gfd_graph::{LabelId, Pattern, VarId, Vocab};
 
     #[test]
@@ -73,17 +73,17 @@ mod tests {
         let mk = |lits: Vec<Literal>| {
             let mut p = Pattern::new();
             p.add_node(LabelId::WILDCARD, "x");
-            Gfd::new("g", p, vec![], lits)
+            Dependency::new("g", p, vec![], lits)
         };
         // Unsatisfiable pair.
-        let unsat = GfdSet::from_vec(vec![
+        let unsat = DepSet::from_vec(vec![
             mk(vec![Literal::eq_const(x, a, 0i64)]),
             mk(vec![Literal::eq_const(x, a, 1i64)]),
         ]);
         assert!(!chase_sat(&unsat).is_satisfiable());
         assert!(!seq_sat(&unsat).is_satisfiable());
         // Satisfiable singleton, with a model that validates.
-        let sat = GfdSet::from_vec(vec![mk(vec![Literal::eq_const(x, a, 0i64)])]);
+        let sat = DepSet::from_vec(vec![mk(vec![Literal::eq_const(x, a, 0i64)])]);
         let r = chase_sat(&sat);
         assert!(r.is_satisfiable());
         match &r.outcome {
@@ -94,7 +94,7 @@ mod tests {
 
     #[test]
     fn empty_sigma() {
-        let r = chase_sat_with_config(&GfdSet::new(), &ChaseConfig::with_workers(2));
+        let r = chase_sat_with_config(&DepSet::new(), &ChaseConfig::with_workers(2));
         assert!(r.is_satisfiable());
         assert_eq!(r.metrics.workers, 2);
     }

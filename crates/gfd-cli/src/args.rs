@@ -171,6 +171,44 @@ pub fn load_document(
         .map_err(|e| ArgError::new(format!("parse error in {path}: {e}")))
 }
 
+/// The rule blocks a command does not read.
+#[derive(Clone, Copy)]
+pub enum Unread {
+    /// `ged` blocks: `sat`, `imp`, `minimize` and `detect` read `gfd` and
+    /// `ggd` blocks only.
+    Ged,
+    /// `ggd` blocks: `ged-sat`, `ged-imp` and `resolve` read `gfd` and
+    /// `ged` blocks only (a GED cannot create nodes).
+    Ggd,
+}
+
+/// Refuse a document holding rule blocks `command` does not read, naming
+/// the first one — dropping it silently would answer about a different Σ.
+pub fn refuse_unread(
+    doc: &gfd_dsl::Document,
+    path: &str,
+    command: &str,
+    unread: Unread,
+) -> Result<(), ArgError> {
+    let generating = || doc.deps.as_slice().iter().find(|d| d.is_generating());
+    let (kind, first, readers) = match unread {
+        Unread::Ged => (
+            "ged",
+            doc.geds.iter().next().map(|(_, g)| &g.name),
+            "`gfd ged-sat` / `gfd ged-imp` do",
+        ),
+        Unread::Ggd => (
+            "ggd",
+            generating().map(|d| &d.name),
+            "`gfd sat` / `gfd imp` / `gfd detect` do",
+        ),
+    };
+    let Some(name) = first else { return Ok(()) };
+    Err(ArgError::new(format!(
+        "{path}: `gfd {command}` does not read `{kind}` blocks (first: `{name}`); {readers}"
+    )))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

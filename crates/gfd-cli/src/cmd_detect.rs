@@ -1,10 +1,10 @@
 //! `gfd detect FILE` — violation detection over the file's graphs.
 
-use crate::args::{load_document, parse_budget, ArgError, Parsed};
+use crate::args::{load_document, parse_budget, refuse_unread, ArgError, Parsed, Unread};
 use crate::cmd_sat::interrupted;
 use crate::output::fmt_duration;
-use crate::traceopt::{dep_rule_names, TraceArgs, TRACE_HELP};
-use gfd_detect::{detect_deps, suggest_repairs, DetectConfig};
+use crate::traceopt::{rule_names, TraceArgs, TRACE_HELP};
+use gfd_detect::{detect, suggest_repairs, DetectConfig};
 use gfd_runtime::{EventKind, RunMetrics, TraceBuf, CONTROL_WORKER};
 use std::io::Write;
 use std::path::PathBuf;
@@ -97,6 +97,7 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
 
     let mut vocab = gfd_graph::Vocab::new();
     let doc = load_document(&path, &mut vocab)?;
+    refuse_unread(&doc, &path, "detect", Unread::Ged)?;
     if doc.deps.is_empty() {
         return Err(ArgError::new(format!("{path} contains no rules")));
     }
@@ -168,7 +169,7 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
         if graph_name.as_deref().is_some_and(|g| g != name) {
             continue;
         }
-        let report = detect_deps(graph, &doc.deps, &config);
+        let report = detect(graph, &doc.deps, &config);
         totals.merge(&report.metrics);
         let _ = writeln!(
             out,
@@ -204,7 +205,7 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
             }
         }
     }
-    tracing.emit(&totals, &dep_rule_names(&doc.deps), out)?;
+    tracing.emit(&totals, &rule_names(&doc.deps), out)?;
     Ok(if dirty { 1 } else { 0 })
 }
 
@@ -403,6 +404,6 @@ fn run_stream(
             let _ = write!(out, "{}", v.explain(incr.graph(), incr.sigma(), vocab));
         }
     }
-    tracing.emit(&totals, &dep_rule_names(incr.sigma()), out)?;
+    tracing.emit(&totals, &rule_names(incr.sigma()), out)?;
     Ok(if incr.is_clean() { 0 } else { 1 })
 }

@@ -28,9 +28,7 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
         text.push_str(&gfd_dsl::print_graph(name, graph, &vocab));
         text.push('\n');
     }
-    // All generalized rules (gfd + ggd blocks) in source order; literal
-    // rules print exactly as `print_gfd_set` used to. GEDs follow (they
-    // were previously dropped by `fmt --write` — a silent data loss).
+    // `gfd` and `ggd` blocks in source order, then the GEDs.
     text.push_str(&gfd_dsl::print_dep_set(&doc.deps, &vocab));
     text.push_str(&gfd_dsl::print_ged_set(&doc.geds, &vocab));
 

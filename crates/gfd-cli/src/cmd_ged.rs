@@ -1,7 +1,7 @@
 //! `gfd ged-sat`, `gfd ged-imp`, `gfd resolve` — the GED extension
 //! commands (§IX of the paper).
 
-use crate::args::{load_document, parse_budget, ArgError, Parsed};
+use crate::args::{load_document, parse_budget, refuse_unread, ArgError, Parsed, Unread};
 use crate::output::{fmt_duration, fmt_metrics};
 use crate::traceopt::{TraceArgs, TRACE_HELP};
 use gfd_ged::{
@@ -79,7 +79,8 @@ pub(crate) fn run_sat(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError
 
     let mut vocab = gfd_graph::Vocab::new();
     let doc = load_document(&path, &mut vocab)?;
-    let sigma = doc.all_as_geds();
+    refuse_unread(&doc, &path, "ged-sat", Unread::Ggd)?;
+    let sigma = doc.all_as_geds().expect("`ggd` blocks were refused");
     if sigma.is_empty() {
         return Err(ArgError::new(format!("{path} contains no rules")));
     }
@@ -159,7 +160,8 @@ pub(crate) fn run_imp(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError
 
     let mut vocab = gfd_graph::Vocab::new();
     let doc = load_document(&path, &mut vocab)?;
-    let all = doc.all_as_geds();
+    refuse_unread(&doc, &path, "ged-imp", Unread::Ggd)?;
+    let all = doc.all_as_geds().expect("`ggd` blocks were refused");
     let mut sigma = gfd_ged::GedSet::new();
     let mut phi: Option<Ged> = None;
     for (_, ged) in all.iter() {
@@ -214,6 +216,7 @@ pub(crate) fn run_resolve(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgE
 
     let mut vocab = gfd_graph::Vocab::new();
     let doc = load_document(&path, &mut vocab)?;
+    refuse_unread(&doc, &path, "resolve", Unread::Ggd)?;
     let graph = match &graph_name {
         Some(n) => doc
             .graphs

@@ -61,7 +61,7 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
         }
     };
 
-    let text = gfd_dsl::print_gfd_set(&workload.sigma, &workload.vocab);
+    let text = gfd_dsl::print_dep_set(&workload.sigma, &workload.vocab);
     match out_path {
         Some(p) => {
             std::fs::write(&p, &text)

@@ -1,10 +1,10 @@
 //! `gfd imp FILE` — implication checking.
 
-use crate::args::{load_document, parse_budget, ArgError, Parsed};
+use crate::args::{load_document, parse_budget, refuse_unread, ArgError, Parsed, Unread};
 use crate::cmd_sat::interrupted;
 use crate::output::{fmt_chase_stats, fmt_duration, fmt_metrics};
-use crate::traceopt::{dep_rule_names, gfd_rule_names, TraceArgs, TRACE_HELP};
-use gfd_core::{DepSet, ReasonConfig};
+use crate::traceopt::{rule_names, TraceArgs, TRACE_HELP};
+use gfd_core::DepSet;
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -53,13 +53,15 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
 
     let mut vocab = gfd_graph::Vocab::new();
     let doc = load_document(&path, &mut vocab)?;
+    refuse_unread(&doc, &path, "imp", Unread::Ged)?;
+    // Split ϕ from Σ: the last rule of that name, none of which stays in Σ.
     let mut sigma = DepSet::new();
     let mut phi = None;
-    for (_, dep) in doc.deps.iter() {
+    for dep in doc.deps.into_vec() {
         if dep.name == phi_name {
-            phi = Some(dep.clone());
+            phi = Some(dep);
         } else {
-            sigma.push(dep.clone());
+            sigma.push(dep);
         }
     }
     let phi = phi.ok_or_else(|| ArgError::new(format!("no rule named `{phi_name}` in {path}")))?;
@@ -72,60 +74,40 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
     );
     let start = Instant::now();
 
-    // Route: a literal Σ runs the unified driver — `Goal::Imp` for a
-    // literal ϕ, `Goal::GgdImp` for a generating one; a generating Σ needs
-    // the chase.
-    let (implied, metrics, chase_stats, rule_names) = match sigma.to_gfds() {
-        Some(gfds) => {
-            let cfg = ReasonConfig::with_workers(workers)
-                .with_ttl(ttl)
-                .with_budget(budget)
-                .with_trace(tracing.spec());
-            let r = gfd_core::ggd_imp_with_config(&gfds, &phi, &cfg);
-            // Check the unknown arm before the yes/no split: a deadline
-            // expiry must exit 2, not report NOT IMPLIED.
-            if let Some(i) = r.interrupt() {
-                return Err(interrupted(i, &r.stats));
-            }
-            (r.is_implied(), r.stats, None, gfd_rule_names(&gfds))
-        }
-        None => {
-            let cfg = gfd_chase::ChaseConfig {
-                workers,
-                ttl,
-                max_generated_nodes: gen_budget,
-                budget,
-                trace: tracing.spec(),
-                ..gfd_chase::ChaseConfig::default()
-            };
-            let r = gfd_chase::dep_imp_with_config(&sigma, &phi, &cfg);
-            if let gfd_chase::DepImpOutcome::Unknown { generated_nodes } = &r.outcome {
-                return Err(ArgError::new(format!(
-                    "generation budget ({gen_budget}) exhausted after materializing \
-                     {generated_nodes} node(s); raise --gen-budget to keep going"
-                )));
-            }
-            if let gfd_chase::DepImpOutcome::Interrupted(i) = &r.outcome {
-                return Err(interrupted(i, &r.metrics));
-            }
-            (
-                r.is_implied(),
-                r.metrics,
-                Some(r.stats),
-                dep_rule_names(&sigma),
-            )
-        }
+    // `dep_imp_with_config` routes: a literal Σ runs the enforcement
+    // driver, whether ϕ's consequence generates or not; a generating Σ
+    // needs the chase.
+    let cfg = gfd_chase::ChaseConfig {
+        workers,
+        ttl,
+        max_generated_nodes: gen_budget,
+        budget,
+        trace: tracing.spec(),
+        ..gfd_chase::ChaseConfig::default()
     };
+    let r = gfd_chase::dep_imp_with_config(&sigma, &phi, &cfg);
+    // Check the unknown arms before the yes/no split: a deadline expiry
+    // must exit 2, not report NOT IMPLIED.
+    if let gfd_chase::DepImpOutcome::Unknown { generated_nodes } = &r.outcome {
+        return Err(ArgError::new(format!(
+            "generation budget ({gen_budget}) exhausted after materializing \
+             {generated_nodes} node(s); raise --gen-budget to keep going"
+        )));
+    }
+    if let gfd_chase::DepImpOutcome::Interrupted(i) = &r.outcome {
+        return Err(interrupted(i, &r.metrics));
+    }
+    let implied = r.is_implied();
     let elapsed = start.elapsed();
 
     let verdict = if implied { "IMPLIED" } else { "NOT IMPLIED" };
     let _ = writeln!(out, "{verdict} ({})", fmt_duration(elapsed));
     if show_metrics {
-        let _ = write!(out, "{}", fmt_metrics(&metrics));
-        if let Some(stats) = &chase_stats {
-            let _ = write!(out, "{}", fmt_chase_stats(stats));
+        let _ = write!(out, "{}", fmt_metrics(&r.metrics));
+        if sigma.has_generating() {
+            let _ = write!(out, "{}", fmt_chase_stats(&r.stats));
         }
     }
-    tracing.emit(&metrics, &rule_names, out)?;
+    tracing.emit(&r.metrics, &rule_names(&sigma), out)?;
     Ok(if implied { 0 } else { 1 })
 }

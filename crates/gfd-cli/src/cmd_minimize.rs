@@ -6,9 +6,9 @@
 //! rules in file order and drops each rule implied by the remaining set —
 //! the classical cover construction.
 
-use crate::args::{load_document, ArgError, Parsed};
+use crate::args::{load_document, refuse_unread, ArgError, Parsed, Unread};
 use crate::output::fmt_duration;
-use gfd_core::{GfdSet, ReasonConfig};
+use gfd_core::{DepSet, ReasonConfig};
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -38,6 +38,7 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
 
     let mut vocab = gfd_graph::Vocab::new();
     let doc = load_document(&path, &mut vocab)?;
+    refuse_unread(&doc, &path, "minimize", Unread::Ged)?;
     if doc.deps.has_generating() {
         return Err(ArgError::new(
             "minimize supports literal GFD rules only (GGD implication is \
@@ -45,52 +46,43 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
              `ggd` blocks or minimize them separately)",
         ));
     }
-    let rules: Vec<_> = doc.gfds.iter().map(|(_, g)| g.clone()).collect();
-    if rules.is_empty() {
+    let total = doc.deps.len();
+    if total == 0 {
         return Err(ArgError::new(format!("{path} contains no GFDs")));
     }
 
     let cfg = ReasonConfig::with_workers(workers).with_ttl(ttl);
     let start = Instant::now();
-    let mut kept: Vec<bool> = vec![true; rules.len()];
-    for i in 0..rules.len() {
-        // Σᵢ = every rule still kept, except i.
-        let sigma_i = GfdSet::from_vec(
-            rules
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i && kept[*j])
-                .map(|(_, g)| g.clone())
-                .collect(),
-        );
-        if sigma_i.is_empty() {
-            continue;
-        }
-        if gfd_core::imp_with_config(&sigma_i, &rules[i], &cfg).is_implied() {
-            kept[i] = false;
-            let _ = writeln!(out, "removed {} (implied by the rest)", rules[i].name);
+    // One owned set: each candidate in turn is taken out, tested against
+    // what is left — every rule still kept, except it — and put back at
+    // its place unless the rest implies it.
+    let mut kept = doc.deps.into_vec();
+    let mut i = 0;
+    while i < kept.len() {
+        let candidate = kept.remove(i);
+        let rest = DepSet::from_vec(kept);
+        let implied =
+            !rest.is_empty() && gfd_core::imp_with_config(&rest, &candidate, &cfg).is_implied();
+        kept = rest.into_vec();
+        if implied {
+            let _ = writeln!(out, "removed {} (implied by the rest)", candidate.name);
+        } else {
+            kept.insert(i, candidate);
+            i += 1;
         }
     }
     let elapsed = start.elapsed();
 
-    let reduced = GfdSet::from_vec(
-        rules
-            .iter()
-            .zip(&kept)
-            .filter(|(_, &k)| k)
-            .map(|(g, _)| g.clone())
-            .collect(),
-    );
-    let removed = rules.len() - reduced.len();
+    let reduced = DepSet::from_vec(kept);
     let _ = writeln!(
         out,
-        "cover: kept {} of {} rule(s), removed {removed} ({})",
+        "cover: kept {} of {total} rule(s), removed {} ({})",
         reduced.len(),
-        rules.len(),
+        total - reduced.len(),
         fmt_duration(elapsed),
     );
     if let Some(out_path) = out_path {
-        std::fs::write(&out_path, gfd_dsl::print_gfd_set(&reduced, &vocab))
+        std::fs::write(&out_path, gfd_dsl::print_dep_set(&reduced, &vocab))
             .map_err(|e| ArgError::new(format!("cannot write {out_path}: {e}")))?;
         let _ = writeln!(out, "wrote {out_path}");
     }

@@ -1,10 +1,9 @@
 //! `gfd sat FILE` — satisfiability checking.
 
-use crate::args::{load_document, parse_budget, ArgError, Parsed};
+use crate::args::{load_document, parse_budget, refuse_unread, ArgError, Parsed, Unread};
 use crate::output::{fmt_chase_stats, fmt_duration, fmt_metrics};
-use crate::traceopt::{dep_rule_names, TraceArgs, TRACE_HELP};
+use crate::traceopt::{rule_names, TraceArgs, TRACE_HELP};
 use gfd_chase::DepSatOutcome;
-use gfd_core::{ReasonConfig, SatOutcome};
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -49,71 +48,52 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
 
     let mut vocab = gfd_graph::Vocab::new();
     let doc = load_document(&path, &mut vocab)?;
+    refuse_unread(&doc, &path, "sat", Unread::Ged)?;
     if doc.deps.is_empty() {
         return Err(ArgError::new(format!("{path} contains no rules")));
     }
     let sigma = doc.deps;
     let start = Instant::now();
-    // Route: a literal Σ runs the unified driver; a Σ with generating
-    // rules the chase over `GΣ` (scan and planning units on the shared
-    // scheduler, generation committed in order between rounds) under a
-    // fresh-node termination budget. An interrupted run has no verdict:
-    // both routes check that before the yes/no split, so a timeout cannot
-    // masquerade as UNSATISFIABLE.
-    let (model, metrics, chase_stats) = if !sigma.has_generating() {
-        let gfds = doc.gfds;
-        let _ = writeln!(
-            out,
-            "{}: {} rule(s), total size {}",
-            path,
-            gfds.len(),
-            gfds.total_size()
-        );
-        let cfg = ReasonConfig::with_workers(workers)
-            .with_ttl(ttl)
-            .with_budget(budget)
-            .with_trace(tracing.spec());
-        let r = gfd_core::sat_with_config(&gfds, &cfg);
-        match r.outcome {
-            SatOutcome::Unknown(i) => return Err(interrupted(&i, &r.stats)),
-            SatOutcome::Satisfiable(m) => (Some(m), r.stats, None),
-            SatOutcome::Unsatisfiable(_) => (None, r.stats, None),
-        }
+    let generating = sigma.iter().filter(|(_, d)| d.is_generating()).count();
+    let (rules, size) = (sigma.len(), sigma.total_size());
+    let _ = if generating == 0 {
+        writeln!(out, "{path}: {rules} rule(s), total size {size}")
     } else {
-        let generating = sigma.iter().filter(|(_, d)| d.is_generating()).count();
-        let _ = writeln!(
+        writeln!(
             out,
-            "{}: {} rule(s) ({} generating), total size {} — GGD chase",
-            path,
-            sigma.len(),
-            generating,
-            sigma.total_size()
-        );
-        let cfg = gfd_chase::ChaseConfig {
-            workers,
-            ttl,
-            max_generated_nodes: gen_budget,
-            budget,
-            trace: tracing.spec(),
-            ..gfd_chase::ChaseConfig::default()
-        };
-        let r = gfd_chase::dep_sat_with_config(&sigma, &cfg);
-        match r.outcome {
-            DepSatOutcome::Unknown { generated_nodes } => {
-                return Err(ArgError::new(format!(
-                    "generation budget ({gen_budget}) exhausted after materializing \
-                     {generated_nodes} node(s); the set may have no finite chase — \
-                     raise --gen-budget to keep going"
-                )))
-            }
-            DepSatOutcome::Interrupted(i) => return Err(interrupted(&i, &r.metrics)),
-            DepSatOutcome::Satisfiable(m) => (Some(m), r.metrics, Some(r.stats)),
-            DepSatOutcome::Unsatisfiable(_) => (None, r.metrics, Some(r.stats)),
+            "{path}: {rules} rule(s) ({generating} generating), total size {size} — GGD chase"
+        )
+    };
+    // `dep_sat_with_config` routes: a literal Σ runs the enforcement
+    // driver; a Σ with generating rules the chase over `GΣ` (scan and
+    // planning units on the shared scheduler, generation committed in
+    // order between rounds) under a fresh-node termination budget. An
+    // interrupted run has no verdict: that is checked before the yes/no
+    // split, so a timeout cannot masquerade as UNSATISFIABLE.
+    let cfg = gfd_chase::ChaseConfig {
+        workers,
+        ttl,
+        max_generated_nodes: gen_budget,
+        budget,
+        trace: tracing.spec(),
+        ..gfd_chase::ChaseConfig::default()
+    };
+    let r = gfd_chase::dep_sat_with_config(&sigma, &cfg);
+    let model = match r.outcome {
+        DepSatOutcome::Unknown { generated_nodes } => {
+            return Err(ArgError::new(format!(
+                "generation budget ({gen_budget}) exhausted after materializing \
+                 {generated_nodes} node(s); the set may have no finite chase — \
+                 raise --gen-budget to keep going"
+            )))
         }
+        DepSatOutcome::Interrupted(i) => return Err(interrupted(&i, &r.metrics)),
+        DepSatOutcome::Satisfiable(m) => Some(m),
+        DepSatOutcome::Unsatisfiable(_) => None,
     };
     let elapsed = start.elapsed();
 
-    // Both routes hand back the model exactly when Σ is satisfiable.
+    // The model comes back exactly when Σ is satisfiable.
     let satisfiable = model.is_some();
     let verdict = if satisfiable {
         "SATISFIABLE"
@@ -122,12 +102,12 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
     };
     let _ = writeln!(out, "{verdict} ({})", fmt_duration(elapsed));
     if show_metrics {
-        let _ = write!(out, "{}", fmt_metrics(&metrics));
-        if let Some(stats) = &chase_stats {
-            let _ = write!(out, "{}", fmt_chase_stats(stats));
+        let _ = write!(out, "{}", fmt_metrics(&r.metrics));
+        if generating > 0 {
+            let _ = write!(out, "{}", fmt_chase_stats(&r.stats));
         }
     }
-    tracing.emit(&metrics, &dep_rule_names(&sigma), out)?;
+    tracing.emit(&r.metrics, &rule_names(&sigma), out)?;
     if let Some(model) = model.filter(|_| show_model) {
         let _ = writeln!(
             out,

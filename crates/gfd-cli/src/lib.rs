@@ -603,8 +603,8 @@ mod tests {
         }
 
         // A generating candidate against literal Σ exercises the driver
-        // route (Goal::GgdImp): x.v = 1 as a generated assignment follows
-        // from the literal rule.
+        // route: x.v = 1 as a generated assignment follows from the
+        // literal rule.
         let drv_file = dir.join("driver.gfd");
         std::fs::write(
             &drv_file,
@@ -617,6 +617,74 @@ mod tests {
         let (code, text) = run_vec(&["imp", drv_file.to_str().unwrap(), "--phi", "probe"]);
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("IMPLIED"), "{text}");
+    }
+
+    /// A command refuses a file holding rule blocks it does not read —
+    /// exit 2, one line naming the first such rule and who reads it —
+    /// instead of answering about the Σ that is left.
+    #[test]
+    fn commands_refuse_the_rule_blocks_they_cannot_read() {
+        let dir = std::env::temp_dir().join("gfd-cli-test-unread-blocks");
+        std::fs::create_dir_all(&dir).unwrap();
+        // Satisfiable without the `ged`, unsatisfiable with it.
+        let with_ged = dir.join("with_ged.gfd");
+        std::fs::write(
+            &with_ged,
+            "graph g { node n: t }\n\
+             gfd a1 { pattern { node x: t } then { x.v = 1 } }\n\
+             gfd a2 { pattern { node x: t } then { x.v = 1 } }\n\
+             ged d1 { pattern { node x: t } then { false } }\n",
+        )
+        .unwrap();
+        let file = with_ged.to_str().unwrap();
+        let reduced = dir.join("reduced.gfd");
+        let _ = std::fs::remove_file(&reduced);
+        let commands: [&[&str]; 4] = [
+            &["sat", file],
+            &["imp", file, "--phi", "a1"],
+            &["minimize", file, "--out", reduced.to_str().unwrap()],
+            &["detect", file],
+        ];
+        for args in commands {
+            let (code, text) = run_vec(args);
+            assert_eq!(code, 2, "{args:?}: {text}");
+            assert_eq!(text.lines().count(), 1, "{args:?}: {text}");
+            let expect = format!("`gfd {}` does not read `ged` blocks", args[0]);
+            assert!(text.contains(&expect), "{args:?}: {text}");
+            assert!(text.contains("first: `d1`"), "{args:?}: {text}");
+            assert!(text.contains("`gfd ged-sat`"), "{args:?}: {text}");
+        }
+        assert!(
+            !reduced.exists(),
+            "minimize must not write a file without the ged"
+        );
+        let (code, text) = run_vec(&["ged-sat", file]);
+        assert_eq!(code, 1, "{text}");
+        assert!(text.contains("3 rule(s) (as GEDs)"), "{text}");
+
+        let with_ggd = dir.join("with_ggd.gfd");
+        std::fs::write(
+            &with_ggd,
+            "graph g { node n: t }\n\
+             ged k { pattern { node x: t node y: t } when { x.v = y.v } then { x.id = y.id } }\n\
+             ggd grow { pattern { node x: t } create { node y: u edge x -e-> y } }\n",
+        )
+        .unwrap();
+        let file = with_ggd.to_str().unwrap();
+        let commands: [&[&str]; 3] = [
+            &["ged-sat", file],
+            &["ged-imp", file, "--phi", "k"],
+            &["resolve", file],
+        ];
+        for args in commands {
+            let (code, text) = run_vec(args);
+            assert_eq!(code, 2, "{args:?}: {text}");
+            assert_eq!(text.lines().count(), 1, "{args:?}: {text}");
+            let expect = format!("`gfd {}` does not read `ggd` blocks", args[0]);
+            assert!(text.contains(&expect), "{args:?}: {text}");
+            assert!(text.contains("first: `grow`"), "{args:?}: {text}");
+            assert!(text.contains("`gfd sat`"), "{args:?}: {text}");
+        }
     }
 
     #[test]

@@ -53,8 +53,8 @@ pub fn fmt_metrics(m: &RunMetrics) -> String {
     out
 }
 
-/// Render the chase counters that accompany [`RunMetrics`] on the
-/// generalized (GGD) reasoning paths.
+/// Render the chase counters that accompany [`RunMetrics`] when a Σ with
+/// generating rules was chased.
 pub fn fmt_chase_stats(s: &gfd_chase::ChaseStats) -> String {
     format!(
         "  chase: {} round(s), {} premise eval(s), {} match(es) enumerated, \

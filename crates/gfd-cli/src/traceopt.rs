@@ -85,12 +85,7 @@ impl TraceArgs {
     }
 }
 
-/// Rule names in id order for a literal rule set.
-pub(crate) fn gfd_rule_names(sigma: &gfd_core::GfdSet) -> Vec<String> {
-    sigma.iter().map(|(_, g)| g.name.clone()).collect()
-}
-
-/// Rule names in id order for a generalized dependency set.
-pub(crate) fn dep_rule_names(sigma: &gfd_core::DepSet) -> Vec<String> {
+/// Rule names in id order.
+pub(crate) fn rule_names(sigma: &gfd_core::DepSet) -> Vec<String> {
     sigma.iter().map(|(_, d)| d.name.clone()).collect()
 }

@@ -17,8 +17,8 @@
 //! limit tripped — a conflict, a witness, a counterexample — is still
 //! returned: budgets bound work, not soundness.
 
-use gfd_runtime::sched::{run_scheduler_with, Task};
-use gfd_runtime::{DispatchMode, Exhaustion, RunMetrics, RunOutcome, SchedOptions, TraceSpec};
+use gfd_runtime::sched::{run_scheduler, Task};
+use gfd_runtime::{Exhaustion, RunMetrics, RunOutcome, SchedOptions, TraceSpec};
 use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
@@ -130,7 +130,7 @@ pub fn run_task<T: Task>(
         unit_retries: 0,
         trace,
     };
-    let run = run_scheduler_with(task, units, workers, DispatchMode::default(), stop, opts);
+    let run = run_scheduler(task, units, workers, stop, opts);
     let (workers, outcome) = metrics.absorb(run);
     TaskRun {
         workers,

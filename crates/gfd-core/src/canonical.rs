@@ -9,12 +9,11 @@
 //!   Corollary 4, `Σ |= ϕ` iff some partial enforcement of Σ on `G^X_Q`
 //!   conflicts or deduces `Y`.
 
+use crate::dependency::{generate_deducible, Consequence, DepSet, Dependency};
 use crate::eq::EqRel;
 use crate::error::Conflict;
-use crate::gfd::Gfd;
 use crate::literal::Operand;
-use crate::sigma::GfdSet;
-use gfd_graph::{Graph, LabelId, LabelIndex, NodeId, Pattern, VarId};
+use gfd_graph::{Graph, LabelId, LabelIndex, MatchIndex, NodeId, Pattern, VarId};
 use gfd_match::MatchPlan;
 
 /// Per-component label profile used to prune impossible (pattern,
@@ -82,9 +81,10 @@ impl CanonicalGraph {
         }
     }
 
-    /// Build `GΣ`: the disjoint union of every pattern in Σ. Returns the
-    /// canonical graph and, per GFD, the node each pattern variable became.
-    pub fn for_sigma(sigma: &GfdSet) -> (Self, Vec<Vec<NodeId>>) {
+    /// Build `GΣ`: the disjoint union of every (premise) pattern in Σ — a
+    /// generating rule contributes its premise side only. Returns the
+    /// canonical graph and, per rule, the node each pattern variable became.
+    pub fn for_sigma(sigma: &DepSet) -> (Self, Vec<Vec<NodeId>>) {
         let mut graph = Graph::new();
         let mut node_of = Vec::with_capacity(sigma.len());
         for (_, gfd) in sigma.iter() {
@@ -101,21 +101,12 @@ impl CanonicalGraph {
 
     /// Build `G^X_Q` for ϕ: the pattern as a graph (variable `i` is node
     /// `i`) plus `EqX`. An `Err` means `X` itself is inconsistent, in which
-    /// case ϕ is trivially satisfied by every graph.
-    pub fn for_phi(phi: &Gfd) -> Result<(Self, EqRel), Conflict> {
-        Self::for_premise(&phi.pattern, &phi.premise)
-    }
-
-    /// [`CanonicalGraph::for_phi`] over a bare premise — shared with the
-    /// generalized dependency layer, whose candidate ϕ may have a
-    /// generating consequence (the premise side is identical).
-    pub fn for_premise(
-        pattern: &Pattern,
-        premise: &[crate::literal::Literal],
-    ) -> Result<(Self, EqRel), Conflict> {
-        let graph = pattern.to_graph();
+    /// case ϕ is trivially satisfied by every graph. Only the premise side
+    /// of ϕ is read, so its consequence may be of either kind.
+    pub fn for_phi(phi: &Dependency) -> Result<(Self, EqRel), Conflict> {
+        let graph = phi.pattern.to_graph();
         let mut eq = EqRel::new();
-        for lit in premise {
+        for lit in &phi.premise {
             let k1 = (NodeId::new(lit.var.index()), lit.attr);
             match &lit.rhs {
                 Operand::Const(c) => {
@@ -239,7 +230,7 @@ impl LabelNeeds {
 /// a pivot that is selective; nonetheless any node can serve"). Works
 /// against any `MatchIndex` so the streaming pipeline can re-pivot on
 /// delta-adjusted frequencies.
-pub fn choose_pivot<I: gfd_graph::MatchIndex>(pattern: &Pattern, index: &I) -> VarId {
+pub fn choose_pivot<I: MatchIndex>(pattern: &Pattern, index: &I) -> VarId {
     pattern
         .vars()
         .min_by_key(|&v| {
@@ -252,7 +243,7 @@ pub fn choose_pivot<I: gfd_graph::MatchIndex>(pattern: &Pattern, index: &I) -> V
 }
 
 /// Build per-GFD pivots and pivoted match plans against a canonical graph.
-pub fn build_plans(sigma: &GfdSet, index: &LabelIndex) -> (Vec<VarId>, Vec<MatchPlan>) {
+pub fn build_plans(sigma: &DepSet, index: &LabelIndex) -> (Vec<VarId>, Vec<MatchPlan>) {
     let mut pivots = Vec::with_capacity(sigma.len());
     let mut plans = Vec::with_capacity(sigma.len());
     for (_, gfd) in sigma.iter() {
@@ -268,7 +259,7 @@ pub fn build_plans(sigma: &GfdSet, index: &LabelIndex) -> (Vec<VarId>, Vec<Match
 /// work unit. On implication's pattern-sized `G^X_Q`, this skips nearly
 /// all of a large Σ.
 pub fn build_plans_lazy(
-    sigma: &GfdSet,
+    sigma: &DepSet,
     index: &LabelIndex,
 ) -> (Vec<VarId>, Vec<Option<MatchPlan>>) {
     let mut pivots = Vec::with_capacity(sigma.len());
@@ -289,23 +280,44 @@ pub fn build_plans_lazy(
     (pivots, plans)
 }
 
-/// Can every literal of ϕ's consequence be deduced from `eq` under the
-/// identity mapping (variable `i` ↦ node `i`)? This is the paper's
-/// `Y ⊆ EqH` termination test for implication.
-pub fn consequence_deducible(eq: &mut EqRel, phi: &Gfd) -> bool {
-    consequence_lits_deducible(eq, &phi.consequence)
+/// Can ϕ's consequence be deduced from `eq` at the identity match
+/// (variable `i` ↦ node `i`) of a graph embedding ϕ's pattern there —
+/// `G^X_Q`, or a chase of it? For literals this is the paper's `Y ⊆ EqH`
+/// termination test for implication and `index` is not read; a generating
+/// consequence must be realized in the graph `index` covers with every
+/// attribute assignment forced by `eq`.
+pub fn consequence_deducible_on<I: MatchIndex>(
+    eq: &mut EqRel,
+    index: &I,
+    phi: &Dependency,
+) -> bool {
+    match &phi.consequence {
+        Consequence::Literals(lits) => lits.iter().all(|lit| {
+            let k1 = (NodeId::new(lit.var.index()), lit.attr);
+            match &lit.rhs {
+                Operand::Const(c) => eq.deduces_const(k1, *c),
+                Operand::Attr(v2, a2) => eq.deduces_eq(k1, (NodeId::new(v2.index()), *a2)),
+            }
+        }),
+        Consequence::Generate(gen) => {
+            let identity: Vec<NodeId> =
+                phi.pattern.vars().map(|v| NodeId::new(v.index())).collect();
+            generate_deducible(eq, index, gen, &identity)
+        }
+    }
 }
 
-/// [`consequence_deducible`] over a bare literal slice — shared with the
-/// generalized dependency layer.
-pub fn consequence_lits_deducible(eq: &mut EqRel, lits: &[crate::literal::Literal]) -> bool {
-    lits.iter().all(|lit| {
-        let k1 = (NodeId::new(lit.var.index()), lit.attr);
-        match &lit.rhs {
-            Operand::Const(c) => eq.deduces_const(k1, *c),
-            Operand::Attr(v2, a2) => eq.deduces_eq(k1, (NodeId::new(v2.index()), *a2)),
-        }
-    })
+/// [`consequence_deducible_on`] ϕ's own `G^X_Q`, under its pre-merge
+/// two-argument signature — alive only because `gfdbench/` calls it;
+/// ROADMAP item 3's benchmark PR deletes it.
+pub fn consequence_deducible(eq: &mut EqRel, phi: &Dependency) -> bool /* gfdbench-pin */ {
+    // Only a generating consequence reads the index.
+    let graph = if phi.is_generating() {
+        phi.pattern.to_graph()
+    } else {
+        Graph::new()
+    };
+    consequence_deducible_on(eq, &LabelIndex::build(&graph), phi)
 }
 
 #[cfg(test)]
@@ -314,7 +326,7 @@ mod tests {
     use crate::literal::Literal;
     use gfd_graph::{ValueId, Vocab};
 
-    fn two_pattern_sigma(vocab: &mut Vocab) -> GfdSet {
+    fn two_pattern_sigma(vocab: &mut Vocab) -> DepSet {
         let t = vocab.label("t");
         let u = vocab.label("u");
         let e = vocab.label("e");
@@ -328,9 +340,9 @@ mod tests {
         let mut p2 = Pattern::new();
         let z = p2.add_node(u, "z");
 
-        GfdSet::from_vec(vec![
-            Gfd::new("g0", p1, vec![], vec![Literal::eq_const(x, a, 1i64)]),
-            Gfd::new("g1", p2, vec![], vec![Literal::eq_const(z, a, 2i64)]),
+        DepSet::from_vec(vec![
+            Dependency::new("g0", p1, vec![], vec![Literal::eq_const(x, a, 1i64)]),
+            Dependency::new("g1", p2, vec![], vec![Literal::eq_const(z, a, 2i64)]),
         ])
     }
 
@@ -426,7 +438,7 @@ mod tests {
         let y = p.add_node(t, "y");
         p.add_edge(x, vocab.label("e"), y);
         // X: x.a = y.b ∧ y.b = y.c ∧ x.a = 5  ⇒ all three keys equal 5.
-        let phi = Gfd::new(
+        let phi = Dependency::new(
             "phi",
             p,
             vec![
@@ -449,7 +461,7 @@ mod tests {
         let a = vocab.attr("a");
         let mut p = Pattern::new();
         let x = p.add_node(t, "x");
-        let phi = Gfd::new(
+        let phi = Dependency::new(
             "phi",
             p,
             vec![Literal::eq_const(x, a, 1i64), Literal::eq_const(x, a, 2i64)],
@@ -466,18 +478,45 @@ mod tests {
         let b = vocab.attr("b");
         let mut p = Pattern::new();
         let x = p.add_node(t, "x");
-        let phi = Gfd::new(
+        let phi = Dependency::new(
             "phi",
             p,
             vec![],
             vec![Literal::eq_const(x, a, 1i64), Literal::eq_attr(x, a, x, b)],
         );
-        let mut eq = EqRel::new();
-        assert!(!consequence_deducible(&mut eq, &phi));
+        let (canon, mut eq) = CanonicalGraph::for_phi(&phi).unwrap();
+        assert!(!consequence_deducible_on(&mut eq, &canon.index, &phi));
         eq.bind((NodeId::new(0), a), ValueId::of(1i64)).unwrap();
-        assert!(!consequence_deducible(&mut eq, &phi));
+        assert!(!consequence_deducible_on(&mut eq, &canon.index, &phi));
         eq.merge((NodeId::new(0), a), (NodeId::new(0), b)).unwrap();
-        assert!(consequence_deducible(&mut eq, &phi));
+        assert!(consequence_deducible_on(&mut eq, &canon.index, &phi));
+    }
+
+    /// A generating consequence is deducible once the indexed graph
+    /// realizes its target with every assignment forced by `eq`.
+    #[test]
+    fn consequence_deducible_checks_a_generated_target() {
+        use crate::dependency::GenerateConsequence;
+        let mut vocab = Vocab::new();
+        let t = vocab.label("t");
+        let e = vocab.label("e");
+        let a = vocab.attr("a");
+        let mut p = Pattern::new();
+        let x = p.add_node(t, "x");
+        let y = p.add_node(t, "y");
+        p.add_edge(x, e, y);
+        // Target: an `e`-successor of x whose `a` is 1 — y itself serves.
+        let mut gen = GenerateConsequence::over(&p);
+        let z = gen.add_fresh(t, "z");
+        gen.add_edge(x, e, z);
+        gen.push_attr(Literal::eq_const(z, a, 1i64));
+        let phi = Dependency::new("phi", p, vec![], gen);
+        let (canon, mut eq) = CanonicalGraph::for_phi(&phi).unwrap();
+        assert!(!consequence_deducible_on(&mut eq, &canon.index, &phi));
+        eq.bind((NodeId::new(1), a), ValueId::of(1i64)).unwrap();
+        assert!(consequence_deducible_on(&mut eq, &canon.index, &phi));
+        // The two-argument form builds that index itself.
+        assert!(consequence_deducible(&mut eq, &phi)); // gfdbench-pin
     }
 
     #[test]
@@ -488,7 +527,7 @@ mod tests {
         let y = p.add_node(LabelId::WILDCARD, "y");
         p.add_edge(x, LabelId::WILDCARD, y);
         let a = vocab.attr("a");
-        let sigma = GfdSet::from_vec(vec![Gfd::new(
+        let sigma = DepSet::from_vec(vec![Dependency::new(
             "g",
             p.clone(),
             vec![],

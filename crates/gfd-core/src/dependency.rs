@@ -1,11 +1,11 @@
-//! The general rule layer: dependencies with *consequence actions*.
+//! The rule model: dependencies `ϕ = Q[x̄](X → consequence)`.
 //!
-//! A [`Dependency`] generalizes the GFD `ϕ = Q[x̄](X → Y)` by replacing the
-//! literal-conjunction consequence `Y` with a [`Consequence`] action:
+//! A [`Dependency`] is a graph pattern `Q[x̄]` (topological scope), a
+//! premise `X` of attribute literals over the pattern variables, and a
+//! [`Consequence`] stating what every match satisfying `X` must have:
 //!
-//! * [`Consequence::Literals`] — today's GFDs, byte-for-byte compatible
-//!   with [`Gfd`] (the [`Dependency::from_gfd`] / [`Dependency::as_gfd`]
-//!   shim keeps existing call sites compiling during the migration);
+//! * [`Consequence::Literals`] — the paper's GFD `Q[x̄](X → Y)` (§III): a
+//!   conjunction `Y` of attribute literals;
 //! * [`Consequence::Generate`] — graph-generating dependencies (GGDs,
 //!   Shimomura et al.): the consequence asserts the *existence* of a
 //!   target subgraph — fresh nodes, fresh edges and attribute
@@ -13,17 +13,38 @@
 //!   chase *creates* it when no extension of the match realizes it.
 //!
 //! Every future dependency class (TGDs/EGDs, keys) slots in behind the
-//! same enum. Sets of dependencies are [`DepSet`], the generalized `Σ`;
-//! the reasoning drivers route literal-only sets through the original
-//! GFD algorithms unchanged and mixed sets through the chase-based
-//! semantics (`gfd-chase`), see DESIGN.md §10.
+//! same enum. A set Σ of dependencies is a [`DepSet`]. The enforcement
+//! driver ([`crate::run_reason`]) admits literal consequences only; a Σ
+//! with generating rules is reasoned about by the chase (`gfd-chase`),
+//! see DESIGN.md §10.
 
 use crate::error::Conflict;
-use crate::gfd::Gfd;
 use crate::literal::{Literal, Operand};
-use crate::sigma::GfdSet;
-use gfd_graph::{AttrId, GfdId, MatchIndex, NodeId, Pattern, TopologyView, VarId, Vocab};
+use gfd_graph::{AttrId, GfdId, MatchIndex, NodeId, Pattern, TopologyView, Value, VarId, Vocab};
 use std::fmt;
+
+/// The reserved attribute used to encode the Boolean constant `false` as a
+/// consequence, per the paper: `false` is syntactic sugar for binding the
+/// same attribute to two distinct constants.
+pub const FALSE_ATTR_NAME: &str = "__false";
+
+/// Does a literal conjunction encode the Boolean constant `false` — two
+/// constant literals on the same variable/attribute with distinct
+/// constants?
+pub fn literals_are_denial(lits: &[Literal]) -> bool {
+    for (i, a) in lits.iter().enumerate() {
+        for b in &lits[i + 1..] {
+            if a.var == b.var && a.attr == b.attr {
+                if let (Operand::Const(va), Operand::Const(vb)) = (&a.rhs, &b.rhs) {
+                    if va != vb {
+                        return true;
+                    }
+                }
+            }
+        }
+    }
+    false
+}
 
 /// The attribute predicate realization checks call for each assignment
 /// literal: detection passes concrete data-graph evaluation, the chase
@@ -44,14 +65,25 @@ pub enum Consequence {
     /// A target subgraph that must exist as an extension of the premise
     /// match — the GGD consequence. Enforcement *generates* the missing
     /// part; detection reports it as a violation with a witness of the
-    /// missing subgraph.
-    Generate(GenerateConsequence),
+    /// missing subgraph. Boxed: a target pattern is several times the size
+    /// of a literal list, and the per-Σ passes of the reasoning set-up
+    /// stride over every rule.
+    Generate(Box<GenerateConsequence>),
 }
 
 impl Consequence {
     /// True iff this is a generating consequence.
     pub fn is_generating(&self) -> bool {
         matches!(self, Consequence::Generate(_))
+    }
+
+    /// The literals `Y` of a classic GFD consequence; `None` for a
+    /// generating one.
+    pub fn literals(&self) -> Option<&[Literal]> {
+        match self {
+            Consequence::Literals(lits) => Some(lits),
+            Consequence::Generate(_) => None,
+        }
     }
 
     /// Size contribution to `|ϕ|`.
@@ -61,14 +93,19 @@ impl Consequence {
             Consequence::Generate(gen) => gen.size(),
         }
     }
+}
 
-    /// Attributes mentioned by the consequence (used by the dependency
-    /// ordering heuristics).
-    pub fn attrs(&self) -> Vec<AttrId> {
-        match self {
-            Consequence::Literals(lits) => lits.iter().flat_map(Literal::attrs).collect(),
-            Consequence::Generate(gen) => gen.attrs.iter().flat_map(Literal::attrs).collect(),
-        }
+/// A classic GFD consequence `Y` is just its literals.
+impl From<Vec<Literal>> for Consequence {
+    fn from(lits: Vec<Literal>) -> Self {
+        Consequence::Literals(lits)
+    }
+}
+
+/// A GGD consequence is just its target.
+impl From<GenerateConsequence> for Consequence {
+    fn from(gen: GenerateConsequence) -> Self {
+        Consequence::Generate(Box::new(gen))
     }
 }
 
@@ -298,9 +335,8 @@ impl GenerateConsequence {
 }
 
 /// Is a generating consequence deducible under the equivalence relation
-/// `eq` at match `m` — the GGD analogue of
-/// [`crate::canonical::consequence_deducible`]? Attribute assignments are
-/// checked by class deduction; the structural part is probed on `index`.
+/// `eq` at match `m`? Attribute assignments are checked by class
+/// deduction; the structural part is probed on `index`.
 pub fn generate_deducible<I: MatchIndex>(
     eq: &mut crate::eq::EqRel,
     index: &I,
@@ -316,43 +352,76 @@ pub fn generate_deducible<I: MatchIndex>(
     })
 }
 
-/// A dependency: a premise (pattern + source literals) plus a consequence
-/// action. The generalized rule everything above `gfd-core` speaks.
+/// A dependency `ϕ = Q[x̄](X → consequence)`: a graph pattern `Q[x̄]`
+/// (topological scope), premise literals `X` over the pattern variables,
+/// and a consequence — the literals `Y` of the paper's GFDs (§III) or a
+/// generated target subgraph.
 #[derive(Clone, Debug)]
 pub struct Dependency {
-    /// Human-readable name.
+    /// Human-readable name (e.g. `phi1`).
     pub name: String,
     /// The premise pattern `Q[x̄]`.
     pub pattern: Pattern,
     /// The premise literals `X` (empty = always satisfied).
     pub premise: Vec<Literal>,
-    /// The consequence action.
+    /// What every match satisfying `X` must have.
     pub consequence: Consequence,
 }
 
 impl Dependency {
     /// Build a dependency, checking well-formedness (literals reference
-    /// pattern variables; generating targets extend the premise).
+    /// pattern variables; generating targets extend the premise). A
+    /// classic GFD passes its consequence literals `Y` as a plain
+    /// `Vec<Literal>` (empty = trivially satisfied), a GGD its
+    /// [`GenerateConsequence`].
     pub fn new(
         name: impl Into<String>,
         pattern: Pattern,
         premise: Vec<Literal>,
-        consequence: Consequence,
+        consequence: impl Into<Consequence>,
     ) -> Self {
         let dep = Dependency {
             name: name.into(),
             pattern,
             premise,
-            consequence,
+            consequence: consequence.into(),
         };
         dep.assert_well_formed();
         dep
     }
 
+    /// Build a dependency whose consequence is the Boolean constant
+    /// `false` (e.g. the paper's ϕ1 — "this pattern must not occur with
+    /// X").
+    ///
+    /// Encoded, per §III, as two constant literals assigning distinct
+    /// constants to the same fresh attribute of the first variable.
+    pub fn with_false_consequence(
+        name: impl Into<String>,
+        pattern: Pattern,
+        premise: Vec<Literal>,
+        vocab: &mut Vocab,
+    ) -> Self {
+        let attr = vocab.attr(FALSE_ATTR_NAME);
+        let x = VarId::new(0);
+        let consequence = vec![
+            Literal::eq_const(x, attr, Value::int(0)),
+            Literal::eq_const(x, attr, Value::int(1)),
+        ];
+        Dependency::new(name, pattern, premise, consequence)
+    }
+
     fn assert_well_formed(&self) {
         let n = self.pattern.node_count();
         assert!(n > 0, "dependency `{}` has an empty pattern", self.name);
-        for lit in &self.premise {
+        let lits = match &self.consequence {
+            Consequence::Literals(lits) => lits.as_slice(),
+            Consequence::Generate(gen) => {
+                gen.assert_well_formed(&self.name, &self.pattern);
+                &[]
+            }
+        };
+        for lit in self.premise.iter().chain(lits) {
             for v in lit.vars() {
                 assert!(
                     v.index() < n,
@@ -361,44 +430,6 @@ impl Dependency {
                 );
             }
         }
-        match &self.consequence {
-            Consequence::Literals(lits) => {
-                for lit in lits {
-                    for v in lit.vars() {
-                        assert!(
-                            v.index() < n,
-                            "dependency `{}` references unknown variable {v}",
-                            self.name
-                        );
-                    }
-                }
-            }
-            Consequence::Generate(gen) => gen.assert_well_formed(&self.name, &self.pattern),
-        }
-    }
-
-    /// Lift a GFD into the general model (the migration shim).
-    pub fn from_gfd(gfd: Gfd) -> Self {
-        Dependency {
-            name: gfd.name,
-            pattern: gfd.pattern,
-            premise: gfd.premise,
-            consequence: Consequence::Literals(gfd.consequence),
-        }
-    }
-
-    /// The reverse shim: a literal-consequence dependency as a [`Gfd`]
-    /// (clone), `None` for generating dependencies.
-    pub fn as_gfd(&self) -> Option<Gfd> {
-        match &self.consequence {
-            Consequence::Literals(lits) => Some(Gfd::new(
-                self.name.clone(),
-                self.pattern.clone(),
-                self.premise.clone(),
-                lits.clone(),
-            )),
-            Consequence::Generate(_) => None,
-        }
     }
 
     /// True iff the consequence generates.
@@ -406,42 +437,44 @@ impl Dependency {
         self.consequence.is_generating()
     }
 
-    /// True iff the premise is empty (`∅ → …`).
+    /// True iff the premise is the empty set (`∅ → …`): such rules are
+    /// enforced unconditionally and are processed first by the algorithms.
     pub fn has_empty_premise(&self) -> bool {
         self.premise.is_empty()
     }
 
-    /// True iff the consequence is a literal denial (`… → false`).
-    /// Generating consequences are never denials.
+    /// True iff the consequence encodes the Boolean constant `false`
+    /// ([`literals_are_denial`]). Generating consequences are never
+    /// denials.
     pub fn is_denial(&self) -> bool {
-        match &self.consequence {
-            Consequence::Literals(lits) => crate::gfd::literals_are_denial(lits),
-            Consequence::Generate(_) => false,
-        }
+        self.consequence.literals().is_some_and(literals_are_denial)
     }
 
-    /// The size `|ϕ| = |Q| + |X| + |Y|`.
+    /// The size `|ϕ| = |Q| + |X| + |Y|` used by the small-model bounds.
     pub fn size(&self) -> usize {
         self.pattern.size()
             + self.premise.iter().map(Literal::size).sum::<usize>()
             + self.consequence.size()
     }
 
-    /// Attributes mentioned in the premise.
+    /// Attribute names mentioned in the premise.
     pub fn premise_attrs(&self) -> impl Iterator<Item = AttrId> + '_ {
         self.premise.iter().flat_map(Literal::attrs)
     }
 
-    /// Render with names resolved through `vocab`. Literal-consequence
-    /// dependencies render exactly like the [`Gfd`] they shim.
+    /// Attribute names mentioned in the consequence (literals, or the
+    /// attribute assignments of a generated target).
+    pub fn consequence_attrs(&self) -> impl Iterator<Item = AttrId> + '_ {
+        let lits = match &self.consequence {
+            Consequence::Literals(lits) => lits,
+            Consequence::Generate(gen) => &gen.attrs,
+        };
+        lits.iter().flat_map(Literal::attrs)
+    }
+
+    /// Render with names resolved through `vocab`.
     pub fn display<'a>(&'a self, vocab: &'a Vocab) -> DependencyDisplay<'a> {
         DependencyDisplay { dep: self, vocab }
-    }
-}
-
-impl From<Gfd> for Dependency {
-    fn from(gfd: Gfd) -> Self {
-        Dependency::from_gfd(gfd)
     }
 }
 
@@ -454,13 +487,6 @@ pub struct DependencyDisplay<'a> {
 impl fmt::Display for DependencyDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let d = self.dep;
-        if let Some(gfd) = d.as_gfd() {
-            // Byte-identical to the GFD rendering.
-            return write!(f, "{}", gfd.display(self.vocab));
-        }
-        let Consequence::Generate(gen) = &d.consequence else {
-            unreachable!("as_gfd covered the literal arm")
-        };
         write!(f, "{}: Q[", d.name)?;
         for (i, v) in d.pattern.vars().enumerate() {
             if i > 0 {
@@ -483,50 +509,72 @@ impl fmt::Display for DependencyDisplay<'_> {
             }
             write!(f, "{}", l.display(&d.pattern, self.vocab))?;
         }
-        write!(f, " → CREATE ")?;
-        let mut first = true;
-        for v in gen.fresh_vars() {
-            if !first {
-                write!(f, ", ")?;
+        write!(f, " → ")?;
+        match &d.consequence {
+            Consequence::Literals(_) if d.is_denial() => write!(f, "false")?,
+            Consequence::Literals(lits) if lits.is_empty() => write!(f, "true")?,
+            Consequence::Literals(lits) => {
+                for (i, l) in lits.iter().enumerate() {
+                    if i > 0 {
+                        write!(f, " ∧ ")?;
+                    }
+                    write!(f, "{}", l.display(&d.pattern, self.vocab))?;
+                }
             }
-            first = false;
-            write!(
-                f,
-                "{}:{}",
-                gen.pattern.var_name(v),
-                self.vocab.label_name(gen.pattern.label(v))
-            )?;
-        }
-        for e in gen.pattern.edges() {
-            if !first {
-                write!(f, ", ")?;
+            Consequence::Generate(gen) => {
+                write!(f, "CREATE ")?;
+                let mut first = true;
+                let mut sep = |f: &mut fmt::Formatter<'_>| {
+                    if std::mem::take(&mut first) {
+                        Ok(())
+                    } else {
+                        write!(f, ", ")
+                    }
+                };
+                for v in gen.fresh_vars() {
+                    sep(f)?;
+                    write!(
+                        f,
+                        "{}:{}",
+                        gen.pattern.var_name(v),
+                        self.vocab.label_name(gen.pattern.label(v))
+                    )?;
+                }
+                for e in gen.pattern.edges() {
+                    sep(f)?;
+                    write!(
+                        f,
+                        "{} -{}-> {}",
+                        gen.pattern.var_name(e.src),
+                        self.vocab.label_name(e.label),
+                        gen.pattern.var_name(e.dst)
+                    )?;
+                }
+                for l in &gen.attrs {
+                    sep(f)?;
+                    write!(f, "{}", l.display(&gen.pattern, self.vocab))?;
+                }
             }
-            first = false;
-            write!(
-                f,
-                "{} -{}-> {}",
-                gen.pattern.var_name(e.src),
-                self.vocab.label_name(e.label),
-                gen.pattern.var_name(e.dst)
-            )?;
-        }
-        for l in &gen.attrs {
-            if !first {
-                write!(f, ", ")?;
-            }
-            first = false;
-            write!(f, "{}", l.display(&gen.pattern, self.vocab))?;
         }
         write!(f, ")")
     }
 }
 
-/// A set Σ of dependencies — the generalized rule set. Identified by
-/// position like [`GfdSet`], with the same [`GfdId`] id space so the
-/// detection and chase layers keep their keying.
+/// The pre-merge name of [`Dependency`], alive only because `gfdbench/`
+/// (which a code PR may not edit) imports it.
+pub type Gfd = Dependency; // gfdbench-pin: deleted by ROADMAP item 3's benchmark PR
+
+/// The pre-merge name of [`DepSet`], alive only because `gfdbench/`
+/// imports it.
+pub type GfdSet = DepSet; // gfdbench-pin: deleted by ROADMAP item 3's benchmark PR
+
+/// A set Σ of dependencies, the input of every analysis. Rules are
+/// identified by their position ([`GfdId`]).
 #[derive(Clone, Debug, Default)]
 pub struct DepSet {
     deps: Vec<Dependency>,
+    /// How many of `deps` have a generating consequence.
+    generating: usize,
 }
 
 impl DepSet {
@@ -537,29 +585,27 @@ impl DepSet {
 
     /// Build from a vector of dependencies.
     pub fn from_vec(deps: Vec<Dependency>) -> Self {
-        DepSet { deps }
+        let generating = deps.iter().filter(|d| d.is_generating()).count();
+        DepSet { deps, generating }
     }
 
-    /// Lift a GFD set (the migration shim; preserves order and ids).
-    pub fn from_gfds(gfds: GfdSet) -> Self {
-        DepSet {
-            deps: gfds
-                .as_slice()
-                .iter()
-                .cloned()
-                .map(Dependency::from_gfd)
-                .collect(),
-        }
+    /// The identity — what is left of the pre-merge set conversion, alive
+    /// only because `gfdbench/` calls it; ROADMAP item 3's benchmark PR
+    /// deletes it.
+    pub fn from_gfds(sigma: DepSet) -> Self /* gfdbench-pin */ {
+        sigma
     }
 
-    /// Lower into a GFD set; `None` if any dependency generates.
-    pub fn to_gfds(&self) -> Option<GfdSet> {
-        self.deps.iter().map(Dependency::as_gfd).collect()
+    /// The rules, in id order — [`DepSet::from_vec`] of the result is the
+    /// same set (how `gfd minimize` takes a rule out and puts it back).
+    pub fn into_vec(self) -> Vec<Dependency> {
+        self.deps
     }
 
     /// Add a dependency, returning its id.
     pub fn push(&mut self, dep: Dependency) -> GfdId {
         let id = GfdId::new(self.deps.len());
+        self.generating += usize::from(dep.is_generating());
         self.deps.push(dep);
         id
     }
@@ -569,7 +615,7 @@ impl DepSet {
         &self.deps[id.index()]
     }
 
-    /// Number of dependencies.
+    /// Number of dependencies (the paper's `|Σ|` count parameter).
     pub fn len(&self) -> usize {
         self.deps.len()
     }
@@ -580,9 +626,11 @@ impl DepSet {
     }
 
     /// True iff any dependency has a generating consequence (the routing
-    /// predicate: literal-only sets run the original GFD algorithms).
+    /// predicate: literal-only sets run the enforcement driver, the rest
+    /// the chase). O(1): the set counts its generating rules as they
+    /// enter.
     pub fn has_generating(&self) -> bool {
-        self.deps.iter().any(Dependency::is_generating)
+        self.generating > 0
     }
 
     /// Iterate `(id, dependency)` pairs.
@@ -598,7 +646,7 @@ impl DepSet {
         &self.deps
     }
 
-    /// Total size `|Σ|`.
+    /// Total size `|Σ| = Σ |ϕ|` used by the small-model bounds.
     pub fn total_size(&self) -> usize {
         self.deps.iter().map(Dependency::size).sum()
     }
@@ -614,17 +662,9 @@ impl DepSet {
     }
 }
 
-impl From<GfdSet> for DepSet {
-    fn from(gfds: GfdSet) -> Self {
-        DepSet::from_gfds(gfds)
-    }
-}
-
 impl FromIterator<Dependency> for DepSet {
     fn from_iter<T: IntoIterator<Item = Dependency>>(iter: T) -> Self {
-        DepSet {
-            deps: iter.into_iter().collect(),
-        }
+        DepSet::from_vec(iter.into_iter().collect())
     }
 }
 
@@ -656,62 +696,218 @@ mod tests {
         gen.add_edge(x, attends, m);
         gen.add_edge(y, attends, m);
         gen.push_attr(Literal::eq_attr(m, city, x, city));
-        Dependency::new(
-            "meetup",
-            p,
-            vec![Literal::eq_attr(x, city, y, city)],
-            Consequence::Generate(gen),
-        )
+        Dependency::new("meetup", p, vec![Literal::eq_attr(x, city, y, city)], gen)
+    }
+
+    fn simple_pattern(vocab: &mut Vocab) -> Pattern {
+        let mut p = Pattern::new();
+        let x = p.add_node(vocab.label("place"), "x");
+        let y = p.add_node(vocab.label("place"), "y");
+        p.add_edge(x, vocab.label("locateIn"), y);
+        p
     }
 
     #[test]
-    fn shims_round_trip_literal_rules() {
+    fn build_and_inspect() {
         let mut vocab = Vocab::new();
-        let t = vocab.label("t");
-        let a = vocab.attr("a");
-        let mut p = Pattern::new();
-        let x = p.add_node(t, "x");
-        let gfd = Gfd::new("g", p, vec![], vec![Literal::eq_const(x, a, 1i64)]);
-        let dep = Dependency::from_gfd(gfd.clone());
-        assert!(!dep.is_generating());
-        let back = dep.as_gfd().unwrap();
-        assert_eq!(back.name, gfd.name);
-        assert_eq!(back.premise, gfd.premise);
-        assert_eq!(back.consequence, gfd.consequence);
-        // Display is byte-identical through the shim.
-        assert_eq!(
-            dep.display(&vocab).to_string(),
-            gfd.display(&vocab).to_string()
+        let p = simple_pattern(&mut vocab);
+        let a = vocab.attr("pop");
+        let g = Dependency::new(
+            "phi",
+            p,
+            vec![],
+            vec![Literal::eq_const(VarId::new(0), a, 1i64)],
+        );
+        assert!(g.has_empty_premise());
+        assert!(!g.is_denial());
+        assert!(!g.is_generating());
+        // |Q| = 2 nodes + 1 edge = 3, |X| = 0, |Y| = 2.
+        assert_eq!(g.size(), 5);
+    }
+
+    #[test]
+    fn false_consequence_is_denial() {
+        let mut vocab = Vocab::new();
+        let p = simple_pattern(&mut vocab);
+        let g = Dependency::with_false_consequence("phi1", p, vec![], &mut vocab);
+        assert!(g.is_denial());
+        assert_eq!(g.consequence.literals().map(<[_]>::len), Some(2));
+        let shown = g.display(&vocab).to_string();
+        assert!(shown.contains("false"), "{shown}");
+        assert!(shown.contains("∅"), "{shown}");
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown variable")]
+    fn literal_on_foreign_variable_panics() {
+        let mut vocab = Vocab::new();
+        let p = simple_pattern(&mut vocab);
+        let a = vocab.attr("pop");
+        let _ = Dependency::new(
+            "bad",
+            p,
+            vec![],
+            vec![Literal::eq_const(VarId::new(9), a, 1i64)],
         );
     }
 
     #[test]
-    fn depset_shims_preserve_order_and_ids() {
+    fn display_round_trips_names() {
         let mut vocab = Vocab::new();
-        let t = vocab.label("t");
-        let a = vocab.attr("a");
-        let mk = |name: &str| {
-            let mut p = Pattern::new();
-            let x = p.add_node(t, "x");
-            Gfd::new(name, p, vec![], vec![Literal::eq_const(x, a, 1i64)])
-        };
-        let gfds = GfdSet::from_vec(vec![mk("a"), mk("b")]);
-        let deps = DepSet::from_gfds(gfds.clone());
-        assert_eq!(deps.len(), 2);
-        assert!(!deps.has_generating());
-        assert_eq!(deps[GfdId::new(1)].name, "b");
-        let back = deps.to_gfds().unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.get(GfdId::new(0)).name, "a");
+        let p = simple_pattern(&mut vocab);
+        let a = vocab.attr("pop");
+        let g = Dependency::new(
+            "phi",
+            p,
+            vec![Literal::eq_const(VarId::new(0), a, 2i64)],
+            vec![Literal::eq_attr(VarId::new(0), a, VarId::new(1), a)],
+        );
+        let s = g.display(&vocab).to_string();
+        assert!(s.contains("x.pop = 2"), "{s}");
+        assert!(s.contains("x.pop = y.pop"), "{s}");
+        assert!(s.contains("x:place"), "{s}");
     }
 
+    /// The literal arm of `Display`, byte for byte as the pre-merge GFD
+    /// type printed it.
+    #[test]
+    fn literal_display_is_golden() {
+        let mut vocab = Vocab::new();
+        let p = simple_pattern(&mut vocab);
+        let (x, y) = (VarId::new(0), VarId::new(1));
+        let pop = vocab.attr("pop");
+        let name = vocab.attr("name");
+        let empty_premise = Dependency::new(
+            "phi",
+            p.clone(),
+            vec![],
+            vec![Literal::eq_const(x, pop, 1i64)],
+        );
+        let denial = Dependency::with_false_consequence(
+            "phi1",
+            p.clone(),
+            vec![Literal::eq_const(x, pop, 2i64)],
+            &mut vocab,
+        );
+        let const_and_var = Dependency::new(
+            "phi2",
+            p,
+            vec![
+                Literal::eq_const(x, name, "Bamburi"),
+                Literal::eq_attr(x, pop, y, pop),
+            ],
+            vec![
+                Literal::eq_const(y, pop, 3i64),
+                Literal::eq_attr(x, name, y, name),
+            ],
+        );
+        let shown = |d: &Dependency| d.display(&vocab).to_string();
+        assert_eq!(
+            shown(&empty_premise),
+            "phi: Q[x:place, y:place](∅ → x.pop = 1)"
+        );
+        assert_eq!(
+            shown(&denial),
+            "phi1: Q[x:place, y:place](x.pop = 2 → false)"
+        );
+        assert_eq!(
+            shown(&const_and_var),
+            "phi2: Q[x:place, y:place](x.name = \"Bamburi\" ∧ x.pop = y.pop → y.pop = 3 ∧ x.name = y.name)"
+        );
+    }
+
+    #[test]
+    fn attr_iterators() {
+        let mut vocab = Vocab::new();
+        let p = simple_pattern(&mut vocab);
+        let a = vocab.attr("a");
+        let b = vocab.attr("b");
+        let g = Dependency::new(
+            "phi",
+            p,
+            vec![Literal::eq_const(VarId::new(0), a, 1i64)],
+            vec![Literal::eq_attr(VarId::new(0), b, VarId::new(1), a)],
+        );
+        assert_eq!(g.premise_attrs().collect::<Vec<_>>(), vec![a]);
+        assert_eq!(g.consequence_attrs().collect::<Vec<_>>(), vec![b, a]);
+        // A generated target's attribute assignments are its consequence
+        // attributes: `m.city = x.city`.
+        let city = vocab.attr("city");
+        let ggd = person_meeting(&mut vocab);
+        assert_eq!(ggd.consequence_attrs().collect::<Vec<_>>(), [city, city]);
+    }
+
+    fn unary_rule(vocab: &mut Vocab, name: &str) -> Dependency {
+        let mut p = Pattern::new();
+        p.add_node(vocab.label("t"), "x");
+        let a = vocab.attr("a");
+        Dependency::new(
+            name,
+            p,
+            vec![],
+            vec![Literal::eq_const(VarId::new(0), a, 1i64)],
+        )
+    }
+
+    #[test]
+    fn push_get_iterate() {
+        let mut vocab = Vocab::new();
+        let mut sigma = DepSet::new();
+        let id0 = sigma.push(unary_rule(&mut vocab, "a"));
+        let id1 = sigma.push(unary_rule(&mut vocab, "b"));
+        assert_eq!(sigma.len(), 2);
+        assert_eq!(sigma.get(id0).name, "a");
+        assert_eq!(sigma[id1].name, "b");
+        let names: Vec<&str> = sigma.iter().map(|(_, g)| g.name.as_str()).collect();
+        assert_eq!(names, vec!["a", "b"]);
+        assert_eq!(sigma.total_size(), 2 * (1 + 2));
+        assert!(sigma.display_all(&vocab).contains("a: Q["));
+    }
+
+    #[test]
+    fn from_iterator() {
+        let mut vocab = Vocab::new();
+        let sigma: DepSet = (0..3)
+            .map(|i| unary_rule(&mut vocab, &format!("g{i}")))
+            .collect();
+        assert_eq!(sigma.len(), 3);
+        assert!(!sigma.is_empty());
+        assert!(!sigma.has_generating());
+    }
+
+    /// A generating rule has no literal form to lower to.
     #[test]
     fn generating_set_cannot_lower() {
         let mut vocab = Vocab::new();
         let deps = DepSet::from_vec(vec![person_meeting(&mut vocab)]);
         assert!(deps.has_generating());
-        assert!(deps.to_gfds().is_none());
-        assert!(deps.get(GfdId::new(0)).as_gfd().is_none());
+        assert!(deps.get(GfdId::new(0)).consequence.literals().is_none());
+        assert!(!deps.get(GfdId::new(0)).is_denial());
+    }
+
+    /// Every way a rule enters a set keeps the generating count behind the
+    /// O(1) `has_generating`, and `into_vec` / `from_vec` is the identity.
+    #[test]
+    fn generating_rules_are_counted_on_every_way_in() {
+        let mut vocab = Vocab::new();
+        let mixed = |vocab: &mut Vocab| vec![unary_rule(vocab, "lit"), person_meeting(vocab)];
+        assert!(DepSet::from_vec(mixed(&mut vocab)).has_generating());
+        assert!(mixed(&mut vocab)
+            .into_iter()
+            .collect::<DepSet>()
+            .has_generating());
+        let mut pushed = DepSet::new();
+        pushed.push(unary_rule(&mut vocab, "lit"));
+        assert!(!pushed.has_generating());
+        pushed.push(person_meeting(&mut vocab));
+        assert!(pushed.has_generating());
+
+        let mut rules = pushed.into_vec();
+        assert_eq!(rules.len(), 2);
+        rules.pop();
+        let literal = DepSet::from_vec(rules);
+        assert!(!literal.has_generating());
+        assert_eq!(literal[GfdId::new(0)].name, "lit");
     }
 
     #[test]

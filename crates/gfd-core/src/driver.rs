@@ -28,14 +28,12 @@
 //! semantically — they are the same code path.
 
 use crate::budget::{run_task, Budget};
-use crate::canonical::{build_plans_lazy, consequence_deducible, CanonicalGraph};
-use crate::dependency::{generate_deducible, Consequence, Dependency};
+use crate::canonical::{build_plans_lazy, consequence_deducible_on, CanonicalGraph};
+use crate::dependency::{DepSet, Dependency};
 use crate::enforce::EnforceEngine;
 use crate::engine::{MatchAction, SearchTask};
 use crate::eq::{EqOp, EqRel};
 use crate::error::Conflict;
-use crate::gfd::Gfd;
-use crate::sigma::GfdSet;
 use crate::unit::{generate_units, order_units};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use gfd_graph::{GfdId, NodeId, Pattern};
@@ -53,30 +51,13 @@ use std::time::{Duration, Instant};
 pub enum Goal<'a> {
     /// Satisfiability over `GΣ`.
     Sat,
-    /// Implication of `ϕ` over `G^X_Q`.
-    Imp(&'a Gfd),
-    /// Implication of a *generating* dependency (GGD) over `G^X_Q` — the
-    /// third goal of the generalized rule layer. Workers terminate early
-    /// when the generating consequence becomes *deducible*: some
-    /// extension of the identity match realizes the target subgraph in
-    /// the canonical graph with every attribute assignment forced by the
-    /// current relation. Mixed rule sets (Σ itself generating) route
-    /// through the chase-based semantics in `gfd-chase` instead; this arm
-    /// serves GGD queries against a literal Σ, whose enforcement never
-    /// changes the topology the realization check probes.
-    GgdImp(&'a Dependency),
-}
-
-impl<'a> Goal<'a> {
-    /// The candidate's premise literals, for the X-subsumption priority
-    /// boost shared by both implication arms (§VI-C).
-    fn imp_premise(&self) -> Option<&'a [crate::literal::Literal]> {
-        match self {
-            Goal::Sat => None,
-            Goal::Imp(phi) => Some(&phi.premise),
-            Goal::GgdImp(dep) => Some(&dep.premise),
-        }
-    }
+    /// Implication of `ϕ` over `G^X_Q`. Workers terminate early when ϕ's
+    /// consequence becomes deducible: `Y ⊆ EqH` for literals; for a
+    /// generating ϕ, some extension of the identity match realizes the
+    /// target subgraph in the canonical graph with every attribute
+    /// assignment forced by the current relation (Σ is literal, so
+    /// enforcement never changes the topology that check probes).
+    Imp(&'a Dependency),
 }
 
 /// A run-ending event raised by a worker or the final convergence phase.
@@ -195,31 +176,11 @@ pub struct ReasonRun {
 /// broadcast, shared across all peers as a single allocation.
 type DeltaPayload = Arc<[EqOp]>;
 
-/// Is the goal's terminal consequence condition met under `eq`? `Sat`
-/// never is (it terminates on conflicts only); the two implication arms
-/// test literal deducibility and generating-target realization
-/// respectively.
-fn goal_consequence_deduced(goal: Goal<'_>, canon: &CanonicalGraph, eq: &mut EqRel) -> bool {
-    match goal {
-        Goal::Sat => false,
-        Goal::Imp(phi) => consequence_deducible(eq, phi),
-        Goal::GgdImp(dep) => match &dep.consequence {
-            Consequence::Literals(lits) => crate::canonical::consequence_lits_deducible(eq, lits),
-            Consequence::Generate(gen) => {
-                let m: Vec<gfd_graph::NodeId> = (0..dep.pattern.node_count())
-                    .map(gfd_graph::NodeId::new)
-                    .collect();
-                generate_deducible(eq, &canon.index, gen, &m)
-            }
-        },
-    }
-}
-
 /// Reasoning's match-action (see [`crate::engine`]): enforce every match
 /// into the worker's [`EnforceEngine`] and keep the peers' relations in
 /// step.
 struct ReasonAction<'a> {
-    sigma: &'a GfdSet,
+    sigma: &'a DepSet,
     canon: &'a CanonicalGraph,
     plans: &'a [Option<MatchPlan>],
     goal: Goal<'a>,
@@ -291,13 +252,14 @@ impl ReasonAction<'_> {
     }
 
     fn check_consequence(&self, w: &mut ReasonWorker) {
-        if w.done || matches!(self.goal, Goal::Sat) {
+        let Goal::Imp(phi) = self.goal else { return };
+        if w.done {
             return;
         }
         let v = w.engine.eq.version();
         if v != w.last_y_version {
             w.last_y_version = v;
-            if goal_consequence_deduced(self.goal, self.canon, &mut w.engine.eq) {
+            if consequence_deducible_on(&mut w.engine.eq, &self.canon.index, phi) {
                 self.terminal(w, TerminalEvent::Consequence);
             }
         }
@@ -359,7 +321,7 @@ impl<'a> MatchAction<'a> for ReasonAction<'a> {
     fn rule(&self, rule: GfdId) -> (&'a Pattern, &'a MatchPlan) {
         let plan = self.plans[rule.index()]
             .as_ref()
-            .expect("a unit exists, so its GFD has pivot candidates and a plan");
+            .expect("a unit exists, so its rule has pivot candidates and a plan");
         (&self.sigma[rule].pattern, plan)
     }
 
@@ -401,13 +363,25 @@ impl<'a> MatchAction<'a> for ReasonAction<'a> {
 ///
 /// This is the one driver behind `SeqSat`, `SeqImp`, `ParSat` and
 /// `ParImp`; the sequential algorithms call it with `cfg.workers == 1`.
+///
+/// # Panics
+///
+/// If Σ has a generating rule. Enforcement binds and merges attributes of
+/// a fixed canonical graph, so every consequence it fires must be literal;
+/// this is the one place that is checked. A Σ with generating rules is
+/// decided by the chase — `gfd_chase::dep_sat_with_config` /
+/// `dep_imp_with_config` route it there.
 pub fn run_reason(
-    sigma: &GfdSet,
+    sigma: &DepSet,
     goal: Goal<'_>,
     eq0: EqRel,
     canon: &CanonicalGraph,
     cfg: &ReasonConfig,
 ) -> ReasonRun {
+    assert!(
+        !sigma.has_generating(),
+        "the enforcement driver admits literal consequences only: route a Σ with generating rules through gfd-chase"
+    );
     let start = Instant::now();
     let p = cfg.workers.max(1);
     let mut metrics = RunMetrics {
@@ -418,16 +392,16 @@ pub fn run_reason(
     let (pivots, plans) = build_plans_lazy(sigma, &canon.index);
     let mut units = generate_units(sigma, canon, &pivots, cfg.prune_components);
     if cfg.use_dependency_order {
-        let boosted: Option<Vec<bool>> = goal.imp_premise().map(|premise| {
-            let x_attrs: FxHashSet<_> = premise
-                .iter()
-                .flat_map(crate::literal::Literal::attrs)
-                .collect();
-            sigma
-                .iter()
-                .map(|(_, g)| g.premise_attrs().all(|a| x_attrs.contains(&a)))
-                .collect()
-        });
+        // Implication front-loads the rules whose premise attributes all
+        // occur in X (the X-subsumption priority boost of §VI-C).
+        let boosted: Option<Vec<bool>> = match goal {
+            Goal::Sat => None,
+            Goal::Imp(phi) => {
+                let x_attrs: FxHashSet<_> = phi.premise_attrs().collect();
+                let subsumed = |g: &Dependency| g.premise_attrs().all(|a| x_attrs.contains(&a));
+                Some(sigma.iter().map(|(_, g)| subsumed(g)).collect())
+            }
+        };
         order_units(&mut units, sigma, canon, &pivots, boosted.as_deref());
     }
 
@@ -503,8 +477,10 @@ pub fn run_reason(
                     break 'merge;
                 }
             }
-            if !matches!(goal, Goal::Sat) && goal_consequence_deduced(goal, canon, &mut engine.eq) {
-                terminal = Some(TerminalEvent::Consequence);
+            if let Goal::Imp(phi) = goal {
+                if consequence_deducible_on(&mut engine.eq, &canon.index, phi) {
+                    terminal = Some(TerminalEvent::Consequence);
+                }
             }
         }
         (terminal.is_none()).then_some(engine)

@@ -15,11 +15,10 @@
 //! The same engine backs `SeqSat`, `SeqImp`, the parallel workers, and the
 //! chase baseline.
 
+use crate::dependency::{DepSet, Dependency};
 use crate::eq::{EqOp, EqRel, Watcher};
 use crate::error::{AttrKey, Conflict};
-use crate::gfd::Gfd;
-use crate::literal::Operand;
-use crate::sigma::GfdSet;
+use crate::literal::{Literal, Operand};
 use gfd_graph::{GfdId, NodeId};
 use gfd_match::Match;
 use std::collections::VecDeque;
@@ -37,21 +36,9 @@ pub enum PremiseStatus {
     Pending(Vec<AttrKey>),
 }
 
-/// Evaluate the premise of `gfd` at `m` against `eq` without mutating
+/// Evaluate a rule's premise literals at `m` against `eq` without mutating
 /// anything (beyond union-find path compression).
-pub fn eval_premise(eq: &mut EqRel, gfd: &Gfd, m: &[NodeId]) -> PremiseStatus {
-    eval_premise_lits(eq, &gfd.premise, m)
-}
-
-/// [`eval_premise`] over a bare literal slice — the form the generalized
-/// dependency layer (chase over [`crate::DepSet`]) evaluates, since a
-/// [`crate::Dependency`]'s premise is the same `Vec<Literal>` whatever
-/// its consequence action is.
-pub fn eval_premise_lits(
-    eq: &mut EqRel,
-    premise: &[crate::literal::Literal],
-    m: &[NodeId],
-) -> PremiseStatus {
+pub fn eval_premise(eq: &mut EqRel, premise: &[Literal], m: &[NodeId]) -> PremiseStatus {
     let mut waiting: Vec<AttrKey> = Vec::new();
     for lit in premise {
         let k1: AttrKey = (m[lit.var.index()], lit.attr);
@@ -178,13 +165,13 @@ impl EnforceEngine {
     /// copied just when it has to wait in the pending index.
     pub fn process_match(
         &mut self,
-        sigma: &GfdSet,
+        sigma: &DepSet,
         id: GfdId,
         m: &[NodeId],
     ) -> Result<(), Conflict> {
         self.stats.matches_processed += 1;
         let gfd = &sigma[id];
-        match eval_premise(&mut self.eq, gfd, m) {
+        match eval_premise(&mut self.eq, &gfd.premise, m) {
             PremiseStatus::Falsified => Ok(()),
             PremiseStatus::Satisfied => {
                 self.enforce_consequence(gfd, id, m)?;
@@ -212,14 +199,16 @@ impl EnforceEngine {
     }
 
     /// Enforce the consequence `Y` of `gfd` at match `m` (Rules 1 and 2),
-    /// queueing any woken watchers.
+    /// queueing any woken watchers. Panics on a generating consequence,
+    /// which [`crate::run_reason`] keeps out by checking its Σ up front.
     pub fn enforce_consequence(
         &mut self,
-        gfd: &Gfd,
+        gfd: &Dependency,
         id: GfdId,
         m: &[NodeId],
     ) -> Result<(), Conflict> {
-        for lit in &gfd.consequence {
+        let lits = gfd.consequence.literals();
+        for lit in lits.expect("enforcement admits literal consequences only") {
             let k1: AttrKey = (m[lit.var.index()], lit.attr);
             match &lit.rhs {
                 Operand::Const(c) => {
@@ -244,7 +233,7 @@ impl EnforceEngine {
 
     /// Recheck woken pending matches until the wake queue drains (the
     /// fixpoint cascade driven by the inverted index).
-    pub fn cascade(&mut self, sigma: &GfdSet) -> Result<(), Conflict> {
+    pub fn cascade(&mut self, sigma: &DepSet) -> Result<(), Conflict> {
         while let Some((id, epoch)) = self.wake.pop_front() {
             let entry = &self.pending[id as usize];
             if entry.resolved || entry.epoch != epoch {
@@ -256,7 +245,7 @@ impl EnforceEngine {
             // Enforcement needs `&mut self`: the match leaves its entry for
             // the evaluation (no allocation) and goes back before any return.
             let m = std::mem::take(&mut self.pending[id as usize].m);
-            let enforced = match eval_premise(&mut self.eq, gfd, &m) {
+            let enforced = match eval_premise(&mut self.eq, &gfd.premise, &m) {
                 PremiseStatus::Falsified => {
                     self.pending[id as usize].resolved = true;
                     Ok(())
@@ -283,7 +272,7 @@ impl EnforceEngine {
 
     /// Apply ops produced by another engine (a remote worker's `ΔEq`),
     /// *without* re-recording them, then cascade local rechecks.
-    pub fn apply_remote_ops(&mut self, sigma: &GfdSet, ops: &[EqOp]) -> Result<(), Conflict> {
+    pub fn apply_remote_ops(&mut self, sigma: &DepSet, ops: &[EqOp]) -> Result<(), Conflict> {
         for op in ops {
             let effect = self.eq.apply_op(op)?;
             self.stats.remote_ops_applied += 1;
@@ -306,10 +295,10 @@ mod tests {
         name: &str,
         premise: Vec<Literal>,
         consequence: Vec<Literal>,
-    ) -> Gfd {
+    ) -> Dependency {
         let mut p = Pattern::new();
         p.add_node(vocab.label("t"), "x");
-        Gfd::new(name, p, premise, consequence)
+        Dependency::new(name, p, premise, consequence)
     }
 
     fn m0() -> Match {
@@ -320,7 +309,7 @@ mod tests {
     fn empty_premise_enforces_immediately() {
         let mut vocab = Vocab::new();
         let a = vocab.attr("a");
-        let sigma = GfdSet::from_vec(vec![unary_gfd(
+        let sigma = DepSet::from_vec(vec![unary_gfd(
             &mut vocab,
             "g",
             vec![],
@@ -337,7 +326,7 @@ mod tests {
     fn conflicting_consequences_error() {
         let mut vocab = Vocab::new();
         let a = vocab.attr("a");
-        let sigma = GfdSet::from_vec(vec![
+        let sigma = DepSet::from_vec(vec![
             unary_gfd(
                 &mut vocab,
                 "g0",
@@ -366,7 +355,7 @@ mod tests {
         let a = vocab.attr("a");
         let b = vocab.attr("b");
         let x = VarId::new(0);
-        let sigma = GfdSet::from_vec(vec![
+        let sigma = DepSet::from_vec(vec![
             unary_gfd(
                 &mut vocab,
                 "g0",
@@ -400,7 +389,7 @@ mod tests {
         let b = vocab.attr("b");
         let c = vocab.attr("c");
         let x = VarId::new(0);
-        let sigma = GfdSet::from_vec(vec![
+        let sigma = DepSet::from_vec(vec![
             unary_gfd(
                 &mut vocab,
                 "g0",
@@ -439,7 +428,7 @@ mod tests {
         let b = vocab.attr("b");
         let c = vocab.attr("c");
         let x = VarId::new(0);
-        let sigma = GfdSet::from_vec(vec![
+        let sigma = DepSet::from_vec(vec![
             unary_gfd(
                 &mut vocab,
                 "g0",
@@ -488,7 +477,7 @@ mod tests {
         let a = vocab.attr("a");
         let b = vocab.attr("b");
         let x = VarId::new(0);
-        let sigma = GfdSet::from_vec(vec![
+        let sigma = DepSet::from_vec(vec![
             unary_gfd(
                 &mut vocab,
                 "g0",
@@ -518,7 +507,7 @@ mod tests {
         let b = vocab.attr("b");
         let c = vocab.attr("c");
         let x = VarId::new(0);
-        let sigma = GfdSet::from_vec(vec![
+        let sigma = DepSet::from_vec(vec![
             unary_gfd(
                 &mut vocab,
                 "g0",
@@ -544,7 +533,7 @@ mod tests {
         let b = vocab.attr("b");
         let c = vocab.attr("c");
         let x = VarId::new(0);
-        let sigma = GfdSet::from_vec(vec![
+        let sigma = DepSet::from_vec(vec![
             unary_gfd(
                 &mut vocab,
                 "g0",
@@ -577,7 +566,7 @@ mod tests {
         let a = vocab.attr("a");
         let b = vocab.attr("b");
         let x = VarId::new(0);
-        let sigma = GfdSet::from_vec(vec![unary_gfd(
+        let sigma = DepSet::from_vec(vec![unary_gfd(
             &mut vocab,
             "g0",
             vec![Literal::eq_const(x, a, 1i64)],
@@ -588,13 +577,19 @@ mod tests {
         assert_eq!(e.pending_count(), 1);
         // A "remote" worker bound a=1.
         let base = e.delta_len();
-        e.apply_remote_ops(&sigma, &[EqOp::Bind((NodeId::new(0), a), ValueId::of(1i64))])
-            .unwrap();
+        e.apply_remote_ops(
+            &sigma,
+            &[EqOp::Bind((NodeId::new(0), a), ValueId::of(1i64))],
+        )
+        .unwrap();
         assert!(e.eq.deduces_const((NodeId::new(0), b), ValueId::of(1)));
         // The local consequence (b=1) is recorded for further broadcast,
         // the remote op itself is not re-recorded.
         let newly: Vec<_> = e.delta_since(base).to_vec();
-        assert_eq!(newly, vec![EqOp::Bind((NodeId::new(0), b), ValueId::of(1i64))]);
+        assert_eq!(
+            newly,
+            vec![EqOp::Bind((NodeId::new(0), b), ValueId::of(1i64))]
+        );
     }
 
     #[test]
@@ -603,7 +598,7 @@ mod tests {
         let a = vocab.attr("a");
         let b = vocab.attr("b");
         let x = VarId::new(0);
-        let sigma = GfdSet::from_vec(vec![unary_gfd(
+        let sigma = DepSet::from_vec(vec![unary_gfd(
             &mut vocab,
             "g0",
             vec![Literal::eq_const(x, a, 1i64)],

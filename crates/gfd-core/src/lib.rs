@@ -4,8 +4,10 @@
 //! pattern `Q`) with an attribute dependency (`X → Y` over the pattern
 //! variables). This crate implements:
 //!
-//! * the GFD model itself ([`Gfd`], [`Literal`], [`GfdSet`]) and direct
-//!   validation `G |= ϕ` on data graphs ([`validate`]);
+//! * the one rule model ([`Dependency`], [`Literal`], [`DepSet`]: a GFD is
+//!   a dependency whose [`Consequence`] is the literals `Y`, a GGD one
+//!   that generates a target subgraph) and direct validation `G |= ϕ` on
+//!   data graphs ([`validate`]);
 //! * canonical graphs `GΣ` / `G^X_Q` — the small models of Theorems 1 and 3
 //!   ([`canonical`]);
 //! * the equivalence relation `Eq` with constant bindings, conflicts,
@@ -33,33 +35,30 @@ pub mod enforce;
 pub mod engine;
 pub mod eq;
 pub mod error;
-pub mod gfd;
 pub mod literal;
 pub mod model;
 pub mod seq_imp;
 pub mod seq_sat;
-pub mod sigma;
 pub mod unit;
 pub mod validate;
 
 pub use budget::{run_task, Budget, Interrupt, TaskRun};
+pub use canonical::consequence_deducible; // gfdbench-pin
 pub use canonical::{
-    build_plans, build_plans_lazy, choose_pivot, consequence_deducible, consequence_lits_deducible,
-    CanonicalGraph,
+    build_plans, build_plans_lazy, choose_pivot, consequence_deducible_on, CanonicalGraph,
 };
-pub use dependency::{generate_deducible, Consequence, DepSet, Dependency, GenerateConsequence};
+pub use dependency::{
+    generate_deducible, Consequence, DepSet, Dependency, GenerateConsequence, FALSE_ATTR_NAME,
+};
+pub use dependency::{Gfd, GfdSet}; // gfdbench-pin
 pub use driver::{run_reason, Goal, ReasonConfig, ReasonRun, TerminalEvent};
-pub use enforce::{eval_premise, eval_premise_lits, EnforceEngine, EngineStats, PremiseStatus};
+pub use enforce::{eval_premise, EnforceEngine, EngineStats, PremiseStatus};
 pub use engine::{MatchAction, SearchTask, SearchWorker};
 pub use eq::{EqOp, EqRel};
 pub use error::{AttrKey, Conflict};
-pub use gfd::{Gfd, FALSE_ATTR_NAME};
 pub use literal::{Literal, Operand};
 pub use model::extract_model;
-pub use seq_imp::{
-    ggd_imp_with_config, imp_with_config, seq_imp, ImpOutcome, ImpResult, ImpliedVia,
-};
+pub use seq_imp::{imp_with_config, seq_imp, ImpOutcome, ImpResult, ImpliedVia};
 pub use seq_sat::{sat_with_config, seq_sat, SatOutcome, SatResult};
-pub use sigma::GfdSet;
 pub use unit::{generate_units, order_units, Prefix, WorkUnit};
 pub use validate::{find_violations, graph_satisfies, graph_satisfies_all, Violation};

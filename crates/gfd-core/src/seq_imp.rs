@@ -7,14 +7,10 @@
 //! either condition holds; if the fixpoint completes without them, `Σ 6|= ϕ`.
 
 use crate::budget::Interrupt;
-use crate::canonical::{consequence_deducible, CanonicalGraph};
-use crate::dependency::{generate_deducible, Consequence, Dependency};
+use crate::canonical::{consequence_deducible_on, CanonicalGraph};
+use crate::dependency::{DepSet, Dependency};
 use crate::driver::{run_reason, Goal, ReasonConfig, TerminalEvent};
-use crate::eq::EqRel;
 use crate::error::Conflict;
-use crate::gfd::Gfd;
-use crate::sigma::GfdSet;
-use gfd_graph::NodeId;
 use gfd_runtime::RunMetrics;
 
 /// Why `Σ |= ϕ` holds.
@@ -72,74 +68,51 @@ impl ImpResult {
 }
 
 /// `SeqImp`: [`imp_with_config`] at `workers = 1` (nothing to split for).
-pub fn seq_imp(sigma: &GfdSet, phi: &Gfd) -> ImpResult {
+pub fn seq_imp(sigma: &DepSet, phi: &Dependency) -> ImpResult {
     imp_with_config(sigma, phi, &ReasonConfig::with_workers(1).without_split())
 }
 
-/// The trivial short-circuits shared by the sequential and parallel
-/// implication checkers. Returns the prepared `(G^X_Q, EqX)` pair when the
-/// question needs actual reasoning, or the decided outcome otherwise.
-fn imp_shortcuts(sigma: &GfdSet, phi: &Gfd) -> Result<(CanonicalGraph, EqRel), ImpOutcome> {
-    // Y = ∅ is the constant true: trivially implied.
-    if phi.consequence.is_empty() {
-        return Err(ImpOutcome::Implied(ImpliedVia::Consequence));
-    }
-    let (canon, eqx) = match CanonicalGraph::for_phi(phi) {
-        Ok(pair) => pair,
-        Err(_) => return Err(ImpOutcome::Implied(ImpliedVia::PremiseInconsistent)),
-    };
-    // Y may already follow from X alone.
-    {
-        let mut probe = eqx.clone();
-        if consequence_deducible(&mut probe, phi) {
-            return Err(ImpOutcome::Implied(ImpliedVia::Consequence));
-        }
-    }
-    if sigma.is_empty() {
-        return Err(ImpOutcome::NotImplied);
-    }
-    Ok((canon, eqx))
-}
-
-/// Check `Σ |= ϕ` — the one entry point: `ParImp` is `cfg.workers = p`,
-/// `SeqImp` is `cfg.workers = 1`.
+/// Check `Σ |= ϕ` for a literal Σ — the one entry point: `ParImp` is
+/// `cfg.workers = p`, `SeqImp` is `cfg.workers = 1`. ϕ's consequence may be
+/// of either kind; Σ's may not (panics on a generating rule, see
+/// [`run_reason`] — `gfd_chase::dep_imp_with_config` decides those by the
+/// chase).
 ///
 /// Relative to satisfiability the driver differs in two ways (§VI-C):
 /// units whose premise is subsumed by `X` get the highest priority, and
-/// workers terminate early when `Y ⊆ EqH`, not just on conflicts. Rules
-/// that cannot match the pattern-sized `G^X_Q` at all never receive a plan
-/// or a unit (`build_plans_lazy`), which on a large Σ skips nearly
-/// everything — the static-applicability pruning that lets `SeqImp` beat
-/// the naive chase on Fig. 5.
-pub fn imp_with_config(sigma: &GfdSet, phi: &Gfd, cfg: &ReasonConfig) -> ImpResult {
+/// workers terminate early when ϕ's consequence becomes deducible
+/// ([`Goal::Imp`]), not just on conflicts. Rules that cannot match the
+/// pattern-sized `G^X_Q` at all never receive a plan or a unit
+/// (`build_plans_lazy`), which on a large Σ skips nearly everything — the
+/// static-applicability pruning that lets `SeqImp` beat the naive chase on
+/// Fig. 5.
+pub fn imp_with_config(sigma: &DepSet, phi: &Dependency, cfg: &ReasonConfig) -> ImpResult {
     let start = std::time::Instant::now();
-    let (canon, eqx) = match imp_shortcuts(sigma, phi) {
-        Ok(pair) => pair,
-        Err(outcome) => {
-            return ImpResult {
-                outcome,
-                stats: RunMetrics {
-                    workers: cfg.workers.max(1),
-                    elapsed: start.elapsed(),
-                    ..Default::default()
-                },
-            }
-        }
+    // The trivial instances, decided without any reasoning.
+    let decided = |outcome: ImpOutcome| ImpResult {
+        outcome,
+        stats: RunMetrics {
+            workers: cfg.workers.max(1),
+            elapsed: start.elapsed(),
+            ..Default::default()
+        },
     };
-    run_imp(sigma, Goal::Imp(phi), eqx, &canon, cfg, start)
-}
-
-/// Run the driver for an implication goal over the prepared `(G^X_Q, EqX)`
-/// and read off the verdict — the shared tail of both implication arms.
-fn run_imp(
-    sigma: &GfdSet,
-    goal: Goal<'_>,
-    eqx: EqRel,
-    canon: &CanonicalGraph,
-    cfg: &ReasonConfig,
-    start: std::time::Instant,
-) -> ImpResult {
-    let run = run_reason(sigma, goal, eqx, canon, cfg);
+    // Y = ∅ is the constant true: trivially implied.
+    if phi.consequence.literals().is_some_and(<[_]>::is_empty) {
+        return decided(ImpOutcome::Implied(ImpliedVia::Consequence));
+    }
+    let Ok((canon, eqx)) = CanonicalGraph::for_phi(phi) else {
+        return decided(ImpOutcome::Implied(ImpliedVia::PremiseInconsistent));
+    };
+    // The consequence may already follow from X alone: Y ⊆ EqX, or a
+    // target the premise pattern itself realizes (the empty one included).
+    if consequence_deducible_on(&mut eqx.clone(), &canon.index, phi) {
+        return decided(ImpOutcome::Implied(ImpliedVia::Consequence));
+    }
+    if sigma.is_empty() {
+        return decided(ImpOutcome::NotImplied);
+    }
+    let run = run_reason(sigma, Goal::Imp(phi), eqx, &canon, cfg);
     let outcome = match run.terminal {
         Some(TerminalEvent::Conflict(c)) => ImpOutcome::Implied(ImpliedVia::Conflict(c)),
         Some(TerminalEvent::Consequence) => ImpOutcome::Implied(ImpliedVia::Consequence),
@@ -155,53 +128,6 @@ fn run_imp(
     ImpResult { outcome, stats }
 }
 
-/// Check `Σ |= ϕ` where ϕ is a generalized [`Dependency`] — the third
-/// goal of the unified driver ([`Goal::GgdImp`]).
-///
-/// A literal-consequence ϕ routes through [`imp_with_config`] unchanged.
-/// A generating ϕ runs the same Σ-enforcement fixpoint over `G^X_Q`, with
-/// early termination when the generating consequence becomes *deducible*:
-/// an extension of the identity match realizes the target subgraph in the
-/// canonical graph with every attribute assignment forced by `EqH`. Σ
-/// itself must be literal (GFDs) — enforcement then never changes the
-/// topology the realization check probes; for mixed Σ use the chase-based
-/// `dep_imp` in `gfd-chase`.
-pub fn ggd_imp_with_config(sigma: &GfdSet, phi: &Dependency, cfg: &ReasonConfig) -> ImpResult {
-    let start = std::time::Instant::now();
-    let trivial = |outcome: ImpOutcome| ImpResult {
-        outcome,
-        stats: RunMetrics {
-            workers: cfg.workers.max(1),
-            elapsed: start.elapsed(),
-            ..Default::default()
-        },
-    };
-    let gen = match &phi.consequence {
-        Consequence::Literals(_) => {
-            let gfd = phi.as_gfd().expect("literal consequence lowers");
-            return imp_with_config(sigma, &gfd, cfg);
-        }
-        Consequence::Generate(gen) => gen,
-    };
-    let (canon, eqx) = match CanonicalGraph::for_premise(&phi.pattern, &phi.premise) {
-        Ok(pair) => pair,
-        Err(_) => return trivial(ImpOutcome::Implied(ImpliedVia::PremiseInconsistent)),
-    };
-    // The target may already be realized by the premise pattern itself
-    // under `EqX` alone (including the trivial empty target).
-    let identity: Vec<NodeId> = (0..phi.pattern.node_count()).map(NodeId::new).collect();
-    {
-        let mut probe = eqx.clone();
-        if generate_deducible(&mut probe, &canon.index, gen, &identity) {
-            return trivial(ImpOutcome::Implied(ImpliedVia::Consequence));
-        }
-    }
-    if sigma.is_empty() {
-        return trivial(ImpOutcome::NotImplied);
-    }
-    run_imp(sigma, Goal::GgdImp(phi), eqx, &canon, cfg, start)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,9 +139,9 @@ mod tests {
     /// w(c).
     struct Ex8 {
         vocab: Vocab,
-        sigma: GfdSet,
-        phi13: Gfd,
-        phi14: Gfd,
+        sigma: DepSet,
+        phi13: Dependency,
+        phi14: Dependency,
     }
 
     fn example8() -> Ex8 {
@@ -251,14 +177,14 @@ mod tests {
         q7.add_edge(x7, p_lbl, w7);
 
         // ϕ11 = Q8(∅ → x.A = 1)
-        let phi11 = Gfd::new(
+        let phi11 = Dependency::new(
             "phi11",
             q8,
             vec![],
             vec![Literal::eq_const(x8, attr_a, 1i64)],
         );
         // ϕ12 = Q9(x.A = 1 ∧ y.B = 2 → y.C = 2)
-        let phi12 = Gfd::new(
+        let phi12 = Dependency::new(
             "phi12",
             q9,
             vec![
@@ -268,14 +194,14 @@ mod tests {
             vec![Literal::eq_const(y9, attr_c, 2i64)],
         );
         // ϕ13 = Q7(z.B = 2 → z.C = 2)
-        let phi13 = Gfd::new(
+        let phi13 = Dependency::new(
             "phi13",
             q7.clone(),
             vec![Literal::eq_const(VarId::new(2), attr_b, 2i64)],
             vec![Literal::eq_const(VarId::new(2), attr_c, 2i64)],
         );
         // ϕ14 = Q7(x.A = 0 → z.C = 2)
-        let phi14 = Gfd::new(
+        let phi14 = Dependency::new(
             "phi14",
             q7,
             vec![Literal::eq_const(VarId::new(0), attr_a, 0i64)],
@@ -283,7 +209,7 @@ mod tests {
         );
         Ex8 {
             vocab,
-            sigma: GfdSet::from_vec(vec![phi11, phi12]),
+            sigma: DepSet::from_vec(vec![phi11, phi12]),
             phi13,
             phi14,
         }
@@ -315,7 +241,7 @@ mod tests {
     fn example8_neither_rule_alone_implies_phi13() {
         let ex = example8();
         for i in 0..2 {
-            let single = GfdSet::from_vec(vec![ex.sigma.as_slice()[i].clone()]);
+            let single = DepSet::from_vec(vec![ex.sigma.as_slice()[i].clone()]);
             let r = seq_imp(&single, &ex.phi13);
             assert!(
                 !r.is_implied(),
@@ -344,7 +270,7 @@ mod tests {
         let d = vocab.attr("D");
         let mut q = Pattern::new();
         let x = q.add_node(vocab.label("a"), "x");
-        let phi = Gfd::new("new", q, vec![], vec![Literal::eq_const(x, d, 9i64)]);
+        let phi = Dependency::new("new", q, vec![], vec![Literal::eq_const(x, d, 9i64)]);
         let r = seq_imp(&ex.sigma, &phi);
         assert!(!r.is_implied());
     }
@@ -357,27 +283,27 @@ mod tests {
         // Y = ∅ is implied by anything.
         let mut q = Pattern::new();
         let x = q.add_node(vocab.label("a"), "x");
-        let trivial = Gfd::new("trivial", q.clone(), vec![], vec![]);
+        let trivial = Dependency::new("trivial", q.clone(), vec![], vec![]);
         assert!(seq_imp(&ex.sigma, &trivial).is_implied());
-        assert!(seq_imp(&GfdSet::new(), &trivial).is_implied());
+        assert!(seq_imp(&DepSet::new(), &trivial).is_implied());
 
         // Y ⊆ X is implied even by the empty Σ.
-        let reflexive = Gfd::new(
+        let reflexive = Dependency::new(
             "reflexive",
             q.clone(),
             vec![Literal::eq_const(x, a, 1i64)],
             vec![Literal::eq_const(x, a, 1i64)],
         );
-        assert!(seq_imp(&GfdSet::new(), &reflexive).is_implied());
+        assert!(seq_imp(&DepSet::new(), &reflexive).is_implied());
 
         // Inconsistent X implies anything.
-        let inconsistent = Gfd::new(
+        let inconsistent = Dependency::new(
             "inconsistent",
             q,
             vec![Literal::eq_const(x, a, 1i64), Literal::eq_const(x, a, 2i64)],
             vec![Literal::eq_const(x, vocab.attr("whatever"), 3i64)],
         );
-        let r = seq_imp(&GfdSet::new(), &inconsistent);
+        let r = seq_imp(&DepSet::new(), &inconsistent);
         assert!(matches!(
             r.outcome,
             ImpOutcome::Implied(ImpliedVia::PremiseInconsistent)
@@ -404,11 +330,11 @@ mod tests {
         let mk = |lits: Vec<Literal>, vocab: &mut Vocab| {
             let mut p = Pattern::new();
             p.add_node(vocab.label("t"), "x");
-            Gfd::new("g", p, vec![], lits)
+            Dependency::new("g", p, vec![], lits)
         };
         let _ = t;
         let x = VarId::new(0);
-        let sigma = GfdSet::from_vec(vec![
+        let sigma = DepSet::from_vec(vec![
             mk(vec![Literal::eq_attr(x, a, x, b)], &mut vocab),
             mk(vec![Literal::eq_attr(x, b, x, c)], &mut vocab),
         ]);

@@ -13,11 +13,11 @@
 
 use crate::budget::Interrupt;
 use crate::canonical::CanonicalGraph;
+use crate::dependency::DepSet;
 use crate::driver::{run_reason, Goal, ReasonConfig, TerminalEvent};
 use crate::eq::EqRel;
 use crate::error::Conflict;
 use crate::model::extract_model;
-use crate::sigma::GfdSet;
 use gfd_runtime::RunMetrics;
 
 /// The outcome of satisfiability checking.
@@ -72,13 +72,15 @@ impl SatResult {
 }
 
 /// `SeqSat`: [`sat_with_config`] at `workers = 1` (nothing to split for).
-pub fn seq_sat(sigma: &GfdSet) -> SatResult {
+pub fn seq_sat(sigma: &DepSet) -> SatResult {
     sat_with_config(sigma, &ReasonConfig::with_workers(1).without_split())
 }
 
-/// Check satisfiability of Σ — the one entry point: `ParSat` is
-/// `cfg.workers = p`, `SeqSat` is `cfg.workers = 1`.
-pub fn sat_with_config(sigma: &GfdSet, cfg: &ReasonConfig) -> SatResult {
+/// Check satisfiability of a literal Σ — the one entry point: `ParSat` is
+/// `cfg.workers = p`, `SeqSat` is `cfg.workers = 1`. Panics on a Σ with
+/// generating rules ([`run_reason`]); `gfd_chase::dep_sat_with_config`
+/// decides those.
+pub fn sat_with_config(sigma: &DepSet, cfg: &ReasonConfig) -> SatResult {
     if sigma.is_empty() {
         // Vacuously satisfiable; the empty population works.
         return SatResult {
@@ -117,7 +119,7 @@ pub fn sat_with_config(sigma: &GfdSet, cfg: &ReasonConfig) -> SatResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gfd::Gfd;
+    use crate::dependency::Dependency;
     use crate::literal::Literal;
     use crate::validate::graph_satisfies_all;
     use gfd_graph::{LabelId, Pattern, VarId, Vocab};
@@ -138,14 +140,14 @@ mod tests {
         q5a.add_node(LabelId::WILDCARD, "x");
         let mut q5b = Pattern::new();
         q5b.add_node(LabelId::WILDCARD, "x");
-        let sigma = GfdSet::from_vec(vec![
-            Gfd::new(
+        let sigma = DepSet::from_vec(vec![
+            Dependency::new(
                 "phi5",
                 q5a,
                 vec![],
                 vec![Literal::eq_const(VarId::new(0), a, 0i64)],
             ),
-            Gfd::new(
+            Dependency::new(
                 "phi6",
                 q5b,
                 vec![],
@@ -199,7 +201,7 @@ mod tests {
         let mut vocab = Vocab::new();
         let attr_a = vocab.attr("A");
         let attr_b = vocab.attr("B");
-        let phi7 = Gfd::new(
+        let phi7 = Dependency::new(
             "phi7",
             q6(&mut vocab),
             vec![],
@@ -208,20 +210,20 @@ mod tests {
                 Literal::eq_const(VarId::new(1), attr_b, 1i64),
             ],
         );
-        let phi8 = Gfd::new(
+        let phi8 = Dependency::new(
             "phi8",
             q7(&mut vocab),
             vec![Literal::eq_const(VarId::new(1), attr_b, 1i64)],
             vec![Literal::eq_const(VarId::new(0), attr_a, 1i64)],
         );
         // Each alone is satisfiable.
-        let alone7 = seq_sat(&GfdSet::from_vec(vec![phi7.clone()]));
+        let alone7 = seq_sat(&DepSet::from_vec(vec![phi7.clone()]));
         assert!(alone7.is_satisfiable());
-        let alone8 = seq_sat(&GfdSet::from_vec(vec![phi8.clone()]));
+        let alone8 = seq_sat(&DepSet::from_vec(vec![phi8.clone()]));
         assert!(alone8.is_satisfiable());
         // Together they are not: Q7 matches into Q6's canonical copy
         // (z,w ↦ the c node), forcing x.A to both 0 and 1.
-        let both = seq_sat(&GfdSet::from_vec(vec![phi7, phi8]));
+        let both = seq_sat(&DepSet::from_vec(vec![phi7, phi8]));
         assert!(!both.is_satisfiable());
     }
 
@@ -233,7 +235,7 @@ mod tests {
         let attr_a = vocab.attr("A");
         let attr_b = vocab.attr("B");
         let attr_c = vocab.attr("C");
-        let phi7 = Gfd::new(
+        let phi7 = Dependency::new(
             "phi7",
             q6(&mut vocab),
             vec![],
@@ -242,19 +244,19 @@ mod tests {
                 Literal::eq_const(VarId::new(1), attr_b, 1i64),
             ],
         );
-        let phi9 = Gfd::new(
+        let phi9 = Dependency::new(
             "phi9",
             q6(&mut vocab),
             vec![Literal::eq_const(VarId::new(1), attr_b, 1i64)],
             vec![Literal::eq_const(VarId::new(3), attr_c, 1i64)],
         );
-        let phi10 = Gfd::new(
+        let phi10 = Dependency::new(
             "phi10",
             q7(&mut vocab),
             vec![Literal::eq_const(VarId::new(3), attr_c, 1i64)],
             vec![Literal::eq_const(VarId::new(0), attr_a, 1i64)],
         );
-        let sigma = GfdSet::from_vec(vec![phi7, phi9, phi10]);
+        let sigma = DepSet::from_vec(vec![phi7, phi9, phi10]);
         let r = seq_sat(&sigma);
         assert!(!r.is_satisfiable());
         // Regardless of ordering options (Church–Rosser).
@@ -283,19 +285,19 @@ mod tests {
         let a = vocab.attr("a");
         let b = vocab.attr("b");
         let x = VarId::new(0);
-        let g0 = Gfd::new(
+        let g0 = Dependency::new(
             "g0",
             unary_pattern(&mut vocab, "t"),
             vec![],
             vec![Literal::eq_const(x, a, 1i64)],
         );
-        let g1 = Gfd::new(
+        let g1 = Dependency::new(
             "g1",
             unary_pattern(&mut vocab, "t"),
             vec![Literal::eq_const(x, a, 1i64)],
             vec![Literal::eq_attr(x, a, x, b)],
         );
-        let sigma = GfdSet::from_vec(vec![g0, g1]);
+        let sigma = DepSet::from_vec(vec![g0, g1]);
         let r = seq_sat(&sigma);
         assert!(r.is_satisfiable());
         let model = r.model().unwrap();
@@ -312,8 +314,8 @@ mod tests {
     fn denial_with_empty_premise_is_unsat() {
         let mut vocab = Vocab::new();
         let p = unary_pattern(&mut vocab, "t");
-        let phi = Gfd::with_false_consequence("deny", p, vec![], &mut vocab);
-        let r = seq_sat(&GfdSet::from_vec(vec![phi]));
+        let phi = Dependency::with_false_consequence("deny", p, vec![], &mut vocab);
+        let r = seq_sat(&DepSet::from_vec(vec![phi]));
         assert!(!r.is_satisfiable());
     }
 
@@ -324,23 +326,23 @@ mod tests {
         let mut vocab = Vocab::new();
         let a = vocab.attr("a");
         let p = unary_pattern(&mut vocab, "t");
-        let phi = Gfd::with_false_consequence(
+        let phi = Dependency::with_false_consequence(
             "deny_a1",
             p,
             vec![Literal::eq_const(VarId::new(0), a, 1i64)],
             &mut vocab,
         );
-        let r = seq_sat(&GfdSet::from_vec(vec![phi]));
+        let r = seq_sat(&DepSet::from_vec(vec![phi]));
         assert!(r.is_satisfiable());
         assert!(graph_satisfies_all(
             r.model().unwrap(),
-            &GfdSet::from_vec(vec![])
+            &DepSet::from_vec(vec![])
         ));
     }
 
     #[test]
     fn empty_sigma_is_satisfiable() {
-        let r = seq_sat(&GfdSet::new());
+        let r = seq_sat(&DepSet::new());
         assert!(r.is_satisfiable());
     }
 }

@@ -17,7 +17,7 @@
 //! (DESIGN.md §4, "unit set-up cost").
 
 use crate::canonical::CanonicalGraph;
-use crate::sigma::GfdSet;
+use crate::dependency::DepSet;
 use gfd_graph::neighborhood::BallScratch;
 use gfd_graph::{AttrId, GfdId, NodeId, VarId};
 use rustc_hash::FxHashMap;
@@ -78,7 +78,7 @@ impl WorkUnit {
 /// Generate the initial unit list: one unit per (GFD, feasible pivot
 /// candidate) pair.
 pub fn generate_units(
-    sigma: &GfdSet,
+    sigma: &DepSet,
     canon: &CanonicalGraph,
     pivots: &[VarId],
     prune_components: bool,
@@ -156,7 +156,7 @@ fn intersects(a: &AttrSet, b: &AttrSet) -> bool {
 /// tier, as in the paper.
 pub fn order_units(
     units: &mut [WorkUnit],
-    sigma: &GfdSet,
+    sigma: &DepSet,
     canon: &CanonicalGraph,
     pivots: &[VarId],
     boosted: Option<&[bool]>,
@@ -321,13 +321,13 @@ pub fn order_units(
 mod tests {
     use super::*;
     use crate::canonical::{build_plans, CanonicalGraph};
-    use crate::gfd::Gfd;
+    use crate::dependency::Dependency;
     use crate::literal::Literal;
     use gfd_graph::{Pattern, Vocab};
 
     /// Σ resembling the paper's Example 5/7: a seed GFD (∅ premise) and a
     /// consumer GFD over the same pattern shape.
-    fn example_sigma(vocab: &mut Vocab) -> GfdSet {
+    fn example_sigma(vocab: &mut Vocab) -> DepSet {
         let t = vocab.label("t");
         let e = vocab.label("e");
         let a = vocab.attr("A");
@@ -344,16 +344,16 @@ mod tests {
         let y = VarId::new(1);
         let p1 = mk_pattern(vocab);
         let p2 = mk_pattern(vocab);
-        GfdSet::from_vec(vec![
+        DepSet::from_vec(vec![
             // Consumer first on purpose: ordering must move its units after
             // the seed's.
-            Gfd::new(
+            Dependency::new(
                 "consumer",
                 p2,
                 vec![Literal::eq_const(x, a, 0i64)],
                 vec![Literal::eq_const(y, b, 0i64)],
             ),
-            Gfd::new("seed", p1, vec![], vec![Literal::eq_const(x, a, 0i64)]),
+            Dependency::new("seed", p1, vec![], vec![Literal::eq_const(x, a, 0i64)]),
         ])
     }
 
@@ -405,14 +405,14 @@ mod tests {
 
     /// One-node rules over a shared label: `premise → consequence` on
     /// attribute names, all pivoted at the same nodes.
-    fn attr_rule(vocab: &mut Vocab, premise: Option<&str>, consequence: &str) -> Gfd {
+    fn attr_rule(vocab: &mut Vocab, premise: Option<&str>, consequence: &str) -> Dependency {
         let mut p = Pattern::new();
         let x = p.add_node(vocab.label("t"), "x");
         let premise = premise
             .map(|a| vec![Literal::eq_const(x, vocab.attr(a), 1i64)])
             .unwrap_or_default();
         let consequence = vec![Literal::eq_const(x, vocab.attr(consequence), 1i64)];
-        Gfd::new(
+        Dependency::new(
             format!("{premise:?}->{consequence:?}"),
             p,
             premise,
@@ -421,7 +421,7 @@ mod tests {
     }
 
     /// The rule order of the units pivoted at canonical node 0.
-    fn rule_order_at_first_node(sigma: &GfdSet) -> Vec<usize> {
+    fn rule_order_at_first_node(sigma: &DepSet) -> Vec<usize> {
         let (canon, _) = CanonicalGraph::for_sigma(sigma);
         let (pivots, _) = build_plans(sigma, &canon.index);
         let mut units = generate_units(sigma, &canon, &pivots, true);
@@ -438,7 +438,7 @@ mod tests {
     fn chain_is_topologically_sorted() {
         let mut vocab = Vocab::new();
         // c<-b, b<-a, seed a. Input order is reversed on purpose.
-        let sigma = GfdSet::from_vec(vec![
+        let sigma = DepSet::from_vec(vec![
             attr_rule(&mut vocab, Some("b"), "c"),
             attr_rule(&mut vocab, Some("a"), "b"),
             attr_rule(&mut vocab, None, "a"),
@@ -453,7 +453,7 @@ mod tests {
     #[test]
     fn cycles_do_not_hang_and_emit_everything() {
         let mut vocab = Vocab::new();
-        let sigma = GfdSet::from_vec(vec![
+        let sigma = DepSet::from_vec(vec![
             attr_rule(&mut vocab, Some("a"), "b"),
             attr_rule(&mut vocab, Some("b"), "a"),
         ]);
@@ -463,7 +463,7 @@ mod tests {
 
     #[test]
     fn empty_sigma_yields_no_units() {
-        let sigma = GfdSet::new();
+        let sigma = DepSet::new();
         let (canon, _) = CanonicalGraph::for_sigma(&sigma);
         let units = generate_units(&sigma, &canon, &[], true);
         assert!(units.is_empty());

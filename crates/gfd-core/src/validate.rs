@@ -2,12 +2,12 @@
 //!
 //! This is the *application* side of GFDs (inconsistency detection): a
 //! violation is a match of the pattern whose premise holds on the actual
-//! attribute values but whose consequence does not. Also used by tests to
-//! verify that models produced by `SeqSat` indeed satisfy Σ.
+//! attribute values but whose consequence does not — literals that fail,
+//! or a generated target no extension of the match realizes. Also used by
+//! tests to verify that models produced by `SeqSat` indeed satisfy Σ.
 
-use crate::gfd::Gfd;
+use crate::dependency::{Consequence, DepSet, Dependency};
 use crate::literal::{Literal, Operand};
-use crate::sigma::GfdSet;
 use gfd_graph::{GfdId, Graph, LabelIndex};
 use gfd_match::{for_each_match, Match};
 use std::ops::ControlFlow;
@@ -34,26 +34,37 @@ pub fn literal_holds(graph: &Graph, lit: &Literal, m: &[gfd_graph::NodeId]) -> b
 }
 
 /// Does `m` satisfy the premise `X` of `gfd` on concrete attributes?
-pub fn premise_holds(graph: &Graph, gfd: &Gfd, m: &[gfd_graph::NodeId]) -> bool {
+pub fn premise_holds(graph: &Graph, gfd: &Dependency, m: &[gfd_graph::NodeId]) -> bool {
     gfd.premise.iter().all(|l| literal_holds(graph, l, m))
 }
 
-/// Does `m` satisfy the consequence `Y` of `gfd` on concrete attributes?
-pub fn consequence_holds(graph: &Graph, gfd: &Gfd, m: &[gfd_graph::NodeId]) -> bool {
-    gfd.consequence.iter().all(|l| literal_holds(graph, l, m))
+/// Does `m` satisfy the consequence of `gfd` on the concrete attributes and
+/// (for a generating consequence) topology of `graph`, indexed by `index`?
+pub fn consequence_holds(
+    graph: &Graph,
+    index: &LabelIndex,
+    gfd: &Dependency,
+    m: &[gfd_graph::NodeId],
+) -> bool {
+    match &gfd.consequence {
+        Consequence::Literals(lits) => lits.iter().all(|l| literal_holds(graph, l, m)),
+        Consequence::Generate(gen) => {
+            gen.realized(index, m, &mut |lit, asn| literal_holds(graph, lit, asn))
+        }
+    }
 }
 
-/// `G |= ϕ`: every match satisfying `X` also satisfies `Y`.
-pub fn graph_satisfies(graph: &Graph, gfd: &Gfd) -> bool {
+/// `G |= ϕ`: every match satisfying `X` also satisfies the consequence.
+pub fn graph_satisfies(graph: &Graph, gfd: &Dependency) -> bool {
     let index = LabelIndex::build(graph);
     graph_satisfies_indexed(graph, &index, gfd)
 }
 
 /// [`graph_satisfies`] with a prebuilt label index.
-pub fn graph_satisfies_indexed(graph: &Graph, index: &LabelIndex, gfd: &Gfd) -> bool {
+pub fn graph_satisfies_indexed(graph: &Graph, index: &LabelIndex, gfd: &Dependency) -> bool {
     let mut ok = true;
     for_each_match(graph, index, &gfd.pattern, |m| {
-        if premise_holds(graph, gfd, m) && !consequence_holds(graph, gfd, m) {
+        if premise_holds(graph, gfd, m) && !consequence_holds(graph, index, gfd, m) {
             ok = false;
             ControlFlow::Break(())
         } else {
@@ -63,8 +74,8 @@ pub fn graph_satisfies_indexed(graph: &Graph, index: &LabelIndex, gfd: &Gfd) -> 
     ok
 }
 
-/// `G |= Σ`: satisfies every GFD in the set.
-pub fn graph_satisfies_all(graph: &Graph, sigma: &GfdSet) -> bool {
+/// `G |= Σ`: satisfies every rule in the set.
+pub fn graph_satisfies_all(graph: &Graph, sigma: &DepSet) -> bool {
     let index = LabelIndex::build(graph);
     sigma
         .iter()
@@ -73,7 +84,7 @@ pub fn graph_satisfies_all(graph: &Graph, sigma: &GfdSet) -> bool {
 
 /// Collect up to `limit` violations of Σ in `graph` (the error-detection
 /// application the paper motivates with ϕ1–ϕ4).
-pub fn find_violations(graph: &Graph, sigma: &GfdSet, limit: usize) -> Vec<Violation> {
+pub fn find_violations(graph: &Graph, sigma: &DepSet, limit: usize) -> Vec<Violation> {
     let index = LabelIndex::build(graph);
     let mut out = Vec::new();
     for (id, gfd) in sigma.iter() {
@@ -81,7 +92,7 @@ pub fn find_violations(graph: &Graph, sigma: &GfdSet, limit: usize) -> Vec<Viola
             break;
         }
         for_each_match(graph, &index, &gfd.pattern, |m| {
-            if premise_holds(graph, gfd, m) && !consequence_holds(graph, gfd, m) {
+            if premise_holds(graph, gfd, m) && !consequence_holds(graph, &index, gfd, m) {
                 out.push(Violation {
                     gfd: id,
                     m: m.into(),
@@ -116,7 +127,7 @@ mod tests {
         let y = q1.add_node(place, "y");
         q1.add_edge(x, locate, y);
         q1.add_edge(y, part, x);
-        let phi1 = Gfd::with_false_consequence("phi1", q1, vec![], &mut vocab);
+        let phi1 = Dependency::with_false_consequence("phi1", q1, vec![], &mut vocab);
 
         // Clean graph: airport in city, no back-edge.
         let mut clean = Graph::new();
@@ -130,7 +141,7 @@ mod tests {
         dirty.add_edge(city, part, airport);
         assert!(!graph_satisfies(&dirty, &phi1));
 
-        let sigma = GfdSet::from_vec(vec![phi1]);
+        let sigma = DepSet::from_vec(vec![phi1]);
         let violations = find_violations(&dirty, &sigma, 10);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].m[0], airport);
@@ -152,7 +163,7 @@ mod tests {
         let z = q2.add_node(speed, "z");
         q2.add_edge(x, top, y);
         q2.add_edge(x, top, z);
-        let phi2 = Gfd::new(
+        let phi2 = Dependency::new(
             "phi2",
             q2,
             vec![],
@@ -183,7 +194,7 @@ mod tests {
         let b = vocab.attr("b");
         let mut p = Pattern::new();
         let x = p.add_node(t, "x");
-        let gfd = Gfd::new(
+        let gfd = Dependency::new(
             "g",
             p,
             vec![Literal::eq_const(x, a, 1i64)],
@@ -208,13 +219,40 @@ mod tests {
         let a = vocab.attr("a");
         let mut p = Pattern::new();
         let x = p.add_node(t, "x");
-        let gfd = Gfd::new("g", p, vec![], vec![Literal::eq_const(x, a, 1i64)]);
+        let gfd = Dependency::new("g", p, vec![], vec![Literal::eq_const(x, a, 1i64)]);
         let mut g = Graph::new();
         for _ in 0..10 {
             g.add_node(t);
         }
-        let sigma = GfdSet::from_vec(vec![gfd]);
+        let sigma = DepSet::from_vec(vec![gfd]);
         assert_eq!(find_violations(&g, &sigma, 3).len(), 3);
         assert_eq!(find_violations(&g, &sigma, 100).len(), 10);
+    }
+
+    /// A generating consequence holds at a match some extension realizes:
+    /// every `t` node needs a `u` child carrying its `a`.
+    #[test]
+    fn generating_consequence_is_checked_by_realization() {
+        use crate::dependency::GenerateConsequence;
+        let mut vocab = Vocab::new();
+        let (t, u, e) = (vocab.label("t"), vocab.label("u"), vocab.label("e"));
+        let a = vocab.attr("a");
+        let mut p = Pattern::new();
+        let x = p.add_node(t, "x");
+        let mut gen = GenerateConsequence::over(&p);
+        let y = gen.add_fresh(u, "y");
+        gen.add_edge(x, e, y);
+        gen.push_attr(Literal::eq_attr(y, a, x, a));
+        let sigma = DepSet::from_vec(vec![Dependency::new("child", p, vec![], gen)]);
+
+        let mut g = Graph::new();
+        let n = g.add_node(t);
+        g.set_attr(n, a, Value::int(1));
+        let child = g.add_node(u);
+        g.add_edge(n, e, child);
+        // The child exists but does not carry the attribute yet.
+        assert_eq!(find_violations(&g, &sigma, 10).len(), 1);
+        g.set_attr(child, a, Value::int(1));
+        assert!(graph_satisfies_all(&g, &sigma));
     }
 }

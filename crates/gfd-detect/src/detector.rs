@@ -11,7 +11,7 @@ use crate::report::{DetectionReport, RuleStats, ViolationRecord};
 use crate::units::{initial_units, RulePlans};
 use gfd_core::validate::literal_holds;
 use gfd_core::{
-    run_task, Budget, Consequence, DepSet, GfdSet, Interrupt, MatchAction, SearchTask, WorkUnit,
+    run_task, Budget, Consequence, DepSet, Interrupt, MatchAction, SearchTask, WorkUnit,
 };
 use gfd_graph::{GfdId, Graph, LabelIndex, MatchIndex, NodeId, Pattern};
 use gfd_match::MatchPlan;
@@ -203,16 +203,9 @@ impl<'a, I: MatchIndex> MatchAction<'a> for DetectAction<'a, I> {
     }
 }
 
-/// Detect violations of a GFD set in `graph` — the literal-only shim
-/// over [`detect_deps`], kept so pre-refactor call sites (and behavior)
-/// stay byte-identical.
-pub fn detect(graph: &Graph, sigma: &GfdSet, config: &DetectConfig) -> DetectionReport {
-    detect_deps(graph, &DepSet::from_gfds(sigma.clone()), config)
-}
-
-/// Detect violations of a generalized dependency set (GFDs and GGDs,
-/// mixed freely) in `graph` on the shared work-stealing scheduler.
-pub fn detect_deps(graph: &Graph, sigma: &DepSet, config: &DetectConfig) -> DetectionReport {
+/// Detect violations of a dependency set (GFDs and GGDs, mixed freely) in
+/// `graph` on the shared work-stealing scheduler.
+pub fn detect(graph: &Graph, sigma: &DepSet, config: &DetectConfig) -> DetectionReport {
     let start = Instant::now();
     let index = LabelIndex::build(graph);
     let plans = RulePlans::build(sigma, &index);
@@ -307,13 +300,13 @@ fn merge_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_core::{Gfd, Literal};
+    use gfd_core::{Dependency, Literal};
     use gfd_graph::{Pattern, Value, Vocab};
 
     /// A chain graph t0 → t1 → … with alternating attribute values, plus a
     /// rule requiring equal values across each edge: every edge between a
     /// mismatched pair is a violation.
-    fn chain_setup(n: usize) -> (Graph, GfdSet, Vocab) {
+    fn chain_setup(n: usize) -> (Graph, DepSet, Vocab) {
         let mut vocab = Vocab::new();
         let t = vocab.label("t");
         let e = vocab.label("e");
@@ -332,13 +325,13 @@ mod tests {
         let x = p.add_node(t, "x");
         let y = p.add_node(t, "y");
         p.add_edge(x, e, y);
-        let gfd = Gfd::new(
+        let gfd = Dependency::new(
             "eq-across-edge",
             p,
             vec![],
             vec![Literal::eq_attr(x, a, y, a)],
         );
-        (g, GfdSet::from_vec(vec![gfd]), vocab)
+        (g, DepSet::from_vec(vec![gfd]), vocab)
     }
 
     #[test]
@@ -423,7 +416,7 @@ mod tests {
     #[test]
     fn empty_rule_set_is_trivially_clean() {
         let (g, _, _) = chain_setup(5);
-        let sigma = GfdSet::new();
+        let sigma = DepSet::new();
         let report = detect(&g, &sigma, &DetectConfig::with_workers(2));
         assert!(report.is_clean());
         assert_eq!(report.metrics.units_dispatched, 0);

@@ -26,7 +26,7 @@ pub mod repair;
 pub mod report;
 pub mod units;
 
-pub use detector::{detect, detect_deps, detect_units, DetectConfig};
+pub use detector::{detect, detect_units, DetectConfig};
 pub use gfd_runtime::RunMetrics;
 pub use repair::{suggest_repairs, Repair, RepairKind, RepairNode};
 pub use report::{DetectionReport, RuleStats, ViolationRecord};

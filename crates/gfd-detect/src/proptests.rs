@@ -4,7 +4,7 @@
 #![cfg(test)]
 
 use crate::detector::{detect, DetectConfig};
-use gfd_core::{Gfd, GfdSet, Literal};
+use gfd_core::{DepSet, Dependency, Literal};
 use gfd_graph::{Graph, LabelId, NodeId, Value, VarId};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -35,7 +35,7 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
 }
 
 /// A random 1–3 node rule whose premise/consequence use attribute 0.
-fn arb_rule() -> impl Strategy<Value = Gfd> {
+fn arb_rule() -> impl Strategy<Value = Dependency> {
     (
         1usize..4,
         proptest::collection::vec(((0usize..3), 1u32..3, (0usize..3)), 0..3),
@@ -61,12 +61,12 @@ fn arb_rule() -> impl Strategy<Value = Gfd> {
                 .map(|c| vec![Literal::eq_const(VarId::new(0), a, c)])
                 .unwrap_or_default();
             let consequence = vec![Literal::eq_const(VarId::new(k - 1), a, consequence_const)];
-            Gfd::new("r", p, premise, consequence)
+            Dependency::new("r", p, premise, consequence)
         })
 }
 
 /// Brute-force oracle on top of the sequential library primitive.
-fn oracle(graph: &Graph, sigma: &GfdSet) -> Vec<(usize, Vec<usize>)> {
+fn oracle(graph: &Graph, sigma: &DepSet) -> Vec<(usize, Vec<usize>)> {
     let mut keys: Vec<_> = gfd_core::find_violations(graph, sigma, usize::MAX)
         .into_iter()
         .map(|v| (v.gfd.index(), v.m.iter().map(|n| n.index()).collect()))
@@ -96,7 +96,7 @@ proptest! {
         rules in proptest::collection::vec(arb_rule(), 1..3),
         workers in 1usize..5,
     ) {
-        let sigma = GfdSet::from_vec(rules);
+        let sigma = DepSet::from_vec(rules);
         let expected = oracle(&g, &sigma);
         let report = detect(&g, &sigma, &DetectConfig::with_workers(workers));
         prop_assert_eq!(detect_keys(&report), expected);
@@ -108,7 +108,7 @@ proptest! {
         g in arb_graph(),
         rules in proptest::collection::vec(arb_rule(), 1..3),
     ) {
-        let sigma = GfdSet::from_vec(rules);
+        let sigma = DepSet::from_vec(rules);
         let expected = oracle(&g, &sigma);
         let config = DetectConfig {
             ttl: Duration::ZERO,
@@ -126,7 +126,7 @@ proptest! {
         rules in proptest::collection::vec(arb_rule(), 1..3),
         budget in 1usize..4,
     ) {
-        let sigma = GfdSet::from_vec(rules);
+        let sigma = DepSet::from_vec(rules);
         let expected = oracle(&g, &sigma);
         let config = DetectConfig {
             max_violations: budget,

@@ -345,14 +345,14 @@ pub fn apply_repair(graph: &mut Graph, repair: &Repair) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::{detect_deps as detect, DetectConfig};
-    use gfd_core::{Dependency, Gfd, GfdSet, Literal};
+    use crate::detector::{detect, DetectConfig};
+    use gfd_core::{DepSet, Dependency, Literal};
     use gfd_graph::{Pattern, Value};
 
-    fn vocab_with(f: impl FnOnce(&mut Vocab) -> (Graph, GfdSet)) -> (Graph, DepSet, Vocab) {
+    fn vocab_with(f: impl FnOnce(&mut Vocab) -> (Graph, DepSet)) -> (Graph, DepSet, Vocab) {
         let mut vocab = Vocab::new();
         let (g, s) = f(&mut vocab);
-        (g, DepSet::from_gfds(s), vocab)
+        (g, s, vocab)
     }
 
     #[test]
@@ -362,11 +362,11 @@ mod tests {
             let a = v.attr("a");
             let mut p = Pattern::new();
             let x = p.add_node(t, "x");
-            let gfd = Gfd::new("g", p, vec![], vec![Literal::eq_const(x, a, 1i64)]);
+            let gfd = Dependency::new("g", p, vec![], vec![Literal::eq_const(x, a, 1i64)]);
             let mut g = Graph::new();
             let n = g.add_node(t);
             g.set_attr(n, a, Value::int(9));
-            (g, GfdSet::from_vec(vec![gfd]))
+            (g, DepSet::from_vec(vec![gfd]))
         });
         let report = detect(&g, &sigma, &DetectConfig::with_workers(1));
         assert_eq!(report.violations.len(), 1);
@@ -392,14 +392,14 @@ mod tests {
             let x = p.add_node(t, "x");
             let y = p.add_node(t, "y");
             p.add_edge(x, e, y);
-            let gfd = Gfd::new("g", p, vec![], vec![Literal::eq_attr(x, a, y, a)]);
+            let gfd = Dependency::new("g", p, vec![], vec![Literal::eq_attr(x, a, y, a)]);
             let mut g = Graph::new();
             let n1 = g.add_node(t);
             let n2 = g.add_node(t);
             g.add_edge(n1, e, n2);
             g.set_attr(n1, a, Value::int(1));
             g.set_attr(n2, a, Value::int(2));
-            (g, GfdSet::from_vec(vec![gfd]))
+            (g, DepSet::from_vec(vec![gfd]))
         });
         let report = detect(&g, &sigma, &DetectConfig::with_workers(1));
         assert_eq!(report.violations.len(), 1);
@@ -428,13 +428,13 @@ mod tests {
             let y = q.add_node(place, "y");
             q.add_edge(x, locate, y);
             q.add_edge(y, part, x);
-            let gfd = Gfd::with_false_consequence("phi1", q, vec![], v);
+            let gfd = Dependency::with_false_consequence("phi1", q, vec![], v);
             let mut g = Graph::new();
             let airport = g.add_node(place);
             let city = g.add_node(place);
             g.add_edge(airport, locate, city);
             g.add_edge(city, part, airport);
-            (g, GfdSet::from_vec(vec![gfd]))
+            (g, DepSet::from_vec(vec![gfd]))
         });
         let report = detect(&g, &sigma, &DetectConfig::with_workers(1));
         assert_eq!(report.violations.len(), 1);
@@ -466,7 +466,7 @@ mod tests {
         let m = gen.add_fresh(meeting, "m");
         gen.add_edge(x, attends, m);
         gen.push_attr(Literal::eq_attr(m, city, x, city));
-        let dep = Dependency::new("meetup", p, vec![], gfd_core::Consequence::Generate(gen));
+        let dep = Dependency::new("meetup", p, vec![], gen);
         let sigma = DepSet::from_vec(vec![dep]);
         let mut g = Graph::new();
         let n = g.add_node(person);
@@ -501,7 +501,7 @@ mod tests {
             let c = v.attr("c");
             let mut p = Pattern::new();
             let x = p.add_node(t, "x");
-            let gfd = Gfd::new(
+            let gfd = Dependency::new(
                 "g",
                 p,
                 vec![Literal::eq_const(x, c, 1i64)],
@@ -510,7 +510,7 @@ mod tests {
             let mut g = Graph::new();
             let n = g.add_node(t);
             g.set_attr(n, c, Value::int(1));
-            (g, GfdSet::from_vec(vec![gfd]))
+            (g, DepSet::from_vec(vec![gfd]))
         });
         let report = detect(&g, &sigma, &DetectConfig::with_workers(1));
         assert_eq!(report.violations.len(), 1);

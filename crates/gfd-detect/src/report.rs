@@ -208,7 +208,7 @@ impl DetectionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_core::{Dependency, GenerateConsequence, Gfd, GfdSet, Literal};
+    use gfd_core::{DepSet, Dependency, GenerateConsequence, Literal};
     use gfd_graph::{Pattern, Value};
 
     fn setup() -> (Graph, DepSet, Vocab) {
@@ -217,11 +217,11 @@ mod tests {
         let a = vocab.attr("a");
         let mut p = Pattern::new();
         let x = p.add_node(t, "x");
-        let gfd = Gfd::new("g", p, vec![], vec![Literal::eq_const(x, a, 1i64)]);
+        let gfd = Dependency::new("g", p, vec![], vec![Literal::eq_const(x, a, 1i64)]);
         let mut g = Graph::new();
         let n = g.add_node(t);
         g.set_attr(n, a, Value::int(7));
-        (g, DepSet::from_gfds(GfdSet::from_vec(vec![gfd])), vocab)
+        (g, DepSet::from_vec(vec![gfd]), vocab)
     }
 
     #[test]
@@ -270,7 +270,7 @@ mod tests {
         let m = gen.add_fresh(meeting, "m");
         gen.add_edge(x, attends, m);
         gen.push_attr(Literal::eq_attr(m, city, x, city));
-        let dep = Dependency::new("meetup", p, vec![], gfd_core::Consequence::Generate(gen));
+        let dep = Dependency::new("meetup", p, vec![], gen);
         let sigma = DepSet::from_vec(vec![dep]);
         let mut g = Graph::new();
         g.add_node(person);

@@ -96,7 +96,7 @@ pub fn units_for_pivots(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_core::{Gfd, Literal};
+    use gfd_core::{Dependency, Literal};
     use gfd_graph::{Graph, LabelIndex, Pattern, Vocab};
 
     fn two_rule_setup() -> (Graph, DepSet, Vocab) {
@@ -106,10 +106,10 @@ mod tests {
         let a = vocab.attr("a");
         let mut p1 = Pattern::new();
         let x1 = p1.add_node(t, "x");
-        let g1 = Gfd::new("g1", p1, vec![], vec![Literal::eq_const(x1, a, 1i64)]);
+        let g1 = Dependency::new("g1", p1, vec![], vec![Literal::eq_const(x1, a, 1i64)]);
         let mut p2 = Pattern::new();
         let x2 = p2.add_node(u, "x");
-        let g2 = Gfd::new("g2", p2, vec![], vec![Literal::eq_const(x2, a, 1i64)]);
+        let g2 = Dependency::new("g2", p2, vec![], vec![Literal::eq_const(x2, a, 1i64)]);
         let mut g = Graph::new();
         for _ in 0..5 {
             g.add_node(t);
@@ -117,11 +117,7 @@ mod tests {
         for _ in 0..3 {
             g.add_node(u);
         }
-        (
-            g,
-            DepSet::from_gfds(gfd_core::GfdSet::from_vec(vec![g1, g2])),
-            vocab,
-        )
+        (g, gfd_core::DepSet::from_vec(vec![g1, g2]), vocab)
     }
 
     #[test]

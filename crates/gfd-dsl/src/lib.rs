@@ -1,4 +1,5 @@
-//! A human-readable text format for graphs and GFDs.
+//! A human-readable text format for graphs and rules (`gfd`, `ggd` and
+//! `ged` blocks).
 //!
 //! Parsing ([`parser`]) and printing ([`printer`]) round-trip; see the
 //! grammar sketch in [`parser`]. Used by the examples and integration
@@ -7,7 +8,7 @@
 //! ```
 //! use gfd_graph::Vocab;
 //! let mut vocab = Vocab::new();
-//! let gfd = gfd_dsl::parse_gfd(
+//! let phi2 = gfd_dsl::parse_dependency(
 //!     "gfd phi2 {
 //!        pattern {
 //!          node x: _
@@ -20,10 +21,12 @@
 //!      }",
 //!     &mut vocab,
 //! ).unwrap();
-//! assert_eq!(gfd.pattern.node_count(), 3);
-//! let printed = gfd_dsl::print_gfd(&gfd, &vocab);
-//! let again = gfd_dsl::parse_gfd(&printed, &mut vocab).unwrap();
-//! assert_eq!(again.consequence, gfd.consequence);
+//! assert_eq!(phi2.pattern.node_count(), 3);
+//! assert!(!phi2.is_generating());
+//! let printed = gfd_dsl::print_dependency(&phi2, &vocab);
+//! let again = gfd_dsl::parse_dependency(&printed, &mut vocab).unwrap();
+//! assert_eq!(again.premise, phi2.premise);
+//! assert_eq!(gfd_dsl::print_dependency(&again, &vocab), printed);
 //! ```
 
 #![warn(missing_docs)]
@@ -32,21 +35,18 @@ pub mod parser;
 pub mod printer;
 pub mod token;
 
-pub use parser::{parse_document, parse_ged, parse_gfd, Document};
-pub use printer::{
-    print_dep_set, print_dependency, print_ged, print_ged_set, print_gfd, print_gfd_set,
-    print_graph,
-};
+pub use parser::{parse_dependency, parse_document, parse_ged, Document};
+pub use printer::{print_dep_set, print_dependency, print_ged, print_ged_set, print_graph};
 pub use token::ParseError;
 
 #[cfg(test)]
 mod proptests {
-    use gfd_core::{Gfd, GfdSet, Literal};
+    use gfd_core::{Consequence, Dependency, Literal};
     use gfd_graph::{LabelId, Pattern, Value, VarId, Vocab};
     use proptest::prelude::*;
 
     /// Strategy: a small random GFD over a fixed vocabulary shape.
-    fn arb_gfd() -> impl Strategy<Value = (Gfd, Vocab)> {
+    fn arb_gfd() -> impl Strategy<Value = (Dependency, Vocab)> {
         let label_names = ["t", "u", "v"];
         let attr_names = ["a", "b", "c"];
         (
@@ -106,26 +106,38 @@ mod proptests {
                         })
                         .collect::<Vec<_>>()
                 };
-                (Gfd::new("g", p, mk(pre), mk(post)), vocab)
+                (Dependency::new("g", p, mk(pre), mk(post)), vocab)
             })
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// print → parse is the identity on GFD structure.
+        /// print → parse is the identity on rule structure, for both
+        /// consequence kinds.
         #[test]
-        fn gfd_print_parse_round_trip((gfd, vocab) in arb_gfd()) {
+        fn gfd_print_parse_round_trip((dep, vocab) in prop_oneof![arb_gfd(), arb_ggd()]) {
             let mut vocab = vocab;
-            let printed = crate::print_gfd(&gfd, &vocab);
-            let reparsed = crate::parse_gfd(&printed, &mut vocab)
+            let printed = crate::print_dependency(&dep, &vocab);
+            let reparsed = crate::parse_dependency(&printed, &mut vocab)
                 .expect("printer output must parse");
-            prop_assert_eq!(&reparsed.premise, &gfd.premise);
-            prop_assert_eq!(&reparsed.consequence, &gfd.consequence);
-            prop_assert_eq!(reparsed.pattern.edges(), gfd.pattern.edges());
-            prop_assert_eq!(reparsed.pattern.node_labels(), gfd.pattern.node_labels());
+            prop_assert_eq!(&reparsed.premise, &dep.premise);
+            prop_assert_eq!(reparsed.pattern.edges(), dep.pattern.edges());
+            prop_assert_eq!(reparsed.pattern.node_labels(), dep.pattern.node_labels());
+            match (&reparsed.consequence, &dep.consequence) {
+                (Consequence::Literals(back), Consequence::Literals(lits)) => {
+                    prop_assert_eq!(back, lits);
+                }
+                (Consequence::Generate(back), Consequence::Generate(gen)) => {
+                    prop_assert_eq!(back.shared, gen.shared);
+                    prop_assert_eq!(back.pattern.edges(), gen.pattern.edges());
+                    prop_assert_eq!(back.pattern.node_labels(), gen.pattern.node_labels());
+                    prop_assert_eq!(&back.attrs, &gen.attrs);
+                }
+                _ => prop_assert!(false, "consequence kind changed:\n{}", printed),
+            }
             // Printing again is a fixpoint.
-            let printed2 = crate::print_gfd(&reparsed, &vocab);
+            let printed2 = crate::print_dependency(&reparsed, &vocab);
             prop_assert_eq!(printed, printed2);
         }
 
@@ -138,11 +150,11 @@ mod proptests {
             for (i, (gfd, vocab)) in gv.iter().enumerate() {
                 let mut g = gfd.clone();
                 g.name = format!("g{i}");
-                src.push_str(&crate::print_gfd(&g, vocab));
+                src.push_str(&crate::print_dependency(&g, vocab));
             }
             let mut vocab = Vocab::new();
             let doc = crate::parse_document(&src, &mut vocab).expect("parse set");
-            prop_assert_eq!(doc.gfds.len(), gv.len());
+            prop_assert_eq!(doc.deps.len(), gv.len());
         }
 
         /// Fuzz (DESIGN.md §11): the parser is panic-free on arbitrary
@@ -289,8 +301,8 @@ mod proptests {
     /// Strategy: a small random GGD — premise pattern over t/u/v labels,
     /// 1–2 fresh nodes, generated edges over the combined variable space
     /// and attribute assignments (`set`).
-    fn arb_ggd() -> impl Strategy<Value = (gfd_core::Dependency, Vocab)> {
-        use gfd_core::{Consequence, Dependency, GenerateConsequence};
+    fn arb_ggd() -> impl Strategy<Value = (Dependency, Vocab)> {
+        use gfd_core::GenerateConsequence;
         (
             1usize..3,
             proptest::collection::vec((0usize..3, 0usize..3, 0usize..3), 0..3),
@@ -376,10 +388,7 @@ mod proptests {
                     };
                     gen.push_attr(lit);
                 }
-                (
-                    Dependency::new("g", p, premise, Consequence::Generate(gen)),
-                    vocab,
-                )
+                (Dependency::new("g", p, premise, gen), vocab)
             })
     }
 
@@ -392,10 +401,7 @@ mod proptests {
         #[test]
         fn mixed_rule_file_round_trip(
             rules in proptest::collection::vec(
-                prop_oneof![
-                    arb_gfd().prop_map(|(g, v)| (gfd_core::Dependency::from_gfd(g), v)),
-                    arb_ggd(),
-                ],
+                prop_oneof![arb_gfd(), arb_ggd()],
                 1..4,
             )
         ) {
@@ -436,10 +442,9 @@ mod proptests {
             gfd b { pattern { node x: _ } then { x.v = 2 } }
         "#;
         let doc = crate::parse_document(src, &mut vocab).unwrap();
-        assert!(!gfd_core::seq_sat(&doc.gfds).is_satisfiable());
-        let printed = crate::print_gfd_set(&doc.gfds, &vocab);
+        assert!(!gfd_core::seq_sat(&doc.deps).is_satisfiable());
+        let printed = crate::print_dep_set(&doc.deps, &vocab);
         let doc2 = crate::parse_document(&printed, &mut vocab).unwrap();
-        assert!(!gfd_core::seq_sat(&doc2.gfds).is_satisfiable());
-        let _ = GfdSet::new();
+        assert!(!gfd_core::seq_sat(&doc2.deps).is_satisfiable());
     }
 }

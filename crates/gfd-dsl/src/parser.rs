@@ -20,41 +20,38 @@
 //! ```
 
 use crate::token::{tokenize, ParseError, Token};
-use gfd_core::{Consequence, DepSet, Dependency, GenerateConsequence, Gfd, GfdSet, Literal};
+use gfd_core::{DepSet, Dependency, GenerateConsequence, Literal};
 use gfd_ged::{CmpOp, Ged, GedLiteral, GedSet};
 use gfd_graph::{Graph, NodeId, Pattern, ValueId, ValueTable, VarId, Vocab};
 use rustc_hash::FxHashMap;
 
-/// A parsed document: named graphs, the generalized rule set, and
-/// (optionally) GEDs.
+/// A parsed document: named graphs, the rule set, and (optionally) GEDs.
 #[derive(Debug, Default)]
 pub struct Document {
     /// Named data graphs, in source order.
     pub graphs: Vec<(String, Graph)>,
-    /// Every `gfd` and `ggd` block as a generalized [`Dependency`], in
-    /// source order — what the reasoning and detection commands consume
-    /// (mixed rule sets allowed).
+    /// Every `gfd` and `ggd` block as a [`Dependency`], in source order —
+    /// what the reasoning and detection commands consume (mixed rule sets
+    /// allowed).
     pub deps: DepSet,
-    /// The `gfd` blocks only, in source order — the literal subset, kept
-    /// for call sites that speak the classic [`GfdSet`].
-    pub gfds: GfdSet,
     /// All GEDs (`ged NAME { ... }` blocks), in source order.
     pub geds: GedSet,
 }
 
 impl Document {
-    /// Every rule as a GED: the declared GEDs plus the GFDs lifted into
-    /// GED form. Useful when a file mixes both kinds and the caller wants
-    /// to reason over the union with the GED algorithms.
-    pub fn all_as_geds(&self) -> GedSet {
+    /// Every rule as a GED: the GFDs lifted into GED form, then the
+    /// declared GEDs. Useful when a file mixes both kinds and the caller
+    /// wants to reason over the union with the GED algorithms. A `ggd`
+    /// block has no GED form: the first one is the error.
+    pub fn all_as_geds(&self) -> Result<GedSet, &Dependency> {
         let mut out = GedSet::new();
-        for (_, g) in self.gfds.iter() {
-            out.push(Ged::from_gfd(g));
+        for (_, dep) in self.deps.iter() {
+            out.push(Ged::from_dependency(dep).ok_or(dep)?);
         }
         for (_, g) in self.geds.iter() {
             out.push(g.clone());
         }
-        out
+        Ok(out)
     }
 }
 
@@ -148,8 +145,7 @@ impl<'v> Parser<'v> {
                 Token::Ident(s) if s == "gfd" => {
                     self.pos += 1;
                     let gfd = self.parse_gfd_body()?;
-                    doc.deps.push(Dependency::from_gfd(gfd.clone()));
-                    doc.gfds.push(gfd);
+                    doc.deps.push(gfd);
                 }
                 Token::Ident(s) if s == "ggd" => {
                     self.pos += 1;
@@ -268,7 +264,7 @@ impl<'v> Parser<'v> {
         Ok((pattern, vars))
     }
 
-    fn parse_gfd_body(&mut self) -> Result<Gfd, ParseError> {
+    fn parse_gfd_body(&mut self) -> Result<Dependency, ParseError> {
         let name = self.expect_ident()?;
         self.expect(&Token::LBrace)?;
         let (pattern, vars) = self.parse_pattern()?;
@@ -292,9 +288,9 @@ impl<'v> Parser<'v> {
         self.expect(&Token::RBrace)?;
 
         Ok(match consequence {
-            Some(lits) => Gfd::new(name, pattern, premise, lits),
+            Some(lits) => Dependency::new(name, pattern, premise, lits),
             // `then { false }`: the denial sugar.
-            None => Gfd::with_false_consequence(name, pattern, premise, self.vocab),
+            None => Dependency::with_false_consequence(name, pattern, premise, self.vocab),
         })
     }
 
@@ -389,12 +385,7 @@ impl<'v> Parser<'v> {
             gen.push_attr(lit);
         }
         self.expect(&Token::RBrace)?;
-        Ok(Dependency::new(
-            name,
-            pattern,
-            premise,
-            Consequence::Generate(gen),
-        ))
+        Ok(Dependency::new(name, pattern, premise, gen))
     }
 
     /// Parse `{ lit, lit, ... }`. Returns `None` for the special body
@@ -565,9 +556,7 @@ impl<'v> Parser<'v> {
                         )
                     }
                 }
-                _ => {
-                    GedLiteral::cmp_id(var, self.vocab.attr(&attr_name), op, self.parse_value()?)
-                }
+                _ => GedLiteral::cmp_id(var, self.vocab.attr(&attr_name), op, self.parse_value()?),
             };
             lits.push(lit);
             if self.peek() == Some(&Token::Comma) {
@@ -589,22 +578,22 @@ pub fn parse_document(src: &str, vocab: &mut Vocab) -> Result<Document, ParseErr
     p.parse_document()
 }
 
-/// Parse a source containing exactly one GFD.
-pub fn parse_gfd(src: &str, vocab: &mut Vocab) -> Result<Gfd, ParseError> {
+/// Parse a source containing exactly one dependency (a `gfd` or `ggd`
+/// block).
+pub fn parse_dependency(src: &str, vocab: &mut Vocab) -> Result<Dependency, ParseError> {
     let doc = parse_document(src, vocab)?;
-    if doc.gfds.len() != 1 || doc.deps.len() != 1 || !doc.graphs.is_empty() || !doc.geds.is_empty()
-    {
+    if doc.deps.len() != 1 || !doc.graphs.is_empty() || !doc.geds.is_empty() {
         return Err(ParseError {
             line: 1,
             msg: format!(
-                "expected exactly one gfd, found {} gfds, {} geds and {} graphs",
-                doc.gfds.len(),
+                "expected exactly one gfd or ggd, found {} of them, {} geds and {} graphs",
+                doc.deps.len(),
                 doc.geds.len(),
                 doc.graphs.len()
             ),
         });
     }
-    Ok(doc.gfds.as_slice()[0].clone())
+    Ok(doc.deps.into_vec().remove(0))
 }
 
 /// Parse a source containing exactly one GED.
@@ -616,7 +605,7 @@ pub fn parse_ged(src: &str, vocab: &mut Vocab) -> Result<Ged, ParseError> {
             msg: format!(
                 "expected exactly one ged, found {} geds, {} gfds and {} graphs",
                 doc.geds.len(),
-                doc.gfds.len(),
+                doc.deps.len(),
                 doc.graphs.len()
             ),
         });
@@ -632,7 +621,7 @@ mod tests {
     #[test]
     fn parse_phi1_denial() {
         let mut vocab = Vocab::new();
-        let gfd = parse_gfd(
+        let gfd = parse_dependency(
             "gfd phi1 {\n  pattern {\n    node x: place\n    node y: place\n    edge x -locateIn-> y\n    edge y -partOf-> x\n  }\n  then { false }\n}",
             &mut vocab,
         )
@@ -660,9 +649,9 @@ mod tests {
               then { x.nationality = y.nationality }
             }
         "#;
-        let gfd = parse_gfd(src, &mut vocab).unwrap();
+        let gfd = parse_dependency(src, &mut vocab).unwrap();
         assert_eq!(gfd.premise.len(), 1);
-        assert_eq!(gfd.consequence.len(), 1);
+        assert_eq!(gfd.consequence.literals().unwrap().len(), 1);
         assert!(!gfd.is_denial());
     }
 
@@ -675,9 +664,9 @@ mod tests {
               then { x.a = 1, x.b = "s", x.c = true, x.d = -3 }
             }
         "#;
-        let gfd = parse_gfd(src, &mut vocab).unwrap();
+        let gfd = parse_dependency(src, &mut vocab).unwrap();
         assert_eq!(gfd.pattern.label(VarId::new(0)), LabelId::WILDCARD);
-        assert_eq!(gfd.consequence.len(), 4);
+        assert_eq!(gfd.consequence.literals().unwrap().len(), 4);
     }
 
     #[test]
@@ -706,13 +695,13 @@ mod tests {
     #[test]
     fn errors_are_informative() {
         let mut vocab = Vocab::new();
-        let err = parse_gfd(
+        let err = parse_dependency(
             "gfd g { pattern { node x: t } then { y.a = 1 } }",
             &mut vocab,
         )
         .unwrap_err();
         assert!(err.msg.contains("unknown variable"), "{err}");
-        let err = parse_gfd("gfd g { pattern { } then { } }", &mut vocab).unwrap_err();
+        let err = parse_dependency("gfd g { pattern { } then { } }", &mut vocab).unwrap_err();
         assert!(err.msg.contains("at least one node"), "{err}");
         let err = parse_document("graph G { edge a -e-> b }", &mut vocab).unwrap_err();
         assert!(err.msg.contains("unknown node"), "{err}");
@@ -744,7 +733,6 @@ mod tests {
         "#;
         let doc = parse_document(src, &mut vocab).unwrap();
         assert_eq!(doc.deps.len(), 1);
-        assert!(doc.gfds.is_empty());
         let dep = doc.deps.get(gfd_graph::GfdId::new(0));
         assert!(dep.is_generating());
         assert_eq!(dep.premise.len(), 1);
@@ -768,19 +756,11 @@ mod tests {
         "#;
         let doc = parse_document(src, &mut vocab).unwrap();
         assert_eq!(doc.deps.len(), 3);
-        assert_eq!(doc.gfds.len(), 2);
         let names: Vec<&str> = doc.deps.iter().map(|(_, d)| d.name.as_str()).collect();
         assert_eq!(names, vec!["a", "b", "c"]);
         assert!(doc.deps.has_generating());
-        // The literal deps match their gfd twins byte for byte.
-        assert_eq!(
-            doc.deps
-                .get(gfd_graph::GfdId::new(0))
-                .as_gfd()
-                .unwrap()
-                .consequence,
-            doc.gfds.get(gfd_graph::GfdId::new(0)).consequence
-        );
+        let generating: Vec<bool> = doc.deps.iter().map(|(_, d)| d.is_generating()).collect();
+        assert_eq!(generating, [false, true, false]);
     }
 
     #[test]
@@ -905,12 +885,22 @@ mod tests {
             ged b { pattern { node x: t } then { x.v >= 1 } }
         "#;
         let doc = parse_document(src, &mut vocab).unwrap();
-        assert_eq!(doc.gfds.len(), 1);
+        assert_eq!(doc.deps.len(), 1);
         assert_eq!(doc.geds.len(), 1);
-        let all = doc.all_as_geds();
+        let all = doc.all_as_geds().expect("no generating rule");
         assert_eq!(all.len(), 2);
         // The combined set is satisfiable (v = 1 satisfies both).
         assert!(gfd_ged::ged_sat(&all).is_satisfiable());
+
+        // A `ggd` block has no GED form: the lift names it instead of
+        // dropping it.
+        let src = r#"
+            gfd a { pattern { node x: t } then { x.v = 1 } }
+            ggd grow { pattern { node x: t } create { node y: u edge x -e-> y } }
+            ged b { pattern { node x: t } then { x.v >= 1 } }
+        "#;
+        let doc = parse_document(src, &mut vocab).unwrap();
+        assert_eq!(doc.all_as_geds().unwrap_err().name, "grow");
     }
 
     #[test]
@@ -923,6 +913,6 @@ mod tests {
         "#;
         let doc = parse_document(src, &mut vocab).unwrap();
         assert_eq!(doc.graphs.len(), 1);
-        assert_eq!(doc.gfds.len(), 2);
+        assert_eq!(doc.deps.len(), 2);
     }
 }

@@ -1,7 +1,7 @@
 //! Pretty-printer for the GFD text format (round-trips through the
 //! parser).
 
-use gfd_core::{Consequence, DepSet, Dependency, Gfd, GfdSet, Operand};
+use gfd_core::{Consequence, DepSet, Dependency, Operand};
 use gfd_graph::{Graph, Pattern, Value, ValueId, Vocab};
 use std::fmt::Write as _;
 
@@ -50,10 +50,16 @@ fn print_literals(lits: &[gfd_core::Literal], pattern: &Pattern, vocab: &Vocab, 
     }
 }
 
-/// Render a `pattern { ... }` block body (shared by all rule kinds).
-fn print_pattern(pattern: &Pattern, vocab: &Vocab, out: &mut String) {
-    out.push_str("  pattern {\n");
-    for v in pattern.vars() {
+/// Render the `node` lines of `vars` and every `edge` line of `pattern`,
+/// one per line at four spaces — the body of a `pattern { ... }` block
+/// and, over the fresh variables of a target pattern, of `create { ... }`.
+fn print_nodes_and_edges(
+    pattern: &Pattern,
+    vars: impl Iterator<Item = gfd_graph::VarId>,
+    vocab: &Vocab,
+    out: &mut String,
+) {
+    for v in vars {
         let _ = writeln!(
             out,
             "    node {}: {}",
@@ -70,104 +76,65 @@ fn print_pattern(pattern: &Pattern, vocab: &Vocab, out: &mut String) {
             pattern.var_name(e.dst)
         );
     }
+}
+
+/// Render a `pattern { ... }` block (shared by all rule kinds).
+fn print_pattern(pattern: &Pattern, vocab: &Vocab, out: &mut String) {
+    out.push_str("  pattern {\n");
+    print_nodes_and_edges(pattern, pattern.vars(), vocab, out);
     out.push_str("  }\n");
 }
 
-/// Render one GFD in the text format.
-pub fn print_gfd(gfd: &Gfd, vocab: &Vocab) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "gfd {} {{", gfd.name);
-    print_pattern(&gfd.pattern, vocab, &mut out);
-
-    let print_lits = |lits: &[gfd_core::Literal], out: &mut String| {
-        print_literals(lits, &gfd.pattern, vocab, out);
-    };
-
-    if !gfd.premise.is_empty() {
-        out.push_str("  when { ");
-        print_lits(&gfd.premise, &mut out);
-        out.push_str(" }\n");
-    }
-    // Print `false` only for the exact canonical denial encoding (the one
-    // `Gfd::with_false_consequence` produces); other denial-shaped
-    // consequences keep their literals so round-trips are lossless.
-    let canonical_false = gfd.consequence.len() == 2
-        && gfd.is_denial()
-        && gfd
-            .consequence
-            .iter()
-            .all(|l| vocab.attr_name(l.attr) == gfd_core::FALSE_ATTR_NAME);
-    if canonical_false {
-        out.push_str("  then { false }\n");
-    } else {
-        out.push_str("  then { ");
-        print_lits(&gfd.consequence, &mut out);
-        out.push_str(" }\n");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Render a whole set, one GFD after another.
-pub fn print_gfd_set(sigma: &GfdSet, vocab: &Vocab) -> String {
-    let mut out = String::new();
-    for (_, gfd) in sigma.iter() {
-        out.push_str(&print_gfd(gfd, vocab));
-        out.push('\n');
-    }
-    out
-}
-
-/// Render one generalized dependency: literal consequences print as a
-/// `gfd` block (byte-identical to [`print_gfd`]), generating ones as a
-/// `ggd` block with a `create { ... }` consequence. Round-trips through
+/// Render one dependency in the text format: a literal consequence prints
+/// as a `gfd` block, a generating one as a `ggd` block with a
+/// `create { ... }` consequence. Round-trips through
 /// [`crate::parse_document`].
 pub fn print_dependency(dep: &Dependency, vocab: &Vocab) -> String {
-    let gen = match &dep.consequence {
-        Consequence::Literals(_) => {
-            let gfd = dep.as_gfd().expect("literal consequence lowers");
-            return print_gfd(&gfd, vocab);
-        }
-        Consequence::Generate(gen) => gen,
-    };
     let mut out = String::new();
-    let _ = writeln!(out, "ggd {} {{", dep.name);
+    let kind = if dep.is_generating() { "ggd" } else { "gfd" };
+    let _ = writeln!(out, "{kind} {} {{", dep.name);
     print_pattern(&dep.pattern, vocab, &mut out);
     if !dep.premise.is_empty() {
         out.push_str("  when { ");
         print_literals(&dep.premise, &dep.pattern, vocab, &mut out);
         out.push_str(" }\n");
     }
-    out.push_str("  create {\n");
-    for v in gen.fresh_vars() {
-        let _ = writeln!(
-            out,
-            "    node {}: {}",
-            gen.pattern.var_name(v),
-            vocab.label_name(gen.pattern.label(v))
-        );
+    match &dep.consequence {
+        Consequence::Literals(lits) => {
+            // Print `false` only for the exact canonical denial encoding
+            // (the one `Dependency::with_false_consequence` produces);
+            // other denial-shaped consequences keep their literals so
+            // round-trips are lossless.
+            let canonical_false = lits.len() == 2
+                && dep.is_denial()
+                && lits
+                    .iter()
+                    .all(|l| vocab.attr_name(l.attr) == gfd_core::FALSE_ATTR_NAME);
+            if canonical_false {
+                out.push_str("  then { false }\n");
+            } else {
+                out.push_str("  then { ");
+                print_literals(lits, &dep.pattern, vocab, &mut out);
+                out.push_str(" }\n");
+            }
+        }
+        Consequence::Generate(gen) => {
+            out.push_str("  create {\n");
+            print_nodes_and_edges(&gen.pattern, gen.fresh_vars(), vocab, &mut out);
+            if !gen.attrs.is_empty() {
+                out.push_str("    set { ");
+                print_literals(&gen.attrs, &gen.pattern, vocab, &mut out);
+                out.push_str(" }\n");
+            }
+            out.push_str("  }\n");
+        }
     }
-    for e in gen.pattern.edges() {
-        let _ = writeln!(
-            out,
-            "    edge {} -{}-> {}",
-            gen.pattern.var_name(e.src),
-            vocab.label_name(e.label),
-            gen.pattern.var_name(e.dst)
-        );
-    }
-    if !gen.attrs.is_empty() {
-        out.push_str("    set { ");
-        print_literals(&gen.attrs, &gen.pattern, vocab, &mut out);
-        out.push_str(" }\n");
-    }
-    out.push_str("  }\n");
     out.push_str("}\n");
     out
 }
 
-/// Render a generalized dependency set, one rule after another, in the
-/// canonical form `gfd fmt` emits.
+/// Render a dependency set, one rule after another, in the canonical form
+/// `gfd fmt` emits.
 pub fn print_dep_set(sigma: &DepSet, vocab: &Vocab) -> String {
     let mut out = String::new();
     for (_, dep) in sigma.iter() {
@@ -327,7 +294,7 @@ pub fn print_graph(name: &str, graph: &Graph, vocab: &Vocab) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_document, parse_gfd};
+    use crate::parser::{parse_dependency, parse_document};
     use gfd_core::Literal;
     use gfd_graph::{NodeId, Pattern, VarId};
 
@@ -339,17 +306,17 @@ mod tests {
         let y = p.add_node(vocab.label("person"), "y");
         p.add_edge(x, vocab.label("knows"), y);
         let nat = vocab.attr("nationality");
-        let gfd = Gfd::new(
+        let gfd = Dependency::new(
             "phi",
             p,
             vec![Literal::eq_const(x, nat, "FR")],
             vec![Literal::eq_attr(x, nat, y, nat)],
         );
-        let printed = print_gfd(&gfd, &vocab);
-        let reparsed = parse_gfd(&printed, &mut vocab).unwrap();
+        let printed = print_dependency(&gfd, &vocab);
+        let reparsed = parse_dependency(&printed, &mut vocab).unwrap();
         assert_eq!(reparsed.name, gfd.name);
         assert_eq!(reparsed.premise, gfd.premise);
-        assert_eq!(reparsed.consequence, gfd.consequence);
+        assert_eq!(reparsed.consequence.literals(), gfd.consequence.literals());
         assert_eq!(reparsed.pattern.edges(), gfd.pattern.edges());
         assert_eq!(reparsed.pattern.node_labels(), gfd.pattern.node_labels());
     }
@@ -359,10 +326,10 @@ mod tests {
         let mut vocab = Vocab::new();
         let mut p = Pattern::new();
         p.add_node(vocab.label("t"), "x");
-        let gfd = Gfd::with_false_consequence("deny", p, vec![], &mut vocab);
-        let printed = print_gfd(&gfd, &vocab);
+        let gfd = Dependency::with_false_consequence("deny", p, vec![], &mut vocab);
+        let printed = print_dependency(&gfd, &vocab);
         assert!(printed.contains("then { false }"));
-        let reparsed = parse_gfd(&printed, &mut vocab).unwrap();
+        let reparsed = parse_dependency(&printed, &mut vocab).unwrap();
         assert!(reparsed.is_denial());
     }
 
@@ -392,7 +359,7 @@ mod tests {
 
     #[test]
     fn ggd_round_trip() {
-        use gfd_core::{Consequence, Dependency, GenerateConsequence};
+        use gfd_core::{Dependency, GenerateConsequence};
         let mut vocab = Vocab::new();
         let mut p = Pattern::new();
         let x = p.add_node(vocab.label("person"), "x");
@@ -404,12 +371,7 @@ mod tests {
         gen.add_edge(x, vocab.label("attends"), m);
         gen.add_edge(y, vocab.label("attends"), m);
         gen.push_attr(Literal::eq_attr(m, city, x, city));
-        let dep = Dependency::new(
-            "meetup",
-            p,
-            vec![Literal::eq_attr(x, city, y, city)],
-            Consequence::Generate(gen),
-        );
+        let dep = Dependency::new("meetup", p, vec![Literal::eq_attr(x, city, y, city)], gen);
         let printed = print_dependency(&dep, &vocab);
         assert!(printed.contains("ggd meetup {"), "{printed}");
         assert!(printed.contains("create {"), "{printed}");
@@ -433,14 +395,16 @@ mod tests {
     }
 
     #[test]
-    fn literal_dependency_prints_as_gfd() {
+    fn literal_dependency_prints_a_gfd_block() {
         let mut vocab = Vocab::new();
         let mut p = Pattern::new();
         let x = p.add_node(vocab.label("t"), "x");
         let a = vocab.attr("a");
-        let gfd = Gfd::new("g", p, vec![], vec![Literal::eq_const(x, a, 1i64)]);
-        let dep = gfd_core::Dependency::from_gfd(gfd.clone());
-        assert_eq!(print_dependency(&dep, &vocab), print_gfd(&gfd, &vocab));
+        let dep = Dependency::new("g", p, vec![], vec![Literal::eq_const(x, a, 1i64)]);
+        assert_eq!(
+            print_dependency(&dep, &vocab),
+            "gfd g {\n  pattern {\n    node x: t\n  }\n  then { x.a = 1 }\n}\n"
+        );
     }
 
     #[test]
@@ -496,15 +460,15 @@ mod tests {
         p.add_node(vocab.label("t"), "alpha");
         p.add_node(vocab.label("t"), "beta");
         let a = vocab.attr("a");
-        let gfd = Gfd::new(
+        let gfd = Dependency::new(
             "named",
             p,
             vec![],
             vec![Literal::eq_attr(VarId::new(0), a, VarId::new(1), a)],
         );
-        let printed = print_gfd(&gfd, &vocab);
+        let printed = print_dependency(&gfd, &vocab);
         assert!(printed.contains("alpha.a = beta.a"), "{printed}");
-        let reparsed = parse_gfd(&printed, &mut vocab).unwrap();
+        let reparsed = parse_dependency(&printed, &mut vocab).unwrap();
         assert_eq!(reparsed.pattern.var_name(VarId::new(0)), "alpha");
     }
 }

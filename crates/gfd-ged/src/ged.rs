@@ -1,6 +1,6 @@
 //! The GED model: patterns plus extended literals with disjunction.
 
-use gfd_core::{Gfd, Literal, Operand};
+use gfd_core::{Dependency, Literal, Operand};
 use gfd_graph::{AttrId, GfdId, Pattern, Value, ValueId, ValueTable, VarId, Vocab};
 use std::fmt;
 
@@ -206,7 +206,7 @@ impl GedLiteral {
     }
 
     /// Convert a plain GFD literal.
-    pub fn from_gfd(lit: &Literal) -> Self {
+    pub fn from_literal(lit: &Literal) -> Self {
         match &lit.rhs {
             Operand::Const(c) => GedLiteral::AttrConst {
                 var: lit.var,
@@ -341,14 +341,16 @@ impl Ged {
         }
     }
 
-    /// Lift a plain GFD into a GED.
-    pub fn from_gfd(gfd: &Gfd) -> Self {
-        Ged {
-            name: gfd.name.clone(),
-            pattern: gfd.pattern.clone(),
-            premise: gfd.premise.iter().map(GedLiteral::from_gfd).collect(),
-            disjuncts: vec![gfd.consequence.iter().map(GedLiteral::from_gfd).collect()],
-        }
+    /// Lift a plain GFD — a dependency with a literal consequence — into a
+    /// GED; `None` for a generating one (a GED cannot create nodes).
+    pub fn from_dependency(dep: &Dependency) -> Option<Self> {
+        let lits = dep.consequence.literals()?;
+        Some(Ged {
+            name: dep.name.clone(),
+            pattern: dep.pattern.clone(),
+            premise: dep.premise.iter().map(GedLiteral::from_literal).collect(),
+            disjuncts: vec![lits.iter().map(GedLiteral::from_literal).collect()],
+        })
     }
 
     /// True iff the premise is empty.
@@ -587,13 +589,13 @@ mod tests {
         let mut vocab = Vocab::new();
         let (p, x, y) = person_pattern(&mut vocab);
         let a = vocab.attr("a");
-        let gfd = Gfd::new(
+        let gfd = Dependency::new(
             "g",
             p,
             vec![Literal::eq_const(x, a, 5i64)],
             vec![Literal::eq_attr(x, a, y, a)],
         );
-        let ged = Ged::from_gfd(&gfd);
+        let ged = Ged::from_dependency(&gfd).expect("literal consequence");
         assert_eq!(ged.premise.len(), 1);
         assert_eq!(ged.disjuncts.len(), 1);
         assert!(ged.premise[0].is_gfd_compatible());

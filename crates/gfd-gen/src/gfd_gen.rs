@@ -12,7 +12,7 @@
 
 use crate::pattern_gen::{mutate_pattern, random_pattern, PatternGenConfig};
 use crate::schema::Schema;
-use gfd_core::{Gfd, GfdSet, Literal};
+use gfd_core::{DepSet, Dependency, Literal};
 use gfd_graph::{AttrId, Pattern, Value, VarId, Vocab};
 use rand::prelude::*;
 
@@ -85,7 +85,7 @@ fn random_literal(
 }
 
 /// Generate a satisfiable-by-construction set Σ.
-pub fn generate_sigma(schema: &Schema, cfg: &GfdGenConfig) -> GfdSet {
+pub fn generate_sigma(schema: &Schema, cfg: &GfdGenConfig) -> DepSet {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let pat_cfg = PatternGenConfig {
         k: cfg.k.max(1),
@@ -118,18 +118,23 @@ pub fn generate_sigma(schema: &Schema, cfg: &GfdGenConfig) -> GfdSet {
                 .collect()
         };
         let n = rng.random_range(1..=cfg.l.max(1));
-        let consequence = (0..n)
+        let consequence: Vec<Literal> = (0..n)
             .map(|_| random_literal(&pattern, schema, cfg.var_literal_prob, &mut rng))
             .collect();
-        gfds.push(Gfd::new(format!("gen{i}"), pattern, premise, consequence));
+        gfds.push(Dependency::new(
+            format!("gen{i}"),
+            pattern,
+            premise,
+            consequence,
+        ));
     }
-    GfdSet::from_vec(gfds)
+    DepSet::from_vec(gfds)
 }
 
 /// Inject a pair of directly conflicting GFDs sharing one pattern:
 /// `∅ → x.A = c` and `∅ → x.A = c'`. Makes Σ unsatisfiable, discovered
 /// after a single cross-copy match.
-pub fn inject_direct_conflict(sigma: &mut GfdSet, schema: &Schema, seed: u64) {
+pub fn inject_direct_conflict(sigma: &mut DepSet, schema: &Schema, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let pattern = random_pattern(
         schema,
@@ -142,13 +147,13 @@ pub fn inject_direct_conflict(sigma: &mut GfdSet, schema: &Schema, seed: u64) {
     );
     let attr = schema.sample_attr(&mut rng);
     let x = VarId::new(0);
-    sigma.push(Gfd::new(
+    sigma.push(Dependency::new(
         "conflict_a",
         pattern.clone(),
         vec![],
         vec![Literal::eq_const(x, attr, canonical_value(attr))],
     ));
-    sigma.push(Gfd::new(
+    sigma.push(Dependency::new(
         "conflict_b",
         pattern,
         vec![],
@@ -161,7 +166,7 @@ pub fn inject_direct_conflict(sigma: &mut GfdSet, schema: &Schema, seed: u64) {
 /// final rule contradicting `A₀`. All share one pattern, so cross-copy
 /// matches drive the cascade; the conflict only surfaces after `depth`
 /// pending re-checks.
-pub fn inject_chain_conflict(sigma: &mut GfdSet, schema: &Schema, depth: usize, seed: u64) {
+pub fn inject_chain_conflict(sigma: &mut DepSet, schema: &Schema, depth: usize, seed: u64) {
     assert!(depth >= 1);
     let mut rng = StdRng::seed_from_u64(seed);
     let pattern = random_pattern(
@@ -175,14 +180,14 @@ pub fn inject_chain_conflict(sigma: &mut GfdSet, schema: &Schema, depth: usize, 
     );
     let x = VarId::new(0);
     let attrs: Vec<AttrId> = (0..depth).map(|_| schema.sample_attr(&mut rng)).collect();
-    sigma.push(Gfd::new(
+    sigma.push(Dependency::new(
         "chain_seed",
         pattern.clone(),
         vec![],
         vec![Literal::eq_const(x, attrs[0], canonical_value(attrs[0]))],
     ));
     for i in 1..depth {
-        sigma.push(Gfd::new(
+        sigma.push(Dependency::new(
             format!("chain_{i}"),
             pattern.clone(),
             vec![Literal::eq_const(
@@ -193,7 +198,7 @@ pub fn inject_chain_conflict(sigma: &mut GfdSet, schema: &Schema, depth: usize, 
             vec![Literal::eq_const(x, attrs[i], canonical_value(attrs[i]))],
         ));
     }
-    sigma.push(Gfd::new(
+    sigma.push(Dependency::new(
         "chain_final",
         pattern,
         vec![Literal::eq_const(
@@ -208,14 +213,14 @@ pub fn inject_chain_conflict(sigma: &mut GfdSet, schema: &Schema, depth: usize, 
 /// Build a probe GFD that **is** implied by Σ: take a random ϕ ∈ Σ,
 /// extend its pattern (a supergraph still hosts ϕ's identity match) and
 /// keep its `X → Y`.
-pub fn implied_probe(sigma: &GfdSet, schema: &Schema, seed: u64) -> Option<Gfd> {
+pub fn implied_probe(sigma: &DepSet, schema: &Schema, seed: u64) -> Option<Dependency> {
     if sigma.is_empty() {
         return None;
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let base = &sigma.as_slice()[rng.random_range(0..sigma.len())];
     let pattern = mutate_pattern(&base.pattern, schema, &mut rng);
-    Some(Gfd::new(
+    Some(Dependency::new(
         format!("implied_from_{}", base.name),
         pattern,
         base.premise.clone(),
@@ -226,7 +231,12 @@ pub fn implied_probe(sigma: &GfdSet, schema: &Schema, seed: u64) -> Option<Gfd> 
 /// Build a probe GFD that is **not** implied by a satisfiable-by-
 /// construction Σ: its consequence uses a fresh attribute no rule can
 /// derive.
-pub fn not_implied_probe(sigma: &GfdSet, schema: &Schema, vocab: &mut Vocab, seed: u64) -> Gfd {
+pub fn not_implied_probe(
+    sigma: &DepSet,
+    schema: &Schema,
+    vocab: &mut Vocab,
+    seed: u64,
+) -> Dependency {
     let mut rng = StdRng::seed_from_u64(seed);
     let pattern = if sigma.is_empty() {
         random_pattern(
@@ -248,7 +258,7 @@ pub fn not_implied_probe(sigma: &GfdSet, schema: &Schema, vocab: &mut Vocab, see
     } else {
         vec![]
     };
-    Gfd::new(
+    Dependency::new(
         format!("not_implied_{seed}"),
         pattern,
         premise,
@@ -293,7 +303,7 @@ mod tests {
         let b = generate_sigma(&schema, &small_cfg(10, 7));
         for ((_, x), (_, y)) in a.iter().zip(b.iter()) {
             assert_eq!(x.premise, y.premise);
-            assert_eq!(x.consequence, y.consequence);
+            assert_eq!(x.consequence.literals(), y.consequence.literals());
             assert_eq!(x.pattern.edges(), y.pattern.edges());
         }
     }
@@ -312,7 +322,7 @@ mod tests {
         for (_, g) in sigma.iter() {
             assert!(g.pattern.node_count() <= 5);
             assert!(g.premise.len() <= 2);
-            assert!((1..=2).contains(&g.consequence.len()));
+            assert!((1..=2).contains(&g.consequence.literals().unwrap().len()));
         }
     }
 
@@ -330,7 +340,7 @@ mod tests {
         let mut vocab = Vocab::new();
         let schema = Schema::new(Dataset::Tiny, &mut vocab);
         for depth in [1, 2, 4] {
-            let mut sigma = GfdSet::new();
+            let mut sigma = DepSet::new();
             inject_chain_conflict(&mut sigma, &schema, depth, 5);
             assert!(
                 !seq_sat(&sigma).is_satisfiable(),

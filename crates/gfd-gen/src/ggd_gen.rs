@@ -23,7 +23,7 @@
 //!   the chase has generated its way down the whole chain.
 
 use crate::gfd_gen::conflicting_value;
-use gfd_core::{Consequence, DepSet, Dependency, GenerateConsequence, Gfd, Literal};
+use gfd_core::{DepSet, Dependency, GenerateConsequence, Literal};
 use gfd_graph::{Pattern, Value, VarId, Vocab};
 use rand::prelude::*;
 
@@ -86,12 +86,12 @@ pub fn ggd_chain_workload(cfg: &GgdGenConfig, vocab: &mut Vocab) -> DepSet {
     // Seed: every tier0 node gets a0 = 0, unlocking the first tier of
     // generating premises.
     let a0 = tier_attr(vocab, 0);
-    deps.push(Dependency::from_gfd(Gfd::new(
+    deps.push(Dependency::new(
         "seed0",
         tier_pattern(vocab, 0),
         vec![],
         vec![Literal::eq_const(VarId::new(0), a0, 0i64)],
-    )));
+    ));
 
     for tier in 0..depth {
         let premise_attr = tier_attr(vocab, tier);
@@ -111,7 +111,7 @@ pub fn ggd_chain_workload(cfg: &GgdGenConfig, vocab: &mut Vocab) -> DepSet {
                 format!("gen_t{tier}_{j}"),
                 pattern,
                 vec![Literal::eq_const(x, premise_attr, tier as i64)],
-                Consequence::Generate(gen),
+                gen,
             ));
         }
     }
@@ -130,12 +130,12 @@ pub fn mixed_ggd_workload(cfg: &GgdGenConfig, vocab: &mut Vocab) -> DepSet {
         let premise_attr = tier_attr(vocab, tier);
         let out_attr = vocab.attr(&format!("b{}", r % 3));
         let x = VarId::new(0);
-        deps.push(Dependency::from_gfd(Gfd::new(
+        deps.push(Dependency::new(
             format!("rider{r}"),
             tier_pattern(vocab, tier),
             vec![Literal::eq_const(x, premise_attr, tier as i64)],
             vec![Literal::eq_const(x, out_attr, tier as i64)],
-        )));
+        ));
     }
     deps
 }
@@ -160,12 +160,12 @@ pub fn ggd_overlap_workload(cfg: &GgdGenConfig, vocab: &mut Vocab) -> DepSet {
     for tier in 0..=depth {
         let premise_attr = tier_attr(vocab, tier);
         for j in 0..cfg.literal_rules.max(2) {
-            deps.push(Dependency::from_gfd(Gfd::new(
+            deps.push(Dependency::new(
                 format!("overlap_t{tier}_{j}"),
                 tier_pattern(vocab, tier),
                 vec![Literal::eq_const(x, premise_attr, tier as i64)],
                 vec![Literal::eq_const(x, shared, 1i64)],
-            )));
+            ));
         }
     }
     for tier in 0..depth {
@@ -175,12 +175,12 @@ pub fn ggd_overlap_workload(cfg: &GgdGenConfig, vocab: &mut Vocab) -> DepSet {
         let px = p.add_node(src, "x");
         let py = p.add_node(dst, "y");
         p.add_edge(px, gen_label, py);
-        deps.push(Dependency::from_gfd(Gfd::new(
+        deps.push(Dependency::new(
             format!("link_t{tier}"),
             p,
             vec![],
             vec![Literal::eq_attr(px, shared, py, shared)],
-        )));
+        ));
     }
     deps
 }
@@ -193,7 +193,7 @@ pub fn ggd_conflict_workload(cfg: &GgdGenConfig, vocab: &mut Vocab) -> DepSet {
     let mut deps = ggd_chain_workload(cfg, vocab);
     let depth = cfg.chain_depth.max(1);
     let attr = tier_attr(vocab, depth);
-    deps.push(Dependency::from_gfd(Gfd::new(
+    deps.push(Dependency::new(
         "deep_deny",
         tier_pattern(vocab, depth),
         vec![],
@@ -202,7 +202,7 @@ pub fn ggd_conflict_workload(cfg: &GgdGenConfig, vocab: &mut Vocab) -> DepSet {
             attr,
             conflicting_value(attr),
         )],
-    )));
+    ));
     deps
 }
 

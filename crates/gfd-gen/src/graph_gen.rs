@@ -3,7 +3,7 @@
 
 use crate::gfd_gen::canonical_value;
 use crate::schema::Schema;
-use gfd_core::{Gfd, Operand};
+use gfd_core::{Dependency, Operand};
 use gfd_graph::{Graph, NodeId, Value};
 use rand::prelude::*;
 
@@ -61,7 +61,12 @@ pub fn random_graph(schema: &Schema, cfg: &GraphGenConfig) -> Graph {
 /// order).
 ///
 /// Wildcard node/edge labels are instantiated with schema samples.
-pub fn plant_violation(graph: &mut Graph, gfd: &Gfd, schema: &Schema, seed: u64) -> Vec<NodeId> {
+pub fn plant_violation(
+    graph: &mut Graph,
+    gfd: &Dependency,
+    schema: &Schema,
+    seed: u64,
+) -> Vec<NodeId> {
     let mut rng = StdRng::seed_from_u64(seed);
     let planted: Vec<NodeId> = gfd
         .pattern
@@ -96,6 +101,11 @@ pub fn plant_violation(graph: &mut Graph, gfd: &Gfd, schema: &Schema, seed: u64)
             }
         }
     }
+    // A generating consequence is violated as planted: the fresh nodes
+    // realize nothing of its target.
+    let Some(consequence) = gfd.consequence.literals() else {
+        return planted;
+    };
     // Break one consequence literal *without* touching attributes the
     // premise pinned (otherwise the planted match stops satisfying X and
     // is no violation at all).
@@ -111,7 +121,7 @@ pub fn plant_violation(graph: &mut Graph, gfd: &Gfd, schema: &Schema, seed: u64)
         })
         .collect();
     let pinned = |var: usize, attr: gfd_graph::AttrId| premise_keys.contains(&(var, attr));
-    for lit in &gfd.consequence {
+    for lit in consequence {
         let node = planted[lit.var.index()];
         match &lit.rhs {
             Operand::Const(c) => {
@@ -148,7 +158,7 @@ mod tests {
     use super::*;
     use crate::gfd_gen::{generate_sigma, GfdGenConfig};
     use crate::schema::Dataset;
-    use gfd_core::{find_violations, graph_satisfies, GfdSet, Literal};
+    use gfd_core::{find_violations, graph_satisfies, DepSet, Literal};
     use gfd_graph::{Pattern, Vocab};
 
     #[test]
@@ -182,7 +192,7 @@ mod tests {
         let x = p.add_node(t, "x");
         let y = p.add_node(t, "y");
         p.add_edge(x, e, y);
-        let gfd = Gfd::new(
+        let gfd = Dependency::new(
             "share",
             p,
             vec![Literal::eq_const(x, a, canonical_value(a))],
@@ -194,7 +204,7 @@ mod tests {
         let planted = plant_violation(&mut g, &gfd, &schema, 9);
         assert_eq!(planted.len(), 2);
         assert!(!graph_satisfies(&g, &gfd));
-        let sigma = GfdSet::from_vec(vec![gfd]);
+        let sigma = DepSet::from_vec(vec![gfd]);
         let vs = find_violations(&g, &sigma, 10);
         assert!(!vs.is_empty());
     }

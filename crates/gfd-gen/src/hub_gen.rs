@@ -17,7 +17,7 @@
 //! exp8 bench assert fingerprint invariance across worker counts.
 
 use crate::schema::{Dataset, Schema};
-use gfd_core::{Gfd, GfdSet, Literal};
+use gfd_core::{DepSet, Dependency, Literal};
 use gfd_graph::{Graph, NodeId, Pattern, Value, Vocab};
 use rand::prelude::*;
 use std::collections::BTreeSet;
@@ -70,7 +70,7 @@ pub struct HubWorkload {
     /// The power-law data graph.
     pub graph: Graph,
     /// String-attribute-heavy rules over the graph's labels.
-    pub sigma: GfdSet,
+    pub sigma: DepSet,
 }
 
 /// Build the hub workload for `cfg`: a Pokec-like graph whose first
@@ -165,7 +165,7 @@ pub fn hub_workload(cfg: &HubGenConfig) -> HubWorkload {
             p.add_edge(w, follows, y);
             p.add_edge(x, follows, z);
             p.add_edge(y, follows, z);
-            rules.push(Gfd::new(
+            rules.push(Dependency::new(
                 format!("hub_diamond_{r}"),
                 p,
                 vec![
@@ -179,7 +179,7 @@ pub fn hub_workload(cfg: &HubGenConfig) -> HubWorkload {
             let x = p.add_node(person, "x");
             let y = p.add_node(person, "y");
             p.add_edge(x, follows, y);
-            rules.push(Gfd::new(
+            rules.push(Dependency::new(
                 format!("hub_chain_{r}"),
                 p,
                 vec![Literal::eq_attr(x, name, y, name)],
@@ -193,7 +193,7 @@ pub fn hub_workload(cfg: &HubGenConfig) -> HubWorkload {
         vocab,
         schema,
         graph: g,
-        sigma: GfdSet::from_vec(rules),
+        sigma: DepSet::from_vec(rules),
     }
 }
 
@@ -217,7 +217,7 @@ mod tests {
         assert_eq!(a.sigma.len(), b.sigma.len());
         for ((_, x), (_, y)) in a.sigma.iter().zip(b.sigma.iter()) {
             assert_eq!(x.premise, y.premise);
-            assert_eq!(x.consequence, y.consequence);
+            assert_eq!(x.consequence.literals(), y.consequence.literals());
         }
     }
 
@@ -277,7 +277,11 @@ mod tests {
         // Every rule literal is a string comparison: constants resolve
         // to interned strings, not ints.
         for (_, gfd) in w.sigma.iter() {
-            for lit in gfd.premise.iter().chain(gfd.consequence.iter()) {
+            for lit in gfd
+                .premise
+                .iter()
+                .chain(gfd.consequence.literals().unwrap())
+            {
                 if let gfd_core::Operand::Const(c) = &lit.rhs {
                     assert!(
                         matches!(c.resolve(), Value::Str(_)),

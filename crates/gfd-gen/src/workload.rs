@@ -5,14 +5,14 @@ use crate::gfd_gen::{
     generate_sigma, implied_probe, inject_chain_conflict, not_implied_probe, GfdGenConfig,
 };
 use crate::schema::{Dataset, Schema};
-use gfd_core::{Gfd, GfdSet};
+use gfd_core::{DepSet, Dependency};
 use gfd_graph::Vocab;
 
 /// An implication probe with its expected answer.
 #[derive(Clone, Debug)]
 pub struct ImpProbe {
     /// The candidate GFD ϕ.
-    pub phi: Gfd,
+    pub phi: Dependency,
     /// Whether `Σ |= ϕ` should hold.
     pub expect_implied: bool,
 }
@@ -27,7 +27,7 @@ pub struct Workload {
     /// The schema labels were drawn from.
     pub schema: Schema,
     /// The rule set.
-    pub sigma: GfdSet,
+    pub sigma: DepSet,
     /// Implication probes (for the `*Imp` experiments).
     pub probes: Vec<ImpProbe>,
 }
@@ -95,7 +95,7 @@ pub fn synthetic_workload(size: usize, k: usize, l: usize, seed: u64) -> Workloa
     }
 }
 
-fn make_probes(sigma: &GfdSet, schema: &Schema, vocab: &mut Vocab, seed: u64) -> Vec<ImpProbe> {
+fn make_probes(sigma: &DepSet, schema: &Schema, vocab: &mut Vocab, seed: u64) -> Vec<ImpProbe> {
     let mut probes = Vec::new();
     for i in 0..3u64 {
         if let Some(phi) = implied_probe(sigma, schema, seed.wrapping_add(i)) {
@@ -153,7 +153,7 @@ mod tests {
         let b = synthetic_workload(10, 4, 2, 9);
         assert_eq!(a.sigma.len(), b.sigma.len());
         for ((_, x), (_, y)) in a.sigma.iter().zip(b.sigma.iter()) {
-            assert_eq!(x.consequence, y.consequence);
+            assert_eq!(x.consequence.literals(), y.consequence.literals());
         }
     }
 }

@@ -39,6 +39,12 @@ impl Interner {
         &self.to_str[id as usize]
     }
 
+    /// [`Interner::resolve`] as the shared allocation itself, for callers
+    /// that keep the string beyond the borrow (a clone is a refcount bump).
+    pub fn resolve_arc(&self, id: u32) -> &Arc<str> {
+        &self.to_str[id as usize]
+    }
+
     /// Number of interned strings.
     pub fn len(&self) -> usize {
         self.to_str.len()

@@ -2,6 +2,7 @@
 //! table that maps every value to a dense [`ValueId`] so the matching
 //! hot path compares raw `u32`s instead of `Arc<str>` contents.
 
+use crate::interner::Interner;
 use rustc_hash::FxHashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock, RwLock};
@@ -274,8 +275,7 @@ pub struct ValueTable;
 
 #[derive(Default)]
 struct ValueTableInner {
-    strs: Vec<Arc<str>>,
-    str_ids: FxHashMap<Arc<str>, u32>,
+    strs: Interner,
     bigs: Vec<i64>,
     big_ids: FxHashMap<i64, u32>,
 }
@@ -283,6 +283,31 @@ struct ValueTableInner {
 fn table() -> &'static RwLock<ValueTableInner> {
     static TABLE: OnceLock<RwLock<ValueTableInner>> = OnceLock::new();
     TABLE.get_or_init(|| RwLock::new(ValueTableInner::default()))
+}
+
+/// The double-checked append both table sides go through: probe under the
+/// read lock, probe again under the write lock (another thread may have
+/// appended between the two), append only if still absent. `len` is the
+/// side's entry count — the payload index `append` assigns.
+fn intern_with(
+    tag: u32,
+    what: &str,
+    probe: impl Fn(&ValueTableInner) -> Option<u32>,
+    len: impl Fn(&ValueTableInner) -> usize,
+    append: impl FnOnce(&mut ValueTableInner),
+) -> ValueId {
+    let id = |idx: u32| ValueId((tag << TAG_SHIFT) | idx);
+    if let Some(idx) = probe(&table().read().expect("value table poisoned")) {
+        return id(idx);
+    }
+    let mut t = table().write().expect("value table poisoned");
+    if let Some(idx) = probe(&t) {
+        return id(idx);
+    }
+    let idx = u32::try_from(len(&t)).unwrap_or_else(|_| panic!("{what} table overflow"));
+    assert!(idx < PAYLOAD_MASK, "{what} table overflow");
+    append(&mut t);
+    id(idx)
 }
 
 impl ValueTable {
@@ -302,21 +327,16 @@ impl ValueTable {
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             return ValueId((i + INT_BIAS) as u32);
         }
-        {
-            let t = table().read().expect("value table poisoned");
-            if let Some(&idx) = t.big_ids.get(&i) {
-                return ValueId((TAG_BIG << TAG_SHIFT) | idx);
-            }
-        }
-        let mut t = table().write().expect("value table poisoned");
-        if let Some(&idx) = t.big_ids.get(&i) {
-            return ValueId((TAG_BIG << TAG_SHIFT) | idx);
-        }
-        let idx = u32::try_from(t.bigs.len()).expect("big-int table overflow");
-        assert!(idx < PAYLOAD_MASK, "big-int table overflow");
-        t.bigs.push(i);
-        t.big_ids.insert(i, idx);
-        ValueId((TAG_BIG << TAG_SHIFT) | idx)
+        intern_with(
+            TAG_BIG,
+            "big-int",
+            |t| t.big_ids.get(&i).copied(),
+            |t| t.bigs.len(),
+            |t| {
+                t.big_ids.insert(i, t.bigs.len() as u32);
+                t.bigs.push(i);
+            },
+        )
     }
 
     /// Intern a boolean (inline, no table access).
@@ -328,50 +348,23 @@ impl ValueTable {
     /// Intern a string. Repeated occurrences share one table entry (and
     /// one `Arc<str>` allocation) — this is the ingest-dedup fix.
     pub fn intern_str(s: &str) -> ValueId {
-        {
-            let t = table().read().expect("value table poisoned");
-            if let Some(&idx) = t.str_ids.get(s) {
-                return ValueId((TAG_STR << TAG_SHIFT) | idx);
-            }
-        }
-        let mut t = table().write().expect("value table poisoned");
-        if let Some(&idx) = t.str_ids.get(s) {
-            return ValueId((TAG_STR << TAG_SHIFT) | idx);
-        }
-        let idx = u32::try_from(t.strs.len()).expect("string table overflow");
-        assert!(idx < PAYLOAD_MASK, "string table overflow");
-        let arc: Arc<str> = Arc::from(s);
-        t.strs.push(arc.clone());
-        t.str_ids.insert(arc, idx);
-        ValueId((TAG_STR << TAG_SHIFT) | idx)
-    }
-
-    /// Intern a string that is already an `Arc<str>`, reusing the
-    /// allocation if it becomes the table entry.
-    pub fn intern_arc(s: &Arc<str>) -> ValueId {
-        {
-            let t = table().read().expect("value table poisoned");
-            if let Some(&idx) = t.str_ids.get(&**s) {
-                return ValueId((TAG_STR << TAG_SHIFT) | idx);
-            }
-        }
-        let mut t = table().write().expect("value table poisoned");
-        if let Some(&idx) = t.str_ids.get(&**s) {
-            return ValueId((TAG_STR << TAG_SHIFT) | idx);
-        }
-        let idx = u32::try_from(t.strs.len()).expect("string table overflow");
-        assert!(idx < PAYLOAD_MASK, "string table overflow");
-        t.strs.push(s.clone());
-        t.str_ids.insert(s.clone(), idx);
-        ValueId((TAG_STR << TAG_SHIFT) | idx)
+        intern_with(
+            TAG_STR,
+            "string",
+            |t| t.strs.get(s),
+            |t| t.strs.len(),
+            |t| {
+                t.strs.intern(s);
+            },
+        )
     }
 
     /// Look up a string without interning it.
     pub fn lookup_str(s: &str) -> Option<ValueId> {
         let t = table().read().expect("value table poisoned");
-        t.str_ids
+        t.strs
             .get(s)
-            .map(|&idx| ValueId((TAG_STR << TAG_SHIFT) | idx))
+            .map(|idx| ValueId((TAG_STR << TAG_SHIFT) | idx))
     }
 
     /// Number of distinct strings interned so far (regression hook for
@@ -381,7 +374,8 @@ impl ValueTable {
     }
 
     fn resolve_str(idx: u32) -> Arc<str> {
-        table().read().expect("value table poisoned").strs[idx as usize].clone()
+        let t = table().read().expect("value table poisoned");
+        t.strs.resolve_arc(idx).clone()
     }
 
     fn resolve_big(idx: u32) -> i64 {

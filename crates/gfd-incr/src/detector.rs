@@ -148,11 +148,10 @@ impl IncrementalDetector {
     /// # Panics
     ///
     /// On an invalid configuration (see [`IncrConfig::validate`]).
-    pub fn new(graph: Graph, sigma: impl Into<DepSet>, config: IncrConfig) -> Self {
+    pub fn new(graph: Graph, sigma: DepSet, config: IncrConfig) -> Self {
         if let Err(msg) = config.validate() {
             panic!("invalid IncrConfig: {msg}");
         }
-        let sigma: DepSet = sigma.into();
         let li = LabelIndex::build(&graph);
         let plans = RulePlans::build(&sigma, &li);
         let meta = RuleMeta::build(&sigma, &plans);
@@ -192,14 +191,13 @@ impl IncrementalDetector {
     /// On an invalid configuration (see [`IncrConfig::validate`]).
     pub fn from_parts(
         graph: Graph,
-        sigma: impl Into<DepSet>,
+        sigma: DepSet,
         mut violations: Vec<ViolationRecord>,
         config: IncrConfig,
     ) -> Self {
         if let Err(msg) = config.validate() {
             panic!("invalid IncrConfig: {msg}");
         }
-        let sigma: DepSet = sigma.into();
         let li = LabelIndex::build(&graph);
         let plans = RulePlans::build(&sigma, &li);
         let meta = RuleMeta::build(&sigma, &plans);
@@ -398,14 +396,14 @@ impl IncrementalDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_core::{Consequence, Dependency, GenerateConsequence, Gfd, GfdSet, Literal};
-    use gfd_detect::detect_deps;
+    use gfd_core::{DepSet, Dependency, GenerateConsequence, Literal};
+    use gfd_detect::detect;
     use gfd_graph::{Pattern, Value, Vocab};
 
     /// The detector's cached set must equal a from-scratch detect on the
     /// same graph, as (rule, match) key sets.
     fn assert_matches_full_detect(incr: &IncrementalDetector) {
-        let full = detect_deps(incr.graph(), incr.sigma(), &DetectConfig::with_workers(2));
+        let full = detect(incr.graph(), incr.sigma(), &DetectConfig::with_workers(2));
         let key = |v: &ViolationRecord| (v.gfd, v.m.clone());
         let got: Vec<_> = incr.violations().iter().map(key).collect();
         let want: Vec<_> = full.violations.iter().map(key).collect();
@@ -415,7 +413,7 @@ mod tests {
     /// Chain graph t0 → t1 → … with alternating attribute values and a
     /// rule requiring equal values across each edge (every edge between
     /// a mismatched pair violates).
-    fn chain_setup(n: usize) -> (Graph, GfdSet, Vocab) {
+    fn chain_setup(n: usize) -> (Graph, DepSet, Vocab) {
         let mut vocab = Vocab::new();
         let t = vocab.label("t");
         let e = vocab.label("e");
@@ -434,13 +432,13 @@ mod tests {
         let x = p.add_node(t, "x");
         let y = p.add_node(t, "y");
         p.add_edge(x, e, y);
-        let gfd = Gfd::new(
+        let gfd = Dependency::new(
             "eq-across-edge",
             p,
             vec![],
             vec![Literal::eq_attr(x, a, y, a)],
         );
-        (g, GfdSet::from_vec(vec![gfd]), vocab)
+        (g, DepSet::from_vec(vec![gfd]), vocab)
     }
 
     #[test]
@@ -647,8 +645,8 @@ mod tests {
         let x = p.add_node(a_lbl, "x");
         let y = p.add_node(b_lbl, "y");
         p.add_edge(x, e, y);
-        let gfd = Gfd::new("r", p, vec![], vec![Literal::eq_attr(x, val, y, val)]);
-        let sigma = GfdSet::from_vec(vec![gfd]);
+        let gfd = Dependency::new("r", p, vec![], vec![Literal::eq_attr(x, val, y, val)]);
+        let sigma = DepSet::from_vec(vec![gfd]);
 
         let mut incr = IncrementalDetector::new(
             g,
@@ -690,8 +688,8 @@ mod tests {
         let mut p = Pattern::new();
         let x = p.add_node(t, "x");
         let y = p.add_node(u, "y");
-        let gfd = Gfd::new("cross", p, vec![], vec![Literal::eq_attr(x, a, y, a)]);
-        let sigma = GfdSet::from_vec(vec![gfd]);
+        let gfd = Dependency::new("cross", p, vec![], vec![Literal::eq_attr(x, a, y, a)]);
+        let sigma = DepSet::from_vec(vec![gfd]);
 
         let mut g = Graph::new();
         let n0 = g.add_node(t);
@@ -725,7 +723,7 @@ mod tests {
         let mut gen = GenerateConsequence::over(&p);
         let d = gen.add_fresh(dept, "d");
         gen.add_edge(x, member, d);
-        let ggd = Dependency::new("has_dept", p, vec![], Consequence::Generate(gen));
+        let ggd = Dependency::new("has_dept", p, vec![], gen);
         let sigma = DepSet::from_vec(vec![ggd]);
 
         let mut g = Graph::new();

@@ -10,7 +10,7 @@
 //! format is unchanged.
 
 use crate::jsonval::{parse, Json, ParseError};
-use gfd_core::{Gfd, GfdSet, Literal, Operand};
+use gfd_core::{DepSet, Dependency, Literal, Operand};
 use gfd_graph::{Graph, NodeId, Pattern, Value, ValueId, Vocab};
 use std::fmt;
 
@@ -239,11 +239,19 @@ fn literal_from_json(
     }
 }
 
-/// Serialize a rule set to a pretty JSON string.
-pub fn sigma_to_json(sigma: &GfdSet, vocab: &Vocab) -> String {
-    let gfds: Vec<Json> = sigma
+/// Serialize a literal rule set to a pretty JSON string. The wire format
+/// has no form for a generating consequence: the first rule with one is a
+/// [`JsonError::Semantic`].
+pub fn sigma_to_json(sigma: &DepSet, vocab: &Vocab) -> Result<String, JsonError> {
+    let gfds = sigma
         .iter()
         .map(|(_, g)| {
+            let consequence = g.consequence.literals().ok_or_else(|| {
+                semantic(format!(
+                    "rule {}: a generating consequence has no JSON form",
+                    g.name
+                ))
+            })?;
             let nodes: Vec<Json> = g
                 .pattern
                 .vars()
@@ -286,8 +294,7 @@ pub fn sigma_to_json(sigma: &GfdSet, vocab: &Vocab) -> String {
                 .iter()
                 .map(|l| literal_to_json(l, &g.pattern, vocab))
                 .collect();
-            let then: Vec<Json> = g
-                .consequence
+            let then: Vec<Json> = consequence
                 .iter()
                 .map(|l| literal_to_json(l, &g.pattern, vocab))
                 .collect();
@@ -302,17 +309,17 @@ pub fn sigma_to_json(sigma: &GfdSet, vocab: &Vocab) -> String {
                 fields.push(("when".to_string(), Json::Array(when)));
             }
             fields.push(("then".to_string(), Json::Array(then)));
-            Json::Object(fields)
+            Ok(Json::Object(fields))
         })
-        .collect();
-    Json::Object(vec![("gfds".to_string(), Json::Array(gfds))]).pretty()
+        .collect::<Result<Vec<Json>, JsonError>>()?;
+    Ok(Json::Object(vec![("gfds".to_string(), Json::Array(gfds))]).pretty())
 }
 
 /// Load a rule set from JSON, interning names into `vocab`.
-pub fn sigma_from_json(src: &str, vocab: &mut Vocab) -> Result<GfdSet, JsonError> {
+pub fn sigma_from_json(src: &str, vocab: &mut Vocab) -> Result<DepSet, JsonError> {
     let doc = parse(src)?;
     let gfds = array_field(&doc, "gfds", "sigma")?;
-    let mut out = GfdSet::new();
+    let mut out = DepSet::new();
     for jg in gfds {
         let name = str_field(jg, "name", "rule")?;
         let ctx = format!("rule {name}");
@@ -349,7 +356,7 @@ pub fn sigma_from_json(src: &str, vocab: &mut Vocab) -> Result<GfdSet, JsonError
             .iter()
             .map(|l| literal_from_json(l, &pattern, vocab, &name))
             .collect::<Result<Vec<_>, _>>()?;
-        out.push(Gfd::new(name, pattern, premise, consequence));
+        out.push(Dependency::new(name, pattern, premise, consequence));
     }
     Ok(out)
 }
@@ -417,7 +424,7 @@ mod tests {
         assert!(matches!(err, JsonError::Syntax(_)));
     }
 
-    fn sample_sigma() -> (GfdSet, Vocab) {
+    fn sample_sigma() -> (DepSet, Vocab) {
         let mut vocab = Vocab::new();
         let place = vocab.label("place");
         let locate = vocab.label("locateIn");
@@ -426,20 +433,20 @@ mod tests {
         let x = p.add_node(place, "x");
         let y = p.add_node(place, "y");
         p.add_edge(x, locate, y);
-        let g1 = Gfd::new(
+        let g1 = Dependency::new(
             "g1",
             p.clone(),
             vec![Literal::eq_const(x, pop, 5i64)],
             vec![Literal::eq_attr(x, pop, y, pop)],
         );
-        let g2 = Gfd::new("g2", p, vec![], vec![Literal::eq_const(y, pop, 7i64)]);
-        (GfdSet::from_vec(vec![g1, g2]), vocab)
+        let g2 = Dependency::new("g2", p, vec![], vec![Literal::eq_const(y, pop, 7i64)]);
+        (DepSet::from_vec(vec![g1, g2]), vocab)
     }
 
     #[test]
     fn sigma_round_trips_and_preserves_reasoning() {
         let (sigma, vocab) = sample_sigma();
-        let json = sigma_to_json(&sigma, &vocab);
+        let json = sigma_to_json(&sigma, &vocab).unwrap();
         let mut vocab2 = Vocab::new();
         let sigma2 = sigma_from_json(&json, &mut vocab2).unwrap();
         assert_eq!(sigma2.len(), sigma.len());
@@ -447,7 +454,7 @@ mod tests {
         for ((_, a), (_, b)) in sigma.iter().zip(sigma2.iter()) {
             assert_eq!(a.name, b.name);
             assert_eq!(a.premise.len(), b.premise.len());
-            assert_eq!(a.consequence.len(), b.consequence.len());
+            assert_eq!(a.consequence.size(), b.consequence.size());
             assert_eq!(a.pattern.node_count(), b.pattern.node_count());
             assert_eq!(a.pattern.edge_count(), b.pattern.edge_count());
         }
@@ -455,6 +462,21 @@ mod tests {
         assert_eq!(
             gfd_core::seq_sat(&sigma).is_satisfiable(),
             gfd_core::seq_sat(&sigma2).is_satisfiable()
+        );
+    }
+
+    #[test]
+    fn generating_rule_has_no_json_form() {
+        let (sigma, mut vocab) = sample_sigma();
+        let mut rules = sigma.into_vec();
+        let premise = rules[0].pattern.clone();
+        let mut gen = gfd_core::GenerateConsequence::over(&premise);
+        gen.add_fresh(vocab.label("city"), "c");
+        rules.push(Dependency::new("grow", premise, vec![], gen));
+        let err = sigma_to_json(&DepSet::from_vec(rules), &vocab).unwrap_err();
+        assert!(
+            matches!(&err, JsonError::Semantic(m) if m.contains("rule grow")),
+            "{err}"
         );
     }
 

@@ -1,6 +1,6 @@
 //! Interchange formats for GFD reasoning.
 //!
-//! Two ways data and rules enter or leave the system:
+//! Four ways data and rules enter or leave the system:
 //!
 //! * [`json`] — a self-describing JSON representation of graphs and GFD
 //!   sets (labels and attribute names as strings, resolved through a

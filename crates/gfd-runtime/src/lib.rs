@@ -40,9 +40,9 @@ pub mod sched;
 
 pub use metrics::RunMetrics;
 pub use sched::{
-    run_scheduler_with, AbortInfo, DispatchMode, Exhaustion, RunOutcome, SchedOptions, SchedRun,
-    Task, WorkerCtx,
+    run_scheduler, AbortInfo, Exhaustion, RunOutcome, SchedOptions, SchedRun, Task, WorkerCtx,
 };
-// The tracing vocabulary tasks record with (`WorkerCtx::trace_span` et
-// al.) and the spec/trace types the configs and metrics carry.
+pub use sched::{run_scheduler_with, DispatchMode}; // gfdbench-pin
+                                                   // The tracing vocabulary tasks record with (`WorkerCtx::trace_span` et
+                                                   // al.) and the spec/trace types the configs and metrics carry.
 pub use gfd_trace::{EventKind, SpanStart, Trace, TraceBuf, TraceSpec, CONTROL_WORKER};

@@ -50,11 +50,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// How units travel from the queues to the workers: one topology, so one
-/// variant. The type (and the `mode` parameter of [`run_scheduler_with`])
-/// stays only because `gfdbench/` names it — ROADMAP item 3's benchmark
-/// PR removes both.
+/// variant. The type (and [`run_scheduler_with`], which takes one) stays
+/// only because `gfdbench/` names it — ROADMAP item 3's benchmark PR
+/// removes both.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DispatchMode {
+pub enum DispatchMode /* gfdbench-pin */ {
     /// Per-worker deques with back-half stealing.
     #[default]
     WorkStealing,
@@ -545,6 +545,19 @@ fn worker_loop<T: Task>(task: &T, shared: &Shared<'_, T::Unit>, id: usize) -> Wo
     Some((worker, busy, idle, ctx.trace.into_inner()))
 }
 
+/// [`run_scheduler`] with the ignored mode argument `gfdbench/` still
+/// passes; ROADMAP item 3's benchmark PR deletes it.
+pub fn run_scheduler_with<T: Task>(
+    task: &T,
+    seed: Vec<T::Unit>,
+    workers: usize,
+    _mode: DispatchMode, // gfdbench-pin
+    stop: &AtomicBool,
+    opts: SchedOptions,
+) -> SchedRun<T::Worker> {
+    run_scheduler(task, seed, workers, stop, opts)
+}
+
 /// Run `task` over `seed` units on `workers` threads until quiescence,
 /// until `stop` is raised, or until a limit in `opts` trips.
 ///
@@ -557,12 +570,10 @@ fn worker_loop<T: Task>(task: &T, shared: &Shared<'_, T::Unit>, id: usize) -> Wo
 /// pay no thread-spawn cost.
 ///
 /// Unit panics are isolated: see the module docs and [`RunOutcome`].
-/// (`_mode` selects nothing — see [`DispatchMode`].)
-pub fn run_scheduler_with<T: Task>(
+pub fn run_scheduler<T: Task>(
     task: &T,
     seed: Vec<T::Unit>,
     workers: usize,
-    _mode: DispatchMode,
     stop: &AtomicBool,
     opts: SchedOptions,
 ) -> SchedRun<T::Worker> {
@@ -691,15 +702,14 @@ mod tests {
         seed.iter().sum()
     }
 
-    /// [`run_scheduler_with`] under default options (no limits, no retries).
-    fn run_scheduler<T: Task>(
+    /// [`run_scheduler`] under default options (no limits, no retries).
+    fn run_default<T: Task>(
         task: &T,
         seed: Vec<T::Unit>,
         workers: usize,
         stop: &AtomicBool,
     ) -> SchedRun<T::Worker> {
-        let mode = DispatchMode::WorkStealing;
-        run_scheduler_with(task, seed, workers, mode, stop, SchedOptions::default())
+        run_scheduler(task, seed, workers, stop, SchedOptions::default())
     }
 
     #[test]
@@ -711,7 +721,7 @@ mod tests {
                 executed: TestCounter::new(0),
             };
             let stop = AtomicBool::new(false);
-            let run = run_scheduler(&task, seed.clone(), p, &stop);
+            let run = run_default(&task, seed.clone(), p, &stop);
             assert_eq!(run.workers.iter().sum::<u64>(), total(&seed), "p={p}");
             assert_eq!(run.units_executed, 100);
             assert_eq!(run.units_split, 0);
@@ -729,7 +739,7 @@ mod tests {
             executed: TestCounter::new(0),
         };
         let stop = AtomicBool::new(false);
-        let run = run_scheduler(&task, seed.clone(), 3, &stop);
+        let run = run_default(&task, seed.clone(), 3, &stop);
         assert_eq!(run.workers.iter().sum::<u64>(), total(&seed));
         assert!(run.units_split > 0);
         assert_eq!(run.units_executed, seed.len() as u64 + run.units_split);
@@ -749,7 +759,7 @@ mod tests {
             }
         }
         let stop = AtomicBool::new(true);
-        let run = run_scheduler(&StopTask, (0..1000).collect(), 4, &stop);
+        let run = run_default(&StopTask, (0..1000).collect(), 4, &stop);
         // Pre-raised stop: nothing (or at most a unit per worker mid-pop)
         // runs.
         assert!(run.units_executed <= 4);
@@ -784,7 +794,7 @@ mod tests {
         let mut seed = vec![0u64; 64];
         seed[0] = 200;
         let stop = AtomicBool::new(false);
-        let run = run_scheduler(&SpinTask, seed, 2, &stop);
+        let run = run_default(&SpinTask, seed, 2, &stop);
         assert_eq!(run.units_executed, 64);
         assert!(run.units_stolen > 0, "no steals on a skewed workload");
     }
@@ -796,7 +806,7 @@ mod tests {
             executed: TestCounter::new(0),
         };
         let stop = AtomicBool::new(false);
-        let run = run_scheduler(&task, Vec::new(), 8, &stop);
+        let run = run_default(&task, Vec::new(), 8, &stop);
         assert_eq!(run.units_executed, 0);
         assert_eq!(run.workers.len(), 8);
         assert_eq!(run.outcome, RunOutcome::Completed);
@@ -850,7 +860,7 @@ mod tests {
                 attempts: TestCounter::new(0),
             };
             let stop = AtomicBool::new(false);
-            let run = run_scheduler(&task, seed, p, &stop);
+            let run = run_default(&task, seed, p, &stop);
             let RunOutcome::Aborted(info) = &run.outcome else {
                 panic!("p={p}: expected Aborted, got {:?}", run.outcome);
             };
@@ -873,11 +883,10 @@ mod tests {
             attempts: TestCounter::new(0),
         };
         let stop = AtomicBool::new(false);
-        let run = run_scheduler_with(
+        let run = run_scheduler(
             &task,
             seed,
             2,
-            DispatchMode::WorkStealing,
             &stop,
             SchedOptions {
                 unit_retries: 1,
@@ -900,11 +909,10 @@ mod tests {
             attempts: TestCounter::new(0),
         };
         let stop = AtomicBool::new(false);
-        let run = run_scheduler_with(
+        let run = run_scheduler(
             &task,
             seed,
             1,
-            DispatchMode::WorkStealing,
             &stop,
             SchedOptions {
                 unit_retries: 1,
@@ -931,11 +939,10 @@ mod tests {
             }
         }
         let stop = AtomicBool::new(false);
-        let run = run_scheduler_with(
+        let run = run_scheduler(
             &SlowTask,
             (0..1000).collect(),
             2,
-            DispatchMode::WorkStealing,
             &stop,
             SchedOptions {
                 deadline: Some(Instant::now() + Duration::from_millis(20)),
@@ -956,11 +963,10 @@ mod tests {
             executed: TestCounter::new(0),
         };
         let stop = AtomicBool::new(false);
-        let run = run_scheduler_with(
+        let run = run_scheduler(
             &task,
             (1..=100).collect(),
             1,
-            DispatchMode::WorkStealing,
             &stop,
             SchedOptions {
                 max_units: Some(10),
@@ -979,11 +985,10 @@ mod tests {
             executed: TestCounter::new(0),
         };
         let stop = AtomicBool::new(false);
-        let run = run_scheduler_with(
+        let run = run_scheduler(
             &task,
             seed,
             2,
-            DispatchMode::WorkStealing,
             &stop,
             SchedOptions {
                 trace: TraceSpec::enabled(),
@@ -1030,7 +1035,7 @@ mod tests {
             executed: TestCounter::new(0),
         };
         let stop = AtomicBool::new(false);
-        let run = run_scheduler(&task, vec![1000, 3, 7, 2000], 2, &stop);
+        let run = run_default(&task, vec![1000, 3, 7, 2000], 2, &stop);
         assert!(run.trace.is_empty());
     }
 
@@ -1044,11 +1049,10 @@ mod tests {
             attempts: TestCounter::new(0),
         };
         let stop = AtomicBool::new(false);
-        let run = run_scheduler_with(
+        let run = run_scheduler(
             &task,
             seed,
             2,
-            DispatchMode::WorkStealing,
             &stop,
             SchedOptions {
                 unit_retries: 1,
@@ -1070,11 +1074,10 @@ mod tests {
             executed: TestCounter::new(0),
         };
         let stop = AtomicBool::new(false);
-        let run = run_scheduler_with(
+        let run = run_scheduler(
             &task,
             (1..=100).collect(),
             1,
-            DispatchMode::WorkStealing,
             &stop,
             SchedOptions {
                 max_units: Some(10),

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example detect_and_repair`
 
-use gfd::detect::{detect_deps as detect, suggest_repairs, DetectConfig};
+use gfd::detect::{detect, suggest_repairs, DetectConfig};
 use gfd::incr::{DeltaBatch, IncrConfig, IncrementalDetector};
 use gfd::io::{load_edge_list, load_node_table, EdgeListOptions};
 use gfd::prelude::*;
@@ -82,9 +82,8 @@ fn main() {
         &mut vocab,
     )
     .expect("rules parse");
-    // The detection stack speaks the generalized rule layer: lift the
-    // parsed GFDs into a `DepSet` (GGDs would slot in alongside).
-    let sigma = DepSet::from_gfds(doc.gfds);
+    // Every `gfd` block of the file (`ggd` blocks would sit alongside).
+    let sigma = doc.deps;
 
     // ── 3. Parallel detection with per-rule statistics ───────────────────
     let config = DetectConfig::with_workers(4);

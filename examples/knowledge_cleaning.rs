@@ -86,7 +86,7 @@ fn main() {
     let mut vocab = Vocab::new();
     let sigma = gfd::dsl::parse_document(RULES, &mut vocab)
         .expect("rules parse")
-        .gfds;
+        .deps;
 
     // Step 1: validate the rules before trusting them.
     //
@@ -108,7 +108,7 @@ fn main() {
     assert!(!sat_all.is_satisfiable());
 
     // The conditional rules phi2 and phi3 are jointly consistent:
-    let conditional: GfdSet = sigma
+    let conditional: DepSet = sigma
         .iter()
         .filter(|(_, g)| !g.is_denial())
         .map(|(_, g)| g.clone())
@@ -126,7 +126,7 @@ fn main() {
 
     // Redundancy check via implication: phi2 restricted to vehicles is
     // subsumed by phi2 and need not be added.
-    let phi2_vehicles = gfd::dsl::parse_gfd(
+    let phi2_vehicles = gfd::dsl::parse_dependency(
         r#"
         gfd phi2_vehicles {
           pattern {

@@ -40,7 +40,7 @@ fn main() {
         &mut vocab,
     )
     .expect("rules parse");
-    let sigma = doc.gfds;
+    let sigma = doc.deps;
     println!("Σ has {} GFDs:", sigma.len());
     print!("{}", sigma.display_all(&vocab));
 
@@ -73,7 +73,7 @@ fn main() {
     // l.price = 100 AND p.price = 80 — and transitively p.price = l.price
     // = ... inconsistent! So "discounted listed products do not exist" is
     // implied: Σ |= (pattern, discounted = true → false).
-    let phi = gfd::dsl::parse_gfd(
+    let phi = gfd::dsl::parse_dependency(
         r#"
         gfd no_discounted_listing {
           pattern {
@@ -97,7 +97,7 @@ fn main() {
     );
 
     // Something Σ does not imply:
-    let free = gfd::dsl::parse_gfd(
+    let free = gfd::dsl::parse_dependency(
         "gfd unrelated { pattern { node p: product } then { p.weight = 1 } }",
         &mut vocab,
     )

@@ -84,7 +84,7 @@ fn main() {
         &mut vocab,
     )
     .expect("rules parse");
-    let sigma = doc.gfds;
+    let sigma = doc.deps;
     println!("input: {} rules", sigma.len());
 
     // Greedy cover: drop every rule implied by the remaining ones.
@@ -92,7 +92,7 @@ fn main() {
     let mut keep: Vec<bool> = vec![true; sigma.len()];
     for i in 0..sigma.len() {
         let candidate = &sigma.as_slice()[i];
-        let rest: GfdSet = sigma
+        let rest: DepSet = sigma
             .iter()
             .enumerate()
             .filter(|(j, _)| *j != i && keep[*j])
@@ -104,7 +104,7 @@ fn main() {
             println!("  - dropping `{}` (implied by the rest)", candidate.name);
         }
     }
-    let cover: GfdSet = sigma
+    let cover: DepSet = sigma
         .iter()
         .zip(&keep)
         .filter(|(_, &k)| k)

@@ -9,7 +9,10 @@
 //! * **implication** — does Σ entail another GFD ϕ? (NP-complete)
 //!
 //! plus the substrates they need: property graphs, homomorphism matching,
-//! a chase baseline, generators and a text format.
+//! a chase baseline, generators and a text format. A rule is a
+//! [`Dependency`] and Σ a [`DepSet`] everywhere: a GFD is a dependency
+//! whose [`Consequence`] is the literals `Y`, a graph-generating
+//! dependency (GGD) one that creates a target subgraph.
 //!
 //! ## Quick start
 //!
@@ -22,7 +25,7 @@
 //!     "gfd phi5 { pattern { node x: _ } then { x.A = 0 } }
 //!      gfd phi6 { pattern { node x: _ } then { x.A = 1 } }",
 //!     &mut vocab,
-//! ).unwrap().gfds;
+//! ).unwrap().deps;
 //!
 //! // One door: `ParSat` is `sat_with_config` at `workers = p`, and
 //! // `SeqSat` (`seq_sat`) is the same call at `workers = 1`.
@@ -38,8 +41,8 @@
 //! | [`graph`] | graphs, patterns, vocabularies, neighborhoods |
 //! | [`matching`] | homomorphism search, plans, splitting, the brute-force oracle |
 //! | [`runtime`] | the work-stealing scheduler every workload runs on (one dispatch topology) |
-//! | [`core`] | GFDs, canonical graphs, validation, the search-unit engine (`SearchTask` + `MatchAction`: the one scheduler task that enumerates matches, for reasoning and detection alike), and the unified reasoning driver behind `sat_with_config` / `imp_with_config`: `ParSat`/`ParImp` at `workers = p`, `SeqSat`/`SeqImp` at `workers = 1`, the ablation knobs in `ReasonConfig` |
-//! | [`chase`] | the one chase (`dep_chase_with_config`): the `ParImpRDF` baselines over literal rules, GGD reasoning over generating ones |
+//! | [`core`] | the rule model (`Dependency` / `DepSet`), canonical graphs, validation, the search-unit engine (`SearchTask` + `MatchAction`: the one scheduler task that enumerates matches, for reasoning and detection alike), and the unified reasoning driver behind `sat_with_config` / `imp_with_config`: `ParSat`/`ParImp` at `workers = p`, `SeqSat`/`SeqImp` at `workers = 1`, the ablation knobs in `ReasonConfig` |
+//! | [`chase`] | the one chase (`dep_chase_with_config`): the `ParImpRDF` baselines, and reasoning over a Σ with generating rules (`dep_sat` / `dep_imp` route: literal Σ → the `core` driver, otherwise the chase) |
 //! | [`gen`] | schema-driven GFD/graph generators and workloads |
 //! | [`dsl`] | the text format |
 //! | [`detect`] | parallel violation detection on data graphs (a match-action on the engine) |
@@ -86,8 +89,8 @@ pub use gfd_io as io;
 pub use gfd_chase::{chase_imp, chase_sat, dep_imp, dep_sat};
 pub use gfd_core::{
     find_violations, graph_satisfies, graph_satisfies_all, imp_with_config, sat_with_config,
-    seq_imp, seq_sat, Consequence, DepSet, Dependency, GenerateConsequence, Gfd, GfdSet,
-    ImpOutcome, Literal, ReasonConfig, SatOutcome,
+    seq_imp, seq_sat, Consequence, DepSet, Dependency, GenerateConsequence, ImpOutcome, Literal,
+    ReasonConfig, SatOutcome,
 };
 pub use gfd_graph::{Graph, LabelId, Pattern, Value, ValueId, ValueTable, Vocab};
 
@@ -95,8 +98,8 @@ pub use gfd_graph::{Graph, LabelId, Pattern, Value, ValueId, ValueTable, Vocab};
 pub mod prelude {
     pub use gfd_core::{
         find_violations, graph_satisfies, graph_satisfies_all, imp_with_config, sat_with_config,
-        seq_imp, seq_sat, Consequence, DepSet, Dependency, GenerateConsequence, Gfd, GfdSet,
-        ImpOutcome, ImpliedVia, Literal, Operand, ReasonConfig, SatOutcome,
+        seq_imp, seq_sat, Consequence, DepSet, Dependency, GenerateConsequence, ImpOutcome,
+        ImpliedVia, Literal, Operand, ReasonConfig, SatOutcome,
     };
     pub use gfd_graph::{AttrId, Graph, LabelId, NodeId, Pattern, Value, ValueId, ValueTable, VarId, Vocab};
 }
@@ -110,7 +113,7 @@ mod tests {
         let mut p = Pattern::new();
         let x = p.add_node(vocab.label("t"), "x");
         let a = vocab.attr("a");
-        let sigma = GfdSet::from_vec(vec![Gfd::new(
+        let sigma = DepSet::from_vec(vec![Dependency::new(
             "g",
             p,
             vec![],

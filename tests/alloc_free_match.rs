@@ -179,7 +179,7 @@ fn warmed_search_allocates_nothing() {
     }
 }
 
-fn hub(nodes: usize, hubs: usize, hub_degree: usize, rules: usize) -> (Graph, GfdSet) {
+fn hub(nodes: usize, hubs: usize, hub_degree: usize, rules: usize) -> (Graph, DepSet) {
     let w = hub_workload(&HubGenConfig {
         nodes,
         hubs,

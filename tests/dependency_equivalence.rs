@@ -1,11 +1,11 @@
-//! Dependency-equivalence suite: the generalized rule layer must be a
-//! conservative extension.
+//! Dependency-equivalence suite: generating rules must be a conservative
+//! extension of the rule model.
 //!
-//! * A Σ of GFDs lifted into the `Dependency` model behaves **exactly**
-//!   like the seed code paths: `dep_sat`/`dep_imp` route literal-only
-//!   sets to the original driver (same outcomes, and at one worker the
-//!   same models bit for bit), and `detect_deps` over the lifted set
-//!   reports the identical violation list at every worker count.
+//! * On a literal Σ the `gfd-chase` routing door is **exactly** the
+//!   `gfd-core` door: `dep_sat`/`dep_imp` hand literal-only sets to the
+//!   enforcement driver (same outcomes, and at one worker the same
+//!   models bit for bit), and `detect` reports the identical violation
+//!   list at every worker count.
 //! * The generating chase is **order-independent**: permuting a mixed
 //!   rule set changes rule ids but not the outcome, the amount of
 //!   generation, or the shape of the chased model (the round-snapshot
@@ -17,7 +17,7 @@
 //! worker count overriding the default `{1, 2, 8}` sweep).
 
 use gfd::chase::{dep_imp_with_config, dep_sat_with_config, ChaseConfig, DepSatOutcome};
-use gfd::detect::{detect_deps, DetectConfig};
+use gfd::detect::{detect, DetectConfig};
 use gfd::gen::{
     ggd_conflict_workload, ggd_overlap_workload, mixed_ggd_workload, real_life_workload,
     tier0_graph, Dataset, GgdGenConfig,
@@ -62,7 +62,7 @@ fn violation_keys(report: &gfd::detect::DetectionReport) -> Vec<(usize, Vec<usiz
 }
 
 // ---------------------------------------------------------------------
-// 1. Literal-only Σ under the Dependency model ≡ seed behavior.
+// 1. Literal-only Σ: the gfd-chase routing door ≡ the gfd-core door.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -70,10 +70,9 @@ fn lifted_gfd_sat_matches_seed_at_every_worker_count() {
     for seed in [3u64, 17] {
         for unsat_chain in [None, Some(2)] {
             let w = real_life_workload(Dataset::Tiny, 30, seed, unsat_chain);
-            let deps = DepSet::from_gfds(w.sigma.clone());
             let expected = gfd::seq_sat(&w.sigma);
             for p in worker_counts() {
-                let r = dep_sat_with_config(&deps, &chase_cfg(p));
+                let r = dep_sat_with_config(&w.sigma, &chase_cfg(p));
                 assert_eq!(
                     r.is_satisfiable(),
                     expected.is_satisfiable(),
@@ -99,16 +98,11 @@ fn lifted_gfd_sat_matches_seed_at_every_worker_count() {
 #[test]
 fn lifted_gfd_imp_matches_seed_at_every_worker_count() {
     let w = real_life_workload(Dataset::Tiny, 30, 11, None);
-    let deps = DepSet::from_gfds(w.sigma.clone());
     for probe in &w.probes {
         let expected = gfd::seq_imp(&w.sigma, &probe.phi).is_implied();
         assert_eq!(expected, probe.expect_implied, "{}", probe.phi.name);
         for p in worker_counts() {
-            let r = dep_imp_with_config(
-                &deps,
-                &Dependency::from_gfd(probe.phi.clone()),
-                &chase_cfg(p),
-            );
+            let r = dep_imp_with_config(&w.sigma, &probe.phi, &chase_cfg(p));
             assert_eq!(r.is_implied(), expected, "probe={} p={p}", probe.phi.name);
         }
     }
@@ -134,16 +128,15 @@ fn lifted_gfd_detect_is_bit_identical_at_every_worker_count() {
     let x = p.add_node(t, "x");
     let y = p.add_node(t, "y");
     p.add_edge(x, e, y);
-    let sigma = GfdSet::from_vec(vec![Gfd::new(
+    let sigma = DepSet::from_vec(vec![Dependency::new(
         "eq",
         p,
         vec![],
         vec![Literal::eq_attr(x, a, y, a)],
     )]);
-    let deps = DepSet::from_gfds(sigma.clone());
-    let seed_report = gfd::detect::detect(&g, &sigma, &DetectConfig::with_workers(1));
+    let seed_report = detect(&g, &sigma, &DetectConfig::with_workers(1));
     for p in worker_counts() {
-        let dep_report = detect_deps(&g, &deps, &DetectConfig::with_workers(p));
+        let dep_report = detect(&g, &sigma, &DetectConfig::with_workers(p));
         assert_eq!(
             violation_keys(&dep_report),
             violation_keys(&seed_report),
@@ -274,7 +267,7 @@ fn ggd_imp_is_worker_count_invariant() {
         "probe_good",
         p.clone(),
         vec![Literal::eq_const(x, a0, 0i64)],
-        Consequence::Generate(gen),
+        gen,
     );
     // Not implied: requires an edge label nothing generates.
     let other = vocab.label("unrelated");
@@ -285,7 +278,7 @@ fn ggd_imp_is_worker_count_invariant() {
         "probe_bad",
         p,
         vec![Literal::eq_const(x, a0, 0i64)],
-        Consequence::Generate(gen),
+        gen,
     );
     for p in worker_counts() {
         assert!(
@@ -313,7 +306,7 @@ fn ggd_detect_is_worker_count_invariant() {
     // A data graph of tier-0 nodes: every generating rule's target is
     // missing, every literal rider premise-fires where applicable.
     let g = tier0_graph(24, &mut vocab);
-    let base = detect_deps(&g, &deps, &DetectConfig::with_workers(1));
+    let base = detect(&g, &deps, &DetectConfig::with_workers(1));
     assert!(!base.is_clean(), "missing targets must violate");
     for p in worker_counts() {
         let cfgp = DetectConfig {
@@ -321,7 +314,7 @@ fn ggd_detect_is_worker_count_invariant() {
             batch_size: 2,
             ..DetectConfig::with_workers(p)
         };
-        let r = detect_deps(&g, &deps, &cfgp);
+        let r = detect(&g, &deps, &cfgp);
         assert_eq!(violation_keys(&r), violation_keys(&base), "p={p}");
     }
 }
@@ -496,7 +489,7 @@ fn value_pool() -> Vec<Value> {
 /// Two string-heavy rules over a `t --e--> t` edge: a unicode constant
 /// premise and an attr-equality consequence — every check crosses the
 /// interned fast path.
-fn pool_rules(vocab: &mut Vocab) -> GfdSet {
+fn pool_rules(vocab: &mut Vocab) -> DepSet {
     let t = vocab.label("t");
     let e = vocab.label("e");
     let a = vocab.attr("a");
@@ -505,7 +498,7 @@ fn pool_rules(vocab: &mut Vocab) -> GfdSet {
     let x = p1.add_node(t, "x");
     let y = p1.add_node(t, "y");
     p1.add_edge(x, e, y);
-    let r1 = Gfd::new(
+    let r1 = Dependency::new(
         "uni-const",
         p1,
         vec![Literal::eq_const(x, a, Value::str("Zürich"))],
@@ -515,13 +508,13 @@ fn pool_rules(vocab: &mut Vocab) -> GfdSet {
     let x = p2.add_node(t, "x");
     let y = p2.add_node(t, "y");
     p2.add_edge(x, e, y);
-    let r2 = Gfd::new(
+    let r2 = Dependency::new(
         "pool-eq",
         p2,
         vec![],
         vec![Literal::eq_attr(x, b, y, b)],
     );
-    GfdSet::from_vec(vec![r1, r2])
+    DepSet::from_vec(vec![r1, r2])
 }
 
 /// Build a pool-valued graph: `n` nodes in a chain-with-chords topology,
@@ -610,7 +603,7 @@ proptest! {
         for v in &base.violations {
             let dep = sigma.get(v.gfd);
             prop_assert!(dep.premise.iter().all(|l| holds(&g, l, &v.m)));
-            prop_assert!(!dep.consequence.iter().all(|l| holds(&g, l, &v.m)));
+            prop_assert!(!dep.consequence.literals().unwrap().iter().all(|l| holds(&g, l, &v.m)));
         }
     }
 
@@ -678,7 +671,7 @@ proptest! {
     }
 
     /// Sat and chase at p = 1 vs p = 8 on string-heavy literal sets:
-    /// verdicts agree with the sequential driver, and lifted runs agree
+    /// verdicts agree with the sequential driver, and routed runs agree
     /// with each other, when every constant comes from the pool.
     #[test]
     fn sat_on_pool_constants_is_worker_invariant(
@@ -689,7 +682,7 @@ proptest! {
         let t = vocab.label("t");
         let e = vocab.label("e");
         let a = vocab.attr("a");
-        let rules: Vec<Gfd> = consts
+        let rules: Vec<Dependency> = consts
             .iter()
             .enumerate()
             .map(|(i, &(ci, cj))| {
@@ -697,7 +690,7 @@ proptest! {
                 let x = p.add_node(t, "x");
                 let y = p.add_node(t, "y");
                 p.add_edge(x, e, y);
-                Gfd::new(
+                Dependency::new(
                     format!("r{i}"),
                     p,
                     vec![Literal::eq_const(x, a, pool[ci].clone())],
@@ -705,11 +698,10 @@ proptest! {
                 )
             })
             .collect();
-        let sigma = GfdSet::from_vec(rules);
+        let sigma = DepSet::from_vec(rules);
         let expected = gfd::seq_sat(&sigma).is_satisfiable();
-        let deps = DepSet::from_gfds(sigma.clone());
         for p in [1usize, 8] {
-            let r = dep_sat_with_config(&deps, &chase_cfg(p));
+            let r = dep_sat_with_config(&sigma, &chase_cfg(p));
             prop_assert_eq!(r.is_satisfiable(), expected, "p={}", p);
         }
     }

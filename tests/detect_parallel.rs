@@ -29,7 +29,7 @@ fn keys_from_oracle(violations: &[gfd::core::Violation]) -> Vec<(usize, Vec<usiz
 }
 
 /// A seeded workload: a random clean-ish graph with planted violations.
-fn workload(seed: u64) -> (Graph, GfdSet) {
+fn workload(seed: u64) -> (Graph, DepSet) {
     let w = gfd::gen::real_life_workload(gfd::gen::Dataset::Tiny, 12, seed, None);
     let mut graph = random_graph(
         &w.schema,
@@ -106,7 +106,7 @@ fn heavy_units_split_and_still_agree_with_the_oracle() {
     let z = p.add_node(t, "z");
     p.add_edge(x, e, y);
     p.add_edge(y, e, z);
-    let sigma = GfdSet::from_vec(vec![Gfd::new(
+    let sigma = DepSet::from_vec(vec![Dependency::new(
         "starts-are-ones",
         p,
         vec![],

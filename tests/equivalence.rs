@@ -9,7 +9,7 @@ use gfd::prelude::*;
 use proptest::prelude::*;
 
 /// A small random GFD over ≤3 labels, ≤2 attributes, constants {0, 1}.
-fn arb_gfd(max_k: usize) -> impl Strategy<Value = Gfd> {
+fn arb_gfd(max_k: usize) -> impl Strategy<Value = Dependency> {
     (
         1usize..=max_k,
         proptest::collection::vec((0usize..4, 1u32..3, 0usize..4), 0..5),
@@ -59,12 +59,12 @@ fn arb_gfd(max_k: usize) -> impl Strategy<Value = Gfd> {
                     })
                     .collect::<Vec<_>>()
             };
-            Gfd::new("g", p, mk(pre), mk(post))
+            Dependency::new("g", p, mk(pre), mk(post))
         })
 }
 
-fn arb_sigma() -> impl Strategy<Value = GfdSet> {
-    proptest::collection::vec(arb_gfd(3), 1..5).prop_map(GfdSet::from_vec)
+fn arb_sigma() -> impl Strategy<Value = DepSet> {
+    proptest::collection::vec(arb_gfd(3), 1..5).prop_map(DepSet::from_vec)
 }
 
 proptest! {

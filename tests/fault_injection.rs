@@ -20,10 +20,7 @@ use gfd::ged::{ged_sat_with_config, GedReasonConfig};
 use gfd::incr::{IncrConfig, IncrementalDetector};
 use gfd::io::{checkpoint_to_string, parse_checkpoint, Checkpoint};
 use gfd::prelude::*;
-use gfd::runtime::{
-    failpoint, run_scheduler_with, DispatchMode, RunOutcome, SchedOptions, SchedRun, Task,
-    WorkerCtx,
-};
+use gfd::runtime::{failpoint, run_scheduler, RunOutcome, SchedOptions, SchedRun, Task, WorkerCtx};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -84,11 +81,10 @@ impl Task for SleepTask {
 
 fn run_sleep_task(task: &SleepTask, units: usize, workers: usize, retries: u32) -> SchedRun<()> {
     let stop = AtomicBool::new(false);
-    run_scheduler_with(
+    run_scheduler(
         task,
         (0..units as u32).collect(),
         workers,
-        DispatchMode::WorkStealing,
         &stop,
         SchedOptions {
             unit_retries: retries,
@@ -207,11 +203,10 @@ fn steal_storm_executes_every_unit_exactly_once() {
             executed: AtomicU64::new(0),
         };
         let stop = AtomicBool::new(false);
-        let run = run_scheduler_with(
+        let run = run_scheduler(
             &task,
             (0..512u32).collect(),
             8,
-            DispatchMode::WorkStealing,
             &stop,
             SchedOptions::default(),
         );
@@ -283,7 +278,7 @@ fn reasoning_driver_maps_a_unit_panic_to_unknown() {
         &mut vocab,
     )
     .unwrap()
-    .gfds;
+    .deps;
     for p in worker_counts() {
         failpoint::arm("sched/unit=1").unwrap();
         let r = sat_with_config(&sigma, &ReasonConfig::with_workers(p));
@@ -324,8 +319,8 @@ fn every_driver_lands_degraded_runs_in_its_unknown_arm() {
     )
     .unwrap();
     let (graph, geds) = (&doc.graphs[0].1, &doc.geds);
-    let phi = doc.gfds.as_slice()[2].clone();
-    let sigma = GfdSet::from_vec(doc.gfds.as_slice()[..2].to_vec());
+    let phi = doc.deps.as_slice()[2].clone();
+    let sigma = DepSet::from_vec(doc.deps.as_slice()[..2].to_vec());
 
     type Degraded = (Option<Interrupt>, gfd::runtime::RunMetrics);
     type Driver<'a> = (&'a str, Box<dyn Fn(usize, Budget) -> Degraded + 'a>);

@@ -15,8 +15,12 @@ use gfd::ged::{ged_implies, ged_sat, CmpOp, Ged, GedLiteral, GedSet};
 use gfd::prelude::*;
 use std::time::Duration;
 
-fn lift(sigma: &GfdSet) -> GedSet {
-    GedSet::from_vec(sigma.iter().map(|(_, g)| Ged::from_gfd(g)).collect())
+fn lift_rule(gfd: &Dependency) -> Ged {
+    Ged::from_dependency(gfd).expect("a literal consequence")
+}
+
+fn lift(sigma: &DepSet) -> GedSet {
+    GedSet::from_vec(sigma.iter().map(|(_, g)| lift_rule(g)).collect())
 }
 
 /// Worker counts to sweep: `GFD_EQ_WORKERS=n` pins a single count (the CI
@@ -79,7 +83,7 @@ const CASES: &[(&str, bool)] = &[
 fn hand_built_sat_cases_agree() {
     for (src, expected) in CASES {
         let mut vocab = Vocab::new();
-        let sigma = gfd::dsl::parse_document(src, &mut vocab).unwrap().gfds;
+        let sigma = gfd::dsl::parse_document(src, &mut vocab).unwrap().deps;
         let core = gfd::seq_sat(&sigma).is_satisfiable();
         let ged = ged_sat(&lift(&sigma)).is_satisfiable();
         assert_eq!(core, *expected, "core wrong on:\n{src}");
@@ -113,7 +117,7 @@ fn generated_probes_imp_agree() {
         let sigma_ged = lift(&w.sigma);
         for probe in &w.probes {
             let core = gfd::seq_imp(&w.sigma, &probe.phi).is_implied();
-            let ged = ged_implies(&sigma_ged, &Ged::from_gfd(&probe.phi)).is_implied();
+            let ged = ged_implies(&sigma_ged, &lift_rule(&probe.phi)).is_implied();
             assert_eq!(
                 core, ged,
                 "imp diverged on probe {} (seed {seed})",
@@ -158,10 +162,10 @@ fn implication_cases_agree() {
         let mut vocab = Vocab::new();
         let sigma = gfd::dsl::parse_document(sigma_src, &mut vocab)
             .unwrap()
-            .gfds;
-        let phi = gfd::dsl::parse_gfd(phi_src, &mut vocab).unwrap();
+            .deps;
+        let phi = gfd::dsl::parse_dependency(phi_src, &mut vocab).unwrap();
         let core = gfd::seq_imp(&sigma, &phi).is_implied();
-        let ged = ged_implies(&lift(&sigma), &Ged::from_gfd(&phi)).is_implied();
+        let ged = ged_implies(&lift(&sigma), &lift_rule(&phi)).is_implied();
         assert_eq!(core, expected, "core wrong on:\n{sigma_src}\n|= {phi_src}");
         assert_eq!(ged, expected, "ged wrong on:\n{sigma_src}\n|= {phi_src}");
     }
@@ -176,7 +180,7 @@ fn scheduled_sat_agrees_with_sequential() {
     for (src, _) in CASES {
         let mut vocab = Vocab::new();
         cases.push(lift(
-            &gfd::dsl::parse_document(src, &mut vocab).unwrap().gfds,
+            &gfd::dsl::parse_document(src, &mut vocab).unwrap().deps,
         ));
     }
     for seed in [1u64, 23] {
@@ -307,7 +311,7 @@ fn scheduled_imp_agrees_with_sequential() {
         let w = gfd::gen::synthetic_workload(10, 3, 2, seed);
         let sigma_ged = lift(&w.sigma);
         for probe in &w.probes {
-            let phi = Ged::from_gfd(&probe.phi);
+            let phi = lift_rule(&probe.phi);
             for p in worker_counts() {
                 let run = ged_implies_with_config(&sigma_ged, &phi, &sched_config(p));
                 assert_eq!(
@@ -366,7 +370,7 @@ fn ged_witness_satisfies_lifted_sigma() {
         &mut vocab,
     )
     .unwrap()
-    .gfds;
+    .deps;
     let lifted = lift(&sigma);
     let out = ged_sat(&lifted);
     assert!(out.is_satisfiable());

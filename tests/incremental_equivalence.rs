@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 /// Concrete rules of radius 0, 1 and 2 over the Tiny schema: a constant
 /// check, an equality across an edge, and an equality across a 2-path.
-fn rules(schema: &Schema) -> GfdSet {
+fn rules(schema: &Schema) -> DepSet {
     let t0 = schema.node_labels()[0];
     let t1 = schema.node_labels()[1 % schema.node_labels().len()];
     let e0 = schema.edge_labels()[0];
@@ -26,7 +26,7 @@ fn rules(schema: &Schema) -> GfdSet {
 
     let mut p1 = Pattern::new();
     let x = p1.add_node(t0, "x");
-    let r1 = Gfd::new(
+    let r1 = Dependency::new(
         "const",
         p1,
         vec![],
@@ -37,7 +37,7 @@ fn rules(schema: &Schema) -> GfdSet {
     let x = p2.add_node(t0, "x");
     let y = p2.add_node(t1, "y");
     p2.add_edge(x, e0, y);
-    let r2 = Gfd::new("edge-eq", p2, vec![], vec![Literal::eq_attr(x, a0, y, a0)]);
+    let r2 = Dependency::new("edge-eq", p2, vec![], vec![Literal::eq_attr(x, a0, y, a0)]);
 
     let mut p3 = Pattern::new();
     let x = p3.add_node(LabelId::WILDCARD, "x");
@@ -45,9 +45,9 @@ fn rules(schema: &Schema) -> GfdSet {
     let z = p3.add_node(LabelId::WILDCARD, "z");
     p3.add_edge(x, e0, y);
     p3.add_edge(y, e1, z);
-    let r3 = Gfd::new("path-eq", p3, vec![], vec![Literal::eq_attr(x, a1, z, a1)]);
+    let r3 = Dependency::new("path-eq", p3, vec![], vec![Literal::eq_attr(x, a1, z, a1)]);
 
-    GfdSet::from_vec(vec![r1, r2, r3])
+    DepSet::from_vec(vec![r1, r2, r3])
 }
 
 fn violation_keys(vs: &[ViolationRecord]) -> Vec<(gfd::graph::GfdId, Box<[NodeId]>)> {

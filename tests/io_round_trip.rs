@@ -12,7 +12,7 @@ use gfd::prelude::*;
 fn generated_sigma_survives_json_round_trip() {
     for seed in [2u64, 9, 17] {
         let w = gfd::gen::synthetic_workload(15, 4, 3, seed);
-        let json = sigma_to_json(&w.sigma, &w.vocab);
+        let json = sigma_to_json(&w.sigma, &w.vocab).unwrap();
         let mut vocab2 = Vocab::new();
         let sigma2 = sigma_from_json(&json, &mut vocab2).unwrap();
         assert_eq!(sigma2.len(), w.sigma.len());
@@ -36,11 +36,11 @@ fn dsl_and_json_express_the_same_rules() {
         &mut vocab,
     )
     .unwrap();
-    let json = sigma_to_json(&doc.gfds, &vocab);
+    let json = sigma_to_json(&doc.deps, &vocab).unwrap();
     let mut vocab2 = Vocab::new();
     let from_json = sigma_from_json(&json, &mut vocab2).unwrap();
-    let printed_a = gfd::dsl::print_gfd_set(&doc.gfds, &vocab);
-    let printed_b = gfd::dsl::print_gfd_set(&from_json, &vocab2);
+    let printed_a = gfd::dsl::print_dep_set(&doc.deps, &vocab);
+    let printed_b = gfd::dsl::print_dep_set(&from_json, &vocab2);
     assert_eq!(
         printed_a, printed_b,
         "DSL render must match after JSON trip"
@@ -70,7 +70,7 @@ fn graph_json_round_trip_preserves_validation() {
     let graph = &doc.graphs[0].1;
     assert!(!gfd::graph_satisfies(
         graph,
-        &doc.gfds[gfd::graph::GfdId::new(0)]
+        &doc.deps[gfd::graph::GfdId::new(0)]
     ));
 
     let json = graph_to_json(graph, &vocab);
@@ -85,7 +85,7 @@ fn graph_json_round_trip_preserves_validation() {
     .unwrap();
     assert!(!gfd::graph_satisfies(
         &graph2,
-        &doc2.gfds[gfd::graph::GfdId::new(0)]
+        &doc2.deps[gfd::graph::GfdId::new(0)]
     ));
 }
 
@@ -117,7 +117,7 @@ fn edge_list_to_detection_pipeline() {
 
     let report = gfd::detect::detect(
         &graph,
-        &doc.gfds,
+        &doc.deps,
         &gfd::detect::DetectConfig::with_workers(2),
     );
     // The premise only holds where `checked` is set: the 4→5→6 match.

@@ -4,7 +4,7 @@
 use gfd::prelude::*;
 
 /// Example 1 / Fig. 1 rules, written in the DSL.
-fn example1_rules(vocab: &mut Vocab) -> GfdSet {
+fn example1_rules(vocab: &mut Vocab) -> DepSet {
     gfd::dsl::parse_document(
         r#"
         gfd phi1 {
@@ -58,7 +58,7 @@ fn example1_rules(vocab: &mut Vocab) -> GfdSet {
         vocab,
     )
     .expect("Example 1 rules parse")
-    .gfds
+    .deps
 }
 
 #[test]
@@ -100,7 +100,7 @@ fn example2_first_pair_unsatisfiable() {
         &mut vocab,
     )
     .unwrap()
-    .gfds;
+    .deps;
     assert!(!gfd::seq_sat(&sigma).is_satisfiable());
     assert!(!gfd::chase_sat(&sigma).is_satisfiable());
     assert!(!gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(2)).is_satisfiable());
@@ -140,10 +140,10 @@ fn example2_distinct_pattern_interaction_unsatisfiable() {
     let mut vocab = Vocab::new();
     let sigma = gfd::dsl::parse_document(Q6_Q7_RULES, &mut vocab)
         .unwrap()
-        .gfds;
+        .deps;
     // Each alone has a model…
     for (_, g) in sigma.iter() {
-        let single = GfdSet::from_vec(vec![g.clone()]);
+        let single = DepSet::from_vec(vec![g.clone()]);
         assert!(gfd::seq_sat(&single).is_satisfiable(), "{}", g.name);
     }
     // …but together they conflict (Q7 maps into Q6's canonical copy).
@@ -200,7 +200,7 @@ fn example4_pending_recheck_chain() {
         &mut vocab,
     )
     .unwrap()
-    .gfds;
+    .deps;
     assert!(!gfd::seq_sat(&sigma).is_satisfiable());
     for p in [1, 2, 4] {
         assert!(
@@ -261,9 +261,9 @@ fn example8_implication_both_ways() {
     let mut vocab = Vocab::new();
     let sigma = gfd::dsl::parse_document(EXAMPLE8_SIGMA, &mut vocab)
         .unwrap()
-        .gfds;
-    let phi13 = gfd::dsl::parse_gfd(PHI13, &mut vocab).unwrap();
-    let phi14 = gfd::dsl::parse_gfd(PHI14, &mut vocab).unwrap();
+        .deps;
+    let phi13 = gfd::dsl::parse_dependency(PHI13, &mut vocab).unwrap();
+    let phi14 = gfd::dsl::parse_dependency(PHI14, &mut vocab).unwrap();
 
     // ϕ13: implied by deducing the consequence (Example 9's trace).
     let r = gfd::seq_imp(&sigma, &phi13);
@@ -295,7 +295,7 @@ fn example8_implication_both_ways() {
 
     // Neither rule alone implies ϕ13 (the interaction is essential).
     for i in 0..2 {
-        let single = GfdSet::from_vec(vec![sigma.as_slice()[i].clone()]);
+        let single = DepSet::from_vec(vec![sigma.as_slice()[i].clone()]);
         assert!(!gfd::seq_imp(&single, &phi13).is_implied());
         assert!(!gfd::chase_imp(&single, &phi13).is_implied());
     }

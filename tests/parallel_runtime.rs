@@ -7,7 +7,7 @@ use std::time::Duration;
 /// A workload whose matching is deliberately heavy: wildcard star
 /// patterns over a shared dense pattern family create units with large
 /// search trees — straggler territory.
-fn heavy_sigma(vocab: &mut Vocab) -> GfdSet {
+fn heavy_sigma(vocab: &mut Vocab) -> DepSet {
     let t = vocab.label("hub");
     let e = vocab.label("link");
     let a = vocab.attr("attr");
@@ -23,7 +23,7 @@ fn heavy_sigma(vocab: &mut Vocab) -> GfdSet {
         fat.add_edge(hub, e, leaf);
         fat.add_edge(leaf, e, hub);
     }
-    gfds.push(Gfd::new(
+    gfds.push(Dependency::new(
         "fat",
         fat,
         vec![],
@@ -37,14 +37,14 @@ fn heavy_sigma(vocab: &mut Vocab) -> GfdSet {
         let z = p.add_node(LabelId::WILDCARD, "z");
         p.add_edge(x, LabelId::WILDCARD, y);
         p.add_edge(y, LabelId::WILDCARD, z);
-        gfds.push(Gfd::new(
+        gfds.push(Dependency::new(
             format!("chain{i}"),
             p,
             vec![Literal::eq_const(VarId::new(0), a, 1i64)],
             vec![Literal::eq_attr(VarId::new(0), a, VarId::new(2), a)],
         ));
     }
-    GfdSet::from_vec(gfds)
+    DepSet::from_vec(gfds)
 }
 
 #[test]
@@ -138,7 +138,7 @@ fn many_workers_on_tiny_input_is_fine() {
         &mut vocab,
     )
     .unwrap()
-    .gfds;
+    .deps;
     let r = gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(16));
     assert!(r.is_satisfiable());
 }
@@ -159,10 +159,10 @@ fn repeated_runs_are_deterministic_in_outcome() {
 // ---- one door: `sat_with_config` / `imp_with_config` at `workers = p`
 // against `seq_sat` / `seq_imp` (the same calls at `workers = 1`) ----
 
-fn wildcard_unary(name: &str, lits: Vec<Literal>, premise: Vec<Literal>) -> Gfd {
+fn wildcard_unary(name: &str, lits: Vec<Literal>, premise: Vec<Literal>) -> Dependency {
     let mut p = Pattern::new();
     p.add_node(LabelId::WILDCARD, "x");
-    Gfd::new(name, p, premise, lits)
+    Dependency::new(name, p, premise, lits)
 }
 
 #[test]
@@ -170,7 +170,7 @@ fn agrees_with_seq_sat_on_unsat_wildcard_conflict() {
     let mut vocab = Vocab::new();
     let a = vocab.attr("A");
     let x = VarId::new(0);
-    let sigma = GfdSet::from_vec(vec![
+    let sigma = DepSet::from_vec(vec![
         wildcard_unary("phi5", vec![Literal::eq_const(x, a, 0i64)], vec![]),
         wildcard_unary("phi6", vec![Literal::eq_const(x, a, 1i64)], vec![]),
     ]);
@@ -195,7 +195,7 @@ fn agrees_with_seq_sat_on_satisfiable_set() {
         let x = p.add_node(t, "x");
         let y = p.add_node(t, "y");
         p.add_edge(x, e, y);
-        gfds.push(Gfd::new(
+        gfds.push(Dependency::new(
             format!("g{i}"),
             p,
             if i % 2 == 0 {
@@ -206,7 +206,7 @@ fn agrees_with_seq_sat_on_satisfiable_set() {
             vec![Literal::eq_const(x, a, 1i64), Literal::eq_attr(x, b, y, b)],
         ));
     }
-    let sigma = GfdSet::from_vec(gfds);
+    let sigma = DepSet::from_vec(gfds);
     assert!(gfd::seq_sat(&sigma).is_satisfiable());
     for p in [1, 2, 4, 8] {
         let r = gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(p));
@@ -225,7 +225,7 @@ fn variants_agree() {
     let b = vocab.attr("B");
     let x = VarId::new(0);
     // Chain: seed a=1; a=1 → b=1; b=1 ∧ a=1 → conflict on a.
-    let sigma = GfdSet::from_vec(vec![
+    let sigma = DepSet::from_vec(vec![
         wildcard_unary("seed", vec![Literal::eq_const(x, a, 1i64)], vec![]),
         wildcard_unary(
             "prop",
@@ -260,13 +260,13 @@ fn variants_agree() {
 
 #[test]
 fn empty_sigma_is_satisfiable() {
-    let r = gfd::sat_with_config(&GfdSet::new(), &ReasonConfig::with_workers(2));
+    let r = gfd::sat_with_config(&DepSet::new(), &ReasonConfig::with_workers(2));
     assert!(r.is_satisfiable());
 }
 
 /// The paper's Example 8: Σ = {ϕ11, ϕ12} implies ϕ13 (consequence
 /// deduced) and ϕ14 (conflict).
-fn example8() -> (GfdSet, Gfd, Gfd) {
+fn example8() -> (DepSet, Dependency, Dependency) {
     let mut vocab = Vocab::new();
     let a_lbl = vocab.label("a");
     let b_lbl = vocab.label("b");
@@ -295,13 +295,13 @@ fn example8() -> (GfdSet, Gfd, Gfd) {
     q7.add_edge(x7, p_lbl, z7);
     q7.add_edge(x7, p_lbl, w7);
 
-    let phi11 = Gfd::new(
+    let phi11 = Dependency::new(
         "phi11",
         q8,
         vec![],
         vec![Literal::eq_const(x8, attr_a, 1i64)],
     );
-    let phi12 = Gfd::new(
+    let phi12 = Dependency::new(
         "phi12",
         q9,
         vec![
@@ -310,19 +310,19 @@ fn example8() -> (GfdSet, Gfd, Gfd) {
         ],
         vec![Literal::eq_const(y9, attr_c, 2i64)],
     );
-    let phi13 = Gfd::new(
+    let phi13 = Dependency::new(
         "phi13",
         q7.clone(),
         vec![Literal::eq_const(VarId::new(2), attr_b, 2i64)],
         vec![Literal::eq_const(VarId::new(2), attr_c, 2i64)],
     );
-    let phi14 = Gfd::new(
+    let phi14 = Dependency::new(
         "phi14",
         q7,
         vec![Literal::eq_const(VarId::new(0), attr_a, 0i64)],
         vec![Literal::eq_const(VarId::new(2), attr_c, 2i64)],
     );
-    (GfdSet::from_vec(vec![phi11, phi12]), phi13, phi14)
+    (DepSet::from_vec(vec![phi11, phi12]), phi13, phi14)
 }
 
 #[test]
@@ -343,7 +343,7 @@ fn example8_matches_sequential_across_worker_counts() {
 fn not_implied_matches_sequential() {
     let (sigma, phi13, _) = example8();
     // Remove phi12: phi13 no longer follows.
-    let smaller = GfdSet::from_vec(vec![sigma.as_slice()[0].clone()]);
+    let smaller = DepSet::from_vec(vec![sigma.as_slice()[0].clone()]);
     assert!(!gfd::seq_imp(&smaller, &phi13).is_implied());
     for p in [1, 3] {
         let r = gfd::imp_with_config(&smaller, &phi13, &ReasonConfig::with_workers(p));
@@ -377,12 +377,12 @@ fn trivial_cases_short_circuit() {
     let x = q.add_node(vocab.label("a"), "x");
     let a = vocab.attr("A");
     // Empty consequence.
-    let trivial = Gfd::new("t", q.clone(), vec![], vec![]);
+    let trivial = Dependency::new("t", q.clone(), vec![], vec![]);
     let r = gfd::imp_with_config(&sigma, &trivial, &ReasonConfig::with_workers(2));
     assert!(r.is_implied());
     assert_eq!(r.stats.units_dispatched, 0);
     // Inconsistent premise.
-    let inconsistent = Gfd::new(
+    let inconsistent = Dependency::new(
         "i",
         q,
         vec![Literal::eq_const(x, a, 1i64), Literal::eq_const(x, a, 2i64)],

@@ -125,7 +125,7 @@ fn detect_agrees_with_the_oracle_under_forced_splitting() {
 /// A deliberately skewed Σ: one fat star pattern whose hub-pivoted unit
 /// dwarfs everything else, plus trivial unary rules contributing a crowd
 /// of near-instant units.
-fn skewed_sigma(vocab: &mut Vocab) -> GfdSet {
+fn skewed_sigma(vocab: &mut Vocab) -> DepSet {
     let t = vocab.label("hub");
     let e = vocab.label("link");
     let a = vocab.attr("attr");
@@ -137,7 +137,7 @@ fn skewed_sigma(vocab: &mut Vocab) -> GfdSet {
         fat.add_edge(hub, e, leaf);
         fat.add_edge(leaf, e, hub);
     }
-    gfds.push(Gfd::new(
+    gfds.push(Dependency::new(
         "fat",
         fat,
         vec![],
@@ -146,14 +146,14 @@ fn skewed_sigma(vocab: &mut Vocab) -> GfdSet {
     for i in 0..8 {
         let mut p = Pattern::new();
         p.add_node(t, "x");
-        gfds.push(Gfd::new(
+        gfds.push(Dependency::new(
             format!("tiny{i}"),
             p,
             vec![],
             vec![Literal::eq_const(VarId::new(0), a, 1i64)],
         ));
     }
-    GfdSet::from_vec(gfds)
+    DepSet::from_vec(gfds)
 }
 
 #[test]

@@ -57,7 +57,7 @@ fn model_attribute_values_are_sigma_constants_or_fresh() {
         // Collect the constants appearing in Σ.
         let mut constants: Vec<ValueId> = Vec::new();
         for (_, g) in w.sigma.iter() {
-            for lit in g.premise.iter().chain(&g.consequence) {
+            for lit in g.premise.iter().chain(g.consequence.literals().unwrap()) {
                 if let Operand::Const(c) = &lit.rhs {
                     constants.push(*c);
                 }
@@ -83,7 +83,7 @@ fn unsat_witness_names_a_real_conflict() {
         &mut vocab,
     )
     .unwrap()
-    .gfds;
+    .deps;
     let r = gfd::seq_sat(&sigma);
     match &r.outcome {
         SatOutcome::Unsatisfiable(conflict) => {
@@ -97,7 +97,7 @@ fn unsat_witness_names_a_real_conflict() {
 #[test]
 fn implication_canonical_graph_is_phi_sized() {
     let mut vocab = Vocab::new();
-    let phi = gfd::dsl::parse_gfd(
+    let phi = gfd::dsl::parse_dependency(
         "gfd phi { pattern { node x: t  node y: t  edge x -e-> y } when { x.a = 1 } then { y.a = 1 } }",
         &mut vocab,
     )

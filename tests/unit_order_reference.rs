@@ -5,7 +5,7 @@
 //! one `|V|`-bit ball per unit. That algorithm lives on here, verbatim,
 //! as the oracle — and nowhere else.
 
-use gfd::core::{build_plans_lazy, generate_units, order_units, CanonicalGraph, GfdSet, WorkUnit};
+use gfd::core::{build_plans_lazy, generate_units, order_units, CanonicalGraph, DepSet, WorkUnit};
 use gfd::gen::{real_life_workload, Dataset};
 use gfd::prelude::*;
 use proptest::prelude::*;
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 /// dependency, so the hash containers are std's under the old names —
 /// every set is sorted before it is read, so the hasher cannot matter.
 mod reference {
-    use gfd::core::{CanonicalGraph, GfdSet, Prefix, WorkUnit};
+    use gfd::core::{CanonicalGraph, DepSet, Prefix, WorkUnit};
     use gfd::graph::{self as gfd_graph, neighborhood, NodeId, Pattern, VarId};
     use std::collections::BinaryHeap;
 
@@ -47,7 +47,7 @@ mod reference {
     }
 
     pub fn generate_units(
-        sigma: &GfdSet,
+        sigma: &DepSet,
         canon: &CanonicalGraph,
         pivots: &[VarId],
         prune_components: bool,
@@ -75,7 +75,7 @@ mod reference {
 
     pub fn order_units(
         units: &mut [WorkUnit],
-        sigma: &GfdSet,
+        sigma: &DepSet,
         canon: &CanonicalGraph,
         pivots: &[VarId],
         boosted: Option<&[bool]>,
@@ -218,7 +218,7 @@ mod reference {
 
 /// Run both pipelines on `(Σ, canon)` and return `(new, reference)`.
 fn both(
-    sigma: &GfdSet,
+    sigma: &DepSet,
     canon: &CanonicalGraph,
     prune_components: bool,
     boosted: Option<&[bool]>,
@@ -234,7 +234,7 @@ fn both(
 
 /// The driver's implication boost: rules whose premise attributes all
 /// occur in ϕ's premise.
-fn imp_boost(sigma: &GfdSet, phi: &Gfd) -> Vec<bool> {
+fn imp_boost(sigma: &DepSet, phi: &Dependency) -> Vec<bool> {
     let x_attrs: std::collections::HashSet<AttrId> =
         phi.premise.iter().flat_map(Literal::attrs).collect();
     sigma
@@ -245,7 +245,7 @@ fn imp_boost(sigma: &GfdSet, phi: &Gfd) -> Vec<bool> {
 
 /// A mask unrelated to any probe, so the boosted tier is populated on
 /// `GΣ` too.
-fn every_third(sigma: &GfdSet) -> Vec<bool> {
+fn every_third(sigma: &DepSet) -> Vec<bool> {
     (0..sigma.len()).map(|i| i % 3 == 0).collect()
 }
 
@@ -288,7 +288,7 @@ struct RuleSpec {
     consequence: Vec<usize>,
 }
 
-fn build_sigma(specs: &[RuleSpec]) -> GfdSet {
+fn build_sigma(specs: &[RuleSpec]) -> DepSet {
     let mut vocab = Vocab::new();
     let labels: Vec<LabelId> = (0..3).map(|i| vocab.label(&format!("l{i}"))).collect();
     let e = vocab.label("e");
@@ -326,10 +326,10 @@ fn build_sigma(specs: &[RuleSpec]) -> GfdSet {
             };
             let premise = lits(&mut vocab, &spec.premise);
             let consequence = lits(&mut vocab, &spec.consequence);
-            Gfd::new(format!("r{r}"), p, premise, consequence)
+            Dependency::new(format!("r{r}"), p, premise, consequence)
         })
         .collect();
-    GfdSet::from_vec(gfds)
+    DepSet::from_vec(gfds)
 }
 
 /// The attribute every `hot`-tier rule consumes; index outside the pool
