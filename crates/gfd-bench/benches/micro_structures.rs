@@ -1,61 +1,14 @@
-//! Criterion microbenchmarks of the core data structures, plus ablations
-//! of the design choices DESIGN.md calls out (dependency ordering,
-//! component pruning).
+//! Criterion microbenchmarks of the core data structures, and the
+//! asserted guards CI runs on their own
+//! (`cargo bench -p gfd-bench --bench micro_structures guards_only`: the
+//! filter matches no benchmark id, so only the guard functions do work).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gfd_core::{sat_with_config, EqRel, ReasonConfig};
 use gfd_gen::synthetic_workload;
 use gfd_graph::{AttrId, Graph, LabelIndex, NodeId, Pattern, Vocab};
 use gfd_match::MatchPlan;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
-
-// ---- allocation counting for the `match_alloc_free` guard: one
-// thread-local increment per allocation, nothing the timings can see
-// (the same few lines as in `tests/alloc_free_match.rs` — a global
-// allocator is declared per binary) ----
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator plus a per-thread count of allocations and
-/// reallocations (per-thread, so parallel tests do not see each other).
-struct CountingAlloc;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract. The counter is a const-initialised thread-local
-// `Cell` with no destructor, so touching it neither allocates nor
-// re-enters the allocator; `try_with` ignores a thread tearing down.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        // SAFETY: the caller's `layout` obligations pass straight through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `alloc`/`realloc` above, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Run `f` and count the allocations this thread made meanwhile.
-fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (out, ALLOCS.with(Cell::get) - before)
-}
 
 fn bench_eq_rel(c: &mut Criterion) {
     let mut g = c.benchmark_group("eq_rel");
@@ -878,49 +831,6 @@ fn bench_intersect_crossover(_c: &mut Criterion) {
     );
 }
 
-/// Asserted guard for the allocation-free match kernel (DESIGN.md
-/// §15.5): over the hub workload's diamond and chain rules, a pivoted
-/// search that has swept every pivot once sweeps them again — `reset` per
-/// pivot, as a detection unit does — without a single allocation. A `Vec`
-/// creeping back into `push_frame` or a boxed match into `run` fails here
-/// (`tests/alloc_free_match.rs` pins the same per intersection strategy).
-fn bench_match_alloc_free(_c: &mut Criterion) {
-    use gfd_gen::{hub_workload, HubGenConfig};
-    use gfd_match::{HomSearch, SearchLimits};
-    use std::ops::ControlFlow;
-
-    let w = hub_workload(&HubGenConfig::default());
-    let idx = LabelIndex::build(&w.graph);
-    let mut matches = 0u64;
-    for (_, gfd) in w.sigma.iter() {
-        let pivot = gfd_core::choose_pivot(&gfd.pattern, &idx);
-        let plan = MatchPlan::build(&gfd.pattern, Some(pivot), Some(&idx));
-        let mut search = HomSearch::new(&w.graph, &idx, &gfd.pattern, &plan);
-        let mut sweep = || {
-            let mut n = 0u64;
-            for z in w.graph.nodes() {
-                search.reset(&[z]);
-                search.run(
-                    |m| {
-                        black_box(m);
-                        n += 1;
-                        ControlFlow::Continue(())
-                    },
-                    SearchLimits::none(),
-                );
-            }
-            n
-        };
-        let cold = sweep();
-        let (warm, allocs) = allocations_of(sweep);
-        assert_eq!(warm, cold, "a reset search must find the same matches");
-        assert_eq!(allocs, 0, "warmed sweep of rule {} allocated", gfd.name);
-        matches += warm;
-    }
-    assert!(matches > 10_000, "hub fixture went quiet: {matches}");
-    println!("match_alloc_free: {matches} matches per warmed sweep, 0 allocations");
-}
-
 /// Asserted guard for the unit pipeline's serial set-up (DESIGN.md §4,
 /// "unit set-up cost"): what `run_reason` does before it dispatches a
 /// unit — `build_plans_lazy` + `generate_units` + `order_units` — against
@@ -981,26 +891,6 @@ fn bench_unit_setup(_c: &mut Criterion) {
     );
 }
 
-fn bench_ablations(c: &mut Criterion) {
-    let w = synthetic_workload(80, 5, 3, 42);
-    let mut group = c.benchmark_group("seq_sat_ablations");
-    for (name, dep, prune) in [
-        ("ordered+pruned", true, true),
-        ("no_dependency_order", false, true),
-        ("no_component_pruning", true, false),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &(), |b, _| {
-            let cfg = ReasonConfig {
-                use_dependency_order: dep,
-                prune_components: prune,
-                ..ReasonConfig::with_workers(1)
-            };
-            b.iter(|| black_box(sat_with_config(&w.sigma, &cfg).is_satisfiable()))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_eq_rel,
@@ -1012,8 +902,6 @@ criterion_group!(
     bench_scheduler,
     bench_trace_overhead,
     bench_atomics_zero_cost,
-    bench_unit_setup,
-    bench_match_alloc_free,
-    bench_ablations
+    bench_unit_setup
 );
 criterion_main!(benches);

@@ -1,15 +1,20 @@
-//! Experiment harness utilities: scaling, timing, and table rendering for
-//! the benches that regenerate every table and figure of §VII.
+//! Experiment harness utilities behind `benches/paper.rs`: workload
+//! scale, wall-clock timing, the text table, and the one JSON emitter
+//! (with its self-check) that writes `BENCH_paper.json`.
 //!
-//! Scale is controlled by the `GFD_SCALE` environment variable:
+//! Every reported time is **wall-clock**. Where a run hands back
+//! [`RunMetrics`], its max per-worker busy time rides along under the key
+//! `simulated_makespan_us` — what dedicated processors would achieve: a
+//! simulation, never the headline. No ratio is stored.
 //!
-//! * `quick` (default) — laptop/CI-sized workloads, minutes for the whole
-//!   suite; the paper's *shapes* (who wins, crossovers) are preserved.
-//! * `full` — paper-sized parameters (|Σ| up to 10000, k to 10). Expect
-//!   hours, as in the original evaluation.
+//! `GFD_SCALE=quick` (the default) sizes the table for a laptop or CI —
+//! seconds, with the paper's *shapes* (who wins, crossovers) preserved;
+//! `GFD_SCALE=full` selects the paper's parameters (|Σ| up to 10000).
 
 #![warn(missing_docs)]
 
+use gfd_io::jsonval::{self, Json};
+use gfd_runtime::RunMetrics;
 use std::time::{Duration, Instant};
 
 /// Workload sizes for one run of the suite.
@@ -17,26 +22,19 @@ use std::time::{Duration, Instant};
 pub struct Scale {
     /// Human-readable scale name.
     pub name: &'static str,
-    /// |Σ| for the Fig. 5 "real-life" sets.
-    pub fig5_sigma: usize,
-    /// |Σ| for the Exp-1 scalability runs.
-    pub exp1_sigma: usize,
+    /// |Σ| of the "real-life" sets of Fig. 5 and Exp-1.
+    pub mined_sigma: usize,
     /// Worker counts swept in Exp-1 (paper: 4..20).
-    pub workers: Vec<usize>,
+    pub workers: Vec<u64>,
     /// |Σ| values swept in Exp-2 (paper: 2000..10000).
-    pub exp2_sigmas: Vec<usize>,
+    pub exp2_sigmas: Vec<u64>,
     /// |Σ| for Exp-3 (paper: 5000).
     pub exp3_sigma: usize,
-    /// Pattern sizes swept in Exp-3 (paper: 2..10).
-    pub ks: Vec<usize>,
-    /// Literal counts swept in Exp-3 (paper: 1..5).
-    pub ls: Vec<usize>,
-    /// TTL values swept in Exp-4 (paper: 0.1s..8s).
+    /// TTL values swept in Exp-4 (paper: 0.1s..8s), bracketed by 0 (split
+    /// always) and 10 s (never).
     pub ttls: Vec<Duration>,
     /// Default TTL for the other experiments (paper: 2s).
     pub default_ttl: Duration,
-    /// Timing repetitions (median is reported).
-    pub repeats: usize,
     /// Number of implication probes averaged per measurement.
     pub imp_probes: usize,
 }
@@ -44,39 +42,26 @@ pub struct Scale {
 /// Read the scale from `GFD_SCALE` (`quick` default, `full` for
 /// paper-sized runs).
 pub fn scale() -> Scale {
+    let millis = |ms: &[u64]| ms.iter().copied().map(Duration::from_millis).collect();
     match std::env::var("GFD_SCALE").as_deref() {
         Ok("full") => Scale {
             name: "full",
-            fig5_sigma: 8000,
-            exp1_sigma: 8000,
+            mined_sigma: 8000,
             workers: vec![4, 8, 12, 16, 20],
             exp2_sigmas: vec![2000, 4000, 6000, 8000, 10000],
             exp3_sigma: 5000,
-            ks: vec![2, 4, 6, 8, 10],
-            ls: vec![1, 2, 3, 4, 5],
-            ttls: [100u64, 500, 1000, 2000, 4000, 8000]
-                .into_iter()
-                .map(Duration::from_millis)
-                .collect(),
+            ttls: millis(&[0, 100, 500, 1000, 2000, 4000, 8000, 10_000]),
             default_ttl: Duration::from_secs(2),
-            repeats: 3,
             imp_probes: 6,
         },
         _ => Scale {
             name: "quick",
-            fig5_sigma: 600,
-            exp1_sigma: 600,
+            mined_sigma: 600,
             workers: vec![1, 2, 4, 8, 12, 16, 20],
             exp2_sigmas: vec![200, 400, 600, 800, 1000],
             exp3_sigma: 400,
-            ks: vec![2, 4, 6, 8, 10],
-            ls: vec![1, 2, 3, 4, 5],
-            ttls: [1u64, 2, 5, 10, 20, 50]
-                .into_iter()
-                .map(Duration::from_millis)
-                .collect(),
+            ttls: millis(&[0, 1, 2, 5, 10, 20, 50, 10_000]),
             default_ttl: Duration::from_millis(5),
-            repeats: 3,
             imp_probes: 4,
         },
     }
@@ -153,25 +138,136 @@ impl Table {
     }
 }
 
-/// Print the standard experiment banner, including the single-core caveat
-/// that applies to wall-clock parallel numbers.
-pub fn banner(title: &str, paper_ref: &str) {
-    println!("\n================================================================");
-    println!("{title}");
-    println!("paper reference: {paper_ref}");
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "host: {cores} core(s) available — parallel wall times are meaningful only when \
-         cores ≥ p;\nthe `makespan` column (max per-worker CPU time) is the faithful \
-         scalability measure."
-    );
-    println!(
-        "scale: GFD_SCALE={} (set GFD_SCALE=full for paper-sized runs)",
-        scale().name
-    );
-    println!("================================================================");
+/// Cores available to this process — recorded with every report, since
+/// a parallel wall time means something only while `p` ≤ this.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Print the run's banner: the scale, and how far this host can test a
+/// scalability claim.
+pub fn banner(scale: &Scale) {
+    let (scale, cores) = (scale.name, nproc());
+    println!("GFD_SCALE={scale}, host: {cores} core(s). Every time below is wall-clock;");
+    println!("a row with more workers than cores is oversubscribed: it cannot show a speedup.");
+}
+
+/// One measured cell of an experiment.
+pub struct Sample {
+    /// Wall-clock time of the measured region.
+    pub wall: Duration,
+    /// The run's scheduler metrics, when the variant returns them.
+    pub metrics: Option<RunMetrics>,
+    /// Variant-specific counters (`_us`-suffixed names are microseconds).
+    pub counters: Vec<(&'static str, u64)>,
+}
+
+/// A [`Sample`] placed on its experiment's grid.
+pub struct Row {
+    /// Name of the workload the cell ran on.
+    pub dataset: String,
+    /// The swept axis value: an integer, or a name where it indexes one.
+    pub x: Json,
+    /// The algorithm or setting measured.
+    pub variant: &'static str,
+    /// The measurement.
+    pub sample: Sample,
+}
+
+/// All rows of one experiment under its table entry's descriptive fields.
+pub struct Report {
+    /// Experiment id (the positional filter matches on it).
+    pub id: &'static str,
+    /// The paper figure it regenerates.
+    pub figure: &'static str,
+    /// The shape the paper reports for it.
+    pub paper_shape: &'static str,
+    /// Name (and unit) of the swept axis.
+    pub axis: &'static str,
+    /// The measured cells.
+    pub rows: Vec<Row>,
+}
+
+/// The one emitter: every experiment of a run as one JSON document —
+/// integer microseconds (the interchange parser is integer-only, as in
+/// `RunMetrics::to_json`), `wall_us` first in every row, host core count
+/// and scale at the top, and no derived ratio anywhere.
+pub fn report_json(scale: &str, reports: &[Report]) -> Json {
+    let text = |s: &str| Json::Str(s.to_string());
+    let int = |n: u64| Json::Int(i64::try_from(n).unwrap_or(i64::MAX));
+    let object = |fields: Vec<(&str, Json)>| {
+        let owned = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+        Json::Object(owned.collect())
+    };
+    let row = |r: &Row| {
+        let mut fields = vec![
+            ("wall_us", int(r.sample.wall.as_micros() as u64)),
+            ("dataset", text(&r.dataset)),
+            ("x", r.x.clone()),
+            ("variant", text(r.variant)),
+        ];
+        if let Some(m) = &r.sample.metrics {
+            let makespan = m.makespan().unwrap_or_default().as_micros() as u64;
+            fields.push(("simulated_makespan_us", int(makespan)));
+            fields.push(("units_dispatched", int(m.units_dispatched)));
+            fields.push(("units_split", int(m.units_split)));
+            fields.push(("units_stolen", int(m.units_stolen)));
+        }
+        fields.extend(r.sample.counters.iter().map(|&(k, n)| (k, int(n))));
+        object(fields)
+    };
+    let experiment = |e: &Report| {
+        object(vec![
+            ("id", text(e.id)),
+            ("figure", text(e.figure)),
+            ("paper_shape", text(e.paper_shape)),
+            ("axis", text(e.axis)),
+            ("rows", Json::Array(e.rows.iter().map(row).collect())),
+        ])
+    };
+    let experiments = Json::Array(reports.iter().map(experiment).collect());
+    object(vec![
+        ("benchmark", text("paper")),
+        ("scale", text(scale)),
+        ("nproc", int(nproc() as u64)),
+        ("experiments", experiments),
+    ])
+}
+
+/// The runner's self-check, on the text it is about to write: it parses,
+/// experiment ids are unique, every experiment has a row, every row has
+/// `wall_us > 0`, and no object anywhere has a key `speedup` or
+/// `makespan_ms` (a simulated time may appear only under a name that says
+/// so). Returns the number of rows.
+pub fn check_report(text: &str) -> Result<usize, String> {
+    fn has_banned_key(v: &Json) -> bool {
+        match v {
+            Json::Object(fields) => fields
+                .iter()
+                .any(|(k, v)| k == "speedup" || k == "makespan_ms" || has_banned_key(v)),
+            Json::Array(items) => items.iter().any(has_banned_key),
+            _ => false,
+        }
+    }
+    let doc = jsonval::parse(text).map_err(|e| e.to_string())?;
+    if has_banned_key(&doc) {
+        return Err("a key is named `speedup` or `makespan_ms`".to_string());
+    }
+    let experiments = doc.get("experiments").and_then(Json::as_array);
+    let (mut ids, mut total) = (Vec::new(), 0);
+    for e in experiments.ok_or("no `experiments` array")? {
+        let id = e.get("id").and_then(Json::as_str).ok_or("no `id`")?;
+        let rows = e.get("rows").and_then(Json::as_array).unwrap_or(&[]);
+        let wall = |r: &Json| r.get("wall_us").and_then(Json::as_int);
+        if ids.contains(&id) {
+            return Err(format!("duplicate experiment id `{id}`"));
+        } else if rows.is_empty() || !rows.iter().all(|r| wall(r) > Some(0)) {
+            return Err(format!("`{id}`: no rows, or a row without `wall_us > 0`"));
+        }
+        ids.push(id);
+        total += rows.len();
+    }
+    Ok(total)
 }
 
 #[cfg(test)]
@@ -212,5 +308,59 @@ mod tests {
     fn ragged_rows_panic() {
         let mut t = Table::new(&["a"]);
         t.row(vec!["1".into(), "2".into()]);
+    }
+
+    fn report(id: &'static str, walls: &[u64], counter: &'static str) -> Report {
+        let metrics = RunMetrics {
+            worker_busy: vec![Duration::from_micros(7), Duration::from_micros(9)],
+            ..Default::default()
+        };
+        let sample = |&us: &u64| Sample {
+            wall: Duration::from_micros(us),
+            metrics: Some(metrics.clone()),
+            counters: vec![(counter, 8)],
+        };
+        let row = |us| Row {
+            dataset: "DBpedia".to_string(),
+            x: Json::Int(4),
+            variant: "ParSat",
+            sample: sample(us),
+        };
+        Report {
+            id,
+            figure: "Fig. 6(a)",
+            paper_shape: "3.4x from p = 4 to 20",
+            axis: "workers",
+            rows: walls.iter().map(row).collect(),
+        }
+    }
+
+    #[test]
+    fn emitter_round_trips_through_the_self_check() {
+        let render = |reports: &[Report]| report_json("quick", reports).pretty();
+        let text = render(&[report("exp1_sat", &[1500, 900], "rounds")]);
+        assert_eq!(check_report(&text), Ok(2));
+        let doc = jsonval::parse(&text).unwrap();
+        let nproc = doc.get("nproc").and_then(Json::as_int);
+        assert_eq!(nproc, Some(super::nproc() as i64));
+        let experiments = doc.get("experiments").and_then(Json::as_array).unwrap();
+        let row = &experiments[0].get("rows").and_then(Json::as_array).unwrap()[1];
+        let Json::Object(fields) = row else {
+            panic!("a row is an object")
+        };
+        assert_eq!(fields[0], ("wall_us".to_string(), Json::Int(900)));
+        let field = |k: &str| row.get(k).and_then(Json::as_int);
+        assert_eq!(field("x"), Some(4));
+        assert_eq!(field("simulated_makespan_us"), Some(9));
+        assert_eq!(field("rounds"), Some(8));
+
+        // What the self-check promises to reject.
+        let twice = render(&[report("e", &[5], "rounds"), report("e", &[5], "rounds")]);
+        assert!(check_report(&twice).unwrap_err().contains("duplicate"));
+        let (empty, untimed) = (report("e", &[], "rounds"), report("e", &[0], "rounds"));
+        for bad in [empty, untimed, report("e", &[5], "speedup")] {
+            assert!(check_report(&render(&[bad])).is_err());
+        }
+        assert!(check_report("{").is_err());
     }
 }

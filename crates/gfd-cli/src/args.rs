@@ -79,11 +79,6 @@ impl Parsed {
             .ok_or_else(|| ArgError::new(format!("missing required argument <{name}>")))
     }
 
-    /// All positional arguments.
-    pub fn positionals(&self) -> &[String] {
-        &self.positional
-    }
-
     fn note(&self, name: &str) {
         self.queried.borrow_mut().push(name.to_string());
     }

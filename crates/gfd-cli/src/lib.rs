@@ -1027,6 +1027,51 @@ mod tests {
     }
 
     #[test]
+    fn chase_trace_events_reach_the_exported_timeline() {
+        let dir = std::env::temp_dir().join("gfd-cli-test-chase-trace");
+        std::fs::create_dir_all(&dir).unwrap();
+        let rules = dir.join("mixed.gfd");
+        // One generating rule that fires (every person gets a team) and
+        // one literal rule off the generated attribute.
+        std::fs::write(
+            &rules,
+            r#"
+            gfd seed { pattern { node x: person } then { x.city = "nbo" } }
+            ggd has_team {
+              pattern { node x: person }
+              create { node m: team edge x -memberOf-> m set { m.city = x.city } }
+            }
+            gfd team_city {
+              pattern { node m: team }
+              when { m.city = "nbo" }
+              then { m.open = true }
+            }
+            "#,
+        )
+        .unwrap();
+        let trace = dir.join("out.trace.json");
+        let (rules, trace) = (rules.to_str().unwrap(), trace.to_str().unwrap());
+        let (code, text) = run_vec(&["sat", rules, "--workers", "2", "--trace", trace]);
+        assert_eq!(code, 0, "{text}");
+        assert!(text.contains("GGD chase"), "{text}");
+        assert!(text.contains("wrote trace"), "{text}");
+
+        // The chase's phase spans are on the timeline ...
+        let timeline = std::fs::read_to_string(trace).unwrap();
+        for phase in ["ChaseRound", "ApplyPlan", "ApplyCommit"] {
+            assert!(timeline.contains(phase), "no {phase} event: {timeline}");
+        }
+        // ... and the file validates against the checked-in schema.
+        let schema = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../schemas/chrome-trace.schema.json"
+        );
+        let (code, check) = run_vec(&["trace-check", trace, "--schema", schema]);
+        assert_eq!(code, 0, "{check}");
+        assert!(check.contains("valid"), "{check}");
+    }
+
+    #[test]
     fn deadline_overshoot_reports_signed_slack() {
         let dir = std::env::temp_dir().join("gfd-cli-test-overshoot");
         std::fs::create_dir_all(&dir).unwrap();

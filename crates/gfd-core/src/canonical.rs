@@ -126,11 +126,6 @@ impl CanonicalGraph {
         self.comp[node.index()]
     }
 
-    /// Number of connected components.
-    pub fn component_count(&self) -> usize {
-        self.profiles.len()
-    }
-
     /// Cheap necessary condition: can `pattern` possibly match with its
     /// pivot inside component `comp`? (Label-subset test; homomorphism is
     /// non-injective, so counts don't matter, presence does.)
@@ -353,7 +348,6 @@ mod tests {
         let (canon, node_of) = CanonicalGraph::for_sigma(&sigma);
         assert_eq!(canon.graph.node_count(), 3);
         assert_eq!(canon.graph.edge_count(), 1);
-        assert_eq!(canon.component_count(), 2);
         assert_eq!(node_of[0].len(), 2);
         assert_eq!(node_of[1].len(), 1);
         // The two patterns are in different components.

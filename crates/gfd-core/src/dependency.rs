@@ -182,13 +182,6 @@ impl GenerateConsequence {
         self.pattern.node_count() - self.shared
     }
 
-    /// True iff there is nothing to generate: no fresh nodes, no edges,
-    /// no attribute assignments. A trivial consequence is realized by
-    /// every match.
-    pub fn is_trivial(&self) -> bool {
-        self.fresh_count() == 0 && self.pattern.edge_count() == 0 && self.attrs.is_empty()
-    }
-
     /// Size contribution: fresh nodes + generated edges + attr literals.
     pub fn size(&self) -> usize {
         self.fresh_count()
@@ -1000,7 +993,6 @@ mod tests {
         let mut p = Pattern::new();
         p.add_node(t, "x");
         let gen = GenerateConsequence::over(&p);
-        assert!(gen.is_trivial());
         let mut g = Graph::new();
         let n = g.add_node(t);
         let index = LabelIndex::build(&g);

@@ -330,11 +330,6 @@ impl EqRel {
         });
         classes
     }
-
-    /// Number of classes currently bound to a constant.
-    pub fn bound_class_count(&mut self) -> usize {
-        self.classes().iter().filter(|(c, _)| c.is_some()).count()
-    }
 }
 
 #[cfg(test)]
@@ -486,7 +481,6 @@ mod tests {
         assert_eq!(classes[0].1.len(), 2); // class of (0,0),(1,0)
         assert_eq!(classes[0].0, None);
         assert_eq!(classes[1].0, Some(ValueId::of(1)));
-        assert_eq!(eq.bound_class_count(), 1);
     }
 
     #[test]

@@ -196,15 +196,6 @@ impl GedLiteral {
         std::iter::once(a).chain(b)
     }
 
-    /// Is this a plain-GFD literal (equality on attributes, no id)?
-    pub fn is_gfd_compatible(&self) -> bool {
-        matches!(
-            self,
-            GedLiteral::AttrConst { op: CmpOp::Eq, .. }
-                | GedLiteral::AttrAttr { op: CmpOp::Eq, .. }
-        )
-    }
-
     /// Convert a plain GFD literal.
     pub fn from_literal(lit: &Literal) -> Self {
         match &lit.rhs {
@@ -598,8 +589,9 @@ mod tests {
         let ged = Ged::from_dependency(&gfd).expect("literal consequence");
         assert_eq!(ged.premise.len(), 1);
         assert_eq!(ged.disjuncts.len(), 1);
-        assert!(ged.premise[0].is_gfd_compatible());
-        assert!(ged.disjuncts[0][0].is_gfd_compatible());
+        let (when, then) = (&ged.premise[0], &ged.disjuncts[0][0]);
+        assert!(matches!(when, GedLiteral::AttrConst { op: CmpOp::Eq, .. }));
+        assert!(matches!(then, GedLiteral::AttrAttr { op: CmpOp::Eq, .. }));
     }
 
     #[test]

@@ -125,11 +125,6 @@ impl OrderNet {
         var
     }
 
-    /// The constant bound to `v`, if `v` is a constant node.
-    pub fn constant_of(&self, v: OrderVar) -> Option<&Value> {
-        self.constant[v.index()].as_ref()
-    }
-
     /// Look up an already-interned constant without mutating the network.
     pub fn lookup_const(&self, value: &Value) -> Option<OrderVar> {
         self.const_ids.get(value).map(|&id| OrderVar(id))
@@ -443,7 +438,7 @@ mod tests {
         let a = net.const_var(&Value::int(1));
         let b = net.const_var(&Value::int(1));
         assert_eq!(a, b);
-        assert_eq!(net.constant_of(a), Some(&Value::int(1)));
+        assert_eq!(net.constant[a.index()], Some(Value::int(1)));
     }
 
     #[test]

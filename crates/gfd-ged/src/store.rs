@@ -96,12 +96,6 @@ impl GedStore {
         self.find(a) == self.find(b)
     }
 
-    /// The unified label of `n`'s class.
-    pub fn label_of(&mut self, n: NodeId) -> LabelId {
-        let r = self.find(n);
-        self.label[r.index()]
-    }
-
     /// Merge the classes of `a` and `b`. Returns `Ok(true)` when the store
     /// changed, `Ok(false)` when they were already merged.
     pub fn merge_nodes(&mut self, a: NodeId, b: NodeId) -> Result<bool, StoreConflict> {
@@ -443,7 +437,8 @@ mod tests {
         let t = vocab.label("t");
         // Node 2 is wildcard-labelled; merging with node 0 (t) unifies to t.
         store.merge_nodes(NodeId::new(2), NodeId::new(0)).unwrap();
-        assert_eq!(store.label_of(NodeId::new(2)), t);
+        let root = store.find(NodeId::new(2));
+        assert_eq!(store.label[root.index()], t);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! it creates. Generation therefore advances a well-founded rank and the
 //! chase reaches a true fixpoint, with the number of rounds (and the
 //! amount of per-round scan work the scheduler sees) controlled by the
-//! chain depth and per-tier fan-out — exactly what the `exp8_ggd_chase`
-//! bench sweeps.
+//! chain depth and per-tier fan-out — the workload behind the paper
+//! bench's `exp8_ggd_chase` rows and gfdbench's `chase_ggd`.
 //!
 //! Presets:
 //!

@@ -14,7 +14,8 @@
 //!
 //! [`hub_workload`] is deterministic per seed: graph, rule set and the
 //! violation set detection finds on it are reproducible, which lets the
-//! exp8 bench assert fingerprint invariance across worker counts.
+//! paper bench's `exp5_detect` rows assert fingerprint invariance across
+//! worker counts.
 
 use crate::schema::{Dataset, Schema};
 use gfd_core::{DepSet, Dependency, Literal};

@@ -147,12 +147,6 @@ impl Graph {
         }
     }
 
-    /// The resolved value of attribute `attr` at `node`, if present.
-    /// Boundary helper for rendering and serialization.
-    pub fn attr_value(&self, node: NodeId, attr: AttrId) -> Option<Value> {
-        self.attr(node, attr).map(ValueId::resolve)
-    }
-
     /// All attributes of `node`, sorted by attribute id.
     pub fn attrs(&self, node: NodeId) -> &[(AttrId, ValueId)] {
         &self.attrs[node.index()]
@@ -401,7 +395,6 @@ mod tests {
         assert_eq!(g.in_edges(NodeId::new(1)).len(), 2);
         let name = v.attr("name");
         assert_eq!(g.attr(NodeId::new(0), name), Some(ValueId::of("ann")));
-        assert_eq!(g.attr_value(NodeId::new(0), name), Some(Value::str("ann")));
         assert_eq!(g.attr(NodeId::new(1), name), None);
     }
 

@@ -104,11 +104,6 @@ impl Vocab {
         AttrId(self.attrs.intern(name))
     }
 
-    /// Look up a label without interning.
-    pub fn find_label(&self, name: &str) -> Option<LabelId> {
-        self.labels.get(name).map(LabelId)
-    }
-
     /// Look up an attribute without interning.
     pub fn find_attr(&self, name: &str) -> Option<AttrId> {
         self.attrs.get(name).map(AttrId)
@@ -122,11 +117,6 @@ impl Vocab {
     /// Resolve an attribute id to its name.
     pub fn attr_name(&self, id: AttrId) -> &str {
         self.attrs.resolve(id.0)
-    }
-
-    /// Number of distinct labels (including the wildcard).
-    pub fn label_count(&self) -> usize {
-        self.labels.len()
     }
 
     /// Number of distinct attribute names.
@@ -174,7 +164,6 @@ mod tests {
     #[test]
     fn vocab_reserves_wildcard() {
         let mut v = Vocab::new();
-        assert_eq!(v.find_label("_"), Some(LabelId::WILDCARD));
         assert_eq!(v.label("_"), LabelId::WILDCARD);
         assert_eq!(v.label_name(LabelId::WILDCARD), "_");
         let person = v.label("person");
@@ -190,7 +179,6 @@ mod tests {
         // Same spelling, independent id spaces.
         assert_eq!(v.label_name(l), v.attr_name(a));
         assert_eq!(v.attr_count(), 1);
-        assert_eq!(v.label_count(), 2); // "_" + "name"
     }
 
     #[test]

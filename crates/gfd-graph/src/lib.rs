@@ -24,7 +24,6 @@
 
 pub mod csr;
 pub mod delta;
-pub mod dot;
 pub mod graph;
 pub mod ids;
 pub mod interner;

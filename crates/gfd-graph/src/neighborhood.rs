@@ -87,54 +87,6 @@ impl BallScratch {
     }
 }
 
-/// Undirected BFS distances from `start`, capped at `max` (nodes farther
-/// than `max`, or unreachable, get `u32::MAX`).
-pub fn distances_within(graph: &Graph, start: NodeId, max: u32) -> Vec<u32> {
-    let mut dist = vec![u32::MAX; graph.node_count()];
-    let mut queue = VecDeque::new();
-    dist[start.index()] = 0;
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v.index()];
-        if d == max {
-            continue;
-        }
-        for &(_, u) in graph.out_edges(v).iter().chain(graph.in_edges(v)) {
-            if dist[u.index()] == u32::MAX {
-                dist[u.index()] = d + 1;
-                queue.push_back(u);
-            }
-        }
-    }
-    dist
-}
-
-/// True iff `b` lies within `radius` undirected hops of `a`. Early-exits as
-/// soon as `b` is reached.
-pub fn within_hops(graph: &Graph, a: NodeId, b: NodeId, radius: u32) -> bool {
-    if a == b {
-        return true;
-    }
-    let mut seen = NodeSet::with_capacity(graph.node_count());
-    let mut queue = VecDeque::new();
-    seen.insert(a);
-    queue.push_back((a, 0u32));
-    while let Some((v, d)) = queue.pop_front() {
-        if d == radius {
-            continue;
-        }
-        for &(_, u) in graph.out_edges(v).iter().chain(graph.in_edges(v)) {
-            if u == b {
-                return true;
-            }
-            if seen.insert(u) {
-                queue.push_back((u, d + 1));
-            }
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,19 +147,10 @@ mod tests {
     #[test]
     fn distances_capped() {
         let g = path(5);
-        let d = distances_within(&g, NodeId::new(0), 2);
-        assert_eq!(d[0], 0);
-        assert_eq!(d[1], 1);
-        assert_eq!(d[2], 2);
-        assert_eq!(d[3], u32::MAX);
-        assert_eq!(d[4], u32::MAX);
-    }
-
-    #[test]
-    fn within_hops_bidirectional() {
-        let g = path(5);
-        assert!(within_hops(&g, NodeId::new(4), NodeId::new(2), 2));
-        assert!(!within_hops(&g, NodeId::new(4), NodeId::new(0), 3));
-        assert!(within_hops(&g, NodeId::new(3), NodeId::new(3), 0));
+        let mut seen = Vec::new();
+        BallScratch::new(g.node_count())
+            .for_each_within(&g, NodeId::new(0), 2, |v, d| seen.push((v.index(), d)));
+        // Exact hop counts up to the cap; nodes 3 and 4 lie beyond it.
+        assert_eq!(seen, [(0, 0), (1, 1), (2, 2)]);
     }
 }

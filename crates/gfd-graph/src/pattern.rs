@@ -188,29 +188,6 @@ impl Pattern {
         &self.labels
     }
 
-    /// The distinct concrete (non-wildcard) node and edge labels used by the
-    /// pattern. A graph component lacking any of these cannot host a match
-    /// (cheap pre-filter for work-unit generation).
-    pub fn concrete_labels(&self) -> (Vec<LabelId>, Vec<LabelId>) {
-        let mut nodes: Vec<LabelId> = self
-            .labels
-            .iter()
-            .copied()
-            .filter(|l| !l.is_wildcard())
-            .collect();
-        nodes.sort();
-        nodes.dedup();
-        let mut edges: Vec<LabelId> = self
-            .edges
-            .iter()
-            .map(|e| e.label)
-            .filter(|l| !l.is_wildcard())
-            .collect();
-        edges.sort();
-        edges.dedup();
-        (nodes, edges)
-    }
-
     /// Materialize the pattern as a [`Graph`] (labels kept verbatim,
     /// including wildcards). Variable `i` becomes node `i`.
     pub fn to_graph(&self) -> Graph {
@@ -297,20 +274,6 @@ mod tests {
         assert_eq!(p.radius_at(a), 1);
         let d = p.distances_from(a);
         assert_eq!(d[2], u32::MAX);
-    }
-
-    #[test]
-    fn concrete_labels_skip_wildcards() {
-        let mut v = Vocab::new();
-        let mut p = Pattern::new();
-        let t = v.label("t");
-        let x = p.add_node(LabelId::WILDCARD, "x");
-        let y = p.add_node(t, "y");
-        p.add_edge(x, LabelId::WILDCARD, y);
-        p.add_edge(y, v.label("e"), x);
-        let (nodes, edges) = p.concrete_labels();
-        assert_eq!(nodes, vec![t]);
-        assert_eq!(edges, vec![v.label("e")]);
     }
 
     #[test]

@@ -48,15 +48,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// A short type tag used in error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Int(_) => "int",
-            Value::Bool(_) => "bool",
-            Value::Str(_) => "str",
-        }
-    }
 }
 
 impl fmt::Debug for Value {
@@ -212,15 +203,6 @@ impl ValueId {
         match self.tag() {
             TAG_STR => Some(ValueTable::resolve_str(self.payload())),
             _ => None,
-        }
-    }
-
-    /// A short type tag used in error messages.
-    pub fn type_name(self) -> &'static str {
-        match self.tag() {
-            TAG_INT | TAG_BIG => "int",
-            TAG_BOOL => "bool",
-            _ => "str",
         }
     }
 }
@@ -408,7 +390,6 @@ mod tests {
         assert_eq!(Value::str("x").as_str(), Some("x"));
         assert_eq!(Value::int(9).as_int(), Some(9));
         assert_eq!(Value::int(9).as_str(), None);
-        assert_eq!(Value::Bool(true).type_name(), "bool");
     }
 
     #[test]

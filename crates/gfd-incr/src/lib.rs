@@ -30,8 +30,9 @@
 //! [`gfd_detect::detect`] on the mutated graph (the
 //! `incremental_equivalence` suite pins this), at a per-batch cost
 //! proportional to the dirty region rather than the whole graph
-//! (`exp6_incremental` measures the gap). DESIGN.md §8 documents the
-//! lifecycle and the frontier-soundness argument.
+//! (the paper bench's `exp6_incremental` rows measure the gap, in
+//! wall-clock). DESIGN.md §8 documents the lifecycle and the
+//! frontier-soundness argument.
 
 #![warn(missing_docs)]
 

@@ -193,11 +193,6 @@ pub enum RunOutcome {
 }
 
 impl RunOutcome {
-    /// Did the run reach quiescence (so per-worker results are complete)?
-    pub fn is_complete(&self) -> bool {
-        matches!(self, RunOutcome::Completed)
-    }
-
     /// Did the run end on a panic?
     pub fn is_aborted(&self) -> bool {
         matches!(self, RunOutcome::Aborted(_))

@@ -32,10 +32,10 @@ fn main() {
     );
 
     // Parallel runs with growing worker counts.
-    println!("\nParSat scalability (makespan = max per-worker CPU time):");
+    println!("\nParSat scalability (max busy = max per-worker CPU time, a simulated makespan):");
     println!(
         "{:>3}  {:>10}  {:>10}  {:>9}  {:>7}  {:>7}",
-        "p", "wall", "makespan", "imbalance", "units", "splits"
+        "p", "wall", "max busy", "imbalance", "units", "splits"
     );
     for p in [1, 2, 4, 8] {
         let cfg = ReasonConfig::with_workers(p).with_ttl(Duration::from_millis(20));

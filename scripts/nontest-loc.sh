@@ -12,10 +12,14 @@
 # exceeds CEILING. A change that needs more code raises CEILING in the
 # same commit, so growth is a visible one-line edit in review; a change
 # that removes code lowers it.
+#
+# Bench programs are code too: a last line counts every line of
+# crates/*/benches/*.rs against BENCH_CEILING, same rule.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=23498
+CEILING=23366
+BENCH_CEILING=1640
 
 total=0
 for crate in crates/*/; do
@@ -29,7 +33,13 @@ for crate in crates/*/; do
     total=$((total + n))
 done
 printf '%-14s %6d  (ceiling %d)\n' total "$total" "$CEILING"
+benches=$(cat crates/*/benches/*.rs | wc -l)
+printf '%-14s %6d  (ceiling %d)\n' benches "$benches" "$BENCH_CEILING"
 if [ "$total" -gt "$CEILING" ]; then
     echo "non-test line count $total exceeds the recorded ceiling $CEILING" >&2
+    exit 1
+fi
+if [ "$benches" -gt "$BENCH_CEILING" ]; then
+    echo "bench line count $benches exceeds the recorded ceiling $BENCH_CEILING" >&2
     exit 1
 fi
