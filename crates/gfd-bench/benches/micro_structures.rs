@@ -891,6 +891,103 @@ fn bench_unit_setup(_c: &mut Criterion) {
     );
 }
 
+/// Asserted guard for the scheduler's per-unit dispatch cost (DESIGN.md
+/// §7): 1 M no-op units on one worker. Busy time is booked per stretch,
+/// so a unit pays no clock read — wrapping each unit in a `BusyTimer`
+/// (two `clock_gettime` system calls) read ≈ 460 ns a unit.
+fn bench_dispatch_overhead(_c: &mut Criterion) {
+    use gfd_runtime::{run_scheduler, SchedOptions, Task, WorkerCtx};
+    use std::sync::atomic::AtomicBool;
+    use std::time::Instant;
+
+    struct Noop;
+    impl Task for Noop {
+        type Unit = usize;
+        type Worker = usize;
+        fn worker(&self, _id: usize) -> usize {
+            0
+        }
+        fn run_unit(&self, acc: &mut usize, unit: usize, _ctx: &WorkerCtx<'_, usize>) {
+            *acc = black_box(*acc + unit);
+        }
+    }
+    const UNITS: usize = 1_000_000;
+    let (ns_per_unit, busy, wall) = (0..5)
+        .map(|_| {
+            let stop = AtomicBool::new(false);
+            let start = Instant::now();
+            let run = run_scheduler(
+                &Noop,
+                (0..UNITS).collect(),
+                1,
+                &stop,
+                SchedOptions::default(),
+            );
+            let wall = start.elapsed();
+            assert_eq!(run.units_executed, UNITS as u64);
+            (
+                wall.as_nanos() as f64 / UNITS as f64,
+                run.worker_busy[0],
+                wall,
+            )
+        })
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("five runs");
+    println!("dispatch_overhead: {ns_per_unit:.0} ns/unit  busy {busy:?} of wall {wall:?}");
+    assert!(
+        ns_per_unit <= 150.0,
+        "dispatching a no-op unit must stay under 150 ns, got {ns_per_unit:.0}"
+    );
+    assert!(
+        !busy.is_zero() && busy <= wall,
+        "one worker's busy time is non-zero CPU time within the wall time: {busy:?} vs {wall:?}"
+    );
+}
+
+/// Asserted guard for the model read-out (DESIGN.md §4): `extract_model`
+/// after `sat` costs what its output costs — one linear pass over the
+/// union-find, no hash map, no allocation per latent key. Under 12 ms at
+/// |Σ| = 4000 (≈ 33 ms through a map of per-class `Vec`s), and linear:
+/// the relation itself holds 17x the keys of |Σ| = 500 (8x the rules —
+/// cross-pattern matches grow with Σ), so the bound is on the cost per
+/// key, which must not rise by more than half.
+fn bench_model_readout(_c: &mut Criterion) {
+    use gfd_core::{extract_model, run_reason, CanonicalGraph, Goal};
+    use gfd_gen::{real_life_workload, Dataset};
+    use std::time::{Duration, Instant};
+
+    // (best of nine read-outs, keys in the relation)
+    let readout = |size: usize| -> (Duration, usize) {
+        let w = real_life_workload(Dataset::DBpedia, size, 42, None);
+        let (canon, _) = CanonicalGraph::for_sigma(&w.sigma);
+        let cfg = ReasonConfig::with_workers(1);
+        let run = run_reason(&w.sigma, Goal::Sat, EqRel::new(), &canon, &cfg);
+        let eq = run.engine.expect("Σ is satisfiable").eq;
+        let best = (0..9).map(|_| {
+            let mut eq = eq.clone();
+            let start = Instant::now();
+            black_box(extract_model(&canon.graph, &mut eq));
+            start.elapsed()
+        });
+        (best.min().expect("nine read-outs"), eq.key_count())
+    };
+    let per_key = |(t, keys): (Duration, usize)| t.as_nanos() as f64 / keys as f64;
+    let (small, large) = (readout(500), readout(4000));
+    println!(
+        "model_readout: sigma_500 {:?} ({} keys, {:.0} ns/key)  sigma_4000 {:?} ({} keys, {:.0} ns/key)",
+        small.0, small.1, per_key(small), large.0, large.1, per_key(large),
+    );
+    assert!(
+        large.0 <= Duration::from_millis(12),
+        "model read-out at |Σ| = 4000 must stay under 12 ms, got {:?}",
+        large.0
+    );
+    assert!(
+        per_key(large) <= 1.5 * per_key(small),
+        "model read-out must stay linear in the keys read: {small:?} vs {large:?}"
+    );
+}
+
 criterion_group!(
     benches,
     bench_eq_rel,
@@ -902,6 +999,8 @@ criterion_group!(
     bench_scheduler,
     bench_trace_overhead,
     bench_atomics_zero_cost,
-    bench_unit_setup
+    bench_unit_setup,
+    bench_dispatch_overhead,
+    bench_model_readout
 );
 criterion_main!(benches);

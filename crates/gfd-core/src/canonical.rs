@@ -16,16 +16,76 @@ use crate::literal::Operand;
 use gfd_graph::{Graph, LabelId, LabelIndex, MatchIndex, NodeId, Pattern, VarId};
 use gfd_match::MatchPlan;
 
-/// Per-component label profile used to prune impossible (pattern,
-/// component) pairs before any matching runs.
-#[derive(Clone, Debug)]
-struct CompProfile {
-    /// Sorted concrete node labels present.
+/// The concrete labels of a connected piece of graph, used to prune
+/// impossible (pattern, component) pairs before any matching runs: what a
+/// canonical component offers, or what a connected (sub-)pattern needs of
+/// the one component every match of it lies in.
+#[derive(Clone, Debug, Default)]
+struct LabelProfile {
+    /// Sorted distinct concrete node labels.
     node_labels: Vec<LabelId>,
-    /// Sorted concrete edge labels present.
+    /// Sorted distinct concrete edge labels.
     edge_labels: Vec<LabelId>,
-    /// Does the component contain any edge at all?
+    /// Is there any edge at all? (A wildcard-labelled pattern edge needs
+    /// one; a concrete-labelled one needs it too, but its label says so.)
     has_edge: bool,
+    /// One-word Bloom signature of both label lists (bit `id mod 64`): a
+    /// needed bit that is not offered settles most tests — the common
+    /// outcome — without touching the lists.
+    signature: u64,
+}
+
+impl LabelProfile {
+    fn add_node(&mut self, label: LabelId) {
+        if !label.is_wildcard() {
+            self.node_labels.push(label);
+        }
+    }
+
+    fn add_edge(&mut self, label: LabelId) {
+        self.has_edge = true;
+        if !label.is_wildcard() {
+            self.edge_labels.push(label);
+        }
+    }
+
+    /// Sort and deduplicate the lists and derive the signature.
+    fn seal(&mut self) {
+        for labels in [&mut self.node_labels, &mut self.edge_labels] {
+            labels.sort_unstable();
+            labels.dedup();
+            for l in labels.iter() {
+                self.signature |= 1u64 << (l.index() % 64);
+            }
+        }
+    }
+
+    /// Label-subset test; homomorphism is non-injective, so counts don't
+    /// matter, presence does.
+    fn offers(&self, needs: &LabelProfile) -> bool {
+        let present =
+            |have: &[LabelId], need: &[LabelId]| need.iter().all(|l| have.binary_search(l).is_ok());
+        needs.signature & !self.signature == 0
+            && (!needs.has_edge || self.has_edge)
+            && present(&self.node_labels, &needs.node_labels)
+            && present(&self.edge_labels, &needs.edge_labels)
+    }
+
+    /// The needs of the pattern component containing `within`, or of the
+    /// whole pattern for `None`.
+    fn needs_of(pattern: &Pattern, within: Option<VarId>) -> Self {
+        let reach = within.map(|w| pattern.distances_from(w));
+        let inside = |v: VarId| reach.as_ref().is_none_or(|d| d[v.index()] != u32::MAX);
+        let mut needs = LabelProfile::default();
+        for v in pattern.vars().filter(|&v| inside(v)) {
+            needs.add_node(pattern.label(v));
+        }
+        for e in pattern.edges().iter().filter(|e| inside(e.src)) {
+            needs.add_edge(e.label);
+        }
+        needs.seal();
+        needs
+    }
 }
 
 /// A canonical graph with its label index, connected components and
@@ -37,7 +97,7 @@ pub struct CanonicalGraph {
     /// Label index over the graph.
     pub index: LabelIndex,
     comp: Vec<u32>,
-    profiles: Vec<CompProfile>,
+    profiles: Vec<LabelProfile>,
 }
 
 impl CanonicalGraph {
@@ -45,34 +105,14 @@ impl CanonicalGraph {
     pub fn from_graph(graph: Graph) -> Self {
         let index = LabelIndex::build(&graph);
         let (comp, comp_count) = graph.components();
-        let mut profiles = vec![
-            CompProfile {
-                node_labels: Vec::new(),
-                edge_labels: Vec::new(),
-                has_edge: false,
-            };
-            comp_count
-        ];
+        let mut profiles = vec![LabelProfile::default(); comp_count];
         for v in graph.nodes() {
-            let c = comp[v.index()] as usize;
-            let l = graph.label(v);
-            if !l.is_wildcard() {
-                profiles[c].node_labels.push(l);
-            }
+            profiles[comp[v.index()] as usize].add_node(graph.label(v));
         }
         for (src, label, _) in graph.edges() {
-            let c = comp[src.index()] as usize;
-            profiles[c].has_edge = true;
-            if !label.is_wildcard() {
-                profiles[c].edge_labels.push(label);
-            }
+            profiles[comp[src.index()] as usize].add_edge(label);
         }
-        for p in &mut profiles {
-            p.node_labels.sort();
-            p.node_labels.dedup();
-            p.edge_labels.sort();
-            p.edge_labels.dedup();
-        }
+        profiles.iter_mut().for_each(LabelProfile::seal);
         CanonicalGraph {
             graph,
             index,
@@ -88,13 +128,20 @@ impl CanonicalGraph {
         let mut graph = Graph::new();
         let mut node_of = Vec::with_capacity(sigma.len());
         for (_, gfd) in sigma.iter() {
-            let offset = graph.append_disjoint(&gfd.pattern.to_graph());
-            node_of.push(
-                gfd.pattern
-                    .vars()
-                    .map(|v| NodeId::new(v.index() + offset))
-                    .collect(),
-            );
+            // The pattern laid out as `to_graph` + `append_disjoint` would,
+            // edges source-major, without the throw-away copy.
+            let pattern = &gfd.pattern;
+            let offset = graph.node_count();
+            let at = |v: VarId| NodeId::new(v.index() + offset);
+            for v in pattern.vars() {
+                graph.add_node(pattern.label(v));
+            }
+            for v in pattern.vars() {
+                for &(label, dst) in pattern.out_edges(v) {
+                    graph.add_edge(at(v), label, at(dst));
+                }
+            }
+            node_of.push(pattern.vars().map(at).collect());
         }
         (Self::from_graph(graph), node_of)
     }
@@ -127,20 +174,9 @@ impl CanonicalGraph {
     }
 
     /// Cheap necessary condition: can `pattern` possibly match with its
-    /// pivot inside component `comp`? (Label-subset test; homomorphism is
-    /// non-injective, so counts don't matter, presence does.)
+    /// pivot inside component `comp`?
     pub fn component_may_host(&self, pattern: &Pattern, comp: u32) -> bool {
-        self.hosts(&LabelNeeds::of(pattern, None), comp)
-    }
-
-    fn hosts(&self, needs: &LabelNeeds, comp: u32) -> bool {
-        let profile = &self.profiles[comp as usize];
-        let present =
-            |have: &[LabelId], need: &[LabelId]| need.iter().all(|l| have.binary_search(l).is_ok());
-        present(&profile.node_labels, &needs.node_labels)
-            && present(&profile.edge_labels, &needs.edge_labels)
-            // Wildcard-labelled pattern edges need at least one edge.
-            && (!needs.wildcard_edge || profile.has_edge)
+        self.profiles[comp as usize].offers(&LabelProfile::needs_of(pattern, None))
     }
 
     /// Pivot candidates for a pattern whose plan starts at `pivot_var`:
@@ -159,7 +195,7 @@ impl CanonicalGraph {
             // Nearly every rule of a large Σ on a pattern-sized `G^X_Q`.
             return Vec::new();
         }
-        let needs = LabelNeeds::of(pattern, Some(pivot_var));
+        let needs = LabelProfile::needs_of(pattern, Some(pivot_var));
         // Candidates are node-id sorted and `GΣ` lays each component out
         // contiguously, so one remembered verdict serves a whole run.
         let mut last = (u32::MAX, false);
@@ -169,54 +205,11 @@ impl CanonicalGraph {
             .filter(|&z| {
                 let comp = self.component_of(z);
                 if comp != last.0 {
-                    last = (comp, self.hosts(&needs, comp));
+                    last = (comp, self.profiles[comp as usize].offers(&needs));
                 }
                 last.1
             })
             .collect()
-    }
-}
-
-/// What a connected (sub-)pattern needs of the one canonical component
-/// every match of it lies in.
-struct LabelNeeds {
-    /// Distinct concrete node labels.
-    node_labels: Vec<LabelId>,
-    /// Distinct concrete edge labels.
-    edge_labels: Vec<LabelId>,
-    /// Is any edge wildcard-labelled?
-    wildcard_edge: bool,
-}
-
-impl LabelNeeds {
-    /// The needs of the pattern component containing `within`, or of the
-    /// whole pattern for `None`.
-    fn of(pattern: &Pattern, within: Option<VarId>) -> Self {
-        let (comp, _) = pattern.components();
-        let inside = |v: VarId| within.is_none_or(|w| comp[v.index()] == comp[w.index()]);
-        let mut node_labels: Vec<LabelId> = pattern
-            .vars()
-            .filter(|&v| inside(v) && !pattern.label(v).is_wildcard())
-            .map(|v| pattern.label(v))
-            .collect();
-        node_labels.sort_unstable();
-        node_labels.dedup();
-        let mut edge_labels = Vec::new();
-        let mut wildcard_edge = false;
-        for e in pattern.edges().iter().filter(|e| inside(e.src)) {
-            if e.label.is_wildcard() {
-                wildcard_edge = true;
-            } else {
-                edge_labels.push(e.label);
-            }
-        }
-        edge_labels.sort_unstable();
-        edge_labels.dedup();
-        LabelNeeds {
-            node_labels,
-            edge_labels,
-            wildcard_edge,
-        }
     }
 }
 
@@ -320,6 +313,7 @@ mod tests {
     use super::*;
     use crate::literal::Literal;
     use gfd_graph::{ValueId, Vocab};
+    use proptest::prelude::*;
 
     fn two_pattern_sigma(vocab: &mut Vocab) -> DepSet {
         let t = vocab.label("t");
@@ -534,5 +528,107 @@ mod tests {
         let mut q = Pattern::new();
         q.add_node(vocab.label("t"), "z");
         assert!(!canon.component_may_host(&q, 0));
+    }
+
+    /// The host filter `pivot_candidates` ran before components and
+    /// patterns carried a label signature, as it was: the needs of the
+    /// pivot's pattern component (`Pattern::components`), tested one
+    /// candidate at a time by binary search. Kept as the oracle.
+    fn pivot_candidates_reference(
+        canon: &CanonicalGraph,
+        pattern: &Pattern,
+        pivot: VarId,
+    ) -> Vec<NodeId> {
+        let (comp, _) = pattern.components();
+        let inside = |v: VarId| comp[v.index()] == comp[pivot.index()];
+        let mut node_labels: Vec<LabelId> = pattern
+            .vars()
+            .filter(|&v| inside(v) && !pattern.label(v).is_wildcard())
+            .map(|v| pattern.label(v))
+            .collect();
+        node_labels.sort_unstable();
+        node_labels.dedup();
+        let mut edge_labels = Vec::new();
+        let mut wildcard_edge = false;
+        for e in pattern.edges().iter().filter(|e| inside(e.src)) {
+            if e.label.is_wildcard() {
+                wildcard_edge = true;
+            } else {
+                edge_labels.push(e.label);
+            }
+        }
+        edge_labels.sort_unstable();
+        edge_labels.dedup();
+        let hosts = |c: u32| {
+            let profile = &canon.profiles[c as usize];
+            let present = |have: &[LabelId], need: &[LabelId]| {
+                need.iter().all(|l| have.binary_search(l).is_ok())
+            };
+            present(&profile.node_labels, &node_labels)
+                && present(&profile.edge_labels, &edge_labels)
+                && (!wildcard_edge || profile.has_edge)
+        };
+        let candidates = canon.index.candidates(pattern.label(pivot));
+        let kept = candidates.iter().copied();
+        kept.filter(|&z| hosts(canon.component_of(z))).collect()
+    }
+
+    /// Labels `1` and `65` (and `2` and `66`) share a signature bit, so a
+    /// component offering one and a pattern needing the other get past
+    /// the one-word prefilter and must be told apart by the exact test.
+    fn arb_label() -> impl Strategy<Value = LabelId> {
+        prop_oneof![
+            Just(LabelId::WILDCARD),
+            Just(LabelId::new(1)),
+            Just(LabelId::new(2)),
+            Just(LabelId::new(65)),
+            Just(LabelId::new(66)),
+        ]
+    }
+
+    /// A pattern of up to four nodes and four edges: connected,
+    /// disconnected or edgeless as the draw has it.
+    fn arb_pattern() -> impl Strategy<Value = Pattern> {
+        let nodes = proptest::collection::vec(arb_label(), 1..5);
+        let edges = proptest::collection::vec((0..4usize, arb_label(), 0..4usize), 0..5);
+        (nodes, edges).prop_map(|(nodes, edges)| {
+            let mut p = Pattern::new();
+            for label in &nodes {
+                p.add_anon_node(*label);
+            }
+            for (src, label, dst) in edges {
+                p.add_edge(
+                    VarId::new(src % nodes.len()),
+                    label,
+                    VarId::new(dst % nodes.len()),
+                );
+            }
+            p
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every pivot of Σ's own patterns and of patterns foreign to `GΣ`
+        /// (whose labels some component may lack) keeps exactly the
+        /// candidates the per-candidate filter kept, in the same order.
+        #[test]
+        fn signature_host_filter_keeps_what_the_exact_filter_kept(
+            sigma in proptest::collection::vec(arb_pattern(), 1..6),
+            probes in proptest::collection::vec(arb_pattern(), 1..4),
+        ) {
+            let rules = sigma.iter().map(|p| Dependency::new("g", p.clone(), vec![], vec![]));
+            let (canon, _) = CanonicalGraph::for_sigma(&DepSet::from_vec(rules.collect()));
+            for pattern in sigma.iter().chain(&probes) {
+                for pivot in pattern.vars() {
+                    prop_assert_eq!(
+                        canon.pivot_candidates(pattern, pivot),
+                        pivot_candidates_reference(&canon, pattern, pivot),
+                        "pattern {:?} pivot {:?}", pattern, pivot
+                    );
+                }
+            }
+        }
     }
 }

@@ -14,15 +14,16 @@
 //!   there are), and drains its own inbox before each unit and when idle;
 //! * **early termination** — a conflict, or for implication a deduced
 //!   consequence, raises the scheduler's stop flag;
-//! * **final convergence** — after quiescence the workers' op logs and
-//!   unresolved pending matches are replayed into one engine and the
-//!   (cheap, match-free) enforcement fixpoint is run. This closes the
-//!   window where a pending premise was satisfied by a `ΔEq` that arrived
-//!   after its worker went idle — required for exactness (DESIGN.md §7).
+//! * **final convergence** — after quiescence the other workers' op logs
+//!   and unresolved pending matches are replayed into the engine with the
+//!   longest log and the (cheap, match-free) enforcement fixpoint is run.
+//!   This closes the window where a pending premise was satisfied by a
+//!   `ΔEq` that arrived after its worker went idle — required for
+//!   exactness (DESIGN.md §7).
 //!
 //! The sequential algorithms are the `workers = 1` instantiation of the
 //! same task: the peer list is empty so broadcast is naturally a no-op,
-//! the single engine already *is* the global fixpoint (no convergence
+//! the single engine already *is* the global fixpoint (nothing to
 //! replay), and the scheduler runs the one worker inline on the calling
 //! thread. Sequential and parallel reasoning therefore cannot drift
 //! semantically — they are the same code path.
@@ -445,56 +446,25 @@ pub fn run_reason(
     let mut terminal = task.action.terminal.into_inner();
     metrics.early_terminated = terminal.is_some();
 
-    let engine = if terminal.is_some() {
-        None
-    } else if engines.len() == 1 {
-        // One worker with no peers: its engine already is the global
-        // fixpoint — no convergence replay needed.
-        engines.pop()
-    } else {
-        // ---- final convergence phase ----
-        // Replay every worker's full op log, then the unresolved pending
-        // matches, into one engine: any enforcement that any interleaving
-        // could have produced is reproduced here (DESIGN.md §7).
-        let mut deltas: Vec<Vec<EqOp>> = Vec::with_capacity(engines.len());
-        let mut pendings: Vec<(GfdId, Match)> = Vec::new();
-        for engine in engines {
-            let (delta, pending) = engine.into_state();
-            deltas.push(delta);
-            pendings.extend(pending);
-        }
-        let mut engine = EnforceEngine::with_eq(eq0.clone());
-        'merge: {
-            for delta in &deltas {
-                if let Err(c) = engine.apply_remote_ops(sigma, delta) {
-                    terminal = Some(TerminalEvent::Conflict(c));
-                    break 'merge;
-                }
-            }
-            for (gfd, m) in pendings {
-                if let Err(c) = engine.process_match(sigma, gfd, &m) {
-                    terminal = Some(TerminalEvent::Conflict(c));
-                    break 'merge;
-                }
-            }
-            if let Goal::Imp(phi) = goal {
-                if consequence_deducible_on(&mut engine.eq, &canon.index, phi) {
-                    terminal = Some(TerminalEvent::Consequence);
-                }
-            }
-        }
-        (terminal.is_none()).then_some(engine)
-    };
-
     // A degraded run (deadline, unit budget, panic abort) did not reach
     // the fixpoint: its merged state must never be read as a model. Any
     // terminal event found on the way — enforcement is monotone, so a
     // conflict derived from partial work is still definitive — survives.
-    let engine = if terminal.is_none() && run.interrupt.is_some() {
-        None
-    } else {
-        engine
-    };
+    let mut engine = None;
+    if terminal.is_none() && !engines.is_empty() {
+        match converge(sigma, engines) {
+            Err(c) => terminal = Some(TerminalEvent::Conflict(c)),
+            Ok(mut merged) => {
+                let deduced = matches!(goal, Goal::Imp(phi)
+                    if consequence_deducible_on(&mut merged.eq, &canon.index, phi));
+                if deduced {
+                    terminal = Some(TerminalEvent::Consequence);
+                } else if run.interrupt.is_none() {
+                    engine = Some(merged);
+                }
+            }
+        }
+    }
 
     cfg.budget.stamp(start, &mut metrics);
     ReasonRun {
@@ -502,5 +472,165 @@ pub fn run_reason(
         engine,
         sched_outcome: run.outcome,
         metrics,
+    }
+}
+
+/// The final convergence phase: fold the workers' engines into one that
+/// holds every op and every unresolved pending match, at its fixpoint —
+/// any enforcement that any interleaving could have produced is
+/// reproduced here (DESIGN.md §7).
+///
+/// The merge is seeded with the engine holding the longest log, not a
+/// fresh one: that engine's own ops are applied and its own pendings
+/// registered with live watchers already, so only the *other* engines'
+/// logs and unresolved pendings are replayed into it. Ops are idempotent,
+/// and a replayed op wakes the seed's pendings exactly as a remote `ΔEq`
+/// does mid-run. A lone engine (one worker, no peers) already is the
+/// global fixpoint and comes back as it is.
+fn converge(sigma: &DepSet, mut engines: Vec<EnforceEngine>) -> Result<EnforceEngine, Conflict> {
+    let longest = (0..engines.len())
+        .max_by_key(|&i| engines[i].delta_len())
+        .expect("one engine per worker");
+    let mut merged = engines.remove(longest);
+    let mut pendings: Vec<(GfdId, Match)> = Vec::new();
+    for engine in engines {
+        let (delta, pending) = engine.into_state();
+        merged.apply_remote_ops(sigma, &delta)?;
+        pendings.extend(pending);
+    }
+    for (gfd, m) in pendings {
+        merged.process_match(sigma, gfd, &m)?;
+    }
+    Ok(merged)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::literal::Literal;
+    use gfd_graph::{AttrId, ValueId, VarId, Vocab};
+
+    /// Rules over a one-node pattern, so every match is `[n0]`:
+    /// `premise attr = 1 → consequence attr = value`.
+    struct Fixture {
+        sigma: DepSet,
+        vocab: Vocab,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            Fixture {
+                sigma: DepSet::new(),
+                vocab: Vocab::new(),
+            }
+        }
+
+        fn rule(&mut self, premise: Option<&str>, consequence: &str, value: i64) -> GfdId {
+            let x = VarId::new(0);
+            let mut p = Pattern::new();
+            p.add_node(self.vocab.label("t"), "x");
+            let premise = premise.map(|a| Literal::eq_const(x, self.vocab.attr(a), 1i64));
+            let consequence = vec![Literal::eq_const(x, self.vocab.attr(consequence), value)];
+            let name = format!("g{}", self.sigma.len());
+            self.sigma.push(Dependency::new(
+                name,
+                p,
+                premise.into_iter().collect(),
+                consequence,
+            ))
+        }
+
+        fn attr(&mut self, name: &str) -> AttrId {
+            self.vocab.attr(name)
+        }
+    }
+
+    /// A worker's engine after it processed `rules` at `[n0]`, in order,
+    /// having heard nothing from its peers.
+    fn worker(sigma: &DepSet, rules: &[GfdId]) -> EnforceEngine {
+        let mut engine = EnforceEngine::new();
+        for &g in rules {
+            engine.process_match(sigma, g, &[NodeId::new(0)]).unwrap();
+        }
+        engine
+    }
+
+    /// The convergence phase before the merge was seeded, as it was: every
+    /// log, then every unresolved pending, replayed into a fresh engine.
+    fn fresh_replay(
+        sigma: &DepSet,
+        engines: Vec<EnforceEngine>,
+    ) -> Result<EnforceEngine, Conflict> {
+        let mut deltas = Vec::new();
+        let mut pendings = Vec::new();
+        for engine in engines {
+            let (delta, pending) = engine.into_state();
+            deltas.push(delta);
+            pendings.extend(pending);
+        }
+        let mut engine = EnforceEngine::new();
+        for delta in &deltas {
+            engine.apply_remote_ops(sigma, delta)?;
+        }
+        for (gfd, m) in pendings {
+            engine.process_match(sigma, gfd, &m)?;
+        }
+        Ok(engine)
+    }
+
+    /// The in-flight `ΔEq` window of DESIGN.md §4, two hops deep: worker
+    /// 0's pending `a=1 → b=1` waits on an op only worker 1 holds, and
+    /// worker 1's pending `b=1 → c=1` waits on what that recheck enforces.
+    /// `pad` lengthens worker 0's log so that it, not worker 1, is the
+    /// seed: whichever engine seeds the merge, it reaches the relation the
+    /// fresh-engine replay reaches.
+    #[test]
+    fn seeded_merge_closes_a_two_hop_window_from_either_seed() {
+        for pad in [false, true] {
+            let mut f = Fixture::new();
+            let a_to_b = f.rule(Some("a"), "b", 1);
+            let b_to_c = f.rule(Some("b"), "c", 1);
+            let seed_a = f.rule(None, "a", 1);
+            let pads = [f.rule(None, "d", 1), f.rule(None, "e", 1)];
+            let mut w0 = vec![a_to_b];
+            w0.extend(pads.iter().filter(|_| pad));
+            let engines = || vec![worker(&f.sigma, &w0), worker(&f.sigma, &[seed_a, b_to_c])];
+            assert_eq!(engines()[0].delta_len() > engines()[1].delta_len(), pad);
+            assert!(engines().iter().all(|e| e.pending_count() == 1));
+
+            let mut merged = converge(&f.sigma, engines()).unwrap();
+            let mut expect = fresh_replay(&f.sigma, engines()).unwrap();
+            let c = (NodeId::new(0), f.attr("c"));
+            assert!(merged.eq.deduces_const(c, ValueId::of(1i64)), "pad={pad}");
+            assert_eq!(merged.pending_count(), 0, "pad={pad}");
+            assert_eq!(
+                merged.eq.materialized_classes(),
+                expect.eq.materialized_classes(),
+                "pad={pad}"
+            );
+        }
+    }
+
+    /// A conflict no worker saw: worker 0 bound `b = 2` and parked
+    /// `a=1 → b=1`; worker 1 bound `a = 1`. Only the merge brings the two
+    /// together, and the conflict names the rule that fired.
+    #[test]
+    fn merge_only_conflict_is_attributed_to_its_rule() {
+        for pad in [false, true] {
+            let mut f = Fixture::new();
+            let a_to_b = f.rule(Some("a"), "b", 1);
+            let b_is_2 = f.rule(None, "b", 2);
+            let a_is_1 = f.rule(None, "a", 1);
+            let pads = [f.rule(None, "d", 1), f.rule(None, "e", 1)];
+            let mut w0 = vec![a_to_b, b_is_2];
+            w0.extend(pads.iter().filter(|_| pad));
+            let engines = vec![worker(&f.sigma, &w0), worker(&f.sigma, &[a_is_1])];
+            // Worker 0's log is the longer one exactly when padded (a tie
+            // goes to the later engine).
+            assert_eq!(engines[0].delta_len() > engines[1].delta_len(), pad);
+            let conflict = converge(&f.sigma, engines).unwrap_err();
+            assert_eq!(conflict.gfd, Some(a_to_b), "pad={pad}");
+            assert_eq!(conflict.key, (NodeId::new(0), f.attr("b")));
+        }
     }
 }

@@ -302,32 +302,30 @@ impl EqRel {
         }
     }
 
-    /// Enumerate all classes as `(bound constant, member keys)`, members in
-    /// insertion order. Used for model extraction.
-    pub fn classes(&mut self) -> Vec<(Option<ValueId>, Vec<AttrKey>)> {
-        let mut by_root: FxHashMap<u32, Vec<AttrKey>> = FxHashMap::default();
-        for i in 0..self.keys.len() {
-            let r = self.find(i as u32);
-            by_root.entry(r).or_default().push(self.keys[i]);
-        }
-        let mut out: Vec<(Option<ValueId>, Vec<AttrKey>)> = by_root
-            .into_iter()
-            .map(|(r, members)| (self.constant[r as usize], members))
-            .collect();
-        // Deterministic order for reproducible models.
-        out.sort_by_key(|(_, members)| members[0]);
-        out
-    }
-
-    /// Like [`EqRel::classes`], but keeping only materialized keys (and
-    /// dropping classes left empty). This is what model extraction
-    /// populates: latent keys impose no existence requirement.
+    /// Enumerate the classes as `(bound constant, member keys)`, keeping
+    /// only materialized keys — what model extraction populates: latent
+    /// keys impose no existence requirement. Members are in insertion
+    /// order and classes in the key order of their first-inserted member
+    /// (a latent key is always a singleton, so every member of a class
+    /// kept is materialized), which makes models reproducible. One linear
+    /// pass over the materialized slots plus a sort of the classes.
     pub fn materialized_classes(&mut self) -> Vec<(Option<ValueId>, Vec<AttrKey>)> {
-        let mut classes = self.classes();
-        classes.retain_mut(|(_, members)| {
-            members.retain(|&k| self.is_materialized(k));
-            !members.is_empty()
-        });
+        const NONE: u32 = u32::MAX;
+        // Per root: the index of its class in `classes`.
+        let mut class_of = vec![NONE; self.keys.len()];
+        let mut classes: Vec<(Option<ValueId>, Vec<AttrKey>)> = Vec::new();
+        for i in 0..self.keys.len() {
+            if !self.materialized[i] {
+                continue;
+            }
+            let r = self.find(i as u32) as usize;
+            if class_of[r] == NONE {
+                class_of[r] = classes.len() as u32;
+                classes.push((self.constant[r], Vec::new()));
+            }
+            classes[class_of[r] as usize].1.push(self.keys[i]);
+        }
+        classes.sort_unstable_by_key(|(_, members)| members[0]);
         classes
     }
 }
@@ -336,6 +334,7 @@ impl EqRel {
 mod tests {
     use super::*;
     use gfd_graph::{AttrId, NodeId};
+    use proptest::prelude::*;
 
     fn k(n: usize, a: usize) -> AttrKey {
         (NodeId::new(n), AttrId::new(a))
@@ -476,11 +475,12 @@ mod tests {
         let mut eq = EqRel::new();
         eq.bind(k(2, 0), ValueId::of(1)).unwrap();
         eq.merge(k(0, 0), k(1, 0)).unwrap();
-        let classes = eq.classes();
+        // A watcher-only key stays latent and is not enumerated.
+        eq.add_watcher(k(0, 1), (0, 0));
+        let classes = eq.materialized_classes();
         assert_eq!(classes.len(), 2);
-        assert_eq!(classes[0].1.len(), 2); // class of (0,0),(1,0)
-        assert_eq!(classes[0].0, None);
-        assert_eq!(classes[1].0, Some(ValueId::of(1)));
+        assert_eq!(classes[0], (None, vec![k(0, 0), k(1, 0)]));
+        assert_eq!(classes[1], (Some(ValueId::of(1)), vec![k(2, 0)]));
     }
 
     #[test]
@@ -506,5 +506,75 @@ mod tests {
         assert_eq!(eq.const_of(k(100, 0)), Some(ValueId::of(42)));
         let err = eq.bind(k(99, 0), ValueId::of(43)).unwrap_err();
         assert_eq!(err.existing, ValueId::of(42));
+    }
+
+    /// The read-out [`EqRel::materialized_classes`] replaced, as it was:
+    /// every key through a hash map of per-class `Vec`s, sorted, then the
+    /// latent keys retained away. Kept as the oracle.
+    fn classes_then_retain(eq: &mut EqRel) -> Vec<(Option<ValueId>, Vec<AttrKey>)> {
+        let mut by_root: FxHashMap<u32, Vec<AttrKey>> = FxHashMap::default();
+        for i in 0..eq.keys.len() {
+            let r = eq.find(i as u32);
+            by_root.entry(r).or_default().push(eq.keys[i]);
+        }
+        let mut classes: Vec<(Option<ValueId>, Vec<AttrKey>)> = by_root
+            .into_iter()
+            .map(|(r, members)| (eq.constant[r as usize], members))
+            .collect();
+        classes.sort_by_key(|(_, members)| members[0]);
+        classes.retain_mut(|(_, members)| {
+            members.retain(|&k| eq.is_materialized(k));
+            !members.is_empty()
+        });
+        classes
+    }
+
+    /// One step of a random history over a small key universe.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Ensure(usize, usize),
+        Watch(usize, usize),
+        Bind(usize, usize, i64),
+        Merge((usize, usize), (usize, usize)),
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        let key = || (0..6usize, 0..3usize);
+        prop_oneof![
+            key().prop_map(|(n, a)| Step::Ensure(n, a)),
+            key().prop_map(|(n, a)| Step::Watch(n, a)),
+            (key(), 0..3i64).prop_map(|((n, a), v)| Step::Bind(n, a, v)),
+            (key(), key()).prop_map(|(k1, k2)| Step::Merge(k1, k2)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Same classes, same member order, same class order, latent keys
+        /// dropped — after every step of the history, conflicts included
+        /// (a refused op may still have created or materialized keys).
+        #[test]
+        fn flat_readout_equals_the_hash_map_readout(
+            steps in proptest::collection::vec(arb_step(), 0..40),
+        ) {
+            let mut eq = EqRel::new();
+            for (i, step) in steps.iter().enumerate() {
+                match *step {
+                    Step::Ensure(n, a) => {
+                        eq.ensure(k(n, a));
+                    }
+                    Step::Watch(n, a) => eq.add_watcher(k(n, a), (i as u32, 0)),
+                    Step::Bind(n, a, v) => {
+                        let _ = eq.bind(k(n, a), ValueId::of(v));
+                    }
+                    Step::Merge((n1, a1), (n2, a2)) => {
+                        let _ = eq.merge(k(n1, a1), k(n2, a2));
+                    }
+                }
+                let expect = classes_then_retain(&mut eq.clone());
+                prop_assert_eq!(eq.materialized_classes(), expect, "after step {}", i);
+            }
+        }
     }
 }

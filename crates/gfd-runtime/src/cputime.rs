@@ -1,12 +1,15 @@
 //! Per-thread CPU time, used for worker busy accounting.
 //!
-//! The paper ran on a 20-machine cluster; this reproduction runs workers
-//! as threads, possibly on fewer cores than workers (CI containers often
-//! expose a single core). Wall-clock per-worker "busy" time would then be
-//! inflated by time-sharing, making scalability unobservable. Per-thread
-//! *CPU* time is immune to this: `max` over workers approximates the
-//! makespan the run would have on `p` dedicated processors — the quantity
-//! Fig. 6(a)–(d) plot.
+//! A worker's *busy* time is its thread's CPU time over its non-idle
+//! stretches: from the first unit popped after start (or after an idle
+//! wait) to the next wait or the end of the run. Running units, the
+//! dispatch between them (pop / steal) and `on_idle` work are inside a
+//! stretch; the yield/sleep waits between stretches are not (those are
+//! booked, in wall time, as idle). CPU rather than wall time because the
+//! workers are threads, possibly on fewer cores than workers (CI
+//! containers often expose a single core): wall-clock busy time would be
+//! inflated by time-sharing. The clock is read once per stretch end, not
+//! per unit — each read is a system call.
 
 use std::time::Duration;
 
@@ -18,6 +21,8 @@ use std::time::Duration;
 /// wall time.
 #[cfg(unix)]
 pub fn thread_cpu_time() -> Option<Duration> {
+    #[cfg(test)]
+    CLOCK_READS.with(|n| n.set(n.get() + 1));
     let mut ts = libc::timespec {
         tv_sec: 0,
         tv_nsec: 0,
@@ -34,6 +39,13 @@ pub fn thread_cpu_time() -> Option<Duration> {
 #[cfg(not(unix))]
 pub fn thread_cpu_time() -> Option<Duration> {
     None
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Clock reads made by this thread: lets the scheduler's tests count
+    /// stretches instead of timing them.
+    pub(crate) static CLOCK_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// A stopwatch measuring thread CPU time, falling back to wall time.

@@ -44,10 +44,13 @@ pub struct RunMetrics {
     /// in milliseconds (negative = the run overshot the deadline while
     /// finishing its last units).
     pub deadline_slack_ms: Option<i64>,
-    /// Busy (CPU) time per worker.
+    /// Busy time per worker: thread CPU time over the worker's non-idle
+    /// stretches — units, the dispatch (pop / steal) between them and
+    /// `on_idle` work included, yield/sleep waits excluded (see
+    /// [`crate::cputime`]).
     pub worker_busy: Vec<Duration>,
-    /// Wall time each worker spent with no runnable unit (steal attempts
-    /// failed, waiting for quiescence or new splits).
+    /// Wall time each worker spent waiting (yield/sleep) with no runnable
+    /// unit, for quiescence or new splits.
     pub worker_idle: Vec<Duration>,
     /// Did the run end early (conflict / consequence / budget reached)?
     pub early_terminated: bool,
@@ -59,10 +62,9 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// The simulated parallel makespan: the maximum per-worker busy (CPU)
-    /// time. On a machine with ≥ p free cores this approximates wall
-    /// time; on fewer cores it still reflects what dedicated processors
-    /// would achieve, which is what the scalability experiments compare.
+    /// The maximum per-worker busy (CPU) time: a lower bound on the
+    /// scheduler phase's wall time, not a measurement of it — every
+    /// experiment compares wall-clock time (DESIGN.md §6).
     pub fn makespan(&self) -> Option<Duration> {
         self.worker_busy.iter().max().copied()
     }

@@ -402,7 +402,8 @@ pub struct SchedRun<W> {
     pub units_panicked: u64,
     /// Panicked units that were requeued for another attempt.
     pub units_retried: u64,
-    /// Busy (CPU) time per worker.
+    /// Busy time per worker: thread CPU time over its non-idle stretches
+    /// ([`crate::cputime`]).
     pub worker_busy: Vec<Duration>,
     /// Idle (wall) time per worker.
     pub worker_idle: Vec<Duration>,
@@ -424,7 +425,11 @@ fn worker_loop<T: Task>(task: &T, shared: &Shared<'_, T::Unit>, id: usize) -> Wo
             return None;
         }
     };
+    // Busy time is booked per *stretch* — from the first unit popped after
+    // start or an idle wait to the next wait or the loop's exit — so a run
+    // of microsecond units pays two CPU-clock reads a stretch, not a unit.
     let mut busy = Duration::ZERO;
+    let mut stretch: Option<BusyTimer> = None;
     let mut idle = Duration::ZERO;
     let mut spins = 0u32;
     let ctx = WorkerCtx {
@@ -484,12 +489,11 @@ fn worker_loop<T: Task>(task: &T, shared: &Shared<'_, T::Unit>, id: usize) -> Wo
             };
             let label = task.describe_unit(&unit);
             let span = ctx.trace_start();
-            let timer = BusyTimer::start();
+            stretch.get_or_insert_with(BusyTimer::start);
             let result = catch_unwind(AssertUnwindSafe(|| {
                 failpoint::maybe_panic("sched/unit");
                 task.run_unit(&mut worker, unit, &ctx);
             }));
-            busy += timer.elapsed();
             ctx.trace_span(EventKind::UnitExec, 0, span, attempt as u64, 0);
             shared.units_executed.fetch_add(1, Ordering::Relaxed);
             match result {
@@ -519,9 +523,10 @@ fn worker_loop<T: Task>(task: &T, shared: &Shared<'_, T::Unit>, id: usize) -> Wo
         }
         // No runnable unit, but a straggler elsewhere may still split.
         // `on_idle` can do real work (e.g. drain a `ΔEq` inbox, cascading
-        // pending rechecks), so its CPU time counts as busy; only the
-        // yield/sleep wait is booked as idle.
-        let timer = BusyTimer::start();
+        // pending rechecks), so it runs inside the stretch (opening one if
+        // the worker was already waiting); only the yield/sleep wait is
+        // booked as idle.
+        let timer = stretch.take().unwrap_or_else(BusyTimer::start);
         let idled = catch_unwind(AssertUnwindSafe(|| task.on_idle(&mut worker, &ctx)));
         busy += timer.elapsed();
         if let Err(payload) = idled {
@@ -537,6 +542,8 @@ fn worker_loop<T: Task>(task: &T, shared: &Shared<'_, T::Unit>, id: usize) -> Wo
         }
         idle += idle_start.elapsed();
     }
+    // Every exit (quiescence, stop, budget cut, abort) closes the stretch.
+    busy += stretch.map_or(Duration::ZERO, |t| t.elapsed());
     Some((worker, busy, idle, ctx.trace.into_inner()))
 }
 
@@ -1088,6 +1095,132 @@ mod tests {
                 .any(|e| e.kind == EventKind::BudgetCut && e.b == 1),
             "the max-units cut must leave a BudgetCut instant"
         );
+    }
+
+    fn clock_reads() -> u64 {
+        crate::cputime::CLOCK_READS.with(|n| n.get())
+    }
+
+    #[test]
+    fn back_to_back_units_open_one_stretch() {
+        let task = SumTask {
+            split_above: u64::MAX,
+            executed: TestCounter::new(0),
+        };
+        let stop = AtomicBool::new(false);
+        // One worker runs inline: the calling thread's reads are its own.
+        let before = clock_reads();
+        let run = run_default(&task, (1..=1000).collect(), 1, &stop);
+        assert_eq!(run.units_executed, 1000);
+        assert_eq!(clock_reads() - before, 2, "one start, one stop");
+        assert!(run.worker_busy[0] > Duration::ZERO);
+    }
+
+    /// Two bursts on worker 1 with a forced idle wait between them. A unit
+    /// is its burst's number. Both workers run one unit of burst 1 (the
+    /// barrier holds each to its own); worker 0's then waits until worker
+    /// 1 has idled before splitting off the two units of burst 2, of which
+    /// the barrier again gives each worker one. Every unit logs the clock
+    /// reads of its thread.
+    struct BurstTask {
+        barrier: std::sync::Barrier,
+        peer_idled: AtomicBool,
+    }
+
+    impl Task for BurstTask {
+        type Unit = u8;
+        type Worker = (usize, Vec<u64>);
+
+        fn worker(&self, id: usize) -> Self::Worker {
+            (id, Vec::new())
+        }
+
+        fn run_unit(&self, w: &mut Self::Worker, burst: u8, ctx: &WorkerCtx<'_, u8>) {
+            w.1.push(clock_reads());
+            self.barrier.wait();
+            if burst == 1 && w.0 == 0 {
+                while !self.peer_idled.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                ctx.split(vec![2, 2]);
+            }
+        }
+
+        fn on_idle(&self, w: &mut Self::Worker, _ctx: &WorkerCtx<'_, u8>) {
+            if w.0 == 1 {
+                self.peer_idled.store(true, Ordering::SeqCst);
+            }
+        }
+    }
+
+    #[test]
+    fn idling_between_bursts_opens_a_second_stretch() {
+        let task = BurstTask {
+            barrier: std::sync::Barrier::new(2),
+            peer_idled: AtomicBool::new(false),
+        };
+        let stop = AtomicBool::new(false);
+        let run = run_default(&task, vec![1, 1], 2, &stop);
+        assert_eq!(run.outcome, RunOutcome::Completed);
+        // Worker 0 never waited between its two units: one stretch.
+        assert_eq!(run.workers[0].1, vec![1, 1]);
+        // Worker 1 closed its first stretch to wait and opened a second:
+        // at least a stop and a start read between its two units.
+        let reads = &run.workers[1].1;
+        assert_eq!(reads[0], 1);
+        assert!(reads[1] > reads[0] + 1, "{reads:?}");
+        assert!(run.worker_idle[1] > Duration::ZERO);
+        assert!(run.worker_busy.iter().all(|b| *b > Duration::ZERO));
+    }
+
+    #[test]
+    fn a_panicking_unit_still_closes_its_stretch() {
+        for (retries, transient) in [(0, false), (1, true), (1, false)] {
+            let task = FaultyTask {
+                panic_above: 100,
+                transient,
+                attempts: TestCounter::new(0),
+            };
+            let stop = AtomicBool::new(false);
+            let before = clock_reads();
+            let run = run_scheduler(
+                &task,
+                vec![1, 1000, 1],
+                1,
+                &stop,
+                SchedOptions {
+                    unit_retries: retries,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(run.outcome.is_aborted(), !transient);
+            assert_eq!(run.units_retried, retries as u64);
+            assert_eq!(clock_reads() - before, 2, "retries={retries}");
+            assert!(run.worker_busy[0] > Duration::ZERO, "retries={retries}");
+        }
+    }
+
+    #[test]
+    fn a_parked_worker_accrues_little_busy_time() {
+        struct NapTask;
+        impl Task for NapTask {
+            type Unit = ();
+            type Worker = ();
+            fn worker(&self, _id: usize) {}
+            fn run_unit(&self, _w: &mut (), _u: (), _ctx: &WorkerCtx<'_, ()>) {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        }
+        if crate::cputime::thread_cpu_time().is_none() {
+            return;
+        }
+        // One worker sleeps inside the only unit, the other waits on its
+        // empty deque: neither wait is CPU time.
+        let stop = AtomicBool::new(false);
+        let run = run_default(&NapTask, vec![()], 2, &stop);
+        for busy in &run.worker_busy {
+            assert!(*busy < Duration::from_millis(40), "wait booked: {busy:?}");
+        }
     }
 
     #[test]
