@@ -988,6 +988,49 @@ fn bench_model_readout(_c: &mut Criterion) {
     );
 }
 
+/// Asserted count guard for detection's premise pushdown (DESIGN.md §3):
+/// on a hub workload `detect` is lent exactly the `(rule, match)` pairs
+/// whose premise holds — counted here the slow way, every match
+/// enumerated and the premise evaluated at the leaf — and those are at
+/// most 1 % of the matches of the rules' patterns. Counts, no timing: a
+/// change that empties the premise schedule fails here instead of merely
+/// getting slower.
+fn bench_premise_pushdown(_c: &mut Criterion) {
+    use gfd_core::validate::premise_holds;
+    use gfd_detect::{detect, DetectConfig};
+    use gfd_gen::{hub_workload, HubGenConfig};
+    use std::ops::ControlFlow;
+
+    let w = hub_workload(&HubGenConfig {
+        nodes: 4_000,
+        hubs: 16,
+        hub_degree: 96,
+        rules: 6,
+        seed: 42,
+        ..HubGenConfig::default()
+    });
+    let index = LabelIndex::build(&w.graph);
+    let (mut enumerated, mut on_premise) = (0u64, 0u64);
+    for (_, dep) in w.sigma.iter() {
+        gfd_match::for_each_match(&w.graph, &index, &dep.pattern, |m| {
+            enumerated += 1;
+            on_premise += u64::from(premise_holds(&w.graph, dep, m));
+            ControlFlow::Continue(())
+        });
+    }
+    let lent = detect(&w.graph, &w.sigma, &DetectConfig::with_workers(1))
+        .metrics
+        .matches;
+    println!(
+        "premise_pushdown: {enumerated} pattern matches, {on_premise} on-premise, {lent} lent"
+    );
+    assert_eq!(lent, on_premise, "detect is lent the on-premise matches");
+    assert!(
+        0 < lent && 100 * lent <= enumerated,
+        "the premise must cut the hub's {enumerated} matches to ≤ 1 %, got {lent}"
+    );
+}
+
 criterion_group!(
     benches,
     bench_eq_rel,
@@ -1001,6 +1044,7 @@ criterion_group!(
     bench_atomics_zero_cost,
     bench_unit_setup,
     bench_dispatch_overhead,
-    bench_model_readout
+    bench_model_readout,
+    bench_premise_pushdown
 );
 criterion_main!(benches);

@@ -10,8 +10,8 @@
 //! allocating — DESIGN.md §15.5), stop polling and the `RuleEval` span.
 //! What an analysis *does* with a match is its [`MatchAction`]: reasoning
 //! enforces it (`crate::driver`), detection checks it against the data
-//! graph (`gfd-detect`). `HomSearch::run → on_match` is monomorphic — no
-//! `dyn` between the kernel and the action.
+//! graph (`gfd-detect`). `HomSearch::run_admitting → admit / on_match` is
+//! monomorphic — no `dyn` between the kernel and the action.
 
 use crate::unit::{Prefix, WorkUnit};
 use gfd_graph::{GfdId, Graph, LabelIndex, MatchIndex, NodeId, Pattern};
@@ -42,8 +42,19 @@ pub trait MatchAction<'a>: Sync {
         ControlFlow::Continue(())
     }
 
-    /// One match of `rule`, lent for the call. `Break` ends the unit's
-    /// current search.
+    /// Bind-time admission (`HomSearch::run_admitting`): asked when the
+    /// search of `rule` binds plan position `pos`; `false` abandons the
+    /// branch. It may read `partial` at the variables of positions
+    /// `0..=pos` and nothing else. Detection checks its premise here, on
+    /// the data graph; reasoning leaves it at `true` — a premise over the
+    /// per-worker `EqRel` that fails now may hold after a later `ΔEq`, and
+    /// pruning on it would lose the matches that go pending.
+    fn admit(&self, _rule: GfdId, _pos: usize, _partial: &[NodeId]) -> bool {
+        true
+    }
+
+    /// One admitted match of `rule`, lent for the call. `Break` ends the
+    /// unit's current search.
     fn on_match(&self, w: &mut Self::Worker, rule: GfdId, m: &[NodeId]) -> ControlFlow<()>;
 
     /// Called after every TTL slice of a search of `rule`; `last` is set
@@ -68,7 +79,7 @@ pub struct SearchWorker<'a, I: MatchIndex, W> {
     /// The worker's one matcher, built by its first unit and rebound to
     /// each later unit's pattern on the buffers it already grew.
     search: Option<HomSearch<'a, I>>,
-    /// Matches lent to the action so far.
+    /// Matches lent to the action so far (all of them admitted).
     pub matches: u64,
     /// The action's own state.
     pub state: W,
@@ -114,7 +125,8 @@ impl<'a, A: MatchAction<'a>, I: MatchIndex> SearchTask<'a, A, I> {
                 *matches += 1;
                 self.action.on_match(state, rule, m)
             };
-            let last = search.run(on_match, limits) != RunOutcome::Deadline;
+            let admit = |pos: usize, partial: &[NodeId]| self.action.admit(rule, pos, partial);
+            let last = search.run_admitting(admit, on_match, limits) != RunOutcome::Deadline;
             if !last {
                 // Straggler: carve the untried sibling branches of the
                 // shallowest open level into prefix units — front of this

@@ -4,15 +4,14 @@
 //! ([`gfd_core::SearchTask`] on the shared `gfd-runtime` scheduler): the
 //! same dispatch, per-worker `HomSearch` reuse, TTL straggler splitting,
 //! stop-flag early termination and [`RunMetrics`]. What is detection's own
-//! is its match-action — premise/consequence evaluation against the *data*
-//! graph and a global violation budget.
+//! is its match-action — the premise checked on the *data* graph as the
+//! search binds its variables (the paper's `HomMatch ∥ CheckAttr`), the
+//! consequence on the matches that survive, and a global violation budget.
 
 use crate::report::{DetectionReport, RuleStats, ViolationRecord};
 use crate::units::{initial_units, RulePlans};
-use gfd_core::validate::literal_holds;
-use gfd_core::{
-    run_task, Budget, Consequence, DepSet, Interrupt, MatchAction, SearchTask, WorkUnit,
-};
+use gfd_core::validate::{literal_holds, premise_holds};
+use gfd_core::{run_task, Budget, Consequence, DepSet, MatchAction, SearchTask, WorkUnit};
 use gfd_graph::{GfdId, Graph, LabelIndex, MatchIndex, NodeId, Pattern};
 use gfd_match::MatchPlan;
 use gfd_runtime::{RunMetrics, TraceSpec};
@@ -143,45 +142,43 @@ impl<'a, I: MatchIndex> MatchAction<'a> for DetectAction<'a, I> {
         }
     }
 
-    /// Check one match against its rule, recording a violation if the
-    /// premise holds on the data but the consequence does not: for
-    /// literal consequences some literal fails on the concrete values;
-    /// for generating consequences no extension of the match realizes
-    /// the target subgraph (the witness of the missing subgraph is the
-    /// `(rule, match)` pair itself — the report renders the required
-    /// nodes/edges/assignments from it).
+    /// The premise, pushed into the search: the literals due at `pos` read
+    /// bound variables only, so they hold or fail alike on every completion
+    /// of the branch — and a violation needs the whole premise to hold.
+    fn admit(&self, rule: GfdId, pos: usize, partial: &[NodeId]) -> bool {
+        let premise = &self.sigma.get(rule).premise;
+        self.plans.due[rule.index()][pos]
+            .iter()
+            .all(|&i| literal_holds(self.graph, &premise[i], partial))
+    }
+
+    /// Check one match (on-premise: `admit` cut every other branch) against
+    /// its rule's consequence, recording a violation if that fails on the
+    /// data: for literal consequences some literal fails on the concrete
+    /// values; for generating consequences no extension of the match
+    /// realizes the target subgraph (the witness is the `(rule, match)` pair
+    /// itself — the report renders what is missing from it).
     fn on_match(&self, local: &mut Local, gfd_id: GfdId, m: &[NodeId]) -> ControlFlow<()> {
         let dep = self.sigma.get(gfd_id);
+        debug_assert!(premise_holds(self.graph, dep, m), "admitted off-premise");
         let stats = &mut local.per_rule[gfd_id.index()];
         stats.matches += 1;
-        let premise_ok = dep.premise.iter().all(|l| literal_holds(self.graph, l, m));
-        if !premise_ok {
-            return ControlFlow::Continue(());
-        }
         stats.premise_hits += 1;
-        let failed: Vec<usize> = match &dep.consequence {
+        let (holds, failed) = match &dep.consequence {
             Consequence::Literals(lits) => {
-                let failed: Vec<usize> = lits
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| !literal_holds(self.graph, l, m))
-                    .map(|(i, _)| i)
+                let failed: Vec<usize> = (0..lits.len())
+                    .filter(|&i| !literal_holds(self.graph, &lits[i], m))
                     .collect();
-                if failed.is_empty() {
-                    return ControlFlow::Continue(());
-                }
-                failed
+                (failed.is_empty(), failed)
             }
             Consequence::Generate(gen) => {
-                let realized = gen.realized(self.index, m, &mut |lit, asn| {
-                    literal_holds(self.graph, lit, asn)
-                });
-                if realized {
-                    return ControlFlow::Continue(());
-                }
-                Vec::new()
+                let mut attr_ok = |lit: &_, asn: &_| literal_holds(self.graph, lit, asn);
+                (gen.realized(self.index, m, &mut attr_ok), Vec::new())
             }
         };
+        if holds {
+            return ControlFlow::Continue(());
+        }
         if !self.reserve() {
             return ControlFlow::Break(());
         }
@@ -262,20 +259,10 @@ pub fn detect_units<I: MatchIndex>(
         &mut metrics,
     );
     config.budget.stamp(start, &mut metrics);
-    let locals = run.workers.into_iter().map(|w| w.state).collect();
-    merge_report(sigma, locals, metrics, config, run.interrupt)
-}
-
-fn merge_report(
-    sigma: &DepSet,
-    locals: Vec<Local>,
-    mut metrics: RunMetrics,
-    config: &DetectConfig,
-    interrupted: Option<Interrupt>,
-) -> DetectionReport {
+    // Merge the per-worker accumulations.
     let mut violations = Vec::new();
     let mut per_rule = vec![RuleStats::default(); sigma.len()];
-    for local in locals {
+    for local in run.workers.into_iter().map(|w| w.state) {
         violations.extend(local.violations);
         for (total, part) in per_rule.iter_mut().zip(&local.per_rule) {
             total.matches += part.matches;
@@ -287,12 +274,12 @@ fn merge_report(
     // Deterministic order regardless of worker interleaving.
     violations.sort_by(|a, b| (a.gfd, &a.m).cmp(&(b.gfd, &b.m)));
     let truncated = violations.len() >= config.max_violations;
-    metrics.early_terminated = truncated || interrupted.is_some();
+    metrics.early_terminated = truncated || run.interrupt.is_some();
     DetectionReport {
         violations,
         per_rule,
         truncated,
-        interrupted,
+        interrupted: run.interrupt,
         metrics,
     }
 }

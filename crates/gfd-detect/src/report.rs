@@ -102,47 +102,28 @@ pub(crate) fn describe_failure(
     m: &[NodeId],
     vocab: &Vocab,
 ) -> String {
-    let node = m[lit.var.index()];
-    let left = graph.attr(node, lit.attr);
-    let left_desc = match left {
-        Some(v) => format!(
-            "{}.{} is {v:?}",
-            pattern.var_name(lit.var),
-            vocab.attr_name(lit.attr)
-        ),
-        None => format!(
-            "{}.{} is missing",
-            pattern.var_name(lit.var),
-            vocab.attr_name(lit.attr)
-        ),
-    };
-    match &lit.rhs {
-        Operand::Const(c) => format!("{left_desc}, expected {c:?}"),
-        Operand::Attr(v2, a2) => {
-            let right = graph.attr(m[v2.index()], *a2);
-            let right_desc = match right {
-                Some(v) => format!(
-                    "{}.{} is {v:?}",
-                    pattern.var_name(*v2),
-                    vocab.attr_name(*a2)
-                ),
-                None => format!(
-                    "{}.{} is missing",
-                    pattern.var_name(*v2),
-                    vocab.attr_name(*a2)
-                ),
-            };
-            format!("{left_desc} but {right_desc}")
+    let side = |v: gfd_graph::VarId, a: gfd_graph::AttrId| {
+        let name = format!("{}.{}", pattern.var_name(v), vocab.attr_name(a));
+        match graph.attr(m[v.index()], a) {
+            Some(value) => format!("{name} is {value:?}"),
+            None => format!("{name} is missing"),
         }
+    };
+    let left = side(lit.var, lit.attr);
+    match &lit.rhs {
+        Operand::Const(c) => format!("{left}, expected {c:?}"),
+        Operand::Attr(v2, a2) => format!("{left} but {}", side(*v2, *a2)),
     }
 }
 
 /// Per-rule detection statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RuleStats {
-    /// Matches enumerated for this rule.
+    /// Matches lent to the detection action — every one satisfies the
+    /// premise: the search drops a branch once a premise literal fails.
     pub matches: u64,
-    /// Matches whose premise held.
+    /// Matches whose premise held: equal to `matches` by construction
+    /// (kept for the shape of reports and their JSON).
     pub premise_hits: u64,
     /// Violations found.
     pub violations: u64,
@@ -173,12 +154,12 @@ impl DetectionReport {
         self.violations.is_empty()
     }
 
-    /// Total matches enumerated across all rules.
+    /// Total [`RuleStats::matches`] — on-premise matches — of all rules.
     pub fn total_matches(&self) -> u64 {
         self.per_rule.iter().map(|s| s.matches).sum()
     }
 
-    /// Render a compact multi-line summary (one line per dirty rule).
+    /// Render a compact multi-line summary (one line per dirty rule; matches are on-premise).
     pub fn summary(&self, sigma: &DepSet, vocab: &Vocab) -> String {
         let mut out = String::new();
         let _ = writeln!(

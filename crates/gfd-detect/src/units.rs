@@ -5,16 +5,33 @@
 //! pivot nodes ([`Prefix::Pivots`]). TTL splitting turns a straggler's
 //! untried branches into prefix units exactly like `ParSat`'s Example 6.
 
-use gfd_core::{DepSet, Prefix, WorkUnit};
+use gfd_core::{DepSet, Literal, Prefix, WorkUnit};
 use gfd_graph::{GfdId, MatchIndex, NodeId, VarId};
 use gfd_match::MatchPlan;
 
 /// Per-rule matching context shared by all workers.
+#[derive(Default)]
 pub struct RulePlans {
     /// Pivot variable per rule.
     pub pivots: Vec<VarId>,
     /// Pivoted match plan per rule.
     pub plans: Vec<MatchPlan>,
+    /// [`premise_schedule`] of each rule under its plan.
+    pub due: Vec<Vec<Vec<usize>>>,
+}
+
+/// Where each premise literal becomes *due*: entry `pos` lists the indices
+/// (into `premise`) of the literals whose last-bound variable — the later
+/// of the two for an attribute–attribute literal — sits at plan position
+/// `pos`. Each is due exactly once and reads no unbound slot, so checking
+/// the due literals at every bind is the premise, as early as it can fail.
+pub fn premise_schedule(premise: &[Literal], plan: &MatchPlan) -> Vec<Vec<usize>> {
+    let mut due = vec![Vec::new(); plan.len()];
+    for (i, lit) in premise.iter().enumerate() {
+        let pos = lit.vars().map(|v| plan.pos_of(v)).max();
+        due[pos.expect("a literal reads a variable")].push(i);
+    }
+    due
 }
 
 impl RulePlans {
@@ -24,14 +41,15 @@ impl RulePlans {
     /// `DeltaIndex` after each batch, so pivots and variable orders track
     /// the overlay-adjusted frequencies rather than the frozen base.
     pub fn build<I: MatchIndex>(sigma: &DepSet, index: &I) -> Self {
-        let mut pivots = Vec::with_capacity(sigma.len());
-        let mut plans = Vec::with_capacity(sigma.len());
+        let mut out = RulePlans::default();
         for (_, dep) in sigma.iter() {
             let pivot = gfd_core::choose_pivot(&dep.pattern, index);
-            pivots.push(pivot);
-            plans.push(MatchPlan::build(&dep.pattern, Some(pivot), Some(index)));
+            let plan = MatchPlan::build(&dep.pattern, Some(pivot), Some(index));
+            out.pivots.push(pivot);
+            out.due.push(premise_schedule(&dep.premise, &plan));
+            out.plans.push(plan);
         }
-        RulePlans { pivots, plans }
+        out
     }
 }
 
@@ -146,6 +164,57 @@ mod tests {
         let units = initial_units(&sigma, &index, &plans, 2);
         // First two units must come from distinct rules.
         assert_ne!(units[0].gfd, units[1].gfd);
+    }
+
+    #[test]
+    fn every_premise_literal_is_due_once_where_its_last_variable_binds() {
+        // x → y → z → w plus a detached v; literals of every shape: one
+        // variable, two on one variable, adjacent and far-apart pairs, a
+        // pair across the components, a variable against itself.
+        let mut vocab = Vocab::new();
+        let (t, e) = (vocab.label("t"), vocab.label("e"));
+        let (a, b) = (vocab.attr("a"), vocab.attr("b"));
+        let mut p = Pattern::new();
+        let vars: Vec<_> = ["x", "y", "z", "w", "v"].map(|n| p.add_node(t, n)).into();
+        for pair in vars[..4].windows(2) {
+            p.add_edge(pair[0], e, pair[1]);
+        }
+        let mut premise: Vec<Literal> = vars
+            .iter()
+            .map(|&v| Literal::eq_const(v, a, 1i64))
+            .collect();
+        premise.push(Literal::eq_const(vars[1], b, 2i64));
+        premise.push(Literal::eq_attr(vars[2], a, vars[2], b));
+        for (i, &u) in vars.iter().enumerate() {
+            for &v in &vars[i + 1..] {
+                premise.push(Literal::eq_attr(u, a, v, b));
+                premise.push(Literal::eq_attr(v, b, u, a));
+            }
+        }
+        let mut g = Graph::new();
+        let nodes: Vec<_> = (0..4).map(|_| g.add_node(t)).collect();
+        g.add_edge(nodes[0], e, nodes[1]);
+        let index = LabelIndex::build(&g);
+
+        for &pivot in &vars {
+            for plan in [
+                MatchPlan::build(&p, Some(pivot), Some(&index)),
+                MatchPlan::structural(&p, Some(pivot)),
+            ] {
+                assert_eq!(plan.var_at(0), pivot);
+                let due = premise_schedule(&premise, &plan);
+                assert_eq!(due.len(), plan.len());
+                let scheduled: usize = due.iter().map(Vec::len).sum();
+                assert_eq!(scheduled, premise.len(), "each literal exactly once");
+                for (i, lit) in premise.iter().enumerate() {
+                    let last = lit.vars().map(|v| plan.pos_of(v)).max().unwrap();
+                    assert!(
+                        due[last].contains(&i),
+                        "pivot {pivot:?}: literal {i} is due at position {last}, got {due:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -99,7 +99,8 @@ mod proptests {
             let plan = MatchPlan::build(&p, Some(gfd_graph::VarId::new(0)), Some(&idx));
             let mut collected: Vec<Vec<NodeId>> = Vec::new();
             for z in g.nodes() {
-                let mut s = HomSearch::new(&g, &idx, &p, &plan).with_prefix(&[z]);
+                let mut s = HomSearch::new(&g, &idx, &p, &plan);
+                s.reset(&[z]);
                 s.run(|m| { collected.push(m.to_vec()); ControlFlow::Continue(()) },
                       SearchLimits::none());
             }

@@ -7,6 +7,8 @@
 //!
 //! * **deadline interruption** — [`HomSearch::run`] can stop mid-search when
 //!   a TTL expires and later continue where it left off;
+//! * **bind-time admission** — [`HomSearch::run_admitting`] lets its caller
+//!   refuse a partial assignment the moment a position is bound;
 //! * **work-unit splitting** — [`HomSearch::split_shallowest`] carves the
 //!   untried sibling branches of the shallowest open level into *prefix
 //!   assignments* that other workers can resume independently (the paper's
@@ -109,8 +111,6 @@ pub struct HomSearch<'a, I: MatchIndex = LabelIndex> {
     view: &'a I::View,
     pattern: &'a Pattern,
     plan: &'a MatchPlan,
-    /// Optional per-variable candidate filters.
-    filters: Option<&'a [NodeSet]>,
     /// Fixed assignments for leading plan positions (pivot node and/or a
     /// split prefix).
     prefix: Vec<NodeId>,
@@ -143,7 +143,6 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
             view: index.view(),
             pattern,
             plan,
-            filters: None,
             prefix: Vec::new(),
             frames: Vec::new(),
             pool: Vec::new(),
@@ -155,25 +154,11 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
         }
     }
 
-    /// Builder form of [`HomSearch::reset`].
-    pub fn with_prefix(mut self, prefix: &[NodeId]) -> Self {
-        self.reset(prefix);
-        self
-    }
-
-    /// Restrict candidates of each variable to the given node sets
-    /// (indexed by `VarId`).
-    pub fn with_filters(mut self, filters: &'a [NodeSet]) -> Self {
-        assert_eq!(filters.len(), self.pattern.node_count());
-        self.filters = Some(filters);
-        self
-    }
-
     /// Restart the search of the same pattern from `prefix` (position `i`
     /// ↦ `prefix[i]`; one element is pivoted search, longer prefixes
     /// resume split work units), whatever state it was in — fresh,
-    /// interrupted or exhausted. Filters stay; every buffer keeps its
-    /// capacity, so a warmed search restarts without allocating.
+    /// interrupted or exhausted. Every buffer keeps its capacity, so a
+    /// warmed search restarts without allocating.
     pub fn reset(&mut self, prefix: &[NodeId]) {
         assert!(
             prefix.len() <= self.plan.len(),
@@ -187,11 +172,10 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
     }
 
     /// [`HomSearch::reset`] onto another pattern of the same graph, of
-    /// any arity. Filters are per pattern, so they are dropped.
+    /// any arity.
     pub fn rebind(&mut self, pattern: &'a Pattern, plan: &'a MatchPlan, prefix: &[NodeId]) {
         self.pattern = pattern;
         self.plan = plan;
-        self.filters = None;
         // Stale bindings are harmless: a position is bound before it is read.
         self.assignment.resize(plan.len(), NodeId::new(0));
         self.emit.resize(plan.len(), NodeId::new(0));
@@ -205,7 +189,7 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
     /// the read index), so a frame push allocates only when the pool has
     /// to grow.
     fn push_frame(&mut self, pos: usize) {
-        let (graph, index, view, filters) = (self.graph, self.index, self.view, self.filters);
+        let (graph, index, view) = (self.graph, self.index, self.view);
         let step = &self.plan.steps()[pos];
         let var_label = self.pattern.label(step.var);
         let assignment = &self.assignment;
@@ -229,7 +213,7 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
             // Component root: candidates from the label index, read in
             // place when there is nothing to filter them by.
             let base = index.candidates(var_label);
-            if filters.is_none() && step.self_loops.is_empty() {
+            if step.self_loops.is_empty() {
                 self.frames.push(Frame {
                     root: Some(base),
                     start,
@@ -332,7 +316,6 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
             // once every candidate was visited.
             (!use_bitset || scratch_cand.remove(node))
                 && var_label.pattern_matches(graph.label(node))
-                && filters.is_none_or(|f| f[step.var.index()].contains(node))
                 && step
                     .self_loops
                     .iter()
@@ -363,10 +346,26 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
     ///
     /// Returns when the space is exhausted, a limit triggers, or the
     /// callback breaks. Can be called again after `Deadline` to resume.
-    pub fn run<F>(&mut self, mut on_match: F, limits: SearchLimits<'_>) -> RunOutcome
+    /// The always-admit form of [`HomSearch::run_admitting`]: one loop.
+    pub fn run<F>(&mut self, on_match: F, limits: SearchLimits<'_>) -> RunOutcome
     where
         F: FnMut(&[NodeId]) -> ControlFlow<()>,
     {
+        self.run_admitting(|_, _| true, on_match, limits)
+    }
+
+    /// [`HomSearch::run`] with a bind-time admission test: right after plan
+    /// position `pos` is bound — searched candidate or fixed prefix node
+    /// alike — `admit(pos, partial)` is asked and `false` abandons the
+    /// branch. `partial` is the buffer lent to `on_match`, valid for the
+    /// variables of positions `0..=pos` only; `admit` must depend on nothing
+    /// else, so pivots, resumption and splits cannot change it (DESIGN.md §3).
+    pub fn run_admitting(
+        &mut self,
+        mut admit: impl FnMut(usize, &[NodeId]) -> bool,
+        mut on_match: impl FnMut(&[NodeId]) -> ControlFlow<()>,
+        limits: SearchLimits<'_>,
+    ) -> RunOutcome {
         if !self.started {
             self.started = true;
             self.push_frame(0);
@@ -402,6 +401,9 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
                     frame.cursor += 1;
                     self.assignment[depth] = node;
                     self.emit[self.plan.var_at(depth).index()] = node;
+                    if !admit(depth, &self.emit) {
+                        continue;
+                    }
                     if depth + 1 == self.plan.len() {
                         if on_match(&self.emit).is_break() {
                             return RunOutcome::Stopped;
@@ -702,7 +704,8 @@ mod tests {
         let plan = MatchPlan::build(&p, Some(VarId::new(0)), Some(&idx));
         for start in 0..3 {
             let mut found = Vec::new();
-            let mut s = HomSearch::new(&g, &idx, &p, &plan).with_prefix(&[NodeId::new(start)]);
+            let mut s = HomSearch::new(&g, &idx, &p, &plan);
+            s.reset(&[NodeId::new(start)]);
             s.run(
                 |m| {
                     found.push(m.to_vec());
@@ -723,7 +726,8 @@ mod tests {
         let plan = MatchPlan::build(&p, Some(VarId::new(0)), Some(&idx));
         let mut total = 0;
         for z in g.nodes() {
-            let mut s = HomSearch::new(&g, &idx, &p, &plan).with_prefix(&[z]);
+            let mut s = HomSearch::new(&g, &idx, &p, &plan);
+            s.reset(&[z]);
             s.run(
                 |_| {
                     total += 1;
@@ -797,7 +801,8 @@ mod tests {
         let p = edge_pattern(&mut v);
         let plan = MatchPlan::build(&p, Some(VarId::new(0)), Some(&idx));
 
-        let mut s = HomSearch::new(&g, &idx, &p, &plan).with_prefix(&[center]);
+        let mut s = HomSearch::new(&g, &idx, &p, &plan);
+        s.reset(&[center]);
         // Find the first match, then split the rest.
         let mut local = Vec::new();
         s.run(
@@ -820,7 +825,8 @@ mod tests {
         // Resume every split prefix.
         let mut from_splits = Vec::new();
         for prefix in &prefixes {
-            let mut r = HomSearch::new(&g, &idx, &p, &plan).with_prefix(prefix);
+            let mut r = HomSearch::new(&g, &idx, &p, &plan);
+            r.reset(prefix);
             r.run(
                 |m| {
                     from_splits.push(m.to_vec());
@@ -1090,26 +1096,24 @@ mod tests {
         let (g, mut v) = triangle();
         let idx = LabelIndex::build(&g);
         let p = edge_pattern(&mut v);
-        // Only allow node 0 for x, anything for y.
-        let mut only0 = NodeSet::with_capacity(3);
-        only0.insert(NodeId::new(0));
-        let mut all = NodeSet::with_capacity(3);
-        for n in g.nodes() {
-            all.insert(n);
-        }
-        let filters = vec![only0, all];
+        // Only admit node 0 for x, anything for y — whether x is searched
+        // from the label index or fixed by a pivot prefix.
         let plan = MatchPlan::build(&p, Some(VarId::new(0)), Some(&idx));
-        let mut s = HomSearch::new(&g, &idx, &p, &plan).with_filters(&filters);
+        let mut s = HomSearch::new(&g, &idx, &p, &plan);
         let mut n = 0;
-        s.run(
-            |m| {
-                assert_eq!(m[0], NodeId::new(0));
-                n += 1;
-                ControlFlow::Continue(())
-            },
-            SearchLimits::none(),
-        );
-        assert_eq!(n, 1);
+        for prefix in [vec![], vec![NodeId::new(0)], vec![NodeId::new(1)]] {
+            s.reset(&prefix);
+            s.run_admitting(
+                |pos, partial| pos != 0 || partial[0] == NodeId::new(0),
+                |m| {
+                    assert_eq!(m[0], NodeId::new(0));
+                    n += 1;
+                    ControlFlow::Continue(())
+                },
+                SearchLimits::none(),
+            );
+        }
+        assert_eq!(n, 2);
     }
 
     #[test]
@@ -1125,7 +1129,8 @@ mod tests {
         p.add_node(person, "x");
         let plan = MatchPlan::build(&p, Some(VarId::new(0)), Some(&idx));
         // Pivot at a place-labelled node for a person-labelled variable.
-        let mut s = HomSearch::new(&g, &idx, &p, &plan).with_prefix(&[b]);
+        let mut s = HomSearch::new(&g, &idx, &p, &plan);
+        s.reset(&[b]);
         let mut n = 0;
         let outcome = s.run(
             |_| {

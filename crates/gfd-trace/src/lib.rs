@@ -47,8 +47,8 @@ pub enum EventKind {
     /// A cooperative budget tripped on this worker (instant;
     /// `a` = units executed so far, `b` = 0 deadline / 1 max-units).
     BudgetCut,
-    /// One rule evaluation (span; `id` = rule index, `a` = matches,
-    /// `b` = violations / consequences fired).
+    /// One rule evaluation (span; `id` = rule index, `a` = matches lent (in
+    /// detection: on-premise ones), `b` = violations / consequences fired).
     RuleEval,
     /// One chase round's premise scan (span; `id` = round, `a` = matches
     /// enumerated, `b` = rules scanned).
@@ -533,7 +533,7 @@ pub struct RuleProfile {
     pub evals: u64,
     /// Total evaluation time, ns.
     pub time_ns: u64,
-    /// Matches found.
+    /// Matches lent to the analysis (detection: on-premise matches).
     pub matches: u64,
     /// Violations (or consequences fired) attributed to the rule.
     pub violations: u64,

@@ -5,8 +5,9 @@
 //! enumeration, exponential and obviously correct — as match *multisets*
 //! (each match exactly once). Covered: the frozen [`LabelIndex`] and a
 //! [`DeltaIndex`] overlay carrying real pending inserts, deletes and new
-//! nodes; candidate filters on and off; stats-driven, structural and
-//! pivoted plans; wildcard node and edge labels, self-loops, parallel
+//! nodes; bind-time admission (per-variable candidate sets driven through
+//! `run_admitting`) on and off; stats-driven, structural and pivoted
+//! plans; wildcard node and edge labels, self-loops, parallel
 //! edges; the three intersection paths of a doubly-anchored step (bitset
 //! fold, streamed merge, per-candidate probes), forced by hub fixtures
 //! sized against `BITSET_MIN_CANDIDATES`; and the three control paths of
@@ -40,6 +41,37 @@ fn oracle(graph: &Graph, pattern: &Pattern, filters: Option<&[NodeSet]>) -> Matc
     out
 }
 
+/// Per-variable candidate sets as an admission test under `plan`: a
+/// position bound outside its variable's set abandons the branch.
+fn admit_in<'a>(
+    plan: &'a MatchPlan,
+    filters: Option<&'a [NodeSet]>,
+) -> impl Fn(usize, &[NodeId]) -> bool + 'a {
+    move |pos, m| {
+        let v = plan.var_at(pos).index();
+        filters.is_none_or(|sets| sets[v].contains(m[v]))
+    }
+}
+
+/// Run `search` of `plan` to exhaustion under [`admit_in`], appending what
+/// it emits.
+fn drain_filtered<I: MatchIndex>(
+    search: &mut HomSearch<'_, I>,
+    plan: &MatchPlan,
+    filters: Option<&[NodeSet]>,
+    out: &mut Matches,
+) {
+    let outcome = search.run_admitting(
+        admit_in(plan, filters),
+        |m| {
+            out.push(m.to_vec());
+            ControlFlow::Continue(())
+        },
+        SearchLimits::none(),
+    );
+    assert_eq!(outcome, RunOutcome::Exhausted);
+}
+
 /// Run `search` to exhaustion, appending what it emits.
 fn drain<I: MatchIndex>(search: &mut HomSearch<'_, I>, out: &mut Matches) {
     let outcome = search.run(
@@ -57,20 +89,6 @@ fn sorted(mut m: Matches) -> Matches {
     m
 }
 
-fn new_search<'a, I: MatchIndex>(
-    graph: &'a Graph,
-    index: &'a I,
-    pattern: &'a Pattern,
-    plan: &'a MatchPlan,
-    filters: Option<&'a [NodeSet]>,
-) -> HomSearch<'a, I> {
-    let search = HomSearch::new(graph, index, pattern, plan);
-    match filters {
-        Some(f) => search.with_filters(f),
-        None => search,
-    }
-}
-
 /// The kernel's matches under `plan`, whole-graph.
 fn kernel<I: MatchIndex>(
     graph: &Graph,
@@ -79,9 +97,9 @@ fn kernel<I: MatchIndex>(
     plan: &MatchPlan,
     filters: Option<&[NodeSet]>,
 ) -> Matches {
-    let mut search = new_search(graph, index, pattern, plan, filters);
+    let mut search = HomSearch::new(graph, index, pattern, plan);
     let mut out = Vec::new();
-    drain(&mut search, &mut out);
+    drain_filtered(&mut search, plan, filters, &mut out);
     sorted(out)
 }
 
@@ -104,11 +122,11 @@ fn check_all_plans<I: MatchIndex>(
     // the pivots partition the match set.
     for pivot in pattern.vars() {
         let plan = MatchPlan::build(pattern, Some(pivot), Some(index));
-        let mut search = new_search(graph, index, pattern, &plan, filters);
+        let mut search = HomSearch::new(graph, index, pattern, &plan);
         let mut out = Vec::new();
         for z in graph.nodes() {
             search.reset(&[z]);
-            drain(&mut search, &mut out);
+            drain_filtered(&mut search, &plan, filters, &mut out);
         }
         assert_eq!(sorted(out), expect, "pivot {pivot:?}");
     }
@@ -175,9 +193,16 @@ fn check_rebind<I: MatchIndex>(graph: &Graph, index: &I, patterns: &[Pattern]) {
 /// search yields `Deadline` at its first poll), split the shallowest open
 /// level, keep going; then resume every prefix the same way on a search
 /// of its own. Local matches plus all resumed prefixes must be exactly
-/// the oracle's multiset. Returns how many prefixes were split off.
-fn check_split_and_resume<I: MatchIndex>(graph: &Graph, index: &I, pattern: &Pattern) -> usize {
-    let expect = oracle(graph, pattern, None);
+/// the oracle's multiset — under admission too: a split prefix re-binds
+/// its positions through the same test. Returns how many prefixes were
+/// split off.
+fn check_split_and_resume<I: MatchIndex>(
+    graph: &Graph,
+    index: &I,
+    pattern: &Pattern,
+    filters: Option<&[NodeSet]>,
+) -> usize {
+    let expect = oracle(graph, pattern, filters);
     let plan = MatchPlan::build(pattern, None, Some(index));
     let mut out = Vec::new();
     let mut queue: Vec<Vec<NodeId>> = vec![Vec::new()];
@@ -186,7 +211,8 @@ fn check_split_and_resume<I: MatchIndex>(graph: &Graph, index: &I, pattern: &Pat
     while let Some(prefix) = queue.pop() {
         search.reset(&prefix);
         loop {
-            let outcome = search.run(
+            let outcome = search.run_admitting(
+                admit_in(&plan, filters),
                 |m| {
                     out.push(m.to_vec());
                     ControlFlow::Continue(())
@@ -322,14 +348,17 @@ proptest! {
         scenario in arb_scenario(),
         patterns in proptest::collection::vec(arb_pattern(), 2..5),
         stop_after in 1usize..6,
+        filters in arb_filters(),
     ) {
         let (frozen, index, live, delta) = scenario.build();
         check_reset_mid_search(&frozen, &index, &patterns[0], stop_after);
         check_reset_mid_search(&live, &delta, &patterns[0], stop_after);
         check_rebind(&frozen, &index, &patterns);
         check_rebind(&live, &delta, &patterns);
-        check_split_and_resume(&frozen, &index, &patterns[0]);
-        check_split_and_resume(&live, &delta, &patterns[0]);
+        for f in [None, Some(&filters[..patterns[0].node_count()])] {
+            check_split_and_resume(&frozen, &index, &patterns[0], f);
+            check_split_and_resume(&live, &delta, &patterns[0], f);
+        }
     }
 }
 
@@ -485,8 +514,16 @@ fn deadline_split_resumes_every_prefix() {
     let delta = DeltaIndex::build(&fx.graph);
     let mut split = 0;
     for pattern in [&vee, &chain] {
-        split += check_split_and_resume(&fx.graph, &index, pattern);
-        split += check_split_and_resume(&fx.graph, &delta, pattern);
+        split += check_split_and_resume(&fx.graph, &index, pattern, None);
+        split += check_split_and_resume(&fx.graph, &delta, pattern, None);
     }
     assert!(split > 0, "the deadline never caught a search mid-way");
+    // The same under admission: every other spoke is refused at bind time.
+    let every_other: NodeSet = fx.graph.nodes().filter(|n| n.index() % 2 == 0).collect();
+    let filters = [every_other.clone(), every_other.clone(), every_other];
+    let admitted = check_split_and_resume(&fx.graph, &index, &chain, Some(&filters));
+    assert!(
+        admitted > 0,
+        "the deadline never caught the admitting search"
+    );
 }
