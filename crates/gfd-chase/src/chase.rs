@@ -1,23 +1,40 @@
 //! A deliberately *naive* chase engine over canonical graphs.
 //!
 //! This is the baseline the paper compares against (`ParImpRDF`, following
-//! Hellings et al.'s chase for RDF FDs): a round-based fixpoint that
-//! re-evaluates every premise of every rule each round, with **no**
+//! Hellings et al.'s chase for RDF FDs): a round-based fixpoint with **no**
 //! dependency ordering, **no** inverted pending index, and **no** early
-//! consequence cut inside a round. Same answers as `SeqSat`/`SeqImp`,
+//! consequence cut inside a round — every premise match that has not fired
+//! yet is re-evaluated every round. Same answers as `SeqSat`/`SeqImp`,
 //! strictly more work — which is exactly the point of the comparison in
 //! Fig. 5 and Fig. 6(f).
+//!
+//! What it is *not* naive about is doing the same thing twice. It is a
+//! chase in the textbook sense — a trigger, once applied, is never active
+//! again:
+//!
+//! * a premise match is **enumerated once**: each rule's matches live in an
+//!   append-only `MatchTable`, and a round that grew the topology
+//!   re-freezes the index and appends only the matches that use a node or
+//!   edge that round generated (`MatchTable::extend`);
+//! * a row is **scanned until it fires**, then retired: enforcement is
+//!   monotone, so a committed literal firing could only ever re-apply as a
+//!   no-op — any later conflict on its classes is raised by the bind or
+//!   merge that causes it — and a generating firing is materialized (or
+//!   found realized) at most once by definition;
+//! * a firing is **checked and committed once**, straight from its rule
+//!   and row: no per-firing mutation buffer is built.
 //!
 //! There is one chase, [`dep_chase_with_config`], over a [`DepSet`]: a GFD
 //! is a [`gfd_core::Dependency`] with a literal consequence, so the
 //! literal-only baseline (`chase_sat` / `chase_imp`) is the special case
 //! that never materializes a node. Each round's
 //! **premise scan** runs as a [`Task`] on the shared `gfd-runtime`
-//! scheduler: the cached match lists are chunked into scan units, every
+//! scheduler: the live rows are chunked into scan units, every
 //! worker evaluates premises against its own clone of the round-start
 //! relation (premise evaluation only path-compresses, so a clone is
-//! semantically inert), and the fired `(rule, match)` pairs are planned
-//! in parallel and committed **in deterministic order** between rounds.
+//! semantically inert), and the fired `(rule, row)` pairs are
+//! realization-checked in parallel and committed **in deterministic
+//! order** between rounds.
 //! A premise that a mid-round enforcement would have unlocked simply
 //! fires one round later — the fixpoint (and any conflict) is unchanged
 //! because enforcement is monotone, while the round structure the
@@ -26,48 +43,17 @@
 //! so [`ChaseStats`] round/eval counts are identical across `p`.
 
 use gfd_core::{
-    eval_premise, generate_deducible, run_task, Budget, CanonicalGraph, Conflict, Consequence,
-    DepSet, Dependency, EqRel, Interrupt, Literal, Operand, PremiseStatus,
+    eval_premise, generate_deducible, run_task, Budget, Conflict, Consequence, DepSet, Dependency,
+    EqRel, Interrupt, Literal, Operand, PremiseStatus,
 };
-use gfd_graph::{AttrId, Graph, LabelId, MatchIndex, NodeId, Pattern, ValueId, VarId};
-use gfd_match::{for_each_match, Match};
+use gfd_graph::{GfdId, Graph, LabelId, LabelIndex, NodeId, Pattern, VarId};
+use gfd_match::{for_each_match, HomSearch, MatchPlan, SearchLimits};
 use gfd_runtime::sched::{Task, WorkerCtx};
-use gfd_runtime::{failpoint, EventKind, RunMetrics, TraceBuf, TraceSpec, CONTROL_WORKER};
+use gfd_runtime::{failpoint, EventKind, RunMetrics, TraceBuf, CONTROL_WORKER};
 use rustc_hash::FxHashSet;
-use std::cell::RefCell;
 use std::ops::ControlFlow;
 use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
-
-/// The control-track ring buffer a chase run records its phase spans
-/// into (`ChaseRound`, `ApplyPlan`, `ApplyCommit` — DESIGN.md §13). The
-/// chase driver runs on the calling thread, outside any scheduler
-/// worker, so these spans carry [`CONTROL_WORKER`] and are absorbed into
-/// the run's merged trace when it finishes.
-struct ControlTrace(RefCell<TraceBuf>);
-
-impl ControlTrace {
-    fn new(spec: TraceSpec) -> Self {
-        ControlTrace(RefCell::new(TraceBuf::new(spec.control(), CONTROL_WORKER)))
-    }
-
-    fn start(&self) -> gfd_runtime::SpanStart {
-        self.0.borrow().start()
-    }
-
-    fn span(&self, kind: EventKind, id: u32, start: gfd_runtime::SpanStart, a: u64, b: u64) {
-        self.0.borrow_mut().span(kind, id, start, a, b);
-    }
-
-    /// Move the recorded events into `metrics.trace`, leaving the buffer
-    /// empty (the chase calls this once, on its single exit path).
-    fn flush_into(&self, metrics: &mut RunMetrics) {
-        let buf = self
-            .0
-            .replace(TraceBuf::new(TraceSpec::disabled(), CONTROL_WORKER));
-        metrics.trace.absorb_buf(buf);
-    }
-}
 
 /// Scheduler knobs of the chase baseline.
 #[derive(Clone, Debug)]
@@ -131,52 +117,169 @@ impl ChaseConfig {
 pub struct ChaseStats {
     /// Fixpoint rounds executed.
     pub rounds: u64,
-    /// Premise evaluations across all rounds (the re-scanning overhead).
+    /// Premise evaluations across all rounds: one per *live* row per round
+    /// (the re-scanning overhead — a row is re-evaluated every round until
+    /// it fires, never after).
     pub premise_evals: u64,
-    /// Matches enumerated. Match lists are cached per rule and counted
-    /// once per enumeration; generating rules force a re-enumeration
-    /// whenever materialization changed the topology.
+    /// Matches enumerated = rows appended to the match tables. Each
+    /// distinct premise match is enumerated once: up front, or in the
+    /// round whose materialization made it possible. Also booked as
+    /// `RunMetrics::matches`.
     pub matches_enumerated: u64,
     /// Fresh nodes materialized by generating consequences (zero for
     /// literal-only rule sets).
     pub generated_nodes: u64,
-    /// Realization checks run against round-start snapshots.
+    /// Realization checks run against round-start snapshots: one per
+    /// generating firing.
     pub realization_checks: u64,
-    /// Firings committed by splicing a concurrently-built patch — the
-    /// parallel-independent set of the conflict partition (DESIGN.md
-    /// §12.2).
+    /// Of those checks, the firings found already realized (nothing to
+    /// commit). `apply_independent + apply_conflicts + realized` is the
+    /// number of distinct `(rule, row)` firings of the run.
+    pub realized: u64,
+    /// Firings committed from the parallel-independent set of the round's
+    /// conflict partition (DESIGN.md §12.2).
     pub apply_independent: u64,
-    /// Firings whose touched classes or nodes overlapped an earlier
-    /// firing of the same round, replayed through the serial fallback.
+    /// Firings committed whose touched classes or nodes overlapped an
+    /// earlier firing of the same round.
     pub apply_conflicts: u64,
     /// Wall time spent in premise scans, across all rounds.
     pub scan_time: Duration,
-    /// Wall time spent planning and committing consequences, across all
+    /// Wall time spent checking and committing consequences, across all
     /// completed apply phases (a round cut short mid-apply is not
     /// booked).
     pub apply_time: Duration,
 }
 
-/// One rule's enumerated matches as a flat strided table — row `i` is
+/// What one round's commit walk added to the topology — what the next
+/// round's new premise matches must use.
+struct Growth {
+    /// Node count before the walk: ids from here on are the round's fresh
+    /// nodes.
+    first_new: usize,
+    /// Generated edges that join two nodes older than the round and were
+    /// not there before it, sorted. (An edge with a fresh endpoint needs
+    /// no entry: a match using it maps a variable onto that fresh node.)
+    edges: Vec<(NodeId, LabelId, NodeId)>,
+    /// The endpoints of `edges`, sorted and duplicate-free: with the fresh
+    /// nodes, the round's dirty set.
+    touched: Vec<NodeId>,
+}
+
+impl Growth {
+    fn new(first_new: usize, mut edges: Vec<(NodeId, LabelId, NodeId)>) -> Self {
+        edges.sort_unstable();
+        let mut touched: Vec<NodeId> = edges.iter().flat_map(|&(s, _, d)| [s, d]).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        Growth {
+            first_new,
+            edges,
+            touched,
+        }
+    }
+
+    fn is_dirty(&self, n: NodeId) -> bool {
+        n.index() >= self.first_new || self.touched.binary_search(&n).is_ok()
+    }
+
+    /// Did match `m` of `pattern` in the grown `graph` not exist before the
+    /// round? It did not iff it maps a variable onto a fresh node or a
+    /// pattern edge onto nothing but edges of this round.
+    fn made(&self, graph: &Graph, pattern: &Pattern, m: &[NodeId]) -> bool {
+        m.iter().any(|n| n.index() >= self.first_new)
+            || pattern.edges().iter().any(|e| {
+                let (s, d) = (m[e.src.index()], m[e.dst.index()]);
+                !graph.out_edges(s).iter().any(|&(l, t)| {
+                    t == d
+                        && e.label.pattern_matches(l)
+                        && self.edges.binary_search(&(s, l, d)).is_err()
+                })
+            })
+    }
+}
+
+/// One rule's premise matches as a flat strided table — row `i` is
 /// `nodes[i * arity..][..arity]` — filled straight from the matcher's lent
-/// callback: one buffer per rule and rebuild instead of one box per match.
+/// callback. Append-only: a match is enumerated once, when the topology it
+/// uses first exists, and its row keeps its index for the life of the run,
+/// so `(rule, row)` names one firing across rounds and is the
+/// deterministic commit order.
 struct MatchTable {
     arity: usize,
     nodes: Vec<NodeId>,
+    /// The rows not yet retired, ascending — what a round's scan
+    /// evaluates. A row retires in the round it fires ([`retire`]).
+    live: Vec<u32>,
 }
 
 impl MatchTable {
-    /// Every match of `pattern` in `canon`, in the matcher's order.
-    fn enumerate(canon: &CanonicalGraph, pattern: &Pattern) -> Self {
-        let mut nodes = Vec::new();
-        for_each_match(&canon.graph, &canon.index, pattern, |m| {
-            nodes.extend_from_slice(m);
+    /// Every match of `pattern` in `graph`, in the matcher's order.
+    fn enumerate(graph: &Graph, index: &LabelIndex, pattern: &Pattern) -> Self {
+        let mut table = MatchTable {
+            arity: pattern.node_count(),
+            nodes: Vec::new(),
+            live: Vec::new(),
+        };
+        for_each_match(graph, index, pattern, |m| {
+            table.push(m);
             ControlFlow::Continue(())
         });
-        MatchTable {
-            arity: pattern.node_count(),
-            nodes,
+        table
+    }
+
+    /// Append the matches of `pattern` that `growth` made, each once;
+    /// returns how many. A new match maps some variable onto a dirty node
+    /// (a fresh one, or an endpoint of a new edge between old nodes), so
+    /// pivoting every variable on every dirty node of its label finds them
+    /// all — the `gfd-incr` frontier argument, with the matcher's anchored
+    /// expansion bounding the walk to the pattern radius. A match found
+    /// from several pivots is kept from its *first* dirty variable only.
+    /// Pivots are visited in (variable, node id) order on the calling
+    /// thread, so the appended order is the same at every worker count.
+    fn extend(
+        &mut self,
+        graph: &Graph,
+        index: &LabelIndex,
+        pattern: &Pattern,
+        growth: &Growth,
+    ) -> u64 {
+        let before = self.len();
+        for v in pattern.vars() {
+            let label = pattern.label(v);
+            let cands = index.candidates(label);
+            let fresh = &cands[cands.partition_point(|n| n.index() < growth.first_new)..];
+            let mut pivots = growth
+                .touched
+                .iter()
+                .filter(|&&n| label.pattern_matches(graph.label(n)))
+                .chain(fresh)
+                .peekable();
+            if pivots.peek().is_none() {
+                continue;
+            }
+            let plan = MatchPlan::build(pattern, Some(v), Some(index));
+            let mut search = HomSearch::new(graph, index, pattern, &plan);
+            for &z in pivots {
+                search.reset(&[z]);
+                search.run(
+                    |m| {
+                        if !m[..v.index()].iter().any(|&n| growth.is_dirty(n))
+                            && growth.made(graph, pattern, m)
+                        {
+                            self.push(m);
+                        }
+                        ControlFlow::Continue(())
+                    },
+                    SearchLimits::none(),
+                );
+            }
         }
+        (self.len() - before) as u64
+    }
+
+    fn push(&mut self, m: &[NodeId]) {
+        self.live.push(self.len() as u32);
+        self.nodes.extend_from_slice(m);
     }
 
     fn len(&self) -> usize {
@@ -188,18 +291,43 @@ impl MatchTable {
     }
 }
 
-/// Straggler hand-off shared by the chase's two range tasks: once
-/// `deadline` has passed with `next..end` of a unit's range still to do,
-/// offer that rest in two halves (the back half is what an idle worker
-/// will steal) and tell the caller to end the unit.
+/// Retire the round's fired rows (sorted by `(rule, row)`): every one of
+/// them was committed or found realized, and a trigger, once applied, is
+/// never active again.
+fn retire(tables: &mut [MatchTable], fired: &[(u32, u32)]) {
+    for run in fired.chunk_by(|a, b| a.0 == b.0) {
+        let mut rows = run.iter().map(|f| f.1).peekable();
+        let live = &mut tables[run[0].0 as usize].live;
+        live.retain(|row| rows.next_if_eq(row).is_none());
+    }
+}
+
+/// Cut `start..end` into ranges of at most `batch` items.
+fn batches(start: usize, end: usize, batch: usize) -> impl Iterator<Item = (u32, u32)> {
+    (start..end)
+        .step_by(batch.max(1))
+        .map(move |s| (s as u32, (s + batch.max(1)).min(end) as u32))
+}
+
+/// How many rows of a unit the two range tasks run between polls of the
+/// straggler deadline: one clock read per stride, not per row — what
+/// `gfd-match`'s search loop does per `CHECK_INTERVAL` steps.
+const POLL_STRIDE: u32 = 64;
+
+/// Straggler hand-off shared by the chase's two range tasks, polled when a
+/// unit has finished the row before `next`: every [`POLL_STRIDE`] rows, if
+/// `deadline` has passed with `next..end` still to do, offer that rest in
+/// two halves (the back half is what an idle worker will steal) and tell
+/// the caller to end the unit.
 fn offer_rest<U>(
     ctx: &WorkerCtx<'_, U>,
     deadline: Instant,
+    start: u32,
     next: u32,
     end: u32,
     unit: impl Fn(u32, u32) -> U,
 ) -> bool {
-    if next >= end || Instant::now() < deadline {
+    if next >= end || !(next - start).is_multiple_of(POLL_STRIDE) || Instant::now() < deadline {
         return false;
     }
     let mid = next + (end - next) / 2;
@@ -211,7 +339,8 @@ fn offer_rest<U>(
     true
 }
 
-/// A contiguous slice of one rule's cached match list.
+/// A contiguous slice of one rule's live rows (positions in
+/// [`MatchTable::live`]).
 #[derive(Clone, Copy)]
 struct ScanUnit {
     rule: u32,
@@ -224,7 +353,7 @@ struct ScanWorker {
     /// Clone of the round-start relation; mutated only by union-find
     /// path compression inside `eval_premise`, never by enforcement.
     eq: EqRel,
-    /// `(rule, match index)` pairs whose premise the snapshot satisfies.
+    /// `(rule, row)` pairs whose premise the snapshot satisfies.
     fired: Vec<(u32, u32)>,
     premise_evals: u64,
 }
@@ -234,7 +363,7 @@ struct ScanWorker {
 /// irrelevant until the apply phase.
 struct ScanTask<'a> {
     rules: &'a [Dependency],
-    matches: &'a [MatchTable],
+    tables: &'a [MatchTable],
     snapshot: &'a EqRel,
     ttl: Duration,
 }
@@ -256,21 +385,22 @@ impl Task for ScanTask<'_> {
         let evals0 = w.premise_evals;
         let fired0 = w.fired.len() as u64;
         let premise = &self.rules[unit.rule as usize].premise;
-        let list = &self.matches[unit.rule as usize];
+        let table = &self.tables[unit.rule as usize];
         let deadline = Instant::now() + self.ttl;
-        for idx in unit.start..unit.end {
+        for pos in unit.start..unit.end {
+            let row = table.live[pos as usize];
             w.premise_evals += 1;
             if let PremiseStatus::Satisfied =
-                eval_premise(&mut w.eq, premise, list.get(idx as usize))
+                eval_premise(&mut w.eq, premise, table.get(row as usize))
             {
-                w.fired.push((unit.rule, idx));
+                w.fired.push((unit.rule, row));
             }
             let rest = |start, end| ScanUnit {
                 rule: unit.rule,
                 start,
                 end,
             };
-            if offer_rest(ctx, deadline, idx + 1, unit.end, rest) {
+            if offer_rest(ctx, deadline, unit.start, pos + 1, unit.end, rest) {
                 break;
             }
         }
@@ -284,101 +414,19 @@ impl Task for ScanTask<'_> {
     }
 }
 
-/// A node operand inside a [`Patch`]: a premise node fixed by the
-/// firing's match, or the `k`-th fresh node the patch creates. Fresh
-/// nodes stay relative so a patch can be built concurrently and
-/// committed at whatever ids the deterministic walk reaches.
-#[derive(Clone, Copy)]
-enum RelNode {
-    /// A node bound by the premise match.
-    Premise(NodeId),
-    /// The `k`-th fresh node of this firing.
-    Fresh(u32),
-}
-
-/// One relation mutation inside a [`Patch`].
-#[derive(Clone)]
-enum RelOp {
-    Bind(RelNode, AttrId, ValueId),
-    Merge(RelNode, AttrId, RelNode, AttrId),
-}
-
-/// The precomputed mutation buffer of one fired consequence: fresh-node
-/// labels (empty for literal consequences), generated edges, and
-/// relation ops. Built concurrently on the scheduler during the apply
-/// phase's planning pass; spliced (independent set) or discarded in
-/// favour of the serial fallback (conflicting residual) at commit.
-#[derive(Default)]
-struct Patch {
-    labels: Vec<LabelId>,
-    edges: Vec<(RelNode, LabelId, RelNode)>,
-    ops: Vec<RelOp>,
-}
-
-/// What the planning pass decided for one pending firing.
-enum FiringPlan {
-    /// Generating firing whose target is already realized in the
-    /// round-start snapshot: nothing to do.
-    Realized,
-    /// Mutation buffer ready to commit.
-    Patch(Patch),
-}
-
-fn rel(v: VarId, m: &[NodeId], shared: usize) -> RelNode {
-    if v.index() < shared {
-        RelNode::Premise(m[v.index()])
-    } else {
-        RelNode::Fresh((v.index() - shared) as u32)
-    }
-}
-
-fn rel_op(lit: &Literal, m: &[NodeId], shared: usize) -> RelOp {
-    let r1 = rel(lit.var, m, shared);
-    match &lit.rhs {
-        Operand::Const(c) => RelOp::Bind(r1, lit.attr, *c),
-        Operand::Attr(v2, a2) => RelOp::Merge(r1, lit.attr, rel(*v2, m, shared), *a2),
-    }
-}
-
-/// Apply one relative op against `eq`, resolving fresh nodes through
-/// `fresh`. Returns whether the relation changed.
-fn commit_op(eq: &mut EqRel, op: &RelOp, fresh: &[NodeId]) -> Result<bool, Conflict> {
-    let abs = |r: RelNode| match r {
-        RelNode::Premise(n) => n,
-        RelNode::Fresh(k) => fresh[k as usize],
+/// Enforce one consequence literal at assignment `asn`; returns whether
+/// the relation changed.
+fn enforce(eq: &mut EqRel, lit: &Literal, asn: &[NodeId]) -> Result<bool, Conflict> {
+    let k1 = (asn[lit.var.index()], lit.attr);
+    let effect = match &lit.rhs {
+        Operand::Const(c) => eq.bind(k1, *c)?,
+        Operand::Attr(v2, a2) => eq.merge(k1, (asn[v2.index()], *a2))?,
     };
-    match op {
-        RelOp::Bind(r, a, v) => Ok(eq.bind((abs(*r), *a), *v)?.changed),
-        RelOp::Merge(r1, a1, r2, a2) => Ok(eq.merge((abs(*r1), *a1), (abs(*r2), *a2))?.changed),
-    }
+    Ok(effect.changed)
 }
 
-fn splice_ops(eq: &mut EqRel, ops: &[RelOp], fresh: &[NodeId]) -> Result<bool, Conflict> {
-    let mut changed = false;
-    for op in ops {
-        changed |= commit_op(eq, op, fresh)?;
-    }
-    Ok(changed)
-}
-
-/// Commit a generating patch: create the fresh nodes (ids fall out of
-/// the walk order, identically to the serial `materialize`), add the
-/// generated edges, splice the relation ops. Returns the fresh-node
-/// count.
-fn splice_patch(graph: &mut Graph, eq: &mut EqRel, patch: &Patch) -> Result<usize, Conflict> {
-    let fresh: Vec<NodeId> = patch.labels.iter().map(|&l| graph.add_node(l)).collect();
-    for &(s, l, d) in &patch.edges {
-        let abs = |r: RelNode| match r {
-            RelNode::Premise(n) => n,
-            RelNode::Fresh(k) => fresh[k as usize],
-        };
-        graph.add_edge(abs(s), l, abs(d));
-    }
-    splice_ops(eq, &patch.ops, &fresh)?;
-    Ok(fresh.len())
-}
-
-/// A contiguous chunk of the round's pending firings to plan.
+/// A contiguous chunk of the round's fired list, all of one generating
+/// rule.
 #[derive(Clone, Copy)]
 struct ApplyUnit {
     start: u32,
@@ -387,202 +435,123 @@ struct ApplyUnit {
 
 /// Per-worker planning state: a clone of the round-start relation for
 /// realization checks (mutated only by path compression and latent
-/// `ensure`s — semantically inert), plus the plans produced.
+/// `ensure`s — semantically inert), plus the firings found realized.
 struct ApplyWorker {
     eq: EqRel,
-    plans: Vec<(u32, FiringPlan)>,
+    /// Indices into the fired list.
+    realized: Vec<u32>,
     realization_checks: u64,
 }
 
 /// The apply phase's planning pass as a scheduler workload: every
-/// pending firing's realization check runs against the round-start
+/// generating firing's realization check runs against the round-start
 /// snapshot (checks are read-only, so they are all trivially parallel
-/// under round-snapshot semantics) and its mutation buffer is built
-/// concurrently. Nothing here touches the live graph or relation —
-/// mutation happens only in the deterministic commit walk.
-struct ApplyTask<'a, I: MatchIndex> {
+/// under round-snapshot semantics). Nothing here touches the live graph
+/// or relation — mutation happens only in the deterministic commit walk,
+/// which needs nothing from this pass but the verdicts.
+struct ApplyTask<'a> {
     rules: &'a [Dependency],
-    matches: &'a [MatchTable],
-    /// The round's pending `(rule, match index)` firings, sorted.
-    pending: &'a [(u32, u32)],
-    index: &'a I,
+    tables: &'a [MatchTable],
+    /// The round's fired `(rule, row)` pairs, sorted.
+    fired: &'a [(u32, u32)],
+    index: &'a LabelIndex,
     snapshot: &'a EqRel,
     ttl: Duration,
 }
 
-impl<I: MatchIndex> Task for ApplyTask<'_, I> {
+impl Task for ApplyTask<'_> {
     type Unit = ApplyUnit;
     type Worker = ApplyWorker;
 
     fn worker(&self, _id: usize) -> ApplyWorker {
         ApplyWorker {
             eq: self.snapshot.clone(),
-            plans: Vec::new(),
+            realized: Vec::new(),
             realization_checks: 0,
         }
     }
 
     fn run_unit(&self, w: &mut ApplyWorker, unit: ApplyUnit, ctx: &WorkerCtx<'_, ApplyUnit>) {
+        let rule = self.fired[unit.start as usize].0 as usize;
+        let Consequence::Generate(gen) = &self.rules[rule].consequence else {
+            return;
+        };
         let deadline = Instant::now() + self.ttl;
         for i in unit.start..unit.end {
-            let (rule, idx) = self.pending[i as usize];
-            let m = self.matches[rule as usize].get(idx as usize);
-            let plan = match &self.rules[rule as usize].consequence {
-                Consequence::Literals(lits) => {
-                    let mut patch = Patch::default();
-                    patch
-                        .ops
-                        .extend(lits.iter().map(|lit| rel_op(lit, m, m.len())));
-                    FiringPlan::Patch(patch)
-                }
-                Consequence::Generate(gen) => {
-                    w.realization_checks += 1;
-                    if generate_deducible(&mut w.eq, self.index, gen, m) {
-                        FiringPlan::Realized
-                    } else {
-                        let mut patch = Patch::default();
-                        patch
-                            .labels
-                            .extend(gen.fresh_vars().map(|v| gen.pattern.label(v)));
-                        patch.edges.extend(gen.pattern.edges().iter().map(|e| {
-                            (
-                                rel(e.src, m, gen.shared),
-                                e.label,
-                                rel(e.dst, m, gen.shared),
-                            )
-                        }));
-                        patch
-                            .ops
-                            .extend(gen.attrs.iter().map(|lit| rel_op(lit, m, gen.shared)));
-                        FiringPlan::Patch(patch)
-                    }
-                }
-            };
-            w.plans.push((i, plan));
+            let m = self.tables[rule].get(self.fired[i as usize].1 as usize);
+            w.realization_checks += 1;
+            if generate_deducible(&mut w.eq, self.index, gen, m) {
+                w.realized.push(i);
+            }
             let rest = |start, end| ApplyUnit { start, end };
-            if offer_rest(ctx, deadline, i + 1, unit.end, rest) {
+            if offer_rest(ctx, deadline, unit.start, i + 1, unit.end, rest) {
                 return;
             }
         }
     }
 }
 
-/// Dispatch the planning pass for one round's pending firings. Returns
-/// the plans in pending order plus one worker's snapshot clone (reused
-/// as the partition probe), or the interrupt that cut the pass short.
-#[allow(clippy::too_many_arguments)]
-fn plan_round<I: MatchIndex>(
-    rules: &[Dependency],
-    all_matches: &[MatchTable],
-    pending: &[(u32, u32)],
-    index: &I,
-    snapshot: &EqRel,
-    config: &ChaseConfig,
-    p: usize,
-    stats: &mut ChaseStats,
-    metrics: &mut RunMetrics,
-) -> Result<(Vec<FiringPlan>, EqRel), Interrupt> {
-    let batch = config.batch.max(1);
-    let mut units: Vec<ApplyUnit> = Vec::new();
-    let mut start = 0usize;
-    while start < pending.len() {
-        let end = (start + batch).min(pending.len());
-        units.push(ApplyUnit {
-            start: start as u32,
-            end: end as u32,
-        });
-        start = end;
-    }
-    let stop = AtomicBool::new(false);
-    let task = ApplyTask {
-        rules,
-        matches: all_matches,
-        pending,
-        index,
-        snapshot,
-        ttl: config.ttl,
-    };
-    let run = run_task(
-        &task,
-        units,
-        p,
-        &stop,
-        &config.budget,
-        config.trace,
-        metrics,
-    );
-    let mut plans: Vec<Option<FiringPlan>> = (0..pending.len()).map(|_| None).collect();
-    let mut probe: Option<EqRel> = None;
-    for w in run.workers {
-        stats.realization_checks += w.realization_checks;
-        for (i, plan) in w.plans {
-            plans[i as usize] = Some(plan);
-        }
-        probe.get_or_insert(w.eq);
-    }
-    if let Some(interrupt) = run.interrupt {
-        return Err(interrupt);
-    }
-    let plans = plans
-        .into_iter()
-        .map(|p| p.expect("a completed planning pass plans every firing"))
-        .collect();
-    Ok((plans, probe.expect("at least one worker state")))
-}
-
 /// The greedy conflict partition (DESIGN.md §12.2). Walk the round's
-/// plans in deterministic (rule, match index) order; each firing claims
+/// firings in deterministic `(rule, row)` order; each firing claims
 /// its touched equivalence *classes* — premise attribute keys resolved
 /// to class ids against the round-start snapshot — and its touched
 /// premise *nodes* (adjacency-list writes of generated edges). A firing
-/// whose claims are all unclaimed joins the independent set and commits
-/// from its patch; any overlap routes it to the serial fallback.
+/// whose claims are all unclaimed joins the independent set; any overlap
+/// books it as a conflict. Fresh nodes and their keys are a firing's own
+/// by construction and claim nothing.
 ///
 /// Class-level (not key-level) resolution is what makes the criterion
 /// the commutation condition of attributed-graph parallel independence:
 /// two independent firings write disjoint union-find components, touch
 /// disjoint adjacency lists, and create disjoint fresh-node ranges, so
-/// their patches compose in either order with identical outcome —
+/// their commits compose in either order with identical outcome —
 /// including identical conflict behaviour.
 ///
 /// The probe may carry extra latent keys from the planning pass; that
 /// never changes *which keys share a class* (planning only
 /// path-compresses), so the partition is invariant across worker
 /// counts.
-fn partition_independent(plans: &[FiringPlan], probe: &mut EqRel) -> Vec<bool> {
-    let mut independent = vec![false; plans.len()];
+fn partition_independent(
+    rules: &[Dependency],
+    tables: &[MatchTable],
+    fired: &[(u32, u32)],
+    realized: &[bool],
+    probe: &mut EqRel,
+) -> Vec<bool> {
+    let mut independent = vec![false; fired.len()];
     let mut claimed_classes: FxHashSet<u32> = FxHashSet::default();
     let mut claimed_nodes: FxHashSet<NodeId> = FxHashSet::default();
     let mut classes: Vec<u32> = Vec::new();
     let mut nodes: Vec<NodeId> = Vec::new();
-    for (i, plan) in plans.iter().enumerate() {
-        let FiringPlan::Patch(patch) = plan else {
-            // Realized: writes nothing, independent of everything.
+    for (i, &(rule, row)) in fired.iter().enumerate() {
+        if realized[i] {
+            // Writes nothing, independent of everything.
             independent[i] = true;
             continue;
-        };
+        }
         classes.clear();
         nodes.clear();
-        for (s, _, d) in &patch.edges {
-            if let RelNode::Premise(n) = s {
-                nodes.push(*n);
+        let m = tables[rule as usize].get(row as usize);
+        let (lits, shared) = match &rules[rule as usize].consequence {
+            Consequence::Literals(lits) => (lits.as_slice(), m.len()),
+            Consequence::Generate(gen) => {
+                let ends = gen.pattern.edges().iter().flat_map(|e| [e.src, e.dst]);
+                nodes.extend(
+                    ends.filter(|v| v.index() < gen.shared)
+                        .map(|v| m[v.index()]),
+                );
+                (gen.attrs.as_slice(), gen.shared)
             }
-            if let RelNode::Premise(n) = d {
-                nodes.push(*n);
+        };
+        let mut claim = |v: VarId, a| {
+            if v.index() < shared {
+                classes.push(probe.class_id((m[v.index()], a)));
             }
-        }
-        for op in &patch.ops {
-            let mut claim = |r: &RelNode, a: AttrId| {
-                if let RelNode::Premise(n) = r {
-                    classes.push(probe.class_id((*n, a)));
-                }
-            };
-            match op {
-                RelOp::Bind(r, a, _) => claim(r, *a),
-                RelOp::Merge(r1, a1, r2, a2) => {
-                    claim(r1, *a1);
-                    claim(r2, *a2);
-                }
+        };
+        for lit in lits {
+            claim(lit.var, lit.attr);
+            if let Operand::Attr(v2, a2) = &lit.rhs {
+                claim(*v2, *a2);
             }
         }
         classes.sort_unstable();
@@ -598,59 +567,6 @@ fn partition_independent(plans: &[FiringPlan], probe: &mut EqRel) -> Vec<bool> {
         }
     }
     independent
-}
-
-/// Dispatch one round's premise scan on the shared scheduler and collect
-/// the fired `(rule, match index)` pairs in deterministic order (the
-/// sequential scan's order, whatever the worker interleaving was).
-fn scan_round(
-    rules: &[Dependency],
-    all_matches: &[MatchTable],
-    snapshot: &EqRel,
-    config: &ChaseConfig,
-    p: usize,
-    stats: &mut ChaseStats,
-    metrics: &mut RunMetrics,
-) -> (Vec<(u32, u32)>, Option<Interrupt>) {
-    let scan_start = Instant::now();
-    let batch = config.batch.max(1);
-    let mut units: Vec<ScanUnit> = Vec::new();
-    for (rule, list) in all_matches.iter().enumerate() {
-        let mut start = 0usize;
-        while start < list.len() {
-            let end = (start + batch).min(list.len());
-            units.push(ScanUnit {
-                rule: rule as u32,
-                start: start as u32,
-                end: end as u32,
-            });
-            start = end;
-        }
-    }
-    let stop = AtomicBool::new(false);
-    let task = ScanTask {
-        rules,
-        matches: all_matches,
-        snapshot,
-        ttl: config.ttl,
-    };
-    let run = run_task(
-        &task,
-        units,
-        p,
-        &stop,
-        &config.budget,
-        config.trace,
-        metrics,
-    );
-    let mut fired: Vec<(u32, u32)> = Vec::new();
-    for w in run.workers {
-        stats.premise_evals += w.premise_evals;
-        fired.extend(w.fired);
-    }
-    fired.sort_unstable();
-    stats.scan_time += scan_start.elapsed();
-    (fired, run.interrupt)
 }
 
 /// Outcome of chasing a dependency set over a growable graph.
@@ -677,290 +593,349 @@ pub enum DepChaseOutcome {
     Interrupted(Interrupt),
 }
 
+/// The state of one chase run, advanced a round at a time.
+struct Chase<'a> {
+    rules: &'a [Dependency],
+    config: &'a ChaseConfig,
+    graph: Graph,
+    eq: EqRel,
+    /// The frozen view of `graph` the matcher and the realization checks
+    /// read, rebuilt in place after every round that grew the topology —
+    /// both only run between that freeze and the next commit walk.
+    index: LabelIndex,
+    /// Per rule, every premise match enumerated so far.
+    tables: Vec<MatchTable>,
+    stats: ChaseStats,
+    metrics: RunMetrics,
+    /// The control-track ring buffer the run records its phase spans into
+    /// (`ChaseRound`, `ApplyPlan`, `ApplyCommit` — DESIGN.md §13). The
+    /// rounds run on the calling thread, outside any scheduler worker, so
+    /// these spans carry [`CONTROL_WORKER`] and are absorbed into the
+    /// run's merged trace when it finishes.
+    ctl: TraceBuf,
+}
+
+impl<'a> Chase<'a> {
+    /// Freeze `graph` and enumerate every rule's premise matches.
+    fn new(rules: &'a [Dependency], graph: Graph, eq: EqRel, config: &'a ChaseConfig) -> Self {
+        let index = LabelIndex::build(&graph);
+        let tables: Vec<MatchTable> = rules
+            .iter()
+            .map(|rule| MatchTable::enumerate(&graph, &index, &rule.pattern))
+            .collect();
+        Chase {
+            rules,
+            config,
+            stats: ChaseStats {
+                matches_enumerated: tables.iter().map(|t| t.len() as u64).sum(),
+                ..Default::default()
+            },
+            metrics: RunMetrics {
+                workers: config.workers.max(1),
+                ..Default::default()
+            },
+            ctl: TraceBuf::new(config.trace.control(), CONTROL_WORKER),
+            graph,
+            eq,
+            index,
+            tables,
+        }
+    }
+
+    /// Dispatch one round's premise scan over the live rows on the shared
+    /// scheduler and collect the fired `(rule, row)` pairs in
+    /// deterministic order (the sequential scan's order, whatever the
+    /// worker interleaving was).
+    fn scan(&mut self) -> Result<Vec<(u32, u32)>, Interrupt> {
+        let scan_start = Instant::now();
+        let batch = self.config.batch;
+        let units = self.tables.iter().enumerate().flat_map(|(rule, table)| {
+            batches(0, table.live.len(), batch).map(move |(start, end)| ScanUnit {
+                rule: rule as u32,
+                start,
+                end,
+            })
+        });
+        let task = ScanTask {
+            rules: self.rules,
+            tables: &self.tables,
+            snapshot: &self.eq,
+            ttl: self.config.ttl,
+        };
+        let run = run_task(
+            &task,
+            units.collect(),
+            self.metrics.workers,
+            &AtomicBool::new(false),
+            &self.config.budget,
+            self.config.trace,
+            &mut self.metrics,
+        );
+        let mut fired: Vec<(u32, u32)> = Vec::new();
+        for w in run.workers {
+            self.stats.premise_evals += w.premise_evals;
+            fired.extend(w.fired);
+        }
+        fired.sort_unstable();
+        self.stats.scan_time += scan_start.elapsed();
+        run.interrupt.map_or(Ok(fired), Err)
+    }
+
+    /// The planning pass for one round's firings: the realization check
+    /// of every generating one, on the scheduler, then the conflict
+    /// partition. Returns, per firing, whether it is already realized and
+    /// whether it is independent, or the interrupt that cut the pass
+    /// short.
+    fn plan(&mut self, fired: &[(u32, u32)]) -> Result<(Vec<bool>, Vec<bool>), Interrupt> {
+        // `fired` is sorted, so each rule's firings are one run.
+        let mut units: Vec<ApplyUnit> = Vec::new();
+        let mut start = 0;
+        for run in fired.chunk_by(|a, b| a.0 == b.0) {
+            let end = start + run.len();
+            if self.rules[run[0].0 as usize].consequence.is_generating() {
+                let cut = batches(start, end, self.config.batch);
+                units.extend(cut.map(|(start, end)| ApplyUnit { start, end }));
+            }
+            start = end;
+        }
+        let mut realized = vec![false; fired.len()];
+        // The partition probes a clone of the round-start relation: one
+        // worker's, when the pass made any.
+        let mut probe: Option<EqRel> = None;
+        if !units.is_empty() {
+            let task = ApplyTask {
+                rules: self.rules,
+                tables: &self.tables,
+                fired,
+                index: &self.index,
+                snapshot: &self.eq,
+                ttl: self.config.ttl,
+            };
+            let run = run_task(
+                &task,
+                units,
+                self.metrics.workers,
+                &AtomicBool::new(false),
+                &self.config.budget,
+                self.config.trace,
+                &mut self.metrics,
+            );
+            for w in run.workers {
+                self.stats.realization_checks += w.realization_checks;
+                self.stats.realized += w.realized.len() as u64;
+                for i in w.realized {
+                    realized[i as usize] = true;
+                }
+                probe.get_or_insert(w.eq);
+            }
+            if let Some(interrupt) = run.interrupt {
+                return Err(interrupt);
+            }
+        }
+        let mut probe = probe.unwrap_or_else(|| self.eq.clone());
+        let independent =
+            partition_independent(self.rules, &self.tables, fired, &realized, &mut probe);
+        Ok((realized, independent))
+    }
+
+    /// Run one round — scan, plan, commit, and the table update a grown
+    /// topology calls for. `Ok(changed)`: the round ran to its end, and
+    /// the fixpoint is reached when it changed nothing; `Err`: the run
+    /// ends here without one.
+    fn round(&mut self) -> Result<bool, DepChaseOutcome> {
+        use DepChaseOutcome::{BudgetExhausted, Interrupted};
+        if self.config.budget.expired() {
+            return Err(Interrupted(Interrupt::Deadline));
+        }
+        self.stats.rounds += 1;
+        let round = self.stats.rounds as u32;
+        let round_span = self.ctl.start();
+        let fired = self.scan().map_err(Interrupted)?;
+
+        // ---- apply phase: check in parallel, commit in order ----
+        if failpoint::triggered("chase/apply") {
+            return Err(Interrupted(Interrupt::Aborted(
+                "failpoint chase/apply fired".to_string(),
+            )));
+        }
+        // Every fired row is live, so none has fired before: a (rule, row)
+        // key fires at most once across rounds. Realization checks are
+        // read-only against the round-start snapshots — trivially parallel
+        // under round-snapshot semantics. The greedy partition then splits
+        // the round into the parallel-independent set (disjoint touched
+        // classes, nodes, and fresh ranges — those commits commute) and
+        // the conflicting residual.
+        let apply_start = Instant::now();
+        let plan_span = self.ctl.start();
+        let checks0 = self.stats.realization_checks;
+        let (realized, independent) = self.plan(&fired).map_err(Interrupted)?;
+        self.ctl.span(
+            EventKind::ApplyPlan,
+            round,
+            plan_span,
+            fired.len() as u64,
+            self.stats.realization_checks - checks0,
+        );
+
+        // Deterministic commit walk in sorted (rule, row) order, every
+        // mutation derived from the firing's rule and row as a fully
+        // serial apply would — so node ids, conflict attribution and
+        // budget cut points are identical at every worker count, and the
+        // partition only decides where a firing is booked.
+        let commit_span = self.ctl.start();
+        let independent0 = self.stats.apply_independent;
+        let conflicts0 = self.stats.apply_conflicts;
+        let topo_before = self.graph.topology_version();
+        let first_new = self.graph.node_count();
+        let mut new_edges: Vec<(NodeId, LabelId, NodeId)> = Vec::new();
+        let mut changed = false;
+        for (i, &(rule, row)) in fired.iter().enumerate() {
+            if realized[i] {
+                continue;
+            }
+            if independent[i] {
+                self.stats.apply_independent += 1;
+            } else {
+                self.stats.apply_conflicts += 1;
+            }
+            let m = self.tables[rule as usize].get(row as usize);
+            let eq = &mut self.eq;
+            let applied = match &self.rules[rule as usize].consequence {
+                Consequence::Literals(lits) => lits
+                    .iter()
+                    .try_fold(false, |c, lit| Ok(c | enforce(eq, lit, m)?)),
+                Consequence::Generate(gen) => {
+                    let old = |v: VarId| v.index() < gen.shared;
+                    for e in gen
+                        .pattern
+                        .edges()
+                        .iter()
+                        .filter(|e| old(e.src) && old(e.dst))
+                    {
+                        let (s, d) = (m[e.src.index()], m[e.dst.index()]);
+                        if !self.graph.has_edge(s, e.label, d) {
+                            new_edges.push((s, e.label, d));
+                        }
+                    }
+                    gen.materialize(&mut self.graph, m, &mut |lit, asn| {
+                        enforce(eq, lit, asn).map(|_| ())
+                    })
+                    .map(|fresh| {
+                        self.stats.generated_nodes += fresh.len() as u64;
+                        true
+                    })
+                }
+            };
+            changed |= applied.map_err(|e: Conflict| {
+                DepChaseOutcome::Conflict(e.with_gfd(GfdId::new(rule as usize)))
+            })?;
+            if self.stats.generated_nodes > self.config.max_generated_nodes {
+                return Err(BudgetExhausted {
+                    generated_nodes: self.stats.generated_nodes,
+                });
+            }
+        }
+        retire(&mut self.tables, &fired);
+        self.stats.apply_time += apply_start.elapsed();
+        self.ctl.span(
+            EventKind::ApplyCommit,
+            round,
+            commit_span,
+            self.stats.apply_independent - independent0,
+            self.stats.apply_conflicts - conflicts0,
+        );
+        self.ctl.span(
+            EventKind::ChaseRound,
+            round,
+            round_span,
+            fired.len() as u64,
+            self.rules.len() as u64,
+        );
+
+        if self.graph.topology_version() != topo_before {
+            // Materialization grew the graph: the frozen index is stale,
+            // and the matches that use what was generated are missing.
+            self.index = LabelIndex::build(&self.graph);
+            let growth = Growth::new(first_new, new_edges);
+            for (table, rule) in self.tables.iter_mut().zip(self.rules) {
+                self.stats.matches_enumerated +=
+                    table.extend(&self.graph, &self.index, &rule.pattern, &growth);
+            }
+        }
+        Ok(changed)
+    }
+}
+
 /// Chase a [`DepSet`] over `graph0` to fixpoint, conflict or
 /// budget exhaustion, starting from `eq0`.
 ///
-/// Each round runs the premise scan of **every** dependency as scan units
-/// on the shared scheduler, then the apply phase handles both consequence
-/// actions in two passes:
+/// Each round runs the premise scan of **every** dependency — every row
+/// that has not fired yet — as scan units on the shared scheduler, then
+/// the apply phase handles both consequence actions in two passes:
 ///
 /// * a **parallel planning pass**, also on the scheduler: every
 ///   generating firing's *realization* is checked against the
 ///   **round-start** topology and relation snapshot — checks are
-///   read-only, so they are all independent by construction — and every
-///   firing's mutation buffer (`Patch`) is built concurrently. A
-///   `(rule, match)` key fires at most once across rounds.
-/// * a **deterministic commit walk** in sorted `(rule, match index)`
-///   order: the greedy conflict partition (DESIGN.md §12.2) splits the
-///   round into the parallel-independent set — disjoint touched
+///   read-only, so they are all independent by construction. A
+///   `(rule, row)` key fires at most once across rounds: a fired row is
+///   retired.
+/// * a **deterministic commit walk** in sorted `(rule, row)` order, each
+///   firing's binds, merges, fresh nodes and edges derived from its rule
+///   and row exactly as a fully serial apply would, so node ids, conflict
+///   attribution, and budget cut points are identical at every worker
+///   count. The greedy conflict partition (DESIGN.md §12.2) books each
+///   firing in the parallel-independent set — disjoint touched
 ///   equivalence classes, premise nodes, and fresh-node ranges, whose
-///   patches provably commute and are spliced directly — and the
-///   conflicting residual, which replays the original fully serial
-///   apply. Because the walk order equals the old serial order, node
-///   ids, conflict attribution, and budget cut points are byte-identical
-///   to the serial chase at every worker count.
+///   commits provably commute — or the conflicting residual.
 ///
-/// When a round materialized topology, matches are re-enumerated against
-/// the grown graph before the next round; fixpoint is reached when a
-/// round applies nothing new. Literal-only sets never materialize, so
-/// for them the match lists are enumerated once and every round only
-/// re-evaluates premises — the baseline `chase_sat` / `chase_imp` run.
+/// When a round materialized topology, the index is re-frozen and each
+/// rule's table gains the matches that use a generated node or edge
+/// before the next round; fixpoint is reached when a round applies
+/// nothing new. Literal-only sets never materialize, so for them the
+/// tables are enumerated once and every round only re-evaluates the
+/// premises that have not fired — the baseline `chase_sat` / `chase_imp`
+/// run.
 pub fn dep_chase_with_config(
     deps: &DepSet,
     graph0: Graph,
     eq0: EqRel,
     config: &ChaseConfig,
 ) -> (DepChaseOutcome, ChaseStats, RunMetrics) {
-    let rules = deps.as_slice();
     let start = Instant::now();
-    let p = config.workers.max(1);
-    let mut stats = ChaseStats::default();
-    let mut metrics = RunMetrics {
-        workers: p,
-        ..Default::default()
-    };
-
-    let mut graph = graph0;
-    let mut eq = eq0;
-    // A generating firing's identity: once materialized (or found
-    // realized), the same `(rule, match)` never fires again.
-    type FiredKey = (u32, Match);
-    let mut fired_gen: FxHashSet<FiredKey> = FxHashSet::default();
-
-    let ctl = ControlTrace::new(config.trace);
-    let done = |outcome: DepChaseOutcome, stats: ChaseStats, mut metrics: RunMetrics| {
-        ctl.flush_into(&mut metrics);
-        config.budget.stamp(start, &mut metrics);
-        (outcome, stats, metrics)
-    };
-
-    'rebuild: loop {
-        // (Re-)freeze the current topology and enumerate premise matches.
-        let canon = CanonicalGraph::from_graph(graph.clone());
-        let all_matches: Vec<MatchTable> = rules
-            .iter()
-            .map(|rule| MatchTable::enumerate(&canon, &rule.pattern))
-            .collect();
-        stats.matches_enumerated += all_matches.iter().map(|t| t.len() as u64).sum::<u64>();
-
-        loop {
-            if config.budget.expired() {
-                metrics.early_terminated = true;
-                return done(
-                    DepChaseOutcome::Interrupted(Interrupt::Deadline),
-                    stats,
-                    metrics,
-                );
-            }
-            stats.rounds += 1;
-            let round = stats.rounds as u32;
-            let round_span = ctl.start();
-            let (fired, interrupt) = scan_round(
-                rules,
-                &all_matches,
-                &eq,
-                config,
-                p,
-                &mut stats,
-                &mut metrics,
-            );
-            if let Some(interrupt) = interrupt {
-                metrics.early_terminated = true;
-                return done(DepChaseOutcome::Interrupted(interrupt), stats, metrics);
-            }
-
-            // ---- apply phase: plan in parallel, commit in order ----
-            if failpoint::triggered("chase/apply") {
-                metrics.early_terminated = true;
-                return done(
-                    DepChaseOutcome::Interrupted(Interrupt::Aborted(
-                        "failpoint chase/apply fired".to_string(),
-                    )),
-                    stats,
-                    metrics,
-                );
-            }
-            // Pending firings: literal consequences as-is, generating
-            // firings deduped against every earlier round (a (rule,
-            // match) key fires at most once). Within a round every match
-            // index is distinct, so the round cannot collide with
-            // itself.
-            let mut pending: Vec<(u32, u32)> = Vec::with_capacity(fired.len());
-            for &(rule, idx) in &fired {
-                match &rules[rule as usize].consequence {
-                    Consequence::Literals(_) => pending.push((rule, idx)),
-                    Consequence::Generate(_) => {
-                        let key: FiredKey =
-                            (rule, all_matches[rule as usize].get(idx as usize).into());
-                        if fired_gen.insert(key) {
-                            pending.push((rule, idx));
-                        }
-                    }
-                }
-            }
-
-            // Planning pass (on the scheduler): realization checks are
-            // read-only against the round-start snapshots — trivially
-            // parallel under round-snapshot semantics — and every
-            // firing's mutation buffer is built concurrently. The
-            // greedy partition then splits the round into the
-            // parallel-independent set (disjoint touched classes,
-            // nodes, and fresh ranges — those patches commute) and the
-            // conflicting residual, which replays the serial apply.
-            let apply_start = Instant::now();
-            let plan_span = ctl.start();
-            let checks0 = stats.realization_checks;
-            let (plans, independent) = if pending.is_empty() {
-                (Vec::new(), Vec::new())
-            } else {
-                match plan_round(
-                    rules,
-                    &all_matches,
-                    &pending,
-                    &canon.index,
-                    &eq,
-                    config,
-                    p,
-                    &mut stats,
-                    &mut metrics,
-                ) {
-                    Ok((plans, mut probe)) => {
-                        let independent = partition_independent(&plans, &mut probe);
-                        (plans, independent)
-                    }
-                    Err(interrupt) => {
-                        metrics.early_terminated = true;
-                        return done(DepChaseOutcome::Interrupted(interrupt), stats, metrics);
-                    }
-                }
-            };
-            ctl.span(
-                EventKind::ApplyPlan,
-                round,
-                plan_span,
-                pending.len() as u64,
-                stats.realization_checks - checks0,
-            );
-
-            // Deterministic commit walk in sorted (rule, match index)
-            // order — the same order the fully serial apply used, so
-            // node ids, conflict attribution and budget cut points are
-            // identical at every worker count.
-            let topo_before = graph.topology_version();
-            let commit_span = ctl.start();
-            let independent0 = stats.apply_independent;
-            let conflicts0 = stats.apply_conflicts;
-            let mut changed = false;
-            for (i, &(rule, idx)) in pending.iter().enumerate() {
-                let id = gfd_graph::GfdId::new(rule as usize);
-                let m = all_matches[rule as usize].get(idx as usize);
-                match (&rules[rule as usize].consequence, &plans[i]) {
-                    (_, FiringPlan::Realized) => {}
-                    (Consequence::Literals(_), FiringPlan::Patch(patch)) => {
-                        // A literal patch is the serial apply — the same
-                        // binds and merges in the same order — so the
-                        // partition only decides where it is booked.
-                        if independent[i] {
-                            stats.apply_independent += 1;
-                        } else {
-                            stats.apply_conflicts += 1;
-                        }
-                        match splice_ops(&mut eq, &patch.ops, &[]) {
-                            Ok(c) => changed |= c,
-                            Err(e) => {
-                                metrics.early_terminated = true;
-                                return done(
-                                    DepChaseOutcome::Conflict(e.with_gfd(id)),
-                                    stats,
-                                    metrics,
-                                );
-                            }
-                        }
-                    }
-                    (Consequence::Generate(gen), FiringPlan::Patch(patch)) => {
-                        let materialized = if independent[i] {
-                            stats.apply_independent += 1;
-                            splice_patch(&mut graph, &mut eq, patch)
-                        } else {
-                            stats.apply_conflicts += 1;
-                            gen.materialize(&mut graph, m, &mut |lit, asn| {
-                                let k1 = (asn[lit.var.index()], lit.attr);
-                                match &lit.rhs {
-                                    Operand::Const(c) => eq.bind(k1, *c).map(|_| ()),
-                                    Operand::Attr(v2, a2) => {
-                                        eq.merge(k1, (asn[v2.index()], *a2)).map(|_| ())
-                                    }
-                                }
-                            })
-                            .map(|fresh| fresh.len())
-                        };
-                        match materialized {
-                            Ok(fresh) => {
-                                stats.generated_nodes += fresh as u64;
-                                changed = true;
-                                if stats.generated_nodes > config.max_generated_nodes {
-                                    metrics.early_terminated = true;
-                                    return done(
-                                        DepChaseOutcome::BudgetExhausted {
-                                            generated_nodes: stats.generated_nodes,
-                                        },
-                                        stats,
-                                        metrics,
-                                    );
-                                }
-                            }
-                            Err(e) => {
-                                metrics.early_terminated = true;
-                                return done(
-                                    DepChaseOutcome::Conflict(e.with_gfd(id)),
-                                    stats,
-                                    metrics,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            stats.apply_time += apply_start.elapsed();
-            ctl.span(
-                EventKind::ApplyCommit,
-                round,
-                commit_span,
-                stats.apply_independent - independent0,
-                stats.apply_conflicts - conflicts0,
-            );
-            ctl.span(
-                EventKind::ChaseRound,
-                round,
-                round_span,
-                fired.len() as u64,
-                rules.len() as u64,
-            );
-            if !changed {
-                return done(
-                    DepChaseOutcome::Fixpoint {
-                        graph: Box::new(graph),
-                        eq: Box::new(eq),
-                    },
-                    stats,
-                    metrics,
-                );
-            }
-            if graph.topology_version() != topo_before {
-                // Materialization grew the graph: matches (and the frozen
-                // index the realization check probes) are stale.
-                continue 'rebuild;
-            }
+    let mut chase = Chase::new(deps.as_slice(), graph0, eq0, config);
+    let stopped = loop {
+        match chase.round() {
+            Ok(true) => {}
+            Ok(false) => break None,
+            Err(outcome) => break Some(outcome),
         }
-    }
+    };
+    let Chase {
+        graph,
+        eq,
+        stats,
+        mut metrics,
+        ctl,
+        ..
+    } = chase;
+    metrics.early_terminated = stopped.is_some();
+    metrics.matches = stats.matches_enumerated;
+    metrics.trace.absorb_buf(ctl);
+    config.budget.stamp(start, &mut metrics);
+    let outcome = stopped.unwrap_or(DepChaseOutcome::Fixpoint {
+        graph: Box::new(graph),
+        eq: Box::new(eq),
+    });
+    (outcome, stats, metrics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sat_chase::{chase_sat, chase_sat_with_config};
-    use gfd_core::{DepSet, Dependency, Literal, SatOutcome};
-    use gfd_graph::{Pattern, ValueId as VId, VarId, Vocab};
+    use gfd_core::{CanonicalGraph, DepSet, Dependency, Literal, SatOutcome};
+    use gfd_graph::{LabelId, Pattern, ValueId as VId, VarId, Vocab};
+    use gfd_runtime::TraceSpec;
 
     fn unary(vocab: &mut Vocab, name: &str, pre: Vec<Literal>, post: Vec<Literal>) -> Dependency {
         let mut p = Pattern::new();
@@ -1109,6 +1084,233 @@ mod tests {
 
         let (_, _, _, quiet) = chase_literal(&sigma, &ChaseConfig::default());
         assert!(quiet.trace.is_empty(), "default config must not trace");
+    }
+
+    /// Run `deps` over `GΣ` a round at a time and check, after every
+    /// round, what the append-only tables promise: each rule's table holds
+    /// exactly the matches a fresh enumeration of the grown graph finds,
+    /// none twice, and a row that left `live` (was retired) never comes
+    /// back — so it can never be fired, let alone committed, again.
+    /// Returns every round's tables, for comparison across worker counts.
+    fn check_tables_every_round(deps: &DepSet, workers: usize) -> Vec<Vec<Vec<NodeId>>> {
+        let cfg = ChaseConfig {
+            workers,
+            ttl: Duration::ZERO,
+            batch: 1,
+            ..ChaseConfig::default()
+        };
+        let (canon, _) = CanonicalGraph::for_sigma(deps);
+        let mut chase = Chase::new(deps.as_slice(), canon.graph, EqRel::new(), &cfg);
+        let mut retired: Vec<FxHashSet<u32>> = vec![FxHashSet::default(); deps.len()];
+        let mut snapshots = Vec::new();
+        loop {
+            let live_before: Vec<Vec<u32>> = chase.tables.iter().map(|t| t.live.clone()).collect();
+            let changed = chase.round().unwrap_or_else(|_| panic!("no fixpoint"));
+            let index = LabelIndex::build(&chase.graph);
+            for (rule, table) in chase.tables.iter().enumerate() {
+                let mut rows: Vec<&[NodeId]> = (0..table.len()).map(|i| table.get(i)).collect();
+                rows.sort_unstable();
+                assert!(
+                    rows.windows(2).all(|w| w[0] != w[1]),
+                    "rule {rule}: duplicate row"
+                );
+                let mut oracle = gfd_match::find_all_matches(
+                    &chase.graph,
+                    &index,
+                    &deps.as_slice()[rule].pattern,
+                );
+                oracle.sort_unstable();
+                let oracle: Vec<&[NodeId]> = oracle.iter().map(|m| &**m).collect();
+                assert_eq!(rows, oracle, "rule {rule}, round {}", chase.stats.rounds);
+
+                assert!(table.live.windows(2).all(|w| w[0] < w[1]), "rule {rule}");
+                for row in live_before[rule].iter().filter(|r| !table.live.contains(r)) {
+                    assert!(
+                        retired[rule].insert(*row),
+                        "rule {rule}: row {row} retired twice"
+                    );
+                }
+                let back = table.live.iter().find(|r| retired[rule].contains(r));
+                assert_eq!(back, None, "rule {rule}: a retired row is live again");
+            }
+            snapshots.push(chase.tables.iter().map(|t| t.nodes.clone()).collect());
+            if !changed {
+                return snapshots;
+            }
+        }
+    }
+
+    /// A Σ whose generated edges join two *old* premise nodes: new matches
+    /// with no new node, edges generated twice, and a wildcard pattern
+    /// edge whose image already had an older edge under it.
+    fn old_edge_sigma(vocab: &mut Vocab) -> DepSet {
+        use gfd_core::GenerateConsequence;
+        let (a, b) = (vocab.label("a"), vocab.label("b"));
+        let (f, g) = (vocab.label("f"), vocab.label("g"));
+        let k = vocab.attr("k");
+        let pair = |edge: Option<LabelId>| {
+            let mut p = Pattern::new();
+            let x = p.add_node(a, "x");
+            let y = p.add_node(b, "y");
+            if let Some(l) = edge {
+                p.add_edge(x, l, y);
+            }
+            (p, x, y)
+        };
+        let link = |name: &str, premise: Option<LabelId>, generated: LabelId| {
+            let (p, x, y) = pair(premise);
+            let mut gen = GenerateConsequence::over(&p);
+            gen.add_edge(x, generated, y);
+            Dependency::new(name, p, vec![], gen)
+        };
+        let merge = |name: &str, edge: LabelId| {
+            let (p, x, y) = pair(Some(edge));
+            Dependency::new(name, p, vec![], vec![Literal::eq_attr(x, k, y, k)])
+        };
+        DepSet::from_vec(vec![
+            // Every (a, b) pair gains an f edge; the pair of `over_f`'s own
+            // pattern copy already has it.
+            link("all_pairs_f", None, f),
+            merge("over_f", f),
+            // g under every f: the second edge beneath `over_any`'s matches.
+            link("f_to_g", Some(f), g),
+            merge("over_any", LabelId::WILDCARD),
+            merge("over_g", g),
+        ])
+    }
+
+    #[test]
+    fn table_oracle_tables_equal_a_fresh_enumeration_after_every_round() {
+        let overlap = gfd_gen::ggd_overlap_workload(
+            &gfd_gen::GgdGenConfig {
+                chain_depth: 3,
+                gen_per_tier: 2,
+                fanout: 2,
+                literal_rules: 2,
+                seed: 37,
+            },
+            &mut Vocab::new(),
+        );
+        let old_edges = old_edge_sigma(&mut Vocab::new());
+        for deps in [&overlap, &old_edges] {
+            let base = check_tables_every_round(deps, 1);
+            assert!(base.len() >= 3, "rounds = {}", base.len());
+            for p in [2usize, 8] {
+                assert_eq!(check_tables_every_round(deps, p), base, "p={p}");
+            }
+        }
+        // The hand-written Σ does what it is here for: `over_f` starts with
+        // one match and ends with all four (a, b) pairs, no node added.
+        let (canon, _) = CanonicalGraph::for_sigma(&old_edges);
+        let nodes = canon.graph.node_count();
+        let (outcome, stats, _) = dep_chase_with_config(
+            &old_edges,
+            canon.graph,
+            EqRel::new(),
+            &ChaseConfig::default(),
+        );
+        let DepChaseOutcome::Fixpoint { graph, .. } = outcome else {
+            panic!("no fixpoint")
+        };
+        assert_eq!((graph.node_count(), stats.generated_nodes), (nodes, 0));
+        assert!(stats.realized > 0, "{stats:?}");
+    }
+
+    /// The once-only property as counts: every distinct `(rule, row)` is
+    /// enumerated once, evaluated while live, checked once and committed
+    /// (or found realized) once.
+    #[test]
+    fn once_only_every_firing_is_planned_and_committed_once() {
+        let deps = gfd_gen::mixed_ggd_workload(
+            &gfd_gen::GgdGenConfig {
+                chain_depth: 4,
+                gen_per_tier: 2,
+                fanout: 3,
+                literal_rules: 6,
+                seed: 5,
+            },
+            &mut Vocab::new(),
+        );
+        let cfg = ChaseConfig::with_workers(2);
+        let (canon, _) = CanonicalGraph::for_sigma(&deps);
+        let mut chase = Chase::new(deps.as_slice(), canon.graph, EqRel::new(), &cfg);
+        let mut evals = 0u64;
+        loop {
+            evals += chase
+                .tables
+                .iter()
+                .map(|t| t.live.len() as u64)
+                .sum::<u64>();
+            if !chase.round().unwrap_or_else(|_| panic!("no fixpoint")) {
+                break;
+            }
+        }
+        let stats = chase.stats;
+        let fired = |t: &MatchTable| (t.len() - t.live.len()) as u64;
+        let all_fired: u64 = chase.tables.iter().map(fired).sum();
+        let generating =
+            |(t, r): (&MatchTable, &Dependency)| r.consequence.is_generating().then(|| fired(t));
+        let gen_fired: u64 = chase
+            .tables
+            .iter()
+            .zip(deps.as_slice())
+            .filter_map(generating)
+            .sum();
+        assert!(
+            stats.rounds >= 5 && stats.generated_nodes > 500,
+            "{stats:?}"
+        );
+        assert_eq!(
+            stats.apply_independent + stats.apply_conflicts + stats.realized,
+            all_fired,
+            "{stats:?}"
+        );
+        assert_eq!(stats.realization_checks, gen_fired, "{stats:?}");
+        assert_eq!(stats.premise_evals, evals, "{stats:?}");
+        let rows: u64 = chase.tables.iter().map(|t| t.len() as u64).sum();
+        assert_eq!(stats.matches_enumerated, rows, "{stats:?}");
+    }
+
+    /// A TTL of zero with the default batch: both range tasks hold units
+    /// long enough to have a rest to offer at a stride boundary, and offer
+    /// it. (With `batch = 1`, as every other forced-splitting test has it,
+    /// a unit has no rest and `offer_rest` never runs.)
+    #[test]
+    fn strided_deadline_poll_splits_scan_and_apply_units() {
+        let deps = gfd_gen::mixed_ggd_workload(
+            &gfd_gen::GgdGenConfig {
+                chain_depth: 4,
+                gen_per_tier: 2,
+                fanout: 3,
+                literal_rules: 6,
+                seed: 5,
+            },
+            &mut Vocab::new(),
+        );
+        let cfg = ChaseConfig {
+            ttl: Duration::ZERO,
+            ..ChaseConfig::with_workers(2)
+        };
+        let (canon, _) = CanonicalGraph::for_sigma(&deps);
+        let mut chase = Chase::new(deps.as_slice(), canon.graph, EqRel::new(), &cfg);
+        let (mut scan_splits, mut apply_splits) = (0, 0);
+        loop {
+            // Scan and plan only read the round-start state: running them
+            // ahead of the round they belong to changes nothing but stats.
+            let split0 = chase.metrics.units_split;
+            let fired = chase.scan().unwrap();
+            let split1 = chase.metrics.units_split;
+            chase.plan(&fired).unwrap();
+            scan_splits += split1 - split0;
+            apply_splits += chase.metrics.units_split - split1;
+            if !chase.round().unwrap_or_else(|_| panic!("no fixpoint")) {
+                break;
+            }
+        }
+        assert!(
+            scan_splits > 0 && apply_splits > 0,
+            "{scan_splits} / {apply_splits}"
+        );
     }
 
     #[test]

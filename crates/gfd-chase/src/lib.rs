@@ -5,9 +5,11 @@
 //!
 //! * [`chase`] — the one naive round-based fixpoint chase
 //!   ([`chase::dep_chase_with_config`]: no ordering, no inverted index,
-//!   full re-scans) over a `gfd_core::DepSet`; each round's premise
-//!   scan and apply-planning pass run as `gfd_runtime::Task`s on the
-//!   shared work-stealing scheduler and report unified `RunMetrics`;
+//!   every unfired premise match re-scanned every round — but each match
+//!   enumerated once and each firing applied once) over a
+//!   `gfd_core::DepSet`; each round's premise scan and realization-check
+//!   pass run as `gfd_runtime::Task`s on the shared work-stealing
+//!   scheduler and report unified `RunMetrics`;
 //! * [`imp_rdf::chase_imp`] — implication checking via that chase (the
 //!   `ParImpRDF` baseline);
 //! * [`sat_chase::chase_sat`] — satisfiability via that chase;

@@ -60,14 +60,15 @@ pub fn fmt_metrics(m: &RunMetrics) -> String {
 pub fn fmt_chase_stats(s: &gfd_chase::ChaseStats) -> String {
     format!(
         "  chase: {} round(s), {} premise eval(s), {} match(es) enumerated, \
-         {} node(s) generated, {} realization check(s)\n\
-         \x20 apply: {} independent firing(s), {} conflicting (serial fallback); \
+         {} node(s) generated, {} realization check(s) ({} already realized)\n\
+         \x20 apply: {} independent firing(s), {} conflicting; \
          scan {}, apply {}\n",
         s.rounds,
         s.premise_evals,
         s.matches_enumerated,
         s.generated_nodes,
         s.realization_checks,
+        s.realized,
         s.apply_independent,
         s.apply_conflicts,
         fmt_duration(s.scan_time),

@@ -149,8 +149,8 @@ pub fn mixed_ggd_workload(cfg: &GgdGenConfig, vocab: &mut Vocab) -> DepSet {
 /// all touch the parent's class. Combined with `gen_per_tier > 1`
 /// (sibling generators claiming the same premise node for adjacency
 /// writes), almost every round's firing set overlaps — the worst case
-/// for the independence analysis, which must shunt the residual through
-/// the serial fallback without changing the fixpoint.
+/// for the independence analysis, which must book the residual as
+/// conflicts without changing the fixpoint.
 pub fn ggd_overlap_workload(cfg: &GgdGenConfig, vocab: &mut Vocab) -> DepSet {
     let mut deps = ggd_chain_workload(cfg, vocab);
     let depth = cfg.chain_depth.max(1);

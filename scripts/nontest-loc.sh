@@ -18,7 +18,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=23347
+CEILING=23324
 BENCH_CEILING=1783
 
 total=0

@@ -199,10 +199,9 @@ fn ggd_chase_sat_is_worker_count_invariant() {
 /// Adversarial case for the parallel apply: the overlap workload is
 /// built so that almost every round's firings collide in the conflict
 /// partition (same-key rider cliques, cross-node merges along generated
-/// edges, sibling generators on one premise node). The parallel path
-/// must route the residual through the serial fallback and still land
-/// on the serial fixpoint — bit for bit, at every worker count, under
-/// forced maximal splitting.
+/// edges, sibling generators on one premise node). The chase must book
+/// the residual as conflicts and still land on the serial fixpoint — bit
+/// for bit, at every worker count, under forced maximal splitting.
 #[test]
 fn conflict_heavy_chase_is_worker_count_invariant() {
     let cfg = GgdGenConfig {
@@ -238,6 +237,38 @@ fn conflict_heavy_chase_is_worker_count_invariant() {
             r.stats.apply_independent, base.stats.apply_independent,
             "p={p}"
         );
+        assert_eq!(fingerprint(r.model().unwrap()), base_fp, "p={p}");
+    }
+}
+
+/// Straggler splitting that has something to split: a TTL of zero with
+/// the *default* batch. (Under `batch = 1`, as the tests above force it, a
+/// unit has no rest to hand over and the chase's deadline poll never
+/// runs.) Units of more than one poll stride must split, and the fixpoint
+/// must stay the p = 1 one.
+#[test]
+fn straggler_split_chase_is_worker_count_invariant() {
+    let cfg = GgdGenConfig {
+        chain_depth: 4,
+        gen_per_tier: 2,
+        fanout: 3,
+        literal_rules: 6,
+        seed: 5,
+    };
+    let mut vocab = Vocab::new();
+    let deps = mixed_ggd_workload(&cfg, &mut vocab);
+    let base = dep_sat_with_config(&deps, &chase_cfg(1));
+    assert!(base.is_satisfiable());
+    let base_fp = fingerprint(base.model().unwrap());
+    for p in worker_counts() {
+        let mut ccfg = chase_cfg(p);
+        ccfg.ttl = std::time::Duration::ZERO;
+        let r = dep_sat_with_config(&deps, &ccfg);
+        assert!(r.is_satisfiable(), "p={p}");
+        assert!(r.metrics.units_split > 0, "p={p}: no unit offered its rest");
+        assert_eq!(r.stats.rounds, base.stats.rounds, "p={p}");
+        assert_eq!(r.stats.generated_nodes, base.stats.generated_nodes, "p={p}");
+        assert_eq!(r.stats.premise_evals, base.stats.premise_evals, "p={p}");
         assert_eq!(fingerprint(r.model().unwrap()), base_fp, "p={p}");
     }
 }
