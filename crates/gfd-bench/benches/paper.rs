@@ -18,8 +18,7 @@ use gfd_bench::{
 use gfd_chase::{chase_imp, dep_sat_with_config, ChaseConfig};
 use gfd_core::{imp_with_config, sat_with_config, DepSet, Dependency, Literal, ReasonConfig};
 use gfd_detect::{detect, DetectConfig, ViolationRecord};
-use gfd_ged::driver::{ged_sat_with_config, GedReasonConfig};
-use gfd_ged::{Ged, GedLiteral, GedSet};
+use gfd_ged::{ged_sat_with_config, Ged, GedLiteral, GedReasonConfig, GedSatOutcome, GedSet};
 use gfd_gen::{real_life_workload, synthetic_workload, Dataset, HubGenConfig, ImpProbe};
 use gfd_graph::{AttrId, DeltaBatch, Graph, LabelId, Pattern, VarId, Vocab};
 use gfd_incr::{IncrConfig, IncrementalDetector};
@@ -481,8 +480,8 @@ const GED_SAT: Variant = Variant("GED-Sat", Swept, |w, cfg| {
     let cfg = GedReasonConfig::with_workers(cfg.workers).with_ttl(FINE_TTL);
     sample(|| {
         let run = ged_sat_with_config(&w.ged, &cfg);
-        let unsat = !run.outcome.expect("within budget").is_satisfiable();
-        assert!(unsat, "the choice tree must be UNSAT");
+        let unsat = matches!(run.outcome, GedSatOutcome::Unsatisfiable);
+        assert!(unsat, "the choice tree must be UNSAT: {:?}", run.outcome);
         let branches = run.metrics.branches;
         w.pin(vec![branches], "branches explored");
         (Some(run.metrics), vec![("branches", branches)])

@@ -41,6 +41,9 @@
 //! baseline is *supposed* to pay for is preserved. Snapshot semantics
 //! hold at every worker count (including the sequential `workers = 1`),
 //! so [`ChaseStats`] round/eval counts are identical across `p`.
+//!
+//! A run ends in a fixpoint, a conflict, or an [`Interrupt`]: the
+//! fresh-node budget is one more interrupt, not a separate kind of answer.
 
 use gfd_core::{
     eval_premise, generate_deducible, run_task, Budget, Conflict, Consequence, DepSet, Dependency,
@@ -581,15 +584,9 @@ pub enum DepChaseOutcome {
     },
     /// Two distinct constants were forced onto one class.
     Conflict(Conflict),
-    /// The fresh-node budget ran out before a fixpoint: the question is
-    /// undecided (mirrors the GED search's branch budget — report
-    /// "unknown", never loop forever).
-    BudgetExhausted {
-        /// Fresh nodes materialized before giving up.
-        generated_nodes: u64,
-    },
-    /// The run was cut short — deadline, unit budget, or an injected
-    /// fault — before the fixpoint: no definite answer.
+    /// The run was cut short before the fixpoint — deadline, unit budget,
+    /// an injected fault, or the fresh-node budget (`FreshNodes`, at
+    /// [`ChaseStats::generated_nodes`]): no definite answer.
     Interrupted(Interrupt),
 }
 
@@ -743,7 +740,7 @@ impl<'a> Chase<'a> {
     /// the fixpoint is reached when it changed nothing; `Err`: the run
     /// ends here without one.
     fn round(&mut self) -> Result<bool, DepChaseOutcome> {
-        use DepChaseOutcome::{BudgetExhausted, Interrupted};
+        use DepChaseOutcome::Interrupted;
         if self.config.budget.expired() {
             return Err(Interrupted(Interrupt::Deadline));
         }
@@ -830,9 +827,7 @@ impl<'a> Chase<'a> {
                 DepChaseOutcome::Conflict(e.with_gfd(GfdId::new(rule as usize)))
             })?;
             if self.stats.generated_nodes > self.config.max_generated_nodes {
-                return Err(BudgetExhausted {
-                    generated_nodes: self.stats.generated_nodes,
-                });
+                return Err(Interrupted(Interrupt::FreshNodes));
             }
         }
         retire(&mut self.tables, &fired);
@@ -866,8 +861,8 @@ impl<'a> Chase<'a> {
     }
 }
 
-/// Chase a [`DepSet`] over `graph0` to fixpoint, conflict or
-/// budget exhaustion, starting from `eq0`.
+/// Chase a [`DepSet`] over `graph0` to fixpoint, conflict or interrupt
+/// (budget exhaustion, the fresh-node cap included), starting from `eq0`.
 ///
 /// Each round runs the premise scan of **every** dependency — every row
 /// that has not fired yet — as scan units on the shared scheduler, then
@@ -988,7 +983,6 @@ mod tests {
         match outcome {
             DepChaseOutcome::Fixpoint { eq, .. } => (*eq, node_of, stats, metrics),
             DepChaseOutcome::Conflict(c) => panic!("unexpected conflict: {c}"),
-            DepChaseOutcome::BudgetExhausted { .. } => panic!("literal rules generate nothing"),
             DepChaseOutcome::Interrupted(i) => panic!("unexpected interrupt: {i}"),
         }
     }

@@ -11,45 +11,33 @@
 //!   through the chase ([`crate::chase::dep_chase_with_config`]): scan
 //!   units stay on the shared scheduler, generating consequences are
 //!   applied in the serial between-rounds step, and the fresh-node budget
-//!   turns potential non-termination into an explicit `Unknown` outcome.
+//!   turns potential non-termination into an `Unknown(FreshNodes)` verdict.
 //!
 //! Satisfiability of a mixed Σ chases the disjoint union of every
 //! premise pattern (the `GΣ` construction, unchanged: [`chase_sat_with_config`]
 //! takes any Σ); implication
 //! chases ϕ's canonical graph `G^X_Q` and then tests ϕ's consequence —
 //! literal deducibility or generating-target realization — on the chased
-//! result.
+//! result ([`chase_imp_with_config`] likewise takes any Σ).
 
-use crate::chase::{dep_chase_with_config, ChaseConfig, ChaseStats, DepChaseOutcome};
+use crate::chase::{ChaseConfig, ChaseStats};
+use crate::imp_rdf::chase_imp_with_config;
 use crate::sat_chase::chase_sat_with_config;
 use gfd_core::{
-    consequence_deducible_on, imp_with_config, sat_with_config, CanonicalGraph, Conflict, DepSet,
-    Dependency, ImpOutcome, ImpliedVia, Interrupt, ReasonConfig, SatOutcome,
+    imp_with_config, sat_with_config, DepSet, Dependency, ImpOutcome, ReasonConfig, SatOutcome,
 };
-use gfd_graph::{Graph, LabelIndex};
+use gfd_graph::Graph;
 use gfd_runtime::RunMetrics;
 
-/// The outcome of satisfiability over a dependency set that may generate.
-#[derive(Debug)]
-pub enum DepSatOutcome {
-    /// Σ has a model (the chased graph populated through the relation).
-    Satisfiable(Box<Graph>),
-    /// Enforcement forces two distinct constants onto one class.
-    Unsatisfiable(Conflict),
-    /// The fresh-node budget ran out before a fixpoint: undecided.
-    Unknown {
-        /// Fresh nodes materialized before giving up.
-        generated_nodes: u64,
-    },
-    /// The run was cut short — deadline, unit budget, or an injected
-    /// fault — before a verdict: undecided.
-    Interrupted(Interrupt),
-}
+/// The name gfdbench matches satisfiability verdicts by.
+pub type DepSatOutcome = SatOutcome; // gfdbench-pin
 
-/// Result + statistics of [`dep_sat`].
+/// Result + statistics of satisfiability over a dependency set that may
+/// generate ([`dep_sat`], [`chase_sat_with_config`]).
+#[derive(Debug)]
 pub struct DepSatResult {
     /// The verdict.
-    pub outcome: DepSatOutcome,
+    pub outcome: SatOutcome,
     /// Chase counters (all zero when the literal-only fast path ran).
     pub stats: ChaseStats,
     /// Unified scheduler metrics.
@@ -59,21 +47,18 @@ pub struct DepSatResult {
 impl DepSatResult {
     /// True iff Σ was found satisfiable.
     pub fn is_satisfiable(&self) -> bool {
-        matches!(self.outcome, DepSatOutcome::Satisfiable(_))
+        matches!(self.outcome, SatOutcome::Satisfiable(_))
     }
 
     /// True iff the run degraded before a verdict.
     pub fn is_unknown(&self) -> bool {
-        matches!(
-            self.outcome,
-            DepSatOutcome::Unknown { .. } | DepSatOutcome::Interrupted(_)
-        )
+        matches!(self.outcome, SatOutcome::Unknown(_))
     }
 
     /// The model, if satisfiable.
     pub fn model(&self) -> Option<&Graph> {
         match &self.outcome {
-            DepSatOutcome::Satisfiable(m) => Some(m),
+            SatOutcome::Satisfiable(m) => Some(m),
             _ => None,
         }
     }
@@ -103,50 +88,25 @@ pub fn dep_sat(deps: &DepSet) -> DepSatResult {
 /// driver, mixed sets the generating chase over `GΣ`
 /// ([`chase_sat_with_config`]).
 pub fn dep_sat_with_config(deps: &DepSet, config: &ChaseConfig) -> DepSatResult {
-    let (outcome, stats, metrics) = if deps.has_generating() {
-        let r = chase_sat_with_config(deps, config);
-        (r.outcome, r.stats, r.metrics)
-    } else {
-        let r = sat_with_config(deps, &reason_config(config));
-        (r.outcome, ChaseStats::default(), r.stats)
-    };
-    let outcome = match outcome {
-        SatOutcome::Satisfiable(m) => DepSatOutcome::Satisfiable(m),
-        SatOutcome::Unsatisfiable(c) => DepSatOutcome::Unsatisfiable(c),
-        SatOutcome::Unknown(Interrupt::FreshNodes) => DepSatOutcome::Unknown {
-            generated_nodes: stats.generated_nodes,
-        },
-        SatOutcome::Unknown(i) => DepSatOutcome::Interrupted(i),
-    };
+    if deps.has_generating() {
+        return chase_sat_with_config(deps, config);
+    }
+    let r = sat_with_config(deps, &reason_config(config));
     DepSatResult {
-        outcome,
-        stats,
-        metrics,
+        outcome: r.outcome,
+        stats: ChaseStats::default(),
+        metrics: r.stats,
     }
 }
 
-/// The outcome of implication over a dependency set that may generate.
+/// Result + statistics of implication over a dependency set that may
+/// generate ([`dep_imp`], [`chase_imp_with_config`]).
 #[derive(Debug)]
-pub enum DepImpOutcome {
-    /// `Σ |= ϕ`.
-    Implied(ImpliedVia),
-    /// `Σ 6|= ϕ` under the chase semantics.
-    NotImplied,
-    /// The fresh-node budget ran out before a verdict.
-    Unknown {
-        /// Fresh nodes materialized before giving up.
-        generated_nodes: u64,
-    },
-    /// The run was cut short — deadline, unit budget, or an injected
-    /// fault — before a verdict: undecided.
-    Interrupted(Interrupt),
-}
-
-/// Result + statistics of [`dep_imp`].
 pub struct DepImpResult {
     /// The verdict.
-    pub outcome: DepImpOutcome,
-    /// Chase counters (all zero when the driver fast path ran).
+    pub outcome: ImpOutcome,
+    /// Chase counters (all zero when the driver ran, or a trivial case
+    /// decided the question before any chase).
     pub stats: ChaseStats,
     /// Unified scheduler metrics.
     pub metrics: RunMetrics,
@@ -155,15 +115,12 @@ pub struct DepImpResult {
 impl DepImpResult {
     /// True iff `Σ |= ϕ`.
     pub fn is_implied(&self) -> bool {
-        matches!(self.outcome, DepImpOutcome::Implied(_))
+        matches!(self.outcome, ImpOutcome::Implied(_))
     }
 
     /// True iff the run degraded before a verdict.
     pub fn is_unknown(&self) -> bool {
-        matches!(
-            self.outcome,
-            DepImpOutcome::Unknown { .. } | DepImpOutcome::Interrupted(_)
-        )
+        matches!(self.outcome, ImpOutcome::Unknown(_))
     }
 }
 
@@ -176,66 +133,21 @@ pub fn dep_imp(deps: &DepSet, phi: &Dependency) -> DepImpResult {
 /// (generating candidates included); a mixed Σ chases `G^X_Q` to fixpoint
 /// and tests ϕ's consequence on the result.
 pub fn dep_imp_with_config(deps: &DepSet, phi: &Dependency, config: &ChaseConfig) -> DepImpResult {
-    if !deps.has_generating() {
-        let r = imp_with_config(deps, phi, &reason_config(config));
-        let outcome = match r.outcome {
-            ImpOutcome::Implied(via) => DepImpOutcome::Implied(via),
-            ImpOutcome::NotImplied => DepImpOutcome::NotImplied,
-            ImpOutcome::Unknown(i) => DepImpOutcome::Interrupted(i),
-        };
-        return DepImpResult {
-            outcome,
-            stats: ChaseStats::default(),
-            metrics: r.stats,
-        };
+    if deps.has_generating() {
+        return chase_imp_with_config(deps, phi, config);
     }
-
-    let zero = |outcome: DepImpOutcome| DepImpResult {
-        outcome,
-        stats: ChaseStats::default(),
-        metrics: RunMetrics {
-            workers: config.workers.max(1),
-            ..Default::default()
-        },
-    };
-    // Trivial short-circuits mirror `imp_with_config`'s.
-    if phi.consequence.literals().is_some_and(<[_]>::is_empty) {
-        return zero(DepImpOutcome::Implied(ImpliedVia::Consequence));
-    }
-    let (canon, eqx) = match CanonicalGraph::for_phi(phi) {
-        Ok(pair) => pair,
-        Err(_) => return zero(DepImpOutcome::Implied(ImpliedVia::PremiseInconsistent)),
-    };
-    if consequence_deducible_on(&mut eqx.clone(), &canon.index, phi) {
-        return zero(DepImpOutcome::Implied(ImpliedVia::Consequence));
-    }
-
-    let (outcome, stats, metrics) = dep_chase_with_config(deps, canon.graph, eqx, config);
-    let outcome = match outcome {
-        DepChaseOutcome::Conflict(c) => DepImpOutcome::Implied(ImpliedVia::Conflict(c)),
-        DepChaseOutcome::BudgetExhausted { generated_nodes } => {
-            DepImpOutcome::Unknown { generated_nodes }
-        }
-        DepChaseOutcome::Interrupted(i) => DepImpOutcome::Interrupted(i),
-        DepChaseOutcome::Fixpoint { graph, mut eq } => {
-            if consequence_deducible_on(&mut eq, &LabelIndex::build(&graph), phi) {
-                DepImpOutcome::Implied(ImpliedVia::Consequence)
-            } else {
-                DepImpOutcome::NotImplied
-            }
-        }
-    };
+    let r = imp_with_config(deps, phi, &reason_config(config));
     DepImpResult {
-        outcome,
-        stats,
-        metrics,
+        outcome: r.outcome,
+        stats: ChaseStats::default(),
+        metrics: r.stats,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_core::{seq_imp, seq_sat, GenerateConsequence, Literal};
+    use gfd_core::{seq_imp, seq_sat, GenerateConsequence, Interrupt, Literal};
     use gfd_graph::{Pattern, ValueId, VarId, Vocab};
 
     fn unary(vocab: &mut Vocab, label: &str) -> Pattern {
@@ -399,7 +311,7 @@ mod tests {
         ));
         let r = dep_sat(&deps);
         assert!(
-            matches!(r.outcome, DepSatOutcome::Unsatisfiable(_)),
+            matches!(r.outcome, SatOutcome::Unsatisfiable(_)),
             "generated a1=1 must clash with the denial's a1=-1"
         );
     }
@@ -418,11 +330,25 @@ mod tests {
             ..ChaseConfig::default()
         };
         let r = dep_sat_with_config(&deps, &cfg);
-        assert!(r.is_unknown(), "must give up, not loop");
+        assert!(
+            matches!(r.outcome, SatOutcome::Unknown(Interrupt::FreshNodes)),
+            "must give up, not loop"
+        );
+        assert!(r.stats.generated_nodes > 50, "{:?}", r.stats);
+        // Implication chases ϕ's canonical graph into the same budget.
+        let a = vocab.attr("a");
+        let phi = Dependency::new(
+            "q",
+            unary(&mut vocab, "person"),
+            vec![],
+            vec![Literal::eq_const(VarId::new(0), a, 1i64)],
+        );
+        let r = dep_imp_with_config(&deps, &phi, &cfg);
         assert!(matches!(
             r.outcome,
-            DepSatOutcome::Unknown { generated_nodes } if generated_nodes > 50
+            ImpOutcome::Unknown(Interrupt::FreshNodes)
         ));
+        assert!(r.stats.generated_nodes > 50, "{:?}", r.stats);
     }
 
     #[test]

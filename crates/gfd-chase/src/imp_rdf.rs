@@ -3,66 +3,52 @@
 //! represented as graphs).
 
 use crate::chase::{dep_chase_with_config, ChaseConfig, ChaseStats, DepChaseOutcome};
+use crate::ggd::DepImpResult;
 use gfd_core::{
-    consequence_deducible_on, CanonicalGraph, DepSet, Dependency, ImpOutcome, ImpliedVia, Interrupt,
+    consequence_deducible_on, CanonicalGraph, DepSet, Dependency, ImpOutcome, ImpliedVia,
 };
 use gfd_graph::LabelIndex;
 use gfd_runtime::RunMetrics;
-use std::time::{Duration, Instant};
-
-/// Result of a chase-based implication check.
-#[derive(Debug)]
-pub struct ChaseImpResult {
-    /// Implied (with the reason) or not — same answers as `SeqImp`.
-    pub outcome: ImpOutcome,
-    /// Chase counters.
-    pub stats: ChaseStats,
-    /// Unified scheduler metrics, accumulated over all chase rounds.
-    pub metrics: RunMetrics,
-    /// Wall-clock time.
-    pub elapsed: Duration,
-}
-
-impl ChaseImpResult {
-    /// True iff `Σ |= ϕ`.
-    pub fn is_implied(&self) -> bool {
-        matches!(self.outcome, ImpOutcome::Implied(_))
-    }
-}
+use std::time::Instant;
 
 /// Check `Σ |= ϕ` by chasing Σ over `G^X_Q` to fixpoint, then testing the
 /// consequence. No dependency ordering, no inverted index, no intra-round
 /// early exit — the baseline `SeqImp` beats by ~1.4× in Fig. 5.
-pub fn chase_imp(sigma: &DepSet, phi: &Dependency) -> ChaseImpResult {
+pub fn chase_imp(sigma: &DepSet, phi: &Dependency) -> DepImpResult {
     chase_imp_with_config(sigma, phi, &ChaseConfig::default())
 }
 
 /// [`chase_imp`] under an explicit configuration: the one chase
 /// ([`crate::chase::dep_chase_with_config`]) over Σ, started from `EqX` on
-/// `G^X_Q`.
+/// `G^X_Q`. The trivial instances `imp_with_config` decides without
+/// reasoning — `Y = ∅`, an inconsistent `X`, a consequence `X` alone
+/// deduces — are decided here the same way, before any chase.
 pub fn chase_imp_with_config(
     sigma: &DepSet,
     phi: &Dependency,
     config: &ChaseConfig,
-) -> ChaseImpResult {
+) -> DepImpResult {
     let start = Instant::now();
-    let trivial = |via: ImpliedVia| ChaseImpResult {
+    let decided = |via: ImpliedVia| DepImpResult {
         outcome: ImpOutcome::Implied(via),
         stats: ChaseStats::default(),
         metrics: RunMetrics {
             workers: config.workers.max(1),
+            elapsed: start.elapsed(),
             ..Default::default()
         },
-        elapsed: start.elapsed(),
     };
     if phi.consequence.literals().is_some_and(<[_]>::is_empty) {
-        return trivial(ImpliedVia::Consequence);
+        return decided(ImpliedVia::Consequence);
     }
     let Ok((canon, eqx)) = CanonicalGraph::for_phi(phi) else {
-        return trivial(ImpliedVia::PremiseInconsistent);
+        return decided(ImpliedVia::PremiseInconsistent);
     };
+    if consequence_deducible_on(&mut eqx.clone(), &canon.index, phi) {
+        return decided(ImpliedVia::Consequence);
+    }
 
-    let (outcome, stats, metrics) = dep_chase_with_config(sigma, canon.graph, eqx, config);
+    let (outcome, stats, mut metrics) = dep_chase_with_config(sigma, canon.graph, eqx, config);
     let outcome = match outcome {
         DepChaseOutcome::Conflict(c) => ImpOutcome::Implied(ImpliedVia::Conflict(c)),
         DepChaseOutcome::Fixpoint { graph, mut eq } => {
@@ -72,14 +58,13 @@ pub fn chase_imp_with_config(
                 ImpOutcome::NotImplied
             }
         }
-        DepChaseOutcome::BudgetExhausted { .. } => ImpOutcome::Unknown(Interrupt::FreshNodes),
         DepChaseOutcome::Interrupted(i) => ImpOutcome::Unknown(i),
     };
-    ChaseImpResult {
+    metrics.elapsed = start.elapsed();
+    DepImpResult {
         outcome,
         stats,
         metrics,
-        elapsed: start.elapsed(),
     }
 }
 
@@ -179,18 +164,33 @@ mod tests {
         let trivial = Dependency::new("t", q.clone(), vec![], vec![]);
         assert!(chase_imp(&sigma, &trivial).is_implied());
         // The short-circuits report the configured worker count, like
-        // every run that reaches the scheduler.
+        // every run that reaches the scheduler, and the time they took.
         let r = chase_imp_with_config(&sigma, &trivial, &ChaseConfig::with_workers(3));
         assert_eq!(r.metrics.workers, 3);
         let inconsistent = Dependency::new(
             "i",
-            q,
+            q.clone(),
             vec![Literal::eq_const(x, a, 1i64), Literal::eq_const(x, a, 2i64)],
             vec![Literal::eq_const(x, a, 3i64)],
         );
+        let r = chase_imp(&sigma, &inconsistent);
         assert!(matches!(
-            chase_imp(&sigma, &inconsistent).outcome,
+            r.outcome,
             ImpOutcome::Implied(ImpliedVia::PremiseInconsistent)
         ));
+        assert!(r.metrics.elapsed > std::time::Duration::ZERO);
+        // X alone deduces Y: decided without a chase round.
+        let from_x = Dependency::new(
+            "x",
+            q,
+            vec![Literal::eq_const(x, a, 1i64)],
+            vec![Literal::eq_const(x, a, 1i64)],
+        );
+        let r = chase_imp(&sigma, &from_x);
+        assert!(matches!(
+            r.outcome,
+            ImpOutcome::Implied(ImpliedVia::Consequence)
+        ));
+        assert_eq!(r.stats.rounds, 0);
     }
 }

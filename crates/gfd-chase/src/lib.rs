@@ -17,6 +17,10 @@
 //!   GGDs): literal-only sets route to the `gfd-core` driver, mixed sets
 //!   to the chase, whose commit-in-order apply step materializes
 //!   generating consequences under a fresh-node budget (DESIGN.md §10).
+//!
+//! One result type per question, whichever door answered: [`DepSatResult`]
+//! / [`DepImpResult`], whose `outcome` is `gfd-core`'s `SatOutcome` /
+//! `ImpOutcome` — every cut-short run is an `Unknown(Interrupt)`.
 
 #![warn(missing_docs)]
 
@@ -26,9 +30,9 @@ pub mod imp_rdf;
 pub mod sat_chase;
 
 pub use chase::{dep_chase_with_config, ChaseConfig, ChaseStats, DepChaseOutcome};
+pub use ggd::DepSatOutcome; // gfdbench-pin
 pub use ggd::{
-    dep_imp, dep_imp_with_config, dep_sat, dep_sat_with_config, DepImpOutcome, DepImpResult,
-    DepSatOutcome, DepSatResult,
+    dep_imp, dep_imp_with_config, dep_sat, dep_sat_with_config, DepImpResult, DepSatResult,
 };
-pub use imp_rdf::{chase_imp, chase_imp_with_config, ChaseImpResult};
-pub use sat_chase::{chase_sat, chase_sat_with_config, ChaseSatResult};
+pub use imp_rdf::{chase_imp, chase_imp_with_config};
+pub use sat_chase::{chase_sat, chase_sat_with_config};

@@ -5,57 +5,38 @@
 //! over `GΣ` to fixpoint and report conflicts, without early termination
 //! inside a round, ordering, or pending indexes.
 
-use crate::chase::{dep_chase_with_config, ChaseConfig, ChaseStats, DepChaseOutcome};
-use gfd_core::{extract_model, CanonicalGraph, DepSet, EqRel, Interrupt, SatOutcome};
-use gfd_runtime::RunMetrics;
-use std::time::{Duration, Instant};
-
-/// Result of a chase-based satisfiability check.
-#[derive(Debug)]
-pub struct ChaseSatResult {
-    /// Same answers as `SeqSat`.
-    pub outcome: SatOutcome,
-    /// Chase counters.
-    pub stats: ChaseStats,
-    /// Unified scheduler metrics, accumulated over all chase rounds.
-    pub metrics: RunMetrics,
-    /// Wall-clock time.
-    pub elapsed: Duration,
-}
-
-impl ChaseSatResult {
-    /// True iff Σ was found satisfiable.
-    pub fn is_satisfiable(&self) -> bool {
-        matches!(self.outcome, SatOutcome::Satisfiable(_))
-    }
-}
+use crate::chase::{dep_chase_with_config, ChaseConfig, DepChaseOutcome};
+use crate::ggd::DepSatResult;
+use gfd_core::{extract_model, CanonicalGraph, DepSet, EqRel, SatOutcome};
+use std::time::Instant;
 
 /// Check the satisfiability of Σ by chasing `GΣ` to fixpoint with the
 /// default (sequential) configuration.
-pub fn chase_sat(sigma: &DepSet) -> ChaseSatResult {
+pub fn chase_sat(sigma: &DepSet) -> DepSatResult {
     chase_sat_with_config(sigma, &ChaseConfig::default())
 }
 
 /// Check the satisfiability of Σ by chasing `GΣ` to fixpoint with the one
 /// chase ([`crate::chase::dep_chase_with_config`]); on a literal Σ — the
-/// baseline's input — it never materializes a node.
-pub fn chase_sat_with_config(sigma: &DepSet, config: &ChaseConfig) -> ChaseSatResult {
+/// baseline's input — it never materializes a node. `metrics.elapsed`
+/// covers the whole check, model extraction included.
+pub fn chase_sat_with_config(sigma: &DepSet, config: &ChaseConfig) -> DepSatResult {
     let start = Instant::now();
     let (canon, _) = CanonicalGraph::for_sigma(sigma);
-    let (outcome, stats, metrics) = dep_chase_with_config(sigma, canon.graph, EqRel::new(), config);
+    let (outcome, stats, mut metrics) =
+        dep_chase_with_config(sigma, canon.graph, EqRel::new(), config);
     let outcome = match outcome {
         DepChaseOutcome::Conflict(c) => SatOutcome::Unsatisfiable(c),
         DepChaseOutcome::Fixpoint { graph, mut eq } => {
             SatOutcome::Satisfiable(Box::new(extract_model(&graph, &mut eq)))
         }
-        DepChaseOutcome::BudgetExhausted { .. } => SatOutcome::Unknown(Interrupt::FreshNodes),
         DepChaseOutcome::Interrupted(i) => SatOutcome::Unknown(i),
     };
-    ChaseSatResult {
+    metrics.elapsed = start.elapsed();
+    DepSatResult {
         outcome,
         stats,
         metrics,
-        elapsed: start.elapsed(),
     }
 }
 
@@ -80,7 +61,10 @@ mod tests {
             mk(vec![Literal::eq_const(x, a, 0i64)]),
             mk(vec![Literal::eq_const(x, a, 1i64)]),
         ]);
-        assert!(!chase_sat(&unsat).is_satisfiable());
+        assert!(matches!(
+            chase_sat(&unsat).outcome,
+            SatOutcome::Unsatisfiable(_)
+        ));
         assert!(!seq_sat(&unsat).is_satisfiable());
         // Satisfiable singleton, with a model that validates.
         let sat = DepSet::from_vec(vec![mk(vec![Literal::eq_const(x, a, 0i64)])]);

@@ -5,8 +5,8 @@ use crate::args::{load_document, parse_budget, refuse_unread, ArgError, Parsed, 
 use crate::output::{fmt_duration, fmt_metrics};
 use crate::traceopt::{TraceArgs, TRACE_HELP};
 use gfd_ged::{
-    ged_implies_with_config, ged_sat_with_config, resolve_entities, Ged, GedLiteral,
-    GedReasonConfig, Key,
+    ged_implies_with_config, ged_sat_with_config, resolve_entities, Ged, GedImpOutcome, GedLiteral,
+    GedReasonConfig, GedSatOutcome, Key,
 };
 use std::io::Write;
 use std::time::{Duration, Instant};
@@ -31,17 +31,16 @@ fn reason_config(args: &Parsed, tracing: &TraceArgs) -> Result<GedReasonConfig, 
 /// Render an inconclusive GED run as the uniform exit-2 diagnostic,
 /// naming the specific exhausted axis (the branch budget keeps its
 /// historical `raise --max-branches` hint).
-fn ged_interrupted(run_interrupt: Option<&gfd_core::Interrupt>, cfg: &GedReasonConfig) -> ArgError {
-    match run_interrupt {
-        Some(gfd_core::Interrupt::Branches) => ArgError::new(format!(
+fn ged_interrupted(interrupt: &gfd_core::Interrupt, cfg: &GedReasonConfig) -> ArgError {
+    match interrupt {
+        gfd_core::Interrupt::Branches => ArgError::new(format!(
             "branch budget ({}) exhausted before the search completed; \
              raise --max-branches",
             cfg.max_branches
         )),
-        Some(i) => ArgError::new(format!(
+        i => ArgError::new(format!(
             "run interrupted: {i}; raise --deadline-ms/--max-units to keep going"
         )),
-        None => ArgError::new("search ended without a verdict"),
     }
 }
 
@@ -92,9 +91,10 @@ pub(crate) fn run_sat(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError
         cfg.workers
     );
     let run = ged_sat_with_config(&sigma, &cfg);
-    let Some(outcome) = run.outcome else {
-        return Err(ged_interrupted(run.interrupt.as_ref(), &cfg));
-    };
+    let outcome = run.outcome;
+    if let GedSatOutcome::Unknown(i) = &outcome {
+        return Err(ged_interrupted(i, &cfg));
+    }
     let verdict = if outcome.is_satisfiable() {
         "SATISFIABLE"
     } else {
@@ -180,10 +180,10 @@ pub(crate) fn run_imp(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError
         cfg.workers
     );
     let run = ged_implies_with_config(&sigma, &phi, &cfg);
-    let Some(outcome) = run.outcome else {
-        return Err(ged_interrupted(run.interrupt.as_ref(), &cfg));
-    };
-    let implied = outcome.is_implied();
+    if let GedImpOutcome::Unknown(i) = &run.outcome {
+        return Err(ged_interrupted(i, &cfg));
+    }
+    let implied = run.outcome.is_implied();
     let verdict = if implied { "IMPLIED" } else { "NOT IMPLIED" };
     let _ = writeln!(out, "{verdict} ({})", fmt_duration(run.metrics.elapsed));
     if show_metrics {

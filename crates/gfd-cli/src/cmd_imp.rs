@@ -1,10 +1,10 @@
 //! `gfd imp FILE` — implication checking.
 
 use crate::args::{load_document, parse_budget, refuse_unread, ArgError, Parsed, Unread};
-use crate::cmd_sat::interrupted;
+use crate::cmd_sat::chase_unknown;
 use crate::output::{fmt_chase_stats, fmt_duration, fmt_metrics};
 use crate::traceopt::{rule_names, TraceArgs, TRACE_HELP};
-use gfd_core::DepSet;
+use gfd_core::{DepSet, ImpOutcome};
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -86,16 +86,10 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
         ..gfd_chase::ChaseConfig::default()
     };
     let r = gfd_chase::dep_imp_with_config(&sigma, &phi, &cfg);
-    // Check the unknown arms before the yes/no split: a deadline expiry
+    // Check the unknown arm before the yes/no split: a deadline expiry
     // must exit 2, not report NOT IMPLIED.
-    if let gfd_chase::DepImpOutcome::Unknown { generated_nodes } = &r.outcome {
-        return Err(ArgError::new(format!(
-            "generation budget ({gen_budget}) exhausted after materializing \
-             {generated_nodes} node(s); raise --gen-budget to keep going"
-        )));
-    }
-    if let gfd_chase::DepImpOutcome::Interrupted(i) = &r.outcome {
-        return Err(interrupted(i, &r.metrics));
+    if let ImpOutcome::Unknown(i) = &r.outcome {
+        return Err(chase_unknown(i, &r.stats, &r.metrics, gen_budget));
     }
     let implied = r.is_implied();
     let elapsed = start.elapsed();

@@ -3,7 +3,7 @@
 use crate::args::{load_document, parse_budget, refuse_unread, ArgError, Parsed, Unread};
 use crate::output::{fmt_chase_stats, fmt_duration, fmt_metrics};
 use crate::traceopt::{rule_names, TraceArgs, TRACE_HELP};
-use gfd_chase::DepSatOutcome;
+use gfd_core::{Interrupt, SatOutcome};
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -80,16 +80,9 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
     };
     let r = gfd_chase::dep_sat_with_config(&sigma, &cfg);
     let model = match r.outcome {
-        DepSatOutcome::Unknown { generated_nodes } => {
-            return Err(ArgError::new(format!(
-                "generation budget ({gen_budget}) exhausted after materializing \
-                 {generated_nodes} node(s); the set may have no finite chase — \
-                 raise --gen-budget to keep going"
-            )))
-        }
-        DepSatOutcome::Interrupted(i) => return Err(interrupted(&i, &r.metrics)),
-        DepSatOutcome::Satisfiable(m) => Some(m),
-        DepSatOutcome::Unsatisfiable(_) => None,
+        SatOutcome::Unknown(i) => return Err(chase_unknown(&i, &r.stats, &r.metrics, gen_budget)),
+        SatOutcome::Satisfiable(m) => Some(m),
+        SatOutcome::Unsatisfiable(_) => None,
     };
     let elapsed = start.elapsed();
 
@@ -123,7 +116,7 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
 
 /// Render an interrupted run as the uniform exit-2 diagnostic, with the
 /// budget context (panics, retries, deadline slack) that explains it.
-pub(crate) fn interrupted(i: &gfd_core::Interrupt, m: &gfd_runtime::RunMetrics) -> ArgError {
+pub(crate) fn interrupted(i: &Interrupt, m: &gfd_runtime::RunMetrics) -> ArgError {
     let mut msg = format!("run interrupted: {i}");
     if let Some(slack) = m.deadline_slack_ms {
         msg.push_str(&format!(" (deadline slack {slack}ms)"));
@@ -136,4 +129,22 @@ pub(crate) fn interrupted(i: &gfd_core::Interrupt, m: &gfd_runtime::RunMetrics) 
     }
     msg.push_str("; raise --deadline-ms/--max-units to keep going");
     ArgError::new(msg)
+}
+
+/// Render a `sat`/`imp` run without a verdict: the chase's fresh-node
+/// budget names its own flag, every other interrupt is [`interrupted`].
+pub(crate) fn chase_unknown(
+    i: &Interrupt,
+    stats: &gfd_chase::ChaseStats,
+    m: &gfd_runtime::RunMetrics,
+    gen_budget: u64,
+) -> ArgError {
+    if *i != Interrupt::FreshNodes {
+        return interrupted(i, m);
+    }
+    ArgError::new(format!(
+        "generation budget ({gen_budget}) exhausted after materializing {} node(s); \
+         the set may have no finite chase — raise --gen-budget to keep going",
+        stats.generated_nodes
+    ))
 }

@@ -449,6 +449,12 @@ mod tests {
         let (code, text) = run_vec(&["ged-sat", deep.to_str().unwrap(), "--max-branches", "1"]);
         assert_eq!(code, 2, "{text}");
         assert!(text.contains("branch budget"), "{text}");
+        assert!(!text.contains("SATISFIABLE"), "{text}");
+        let deep = deep.to_str().unwrap();
+        let (code, text) = run_vec(&["ged-imp", deep, "--phi", "d1", "--max-branches", "1"]);
+        assert_eq!(code, 2, "{text}");
+        assert!(text.contains("branch budget"), "{text}");
+        assert!(!text.contains("IMPLIED"), "{text}");
     }
 
     #[test]
@@ -695,12 +701,21 @@ mod tests {
         std::fs::write(
             &path,
             "ggd spawn { pattern { node x: person } \
-             create { node y: person edge x -parentOf-> y } }\n",
+             create { node y: person edge x -parentOf-> y } }\n\
+             gfd named { pattern { node x: person } then { x.name = 1 } }\n",
         )
         .unwrap();
-        let (code, text) = run_vec(&["sat", path.to_str().unwrap(), "--gen-budget", "25"]);
+        let file = path.to_str().unwrap();
+        let (code, text) = run_vec(&["sat", file, "--gen-budget", "25"]);
         assert_eq!(code, 2, "{text}");
         assert!(text.contains("generation budget"), "{text}");
+        assert!(!text.contains("SATISFIABLE"), "{text}");
+        // Implication over the same generating Σ chases ϕ's canonical
+        // graph into the same budget.
+        let (code, text) = run_vec(&["imp", file, "--phi", "named", "--gen-budget", "25"]);
+        assert_eq!(code, 2, "{text}");
+        assert!(text.contains("generation budget"), "{text}");
+        assert!(!text.contains("IMPLIED"), "{text}");
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! `ChaseConfig::max_generated_nodes`) and report through the same
 //! [`Interrupt`].
 //!
-//! Exhausting any limit **degrades, never panics**: a run that cannot
-//! finish reports [`Interrupt`] through its driver's unknown/partial arm
-//! (`SatOutcome::Unknown`, `ImpOutcome::Unknown`, a `None` GED outcome,
-//! a truncated detection report). A *definite* answer found before the
+//! Exhausting any limit **degrades, never panics**: a Sat/Imp run that
+//! cannot finish answers `Unknown(Interrupt)`, the one arm every outcome
+//! type shares (GED and chase included); a detection report is truncated
+//! and carries the [`Interrupt`]. A *definite* answer found before the
 //! limit tripped — a conflict, a witness, a counterexample — is still
 //! returned: budgets bound work, not soundness.
 

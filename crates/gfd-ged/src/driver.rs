@@ -29,8 +29,8 @@
 //!   flag on the first quiescent (model) branch, implication on the first
 //!   counterexample leaf; both quantifiers need only one witness;
 //! * a shared **branch budget** bounds the exponential worst case; an
-//!   exhausted budget stops the run and reports `outcome: None` instead
-//!   of looping (or panicking from a worker thread).
+//!   exhausted budget stops the run and reports `Unknown(Branches)`
+//!   instead of looping (or panicking from a worker thread).
 //!
 //! Outcomes are deterministic under any steal order: the choice tree is a
 //! function of (Σ, ψ) alone, and SAT/UNSAT (resp. implied/not) is an
@@ -61,17 +61,14 @@ pub struct GedReasonConfig {
     /// Straggler threshold: a unit exploring longer than this drains its
     /// open branches into split units other workers can steal.
     pub ttl: Duration,
-    /// Branch splitting on TTL expiry; with `false` every seed unit runs
-    /// its whole subtree on one worker.
-    pub split: bool,
     /// Budget on explored branches. The exact search is exponential in
     /// pathological inputs; exceeding the budget ends the run with
-    /// `outcome: None` rather than looping. Shared across all workers.
+    /// `Unknown(Interrupt::Branches)` rather than looping. Shared across
+    /// all workers.
     pub max_branches: usize,
     /// Unified resource budget (DESIGN.md §11.2): wall-clock deadline and
     /// scheduler unit cap, checked cooperatively at branch boundaries.
-    /// Exhaustion degrades to `outcome: None` with the [`Interrupt`]
-    /// reason attached.
+    /// Exhaustion degrades to `Unknown` with the [`Interrupt`] reason.
     pub budget: Budget,
     /// Structured tracing (DESIGN.md §13): per-unit `GedBranch` spans
     /// counting the branches each scheduled subtree explored, plus the
@@ -84,7 +81,6 @@ impl Default for GedReasonConfig {
         GedReasonConfig {
             workers: 1,
             ttl: Duration::from_millis(100),
-            split: true,
             max_branches: 1_000_000,
             budget: Budget::unlimited(),
             trace: TraceSpec::disabled(),
@@ -123,12 +119,9 @@ impl GedReasonConfig {
 /// A satisfiability run: outcome plus unified scheduler metrics.
 #[derive(Debug)]
 pub struct GedSatRun {
-    /// `None` when the run degraded — branch budget, deadline, unit
-    /// budget, or a panic abort — before the search completed (the answer
-    /// is unknown).
-    pub outcome: Option<GedSatOutcome>,
-    /// Why the outcome is `None`; always `Some` exactly when it is.
-    pub interrupt: Option<Interrupt>,
+    /// The verdict — `Unknown` when a budget or a panic abort cut the
+    /// search short.
+    pub outcome: GedSatOutcome,
     /// Unified scheduler counters (branches, splits, steals, idle time).
     pub metrics: RunMetrics,
 }
@@ -136,12 +129,9 @@ pub struct GedSatRun {
 /// An implication run: outcome plus unified scheduler metrics.
 #[derive(Debug)]
 pub struct GedImpRun {
-    /// `None` when the run degraded — branch budget, deadline, unit
-    /// budget, or a panic abort — before the search completed (the answer
-    /// is unknown).
-    pub outcome: Option<GedImpOutcome>,
-    /// Why the outcome is `None`; always `Some` exactly when it is.
-    pub interrupt: Option<Interrupt>,
+    /// The verdict — `Unknown` when a budget or a panic abort cut the
+    /// search short.
+    pub outcome: GedImpOutcome,
     /// Unified scheduler counters (branches, splits, steals, idle time).
     pub metrics: RunMetrics,
 }
@@ -321,7 +311,7 @@ impl GedTask<'_> {
     /// exit path uniformly).
     fn explore(&self, w: &mut GedWorker, unit: BranchUnit, ctx: &WorkerCtx<'_, BranchUnit>) {
         let mut stack: Vec<GedStore> = vec![unit.store];
-        let deadline = self.cfg.split.then(|| Instant::now() + self.cfg.ttl);
+        let deadline = Instant::now() + self.cfg.ttl;
         while let Some(store) = stack.pop() {
             if self.stop.load(Ordering::Relaxed) {
                 return;
@@ -344,16 +334,14 @@ impl GedTask<'_> {
             // order preserved (front of the deque = the branch this loop
             // would have popped next), and end the unit — idle workers
             // steal the shallowest branches from the back.
-            if let Some(d) = deadline {
-                if Instant::now() >= d && !stack.is_empty() {
-                    let units: Vec<BranchUnit> = stack
-                        .drain(..)
-                        .rev()
-                        .map(|store| BranchUnit { store })
-                        .collect();
-                    ctx.split(units);
-                    return;
-                }
+            if Instant::now() >= deadline && !stack.is_empty() {
+                let units: Vec<BranchUnit> = stack
+                    .drain(..)
+                    .rev()
+                    .map(|store| BranchUnit { store })
+                    .collect();
+                ctx.split(units);
+                return;
             }
         }
     }
@@ -369,15 +357,15 @@ struct GedRunOutput {
     metrics: RunMetrics,
 }
 
-/// Run the branch search over a prepared canonical graph.
+/// Run the branch search over a prepared canonical graph, timed from `start`.
 fn run_ged(
     sigma: &GedSet,
     base: &Graph,
     goal: GedGoal<'_>,
     seed: GedStore,
     cfg: &GedReasonConfig,
+    start: Instant,
 ) -> GedRunOutput {
-    let start = Instant::now();
     let p = cfg.workers.max(1);
     let stop = AtomicBool::new(false);
     let task = GedTask {
@@ -433,22 +421,29 @@ fn run_ged(
     }
 }
 
+/// The metrics of a question decided before any search: no units, and
+/// the wall time since `start` the shortcut took.
+fn decided_early(cfg: &GedReasonConfig, start: Instant) -> RunMetrics {
+    RunMetrics {
+        workers: cfg.workers.max(1),
+        elapsed: start.elapsed(),
+        ..Default::default()
+    }
+}
+
 /// Check satisfiability of a set of GEDs on the shared scheduler.
 ///
 /// `cfg.workers == 1` is the sequential small-model search;
 /// [`crate::sat::ged_sat`] is exactly that instantiation.
 pub fn ged_sat_with_config(sigma: &GedSet, cfg: &GedReasonConfig) -> GedSatRun {
+    let start = Instant::now();
     if sigma.is_empty() {
         // The empty set is modelled by any single-node graph.
         let mut g = Graph::new();
         g.add_node(gfd_graph::LabelId::WILDCARD);
         return GedSatRun {
-            outcome: Some(GedSatOutcome::Satisfiable { witness: Some(g) }),
-            interrupt: None,
-            metrics: RunMetrics {
-                workers: cfg.workers.max(1),
-                ..Default::default()
-            },
+            outcome: GedSatOutcome::Satisfiable { witness: Some(g) },
+            metrics: decided_early(cfg, start),
         };
     }
     // Canonical graph: disjoint union of all patterns.
@@ -457,27 +452,20 @@ pub fn ged_sat_with_config(sigma: &GedSet, cfg: &GedReasonConfig) -> GedSatRun {
         base.append_disjoint(&ged.pattern.to_graph());
     }
     let seed = GedStore::new(&base);
-    let out = run_ged(sigma, &base, GedGoal::Sat, seed, cfg);
+    let out = run_ged(sigma, &base, GedGoal::Sat, seed, cfg, start);
     // A found model is definitive regardless of the budget flag: near
     // the budget, one worker can record the witness while another's
     // counter crosses the cap before observing stop. Only an
     // *inconclusive* interrupted run is "unknown".
-    let outcome = if let Some(mut store) = out.witness {
-        let witness = extract_witness(&mut store, &base);
-        Some(GedSatOutcome::Satisfiable { witness })
-    } else if out.interrupt.is_some() {
-        None
-    } else {
-        Some(GedSatOutcome::Unsatisfiable)
-    };
-    let interrupt = if outcome.is_none() {
-        out.interrupt
-    } else {
-        None
+    let outcome = match (out.witness, out.interrupt) {
+        (Some(mut store), _) => GedSatOutcome::Satisfiable {
+            witness: extract_witness(&mut store, &base),
+        },
+        (None, Some(interrupt)) => GedSatOutcome::Unknown(interrupt),
+        (None, None) => GedSatOutcome::Unsatisfiable,
     };
     GedSatRun {
         outcome,
-        interrupt,
         metrics: out.metrics,
     }
 }
@@ -487,6 +475,7 @@ pub fn ged_sat_with_config(sigma: &GedSet, cfg: &GedReasonConfig) -> GedSatRun {
 /// `cfg.workers == 1` is the sequential search;
 /// [`crate::imp::ged_implies`] is exactly that instantiation.
 pub fn ged_implies_with_config(sigma: &GedSet, phi: &Ged, cfg: &GedReasonConfig) -> GedImpRun {
+    let start = Instant::now();
     let base = phi.pattern.to_graph();
     let identity: Vec<NodeId> = (0..phi.pattern.node_count()).map(NodeId::new).collect();
     let mut store = GedStore::new(&base);
@@ -494,33 +483,22 @@ pub fn ged_implies_with_config(sigma: &GedSet, phi: &Ged, cfg: &GedReasonConfig)
     for lit in &phi.premise {
         if store.assert_literal(lit, &identity).is_err() {
             return GedImpRun {
-                outcome: Some(GedImpOutcome::Implied),
-                interrupt: None,
-                metrics: RunMetrics {
-                    workers: cfg.workers.max(1),
-                    ..Default::default()
-                },
+                outcome: GedImpOutcome::Implied,
+                metrics: decided_early(cfg, start),
             };
         }
     }
-    let out = run_ged(sigma, &base, GedGoal::Imp { phi, identity }, store, cfg);
+    let goal = GedGoal::Imp { phi, identity };
+    let out = run_ged(sigma, &base, goal, store, cfg, start);
     // As in Sat: a found counterexample is definitive even when the
     // budget flag raced in; only exhaustion without one is "unknown".
-    let outcome = if out.refuted {
-        Some(GedImpOutcome::NotImplied)
-    } else if out.interrupt.is_some() {
-        None
-    } else {
-        Some(GedImpOutcome::Implied)
-    };
-    let interrupt = if outcome.is_none() {
-        out.interrupt
-    } else {
-        None
+    let outcome = match (out.refuted, out.interrupt) {
+        (true, _) => GedImpOutcome::NotImplied,
+        (false, Some(interrupt)) => GedImpOutcome::Unknown(interrupt),
+        (false, None) => GedImpOutcome::Implied,
     };
     GedImpRun {
         outcome,
-        interrupt,
         metrics: out.metrics,
     }
 }
@@ -565,8 +543,11 @@ mod tests {
         for p in [1usize, 2, 8] {
             let cfg = GedReasonConfig::with_workers(p).with_ttl(Duration::ZERO);
             let run = ged_sat_with_config(&sigma, &cfg);
-            let out = run.outcome.expect("within budget");
-            assert!(!out.is_satisfiable(), "p={p}");
+            assert!(
+                matches!(run.outcome, GedSatOutcome::Unsatisfiable),
+                "p={p}: {:?}",
+                run.outcome
+            );
             assert!(run.metrics.branches >= 3, "tree not explored");
         }
     }
@@ -577,7 +558,7 @@ mod tests {
         let sigma = unsat_disjunctive(&mut vocab, 4);
         let cfg = GedReasonConfig::with_workers(2).with_ttl(Duration::ZERO);
         let run = ged_sat_with_config(&sigma, &cfg);
-        assert!(!run.outcome.unwrap().is_satisfiable());
+        assert!(matches!(run.outcome, GedSatOutcome::Unsatisfiable));
         assert!(run.metrics.units_split > 0, "TTL=0 never split");
     }
 
@@ -590,8 +571,11 @@ mod tests {
         for p in [1usize, 2, 8] {
             let cfg = GedReasonConfig::with_workers(p).with_max_branches(2);
             let run = ged_sat_with_config(&sigma, &cfg);
-            assert!(run.outcome.is_none(), "p={p}: budget should be unknown");
-            assert_eq!(run.interrupt, Some(Interrupt::Branches), "p={p}");
+            assert!(
+                matches!(run.outcome, GedSatOutcome::Unknown(Interrupt::Branches)),
+                "p={p}: budget should be unknown, got {:?}",
+                run.outcome
+            );
             assert!(run.metrics.early_terminated);
         }
     }
@@ -605,8 +589,11 @@ mod tests {
                 Budget::unlimited().with_deadline(Instant::now() - Duration::from_millis(1)),
             );
             let run = ged_sat_with_config(&sigma, &cfg);
-            assert!(run.outcome.is_none(), "p={p}");
-            assert_eq!(run.interrupt, Some(Interrupt::Deadline), "p={p}");
+            assert!(
+                matches!(run.outcome, GedSatOutcome::Unknown(Interrupt::Deadline)),
+                "p={p}: {:?}",
+                run.outcome
+            );
             assert!(run.metrics.deadline_slack_ms.unwrap() < 0);
         }
     }
@@ -624,7 +611,7 @@ mod tests {
             vec![GedLiteral::cmp_const(x, a, CmpOp::Ge, 0i64)],
         )]);
         let run = ged_sat_with_config(&sigma, &GedReasonConfig::with_workers(4));
-        assert!(run.outcome.unwrap().is_satisfiable());
+        assert!(run.outcome.is_satisfiable());
         assert!(run.metrics.early_terminated, "witness should raise stop");
     }
 
@@ -647,9 +634,34 @@ mod tests {
         );
         for p in [1usize, 4] {
             let run = ged_implies_with_config(&sigma, &phi, &GedReasonConfig::with_workers(p));
-            assert!(run.outcome.expect("within budget").is_implied(), "p={p}");
+            assert_eq!(run.outcome, GedImpOutcome::Implied, "p={p}");
             assert!(run.metrics.branches >= 1);
             assert_eq!(run.metrics.workers, p);
         }
+    }
+
+    /// A question decided before the search still books the time it took
+    /// (the CLI prints `metrics.elapsed` as the run time).
+    #[test]
+    fn short_circuits_stamp_their_wall_time() {
+        let mut vocab = Vocab::new();
+        let a = vocab.attr("A");
+        let x = VarId::new(0);
+        let phi = Ged::conjunctive(
+            "q",
+            wildcard_node(),
+            vec![
+                GedLiteral::eq_const(x, a, 1i64),
+                GedLiteral::eq_const(x, a, 2i64),
+            ],
+            vec![GedLiteral::eq_const(x, a, 3i64)],
+        );
+        let run = ged_implies_with_config(&GedSet::new(), &phi, &GedReasonConfig::with_workers(2));
+        assert_eq!(run.outcome, GedImpOutcome::Implied);
+        assert_eq!(run.metrics.branches, 0, "inconsistent X: no search");
+        assert!(run.metrics.elapsed > Duration::ZERO);
+        let run = ged_sat_with_config(&GedSet::new(), &GedReasonConfig::default());
+        assert!(run.outcome.is_satisfiable());
+        assert!(run.metrics.elapsed > Duration::ZERO);
     }
 }

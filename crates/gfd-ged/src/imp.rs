@@ -27,35 +27,32 @@
 
 use crate::driver::{ged_implies_with_config, GedReasonConfig};
 use crate::ged::{Ged, GedSet};
+use gfd_core::Interrupt;
 
 /// The result of an implication check.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GedImpOutcome {
     /// `Σ |= ψ`.
     Implied,
     /// A counterexample family exists.
     NotImplied,
+    /// The search was cut short — branch budget, deadline, unit budget,
+    /// or a panic abort — before a verdict.
+    Unknown(Interrupt),
 }
 
 impl GedImpOutcome {
     /// Is ψ implied?
-    pub fn is_implied(self) -> bool {
+    pub fn is_implied(&self) -> bool {
         matches!(self, GedImpOutcome::Implied)
     }
 }
 
 /// Decide whether `sigma` implies `phi` — the sequential (`workers = 1`)
-/// instantiation of the shared scheduler driver.
-///
-/// # Panics
-///
-/// If the default branch budget (10⁶) is exhausted. Use
-/// [`ged_implies_with_config`]
-/// to choose the budget and observe exhaustion as `outcome: None`.
+/// instantiation of the shared scheduler driver, under the default
+/// branch budget (10⁶); [`ged_implies_with_config`] chooses the budget.
 pub fn ged_implies(sigma: &GedSet, phi: &Ged) -> GedImpOutcome {
-    ged_implies_with_config(sigma, phi, &GedReasonConfig::default())
-        .outcome
-        .expect("GED implication search exceeded the branch budget")
+    ged_implies_with_config(sigma, phi, &GedReasonConfig::default()).outcome
 }
 
 #[cfg(test)]
@@ -109,7 +106,7 @@ mod tests {
         assert!(ged_implies(&sigma, &eq).is_implied());
         assert!(ged_implies(&sigma, &ge).is_implied());
         assert!(ged_implies(&sigma, &gt0).is_implied());
-        assert!(!ged_implies(&sigma, &wrong).is_implied());
+        assert_eq!(ged_implies(&sigma, &wrong), GedImpOutcome::NotImplied);
     }
 
     /// The paper's Example 8, ϕ14 flavour: X inconsistent with Σ ⇒
@@ -171,7 +168,7 @@ mod tests {
             vec![GedLiteral::eq_const(x, a, 1i64)],
             vec![GedLiteral::eq_const(x, b, 2i64)],
         )]);
-        assert!(!ged_implies(&sigma1, &phi).is_implied());
+        assert_eq!(ged_implies(&sigma1, &phi), GedImpOutcome::NotImplied);
     }
 
     /// A tautological disjunction is implied by the empty Σ — this is the
@@ -203,7 +200,10 @@ mod tests {
                 vec![GedLiteral::cmp_const(x, a, CmpOp::Ge, 5i64)],
             ],
         );
-        assert!(!ged_implies(&GedSet::new(), &narrow).is_implied());
+        assert_eq!(
+            ged_implies(&GedSet::new(), &narrow),
+            GedImpOutcome::NotImplied
+        );
     }
 
     /// Keys: Σ = { same email → same entity } implies the two-hop variant.
@@ -247,7 +247,7 @@ mod tests {
         assert!(ged_implies(&sigma, &phi).is_implied());
 
         // Without the key, no merging happens.
-        assert!(!ged_implies(&GedSet::new(), &phi).is_implied());
+        assert_eq!(ged_implies(&GedSet::new(), &phi), GedImpOutcome::NotImplied);
     }
 
     /// An id consequence that Σ cannot force is not implied.
@@ -261,7 +261,7 @@ mod tests {
         let x = gfd_graph::VarId::new(0);
         let y = gfd_graph::VarId::new(1);
         let phi = Ged::conjunctive("merge-all", p, vec![], vec![GedLiteral::id(x, y)]);
-        assert!(!ged_implies(&GedSet::new(), &phi).is_implied());
+        assert_eq!(ged_implies(&GedSet::new(), &phi), GedImpOutcome::NotImplied);
     }
 
     /// Denial GEDs in Σ make any premise-sharing ψ vacuous.
@@ -316,7 +316,7 @@ mod tests {
             vec![GedLiteral::cmp_const(x, a, CmpOp::Gt, 2i64)],
             vec![GedLiteral::eq_const(x, b, 1i64)],
         );
-        assert!(!ged_implies(&sigma, &phi2).is_implied());
+        assert_eq!(ged_implies(&sigma, &phi2), GedImpOutcome::NotImplied);
     }
 
     /// Disjunctive Σ-rules require the goal on every branch.
@@ -357,7 +357,7 @@ mod tests {
             vec![],
             vec![GedLiteral::eq_const(x, a, 1i64)],
         );
-        assert!(!ged_implies(&sigma, &partial).is_implied());
+        assert_eq!(ged_implies(&sigma, &partial), GedImpOutcome::NotImplied);
         // The disjunction x.A = 1 ∨ x.A = 2 is implied.
         let either = Ged::new(
             "either",

@@ -32,6 +32,7 @@
 use crate::driver::{ged_sat_with_config, GedReasonConfig};
 use crate::ged::GedSet;
 use crate::store::GedStore;
+use gfd_core::Interrupt;
 use gfd_graph::{Graph, NodeId};
 
 /// The result of a satisfiability check.
@@ -45,6 +46,9 @@ pub enum GedSatOutcome {
     },
     /// No model exists.
     Unsatisfiable,
+    /// The search was cut short — branch budget, deadline, unit budget,
+    /// or a panic abort — before a verdict.
+    Unknown(Interrupt),
 }
 
 impl GedSatOutcome {
@@ -57,24 +61,17 @@ impl GedSatOutcome {
     pub fn witness(&self) -> Option<&Graph> {
         match self {
             GedSatOutcome::Satisfiable { witness } => witness.as_ref(),
-            GedSatOutcome::Unsatisfiable => None,
+            _ => None,
         }
     }
 }
 
 /// Check satisfiability of a set of GEDs — the sequential (`workers = 1`)
-/// instantiation of the shared scheduler driver.
-///
-/// # Panics
-///
-/// If the default branch budget (10⁶, far above anything the tests or
-/// generators produce) is exhausted. Use
-/// [`ged_sat_with_config`] to choose
-/// the budget and observe exhaustion as `outcome: None` instead.
+/// instantiation of the shared scheduler driver, under the default
+/// branch budget (10⁶, far above anything the tests or generators
+/// produce); [`ged_sat_with_config`] chooses the budget.
 pub fn ged_sat(sigma: &GedSet) -> GedSatOutcome {
-    ged_sat_with_config(sigma, &GedReasonConfig::default())
-        .outcome
-        .expect("GED satisfiability search exceeded the branch budget")
+    ged_sat_with_config(sigma, &GedReasonConfig::default()).outcome
 }
 
 /// Try to extract a concrete model: assign every attribute class a value
@@ -100,6 +97,14 @@ mod tests {
     use crate::validate::ged_graph_satisfies;
     use gfd_graph::{LabelId, Pattern, VarId, Vocab};
 
+    /// A definite UNSAT verdict — an `Unknown` is not one.
+    fn unsat(geds: Vec<Ged>) -> bool {
+        matches!(
+            ged_sat(&GedSet::from_vec(geds)),
+            GedSatOutcome::Unsatisfiable
+        )
+    }
+
     #[test]
     fn empty_set_is_satisfiable() {
         assert!(ged_sat(&GedSet::new()).is_satisfiable());
@@ -119,7 +124,7 @@ mod tests {
         let phi6 = Ged::conjunctive("phi6", p2, vec![], vec![GedLiteral::eq_const(x2, a, 1i64)]);
         assert!(ged_sat(&GedSet::from_vec(vec![phi5.clone()])).is_satisfiable());
         assert!(ged_sat(&GedSet::from_vec(vec![phi6.clone()])).is_satisfiable());
-        assert!(!ged_sat(&GedSet::from_vec(vec![phi5, phi6])).is_satisfiable());
+        assert!(unsat(vec![phi5, phi6]));
     }
 
     #[test]
@@ -134,7 +139,7 @@ mod tests {
         };
         let lo = mk("lo", CmpOp::Lt, 5);
         let hi = mk("hi", CmpOp::Gt, 7);
-        assert!(!ged_sat(&GedSet::from_vec(vec![lo, hi])).is_satisfiable());
+        assert!(unsat(vec![lo, hi]));
     }
 
     #[test]
@@ -203,7 +208,7 @@ mod tests {
                 vec![GedLiteral::eq_const(x2, a, 2i64)],
             ],
         );
-        assert!(!ged_sat(&GedSet::from_vec(vec![base, dis])).is_satisfiable());
+        assert!(unsat(vec![base, dis]));
     }
 
     #[test]
@@ -230,7 +235,7 @@ mod tests {
                 GedLiteral::eq_const(y, a, 2i64),
             ],
         );
-        assert!(!ged_sat(&GedSet::from_vec(vec![rule])).is_satisfiable());
+        assert!(unsat(vec![rule]));
     }
 
     #[test]
@@ -340,7 +345,7 @@ mod tests {
             p3,
             vec![GedLiteral::cmp_const(x, a, CmpOp::Ge, 5i64)],
         );
-        assert!(!ged_sat(&GedSet::from_vec(vec![force, low, high])).is_satisfiable());
+        assert!(unsat(vec![force, low, high]));
     }
 
     #[test]

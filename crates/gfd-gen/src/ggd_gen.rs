@@ -223,7 +223,8 @@ pub fn tier0_graph(width: usize, vocab: &mut Vocab) -> gfd_graph::Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_chase::{dep_sat, dep_sat_with_config, ChaseConfig, DepSatOutcome};
+    use gfd_chase::{dep_sat, dep_sat_with_config, ChaseConfig};
+    use gfd_core::SatOutcome;
 
     #[test]
     fn chain_workloads_are_reproducible() {
@@ -281,7 +282,7 @@ mod tests {
         let deps = ggd_conflict_workload(&cfg, &mut vocab);
         let r = dep_sat(&deps);
         assert!(
-            matches!(r.outcome, DepSatOutcome::Unsatisfiable(_)),
+            matches!(r.outcome, SatOutcome::Unsatisfiable(_)),
             "the deep denial must surface"
         );
         assert!(

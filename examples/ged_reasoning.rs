@@ -14,7 +14,9 @@
 //!
 //! Run with: `cargo run --release --example ged_reasoning`
 
-use gfd::ged::{ged_implies, ged_sat, CmpOp, Ged, GedLiteral, GedSet};
+use gfd::ged::{
+    ged_implies, ged_sat, CmpOp, Ged, GedImpOutcome, GedLiteral, GedSatOutcome, GedSet,
+};
 use gfd::prelude::*;
 
 fn product_pattern(vocab: &mut Vocab) -> Pattern {
@@ -97,7 +99,7 @@ fn main() {
         "policy + minimum-discount-price + discounts-exist satisfiable: {}",
         out.is_satisfiable()
     );
-    assert!(!out.is_satisfiable());
+    assert!(matches!(out, GedSatOutcome::Unsatisfiable), "{out:?}");
 
     // ── 4. Implication: redundant proposals are detected ─────────────────
     // "discounted clearance products cost less than 30" — already implied
@@ -122,9 +124,13 @@ fn main() {
         vec![GedLiteral::eq_const(p, discounted, true)],
         vec![GedLiteral::cmp_const(p, price, CmpOp::Lt, 40i64)],
     );
-    let implied = ged_implies(&sigma, &novel).is_implied();
-    println!("Σ |= {} ? {}", novel.name, implied);
-    assert!(!implied, "a discounted product may cost 45");
+    let out = ged_implies(&sigma, &novel);
+    println!("Σ |= {} ? {}", novel.name, out.is_implied());
+    assert_eq!(
+        out,
+        GedImpOutcome::NotImplied,
+        "a discounted product may cost 45"
+    );
 
     // A tautology is implied by anything (needs Y-literal branching).
     let taut = Ged::new(

@@ -18,7 +18,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=23324
+CEILING=23178
 BENCH_CEILING=1783
 
 total=0

@@ -16,7 +16,7 @@
 //! CI runs this suite once per entry of `GFD_EQ_WORKERS` (a single
 //! worker count overriding the default `{1, 2, 8}` sweep).
 
-use gfd::chase::{dep_imp_with_config, dep_sat_with_config, ChaseConfig, DepSatOutcome};
+use gfd::chase::{dep_imp_with_config, dep_sat_with_config, ChaseConfig};
 use gfd::detect::{detect, DetectConfig};
 use gfd::gen::{
     ggd_conflict_workload, ggd_overlap_workload, mixed_ggd_workload, real_life_workload,
@@ -188,10 +188,7 @@ fn ggd_chase_sat_is_worker_count_invariant() {
     let bad = ggd_conflict_workload(&cfg, &mut vocab);
     for p in worker_counts() {
         let r = dep_sat_with_config(&bad, &chase_cfg(p));
-        assert!(
-            matches!(r.outcome, DepSatOutcome::Unsatisfiable(_)),
-            "p={p}"
-        );
+        assert!(matches!(r.outcome, SatOutcome::Unsatisfiable(_)), "p={p}");
         assert!(r.stats.generated_nodes > 0, "p={p}");
     }
 }
@@ -406,10 +403,7 @@ proptest! {
         let a = dep_sat_with_config(&deps, &chase_cfg(1));
         let b = dep_sat_with_config(&shuffled, &chase_cfg(1));
         prop_assert_eq!(a.is_satisfiable(), b.is_satisfiable());
-        prop_assert_eq!(
-            matches!(a.outcome, DepSatOutcome::Unknown { .. }),
-            matches!(b.outcome, DepSatOutcome::Unknown { .. })
-        );
+        prop_assert_eq!(a.is_unknown(), b.is_unknown());
         prop_assert_eq!(a.stats.generated_nodes, b.stats.generated_nodes);
         if let (Some(ma), Some(mb)) = (a.model(), b.model()) {
             prop_assert_eq!(fingerprint(ma), fingerprint(mb));

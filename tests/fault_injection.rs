@@ -13,10 +13,10 @@
 //! The failpoint registry is process-global, so every test here holds
 //! the `SERIAL` lock and disarms on entry and exit.
 
-use gfd::chase::{dep_sat_with_config, ChaseConfig, DepSatOutcome};
-use gfd::core::{imp_with_config, sat_with_config, Budget, Interrupt, ReasonConfig};
+use gfd::chase::{dep_sat_with_config, ChaseConfig};
+use gfd::core::{imp_with_config, sat_with_config, Budget, Interrupt, ReasonConfig, SatOutcome};
 use gfd::detect::{detect, DetectConfig};
-use gfd::ged::{ged_sat_with_config, GedReasonConfig};
+use gfd::ged::{ged_sat_with_config, GedReasonConfig, GedSatOutcome};
 use gfd::incr::{IncrConfig, IncrementalDetector};
 use gfd::io::{checkpoint_to_string, parse_checkpoint, Checkpoint};
 use gfd::prelude::*;
@@ -257,7 +257,7 @@ fn steal_storm_chase_stays_invariant_under_failpoints() {
     let r = dep_sat_with_config(&deps, &storm_cfg);
     failpoint::disarm_all();
     match &r.outcome {
-        DepSatOutcome::Interrupted(Interrupt::Aborted(msg)) => {
+        SatOutcome::Unknown(Interrupt::Aborted(msg)) => {
             assert!(msg.contains("sched/steal"), "{msg}")
         }
         other => panic!("expected an interrupted chase, got {other:?}"),
@@ -357,11 +357,11 @@ fn every_driver_lands_degraded_runs_in_its_unknown_arm() {
             "ged-sat",
             Box::new(|p, b| {
                 let r = ged_sat_with_config(geds, &GedReasonConfig::with_workers(p).with_budget(b));
-                assert!(
-                    r.outcome.is_none() == r.interrupt.is_some(),
-                    "ged-sat p={p}"
-                );
-                (r.interrupt, r.metrics)
+                let interrupt = match r.outcome {
+                    GedSatOutcome::Unknown(i) => Some(i),
+                    _ => None,
+                };
+                (interrupt, r.metrics)
             }),
         ),
         (
@@ -370,7 +370,7 @@ fn every_driver_lands_degraded_runs_in_its_unknown_arm() {
                 let r =
                     dep_sat_with_config(&doc.deps, &ChaseConfig::with_workers(p).with_budget(b));
                 let interrupt = match r.outcome {
-                    DepSatOutcome::Interrupted(i) => Some(i),
+                    SatOutcome::Unknown(i) => Some(i),
                     _ => None,
                 };
                 (interrupt, r.metrics)
@@ -422,7 +422,7 @@ fn chase_apply_failpoint_interrupts_the_chase() {
     let r = dep_sat_with_config(&sigma, &ChaseConfig::default());
     failpoint::disarm_all();
     match &r.outcome {
-        DepSatOutcome::Interrupted(Interrupt::Aborted(msg)) => {
+        SatOutcome::Unknown(Interrupt::Aborted(msg)) => {
             assert!(msg.contains("chase/apply"), "{msg}")
         }
         other => panic!("expected an interrupted chase, got {other:?}"),

@@ -10,8 +10,11 @@
 //! produce the sequential answers, including on
 //! budget-capped rule sets where both sides must report "unknown".
 
+use gfd::core::Interrupt;
 use gfd::ged::driver::{ged_implies_with_config, ged_sat_with_config, GedReasonConfig};
-use gfd::ged::{ged_implies, ged_sat, CmpOp, Ged, GedLiteral, GedSet};
+use gfd::ged::{
+    ged_implies, ged_sat, CmpOp, Ged, GedImpOutcome, GedLiteral, GedSatOutcome, GedSet,
+};
 use gfd::prelude::*;
 use std::time::Duration;
 
@@ -30,6 +33,25 @@ fn worker_counts() -> Vec<usize> {
         Ok(v) => vec![v.parse().expect("GFD_EQ_WORKERS must be an integer")],
         Err(_) => vec![1, 2, 8],
     }
+}
+
+/// The definite verdict of a GED satisfiability run; an `Unknown` fails
+/// the test, as the panicking wrapper it replaces did.
+fn sat_verdict(out: &GedSatOutcome) -> bool {
+    assert!(
+        !matches!(out, GedSatOutcome::Unknown(_)),
+        "no verdict: {out:?}"
+    );
+    out.is_satisfiable()
+}
+
+/// The definite verdict of a GED implication run; an `Unknown` fails.
+fn imp_verdict(out: &GedImpOutcome) -> bool {
+    assert!(
+        !matches!(out, GedImpOutcome::Unknown(_)),
+        "no verdict: {out:?}"
+    );
+    out.is_implied()
 }
 
 /// The scheduler config swept per worker count: TTL-zero forces a split
@@ -85,7 +107,7 @@ fn hand_built_sat_cases_agree() {
         let mut vocab = Vocab::new();
         let sigma = gfd::dsl::parse_document(src, &mut vocab).unwrap().deps;
         let core = gfd::seq_sat(&sigma).is_satisfiable();
-        let ged = ged_sat(&lift(&sigma)).is_satisfiable();
+        let ged = sat_verdict(&ged_sat(&lift(&sigma)));
         assert_eq!(core, *expected, "core wrong on:\n{src}");
         assert_eq!(ged, *expected, "ged wrong on:\n{src}");
     }
@@ -98,13 +120,13 @@ fn generated_workloads_sat_agree() {
     for seed in [1u64, 7, 23] {
         let w = gfd::gen::real_life_workload(gfd::gen::Dataset::Tiny, 8, seed, None);
         let core = gfd::seq_sat(&w.sigma).is_satisfiable();
-        let ged = ged_sat(&lift(&w.sigma)).is_satisfiable();
+        let ged = sat_verdict(&ged_sat(&lift(&w.sigma)));
         assert_eq!(core, ged, "sat diverged on satisfiable seed {seed}");
         assert!(core, "workload should be satisfiable");
 
         let w = gfd::gen::real_life_workload(gfd::gen::Dataset::Tiny, 8, seed, Some(2));
         let core = gfd::seq_sat(&w.sigma).is_satisfiable();
-        let ged = ged_sat(&lift(&w.sigma)).is_satisfiable();
+        let ged = sat_verdict(&ged_sat(&lift(&w.sigma)));
         assert_eq!(core, ged, "sat diverged on unsat seed {seed}");
         assert!(!core, "chain workload should be unsatisfiable");
     }
@@ -117,7 +139,7 @@ fn generated_probes_imp_agree() {
         let sigma_ged = lift(&w.sigma);
         for probe in &w.probes {
             let core = gfd::seq_imp(&w.sigma, &probe.phi).is_implied();
-            let ged = ged_implies(&sigma_ged, &lift_rule(&probe.phi)).is_implied();
+            let ged = imp_verdict(&ged_implies(&sigma_ged, &lift_rule(&probe.phi)));
             assert_eq!(
                 core, ged,
                 "imp diverged on probe {} (seed {seed})",
@@ -165,7 +187,7 @@ fn implication_cases_agree() {
             .deps;
         let phi = gfd::dsl::parse_dependency(phi_src, &mut vocab).unwrap();
         let core = gfd::seq_imp(&sigma, &phi).is_implied();
-        let ged = ged_implies(&lift(&sigma), &lift_rule(&phi)).is_implied();
+        let ged = imp_verdict(&ged_implies(&lift(&sigma), &lift_rule(&phi)));
         assert_eq!(core, expected, "core wrong on:\n{sigma_src}\n|= {phi_src}");
         assert_eq!(ged, expected, "ged wrong on:\n{sigma_src}\n|= {phi_src}");
     }
@@ -190,15 +212,10 @@ fn scheduled_sat_agrees_with_sequential() {
         cases.push(lift(&w.sigma));
     }
     for (i, sigma) in cases.iter().enumerate() {
-        let expected = ged_sat(sigma).is_satisfiable();
+        let expected = sat_verdict(&ged_sat(sigma));
         for p in worker_counts() {
-            let run = ged_sat_with_config(sigma, &sched_config(p));
-            let out = run.outcome.expect("within budget");
-            assert_eq!(
-                out.is_satisfiable(),
-                expected,
-                "sat diverged: case {i} p={p}"
-            );
+            let out = ged_sat_with_config(sigma, &sched_config(p)).outcome;
+            assert_eq!(sat_verdict(&out), expected, "sat diverged: case {i} p={p}");
             // Any witness a parallel run extracts must be a model.
             if let Some(wit) = out.witness() {
                 for (_, ged) in sigma.iter() {
@@ -296,11 +313,11 @@ fn scheduled_imp_agrees_with_sequential() {
         ),
     ];
     for (i, (sigma, phi)) in cases.iter().enumerate() {
-        let expected = ged_implies(sigma, phi).is_implied();
+        let expected = imp_verdict(&ged_implies(sigma, phi));
         for p in worker_counts() {
             let run = ged_implies_with_config(sigma, phi, &sched_config(p));
             assert_eq!(
-                run.outcome.expect("within budget").is_implied(),
+                imp_verdict(&run.outcome),
                 expected,
                 "imp diverged: case {i} p={p}"
             );
@@ -315,7 +332,7 @@ fn scheduled_imp_agrees_with_sequential() {
             for p in worker_counts() {
                 let run = ged_implies_with_config(&sigma_ged, &phi, &sched_config(p));
                 assert_eq!(
-                    run.outcome.expect("within budget").is_implied(),
+                    imp_verdict(&run.outcome),
                     probe.expect_implied,
                     "probe {} seed {seed} p={p}",
                     probe.phi.name
@@ -348,14 +365,18 @@ fn budget_capped_runs_agree_on_unknown() {
     };
     let sigma = GedSet::from_vec(vec![mk_dis("d0", 0), mk_dis("d1", 2)]);
     // Sanity: with the full budget the set is unsatisfiable everywhere.
-    assert!(!ged_sat(&sigma).is_satisfiable());
+    assert!(!sat_verdict(&ged_sat(&sigma)));
     for p in worker_counts() {
         let cfg = sched_config(p);
         let capped = cfg.clone().with_max_branches(2);
         let run = ged_sat_with_config(&sigma, &capped);
-        assert!(run.outcome.is_none(), "p={p}: capped run should be unknown");
+        assert!(
+            matches!(run.outcome, GedSatOutcome::Unknown(Interrupt::Branches)),
+            "p={p}: capped run should be unknown, got {:?}",
+            run.outcome
+        );
         let full = ged_sat_with_config(&sigma, &cfg);
-        assert!(!full.outcome.expect("within budget").is_satisfiable());
+        assert!(!sat_verdict(&full.outcome));
     }
 }
 
