@@ -838,14 +838,18 @@ fn bench_intersect_crossover(_c: &mut Criterion) {
 /// own a unit. That must cost one linear pass over Σ: under 5 ms a probe
 /// at |Σ| = 4000 and within 12x of |Σ| = 500 (8x the rules). Building
 /// Σ's whole producer→consumer graph to rank five units read ≈114 ms and
-/// grew with |Σ|·cap.
+/// grew with |Σ|·cap. `order_units` alone on `GΣ` (57 k units at 4000)
+/// must stay as linear and under 5 ms (≈1.4 ms quiet on a 2-core host;
+/// the headroom is for host load): ordering units one by one along their
+/// pivots' balls read ≈19 ms.
 fn bench_unit_setup(_c: &mut Criterion) {
     use gfd_bench::fmt_duration;
     use gfd_core::{build_plans_lazy, generate_units, order_units, CanonicalGraph};
     use gfd_gen::{real_life_workload, Dataset};
     use std::time::{Duration, Instant};
 
-    let per_probe = |size: usize| -> Duration {
+    // (per-probe set-up, `order_units` on `GΣ`), best of nine each.
+    let measure = |size: usize| -> (Duration, Duration) {
         let w = real_life_workload(Dataset::DBpedia, size, 42, None);
         let probes: Vec<CanonicalGraph> = w
             .probes
@@ -869,26 +873,52 @@ fn bench_unit_setup(_c: &mut Criterion) {
         };
         sweep(); // warm-up
         let best = (0..9).map(|_| sweep()).min().expect("nine sweeps");
-        best / probes.len() as u32
+        let (canon, _) = CanonicalGraph::for_sigma(&w.sigma);
+        let (pivots, _) = build_plans_lazy(&w.sigma, &canon.index);
+        let units = generate_units(&w.sigma, &canon, &pivots, true);
+        let order = (0..10)
+            .map(|_| {
+                let mut units = units.clone();
+                let start = Instant::now();
+                order_units(&mut units, &w.sigma, &canon, &pivots, None);
+                black_box(units);
+                start.elapsed()
+            })
+            .skip(1)
+            .min()
+            .expect("nine orders");
+        (best / probes.len() as u32, order)
     };
-    let small = per_probe(500);
-    let large = per_probe(4000);
+    let (small, small_order) = measure(500);
+    let (large, large_order) = measure(4000);
     println!(
         "unit_setup/per_probe: sigma_500 {}  sigma_4000 {}  ({:.1}x)",
         fmt_duration(small),
         fmt_duration(large),
         large.as_secs_f64() / small.as_secs_f64().max(1e-9),
     );
+    println!(
+        "unit_setup/order_g_sigma: sigma_500 {}  sigma_4000 {}  ({:.1}x)",
+        fmt_duration(small_order),
+        fmt_duration(large_order),
+        large_order.as_secs_f64() / small_order.as_secs_f64().max(1e-9),
+    );
     assert!(
         large < Duration::from_millis(5),
         "per-probe unit set-up at |Σ| = 4000 must stay under 5 ms, got {large:?}"
     );
+    assert!(
+        large_order < Duration::from_millis(5),
+        "order_units on GΣ at |Σ| = 4000 must stay under 5 ms, got {large_order:?}"
+    );
     // 12x for 8x the rules, plus an absolute floor against timer noise on
     // the sub-millisecond small side.
-    assert!(
-        large <= small.mul_f64(12.0) + Duration::from_micros(200),
-        "unit set-up must scale linearly in |Σ|: sigma_500={small:?} sigma_4000={large:?}"
-    );
+    for (small, large) in [(small, large), (small_order, large_order)] {
+        assert!(
+            large <= small.mul_f64(12.0) + Duration::from_micros(200),
+            "unit set-up must scale linearly in |Σ|: sigma_500={small:?} sigma_4000={large:?}"
+        );
+    }
 }
 
 /// Asserted guard for the scheduler's per-unit dispatch cost (DESIGN.md

@@ -51,9 +51,9 @@ enum Axis {
 
 const DATASETS: [Dataset; 3] = [Dataset::DBpedia, Dataset::Yago2, Dataset::Pokec];
 
-/// The ablation settings — (name, dependency-graph unit ordering,
-/// component pruning): the two `ReasonConfig` choices DESIGN.md §5 calls
-/// out beyond the paper's `np` / `nb` variants.
+/// The ablation settings — (name, rule-level dependency ordering of the
+/// units, component pruning): the two `ReasonConfig` choices DESIGN.md §5
+/// calls out beyond the paper's `np` / `nb` variants.
 const SETTINGS: [(&str, bool, bool); 4] = [
     ("both on", true, true),
     ("no dep-order", false, true),

@@ -455,16 +455,6 @@ impl Dependency {
         self.premise.iter().flat_map(Literal::attrs)
     }
 
-    /// Attribute names mentioned in the consequence (literals, or the
-    /// attribute assignments of a generated target).
-    pub fn consequence_attrs(&self) -> impl Iterator<Item = AttrId> + '_ {
-        let lits = match &self.consequence {
-            Consequence::Literals(lits) => lits,
-            Consequence::Generate(gen) => &gen.attrs,
-        };
-        lits.iter().flat_map(Literal::attrs)
-    }
-
     /// Render with names resolved through `vocab`.
     pub fn display<'a>(&'a self, vocab: &'a Vocab) -> DependencyDisplay<'a> {
         DependencyDisplay { dep: self, vocab }
@@ -822,12 +812,8 @@ mod tests {
             vec![Literal::eq_attr(VarId::new(0), b, VarId::new(1), a)],
         );
         assert_eq!(g.premise_attrs().collect::<Vec<_>>(), vec![a]);
-        assert_eq!(g.consequence_attrs().collect::<Vec<_>>(), vec![b, a]);
-        // A generated target's attribute assignments are its consequence
-        // attributes: `m.city = x.city`.
-        let city = vocab.attr("city");
-        let ggd = person_meeting(&mut vocab);
-        assert_eq!(ggd.consequence_attrs().collect::<Vec<_>>(), [city, city]);
+        let y = g.consequence.literals().expect("a literal consequence");
+        assert_eq!(y[0].attrs().collect::<Vec<_>>(), vec![b, a]);
     }
 
     fn unary_rule(vocab: &mut Vocab, name: &str) -> Dependency {

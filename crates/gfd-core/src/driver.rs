@@ -89,8 +89,9 @@ pub struct ReasonConfig {
     /// Work-unit splitting on TTL expiry. With `false` (the `*nb`
     /// variants) stragglers run to completion on one worker.
     pub split: bool,
-    /// Order work units by the dependency-graph topological order. With
-    /// `false`, input order is used.
+    /// Seed work units producers first, by the rule-level dependency
+    /// order (`order_units`). With `false` — the paper's "no ordering"
+    /// ablation — units run in generation order, rule by rule.
     pub use_dependency_order: bool,
     /// Skip units whose pivot component cannot host the pattern.
     pub prune_components: bool,

@@ -305,10 +305,12 @@ impl EqRel {
     /// Enumerate the classes as `(bound constant, member keys)`, keeping
     /// only materialized keys — what model extraction populates: latent
     /// keys impose no existence requirement. Members are in insertion
-    /// order and classes in the key order of their first-inserted member
-    /// (a latent key is always a singleton, so every member of a class
-    /// kept is materialized), which makes models reproducible. One linear
-    /// pass over the materialized slots plus a sort of the classes.
+    /// order and classes in the order of their least member key (a latent
+    /// key is always a singleton, so every member of a class kept is
+    /// materialized). Classes are disjoint, so that order is total and
+    /// follows neither the insertion order nor the workers' interleaving:
+    /// models are the same at every worker count. One linear pass over
+    /// the materialized slots plus a sort of the classes.
     pub fn materialized_classes(&mut self) -> Vec<(Option<ValueId>, Vec<AttrKey>)> {
         const NONE: u32 = u32::MAX;
         // Per root: the index of its class in `classes`.
@@ -325,7 +327,7 @@ impl EqRel {
             }
             classes[class_of[r] as usize].1.push(self.keys[i]);
         }
-        classes.sort_unstable_by_key(|(_, members)| members[0]);
+        classes.sort_by_cached_key(|(_, members)| members.iter().min().copied());
         classes
     }
 }
@@ -508,9 +510,10 @@ mod tests {
         assert_eq!(err.existing, ValueId::of(42));
     }
 
-    /// The read-out [`EqRel::materialized_classes`] replaced, as it was:
-    /// every key through a hash map of per-class `Vec`s, sorted, then the
-    /// latent keys retained away. Kept as the oracle.
+    /// The read-out [`EqRel::materialized_classes`] replaced: every key
+    /// through a hash map of per-class `Vec`s, sorted (by least member
+    /// key, as classes are now numbered), then the latent keys retained
+    /// away. Kept as the oracle.
     fn classes_then_retain(eq: &mut EqRel) -> Vec<(Option<ValueId>, Vec<AttrKey>)> {
         let mut by_root: FxHashMap<u32, Vec<AttrKey>> = FxHashMap::default();
         for i in 0..eq.keys.len() {
@@ -521,7 +524,7 @@ mod tests {
             .into_iter()
             .map(|(r, members)| (eq.constant[r as usize], members))
             .collect();
-        classes.sort_by_key(|(_, members)| members[0]);
+        classes.sort_by_key(|(_, members)| members.iter().min().copied());
         classes.retain_mut(|(_, members)| {
             members.retain(|&k| eq.is_materialized(k));
             !members.is_empty()

@@ -22,7 +22,7 @@
 //!   [`sat_with_config`] and [`imp_with_config`]: **ParSat**/**ParImp** at
 //!   `workers = p`, **SeqSat** ([`seq_sat()`]) / **SeqImp** ([`seq_imp()`])
 //!   at `workers = 1`;
-//! * pivoted work units and their dependency-graph ordering ([`mod@unit`]);
+//! * pivoted work units and their rule-level dependency order ([`mod@unit`]);
 //! * model extraction ([`model`]).
 
 #![warn(missing_docs)]

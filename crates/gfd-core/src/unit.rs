@@ -1,28 +1,26 @@
-//! Work units and their dependency-graph ordering (§V-B).
+//! Work units and their dependency order (§V-B).
 //!
 //! A work unit `(Q[z], ϕ)` asks one worker to find and enforce every match
 //! of ϕ's pattern whose pivot variable maps to canonical node `z`. Units
 //! are the grain of data-partitioned parallelism; splitting a straggler
 //! produces *prefix units* that resume deeper search-tree branches.
 //!
-//! The driver orders units topologically along a dependency graph: unit
-//! `w1` precedes `w2` when an attribute of `Y1` occurs in `X2` *and* the
-//! pivots are within `dQ1` hops (close enough to interact) — so producers
-//! run before consumers and pending re-checks are minimized. Both the
-//! sequential and the parallel algorithms get their order here (they are
-//! the same driver at different worker counts).
+//! The driver seeds units so that producers run before consumers and
+//! pending re-checks are few: rule ψ precedes rule φ when ψ's consequence
+//! writes an attribute that φ's premise reads, on a label both can match.
+//! The paper draws that graph between *units* (pivots within `dQ` hops);
+//! here it is decided once per rule and a unit takes its rule's rank — an
+//! owned deviation (DESIGN.md §4, "unit set-up cost"). Both the sequential
+//! and the parallel algorithms get their order here (they are the same
+//! driver at different worker counts).
 //!
-//! Set-up is serial, so it is kept to `O(‖Σ‖ + units · ball + edges · log
-//! units)`: nothing is built per rule of Σ unless the rule owns a unit
-//! (DESIGN.md §4, "unit set-up cost").
+//! Set-up is serial, so it costs `O(‖Σ‖ + units)`, and only over the
+//! rules that own a unit.
 
 use crate::canonical::CanonicalGraph;
-use crate::dependency::DepSet;
-use gfd_graph::neighborhood::BallScratch;
-use gfd_graph::{AttrId, GfdId, NodeId, VarId};
+use crate::dependency::{Consequence, DepSet};
+use gfd_graph::{strongly_connected, AttrId, GfdId, LabelId, NodeId, VarId};
 use rustc_hash::FxHashMap;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Where a unit's searches start: the fixed assignments of the leading
 /// plan positions (position 0 is the pivot node `z`). Initial reasoning
@@ -102,219 +100,171 @@ pub fn generate_units(
     units
 }
 
-/// What the edge test needs to know of a rule that owns a unit.
-struct RuleAttrs {
-    /// Premise attributes (what the rule consumes).
-    consumes: AttrSet,
-    /// Consequence attributes with at least one and at most `cap`
-    /// consumers in Σ (what it usefully produces).
-    produces: AttrSet,
-    /// Pattern radius at the pivot.
-    radius: u32,
-}
-
-/// A small set of attribute names: sorted, with a one-word Bloom signature
-/// (bit `id mod 64`) that settles most disjointness tests — the common
-/// outcome — without touching the slice.
-struct AttrSet {
-    sorted: Vec<AttrId>,
-    signature: u64,
-}
-
-impl AttrSet {
-    fn new(attrs: impl Iterator<Item = AttrId>) -> Self {
-        let mut sorted: Vec<AttrId> = attrs.collect();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let signature = sorted.iter().fold(0, |s, a| s | 1u64 << (a.index() % 64));
-        AttrSet { sorted, signature }
-    }
-}
-
-/// Do the two sets share an attribute?
-fn intersects(a: &AttrSet, b: &AttrSet) -> bool {
-    if a.signature & b.signature == 0 {
-        return false;
-    }
-    let (a, b) = (&a.sorted, &b.sorted);
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
-}
-
-/// Assign priorities to `units` from the dependency-graph topological
-/// order and sort them accordingly.
+/// Order `units` so that producers run before consumers, and set each
+/// unit's priority to its position. `units` are initial units, as
+/// `generate_units` makes them: a split or batched prefix panics.
 ///
-/// `boosted` optionally marks GFDs to front-load (implication's
-/// X-subsumption rule); empty-premise GFDs always get the highest priority
-/// tier, as in the paper.
+/// The order is decided per rule, over the rules that own a unit. A
+/// literal side `x.A` names the key `(A, label of x)`, and ψ → φ iff a key
+/// ψ's consequence writes is one φ's premise reads; a wildcard-labelled
+/// variable means any label, as a writer and as a reader. The relation is
+/// a graph of rules and keys with one edge per literal side, plus per
+/// attribute `A` a key for "`A` on every label" (what a wildcard writes)
+/// and one for "`A` on some label" (what a wildcard reads), each joined
+/// to `A`'s label keys — `O(‖Σ‖)` edges, however many rules share a key.
+///
+/// Rules rank by the strongly connected components of that graph, which
+/// Tarjan's algorithm finds searching from the rules in the order their
+/// units come (id order, as `generate_units` emits them): a component
+/// comes before every component it reaches, so a rule precedes each
+/// consumer that does not feed it back, and inside a component the rules
+/// keep the order the search met them in, so a cycle is led by the rule
+/// the search entered it at. Tiers then move `boosted` rules
+/// (implication's X-subsumption boost) to the front, and empty-premise
+/// rules after them; of the two, only a boost can put a rule before a
+/// producer it does not feed back. Units take their rule's rank and keep
+/// their generation order within it.
+///
+/// `_canon` and `_pivots` are read by no one: ROADMAP [bench (b)] drops
+/// them with gfdbench's replay of the driver, which calls this signature.
 pub fn order_units(
     units: &mut [WorkUnit],
     sigma: &DepSet,
-    canon: &CanonicalGraph,
-    pivots: &[VarId],
+    _canon: &CanonicalGraph,
+    _pivots: &[VarId],
     boosted: Option<&[bool]>,
 ) {
     let n = units.len();
     if n == 0 {
         return;
     }
-    let is_boosted = |g: GfdId| boosted.is_some_and(|b| b[g.index()]);
 
-    // attr -> how many GFDs mention it in their premise. The ubiquity cap
-    // below needs only this count: an attribute consumed by a large
-    // fraction of Σ orders nothing useful and would make the dependency
-    // graph quadratic.
-    let mut consumer_count: FxHashMap<AttrId, u32> = FxHashMap::default();
-    let mut scratch: Vec<AttrId> = Vec::new();
-    for (_, gfd) in sigma.iter() {
-        scratch.clear();
-        scratch.extend(gfd.premise_attrs());
-        scratch.sort_unstable();
-        scratch.dedup();
-        for &a in &scratch {
-            *consumer_count.entry(a).or_default() += 1;
-        }
-    }
-    let cap = 32.max(sigma.len() / 8) as u32;
-
-    // Attribute slices and radius, only for the rules that own a unit.
-    let mut rules: Vec<Option<RuleAttrs>> = Vec::new();
-    rules.resize_with(sigma.len(), || None);
-    for u in units.iter() {
-        let gfd = &sigma[u.gfd];
-        rules[u.gfd.index()].get_or_insert_with(|| RuleAttrs {
-            consumes: AttrSet::new(gfd.premise_attrs()),
-            produces: AttrSet::new(
-                gfd.consequence_attrs()
-                    .filter(|a| consumer_count.get(a).is_some_and(|&c| c <= cap)),
-            ),
-            radius: gfd.pattern.radius_at(pivots[u.gfd.index()]),
-        });
-    }
-    let rule = |g: GfdId| {
-        rules[g.index()]
-            .as_ref()
-            .expect("built for every unit's rule")
-    };
-
-    // Units pivoted at each canonical node, as one counting sort:
-    // `at_node[node_start[z]..node_start[z + 1]]` are the units at `z`.
-    let mut node_start = vec![0u32; canon.graph.node_count() + 1];
-    for u in units.iter() {
-        node_start[u.pivot().index() + 1] += 1;
-    }
-    for z in 0..canon.graph.node_count() {
-        node_start[z + 1] += node_start[z];
-    }
-    let mut fill = node_start.clone();
-    let mut at_node = vec![0u32; n];
-    for (i, u) in units.iter().enumerate() {
-        let slot = &mut fill[u.pivot().index()];
-        at_node[*slot as usize] = i as u32;
-        *slot += 1;
-    }
-
-    // Edges: w1 -> w2 when gfd2 consumes what gfd1 produces and pivot2 is
-    // within dQ1 hops of pivot1. Balls are small (canonical components are
-    // pattern-sized), so a bounded BFS over one reused scratch costs the
-    // ball, not |V|, and the units pivoted at one node share it.
-    // `succ[succ_of[i].0..succ_of[i].1]` are the successors of unit `i`.
-    let mut succ: Vec<u32> = Vec::new();
-    let mut succ_of = vec![(0u32, 0u32); n];
-    let mut in_deg = vec![0u32; n];
-    let mut bfs = BallScratch::new(canon.graph.node_count());
-    let mut ball: Vec<(NodeId, u32)> = Vec::new();
-    for z in canon.graph.nodes() {
-        let here = &at_node[node_start[z.index()] as usize..node_start[z.index() + 1] as usize];
-        let producers = || {
-            here.iter()
-                .map(|&i| (i, rule(units[i as usize].gfd)))
-                .filter(|(_, r)| !r.produces.sorted.is_empty())
-        };
-        let Some(reach) = producers().map(|(_, r)| r.radius).max() else {
-            continue;
-        };
-        ball.clear();
-        bfs.for_each_within(&canon.graph, z, reach, |v, d| ball.push((v, d)));
-        for (i, r1) in producers() {
-            let first = succ.len() as u32;
-            // BFS order: distances never decrease along `ball`.
-            for &(v, _) in ball.iter().take_while(|&&(_, d)| d <= r1.radius) {
-                let (lo, hi) = (node_start[v.index()], node_start[v.index() + 1]);
-                for &j in &at_node[lo as usize..hi as usize] {
-                    if j != i && intersects(&r1.produces, &rule(units[j as usize].gfd).consumes) {
-                        succ.push(j);
-                        in_deg[j as usize] += 1;
-                    }
-                }
-            }
-            succ_of[i as usize] = (first, succ.len() as u32);
-        }
-    }
-
-    // Kahn with priority tiers; cycles broken by forcing the best
-    // remaining node. Keys order by (boosted, empty premise, unit index),
-    // packed so the frontier heap compares one integer. A unit enters the
-    // heap once (when its in-degree reaches 0) and is forced only while
-    // the heap is empty, so nothing popped was emitted before.
-    let key = |i: usize| -> u64 {
-        let g = units[i].gfd;
-        let tier = u64::from(!is_boosted(g)) << 1 | u64::from(!sigma[g].has_empty_premise());
-        tier << 32 | i as u64
-    };
-    let mut heap: BinaryHeap<Reverse<u64>> = (0..n)
-        .filter(|&i| in_deg[i] == 0)
-        .map(|i| Reverse(key(i)))
+    // The rules that own a unit, in unit order (`generate_units` emits
+    // units rule-major, rules ascending), with `local[g]` the index `r` of
+    // rule `g` in `rules`; and the units as runs of one rule.
+    let runs: Vec<(GfdId, u32)> = units
+        .chunk_by(|a, b| a.gfd == b.gfd)
+        .map(|run| (run[0].gfd, run.len() as u32))
         .collect();
-    let mut emitted = vec![false; n];
-    // Cycle breaking: when the frontier empties, force the next unemitted
-    // node from this key-sorted list (amortized O(n) across the run).
-    let mut fallback: Vec<u64> = (0..n).map(key).collect();
-    fallback.sort_unstable();
-    let mut fb_cursor = 0usize;
-    // Unit indices in topological order.
-    let mut topo: Vec<u32> = Vec::with_capacity(n);
-    while topo.len() < n {
-        let next = match heap.pop() {
-            Some(Reverse(k)) => k as u32 as usize,
-            None => loop {
-                let i = fallback[fb_cursor] as u32 as usize;
-                if !emitted[i] {
-                    break i;
-                }
-                fb_cursor += 1;
-            },
+    let mut local = vec![u32::MAX; runs.iter().map(|&(g, _)| g.index() + 1).max().unwrap_or(0)];
+    let mut rules: Vec<GfdId> = Vec::new();
+    for &(g, _) in &runs {
+        if local[g.index()] == u32::MAX {
+            local[g.index()] = rules.len() as u32;
+            rules.push(g);
+        }
+    }
+    let nr = rules.len();
+
+    // The graph as an edge list: rule `r` is node `r`, then key `keys[i]`
+    // is node `nr + i`. Key `(A, Some(L))` is `A` on label `L` — on every
+    // label under the wildcard — and `(A, None)` is `A` on some label.
+    let mut key_node: FxHashMap<(AttrId, Option<LabelId>), u32> = FxHashMap::default();
+    let mut keys = Vec::new();
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    // Per rule: its tier, `(not boosted, premise not empty)`.
+    let mut tier = Vec::with_capacity(nr);
+    for (r, &g) in rules.iter().enumerate() {
+        let dep = &sigma[g];
+        let boost = boosted.is_some_and(|b| b[g.index()]);
+        tier.push((!boost, !dep.has_empty_premise()));
+        let (pattern, lits) = match &dep.consequence {
+            Consequence::Literals(lits) => (&dep.pattern, lits),
+            Consequence::Generate(gen) => (&gen.pattern, &gen.attrs),
         };
-        emitted[next] = true;
-        topo.push(next as u32);
-        let (lo, hi) = succ_of[next];
-        for &j in &succ[lo as usize..hi as usize] {
-            let j = j as usize;
-            if !emitted[j] {
-                in_deg[j] -= 1;
-                if in_deg[j] == 0 {
-                    heap.push(Reverse(key(j)));
-                }
+        for (pattern, lits, write) in [(pattern, lits, true), (&dep.pattern, &dep.premise, false)] {
+            for (x, a) in lits.iter().flat_map(|l| l.vars().zip(l.attrs())) {
+                let label = pattern.label(x);
+                let key = (a, Some(label).filter(|l| write || !l.is_wildcard()));
+                let k = *key_node.entry(key).or_insert_with(|| {
+                    keys.push(key);
+                    (nr + keys.len() - 1) as u32
+                });
+                edges.push(if write { (r as u32, k) } else { (k, r as u32) });
             }
         }
     }
-    // Final order: boosted units jump the whole queue (the paper's
-    // implication rule gives X-subsumed units the highest priority
-    // outright), then topological rank.
-    let (front, back): (Vec<u32>, Vec<u32>) = topo
-        .into_iter()
-        .partition(|&i| is_boosted(units[i as usize].gfd));
-    for (priority, &i) in front.iter().chain(&back).enumerate() {
-        units[i as usize].priority = priority as u32;
+    // `A` on every label feeds each label key of `A`, and each feeds `A`
+    // on some label.
+    for (i, &(a, label)) in keys.iter().enumerate() {
+        let k = (nr + i) as u32;
+        let Some(label) = label else { continue };
+        if let Some(&every) = key_node.get(&(a, Some(LabelId::WILDCARD))) {
+            if !label.is_wildcard() {
+                edges.push((every, k));
+            }
+        }
+        if let Some(&some) = key_node.get(&(a, None)) {
+            edges.push((k, some));
+        }
     }
-    units.sort_unstable_by_key(|u| u.priority);
+
+    // The same graph as adjacency rows, one counting pass: row `v` is
+    // `succ[at[v]..at[v + 1]]`.
+    let nodes = nr + keys.len();
+    let mut at = vec![0u32; nodes + 1];
+    for &(v, _) in &edges {
+        at[v as usize + 1] += 1;
+    }
+    for v in 0..nodes {
+        at[v + 1] += at[v];
+    }
+    let mut fill = at.clone();
+    let mut succ = vec![0u32; edges.len()];
+    for &(v, w) in &edges {
+        succ[fill[v as usize] as usize] = w;
+        fill[v as usize] += 1;
+    }
+
+    let comps = strongly_connected(nodes, |v| {
+        succ[at[v] as usize..at[v + 1] as usize].iter().copied()
+    });
+    // Each rule's rank: tier by tier, in component order within a tier.
+    let mut at_rank = vec![u32::MAX; nodes];
+    for (r, &(_, rank)) in comps[..nr].iter().enumerate() {
+        at_rank[rank as usize] = r as u32;
+    }
+    let mut rank = vec![0usize; nr];
+    let mut next = 0;
+    for t in [(false, false), (false, true), (true, false), (true, true)] {
+        for &r in at_rank
+            .iter()
+            .filter(|&&r| r != u32::MAX && tier[r as usize] == t)
+        {
+            rank[r as usize] = next;
+            next += 1;
+        }
+    }
+
+    // Units take their rule's rank, generation order within it: a counting
+    // pass gives each run its first slot, and one scatter moves every unit
+    // to its slot as an 8-byte `(rule, pivot)` pair. Scattering whole
+    // `WorkUnit`s through a fresh buffer read ≈ 1 ms more at 57 k units.
+    let mut start = vec![0u32; nr + 1];
+    for &(g, len) in &runs {
+        start[rank[local[g.index()] as usize] + 1] += len;
+    }
+    for i in 0..nr {
+        start[i + 1] += start[i];
+    }
+    let mut moved = vec![(GfdId::new(0), NodeId::new(0)); n];
+    for run in units.chunk_by(|a, b| a.gfd == b.gfd) {
+        let slot = &mut start[rank[local[run[0].gfd.index()] as usize]];
+        for u in run {
+            let Prefix::Pivot(z) = u.prefix else {
+                panic!("order_units orders initial units, one pivot each");
+            };
+            moved[*slot as usize] = (u.gfd, z);
+            *slot += 1;
+        }
+    }
+    for (i, (u, &(gfd, z))) in units.iter_mut().zip(&moved).enumerate() {
+        *u = WorkUnit {
+            gfd,
+            prefix: Prefix::Pivot(z),
+            priority: i as u32,
+        };
+    }
 }
 
 #[cfg(test)]
@@ -457,8 +407,57 @@ mod tests {
             attr_rule(&mut vocab, Some("a"), "b"),
             attr_rule(&mut vocab, Some("b"), "a"),
         ]);
-        // No unit is ever free; forcing falls back to input order.
+        // One cycle: the search enters it at rule 0, which leads it.
         assert_eq!(rule_order_at_first_node(&sigma), vec![0, 1]);
+    }
+
+    /// A one-node rule over label `label`: `x.premise = 1 → x.consequence
+    /// = 1`.
+    fn labelled_rule(
+        vocab: &mut Vocab,
+        label: &str,
+        premise: &str,
+        consequence: &str,
+    ) -> Dependency {
+        let mut p = Pattern::new();
+        let x = p.add_node(vocab.label(label), "x");
+        let premise = vec![Literal::eq_const(x, vocab.attr(premise), 1i64)];
+        let consequence = vec![Literal::eq_const(x, vocab.attr(consequence), 1i64)];
+        Dependency::new(format!("{label}:{premise:?}"), p, premise, consequence)
+    }
+
+    /// Rule indices of the ordered units, one entry per run of a rule.
+    fn rule_runs(sigma: &DepSet) -> Vec<usize> {
+        let (canon, _) = CanonicalGraph::for_sigma(sigma);
+        let (pivots, _) = build_plans(sigma, &canon.index);
+        let mut units = generate_units(sigma, &canon, &pivots, true);
+        order_units(&mut units, sigma, &canon, &pivots, None);
+        let mut runs: Vec<usize> = units.iter().map(|u| u.gfd.index()).collect();
+        runs.dedup();
+        runs
+    }
+
+    #[test]
+    fn wildcard_producer_orders_before_concrete_consumer() {
+        let mut vocab = Vocab::new();
+        // Rule 0 writes `A` on any label, rule 1 reads it on `t`. Were the
+        // wildcard one more label, nothing would tie them and the later
+        // search (rule 1's) would come first.
+        let sigma = DepSet::from_vec(vec![
+            labelled_rule(&mut vocab, "_", "C", "A"),
+            labelled_rule(&mut vocab, "t", "A", "B"),
+        ]);
+        assert_eq!(rule_runs(&sigma), vec![0, 1]);
+    }
+
+    #[test]
+    fn concrete_producer_orders_before_wildcard_consumer() {
+        let mut vocab = Vocab::new();
+        let sigma = DepSet::from_vec(vec![
+            labelled_rule(&mut vocab, "t", "C", "A"),
+            labelled_rule(&mut vocab, "_", "A", "B"),
+        ]);
+        assert_eq!(rule_runs(&sigma), vec![0, 1]);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! GED literature.
 
 use crate::ged::CmpOp;
-use gfd_graph::Value;
+use gfd_graph::{strongly_connected, Value};
 use rustc_hash::FxHashMap;
 use std::fmt;
 
@@ -149,63 +149,8 @@ impl OrderNet {
     /// Returns the component id per node (components in reverse
     /// topological order, per Tarjan).
     fn sccs(&self) -> Vec<u32> {
-        // Iterative Tarjan.
-        let n = self.len();
-        let mut index = vec![u32::MAX; n];
-        let mut low = vec![0u32; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut comp = vec![u32::MAX; n];
-        let mut next_index = 0u32;
-        let mut comp_count = 0u32;
-        // DFS frames: (node, edge cursor).
-        let mut frames: Vec<(u32, usize)> = Vec::new();
-
-        for root in 0..n as u32 {
-            if index[root as usize] != u32::MAX {
-                continue;
-            }
-            frames.push((root, 0));
-            index[root as usize] = next_index;
-            low[root as usize] = next_index;
-            next_index += 1;
-            stack.push(root);
-            on_stack[root as usize] = true;
-
-            while let Some(&mut (v, ref mut cursor)) = frames.last_mut() {
-                if *cursor < self.edges[v as usize].len() {
-                    let (w, _) = self.edges[v as usize][*cursor];
-                    *cursor += 1;
-                    if index[w as usize] == u32::MAX {
-                        index[w as usize] = next_index;
-                        low[w as usize] = next_index;
-                        next_index += 1;
-                        stack.push(w);
-                        on_stack[w as usize] = true;
-                        frames.push((w, 0));
-                    } else if on_stack[w as usize] {
-                        low[v as usize] = low[v as usize].min(index[w as usize]);
-                    }
-                } else {
-                    frames.pop();
-                    if let Some(&(parent, _)) = frames.last() {
-                        low[parent as usize] = low[parent as usize].min(low[v as usize]);
-                    }
-                    if low[v as usize] == index[v as usize] {
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w as usize] = false;
-                            comp[w as usize] = comp_count;
-                            if w == v {
-                                break;
-                            }
-                        }
-                        comp_count += 1;
-                    }
-                }
-            }
-        }
-        comp
+        let comps = strongly_connected(self.len(), |v| self.edges[v].iter().map(|&(w, _)| w));
+        comps.into_iter().map(|(comp, _)| comp).collect()
     }
 
     /// Check consistency over a dense ordered domain.

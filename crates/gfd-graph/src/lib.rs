@@ -13,8 +13,7 @@
 //!   ([`DeltaCsr`], [`DeltaIndex`], [`DeltaBatch`] — see DESIGN.md §8);
 //! * graph patterns with wildcard labels ([`Pattern`]);
 //! * interned vocabularies mapping names to dense ids ([`Vocab`]);
-//! * neighborhood (`dQ`-ball) extraction used by pivoted matching
-//!   ([`neighborhood`]);
+//! * strongly connected components ([`strongly_connected`]);
 //! * small utilities: node bitsets, label indexes, DOT export.
 //!
 //! Everything downstream (`gfd-match`, `gfd-core`, `gfd-detect`) works
@@ -27,10 +26,10 @@ pub mod delta;
 pub mod graph;
 pub mod ids;
 pub mod interner;
-pub mod neighborhood;
 pub mod nodeset;
 pub mod pattern;
 mod proptests;
+pub mod scc;
 pub mod value;
 pub mod view;
 
@@ -41,5 +40,6 @@ pub use ids::{AttrId, GfdId, LabelId, NodeId, VarId};
 pub use interner::{Interner, Vocab};
 pub use nodeset::NodeSet;
 pub use pattern::{Pattern, PatternEdge};
+pub use scc::strongly_connected;
 pub use value::{Value, ValueId, ValueTable};
 pub use view::{Dir, MatchIndex, TopologyView};

@@ -38,7 +38,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`graph`] | graphs, patterns, vocabularies, neighborhoods |
+//! | [`graph`] | graphs, patterns, vocabularies |
 //! | [`matching`] | homomorphism search, plans, splitting, the brute-force oracle |
 //! | [`runtime`] | the work-stealing scheduler every workload runs on (one dispatch topology) |
 //! | [`core`] | the rule model (`Dependency` / `DepSet`), canonical graphs, validation, the search-unit engine (`SearchTask` + `MatchAction`: the one scheduler task that enumerates matches, for reasoning and detection alike), and the unified reasoning driver behind `sat_with_config` / `imp_with_config`: `ParSat`/`ParImp` at `workers = p`, `SeqSat`/`SeqImp` at `workers = 1`, the ablation knobs in `ReasonConfig` |
