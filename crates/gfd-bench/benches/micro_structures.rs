@@ -1061,6 +1061,58 @@ fn bench_premise_pushdown(_c: &mut Criterion) {
     );
 }
 
+/// Asserted guard for shared searches (DESIGN.md §7): rules with one
+/// pattern share one search, so on the 50k hub `detect` with six
+/// same-pattern rules costs at most 2.5× `detect` with one of them (best
+/// of nine, one worker). A search per rule read ≈ 4× (diamonds 48.6 /
+/// 12.5 ms, chains 40.1 / 9.9 ms); one per group reads 1.47× and 1.12×.
+fn bench_shared_pattern(_c: &mut Criterion) {
+    use gfd_core::DepSet;
+    use gfd_detect::{detect, DetectConfig};
+    use gfd_gen::{hub_workload, HubGenConfig};
+    use std::time::{Duration, Instant};
+
+    let w = hub_workload(&HubGenConfig {
+        nodes: 50_000,
+        hubs: 64,
+        hub_degree: 192,
+        rules: 12,
+        seed: 42,
+        ..HubGenConfig::default()
+    });
+    let best = |sigma: &DepSet| -> Duration {
+        let config = DetectConfig::with_workers(1);
+        (0..10)
+            .map(|_| {
+                let start = Instant::now();
+                black_box(detect(&w.graph, sigma, &config));
+                start.elapsed()
+            })
+            .skip(1)
+            .min()
+            .expect("nine runs")
+    };
+    // The generator alternates diamonds (even ids) and chains (odd ids).
+    for (shape, first) in [("diamonds", 0), ("chains", 1)] {
+        let six: Vec<_> = w
+            .sigma
+            .iter()
+            .skip(first)
+            .step_by(2)
+            .map(|(_, d)| d.clone())
+            .collect();
+        assert_eq!(six.len(), 6);
+        let one = best(&DepSet::from_vec(six[..1].to_vec()));
+        let all = best(&DepSet::from_vec(six));
+        let ratio = all.as_secs_f64() / one.as_secs_f64();
+        println!("shared_pattern/{shape}: one rule {one:?}  six rules {all:?}  ({ratio:.2}x)");
+        assert!(
+            ratio <= 2.5,
+            "six {shape} sharing one pattern must cost ≤ 2.5x one of them, got {ratio:.2}x"
+        );
+    }
+}
+
 criterion_group!(
     benches,
     bench_eq_rel,
@@ -1075,6 +1127,7 @@ criterion_group!(
     bench_unit_setup,
     bench_dispatch_overhead,
     bench_model_readout,
-    bench_premise_pushdown
+    bench_premise_pushdown,
+    bench_shared_pattern
 );
 criterion_main!(benches);

@@ -32,7 +32,7 @@ use crate::budget::{run_task, Budget};
 use crate::canonical::{build_plans_lazy, consequence_deducible_on, CanonicalGraph};
 use crate::dependency::{DepSet, Dependency};
 use crate::enforce::EnforceEngine;
-use crate::engine::{MatchAction, SearchTask};
+use crate::engine::{MatchAction, Members, SearchTask};
 use crate::eq::{EqOp, EqRel};
 use crate::error::Conflict;
 use crate::unit::{generate_units, order_units};
@@ -333,7 +333,13 @@ impl<'a> MatchAction<'a> for ReasonAction<'a> {
         w.proceed()
     }
 
-    fn on_match(&self, w: &mut ReasonWorker, rule: GfdId, m: &[NodeId]) -> ControlFlow<()> {
+    fn on_match(
+        &self,
+        w: &mut ReasonWorker,
+        rule: GfdId,
+        _alive: Members,
+        m: &[NodeId],
+    ) -> ControlFlow<()> {
         if self.pipeline {
             self.enforce(w, rule, m)
         } else {

@@ -12,15 +12,30 @@
 //! enforces it (`crate::driver`), detection checks it against the data
 //! graph (`gfd-detect`). `HomSearch::run_admitting → admit / on_match` is
 //! monomorphic — no `dyn` between the kernel and the action.
+//!
+//! A unit's rule may stand for a *group* of rules that share its pattern
+//! and plan (detection's [`MatchAction::group`]): one search serves them
+//! all, and the engine keeps, per plan depth, the [`Members`] still alive
+//! on the current branch — `alive[pos + 1] = alive[pos] ∧ admit(pos)` —
+//! dropping the branch once none is (DESIGN.md §3). Reasoning's units are
+//! singleton groups.
 
 use crate::unit::{Prefix, WorkUnit};
 use gfd_graph::{GfdId, Graph, LabelIndex, MatchIndex, NodeId, Pattern};
 use gfd_match::{HomSearch, MatchPlan, RunOutcome, SearchLimits};
 use gfd_runtime::sched::{Task, WorkerCtx};
 use gfd_runtime::EventKind;
+use std::cell::Cell;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
+
+/// A set of the members of a unit's group: bit `i` is member `i`. A group
+/// has at most [`GROUP_WIDTH`] members.
+pub type Members = u64;
+
+/// The most members one group can have: the width of [`Members`].
+pub const GROUP_WIDTH: usize = Members::BITS as usize;
 
 /// What one analysis does with the matches the engine enumerates. `'a` is
 /// the lifetime of the rule set the run borrows.
@@ -36,6 +51,12 @@ pub trait MatchAction<'a>: Sync {
     /// that own a unit.
     fn rule(&self, rule: GfdId) -> (&'a Pattern, &'a MatchPlan);
 
+    /// The members of the group `rule`'s units search for, asked once per
+    /// unit. The default is `rule` alone.
+    fn group(&self, _rule: GfdId) -> Members {
+        1
+    }
+
     /// Called before each unit (the stop flag is already known to be
     /// down). `Break` skips the unit.
     fn before_unit(&self, _w: &mut Self::Worker) -> ControlFlow<()> {
@@ -43,19 +64,28 @@ pub trait MatchAction<'a>: Sync {
     }
 
     /// Bind-time admission (`HomSearch::run_admitting`): asked when the
-    /// search of `rule` binds plan position `pos`; `false` abandons the
-    /// branch. It may read `partial` at the variables of positions
-    /// `0..=pos` and nothing else. Detection checks its premise here, on
-    /// the data graph; reasoning leaves it at `true` — a premise over the
-    /// per-worker `EqRel` that fails now may hold after a later `ΔEq`, and
-    /// pruning on it would lose the matches that go pending.
-    fn admit(&self, _rule: GfdId, _pos: usize, _partial: &[NodeId]) -> bool {
-        true
+    /// search of `rule` binds plan position `pos`, with the members
+    /// `alive` on the branch so far; answers those of them that stay
+    /// alive, and none abandons the branch. It may read `partial` at the
+    /// variables of positions `0..=pos` and nothing else. Detection checks
+    /// its members' premises here, on the data graph; reasoning keeps every
+    /// member — a premise over the per-worker `EqRel` that fails now may
+    /// hold after a later `ΔEq`, and pruning on it would lose the matches
+    /// that go pending.
+    fn admit(&self, _rule: GfdId, _pos: usize, _partial: &[NodeId], alive: Members) -> Members {
+        alive
     }
 
-    /// One admitted match of `rule`, lent for the call. `Break` ends the
-    /// unit's current search.
-    fn on_match(&self, w: &mut Self::Worker, rule: GfdId, m: &[NodeId]) -> ControlFlow<()>;
+    /// One admitted match of `rule`, lent for the call, with the members
+    /// it is alive for (never none). `Break` ends the unit's current
+    /// search.
+    fn on_match(
+        &self,
+        w: &mut Self::Worker,
+        rule: GfdId,
+        alive: Members,
+        m: &[NodeId],
+    ) -> ControlFlow<()>;
 
     /// Called after every TTL slice of a search of `rule`; `last` is set
     /// on the slice that ended the search (exhausted or stopped) rather
@@ -67,11 +97,20 @@ pub trait MatchAction<'a>: Sync {
     fn on_idle(&self, _w: &mut Self::Worker) {}
 
     /// A running per-worker count whose growth over a unit the `RuleEval`
-    /// span reports next to the unit's matches (detection: violations).
+    /// span reports next to the unit's matches (detection: the violations
+    /// of `rule`'s group).
     fn fired(&self, _w: &Self::Worker, _rule: GfdId) -> u64 {
         0
     }
 }
+
+/// One level of a worker's alive stack, alone on its cache-line pair: the
+/// stack is written at every bind, and worker 0's is allocated on the
+/// calling thread beside the plans every worker reads at every bind —
+/// sharing a line with them doubled each worker's search time at p = 2.
+#[derive(Clone, Default)]
+#[repr(align(128))]
+struct Alive(Cell<Members>);
 
 /// Per-worker engine state: the action's state plus what the engine keeps
 /// for it.
@@ -79,7 +118,13 @@ pub struct SearchWorker<'a, I: MatchIndex, W> {
     /// The worker's one matcher, built by its first unit and rebound to
     /// each later unit's pattern on the buffers it already grew.
     search: Option<HomSearch<'a, I>>,
-    /// Matches lent to the action so far (all of them admitted).
+    /// `alive[pos]`: the group members alive on the current branch once
+    /// plan positions `0..pos` are bound — `alive[0]` the unit's whole
+    /// group. Sized per unit; cells, because admission writes it while the
+    /// match callback reads it.
+    alive: Vec<Alive>,
+    /// Matches lent to the action so far, one per member each is alive
+    /// for (all of them admitted).
     pub matches: u64,
     /// The action's own state.
     pub state: W,
@@ -120,12 +165,20 @@ impl<'a, A: MatchAction<'a>, I: MatchIndex> SearchTask<'a, A, I> {
                 deadline: self.ttl.map(|ttl| Instant::now() + ttl),
                 stop: Some(self.stop),
             };
-            let (state, matches) = (&mut w.state, &mut w.matches);
-            let on_match = |m: &[NodeId]| {
-                *matches += 1;
-                self.action.on_match(state, rule, m)
+            let (state, matches, alive) = (&mut w.state, &mut w.matches, &w.alive[..]);
+            // The search admits positions in order — a fixed or resumed
+            // prefix included — so `alive[pos]` always belongs to the
+            // bindings of `0..pos` on the branch being extended.
+            let admit = |pos: usize, partial: &[NodeId]| {
+                let now = self.action.admit(rule, pos, partial, alive[pos].0.get());
+                alive[pos + 1].0.set(now);
+                now != 0
             };
-            let admit = |pos: usize, partial: &[NodeId]| self.action.admit(rule, pos, partial);
+            let on_match = |m: &[NodeId]| {
+                let members = alive[alive.len() - 1].0.get();
+                *matches += u64::from(members.count_ones());
+                self.action.on_match(state, rule, members, m)
+            };
             let last = search.run_admitting(admit, on_match, limits) != RunOutcome::Deadline;
             if !last {
                 // Straggler: carve the untried sibling branches of the
@@ -157,6 +210,7 @@ impl<'a, A: MatchAction<'a>, I: MatchIndex> Task for SearchTask<'a, A, I> {
     fn worker(&self, id: usize) -> Self::Worker {
         SearchWorker {
             search: None,
+            alive: Vec::new(),
             matches: 0,
             state: self.action.worker(id),
         }
@@ -168,6 +222,8 @@ impl<'a, A: MatchAction<'a>, I: MatchIndex> Task for SearchTask<'a, A, I> {
         }
         let rule = unit.gfd;
         let (pattern, plan) = self.action.rule(rule);
+        w.alive.resize(plan.len() + 1, Alive::default());
+        w.alive[0].0.set(self.action.group(rule));
         let span = ctx.trace_start();
         let (matches0, fired0) = (w.matches, self.action.fired(&w.state, rule));
         // The search leaves the worker for the unit; after a panic the
@@ -235,16 +291,19 @@ mod tests {
         (g, p)
     }
 
-    /// Records every lent match.
+    /// Records every lent match with the members it is alive for. With
+    /// `parity` set the unit's group has two members, and member `k` dies
+    /// on a branch that binds a leaf whose id has parity `k`.
     struct Record<'a> {
         pattern: &'a Pattern,
         plan: &'a MatchPlan,
+        parity: bool,
     }
 
     impl<'a> MatchAction<'a> for Record<'a> {
-        type Worker = Vec<Match>;
+        type Worker = Vec<(Members, Match)>;
 
-        fn worker(&self, _id: usize) -> Vec<Match> {
+        fn worker(&self, _id: usize) -> Self::Worker {
             Vec::new()
         }
 
@@ -252,8 +311,31 @@ mod tests {
             (self.pattern, self.plan)
         }
 
-        fn on_match(&self, seen: &mut Vec<Match>, _rule: GfdId, m: &[NodeId]) -> ControlFlow<()> {
-            seen.push(m.into());
+        fn group(&self, _rule: GfdId) -> Members {
+            if self.parity {
+                0b11
+            } else {
+                1
+            }
+        }
+
+        fn admit(&self, _rule: GfdId, pos: usize, partial: &[NodeId], alive: Members) -> Members {
+            let node = partial[self.plan.var_at(pos).index()];
+            if self.parity && node.index() > 0 {
+                alive & !(1 << (node.index() % 2))
+            } else {
+                alive
+            }
+        }
+
+        fn on_match(
+            &self,
+            seen: &mut Self::Worker,
+            _rule: GfdId,
+            alive: Members,
+            m: &[NodeId],
+        ) -> ControlFlow<()> {
+            seen.push((alive, m.into()));
             ControlFlow::Continue(())
         }
     }
@@ -265,7 +347,8 @@ mod tests {
         prefix: impl FnOnce(&MatchPlan) -> Prefix,
         ttl: Option<Duration>,
         workers: usize,
-    ) -> (Vec<Match>, RunMetrics) {
+        parity: bool,
+    ) -> (Vec<(Members, Match)>, RunMetrics) {
         let (g, p) = star();
         let index = LabelIndex::build(&g);
         let plan = MatchPlan::build(&p, Some(pivot), Some(&index));
@@ -283,6 +366,7 @@ mod tests {
             action: Record {
                 pattern: &p,
                 plan: &plan,
+                parity,
             },
         };
         let mut metrics = RunMetrics::default();
@@ -297,22 +381,24 @@ mod tests {
         );
         assert_eq!(run.interrupt, None);
         let per_worker: u64 = run.workers.iter().map(|w| w.matches).sum();
-        let mut all: Vec<Match> = run.workers.into_iter().flat_map(|w| w.state).collect();
+        let mut all: Vec<_> = run.workers.into_iter().flat_map(|w| w.state).collect();
         assert_eq!(
             per_worker,
-            all.len() as u64,
-            "the engine counts what it lends"
+            all.iter().map(|(a, _)| u64::from(a.count_ones())).sum(),
+            "the engine counts what it lends, per member"
         );
         all.sort();
         (all, metrics)
     }
 
-    /// What `gfd_match::brute` enumerates, restricted by `keep`.
-    fn brute(keep: impl Fn(&[NodeId]) -> bool) -> Vec<Match> {
+    /// What `gfd_match::brute` enumerates, each match with the members
+    /// `alive` gives it; those with none are dropped.
+    fn brute(alive: impl Fn(&[NodeId]) -> Members) -> Vec<(Members, Match)> {
         let (g, p) = star();
-        let mut all: Vec<Match> = brute_force_matches(&g, &p)
+        let mut all: Vec<_> = brute_force_matches(&g, &p)
             .into_iter()
-            .filter(|m| keep(m))
+            .map(|m| (alive(&m), m))
+            .filter(|(a, _)| *a != 0)
             .collect();
         all.sort();
         all
@@ -328,8 +414,9 @@ mod tests {
             |_| Prefix::Pivots(unit.into()),
             Some(Duration::from_secs(60)),
             1,
+            false,
         );
-        assert_eq!(got, brute(|m| batch.contains(&m[1])));
+        assert_eq!(got, brute(|m| Members::from(batch.contains(&m[1]))));
         assert_eq!(got.len(), batch.len() * LEAVES);
         assert_eq!(metrics.units_split, 0);
     }
@@ -347,8 +434,9 @@ mod tests {
             },
             None,
             1,
+            false,
         );
-        assert_eq!(got, brute(|m| m[fixed.index()] == leaf));
+        assert_eq!(got, brute(|m| Members::from(m[fixed.index()] == leaf)));
         assert_eq!(got.len(), LEAVES);
     }
 
@@ -360,8 +448,9 @@ mod tests {
                 |_| Prefix::Pivot(NodeId::new(0)),
                 Some(Duration::ZERO),
                 workers,
+                false,
             );
-            assert_eq!(got, brute(|_| true), "workers={workers}");
+            assert_eq!(got, brute(|_| 1), "workers={workers}");
             assert_eq!(got.len(), LEAVES * LEAVES);
             assert!(metrics.units_split > 0, "TTL = 0 never split");
             assert_eq!(
@@ -369,6 +458,50 @@ mod tests {
                 1 + metrics.units_split,
                 "workers={workers}"
             );
+        }
+    }
+
+    #[test]
+    fn group_members_stay_alive_per_branch_across_splits() {
+        // Member k survives a match iff neither leaf has parity k: a match
+        // with one leaf of each parity is alive for nobody and pruned.
+        let alive = |m: &[NodeId]| {
+            m[1..]
+                .iter()
+                .fold(0b11, |a: Members, n| a & !(1 << (n.index() % 2)))
+        };
+        for (ttl, workers) in [
+            (None, 1usize),
+            (Some(Duration::ZERO), 1),
+            (Some(Duration::ZERO), 2),
+        ] {
+            for pivot in [0, 1] {
+                let (got, metrics) = lent(
+                    VarId::new(pivot),
+                    |plan| Prefix::Pivots(plan_candidates(plan).into()),
+                    ttl,
+                    workers,
+                    true,
+                );
+                assert_eq!(
+                    got,
+                    brute(alive),
+                    "ttl={ttl:?}, workers={workers}, pivot={pivot}"
+                );
+                assert_eq!(got.len(), LEAVES * LEAVES / 2);
+                if pivot == 0 && ttl.is_some() {
+                    assert!(metrics.units_split > 0, "TTL = 0 never split the hub");
+                }
+            }
+        }
+    }
+
+    /// Every node the plan's pivot variable can take on the star.
+    fn plan_candidates(plan: &MatchPlan) -> Vec<NodeId> {
+        if plan.var_at(0).index() == 0 {
+            vec![NodeId::new(0)]
+        } else {
+            (1..=LEAVES).map(NodeId::new).collect()
         }
     }
 }

@@ -53,7 +53,7 @@ pub use dependency::{
 pub use dependency::{Gfd, GfdSet}; // gfdbench-pin
 pub use driver::{run_reason, Goal, ReasonConfig, ReasonRun, TerminalEvent};
 pub use enforce::{eval_premise, EnforceEngine, EngineStats, PremiseStatus};
-pub use engine::{MatchAction, SearchTask, SearchWorker};
+pub use engine::{MatchAction, Members, SearchTask, SearchWorker, GROUP_WIDTH};
 pub use eq::{EqOp, EqRel};
 pub use error::{AttrKey, Conflict};
 pub use literal::{Literal, Operand};

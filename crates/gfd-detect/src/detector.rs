@@ -6,12 +6,15 @@
 //! stop-flag early termination and [`RunMetrics`]. What is detection's own
 //! is its match-action — the premise checked on the *data* graph as the
 //! search binds its variables (the paper's `HomMatch ∥ CheckAttr`), the
-//! consequence on the matches that survive, and a global violation budget.
+//! consequence on the matches that survive, and a global violation budget —
+//! and that rules sharing a pattern share a search: a unit runs for a
+//! [`Group`](crate::units::Group), and each member keeps the branches its
+//! own premise admits.
 
 use crate::report::{DetectionReport, RuleStats, ViolationRecord};
 use crate::units::{initial_units, RulePlans};
 use gfd_core::validate::{literal_holds, premise_holds};
-use gfd_core::{run_task, Budget, Consequence, DepSet, MatchAction, SearchTask, WorkUnit};
+use gfd_core::{run_task, Budget, Consequence, DepSet, MatchAction, Members, SearchTask, WorkUnit};
 use gfd_graph::{GfdId, Graph, LabelIndex, MatchIndex, NodeId, Pattern};
 use gfd_match::MatchPlan;
 use gfd_runtime::{RunMetrics, TraceSpec};
@@ -80,9 +83,9 @@ impl DetectConfig {
 }
 
 /// Detection's match-action (see [`gfd_core::engine`]): check each match
-/// against its rule on the data graph. Generic over the [`MatchIndex`]
-/// like the matcher itself: the static pipeline passes a [`LabelIndex`],
-/// the incremental engine a `gfd_graph::DeltaIndex`.
+/// against the rules of its unit's group on the data graph. Generic over
+/// the [`MatchIndex`] like the matcher itself: the static pipeline passes a
+/// [`LabelIndex`], the incremental engine a `gfd_graph::DeltaIndex`.
 struct DetectAction<'a, I: MatchIndex> {
     graph: &'a Graph,
     index: &'a I,
@@ -108,62 +111,17 @@ impl<I: MatchIndex> DetectAction<'_, I> {
         }
         true
     }
-}
 
-/// Thread-local accumulation, merged after the scheduler joins.
-struct Local {
-    violations: Vec<ViolationRecord>,
-    per_rule: Vec<RuleStats>,
-}
-
-impl<'a, I: MatchIndex> MatchAction<'a> for DetectAction<'a, I> {
-    type Worker = Local;
-
-    fn worker(&self, _id: usize) -> Local {
-        Local {
-            violations: Vec::new(),
-            per_rule: vec![RuleStats::default(); self.sigma.len()],
-        }
-    }
-
-    fn rule(&self, rule: GfdId) -> (&'a Pattern, &'a MatchPlan) {
-        (
-            &self.sigma.get(rule).pattern,
-            &self.plans.plans[rule.index()],
-        )
-    }
-
-    fn before_unit(&self, _local: &mut Local) -> ControlFlow<()> {
-        if self.found.load(Ordering::Relaxed) < self.max_violations {
-            ControlFlow::Continue(())
-        } else {
-            self.stop.store(true, Ordering::Relaxed);
-            ControlFlow::Break(())
-        }
-    }
-
-    /// The premise, pushed into the search: the literals due at `pos` read
-    /// bound variables only, so they hold or fail alike on every completion
-    /// of the branch — and a violation needs the whole premise to hold.
-    fn admit(&self, rule: GfdId, pos: usize, partial: &[NodeId]) -> bool {
-        let premise = &self.sigma.get(rule).premise;
-        self.plans.due[rule.index()][pos]
-            .iter()
-            .all(|&i| literal_holds(self.graph, &premise[i], partial))
-    }
-
-    /// Check one match (on-premise: `admit` cut every other branch) against
-    /// its rule's consequence, recording a violation if that fails on the
-    /// data: for literal consequences some literal fails on the concrete
-    /// values; for generating consequences no extension of the match
-    /// realizes the target subgraph (the witness is the `(rule, match)` pair
-    /// itself — the report renders what is missing from it).
-    fn on_match(&self, local: &mut Local, gfd_id: GfdId, m: &[NodeId]) -> ControlFlow<()> {
-        let dep = self.sigma.get(gfd_id);
+    /// Check one on-premise match of `rule` against its consequence,
+    /// recording a violation if that fails on the data: for literal
+    /// consequences some literal fails on the concrete values; for
+    /// generating consequences no extension of the match realizes the
+    /// target subgraph (the witness is the `(rule, match)` pair itself —
+    /// the report renders what is missing from it).
+    fn check(&self, local: &mut Local, rule: GfdId, m: &[NodeId]) -> ControlFlow<()> {
+        let dep = self.sigma.get(rule);
         debug_assert!(premise_holds(self.graph, dep, m), "admitted off-premise");
-        let stats = &mut local.per_rule[gfd_id.index()];
-        stats.matches += 1;
-        stats.premise_hits += 1;
+        local.per_rule[rule.index()].matches += 1;
         let (holds, failed) = match &dep.consequence {
             Consequence::Literals(lits) => {
                 let failed: Vec<usize> = (0..lits.len())
@@ -182,9 +140,9 @@ impl<'a, I: MatchIndex> MatchAction<'a> for DetectAction<'a, I> {
         if !self.reserve() {
             return ControlFlow::Break(());
         }
-        local.per_rule[gfd_id.index()].violations += 1;
+        local.per_rule[rule.index()].violations += 1;
         local.violations.push(ViolationRecord {
-            gfd: gfd_id,
+            gfd: rule,
             m: m.into(),
             failed,
         });
@@ -194,9 +152,74 @@ impl<'a, I: MatchIndex> MatchAction<'a> for DetectAction<'a, I> {
             ControlFlow::Continue(())
         }
     }
+}
 
-    fn fired(&self, local: &Local, rule: GfdId) -> u64 {
-        local.per_rule[rule.index()].violations
+/// Thread-local accumulation, merged after the scheduler joins.
+struct Local {
+    violations: Vec<ViolationRecord>,
+    per_rule: Vec<RuleStats>,
+}
+
+impl<'a, I: MatchIndex> MatchAction<'a> for DetectAction<'a, I> {
+    type Worker = Local;
+
+    fn worker(&self, _id: usize) -> Local {
+        Local {
+            violations: Vec::new(),
+            per_rule: vec![RuleStats::default(); self.sigma.len()],
+        }
+    }
+
+    fn rule(&self, leader: GfdId) -> (&'a Pattern, &'a MatchPlan) {
+        (
+            &self.sigma.get(leader).pattern,
+            &self.plans.group(leader).plan,
+        )
+    }
+
+    fn group(&self, leader: GfdId) -> Members {
+        self.plans.group(leader).all()
+    }
+
+    fn before_unit(&self, _local: &mut Local) -> ControlFlow<()> {
+        if self.found.load(Ordering::Relaxed) < self.max_violations {
+            ControlFlow::Continue(())
+        } else {
+            self.stop.store(true, Ordering::Relaxed);
+            ControlFlow::Break(())
+        }
+    }
+
+    /// The members' premises, pushed into the search: a member drops out
+    /// of the branch once one of its literals fails, and a violation needs
+    /// the whole premise to hold.
+    fn admit(&self, leader: GfdId, pos: usize, partial: &[NodeId], alive: Members) -> Members {
+        self.plans
+            .group(leader)
+            .admit(self.graph, pos, partial, alive)
+    }
+
+    /// Check one match against the consequence of each member it is alive
+    /// for (on-premise: `admit` dropped every other member).
+    fn on_match(
+        &self,
+        local: &mut Local,
+        leader: GfdId,
+        alive: Members,
+        m: &[NodeId],
+    ) -> ControlFlow<()> {
+        for rule in self.plans.group(leader).members_in(alive) {
+            self.check(local, rule, m)?;
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn fired(&self, local: &Local, leader: GfdId) -> u64 {
+        let members = &self.plans.group(leader).members;
+        members
+            .iter()
+            .map(|r| local.per_rule[r.index()].violations)
+            .sum()
     }
 }
 
@@ -266,7 +289,6 @@ pub fn detect_units<I: MatchIndex>(
         violations.extend(local.violations);
         for (total, part) in per_rule.iter_mut().zip(&local.per_rule) {
             total.matches += part.matches;
-            total.premise_hits += part.premise_hits;
             total.violations += part.violations;
         }
     }
@@ -329,7 +351,6 @@ mod tests {
         assert_eq!(report.violations.len(), 49);
         assert!(!report.truncated);
         assert_eq!(report.per_rule[0].matches, 49);
-        assert_eq!(report.per_rule[0].premise_hits, 49);
     }
 
     #[test]
@@ -393,11 +414,49 @@ mod tests {
             let s = report.per_rule[0];
             (
                 report.violations,
-                (s.matches, s.premise_hits, s.violations),
+                (s.matches, s.violations),
                 report.metrics.units_dispatched,
             )
         };
         assert_eq!(run(0), run(1));
+    }
+
+    /// Two rules on one pattern share units named by the leader, and the
+    /// `RuleEval` spans of those units carry both members' matches and
+    /// violations.
+    #[test]
+    fn rule_eval_spans_count_the_whole_group() {
+        use gfd_runtime::EventKind;
+        let (g, sigma, mut vocab) = chain_setup(30);
+        let a = vocab.attr("a");
+        let first = sigma.get(GfdId::new(0));
+        let x = first.pattern.vars().next().expect("two variables");
+        let odd_sources = Dependency::new(
+            "odd-sources",
+            first.pattern.clone(),
+            vec![Literal::eq_const(x, a, 1i64)],
+            vec![Literal::eq_const(x, a, 0i64)],
+        );
+        let sigma = DepSet::from_vec(vec![first.clone(), odd_sources]);
+        let config = DetectConfig {
+            trace: TraceSpec::enabled(),
+            ..DetectConfig::with_workers(2)
+        };
+        let report = detect(&g, &sigma, &config);
+        assert_eq!(report.per_rule[0].violations, 29);
+        assert_eq!(report.per_rule[1].violations, 14);
+        let spans: Vec<_> = report
+            .metrics
+            .trace
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::RuleEval)
+            .collect();
+        assert!(spans.iter().all(|e| e.id == 0), "units carry the leader");
+        let matches: u64 = spans.iter().map(|e| e.a).sum();
+        let fired: u64 = spans.iter().map(|e| e.b).sum();
+        assert_eq!(matches, report.total_matches());
+        assert_eq!(fired, report.violations.len() as u64);
     }
 
     #[test]

@@ -122,9 +122,6 @@ pub struct RuleStats {
     /// Matches lent to the detection action — every one satisfies the
     /// premise: the search drops a branch once a premise literal fails.
     pub matches: u64,
-    /// Matches whose premise held: equal to `matches` by construction
-    /// (kept for the shape of reports and their JSON).
-    pub premise_hits: u64,
     /// Violations found.
     pub violations: u64,
 }
@@ -279,7 +276,6 @@ mod tests {
             }],
             per_rule: vec![RuleStats {
                 matches: 5,
-                premise_hits: 5,
                 violations: 1,
             }],
             truncated: false,

@@ -4,20 +4,77 @@
 //! is the same type, [`WorkUnit`]: one rule plus a batch of candidate
 //! pivot nodes ([`Prefix::Pivots`]). TTL splitting turns a straggler's
 //! untried branches into prefix units exactly like `ParSat`'s Example 6.
+//!
+//! One deviation (DESIGN.md §7): rules whose patterns are structurally
+//! identical share their units. A unit's rule is the leader of a
+//! [`Group`], and its one search checks every member's premise (ROADMAP
+//! [share (c)]).
 
-use gfd_core::{DepSet, Literal, Prefix, WorkUnit};
-use gfd_graph::{GfdId, MatchIndex, NodeId, VarId};
+use gfd_core::validate::literal_holds;
+use gfd_core::{DepSet, Literal, Members, Prefix, WorkUnit, GROUP_WIDTH};
+use gfd_graph::{GfdId, Graph, LabelId, MatchIndex, NodeId, PatternEdge, VarId};
 use gfd_match::MatchPlan;
+use std::collections::HashMap;
 
-/// Per-rule matching context shared by all workers.
+/// The rules' search groups and their plans, shared by all workers.
 #[derive(Default)]
 pub struct RulePlans {
-    /// Pivot variable per rule.
-    pub pivots: Vec<VarId>,
-    /// Pivoted match plan per rule.
-    pub plans: Vec<MatchPlan>,
-    /// [`premise_schedule`] of each rule under its plan.
-    pub due: Vec<Vec<Vec<usize>>>,
+    /// The search groups, in the order of their leaders.
+    pub groups: Vec<Group>,
+    /// Per rule, the index of its group in `groups`.
+    group_of: Vec<u32>,
+}
+
+/// Rules that share one search: their patterns are structurally identical
+/// (the same labels in variable order, the same edge list), so they get one
+/// pivot and one plan; and their consequences are of one kind (literal or
+/// generating), so the incremental engine re-runs all of them on the same
+/// pivots. Each member keeps its own premise, consequence and statistics.
+pub struct Group {
+    /// The members in rule-id order, at most [`GROUP_WIDTH`]: bit `i` of a
+    /// [`Members`] set is `members[i]`. The first is the group's leader,
+    /// the rule its units carry.
+    pub members: Vec<GfdId>,
+    /// The pivoted plan every member shares.
+    pub plan: MatchPlan,
+    /// Per plan position, the distinct premise literals due there (see
+    /// [`premise_schedule`]), each with the members whose premise has it.
+    due: Vec<Vec<(Literal, Members)>>,
+}
+
+impl Group {
+    /// Every member.
+    pub fn all(&self) -> Members {
+        Members::MAX >> (GROUP_WIDTH - self.members.len())
+    }
+
+    /// The members of `alive` whose premise literals due at plan position
+    /// `pos` hold on `partial`: a literal due at `pos` reads only variables
+    /// bound by then, so it holds or fails alike on every completion of the
+    /// branch.
+    pub fn admit(
+        &self,
+        graph: &Graph,
+        pos: usize,
+        partial: &[NodeId],
+        mut alive: Members,
+    ) -> Members {
+        for (lit, members) in &self.due[pos] {
+            if alive & members != 0 && !literal_holds(graph, lit, partial) {
+                alive &= !members;
+            }
+        }
+        alive
+    }
+
+    /// The members in `set`, in rule-id order.
+    pub fn members_in(&self, mut set: Members) -> impl Iterator<Item = GfdId> + '_ {
+        std::iter::from_fn(move || {
+            let i = set.trailing_zeros() as usize;
+            set &= set.wrapping_sub(1);
+            self.members.get(i).copied()
+        })
+    }
 }
 
 /// Where each premise literal becomes *due*: entry `pos` lists the indices
@@ -35,55 +92,97 @@ pub fn premise_schedule(premise: &[Literal], plan: &MatchPlan) -> Vec<Vec<usize>
 }
 
 impl RulePlans {
-    /// Choose pivots (most selective label, highest degree) and build
-    /// pivoted plans for every rule against the data-graph index. Any
-    /// [`MatchIndex`] serves: the incremental engine re-plans against its
-    /// `DeltaIndex` after each batch, so pivots and variable orders track
-    /// the overlay-adjusted frequencies rather than the frozen base.
+    /// Group the rules, choose each group's pivot (most selective label,
+    /// highest degree) and build its pivoted plan against the data-graph
+    /// index. Any [`MatchIndex`] serves: the incremental engine re-plans
+    /// against its `DeltaIndex` after each batch, so pivots and variable
+    /// orders track the overlay-adjusted frequencies rather than the
+    /// frozen base.
     pub fn build<I: MatchIndex>(sigma: &DepSet, index: &I) -> Self {
+        type Shape<'s> = (&'s [LabelId], &'s [PatternEdge], bool);
         let mut out = RulePlans::default();
-        for (_, dep) in sigma.iter() {
-            let pivot = gfd_core::choose_pivot(&dep.pattern, index);
-            let plan = MatchPlan::build(&dep.pattern, Some(pivot), Some(index));
-            out.pivots.push(pivot);
-            out.due.push(premise_schedule(&dep.premise, &plan));
-            out.plans.push(plan);
+        // The group each shape's next rule joins while it has room.
+        let mut open: HashMap<Shape<'_>, usize> = HashMap::new();
+        for (id, dep) in sigma.iter() {
+            let p = &dep.pattern;
+            let shape = (p.node_labels(), p.edges(), dep.is_generating());
+            let g = match open.get(&shape) {
+                Some(&g) if out.groups[g].members.len() < GROUP_WIDTH => g,
+                _ => {
+                    let pivot = gfd_core::choose_pivot(p, index);
+                    let plan = MatchPlan::build(p, Some(pivot), Some(index));
+                    out.groups.push(Group {
+                        members: Vec::new(),
+                        due: vec![Vec::new(); plan.len()],
+                        plan,
+                    });
+                    open.insert(shape, out.groups.len() - 1);
+                    out.groups.len() - 1
+                }
+            };
+            let group = &mut out.groups[g];
+            let bit: Members = 1 << group.members.len();
+            group.members.push(id);
+            let schedule = premise_schedule(&dep.premise, &group.plan);
+            for (due, lits) in group.due.iter_mut().zip(schedule) {
+                for lit in lits.into_iter().map(|i| &dep.premise[i]) {
+                    match due.iter_mut().find(|(l, _)| l == lit) {
+                        Some((_, members)) => *members |= bit,
+                        None => due.push((lit.clone(), bit)),
+                    }
+                }
+            }
+            out.group_of.push(g as u32);
         }
         out
     }
+
+    /// The group of `rule` (any member).
+    pub fn group(&self, rule: GfdId) -> &Group {
+        &self.groups[self.group_of[rule.index()] as usize]
+    }
+
+    /// The pivot variable of `rule`.
+    pub fn pivot(&self, rule: GfdId) -> VarId {
+        self.group(rule).plan.var_at(0)
+    }
 }
 
-/// Build the initial unit queue: for every rule, the pivot candidates are
-/// chunked into batches of at most `batch_size`.
+/// Build the initial unit queue: for every group, the pivot candidates are
+/// chunked into batches of at most `batch_size`, each a unit of the
+/// group's leader.
 ///
-/// Rules are interleaved round-robin so that early termination (violation
-/// budget) sees a sample of every rule rather than exhausting rule 0 first.
+/// Groups are interleaved round-robin so that early termination (violation
+/// budget) sees a sample of every group rather than exhausting the first.
 pub fn initial_units<I: MatchIndex>(
     sigma: &DepSet,
     index: &I,
     plans: &RulePlans,
     batch_size: usize,
 ) -> Vec<WorkUnit> {
-    let per_rule = sigma
+    let per_group = plans
+        .groups
         .iter()
-        .map(|(id, dep)| {
-            let pivot = plans.pivots[id.index()];
-            (id, index.candidates(dep.pattern.label(pivot)).to_vec())
+        .map(|group| {
+            let leader = group.members[0];
+            let label = sigma.get(leader).pattern.label(group.plan.var_at(0));
+            (leader, index.candidates(label).to_vec())
         })
         .collect();
-    units_for_pivots(per_rule, batch_size)
+    units_for_pivots(per_group, batch_size)
 }
 
-/// Build a unit queue from explicit per-rule pivot lists, batched and
-/// round-robin interleaved like [`initial_units`]. The incremental
-/// engine feeds this the dirty-frontier pivots of each rule.
+/// Build a unit queue from explicit per-group pivot lists (each keyed by
+/// the group's leader), batched and round-robin interleaved like
+/// [`initial_units`]. The incremental engine feeds this the
+/// dirty-frontier pivots of each group.
 pub fn units_for_pivots(
-    rule_pivots: Vec<(GfdId, Vec<NodeId>)>,
+    group_pivots: Vec<(GfdId, Vec<NodeId>)>,
     batch_size: usize,
 ) -> Vec<WorkUnit> {
     let batch_size = batch_size.max(1);
-    let mut per_rule: Vec<std::vec::IntoIter<WorkUnit>> = Vec::with_capacity(rule_pivots.len());
-    for (id, candidates) in rule_pivots {
+    let mut per_group: Vec<std::vec::IntoIter<WorkUnit>> = Vec::with_capacity(group_pivots.len());
+    for (id, candidates) in group_pivots {
         let batches: Vec<WorkUnit> = candidates
             .chunks(batch_size)
             .map(|chunk| WorkUnit {
@@ -92,13 +191,13 @@ pub fn units_for_pivots(
                 priority: 0,
             })
             .collect();
-        per_rule.push(batches.into_iter());
+        per_group.push(batches.into_iter());
     }
     // Round-robin interleave.
     let mut out = Vec::new();
     loop {
         let mut emitted = false;
-        for queue in &mut per_rule {
+        for queue in &mut per_group {
             if let Some(u) = queue.next() {
                 out.push(u);
                 emitted = true;
@@ -215,6 +314,69 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Rules group when their labels and edge lists agree (variable names
+    /// do not matter) and their consequences are of one kind; a premise
+    /// literal two members share is one check carrying both their bits.
+    #[test]
+    fn rules_group_by_shape_and_consequence_kind() {
+        let mut vocab = Vocab::new();
+        let (t, u, e) = (vocab.label("t"), vocab.label("u"), vocab.label("e"));
+        let a = vocab.attr("a");
+        let edge = |src: &str, dst_label, reversed: bool| {
+            let mut p = Pattern::new();
+            let x = p.add_node(t, src);
+            let y = p.add_node(dst_label, "y");
+            if reversed {
+                p.add_edge(y, e, x);
+            } else {
+                p.add_edge(x, e, y);
+            }
+            p
+        };
+        let (x, y) = (VarId::new(0), VarId::new(1));
+        let literal = |p, premise: Vec<Literal>| {
+            Dependency::new("r", p, premise, vec![Literal::eq_attr(x, a, y, a)])
+        };
+        let shared = Literal::eq_const(x, a, 1i64);
+        let mut gen = gfd_core::GenerateConsequence::over(&edge("x", t, false));
+        let fresh = gen.add_fresh(u, "f");
+        gen.add_edge(y, e, fresh);
+        let sigma = DepSet::from_vec(vec![
+            literal(edge("x", t, false), vec![shared.clone()]),
+            Dependency::new("gen", edge("x", t, false), vec![], gen),
+            literal(edge("x", t, true), vec![shared.clone()]),
+            literal(
+                edge("renamed", t, false),
+                vec![shared.clone(), Literal::eq_const(y, a, 2i64)],
+            ),
+            literal(edge("x", u, false), vec![]),
+        ]);
+        let mut g = Graph::new();
+        let (n0, n1) = (g.add_node(t), g.add_node(t));
+        g.add_edge(n0, e, n1);
+        g.add_node(u);
+        let index = LabelIndex::build(&g);
+        let plans = RulePlans::build(&sigma, &index);
+        let members: Vec<Vec<usize>> = plans
+            .groups
+            .iter()
+            .map(|g| g.members.iter().map(|r| r.index()).collect())
+            .collect();
+        assert_eq!(members, [vec![0, 3], vec![1], vec![2], vec![4]]);
+        let group = plans.group(GfdId::new(3));
+        assert_eq!(group.all(), 0b11);
+        assert_eq!(plans.pivot(GfdId::new(3)), plans.pivot(GfdId::new(0)));
+        let due: Vec<_> = group.due.iter().flatten().collect();
+        assert_eq!(
+            due,
+            [&(shared, 0b11), &(Literal::eq_const(y, a, 2i64), 0b10)]
+        );
+        let units = initial_units(&sigma, &index, &plans, 1);
+        let leaders: Vec<usize> = units.iter().map(|u| u.gfd.index()).collect();
+        // Two `t` pivots for each `t`-pivoted group, one `u` pivot for rule 4.
+        assert_eq!(leaders, [0, 1, 2, 4, 0, 1, 2]);
     }
 
     #[test]

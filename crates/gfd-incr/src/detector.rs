@@ -3,11 +3,12 @@
 
 use crate::frontier::bounded_frontier;
 use gfd_core::DepSet;
+use gfd_detect::units::Group;
 use gfd_detect::{
     detect_units, initial_units, units_for_pivots, DetectConfig, RulePlans, RunMetrics,
     ViolationRecord,
 };
-use gfd_graph::{DeltaBatch, DeltaIndex, Graph, LabelIndex, MatchIndex, NodeId};
+use gfd_graph::{DeltaBatch, DeltaIndex, GfdId, Graph, LabelIndex, MatchIndex, NodeId};
 use gfd_runtime::{failpoint, EventKind, TraceBuf, CONTROL_WORKER};
 use rustc_hash::FxHashSet;
 
@@ -84,41 +85,17 @@ pub struct BatchReport {
     pub metrics: RunMetrics,
 }
 
-/// Per-rule facts the frontier computation needs, derived from the
-/// current plans (pivots can move at compaction).
-struct RuleMeta {
-    /// Pattern radius at the pivot (locality-bounded rules only).
-    radii: Vec<u32>,
-    /// Does the rule have a locality bound? Disconnected patterns do not
-    /// (a far component can match anywhere), and neither do generating
-    /// consequences (the realization extension can bind a fresh variable
-    /// to *any* node, so an update far from the pivot can realize — or
-    /// un-realize — the target). Both get full per-rule re-runs.
-    local: Vec<bool>,
-    /// Largest radius over locality-bounded rules — the BFS bound.
-    max_radius: u32,
-}
-
-impl RuleMeta {
-    fn build(sigma: &DepSet, plans: &RulePlans) -> Self {
-        let mut radii = Vec::with_capacity(sigma.len());
-        let mut local = Vec::with_capacity(sigma.len());
-        let mut max_radius = 0;
-        for (id, dep) in sigma.iter() {
-            let loc = dep.pattern.is_connected() && !dep.is_generating();
-            let r = dep.pattern.radius_at(plans.pivots[id.index()]);
-            if loc {
-                max_radius = max_radius.max(r);
-            }
-            radii.push(r);
-            local.push(loc);
-        }
-        RuleMeta {
-            radii,
-            local,
-            max_radius,
-        }
-    }
+/// How far a batch's dirty frontier must reach to cover `group`'s pivots:
+/// its pattern's radius at the pivot — or `None` when it has no locality
+/// bound. Disconnected patterns have none (a far component can match
+/// anywhere), and neither do generating consequences (the realization
+/// extension can bind a fresh variable to *any* node, so an update far from
+/// the pivot can realize — or un-realize — the target). Both get full
+/// re-runs.
+fn radius(sigma: &DepSet, group: &Group) -> Option<u32> {
+    let dep = &sigma[group.members[0]];
+    (dep.pattern.is_connected() && !dep.is_generating())
+        .then(|| dep.pattern.radius_at(group.plan.var_at(0)))
 }
 
 /// A detection result kept live under streaming updates.
@@ -132,7 +109,6 @@ pub struct IncrementalDetector {
     sigma: DepSet,
     index: DeltaIndex,
     plans: RulePlans,
-    meta: RuleMeta,
     violations: Vec<ViolationRecord>,
     config: IncrConfig,
     /// Batches applied so far — the `id` of every [`EventKind::Batch`]
@@ -154,7 +130,6 @@ impl IncrementalDetector {
         }
         let li = LabelIndex::build(&graph);
         let plans = RulePlans::build(&sigma, &li);
-        let meta = RuleMeta::build(&sigma, &plans);
         let units = initial_units(&sigma, &li, &plans, config.detect.batch_size);
         let report = detect_units(
             &graph,
@@ -169,7 +144,6 @@ impl IncrementalDetector {
             sigma,
             index: li.into_delta(),
             plans,
-            meta,
             violations: report.violations,
             config,
             batches_applied: 0,
@@ -200,14 +174,12 @@ impl IncrementalDetector {
         }
         let li = LabelIndex::build(&graph);
         let plans = RulePlans::build(&sigma, &li);
-        let meta = RuleMeta::build(&sigma, &plans);
         violations.sort_by(|a, b| (a.gfd, &a.m).cmp(&(b.gfd, &b.m)));
         IncrementalDetector {
             graph,
             sigma,
             index: li.into_delta(),
             plans,
-            meta,
             violations,
             config,
             batches_applied: 0,
@@ -304,13 +276,19 @@ impl IncrementalDetector {
         // bug this replaced planned a stream's whole lifetime on the
         // seed freeze's frequencies).
         self.plans = RulePlans::build(&self.sigma, &self.index);
-        self.meta = RuleMeta::build(&self.sigma, &self.plans);
+        let radii: Vec<Option<u32>> = self
+            .plans
+            .groups
+            .iter()
+            .map(|group| radius(&self.sigma, group))
+            .collect();
 
         // Dirty frontier: every pivot within the largest connected-rule
         // radius of a touched node (see `frontier` for the soundness
-        // argument), filtered per rule by radius and pivot label.
+        // argument), filtered per group by radius and pivot label.
         let bfs_span = ctl.start();
-        let frontier = bounded_frontier(&self.graph, &applied.dirty, self.meta.max_radius);
+        let max_radius = radii.iter().flatten().max().copied().unwrap_or(0);
+        let frontier = bounded_frontier(&self.graph, &applied.dirty, max_radius);
         ctl.span(
             EventKind::FrontierBfs,
             bid,
@@ -318,55 +296,54 @@ impl IncrementalDetector {
             applied.dirty.len() as u64,
             frontier.len() as u64,
         );
-        let mut rule_pivots: Vec<(gfd_graph::GfdId, Vec<NodeId>)> = Vec::new();
-        for (id, dep) in self.sigma.iter() {
-            let pivot_label = dep.pattern.label(self.plans.pivots[id.index()]);
-            let pivots: Vec<NodeId> = if self.meta.local[id.index()] {
-                frontier
+        // A group's members share pattern, pivot and consequence kind, so
+        // they share the pivots to re-run: one unit list per group.
+        let mut group_pivots: Vec<(GfdId, Vec<NodeId>)> = Vec::new();
+        for (group, radius) in self.plans.groups.iter().zip(&radii) {
+            let leader = group.members[0];
+            let pivot_label = self.sigma[leader].pattern.label(group.plan.var_at(0));
+            let pivots: Vec<NodeId> = match radius {
+                Some(r) => frontier
                     .iter()
-                    .filter(|&&(n, d)| {
-                        d <= self.meta.radii[id.index()]
-                            && pivot_label.pattern_matches(self.graph.label(n))
-                    })
+                    .filter(|&&(n, d)| d <= *r && pivot_label.pattern_matches(self.graph.label(n)))
                     .map(|&(n, _)| n)
-                    .collect()
-            } else {
-                // No locality bound: a disconnected pattern's non-pivot
-                // component can match anywhere, and a generating
-                // consequence's realization extension can bind fresh
-                // variables anywhere — re-run every pivot of this rule.
-                report.full_rerun_rules += 1;
-                self.index.candidates(pivot_label).to_vec()
+                    .collect(),
+                None => {
+                    // No locality bound: re-run every pivot of the group.
+                    report.full_rerun_rules += group.members.len();
+                    self.index.candidates(pivot_label).to_vec()
+                }
             };
             if !pivots.is_empty() {
-                report.rerun_pivots += pivots.len();
-                rule_pivots.push((id, pivots));
+                report.rerun_pivots += pivots.len() * group.members.len();
+                group_pivots.push((leader, pivots));
             }
         }
 
         // Evict every cached violation whose pivot is being re-run: the
         // re-run re-finds the ones that still hold, so the merge below
         // cannot duplicate or resurrect anything.
-        let rerun_sets: Vec<Option<FxHashSet<NodeId>>> = {
-            let mut sets: Vec<Option<FxHashSet<NodeId>>> = Vec::new();
-            sets.resize_with(self.sigma.len(), || None);
-            for (id, pivots) in &rule_pivots {
-                sets[id.index()] = Some(pivots.iter().copied().collect());
+        let rerun_sets: Vec<FxHashSet<NodeId>> = group_pivots
+            .iter()
+            .map(|(_, pivots)| pivots.iter().copied().collect())
+            .collect();
+        let mut rerun_of: Vec<Option<&FxHashSet<NodeId>>> = vec![None; self.sigma.len()];
+        for ((leader, _), set) in group_pivots.iter().zip(&rerun_sets) {
+            for member in &self.plans.group(*leader).members {
+                rerun_of[member.index()] = Some(set);
             }
-            sets
-        };
+        }
         let before = self.violations.len();
-        let pivots = &self.plans.pivots;
+        let plans = &self.plans;
         self.violations.retain(|v| {
-            rerun_sets[v.gfd.index()]
-                .as_ref()
-                .is_none_or(|set| !set.contains(&v.m[pivots[v.gfd.index()].index()]))
+            rerun_of[v.gfd.index()]
+                .is_none_or(|set| !set.contains(&v.m[plans.pivot(v.gfd).index()]))
         });
         report.evicted = before - self.violations.len();
 
         // Re-reason the frontier on the shared scheduler, over the
         // overlay view — no re-freeze happened unless we compacted.
-        let units = units_for_pivots(rule_pivots, self.config.detect.batch_size);
+        let units = units_for_pivots(group_pivots, self.config.detect.batch_size);
         let fresh = detect_units(
             &self.graph,
             &self.index,
@@ -658,7 +635,11 @@ mod tests {
                 ..IncrConfig::with_workers(2)
             },
         );
-        assert_eq!(incr.plans.pivots[0], x, "seed pivot should be the rare `a`");
+        assert_eq!(
+            incr.plans.pivot(GfdId::new(0)),
+            x,
+            "seed pivot should be the rare `a`"
+        );
 
         // Flood the graph with `a` nodes: `b` becomes the rare label.
         let mut batch = DeltaBatch::new();
@@ -669,10 +650,10 @@ mod tests {
         let rep = incr.apply(&batch);
         assert!(!rep.compacted, "test needs the overlay path");
         assert_eq!(
-            incr.plans.pivots[0], y,
+            incr.plans.pivot(GfdId::new(0)),
+            y,
             "pivot did not move to the delta-rare label"
         );
-        assert_eq!(incr.plans.plans[0].var_at(0), y);
         assert_matches_full_detect(&incr);
     }
 

@@ -146,10 +146,6 @@ fn lifted_gfd_detect_is_bit_identical_at_every_worker_count() {
             dep_report.per_rule[0].matches,
             seed_report.per_rule[0].matches
         );
-        assert_eq!(
-            dep_report.per_rule[0].premise_hits,
-            seed_report.per_rule[0].premise_hits
-        );
     }
 }
 

@@ -8,11 +8,12 @@
 //! `consequence_holds` — on small random and hand-built inputs: detection
 //! checks its premise *inside* the search, as variables are bound, and the
 //! violations and the per-rule counts must be what evaluating the premise
-//! on every complete match gives.
+//! on every complete match gives — also when rules that share a pattern
+//! share one search, each member keeping the branches its premise admits.
 
 use gfd::core::validate::{consequence_holds, premise_holds};
 use gfd::core::GenerateConsequence;
-use gfd::detect::{detect, DetectConfig};
+use gfd::detect::{detect, DetectConfig, RulePlans};
 use gfd::gen::{plant_violation, random_graph, GraphGenConfig};
 use gfd::graph::{AttrId, LabelIndex};
 use gfd::matching::brute::brute_force_matches;
@@ -167,8 +168,7 @@ fn per_rule_stats_are_consistent() {
     let total: u64 = report.per_rule.iter().map(|s| s.violations).sum();
     assert_eq!(total as usize, report.violations.len());
     for stats in &report.per_rule {
-        assert!(stats.premise_hits <= stats.matches);
-        assert!(stats.violations <= stats.premise_hits);
+        assert!(stats.violations <= stats.matches);
     }
 }
 
@@ -231,7 +231,6 @@ fn assert_detect_equals_brute(graph: &Graph, sigma: &DepSet) {
             assert_eq!(keys_from_detect(&report), violations, "{at}");
             for (i, stats) in report.per_rule.iter().enumerate() {
                 assert_eq!(stats.matches, hits[i], "rule {i} matches, {at}");
-                assert_eq!(stats.premise_hits, stats.matches, "rule {i}, {at}");
             }
         }
     }
@@ -297,23 +296,13 @@ fn arb_small_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
-/// A rule over 1–4 variables (label 0 is the wildcard; no edges gives a
-/// disconnected pattern, `src == dst` a self-loop), a premise of 0–3
-/// literals anywhere on them, and a literal or a generating consequence.
-fn arb_small_rule() -> impl Strategy<Value = Dependency> {
-    let pattern = (1usize..=4).prop_flat_map(|k| {
+/// A pattern over 1–4 variables (label 0 is the wildcard; no edges gives a
+/// disconnected pattern, `src == dst` a self-loop).
+fn arb_pattern() -> impl Strategy<Value = Pattern> {
+    (1usize..=4).prop_flat_map(|k| {
         let labels = proptest::collection::vec(0u32..3, k);
         let edges = proptest::collection::vec(((0..k), 0u32..3, (0..k)), 0..5);
-        (labels, edges)
-    });
-    let premise = proptest::collection::vec(arb_lit(), 0..=3);
-    let literals = proptest::collection::vec(arb_lit(), 1..=2);
-    // Generating: one fresh node of label `l`, an edge to it from a premise
-    // variable, and optionally an assignment read off the extended match.
-    let generate = (1u32..3, 0usize..4, 1u32..3, proptest::option::of(arb_lit()));
-    (pattern, premise, literals, proptest::option::of(generate)).prop_map(
-        |((labels, edges), premise, literals, generate)| {
-            let k = labels.len();
+        (labels, edges).prop_map(|(labels, edges)| {
             let mut p = Pattern::new();
             for l in labels {
                 p.add_anon_node(LabelId(l));
@@ -321,24 +310,49 @@ fn arb_small_rule() -> impl Strategy<Value = Dependency> {
             for (s, l, d) in edges {
                 p.add_edge(VarId::new(s), LabelId(l), VarId::new(d));
             }
-            let premise: Vec<Literal> = premise.iter().map(|l| l.build(k)).collect();
-            match generate {
-                None => {
-                    let y: Vec<Literal> = literals.iter().map(|l| l.build(k)).collect();
-                    Dependency::new("r", p, premise, y)
-                }
-                Some((fresh_label, from, edge_label, attr)) => {
-                    let mut gen = GenerateConsequence::over(&p);
-                    let fresh = gen.add_fresh(LabelId(fresh_label), "f");
-                    gen.add_edge(VarId::new(from % k), LabelId(edge_label), fresh);
-                    if let Some(lit) = attr {
-                        gen.push_attr(lit.build(k + 1));
-                    }
-                    Dependency::new("r", p, premise, gen)
-                }
+            p
+        })
+    })
+}
+
+/// What a rule says over its pattern: a premise, consequence literals,
+/// and — when set — the generating consequence that replaces them.
+type Body = (Vec<Lit>, Vec<Lit>, Option<(u32, usize, u32, Option<Lit>)>);
+
+/// A premise of 0–3 literals anywhere on the variables, and a literal or a
+/// generating consequence.
+fn arb_body() -> impl Strategy<Value = Body> {
+    let premise = proptest::collection::vec(arb_lit(), 0..=3);
+    let literals = proptest::collection::vec(arb_lit(), 1..=2);
+    // Generating: one fresh node of label `l`, an edge to it from a premise
+    // variable, and optionally an assignment read off the extended match.
+    let generate = (1u32..3, 0usize..4, 1u32..3, proptest::option::of(arb_lit()));
+    (premise, literals, proptest::option::of(generate))
+}
+
+fn rule_on(p: Pattern, (premise, literals, generate): &Body) -> Dependency {
+    let k = p.node_count();
+    let premise: Vec<Literal> = premise.iter().map(|l| l.build(k)).collect();
+    match generate {
+        None => {
+            let y: Vec<Literal> = literals.iter().map(|l| l.build(k)).collect();
+            Dependency::new("r", p, premise, y)
+        }
+        Some((fresh_label, from, edge_label, attr)) => {
+            let mut gen = GenerateConsequence::over(&p);
+            let fresh = gen.add_fresh(LabelId(*fresh_label), "f");
+            gen.add_edge(VarId::new(from % k), LabelId(*edge_label), fresh);
+            if let Some(lit) = attr {
+                gen.push_attr(lit.build(k + 1));
             }
-        },
-    )
+            Dependency::new("r", p, premise, gen)
+        }
+    }
+}
+
+/// A rule on a random pattern.
+fn arb_small_rule() -> impl Strategy<Value = Dependency> {
+    (arb_pattern(), arb_body()).prop_map(|(p, body)| rule_on(p, &body))
 }
 
 proptest! {
@@ -351,22 +365,77 @@ proptest! {
     ) {
         assert_detect_equals_brute(&graph, &DepSet::from_vec(rules));
     }
+
+    /// 2–6 rules over one pattern — one search per consequence kind —
+    /// with their own premises and consequences, one of them twice.
+    #[test]
+    fn a_shared_pattern_group_equals_brute_force(
+        graph in arb_small_graph(),
+        pattern in arb_pattern(),
+        bodies in proptest::collection::vec(arb_body(), 1..=5),
+    ) {
+        let mut rules: Vec<Dependency> =
+            bodies.iter().map(|b| rule_on(pattern.clone(), b)).collect();
+        rules.push(rules[0].clone());
+        assert_detect_equals_brute(&graph, &DepSet::from_vec(rules));
+    }
 }
 
-/// The shapes the random rules only sometimes hit, built by hand: a
-/// disconnected pattern, a self-loop, two variables forced onto one node,
-/// two literals on one variable, the empty premise, and a four-variable
-/// chain whose premise puts a constant literal on *every* variable and an
-/// attribute–attribute literal on *every* pair — so whatever pivot and
-/// order the planner picks, there is a literal on the pivot variable and
-/// one spanning the first and the last plan position.
+/// More rules on one pattern than a group holds: 70 rules on `x -e-> y`
+/// split into groups of 64 and 6, whose premises and consequences cycle
+/// through every literal shape — and still equal brute force.
 #[test]
-fn detector_equals_brute_force_on_hand_built_premises() {
+fn more_members_than_the_mask_width_split_into_groups() {
+    let (g, t, _, e) = hand_built_graph();
+    let v = VarId::new;
+    let mut edge = Pattern::new();
+    edge.add_anon_node(t);
+    edge.add_anon_node(t);
+    edge.add_edge(v(0), e, v(1));
+    let premises = [
+        vec![],
+        vec![Literal::eq_const(v(0), A, 1i64)],
+        vec![Literal::eq_const(v(1), B, 0i64)],
+        vec![Literal::eq_attr(v(0), A, v(1), A)],
+        vec![
+            Literal::eq_const(v(0), B, 1i64),
+            Literal::eq_attr(v(0), B, v(1), B),
+        ],
+    ];
+    let consequences = [
+        Literal::eq_const(v(1), A, 1i64),
+        Literal::eq_attr(v(0), B, v(1), B),
+        Literal::eq_const(v(0), B, 0i64),
+    ];
+    let sigma = DepSet::from_vec(
+        (0..70)
+            .map(|i| {
+                Dependency::new(
+                    format!("r{i}"),
+                    edge.clone(),
+                    premises[i % premises.len()].clone(),
+                    vec![consequences[i % consequences.len()].clone()],
+                )
+            })
+            .collect(),
+    );
+    let plans = RulePlans::build(&sigma, &LabelIndex::build(&g));
+    let sizes: Vec<usize> = plans.groups.iter().map(|g| g.members.len()).collect();
+    assert_eq!(sizes, [64, 6]);
+    let (hits, violations) = brute_oracle(&g, &sigma);
+    assert!(hits.iter().all(|&h| h > 0), "every premise holds somewhere");
+    assert!(!violations.is_empty());
+    assert_detect_equals_brute(&g, &sigma);
+}
+
+/// A `t` chain n0 → n1 → n2 → n3 → n4 with a chord and a 2-cycle; one `u`
+/// node whose only `e` edge is its self-loop. `A` is 1 along the chain
+/// (absent on n4, 0 on n5); `B` repeats 0/1. Returns the graph and the
+/// labels `t`, `u`, `e`.
+fn hand_built_graph() -> (Graph, LabelId, LabelId, LabelId) {
     let (t, u) = (LabelId(1), LabelId(2));
     let e = LabelId(1);
     let mut g = Graph::new();
-    // A `t` chain n0 → n1 → n2 → n3 → n4 with a chord and a 2-cycle; one
-    // `u` node whose only `e` edge is its self-loop.
     let n: Vec<NodeId> = (0..6).map(|_| g.add_node(t)).collect();
     for w in n[..5].windows(2) {
         g.add_edge(w[0], e, w[1]);
@@ -376,7 +445,6 @@ fn detector_equals_brute_force_on_hand_built_premises() {
     g.add_edge(n[5], e, n[5]);
     let only_u = g.add_node(u);
     g.add_edge(only_u, e, only_u);
-    // `A` is 1 along the chain (absent on n4, 0 on n5); `B` repeats 0/1.
     for (i, &node) in n.iter().enumerate() {
         match i {
             4 => {}
@@ -386,6 +454,20 @@ fn detector_equals_brute_force_on_hand_built_premises() {
         g.set_attr(node, B, Value::int((i % 2) as i64));
     }
     g.set_attr(only_u, B, Value::int(1));
+    (g, t, u, e)
+}
+
+/// The shapes the random rules only sometimes hit, built by hand: a
+/// disconnected pattern, a self-loop, two variables forced onto one node
+/// (by two rules that share that pattern, so one search serves both), two
+/// literals on one variable, the empty premise, and a four-variable
+/// chain whose premise puts a constant literal on *every* variable and an
+/// attribute–attribute literal on *every* pair — so whatever pivot and
+/// order the planner picks, there is a literal on the pivot variable and
+/// one spanning the first and the last plan position.
+#[test]
+fn detector_equals_brute_force_on_hand_built_premises() {
+    let (g, t, u, e) = hand_built_graph();
 
     let node_pattern = |labels: &[LabelId], edges: &[(usize, usize)]| {
         let mut p = Pattern::new();

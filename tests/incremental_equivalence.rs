@@ -8,8 +8,10 @@
 //! re-run region can change, and this suite is where that claim meets
 //! arbitrary topology + attribute churn.
 
-use gfd::detect::{detect, DetectConfig, ViolationRecord};
+use gfd::core::GenerateConsequence;
+use gfd::detect::{detect, DetectConfig, RulePlans, ViolationRecord};
 use gfd::gen::{delta_stream, random_graph, DeltaStreamConfig, GraphGenConfig, Schema};
+use gfd::graph::LabelIndex;
 use gfd::incr::{IncrConfig, IncrementalDetector};
 use gfd::prelude::*;
 use proptest::prelude::*;
@@ -50,12 +52,112 @@ fn rules(schema: &Schema) -> DepSet {
     DepSet::from_vec(vec![r1, r2, r3])
 }
 
+/// Rules that repeat two patterns with different constants: the edge
+/// pattern four times (two constants each side, one rule twice) and once
+/// more with a generating consequence, the 2-path twice. Detection runs
+/// one search per pattern and consequence kind; the incremental engine
+/// seeds units per such group while it re-runs and evicts per rule.
+fn shared_rules(schema: &Schema) -> DepSet {
+    let t0 = schema.node_labels()[0];
+    let t1 = schema.node_labels()[1 % schema.node_labels().len()];
+    let e0 = schema.edge_labels()[0];
+    let e1 = schema.edge_labels()[1 % schema.edge_labels().len()];
+    let a0 = schema.attrs()[0];
+    let a1 = schema.attrs()[1 % schema.attrs().len()];
+    let (ok, bad) = (gfd::gen::canonical_value, gfd::gen::conflicting_value);
+
+    let mut edge = Pattern::new();
+    let x = edge.add_node(t0, "x");
+    let y = edge.add_node(t1, "y");
+    edge.add_edge(x, e0, y);
+    let mut rules = Vec::new();
+    for (i, c) in [ok(a0), bad(a0), ok(a0)].into_iter().enumerate() {
+        rules.push(Dependency::new(
+            format!("edge-{i}"),
+            edge.clone(),
+            vec![Literal::eq_const(x, a0, c)],
+            vec![Literal::eq_const(y, a1, ok(a1))],
+        ));
+    }
+    rules.push(Dependency::new(
+        "edge-join",
+        edge.clone(),
+        vec![Literal::eq_const(y, a1, bad(a1))],
+        vec![Literal::eq_attr(x, a0, y, a0)],
+    ));
+    let mut gen = GenerateConsequence::over(&edge);
+    let z = gen.add_fresh(t0, "z");
+    gen.add_edge(y, e1, z);
+    rules.push(Dependency::new(
+        "edge-gen",
+        edge,
+        vec![Literal::eq_const(x, a1, ok(a1))],
+        gen,
+    ));
+
+    let mut path = Pattern::new();
+    let x = path.add_node(LabelId::WILDCARD, "x");
+    let y = path.add_node(t1, "y");
+    let z = path.add_node(LabelId::WILDCARD, "z");
+    path.add_edge(x, e0, y);
+    path.add_edge(y, e1, z);
+    for (i, c) in [ok(a1), bad(a1)].into_iter().enumerate() {
+        rules.push(Dependency::new(
+            format!("path-{i}"),
+            path.clone(),
+            vec![Literal::eq_const(y, a1, c)],
+            vec![Literal::eq_attr(x, a0, z, a0)],
+        ));
+    }
+    DepSet::from_vec(rules)
+}
+
+/// The fixture is not vacuous: three groups (four literal edge rules, the
+/// generating one, the two paths), and violations of several members of
+/// one group on a stream's starting graph (the rules on conflicting
+/// constants match only once a stream writes one).
+#[test]
+fn shared_rules_group_and_violate() {
+    let mut vocab = Vocab::new();
+    let schema = Schema::new(gfd::gen::Dataset::Tiny, &mut vocab);
+    let graph = random_graph(
+        &schema,
+        &GraphGenConfig {
+            nodes: 40,
+            edges: 120,
+            attr_prob: 0.6,
+            seed: 7,
+        },
+    );
+    let sigma = shared_rules(&schema);
+    let plans = RulePlans::build(&sigma, &LabelIndex::build(&graph));
+    let sizes: Vec<usize> = plans.groups.iter().map(|g| g.members.len()).collect();
+    assert_eq!(sizes, [4, 1, 2]);
+    let report = detect(&graph, &sigma, &DetectConfig::with_workers(2));
+    let violated: Vec<usize> = (0..sigma.len())
+        .filter(|&i| report.per_rule[i].violations > 0)
+        .collect();
+    assert!(
+        violated.iter().filter(|&&i| i < 4).count() >= 2,
+        "{violated:?}"
+    );
+}
+
 fn violation_keys(vs: &[ViolationRecord]) -> Vec<(gfd::graph::GfdId, Box<[NodeId]>)> {
     vs.iter().map(|v| (v.gfd, v.m.clone())).collect()
 }
 
 /// Drive one stream through both pipelines and compare after each batch.
 fn check_stream(seed: u64, stream_cfg: DeltaStreamConfig, compact_fraction: f64) {
+    check_stream_with(rules, seed, stream_cfg, compact_fraction);
+}
+
+fn check_stream_with(
+    rules: fn(&Schema) -> DepSet,
+    seed: u64,
+    stream_cfg: DeltaStreamConfig,
+    compact_fraction: f64,
+) {
     let mut vocab = Vocab::new();
     let schema = Schema::new(gfd::gen::Dataset::Tiny, &mut vocab);
     let graph = random_graph(
@@ -133,6 +235,23 @@ proptest! {
                 ..Default::default()
             },
             0.001,
+        );
+    }
+
+    /// Patterns repeated with different constants (and one rule twice):
+    /// after every batch the live set equals a from-scratch `detect`.
+    #[test]
+    fn shared_pattern_rules_stay_equivalent(seed in 0u64..1_000_000) {
+        check_stream_with(
+            shared_rules,
+            seed,
+            DeltaStreamConfig {
+                batches: 3,
+                edge_fraction: 0.05,
+                seed: seed ^ 0x5a4e,
+                ..Default::default()
+            },
+            0.25,
         );
     }
 }
