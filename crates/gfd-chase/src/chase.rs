@@ -32,8 +32,10 @@
 //! scheduler: the live rows are chunked into scan units, every
 //! worker evaluates premises against its own clone of the round-start
 //! relation (premise evaluation only path-compresses, so a clone is
-//! semantically inert), and the fired `(rule, row)` pairs are
-//! realization-checked in parallel and committed **in deterministic
+//! semantically inert) and realization-checks each generating row that
+//! fires on the spot — a trigger is active when its premise holds *and*
+//! its target is not yet realized, one test against one snapshot — and
+//! the fired `(rule, row)` pairs are committed **in deterministic
 //! order** between rounds.
 //! A premise that a mid-round enforcement would have unlocked simply
 //! fires one round later — the fixpoint (and any conflict) is unchanged
@@ -132,8 +134,8 @@ pub struct ChaseStats {
     /// Fresh nodes materialized by generating consequences (zero for
     /// literal-only rule sets).
     pub generated_nodes: u64,
-    /// Realization checks run against round-start snapshots: one per
-    /// generating firing.
+    /// Realization checks run against round-start snapshots, by the scan:
+    /// one per generating firing.
     pub realization_checks: u64,
     /// Of those checks, the firings found already realized (nothing to
     /// commit). `apply_independent + apply_conflicts + realized` is the
@@ -145,10 +147,11 @@ pub struct ChaseStats {
     /// Firings committed whose touched classes or nodes overlapped an
     /// earlier firing of the same round.
     pub apply_conflicts: u64,
-    /// Wall time spent in premise scans, across all rounds.
+    /// Wall time spent in premise scans, across all rounds — the
+    /// realization checks of the generating firings included.
     pub scan_time: Duration,
-    /// Wall time spent checking and committing consequences, across all
-    /// completed apply phases (a round cut short mid-apply is not
+    /// Wall time spent partitioning and committing the fired rows, across
+    /// all completed apply phases (a round cut short mid-apply is not
     /// booked).
     pub apply_time: Duration,
 }
@@ -294,10 +297,15 @@ impl MatchTable {
     }
 }
 
+/// One fired row of a round: `(rule, row, realized)`, where `realized`
+/// says that the round-start state already realizes a generating rule's
+/// target (always `false` for a literal rule).
+type Firing = (u32, u32, bool);
+
 /// Retire the round's fired rows (sorted by `(rule, row)`): every one of
 /// them was committed or found realized, and a trigger, once applied, is
 /// never active again.
-fn retire(tables: &mut [MatchTable], fired: &[(u32, u32)]) {
+fn retire(tables: &mut [MatchTable], fired: &[Firing]) {
     for run in fired.chunk_by(|a, b| a.0 == b.0) {
         let mut rows = run.iter().map(|f| f.1).peekable();
         let live = &mut tables[run[0].0 as usize].live;
@@ -305,42 +313,17 @@ fn retire(tables: &mut [MatchTable], fired: &[(u32, u32)]) {
     }
 }
 
-/// Cut `start..end` into ranges of at most `batch` items.
-fn batches(start: usize, end: usize, batch: usize) -> impl Iterator<Item = (u32, u32)> {
-    (start..end)
+/// Cut `0..len` into ranges of at most `batch` items.
+fn batches(len: usize, batch: usize) -> impl Iterator<Item = (u32, u32)> {
+    (0..len)
         .step_by(batch.max(1))
-        .map(move |s| (s as u32, (s + batch.max(1)).min(end) as u32))
+        .map(move |s| (s as u32, (s + batch.max(1)).min(len) as u32))
 }
 
-/// How many rows of a unit the two range tasks run between polls of the
-/// straggler deadline: one clock read per stride, not per row — what
-/// `gfd-match`'s search loop does per `CHECK_INTERVAL` steps.
+/// How many rows of a scan unit run between polls of the straggler
+/// deadline: one clock read per stride, not per row — what `gfd-match`'s
+/// search loop does per `CHECK_INTERVAL` steps.
 const POLL_STRIDE: u32 = 64;
-
-/// Straggler hand-off shared by the chase's two range tasks, polled when a
-/// unit has finished the row before `next`: every [`POLL_STRIDE`] rows, if
-/// `deadline` has passed with `next..end` still to do, offer that rest in
-/// two halves (the back half is what an idle worker will steal) and tell
-/// the caller to end the unit.
-fn offer_rest<U>(
-    ctx: &WorkerCtx<'_, U>,
-    deadline: Instant,
-    start: u32,
-    next: u32,
-    end: u32,
-    unit: impl Fn(u32, u32) -> U,
-) -> bool {
-    if next >= end || !(next - start).is_multiple_of(POLL_STRIDE) || Instant::now() < deadline {
-        return false;
-    }
-    let mid = next + (end - next) / 2;
-    let mut rest = vec![unit(next, mid)];
-    if mid < end {
-        rest.push(unit(mid, end));
-    }
-    ctx.split(rest);
-    true
-}
 
 /// A contiguous slice of one rule's live rows (positions in
 /// [`MatchTable::live`]).
@@ -351,23 +334,47 @@ struct ScanUnit {
     end: u32,
 }
 
+/// Straggler hand-off, polled when `unit` has finished the row before
+/// `next`: every [`POLL_STRIDE`] rows, if `deadline` has passed with
+/// `next..end` still to do, offer that rest in two halves (the back half is
+/// what an idle worker will steal) and tell the caller to end the unit.
+fn offer_rest(ctx: &WorkerCtx<'_, ScanUnit>, deadline: Instant, unit: ScanUnit, next: u32) -> bool {
+    let ScanUnit { rule, start, end } = unit;
+    if next >= end || !(next - start).is_multiple_of(POLL_STRIDE) || Instant::now() < deadline {
+        return false;
+    }
+    let mid = next + (end - next) / 2;
+    let half = |start, end| ScanUnit { rule, start, end };
+    let mut rest = vec![half(next, mid)];
+    if mid < end {
+        rest.push(half(mid, end));
+    }
+    ctx.split(rest);
+    true
+}
+
 /// Per-worker scan state for one round.
 struct ScanWorker {
     /// Clone of the round-start relation; mutated only by union-find
-    /// path compression inside `eval_premise`, never by enforcement.
+    /// path compression and the latent singletons a realization check
+    /// `ensure`s (DESIGN.md §12.1), never by enforcement.
     eq: EqRel,
-    /// `(rule, row)` pairs whose premise the snapshot satisfies.
-    fired: Vec<(u32, u32)>,
+    /// The rows whose premise the snapshot satisfies.
+    fired: Vec<Firing>,
     premise_evals: u64,
+    realization_checks: u64,
 }
 
-/// One round's premise scan as a scheduler workload. The task only reads
-/// each rule's premise literals — a rule's consequence action is
-/// irrelevant until the apply phase.
+/// One round's scan as a scheduler workload: each live row's premise, and
+/// for a generating rule whose premise holds, its realization check — both
+/// against the round-start relation and index. Nothing here touches the
+/// live graph or relation; mutation happens only in the deterministic
+/// commit walk, which needs nothing from the scan but the fired list.
 struct ScanTask<'a> {
     rules: &'a [Dependency],
     tables: &'a [MatchTable],
     snapshot: &'a EqRel,
+    index: &'a LabelIndex,
     ttl: Duration,
 }
 
@@ -380,6 +387,7 @@ impl Task for ScanTask<'_> {
             eq: self.snapshot.clone(),
             fired: Vec::new(),
             premise_evals: 0,
+            realization_checks: 0,
         }
     }
 
@@ -387,23 +395,24 @@ impl Task for ScanTask<'_> {
         let span = ctx.trace_start();
         let evals0 = w.premise_evals;
         let fired0 = w.fired.len() as u64;
-        let premise = &self.rules[unit.rule as usize].premise;
+        let rule = &self.rules[unit.rule as usize];
         let table = &self.tables[unit.rule as usize];
         let deadline = Instant::now() + self.ttl;
         for pos in unit.start..unit.end {
             let row = table.live[pos as usize];
+            let m = table.get(row as usize);
             w.premise_evals += 1;
-            if let PremiseStatus::Satisfied =
-                eval_premise(&mut w.eq, premise, table.get(row as usize))
-            {
-                w.fired.push((unit.rule, row));
+            if let PremiseStatus::Satisfied = eval_premise(&mut w.eq, &rule.premise, m) {
+                let realized = match &rule.consequence {
+                    Consequence::Generate(gen) => {
+                        w.realization_checks += 1;
+                        generate_deducible(&mut w.eq, self.index, gen, m)
+                    }
+                    Consequence::Literals(_) => false,
+                };
+                w.fired.push((unit.rule, row, realized));
             }
-            let rest = |start, end| ScanUnit {
-                rule: unit.rule,
-                start,
-                end,
-            };
-            if offer_rest(ctx, deadline, unit.start, pos + 1, unit.end, rest) {
+            if offer_rest(ctx, deadline, unit, pos + 1) {
                 break;
             }
         }
@@ -428,72 +437,6 @@ fn enforce(eq: &mut EqRel, lit: &Literal, asn: &[NodeId]) -> Result<bool, Confli
     Ok(effect.changed)
 }
 
-/// A contiguous chunk of the round's fired list, all of one generating
-/// rule.
-#[derive(Clone, Copy)]
-struct ApplyUnit {
-    start: u32,
-    end: u32,
-}
-
-/// Per-worker planning state: a clone of the round-start relation for
-/// realization checks (mutated only by path compression and latent
-/// `ensure`s — semantically inert), plus the firings found realized.
-struct ApplyWorker {
-    eq: EqRel,
-    /// Indices into the fired list.
-    realized: Vec<u32>,
-    realization_checks: u64,
-}
-
-/// The apply phase's planning pass as a scheduler workload: every
-/// generating firing's realization check runs against the round-start
-/// snapshot (checks are read-only, so they are all trivially parallel
-/// under round-snapshot semantics). Nothing here touches the live graph
-/// or relation — mutation happens only in the deterministic commit walk,
-/// which needs nothing from this pass but the verdicts.
-struct ApplyTask<'a> {
-    rules: &'a [Dependency],
-    tables: &'a [MatchTable],
-    /// The round's fired `(rule, row)` pairs, sorted.
-    fired: &'a [(u32, u32)],
-    index: &'a LabelIndex,
-    snapshot: &'a EqRel,
-    ttl: Duration,
-}
-
-impl Task for ApplyTask<'_> {
-    type Unit = ApplyUnit;
-    type Worker = ApplyWorker;
-
-    fn worker(&self, _id: usize) -> ApplyWorker {
-        ApplyWorker {
-            eq: self.snapshot.clone(),
-            realized: Vec::new(),
-            realization_checks: 0,
-        }
-    }
-
-    fn run_unit(&self, w: &mut ApplyWorker, unit: ApplyUnit, ctx: &WorkerCtx<'_, ApplyUnit>) {
-        let rule = self.fired[unit.start as usize].0 as usize;
-        let Consequence::Generate(gen) = &self.rules[rule].consequence else {
-            return;
-        };
-        let deadline = Instant::now() + self.ttl;
-        for i in unit.start..unit.end {
-            let m = self.tables[rule].get(self.fired[i as usize].1 as usize);
-            w.realization_checks += 1;
-            if generate_deducible(&mut w.eq, self.index, gen, m) {
-                w.realized.push(i);
-            }
-            let rest = |start, end| ApplyUnit { start, end };
-            if offer_rest(ctx, deadline, unit.start, i + 1, unit.end, rest) {
-                return;
-            }
-        }
-    }
-}
-
 /// The greedy conflict partition (DESIGN.md §12.2). Walk the round's
 /// firings in deterministic `(rule, row)` order; each firing claims
 /// its touched equivalence *classes* — premise attribute keys resolved
@@ -510,24 +453,23 @@ impl Task for ApplyTask<'_> {
 /// their commits compose in either order with identical outcome —
 /// including identical conflict behaviour.
 ///
-/// The probe may carry extra latent keys from the planning pass; that
-/// never changes *which keys share a class* (planning only
-/// path-compresses), so the partition is invariant across worker
-/// counts.
+/// The probe is one scan worker's relation and may carry extra latent
+/// keys from its realization checks; that never changes *which keys share
+/// a class* (the scan only path-compresses), so the partition is
+/// invariant across worker counts.
 fn partition_independent(
     rules: &[Dependency],
     tables: &[MatchTable],
-    fired: &[(u32, u32)],
-    realized: &[bool],
-    probe: &mut EqRel,
+    fired: &[Firing],
+    mut probe: EqRel,
 ) -> Vec<bool> {
     let mut independent = vec![false; fired.len()];
     let mut claimed_classes: FxHashSet<u32> = FxHashSet::default();
     let mut claimed_nodes: FxHashSet<NodeId> = FxHashSet::default();
     let mut classes: Vec<u32> = Vec::new();
     let mut nodes: Vec<NodeId> = Vec::new();
-    for (i, &(rule, row)) in fired.iter().enumerate() {
-        if realized[i] {
+    for (i, &(rule, row, realized)) in fired.iter().enumerate() {
+        if realized {
             // Writes nothing, independent of everything.
             independent[i] = true;
             continue;
@@ -596,9 +538,10 @@ struct Chase<'a> {
     config: &'a ChaseConfig,
     graph: Graph,
     eq: EqRel,
-    /// The frozen view of `graph` the matcher and the realization checks
-    /// read, rebuilt in place after every round that grew the topology —
-    /// both only run between that freeze and the next commit walk.
+    /// The frozen view of `graph` the matcher and the scan's realization
+    /// checks read, rebuilt in place after every round that grew the
+    /// topology — both only run between that freeze and the next commit
+    /// walk.
     index: LabelIndex,
     /// Per rule, every premise match enumerated so far.
     tables: Vec<MatchTable>,
@@ -639,15 +582,16 @@ impl<'a> Chase<'a> {
         }
     }
 
-    /// Dispatch one round's premise scan over the live rows on the shared
-    /// scheduler and collect the fired `(rule, row)` pairs in
-    /// deterministic order (the sequential scan's order, whatever the
-    /// worker interleaving was).
-    fn scan(&mut self) -> Result<Vec<(u32, u32)>, Interrupt> {
+    /// Dispatch one round's scan over the live rows on the shared
+    /// scheduler. Returns the fired rows in deterministic order (the
+    /// sequential scan's order, whatever the worker interleaving was) and
+    /// one worker's relation for the partition to probe, or the interrupt
+    /// that cut the scan short.
+    fn scan(&mut self) -> Result<(Vec<Firing>, EqRel), Interrupt> {
         let scan_start = Instant::now();
         let batch = self.config.batch;
         let units = self.tables.iter().enumerate().flat_map(|(rule, table)| {
-            batches(0, table.live.len(), batch).map(move |(start, end)| ScanUnit {
+            batches(table.live.len(), batch).map(move |(start, end)| ScanUnit {
                 rule: rule as u32,
                 start,
                 end,
@@ -657,6 +601,7 @@ impl<'a> Chase<'a> {
             rules: self.rules,
             tables: &self.tables,
             snapshot: &self.eq,
+            index: &self.index,
             ttl: self.config.ttl,
         };
         let run = run_task(
@@ -668,76 +613,26 @@ impl<'a> Chase<'a> {
             self.config.trace,
             &mut self.metrics,
         );
-        let mut fired: Vec<(u32, u32)> = Vec::new();
+        let mut fired: Vec<Firing> = Vec::new();
+        let mut probe: Option<EqRel> = None;
         for w in run.workers {
             self.stats.premise_evals += w.premise_evals;
+            self.stats.realization_checks += w.realization_checks;
             fired.extend(w.fired);
+            probe.get_or_insert(w.eq);
         }
         fired.sort_unstable();
+        self.stats.realized += fired.iter().filter(|f| f.2).count() as u64;
         self.stats.scan_time += scan_start.elapsed();
-        run.interrupt.map_or(Ok(fired), Err)
+        match run.interrupt {
+            Some(interrupt) => Err(interrupt),
+            None => Ok((fired, probe.expect("a full run returns its workers"))),
+        }
     }
 
-    /// The planning pass for one round's firings: the realization check
-    /// of every generating one, on the scheduler, then the conflict
-    /// partition. Returns, per firing, whether it is already realized and
-    /// whether it is independent, or the interrupt that cut the pass
-    /// short.
-    fn plan(&mut self, fired: &[(u32, u32)]) -> Result<(Vec<bool>, Vec<bool>), Interrupt> {
-        // `fired` is sorted, so each rule's firings are one run.
-        let mut units: Vec<ApplyUnit> = Vec::new();
-        let mut start = 0;
-        for run in fired.chunk_by(|a, b| a.0 == b.0) {
-            let end = start + run.len();
-            if self.rules[run[0].0 as usize].consequence.is_generating() {
-                let cut = batches(start, end, self.config.batch);
-                units.extend(cut.map(|(start, end)| ApplyUnit { start, end }));
-            }
-            start = end;
-        }
-        let mut realized = vec![false; fired.len()];
-        // The partition probes a clone of the round-start relation: one
-        // worker's, when the pass made any.
-        let mut probe: Option<EqRel> = None;
-        if !units.is_empty() {
-            let task = ApplyTask {
-                rules: self.rules,
-                tables: &self.tables,
-                fired,
-                index: &self.index,
-                snapshot: &self.eq,
-                ttl: self.config.ttl,
-            };
-            let run = run_task(
-                &task,
-                units,
-                self.metrics.workers,
-                &AtomicBool::new(false),
-                &self.config.budget,
-                self.config.trace,
-                &mut self.metrics,
-            );
-            for w in run.workers {
-                self.stats.realization_checks += w.realization_checks;
-                self.stats.realized += w.realized.len() as u64;
-                for i in w.realized {
-                    realized[i as usize] = true;
-                }
-                probe.get_or_insert(w.eq);
-            }
-            if let Some(interrupt) = run.interrupt {
-                return Err(interrupt);
-            }
-        }
-        let mut probe = probe.unwrap_or_else(|| self.eq.clone());
-        let independent =
-            partition_independent(self.rules, &self.tables, fired, &realized, &mut probe);
-        Ok((realized, independent))
-    }
-
-    /// Run one round — scan, plan, commit, and the table update a grown
-    /// topology calls for. `Ok(changed)`: the round ran to its end, and
-    /// the fixpoint is reached when it changed nothing; `Err`: the run
+    /// Run one round — scan, partition, commit, and the table update a
+    /// grown topology calls for. `Ok(changed)`: the round ran to its end,
+    /// and the fixpoint is reached when it changed nothing; `Err`: the run
     /// ends here without one.
     fn round(&mut self) -> Result<bool, DepChaseOutcome> {
         use DepChaseOutcome::Interrupted;
@@ -747,25 +642,23 @@ impl<'a> Chase<'a> {
         self.stats.rounds += 1;
         let round = self.stats.rounds as u32;
         let round_span = self.ctl.start();
-        let fired = self.scan().map_err(Interrupted)?;
+        let checks0 = self.stats.realization_checks;
+        let (fired, probe) = self.scan().map_err(Interrupted)?;
 
-        // ---- apply phase: check in parallel, commit in order ----
+        // ---- apply phase: partition, then commit in order ----
         if failpoint::triggered("chase/apply") {
             return Err(Interrupted(Interrupt::Aborted(
                 "failpoint chase/apply fired".to_string(),
             )));
         }
         // Every fired row is live, so none has fired before: a (rule, row)
-        // key fires at most once across rounds. Realization checks are
-        // read-only against the round-start snapshots — trivially parallel
-        // under round-snapshot semantics. The greedy partition then splits
-        // the round into the parallel-independent set (disjoint touched
-        // classes, nodes, and fresh ranges — those commits commute) and
-        // the conflicting residual.
+        // key fires at most once across rounds. The greedy partition
+        // splits the round into the parallel-independent set (disjoint
+        // touched classes, nodes, and fresh ranges — those commits
+        // commute) and the conflicting residual.
         let apply_start = Instant::now();
         let plan_span = self.ctl.start();
-        let checks0 = self.stats.realization_checks;
-        let (realized, independent) = self.plan(&fired).map_err(Interrupted)?;
+        let independent = partition_independent(self.rules, &self.tables, &fired, probe);
         self.ctl.span(
             EventKind::ApplyPlan,
             round,
@@ -786,11 +679,11 @@ impl<'a> Chase<'a> {
         let first_new = self.graph.node_count();
         let mut new_edges: Vec<(NodeId, LabelId, NodeId)> = Vec::new();
         let mut changed = false;
-        for (i, &(rule, row)) in fired.iter().enumerate() {
-            if realized[i] {
+        for (&(rule, row, realized), independent) in fired.iter().zip(independent) {
+            if realized {
                 continue;
             }
-            if independent[i] {
+            if independent {
                 self.stats.apply_independent += 1;
             } else {
                 self.stats.apply_conflicts += 1;
@@ -865,23 +758,22 @@ impl<'a> Chase<'a> {
 /// (budget exhaustion, the fresh-node cap included), starting from `eq0`.
 ///
 /// Each round runs the premise scan of **every** dependency — every row
-/// that has not fired yet — as scan units on the shared scheduler, then
-/// the apply phase handles both consequence actions in two passes:
+/// that has not fired yet — as scan units on the shared scheduler. A
+/// generating row whose premise holds has its *realization* checked by the
+/// same worker against the same **round-start** topology and relation
+/// snapshot — checks are read-only, so they are all independent by
+/// construction. A `(rule, row)` key fires at most once across rounds: a
+/// fired row is retired.
 ///
-/// * a **parallel planning pass**, also on the scheduler: every
-///   generating firing's *realization* is checked against the
-///   **round-start** topology and relation snapshot — checks are
-///   read-only, so they are all independent by construction. A
-///   `(rule, row)` key fires at most once across rounds: a fired row is
-///   retired.
-/// * a **deterministic commit walk** in sorted `(rule, row)` order, each
-///   firing's binds, merges, fresh nodes and edges derived from its rule
-///   and row exactly as a fully serial apply would, so node ids, conflict
-///   attribution, and budget cut points are identical at every worker
-///   count. The greedy conflict partition (DESIGN.md §12.2) books each
-///   firing in the parallel-independent set — disjoint touched
-///   equivalence classes, premise nodes, and fresh-node ranges, whose
-///   commits provably commute — or the conflicting residual.
+/// The apply phase is then one serial pass, a **deterministic commit
+/// walk** in sorted `(rule, row)` order: each firing's binds, merges,
+/// fresh nodes and edges are derived from its rule and row exactly as a
+/// fully serial apply would, so node ids, conflict attribution, and budget
+/// cut points are identical at every worker count. The greedy conflict
+/// partition (DESIGN.md §12.2) books each firing in the
+/// parallel-independent set — disjoint touched equivalence classes,
+/// premise nodes, and fresh-node ranges, whose commits provably commute —
+/// or the conflicting residual.
 ///
 /// When a round materialized topology, the index is re-frozen and each
 /// rule's table gains the matches that use a generated node or edge
@@ -1265,12 +1157,13 @@ mod tests {
         assert_eq!(stats.matches_enumerated, rows, "{stats:?}");
     }
 
-    /// A TTL of zero with the default batch: both range tasks hold units
-    /// long enough to have a rest to offer at a stride boundary, and offer
-    /// it. (With `batch = 1`, as every other forced-splitting test has it,
-    /// a unit has no rest and `offer_rest` never runs.)
+    /// A TTL of zero with the default batch: scan units hold enough rows
+    /// to have a rest to offer at a stride boundary, and offer it — units
+    /// that run realization checks among them. (With `batch = 1`, as every
+    /// other forced-splitting test has it, a unit has no rest and
+    /// `offer_rest` never runs.)
     #[test]
-    fn strided_deadline_poll_splits_scan_and_apply_units() {
+    fn strided_deadline_poll_splits_scan_units_that_check_realization() {
         let deps = gfd_gen::mixed_ggd_workload(
             &gfd_gen::GgdGenConfig {
                 chain_depth: 4,
@@ -1287,24 +1180,105 @@ mod tests {
         };
         let (canon, _) = CanonicalGraph::for_sigma(&deps);
         let mut chase = Chase::new(deps.as_slice(), canon.graph, EqRel::new(), &cfg);
-        let (mut scan_splits, mut apply_splits) = (0, 0);
+        let mut checked_and_split = 0;
         loop {
-            // Scan and plan only read the round-start state: running them
-            // ahead of the round they belong to changes nothing but stats.
-            let split0 = chase.metrics.units_split;
-            let fired = chase.scan().unwrap();
-            let split1 = chase.metrics.units_split;
-            chase.plan(&fired).unwrap();
-            scan_splits += split1 - split0;
-            apply_splits += chase.metrics.units_split - split1;
+            // Each generating rule's scan units, one at a time, a round
+            // ahead: the scan only reads the round-start state, so running
+            // it early changes nothing but stats.
+            let task = ScanTask {
+                rules: deps.as_slice(),
+                tables: &chase.tables,
+                snapshot: &chase.eq,
+                index: &chase.index,
+                ttl: cfg.ttl,
+            };
+            for (rule, table) in chase.tables.iter().enumerate() {
+                if !deps.as_slice()[rule].consequence.is_generating() {
+                    continue;
+                }
+                for (start, end) in batches(table.live.len(), cfg.batch) {
+                    let rule = rule as u32;
+                    let unit = ScanUnit { rule, start, end };
+                    let mut metrics = RunMetrics::default();
+                    let stop = AtomicBool::new(false);
+                    let run = run_task(
+                        &task,
+                        vec![unit],
+                        1,
+                        &stop,
+                        &cfg.budget,
+                        cfg.trace,
+                        &mut metrics,
+                    );
+                    if metrics.units_split > 0 && run.workers[0].realization_checks > 0 {
+                        checked_and_split += 1;
+                    }
+                }
+            }
             if !chase.round().unwrap_or_else(|_| panic!("no fixpoint")) {
                 break;
             }
         }
+        let scan_splits = chase.metrics.units_split;
         assert!(
-            scan_splits > 0 && apply_splits > 0,
-            "{scan_splits} / {apply_splits}"
+            scan_splits > 0 && checked_and_split > 0,
+            "{scan_splits} / {checked_and_split}"
         );
+    }
+
+    /// Every round's fired `(rule, row, realized)` list and the partition's
+    /// independence flags, each round scanned and partitioned once ahead
+    /// of the round itself (both only read the round-start state).
+    fn firings_every_round(deps: &DepSet, cfg: &ChaseConfig) -> Vec<(Vec<Firing>, Vec<bool>)> {
+        let (canon, _) = CanonicalGraph::for_sigma(deps);
+        let mut chase = Chase::new(deps.as_slice(), canon.graph, EqRel::new(), cfg);
+        let mut rounds = Vec::new();
+        loop {
+            let (fired, probe) = chase.scan().unwrap();
+            let independent = partition_independent(deps.as_slice(), &chase.tables, &fired, probe);
+            rounds.push((fired, independent));
+            if !chase.round().unwrap_or_else(|_| panic!("no fixpoint")) {
+                return rounds;
+            }
+        }
+    }
+
+    /// Whichever worker checks a firing's realization, and whichever
+    /// worker's relation the partition probes, a round decides the same:
+    /// per round, the `(fired, realized)` list and the independence flags
+    /// at p = 1 (default TTL) equal those at p ∈ {2, 8} with TTL 0 and
+    /// one-row units.
+    #[test]
+    fn one_pass_round_verdicts_are_worker_count_invariant() {
+        let gen = |chain_depth, fanout, literal_rules, seed| gfd_gen::GgdGenConfig {
+            chain_depth,
+            gen_per_tier: 2,
+            fanout,
+            literal_rules,
+            seed,
+        };
+        let mixed = gfd_gen::mixed_ggd_workload(&gen(4, 3, 6, 5), &mut Vocab::new());
+        let overlap = gfd_gen::ggd_overlap_workload(&gen(3, 2, 2, 37), &mut Vocab::new());
+        // The generated Σs find nothing realized; this one does.
+        let old_edges = old_edge_sigma(&mut Vocab::new());
+        let mut realized = 0;
+        for deps in [&mixed, &overlap, &old_edges] {
+            let base = firings_every_round(deps, &ChaseConfig::default());
+            assert!(base.len() >= 3, "rounds = {}", base.len());
+            let conflicts = base.iter().flat_map(|r| &r.1).filter(|i| !**i).count();
+            assert!(conflicts > 0, "no conflicting firing to compare");
+            realized += base.iter().flat_map(|r| &r.0).filter(|f| f.2).count();
+            for p in [2usize, 8] {
+                let cfg = ChaseConfig {
+                    workers: p,
+                    ttl: Duration::ZERO,
+                    batch: 1,
+                    ..ChaseConfig::default()
+                };
+                assert_eq!(firings_every_round(deps, &cfg), base, "p={p}");
+            }
+        }
+        assert!(realized > 0, "no realized firing to compare");
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl DepSatResult {
 fn reason_config(cfg: &ChaseConfig) -> ReasonConfig {
     ReasonConfig {
         workers: cfg.workers.max(1),
-        ttl: cfg.ttl,
+        ttl: Some(cfg.ttl),
         budget: cfg.budget,
         trace: cfg.trace,
         ..ReasonConfig::default()

@@ -5,7 +5,7 @@
 use crate::chase::{dep_chase_with_config, ChaseConfig, ChaseStats, DepChaseOutcome};
 use crate::ggd::DepImpResult;
 use gfd_core::{
-    consequence_deducible_on, CanonicalGraph, DepSet, Dependency, ImpOutcome, ImpliedVia,
+    consequence_deducible_on, imp_canonical, DepSet, Dependency, ImpOutcome, ImpliedVia,
 };
 use gfd_graph::LabelIndex;
 use gfd_runtime::RunMetrics;
@@ -20,33 +20,29 @@ pub fn chase_imp(sigma: &DepSet, phi: &Dependency) -> DepImpResult {
 
 /// [`chase_imp`] under an explicit configuration: the one chase
 /// ([`crate::chase::dep_chase_with_config`]) over Σ, started from `EqX` on
-/// `G^X_Q`. The trivial instances `imp_with_config` decides without
-/// reasoning — `Y = ∅`, an inconsistent `X`, a consequence `X` alone
-/// deduces — are decided here the same way, before any chase.
+/// `G^X_Q`. The instances decided without reasoning
+/// ([`gfd_core::imp_canonical`]) are decided before any chase, as
+/// `imp_with_config` decides them.
 pub fn chase_imp_with_config(
     sigma: &DepSet,
     phi: &Dependency,
     config: &ChaseConfig,
 ) -> DepImpResult {
     let start = Instant::now();
-    let decided = |via: ImpliedVia| DepImpResult {
-        outcome: ImpOutcome::Implied(via),
-        stats: ChaseStats::default(),
-        metrics: RunMetrics {
-            workers: config.workers.max(1),
-            elapsed: start.elapsed(),
-            ..Default::default()
-        },
+    let (canon, eqx) = match imp_canonical(phi) {
+        Ok(prepared) => prepared,
+        Err(via) => {
+            return DepImpResult {
+                outcome: ImpOutcome::Implied(via),
+                stats: ChaseStats::default(),
+                metrics: RunMetrics {
+                    workers: config.workers.max(1),
+                    elapsed: start.elapsed(),
+                    ..Default::default()
+                },
+            }
+        }
     };
-    if phi.consequence.literals().is_some_and(<[_]>::is_empty) {
-        return decided(ImpliedVia::Consequence);
-    }
-    let Ok((canon, eqx)) = CanonicalGraph::for_phi(phi) else {
-        return decided(ImpliedVia::PremiseInconsistent);
-    };
-    if consequence_deducible_on(&mut eqx.clone(), &canon.index, phi) {
-        return decided(ImpliedVia::Consequence);
-    }
 
     let (outcome, stats, mut metrics) = dep_chase_with_config(sigma, canon.graph, eqx, config);
     let outcome = match outcome {

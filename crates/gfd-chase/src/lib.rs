@@ -7,9 +7,10 @@
 //!   ([`chase::dep_chase_with_config`]: no ordering, no inverted index,
 //!   every unfired premise match re-scanned every round — but each match
 //!   enumerated once and each firing applied once) over a
-//!   `gfd_core::DepSet`; each round's premise scan and realization-check
-//!   pass run as `gfd_runtime::Task`s on the shared work-stealing
-//!   scheduler and report unified `RunMetrics`;
+//!   `gfd_core::DepSet`; each round is one scan — premise evaluation, and
+//!   the realization check of every generating row that fires — run as a
+//!   `gfd_runtime::Task` on the shared work-stealing scheduler and
+//!   reporting unified `RunMetrics`, then a serial commit walk;
 //! * [`imp_rdf::chase_imp`] — implication checking via that chase (the
 //!   `ParImpRDF` baseline);
 //! * [`sat_chase::chase_sat`] — satisfiability via that chase;

@@ -65,8 +65,8 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
         )
     };
     // `dep_sat_with_config` routes: a literal Σ runs the enforcement
-    // driver; a Σ with generating rules the chase over `GΣ` (scan and
-    // planning units on the shared scheduler, generation committed in
+    // driver; a Σ with generating rules the chase over `GΣ` (scan units,
+    // realization checks included, on the shared scheduler, generation committed in
     // order between rounds) under a fresh-node termination budget. An
     // interrupted run has no verdict: that is checked before the yes/no
     // split, so a timeout cannot masquerade as UNSATISFIABLE.

@@ -105,8 +105,8 @@ pub struct TaskRun<W> {
 
 /// Run `task` over `units` on the shared scheduler under `budget` and book
 /// the run into `metrics` — the one prologue and epilogue every driver
-/// (reasoning, GED search, detection, the chase's scan and planning
-/// passes) wraps around its scheduler run.
+/// (reasoning, GED search, detection, the chase's per-round scan) wraps
+/// around its scheduler run.
 ///
 /// `metrics` accumulates: a driver that schedules several runs (the chase,
 /// round after round) passes the same record each time, and the unit cap

@@ -230,22 +230,11 @@ pub fn choose_pivot<I: MatchIndex>(pattern: &Pattern, index: &I) -> VarId {
         .expect("patterns are non-empty")
 }
 
-/// Build per-GFD pivots and pivoted match plans against a canonical graph.
-pub fn build_plans(sigma: &DepSet, index: &LabelIndex) -> (Vec<VarId>, Vec<MatchPlan>) {
-    let mut pivots = Vec::with_capacity(sigma.len());
-    let mut plans = Vec::with_capacity(sigma.len());
-    for (_, gfd) in sigma.iter() {
-        let pivot = choose_pivot(&gfd.pattern, index);
-        pivots.push(pivot);
-        plans.push(MatchPlan::build(&gfd.pattern, Some(pivot), Some(index)));
-    }
-    (pivots, plans)
-}
-
-/// Like [`build_plans`], but skipping plan construction for GFDs whose
-/// pivot has no candidate at all — they cannot match and never receive a
-/// work unit. On implication's pattern-sized `G^X_Q`, this skips nearly
-/// all of a large Σ.
+/// Build per-GFD pivots and pivoted match plans against a canonical graph,
+/// skipping plan construction for GFDs whose pivot has no candidate at
+/// all — they cannot match and never receive a work unit. On
+/// implication's pattern-sized `G^X_Q`, this skips nearly all of a large
+/// Σ.
 pub fn build_plans_lazy(
     sigma: &DepSet,
     index: &LabelIndex,
@@ -380,9 +369,9 @@ mod tests {
         let mut vocab = Vocab::new();
         let sigma = two_pattern_sigma(&mut vocab);
         let (canon, _) = CanonicalGraph::for_sigma(&sigma);
-        let (pivots, plans) = build_plans(&sigma, &canon.index);
+        let (pivots, plans) = build_plans_lazy(&sigma, &canon.index);
         assert_eq!(pivots.len(), 2);
-        assert_eq!(plans.len(), 2);
+        assert!(plans.iter().all(Option::is_some));
         let g0 = &sigma[gfd_graph::GfdId::new(0)];
         let cands = canon.pivot_candidates(&g0.pattern, pivots[0]);
         // Only the two `t` nodes of g0's own component qualify.

@@ -80,15 +80,14 @@ pub struct ReasonConfig {
     /// Number of workers `p`. `1` runs inline on the calling thread.
     pub workers: usize,
     /// Straggler threshold: a work unit matching longer than this is split
-    /// (the paper's TTL, Exp-4 varies it from 0.1 s to 8 s).
-    pub ttl: Duration,
+    /// (the paper's TTL, Exp-4 varies it from 0.1 s to 8 s). `None` — the
+    /// paper's `*nb` variants — never splits: stragglers run to completion
+    /// on one worker.
+    pub ttl: Option<Duration>,
     /// Pipelined parallelism: enforce each match as soon as it is found.
     /// With `false` (the paper's `*np` variants) a unit first enumerates
     /// *all* its matches, then enforces them.
     pub pipeline: bool,
-    /// Work-unit splitting on TTL expiry. With `false` (the `*nb`
-    /// variants) stragglers run to completion on one worker.
-    pub split: bool,
     /// Seed work units producers first, by the rule-level dependency
     /// order (`order_units`). With `false` — the paper's "no ordering"
     /// ablation — units run in generation order, rule by rule.
@@ -108,9 +107,8 @@ impl Default for ReasonConfig {
     fn default() -> Self {
         ReasonConfig {
             workers: 4,
-            ttl: Duration::from_secs(2),
+            ttl: Some(Duration::from_secs(2)),
             pipeline: true,
-            split: true,
             use_dependency_order: true,
             prune_components: true,
             budget: Budget::unlimited(),
@@ -136,13 +134,13 @@ impl ReasonConfig {
 
     /// The `*nb` ablation: no work-unit splitting.
     pub fn without_split(mut self) -> Self {
-        self.split = false;
+        self.ttl = None;
         self
     }
 
-    /// Override the TTL.
+    /// Split stragglers past `ttl`.
     pub fn with_ttl(mut self, ttl: Duration) -> Self {
-        self.ttl = ttl;
+        self.ttl = Some(ttl);
         self
     }
 
@@ -424,7 +422,7 @@ pub fn run_reason(
     let task = SearchTask {
         graph: &canon.graph,
         index: &canon.index,
-        ttl: cfg.split.then_some(cfg.ttl),
+        ttl: cfg.ttl,
         stop: &stop,
         action: ReasonAction {
             sigma,

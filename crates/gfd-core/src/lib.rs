@@ -44,9 +44,7 @@ pub mod validate;
 
 pub use budget::{run_task, Budget, Interrupt, TaskRun};
 pub use canonical::consequence_deducible; // gfdbench-pin
-pub use canonical::{
-    build_plans, build_plans_lazy, choose_pivot, consequence_deducible_on, CanonicalGraph,
-};
+pub use canonical::{build_plans_lazy, choose_pivot, consequence_deducible_on, CanonicalGraph};
 pub use dependency::{
     generate_deducible, Consequence, DepSet, Dependency, GenerateConsequence, FALSE_ATTR_NAME,
 };
@@ -58,7 +56,7 @@ pub use eq::{EqOp, EqRel};
 pub use error::{AttrKey, Conflict};
 pub use literal::{Literal, Operand};
 pub use model::extract_model;
-pub use seq_imp::{imp_with_config, seq_imp, ImpOutcome, ImpResult, ImpliedVia};
+pub use seq_imp::{imp_canonical, imp_with_config, seq_imp, ImpOutcome, ImpResult, ImpliedVia};
 pub use seq_sat::{sat_with_config, seq_sat, SatOutcome, SatResult};
 pub use unit::{generate_units, order_units, Prefix, WorkUnit};
 pub use validate::{find_violations, graph_satisfies, graph_satisfies_all, Violation};

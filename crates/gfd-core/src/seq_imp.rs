@@ -10,6 +10,7 @@ use crate::budget::Interrupt;
 use crate::canonical::{consequence_deducible_on, CanonicalGraph};
 use crate::dependency::{DepSet, Dependency};
 use crate::driver::{run_reason, Goal, ReasonConfig, TerminalEvent};
+use crate::eq::EqRel;
 use crate::error::Conflict;
 use gfd_runtime::RunMetrics;
 
@@ -67,6 +68,22 @@ impl ImpResult {
     }
 }
 
+/// `G^X_Q` and `EqX` for ϕ — where every implication door starts its run
+/// — or, for the instances decided without any reasoning whatever Σ is,
+/// why `Σ |= ϕ` holds: `Y = ∅` (the constant true), an inconsistent `X`,
+/// or a consequence `X` alone deduces (`Y ⊆ EqX`, or a target the premise
+/// pattern itself realizes, the empty one included).
+pub fn imp_canonical(phi: &Dependency) -> Result<(CanonicalGraph, EqRel), ImpliedVia> {
+    if phi.consequence.literals().is_some_and(<[_]>::is_empty) {
+        return Err(ImpliedVia::Consequence);
+    }
+    let (canon, eqx) = CanonicalGraph::for_phi(phi).map_err(|_| ImpliedVia::PremiseInconsistent)?;
+    if consequence_deducible_on(&mut eqx.clone(), &canon.index, phi) {
+        return Err(ImpliedVia::Consequence);
+    }
+    Ok((canon, eqx))
+}
+
 /// `SeqImp`: [`imp_with_config`] at `workers = 1` (nothing to split for).
 pub fn seq_imp(sigma: &DepSet, phi: &Dependency) -> ImpResult {
     imp_with_config(sigma, phi, &ReasonConfig::with_workers(1).without_split())
@@ -88,7 +105,7 @@ pub fn seq_imp(sigma: &DepSet, phi: &Dependency) -> ImpResult {
 /// Fig. 5.
 pub fn imp_with_config(sigma: &DepSet, phi: &Dependency, cfg: &ReasonConfig) -> ImpResult {
     let start = std::time::Instant::now();
-    // The trivial instances, decided without any reasoning.
+    // The instances decided without any reasoning.
     let decided = |outcome: ImpOutcome| ImpResult {
         outcome,
         stats: RunMetrics {
@@ -97,18 +114,10 @@ pub fn imp_with_config(sigma: &DepSet, phi: &Dependency, cfg: &ReasonConfig) -> 
             ..Default::default()
         },
     };
-    // Y = ∅ is the constant true: trivially implied.
-    if phi.consequence.literals().is_some_and(<[_]>::is_empty) {
-        return decided(ImpOutcome::Implied(ImpliedVia::Consequence));
-    }
-    let Ok((canon, eqx)) = CanonicalGraph::for_phi(phi) else {
-        return decided(ImpOutcome::Implied(ImpliedVia::PremiseInconsistent));
+    let (canon, eqx) = match imp_canonical(phi) {
+        Ok(prepared) => prepared,
+        Err(via) => return decided(ImpOutcome::Implied(via)),
     };
-    // The consequence may already follow from X alone: Y ⊆ EqX, or a
-    // target the premise pattern itself realizes (the empty one included).
-    if consequence_deducible_on(&mut eqx.clone(), &canon.index, phi) {
-        return decided(ImpOutcome::Implied(ImpliedVia::Consequence));
-    }
     if sigma.is_empty() {
         return decided(ImpOutcome::NotImplied);
     }

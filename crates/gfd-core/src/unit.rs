@@ -270,7 +270,7 @@ pub fn order_units(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::canonical::{build_plans, CanonicalGraph};
+    use crate::canonical::{build_plans_lazy, CanonicalGraph};
     use crate::dependency::Dependency;
     use crate::literal::Literal;
     use gfd_graph::{Pattern, Vocab};
@@ -312,7 +312,7 @@ mod tests {
         let mut vocab = Vocab::new();
         let sigma = example_sigma(&mut vocab);
         let (canon, _) = CanonicalGraph::for_sigma(&sigma);
-        let (pivots, _) = build_plans(&sigma, &canon.index);
+        let (pivots, _) = build_plans_lazy(&sigma, &canon.index);
         let units = generate_units(&sigma, &canon, &pivots, true);
         // 2 GFDs × (their own 2-node component + the other pattern's
         // identical component) = 2 × 4 pivots... pivot var has label t and
@@ -328,7 +328,7 @@ mod tests {
         let mut vocab = Vocab::new();
         let sigma = example_sigma(&mut vocab);
         let (canon, _) = CanonicalGraph::for_sigma(&sigma);
-        let (pivots, _) = build_plans(&sigma, &canon.index);
+        let (pivots, _) = build_plans_lazy(&sigma, &canon.index);
         let mut units = generate_units(&sigma, &canon, &pivots, true);
         order_units(&mut units, &sigma, &canon, &pivots, None);
         // The seed GFD (index 1) has the empty premise: all its units come
@@ -346,7 +346,7 @@ mod tests {
         let mut vocab = Vocab::new();
         let sigma = example_sigma(&mut vocab);
         let (canon, _) = CanonicalGraph::for_sigma(&sigma);
-        let (pivots, _) = build_plans(&sigma, &canon.index);
+        let (pivots, _) = build_plans_lazy(&sigma, &canon.index);
         let mut units = generate_units(&sigma, &canon, &pivots, true);
         // Boost the consumer (index 0).
         order_units(&mut units, &sigma, &canon, &pivots, Some(&[true, false]));
@@ -373,7 +373,7 @@ mod tests {
     /// The rule order of the units pivoted at canonical node 0.
     fn rule_order_at_first_node(sigma: &DepSet) -> Vec<usize> {
         let (canon, _) = CanonicalGraph::for_sigma(sigma);
-        let (pivots, _) = build_plans(sigma, &canon.index);
+        let (pivots, _) = build_plans_lazy(sigma, &canon.index);
         let mut units = generate_units(sigma, &canon, &pivots, true);
         order_units(&mut units, sigma, &canon, &pivots, None);
         assert_eq!(units.len(), sigma.len() * sigma.len());
@@ -429,7 +429,7 @@ mod tests {
     /// Rule indices of the ordered units, one entry per run of a rule.
     fn rule_runs(sigma: &DepSet) -> Vec<usize> {
         let (canon, _) = CanonicalGraph::for_sigma(sigma);
-        let (pivots, _) = build_plans(sigma, &canon.index);
+        let (pivots, _) = build_plans_lazy(sigma, &canon.index);
         let mut units = generate_units(sigma, &canon, &pivots, true);
         order_units(&mut units, sigma, &canon, &pivots, None);
         let mut runs: Vec<usize> = units.iter().map(|u| u.gfd.index()).collect();

@@ -60,4 +60,4 @@ pub use keys::{resolve_entities, AttrConflict, Key, ResolutionResult};
 pub use order::{solve_integers, OrderConflict, OrderNet, OrderVar};
 pub use sat::{ged_sat, GedSatOutcome};
 pub use store::{GedStore, StoreConflict};
-pub use validate::{ged_find_violations, ged_graph_satisfies, GedViolation};
+pub use validate::ged_graph_satisfies;

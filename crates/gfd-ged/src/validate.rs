@@ -1,18 +1,9 @@
 //! Direct GED validation `G |= ψ` on data graphs.
 
-use crate::ged::{Ged, GedLiteral, GedSet};
-use gfd_graph::{GfdId, Graph, LabelIndex, NodeId};
+use crate::ged::{Ged, GedLiteral};
+use gfd_graph::{Graph, LabelIndex, NodeId};
 use gfd_match::for_each_match;
 use std::ops::ControlFlow;
-
-/// A witnessed GED violation.
-#[derive(Clone, Debug)]
-pub struct GedViolation {
-    /// The violated GED.
-    pub ged: GfdId,
-    /// The violating match.
-    pub m: Box<[NodeId]>,
-}
 
 /// Does match `m` satisfy a single GED literal on concrete data?
 ///
@@ -74,30 +65,6 @@ pub fn ged_graph_satisfies_indexed(graph: &Graph, index: &LabelIndex, ged: &Ged)
         }
     });
     ok
-}
-
-/// Collect up to `limit` GED violations in `graph`.
-pub fn ged_find_violations(graph: &Graph, sigma: &GedSet, limit: usize) -> Vec<GedViolation> {
-    let index = LabelIndex::build(graph);
-    let mut out = Vec::new();
-    for (id, ged) in sigma.iter() {
-        if out.len() >= limit {
-            break;
-        }
-        for_each_match(graph, &index, &ged.pattern, |m| {
-            if ged_premise_holds(graph, ged, m) && !ged_consequence_holds(graph, ged, m) {
-                out.push(GedViolation {
-                    ged: id,
-                    m: m.into(),
-                });
-                if out.len() >= limit {
-                    return ControlFlow::Break(());
-                }
-            }
-            ControlFlow::Continue(())
-        });
-    }
-    out
 }
 
 #[cfg(test)]
@@ -182,11 +149,6 @@ mod tests {
             ],
         );
         assert!(!ged_graph_satisfies(&g, &ged));
-        let sigma = GedSet::from_vec(vec![ged]);
-        let violations = ged_find_violations(&g, &sigma, 10);
-        // Both the (a,b) match and any other premise-holding match violate;
-        // with one knows edge there is exactly one match.
-        assert_eq!(violations.len(), 1);
     }
 
     #[test]

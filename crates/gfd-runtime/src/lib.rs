@@ -22,8 +22,9 @@
 //! graphs, GFDs, or `ΔEq` broadcast. Those live in the [`Task`]
 //! implementations: `gfd_core::engine::SearchTask` (the search-unit engine
 //! reasoning and detection post their match-actions against), `gfd_ged`'s
-//! branch-and-bound `GedTask`, and `gfd_chase`'s per-round premise scan
-//! and apply-planning passes. Branch-and-bound workloads use
+//! branch-and-bound `GedTask`, and `gfd_chase`'s per-round `ScanTask`
+//! (premise evaluation with the realization checks of the generating
+//! rows that fire). Branch-and-bound workloads use
 //! the same two primitives every other task does: the shared stop flag
 //! doubles as first-witness / first-counterexample cancellation, and
 //! [`WorkerCtx::split`] hands open branches to idle thieves.

@@ -103,8 +103,8 @@ impl RunMetrics {
     /// ended. This is the only place that reads [`SchedRun`]'s counter
     /// fields; every driver reaches it through `gfd_core::run_task`.
     ///
-    /// Counters add, so a multi-run flow (the chase's scan and planning
-    /// passes, round after round) absorbs into one record with the same
+    /// Counters add, so a multi-run flow (the chase's scan, round after
+    /// round) absorbs into one record with the same
     /// result as [`merge`](Self::merge)-ing single-run records. The run is
     /// taken by value so that a first absorb moves the per-worker vectors
     /// and the trace in rather than copying them.

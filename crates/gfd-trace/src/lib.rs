@@ -53,8 +53,9 @@ pub enum EventKind {
     /// One chase round's premise scan (span; `id` = round, `a` = matches
     /// enumerated, `b` = rules scanned).
     ChaseRound,
-    /// The parallel apply planning pass of one chase round (span;
-    /// `id` = round, `a` = firings planned, `b` = realization checks).
+    /// The conflict partition of one chase round (span; `id` = round,
+    /// `a` = firings partitioned, `b` = realization checks the round's
+    /// scan ran).
     ApplyPlan,
     /// The commit walk of one chase round (span; `id` = round,
     /// `a` = independent firings, `b` = conflicting firings).
@@ -407,9 +408,9 @@ impl Trace {
             }
             args.push('}');
             let common = format!(
-                "\"name\": \"{}\", \"cat\": \"gfd\", \"pid\": 1, \"tid\": {}, \
+                "\"name\": {}, \"cat\": \"gfd\", \"pid\": 1, \"tid\": {}, \
                  \"ts\": {}, \"args\": {}",
-                name,
+                json_string(&name),
                 tid,
                 e.t0_ns / 1_000,
                 args
@@ -522,6 +523,23 @@ pub fn rule_label(names: &[String], id: u32) -> String {
         .get(id as usize)
         .cloned()
         .unwrap_or_else(|| format!("rule{id}"))
+}
+
+/// `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped, so any rule name survives both exporters.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Aggregated evaluation profile for one rule.
@@ -699,10 +717,10 @@ impl Profile {
         out.push_str(&format!("{inner}\"rules\": ["));
         for (i, r) in self.rules.iter().enumerate() {
             out.push_str(&format!(
-                "{}{{\"rule\": \"{}\", \"id\": {}, \"evals\": {}, \"time_ns\": {}, \
+                "{}{{\"rule\": {}, \"id\": {}, \"evals\": {}, \"time_ns\": {}, \
                  \"matches\": {}, \"violations\": {}}}",
                 if i == 0 { "" } else { ", " },
-                rule_label(rule_names, r.id).replace('"', "'"),
+                json_string(&rule_label(rule_names, r.id)),
                 r.id,
                 r.evals,
                 r.time_ns,

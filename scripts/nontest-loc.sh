@@ -18,7 +18,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=23206
+CEILING=23075
 BENCH_CEILING=1865
 
 total=0

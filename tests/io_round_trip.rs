@@ -136,3 +136,47 @@ fn json_errors_surface_cleanly_across_the_facade() {
         0
     );
 }
+
+/// A rule name may hold any character, and both trace exporters — the
+/// Chrome trace and the `--metrics-json` run report — must write it as a
+/// JSON string that parses and gives the name back exactly.
+#[test]
+fn trace_exports_escape_rule_names() {
+    use gfd::io::jsonval::{self, Json};
+    let names = ["q\"uote", "back\\slash", "new\nline"];
+    let mut vocab = Vocab::new();
+    let (t, a) = (vocab.label("t"), vocab.attr("a"));
+    let rules = names.iter().map(|name| {
+        let mut p = Pattern::new();
+        let x = p.add_node(t, "x");
+        Dependency::new(*name, p, vec![], vec![Literal::eq_const(x, a, 1i64)])
+    });
+    let json = sigma_to_json(&DepSet::from_vec(rules.collect()), &vocab).unwrap();
+    let sigma = sigma_from_json(&json, &mut Vocab::new()).unwrap();
+    let names: Vec<String> = sigma.iter().map(|(_, d)| d.name.clone()).collect();
+    assert_eq!(names, ["q\"uote", "back\\slash", "new\nline"]);
+
+    let cfg = ReasonConfig::with_workers(1).with_trace(gfd::runtime::TraceSpec::enabled());
+    let metrics = sat_with_config(&sigma, &cfg).stats;
+
+    let chrome = jsonval::parse(&metrics.trace.to_chrome_json(&names)).expect("Chrome trace");
+    let events = chrome.get("traceEvents").and_then(Json::as_array).unwrap();
+    let mut seen: Vec<&str> = events
+        .iter()
+        .filter_map(|e| e.get("name")?.as_str()?.strip_prefix("RuleEval:"))
+        .collect();
+    seen.sort_unstable();
+    seen.dedup();
+    let mut want: Vec<&str> = names.iter().map(String::as_str).collect();
+    want.sort_unstable();
+    assert_eq!(seen, want);
+
+    let report = jsonval::parse(&metrics.to_json(&names)).expect("run report");
+    let profile = report.get("profile").and_then(|p| p.get("rules"));
+    let rows = profile.and_then(Json::as_array).unwrap();
+    assert_eq!(rows.len(), names.len());
+    for row in rows {
+        let id = row.get("id").and_then(Json::as_int).unwrap() as usize;
+        assert_eq!(row.get("rule").and_then(Json::as_str), Some(&*names[id]));
+    }
+}
