@@ -48,8 +48,8 @@
 //! fresh-node budget is one more interrupt, not a separate kind of answer.
 
 use gfd_core::{
-    eval_premise, generate_deducible, run_task, Budget, Conflict, Consequence, DepSet, Dependency,
-    EqRel, Interrupt, Literal, Operand, PremiseStatus,
+    eval_premise, generate_deducible, run_task, AttrKey, Budget, Conflict, Consequence, DepSet,
+    Dependency, EqRel, Interrupt, Literal, Operand, PremiseStatus,
 };
 use gfd_graph::{GfdId, Graph, LabelId, LabelIndex, NodeId, Pattern, VarId};
 use gfd_match::{for_each_match, HomSearch, MatchPlan, SearchLimits};
@@ -361,6 +361,9 @@ struct ScanWorker {
     eq: EqRel,
     /// The rows whose premise the snapshot satisfies.
     fired: Vec<Firing>,
+    /// Scratch: a pending premise's keys, a realization check's extension.
+    waiting: Vec<AttrKey>,
+    asn: Vec<NodeId>,
     premise_evals: u64,
     realization_checks: u64,
 }
@@ -386,6 +389,8 @@ impl Task for ScanTask<'_> {
         ScanWorker {
             eq: self.snapshot.clone(),
             fired: Vec::new(),
+            waiting: Vec::new(),
+            asn: Vec::new(),
             premise_evals: 0,
             realization_checks: 0,
         }
@@ -402,11 +407,12 @@ impl Task for ScanTask<'_> {
             let row = table.live[pos as usize];
             let m = table.get(row as usize);
             w.premise_evals += 1;
-            if let PremiseStatus::Satisfied = eval_premise(&mut w.eq, &rule.premise, m) {
+            let status = eval_premise(&mut w.eq, &rule.premise, m, &mut w.waiting);
+            if status == PremiseStatus::Satisfied {
                 let realized = match &rule.consequence {
                     Consequence::Generate(gen) => {
                         w.realization_checks += 1;
-                        generate_deducible(&mut w.eq, self.index, gen, m)
+                        generate_deducible(&mut w.eq, self.index, gen, m, &mut w.asn)
                     }
                     Consequence::Literals(_) => false,
                 };
@@ -430,11 +436,10 @@ impl Task for ScanTask<'_> {
 /// the relation changed.
 fn enforce(eq: &mut EqRel, lit: &Literal, asn: &[NodeId]) -> Result<bool, Conflict> {
     let k1 = (asn[lit.var.index()], lit.attr);
-    let effect = match &lit.rhs {
-        Operand::Const(c) => eq.bind(k1, *c)?,
-        Operand::Attr(v2, a2) => eq.merge(k1, (asn[v2.index()], *a2))?,
-    };
-    Ok(effect.changed)
+    match &lit.rhs {
+        Operand::Const(c) => eq.bind(k1, *c),
+        Operand::Attr(v2, a2) => eq.merge(k1, (asn[v2.index()], *a2)),
+    }
 }
 
 /// The greedy conflict partition (DESIGN.md §12.2). Walk the round's
@@ -678,6 +683,7 @@ impl<'a> Chase<'a> {
         let topo_before = self.graph.topology_version();
         let first_new = self.graph.node_count();
         let mut new_edges: Vec<(NodeId, LabelId, NodeId)> = Vec::new();
+        let mut asn: Vec<NodeId> = Vec::new();
         let mut changed = false;
         for (&(rule, row, realized), independent) in fired.iter().zip(independent) {
             if realized {
@@ -707,11 +713,11 @@ impl<'a> Chase<'a> {
                             new_edges.push((s, e.label, d));
                         }
                     }
-                    gen.materialize(&mut self.graph, m, &mut |lit, asn| {
+                    gen.materialize(&mut self.graph, m, &mut asn, &mut |lit, asn| {
                         enforce(eq, lit, asn).map(|_| ())
                     })
-                    .map(|fresh| {
-                        self.stats.generated_nodes += fresh.len() as u64;
+                    .map(|()| {
+                        self.stats.generated_nodes += gen.fresh_count() as u64;
                         true
                     })
                 }

@@ -7,7 +7,7 @@
 
 use crate::chase::{dep_chase_with_config, ChaseConfig, DepChaseOutcome};
 use crate::ggd::DepSatResult;
-use gfd_core::{extract_model, CanonicalGraph, DepSet, EqRel, SatOutcome};
+use gfd_core::{populate_model, CanonicalGraph, DepSet, EqRel, SatOutcome};
 use std::time::Instant;
 
 /// Check the satisfiability of Σ by chasing `GΣ` to fixpoint with the
@@ -27,8 +27,9 @@ pub fn chase_sat_with_config(sigma: &DepSet, config: &ChaseConfig) -> DepSatResu
         dep_chase_with_config(sigma, canon.graph, EqRel::new(), config);
     let outcome = match outcome {
         DepChaseOutcome::Conflict(c) => SatOutcome::Unsatisfiable(c),
-        DepChaseOutcome::Fixpoint { graph, mut eq } => {
-            SatOutcome::Satisfiable(Box::new(extract_model(&graph, &mut eq)))
+        DepChaseOutcome::Fixpoint { mut graph, mut eq } => {
+            populate_model(&mut graph, &mut eq);
+            SatOutcome::Satisfiable(graph)
         }
         DepChaseOutcome::Interrupted(i) => SatOutcome::Unknown(i),
     };

@@ -279,7 +279,7 @@ pub fn consequence_deducible_on<I: MatchIndex>(
         Consequence::Generate(gen) => {
             let identity: Vec<NodeId> =
                 phi.pattern.vars().map(|v| NodeId::new(v.index())).collect();
-            generate_deducible(eq, index, gen, &identity)
+            generate_deducible(eq, index, gen, &identity, &mut Vec::new())
         }
     }
 }

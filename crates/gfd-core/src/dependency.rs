@@ -232,43 +232,40 @@ impl GenerateConsequence {
     /// Is the consequence *realized* at premise match `m`: does some
     /// extension of `m` to the fresh variables exist in the indexed graph
     /// such that every generated edge is present and every attribute
-    /// assignment passes `attr_ok`?
+    /// assignment passes `attr_ok`? `asn` is a buffer the caller lends for
+    /// the extension (the chase keeps one per worker).
     ///
     /// `attr_ok` abstracts the attribute semantics: detection checks
     /// concrete data-graph values, the chase checks deducibility in the
     /// equivalence relation. The literal handed to it only references
     /// variables already assigned in the slice.
-    pub fn realized<I: MatchIndex>(&self, index: &I, m: &[NodeId], attr_ok: &mut AttrPred) -> bool {
+    pub fn realized<I: MatchIndex>(
+        &self,
+        index: &I,
+        m: &[NodeId],
+        asn: &mut Vec<NodeId>,
+        attr_ok: &mut AttrPred,
+    ) -> bool {
         let total = self.pattern.node_count();
         debug_assert!(m.len() >= self.shared);
-        let mut asn: Vec<NodeId> = vec![NodeId::new(0); total];
-        asn[..self.shared].copy_from_slice(&m[..self.shared]);
-
-        // Bucket each structural/attribute check at the highest variable
-        // it mentions: the check runs as soon as that variable is bound.
-        let mut edge_at: Vec<Vec<usize>> = vec![Vec::new(); total.max(1)];
-        for (i, e) in self.pattern.edges().iter().enumerate() {
-            edge_at[e.src.index().max(e.dst.index())].push(i);
-        }
-        let mut attr_at: Vec<Vec<usize>> = vec![Vec::new(); total.max(1)];
-        for (i, lit) in self.attrs.iter().enumerate() {
-            let hi = lit.vars().map(VarId::index).max().unwrap_or(0);
-            attr_at[hi].push(i);
-        }
-
+        asn.clear();
+        asn.extend_from_slice(&m[..self.shared]);
+        asn.resize(total, NodeId::new(0));
+        // Each structural/attribute check runs as soon as the highest
+        // variable it mentions is bound. A target has a handful of each,
+        // so they are filtered per step: no buckets built per call.
+        let highest = |lit: &Literal| lit.vars().map(VarId::index).max().unwrap_or(0);
         let check_at = |v: usize, asn: &[NodeId], attr_ok: &mut AttrPred| -> bool {
-            let edges = self.pattern.edges();
-            edge_at[v].iter().all(|&i| {
-                let e = &edges[i];
-                index
-                    .view()
-                    .has_edge_pattern(asn[e.src.index()], e.label, asn[e.dst.index()])
-            }) && attr_at[v].iter().all(|&i| attr_ok(&self.attrs[i], asn))
+            let view = index.view();
+            (self.pattern.edges().iter())
+                .filter(|e| e.src.index().max(e.dst.index()) == v)
+                .all(|e| view.has_edge_pattern(asn[e.src.index()], e.label, asn[e.dst.index()]))
+                && (self.attrs.iter().filter(|lit| highest(lit) == v)).all(|lit| attr_ok(lit, asn))
         };
 
         // Checks fully determined by the shared prefix run once, up front.
         for v in 0..self.shared {
-            if !check_at(v, &asn, attr_ok) {
+            if !check_at(v, asn, attr_ok) {
                 return false;
             }
         }
@@ -296,47 +293,49 @@ impl GenerateConsequence {
             }
             false
         }
-        search(self, index, &mut asn, self.shared, &check_at, attr_ok)
+        search(self, index, asn, self.shared, &check_at, attr_ok)
     }
 
     /// Materialize the consequence at premise match `m`: create one node
     /// per fresh variable, add every generated edge, then hand each
-    /// attribute assignment to `bind` with the combined assignment.
-    /// Returns the fresh node ids (in fresh-variable order).
+    /// attribute assignment to `bind` with the combined assignment. `asn`
+    /// is a buffer the caller lends; it ends up holding that assignment,
+    /// so the fresh nodes are `asn[self.shared..]` (in fresh-variable
+    /// order).
     pub fn materialize(
         &self,
         graph: &mut gfd_graph::Graph,
         m: &[NodeId],
+        asn: &mut Vec<NodeId>,
         bind: &mut AttrBind,
-    ) -> Result<Vec<NodeId>, Conflict> {
-        let mut asn: Vec<NodeId> = Vec::with_capacity(self.pattern.node_count());
+    ) -> Result<(), Conflict> {
+        asn.clear();
         asn.extend_from_slice(&m[..self.shared]);
-        let mut fresh = Vec::with_capacity(self.fresh_count());
         for v in self.fresh_vars() {
-            let node = graph.add_node(self.pattern.label(v));
-            asn.push(node);
-            fresh.push(node);
+            asn.push(graph.add_node(self.pattern.label(v)));
         }
         for e in self.pattern.edges() {
             graph.add_edge(asn[e.src.index()], e.label, asn[e.dst.index()]);
         }
         for lit in &self.attrs {
-            bind(lit, &asn)?;
+            bind(lit, asn)?;
         }
-        Ok(fresh)
+        Ok(())
     }
 }
 
 /// Is a generating consequence deducible under the equivalence relation
 /// `eq` at match `m`? Attribute assignments are checked by class
-/// deduction; the structural part is probed on `index`.
+/// deduction; the structural part is probed on `index`. `asn` is the
+/// extension buffer [`GenerateConsequence::realized`] borrows.
 pub fn generate_deducible<I: MatchIndex>(
     eq: &mut crate::eq::EqRel,
     index: &I,
     gen: &GenerateConsequence,
     m: &[NodeId],
+    asn: &mut Vec<NodeId>,
 ) -> bool {
-    gen.realized(index, m, &mut |lit, asn| {
+    gen.realized(index, m, asn, &mut |lit, asn| {
         let k1 = (asn[lit.var.index()], lit.attr);
         match &lit.rhs {
             Operand::Const(c) => eq.deduces_const(k1, *c),
@@ -914,7 +913,7 @@ mod tests {
         let index = LabelIndex::build(&g);
         let mut concrete =
             |lit: &Literal, asn: &[NodeId]| crate::validate::literal_holds(&g, lit, asn);
-        assert!(!gen.realized(&index, &m, &mut concrete));
+        assert!(!gen.realized(&index, &m, &mut Vec::new(), &mut concrete));
 
         // Add the meeting with both edges and the right city: realized.
         let mt = g.add_node(meeting);
@@ -924,14 +923,14 @@ mod tests {
         let index = LabelIndex::build(&g);
         let mut concrete =
             |lit: &Literal, asn: &[NodeId]| crate::validate::literal_holds(&g, lit, asn);
-        assert!(gen.realized(&index, &m, &mut concrete));
+        assert!(gen.realized(&index, &m, &mut Vec::new(), &mut concrete));
 
         // Wrong city on the meeting: unrealized again.
         g.set_attr(mt, city, Value::str("mba"));
         let index = LabelIndex::build(&g);
         let mut concrete =
             |lit: &Literal, asn: &[NodeId]| crate::validate::literal_holds(&g, lit, asn);
-        assert!(!gen.realized(&index, &m, &mut concrete));
+        assert!(!gen.realized(&index, &m, &mut Vec::new(), &mut concrete));
     }
 
     #[test]
@@ -953,15 +952,16 @@ mod tests {
 
         let mut eq = EqRel::new();
         eq.bind((a, city), ValueId::of("nbo")).unwrap();
-        let fresh = gen
-            .materialize(&mut g, &m, &mut |lit, asn| {
-                let k1 = (asn[lit.var.index()], lit.attr);
-                match &lit.rhs {
-                    Operand::Const(c) => eq.bind(k1, *c).map(|_| ()),
-                    Operand::Attr(v2, a2) => eq.merge(k1, (asn[v2.index()], *a2)).map(|_| ()),
-                }
-            })
-            .unwrap();
+        let mut asn = Vec::new();
+        gen.materialize(&mut g, &m, &mut asn, &mut |lit, asn| {
+            let k1 = (asn[lit.var.index()], lit.attr);
+            match &lit.rhs {
+                Operand::Const(c) => eq.bind(k1, *c).map(|_| ()),
+                Operand::Attr(v2, a2) => eq.merge(k1, (asn[v2.index()], *a2)).map(|_| ()),
+            }
+        })
+        .unwrap();
+        let fresh = &asn[gen.shared..];
         assert_eq!(fresh.len(), 1);
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 3);
@@ -969,7 +969,13 @@ mod tests {
         assert!(eq.deduces_const((fresh[0], city), ValueId::of("nbo")));
         // Now deducible under the relation.
         let index = LabelIndex::build(&g);
-        assert!(generate_deducible(&mut eq, &index, gen, &m));
+        assert!(generate_deducible(
+            &mut eq,
+            &index,
+            gen,
+            &m,
+            &mut Vec::new()
+        ));
     }
 
     #[test]
@@ -982,7 +988,7 @@ mod tests {
         let mut g = Graph::new();
         let n = g.add_node(t);
         let index = LabelIndex::build(&g);
-        assert!(gen.realized(&index, &[n], &mut |_, _| false));
+        assert!(gen.realized(&index, &[n], &mut Vec::new(), &mut |_, _| false));
     }
 
     #[test]

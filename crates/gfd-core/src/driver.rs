@@ -497,14 +497,11 @@ fn converge(sigma: &DepSet, mut engines: Vec<EnforceEngine>) -> Result<EnforceEn
         .max_by_key(|&i| engines[i].delta_len())
         .expect("one engine per worker");
     let mut merged = engines.remove(longest);
-    let mut pendings: Vec<(GfdId, Match)> = Vec::new();
-    for engine in engines {
-        let (delta, pending) = engine.into_state();
-        merged.apply_remote_ops(sigma, &delta)?;
-        pendings.extend(pending);
+    for engine in &engines {
+        merged.apply_remote_ops(sigma, engine.delta_since(0))?;
     }
-    for (gfd, m) in pendings {
-        merged.process_match(sigma, gfd, &m)?;
+    for (gfd, m) in engines.iter().flat_map(EnforceEngine::unresolved) {
+        merged.process_match(sigma, gfd, m)?;
     }
     Ok(merged)
 }
@@ -512,6 +509,7 @@ fn converge(sigma: &DepSet, mut engines: Vec<EnforceEngine>) -> Result<EnforceEn
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eq::tests::materialized_classes;
     use crate::literal::Literal;
     use gfd_graph::{AttrId, ValueId, VarId, Vocab};
 
@@ -566,19 +564,14 @@ mod tests {
         sigma: &DepSet,
         engines: Vec<EnforceEngine>,
     ) -> Result<EnforceEngine, Conflict> {
-        let mut deltas = Vec::new();
-        let mut pendings = Vec::new();
-        for engine in engines {
-            let (delta, pending) = engine.into_state();
-            deltas.push(delta);
-            pendings.extend(pending);
-        }
         let mut engine = EnforceEngine::new();
-        for delta in &deltas {
-            engine.apply_remote_ops(sigma, delta)?;
+        for peer in &engines {
+            engine.apply_remote_ops(sigma, peer.delta_since(0))?;
         }
-        for (gfd, m) in pendings {
-            engine.process_match(sigma, gfd, &m)?;
+        for peer in &engines {
+            for (gfd, m) in peer.unresolved() {
+                engine.process_match(sigma, gfd, m)?;
+            }
         }
         Ok(engine)
     }
@@ -609,8 +602,8 @@ mod tests {
             assert!(merged.eq.deduces_const(c, ValueId::of(1i64)), "pad={pad}");
             assert_eq!(merged.pending_count(), 0, "pad={pad}");
             assert_eq!(
-                merged.eq.materialized_classes(),
-                expect.eq.materialized_classes(),
+                materialized_classes(&mut merged.eq),
+                materialized_classes(&mut expect.eq),
                 "pad={pad}"
             );
         }

@@ -16,30 +16,36 @@
 //! chase baseline.
 
 use crate::dependency::{DepSet, Dependency};
-use crate::eq::{EqOp, EqRel, Watcher};
+use crate::eq::{EqOp, EqRel};
 use crate::error::{AttrKey, Conflict};
 use crate::literal::{Literal, Operand};
 use gfd_graph::{GfdId, NodeId};
-use gfd_match::Match;
-use std::collections::VecDeque;
 
 /// The status of a premise `X` under a partial attribute assignment.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PremiseStatus {
     /// Every literal holds; the consequence must be enforced.
     Satisfied,
     /// Some literal compares two distinct constants — since constants never
     /// change, the premise can never hold: drop the match.
     Falsified,
-    /// Some literal waits on uninstantiated attributes (the keys listed);
-    /// the match must be rechecked when they change.
-    Pending(Vec<AttrKey>),
+    /// Some literal waits on uninstantiated attributes (the keys
+    /// [`eval_premise`] wrote to its `waiting` buffer); the match must be
+    /// rechecked when they change.
+    Pending,
 }
 
 /// Evaluate a rule's premise literals at `m` against `eq` without mutating
-/// anything (beyond union-find path compression).
-pub fn eval_premise(eq: &mut EqRel, premise: &[Literal], m: &[NodeId]) -> PremiseStatus {
-    let mut waiting: Vec<AttrKey> = Vec::new();
+/// anything (beyond union-find path compression). `waiting` is a scratch
+/// buffer the caller lends: it is cleared, and on `Pending` holds the keys
+/// the premise waits on.
+pub fn eval_premise(
+    eq: &mut EqRel,
+    premise: &[Literal],
+    m: &[NodeId],
+    waiting: &mut Vec<AttrKey>,
+) -> PremiseStatus {
+    waiting.clear();
     for lit in premise {
         let k1: AttrKey = (m[lit.var.index()], lit.attr);
         match &lit.rhs {
@@ -77,18 +83,27 @@ pub fn eval_premise(eq: &mut EqRel, premise: &[Literal], m: &[NodeId]) -> Premis
     if waiting.is_empty() {
         PremiseStatus::Satisfied
     } else {
-        PremiseStatus::Pending(waiting)
+        PremiseStatus::Pending
     }
 }
 
-/// A match whose premise was pending when first seen.
-#[derive(Clone, Debug)]
+/// A match whose premise was pending when first seen. Its nodes are
+/// `EnforceEngine::matches[offset..offset + arity]`.
+#[derive(Clone, Copy, Debug)]
 struct PendingEntry {
-    gfd: GfdId,
-    m: Match,
+    rule: GfdId,
+    offset: u32,
+    arity: u32,
     resolved: bool,
     /// Bumped on each (re-)registration; stale watcher copies are skipped.
     epoch: u32,
+}
+
+impl PendingEntry {
+    /// The match, read from the engine's arena.
+    fn m<'a>(&self, matches: &'a [NodeId]) -> &'a [NodeId] {
+        &matches[self.offset as usize..][..self.arity as usize]
+    }
 }
 
 /// Counters exposed for benchmarks and the paper's ablation studies.
@@ -104,13 +119,19 @@ pub struct EngineStats {
     pub remote_ops_applied: u64,
 }
 
-/// The enforcement engine over one canonical graph.
+/// The enforcement engine over one canonical graph. Its state lives in
+/// flat arenas — pending matches back to back in one `Vec<NodeId>`,
+/// watchers and the wake queue in the relation's watcher arena — so it
+/// allocates when an arena grows, not per match.
 #[derive(Clone, Debug, Default)]
 pub struct EnforceEngine {
     /// The equivalence relation being expanded.
     pub eq: EqRel,
     pending: Vec<PendingEntry>,
-    wake: VecDeque<Watcher>,
+    /// The pending matches' nodes.
+    matches: Vec<NodeId>,
+    /// [`eval_premise`]'s scratch: the keys the last pending premise waits on.
+    waiting: Vec<AttrKey>,
     delta: Vec<EqOp>,
     /// Statistics counters.
     pub stats: EngineStats,
@@ -146,23 +167,16 @@ impl EnforceEngine {
         self.pending.iter().filter(|p| !p.resolved).count()
     }
 
-    /// Drain the engine into `(full delta, unresolved pending matches)` —
-    /// what a worker ships to the coordinator for the final convergence
-    /// phase.
-    pub fn into_state(self) -> (Vec<EqOp>, Vec<(GfdId, Match)>) {
-        let pending = self
-            .pending
-            .into_iter()
-            .filter(|p| !p.resolved)
-            .map(|p| (p.gfd, p.m))
-            .collect();
-        (self.delta, pending)
+    /// The unresolved pending matches, in registration order, read in
+    /// place — what the final convergence phase replays from a peer.
+    pub fn unresolved(&self) -> impl Iterator<Item = (GfdId, &[NodeId])> + '_ {
+        (self.pending.iter().filter(|p| !p.resolved)).map(|p| (p.rule, p.m(&self.matches)))
     }
 
     /// Process one match of `gfd` (identified by `id` within `sigma`):
     /// evaluate the premise, enforce or register, then cascade rechecks.
     /// The match is only borrowed — typically lent by the matcher — and
-    /// copied just when it has to wait in the pending index.
+    /// copied into the arena just when it has to wait in the pending index.
     pub fn process_match(
         &mut self,
         sigma: &DepSet,
@@ -171,101 +185,64 @@ impl EnforceEngine {
     ) -> Result<(), Conflict> {
         self.stats.matches_processed += 1;
         let gfd = &sigma[id];
-        match eval_premise(&mut self.eq, &gfd.premise, m) {
+        match eval_premise(&mut self.eq, &gfd.premise, m, &mut self.waiting) {
             PremiseStatus::Falsified => Ok(()),
             PremiseStatus::Satisfied => {
-                self.enforce_consequence(gfd, id, m)?;
+                enforce_consequence(&mut self.eq, &mut self.delta, gfd, id, m)?;
                 self.cascade(sigma)
             }
-            PremiseStatus::Pending(keys) => {
-                self.register_pending(id, m, &keys);
+            PremiseStatus::Pending => {
+                self.register_pending(id, m);
                 Ok(())
             }
         }
     }
 
-    fn register_pending(&mut self, gfd: GfdId, m: &[NodeId], keys: &[AttrKey]) {
+    /// Copy `m` into the arena and watch the keys in `waiting`.
+    fn register_pending(&mut self, rule: GfdId, m: &[NodeId]) {
         self.stats.pending_registered += 1;
         let id = self.pending.len() as u32;
+        let offset = u32::try_from(self.matches.len()).expect("pending arena overflow");
+        self.matches.extend_from_slice(m);
         self.pending.push(PendingEntry {
-            gfd,
-            m: m.into(),
+            rule,
+            offset,
+            arity: m.len() as u32,
             resolved: false,
             epoch: 0,
         });
-        for &key in keys {
+        for &key in &self.waiting {
             self.eq.add_watcher(key, (id, 0));
         }
     }
 
-    /// Enforce the consequence `Y` of `gfd` at match `m` (Rules 1 and 2),
-    /// queueing any woken watchers. Panics on a generating consequence,
-    /// which [`crate::run_reason`] keeps out by checking its Σ up front.
-    pub fn enforce_consequence(
-        &mut self,
-        gfd: &Dependency,
-        id: GfdId,
-        m: &[NodeId],
-    ) -> Result<(), Conflict> {
-        let lits = gfd.consequence.literals();
-        for lit in lits.expect("enforcement admits literal consequences only") {
-            let k1: AttrKey = (m[lit.var.index()], lit.attr);
-            match &lit.rhs {
-                Operand::Const(c) => {
-                    let effect = self.eq.bind(k1, *c).map_err(|e| e.with_gfd(id))?;
-                    if effect.changed {
-                        self.delta.push(EqOp::Bind(k1, *c));
-                    }
-                    self.wake.extend(effect.woken);
-                }
-                Operand::Attr(var2, attr2) => {
-                    let k2: AttrKey = (m[var2.index()], *attr2);
-                    let effect = self.eq.merge(k1, k2).map_err(|e| e.with_gfd(id))?;
-                    if effect.changed {
-                        self.delta.push(EqOp::Merge(k1, k2));
-                    }
-                    self.wake.extend(effect.woken);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Recheck woken pending matches until the wake queue drains (the
-    /// fixpoint cascade driven by the inverted index).
+    /// fixpoint cascade driven by the inverted index). A match is read in
+    /// place: enforcement writes the relation, the log and the queue,
+    /// never the pending arena.
     pub fn cascade(&mut self, sigma: &DepSet) -> Result<(), Conflict> {
-        while let Some((id, epoch)) = self.wake.pop_front() {
-            let entry = &self.pending[id as usize];
+        while let Some((id, epoch)) = self.eq.pop_woken() {
+            let entry = self.pending[id as usize];
             if entry.resolved || entry.epoch != epoch {
                 continue;
             }
             self.stats.rechecks += 1;
-            let gfd_id = entry.gfd;
-            let gfd = &sigma[gfd_id];
-            // Enforcement needs `&mut self`: the match leaves its entry for
-            // the evaluation (no allocation) and goes back before any return.
-            let m = std::mem::take(&mut self.pending[id as usize].m);
-            let enforced = match eval_premise(&mut self.eq, &gfd.premise, &m) {
-                PremiseStatus::Falsified => {
-                    self.pending[id as usize].resolved = true;
-                    Ok(())
-                }
+            let gfd = &sigma[entry.rule];
+            let m = entry.m(&self.matches);
+            match eval_premise(&mut self.eq, &gfd.premise, m, &mut self.waiting) {
+                PremiseStatus::Falsified => self.pending[id as usize].resolved = true,
                 PremiseStatus::Satisfied => {
                     self.pending[id as usize].resolved = true;
-                    self.enforce_consequence(gfd, gfd_id, &m)
+                    enforce_consequence(&mut self.eq, &mut self.delta, gfd, entry.rule, m)?;
                 }
-                PremiseStatus::Pending(keys) => {
-                    let entry = &mut self.pending[id as usize];
-                    entry.epoch += 1;
-                    let epoch = entry.epoch;
-                    for key in keys {
+                PremiseStatus::Pending => {
+                    let epoch = entry.epoch + 1;
+                    self.pending[id as usize].epoch = epoch;
+                    for &key in &self.waiting {
                         self.eq.add_watcher(key, (id, epoch));
                     }
-                    Ok(())
                 }
-            };
-            self.pending[id as usize].m = m;
-            enforced?;
+            }
         }
         Ok(())
     }
@@ -274,12 +251,36 @@ impl EnforceEngine {
     /// *without* re-recording them, then cascade local rechecks.
     pub fn apply_remote_ops(&mut self, sigma: &DepSet, ops: &[EqOp]) -> Result<(), Conflict> {
         for op in ops {
-            let effect = self.eq.apply_op(op)?;
+            self.eq.apply_op(op)?;
             self.stats.remote_ops_applied += 1;
-            self.wake.extend(effect.woken);
         }
         self.cascade(sigma)
     }
+}
+
+/// Enforce the consequence `Y` of `gfd` at match `m` (Rules 1 and 2),
+/// logging each change in `delta`; the relation queues the watchers it
+/// wakes. Panics on a generating consequence, which [`crate::run_reason`]
+/// keeps out by checking its Σ up front.
+fn enforce_consequence(
+    eq: &mut EqRel,
+    delta: &mut Vec<EqOp>,
+    gfd: &Dependency,
+    id: GfdId,
+    m: &[NodeId],
+) -> Result<(), Conflict> {
+    let lits = gfd.consequence.literals();
+    for lit in lits.expect("enforcement admits literal consequences only") {
+        let k1: AttrKey = (m[lit.var.index()], lit.attr);
+        let op = match &lit.rhs {
+            Operand::Const(c) => EqOp::Bind(k1, *c),
+            Operand::Attr(var2, attr2) => EqOp::Merge(k1, (m[var2.index()], *attr2)),
+        };
+        if eq.apply_op(&op).map_err(|e| e.with_gfd(id))? {
+            delta.push(op);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -301,8 +302,8 @@ mod tests {
         Dependency::new(name, p, premise, consequence)
     }
 
-    fn m0() -> Match {
-        vec![NodeId::new(0)].into_boxed_slice()
+    fn m0() -> [NodeId; 1] {
+        [NodeId::new(0)]
     }
 
     #[test]
@@ -457,9 +458,10 @@ mod tests {
             }
         }
         assert_eq!(e.stats.rechecks, n as u64);
-        let (_, pending) = e.clone().into_state();
-        let expect: Vec<(GfdId, Match)> = (0..n)
-            .map(|i| (GfdId::new(0), vec![NodeId::new(i)].into_boxed_slice()))
+        let pending: Vec<(GfdId, Vec<NodeId>)> =
+            e.unresolved().map(|(g, m)| (g, m.to_vec())).collect();
+        let expect: Vec<(GfdId, Vec<NodeId>)> = (0..n)
+            .map(|i| (GfdId::new(0), vec![NodeId::new(i)]))
             .collect();
         assert_eq!(pending, expect);
         for i in 0..n {
@@ -593,7 +595,7 @@ mod tests {
     }
 
     #[test]
-    fn into_state_exports_unresolved_pendings() {
+    fn unresolved_lists_the_pending_matches() {
         let mut vocab = Vocab::new();
         let a = vocab.attr("a");
         let b = vocab.attr("b");
@@ -606,9 +608,8 @@ mod tests {
         )]);
         let mut e = EnforceEngine::new();
         e.process_match(&sigma, GfdId::new(0), &m0()).unwrap();
-        let (delta, pending) = e.into_state();
-        assert!(delta.is_empty());
-        assert_eq!(pending.len(), 1);
-        assert_eq!(pending[0].0, GfdId::new(0));
+        assert_eq!(e.delta_len(), 0);
+        let pending: Vec<_> = e.unresolved().collect();
+        assert_eq!(pending, vec![(GfdId::new(0), &m0()[..])]);
     }
 }

@@ -12,7 +12,8 @@
 //!   raises [`Conflict`]);
 //! * per-class *watchers* — registrations of pending matches (the paper's
 //!   inverted index) that must be rechecked when the class gains a constant
-//!   or is merged;
+//!   or is merged — and the queue of woken ones, as linked lists threaded
+//!   through one arena;
 //! * a monotone *op log* ([`EqOp`]) replayable on another copy — exactly
 //!   what the parallel workers broadcast as `ΔEq`.
 
@@ -35,14 +36,12 @@ pub enum EqOp {
 /// (stale duplicates are skipped on wake).
 pub type Watcher = (u32, u32);
 
-/// The result of a mutating operation.
-#[derive(Debug, Default)]
-pub struct Effect {
-    /// Did the operation change the relation (class created, constant set,
-    /// classes merged)?
-    pub changed: bool,
-    /// Watchers to recheck, drained from the affected classes.
-    pub woken: Vec<Watcher>,
+/// A list of watchers in the watcher arena, oldest first, as the indices
+/// of its first and last node (`0`, the arena's sentinel, for none).
+#[derive(Clone, Copy, Debug, Default)]
+struct List {
+    head: u32,
+    tail: u32,
 }
 
 /// The equivalence relation over attribute keys.
@@ -54,8 +53,15 @@ pub struct EqRel {
     rank: Vec<u8>,
     /// Valid at roots only.
     constant: Vec<Option<ValueId>>,
-    /// Valid at roots only.
-    watchers: Vec<Vec<Watcher>>,
+    /// Valid at roots only: the class's watcher list.
+    watchers: Vec<List>,
+    /// Watchers woken by binds and merges, not yet popped: registration
+    /// order, and on a merge the root's list before the child's.
+    woken: List,
+    /// The nodes of every list, `(watcher, next)`, behind a sentinel node
+    /// 0. A node popped off `woken` goes on the free list headed by `free`.
+    arena: Vec<(Watcher, u32)>,
+    free: u32,
     /// Per *key* (not per class): was this attribute forced to exist by an
     /// enforcement (bind/merge endpoint)? Keys created only to register
     /// premise watchers stay *latent*: the population is free not to carry
@@ -64,6 +70,16 @@ pub struct EqRel {
     /// constant — any bind or merge on them materializes them.)
     materialized: Vec<bool>,
     version: u64,
+}
+
+/// Append `tail` to `list` in `arena`.
+fn splice(arena: &mut [(Watcher, u32)], list: &mut List, tail: List) {
+    if list.head == 0 {
+        *list = tail;
+    } else if tail.head != 0 {
+        arena[list.tail as usize].1 = tail.head;
+        list.tail = tail.tail;
+    }
 }
 
 impl EqRel {
@@ -99,7 +115,7 @@ impl EqRel {
         self.parent.push(s);
         self.rank.push(0);
         self.constant.push(None);
-        self.watchers.push(Vec::new());
+        self.watchers.push(List::default());
         self.materialized.push(false);
         self.version += 1;
         (s, true)
@@ -188,9 +204,17 @@ impl EqRel {
         }
     }
 
+    /// Queue the watchers of the class rooted at `root` on `woken`.
+    fn wake(&mut self, root: u32) {
+        let list = std::mem::take(&mut self.watchers[root as usize]);
+        splice(&mut self.arena, &mut self.woken, list);
+    }
+
     /// Bind `value` to the class of `key` (Rule 1 of §IV-C). Creates the
     /// class if needed; conflicts if a distinct constant is present.
-    pub fn bind(&mut self, key: AttrKey, value: ValueId) -> Result<Effect, Conflict> {
+    /// Returns whether the relation changed; a newly bound class's
+    /// watchers are queued for [`EqRel::pop_woken`].
+    pub fn bind(&mut self, key: AttrKey, value: ValueId) -> Result<bool, Conflict> {
         let (slot, created) = self.ensure(key);
         self.materialize(slot);
         let root = self.find(slot);
@@ -198,16 +222,10 @@ impl EqRel {
             None => {
                 self.constant[root as usize] = Some(value);
                 self.version += 1;
-                let woken = std::mem::take(&mut self.watchers[root as usize]);
-                Ok(Effect {
-                    changed: true,
-                    woken,
-                })
+                self.wake(root);
+                Ok(true)
             }
-            Some(existing) if *existing == value => Ok(Effect {
-                changed: created,
-                woken: Vec::new(),
-            }),
+            Some(existing) if *existing == value => Ok(created),
             Some(existing) => Err(Conflict {
                 key,
                 existing: *existing,
@@ -219,7 +237,8 @@ impl EqRel {
 
     /// Merge the classes of `k1` and `k2` (Rule 2 of §IV-C). Creates
     /// missing classes; conflicts if the classes carry distinct constants.
-    pub fn merge(&mut self, k1: AttrKey, k2: AttrKey) -> Result<Effect, Conflict> {
+    /// Returns whether the relation changed, queueing watchers as `bind`.
+    pub fn merge(&mut self, k1: AttrKey, k2: AttrKey) -> Result<bool, Conflict> {
         let (s1, c1) = self.ensure(k1);
         let (s2, c2) = self.ensure(k2);
         // A merge forces both endpoint attributes to exist; a latent →
@@ -232,15 +251,10 @@ impl EqRel {
         let r1 = self.find(s1);
         let r2 = self.find(s2);
         if r1 == r2 {
-            let woken = if lat1 || lat2 {
-                std::mem::take(&mut self.watchers[r1 as usize])
-            } else {
-                Vec::new()
-            };
-            return Ok(Effect {
-                changed: c1 || c2 || lat1 || lat2,
-                woken,
-            });
+            if lat1 || lat2 {
+                self.wake(r1);
+            }
+            return Ok(c1 || c2 || lat1 || lat2);
         }
         let merged_const = match (self.constant[r1 as usize], self.constant[r2 as usize]) {
             (Some(a), Some(b)) if a != b => {
@@ -270,12 +284,9 @@ impl EqRel {
         self.version += 1;
         // Wake every watcher of the union: the merge may satisfy `x.A=y.B`
         // premises or propagate a constant.
-        let mut woken = std::mem::take(&mut self.watchers[root as usize]);
-        woken.append(&mut self.watchers[child as usize]);
-        Ok(Effect {
-            changed: true,
-            woken,
-        })
+        self.wake(root);
+        self.wake(child);
+        Ok(true)
     }
 
     /// Register a watcher on the class of `key` (creating the class if
@@ -284,62 +295,99 @@ impl EqRel {
     pub fn add_watcher(&mut self, key: AttrKey, watcher: Watcher) {
         let (slot, _) = self.ensure(key);
         let root = self.find(slot);
-        self.watchers[root as usize].push(watcher);
+        let node = match self.free {
+            0 => {
+                if self.arena.is_empty() {
+                    self.arena.push(((0, 0), 0));
+                }
+                self.arena.push((watcher, 0));
+                u32::try_from(self.arena.len() - 1).expect("watcher arena overflow")
+            }
+            node => {
+                self.free = std::mem::replace(&mut self.arena[node as usize], (watcher, 0)).1;
+                node
+            }
+        };
+        let one = List {
+            head: node,
+            tail: node,
+        };
+        splice(&mut self.arena, &mut self.watchers[root as usize], one);
     }
 
-    /// Apply a (possibly remote) op. Idempotent; returns the effect.
-    pub fn apply_op(&mut self, op: &EqOp) -> Result<Effect, Conflict> {
+    /// Pop the oldest woken watcher, its arena node freed for reuse.
+    pub fn pop_woken(&mut self) -> Option<Watcher> {
+        let node = self.woken.head;
+        if node == 0 {
+            return None;
+        }
+        let (watcher, next) =
+            std::mem::replace(&mut self.arena[node as usize], ((0, 0), self.free));
+        self.woken.head = next;
+        self.free = node;
+        Some(watcher)
+    }
+
+    /// Apply a (possibly remote) op. Idempotent; returns whether the
+    /// relation changed.
+    pub fn apply_op(&mut self, op: &EqOp) -> Result<bool, Conflict> {
         match op {
-            EqOp::Ensure(k) => {
-                let (_, created) = self.ensure(*k);
-                Ok(Effect {
-                    changed: created,
-                    woken: Vec::new(),
-                })
-            }
+            EqOp::Ensure(k) => Ok(self.ensure(*k).1),
             EqOp::Bind(k, v) => self.bind(*k, *v),
             EqOp::Merge(k1, k2) => self.merge(*k1, *k2),
         }
     }
 
-    /// Enumerate the classes as `(bound constant, member keys)`, keeping
-    /// only materialized keys — what model extraction populates: latent
-    /// keys impose no existence requirement. Members are in insertion
-    /// order and classes in the order of their least member key (a latent
-    /// key is always a singleton, so every member of a class kept is
-    /// materialized). Classes are disjoint, so that order is total and
-    /// follows neither the insertion order nor the workers' interleaving:
-    /// models are the same at every worker count. One linear pass over
-    /// the materialized slots plus a sort of the classes.
-    pub fn materialized_classes(&mut self) -> Vec<(Option<ValueId>, Vec<AttrKey>)> {
-        const NONE: u32 = u32::MAX;
-        // Per root: the index of its class in `classes`.
-        let mut class_of = vec![NONE; self.keys.len()];
-        let mut classes: Vec<(Option<ValueId>, Vec<AttrKey>)> = Vec::new();
-        for i in 0..self.keys.len() {
+    /// Each materialized key with its class's root slot and constant, in
+    /// slot order — what model extraction populates: latent keys impose no
+    /// existence requirement (a latent key is always a singleton, so every
+    /// class with a materialized key is wholly materialized).
+    pub(crate) fn materialized_keys(
+        &mut self,
+    ) -> impl Iterator<Item = (AttrKey, u32, Option<ValueId>)> + '_ {
+        (0..self.keys.len()).filter_map(move |i| {
             if !self.materialized[i] {
-                continue;
+                return None;
             }
-            let r = self.find(i as u32) as usize;
-            if class_of[r] == NONE {
-                class_of[r] = classes.len() as u32;
-                classes.push((self.constant[r], Vec::new()));
-            }
-            classes[class_of[r] as usize].1.push(self.keys[i]);
-        }
-        classes.sort_by_cached_key(|(_, members)| members.iter().min().copied());
-        classes
+            let r = self.find(i as u32);
+            Some((self.keys[i], r, self.constant[r as usize]))
+        })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use gfd_graph::{AttrId, NodeId};
+    use crate::model::{populate_model, FRESH_PREFIX};
+    use gfd_graph::{AttrId, Graph, LabelId, NodeId};
     use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn k(n: usize, a: usize) -> AttrKey {
         (NodeId::new(n), AttrId::new(a))
+    }
+
+    /// Pop every woken watcher.
+    fn drain(eq: &mut EqRel) -> Vec<Watcher> {
+        std::iter::from_fn(|| eq.pop_woken()).collect()
+    }
+
+    /// The relation's classes as `(bound constant, member keys)`, keeping
+    /// only materialized keys: members in slot order, classes in the order
+    /// of their least member key. The model read-out's oracle, and what
+    /// the convergence tests compare relations by.
+    pub(crate) fn materialized_classes(eq: &mut EqRel) -> Vec<(Option<ValueId>, Vec<AttrKey>)> {
+        let mut class_of: FxHashMap<u32, usize> = FxHashMap::default();
+        let mut classes: Vec<(Option<ValueId>, Vec<AttrKey>)> = Vec::new();
+        for (key, root, constant) in eq.materialized_keys() {
+            let c = *class_of.entry(root).or_insert_with(|| {
+                classes.push((constant, Vec::new()));
+                classes.len() - 1
+            });
+            classes[c].1.push(key);
+        }
+        classes.sort_by_cached_key(|(_, members)| members.iter().min().copied());
+        classes
     }
 
     #[test]
@@ -358,12 +406,10 @@ mod tests {
     #[test]
     fn bind_sets_and_detects_conflicts() {
         let mut eq = EqRel::new();
-        let e = eq.bind(k(0, 0), ValueId::of(1)).unwrap();
-        assert!(e.changed);
+        assert!(eq.bind(k(0, 0), ValueId::of(1)).unwrap());
         assert_eq!(eq.const_of(k(0, 0)), Some(ValueId::of(1)));
         // Same value: no change, no conflict.
-        let e = eq.bind(k(0, 0), ValueId::of(1)).unwrap();
-        assert!(!e.changed);
+        assert!(!eq.bind(k(0, 0), ValueId::of(1)).unwrap());
         // Distinct value: conflict.
         let err = eq.bind(k(0, 0), ValueId::of(2)).unwrap_err();
         assert_eq!(err.existing, ValueId::of(1));
@@ -396,8 +442,7 @@ mod tests {
     fn merge_same_class_is_noop() {
         let mut eq = EqRel::new();
         eq.merge(k(0, 0), k(1, 0)).unwrap();
-        let e = eq.merge(k(1, 0), k(0, 0)).unwrap();
-        assert!(!e.changed);
+        assert!(!eq.merge(k(1, 0), k(0, 0)).unwrap());
     }
 
     #[test]
@@ -419,17 +464,17 @@ mod tests {
         eq.add_watcher(k(0, 0), (10, 0));
         eq.add_watcher(k(1, 0), (11, 0));
         // Bind wakes the watcher of that class only.
-        let e = eq.bind(k(0, 0), ValueId::of(1)).unwrap();
-        assert_eq!(e.woken, vec![(10, 0)]);
+        eq.bind(k(0, 0), ValueId::of(1)).unwrap();
+        assert_eq!(drain(&mut eq), vec![(10, 0)]);
         // Merge wakes the watchers of both classes (drained).
         eq.add_watcher(k(0, 0), (12, 0));
-        let e = eq.merge(k(0, 0), k(1, 0)).unwrap();
-        let mut woken = e.woken;
+        eq.merge(k(0, 0), k(1, 0)).unwrap();
+        let mut woken = drain(&mut eq);
         woken.sort();
         assert_eq!(woken, vec![(11, 0), (12, 0)]);
         // Drained: binding again wakes nothing.
-        let e = eq.merge(k(0, 0), k(1, 0)).unwrap();
-        assert!(e.woken.is_empty());
+        eq.merge(k(0, 0), k(1, 0)).unwrap();
+        assert!(drain(&mut eq).is_empty());
     }
 
     #[test]
@@ -437,11 +482,12 @@ mod tests {
         let mut eq = EqRel::new();
         eq.add_watcher(k(0, 0), (1, 0));
         eq.merge(k(0, 0), k(1, 0)).unwrap();
+        assert_eq!(drain(&mut eq), vec![(1, 0)]);
         // Watcher was woken by the merge; re-register and bind through the
         // *other* key of the class.
         eq.add_watcher(k(0, 0), (1, 1));
-        let e = eq.bind(k(1, 0), ValueId::of(3)).unwrap();
-        assert_eq!(e.woken, vec![(1, 1)]);
+        eq.bind(k(1, 0), ValueId::of(3)).unwrap();
+        assert_eq!(drain(&mut eq), vec![(1, 1)]);
     }
 
     #[test]
@@ -467,8 +513,7 @@ mod tests {
         assert_eq!(a.key_count(), b.key_count());
         // Re-applying is idempotent.
         for op in &ops {
-            let e = b.apply_op(op).unwrap();
-            assert!(!e.changed);
+            assert!(!b.apply_op(op).unwrap());
         }
     }
 
@@ -479,7 +524,7 @@ mod tests {
         eq.merge(k(0, 0), k(1, 0)).unwrap();
         // A watcher-only key stays latent and is not enumerated.
         eq.add_watcher(k(0, 1), (0, 0));
-        let classes = eq.materialized_classes();
+        let classes = materialized_classes(&mut eq);
         assert_eq!(classes.len(), 2);
         assert_eq!(classes[0], (None, vec![k(0, 0), k(1, 0)]));
         assert_eq!(classes[1], (Some(ValueId::of(1)), vec![k(2, 0)]));
@@ -510,10 +555,10 @@ mod tests {
         assert_eq!(err.existing, ValueId::of(42));
     }
 
-    /// The read-out [`EqRel::materialized_classes`] replaced: every key
-    /// through a hash map of per-class `Vec`s, sorted (by least member
-    /// key, as classes are now numbered), then the latent keys retained
-    /// away. Kept as the oracle.
+    /// The read-out before [`materialized_classes`]: every key through a
+    /// hash map of per-class `Vec`s, sorted (by least member key, as
+    /// classes are numbered), then the latent keys retained away. Kept as
+    /// the oracle.
     fn classes_then_retain(eq: &mut EqRel) -> Vec<(Option<ValueId>, Vec<AttrKey>)> {
         let mut by_root: FxHashMap<u32, Vec<AttrKey>> = FxHashMap::default();
         for i in 0..eq.keys.len() {
@@ -539,6 +584,8 @@ mod tests {
         Watch(usize, usize),
         Bind(usize, usize, i64),
         Merge((usize, usize), (usize, usize)),
+        /// Pop one watcher off the wake queue (recycling its arena node).
+        Pop,
     }
 
     fn arb_step() -> impl Strategy<Value = Step> {
@@ -548,15 +595,35 @@ mod tests {
             key().prop_map(|(n, a)| Step::Watch(n, a)),
             (key(), 0..3i64).prop_map(|((n, a), v)| Step::Bind(n, a, v)),
             (key(), key()).prop_map(|(k1, k2)| Step::Merge(k1, k2)),
+            Just(Step::Pop),
         ]
+    }
+
+    /// The read-out as `(key, value)` pairs, sorted: the classes of
+    /// [`classes_then_retain`] numbered the way extraction numbers them
+    /// (fresh constants count up over the unbound classes in class order).
+    fn numbered_oracle(eq: &mut EqRel) -> Vec<(AttrKey, ValueId)> {
+        let mut fresh = 0;
+        let mut out = Vec::new();
+        for (constant, members) in classes_then_retain(eq) {
+            let value = constant.unwrap_or_else(|| {
+                fresh += 1;
+                ValueId::of(format!("{FRESH_PREFIX}{fresh}"))
+            });
+            out.extend(members.into_iter().map(|key| (key, value)));
+        }
+        out.sort();
+        out
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Same classes, same member order, same class order, latent keys
-        /// dropped — after every step of the history, conflicts included
-        /// (a refused op may still have created or materialized keys).
+        /// The model read-out assigns every materialized key the value the
+        /// hash-map read-out numbers it, and nothing else — after every
+        /// step of the history, conflicts included (a refused op may still
+        /// have created or materialized keys). The classes oracle agrees
+        /// with it too: same classes, member order and class order.
         #[test]
         fn flat_readout_equals_the_hash_map_readout(
             steps in proptest::collection::vec(arb_step(), 0..40),
@@ -574,10 +641,76 @@ mod tests {
                     Step::Merge((n1, a1), (n2, a2)) => {
                         let _ = eq.merge(k(n1, a1), k(n2, a2));
                     }
+                    Step::Pop => {}
                 }
+                let mut model = Graph::new();
+                for _ in 0..6 {
+                    model.add_node(LabelId::new(0));
+                }
+                populate_model(&mut model, &mut eq.clone());
+                let got: Vec<(AttrKey, ValueId)> = (model.nodes())
+                    .flat_map(|n| model.attrs(n).iter().map(move |&(a, v)| ((n, a), v)))
+                    .collect();
+                prop_assert_eq!(got, numbered_oracle(&mut eq.clone()), "after step {}", i);
                 let expect = classes_then_retain(&mut eq.clone());
-                prop_assert_eq!(eq.materialized_classes(), expect, "after step {}", i);
+                prop_assert_eq!(materialized_classes(&mut eq), expect, "after step {}", i);
             }
+        }
+
+        /// The watcher arena wakes what a `Vec<Watcher>` per class wakes:
+        /// registration order, and on a merge the root's list before the
+        /// child's. `Pop` steps take from the wake queue in between (so
+        /// freed nodes are reused); the pops, then a final drain, read
+        /// exactly what a `VecDeque` fed from the reference lists reads.
+        #[test]
+        fn arena_wakes_what_per_class_vecs_wake(
+            steps in proptest::collection::vec(arb_step(), 0..60),
+        ) {
+            let mut eq = EqRel::new();
+            let mut lists: Vec<Vec<Watcher>> = Vec::new();
+            let mut expect = VecDeque::new();
+            for (i, step) in steps.iter().enumerate() {
+                lists.resize(eq.key_count(), Vec::new());
+                match *step {
+                    Step::Ensure(n, a) => {
+                        eq.ensure(k(n, a));
+                    }
+                    Step::Watch(n, a) => {
+                        eq.add_watcher(k(n, a), (i as u32, 0));
+                        lists.resize(eq.key_count(), Vec::new());
+                        lists[eq.root_of(k(n, a)).unwrap() as usize].push((i as u32, 0));
+                    }
+                    Step::Bind(n, a, v) => {
+                        let (root, was) = (eq.root_of(k(n, a)), eq.const_of(k(n, a)));
+                        if eq.bind(k(n, a), ValueId::of(v)).is_ok() && was.is_none() {
+                            if let Some(r) = root {
+                                expect.extend(std::mem::take(&mut lists[r as usize]));
+                            }
+                        }
+                    }
+                    Step::Merge((n1, a1), (n2, a2)) => {
+                        let (k1, k2) = (k(n1, a1), k(n2, a2));
+                        let roots = [eq.root_of(k1), eq.root_of(k2)];
+                        let latent = !eq.is_materialized(k1) || !eq.is_materialized(k2);
+                        if eq.merge(k1, k2).is_ok() {
+                            lists.resize(eq.key_count(), Vec::new());
+                            let root = eq.root_of(k1).unwrap();
+                            if roots[0].is_none() || roots[0] != roots[1] || latent {
+                                expect.extend(std::mem::take(&mut lists[root as usize]));
+                            }
+                            if roots[0] != roots[1] {
+                                for r in roots.into_iter().flatten().filter(|&r| r != root) {
+                                    expect.extend(std::mem::take(&mut lists[r as usize]));
+                                }
+                            }
+                        }
+                    }
+                    Step::Pop => {
+                        prop_assert_eq!(eq.pop_woken(), expect.pop_front(), "step {}", i);
+                    }
+                }
+            }
+            prop_assert_eq!(drain(&mut eq), Vec::from(expect));
         }
     }
 }

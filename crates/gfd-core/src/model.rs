@@ -3,7 +3,9 @@
 //! witness).
 
 use crate::eq::EqRel;
-use gfd_graph::{Graph, Value, ValueId};
+use crate::error::AttrKey;
+use gfd_graph::{Graph, Value, ValueId, ValueTable};
+use std::fmt::Write;
 
 /// Prefix of the fresh constants assigned to unbound classes. Reserved:
 /// generators and the DSL never produce values starting with it, so fresh
@@ -11,25 +13,45 @@ use gfd_graph::{Graph, Value, ValueId};
 /// population to satisfy Σ — see §IV-C, step (c)).
 pub const FRESH_PREFIX: &str = "\u{22a5}"; // ⊥
 
-/// Populate `canonical` with the attributes of `eq`: bound classes get
-/// their constant, unbound classes get pairwise-distinct fresh constants.
-/// Only *materialized* keys are populated — attributes that premises
-/// merely mentioned stay absent, as the population is free to omit them.
+/// A copy of `canonical` populated by [`populate_model`].
 pub fn extract_model(canonical: &Graph, eq: &mut EqRel) -> Graph {
     let mut model = canonical.clone();
-    let mut fresh = 0usize;
-    for (constant, members) in eq.materialized_classes() {
-        let value = constant.unwrap_or_else(|| {
-            fresh += 1;
-            // Post-quiescence, single-threaded: interning here is off
-            // the hot path.
-            ValueId::of(format!("{FRESH_PREFIX}{fresh}"))
-        });
-        for (node, attr) in members {
-            model.set_attr_id(node, attr, value);
+    populate_model(&mut model, eq);
+    model
+}
+
+/// Populate `graph` — the canonical graph, owned by the caller — with the
+/// attributes of `eq`: bound classes get their constant, unbound classes
+/// get pairwise-distinct fresh constants `⊥1, ⊥2, …` numbered by each
+/// class's least key, so the model is the same at every worker count.
+/// Only *materialized* keys are populated — attributes that premises
+/// merely mentioned stay absent, as the population is free to omit them.
+///
+/// No allocation per class: one pass over the materialized slots finds
+/// each unbound class's least key (indexed by root slot), a sort of those
+/// numbers the classes, and a second pass writes every key's value.
+pub fn populate_model(graph: &mut Graph, eq: &mut EqRel) {
+    let mut least: Vec<Option<AttrKey>> = vec![None; eq.key_count()];
+    for (key, root, constant) in eq.materialized_keys() {
+        let l = &mut least[root as usize];
+        if constant.is_none() && l.is_none_or(|l| key < l) {
+            *l = Some(key);
         }
     }
-    model
+    let mut unbound: Vec<(AttrKey, u32)> = (least.iter().enumerate())
+        .filter_map(|(root, l)| Some(((*l)?, root as u32)))
+        .collect();
+    unbound.sort_unstable();
+    let mut fresh = vec![ValueId::NONE; least.len()];
+    let mut name = String::new();
+    for (i, &(_, root)) in unbound.iter().enumerate() {
+        name.clear();
+        write!(name, "{FRESH_PREFIX}{}", i + 1).expect("writing to a String");
+        fresh[root as usize] = ValueTable::intern_str(&name);
+    }
+    for ((node, attr), root, constant) in eq.materialized_keys() {
+        graph.set_attr_id(node, attr, constant.unwrap_or(fresh[root as usize]));
+    }
 }
 
 /// Is `value` one of the fresh constants invented by [`extract_model`]?

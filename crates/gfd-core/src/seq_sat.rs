@@ -17,7 +17,7 @@ use crate::dependency::DepSet;
 use crate::driver::{run_reason, Goal, ReasonConfig, TerminalEvent};
 use crate::eq::EqRel;
 use crate::error::Conflict;
-use crate::model::extract_model;
+use crate::model::populate_model;
 use gfd_runtime::RunMetrics;
 
 /// The outcome of satisfiability checking.
@@ -106,7 +106,9 @@ pub fn sat_with_config(sigma: &DepSet, cfg: &ReasonConfig) -> SatResult {
             Some(interrupt) => SatOutcome::Unknown(interrupt),
             None => {
                 let mut engine = run.engine.expect("quiescent run produces merged state");
-                SatOutcome::Satisfiable(Box::new(extract_model(&canon.graph, &mut engine.eq)))
+                let mut model = canon.graph;
+                populate_model(&mut model, &mut engine.eq);
+                SatOutcome::Satisfiable(Box::new(model))
             }
         },
     };

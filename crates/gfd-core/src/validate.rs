@@ -49,7 +49,8 @@ pub fn consequence_holds(
     match &gfd.consequence {
         Consequence::Literals(lits) => lits.iter().all(|l| literal_holds(graph, l, m)),
         Consequence::Generate(gen) => {
-            gen.realized(index, m, &mut |lit, asn| literal_holds(graph, lit, asn))
+            let mut attr_ok = |lit: &_, asn: &_| literal_holds(graph, lit, asn);
+            gen.realized(index, m, &mut Vec::new(), &mut attr_ok)
         }
     }
 }

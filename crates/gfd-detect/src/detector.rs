@@ -131,7 +131,10 @@ impl<I: MatchIndex> DetectAction<'_, I> {
             }
             Consequence::Generate(gen) => {
                 let mut attr_ok = |lit: &_, asn: &_| literal_holds(self.graph, lit, asn);
-                (gen.realized(self.index, m, &mut attr_ok), Vec::new())
+                (
+                    gen.realized(self.index, m, &mut Vec::new(), &mut attr_ok),
+                    Vec::new(),
+                )
             }
         };
         if holds {

@@ -8,14 +8,18 @@
 //!   strategy the plan picked;
 //! * a whole `detect` allocates `O(units + violations)`, not
 //!   `O(matches of the rules' patterns)` — the matches the search walks
-//!   through, of which detection is lent only those whose premise holds.
+//!   through, of which detection is lent only those whose premise holds;
+//! * enforcing a Sat run's matches allocates only when one of the
+//!   engine's arenas grows — `O(log matches)`, not one or more per
+//!   pending match.
 //!
 //! `cargo test --release --test alloc_free_match -- --ignored --nocapture`
 //! prints the full-size allocation scoreboard recorded in CHANGES.md.
 
+use gfd::core::{CanonicalGraph, EnforceEngine};
 use gfd::detect::{detect, DetectConfig};
 use gfd::gen::{hub_workload, real_life_workload, Dataset, HubGenConfig};
-use gfd::graph::LabelIndex;
+use gfd::graph::{GfdId, LabelIndex};
 use gfd::matching::{count_matches, HomSearch, IntersectStrategy, MatchPlan, SearchLimits};
 use gfd::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -248,8 +252,60 @@ fn reasoning_unit_costs_no_allocation_of_its_own() {
     );
 }
 
-/// The full-size numbers of CHANGES.md / ROADMAP (parent: 6 570 079 and
-/// 1 120 032 allocations).
+/// Every match of every rule's pattern in `GΣ`, as `(rule, match)` — the
+/// matches a Sat run enforces, in rule order instead of unit order (Σ is
+/// satisfiable, so any order reaches the same fixpoint).
+fn sigma_matches(sigma: &DepSet, canon: &CanonicalGraph) -> Vec<(GfdId, Vec<NodeId>)> {
+    let mut out = Vec::new();
+    for (rule, dep) in sigma.iter() {
+        let plan = MatchPlan::build(&dep.pattern, None, Some(&canon.index));
+        let mut search = HomSearch::new(&canon.graph, &canon.index, &dep.pattern, &plan);
+        search.run(
+            |m| {
+                out.push((rule, m.to_vec()));
+                ControlFlow::Continue(())
+            },
+            SearchLimits::none(),
+        );
+    }
+    out
+}
+
+#[test]
+fn enforcement_allocates_per_arena_growth_not_per_match() {
+    let w = real_life_workload(Dataset::DBpedia, 400, 42, None);
+    let (canon, _) = CanonicalGraph::for_sigma(&w.sigma);
+    let matches = sigma_matches(&w.sigma, &canon);
+    let replay = || {
+        let mut engine = EnforceEngine::new();
+        for (rule, m) in &matches {
+            engine
+                .process_match(&w.sigma, *rule, m)
+                .expect("Σ is satisfiable");
+        }
+        engine
+    };
+    // The first replay warms what the process keeps (the value table).
+    let cold = replay();
+    let (warm, allocs) = allocations_of(replay);
+    assert_eq!(warm.stats, cold.stats);
+    // Each of the engine's dozen growable buffers (relation columns, key
+    // map, watcher arena, pending arena, scratch, log) doubles at most
+    // once per bit of its final length.
+    let bits = u64::from(usize::BITS - warm.eq.key_count().max(matches.len()).leading_zeros());
+    println!(
+        "{} matches, {} pending, {} keys: {allocs} allocations",
+        matches.len(),
+        warm.stats.pending_registered,
+        warm.eq.key_count()
+    );
+    assert!(warm.stats.pending_registered > 500, "{:?}", warm.stats);
+    assert!(allocs <= 12 * bits, "{allocs} allocations, {bits} bits");
+}
+
+/// The full-size numbers of CHANGES.md / ROADMAP (parents: 6 570 079
+/// allocations for `detect`; 1 120 032, later 359 183, for one
+/// `sat_with_config`).
 #[test]
 #[ignore = "full-size scoreboard; run with --release -- --ignored --nocapture"]
 fn allocation_scoreboard() {
@@ -271,7 +327,8 @@ fn allocation_scoreboard() {
         "sat_with_config(DBpedia 4000): {sat_allocs} allocations, satisfiable = {}",
         result.is_satisfiable()
     );
-    // Below the parent by at least the unit prefixes and the matches that
-    // never go pending.
-    assert!(sat_allocs < 1_120_032 - 57_118 - (31_681 - 22_631));
+    // No allocation per pending match, class or watcher is left: what
+    // remains is per unit, per canonical node's attribute row, and the
+    // arenas' growth.
+    assert!(sat_allocs <= 200_000);
 }
