@@ -286,7 +286,7 @@ pub fn consequence_deducible_on<I: MatchIndex>(
 
 /// [`consequence_deducible_on`] ϕ's own `G^X_Q`, under its pre-merge
 /// two-argument signature — alive only because `gfdbench/` calls it;
-/// ROADMAP item 3's benchmark PR deletes it.
+/// ROADMAP [bench] deletes it.
 pub fn consequence_deducible(eq: &mut EqRel, phi: &Dependency) -> bool /* gfdbench-pin */ {
     // Only a generating consequence reads the index.
     let graph = if phi.is_generating() {

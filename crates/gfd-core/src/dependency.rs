@@ -544,11 +544,11 @@ impl fmt::Display for DependencyDisplay<'_> {
 
 /// The pre-merge name of [`Dependency`], alive only because `gfdbench/`
 /// (which a code PR may not edit) imports it.
-pub type Gfd = Dependency; // gfdbench-pin: deleted by ROADMAP item 3's benchmark PR
+pub type Gfd = Dependency; // gfdbench-pin: deleted by ROADMAP [bench]
 
 /// The pre-merge name of [`DepSet`], alive only because `gfdbench/`
 /// imports it.
-pub type GfdSet = DepSet; // gfdbench-pin: deleted by ROADMAP item 3's benchmark PR
+pub type GfdSet = DepSet; // gfdbench-pin: deleted by ROADMAP [bench]
 
 /// A set Σ of dependencies, the input of every analysis. Rules are
 /// identified by their position ([`GfdId`]).
@@ -572,7 +572,7 @@ impl DepSet {
     }
 
     /// The identity — what is left of the pre-merge set conversion, alive
-    /// only because `gfdbench/` calls it; ROADMAP item 3's benchmark PR
+    /// only because `gfdbench/` calls it; ROADMAP [bench]
     /// deletes it.
     pub fn from_gfds(sigma: DepSet) -> Self /* gfdbench-pin */ {
         sigma

@@ -8,25 +8,23 @@
 //! match-action, `ReasonAction`: every match is enforced into a per-worker
 //! [`EnforceEngine`], with
 //!
-//! * **asynchronous `ΔEq` broadcast** — after each TTL slice a worker
-//!   ships the ops recorded since its last broadcast to every peer as one
-//!   shared `Arc<[EqOp]>` payload (a single allocation however many peers
-//!   there are), and drains its own inbox before each unit and when idle;
+//! * **one `ΔEq` log** — append-only. After each TTL slice, and when
+//!   idle, a worker appends the ops it enforced since it last did; before
+//!   each unit, and when idle, it applies the ops its peers appended past
+//!   its cursor;
 //! * **early termination** — a conflict, or for implication a deduced
 //!   consequence, raises the scheduler's stop flag;
-//! * **final convergence** — after quiescence the other workers' op logs
-//!   and unresolved pending matches are replayed into the engine with the
-//!   longest log and the (cheap, match-free) enforcement fixpoint is run.
-//!   This closes the window where a pending premise was satisfied by a
-//!   `ΔEq` that arrived after its worker went idle — required for
-//!   exactness (DESIGN.md §7).
+//! * **catch-up** — after quiescence the calling thread reads the log to
+//!   its end, closing the window where a pending premise was satisfied by
+//!   a `ΔEq` that arrived after its worker went idle. Binds and merges
+//!   commute, so every engine then holds the global fixpoint, with no
+//!   merge (DESIGN.md §4, §7).
 //!
 //! The sequential algorithms are the `workers = 1` instantiation of the
-//! same task: the peer list is empty so broadcast is naturally a no-op,
-//! the single engine already *is* the global fixpoint (nothing to
-//! replay), and the scheduler runs the one worker inline on the calling
-//! thread. Sequential and parallel reasoning therefore cannot drift
-//! semantically — they are the same code path.
+//! same task: there is no peer and no log, the single engine already *is*
+//! the global fixpoint, and the scheduler runs the one worker inline on
+//! the calling thread. Sequential and parallel reasoning therefore cannot
+//! drift semantically — they are the same code path.
 
 use crate::budget::{run_task, Budget};
 use crate::canonical::{build_plans_lazy, consequence_deducible_on, CanonicalGraph};
@@ -36,15 +34,13 @@ use crate::engine::{MatchAction, Members, SearchTask};
 use crate::eq::{EqOp, EqRel};
 use crate::error::Conflict;
 use crate::unit::{generate_units, order_units};
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use gfd_graph::{GfdId, NodeId, Pattern};
 use gfd_match::{Match, MatchPlan};
 use gfd_runtime::{RunMetrics, RunOutcome as SchedOutcome, TraceSpec};
 use parking_lot::Mutex;
 use rustc_hash::FxHashSet;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// What a reasoning run is trying to decide.
@@ -61,7 +57,7 @@ pub enum Goal<'a> {
     Imp(&'a Dependency),
 }
 
-/// A run-ending event raised by a worker or the final convergence phase.
+/// A run-ending event raised by a worker or the catch-up.
 #[derive(Clone, Debug)]
 pub enum TerminalEvent {
     /// Distinct constants forced onto one class (the `f_c` flag).
@@ -161,7 +157,7 @@ impl ReasonConfig {
 pub struct ReasonRun {
     /// Early or final terminal event, if any.
     pub terminal: Option<TerminalEvent>,
-    /// The merged engine after the convergence phase (absent when the run
+    /// Worker 0's engine after the catch-up (absent when the run
     /// terminated early or was degraded by its budget).
     pub engine: Option<EnforceEngine>,
     /// How the scheduler run ended. Anything other than `Completed` /
@@ -172,9 +168,52 @@ pub struct ReasonRun {
     pub metrics: RunMetrics,
 }
 
-/// One `ΔEq` broadcast payload: the ops a worker recorded since its last
-/// broadcast, shared across all peers as a single allocation.
-type DeltaPayload = Arc<[EqOp]>;
+/// The run's one `ΔEq` log: every op any worker enforced, append-only, in
+/// segments of one author each. Workers read it by cursor.
+#[derive(Default)]
+struct DeltaLog {
+    segments: Mutex<Segments>,
+    /// The segment count, published with `Release` after each append. A
+    /// reader whose cursor equals it skips the lock; a stale count only
+    /// delays a read, since the catch-up reads under the lock.
+    published: AtomicUsize,
+}
+
+/// Every op appended, and per segment its author and the end of its ops
+/// in the first `Vec`.
+type Segments = (Vec<EqOp>, Vec<(usize, usize)>);
+
+impl DeltaLog {
+    /// Append `new`, unless it is empty, as one segment written by
+    /// `author`.
+    fn append(&self, author: usize, new: &[EqOp]) {
+        if new.is_empty() {
+            return;
+        }
+        let (ops, ends) = &mut *self.segments.lock();
+        ops.extend_from_slice(new);
+        ends.push((author, ops.len()));
+        self.published.store(ends.len(), Ordering::Release);
+    }
+
+    /// Copy into `into` the ops of the segments past `cursor` that
+    /// `reader` did not write, and move `cursor` to the end.
+    fn read(&self, reader: usize, cursor: &mut usize, into: &mut Vec<EqOp>) {
+        into.clear();
+        if self.published.load(Ordering::Acquire) == *cursor {
+            return;
+        }
+        let (ops, ends) = &*self.segments.lock();
+        let mut start = cursor.checked_sub(1).map_or(0, |last| ends[last].1);
+        for &(author, end) in &ends[*cursor..] {
+            if author != reader {
+                into.extend_from_slice(&ops[start..end]);
+            }
+            start = end;
+        }
+        *cursor = ends.len();
+    }
+}
 
 /// Reasoning's match-action (see [`crate::engine`]): enforce every match
 /// into the worker's [`EnforceEngine`] and keep the peers' relations in
@@ -189,26 +228,27 @@ struct ReasonAction<'a> {
     pipeline: bool,
     eq0: &'a EqRel,
     stop: &'a AtomicBool,
-    /// `ΔEq` broadcast mesh: sender `i` feeds worker `i`'s inbox. Each
-    /// worker takes its receiver out of the slot at startup.
-    delta_txs: Vec<Sender<DeltaPayload>>,
-    delta_rxs: Mutex<Vec<Option<Receiver<DeltaPayload>>>>,
+    /// The `ΔEq` log; `None` at one worker, which has no peer to tell.
+    log: Option<DeltaLog>,
     /// First terminal event raised anywhere in the run.
     terminal: Mutex<Option<TerminalEvent>>,
 }
 
 /// Per-worker reasoning state.
+#[derive(Default)]
 struct ReasonWorker {
     engine: EnforceEngine,
-    rx_delta: Option<Receiver<DeltaPayload>>,
-    tx_peers: Vec<Sender<DeltaPayload>>,
-    broadcast_cursor: usize,
+    /// The worker's id: the author of its log segments.
+    id: usize,
+    /// Log segments already read (or skipped as this worker's own).
+    cursor: usize,
+    /// The foreign ops of the last read, applied outside the log's lock.
+    inbox: Vec<EqOp>,
     last_y_version: u64,
     /// This worker already raised a terminal event; stop doing work.
     done: bool,
     /// The `*np` ablation's matches of the search in progress.
     buffered: Vec<Match>,
-    ops_sent: u64,
 }
 
 impl ReasonWorker {
@@ -219,6 +259,22 @@ impl ReasonWorker {
         } else {
             ControlFlow::Continue(())
         }
+    }
+
+    /// Apply the ops the peers appended past this worker's cursor,
+    /// cascading its pending rechecks.
+    fn read(&mut self, sigma: &DepSet, log: &DeltaLog) -> Result<(), Conflict> {
+        log.read(self.id, &mut self.cursor, &mut self.inbox);
+        self.engine.apply_remote_ops(sigma, &self.inbox)
+    }
+
+    /// Append the ops this worker enforced since it last did, then forget
+    /// them (also when there is no log to append to).
+    fn publish(&mut self, log: Option<&DeltaLog>) {
+        if let Some(log) = log {
+            log.append(self.id, &self.engine.delta);
+        }
+        self.engine.delta.clear();
     }
 }
 
@@ -237,15 +293,13 @@ impl ReasonAction<'_> {
         self.stop.store(true, Ordering::Relaxed);
     }
 
-    /// Apply queued remote deltas (cascading local pending rechecks), then
-    /// re-test the consequence for implication goals.
-    fn apply_inbox(&self, w: &mut ReasonWorker) {
-        if let Some(rx) = &w.rx_delta {
-            while let Ok(ops) = rx.try_recv() {
-                if let Err(c) = w.engine.apply_remote_ops(self.sigma, &ops) {
-                    self.terminal(w, TerminalEvent::Conflict(c));
-                    return;
-                }
+    /// Apply the peers' new ops, then re-test the consequence for
+    /// implication goals.
+    fn read_log(&self, w: &mut ReasonWorker) {
+        if let Some(log) = &self.log {
+            if let Err(c) = w.read(self.sigma, log) {
+                self.terminal(w, TerminalEvent::Conflict(c));
+                return;
             }
         }
         self.check_consequence(w);
@@ -265,25 +319,6 @@ impl ReasonAction<'_> {
         }
     }
 
-    /// Ship ops recorded since the last broadcast to every peer. The
-    /// payload is shared as one `Arc<[EqOp]>`: a single allocation however
-    /// many peers there are.
-    fn broadcast(&self, w: &mut ReasonWorker) {
-        if w.tx_peers.is_empty() {
-            return;
-        }
-        let new = w.engine.delta_since(w.broadcast_cursor);
-        if new.is_empty() {
-            return;
-        }
-        let ops: DeltaPayload = Arc::from(new);
-        w.broadcast_cursor = w.engine.delta_len();
-        w.ops_sent += ops.len() as u64;
-        for tx in &w.tx_peers {
-            let _ = tx.send(Arc::clone(&ops));
-        }
-    }
-
     /// Enforce one match (`HomMatch ∥ CheckAttr`).
     fn enforce(&self, w: &mut ReasonWorker, rule: GfdId, m: &[NodeId]) -> ControlFlow<()> {
         match w.engine.process_match(self.sigma, rule, m) {
@@ -298,23 +333,11 @@ impl<'a> MatchAction<'a> for ReasonAction<'a> {
     type Worker = ReasonWorker;
 
     fn worker(&self, id: usize) -> ReasonWorker {
-        let rx_delta = self.delta_rxs.lock()[id].take();
-        let tx_peers = self
-            .delta_txs
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != id)
-            .map(|(_, tx)| tx.clone())
-            .collect();
+        let engine = EnforceEngine::with_eq(self.eq0.clone());
         ReasonWorker {
-            engine: EnforceEngine::with_eq(self.eq0.clone()),
-            rx_delta,
-            tx_peers,
-            broadcast_cursor: 0,
-            last_y_version: 0,
-            done: false,
-            buffered: Vec::new(),
-            ops_sent: 0,
+            engine,
+            id,
+            ..ReasonWorker::default()
         }
     }
 
@@ -327,7 +350,7 @@ impl<'a> MatchAction<'a> for ReasonAction<'a> {
 
     fn before_unit(&self, w: &mut ReasonWorker) -> ControlFlow<()> {
         w.proceed()?;
-        self.apply_inbox(w);
+        self.read_log(w);
         w.proceed()
     }
 
@@ -346,7 +369,7 @@ impl<'a> MatchAction<'a> for ReasonAction<'a> {
         }
     }
 
-    /// Broadcast between TTL periods, so long units still propagate their
+    /// Publish between TTL periods, so long units still propagate their
     /// enforcements promptly, and at the end of the search — where `*np`
     /// first enforces what it buffered.
     fn after_slice(&self, w: &mut ReasonWorker, rule: GfdId, last: bool) {
@@ -357,11 +380,14 @@ impl<'a> MatchAction<'a> for ReasonAction<'a> {
                 }
             }
         }
-        self.broadcast(w);
+        w.publish(self.log.as_ref());
     }
 
+    /// Read, then publish what the read's cascades enforced: the peers
+    /// hear it now rather than in the catch-up.
     fn on_idle(&self, w: &mut ReasonWorker) {
-        self.apply_inbox(w);
+        self.read_log(w);
+        w.publish(self.log.as_ref());
     }
 }
 
@@ -412,13 +438,6 @@ pub fn run_reason(
     }
 
     let stop = AtomicBool::new(false);
-    let mut delta_txs = Vec::with_capacity(p);
-    let mut delta_rxs = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (tx, rx) = unbounded::<DeltaPayload>();
-        delta_txs.push(tx);
-        delta_rxs.push(Some(rx));
-    }
     let task = SearchTask {
         graph: &canon.graph,
         index: &canon.index,
@@ -432,43 +451,49 @@ pub fn run_reason(
             pipeline: cfg.pipeline,
             eq0: &eq0,
             stop: &stop,
-            delta_txs,
-            delta_rxs: Mutex::new(delta_rxs),
+            log: (p > 1).then(DeltaLog::default),
             terminal: Mutex::new(None),
         },
     };
 
     let run = run_task(&task, units, p, &stop, &cfg.budget, cfg.trace, &mut metrics);
-    let mut engines: Vec<EnforceEngine> = Vec::with_capacity(run.workers.len());
+    let mut workers: Vec<ReasonWorker> = Vec::with_capacity(run.workers.len());
     for w in run.workers {
         metrics.matches += w.matches;
-        metrics.delta_ops_broadcast += w.state.ops_sent;
         metrics.pending += w.state.engine.stats.pending_registered;
         metrics.rechecks += w.state.engine.stats.rechecks;
-        engines.push(w.state.engine);
+        workers.push(w.state);
     }
 
-    let mut terminal = task.action.terminal.into_inner();
+    let ReasonAction { log, terminal, .. } = task.action;
+    let mut terminal = terminal.into_inner();
     metrics.early_terminated = terminal.is_some();
 
     // A degraded run (deadline, unit budget, panic abort) did not reach
-    // the fixpoint: its merged state must never be read as a model. Any
+    // the fixpoint: its caught-up state must never be read as a model. Any
     // terminal event found on the way — enforcement is monotone, so a
     // conflict derived from partial work is still definitive — survives.
     let mut engine = None;
-    if terminal.is_none() && !engines.is_empty() {
-        match converge(sigma, engines) {
+    if terminal.is_none() && !workers.is_empty() {
+        let caught_up = log
+            .as_ref()
+            .map_or(Ok(()), |log| catch_up(sigma, log, &mut workers));
+        match caught_up {
             Err(c) => terminal = Some(TerminalEvent::Conflict(c)),
-            Ok(mut merged) => {
+            Ok(()) => {
+                let mut first = workers.swap_remove(0).engine;
                 let deduced = matches!(goal, Goal::Imp(phi)
-                    if consequence_deducible_on(&mut merged.eq, &canon.index, phi));
+                    if consequence_deducible_on(&mut first.eq, &canon.index, phi));
                 if deduced {
                     terminal = Some(TerminalEvent::Consequence);
                 } else if run.interrupt.is_none() {
-                    engine = Some(merged);
+                    engine = Some(first);
                 }
             }
         }
+    }
+    if let Some(log) = log {
+        metrics.delta_ops_broadcast = log.segments.into_inner().0.len() as u64;
     }
 
     cfg.budget.stamp(start, &mut metrics);
@@ -480,41 +505,38 @@ pub fn run_reason(
     }
 }
 
-/// The final convergence phase: fold the workers' engines into one that
-/// holds every op and every unresolved pending match, at its fixpoint —
-/// any enforcement that any interleaving could have produced is
-/// reproduced here (DESIGN.md §7).
-///
-/// The merge is seeded with the engine holding the longest log, not a
-/// fresh one: that engine's own ops are applied and its own pendings
-/// registered with live watchers already, so only the *other* engines'
-/// logs and unresolved pendings are replayed into it. Ops are idempotent,
-/// and a replayed op wakes the seed's pendings exactly as a remote `ΔEq`
-/// does mid-run. A lone engine (one worker, no peers) already is the
-/// global fixpoint and comes back as it is.
-fn converge(sigma: &DepSet, mut engines: Vec<EnforceEngine>) -> Result<EnforceEngine, Conflict> {
-    let longest = (0..engines.len())
-        .max_by_key(|&i| engines[i].delta_len())
-        .expect("one engine per worker");
-    let mut merged = engines.remove(longest);
-    for engine in &engines {
-        merged.apply_remote_ops(sigma, engine.delta_since(0))?;
+/// Read the log to its end once the workers are joined: each engine in
+/// turn applies the foreign ops past its cursor, cascading its own
+/// pendings, and appends what that enforced, until a whole pass appends
+/// nothing. Every engine then holds the global fixpoint (DESIGN.md §4).
+fn catch_up(sigma: &DepSet, log: &DeltaLog, workers: &mut [ReasonWorker]) -> Result<(), Conflict> {
+    // One thread, after the join: the count needs no ordering.
+    loop {
+        let before = log.published.load(Ordering::Relaxed);
+        for w in workers.iter_mut() {
+            w.read(sigma, log)?;
+            w.publish(Some(log));
+        }
+        if log.published.load(Ordering::Relaxed) == before {
+            return Ok(());
+        }
     }
-    for (gfd, m) in engines.iter().flat_map(EnforceEngine::unresolved) {
-        merged.process_match(sigma, gfd, m)?;
-    }
-    Ok(merged)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eq::tests::materialized_classes;
+    use crate::error::AttrKey;
     use crate::literal::Literal;
     use gfd_graph::{AttrId, ValueId, VarId, Vocab};
+    use proptest::prelude::*;
 
-    /// Rules over a one-node pattern, so every match is `[n0]`:
-    /// `premise attr = 1 → consequence attr = value`.
+    /// Matches dealt to workers: per worker, `(rule, node)` pairs of
+    /// one-node rules, so each match is `[node]`.
+    type Dealt = [Vec<(GfdId, NodeId)>];
+
+    /// Rules over a one-node pattern `x`.
     struct Fixture {
         sigma: DepSet,
         vocab: Vocab,
@@ -528,19 +550,20 @@ mod tests {
             }
         }
 
+        /// `premise attr = 1 → consequence attr = value`.
         fn rule(&mut self, premise: Option<&str>, consequence: &str, value: i64) -> GfdId {
             let x = VarId::new(0);
+            let premise = premise.map(|a| Literal::eq_const(x, self.attr(a), 1i64));
+            let consequence = Literal::eq_const(x, self.attr(consequence), value);
+            self.push(premise.into_iter().collect(), consequence)
+        }
+
+        fn push(&mut self, premise: Vec<Literal>, consequence: Literal) -> GfdId {
             let mut p = Pattern::new();
             p.add_node(self.vocab.label("t"), "x");
-            let premise = premise.map(|a| Literal::eq_const(x, self.vocab.attr(a), 1i64));
-            let consequence = vec![Literal::eq_const(x, self.vocab.attr(consequence), value)];
             let name = format!("g{}", self.sigma.len());
-            self.sigma.push(Dependency::new(
-                name,
-                p,
-                premise.into_iter().collect(),
-                consequence,
-            ))
+            self.sigma
+                .push(Dependency::new(name, p, premise, vec![consequence]))
         }
 
         fn attr(&mut self, name: &str) -> AttrId {
@@ -548,27 +571,44 @@ mod tests {
         }
     }
 
-    /// A worker's engine after it processed `rules` at `[n0]`, in order,
-    /// having heard nothing from its peers.
-    fn worker(sigma: &DepSet, rules: &[GfdId]) -> EnforceEngine {
-        let mut engine = EnforceEngine::new();
-        for &g in rules {
-            engine.process_match(sigma, g, &[NodeId::new(0)]).unwrap();
-        }
-        engine
+    /// The relation's materialized classes with their members sorted: what
+    /// two relations holding the same ops share, whatever order the ops
+    /// arrived in (slot order follows that history).
+    fn relation(eq: &mut EqRel) -> Vec<(Option<ValueId>, Vec<AttrKey>)> {
+        let mut classes = materialized_classes(eq);
+        classes.iter_mut().for_each(|(_, members)| members.sort());
+        classes
     }
 
-    /// The convergence phase before the merge was seeded, as it was: every
-    /// log, then every unresolved pending, replayed into a fresh engine.
-    fn fresh_replay(
-        sigma: &DepSet,
-        engines: Vec<EnforceEngine>,
-    ) -> Result<EnforceEngine, Conflict> {
-        let mut engine = EnforceEngine::new();
-        for peer in &engines {
-            engine.apply_remote_ops(sigma, peer.delta_since(0))?;
+    /// Worker `id` after it processed `matches` in order, having heard
+    /// nothing from its peers and published nothing.
+    fn worker(id: usize, sigma: &DepSet, matches: &[(GfdId, NodeId)]) -> ReasonWorker {
+        let mut w = ReasonWorker {
+            id,
+            ..ReasonWorker::default()
+        };
+        for &(g, n) in matches {
+            w.engine.process_match(sigma, g, &[n]).unwrap();
         }
-        for peer in &engines {
+        w
+    }
+
+    /// The convergence oracle, sharing nothing with the log: each worker's
+    /// matches processed alone, keeping every op it enforced; then, in a
+    /// fresh engine, every worker's ops, then every worker's unresolved
+    /// pending matches.
+    fn fresh_replay(sigma: &DepSet, dealt: &Dealt) -> Result<EnforceEngine, Conflict> {
+        let mut engine = EnforceEngine::new();
+        let mut peers = Vec::new();
+        for matches in dealt {
+            let mut peer = EnforceEngine::new();
+            for &(g, n) in matches {
+                peer.process_match(sigma, g, &[n])?;
+            }
+            engine.apply_remote_ops(sigma, &peer.delta)?;
+            peers.push(peer);
+        }
+        for peer in &peers {
             for (gfd, m) in peer.unresolved() {
                 engine.process_match(sigma, gfd, m)?;
             }
@@ -579,56 +619,159 @@ mod tests {
     /// The in-flight `ΔEq` window of DESIGN.md §4, two hops deep: worker
     /// 0's pending `a=1 → b=1` waits on an op only worker 1 holds, and
     /// worker 1's pending `b=1 → c=1` waits on what that recheck enforces.
-    /// `pad` lengthens worker 0's log so that it, not worker 1, is the
-    /// seed: whichever engine seeds the merge, it reaches the relation the
-    /// fresh-engine replay reaches.
+    /// Whichever engine comes first in a catch-up pass, both reach the
+    /// relation the fresh replay reaches.
     #[test]
-    fn seeded_merge_closes_a_two_hop_window_from_either_seed() {
-        for pad in [false, true] {
-            let mut f = Fixture::new();
-            let a_to_b = f.rule(Some("a"), "b", 1);
-            let b_to_c = f.rule(Some("b"), "c", 1);
-            let seed_a = f.rule(None, "a", 1);
-            let pads = [f.rule(None, "d", 1), f.rule(None, "e", 1)];
-            let mut w0 = vec![a_to_b];
-            w0.extend(pads.iter().filter(|_| pad));
-            let engines = || vec![worker(&f.sigma, &w0), worker(&f.sigma, &[seed_a, b_to_c])];
-            assert_eq!(engines()[0].delta_len() > engines()[1].delta_len(), pad);
-            assert!(engines().iter().all(|e| e.pending_count() == 1));
-
-            let mut merged = converge(&f.sigma, engines()).unwrap();
-            let mut expect = fresh_replay(&f.sigma, engines()).unwrap();
-            let c = (NodeId::new(0), f.attr("c"));
-            assert!(merged.eq.deduces_const(c, ValueId::of(1i64)), "pad={pad}");
-            assert_eq!(merged.pending_count(), 0, "pad={pad}");
-            assert_eq!(
-                materialized_classes(&mut merged.eq),
-                materialized_classes(&mut expect.eq),
-                "pad={pad}"
-            );
+    fn catch_up_closes_a_two_hop_window_from_either_engine_first() {
+        let mut f = Fixture::new();
+        let a_to_b = f.rule(Some("a"), "b", 1);
+        let b_to_c = f.rule(Some("b"), "c", 1);
+        let seed_a = f.rule(None, "a", 1);
+        let n0 = NodeId::new(0);
+        let dealt = [vec![(a_to_b, n0)], vec![(seed_a, n0), (b_to_c, n0)]];
+        let mut expect = fresh_replay(&f.sigma, &dealt).unwrap();
+        let expect = relation(&mut expect.eq);
+        let c = (n0, f.attr("c"));
+        for first in 0..2 {
+            let mut workers: Vec<ReasonWorker> = (dealt.iter().enumerate())
+                .map(|(id, matches)| worker(id, &f.sigma, matches))
+                .collect();
+            assert!(workers.iter().all(|w| w.engine.pending_count() == 1));
+            workers.rotate_left(first);
+            catch_up(&f.sigma, &DeltaLog::default(), &mut workers).unwrap();
+            for w in &mut workers {
+                assert!(
+                    w.engine.eq.deduces_const(c, ValueId::of(1i64)),
+                    "first={first}"
+                );
+                assert_eq!(w.engine.pending_count(), 0, "first={first}");
+                assert_eq!(relation(&mut w.engine.eq), expect, "first={first}");
+            }
         }
     }
 
     /// A conflict no worker saw: worker 0 bound `b = 2` and parked
-    /// `a=1 → b=1`; worker 1 bound `a = 1`. Only the merge brings the two
-    /// together, and the conflict names the rule that fired.
+    /// `a=1 → b=1`; worker 1 bound `a = 1`. Only the catch-up brings the
+    /// two together — whichever engine comes first in a pass — and the
+    /// conflict names the rule that fired.
     #[test]
-    fn merge_only_conflict_is_attributed_to_its_rule() {
-        for pad in [false, true] {
+    fn catch_up_conflict_is_attributed_to_its_rule() {
+        let mut f = Fixture::new();
+        let a_to_b = f.rule(Some("a"), "b", 1);
+        let b_is_2 = f.rule(None, "b", 2);
+        let a_is_1 = f.rule(None, "a", 1);
+        let n0 = NodeId::new(0);
+        let dealt = [vec![(a_to_b, n0), (b_is_2, n0)], vec![(a_is_1, n0)]];
+        assert!(fresh_replay(&f.sigma, &dealt).is_err());
+        for first in 0..2 {
+            let mut workers: Vec<ReasonWorker> = (dealt.iter().enumerate())
+                .map(|(id, matches)| worker(id, &f.sigma, matches))
+                .collect();
+            workers.rotate_left(first);
+            let conflict = catch_up(&f.sigma, &DeltaLog::default(), &mut workers).unwrap_err();
+            assert_eq!(conflict.gfd, Some(a_to_b), "first={first}");
+            assert_eq!(conflict.key, (n0, f.attr("b")));
+        }
+    }
+
+    /// A literal over the variable of a one-node rule, on attributes
+    /// `a0..a2`: `x.aI = v` or `x.aI = x.aJ`.
+    #[derive(Clone, Debug)]
+    enum Lit {
+        Const(usize, i64),
+        Attr(usize, usize),
+    }
+
+    impl Lit {
+        fn literal(&self, f: &mut Fixture) -> Literal {
+            let x = VarId::new(0);
+            let mut attr = |i: usize| f.attr(&format!("a{i}"));
+            match *self {
+                Lit::Const(a, v) => Literal::eq_const(x, attr(a), v),
+                Lit::Attr(a, b) => Literal::eq_attr(x, attr(a), x, attr(b)),
+            }
+        }
+    }
+
+    fn arb_lit() -> impl Strategy<Value = Lit> {
+        prop_oneof![
+            (0..3usize, 0..2i64).prop_map(|(a, v)| Lit::Const(a, v)),
+            (0..3usize, 0..3usize).prop_map(|(a, b)| Lit::Attr(a, b)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random one-node rules, their matches dealt to 2–4 workers, and
+        /// a random schedule of the workers' run: process a match, publish,
+        /// read. Then each worker processes the rest of its matches, so
+        /// some ops are in flight at quiescence. After the catch-up every
+        /// engine's relation is the fresh replay's, and a conflict — raised
+        /// mid-run or in the catch-up — is reported exactly when the fresh
+        /// replay reports one.
+        #[test]
+        fn catch_up_reaches_the_fresh_replay(
+            rules in proptest::collection::vec(
+                (proptest::collection::vec(arb_lit(), 0..3), arb_lit()),
+                1..6,
+            ),
+            matches in proptest::collection::vec((0..6usize, 0..2usize, 0..4usize), 0..16),
+            engines in 2..5usize,
+            steps in proptest::collection::vec((0..4usize, 0..3u8), 0..40),
+        ) {
             let mut f = Fixture::new();
-            let a_to_b = f.rule(Some("a"), "b", 1);
-            let b_is_2 = f.rule(None, "b", 2);
-            let a_is_1 = f.rule(None, "a", 1);
-            let pads = [f.rule(None, "d", 1), f.rule(None, "e", 1)];
-            let mut w0 = vec![a_to_b, b_is_2];
-            w0.extend(pads.iter().filter(|_| pad));
-            let engines = vec![worker(&f.sigma, &w0), worker(&f.sigma, &[a_is_1])];
-            // Worker 0's log is the longer one exactly when padded (a tie
-            // goes to the later engine).
-            assert_eq!(engines[0].delta_len() > engines[1].delta_len(), pad);
-            let conflict = converge(&f.sigma, engines).unwrap_err();
-            assert_eq!(conflict.gfd, Some(a_to_b), "pad={pad}");
-            assert_eq!(conflict.key, (NodeId::new(0), f.attr("b")));
+            let ids: Vec<GfdId> = (rules.iter())
+                .map(|(premise, consequence)| {
+                    let premise = premise.iter().map(|l| l.literal(&mut f)).collect();
+                    let consequence = consequence.literal(&mut f);
+                    f.push(premise, consequence)
+                })
+                .collect();
+            let mut dealt = vec![Vec::new(); engines];
+            for (r, n, e) in matches {
+                dealt[e % engines].push((ids[r % ids.len()], NodeId::new(n)));
+            }
+            let expect = fresh_replay(&f.sigma, &dealt);
+
+            let log = DeltaLog::default();
+            let mut workers: Vec<ReasonWorker> = (0..engines)
+                .map(|id| ReasonWorker { id, ..ReasonWorker::default() })
+                .collect();
+            let mut next = vec![0; engines];
+            let rest = (0..engines).flat_map(|e| std::iter::repeat_n((e, 0), dealt[e].len()));
+            let schedule = steps.iter().map(|&(e, kind)| (e % engines, kind)).chain(rest);
+            let run = || -> Result<(), Conflict> {
+                for (e, kind) in schedule {
+                    let w = &mut workers[e];
+                    match kind {
+                        0 => {
+                            if let Some(&(g, n)) = dealt[e].get(next[e]) {
+                                next[e] += 1;
+                                w.engine.process_match(&f.sigma, g, &[n])?;
+                            }
+                        }
+                        1 => w.publish(Some(&log)),
+                        _ => w.read(&f.sigma, &log)?,
+                    }
+                }
+                catch_up(&f.sigma, &log, &mut workers)
+            };
+            match (run(), expect) {
+                (Ok(()), Ok(mut expect)) => {
+                    let expect = relation(&mut expect.eq);
+                    for w in &mut workers {
+                        prop_assert_eq!(relation(&mut w.engine.eq), expect.clone());
+                    }
+                }
+                (Err(_), Err(_)) => {}
+                (run, expect) => prop_assert!(
+                    false,
+                    "catch-up conflict {:?}, fresh replay conflict {:?}",
+                    run.err(),
+                    expect.err()
+                ),
+            }
         }
     }
 }

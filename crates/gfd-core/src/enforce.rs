@@ -5,8 +5,8 @@
 //! 1. evaluates the premise `X` against the current equivalence relation
 //!    (satisfied / permanently falsified / pending);
 //! 2. enforces the consequence `Y` with the two expansion rules (constant
-//!    binding, attribute merging), recording the resulting [`EqOp`]s in a
-//!    delta log (what parallel workers broadcast);
+//!    binding, attribute merging), keeping the resulting [`EqOp`]s until
+//!    the driver appends them to its `ΔEq` log;
 //! 3. keeps the paper's *inverted index*: matches whose premise is pending
 //!    are registered as watchers on the attributes they wait for, and are
 //!    rechecked (cascaded) when those attributes are instantiated or
@@ -109,14 +109,10 @@ impl PendingEntry {
 /// Counters exposed for benchmarks and the paper's ablation studies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Matches handed to [`EnforceEngine::process_match`].
-    pub matches_processed: u64,
     /// Matches that entered the pending (inverted) index.
     pub pending_registered: u64,
     /// Pending rechecks triggered by attribute instantiation.
     pub rechecks: u64,
-    /// Ops applied from remote deltas.
-    pub remote_ops_applied: u64,
 }
 
 /// The enforcement engine over one canonical graph. Its state lives in
@@ -132,7 +128,9 @@ pub struct EnforceEngine {
     matches: Vec<NodeId>,
     /// [`eval_premise`]'s scratch: the keys the last pending premise waits on.
     waiting: Vec<AttrKey>,
-    delta: Vec<EqOp>,
+    /// The ops enforced since the driver last appended them to its `ΔEq`
+    /// log.
+    pub(crate) delta: Vec<EqOp>,
     /// Statistics counters.
     pub stats: EngineStats,
 }
@@ -152,27 +150,6 @@ impl EnforceEngine {
         }
     }
 
-    /// Number of ops recorded so far (cursor base for delta extraction).
-    pub fn delta_len(&self) -> usize {
-        self.delta.len()
-    }
-
-    /// The ops recorded at positions `from..`.
-    pub fn delta_since(&self, from: usize) -> &[EqOp] {
-        &self.delta[from..]
-    }
-
-    /// Number of unresolved pending matches.
-    pub fn pending_count(&self) -> usize {
-        self.pending.iter().filter(|p| !p.resolved).count()
-    }
-
-    /// The unresolved pending matches, in registration order, read in
-    /// place — what the final convergence phase replays from a peer.
-    pub fn unresolved(&self) -> impl Iterator<Item = (GfdId, &[NodeId])> + '_ {
-        (self.pending.iter().filter(|p| !p.resolved)).map(|p| (p.rule, p.m(&self.matches)))
-    }
-
     /// Process one match of `gfd` (identified by `id` within `sigma`):
     /// evaluate the premise, enforce or register, then cascade rechecks.
     /// The match is only borrowed — typically lent by the matcher — and
@@ -183,7 +160,6 @@ impl EnforceEngine {
         id: GfdId,
         m: &[NodeId],
     ) -> Result<(), Conflict> {
-        self.stats.matches_processed += 1;
         let gfd = &sigma[id];
         match eval_premise(&mut self.eq, &gfd.premise, m, &mut self.waiting) {
             PremiseStatus::Falsified => Ok(()),
@@ -252,7 +228,6 @@ impl EnforceEngine {
     pub fn apply_remote_ops(&mut self, sigma: &DepSet, ops: &[EqOp]) -> Result<(), Conflict> {
         for op in ops {
             self.eq.apply_op(op)?;
-            self.stats.remote_ops_applied += 1;
         }
         self.cascade(sigma)
     }
@@ -289,6 +264,19 @@ mod tests {
     use crate::literal::Literal;
     use gfd_graph::{NodeId, Pattern, ValueId, VarId, Vocab};
 
+    impl EnforceEngine {
+        /// Number of unresolved pending matches.
+        pub(crate) fn pending_count(&self) -> usize {
+            self.pending.iter().filter(|p| !p.resolved).count()
+        }
+
+        /// The unresolved pending matches, in registration order, read in
+        /// place — what the convergence oracle (`driver` tests) replays.
+        pub(crate) fn unresolved(&self) -> impl Iterator<Item = (GfdId, &[NodeId])> + '_ {
+            (self.pending.iter().filter(|p| !p.resolved)).map(|p| (p.rule, p.m(&self.matches)))
+        }
+    }
+
     /// One-variable pattern; the canonical graph is a single node, matches
     /// are trivial.
     fn unary_gfd(
@@ -319,8 +307,10 @@ mod tests {
         let mut e = EnforceEngine::new();
         e.process_match(&sigma, GfdId::new(0), &m0()).unwrap();
         assert!(e.eq.deduces_const((NodeId::new(0), a), ValueId::of(1)));
-        assert_eq!(e.delta_len(), 1);
-        assert_eq!(e.stats.matches_processed, 1);
+        assert_eq!(
+            e.delta,
+            vec![EqOp::Bind((NodeId::new(0), a), ValueId::of(1i64))]
+        );
     }
 
     #[test]
@@ -577,19 +567,18 @@ mod tests {
         let mut e = EnforceEngine::new();
         e.process_match(&sigma, GfdId::new(0), &m0()).unwrap();
         assert_eq!(e.pending_count(), 1);
+        assert!(e.delta.is_empty());
         // A "remote" worker bound a=1.
-        let base = e.delta_len();
         e.apply_remote_ops(
             &sigma,
             &[EqOp::Bind((NodeId::new(0), a), ValueId::of(1i64))],
         )
         .unwrap();
         assert!(e.eq.deduces_const((NodeId::new(0), b), ValueId::of(1)));
-        // The local consequence (b=1) is recorded for further broadcast,
-        // the remote op itself is not re-recorded.
-        let newly: Vec<_> = e.delta_since(base).to_vec();
+        // The local consequence (b=1) is kept for the log; the remote op
+        // itself is not re-recorded.
         assert_eq!(
-            newly,
+            e.delta,
             vec![EqOp::Bind((NodeId::new(0), b), ValueId::of(1i64))]
         );
     }
@@ -608,7 +597,7 @@ mod tests {
         )]);
         let mut e = EnforceEngine::new();
         e.process_match(&sigma, GfdId::new(0), &m0()).unwrap();
-        assert_eq!(e.delta_len(), 0);
+        assert!(e.delta.is_empty());
         let pending: Vec<_> = e.unresolved().collect();
         assert_eq!(pending, vec![(GfdId::new(0), &m0()[..])]);
     }

@@ -14,8 +14,8 @@
 //!   inverted index) that must be rechecked when the class gains a constant
 //!   or is merged — and the queue of woken ones, as linked lists threaded
 //!   through one arena;
-//! * a monotone *op log* ([`EqOp`]) replayable on another copy — exactly
-//!   what the parallel workers broadcast as `ΔEq`.
+//! * monotone *ops* ([`EqOp`]) replayable on another copy, in any order —
+//!   what the parallel workers share as `ΔEq`.
 
 use crate::error::{AttrKey, Conflict};
 use gfd_graph::ValueId;
@@ -24,8 +24,6 @@ use rustc_hash::FxHashMap;
 /// A monotone update to an [`EqRel`], replayable on any other copy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EqOp {
-    /// Ensure the class `[key]` exists (attribute added without a value).
-    Ensure(AttrKey),
     /// Bind constant `value` to the class of `key`.
     Bind(AttrKey, ValueId),
     /// Merge the classes of the two keys.
@@ -332,7 +330,6 @@ impl EqRel {
     /// relation changed.
     pub fn apply_op(&mut self, op: &EqOp) -> Result<bool, Conflict> {
         match op {
-            EqOp::Ensure(k) => Ok(self.ensure(*k).1),
             EqOp::Bind(k, v) => self.bind(*k, *v),
             EqOp::Merge(k1, k2) => self.merge(*k1, *k2),
         }
@@ -494,7 +491,6 @@ pub(crate) mod tests {
     fn op_replay_reproduces_state() {
         let mut a = EqRel::new();
         let ops = vec![
-            EqOp::Ensure(k(0, 0)),
             EqOp::Bind(k(1, 1), ValueId::of(9)),
             EqOp::Merge(k(1, 1), k(2, 2)),
             EqOp::Merge(k(0, 0), k(3, 3)),

@@ -11,8 +11,8 @@ use std::time::Duration;
 /// `ParSat`/`ParImp`, or a detection pass).
 #[derive(Clone, Debug, Default)]
 pub struct RunMetrics {
-    /// Wall-clock time of the whole run (including setup and the final
-    /// convergence phase).
+    /// Wall-clock time of the whole run (including setup and the
+    /// reasoning driver's catch-up).
     pub elapsed: Duration,
     /// Number of workers used.
     pub workers: usize,
@@ -33,7 +33,7 @@ pub struct RunMetrics {
     pub pending: u64,
     /// Pending re-checks triggered by attribute instantiation.
     pub rechecks: u64,
-    /// ΔEq ops broadcast between workers.
+    /// ΔEq ops the workers shared through the reasoning driver's log.
     pub delta_ops_broadcast: u64,
     /// Unit executions that panicked and were caught by the scheduler's
     /// isolation envelope.

@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 
 /// How units travel from the queues to the workers: one topology, so one
 /// variant. The type (and [`run_scheduler_with`], which takes one) stays
-/// only because `gfdbench/` names it — ROADMAP item 3's benchmark PR
+/// only because `gfdbench/` names it — ROADMAP [bench]
 /// removes both.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DispatchMode /* gfdbench-pin */ {
@@ -548,7 +548,7 @@ fn worker_loop<T: Task>(task: &T, shared: &Shared<'_, T::Unit>, id: usize) -> Wo
 }
 
 /// [`run_scheduler`] with the ignored mode argument `gfdbench/` still
-/// passes; ROADMAP item 3's benchmark PR deletes it.
+/// passes; ROADMAP [bench] deletes it.
 pub fn run_scheduler_with<T: Task>(
     task: &T,
     seed: Vec<T::Unit>,

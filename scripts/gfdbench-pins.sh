@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Names kept alive only because gfdbench/ — which a code PR may not edit —
-# imports them. Each is a shim the benchmark PR of ROADMAP item 3 deletes;
+# imports them. Each is a shim ROADMAP [bench] deletes;
 # until then it must not regain callers.
 #
 # Rule: every whole-word occurrence of a pinned name under crates/ src/

@@ -9,6 +9,11 @@
 # or gfdbench/Cargo.toml. The root's `[workspace.dependencies]` table only
 # declares where a crate lives and does not count.
 #
+# A declared dependency counts even when no code links it. One such crate
+# is kept on purpose: crossbeam-channel, which gfd-core declares but no
+# code calls, stays until ROADMAP [bench] may rewrite gfdbench/Cargo.lock,
+# which lists it.
+#
 # Prints one line per vendored crate and fails when one has no user.
 set -euo pipefail
 cd "$(dirname "$0")/.."

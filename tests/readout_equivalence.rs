@@ -8,9 +8,11 @@
 //! workers' interleaving moves.
 
 use gfd::core::model::is_fresh_id;
-use gfd::core::{sat_with_config, ReasonConfig};
-use gfd::gen::{real_life_workload, Dataset};
-use gfd::graph::{AttrId, Graph, LabelId, NodeId, ValueId};
+use gfd::core::{sat_with_config, DepSet, Dependency, Literal, ReasonConfig, SatOutcome};
+use gfd::gen::{real_life_workload, Dataset, Workload};
+use gfd::graph::{AttrId, Graph, LabelId, NodeId, Pattern, ValueId, VarId};
+use gfd::runtime::RunMetrics;
+use std::time::Duration;
 
 type Attrs = Vec<(NodeId, AttrId, ValueId)>;
 
@@ -24,29 +26,100 @@ fn attrs(g: &Graph) -> Attrs {
         .collect()
 }
 
+/// The model `sat_with_config` reads out under `cfg`, and the run's
+/// counters.
+fn model(sigma: &DepSet, cfg: &ReasonConfig) -> (Graph, RunMetrics) {
+    let result = sat_with_config(sigma, cfg);
+    match result.outcome {
+        SatOutcome::Satisfiable(model) => (*model, result.stats),
+        other => panic!("{} workers: {other:?}", cfg.workers),
+    }
+}
+
 #[test]
 fn the_model_is_the_same_at_every_worker_count() {
     for seed in [7u64, 42] {
         let w = real_life_workload(Dataset::DBpedia, 400, seed, None);
-        let model = |workers: usize| -> Graph {
-            let result = sat_with_config(&w.sigma, &ReasonConfig::with_workers(workers));
-            *match result.outcome {
-                gfd::core::SatOutcome::Satisfiable(model) => model,
-                other => panic!("seed {seed}, {workers} workers: {other:?}"),
-            }
-        };
-        let base = model(1);
+        let base = model(&w.sigma, &ReasonConfig::with_workers(1)).0;
         assert!(gfd::graph_satisfies_all(&base, &w.sigma), "seed {seed}");
         let base_attrs = attrs(&base);
         assert!(base_attrs.iter().any(|&(_, _, v)| is_fresh_id(v)));
         assert!(base_attrs.iter().any(|&(_, _, v)| !is_fresh_id(v)));
         for workers in [1usize, 2, 8] {
-            let other = model(workers);
+            let other = model(&w.sigma, &ReasonConfig::with_workers(workers)).0;
             assert_eq!(structure(&other), structure(&base), "seed {seed}");
             assert_eq!(
                 attrs(&other),
                 base_attrs,
                 "seed {seed}: the model at {workers} workers differs from the one at 1"
+            );
+        }
+    }
+}
+
+/// `w`'s Σ plus a straggler: a hub rule whose one unit outlives a zero
+/// TTL (six spokes each way, so 6^6 matches pivoted at the hub) and
+/// merges `k` over hub and spokes, and a spoke rule whose premise waits
+/// on those merges.
+fn with_straggler(w: &mut Workload) -> DepSet {
+    let (hub, link) = (w.vocab.label("hub"), w.vocab.label("link"));
+    let (k, mark) = (w.vocab.attr("k"), w.vocab.attr("mark"));
+    let (x, y) = (VarId::new(0), VarId::new(1));
+    let mut fat = Pattern::new();
+    let center = fat.add_node(hub, "x");
+    for i in 0..6 {
+        let leaf = fat.add_node(hub, format!("y{i}"));
+        fat.add_edge(center, link, leaf);
+        fat.add_edge(leaf, link, center);
+    }
+    let mut spoke = Pattern::new();
+    let (from, to) = (spoke.add_node(hub, "x"), spoke.add_node(hub, "y"));
+    spoke.add_edge(from, link, to);
+    let mut sigma = w.sigma.clone();
+    sigma.push(Dependency::new(
+        "fat",
+        fat,
+        vec![],
+        vec![Literal::eq_attr(x, k, y, k)],
+    ));
+    sigma.push(Dependency::new(
+        "spoke",
+        spoke,
+        vec![Literal::eq_attr(x, k, y, k)],
+        vec![Literal::eq_const(y, mark, 1i64)],
+    ));
+    sigma
+}
+
+/// A zero TTL splits the units that outlive it, so workers go idle while
+/// their peers' splits still enforce and ops can be in flight when the
+/// run goes quiet. The model is still the one a single worker reads out,
+/// run after run. (The catch-up's own oracle tests are in `gfd-core`'s
+/// driver: idle workers publish, so here it rarely has work left.)
+#[test]
+fn ops_in_flight_at_quiescence_leave_the_model_unchanged() {
+    let mut w = real_life_workload(Dataset::DBpedia, 400, 42, None);
+    let sigma = with_straggler(&mut w);
+    let base = model(&sigma, &ReasonConfig::with_workers(1)).0;
+    assert!(gfd::graph_satisfies_all(&base, &sigma));
+    let base_attrs = attrs(&base);
+    for workers in [2usize, 8] {
+        let cfg = ReasonConfig::with_workers(workers).with_ttl(Duration::ZERO);
+        for run in 0..5 {
+            let (other, stats) = model(&sigma, &cfg);
+            assert!(
+                stats.units_split > 0,
+                "{workers} workers, run {run}: TTL = 0 never split"
+            );
+            assert!(
+                stats.delta_ops_broadcast > 0,
+                "{workers} workers, run {run}"
+            );
+            assert_eq!(structure(&other), structure(&base));
+            assert_eq!(
+                attrs(&other),
+                base_attrs,
+                "run {run}: the model at {workers} workers, TTL = 0, differs from the one at 1"
             );
         }
     }
