@@ -30,9 +30,9 @@
 //! that never materializes a node. Each round's
 //! **premise scan** runs as a [`Task`] on the shared `gfd-runtime`
 //! scheduler: the live rows are chunked into scan units, every
-//! worker evaluates premises against its own clone of the round-start
-//! relation (premise evaluation only path-compresses, so a clone is
-//! semantically inert) and realization-checks each generating row that
+//! worker reads the round-start relation in place (premise evaluation
+//! and realization checks never write it, so nothing is copied) and
+//! realization-checks each generating row that
 //! fires on the spot — a trigger is active when its premise holds *and*
 //! its target is not yet realized, one test against one snapshot — and
 //! the fired `(rule, row)` pairs are committed **in deterministic
@@ -55,7 +55,6 @@ use gfd_graph::{GfdId, Graph, LabelId, LabelIndex, NodeId, Pattern, VarId};
 use gfd_match::{for_each_match, HomSearch, MatchPlan, SearchLimits};
 use gfd_runtime::sched::{Task, WorkerCtx};
 use gfd_runtime::{failpoint, EventKind, RunMetrics, TraceBuf, CONTROL_WORKER};
-use rustc_hash::FxHashSet;
 use std::ops::ControlFlow;
 use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
@@ -355,11 +354,7 @@ fn offer_rest(ctx: &WorkerCtx<'_, ScanUnit>, deadline: Instant, unit: ScanUnit, 
 
 /// Per-worker scan state for one round.
 struct ScanWorker {
-    /// Clone of the round-start relation; mutated only by union-find
-    /// path compression and the latent singletons a realization check
-    /// `ensure`s (DESIGN.md §12.1), never by enforcement.
-    eq: EqRel,
-    /// The rows whose premise the snapshot satisfies.
+    /// The rows whose premise the round-start relation satisfies.
     fired: Vec<Firing>,
     /// Scratch: a pending premise's keys, a realization check's extension.
     waiting: Vec<AttrKey>,
@@ -370,13 +365,13 @@ struct ScanWorker {
 
 /// One round's scan as a scheduler workload: each live row's premise, and
 /// for a generating rule whose premise holds, its realization check — both
-/// against the round-start relation and index. Nothing here touches the
-/// live graph or relation; mutation happens only in the deterministic
-/// commit walk, which needs nothing from the scan but the fired list.
+/// against the round-start relation and index, which every worker reads in
+/// place; mutation happens only in the deterministic commit walk, which
+/// needs nothing from the scan but the fired list.
 struct ScanTask<'a> {
     rules: &'a [Dependency],
     tables: &'a [MatchTable],
-    snapshot: &'a EqRel,
+    eq: &'a EqRel,
     index: &'a LabelIndex,
     ttl: Duration,
 }
@@ -387,7 +382,6 @@ impl Task for ScanTask<'_> {
 
     fn worker(&self, _id: usize) -> ScanWorker {
         ScanWorker {
-            eq: self.snapshot.clone(),
             fired: Vec::new(),
             waiting: Vec::new(),
             asn: Vec::new(),
@@ -407,12 +401,12 @@ impl Task for ScanTask<'_> {
             let row = table.live[pos as usize];
             let m = table.get(row as usize);
             w.premise_evals += 1;
-            let status = eval_premise(&mut w.eq, &rule.premise, m, &mut w.waiting);
+            let status = eval_premise(self.eq, &rule.premise, m, &mut w.waiting);
             if status == PremiseStatus::Satisfied {
                 let realized = match &rule.consequence {
                     Consequence::Generate(gen) => {
                         w.realization_checks += 1;
-                        generate_deducible(&mut w.eq, self.index, gen, m, &mut w.asn)
+                        generate_deducible(self.eq, self.index, gen, m, &mut w.asn)
                     }
                     Consequence::Literals(_) => false,
                 };
@@ -440,83 +434,6 @@ fn enforce(eq: &mut EqRel, lit: &Literal, asn: &[NodeId]) -> Result<bool, Confli
         Operand::Const(c) => eq.bind(k1, *c),
         Operand::Attr(v2, a2) => eq.merge(k1, (asn[v2.index()], *a2)),
     }
-}
-
-/// The greedy conflict partition (DESIGN.md §12.2). Walk the round's
-/// firings in deterministic `(rule, row)` order; each firing claims
-/// its touched equivalence *classes* — premise attribute keys resolved
-/// to class ids against the round-start snapshot — and its touched
-/// premise *nodes* (adjacency-list writes of generated edges). A firing
-/// whose claims are all unclaimed joins the independent set; any overlap
-/// books it as a conflict. Fresh nodes and their keys are a firing's own
-/// by construction and claim nothing.
-///
-/// Class-level (not key-level) resolution is what makes the criterion
-/// the commutation condition of attributed-graph parallel independence:
-/// two independent firings write disjoint union-find components, touch
-/// disjoint adjacency lists, and create disjoint fresh-node ranges, so
-/// their commits compose in either order with identical outcome —
-/// including identical conflict behaviour.
-///
-/// The probe is one scan worker's relation and may carry extra latent
-/// keys from its realization checks; that never changes *which keys share
-/// a class* (the scan only path-compresses), so the partition is
-/// invariant across worker counts.
-fn partition_independent(
-    rules: &[Dependency],
-    tables: &[MatchTable],
-    fired: &[Firing],
-    mut probe: EqRel,
-) -> Vec<bool> {
-    let mut independent = vec![false; fired.len()];
-    let mut claimed_classes: FxHashSet<u32> = FxHashSet::default();
-    let mut claimed_nodes: FxHashSet<NodeId> = FxHashSet::default();
-    let mut classes: Vec<u32> = Vec::new();
-    let mut nodes: Vec<NodeId> = Vec::new();
-    for (i, &(rule, row, realized)) in fired.iter().enumerate() {
-        if realized {
-            // Writes nothing, independent of everything.
-            independent[i] = true;
-            continue;
-        }
-        classes.clear();
-        nodes.clear();
-        let m = tables[rule as usize].get(row as usize);
-        let (lits, shared) = match &rules[rule as usize].consequence {
-            Consequence::Literals(lits) => (lits.as_slice(), m.len()),
-            Consequence::Generate(gen) => {
-                let ends = gen.pattern.edges().iter().flat_map(|e| [e.src, e.dst]);
-                nodes.extend(
-                    ends.filter(|v| v.index() < gen.shared)
-                        .map(|v| m[v.index()]),
-                );
-                (gen.attrs.as_slice(), gen.shared)
-            }
-        };
-        let mut claim = |v: VarId, a| {
-            if v.index() < shared {
-                classes.push(probe.class_id((m[v.index()], a)));
-            }
-        };
-        for lit in lits {
-            claim(lit.var, lit.attr);
-            if let Operand::Attr(v2, a2) = &lit.rhs {
-                claim(*v2, *a2);
-            }
-        }
-        classes.sort_unstable();
-        classes.dedup();
-        nodes.sort_unstable();
-        nodes.dedup();
-        let free = classes.iter().all(|c| !claimed_classes.contains(c))
-            && nodes.iter().all(|n| !claimed_nodes.contains(n));
-        if free {
-            claimed_classes.extend(classes.iter().copied());
-            claimed_nodes.extend(nodes.iter().copied());
-            independent[i] = true;
-        }
-    }
-    independent
 }
 
 /// Outcome of chasing a dependency set over a growable graph.
@@ -550,6 +467,11 @@ struct Chase<'a> {
     index: LabelIndex,
     /// Per rule, every premise match enumerated so far.
     tables: Vec<MatchTable>,
+    /// The partition's claims, by root slot and by node id: the number of
+    /// the partition (`stamp`) that last claimed each, so none is cleared.
+    claimed_classes: Vec<u32>,
+    claimed_nodes: Vec<u32>,
+    stamp: u32,
     stats: ChaseStats,
     metrics: RunMetrics,
     /// The control-track ring buffer the run records its phase spans into
@@ -584,15 +506,17 @@ impl<'a> Chase<'a> {
             eq,
             index,
             tables,
+            claimed_classes: Vec::new(),
+            claimed_nodes: Vec::new(),
+            stamp: 0,
         }
     }
 
     /// Dispatch one round's scan over the live rows on the shared
     /// scheduler. Returns the fired rows in deterministic order (the
-    /// sequential scan's order, whatever the worker interleaving was) and
-    /// one worker's relation for the partition to probe, or the interrupt
-    /// that cut the scan short.
-    fn scan(&mut self) -> Result<(Vec<Firing>, EqRel), Interrupt> {
+    /// sequential scan's order, whatever the worker interleaving was), or
+    /// the interrupt that cut the scan short.
+    fn scan(&mut self) -> Result<Vec<Firing>, Interrupt> {
         let scan_start = Instant::now();
         let batch = self.config.batch;
         let units = self.tables.iter().enumerate().flat_map(|(rule, table)| {
@@ -605,7 +529,7 @@ impl<'a> Chase<'a> {
         let task = ScanTask {
             rules: self.rules,
             tables: &self.tables,
-            snapshot: &self.eq,
+            eq: &self.eq,
             index: &self.index,
             ttl: self.config.ttl,
         };
@@ -619,20 +543,87 @@ impl<'a> Chase<'a> {
             &mut self.metrics,
         );
         let mut fired: Vec<Firing> = Vec::new();
-        let mut probe: Option<EqRel> = None;
         for w in run.workers {
             self.stats.premise_evals += w.premise_evals;
             self.stats.realization_checks += w.realization_checks;
             fired.extend(w.fired);
-            probe.get_or_insert(w.eq);
         }
-        fired.sort_unstable();
+        // Each unit's firings are an ascending run: merge the runs.
+        fired.sort();
         self.stats.realized += fired.iter().filter(|f| f.2).count() as u64;
         self.stats.scan_time += scan_start.elapsed();
         match run.interrupt {
             Some(interrupt) => Err(interrupt),
-            None => Ok((fired, probe.expect("a full run returns its workers"))),
+            None => Ok(fired),
         }
+    }
+
+    /// The greedy conflict partition (DESIGN.md §12.1). Walk the round's
+    /// firings in deterministic `(rule, row)` order; each firing claims
+    /// its touched equivalence *classes* — the root slots of the premise
+    /// attribute keys its literals bind or merge, in the live relation
+    /// the commit walk is about to write — and its touched premise *nodes*
+    /// (adjacency-list writes of generated edges). A firing whose claims
+    /// are all unclaimed joins the independent set; any overlap books it
+    /// as a conflict. Fresh nodes and their keys are a firing's own by
+    /// construction and claim nothing.
+    ///
+    /// Class-level (not key-level) resolution is what makes the criterion
+    /// the commutation condition of attributed-graph parallel independence:
+    /// two independent firings write disjoint union-find components, touch
+    /// disjoint adjacency lists, and create disjoint fresh-node ranges, so
+    /// their commits compose in either order with identical outcome —
+    /// including identical conflict behaviour.
+    ///
+    /// Resolving a key creates the latent singleton the commit walk would
+    /// create for it, and path-compresses: neither changes which keys
+    /// share a class, so the partition is the same at every worker count.
+    fn partition(&mut self, fired: &[Firing]) -> Vec<bool> {
+        self.stamp += 1;
+        let (stamp, eq) = (self.stamp, &mut self.eq);
+        let (claimed_classes, claimed_nodes) = (&mut self.claimed_classes, &mut self.claimed_nodes);
+        claimed_nodes.resize(self.graph.node_count(), 0);
+        let (mut classes, mut nodes) = (Vec::new(), Vec::new());
+        fired
+            .iter()
+            .map(|&(rule, row, realized)| {
+                if realized {
+                    // Writes nothing, independent of everything.
+                    return true;
+                }
+                classes.clear();
+                nodes.clear();
+                let m = self.tables[rule as usize].get(row as usize);
+                let (lits, shared) = match &self.rules[rule as usize].consequence {
+                    Consequence::Literals(lits) => (lits.as_slice(), m.len()),
+                    Consequence::Generate(gen) => {
+                        let ends = gen.pattern.edges().iter().flat_map(|e| [e.src, e.dst]);
+                        let old = ends.filter(|v| v.index() < gen.shared);
+                        nodes.extend(old.map(|v| m[v.index()].index()));
+                        (gen.attrs.as_slice(), gen.shared)
+                    }
+                };
+                let mut class = |v: VarId, a| {
+                    if v.index() < shared {
+                        classes.push(eq.class_id((m[v.index()], a)) as usize);
+                    }
+                };
+                for lit in lits {
+                    class(lit.var, lit.attr);
+                    if let Operand::Attr(v2, a2) = &lit.rhs {
+                        class(*v2, *a2);
+                    }
+                }
+                claimed_classes.resize(eq.key_count(), 0);
+                let free = classes.iter().all(|&c| claimed_classes[c] != stamp)
+                    && nodes.iter().all(|&n| claimed_nodes[n] != stamp);
+                if free {
+                    classes.iter().for_each(|&c| claimed_classes[c] = stamp);
+                    nodes.iter().for_each(|&n| claimed_nodes[n] = stamp);
+                }
+                free
+            })
+            .collect()
     }
 
     /// Run one round — scan, partition, commit, and the table update a
@@ -648,7 +639,7 @@ impl<'a> Chase<'a> {
         let round = self.stats.rounds as u32;
         let round_span = self.ctl.start();
         let checks0 = self.stats.realization_checks;
-        let (fired, probe) = self.scan().map_err(Interrupted)?;
+        let fired = self.scan().map_err(Interrupted)?;
 
         // ---- apply phase: partition, then commit in order ----
         if failpoint::triggered("chase/apply") {
@@ -663,7 +654,7 @@ impl<'a> Chase<'a> {
         // commute) and the conflicting residual.
         let apply_start = Instant::now();
         let plan_span = self.ctl.start();
-        let independent = partition_independent(self.rules, &self.tables, &fired, probe);
+        let independent = self.partition(&fired);
         self.ctl.span(
             EventKind::ApplyPlan,
             round,
@@ -829,6 +820,7 @@ mod tests {
     use gfd_core::{CanonicalGraph, DepSet, Dependency, Literal, SatOutcome};
     use gfd_graph::{LabelId, Pattern, ValueId as VId, VarId, Vocab};
     use gfd_runtime::TraceSpec;
+    use rustc_hash::FxHashSet;
 
     fn unary(vocab: &mut Vocab, name: &str, pre: Vec<Literal>, post: Vec<Literal>) -> Dependency {
         let mut p = Pattern::new();
@@ -890,7 +882,7 @@ mod tests {
         let mut vocab = Vocab::new();
         let c = vocab.attr("c");
         let sigma = chain_sigma(&mut vocab);
-        let (mut eq, node_of, stats, _) = chase_literal(&sigma, &ChaseConfig::default());
+        let (eq, node_of, stats, _) = chase_literal(&sigma, &ChaseConfig::default());
         // Every t-node (one per unary pattern copy) derives c=1.
         for nodes in &node_of {
             assert!(eq.deduces_const((nodes[0], c), VId::of(1i64)));
@@ -933,7 +925,7 @@ mod tests {
                 batch: 1,
                 ..ChaseConfig::default()
             };
-            let (mut eq, node_of, stats, metrics) = chase_literal(&sigma, &cfg);
+            let (eq, node_of, stats, metrics) = chase_literal(&sigma, &cfg);
             for nodes in &node_of {
                 assert!(eq.deduces_const((nodes[0], c), VId::of(1i64)), "p={p}");
             }
@@ -976,6 +968,130 @@ mod tests {
 
         let (_, _, _, quiet) = chase_literal(&sigma, &ChaseConfig::default());
         assert!(quiet.trace.is_empty(), "default config must not trace");
+    }
+
+    /// The Σs the round-verdict tests run: the mixed and the overlap
+    /// workloads, and [`old_edge_sigma`] — the generated Σs find nothing
+    /// realized; that one does.
+    fn partition_sigmas() -> [DepSet; 3] {
+        let gen = |chain_depth, fanout, literal_rules, seed| gfd_gen::GgdGenConfig {
+            chain_depth,
+            gen_per_tier: 2,
+            fanout,
+            literal_rules,
+            seed,
+        };
+        [
+            gfd_gen::mixed_ggd_workload(&gen(4, 3, 6, 5), &mut Vocab::new()),
+            gfd_gen::ggd_overlap_workload(&gen(3, 2, 2, 37), &mut Vocab::new()),
+            old_edge_sigma(&mut Vocab::new()),
+        ]
+    }
+
+    /// The partition as it was before claims became stamps, kept as the
+    /// oracle: each firing's claims sorted and deduplicated, resolved
+    /// against `probe` — a clone of the round-start relation — and checked
+    /// and recorded through two hash sets.
+    fn partition_by_hash_sets(
+        rules: &[Dependency],
+        tables: &[MatchTable],
+        fired: &[Firing],
+        mut probe: EqRel,
+    ) -> Vec<bool> {
+        let mut independent = vec![false; fired.len()];
+        let mut claimed_classes: FxHashSet<u32> = FxHashSet::default();
+        let mut claimed_nodes: FxHashSet<NodeId> = FxHashSet::default();
+        let mut classes: Vec<u32> = Vec::new();
+        let mut nodes: Vec<NodeId> = Vec::new();
+        for (i, &(rule, row, realized)) in fired.iter().enumerate() {
+            if realized {
+                independent[i] = true;
+                continue;
+            }
+            classes.clear();
+            nodes.clear();
+            let m = tables[rule as usize].get(row as usize);
+            let (lits, shared) = match &rules[rule as usize].consequence {
+                Consequence::Literals(lits) => (lits.as_slice(), m.len()),
+                Consequence::Generate(gen) => {
+                    let ends = gen.pattern.edges().iter().flat_map(|e| [e.src, e.dst]);
+                    nodes.extend(
+                        ends.filter(|v| v.index() < gen.shared)
+                            .map(|v| m[v.index()]),
+                    );
+                    (gen.attrs.as_slice(), gen.shared)
+                }
+            };
+            let mut claim = |v: VarId, a| {
+                if v.index() < shared {
+                    classes.push(probe.class_id((m[v.index()], a)));
+                }
+            };
+            for lit in lits {
+                claim(lit.var, lit.attr);
+                if let Operand::Attr(v2, a2) = &lit.rhs {
+                    claim(*v2, *a2);
+                }
+            }
+            classes.sort_unstable();
+            classes.dedup();
+            nodes.sort_unstable();
+            nodes.dedup();
+            let free = classes.iter().all(|c| !claimed_classes.contains(c))
+                && nodes.iter().all(|n| !claimed_nodes.contains(n));
+            if free {
+                claimed_classes.extend(classes.iter().copied());
+                claimed_nodes.extend(nodes.iter().copied());
+                independent[i] = true;
+            }
+        }
+        independent
+    }
+
+    /// The stamped partition books every firing where the hash-set
+    /// partition over a clone of the round-start relation books it, every
+    /// round, at p ∈ {1, 2, 8} with TTL 0 and one-row units: once run
+    /// ahead of the round, and once inside it, where the round's
+    /// `apply_independent` / `apply_conflicts` counts are the oracle's.
+    #[test]
+    fn partition_oracle_stamps_equal_the_hash_set_partition_every_round() {
+        for deps in &partition_sigmas() {
+            for p in [1usize, 2, 8] {
+                let cfg = ChaseConfig {
+                    workers: p,
+                    ttl: Duration::ZERO,
+                    batch: 1,
+                    ..ChaseConfig::default()
+                };
+                let (canon, _) = CanonicalGraph::for_sigma(deps);
+                let mut chase = Chase::new(deps.as_slice(), canon.graph, EqRel::new(), &cfg);
+                let mut conflicts = 0;
+                loop {
+                    let round = chase.stats.rounds + 1;
+                    let fired = chase.scan().unwrap();
+                    let probe = chase.eq.clone();
+                    let expect =
+                        partition_by_hash_sets(deps.as_slice(), &chase.tables, &fired, probe);
+                    assert_eq!(chase.partition(&fired), expect, "p={p}, round {round}");
+                    let committed = fired.iter().zip(&expect).filter(|(f, _)| !f.2);
+                    let independent = committed.clone().filter(|(_, i)| **i).count() as u64;
+                    let booked = (chase.stats.apply_independent, chase.stats.apply_conflicts);
+                    let changed = chase.round().unwrap_or_else(|_| panic!("no fixpoint"));
+                    let (i, c) = (chase.stats.apply_independent, chase.stats.apply_conflicts);
+                    let expect_booked = (independent, committed.count() as u64 - independent);
+                    assert_eq!(
+                        (i - booked.0, c - booked.1),
+                        expect_booked,
+                        "p={p}, round {round}"
+                    );
+                    conflicts += c - booked.1;
+                    if !changed {
+                        break;
+                    }
+                }
+                assert!(conflicts > 0, "no conflicting firing to compare");
+            }
+        }
     }
 
     /// Run `deps` over `GΣ` a round at a time and check, after every
@@ -1194,7 +1310,7 @@ mod tests {
             let task = ScanTask {
                 rules: deps.as_slice(),
                 tables: &chase.tables,
-                snapshot: &chase.eq,
+                eq: &chase.eq,
                 index: &chase.index,
                 ttl: cfg.ttl,
             };
@@ -1240,8 +1356,8 @@ mod tests {
         let mut chase = Chase::new(deps.as_slice(), canon.graph, EqRel::new(), cfg);
         let mut rounds = Vec::new();
         loop {
-            let (fired, probe) = chase.scan().unwrap();
-            let independent = partition_independent(deps.as_slice(), &chase.tables, &fired, probe);
+            let fired = chase.scan().unwrap();
+            let independent = chase.partition(&fired);
             rounds.push((fired, independent));
             if !chase.round().unwrap_or_else(|_| panic!("no fixpoint")) {
                 return rounds;
@@ -1249,26 +1365,15 @@ mod tests {
         }
     }
 
-    /// Whichever worker checks a firing's realization, and whichever
-    /// worker's relation the partition probes, a round decides the same:
+    /// Whichever worker checks a firing's realization, a round decides the
+    /// same:
     /// per round, the `(fired, realized)` list and the independence flags
     /// at p = 1 (default TTL) equal those at p ∈ {2, 8} with TTL 0 and
     /// one-row units.
     #[test]
     fn one_pass_round_verdicts_are_worker_count_invariant() {
-        let gen = |chain_depth, fanout, literal_rules, seed| gfd_gen::GgdGenConfig {
-            chain_depth,
-            gen_per_tier: 2,
-            fanout,
-            literal_rules,
-            seed,
-        };
-        let mixed = gfd_gen::mixed_ggd_workload(&gen(4, 3, 6, 5), &mut Vocab::new());
-        let overlap = gfd_gen::ggd_overlap_workload(&gen(3, 2, 2, 37), &mut Vocab::new());
-        // The generated Σs find nothing realized; this one does.
-        let old_edges = old_edge_sigma(&mut Vocab::new());
         let mut realized = 0;
-        for deps in [&mixed, &overlap, &old_edges] {
+        for deps in &partition_sigmas() {
             let base = firings_every_round(deps, &ChaseConfig::default());
             assert!(base.len() >= 3, "rounds = {}", base.len());
             let conflicts = base.iter().flat_map(|r| &r.1).filter(|i| !**i).count();

@@ -47,8 +47,8 @@ pub fn chase_imp_with_config(
     let (outcome, stats, mut metrics) = dep_chase_with_config(sigma, canon.graph, eqx, config);
     let outcome = match outcome {
         DepChaseOutcome::Conflict(c) => ImpOutcome::Implied(ImpliedVia::Conflict(c)),
-        DepChaseOutcome::Fixpoint { graph, mut eq } => {
-            if consequence_deducible_on(&mut eq, &LabelIndex::build(&graph), phi) {
+        DepChaseOutcome::Fixpoint { graph, eq } => {
+            if consequence_deducible_on(&eq, &LabelIndex::build(&graph), phi) {
                 ImpOutcome::Implied(ImpliedVia::Consequence)
             } else {
                 ImpOutcome::NotImplied

@@ -263,11 +263,7 @@ pub fn build_plans_lazy(
 /// termination test for implication and `index` is not read; a generating
 /// consequence must be realized in the graph `index` covers with every
 /// attribute assignment forced by `eq`.
-pub fn consequence_deducible_on<I: MatchIndex>(
-    eq: &mut EqRel,
-    index: &I,
-    phi: &Dependency,
-) -> bool {
+pub fn consequence_deducible_on<I: MatchIndex>(eq: &EqRel, index: &I, phi: &Dependency) -> bool {
     match &phi.consequence {
         Consequence::Literals(lits) => lits.iter().all(|lit| {
             let k1 = (NodeId::new(lit.var.index()), lit.attr);
@@ -425,7 +421,7 @@ mod tests {
             ],
             vec![],
         );
-        let (canon, mut eqx) = CanonicalGraph::for_phi(&phi).unwrap();
+        let (canon, eqx) = CanonicalGraph::for_phi(&phi).unwrap();
         assert_eq!(canon.graph.node_count(), 2);
         assert!(eqx.deduces_const((NodeId::new(1), c), ValueId::of(5)));
         assert!(eqx.same_class((NodeId::new(0), a), (NodeId::new(1), c)));
@@ -462,11 +458,11 @@ mod tests {
             vec![Literal::eq_const(x, a, 1i64), Literal::eq_attr(x, a, x, b)],
         );
         let (canon, mut eq) = CanonicalGraph::for_phi(&phi).unwrap();
-        assert!(!consequence_deducible_on(&mut eq, &canon.index, &phi));
+        assert!(!consequence_deducible_on(&eq, &canon.index, &phi));
         eq.bind((NodeId::new(0), a), ValueId::of(1i64)).unwrap();
-        assert!(!consequence_deducible_on(&mut eq, &canon.index, &phi));
+        assert!(!consequence_deducible_on(&eq, &canon.index, &phi));
         eq.merge((NodeId::new(0), a), (NodeId::new(0), b)).unwrap();
-        assert!(consequence_deducible_on(&mut eq, &canon.index, &phi));
+        assert!(consequence_deducible_on(&eq, &canon.index, &phi));
     }
 
     /// A generating consequence is deducible once the indexed graph
@@ -489,9 +485,9 @@ mod tests {
         gen.push_attr(Literal::eq_const(z, a, 1i64));
         let phi = Dependency::new("phi", p, vec![], gen);
         let (canon, mut eq) = CanonicalGraph::for_phi(&phi).unwrap();
-        assert!(!consequence_deducible_on(&mut eq, &canon.index, &phi));
+        assert!(!consequence_deducible_on(&eq, &canon.index, &phi));
         eq.bind((NodeId::new(1), a), ValueId::of(1i64)).unwrap();
-        assert!(consequence_deducible_on(&mut eq, &canon.index, &phi));
+        assert!(consequence_deducible_on(&eq, &canon.index, &phi));
         // The two-argument form builds that index itself.
         assert!(consequence_deducible(&mut eq, &phi)); // gfdbench-pin
     }

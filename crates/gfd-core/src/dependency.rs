@@ -329,7 +329,7 @@ impl GenerateConsequence {
 /// deduction; the structural part is probed on `index`. `asn` is the
 /// extension buffer [`GenerateConsequence::realized`] borrows.
 pub fn generate_deducible<I: MatchIndex>(
-    eq: &mut crate::eq::EqRel,
+    eq: &crate::eq::EqRel,
     index: &I,
     gen: &GenerateConsequence,
     m: &[NodeId],
@@ -969,13 +969,7 @@ mod tests {
         assert!(eq.deduces_const((fresh[0], city), ValueId::of("nbo")));
         // Now deducible under the relation.
         let index = LabelIndex::build(&g);
-        assert!(generate_deducible(
-            &mut eq,
-            &index,
-            gen,
-            &m,
-            &mut Vec::new()
-        ));
+        assert!(generate_deducible(&eq, &index, gen, &m, &mut Vec::new()));
     }
 
     #[test]

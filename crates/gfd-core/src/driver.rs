@@ -313,7 +313,7 @@ impl ReasonAction<'_> {
         let v = w.engine.eq.version();
         if v != w.last_y_version {
             w.last_y_version = v;
-            if consequence_deducible_on(&mut w.engine.eq, &self.canon.index, phi) {
+            if consequence_deducible_on(&w.engine.eq, &self.canon.index, phi) {
                 self.terminal(w, TerminalEvent::Consequence);
             }
         }
@@ -481,9 +481,9 @@ pub fn run_reason(
         match caught_up {
             Err(c) => terminal = Some(TerminalEvent::Conflict(c)),
             Ok(()) => {
-                let mut first = workers.swap_remove(0).engine;
+                let first = workers.swap_remove(0).engine;
                 let deduced = matches!(goal, Goal::Imp(phi)
-                    if consequence_deducible_on(&mut first.eq, &canon.index, phi));
+                    if consequence_deducible_on(&first.eq, &canon.index, phi));
                 if deduced {
                     terminal = Some(TerminalEvent::Consequence);
                 } else if run.interrupt.is_none() {

@@ -35,12 +35,11 @@ pub enum PremiseStatus {
     Pending,
 }
 
-/// Evaluate a rule's premise literals at `m` against `eq` without mutating
-/// anything (beyond union-find path compression). `waiting` is a scratch
-/// buffer the caller lends: it is cleared, and on `Pending` holds the keys
-/// the premise waits on.
+/// Evaluate a rule's premise literals at `m` against `eq`, which it only
+/// reads. `waiting` is a scratch buffer the caller lends: it is cleared,
+/// and on `Pending` holds the keys the premise waits on.
 pub fn eval_premise(
-    eq: &mut EqRel,
+    eq: &EqRel,
     premise: &[Literal],
     m: &[NodeId],
     waiting: &mut Vec<AttrKey>,
@@ -161,7 +160,7 @@ impl EnforceEngine {
         m: &[NodeId],
     ) -> Result<(), Conflict> {
         let gfd = &sigma[id];
-        match eval_premise(&mut self.eq, &gfd.premise, m, &mut self.waiting) {
+        match eval_premise(&self.eq, &gfd.premise, m, &mut self.waiting) {
             PremiseStatus::Falsified => Ok(()),
             PremiseStatus::Satisfied => {
                 enforce_consequence(&mut self.eq, &mut self.delta, gfd, id, m)?;
@@ -205,7 +204,7 @@ impl EnforceEngine {
             self.stats.rechecks += 1;
             let gfd = &sigma[entry.rule];
             let m = entry.m(&self.matches);
-            match eval_premise(&mut self.eq, &gfd.premise, m, &mut self.waiting) {
+            match eval_premise(&self.eq, &gfd.premise, m, &mut self.waiting) {
                 PremiseStatus::Falsified => self.pending[id as usize].resolved = true,
                 PremiseStatus::Satisfied => {
                     self.pending[id as usize].resolved = true;

@@ -135,7 +135,7 @@ impl EqRel {
     }
 
     fn find(&mut self, mut s: u32) -> u32 {
-        // Path halving.
+        // Path halving. Queries walk with `root` instead, which writes nothing.
         while self.parent[s as usize] != s {
             let gp = self.parent[self.parent[s as usize] as usize];
             self.parent[s as usize] = gp;
@@ -144,10 +144,17 @@ impl EqRel {
         s
     }
 
+    /// The root slot of `s`, read without writing: every query's walk.
+    fn root(&self, mut s: u32) -> u32 {
+        while self.parent[s as usize] != s {
+            s = self.parent[s as usize];
+        }
+        s
+    }
+
     /// The root slot of `key`, if the class exists.
-    fn root_of(&mut self, key: AttrKey) -> Option<u32> {
-        let s = *self.slot_of.get(&key)?;
-        Some(self.find(s))
+    fn root_of(&self, key: AttrKey) -> Option<u32> {
+        Some(self.root(*self.slot_of.get(&key)?))
     }
 
     /// Does the class `[key]` exist?
@@ -156,9 +163,8 @@ impl EqRel {
     }
 
     /// The constant bound to `[key]`, if the class exists and is bound.
-    pub fn const_of(&mut self, key: AttrKey) -> Option<ValueId> {
-        let r = self.root_of(key)?;
-        self.constant[r as usize]
+    pub fn const_of(&self, key: AttrKey) -> Option<ValueId> {
+        self.constant[self.root_of(key)? as usize]
     }
 
     /// The canonical class id of `key` (creating a latent singleton when
@@ -172,7 +178,7 @@ impl EqRel {
     }
 
     /// Are the two keys in the same class? (`false` if either is missing.)
-    pub fn same_class(&mut self, k1: AttrKey, k2: AttrKey) -> bool {
+    pub fn same_class(&self, k1: AttrKey, k2: AttrKey) -> bool {
         match (self.root_of(k1), self.root_of(k2)) {
             (Some(a), Some(b)) => a == b,
             _ => false,
@@ -181,7 +187,7 @@ impl EqRel {
 
     /// Can `key = value` be deduced? (class exists and is bound to exactly
     /// `value`)
-    pub fn deduces_const(&mut self, key: AttrKey, value: ValueId) -> bool {
+    pub fn deduces_const(&self, key: AttrKey, value: ValueId) -> bool {
         self.const_of(key) == Some(value)
     }
 
@@ -189,7 +195,7 @@ impl EqRel {
     /// constants (equal values make the attributes equal in every
     /// population). The reflexive case `k = k` holds exactly when the
     /// attribute was forced to exist (latent classes satisfy nothing).
-    pub fn deduces_eq(&mut self, k1: AttrKey, k2: AttrKey) -> bool {
+    pub fn deduces_eq(&self, k1: AttrKey, k2: AttrKey) -> bool {
         if k1 == k2 {
             return self.is_materialized(k1);
         }
@@ -612,8 +618,74 @@ pub(crate) mod tests {
         out
     }
 
+    /// The root of `key` through the path-halving [`EqRel::find`]: how every
+    /// read walked before reads took `&self`. The read-path oracle.
+    fn root_compressing(eq: &mut EqRel, key: AttrKey) -> Option<u32> {
+        let s = *eq.slot_of.get(&key)?;
+        Some(eq.find(s))
+    }
+
+    fn const_compressing(eq: &mut EqRel, key: AttrKey) -> Option<ValueId> {
+        let r = root_compressing(eq, key)?;
+        eq.constant[r as usize]
+    }
+
+    fn same_class_compressing(eq: &mut EqRel, k1: AttrKey, k2: AttrKey) -> bool {
+        let r1 = root_compressing(eq, k1);
+        r1.is_some() && r1 == root_compressing(eq, k2)
+    }
+
+    fn deduces_eq_compressing(eq: &mut EqRel, k1: AttrKey, k2: AttrKey) -> bool {
+        if k1 == k2 {
+            return eq.is_materialized(k1);
+        }
+        let consts = (const_compressing(eq, k1), const_compressing(eq, k2));
+        same_class_compressing(eq, k1, k2) || matches!(consts, (Some(a), Some(b)) if a == b)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// After every step of a random history, the `&self` reads answer
+        /// what the compressing walk answers on a clone — for every key and
+        /// every pair of keys of the universe, the clone compressing more
+        /// with each read — and a sweep of reads leaves `parent` and
+        /// `version` as it found them.
+        #[test]
+        fn read_path_answers_what_the_compressing_path_answers(
+            steps in proptest::collection::vec(arb_step(), 0..40),
+        ) {
+            let keys: Vec<AttrKey> = (0..6).flat_map(|n| (0..3).map(move |a| k(n, a))).collect();
+            let mut eq = EqRel::new();
+            for (i, step) in steps.iter().enumerate() {
+                match *step {
+                    Step::Ensure(n, a) => {
+                        eq.ensure(k(n, a));
+                    }
+                    Step::Watch(n, a) => eq.add_watcher(k(n, a), (i as u32, 0)),
+                    Step::Bind(n, a, v) => {
+                        let _ = eq.bind(k(n, a), ValueId::of(v));
+                    }
+                    Step::Merge((n1, a1), (n2, a2)) => {
+                        let _ = eq.merge(k(n1, a1), k(n2, a2));
+                    }
+                    Step::Pop => {}
+                }
+                let (parent, version) = (eq.parent.clone(), eq.version());
+                let mut oracle = eq.clone();
+                for &k1 in &keys {
+                    prop_assert_eq!(eq.const_of(k1), const_compressing(&mut oracle, k1));
+                    for &k2 in &keys {
+                        let same = same_class_compressing(&mut oracle, k1, k2);
+                        prop_assert_eq!(eq.same_class(k1, k2), same, "step {}", i);
+                        let deduced = deduces_eq_compressing(&mut oracle, k1, k2);
+                        prop_assert_eq!(eq.deduces_eq(k1, k2), deduced, "step {}", i);
+                    }
+                }
+                prop_assert_eq!(&eq.parent, &parent, "step {}", i);
+                prop_assert_eq!(eq.version(), version, "step {}", i);
+            }
+        }
 
         /// The model read-out assigns every materialized key the value the
         /// hash-map read-out numbers it, and nothing else — after every

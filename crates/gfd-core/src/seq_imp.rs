@@ -78,7 +78,7 @@ pub fn imp_canonical(phi: &Dependency) -> Result<(CanonicalGraph, EqRel), Implie
         return Err(ImpliedVia::Consequence);
     }
     let (canon, eqx) = CanonicalGraph::for_phi(phi).map_err(|_| ImpliedVia::PremiseInconsistent)?;
-    if consequence_deducible_on(&mut eqx.clone(), &canon.index, phi) {
+    if consequence_deducible_on(&eqx, &canon.index, phi) {
         return Err(ImpliedVia::Consequence);
     }
     Ok((canon, eqx))

@@ -1,12 +1,14 @@
 //! A deliberately simple brute-force matcher used as a correctness oracle in
 //! tests and property-based checks.
 //!
-//! It enumerates every assignment of pattern variables to graph nodes and
-//! keeps those satisfying all label and edge constraints. Exponential, but
-//! obviously correct — do not use outside tests/benchmarks.
+//! It assigns pattern variables to graph nodes in variable order, trying
+//! every node for each, and backtracks the moment a variable's label or an
+//! edge to a variable already assigned fails. No plan, no index, no
+//! candidate intersection: exponential, but obviously correct — do not use
+//! outside tests/benchmarks.
 
 use crate::search::Match;
-use gfd_graph::{Graph, NodeId, Pattern};
+use gfd_graph::{Graph, NodeId, Pattern, VarId};
 
 /// Enumerate all homomorphic matches of `pattern` in `graph` by exhaustive
 /// search. Matches are var-indexed like [`crate::search::Match`].
@@ -29,35 +31,31 @@ fn assign(
     out: &mut Vec<Match>,
 ) {
     if var == assignment.len() {
-        if is_valid(graph, pattern, assignment) {
-            out.push(assignment.to_vec().into_boxed_slice());
-        }
+        out.push(assignment.to_vec().into_boxed_slice());
         return;
     }
     for node in graph.nodes() {
         assignment[var] = node;
-        assign(graph, pattern, var + 1, assignment, out);
+        if fits(graph, pattern, VarId::new(var), assignment) {
+            assign(graph, pattern, var + 1, assignment, out);
+        }
     }
 }
 
-/// Check every constraint of the pattern against a full assignment.
+/// Check `v`'s label, and every pattern edge between `v` and the variables
+/// before it (a self-loop on `v` included), against `assignment`.
+fn fits(graph: &Graph, pattern: &Pattern, v: VarId, assignment: &[NodeId]) -> bool {
+    let node = |v: VarId| assignment[v.index()];
+    pattern.label(v).pattern_matches(graph.label(node(v)))
+        && (pattern.edges().iter())
+            .filter(|e| e.src.max(e.dst) == v)
+            .all(|e| graph.has_edge_pattern(node(e.src), e.label, node(e.dst)))
+}
+
+/// Check every constraint of the pattern against a full assignment: each
+/// edge is checked once, at the later of its two endpoints.
 pub fn is_valid(graph: &Graph, pattern: &Pattern, assignment: &[NodeId]) -> bool {
-    for v in pattern.vars() {
-        if !pattern
-            .label(v)
-            .pattern_matches(graph.label(assignment[v.index()]))
-        {
-            return false;
-        }
-    }
-    for e in pattern.edges() {
-        let src = assignment[e.src.index()];
-        let dst = assignment[e.dst.index()];
-        if !graph.has_edge_pattern(src, e.label, dst) {
-            return false;
-        }
-    }
-    true
+    pattern.vars().all(|v| fits(graph, pattern, v, assignment))
 }
 
 #[cfg(test)]

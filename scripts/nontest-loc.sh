@@ -18,7 +18,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=23119
+CEILING=23109
 BENCH_CEILING=1865
 
 total=0

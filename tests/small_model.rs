@@ -48,7 +48,6 @@ fn models_are_sigma_bounded() {
 
 #[test]
 fn model_attribute_values_are_sigma_constants_or_fresh() {
-    
     use gfd::core::Operand;
     for seed in 0..3 {
         let w = workload(seed);
@@ -102,7 +101,7 @@ fn implication_canonical_graph_is_phi_sized() {
         &mut vocab,
     )
     .unwrap();
-    let (canon, mut eqx) = CanonicalGraph::for_phi(&phi).unwrap();
+    let (canon, eqx) = CanonicalGraph::for_phi(&phi).unwrap();
     assert_eq!(canon.graph.node_count(), phi.pattern.node_count());
     assert_eq!(canon.graph.edge_count(), phi.pattern.edge_count());
     // EqX holds exactly the premise keys.
