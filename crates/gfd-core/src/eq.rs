@@ -15,11 +15,14 @@
 //!   or is merged — and the queue of woken ones, as linked lists threaded
 //!   through one arena;
 //! * monotone *ops* ([`EqOp`]) replayable on another copy, in any order —
-//!   what the parallel workers share as `ΔEq`.
+//!   what the parallel workers share as `ΔEq`;
+//! * a key index with no hash map: each node heads a chain of its keys'
+//!   slots, which a lookup walks comparing attributes.
 
 use crate::error::{AttrKey, Conflict};
 use gfd_graph::ValueId;
-use rustc_hash::FxHashMap;
+
+const NO_SLOT: u32 = u32::MAX;
 
 /// A monotone update to an [`EqRel`], replayable on any other copy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,10 +45,17 @@ struct List {
     tail: u32,
 }
 
-/// The equivalence relation over attribute keys.
+/// The equivalence relation over attribute keys. A key's slot, numbered
+/// in first-ensure order, is found through its node's chain; a chain holds
+/// only the attributes Σ's literals name on that node, so it is short.
+/// Memory is O(largest node id + keys): keys must name the nodes of one
+/// dense graph (`GΣ`, `G^X_Q`, or the chase's growing graph).
 #[derive(Clone, Debug, Default)]
 pub struct EqRel {
-    slot_of: FxHashMap<AttrKey, u32>,
+    /// Per node id: the slot of its newest key, or `NO_SLOT`.
+    node_head: Vec<u32>,
+    /// Per slot: the next older slot on the same node, or `NO_SLOT`.
+    node_next: Vec<u32>,
     keys: Vec<AttrKey>,
     parent: Vec<u32>,
     rank: Vec<u8>,
@@ -102,13 +112,27 @@ impl EqRel {
         self.version
     }
 
+    /// The slot of `key`: a walk down its node's chain.
+    fn slot(&self, (node, attr): AttrKey) -> Option<u32> {
+        let mut s = *self.node_head.get(node.index())?;
+        while s != NO_SLOT && self.keys[s as usize].1 != attr {
+            s = self.node_next[s as usize];
+        }
+        (s != NO_SLOT).then_some(s)
+    }
+
     /// Ensure `[key]` exists; returns `(slot, created)`.
     pub fn ensure(&mut self, key: AttrKey) -> (u32, bool) {
-        if let Some(&s) = self.slot_of.get(&key) {
+        if let Some(s) = self.slot(key) {
             return (s, false);
         }
         let s = self.keys.len() as u32;
-        self.slot_of.insert(key, s);
+        let node = key.0.index();
+        if node >= self.node_head.len() {
+            self.node_head.resize(node + 1, NO_SLOT);
+        }
+        self.node_next.push(self.node_head[node]);
+        self.node_head[node] = s;
         self.keys.push(key);
         self.parent.push(s);
         self.rank.push(0);
@@ -129,9 +153,8 @@ impl EqRel {
 
     /// Was this attribute key forced to exist by an enforcement?
     pub fn is_materialized(&self, key: AttrKey) -> bool {
-        self.slot_of
-            .get(&key)
-            .is_some_and(|&s| self.materialized[s as usize])
+        self.slot(key)
+            .is_some_and(|s| self.materialized[s as usize])
     }
 
     fn find(&mut self, mut s: u32) -> u32 {
@@ -154,12 +177,12 @@ impl EqRel {
 
     /// The root slot of `key`, if the class exists.
     fn root_of(&self, key: AttrKey) -> Option<u32> {
-        Some(self.root(*self.slot_of.get(&key)?))
+        Some(self.root(self.slot(key)?))
     }
 
     /// Does the class `[key]` exist?
     pub fn has_class(&self, key: AttrKey) -> bool {
-        self.slot_of.contains_key(&key)
+        self.slot(key).is_some()
     }
 
     /// The constant bound to `[key]`, if the class exists and is bound.
@@ -364,6 +387,7 @@ pub(crate) mod tests {
     use crate::model::{populate_model, FRESH_PREFIX};
     use gfd_graph::{AttrId, Graph, LabelId, NodeId};
     use proptest::prelude::*;
+    use rustc_hash::FxHashMap;
     use std::collections::VecDeque;
 
     fn k(n: usize, a: usize) -> AttrKey {
@@ -621,7 +645,7 @@ pub(crate) mod tests {
     /// The root of `key` through the path-halving [`EqRel::find`]: how every
     /// read walked before reads took `&self`. The read-path oracle.
     fn root_compressing(eq: &mut EqRel, key: AttrKey) -> Option<u32> {
-        let s = *eq.slot_of.get(&key)?;
+        let s = eq.slot(key)?;
         Some(eq.find(s))
     }
 
@@ -684,6 +708,59 @@ pub(crate) mod tests {
                 }
                 prop_assert_eq!(&eq.parent, &parent, "step {}", i);
                 prop_assert_eq!(eq.version(), version, "step {}", i);
+            }
+        }
+
+        /// The per-node slot chains resolve every key to the slot a hash map
+        /// recording slots in first-ensure order resolves it to, after every
+        /// step of a random history over nodes with gaps (one id past
+        /// 2¹⁶) — keys never ensured and nodes past the last head included —
+        /// and the class reads answer through that slot.
+        #[test]
+        fn key_index_resolves_the_slots_a_hash_map_records(
+            steps in proptest::collection::vec(arb_step(), 0..40),
+        ) {
+            const NODES: [usize; 6] = [0, 2, 3, 9, 17, 70_000];
+            let at = |n: usize, a: usize| k(NODES[n], a);
+            let universe: Vec<AttrKey> = (NODES.iter().chain(&[1, 70_001]))
+                .flat_map(|&n| (0..4).map(move |a| k(n, a)))
+                .collect();
+            let mut eq = EqRel::new();
+            let mut slot_of: FxHashMap<AttrKey, u32> = FxHashMap::default();
+            for (i, step) in steps.iter().enumerate() {
+                let ensured = match *step {
+                    Step::Ensure(n, a) => {
+                        eq.ensure(at(n, a));
+                        vec![at(n, a)]
+                    }
+                    Step::Watch(n, a) => {
+                        eq.add_watcher(at(n, a), (i as u32, 0));
+                        vec![at(n, a)]
+                    }
+                    Step::Bind(n, a, v) => {
+                        let _ = eq.bind(at(n, a), ValueId::of(v));
+                        vec![at(n, a)]
+                    }
+                    Step::Merge((n1, a1), (n2, a2)) => {
+                        let _ = eq.merge(at(n1, a1), at(n2, a2));
+                        vec![at(n1, a1), at(n2, a2)]
+                    }
+                    Step::Pop => Vec::new(),
+                };
+                for key in ensured {
+                    let next = slot_of.len() as u32;
+                    slot_of.entry(key).or_insert(next);
+                }
+                prop_assert_eq!(eq.key_count(), slot_of.len(), "step {}", i);
+                for &key in &universe {
+                    let s = slot_of.get(&key).copied();
+                    prop_assert_eq!(eq.slot(key), s, "step {} key {:?}", i, key);
+                    prop_assert_eq!(eq.has_class(key), s.is_some(), "step {}", i);
+                    let materialized = s.is_some_and(|s| eq.materialized[s as usize]);
+                    prop_assert_eq!(eq.is_materialized(key), materialized, "step {}", i);
+                    let constant = s.and_then(|s| eq.constant[eq.root(s) as usize]);
+                    prop_assert_eq!(eq.const_of(key), constant, "step {}", i);
+                }
             }
         }
 

@@ -16,8 +16,6 @@
 use crate::ged::{Ged, GedLiteral};
 use crate::validate::{ged_literal_holds, ged_premise_holds};
 use gfd_graph::{AttrId, Graph, LabelIndex, NodeId, ValueId};
-#[allow(unused_imports)]
-use gfd_graph::ValueTable as _;
 use gfd_match::find_all_matches;
 
 /// A key: a GED whose consequence is a single conjunction of id literals.

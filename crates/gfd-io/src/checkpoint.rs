@@ -335,10 +335,7 @@ mod tests {
             violations: vec![],
         };
         let text = checkpoint_to_string(&ckpt, &vocab);
-        let value_lines: Vec<&str> = text
-            .lines()
-            .filter(|l| l.starts_with("value "))
-            .collect();
+        let value_lines: Vec<&str> = text.lines().filter(|l| l.starts_with("value ")).collect();
         assert_eq!(value_lines, ["value \"dup\"", "value 9"]);
         assert!(parse_checkpoint(&text, &mut Vocab::new()).is_ok());
 

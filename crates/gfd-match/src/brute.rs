@@ -52,12 +52,6 @@ fn fits(graph: &Graph, pattern: &Pattern, v: VarId, assignment: &[NodeId]) -> bo
             .all(|e| graph.has_edge_pattern(node(e.src), e.label, node(e.dst)))
 }
 
-/// Check every constraint of the pattern against a full assignment: each
-/// edge is checked once, at the later of its two endpoints.
-pub fn is_valid(graph: &Graph, pattern: &Pattern, assignment: &[NodeId]) -> bool {
-    pattern.vars().all(|v| fits(graph, pattern, v, assignment))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -150,13 +150,13 @@ where
                 let ctrl = Box::new(DfsController {
                     state: Arc::clone(&dfs),
                 });
-                let res = run_one(config.weaken, config.max_steps, ctrl, Arc::clone(&scenario));
+                let failure = run_one(config.weaken, config.max_steps, ctrl, Arc::clone(&scenario));
                 explored += 1;
-                if res.failure.is_some() {
+                if failure.is_some() {
                     return Report {
                         explored,
                         complete: false,
-                        failure: res.failure,
+                        failure,
                     };
                 }
                 if !dfs.lock().unwrap().advance() {
@@ -185,12 +185,12 @@ where
                     seed.wrapping_add(i as u64),
                     *change_points,
                 ));
-                let res = run_one(config.weaken, config.max_steps, ctrl, Arc::clone(&scenario));
-                if res.failure.is_some() {
+                let failure = run_one(config.weaken, config.max_steps, ctrl, Arc::clone(&scenario));
+                if failure.is_some() {
                     return Report {
                         explored: i + 1,
                         complete: false,
-                        failure: res.failure,
+                        failure,
                     };
                 }
             }
@@ -205,11 +205,11 @@ where
                 sched: schedule.0.clone(),
                 next: 0,
             });
-            let res = run_one(config.weaken, config.max_steps, ctrl, scenario);
+            let failure = run_one(config.weaken, config.max_steps, ctrl, scenario);
             Report {
                 explored: 1,
                 complete: true,
-                failure: res.failure,
+                failure,
             }
         }
     }

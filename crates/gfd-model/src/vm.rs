@@ -880,24 +880,15 @@ impl VJoin {
     }
 }
 
-/// The outcome of a single controlled execution.
-pub(crate) struct ExecResult {
-    #[allow(dead_code)]
-    pub(crate) schedule: Schedule,
-    pub(crate) failure: Option<Failure>,
-    #[allow(dead_code)]
-    pub(crate) steps: usize,
-}
-
 /// Run the scenario once under `controller`, to completion or abort,
-/// and report what happened. Joins every OS thread before returning,
-/// so all destructors have run.
+/// and return its failure, if any. Joins every OS thread before
+/// returning, so all destructors have run.
 pub(crate) fn run_one(
     weaken: Option<Weaken>,
     max_steps: usize,
     controller: Box<dyn Controller>,
     scenario: Arc<dyn Fn(&Env) + Send + Sync>,
-) -> ExecResult {
+) -> Option<Failure> {
     let vm = Vm::new(weaken, max_steps, controller);
     vm.register_root();
     let v = Arc::clone(&vm);
@@ -931,12 +922,8 @@ pub(crate) fn run_one(
             None => break,
         }
     }
-    let c = vm.lock();
-    ExecResult {
-        schedule: Schedule(c.schedule.clone()),
-        failure: c.failure.clone(),
-        steps: c.steps,
-    }
+    let failure = vm.lock().failure.clone();
+    failure
 }
 
 #[cfg(test)]

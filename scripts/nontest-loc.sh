@@ -3,9 +3,11 @@
 # "least code" scoreboard.
 #
 # Rule: for every crates/*/src/*.rs except proptests.rs, the lines before
-# the first line starting with `#[cfg(test)]` (the whole file when there is
-# none). Blank lines and comments count: the number only has to move the
-# same way the code does, and a rule this plain cannot be gamed by
+# the test module: the first line starting with `#[cfg(test)]` whose next
+# line starts a `mod` (the whole file when there is none). A `#[cfg(test)]`
+# on anything else (a test-only `use` or `thread_local!`) counts like any
+# other line. Blank lines and comments count: the number only has to move
+# the same way the code does, and a rule this plain cannot be gamed by
 # reformatting.
 #
 # Prints one line per crate and the total, and fails when the total
@@ -18,7 +20,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=23109
+CEILING=23130
 BENCH_CEILING=1865
 
 total=0
@@ -26,7 +28,12 @@ for crate in crates/*/; do
     n=0
     for f in "$crate"src/*.rs; do
         [ "$(basename "$f")" = proptests.rs ] && continue
-        lines=$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")
+        lines=$(awk '
+            held && /^(pub(\(crate\))? )?mod / { held = 0; exit }
+            held { n++; held = 0 }
+            /^#\[cfg\(test\)\]/ { held = 1; next }
+            { n++ }
+            END { print n + held }' "$f")
         n=$((n + lines))
     done
     printf '%-14s %6d\n' "$(basename "$crate")" "$n"

@@ -101,7 +101,9 @@ pub mod prelude {
         seq_imp, seq_sat, Consequence, DepSet, Dependency, GenerateConsequence, ImpOutcome,
         ImpliedVia, Literal, Operand, ReasonConfig, SatOutcome,
     };
-    pub use gfd_graph::{AttrId, Graph, LabelId, NodeId, Pattern, Value, ValueId, ValueTable, VarId, Vocab};
+    pub use gfd_graph::{
+        AttrId, Graph, LabelId, NodeId, Pattern, Value, ValueId, ValueTable, VarId, Vocab,
+    };
 }
 
 #[cfg(test)]

@@ -289,9 +289,10 @@ fn enforcement_allocates_per_arena_growth_not_per_match() {
     let cold = replay();
     let (warm, allocs) = allocations_of(replay);
     assert_eq!(warm.stats, cold.stats);
-    // Each of the engine's dozen growable buffers (relation columns, key
-    // map, watcher arena, pending arena, scratch, log) doubles at most
-    // once per bit of its final length.
+    // Each of the engine's dozen growable buffers (relation columns, the
+    // key index's per-node heads and per-slot links, watcher arena,
+    // pending arena, scratch, log) doubles at most once per bit of its
+    // final length.
     let bits = u64::from(usize::BITS - warm.eq.key_count().max(matches.len()).leading_zeros());
     println!(
         "{} matches, {} pending, {} keys: {allocs} allocations",

@@ -298,12 +298,7 @@ fn ggd_imp_is_worker_count_invariant() {
     let mut gen = GenerateConsequence::over(&p);
     let y = gen.add_fresh(t1, "y");
     gen.add_edge(x, other, y);
-    let probe_bad = Dependency::new(
-        "probe_bad",
-        p,
-        vec![Literal::eq_const(x, a0, 0i64)],
-        gen,
-    );
+    let probe_bad = Dependency::new("probe_bad", p, vec![Literal::eq_const(x, a0, 0i64)], gen);
     for p in worker_counts() {
         assert!(
             dep_imp_with_config(&deps, &probe_good, &chase_cfg(p)).is_implied(),
@@ -529,12 +524,7 @@ fn pool_rules(vocab: &mut Vocab) -> DepSet {
     let x = p2.add_node(t, "x");
     let y = p2.add_node(t, "y");
     p2.add_edge(x, e, y);
-    let r2 = Dependency::new(
-        "pool-eq",
-        p2,
-        vec![],
-        vec![Literal::eq_attr(x, b, y, b)],
-    );
+    let r2 = Dependency::new("pool-eq", p2, vec![], vec![Literal::eq_attr(x, b, y, b)]);
     DepSet::from_vec(vec![r1, r2])
 }
 
