@@ -9,6 +9,11 @@
 //! `scheduler_equivalence`) under TTL-zero forced splitting must
 //! produce the sequential answers, including on
 //! budget-capped rule sets where both sides must report "unknown".
+//!
+//! The features plain GFDs lack — order operators, disjunction, id
+//! literals, denials — are pinned by `ged_feature_oracle`: seeded
+//! generated documents checked against direct validation, the sequential
+//! verdict, member implication and the resolution fixpoint.
 
 use gfd::core::Interrupt;
 use gfd::ged::driver::{ged_implies_with_config, ged_sat_with_config, GedReasonConfig};
@@ -403,4 +408,174 @@ fn ged_witness_satisfies_lifted_sigma() {
             ged.name
         );
     }
+}
+
+/// A tiny deterministic generator (xorshift64), so a failing seed of the
+/// feature oracle below reproduces exactly.
+struct Rng(u64);
+
+impl Rng {
+    fn new(seed: u64) -> Self {
+        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+
+    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+        xs[self.below(xs.len() as u64) as usize]
+    }
+}
+
+/// One GED literal over `vars`: an id literal (two-variable patterns
+/// only), an attribute-attribute or an attribute-constant comparison.
+fn gen_literal(rng: &mut Rng, vars: &[&str]) -> String {
+    const OPS: &[&str] = &["=", "!=", "<", "<=", ">", ">="];
+    let x = rng.pick(vars);
+    let a = rng.pick(&["A", "B"]);
+    match rng.below(6) {
+        0 if vars.len() == 2 => "x.id = y.id".to_string(),
+        1 => {
+            let (y, b) = (rng.pick(vars), rng.pick(&["A", "B"]));
+            format!("{x}.{a} {} {y}.{b}", rng.pick(OPS))
+        }
+        _ => format!("{x}.{a} {} {}", rng.pick(OPS), rng.below(4)),
+    }
+}
+
+/// A `ged` document of two to four rules mixing order operators,
+/// disjunction, id literals and denials.
+fn gen_ged_document(rng: &mut Rng) -> String {
+    let mut src = String::new();
+    for i in 0..2 + rng.below(3) {
+        let two = rng.below(2) == 0;
+        let vars: &[&str] = if two { &["x", "y"] } else { &["x"] };
+        let mut pattern = format!("node x: {}", rng.pick(&["t", "u", "_"]));
+        if two {
+            pattern += &format!(" node y: {}", rng.pick(&["t", "_"]));
+            if rng.below(2) == 0 {
+                pattern += " edge x -e-> y";
+            }
+        }
+        let kind = rng.below(4);
+        // A denial always carries a premise: an unguarded one fires on
+        // its own pattern and leaves nothing to search.
+        let when = if kind == 0 || rng.below(2) == 0 {
+            format!(" when {{ {} }}", gen_literal(rng, vars))
+        } else {
+            String::new()
+        };
+        let then = match kind {
+            0 => "then { false }".to_string(),
+            1 => format!(
+                "then {{ {} }} or {{ {} }}",
+                gen_literal(rng, vars),
+                gen_literal(rng, vars)
+            ),
+            _ => {
+                let lits: Vec<String> = (0..1 + rng.below(2))
+                    .map(|_| gen_literal(rng, vars))
+                    .collect();
+                format!("then {{ {} }}", lits.join(", "))
+            }
+        };
+        src += &format!("ged r{i} {{ pattern {{ {pattern} }}{when} {then} }}\n");
+    }
+    src
+}
+
+/// A data graph of artists and albums plus two recursive keys (artists
+/// by name, albums by title and shared artist) for entity resolution.
+fn gen_resolution_document(rng: &mut Rng) -> String {
+    let artists = 2 + rng.below(3);
+    let albums = 2 + rng.below(3);
+    let mut src = String::from("graph g {\n");
+    for i in 0..artists {
+        src += &format!(
+            "  node a{i}: artist {{ name = {}, born = {} }}\n",
+            rng.below(2),
+            rng.below(3)
+        );
+    }
+    for i in 0..albums {
+        src += &format!("  node b{i}: album {{ title = {} }}\n", rng.below(2));
+        src += &format!("  edge b{i} -by-> a{}\n", rng.below(artists));
+    }
+    src += "}\n";
+    let artist_premise = rng.pick(&["x.name = y.name", "x.name = y.name, x.born <= y.born"]);
+    src += &format!(
+        "ged artist_key {{ pattern {{ node x: artist node y: artist }} \
+         when {{ {artist_premise} }} then {{ x.id = y.id }} }}\n\
+         ged album_key {{ pattern {{ node x: album node y: album node a: artist \
+         edge x -by-> a edge y -by-> a }} when {{ x.title = y.title }} then {{ x.id = y.id }} }}\n"
+    );
+    src
+}
+
+/// The GED feature oracle: order operators, disjunction, id literals and
+/// denials, checked against properties that share no code with the
+/// constraint store. Every extracted witness satisfies every GED per
+/// `ged_graph_satisfies` (direct validation), the scheduled verdict at
+/// every worker count with TTL-zero splitting equals the sequential one,
+/// every member of Σ is implied by Σ, and entity resolution run on its
+/// own result merges nothing.
+#[test]
+fn ged_feature_oracle() {
+    let (mut witnesses, mut implications, mut merged) = (0usize, 0usize, 0usize);
+    for seed in 0..400u64 {
+        let mut rng = Rng::new(seed);
+        let src = gen_ged_document(&mut rng);
+        let mut vocab = Vocab::new();
+        let doc = gfd::dsl::parse_document(&src, &mut vocab).unwrap();
+        let sigma = doc.all_as_geds().expect("no ggd blocks");
+        let seq = ged_sat(&sigma);
+        let expected = sat_verdict(&seq);
+        if let Some(w) = seq.witness() {
+            witnesses += 1;
+            for (_, ged) in sigma.iter() {
+                assert!(
+                    gfd::ged::ged_graph_satisfies(w, ged),
+                    "seed {seed}: witness violates {}:\n{src}",
+                    ged.name
+                );
+            }
+        }
+        for p in worker_counts() {
+            let out = ged_sat_with_config(&sigma, &sched_config(p)).outcome;
+            assert_eq!(sat_verdict(&out), expected, "seed {seed} p={p}:\n{src}");
+        }
+        for (_, phi) in sigma.iter() {
+            assert!(
+                imp_verdict(&ged_implies(&sigma, phi)),
+                "seed {seed}: Σ does not imply its member {}:\n{src}",
+                phi.name
+            );
+            implications += 1;
+        }
+
+        let src = gen_resolution_document(&mut rng);
+        let doc = gfd::dsl::parse_document(&src, &mut vocab).unwrap();
+        let keys: Vec<gfd::ged::Key> = doc
+            .geds
+            .iter()
+            .map(|(_, g)| gfd::ged::Key::new(g.clone()))
+            .collect();
+        let first = gfd::ged::resolve_entities(&doc.graphs[0].1, &keys);
+        merged += usize::from(first.merges > 0);
+        let again = gfd::ged::resolve_entities(&first.resolved, &keys);
+        assert_eq!(
+            again.merges, 0,
+            "seed {seed}: resolution not a fixpoint:\n{src}"
+        );
+    }
+    assert!(witnesses >= 200, "only {witnesses} witnesses extracted");
+    assert!(
+        implications >= 1000,
+        "only {implications} member implications"
+    );
+    assert!(merged >= 200, "only {merged} resolutions merged anything");
 }
