@@ -2,10 +2,11 @@
 //! commands (§IX of the paper).
 
 use crate::args::{load_document, parse_budget, refuse_unread, ArgError, Parsed, Unread};
+use crate::cmd_sat::interrupted;
 use crate::output::{fmt_duration, fmt_metrics};
 use crate::traceopt::{TraceArgs, TRACE_HELP};
 use gfd_ged::{
-    ged_implies_with_config, ged_sat_with_config, resolve_entities, Ged, GedImpOutcome, GedLiteral,
+    ged_implies_with_config, ged_sat_with_config, resolve_entities, Ged, GedImpOutcome,
     GedReasonConfig, GedSatOutcome, Key,
 };
 use std::io::Write;
@@ -28,19 +29,21 @@ fn reason_config(args: &Parsed, tracing: &TraceArgs) -> Result<GedReasonConfig, 
     Ok(cfg)
 }
 
-/// Render an inconclusive GED run as the uniform exit-2 diagnostic,
-/// naming the specific exhausted axis (the branch budget keeps its
-/// historical `raise --max-branches` hint).
-fn ged_interrupted(interrupt: &gfd_core::Interrupt, cfg: &GedReasonConfig) -> ArgError {
+/// Render an inconclusive GED run as the uniform exit-2 diagnostic: the
+/// branch budget keeps its historical `raise --max-branches` hint, every
+/// other interrupt reads as in `sat`/`imp` ([`interrupted`]).
+fn ged_interrupted(
+    interrupt: &gfd_core::Interrupt,
+    cfg: &GedReasonConfig,
+    metrics: &gfd_runtime::RunMetrics,
+) -> ArgError {
     match interrupt {
         gfd_core::Interrupt::Branches => ArgError::new(format!(
             "branch budget ({}) exhausted before the search completed; \
              raise --max-branches",
             cfg.max_branches
         )),
-        i => ArgError::new(format!(
-            "run interrupted: {i}; raise --deadline-ms/--max-units to keep going"
-        )),
+        i => interrupted(i, metrics),
     }
 }
 
@@ -93,7 +96,7 @@ pub(crate) fn run_sat(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError
     let run = ged_sat_with_config(&sigma, &cfg);
     let outcome = run.outcome;
     if let GedSatOutcome::Unknown(i) = &outcome {
-        return Err(ged_interrupted(i, &cfg));
+        return Err(ged_interrupted(i, &cfg, &run.metrics));
     }
     let verdict = if outcome.is_satisfiable() {
         "SATISFIABLE"
@@ -181,7 +184,7 @@ pub(crate) fn run_imp(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError
     );
     let run = ged_implies_with_config(&sigma, &phi, &cfg);
     if let GedImpOutcome::Unknown(i) = &run.outcome {
-        return Err(ged_interrupted(i, &cfg));
+        return Err(ged_interrupted(i, &cfg, &run.metrics));
     }
     let implied = run.outcome.is_implied();
     let verdict = if implied { "IMPLIED" } else { "NOT IMPLIED" };
@@ -231,18 +234,10 @@ pub(crate) fn run_resolve(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgE
                 .1
         }
     };
-    // Keys: GEDs whose single disjunct is all id literals.
     let keys: Vec<Key> = doc
         .geds
         .iter()
-        .filter(|(_, g)| {
-            g.disjuncts.len() == 1
-                && !g.disjuncts[0].is_empty()
-                && g.disjuncts[0]
-                    .iter()
-                    .all(|l| matches!(l, GedLiteral::Id { .. }))
-        })
-        .map(|(_, g)| Key::new(g.clone()))
+        .filter_map(|(_, g)| Key::new(g.clone()))
         .collect();
     if keys.is_empty() {
         return Err(ArgError::new(format!(

@@ -1103,6 +1103,45 @@ mod tests {
         let (code, text) = run_vec(&["detect", rules.to_str().unwrap(), "--deadline-ms", "0"]);
         assert_eq!(code, 2, "{text}");
         assert!(text.contains("deadline slack -"), "{text}");
+        // The GED commands carry the same run context.
+        let rules = rules.to_str().unwrap();
+        for args in [
+            vec!["ged-sat", rules, "--deadline-ms", "0"],
+            vec!["ged-imp", rules, "--phi", "a", "--deadline-ms", "0"],
+        ] {
+            let (code, text) = run_vec(&args);
+            assert_eq!(code, 2, "{args:?}: {text}");
+            assert!(text.contains("deadline slack -"), "{args:?}: {text}");
+        }
+    }
+
+    /// A traced unsatisfiable GED search books the branches it cut in the
+    /// `pruned` argument of its `GedBranch` spans.
+    #[test]
+    fn ged_trace_records_pruned_branches() {
+        let dir = std::env::temp_dir().join("gfd-cli-test-ged-pruned");
+        std::fs::create_dir_all(&dir).unwrap();
+        let rules = dir.join("u.gfd");
+        std::fs::write(
+            &rules,
+            "gfd a { pattern { node x: _ } then { x.A = 0 } }\n\
+             ged b { pattern { node x: _ } then { x.A = 1 } or { x.A = 2 } }\n",
+        )
+        .unwrap();
+        let trace = dir.join("t.json");
+        let (rules, trace) = (rules.to_str().unwrap(), trace.to_str().unwrap());
+        let (code, text) = run_vec(&["ged-sat", rules, "--trace", trace]);
+        assert_eq!(code, 1, "{text}");
+        let timeline = std::fs::read_to_string(trace).unwrap();
+        let pruned: u64 = timeline
+            .split("\"pruned\": ")
+            .skip(1)
+            .map(|rest| {
+                let digits = rest.split(|c: char| !c.is_ascii_digit()).next().unwrap();
+                digits.parse::<u64>().unwrap()
+            })
+            .sum();
+        assert!(pruned > 0, "no pruned branch booked: {timeline}");
     }
 
     #[test]

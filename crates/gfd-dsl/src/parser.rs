@@ -271,7 +271,7 @@ impl<'v> Parser<'v> {
 
         // when { ... } (optional)
         let premise = if self.eat_keyword("when") {
-            self.parse_literals(&pattern, &vars)?.ok_or(()).or_else(
+            self.parse_literals(&vars)?.ok_or(()).or_else(
                 |_| -> Result<Vec<Literal>, ParseError> {
                     self.err("`false` is not allowed in a premise")
                 },
@@ -284,7 +284,7 @@ impl<'v> Parser<'v> {
         if !self.eat_keyword("then") {
             return self.err("expected `then` block");
         }
-        let consequence = self.parse_literals(&pattern, &vars)?;
+        let consequence = self.parse_literals(&vars)?;
         self.expect(&Token::RBrace)?;
 
         Ok(match consequence {
@@ -321,7 +321,7 @@ impl<'v> Parser<'v> {
         let (pattern, mut vars) = self.parse_pattern()?;
 
         let premise = if self.eat_keyword("when") {
-            match self.parse_literals(&pattern, &vars)? {
+            match self.parse_literals(&vars)? {
                 Some(lits) => lits,
                 None => return self.err("`false` is not allowed in a premise"),
             }
@@ -369,8 +369,7 @@ impl<'v> Parser<'v> {
                 if attrs.is_some() {
                     return self.err("duplicate `set` block in create");
                 }
-                let target = gen.pattern.clone();
-                match self.parse_literals(&target, &vars)? {
+                match self.parse_literals(&vars)? {
                     Some(lits) => attrs = Some(lits),
                     None => return self.err("`false` is not allowed in a `set` block"),
                 }
@@ -390,10 +389,8 @@ impl<'v> Parser<'v> {
 
     /// Parse `{ lit, lit, ... }`. Returns `None` for the special body
     /// `{ false }`.
-    #[allow(clippy::type_complexity)]
     fn parse_literals(
         &mut self,
-        pattern: &Pattern,
         vars: &FxHashMap<String, VarId>,
     ) -> Result<Option<Vec<Literal>>, ParseError> {
         self.expect(&Token::LBrace)?;
@@ -435,7 +432,6 @@ impl<'v> Parser<'v> {
                 }
                 _ => Literal::eq_id(var, attr, self.parse_value()?),
             };
-            let _ = pattern;
             lits.push(lit);
             if self.peek() == Some(&Token::Comma) {
                 self.pos += 1;

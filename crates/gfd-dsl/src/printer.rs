@@ -205,25 +205,7 @@ fn print_ged_literals(
 pub fn print_ged(ged: &gfd_ged::Ged, vocab: &Vocab) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "ged {} {{", ged.name);
-    out.push_str("  pattern {\n");
-    for v in ged.pattern.vars() {
-        let _ = writeln!(
-            out,
-            "    node {}: {}",
-            ged.pattern.var_name(v),
-            vocab.label_name(ged.pattern.label(v))
-        );
-    }
-    for e in ged.pattern.edges() {
-        let _ = writeln!(
-            out,
-            "    edge {} -{}-> {}",
-            ged.pattern.var_name(e.src),
-            vocab.label_name(e.label),
-            ged.pattern.var_name(e.dst)
-        );
-    }
-    out.push_str("  }\n");
+    print_pattern(&ged.pattern, vocab, &mut out);
     if !ged.premise.is_empty() {
         out.push_str("  when { ");
         print_ged_literals(&ged.premise, &ged.pattern, vocab, &mut out);

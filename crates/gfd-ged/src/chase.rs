@@ -8,12 +8,17 @@
 //! consequence, or an undetermined grounded premise literal. The two
 //! callers differ only in the quantifier they apply over branches —
 //! existential for satisfiability, universal for implication.
+//!
+//! The quotient is the store's [`Quotient`](crate::store::Quotient), the
+//! one builder shared with witness extraction and entity resolution. A
+//! match in it maps back to base nodes through `rep` (each class node's
+//! first base node); `rep` is injective, so no match is enforced twice in
+//! one scan.
 
 use crate::ged::{Ged, GedLiteral, GedSet};
 use crate::store::GedStore;
 use gfd_graph::{Graph, LabelIndex, NodeId};
 use gfd_match::find_all_matches;
-use rustc_hash::FxHashSet;
 
 /// What the fixpoint scan decided must happen next.
 pub(crate) enum NextStep {
@@ -39,28 +44,15 @@ enum MatchStep {
 pub(crate) fn fixpoint_round(sigma: &GedSet, base: &Graph, store: &mut GedStore) -> NextStep {
     loop {
         let version_before = store.version();
-        let (quotient, mapping) = store.quotient(base);
-        // Representative base node per quotient node.
-        let sentinel = NodeId::new(u32::MAX as usize);
-        let mut rep = vec![sentinel; quotient.node_count()];
-        for v in base.nodes() {
-            let q = mapping[v.index()];
-            if rep[q.index()] == sentinel {
-                rep[q.index()] = v;
-            }
-        }
-        let index = LabelIndex::build(&quotient);
+        let q = store.quotient(base);
+        let index = LabelIndex::build(&q.graph);
 
         let mut pending_choice: Option<(usize, Vec<NodeId>)> = None;
         let mut pending_premise: Option<(usize, usize, Vec<NodeId>)> = None;
-        let mut seen: FxHashSet<(usize, Vec<NodeId>)> = FxHashSet::default();
 
         'scan: for (id, ged) in sigma.iter() {
-            for m in find_all_matches(&quotient, &index, &ged.pattern) {
-                let mb: Vec<NodeId> = m.iter().map(|qn| rep[qn.index()]).collect();
-                if !seen.insert((id.index(), mb.clone())) {
-                    continue;
-                }
+            for m in find_all_matches(&q.graph, &index, &ged.pattern) {
+                let mb: Vec<NodeId> = m.iter().map(|n| q.rep[n.index()]).collect();
                 match process_match(store, ged, &mb) {
                     MatchStep::Ok => {}
                     MatchStep::Fail => return NextStep::Fail,

@@ -157,6 +157,9 @@ struct BranchUnit {
 /// Per-worker state: just counters; branches carry all search state.
 struct GedWorker {
     branches_explored: u64,
+    /// Branches cut by a conflict: failed fixpoints, plus children whose
+    /// assertion conflicted before they were pushed.
+    pruned: u64,
 }
 
 /// The branch-and-bound workload run by the scheduler.
@@ -178,12 +181,12 @@ struct GedTask<'a> {
 
 impl GedTask<'_> {
     /// Run one branch to its next choice point and push the children.
-    fn step(&self, stack: &mut Vec<GedStore>, mut store: GedStore) {
+    fn step(&self, w: &mut GedWorker, stack: &mut Vec<GedStore>, mut store: GedStore) {
         match fixpoint_round(self.sigma, self.base, &mut store) {
             // Inconsistent: the branch dies. For satisfiability that
             // prunes one candidate model; for implication the conflict
             // case of Corollary 4 holds vacuously.
-            NextStep::Fail => {}
+            NextStep::Fail => w.pruned += 1,
             NextStep::Quiescent => match &self.goal {
                 GedGoal::Sat => {
                     // First witness wins; everyone else stops searching.
@@ -193,7 +196,7 @@ impl GedTask<'_> {
                     }
                     self.stop.store(true, Ordering::Relaxed);
                 }
-                GedGoal::Imp { phi, identity } => self.imp_leaf(stack, store, phi, identity),
+                GedGoal::Imp { phi, identity } => self.imp_leaf(w, stack, store, phi, identity),
             },
             NextStep::ChooseDisjunct(ged_idx, m) => {
                 // Both quantifiers branch identically over consistent
@@ -203,17 +206,15 @@ impl GedTask<'_> {
                 let disjuncts = &self.sigma.get(gfd_graph::GfdId::new(ged_idx)).disjuncts;
                 for disjunct in disjuncts.iter().rev() {
                     let mut branch = store.clone();
-                    if disjunct
+                    let ok = disjunct
                         .iter()
-                        .all(|lit| branch.assert_literal(lit, &m).is_ok())
-                    {
-                        stack.push(branch);
-                    }
+                        .all(|lit| branch.assert_literal(lit, &m).is_ok());
+                    push_child(w, stack, branch, ok);
                 }
             }
             NextStep::BranchPremise(ged_idx, lit_idx, m) => {
                 let lit = self.sigma.get(gfd_graph::GfdId::new(ged_idx)).premise[lit_idx].clone();
-                self.both_ways(stack, store, &lit, &m);
+                self.both_ways(w, stack, store, &lit, &m);
             }
         }
     }
@@ -225,24 +226,24 @@ impl GedTask<'_> {
     /// as in the sequential search.
     fn both_ways(
         &self,
+        w: &mut GedWorker,
         stack: &mut Vec<GedStore>,
         store: GedStore,
         lit: &GedLiteral,
         m: &[NodeId],
     ) {
         let mut pos = store.clone();
-        if pos.assert_literal(lit, m).is_ok() {
-            stack.push(pos);
-        }
+        let ok = pos.assert_literal(lit, m).is_ok();
+        push_child(w, stack, pos, ok);
         let mut neg = store;
-        if neg.assert_negation(lit, m).is_ok() {
-            stack.push(neg);
-        }
+        let ok = neg.assert_negation(lit, m).is_ok();
+        push_child(w, stack, neg, ok);
     }
 
     /// Implication's quiescent-leaf test (the paper's Corollary 4 cases).
     fn imp_leaf(
         &self,
+        w: &mut GedWorker,
         stack: &mut Vec<GedStore>,
         mut store: GedStore,
         phi: &Ged,
@@ -269,7 +270,7 @@ impl GedTask<'_> {
                     && !store.literal_refuted(lit, identity)
                 {
                     let lit = lit.clone();
-                    self.both_ways(stack, store, &lit, identity);
+                    self.both_ways(w, stack, store, &lit, identity);
                     return;
                 }
             }
@@ -281,6 +282,15 @@ impl GedTask<'_> {
     }
 }
 
+/// Push a child branch, or book it as pruned when its assertion conflicted.
+fn push_child(w: &mut GedWorker, stack: &mut Vec<GedStore>, child: GedStore, consistent: bool) {
+    if consistent {
+        stack.push(child);
+    } else {
+        w.pruned += 1;
+    }
+}
+
 impl Task for GedTask<'_> {
     type Unit = BranchUnit;
     type Worker = GedWorker;
@@ -288,19 +298,20 @@ impl Task for GedTask<'_> {
     fn worker(&self, _id: usize) -> GedWorker {
         GedWorker {
             branches_explored: 0,
+            pruned: 0,
         }
     }
 
     fn run_unit(&self, w: &mut GedWorker, unit: BranchUnit, ctx: &WorkerCtx<'_, BranchUnit>) {
         let span = ctx.trace_start();
-        let explored0 = w.branches_explored;
+        let (explored0, pruned0) = (w.branches_explored, w.pruned);
         self.explore(w, unit, ctx);
         ctx.trace_span(
             EventKind::GedBranch,
             0,
             span,
             w.branches_explored - explored0,
-            0,
+            w.pruned - pruned0,
         );
     }
 }
@@ -329,7 +340,7 @@ impl GedTask<'_> {
                 return;
             }
             w.branches_explored += 1;
-            self.step(&mut stack, store);
+            self.step(w, &mut stack, store);
             // Straggler: drain every open branch into split units, DFS
             // order preserved (front of the deque = the branch this loop
             // would have popped next), and end the unit — idle workers

@@ -22,22 +22,9 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    /// Evaluate the operator on two concrete values, using the total order
-    /// on [`Value`] (ints before bools before strings; each variant ordered
-    /// naturally).
-    pub fn eval(self, left: &Value, right: &Value) -> bool {
-        match self {
-            CmpOp::Eq => left == right,
-            CmpOp::Ne => left != right,
-            CmpOp::Lt => left < right,
-            CmpOp::Le => left <= right,
-            CmpOp::Gt => left > right,
-            CmpOp::Ge => left >= right,
-        }
-    }
-
     /// Evaluate on interned ids. Equality is a raw `u32` compare; the
-    /// order operators use the id order, which matches [`Value`]'s.
+    /// order operators use the id order, which matches [`Value`]'s (ints
+    /// before bools before strings; each variant ordered naturally).
     pub fn eval_id(self, left: ValueId, right: ValueId) -> bool {
         match self {
             CmpOp::Eq => left == right,
@@ -344,21 +331,9 @@ impl Ged {
         })
     }
 
-    /// True iff the premise is empty.
-    pub fn has_empty_premise(&self) -> bool {
-        self.premise.is_empty()
-    }
-
     /// True iff the consequence is `false` (no disjunct).
     pub fn is_denial(&self) -> bool {
         self.disjuncts.is_empty()
-    }
-
-    /// Size `|ψ|` for small-model bounds: pattern size plus two per literal.
-    pub fn size(&self) -> usize {
-        self.pattern.size()
-            + 2 * self.premise.len()
-            + 2 * self.disjuncts.iter().map(Vec::len).sum::<usize>()
     }
 
     /// Render with names resolved through `vocab`.
@@ -472,11 +447,6 @@ impl GedSet {
             .enumerate()
             .map(|(i, g)| (GfdId::new(i), g))
     }
-
-    /// Total size `|Σ|`.
-    pub fn total_size(&self) -> usize {
-        self.geds.iter().map(Ged::size).sum()
-    }
 }
 
 #[cfg(test)]
@@ -495,20 +465,20 @@ mod tests {
 
     #[test]
     fn cmp_op_eval_covers_all_ops() {
-        let a = Value::int(1);
-        let b = Value::int(2);
-        assert!(CmpOp::Eq.eval(&a, &a));
-        assert!(!CmpOp::Eq.eval(&a, &b));
-        assert!(CmpOp::Ne.eval(&a, &b));
-        assert!(CmpOp::Lt.eval(&a, &b));
-        assert!(CmpOp::Le.eval(&a, &a));
-        assert!(CmpOp::Gt.eval(&b, &a));
-        assert!(CmpOp::Ge.eval(&b, &b));
+        let a = ValueId::of(1i64);
+        let b = ValueId::of(2i64);
+        assert!(CmpOp::Eq.eval_id(a, a));
+        assert!(!CmpOp::Eq.eval_id(a, b));
+        assert!(CmpOp::Ne.eval_id(a, b));
+        assert!(CmpOp::Lt.eval_id(a, b));
+        assert!(CmpOp::Le.eval_id(a, a));
+        assert!(CmpOp::Gt.eval_id(b, a));
+        assert!(CmpOp::Ge.eval_id(b, b));
     }
 
     #[test]
     fn flip_and_negate_are_involutions_on_eval() {
-        let vals = [Value::int(1), Value::int(2), Value::str("a")];
+        let vals = [ValueId::of(1i64), ValueId::of(2i64), ValueId::of("a")];
         let ops = [
             CmpOp::Eq,
             CmpOp::Ne,
@@ -520,10 +490,14 @@ mod tests {
         for op in ops {
             assert_eq!(op.flip().flip(), op);
             assert_eq!(op.negate().negate(), op);
-            for a in &vals {
-                for b in &vals {
-                    assert_eq!(op.eval(a, b), op.flip().eval(b, a), "{op:?} flip");
-                    assert_eq!(op.eval(a, b), !op.negate().eval(a, b), "{op:?} negate");
+            for a in vals {
+                for b in vals {
+                    assert_eq!(op.eval_id(a, b), op.flip().eval_id(b, a), "{op:?} flip");
+                    assert_eq!(
+                        op.eval_id(a, b),
+                        !op.negate().eval_id(a, b),
+                        "{op:?} negate"
+                    );
                 }
             }
         }
@@ -544,7 +518,6 @@ mod tests {
         assert!(shown.contains("x.email = y.email"), "{shown}");
         assert!(shown.contains("x.id = y.id"), "{shown}");
         assert!(!key.is_denial());
-        assert!(!key.has_empty_premise());
     }
 
     #[test]
@@ -618,6 +591,5 @@ mod tests {
         assert_eq!(set.len(), 1);
         assert_eq!(set.get(id).name, "d");
         assert_eq!(set.iter().count(), 1);
-        assert!(set.total_size() > 0);
     }
 }

@@ -11,9 +11,12 @@
 //! [`resolve_entities`] runs that fixpoint over a data graph: in each
 //! round it matches every key against the current quotient graph, merges
 //! the nodes its id literals connect, and rebuilds the quotient (merging
-//! attribute tuples, recording clashes) until no key fires.
+//! attribute tuples, recording clashes) until no key fires. The quotient
+//! is the store's [`Quotient`], built through the same union-find as the
+//! reasoning searches; here the least node index of a class is its root.
 
 use crate::ged::{Ged, GedLiteral};
+use crate::store::{NodeUf, Quotient};
 use crate::validate::{ged_literal_holds, ged_premise_holds};
 use gfd_graph::{AttrId, Graph, LabelIndex, NodeId, ValueId};
 use gfd_match::find_all_matches;
@@ -26,31 +29,14 @@ pub struct Key {
 }
 
 impl Key {
-    /// Wrap a GED as a key, checking its consequence shape.
-    ///
-    /// # Panics
-    /// Panics unless the consequence is exactly one disjunct consisting of
-    /// id literals only.
-    pub fn new(ged: Ged) -> Self {
-        assert_eq!(
-            ged.disjuncts.len(),
-            1,
-            "key `{}` must have a single consequence disjunct",
-            ged.name
-        );
-        assert!(
-            ged.disjuncts[0]
-                .iter()
-                .all(|l| matches!(l, GedLiteral::Id { .. })),
-            "key `{}` consequence must contain only id literals",
-            ged.name
-        );
-        assert!(
-            !ged.disjuncts[0].is_empty(),
-            "key `{}` must identify something",
-            ged.name
-        );
-        Key { ged }
+    /// Wrap a GED as a key: `None` unless its consequence is exactly one
+    /// non-empty conjunction of id literals.
+    pub fn new(ged: Ged) -> Option<Self> {
+        let [lits] = ged.disjuncts.as_slice() else {
+            return None;
+        };
+        let shaped = !lits.is_empty() && lits.iter().all(|l| matches!(l, GedLiteral::Id { .. }));
+        shaped.then_some(Key { ged })
     }
 
     /// The id pairs `(x, y)` the key equates.
@@ -90,65 +76,19 @@ pub struct ResolutionResult {
     pub conflicts: Vec<AttrConflict>,
 }
 
-/// Union-find over data-graph nodes.
-struct Uf {
-    parent: Vec<u32>,
-}
-
-impl Uf {
-    fn new(n: usize) -> Self {
-        Uf {
-            parent: (0..n as u32).collect(),
-        }
-    }
-
-    fn find(&mut self, i: u32) -> u32 {
-        let mut i = i;
-        while self.parent[i as usize] != i {
-            let p = self.parent[i as usize];
-            self.parent[i as usize] = self.parent[p as usize];
-            i = self.parent[i as usize];
-        }
-        i
-    }
-
-    /// Union by root index (smaller root wins, for determinism).
-    fn union(&mut self, a: u32, b: u32) -> bool {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return false;
-        }
-        let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-        self.parent[hi as usize] = lo;
-        true
-    }
-}
-
-/// Build the quotient of `graph` under `uf`, merging attribute tuples.
+/// The quotient of `graph` under `uf` with merged attribute tuples: a
+/// class keeps the first value each attribute takes in node order.
 fn quotient_with_attrs(
     graph: &Graph,
-    uf: &mut Uf,
+    uf: &mut NodeUf,
     conflicts: &mut Vec<AttrConflict>,
-) -> (Graph, Vec<NodeId>) {
-    let n = graph.node_count();
-    let mut root_to_new: rustc_hash::FxHashMap<u32, NodeId> = rustc_hash::FxHashMap::default();
-    let mut mapping = vec![NodeId::new(0); n];
-    let mut q = Graph::new();
+) -> Quotient {
+    let mut q = Quotient::build(graph, uf, |root| graph.label(root));
     for v in graph.nodes() {
-        let root = uf.find(v.index() as u32);
-        let new = *root_to_new
-            .entry(root)
-            .or_insert_with(|| q.add_node(graph.label(NodeId::new(root as usize))));
-        mapping[v.index()] = new;
-    }
-    for (src, label, dst) in graph.edges() {
-        q.add_edge(mapping[src.index()], label, mapping[dst.index()]);
-    }
-    for v in graph.nodes() {
-        let new = mapping[v.index()];
+        let new = q.of[v.index()];
         for &(attr, value) in graph.attrs(v) {
-            match q.attr(new, attr) {
-                None => q.set_attr_id(new, attr, value),
+            match q.graph.attr(new, attr) {
+                None => q.graph.set_attr_id(new, attr, value),
                 Some(existing) if existing == value => {}
                 Some(existing) => conflicts.push(AttrConflict {
                     node: new,
@@ -159,7 +99,7 @@ fn quotient_with_attrs(
             }
         }
     }
-    (q, mapping)
+    q
 }
 
 /// Run entity resolution with `keys` over `graph` to a fixpoint.
@@ -168,36 +108,28 @@ fn quotient_with_attrs(
 /// on the *current* quotient's concrete attributes (so a premise
 /// `x.email = y.email` uses merged attribute tuples).
 pub fn resolve_entities(graph: &Graph, keys: &[Key]) -> ResolutionResult {
-    let mut uf = Uf::new(graph.node_count());
+    let mut uf = NodeUf::new(graph.node_count());
     let mut merges = 0usize;
     let mut rounds = 0usize;
     loop {
         rounds += 1;
-        let mut throwaway = Vec::new();
-        let (q, mapping) = quotient_with_attrs(graph, &mut uf, &mut throwaway);
-        // Representative original node per quotient node (for union ops).
-        let sentinel = NodeId::new(u32::MAX as usize);
-        let mut rep = vec![sentinel; q.node_count()];
-        for v in graph.nodes() {
-            let m = mapping[v.index()];
-            if rep[m.index()] == sentinel {
-                rep[m.index()] = v;
-            }
-        }
-        let index = LabelIndex::build(&q);
+        let q = quotient_with_attrs(graph, &mut uf, &mut Vec::new());
+        let index = LabelIndex::build(&q.graph);
         let mut changed = false;
         for key in keys {
-            for m in find_all_matches(&q, &index, &key.ged.pattern) {
-                if !ged_premise_holds(&q, &key.ged, &m) {
+            for m in find_all_matches(&q.graph, &index, &key.ged.pattern) {
+                if !ged_premise_holds(&q.graph, &key.ged, &m) {
                     continue;
                 }
                 for (x, y) in key.id_pairs() {
-                    if ged_literal_holds(&q, &GedLiteral::id(x, y), &m) {
+                    if ged_literal_holds(&q.graph, &GedLiteral::id(x, y), &m) {
                         continue; // already the same quotient node
                     }
-                    let a = rep[m[x.index()].index()];
-                    let b = rep[m[y.index()].index()];
-                    if uf.union(a.index() as u32, b.index() as u32) {
+                    let a = uf.find(q.rep[m[x.index()].index()]);
+                    let b = uf.find(q.rep[m[y.index()].index()]);
+                    // The least root survives, for determinism.
+                    if a != b {
+                        uf.link(a.max(b), a.min(b));
                         merges += 1;
                         changed = true;
                     }
@@ -207,10 +139,10 @@ pub fn resolve_entities(graph: &Graph, keys: &[Key]) -> ResolutionResult {
         if !changed {
             // Final quotient, now collecting attribute conflicts.
             let mut conflicts = Vec::new();
-            let (resolved, class_of) = quotient_with_attrs(graph, &mut uf, &mut conflicts);
+            let q = quotient_with_attrs(graph, &mut uf, &mut conflicts);
             return ResolutionResult {
-                resolved,
-                class_of,
+                resolved: q.graph,
+                class_of: q.of,
                 merges,
                 rounds,
                 conflicts,
@@ -260,6 +192,7 @@ mod tests {
             vec![GedLiteral::eq_attr(x, name, y, name)],
             vec![GedLiteral::id(x, y)],
         ))
+        .expect("a key")
     }
 
     fn album_key(vocab: &mut Vocab) -> Key {
@@ -279,6 +212,7 @@ mod tests {
             vec![GedLiteral::eq_attr(x, title, y, title)],
             vec![GedLiteral::id(x, y)],
         ))
+        .expect("a key")
     }
 
     #[test]
@@ -351,34 +285,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "single consequence disjunct")]
     fn key_rejects_disjunctive_consequence() {
         let mut vocab = Vocab::new();
         let t = vocab.label("t");
         let mut p = Pattern::new();
         let x = p.add_node(t, "x");
         let y = p.add_node(t, "y");
-        Key::new(Ged::new(
+        assert!(Key::new(Ged::new(
             "bad",
             p,
             vec![],
             vec![vec![GedLiteral::id(x, y)], vec![GedLiteral::id(y, x)]],
-        ));
+        ))
+        .is_none());
     }
 
     #[test]
-    #[should_panic(expected = "only id literals")]
     fn key_rejects_attribute_consequence() {
         let mut vocab = Vocab::new();
         let t = vocab.label("t");
         let a = vocab.attr("a");
         let mut p = Pattern::new();
         let x = p.add_node(t, "x");
-        Key::new(Ged::conjunctive(
+        assert!(Key::new(Ged::conjunctive(
             "bad",
             p,
             vec![],
             vec![GedLiteral::eq_const(x, a, 1i64)],
-        ));
+        ))
+        .is_none());
     }
 }

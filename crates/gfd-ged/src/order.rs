@@ -10,9 +10,9 @@
 //!   no `≠`-pair (nor two distinct constants) lies in the same
 //!   `≤`-strongly-connected component.
 //!
-//! Constants participate as interned nodes chained by strict edges in
-//! sorted order, so `x ≤ 3 ∧ x ≥ 5` closes a strict cycle through
-//! `3 < 5`.
+//! Constants participate as nodes keyed by their interned [`ValueId`]
+//! and chained by strict edges in value order (`ValueId`'s semantic
+//! `Ord`), so `x ≤ 3 ∧ x ≥ 5` closes a strict cycle through `3 < 5`.
 //!
 //! The same machinery answers *entailment* queries (`does the network
 //! force a op b?`) used by the implication checker's `Y ⊆ EqH` test.
@@ -26,7 +26,7 @@
 //! GED literature.
 
 use crate::ged::CmpOp;
-use gfd_graph::{strongly_connected, Value};
+use gfd_graph::{strongly_connected, ValueId};
 use rustc_hash::FxHashMap;
 use std::fmt;
 
@@ -49,7 +49,7 @@ pub enum OrderConflict {
     /// Two variables required to be equal and distinct at once.
     NeViolated,
     /// Two distinct constants forced equal.
-    ConstantsMerged(Value, Value),
+    ConstantsMerged(ValueId, ValueId),
 }
 
 impl fmt::Display for OrderConflict {
@@ -71,12 +71,10 @@ pub struct OrderNet {
     edges: Vec<Vec<(u32, bool)>>,
     /// Disequality pairs.
     ne: Vec<(u32, u32)>,
-    /// Constant value of a node, for interned constants.
-    constant: Vec<Option<Value>>,
-    /// Interning table for constants.
-    const_ids: FxHashMap<Value, u32>,
-    /// Sorted list of interned constants (for chain edges).
-    sorted_consts: Vec<Value>,
+    /// Constant value of a node, for constant nodes.
+    constant: Vec<Option<ValueId>>,
+    /// The constant nodes as `(value, node)`, sorted by value.
+    consts: Vec<(ValueId, u32)>,
 }
 
 impl OrderNet {
@@ -103,31 +101,24 @@ impl OrderNet {
         OrderVar(id)
     }
 
-    /// Intern a constant node, adding chain edges to its sorted neighbours.
-    pub fn const_var(&mut self, value: &Value) -> OrderVar {
-        if let Some(&id) = self.const_ids.get(value) {
-            return OrderVar(id);
-        }
+    /// The node of constant `value`, added on first use with chain edges
+    /// to its neighbours in value order.
+    pub fn const_var(&mut self, value: ValueId) -> OrderVar {
+        let pos = match self.consts.binary_search_by(|&(c, _)| c.cmp(&value)) {
+            Ok(i) => return OrderVar(self.consts[i].1),
+            Err(pos) => pos,
+        };
         let var = self.new_var();
-        self.constant[var.index()] = Some(value.clone());
-        self.const_ids.insert(value.clone(), var.0);
+        self.constant[var.index()] = Some(value);
         // Chain into the sorted constant order: prev < value < next.
-        let pos = self.sorted_consts.binary_search(value).unwrap_err();
         if pos > 0 {
-            let prev = self.const_ids[&self.sorted_consts[pos - 1]];
-            self.edges[prev as usize].push((var.0, true));
+            self.edges[self.consts[pos - 1].1 as usize].push((var.0, true));
         }
-        if pos < self.sorted_consts.len() {
-            let next = self.const_ids[&self.sorted_consts[pos]];
+        if let Some(&(_, next)) = self.consts.get(pos) {
             self.edges[var.index()].push((next, true));
         }
-        self.sorted_consts.insert(pos, value.clone());
+        self.consts.insert(pos, (value, var.0));
         var
-    }
-
-    /// Look up an already-interned constant without mutating the network.
-    pub fn lookup_const(&self, value: &Value) -> Option<OrderVar> {
-        self.const_ids.get(value).map(|&id| OrderVar(id))
     }
 
     /// Assert `a op b`.
@@ -165,12 +156,12 @@ impl OrderNet {
             }
         }
         // Distinct constants in one SCC.
-        let mut const_in_comp: FxHashMap<u32, &Value> = FxHashMap::default();
-        for (v, c) in self.constant.iter().enumerate() {
+        let mut const_in_comp: FxHashMap<u32, ValueId> = FxHashMap::default();
+        for (v, &c) in self.constant.iter().enumerate() {
             if let Some(c) = c {
                 if let Some(prev) = const_in_comp.insert(comp[v], c) {
                     if prev != c {
-                        return Err(OrderConflict::ConstantsMerged(prev.clone(), c.clone()));
+                        return Err(OrderConflict::ConstantsMerged(prev, c));
                     }
                 }
             }
@@ -244,15 +235,14 @@ impl OrderNet {
 /// Returns `None` when the network mentions non-integer constants or when
 /// no integer assignment fits (e.g. three classes strictly between 3
 /// and 5) — the network may still be satisfiable over a dense domain.
-pub fn solve_integers(net: &OrderNet) -> Option<Vec<Value>> {
+pub fn solve_integers(net: &OrderNet) -> Option<Vec<ValueId>> {
     if net.check().is_err() {
         return None;
     }
     let ints: Vec<Option<i64>> = net
         .constant
         .iter()
-        .map(|c| c.as_ref().map(Value::as_int))
-        .map(|c| c.flatten())
+        .map(|c| c.and_then(ValueId::as_int))
         .collect();
     if net
         .constant
@@ -337,7 +327,7 @@ pub fn solve_integers(net: &OrderNet) -> Option<Vec<Value>> {
     }
     Some(
         (0..net.len())
-            .map(|v| Value::int(value[comp[v] as usize].expect("assigned")))
+            .map(|v| ValueId::of(value[comp[v] as usize].expect("assigned")))
             .collect(),
     )
 }
@@ -370,8 +360,8 @@ mod tests {
         // x ≤ 3 and x ≥ 5 → strict cycle through 3 < 5.
         let mut net = OrderNet::new();
         let x = net.new_var();
-        let c3 = net.const_var(&Value::int(3));
-        let c5 = net.const_var(&Value::int(5));
+        let c3 = net.const_var(ValueId::of(3i64));
+        let c5 = net.const_var(ValueId::of(5i64));
         net.assert_cmp(x, CmpOp::Le, c3);
         net.assert_cmp(x, CmpOp::Ge, c5);
         assert_eq!(net.check(), Err(OrderConflict::StrictCycle));
@@ -380,18 +370,18 @@ mod tests {
     #[test]
     fn constant_interning_is_stable() {
         let mut net = OrderNet::new();
-        let a = net.const_var(&Value::int(1));
-        let b = net.const_var(&Value::int(1));
+        let a = net.const_var(ValueId::of(1i64));
+        let b = net.const_var(ValueId::of(1i64));
         assert_eq!(a, b);
-        assert_eq!(net.constant[a.index()], Some(Value::int(1)));
+        assert_eq!(net.constant[a.index()], Some(ValueId::of(1i64)));
     }
 
     #[test]
     fn chain_edges_order_constants_regardless_of_insertion_order() {
         let mut net = OrderNet::new();
-        let c5 = net.const_var(&Value::int(5));
-        let c1 = net.const_var(&Value::int(1));
-        let c3 = net.const_var(&Value::int(3));
+        let c5 = net.const_var(ValueId::of(5i64));
+        let c1 = net.const_var(ValueId::of(1i64));
+        let c3 = net.const_var(ValueId::of(3i64));
         assert!(net.entails(c1, CmpOp::Lt, c3));
         assert!(net.entails(c3, CmpOp::Lt, c5));
         assert!(net.entails(c1, CmpOp::Lt, c5));
@@ -413,8 +403,8 @@ mod tests {
     fn distinct_constants_forced_equal_conflict() {
         let mut net = OrderNet::new();
         let x = net.new_var();
-        let c1 = net.const_var(&Value::int(1));
-        let c2 = net.const_var(&Value::int(2));
+        let c1 = net.const_var(ValueId::of(1i64));
+        let c2 = net.const_var(ValueId::of(2i64));
         net.assert_cmp(x, CmpOp::Eq, c1);
         net.assert_cmp(x, CmpOp::Eq, c2);
         // The cycle 1 ≤ x ≤ 2 plus chain edge 1 < 2 makes a strict cycle;
@@ -477,8 +467,8 @@ mod tests {
     #[test]
     fn string_constants_are_ordered_lexicographically() {
         let mut net = OrderNet::new();
-        let ca = net.const_var(&Value::str("apple"));
-        let cb = net.const_var(&Value::str("banana"));
+        let ca = net.const_var(ValueId::of("apple"));
+        let cb = net.const_var(ValueId::of("banana"));
         assert!(net.entails(ca, CmpOp::Lt, cb));
         assert_eq!(net.check(), Ok(()));
     }

@@ -12,6 +12,7 @@
 
 use crate::ged::CmpOp;
 use crate::order::{solve_integers, OrderNet, OrderVar};
+use gfd_graph::ValueId;
 use proptest::prelude::*;
 
 /// A random constraint: (left var index, op, right var index) over a
@@ -51,7 +52,7 @@ fn build(vars: usize, constraints: &[Constraint]) -> (OrderNet, Vec<OrderVar>) {
         match c {
             Constraint::VarVar(a, op, b) => net.assert_cmp(vs[*a], *op, vs[*b]),
             Constraint::VarConst(a, op, k) => {
-                let c = net.const_var(&gfd_graph::Value::int(*k));
+                let c = net.const_var(ValueId::of(*k));
                 net.assert_cmp(vs[*a], *op, c);
             }
         }
@@ -78,16 +79,16 @@ proptest! {
         for c in &constraints {
             match c {
                 Constraint::VarVar(a, op, b) => {
-                    let (x, y) = (&assignment[vs[*a].index()], &assignment[vs[*b].index()]);
+                    let (x, y) = (assignment[vs[*a].index()], assignment[vs[*b].index()]);
                     prop_assert!(
-                        op.eval(x, y),
+                        op.eval_id(x, y),
                         "{x:?} {op:?} {y:?} violated by assignment"
                     );
                 }
                 Constraint::VarConst(a, op, k) => {
-                    let x = &assignment[vs[*a].index()];
+                    let x = assignment[vs[*a].index()];
                     prop_assert!(
-                        op.eval(x, &gfd_graph::Value::int(*k)),
+                        op.eval_id(x, ValueId::of(*k)),
                         "{x:?} {op:?} {k} violated by assignment"
                     );
                 }
@@ -112,9 +113,9 @@ proptest! {
         };
         for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
             if net.entails(vs[qa], op, vs[qb]) {
-                let (x, y) = (&assignment[vs[qa].index()], &assignment[vs[qb].index()]);
+                let (x, y) = (assignment[vs[qa].index()], assignment[vs[qb].index()]);
                 prop_assert!(
-                    op.eval(x, y),
+                    op.eval_id(x, y),
                     "entailed {op:?} but assignment has {x:?} vs {y:?}"
                 );
             }
@@ -217,7 +218,7 @@ mod store_props {
             for &(a, b) in &pairs {
                 store.merge_nodes(NodeId::new(a), NodeId::new(b)).unwrap();
             }
-            let (q, mapping) = store.quotient(&g);
+            let crate::store::Quotient { graph: q, of: mapping, .. } = store.quotient(&g);
             let mut reps: Vec<NodeId> = (0..6).map(|i| mapping[i]).collect();
             reps.sort();
             reps.dedup();

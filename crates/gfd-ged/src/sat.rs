@@ -31,9 +31,9 @@
 
 use crate::driver::{ged_sat_with_config, GedReasonConfig};
 use crate::ged::GedSet;
-use crate::store::GedStore;
+use crate::store::{GedStore, Quotient};
 use gfd_core::Interrupt;
-use gfd_graph::{Graph, NodeId};
+use gfd_graph::Graph;
 
 /// The result of a satisfiability check.
 #[derive(Clone, Debug)]
@@ -80,14 +80,11 @@ pub fn ged_sat(sigma: &GedSet) -> GedSatOutcome {
 /// non-integer in-between values (see [`crate::order::solve_integers`]).
 pub(crate) fn extract_witness(store: &mut GedStore, base: &Graph) -> Option<Graph> {
     let assignment = crate::order::solve_integers(store.net())?;
-    let (mut g, mapping) = store.quotient(base);
-    let pairs: Vec<(NodeId, gfd_graph::AttrId, crate::order::OrderVar)> =
-        store.attr_assignments().collect();
-    for (root, attr, var) in pairs {
-        let value = assignment[var.index()].clone();
-        g.set_attr(mapping[root.index()], attr, value);
+    let Quotient { mut graph, of, .. } = store.quotient(base);
+    for (root, attr, var) in store.attr_assignments() {
+        graph.set_attr_id(of[root.index()], attr, assignment[var.index()]);
     }
-    Some(g)
+    Some(graph)
 }
 
 #[cfg(test)]

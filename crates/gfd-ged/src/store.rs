@@ -10,6 +10,14 @@
 //! * **order constraints** — attribute classes live in an [`OrderNet`]
 //!   instead of a constants-only equivalence relation, so `<, ≤, ≠`
 //!   facts accumulate and are checked by the strict-cycle criterion.
+//!   Constants enter the network by their interned [`gfd_graph::ValueId`].
+//!
+//! Every literal query resolves its operands in one place (`operands`):
+//! the two order variables the literal compares at a match, creating
+//! missing attribute classes only when asserting (the paper's Expand).
+//! Node merges become a graph in one place too: [`Quotient`], which the
+//! enforcement scan, witness extraction and entity resolution
+//! ([`crate::keys`]) all build through the crate's one union-find.
 //!
 //! Everything is monotone: facts are only ever added, which is what the
 //! backtracking searches in [`crate::sat`] and [`crate::imp`] rely on
@@ -20,6 +28,71 @@ use crate::order::{OrderConflict, OrderNet, OrderVar};
 use gfd_graph::{AttrId, Graph, LabelId, NodeId};
 use rustc_hash::FxHashMap;
 use std::fmt;
+
+/// Union-find over node indices with path halving. The caller picks
+/// which root survives a union ([`NodeUf::link`]).
+#[derive(Clone, Debug)]
+pub(crate) struct NodeUf(Vec<u32>);
+
+impl NodeUf {
+    /// `n` singleton classes.
+    pub(crate) fn new(n: usize) -> Self {
+        NodeUf((0..n as u32).collect())
+    }
+
+    /// Root of `n`'s class.
+    pub(crate) fn find(&mut self, n: NodeId) -> NodeId {
+        let p = &mut self.0;
+        let mut i = n.index();
+        while p[i] as usize != i {
+            p[i] = p[p[i] as usize];
+            i = p[i] as usize;
+        }
+        NodeId::new(i)
+    }
+
+    /// Hang root `child` under root `root`.
+    pub(crate) fn link(&mut self, child: NodeId, root: NodeId) {
+        self.0[child.index()] = root.index() as u32;
+    }
+}
+
+/// A graph quotiented by node merges: one node per class.
+#[derive(Clone, Debug)]
+pub struct Quotient {
+    /// The quotient graph; edges are mapped through [`Quotient::of`].
+    pub graph: Graph,
+    /// Class node of each original node.
+    pub of: Vec<NodeId>,
+    /// The first original node of each class node.
+    pub rep: Vec<NodeId>,
+}
+
+impl Quotient {
+    /// Quotient `base` under `uf`; a class node carries `label(root)`.
+    /// Class nodes are numbered in order of their first original node.
+    pub(crate) fn build(base: &Graph, uf: &mut NodeUf, label: impl Fn(NodeId) -> LabelId) -> Self {
+        let unset = NodeId::new(u32::MAX as usize);
+        let mut q = Quotient {
+            graph: Graph::new(),
+            of: vec![unset; base.node_count()],
+            rep: Vec::new(),
+        };
+        for v in base.nodes() {
+            let root = uf.find(v);
+            if q.of[root.index()] == unset {
+                q.of[root.index()] = q.graph.add_node(label(root));
+                q.rep.push(v);
+            }
+            q.of[v.index()] = q.of[root.index()];
+        }
+        for (src, label, dst) in base.edges() {
+            q.graph
+                .add_edge(q.of[src.index()], label, q.of[dst.index()]);
+        }
+        q
+    }
+}
 
 /// A conflict raised by the store.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,8 +123,8 @@ impl From<OrderConflict> for StoreConflict {
 /// The constraint store over a fixed set of canonical-graph nodes.
 #[derive(Clone, Debug)]
 pub struct GedStore {
-    /// Union-find parents over node indices.
-    parent: Vec<u32>,
+    /// Node merges; the root of a class carries its label and attributes.
+    uf: NodeUf,
     /// Label of each *root* (unified under wildcard subsumption).
     label: Vec<LabelId>,
     /// Attribute class per (root, attribute).
@@ -66,7 +139,7 @@ impl GedStore {
     /// A store over the nodes of `graph` (initially all distinct).
     pub fn new(graph: &Graph) -> Self {
         GedStore {
-            parent: (0..graph.node_count() as u32).collect(),
+            uf: NodeUf::new(graph.node_count()),
             label: graph.nodes().map(|v| graph.label(v)).collect(),
             attr_vars: FxHashMap::default(),
             net: OrderNet::new(),
@@ -81,14 +154,7 @@ impl GedStore {
 
     /// Representative of `n`'s merge class.
     pub fn find(&mut self, n: NodeId) -> NodeId {
-        let mut i = n.index() as u32;
-        // Path halving.
-        while self.parent[i as usize] != i {
-            let p = self.parent[i as usize];
-            self.parent[i as usize] = self.parent[p as usize];
-            i = self.parent[i as usize];
-        }
-        NodeId::new(i as usize)
+        self.uf.find(n)
     }
 
     /// Are `a` and `b` merged?
@@ -115,7 +181,7 @@ impl GedStore {
             return Err(StoreConflict::LabelClash(la, lb));
         };
         // ra becomes the root.
-        self.parent[rb.index()] = ra.index() as u32;
+        self.uf.link(rb, ra);
         self.label[ra.index()] = unified;
         // Re-home rb's attribute classes, equating duplicates.
         let moved: Vec<(AttrId, OrderVar)> = self
@@ -154,12 +220,6 @@ impl GedStore {
         v
     }
 
-    /// The order variable of `attr` at `n`, if it already exists.
-    pub fn existing_attr_var(&mut self, n: NodeId, attr: AttrId) -> Option<OrderVar> {
-        let root = self.find(n).index() as u32;
-        self.attr_vars.get(&(root, attr)).copied()
-    }
-
     /// Direct access to the order network.
     pub fn net(&self) -> &OrderNet {
         &self.net
@@ -173,37 +233,72 @@ impl GedStore {
             .map(|(&(root, attr), &var)| (NodeId::new(root as usize), attr, var))
     }
 
-    /// Assert a literal at match `m` (variable `i` ↦ `m[i]`). Returns
-    /// `Ok(true)` when new information was added.
-    pub fn assert_literal(
+    /// The two order variables an attribute literal compares at match `m`
+    /// (variable `i` ↦ `m[i]`), with its operator. A missing attribute
+    /// class is created when `create` holds and gives `None` otherwise;
+    /// an id literal compares nodes, not variables, and gives `None`.
+    fn operands(
         &mut self,
         lit: &GedLiteral,
         m: &[NodeId],
-    ) -> Result<bool, StoreConflict> {
-        match lit {
-            GedLiteral::Id { left, right } => self.merge_nodes(m[left.index()], m[right.index()]),
+        create: bool,
+    ) -> Option<(OrderVar, CmpOp, OrderVar)> {
+        let class = |store: &mut Self, var: gfd_graph::VarId, attr| {
+            let n = m[var.index()];
+            if create {
+                return Some(store.attr_var(n, attr));
+            }
+            let root = store.find(n).index() as u32;
+            store.attr_vars.get(&(root, attr)).copied()
+        };
+        match *lit {
+            GedLiteral::Id { .. } => None,
             GedLiteral::AttrConst {
                 var,
                 attr,
                 op,
                 value,
-            } => {
-                let a = self.attr_var(m[var.index()], *attr);
-                let c = self.net.const_var(&value.resolve());
-                self.assert_cmp_tracked(a, *op, c)
-            }
+            } => Some((class(self, var, attr)?, op, self.net.const_var(value))),
             GedLiteral::AttrAttr {
                 var,
                 attr,
                 op,
                 other_var,
                 other_attr,
-            } => {
-                let a = self.attr_var(m[var.index()], *attr);
-                let b = self.attr_var(m[other_var.index()], *other_attr);
-                self.assert_cmp_tracked(a, *op, b)
-            }
+            } => Some((
+                class(self, var, attr)?,
+                op,
+                class(self, other_var, other_attr)?,
+            )),
         }
+    }
+
+    /// Assert a literal at match `m`. Returns `Ok(true)` when new
+    /// information was added.
+    pub fn assert_literal(
+        &mut self,
+        lit: &GedLiteral,
+        m: &[NodeId],
+    ) -> Result<bool, StoreConflict> {
+        if let GedLiteral::Id { left, right } = *lit {
+            return self.merge_nodes(m[left.index()], m[right.index()]);
+        }
+        let (a, op, b) = self.operands(lit, m, true).expect("attribute literal");
+        self.assert_cmp_tracked(a, op, b)
+    }
+
+    /// Assert the negation of an (attribute) literal. Panics on id
+    /// literals — node classes are separated by construction, never by
+    /// assertion.
+    pub fn assert_negation(
+        &mut self,
+        lit: &GedLiteral,
+        m: &[NodeId],
+    ) -> Result<bool, StoreConflict> {
+        let (a, op, b) = self
+            .operands(lit, m, true)
+            .expect("id literals are falsified by keeping nodes distinct, not asserted");
+        self.assert_cmp_tracked(a, op.negate(), b)
     }
 
     /// Assert `a op b`, skipping when already entailed; checks consistency.
@@ -227,175 +322,31 @@ impl GedStore {
     /// Attribute literals over classes that do not yet exist are *not*
     /// entailed (the attribute may simply be absent in a model).
     pub fn literal_entailed(&mut self, lit: &GedLiteral, m: &[NodeId]) -> bool {
-        match lit {
-            GedLiteral::Id { left, right } => self.same_node(m[left.index()], m[right.index()]),
-            GedLiteral::AttrConst {
-                var,
-                attr,
-                op,
-                value,
-            } => {
-                let Some(a) = self.existing_attr_var(m[var.index()], *attr) else {
-                    return false;
-                };
-                match self.net.lookup_const(&value.resolve()) {
-                    Some(c) => self.net.entails(a, *op, c),
-                    // Constant never mentioned: intern it lazily (harmless
-                    // — only adds chain edges among constants) and query.
-                    None => self.entails_against_new_const(a, *op, &value.resolve()),
-                }
-            }
-            GedLiteral::AttrAttr {
-                var,
-                attr,
-                op,
-                other_var,
-                other_attr,
-            } => {
-                let Some(a) = self.existing_attr_var(m[var.index()], *attr) else {
-                    return false;
-                };
-                let Some(b) = self.existing_attr_var(m[other_var.index()], *other_attr) else {
-                    return false;
-                };
-                self.net.entails(a, *op, b)
-            }
+        if let GedLiteral::Id { left, right } = *lit {
+            return self.same_node(m[left.index()], m[right.index()]);
         }
+        self.operands(lit, m, false)
+            .is_some_and(|(a, op, b)| self.net.entails(a, op, b))
     }
 
-    /// Entailment against a constant not yet interned: intern it (harmless
-    /// — adds only chain edges among constants) and query.
-    fn entails_against_new_const(
-        &mut self,
-        a: OrderVar,
-        op: CmpOp,
-        value: &gfd_graph::Value,
-    ) -> bool {
-        let c = self.net.const_var(value);
-        self.net.entails(a, op, c)
-    }
-
-    /// Is the *negation* of the literal entailed at `m`?
+    /// Is the *negation* of the literal entailed at `m`? Never for an id
+    /// literal: a merge is never retracted, so it has no negation in the
+    /// store.
     pub fn literal_refuted(&mut self, lit: &GedLiteral, m: &[NodeId]) -> bool {
-        match lit {
-            // Node classes can always be kept distinct in a model, but a
-            // merge is never retracted — so an id literal is "refuted" only
-            // in the sense of not being entailed; structurally it has no
-            // negation in the store.
-            GedLiteral::Id { .. } => false,
-            GedLiteral::AttrConst {
-                var,
-                attr,
-                op,
-                value,
-            } => {
-                let Some(a) = self.existing_attr_var(m[var.index()], *attr) else {
-                    return false;
-                };
-                let c = self.net.const_var(&value.resolve());
-                self.net.entails(a, op.negate(), c)
-            }
-            GedLiteral::AttrAttr {
-                var,
-                attr,
-                op,
-                other_var,
-                other_attr,
-            } => {
-                let Some(a) = self.existing_attr_var(m[var.index()], *attr) else {
-                    return false;
-                };
-                let Some(b) = self.existing_attr_var(m[other_var.index()], *other_attr) else {
-                    return false;
-                };
-                self.net.entails(a, op.negate(), b)
-            }
-        }
-    }
-
-    /// Assert the negation of an (attribute) literal. Panics on id
-    /// literals — node classes are separated by construction, never by
-    /// assertion.
-    pub fn assert_negation(
-        &mut self,
-        lit: &GedLiteral,
-        m: &[NodeId],
-    ) -> Result<bool, StoreConflict> {
-        match lit {
-            GedLiteral::Id { .. } => {
-                panic!("id literals are falsified by keeping nodes distinct, not asserted")
-            }
-            GedLiteral::AttrConst {
-                var,
-                attr,
-                op,
-                value,
-            } => {
-                let a = self.attr_var(m[var.index()], *attr);
-                let c = self.net.const_var(&value.resolve());
-                self.assert_cmp_tracked(a, op.negate(), c)
-            }
-            GedLiteral::AttrAttr {
-                var,
-                attr,
-                op,
-                other_var,
-                other_attr,
-            } => {
-                let a = self.attr_var(m[var.index()], *attr);
-                let b = self.attr_var(m[other_var.index()], *other_attr);
-                self.assert_cmp_tracked(a, op.negate(), b)
-            }
-        }
+        self.operands(lit, m, false)
+            .is_some_and(|(a, op, b)| self.net.entails(a, op.negate(), b))
     }
 
     /// Does the literal mention only attribute classes that already exist
     /// (so that omission cannot falsify it)?
     pub fn literal_grounded(&mut self, lit: &GedLiteral, m: &[NodeId]) -> bool {
-        match lit {
-            GedLiteral::Id { .. } => true,
-            GedLiteral::AttrConst { var, attr, .. } => {
-                self.existing_attr_var(m[var.index()], *attr).is_some()
-            }
-            GedLiteral::AttrAttr {
-                var,
-                attr,
-                other_var,
-                other_attr,
-                ..
-            } => {
-                self.existing_attr_var(m[var.index()], *attr).is_some()
-                    && self
-                        .existing_attr_var(m[other_var.index()], *other_attr)
-                        .is_some()
-            }
-        }
+        matches!(lit, GedLiteral::Id { .. }) || self.operands(lit, m, false).is_some()
     }
 
-    /// Full consistency check.
-    pub fn check(&self) -> Result<(), StoreConflict> {
-        self.net.check().map_err(StoreConflict::from)
-    }
-
-    /// Build the quotient graph: one node per merge class, edges and the
-    /// class structure mapped through `find`. Returns the graph and the
-    /// old-node → new-node mapping.
-    pub fn quotient(&mut self, base: &Graph) -> (Graph, Vec<NodeId>) {
-        let n = base.node_count();
-        let mut root_to_new: FxHashMap<u32, NodeId> = FxHashMap::default();
-        let mut mapping = vec![NodeId::new(0); n];
-        let mut q = Graph::new();
-        for v in base.nodes() {
-            let root = self.find(v);
-            let new = *root_to_new
-                .entry(root.index() as u32)
-                .or_insert_with(|| q.add_node(self.label[root.index()]));
-            mapping[v.index()] = new;
-        }
-        for (src, label, dst) in base.edges() {
-            q.add_edge(mapping[src.index()], label, mapping[dst.index()]);
-        }
-        (q, mapping)
+    /// The quotient of `base` under the merges so far; a class node
+    /// carries its root's unified label.
+    pub fn quotient(&mut self, base: &Graph) -> Quotient {
+        Quotient::build(base, &mut self.uf, |root| self.label[root.index()])
     }
 }
 
@@ -550,7 +501,11 @@ mod tests {
         let (g, _) = base_graph();
         let mut store = GedStore::new(&g);
         store.merge_nodes(NodeId::new(0), NodeId::new(2)).unwrap();
-        let (q, mapping) = store.quotient(&g);
+        let Quotient {
+            graph: q,
+            of: mapping,
+            ..
+        } = store.quotient(&g);
         assert_eq!(q.node_count(), 2);
         assert_eq!(mapping[0], mapping[2]);
         // Edges 0→1 and 1→2 become m0→m1 and m1→m0.
@@ -561,7 +516,11 @@ mod tests {
     fn quotient_without_merges_is_isomorphic() {
         let (g, _) = base_graph();
         let mut store = GedStore::new(&g);
-        let (q, mapping) = store.quotient(&g);
+        let Quotient {
+            graph: q,
+            of: mapping,
+            ..
+        } = store.quotient(&g);
         assert_eq!(q.node_count(), g.node_count());
         assert_eq!(q.edge_count(), g.edge_count());
         let mut sorted = mapping.clone();

@@ -64,7 +64,8 @@ fn main() {
         p,
         vec![GedLiteral::eq_attr(x, name, y, name)],
         vec![GedLiteral::id(x, y)],
-    ));
+    ))
+    .expect("an id consequence");
 
     // album key: same title AND the same artist *entity* → same album.
     let mut p = Pattern::new();
@@ -78,7 +79,8 @@ fn main() {
         p,
         vec![GedLiteral::eq_attr(x, title, y, title)],
         vec![GedLiteral::id(x, y)],
-    ));
+    ))
+    .expect("an id consequence");
 
     // label key: same name AND released the same album entity.
     let mut p = Pattern::new();
@@ -92,7 +94,8 @@ fn main() {
         p,
         vec![GedLiteral::eq_attr(x, name, y, name)],
         vec![GedLiteral::id(x, y)],
-    ));
+    ))
+    .expect("an id consequence");
 
     for key in [&artist_key, &album_key, &label_key] {
         println!("key: {}", key.ged.display(&vocab));

@@ -562,7 +562,7 @@ fn ged_feature_oracle() {
         let keys: Vec<gfd::ged::Key> = doc
             .geds
             .iter()
-            .map(|(_, g)| gfd::ged::Key::new(g.clone()))
+            .map(|(_, g)| gfd::ged::Key::new(g.clone()).expect("an id consequence"))
             .collect();
         let first = gfd::ged::resolve_entities(&doc.graphs[0].1, &keys);
         merged += usize::from(first.merges > 0);
