@@ -285,34 +285,36 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "single consequence disjunct")]
     fn key_rejects_disjunctive_consequence() {
         let mut vocab = Vocab::new();
         let t = vocab.label("t");
         let mut p = Pattern::new();
         let x = p.add_node(t, "x");
         let y = p.add_node(t, "y");
-        assert!(Key::new(Ged::new(
+        Key::new(Ged::new(
             "bad",
             p,
             vec![],
             vec![vec![GedLiteral::id(x, y)], vec![GedLiteral::id(y, x)]],
         ))
-        .is_none());
+        .expect("a key must have a single consequence disjunct");
     }
 
     #[test]
+    #[should_panic(expected = "only id literals")]
     fn key_rejects_attribute_consequence() {
         let mut vocab = Vocab::new();
         let t = vocab.label("t");
         let a = vocab.attr("a");
         let mut p = Pattern::new();
         let x = p.add_node(t, "x");
-        assert!(Key::new(Ged::conjunctive(
+        Key::new(Ged::conjunctive(
             "bad",
             p,
             vec![],
             vec![GedLiteral::eq_const(x, a, 1i64)],
         ))
-        .is_none());
+        .expect("a key consequence must contain only id literals");
     }
 }
