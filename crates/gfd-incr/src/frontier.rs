@@ -67,7 +67,160 @@ pub fn bounded_frontier(graph: &Graph, dirty: &[NodeId], max_radius: u32) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_graph::Vocab;
+    use gfd_graph::{LabelId, Vocab};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The reference: the hash-set BFS this module's frontier replaced.
+    /// All nodes within `max_radius` undirected hops of any node in
+    /// `dirty`, as `(node, distance to the nearest dirty node)` pairs;
+    /// out-of-range ids are ignored.
+    fn oracle_frontier(graph: &Graph, dirty: &[NodeId], max_radius: u32) -> Vec<(NodeId, u32)> {
+        let n = graph.node_count();
+        let mut seen: FxHashSet<NodeId> = FxHashSet::default();
+        let mut queue = VecDeque::with_capacity(dirty.len());
+        let mut out = Vec::with_capacity(dirty.len());
+        for &d in dirty {
+            if d.index() < n && seen.insert(d) {
+                queue.push_back((d, 0u32));
+                out.push((d, 0));
+            }
+        }
+        while let Some((v, d)) = queue.pop_front() {
+            if d == max_radius {
+                continue;
+            }
+            for &(_, u) in graph.out_edges(v).iter().chain(graph.in_edges(v)) {
+                if seen.insert(u) {
+                    out.push((u, d + 1));
+                    queue.push_back((u, d + 1));
+                }
+            }
+        }
+        out
+    }
+
+    /// Per group `(pivot label, radius)`, the oracle's pivots with their
+    /// distances, sorted.
+    fn oracle_pivots(
+        graph: &Graph,
+        dirty: &[NodeId],
+        groups: &[(LabelId, u32)],
+    ) -> Vec<Vec<(NodeId, u32)>> {
+        let max = groups.iter().map(|g| g.1).max().unwrap_or(0);
+        let ball = oracle_frontier(graph, dirty, max);
+        groups
+            .iter()
+            .map(|&(label, r)| {
+                let mut out: Vec<(NodeId, u32)> = ball
+                    .iter()
+                    .copied()
+                    .filter(|&(n, d)| d <= r && label.pattern_matches(graph.label(n)))
+                    .collect();
+                out.sort_unstable();
+                out
+            })
+            .collect()
+    }
+
+    /// The code under test, in the oracle's shape.
+    fn subject_pivots(
+        graph: &Graph,
+        dirty: &[NodeId],
+        groups: &[(LabelId, u32)],
+    ) -> Vec<Vec<(NodeId, u32)>> {
+        let max = groups.iter().map(|g| g.1).max().unwrap_or(0);
+        let frontier = bounded_frontier(graph, dirty, max);
+        groups
+            .iter()
+            .map(|&(label, r)| {
+                let mut out: Vec<(NodeId, u32)> = frontier
+                    .iter()
+                    .copied()
+                    .filter(|&(n, d)| d <= r && label.pattern_matches(graph.label(n)))
+                    .collect();
+                out.sort_unstable();
+                out
+            })
+            .collect()
+    }
+
+    /// Node labels `a`, `b` (common), `c`, `r1`, `r2` (rare), and the
+    /// wildcard for pivots, in that order.
+    fn labels() -> (Vocab, [LabelId; 5], LabelId) {
+        let mut v = Vocab::new();
+        let ls = ["a", "b", "c", "r1", "r2"].map(|s| v.label(s));
+        let e = v.label("e");
+        (v, ls, e)
+    }
+
+    /// A random graph: `draws` picks each node's label (rare ones
+    /// seldom), `edges` its edges; nodes no edge names stay isolated.
+    fn random_graph(draws: &[u8], edges: &[(usize, usize)]) -> Graph {
+        let (_, ls, e) = labels();
+        let mut g = Graph::new();
+        for &d in draws {
+            let l = match d {
+                0..=5 => ls[0],
+                6..=11 => ls[1],
+                12..=13 => ls[2],
+                14 => ls[3],
+                _ => ls[4],
+            };
+            g.add_node(l);
+        }
+        let n = draws.len();
+        for &(s, t) in edges {
+            g.add_edge(NodeId::new(s % n), e, NodeId::new(t % n));
+        }
+        g
+    }
+
+    /// A group's pivot label: mostly the rare ones, seldom the wildcard.
+    fn pivot_label(pick: u8) -> LabelId {
+        let (_, ls, _) = labels();
+        match pick {
+            0 => LabelId::WILDCARD,
+            1..=2 => ls[0],
+            3 => ls[1],
+            4 => ls[2],
+            5..=7 => ls[3],
+            _ => ls[4],
+        }
+    }
+
+    fn case() -> impl Strategy<Value = (Graph, Vec<NodeId>, Vec<(LabelId, u32)>)> {
+        (1usize..60).prop_flat_map(|n| {
+            (
+                vec(0u8..16, n),
+                vec((0..n, 0..n), 0..3 * n),
+                vec(0..n + 4, 0..8),
+                vec((0u8..10, 0u32..=5), 1..6),
+            )
+                .prop_map(|(draws, edges, dirty, groups)| {
+                    let g = random_graph(&draws, &edges);
+                    let dirty = dirty.into_iter().map(NodeId::new).collect();
+                    let groups = groups
+                        .into_iter()
+                        .map(|(l, r)| (pivot_label(l), r))
+                        .collect();
+                    (g, dirty, groups)
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every group's pivots, with their distances, are the oracle's.
+        #[test]
+        fn pivots_match_the_oracle((graph, dirty, groups) in case()) {
+            prop_assert_eq!(
+                subject_pivots(&graph, &dirty, &groups),
+                oracle_pivots(&graph, &dirty, &groups)
+            );
+        }
+    }
 
     /// Path graph 0 → 1 → … → n-1.
     fn path(n: usize) -> Graph {
