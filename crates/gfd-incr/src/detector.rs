@@ -1,16 +1,15 @@
 //! The incremental detection engine: a cached violation set kept exact
 //! under a stream of delta batches.
 
-use crate::frontier::bounded_frontier;
+use crate::frontier::Frontier;
 use gfd_core::DepSet;
 use gfd_detect::units::Group;
 use gfd_detect::{
     detect_units, initial_units, units_for_pivots, DetectConfig, RulePlans, RunMetrics,
     ViolationRecord,
 };
-use gfd_graph::{DeltaBatch, DeltaIndex, GfdId, Graph, LabelIndex, MatchIndex, NodeId};
+use gfd_graph::{DeltaBatch, DeltaIndex, GfdId, Graph, LabelId, LabelIndex, MatchIndex, NodeId};
 use gfd_runtime::{failpoint, EventKind, TraceBuf, CONTROL_WORKER};
-use rustc_hash::FxHashSet;
 
 /// Configuration of an incremental detection session.
 #[derive(Clone, Debug)]
@@ -85,17 +84,19 @@ pub struct BatchReport {
     pub metrics: RunMetrics,
 }
 
-/// How far a batch's dirty frontier must reach to cover `group`'s pivots:
-/// its pattern's radius at the pivot — or `None` when it has no locality
-/// bound. Disconnected patterns have none (a far component can match
-/// anywhere), and neither do generating consequences (the realization
-/// extension can bind a fresh variable to *any* node, so an update far from
-/// the pivot can realize — or un-realize — the target). Both get full
-/// re-runs.
-fn radius(sigma: &DepSet, group: &Group) -> Option<u32> {
+/// The pivot label of `group`, and how far a batch's dirty frontier must
+/// reach to cover its pivots: its pattern's radius at the pivot — or
+/// `None` when it has no locality bound. Disconnected patterns have none
+/// (a far component can match anywhere), and neither do generating
+/// consequences (the realization extension can bind a fresh variable to
+/// *any* node, so an update far from the pivot can realize — or
+/// un-realize — the target). Both get full re-runs.
+fn pivot_of(sigma: &DepSet, group: &Group) -> (LabelId, Option<u32>) {
     let dep = &sigma[group.members[0]];
-    (dep.pattern.is_connected() && !dep.is_generating())
-        .then(|| dep.pattern.radius_at(group.plan.var_at(0)))
+    let pivot = group.plan.var_at(0);
+    let radius =
+        (dep.pattern.is_connected() && !dep.is_generating()).then(|| dep.pattern.radius_at(pivot));
+    (dep.pattern.label(pivot), radius)
 }
 
 /// A detection result kept live under streaming updates.
@@ -111,6 +112,8 @@ pub struct IncrementalDetector {
     plans: RulePlans,
     violations: Vec<ViolationRecord>,
     config: IncrConfig,
+    /// The dirty frontier's stamped state, kept across batches.
+    frontier: Frontier,
     /// Batches applied so far — the `id` of every [`EventKind::Batch`]
     /// span this session records.
     batches_applied: u64,
@@ -146,6 +149,7 @@ impl IncrementalDetector {
             plans,
             violations: report.violations,
             config,
+            frontier: Frontier::default(),
             batches_applied: 0,
         }
     }
@@ -182,6 +186,7 @@ impl IncrementalDetector {
             plans,
             violations,
             config,
+            frontier: Frontier::default(),
             batches_applied: 0,
         }
     }
@@ -276,68 +281,67 @@ impl IncrementalDetector {
         // bug this replaced planned a stream's whole lifetime on the
         // seed freeze's frequencies).
         self.plans = RulePlans::build(&self.sigma, &self.index);
-        let radii: Vec<Option<u32>> = self
+        let scopes: Vec<(LabelId, Option<u32>)> = self
             .plans
             .groups
             .iter()
-            .map(|group| radius(&self.sigma, group))
+            .map(|group| pivot_of(&self.sigma, group))
             .collect();
 
-        // Dirty frontier: every pivot within the largest connected-rule
-        // radius of a touched node (see `frontier` for the soundness
-        // argument), filtered per group by radius and pivot label.
+        // Dirty frontier: per pivot label, every node within the largest
+        // radius of the groups pivoting on it (see `frontier` for the
+        // soundness argument); each group keeps those within its own.
+        let mut targets: Vec<(LabelId, u32)> = scopes
+            .iter()
+            .filter_map(|&(label, r)| Some((label, r?)))
+            .collect();
+        targets.sort_unstable_by_key(|&(label, r)| (label, u32::MAX - r));
+        targets.dedup_by_key(|t| t.0);
         let bfs_span = ctl.start();
-        let max_radius = radii.iter().flatten().max().copied().unwrap_or(0);
-        let frontier = bounded_frontier(&self.graph, &applied.dirty, max_radius);
+        let visited = self
+            .frontier
+            .run(&self.graph, &self.index, &applied.dirty, &targets);
         ctl.span(
             EventKind::FrontierBfs,
             bid,
             bfs_span,
             applied.dirty.len() as u64,
-            frontier.len() as u64,
+            visited as u64,
         );
         // A group's members share pattern, pivot and consequence kind, so
         // they share the pivots to re-run: one unit list per group.
         let mut group_pivots: Vec<(GfdId, Vec<NodeId>)> = Vec::new();
-        for (group, radius) in self.plans.groups.iter().zip(&radii) {
-            let leader = group.members[0];
-            let pivot_label = self.sigma[leader].pattern.label(group.plan.var_at(0));
+        let mut rule_radius: Vec<Option<u32>> = vec![None; self.sigma.len()];
+        for (group, &(label, radius)) in self.plans.groups.iter().zip(&scopes) {
+            for member in &group.members {
+                rule_radius[member.index()] = radius;
+            }
             let pivots: Vec<NodeId> = match radius {
-                Some(r) => frontier
-                    .iter()
-                    .filter(|&&(n, d)| d <= *r && pivot_label.pattern_matches(self.graph.label(n)))
-                    .map(|&(n, _)| n)
-                    .collect(),
+                Some(r) => self.frontier.pivots(label, r),
                 None => {
                     // No locality bound: re-run every pivot of the group.
                     report.full_rerun_rules += group.members.len();
-                    self.index.candidates(pivot_label).to_vec()
+                    self.index.candidates(label).to_vec()
                 }
             };
             if !pivots.is_empty() {
                 report.rerun_pivots += pivots.len() * group.members.len();
-                group_pivots.push((leader, pivots));
+                group_pivots.push((group.members[0], pivots));
             }
         }
 
-        // Evict every cached violation whose pivot is being re-run: the
-        // re-run re-finds the ones that still hold, so the merge below
-        // cannot duplicate or resurrect anything.
-        let rerun_sets: Vec<FxHashSet<NodeId>> = group_pivots
-            .iter()
-            .map(|(_, pivots)| pivots.iter().copied().collect())
-            .collect();
-        let mut rerun_of: Vec<Option<&FxHashSet<NodeId>>> = vec![None; self.sigma.len()];
-        for ((leader, _), set) in group_pivots.iter().zip(&rerun_sets) {
-            for member in &self.plans.group(*leader).members {
-                rerun_of[member.index()] = Some(set);
-            }
-        }
+        // Evict every cached violation whose pivot is being re-run — its
+        // group re-runs in full, or the pivot lies within the group's
+        // radius: the re-run re-finds the ones that still hold, so the
+        // merge below cannot duplicate or resurrect anything.
         let before = self.violations.len();
-        let plans = &self.plans;
+        let (plans, frontier) = (&self.plans, &self.frontier);
         self.violations.retain(|v| {
-            rerun_of[v.gfd.index()]
-                .is_none_or(|set| !set.contains(&v.m[plans.pivot(v.gfd).index()]))
+            rule_radius[v.gfd.index()].is_some_and(|r| {
+                frontier
+                    .dist(v.m[plans.pivot(v.gfd).index()])
+                    .is_none_or(|d| d > r)
+            })
         });
         report.evicted = before - self.violations.len();
 

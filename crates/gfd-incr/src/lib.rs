@@ -17,21 +17,23 @@
 //!    [`gfd_graph::DeltaCsr`] overlay in lockstep (no re-freeze), and
 //!    compacts — re-freezes base + delta — once the overlay passes a
 //!    threshold fraction of the base;
-//! 2. computes the dirty frontier by one bounded multi-source BFS from
-//!    the touched nodes, and regenerates pivoted work units only for
-//!    frontier pivots (rules with disconnected patterns fall back to a
-//!    full per-rule re-run — no locality bound exists for them);
+//! 2. computes the dirty frontier — per pivot label, the nodes within
+//!    its rules' radius of the touched nodes, by forward BFS levels that
+//!    switch to searching back from rare pivots — and regenerates pivoted
+//!    work units only for frontier pivots (rules with disconnected
+//!    patterns fall back to a full per-rule re-run — no locality bound
+//!    exists for them);
 //! 3. runs the units as ordinary detection tasks on the shared
 //!    `gfd-runtime` work-stealing scheduler, over the overlay view;
-//! 4. evicts cached violations pivoted inside the re-run region and
-//!    merges in the fresh results.
+//! 4. evicts cached violations whose pivot is within their group's
+//!    radius (by the same distances) and merges in the fresh results.
 //!
 //! The result after every batch is **identical** to a full re-freeze +
 //! [`gfd_detect::detect`] on the mutated graph (the
-//! `incremental_equivalence` suite pins this), at a per-batch cost
-//! proportional to the dirty region rather than the whole graph
-//! (the paper bench's `exp6_incremental` rows measure the gap, in
-//! wall-clock). DESIGN.md §8 documents the lifecycle and the
+//! `incremental_equivalence` suite pins this), at a per-batch cost that
+//! follows the dirty region and the pivot candidates near it rather than
+//! the whole graph (the paper bench's `exp6_incremental` rows measure
+//! the gap, in wall-clock). DESIGN.md §8 documents the lifecycle and the
 //! frontier-soundness argument.
 
 #![warn(missing_docs)]
@@ -40,5 +42,4 @@ pub mod detector;
 pub mod frontier;
 
 pub use detector::{BatchReport, IncrConfig, IncrementalDetector};
-pub use frontier::bounded_frontier;
 pub use gfd_graph::{DeltaBatch, DeltaOp};

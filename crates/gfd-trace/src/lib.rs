@@ -60,8 +60,9 @@ pub enum EventKind {
     /// The commit walk of one chase round (span; `id` = round,
     /// `a` = independent firings, `b` = conflicting firings).
     ApplyCommit,
-    /// One bounded dirty-frontier BFS in the incremental engine (span;
-    /// `a` = dirty seed nodes, `b` = frontier size reached).
+    /// One dirty-frontier search in the incremental engine (span;
+    /// `a` = dirty seed nodes, `b` = nodes visited, by the forward levels
+    /// and the backward searches from rare pivots together).
     FrontierBfs,
     /// One delta batch applied by the incremental engine (span;
     /// `id` = batch index, `a` = ops, `b` = pivots re-run).
@@ -108,7 +109,7 @@ impl EventKind {
             EventKind::ChaseRound => ("matches", "rules"),
             EventKind::ApplyPlan => ("fired", "checks"),
             EventKind::ApplyCommit => ("independent", "conflicts"),
-            EventKind::FrontierBfs => ("dirty", "frontier"),
+            EventKind::FrontierBfs => ("dirty", "visited"),
             EventKind::Batch => ("ops", "rerun_pivots"),
             EventKind::Compact => ("ops", ""),
             EventKind::Checkpoint => ("batches", ""),

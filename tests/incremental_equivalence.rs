@@ -10,8 +10,11 @@
 
 use gfd::core::GenerateConsequence;
 use gfd::detect::{detect, DetectConfig, RulePlans, ViolationRecord};
-use gfd::gen::{delta_stream, random_graph, DeltaStreamConfig, GraphGenConfig, Schema};
-use gfd::graph::LabelIndex;
+use gfd::gen::{
+    delta_stream, plant_violation, random_graph, real_life_workload, Dataset, DeltaStreamConfig,
+    GraphGenConfig, Schema,
+};
+use gfd::graph::{DeltaBatch, LabelIndex};
 use gfd::incr::{IncrConfig, IncrementalDetector};
 use gfd::prelude::*;
 use proptest::prelude::*;
@@ -171,7 +174,18 @@ fn check_stream_with(
     );
     let sigma = rules(&schema);
     let batches = delta_stream(&graph, &schema, &stream_cfg);
+    compare_stream(&graph, &sigma, &batches, compact_fraction, seed);
+}
 
+/// Apply `batches` through `gfd-incr` at p ∈ {1, 4} and compare the live
+/// set with a from-scratch `detect` on the mutated graph after each.
+fn compare_stream(
+    graph: &Graph,
+    sigma: &DepSet,
+    batches: &[DeltaBatch],
+    compact_fraction: f64,
+    seed: u64,
+) {
     for p in [1usize, 4] {
         let mut incr = IncrementalDetector::new(
             graph.clone(),
@@ -185,7 +199,7 @@ fn check_stream_with(
         for (i, batch) in batches.iter().enumerate() {
             incr.apply(batch);
             batch.apply_to_graph(&mut reference);
-            let full = detect(&reference, &sigma, &DetectConfig::with_workers(p));
+            let full = detect(&reference, sigma, &DetectConfig::with_workers(p));
             assert_eq!(
                 violation_keys(incr.violations()),
                 violation_keys(&full.violations),
@@ -193,6 +207,40 @@ fn check_stream_with(
             );
         }
     }
+}
+
+/// The Tiny fixtures pivot on the wildcard or on common labels, so their
+/// frontier never searches back from a pivot. `stream_deltas`' rules do:
+/// 40 DBpedia-schema rules, each pivoting on a rare label, over a
+/// 2 500-node graph with planted violations and twelve mixed batches.
+#[test]
+fn dbpedia_stream_stays_equivalent() {
+    let w = real_life_workload(Dataset::DBpedia, 40, 7, None);
+    let mut graph = random_graph(
+        &w.schema,
+        &GraphGenConfig {
+            nodes: 2_500,
+            edges: 7_500,
+            attr_prob: 0.3,
+            seed: 42,
+        },
+    );
+    for (i, (_, gfd)) in w.sigma.iter().take(10).enumerate() {
+        plant_violation(&mut graph, gfd, &w.schema, 600 + i as u64);
+    }
+    let batches = delta_stream(
+        &graph,
+        &w.schema,
+        &DeltaStreamConfig {
+            batches: 12,
+            edge_fraction: 0.004,
+            seed: 1_042,
+            ..DeltaStreamConfig::default()
+        },
+    );
+    let seeded = detect(&graph, &w.sigma, &DetectConfig::with_workers(2));
+    assert!(!seeded.violations.is_empty(), "no violation to carry over");
+    compare_stream(&graph, &w.sigma, &batches, 0.25, 42);
 }
 
 proptest! {
