@@ -25,8 +25,8 @@
 //!    exists for them);
 //! 3. runs the units as ordinary detection tasks on the shared
 //!    `gfd-runtime` work-stealing scheduler, over the overlay view;
-//! 4. evicts cached violations whose pivot is within their group's
-//!    radius (by the same distances) and merges in the fresh results.
+//! 4. evicts cached violations pivoted in the re-run region (read off
+//!    the same distances) and merges in the fresh results.
 //!
 //! The result after every batch is **identical** to a full re-freeze +
 //! [`gfd_detect::detect`] on the mutated graph (the
