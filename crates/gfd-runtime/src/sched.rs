@@ -801,6 +801,139 @@ mod tests {
         assert!(run.units_stolen > 0, "no steals on a skewed workload");
     }
 
+    /// Records which worker ran which unit, in order. Unit 1 splits into
+    /// 100, 101, 102; unit 0 holds its worker until `hold_for` units from
+    /// `stolen_from` have run on another worker (or 5 s pass).
+    struct OrderTask {
+        log: Mutex<Vec<(usize, u32)>>,
+        stolen_from: fn(u32) -> bool,
+        hold_for: usize,
+    }
+
+    impl Task for OrderTask {
+        type Unit = u32;
+        type Worker = usize;
+
+        fn worker(&self, id: usize) -> usize {
+            id
+        }
+
+        fn run_unit(&self, worker: &mut usize, unit: u32, ctx: &WorkerCtx<'_, u32>) {
+            let id = *worker;
+            self.log.lock().push((id, unit));
+            if unit == 1 {
+                ctx.split(vec![100, 101, 102]);
+            }
+            if unit == 0 {
+                let stolen = || {
+                    let log = self.log.lock();
+                    let n = log
+                        .iter()
+                        .filter(|&&(w, u)| w != id && (self.stolen_from)(u));
+                    n.count()
+                };
+                let until = Instant::now() + Duration::from_secs(5);
+                while stolen() < self.hold_for && Instant::now() < until {
+                    std::thread::yield_now();
+                }
+            }
+        }
+    }
+
+    /// Every test that could lose a unit runs under a deadline, so a
+    /// lost unit fails the run instead of hanging it.
+    fn guarded() -> SchedOptions {
+        SchedOptions {
+            deadline: Some(Instant::now() + Duration::from_secs(30)),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn queue_discipline_one_worker_runs_seed_order_and_split_children_next() {
+        let task = OrderTask {
+            log: Mutex::new(Vec::new()),
+            stolen_from: |_| false,
+            hold_for: 0,
+        };
+        let stop = AtomicBool::new(false);
+        let run = run_scheduler(&task, vec![0, 1, 2, 3, 4], 1, &stop, guarded());
+        assert_eq!(run.outcome, RunOutcome::Completed);
+        let order: Vec<u32> = task.log.into_inner().into_iter().map(|(_, u)| u).collect();
+        assert_eq!(order, vec![0, 1, 100, 101, 102, 2, 3, 4]);
+    }
+
+    #[test]
+    fn queue_discipline_thief_takes_the_low_priority_half() {
+        // Round-robin over p = 2: worker 0 gets the even units, worker 1
+        // the odd ones. Unit 0 holds worker 0 until worker 1 has run four
+        // even units, so worker 0's queue [2, 4, …, 14] is untouched by
+        // its owner when worker 1, out of odd units, steals from it. The
+        // thief must take the low-priority half {8, 10, 12, 14}, run its
+        // best unit first and the rest in priority order.
+        let task = OrderTask {
+            log: Mutex::new(Vec::new()),
+            stolen_from: |u| u < 16 && u.is_multiple_of(2),
+            hold_for: 4,
+        };
+        let stop = AtomicBool::new(false);
+        let run = run_scheduler(&task, (0..16).collect(), 2, &stop, guarded());
+        assert_eq!(run.outcome, RunOutcome::Completed);
+        let log = task.log.into_inner();
+        let thief: Vec<u32> = log
+            .iter()
+            .filter(|&&(w, u)| w == 1 && (task.stolen_from)(u))
+            .map(|&(_, u)| u)
+            .take(4)
+            .collect();
+        assert_eq!(thief, vec![8, 10, 12, 14], "{log:?}");
+        assert!(run.units_stolen >= 4);
+    }
+
+    #[cfg(miri)]
+    const STRESS_UNITS: u32 = 300;
+    #[cfg(not(miri))]
+    const STRESS_UNITS: u32 = 50_000;
+
+    /// Every fifth seed unit splits into three children; each execution
+    /// bumps its unit's own counter.
+    struct CountTask {
+        runs: Vec<std::sync::atomic::AtomicU32>,
+    }
+
+    impl Task for CountTask {
+        type Unit = u32;
+        type Worker = ();
+
+        fn worker(&self, _id: usize) {}
+
+        fn run_unit(&self, _w: &mut (), unit: u32, ctx: &WorkerCtx<'_, u32>) {
+            self.runs[unit as usize].fetch_add(1, Ordering::Relaxed);
+            if unit < STRESS_UNITS && unit.is_multiple_of(5) {
+                let first = STRESS_UNITS + 3 * (unit / 5);
+                ctx.split(vec![first, first + 1, first + 2]);
+            }
+        }
+    }
+
+    #[test]
+    fn queue_stress_every_unit_runs_exactly_once() {
+        let total = STRESS_UNITS + 3 * STRESS_UNITS.div_ceil(5);
+        for p in [2usize, 4, 8] {
+            let task = CountTask {
+                runs: (0..total).map(|_| Default::default()).collect(),
+            };
+            let stop = AtomicBool::new(false);
+            let run = run_scheduler(&task, (0..STRESS_UNITS).collect(), p, &stop, guarded());
+            assert_eq!(run.outcome, RunOutcome::Completed, "p={p}");
+            assert_eq!(run.units_executed, u64::from(total), "p={p}");
+            assert_eq!(run.units_split, u64::from(total - STRESS_UNITS), "p={p}");
+            for (unit, runs) in task.runs.iter().enumerate() {
+                assert_eq!(runs.load(Ordering::Relaxed), 1, "p={p} unit {unit}");
+            }
+        }
+    }
+
     #[test]
     fn empty_seed_returns_immediately() {
         let task = SumTask {
