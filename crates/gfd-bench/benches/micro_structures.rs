@@ -185,138 +185,6 @@ fn bench_structures(c: &mut Criterion) {
     group.finish();
 }
 
-/// Head-to-head: the raw queue structures under the scheduler's access
-/// pattern — one owner draining its own queue, `p - 1` thieves pulling
-/// from the other end — Chase–Lev [`WsDeque`] vs the old
-/// `Mutex<VecDeque>`. Acceptance: the lock-free deque is no slower at
-/// p = 2 and faster at p = 8.
-fn bench_deque(c: &mut Criterion) {
-    use gfd_runtime::deque::{Steal, WsDeque};
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    const UNITS: usize = 65_536;
-    // A unit costs a few nanoseconds, like a cheap scan unit: enough
-    // that the structures are exercised at a realistic op:work ratio,
-    // small enough that queue overhead still shows.
-    fn consume(v: usize) -> usize {
-        let mut h = v as u64 ^ 0x9e37_79b9_7f4a_7c15;
-        for _ in 0..4 {
-            h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9).rotate_left(17);
-        }
-        h as usize & 0xff
-    }
-
-    let mut group = c.benchmark_group("deque");
-    for p in [2usize, 8] {
-        // Chase–Lev under the scheduler's pattern: the owner drains its
-        // own bottom lock-free; each thief claims up to half the deque
-        // (one top-CAS per element, like `sched::steal`), consumes the
-        // loot locally, and yields when it finds nothing.
-        group.bench_with_input(BenchmarkId::new("chase_lev", p), &p, |b, &p| {
-            b.iter(|| {
-                let dq = WsDeque::<usize>::new();
-                for v in (0..UNITS).rev() {
-                    dq.push(v);
-                }
-                let consumed = AtomicUsize::new(0);
-                let sink = AtomicUsize::new(0);
-                std::thread::scope(|s| {
-                    for t in 0..p {
-                        let (dq, consumed, sink) = (&dq, &consumed, &sink);
-                        s.spawn(move || {
-                            let mut local = 0usize;
-                            while consumed.load(Ordering::Relaxed) < UNITS {
-                                if t == 0 {
-                                    let mut n = 0;
-                                    while let Some(v) = dq.pop() {
-                                        local += consume(v);
-                                        n += 1;
-                                    }
-                                    consumed.fetch_add(n, Ordering::Relaxed);
-                                    std::thread::yield_now();
-                                } else {
-                                    let mut budget = dq.len_hint().div_ceil(2).max(1);
-                                    let mut loot = Vec::with_capacity(budget);
-                                    while budget > 0 {
-                                        match dq.steal() {
-                                            Steal::Success(v) => {
-                                                loot.push(v);
-                                                budget -= 1;
-                                            }
-                                            Steal::Retry => continue,
-                                            Steal::Empty => break,
-                                        }
-                                    }
-                                    if loot.is_empty() {
-                                        std::thread::yield_now();
-                                        continue;
-                                    }
-                                    let n = loot.len();
-                                    for v in loot {
-                                        local += consume(v);
-                                    }
-                                    consumed.fetch_add(n, Ordering::Relaxed);
-                                }
-                            }
-                            sink.fetch_add(local, Ordering::Relaxed);
-                        });
-                    }
-                });
-                black_box(sink.into_inner())
-            })
-        });
-        // The old layout: every owner pop takes the lock; a thief locks
-        // and splits off the back half wholesale.
-        group.bench_with_input(BenchmarkId::new("mutex_vecdeque", p), &p, |b, &p| {
-            b.iter(|| {
-                let q = Mutex::new((0..UNITS).collect::<VecDeque<usize>>());
-                let consumed = AtomicUsize::new(0);
-                let sink = AtomicUsize::new(0);
-                std::thread::scope(|s| {
-                    for t in 0..p {
-                        let (q, consumed, sink) = (&q, &consumed, &sink);
-                        s.spawn(move || {
-                            let mut local = 0usize;
-                            while consumed.load(Ordering::Relaxed) < UNITS {
-                                if t == 0 {
-                                    let got = q.lock().unwrap().pop_front();
-                                    match got {
-                                        Some(v) => {
-                                            local += consume(v);
-                                            consumed.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        None => std::thread::yield_now(),
-                                    }
-                                } else {
-                                    let loot = {
-                                        let mut q = q.lock().unwrap();
-                                        let keep = q.len().div_ceil(2);
-                                        q.split_off(keep)
-                                    };
-                                    if loot.is_empty() {
-                                        std::thread::yield_now();
-                                        continue;
-                                    }
-                                    let n = loot.len();
-                                    for v in loot {
-                                        local += consume(v);
-                                    }
-                                    consumed.fetch_add(n, Ordering::Relaxed);
-                                }
-                            }
-                            sink.fetch_add(local, Ordering::Relaxed);
-                        });
-                    }
-                });
-                black_box(sink.into_inner())
-            })
-        });
-    }
-    group.finish();
-}
-
 /// One small satisfiability workload on the work-stealing scheduler at
 /// p ∈ {2, 4, 8}: what a whole scheduled run costs as workers are added.
 fn bench_scheduler(c: &mut Criterion) {
@@ -400,129 +268,53 @@ fn bench_trace_overhead(_c: &mut Criterion) {
 }
 
 /// Zero-cost guard for the `Atomics` family parameterization
-/// (DESIGN.md §14.2): the production `WsDeque<usize, StdAtomics>` —
-/// the generic deque instantiated with the delegating family — must
-/// run the owner's push/pop hot loop no slower than a hand-inlined
-/// monomorphic Chase–Lev written directly against `std::sync::atomic`.
-/// `StdAtomics` is `#[inline(always)]` delegation over the std types,
-/// so the two loops should compile to the same code; the assertion
-/// (min-of-interleaved-runs, with an absolute floor against timer
-/// noise) catches any future indirection creeping into the family
+/// (DESIGN.md §14.2): the production `Quiesce<StdAtomics>` — the
+/// quiescence counter instantiated with the delegating family — must
+/// run the scheduler's split / complete / quiescent traffic no slower
+/// than the same operations written directly against a raw
+/// `AtomicUsize`. `StdAtomics` is `#[inline(always)]` delegation over
+/// the std types, so the two loops should compile to the same code; the
+/// assertion (min-of-interleaved-runs, with an absolute floor against
+/// timer noise) catches any future indirection creeping into the family
 /// traits.
 fn bench_atomics_zero_cost(_c: &mut Criterion) {
     use gfd_bench::fmt_duration;
-    use gfd_runtime::deque::WsDeque;
-    use std::cell::UnsafeCell;
-    use std::mem::MaybeUninit;
-    use std::sync::atomic::{fence, AtomicIsize, Ordering};
+    use gfd_runtime::quiesce::Quiesce;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::{Duration, Instant};
 
-    const BATCH: usize = 256;
-    const ROUNDS: usize = 20_000;
+    const UNITS: usize = 250_000;
 
-    /// The baseline: the same C11 Chase–Lev owner path, monomorphic,
-    /// no trait in sight — including the buffer-pointer indirection
-    /// the real deque pays on every op (fixed capacity, so the grow
-    /// branch is taken-but-never-entered on both sides, like the
-    /// workload itself guarantees for the generic deque too).
-    struct RawBuffer {
-        slots: Box<[UnsafeCell<MaybeUninit<usize>>]>,
-        mask: usize,
-    }
-    struct RawDeque {
-        bottom: AtomicIsize,
-        top: AtomicIsize,
-        buf: std::sync::atomic::AtomicPtr<RawBuffer>,
-    }
-    impl RawDeque {
-        fn new(cap: usize) -> Self {
-            let cap = cap.next_power_of_two();
-            let buf = Box::new(RawBuffer {
-                slots: (0..cap)
-                    .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-                    .collect(),
-                mask: cap - 1,
-            });
-            RawDeque {
-                bottom: AtomicIsize::new(0),
-                top: AtomicIsize::new(0),
-                buf: std::sync::atomic::AtomicPtr::new(Box::into_raw(buf)),
-            }
-        }
-        fn push(&self, value: usize) {
-            let b = self.bottom.load(Ordering::Relaxed);
-            let t = self.top.load(Ordering::Acquire);
-            let buf = self.buf.load(Ordering::Relaxed);
-            // SAFETY: single-threaded here; `buf` is the live buffer
-            // and slot `b` is outside the live window until the
-            // release store below.
-            unsafe {
-                assert!(b - t < ((*buf).mask + 1) as isize, "baseline never grows");
-                (*(*buf).slots[(b as usize) & (*buf).mask].get()).write(value);
-            }
-            self.bottom.store(b + 1, Ordering::Release);
-        }
-        fn pop(&self) -> Option<usize> {
-            let b = self.bottom.load(Ordering::Relaxed) - 1;
-            let buf = self.buf.load(Ordering::Relaxed);
-            self.bottom.store(b, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            let t = self.top.load(Ordering::Relaxed);
-            if t > b {
-                self.bottom.store(b + 1, Ordering::Relaxed);
-                return None;
-            }
-            // SAFETY: `[t, b]` non-empty, slot `b` written by a prior push.
-            let value =
-                unsafe { (*(*buf).slots[(b as usize) & (*buf).mask].get()).assume_init_read() };
-            if t == b {
-                let won = self
-                    .top
-                    .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                    .is_ok();
-                self.bottom.store(b + 1, Ordering::Relaxed);
-                if !won {
-                    return None;
-                }
-            }
-            Some(value)
-        }
-    }
-    impl Drop for RawDeque {
-        fn drop(&mut self) {
-            // SAFETY: created by `Box::into_raw` in `new`, never replaced.
-            drop(unsafe { Box::from_raw(*self.buf.get_mut()) });
-        }
-    }
-
-    let generic = WsDeque::<usize>::with_capacity(BATCH);
+    // Each iteration counts a unit in, splits two children off it,
+    // completes all three and polls: the counter is zero once a round.
+    let generic: Quiesce = Quiesce::new(0);
     let run_generic = || {
         let start = Instant::now();
-        let mut acc = 0usize;
-        for _ in 0..ROUNDS {
-            for i in 0..BATCH {
-                generic.push(i);
+        let mut quiescent = 0usize;
+        for _ in 0..UNITS {
+            generic.split(1, || {});
+            generic.split(2, || {});
+            for _ in 0..3 {
+                generic.complete_one();
             }
-            while let Some(v) = generic.pop() {
-                acc = acc.wrapping_add(v);
-            }
+            quiescent += usize::from(generic.quiescent());
         }
-        black_box(acc);
+        black_box(quiescent);
         start.elapsed()
     };
-    let raw = RawDeque::new(BATCH);
+    let raw = AtomicUsize::new(0);
     let run_raw = || {
         let start = Instant::now();
-        let mut acc = 0usize;
-        for _ in 0..ROUNDS {
-            for i in 0..BATCH {
-                raw.push(i);
+        let mut quiescent = 0usize;
+        for _ in 0..UNITS {
+            raw.fetch_add(1, Ordering::SeqCst);
+            raw.fetch_add(2, Ordering::SeqCst);
+            for _ in 0..3 {
+                raw.fetch_sub(1, Ordering::SeqCst);
             }
-            while let Some(v) = raw.pop() {
-                acc = acc.wrapping_add(v);
-            }
+            quiescent += usize::from(raw.load(Ordering::SeqCst) == 0);
         }
-        black_box(acc);
+        black_box(quiescent);
         start.elapsed()
     };
 
@@ -1120,7 +912,6 @@ criterion_group!(
     bench_matching,
     bench_literal_interning,
     bench_intersect_crossover,
-    bench_deque,
     bench_scheduler,
     bench_trace_overhead,
     bench_atomics_zero_cost,

@@ -182,9 +182,9 @@ impl<'a, A: MatchAction<'a>, I: MatchIndex> SearchTask<'a, A, I> {
             let last = search.run_admitting(admit, on_match, limits) != RunOutcome::Deadline;
             if !last {
                 // Straggler: carve the untried sibling branches of the
-                // shallowest open level into prefix units — front of this
-                // worker's deque, the parent's priority (paper's Example
-                // 6) — and keep going locally.
+                // shallowest open level into prefix units — the owner end
+                // of this worker's queue, the parent's priority (paper's
+                // Example 6) — and keep going locally.
                 let rest = search.split_shallowest().into_iter();
                 ctx.split(
                     rest.map(|prefix| WorkUnit {

@@ -21,10 +21,10 @@
 //!   instantiation of this driver, not a separate code path;
 //! * **TTL straggler splitting** — when a unit runs past the TTL, the
 //!   worker drains its entire open-branch stack into split units pushed
-//!   to the front of its own deque in DFS order: the head unit resumes
-//!   exactly where the straggler stopped (priority inheritance), while
-//!   idle workers steal the *back* half — the shallowest branches, which
-//!   carry the largest subtrees;
+//!   to the owner end of its own queue in DFS order: the head unit pops
+//!   next and resumes exactly where the straggler stopped (priority
+//!   inheritance), while idle workers steal half from the other end —
+//!   the shallowest branches, which carry the largest subtrees;
 //! * **early termination** — satisfiability raises the scheduler's stop
 //!   flag on the first quiescent (model) branch, implication on the first
 //!   counterexample leaf; both quantifiers need only one witness;
@@ -342,9 +342,10 @@ impl GedTask<'_> {
             w.branches_explored += 1;
             self.step(w, &mut stack, store);
             // Straggler: drain every open branch into split units, DFS
-            // order preserved (front of the deque = the branch this loop
-            // would have popped next), and end the unit — idle workers
-            // steal the shallowest branches from the back.
+            // order preserved (the first unit, which this worker pops
+            // next, is the branch this loop would have popped next), and
+            // end the unit — idle workers steal the shallowest branches
+            // from the other end.
             if Instant::now() >= deadline && !stack.is_empty() {
                 let units: Vec<BranchUnit> = stack
                     .drain(..)

@@ -1,24 +1,23 @@
-//! A mini concurrency model checker for the `gfd-runtime` lock-free
-//! core (DESIGN.md §14).
+//! A mini concurrency model checker for the `gfd-runtime` quiescence
+//! protocol (DESIGN.md §14).
 //!
-//! The runtime's Chase–Lev deque and quiescence protocol are generic
-//! over the [`gfd_runtime::atomics::Atomics`] family. This crate
-//! provides the second family, [`ModelAtomics`]: every load, store,
-//! CAS, fence and raw slot access routes through a controlled
-//! interleaving VM, turning the production source — unchanged — into a
+//! The scheduler's quiescence counter and stop flag (`Quiesce`) are
+//! generic over the [`gfd_runtime::atomics::Atomics`] family. This
+//! crate provides the second family, [`ModelAtomics`]: every load,
+//! store and read-modify-write routes through a controlled interleaving
+//! VM, turning the production source — unchanged — into a
 //! model-checkable program. On top of the VM sit:
 //!
 //! * a deterministic interleaving explorer ([`explore`]):
 //!   bounded-exhaustive DFS with a preemption bound, seeded PCT-style
 //!   randomized scheduling, and exact replay of recorded schedules;
 //! * a FastTrack-style vector-clock happens-before race detector over
-//!   per-slot shadow memory, flagging unordered conflicting accesses,
-//!   reads of retired deque buffers and confirmed reads of
-//!   uninitialized `MaybeUninit` slots;
-//! * checked [`scenarios`] porting the deque's last-element race and
-//!   grow-under-steal path and the scheduler's quiescence/stop-flag
-//!   protocols, with user assertions checked on every explored
-//!   schedule.
+//!   per-slot shadow memory ([`MSlot`], a model-only data cell),
+//!   flagging unordered conflicting accesses and reads of
+//!   never-written slots;
+//! * checked [`scenarios`] porting the scheduler's quiescence split and
+//!   stop-flag protocols, with user assertions checked on every
+//!   explored schedule.
 //!
 //! Counterexamples print as deterministic replay traces
 //! ([`Failure`]): the schedule string feeds [`Config::replay`] and is
@@ -39,5 +38,5 @@ mod vm;
 
 pub use clock::Tid;
 pub use explore::{explore, Config, Mode, Report};
-pub use shim::{MAtomicIsize, MAtomicUsize, MBool, MPtr, MSlot, ModelAtomics};
-pub use vm::{Env, Failure, FailureKind, Schedule, SpecGuard, VJoin};
+pub use shim::{MAtomicUsize, MBool, MSlot, ModelAtomics};
+pub use vm::{Env, Failure, FailureKind, Schedule, VJoin};

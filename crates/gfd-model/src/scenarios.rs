@@ -1,94 +1,23 @@
-//! The checked scenarios: the runtime's lock-free protocols as small,
-//! bounded, assertion-carrying programs (DESIGN.md §14.5).
+//! The checked scenarios: the scheduler's quiescence and stop-flag
+//! protocols as small, bounded, assertion-carrying programs (DESIGN.md
+//! §14.5).
 //!
-//! Every loop is bounded (fixed steal attempts, iteration caps) so
+//! Every loop is bounded (fixed iteration caps) so
 //! bounded-exhaustive exploration terminates; the scenario root keeps
 //! its `Arc`s until after every virtual join, so destructors run with
 //! fully joined clocks. Scenario-local result collection uses host
 //! `std::sync::Mutex` — invisible to the model (no shadow state) and
 //! already ordered by the VM's own serialization.
 
-use crate::shim::ModelAtomics;
+use crate::shim::{MSlot, ModelAtomics};
 use crate::vm::Env;
-use gfd_runtime::atomics::{AtomicFlag, AtomicInt, Atomics, DataSlot};
-use gfd_runtime::deque::{Steal, WsDeque};
+use gfd_runtime::atomics::{AtomicFlag, AtomicInt, Atomics};
 use gfd_runtime::quiesce::Quiesce;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::{Arc, Mutex};
 
 type MUsize = <ModelAtomics as Atomics>::Usize;
 type MBool = <ModelAtomics as Atomics>::Bool;
-type MSlotUsize = <ModelAtomics as Atomics>::Slot<usize>;
-
-/// The Chase–Lev last-element race: one owner pushes two elements and
-/// pops them back while a thief makes three steal attempts. Asserts
-/// every element is claimed exactly once — the pop/steal SeqCst-fence
-/// + top-CAS arbitration is what makes that true.
-pub fn deque_last_element(env: &Env) {
-    let d = Arc::new(WsDeque::<usize, ModelAtomics>::with_capacity(4));
-    let stolen = Arc::new(Mutex::new(Vec::new()));
-    let (d2, s2) = (Arc::clone(&d), Arc::clone(&stolen));
-    let thief = env.spawn(move || {
-        for _ in 0..3 {
-            if let Steal::Success(v) = d2.steal() {
-                s2.lock().unwrap().push(v);
-            }
-        }
-    });
-    d.push(1);
-    d.push(2);
-    let mut claimed = Vec::new();
-    while let Some(v) = d.pop() {
-        claimed.push(v);
-    }
-    thief.join();
-    // Whatever neither side claimed during the race is still in the
-    // deque; drain it (no contention remains, so no Retry loops).
-    loop {
-        match d.steal() {
-            Steal::Success(v) => claimed.push(v),
-            Steal::Empty => break,
-            Steal::Retry => {}
-        }
-    }
-    claimed.extend(stolen.lock().unwrap().iter().copied());
-    claimed.sort_unstable();
-    assert_eq!(claimed, vec![1, 2], "elements lost or double-claimed");
-}
-
-/// Grow-under-steal: a capacity-2 deque forced to grow by a third push
-/// while a thief probes, so the thief can hold the retired buffer (or
-/// acquire the new one) mid-steal. Asserts the claims multiset.
-pub fn deque_grow_under_steal(env: &Env) {
-    let d = Arc::new(WsDeque::<usize, ModelAtomics>::with_capacity(2));
-    let stolen = Arc::new(Mutex::new(Vec::new()));
-    let (d2, s2) = (Arc::clone(&d), Arc::clone(&stolen));
-    let thief = env.spawn(move || {
-        for _ in 0..2 {
-            if let Steal::Success(v) = d2.steal() {
-                s2.lock().unwrap().push(v);
-            }
-        }
-    });
-    d.push(1);
-    d.push(2);
-    d.push(3); // exceeds capacity 2: grows, retiring the old buffer
-    let mut claimed = Vec::new();
-    while let Some(v) = d.pop() {
-        claimed.push(v);
-    }
-    thief.join();
-    loop {
-        match d.steal() {
-            Steal::Success(v) => claimed.push(v),
-            Steal::Empty => break,
-            Steal::Retry => {}
-        }
-    }
-    claimed.extend(stolen.lock().unwrap().iter().copied());
-    claimed.sort_unstable();
-    assert_eq!(claimed, vec![1, 2, 3], "elements lost or double-claimed");
-}
 
 /// The quiescence split protocol: two workers drain a shared counter
 /// "queue" seeded with one unit; whichever worker executes the seed
@@ -149,14 +78,14 @@ pub fn quiesce_split_protocol(env: &Env) {
 }
 
 /// The cancellation handshake done right: the canceller writes its
-/// verdict into a raw slot, then raises the stop flag (SeqCst); the
+/// verdict into a race-checked [`MSlot`], then raises the stop flag (SeqCst); the
 /// worker polls the flag relaxed but never touches the verdict — the
 /// root reads it only after joining both, through the join edges.
 /// Explores cleanly: the relaxed poll is a latency hint, not a
 /// synchronization edge, and nothing relies on it being one.
 pub fn stop_flag_handshake(env: &Env) {
     let stop = Arc::new(MBool::new(false));
-    let verdict = Arc::new(MSlotUsize::vacant());
+    let verdict = Arc::new(MSlot::<usize>::vacant());
     let s2 = Arc::clone(&stop);
     let worker = env.spawn(move || {
         for _ in 0..4 {
@@ -167,9 +96,9 @@ pub fn stop_flag_handshake(env: &Env) {
     });
     let (s3, v3) = (Arc::clone(&stop), Arc::clone(&verdict));
     let canceller = env.spawn(move || {
-        // SAFETY: the slot is written once, by us; the only read is the
-        // root's, ordered after our exit by its join.
-        unsafe { v3.write(42) };
+        // Written once, by us; the only read is the root's, ordered
+        // after our exit by its join.
+        v3.write(42);
         Quiesce::<ModelAtomics>::raise_stop(&s3);
     });
     worker.join();
@@ -188,7 +117,7 @@ pub fn stop_flag_handshake(env: &Env) {
 /// slot and thread joins instead of the stop flag.
 pub fn stop_flag_poll_read(env: &Env) {
     let stop = Arc::new(MBool::new(false));
-    let verdict = Arc::new(MSlotUsize::vacant());
+    let verdict = Arc::new(MSlot::<usize>::vacant());
     let observed = Arc::new(Mutex::new(None));
     let (s2, v2, o2) = (
         Arc::clone(&stop),
@@ -210,8 +139,7 @@ pub fn stop_flag_poll_read(env: &Env) {
     });
     let (s3, v3) = (Arc::clone(&stop), Arc::clone(&verdict));
     let canceller = env.spawn(move || {
-        // SAFETY: single writer; see `stop_flag_handshake`.
-        unsafe { v3.write(42) };
+        v3.write(42); // single writer; see `stop_flag_handshake`
         Quiesce::<ModelAtomics>::raise_stop(&s3);
     });
     worker.join();

@@ -1,17 +1,17 @@
 //! The model atomics family: [`ModelAtomics`] implements
-//! [`gfd_runtime::atomics::Atomics`] by routing every load, store,
-//! CAS, fence and raw slot access through the interleaving VM
-//! (DESIGN.md §14.2). Instantiating `WsDeque<T, ModelAtomics>` or
-//! `Quiesce<ModelAtomics>` turns the production source, unchanged,
-//! into a model-checkable program.
+//! [`gfd_runtime::atomics::Atomics`] by routing every load, store and
+//! read-modify-write through the interleaving VM (DESIGN.md §14.2).
+//! Instantiating `Quiesce<ModelAtomics>` turns the production source,
+//! unchanged, into a model-checkable program. [`MSlot`] is a model-only
+//! race-checked data cell scenarios use for plain (non-atomic) values.
 //!
 //! Values live in `UnsafeCell`s inside the shim types; the VM's
 //! central mutex serializes every access (one virtual thread runs at a
 //! time, and even abort-mode accesses take the lock), which is what
 //! makes the pervasive `unsafe impl Send/Sync` below sound.
 
-use crate::vm::{current, current_opt, SpecGuard};
-use gfd_runtime::atomics::{AtomicFlag, AtomicInt, AtomicPtrCell, Atomics, DataSlot, Weaken};
+use crate::vm::{current, current_opt};
+use gfd_runtime::atomics::{AtomicFlag, AtomicInt, Atomics, Weaken};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::Ordering;
@@ -22,75 +22,53 @@ use std::sync::atomic::Ordering;
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ModelAtomics;
 
-macro_rules! model_atomic_int {
-    ($(#[$doc:meta])* $name:ident, $v:ty) => {
-        $(#[$doc])*
-        pub struct $name {
-            id: usize,
-            val: UnsafeCell<$v>,
-        }
-
-        // SAFETY: all access to `val` goes through the VM, which holds
-        // its central mutex for the duration of every read and write.
-        unsafe impl Send for $name {}
-        // SAFETY: as above — the VM serializes shared access.
-        unsafe impl Sync for $name {}
-
-        impl AtomicInt<$v> for $name {
-            fn new(v: $v) -> Self {
-                let (vm, _) = current();
-                $name {
-                    id: vm.alloc_atomic(),
-                    val: UnsafeCell::new(v),
-                }
-            }
-            fn load(&self, order: Ordering) -> $v {
-                let (vm, tid) = current();
-                vm.atomic_load(tid, self.id, &self.val, order)
-            }
-            fn store(&self, v: $v, order: Ordering) {
-                let (vm, tid) = current();
-                vm.atomic_store(tid, self.id, &self.val, v, order)
-            }
-            fn compare_exchange(
-                &self,
-                current_v: $v,
-                new: $v,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$v, $v> {
-                let (vm, tid) = current();
-                vm.atomic_cas(tid, self.id, &self.val, current_v, new, success, failure)
-            }
-            fn fetch_add(&self, v: $v, order: Ordering) -> $v {
-                let (vm, tid) = current();
-                vm.atomic_rmw(tid, self.id, &self.val, order, "fetch_add", |old| {
-                    old.wrapping_add(v)
-                })
-            }
-            fn fetch_sub(&self, v: $v, order: Ordering) -> $v {
-                let (vm, tid) = current();
-                vm.atomic_rmw(tid, self.id, &self.val, order, "fetch_sub", |old| {
-                    old.wrapping_sub(v)
-                })
-            }
-            fn unsync_load(&mut self) -> $v {
-                *self.val.get_mut()
-            }
-        }
-    };
+/// Model `AtomicUsize` (quiescence counter, scenario counters).
+pub struct MAtomicUsize {
+    id: usize,
+    val: UnsafeCell<usize>,
 }
 
-model_atomic_int!(
-    /// Model `AtomicIsize` (deque `bottom`/`top`).
-    MAtomicIsize,
-    isize
-);
-model_atomic_int!(
-    /// Model `AtomicUsize` (quiescence counter, scenario counters).
-    MAtomicUsize,
-    usize
-);
+// SAFETY: all access to `val` goes through the VM, which holds its
+// central mutex for the duration of every read and write.
+unsafe impl Send for MAtomicUsize {}
+// SAFETY: as above — the VM serializes shared access.
+unsafe impl Sync for MAtomicUsize {}
+
+impl AtomicInt for MAtomicUsize {
+    fn new(v: usize) -> Self {
+        let (vm, _) = current();
+        MAtomicUsize {
+            id: vm.alloc_atomic(),
+            val: UnsafeCell::new(v),
+        }
+    }
+    fn load(&self, order: Ordering) -> usize {
+        let (vm, tid) = current();
+        vm.atomic_load(tid, self.id, &self.val, order)
+    }
+    fn compare_exchange(
+        &self,
+        current_v: usize,
+        new: usize,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<usize, usize> {
+        let (vm, tid) = current();
+        vm.atomic_cas(tid, self.id, &self.val, current_v, new, success, failure)
+    }
+    fn fetch_add(&self, v: usize, order: Ordering) -> usize {
+        let (vm, tid) = current();
+        vm.atomic_rmw(tid, self.id, &self.val, order, "fetch_add", |old| {
+            old.wrapping_add(v)
+        })
+    }
+    fn fetch_sub(&self, v: usize, order: Ordering) -> usize {
+        let (vm, tid) = current();
+        vm.atomic_rmw(tid, self.id, &self.val, order, "fetch_sub", |old| {
+            old.wrapping_sub(v)
+        })
+    }
+}
 
 /// Model `AtomicBool` (the stop flag).
 pub struct MBool {
@@ -121,58 +99,25 @@ impl AtomicFlag for MBool {
     }
 }
 
-/// Model `AtomicPtr` (the deque's buffer pointer).
-pub struct MPtr<P> {
-    id: usize,
-    val: UnsafeCell<*mut P>,
-}
-
-// SAFETY: VM-serialized access; like `std::sync::atomic::AtomicPtr`,
-// only the address is shared, never `P` itself.
-unsafe impl<P> Send for MPtr<P> {}
-// SAFETY: as above.
-unsafe impl<P> Sync for MPtr<P> {}
-
-impl<P> AtomicPtrCell<P> for MPtr<P> {
-    fn new(p: *mut P) -> Self {
-        let (vm, _) = current();
-        MPtr {
-            id: vm.alloc_atomic(),
-            val: UnsafeCell::new(p),
-        }
-    }
-    fn load(&self, order: Ordering) -> *mut P {
-        let (vm, tid) = current();
-        vm.atomic_load(tid, self.id, &self.val, order)
-    }
-    fn store(&self, p: *mut P, order: Ordering) {
-        let (vm, tid) = current();
-        vm.atomic_store(tid, self.id, &self.val, p, order)
-    }
-    fn unsync_load(&mut self) -> *mut P {
-        *self.val.get_mut()
-    }
-}
-
 /// Model data slot: a `MaybeUninit` cell with VM shadow state
 /// (initialized-ness, last-writer epoch, reader epochs). Every access
-/// is race-checked; speculative reads get their verdict deferred to
-/// [`DataSlot::confirm`] / [`DataSlot::discard`].
+/// is race-checked: a read or write not ordered after a conflicting
+/// access by happens-before, or a read of a never-written slot, fails
+/// the execution.
 pub struct MSlot<V> {
     id: usize,
     val: UnsafeCell<MaybeUninit<V>>,
 }
 
 // SAFETY: VM-serialized access (see module docs); `V: Send` because a
-// slot transfers elements between virtual threads.
+// slot transfers values between virtual threads.
 unsafe impl<V: Send> Send for MSlot<V> {}
 // SAFETY: as above.
 unsafe impl<V: Send> Sync for MSlot<V> {}
 
-impl<V> DataSlot<V> for MSlot<V> {
-    type Guard = SpecGuard;
-
-    fn vacant() -> Self {
+impl<V> MSlot<V> {
+    /// A fresh, uninitialized slot.
+    pub fn vacant() -> Self {
         let (vm, _) = current();
         MSlot {
             id: vm.alloc_cell(),
@@ -180,43 +125,30 @@ impl<V> DataSlot<V> for MSlot<V> {
         }
     }
 
-    unsafe fn read(&self) -> V {
+    /// Bitwise read of the slot. The VM fails the execution before the
+    /// read when the slot was never written or the read races a write.
+    ///
+    /// # Safety
+    /// The returned bit copy must be the value's only live owner (or be
+    /// `mem::forget`-ten), and an aborting execution must only read
+    /// slots it wrote.
+    pub unsafe fn read(&self) -> V {
         let (vm, tid) = current();
         vm.cell_read(tid, self.id, &self.val)
     }
 
-    unsafe fn write(&self, value: V) {
+    /// Bitwise write; any previous content is overwritten without being
+    /// dropped. The VM fails the execution when the write races an
+    /// earlier read or write.
+    pub fn write(&self, value: V) {
         let (vm, tid) = current();
         vm.cell_write(tid, self.id, &self.val, value)
-    }
-
-    unsafe fn read_speculative(&self) -> (MaybeUninit<V>, SpecGuard) {
-        let (vm, tid) = current();
-        vm.cell_read_spec(tid, self.id, &self.val)
-    }
-
-    fn confirm(guard: SpecGuard) {
-        let (vm, _) = current();
-        vm.spec_confirm(guard);
-    }
-
-    fn discard(guard: SpecGuard) {
-        let (vm, _) = current();
-        vm.spec_discard(guard);
     }
 }
 
 impl Atomics for ModelAtomics {
-    type Isize = MAtomicIsize;
     type Usize = MAtomicUsize;
     type Bool = MBool;
-    type Ptr<P> = MPtr<P>;
-    type Slot<V> = MSlot<V>;
-
-    fn fence(order: Ordering) {
-        let (vm, tid) = current();
-        vm.fence(tid, order);
-    }
 
     fn weakened(site: Weaken) -> bool {
         current_opt().is_some_and(|(vm, _)| vm.is_weakened(site))

@@ -4,7 +4,7 @@
 //!
 //! Every execution runs the scenario on real OS threads serialized by a
 //! baton: exactly one virtual thread runs at a time, and every atomic
-//! operation and fence is a *schedule point* where a [`Controller`]
+//! operation is a *schedule point* where a [`Controller`]
 //! picks which thread holds the baton next. The executed interleaving
 //! is therefore sequentially consistent; weak-memory bugs are caught
 //! not by simulating reorderings but by a FastTrack-style
@@ -64,7 +64,7 @@ impl FromStr for Schedule {
 pub enum FailureKind {
     /// Two conflicting data-slot accesses with no happens-before edge.
     DataRace,
-    /// A (confirmed) read of a slot no write ever initialized.
+    /// A read of a slot no write ever initialized.
     UninitRead,
     /// A scenario `assert!` fired.
     Assertion,
@@ -155,7 +155,7 @@ struct Central {
     failure: Option<Failure>,
     atomics: Vec<AtomicShadow>,
     cells: Vec<CellShadow>,
-    /// The generous SeqCst clock: every SeqCst op/fence joins it both
+    /// The generous SeqCst clock: every SeqCst op joins it both
     /// ways, over-approximating the SC total order (DESIGN.md §14.6).
     sc: VClock,
     schedule: Vec<Tid>,
@@ -214,19 +214,6 @@ fn acquires(ord: Ordering) -> bool {
 
 fn releases(ord: Ordering) -> bool {
     matches!(ord, Ordering::Release | Ordering::AcqRel | Ordering::SeqCst)
-}
-
-/// The deferred race verdict of a speculative slot read
-/// ([`gfd_runtime::atomics::DataSlot::read_speculative`]): everything
-/// the detector needs to judge the read once the validating CAS
-/// resolves.
-pub struct SpecGuard {
-    cell: usize,
-    tid: Tid,
-    epoch: u64,
-    read_clock: VClock,
-    observed: Option<Epoch>,
-    observed_init: bool,
 }
 
 impl Vm {
@@ -326,7 +313,7 @@ impl Vm {
         self.cond.notify_all();
     }
 
-    /// The common schedule-point prologue for atomic ops and fences:
+    /// The common schedule-point prologue for atomic ops:
     /// decide, park until chosen, charge the step budget. Returns the
     /// guard plus `raw = true` when the execution is aborting (the op
     /// should update the value and skip all model bookkeeping so
@@ -523,19 +510,6 @@ impl Vm {
         }
     }
 
-    pub(crate) fn fence(&self, tid: Tid, ord: Ordering) {
-        let (mut c, raw) = self.enter_op(tid);
-        if !raw {
-            // Modeled generously: every fence gets the full SeqCst
-            // treatment (both-ways join with the SC clock). This
-            // over-approximates Acquire/Release fences; the runtime
-            // core only issues SeqCst fences (DESIGN.md §14.6).
-            self.sc_join(&mut c, tid);
-            c.threads[tid].clock.tick(tid);
-            c.trace.push(format!("t{tid}: fence ({ord:?})"));
-        }
-    }
-
     // ---- data-slot (non-atomic) operations ---------------------------------
     //
     // Slot accesses are not schedule points: they run atomically with
@@ -552,8 +526,8 @@ impl Vm {
     ) {
         let mut c = self.lock();
         // SAFETY: serialized under the central lock; writing through
-        // `MaybeUninit::write` never drops previous content (the slot
-        // protocol guarantees any previous element was moved out).
+        // `MaybeUninit::write` never drops previous content (at worst a
+        // previous value leaks).
         unsafe { (*val.get()).write(v) };
         if c.abort {
             return;
@@ -620,102 +594,8 @@ impl Vm {
         }
         // SAFETY: serialized under the central lock; initialization was
         // just verified (or, in abort mode, is the caller's contract —
-        // unwinding drop paths only read slots their own pushes wrote).
+        // an aborting execution only reads slots it wrote).
         unsafe { (*val.get()).assume_init_read() }
-    }
-
-    pub(crate) fn cell_read_spec<V>(
-        &self,
-        tid: Tid,
-        id: usize,
-        val: &UnsafeCell<MaybeUninit<V>>,
-    ) -> (MaybeUninit<V>, SpecGuard) {
-        let mut c = self.lock();
-        // SAFETY: a bit copy into a `MaybeUninit` destination is
-        // defined even for uninitialized or concurrently-recycled
-        // bytes (serialized here anyway); the caller must not
-        // materialize `V` unless the guard is confirmed.
-        let bits = unsafe { std::ptr::read(val.get()) };
-        let guard = if c.abort {
-            SpecGuard {
-                cell: id,
-                tid,
-                epoch: 0,
-                read_clock: VClock::new(),
-                observed: None,
-                observed_init: false,
-            }
-        } else {
-            let read_clock = c.threads[tid].clock.clone();
-            let epoch = c.threads[tid].clock.tick(tid);
-            let (observed, observed_init) = {
-                let sh = &c.cells[id];
-                (sh.last_write, sh.init)
-            };
-            c.trace.push(format!("t{tid}: spec-read c{id}"));
-            SpecGuard {
-                cell: id,
-                tid,
-                epoch,
-                read_clock,
-                observed,
-                observed_init,
-            }
-        };
-        (bits, guard)
-    }
-
-    /// The validating claim of a speculative read succeeded: judge the
-    /// read with the clocks it ran under, and only now record it in
-    /// shadow state (an unconfirmed speculative read is excused — the
-    /// bits were discarded, so whatever it raced with never mattered).
-    pub(crate) fn spec_confirm(&self, g: SpecGuard) {
-        let mut c = self.lock();
-        if c.abort {
-            return;
-        }
-        if !g.observed_init {
-            self.fail_locked(
-                &mut c,
-                FailureKind::UninitRead,
-                format!(
-                    "t{} confirmed a speculative read of uninitialized slot c{}",
-                    g.tid, g.cell
-                ),
-            );
-            self.abort_now(c);
-        }
-        if let Some(w) = g.observed.filter(|&w| !g.read_clock.covers(w)) {
-            self.fail_locked(
-                &mut c,
-                FailureKind::DataRace,
-                format!(
-                    "confirmed speculative read of c{} by t{} races with write by t{} (epoch {}:{})",
-                    g.cell, g.tid, w.0, w.0, w.1
-                ),
-            );
-            self.abort_now(c);
-        }
-        if c.cells[g.cell].last_write != g.observed {
-            self.fail_locked(
-                &mut c,
-                FailureKind::DataRace,
-                format!(
-                    "slot c{} was rewritten inside t{}'s confirmed speculative read window",
-                    g.cell, g.tid
-                ),
-            );
-            self.abort_now(c);
-        }
-        c.cells[g.cell].reads.push((g.tid, g.epoch));
-        c.trace.push(format!("t{}: confirm c{}", g.tid, g.cell));
-    }
-
-    pub(crate) fn spec_discard(&self, g: SpecGuard) {
-        let mut c = self.lock();
-        if !c.abort {
-            c.trace.push(format!("t{}: discard c{}", g.tid, g.cell));
-        }
     }
 
     // ---- thread lifecycle --------------------------------------------------

@@ -4,8 +4,8 @@
 //! the stop-flag handshake demonstrates both the sound (join-edge) and
 //! unsound (relaxed-poll read) verdict paths.
 
-use gfd_model::{explore, scenarios, Config, FailureKind, MSlot, ModelAtomics};
-use gfd_runtime::atomics::{Atomics, DataSlot, Weaken};
+use gfd_model::{explore, scenarios, Config, FailureKind, MSlot};
+use gfd_runtime::atomics::Weaken;
 
 #[test]
 fn quiesce_split_protocol_explores_clean() {
@@ -56,18 +56,15 @@ fn verdict_read_through_relaxed_poll_is_a_race() {
 }
 
 #[test]
-fn confirmed_speculative_read_of_uninitialized_slot_is_flagged() {
-    // Drive the detector directly: a speculative read of a vacant slot
-    // whose claim "succeeds" must be flagged at confirm time — the
-    // deque relies on this to catch reads of never-written indices.
+fn read_of_uninitialized_slot_is_flagged() {
+    // Drive the detector directly: a read of a vacant slot must be
+    // flagged before any bits are read.
     let report = explore(Config::exhaustive(0), |_env| {
-        let slot = <ModelAtomics as Atomics>::Slot::<usize>::vacant();
-        // SAFETY: bits are never materialized — the guard goes to
-        // confirm, which (correctly) fails the execution first.
-        let (_bits, guard) = unsafe { slot.read_speculative() };
-        MSlot::<usize>::confirm(guard);
+        let slot = MSlot::<usize>::vacant();
+        // SAFETY: the VM fails the execution before the read happens.
+        let _ = unsafe { slot.read() };
     });
-    let failure = report.failure.expect("uninit confirm must be flagged");
+    let failure = report.failure.expect("uninit read must be flagged");
     assert_eq!(failure.kind, FailureKind::UninitRead);
 }
 

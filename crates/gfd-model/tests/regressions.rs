@@ -1,8 +1,8 @@
 //! The checked-in counterexample corpus (DESIGN.md §14.4): schedules
 //! captured from bounded-exhaustive runs against deliberately weakened
 //! orderings, replayed deterministically. Each entry pins the failing
-//! interleaving itself — if the deque, the quiescence protocol, the
-//! shim, or the detector drifts so that the schedule diverges or the
+//! interleaving itself — if the quiescence protocol, the shim, or the
+//! detector drifts so that the schedule diverges or the
 //! verdict changes, these fail long before a fresh exploration would.
 //!
 //! To regenerate after an intentional protocol change: run the
@@ -23,34 +23,6 @@ fn replay(
         config = config.weaken(site);
     }
     explore(config, scenario).failure
-}
-
-/// Relaxed (instead of release) publication of `bottom` in `push`: the
-/// thief's confirmed read of the pushed slot is not covered by any
-/// release edge. Captured from `Config::exhaustive(2)`.
-#[test]
-fn corpus_push_publish_race() {
-    let failure = replay(
-        "0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1",
-        Some(Weaken::DequePushPublish),
-        scenarios::deque_last_element,
-    )
-    .expect("corpus schedule must still fail");
-    assert_eq!(failure.kind, FailureKind::DataRace, "{failure}");
-}
-
-/// Relaxed (instead of release) publication of the grown buffer
-/// pointer: the thief acquires the new buffer without the copy-writes
-/// ordered before its read. Captured from `Config::exhaustive(2)`.
-#[test]
-fn corpus_buffer_publish_race() {
-    let failure = replay(
-        "0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1",
-        Some(Weaken::DequeBufPublish),
-        scenarios::deque_grow_under_steal,
-    )
-    .expect("corpus schedule must still fail");
-    assert_eq!(failure.kind, FailureKind::DataRace, "{failure}");
 }
 
 /// Publish-before-count split order: a sibling drains the child unit
@@ -87,8 +59,6 @@ fn corpus_relaxed_poll_verdict_race() {
 #[test]
 fn corpus_default_schedules_stay_clean() {
     for scenario in [
-        scenarios::deque_last_element,
-        scenarios::deque_grow_under_steal,
         scenarios::quiesce_split_protocol,
         scenarios::stop_flag_handshake,
     ] {

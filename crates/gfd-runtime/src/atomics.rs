@@ -1,27 +1,23 @@
-//! The virtual-atomics family the lock-free runtime core is generic
-//! over (DESIGN.md §14).
+//! The virtual-atomics family the quiescence protocol is generic over
+//! (DESIGN.md §14).
 //!
-//! The Chase–Lev deque ([`crate::deque`]) and the quiescence protocol
-//! ([`crate::quiesce`]) do not name `std::sync::atomic` types directly;
-//! they are generic over an [`Atomics`] family. Production code
-//! instantiates [`StdAtomics`], whose associated types *are* the std
-//! atomics and whose hook methods are inlined constants — the
-//! monomorphized code is bit-for-bit the hand-written original (the
+//! The quiescence protocol ([`crate::quiesce`]) does not name
+//! `std::sync::atomic` types directly; it is generic over an [`Atomics`]
+//! family. Production code instantiates [`StdAtomics`], whose associated
+//! types *are* the std atomics and whose hook method is an inlined
+//! constant — the monomorphized code is the hand-written original (the
 //! `micro_structures` bench asserts this stays true). The `gfd-model`
-//! crate provides a second family that routes every load, store, CAS,
-//! fence and raw slot access through a controlled interleaving VM with
-//! a happens-before race detector, turning the same source code into a
+//! crate provides a second family that routes every load, store and
+//! read-modify-write through a controlled interleaving VM with a
+//! happens-before race detector, turning the same source code into a
 //! model-checkable program.
 //!
-//! Two hooks exist purely so the model build can *weaken* the
+//! One hook exists purely so the model build can *weaken* the
 //! implementation on purpose and prove the checker catches the bug:
-//! [`Atomics::weakened`] downgrades a named ordering site (e.g. the
-//! deque push's release publish) or reorders a named protocol step. For
+//! [`Atomics::weakened`] reorders a named protocol step. For
 //! [`StdAtomics`] it is a `const`-foldable `false`, so production pays
 //! nothing and cannot be weakened.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
 use std::sync::atomic::Ordering;
 
 /// Named weakening knobs for the model build (DESIGN.md §14.5).
@@ -33,40 +29,30 @@ use std::sync::atomic::Ordering;
 /// proving both that the code is right and that the checker has teeth.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Weaken {
-    /// Downgrade the deque push's release store of `bottom` (the store
-    /// that publishes the slot write to thieves) to `Relaxed`.
-    DequePushPublish,
-    /// Downgrade the deque grow's release store of the buffer pointer
-    /// (the store that publishes the copied slots) to `Relaxed`.
-    DequeBufPublish,
     /// Reorder the quiescence split protocol: push the split units
     /// *before* raising the in-flight counter, so the counter can hit
     /// zero while split work is still queued.
     QuiesceSplitPublish,
 }
 
-/// Integer atomics (`isize`/`usize` instantiations are used).
-pub trait AtomicInt<V: Copy>: Send + Sync {
+/// `usize` atomics (the quiescence in-flight counter).
+pub trait AtomicInt: Send + Sync {
     /// A fresh atomic holding `v`.
-    fn new(v: V) -> Self;
+    fn new(v: usize) -> Self;
     /// Atomic load.
-    fn load(&self, order: Ordering) -> V;
-    /// Atomic store.
-    fn store(&self, v: V, order: Ordering);
+    fn load(&self, order: Ordering) -> usize;
     /// Compare-and-exchange; `Ok(previous)` on success.
     fn compare_exchange(
         &self,
-        current: V,
-        new: V,
+        current: usize,
+        new: usize,
         success: Ordering,
         failure: Ordering,
-    ) -> Result<V, V>;
+    ) -> Result<usize, usize>;
     /// Atomic add, returning the previous value.
-    fn fetch_add(&self, v: V, order: Ordering) -> V;
+    fn fetch_add(&self, v: usize, order: Ordering) -> usize;
     /// Atomic subtract, returning the previous value.
-    fn fetch_sub(&self, v: V, order: Ordering) -> V;
-    /// Non-atomic load through exclusive access (drop paths).
-    fn unsync_load(&mut self) -> V;
+    fn fetch_sub(&self, v: usize, order: Ordering) -> usize;
 }
 
 /// Boolean flag atomics (the scheduler's stop flag).
@@ -79,150 +65,58 @@ pub trait AtomicFlag: Send + Sync {
     fn store(&self, v: bool, order: Ordering);
 }
 
-/// Pointer atomics (the deque's buffer pointer).
-pub trait AtomicPtrCell<P>: Send + Sync {
-    /// A fresh cell holding `p`.
-    fn new(p: *mut P) -> Self;
-    /// Atomic load.
-    fn load(&self, order: Ordering) -> *mut P;
-    /// Atomic store.
-    fn store(&self, p: *mut P, order: Ordering);
-    /// Non-atomic load through exclusive access (drop paths).
-    fn unsync_load(&mut self) -> *mut P;
-}
-
-/// A non-atomic data slot holding a possibly-uninitialized `V` — the
-/// deque's buffer element.
-///
-/// Reads and writes are raw bit copies, exactly like
-/// `UnsafeCell<MaybeUninit<V>>`; the model family additionally tracks a
-/// shadow state per slot (initialized-ness, last-writer epoch, reader
-/// epochs) and reports happens-before violations. The *speculative*
-/// read is the Chase–Lev thief's pre-CAS read: it may legitimately race
-/// with a push recycling the slot, and the racing copy is discarded
-/// when the CAS fails. The split into `read_speculative` +
-/// [`DataSlot::confirm`] lets the model defer the race verdict to the
-/// CAS outcome: a lost CAS excuses the race (the value was never used),
-/// a won CAS demands the read have been properly ordered.
-pub trait DataSlot<V>: Sized {
-    /// The deferred-verdict token a speculative read returns.
-    type Guard;
-
-    /// A fresh, uninitialized slot.
-    fn vacant() -> Self;
-
-    /// Bitwise read of an initialized slot.
-    ///
-    /// # Safety
-    /// The slot must have been written, the caller must hold a claim on
-    /// the element, and the returned bit copy must be the element's only
-    /// live owner (or be `mem::forget`-ten).
-    unsafe fn read(&self) -> V;
-
-    /// Bitwise write.
-    ///
-    /// # Safety
-    /// The caller must have exclusive write access to the slot; any
-    /// previous content is overwritten without being dropped.
-    unsafe fn write(&self, value: V);
-
-    /// Bitwise read that may race with a writer recycling the slot. The
-    /// value must only be assumed initialized after the claim that
-    /// validates it succeeds — then the caller passes the guard to
-    /// [`DataSlot::confirm`]; on a failed claim, to
-    /// [`DataSlot::discard`].
-    ///
-    /// # Safety
-    /// The caller must treat the returned bits as untrusted until the
-    /// validating claim (the thief's `top` CAS) succeeds.
-    unsafe fn read_speculative(&self) -> (MaybeUninit<V>, Self::Guard);
-
-    /// The validating claim succeeded: the speculative read observed a
-    /// stable, initialized slot. The model family reports a race or an
-    /// uninitialized read here if the read was not properly ordered.
-    fn confirm(guard: Self::Guard);
-
-    /// The validating claim failed: the speculatively read bits were
-    /// discarded unused, so whatever the read raced with is excused.
-    fn discard(guard: Self::Guard);
-}
-
-/// An atomics family: the complete set of synchronization primitives
-/// the lock-free runtime core uses.
+/// An atomics family: the synchronization primitives the quiescence
+/// protocol uses.
 pub trait Atomics: Sized + 'static {
-    /// `isize` atomics (deque `bottom`/`top`).
-    type Isize: AtomicInt<isize>;
     /// `usize` atomics (quiescence in-flight counter).
-    type Usize: AtomicInt<usize>;
+    type Usize: AtomicInt;
     /// Boolean flag (stop/cancellation).
     type Bool: AtomicFlag;
-    /// Pointer cell (deque buffer pointer).
-    type Ptr<P>: AtomicPtrCell<P>;
-    /// Raw data slot (deque buffer element).
-    type Slot<V>: DataSlot<V>;
-
-    /// An atomic fence.
-    fn fence(order: Ordering);
 
     /// Is the named site deliberately weakened? Always `false` for
     /// production families; the model family consults its run
-    /// configuration. Call sites use this to downgrade an ordering or
-    /// reorder a protocol step *only* under the model.
+    /// configuration. Call sites use this to reorder a protocol step
+    /// *only* under the model.
     #[inline(always)]
     fn weakened(_site: Weaken) -> bool {
         false
     }
 }
 
-/// The production family: `std::sync::atomic` everything, raw
-/// `UnsafeCell` slots, no weakening. Monomorphizing the runtime core
-/// over this family yields exactly the hand-written code.
+/// The production family: `std::sync::atomic` everything, no weakening.
+/// Monomorphizing the quiescence protocol over this family yields
+/// exactly the hand-written code.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct StdAtomics;
 
-macro_rules! std_atomic_int {
-    ($v:ty, $a:ty) => {
-        impl AtomicInt<$v> for $a {
-            #[inline(always)]
-            fn new(v: $v) -> Self {
-                <$a>::new(v)
-            }
-            #[inline(always)]
-            fn load(&self, order: Ordering) -> $v {
-                <$a>::load(self, order)
-            }
-            #[inline(always)]
-            fn store(&self, v: $v, order: Ordering) {
-                <$a>::store(self, v, order)
-            }
-            #[inline(always)]
-            fn compare_exchange(
-                &self,
-                current: $v,
-                new: $v,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$v, $v> {
-                <$a>::compare_exchange(self, current, new, success, failure)
-            }
-            #[inline(always)]
-            fn fetch_add(&self, v: $v, order: Ordering) -> $v {
-                <$a>::fetch_add(self, v, order)
-            }
-            #[inline(always)]
-            fn fetch_sub(&self, v: $v, order: Ordering) -> $v {
-                <$a>::fetch_sub(self, v, order)
-            }
-            #[inline(always)]
-            fn unsync_load(&mut self) -> $v {
-                *<$a>::get_mut(self)
-            }
-        }
-    };
+impl AtomicInt for std::sync::atomic::AtomicUsize {
+    #[inline(always)]
+    fn new(v: usize) -> Self {
+        std::sync::atomic::AtomicUsize::new(v)
+    }
+    #[inline(always)]
+    fn load(&self, order: Ordering) -> usize {
+        std::sync::atomic::AtomicUsize::load(self, order)
+    }
+    #[inline(always)]
+    fn compare_exchange(
+        &self,
+        current: usize,
+        new: usize,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<usize, usize> {
+        std::sync::atomic::AtomicUsize::compare_exchange(self, current, new, success, failure)
+    }
+    #[inline(always)]
+    fn fetch_add(&self, v: usize, order: Ordering) -> usize {
+        std::sync::atomic::AtomicUsize::fetch_add(self, v, order)
+    }
+    #[inline(always)]
+    fn fetch_sub(&self, v: usize, order: Ordering) -> usize {
+        std::sync::atomic::AtomicUsize::fetch_sub(self, v, order)
+    }
 }
-
-std_atomic_int!(isize, std::sync::atomic::AtomicIsize);
-std_atomic_int!(usize, std::sync::atomic::AtomicUsize);
 
 impl AtomicFlag for std::sync::atomic::AtomicBool {
     #[inline(always)]
@@ -239,77 +133,7 @@ impl AtomicFlag for std::sync::atomic::AtomicBool {
     }
 }
 
-impl<P> AtomicPtrCell<P> for std::sync::atomic::AtomicPtr<P> {
-    #[inline(always)]
-    fn new(p: *mut P) -> Self {
-        std::sync::atomic::AtomicPtr::new(p)
-    }
-    #[inline(always)]
-    fn load(&self, order: Ordering) -> *mut P {
-        std::sync::atomic::AtomicPtr::load(self, order)
-    }
-    #[inline(always)]
-    fn store(&self, p: *mut P, order: Ordering) {
-        std::sync::atomic::AtomicPtr::store(self, p, order)
-    }
-    #[inline(always)]
-    fn unsync_load(&mut self) -> *mut P {
-        *std::sync::atomic::AtomicPtr::get_mut(self)
-    }
-}
-
-/// The production slot: a raw `UnsafeCell<MaybeUninit<V>>` with no
-/// shadow state. The speculative-read guard is `()` and the
-/// confirm/discard hooks vanish under inlining.
-pub struct RawSlot<V>(UnsafeCell<MaybeUninit<V>>);
-
-impl<V> DataSlot<V> for RawSlot<V> {
-    type Guard = ();
-
-    #[inline(always)]
-    fn vacant() -> Self {
-        RawSlot(UnsafeCell::new(MaybeUninit::uninit()))
-    }
-
-    #[inline(always)]
-    unsafe fn read(&self) -> V {
-        // SAFETY: the caller guarantees the slot is initialized and
-        // claimed (trait contract).
-        unsafe { (*self.0.get()).assume_init_read() }
-    }
-
-    #[inline(always)]
-    unsafe fn write(&self, value: V) {
-        // SAFETY: the caller guarantees exclusive write access (trait
-        // contract); writing a `MaybeUninit` never drops old content.
-        unsafe { (*self.0.get()).write(value) };
-    }
-
-    #[inline(always)]
-    unsafe fn read_speculative(&self) -> (MaybeUninit<V>, ()) {
-        // SAFETY: a bit copy into `MaybeUninit` is defined even if the
-        // bytes are concurrently rewritten or uninitialized; the caller
-        // only materializes `V` after the validating CAS (trait
-        // contract).
-        (unsafe { std::ptr::read(self.0.get()) }, ())
-    }
-
-    #[inline(always)]
-    fn confirm(_guard: ()) {}
-
-    #[inline(always)]
-    fn discard(_guard: ()) {}
-}
-
 impl Atomics for StdAtomics {
-    type Isize = std::sync::atomic::AtomicIsize;
     type Usize = std::sync::atomic::AtomicUsize;
     type Bool = std::sync::atomic::AtomicBool;
-    type Ptr<P> = std::sync::atomic::AtomicPtr<P>;
-    type Slot<V> = RawSlot<V>;
-
-    #[inline(always)]
-    fn fence(order: Ordering) {
-        std::sync::atomic::fence(order)
-    }
 }

@@ -7,12 +7,12 @@
 //!
 //! * a generic [`Task`] trait: a workload describes how to create per-worker
 //!   state and how to execute one unit; the scheduler owns dispatch;
-//! * per-worker **lock-free Chase–Lev deques** with work stealing, the one
-//!   dispatch topology: a worker pops its own deque from the front without
-//!   ever taking a lock, steals the back half of a victim's deque when idle
-//!   (one top-CAS per claimed unit), and pushes split units to its own
-//!   front so straggler remainders inherit their parent's priority and
-//!   cache locality;
+//! * per-worker queues (`parking_lot::Mutex<VecDeque>`) with work
+//!   stealing, the one dispatch topology: a worker pops its own queue's
+//!   back, steals half of a victim's queue when idle (one lock of the
+//!   victim drains its lowest-priority front), and pushes split units to
+//!   its own back so straggler remainders inherit their parent's priority
+//!   and cache locality;
 //! * quiescence detection via an in-flight unit counter, a shared stop flag
 //!   for early termination, and per-worker busy (thread CPU time) and idle
 //!   accounting;
@@ -33,7 +33,6 @@
 
 pub mod atomics;
 pub mod cputime;
-pub mod deque;
 pub mod failpoint;
 pub mod metrics;
 pub mod quiesce;

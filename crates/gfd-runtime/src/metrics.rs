@@ -22,7 +22,7 @@ pub struct RunMetrics {
     pub units_dispatched: u64,
     /// Units created by TTL straggler splitting.
     pub units_split: u64,
-    /// Units taken from another worker's deque.
+    /// Units taken from another worker's queue.
     pub units_stolen: u64,
     /// Matches found and processed across all workers.
     pub matches: u64,

@@ -2,18 +2,18 @@
 //!
 //! Dispatch topology:
 //!
-//! * Seed units are dealt round-robin across `p` per-worker lock-free
-//!   [Chase–Lev deques](crate::deque) in priority order, so every deque
-//!   is priority-ascending front to back.
-//! * A worker pops its **own deque from the front** (highest priority
-//!   first; the Chase–Lev *bottom* — a lock-free owner operation).
-//!   Split units produced mid-run are pushed to the owner's **front**:
-//!   a straggler's remainder inherits its parent's priority and stays
-//!   on the worker whose caches already hold its prefix.
-//! * An idle worker **steals the back half** of a victim's deque — the
-//!   lowest-priority work, claimed one CAS-validated element at a time
-//!   from the Chase–Lev *top* — so the victim keeps the units the
-//!   priority order wanted it to run next.
+//! * Seed units are dealt round-robin across `p` per-worker queues in
+//!   priority order; each queue is a `parking_lot::Mutex<VecDeque>`
+//!   loaded in reverse, so its back holds the highest-priority unit.
+//! * A worker pops its **own queue's back** (highest priority first).
+//!   Split units produced mid-run are pushed to the owner's back, in
+//!   reverse: a straggler's remainder inherits its parent's priority and
+//!   stays on the worker whose caches already hold its prefix.
+//! * An idle worker **steals half** of a victim's queue: it locks the
+//!   victim once and drains the front `⌈len/2⌉` — the lowest-priority
+//!   work — so the victim keeps the units the priority order wanted it
+//!   to run next. The thief runs the best unit of its loot and appends
+//!   the rest to its own queue.
 //! * Quiescence is an in-flight counter: seeded and split units increment
 //!   it, completed units decrement it; workers exit when it reaches zero
 //!   (or the shared stop flag is raised). Because a split happens *while
@@ -24,8 +24,8 @@
 //!
 //! Every unit executes inside a `catch_unwind` envelope. A panicking
 //! unit can therefore never wedge the run: the in-flight counter is
-//! decremented on the unwind path too, the per-worker deques are
-//! lock-free [Chase–Lev deques](crate::deque) (no lock to poison), and
+//! decremented on the unwind path too, no task code runs under a queue
+//! lock (and the vendored `parking_lot` recovers a poisoned one), and
 //! the run terminates with a structured [`RunOutcome::Aborted`]
 //! carrying the worker id, the unit description
 //! and the panic payload — all worker threads joined. With
@@ -38,13 +38,13 @@
 
 use crate::atomics::StdAtomics;
 use crate::cputime::BusyTimer;
-use crate::deque::{Steal, WsDeque};
 use crate::failpoint;
 use crate::quiesce::Quiesce;
 use gfd_trace::{EventKind, SpanStart, Trace, TraceBuf, TraceSpec};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 /// removes both.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DispatchMode /* gfdbench-pin */ {
-    /// Per-worker deques with back-half stealing.
+    /// Per-worker queues with steal-half.
     #[default]
     WorkStealing,
 }
@@ -85,7 +85,7 @@ pub trait Task: Sync {
         ctx: &WorkerCtx<'_, Self::Unit>,
     );
 
-    /// Called when the worker found no runnable unit (own deque empty,
+    /// Called when the worker found no runnable unit (own queue empty,
     /// steals failed) but the run is not yet quiescent — a chance to drain
     /// inboxes while another worker's straggler may still split.
     fn on_idle(&self, _worker: &mut Self::Worker, _ctx: &WorkerCtx<'_, Self::Unit>) {}
@@ -211,9 +211,9 @@ struct StolenFrom {
 }
 
 struct Shared<'s, U> {
-    /// One [`WsDeque`] per worker; worker `i` owns `deques[i]`'s bottom
-    /// end, every other worker may CAS its top.
-    deques: Vec<WsDeque<Envelope<U>>>,
+    /// One queue per worker: worker `i` pushes and pops the back of
+    /// `queues[i]`, a thief drains its front.
+    queues: Vec<Mutex<VecDeque<Envelope<U>>>>,
     /// Units seeded or split but not yet fully executed — the quiescence
     /// protocol, model-checked in `gfd-model` (DESIGN.md §14.4).
     quiesce: Quiesce,
@@ -230,70 +230,51 @@ struct Shared<'s, U> {
 }
 
 impl<U> Shared<'_, U> {
-    /// Next unit for worker `id`: own bottom (lock-free, highest
-    /// priority first), else steal a victim's back half. A unit that
-    /// arrived via a steal is reported with the claim count and victim id
-    /// so the worker loop can trace it — the steal logic itself is
-    /// identical with tracing on or off (the non-interference contract of
+    /// Next unit for worker `id`: own back (highest priority first),
+    /// else steal half of a victim's queue. A unit that arrived via a
+    /// steal is reported with the claim count and victim id so the
+    /// worker loop can trace it — the steal logic itself is identical
+    /// with tracing on or off (the non-interference contract of
     /// DESIGN.md §13).
     fn pop(&self, id: usize) -> Option<(Envelope<U>, Option<StolenFrom>)> {
         failpoint::maybe_panic("sched/dispatch");
-        if let Some(u) = self.deques[id].pop() {
-            return Some((u, None));
+        let own = self.queues[id].lock().pop_back();
+        match own {
+            Some(u) => Some((u, None)),
+            None => self.steal(id),
         }
-        self.steal(id)
     }
 
     fn steal(&self, thief: usize) -> Option<(Envelope<U>, Option<StolenFrom>)> {
         failpoint::maybe_panic("sched/steal");
-        let deques = &self.deques;
-        let p = deques.len();
+        let p = self.queues.len();
         for k in 1..p {
             let victim = (thief + k) % p;
-            let v = &deques[victim];
-            // Steal-half policy on the lock-free deque: claim (up to)
-            // the ceil-half of the victim's observed size, one
-            // CAS-validated element at a time from the top — the
+            // One lock of the victim drains its front half — the
             // lowest-priority end, so the victim keeps the units the
-            // priority order wanted it to run next. A lost CAS means
-            // someone else made progress; retry until the budget is
-            // met or the victim drains.
-            let mut budget = v.len_hint().div_ceil(2);
-            let mut loot: Vec<Envelope<U>> = Vec::new();
-            while budget > 0 {
-                match v.steal() {
-                    Steal::Success(u) => {
-                        loot.push(u);
-                        budget -= 1;
-                    }
-                    Steal::Retry => continue,
-                    Steal::Empty => break,
-                }
-            }
-            if loot.is_empty() {
+            // priority order wanted it to run next. The victim's lock is
+            // released before the thief's own is taken.
+            let mut loot: Vec<Envelope<U>> = {
+                let mut q = self.queues[victim].lock();
+                let n = q.len().div_ceil(2);
+                q.drain(..n).collect()
+            };
+            // `loot` is front-first, i.e. ascending priority: run its
+            // last (best) unit now and append the rest, so the thief's
+            // own back pops best-first too.
+            let Some(first) = loot.pop() else {
                 continue;
-            }
-            // Only elements actually claimed count as stolen — a lost
-            // CAS is not a steal.
-            let claimed = loot.len() as u64;
+            };
+            let claimed = loot.len() as u64 + 1;
             self.units_stolen.fetch_add(claimed, Ordering::Relaxed);
-            // `loot` is top-first, i.e. ascending priority: run the
-            // best loot unit now and keep the rest in our own deque in
-            // that order, so subsequent owner pops (bottom = last
-            // pushed) also see best-first.
-            let first = loot.pop();
-            for u in loot {
-                deques[thief].push(u);
-            }
-            return first.map(|u| {
-                (
-                    u,
-                    Some(StolenFrom {
-                        victim: victim as u32,
-                        claimed,
-                    }),
-                )
-            });
+            self.queues[thief].lock().extend(loot);
+            return Some((
+                first,
+                Some(StolenFrom {
+                    victim: victim as u32,
+                    claimed,
+                }),
+            ));
         }
         None
     }
@@ -357,8 +338,8 @@ impl<U> WorkerCtx<'_, U> {
         self.trace.borrow_mut().instant(kind, id, a, b);
     }
 
-    /// Enqueue split units carved off a straggler. They go to the front of
-    /// this worker's own deque, preserving the given order, so the
+    /// Enqueue split units carved off a straggler. They go to the back of
+    /// this worker's own queue, popping in the given order, so the
     /// remainder inherits the parent unit's priority.
     pub fn split(&self, units: Vec<U>) {
         if units.is_empty() {
@@ -371,12 +352,10 @@ impl<U> WorkerCtx<'_, U> {
         // Count-first split publication (the Quiesce protocol invariant):
         // the in-flight counter rises before any unit becomes stealable.
         self.shared.quiesce.split(units.len(), || {
-            // Owner-end pushes in reverse order: the first split unit
-            // lands bottom-most, so this worker pops it next.
-            let dq = &self.shared.deques[self.worker];
-            for u in units.into_iter().rev() {
-                dq.push((u, 0));
-            }
+            // Pushed in reverse: the first split unit lands at the back,
+            // so this worker pops it next.
+            let mut q = self.shared.queues[self.worker].lock();
+            q.extend(units.into_iter().rev().map(|u| (u, 0)));
         });
     }
 }
@@ -392,9 +371,8 @@ pub struct SchedRun<W> {
     pub outcome: RunOutcome,
     /// Units executed (seeded + split; panicked attempts count).
     pub units_executed: u64,
-    /// Units actually claimed from another worker's deque — each one a
-    /// successful top CAS on the victim's Chase–Lev deque. Lost CAS
-    /// races ([`Steal::Retry`]) are not counted.
+    /// Units moved from another worker's queue by steals: each steal
+    /// counts its whole loot, the unit the thief runs at once included.
     pub units_stolen: u64,
     /// Units created by splitting.
     pub units_split: u64,
@@ -504,11 +482,11 @@ fn worker_loop<T: Task>(task: &T, shared: &Shared<'_, T::Unit>, id: usize) -> Wo
                     shared.units_panicked.fetch_add(1, Ordering::Relaxed);
                     if let Some(clone) = retry {
                         // The unit stays in flight: requeue the clone at
-                        // this worker's front (owner end) with its
+                        // this worker's back (owner end) with its
                         // attempt count bumped.
                         shared.units_retried.fetch_add(1, Ordering::Relaxed);
                         ctx.trace_instant(EventKind::PanicRetry, 0, attempt as u64, 0);
-                        shared.deques[id].push((clone, attempt + 1));
+                        shared.queues[id].lock().push_back((clone, attempt + 1));
                     } else {
                         shared.quiesce.complete_one();
                         shared.abort(id, label, payload);
@@ -563,9 +541,9 @@ pub fn run_scheduler_with<T: Task>(
 /// Run `task` over `seed` units on `workers` threads until quiescence,
 /// until `stop` is raised, or until a limit in `opts` trips.
 ///
-/// Seed units are dealt round-robin across the per-worker deques in the
-/// given order, so seeding in priority order keeps every deque
-/// priority-ascending.
+/// Seed units are dealt round-robin across the per-worker queues in the
+/// given order, so seeding in priority order has every queue pop its
+/// highest-priority unit first.
 ///
 /// With `workers == 1` the single worker runs inline on the calling
 /// thread — the sequential algorithms are exactly this instantiation and
@@ -581,24 +559,21 @@ pub fn run_scheduler<T: Task>(
 ) -> SchedRun<T::Worker> {
     let p = workers.max(1);
     let in_flight = seed.len();
-    // Deal round-robin, then load each deque in *reverse* order: the
-    // owner pops the bottom (last pushed), so pushing lowest-priority
-    // first leaves the highest-priority unit bottom-most — every deque
-    // pops priority-ascending. The deques are still caller-owned here;
-    // workers take over ownership when the threads spawn (the spawn is
-    // the happens-before edge).
-    let deques: Vec<WsDeque<Envelope<T::Unit>>> = (0..p).map(|_| WsDeque::new()).collect();
+    // Deal round-robin, then reverse each worker's share: the owner pops
+    // the back, so the highest-priority unit must land there.
     let mut dealt: Vec<Vec<Envelope<T::Unit>>> = (0..p).map(|_| Vec::new()).collect();
     for (i, unit) in seed.into_iter().enumerate() {
         dealt[i % p].push((unit, 0));
     }
-    for (dq, units) in deques.iter().zip(dealt) {
-        for u in units.into_iter().rev() {
-            dq.push(u);
-        }
-    }
+    let queues = dealt
+        .into_iter()
+        .map(|mut units| {
+            units.reverse();
+            Mutex::new(VecDeque::from(units))
+        })
+        .collect();
     let shared = Shared {
-        deques,
+        queues,
         quiesce: Quiesce::new(in_flight),
         stop,
         opts,
@@ -771,7 +746,7 @@ mod tests {
 
     #[test]
     fn skewed_seed_forces_steals() {
-        // Worker 0's deque gets one enormous unit (simulated by splitting
+        // Worker 0's queue gets one enormous unit (simulated by splitting
         // repeatedly); the others drain fast and must steal to stay busy.
         struct SpinTask;
         impl Task for SpinTask {
@@ -791,7 +766,7 @@ mod tests {
             }
         }
         // Round-robin over p=2: even indices (worker 0) heavy-first, odd
-        // light. Worker 0 is stuck on unit 0 while its deque still holds
+        // light. Worker 0 is stuck on unit 0 while its queue still holds
         // work — worker 1 finishes its own and steals.
         let mut seed = vec![0u64; 64];
         seed[0] = 200;
@@ -1348,7 +1323,7 @@ mod tests {
             return;
         }
         // One worker sleeps inside the only unit, the other waits on its
-        // empty deque: neither wait is CPU time.
+        // empty queue: neither wait is CPU time.
         let stop = AtomicBool::new(false);
         let run = run_default(&NapTask, vec![()], 2, &stop);
         for busy in &run.worker_busy {

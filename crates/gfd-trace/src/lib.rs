@@ -36,7 +36,7 @@ pub const CONTROL_WORKER: u32 = u32::MAX;
 pub enum EventKind {
     /// One work-unit execution on a scheduler worker (span; `a` = attempt).
     UnitExec,
-    /// A successful steal: claimed units from a victim's deque (instant;
+    /// A successful steal: claimed units from a victim's queue (instant;
     /// `a` = units claimed, `b` = victim worker).
     Steal,
     /// TTL straggler split (instant; `a` = units pushed).

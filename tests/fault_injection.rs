@@ -174,11 +174,11 @@ fn dispatch_and_steal_failpoints_abort_cleanly() {
 }
 
 /// Steal storm on the raw scheduler: instant units at eight workers, so
-/// the pool spends most of the run racing top-CAS claims on each other's
-/// Chase–Lev deques. Every unit must execute exactly once per round — no
-/// loss, no duplication across lost CAS races — which is counted per unit,
-/// not inferred from `units_stolen` (loot waits on the thief's own deque
-/// and can be stolen again, so steals may outnumber units).
+/// the pool spends most of the run stealing from each other's queues.
+/// Every unit must execute exactly once per round — no loss, no
+/// duplication across racing steals — which is counted per unit, not
+/// inferred from `units_stolen` (loot waits on the thief's own queue and
+/// can be stolen again, so steals may outnumber units).
 #[test]
 fn steal_storm_executes_every_unit_exactly_once() {
     let _g = serial();

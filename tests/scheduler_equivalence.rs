@@ -161,7 +161,7 @@ fn steal_heavy_skewed_workload_balances_and_agrees() {
     let mut vocab = Vocab::new();
     let sigma = skewed_sigma(&mut vocab);
     let expected = gfd::seq_sat(&sigma).is_satisfiable();
-    // A worker stuck on the fat unit leaves the rest of its deque for the
+    // A worker stuck on the fat unit leaves the rest of its queue for the
     // others: some run must steal. Retry a few times to shrug off
     // scheduling noise on loaded CI hosts.
     let mut stole = false;
