@@ -274,13 +274,22 @@ mod tests {
     /// over it: `LEAVES²` matches, all through the hub — one pivoted
     /// search long enough to outlive several deadline polls.
     fn star() -> (Graph, Pattern) {
+        stars(1, LEAVES)
+    }
+
+    /// `hubs` hubs of `leaves` out-neighbours each — hub `k` is node
+    /// `k · (leaves + 1)`, its leaves the nodes after it — and the pattern
+    /// `y ← x → z` over them.
+    fn stars(hubs: usize, leaves: usize) -> (Graph, Pattern) {
         let mut vocab = Vocab::new();
         let (h, t, e) = (vocab.label("h"), vocab.label("t"), vocab.label("e"));
         let mut g = Graph::new();
-        let hub = g.add_node(h);
-        for _ in 0..LEAVES {
-            let leaf = g.add_node(t);
-            g.add_edge(hub, e, leaf);
+        for _ in 0..hubs {
+            let hub = g.add_node(h);
+            for _ in 0..leaves {
+                let leaf = g.add_node(t);
+                g.add_edge(hub, e, leaf);
+            }
         }
         let mut p = Pattern::new();
         let x = p.add_node(h, "x");
@@ -349,9 +358,23 @@ mod tests {
         workers: usize,
         parity: bool,
     ) -> (Vec<(Members, Match)>, RunMetrics) {
-        let (g, p) = star();
-        let index = LabelIndex::build(&g);
-        let plan = MatchPlan::build(&p, Some(pivot), Some(&index));
+        let (mut all, metrics) = lent_in_order(&star(), pivot, prefix, ttl, workers, parity);
+        all.sort();
+        (all, metrics)
+    }
+
+    /// [`lent`] over any `(graph, pattern)`, the matches in the order they
+    /// were lent (worker by worker).
+    fn lent_in_order(
+        (g, p): &(Graph, Pattern),
+        pivot: VarId,
+        prefix: impl FnOnce(&MatchPlan) -> Prefix,
+        ttl: Option<Duration>,
+        workers: usize,
+        parity: bool,
+    ) -> (Vec<(Members, Match)>, RunMetrics) {
+        let index = LabelIndex::build(g);
+        let plan = MatchPlan::build(p, Some(pivot), Some(&index));
         let unit = WorkUnit {
             gfd: GfdId::new(0),
             prefix: prefix(&plan),
@@ -359,12 +382,12 @@ mod tests {
         };
         let stop = AtomicBool::new(false);
         let task = SearchTask {
-            graph: &g,
+            graph: g,
             index: &index,
             ttl,
             stop: &stop,
             action: Record {
-                pattern: &p,
+                pattern: p,
                 plan: &plan,
                 parity,
             },
@@ -381,21 +404,27 @@ mod tests {
         );
         assert_eq!(run.interrupt, None);
         let per_worker: u64 = run.workers.iter().map(|w| w.matches).sum();
-        let mut all: Vec<_> = run.workers.into_iter().flat_map(|w| w.state).collect();
+        let all: Vec<_> = run.workers.into_iter().flat_map(|w| w.state).collect();
         assert_eq!(
             per_worker,
             all.iter().map(|(a, _)| u64::from(a.count_ones())).sum(),
             "the engine counts what it lends, per member"
         );
-        all.sort();
         (all, metrics)
     }
 
-    /// What `gfd_match::brute` enumerates, each match with the members
-    /// `alive` gives it; those with none are dropped.
+    /// What `gfd_match::brute` enumerates on the star, each match with the
+    /// members `alive` gives it; those with none are dropped.
     fn brute(alive: impl Fn(&[NodeId]) -> Members) -> Vec<(Members, Match)> {
-        let (g, p) = star();
-        let mut all: Vec<_> = brute_force_matches(&g, &p)
+        brute_on(&star(), alive)
+    }
+
+    /// [`brute`] over any `(graph, pattern)`, sorted.
+    fn brute_on(
+        (g, p): &(Graph, Pattern),
+        alive: impl Fn(&[NodeId]) -> Members,
+    ) -> Vec<(Members, Match)> {
+        let mut all: Vec<_> = brute_force_matches(g, p)
             .into_iter()
             .map(|m| (alive(&m), m))
             .filter(|(a, _)| *a != 0)
@@ -493,6 +522,42 @@ mod tests {
                     assert!(metrics.units_split > 0, "TTL = 0 never split the hub");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn unit_ttl_counts_steps_across_a_batch_and_carves_its_untried_pivots() {
+        // 1 024 hubs of three leaves, pivoted at the hub: each search ends
+        // within about 20 steps, far short of one 256-step poll, so the
+        // batch expires only if its step count runs across its searches.
+        const HUBS: usize = 1024;
+        let fixture = stars(HUBS, 3);
+        let batch: Vec<NodeId> = (0..HUBS).map(|k| NodeId::new(k * 4)).collect();
+        let run = |ttl, workers| {
+            let prefix = |_: &MatchPlan| Prefix::Pivots(batch.clone().into());
+            lent_in_order(&fixture, VarId::new(0), prefix, ttl, workers, false)
+        };
+        let sorted = |mut v: Vec<(Members, Match)>| {
+            v.sort();
+            v
+        };
+        let (whole, metrics) = run(None, 1);
+        let expected = brute_on(&fixture, |_| 1);
+        assert_eq!(expected.len(), HUBS * 9);
+        assert_eq!(sorted(whole.clone()), expected);
+        assert_eq!(metrics.units_split, 0);
+        for workers in [1usize, 2] {
+            let (got, metrics) = run(Some(Duration::ZERO), workers);
+            assert!(metrics.units_split > 0, "workers={workers}: never split");
+            assert_eq!(
+                metrics.units_dispatched,
+                1 + metrics.units_split,
+                "workers={workers}"
+            );
+            if workers == 1 {
+                assert_eq!(got, whole, "the carved batch runs in the unsplit order");
+            }
+            assert_eq!(sorted(got), expected, "workers={workers}");
         }
     }
 

@@ -8,7 +8,10 @@
 //! workers' interleaving moves.
 
 use gfd::core::model::is_fresh_id;
-use gfd::core::{sat_with_config, DepSet, Dependency, Literal, ReasonConfig, SatOutcome};
+use gfd::core::{
+    imp_with_config, sat_with_config, DepSet, Dependency, ImpOutcome, Literal, ReasonConfig,
+    SatOutcome,
+};
 use gfd::gen::{real_life_workload, Dataset, Workload};
 use gfd::graph::{AttrId, Graph, LabelId, NodeId, Pattern, ValueId, VarId};
 use gfd::runtime::RunMetrics;
@@ -53,6 +56,73 @@ fn the_model_is_the_same_at_every_worker_count() {
                 base_attrs,
                 "seed {seed}: the model at {workers} workers differs from the one at 1"
             );
+        }
+    }
+}
+
+/// FNV-1a over a model's labels, edges and attribute triples: a digest
+/// that moves with any byte of the population.
+fn digest(g: &Graph) -> u64 {
+    let (labels, edges) = structure(g);
+    let words = (labels.iter().map(|l| l.index()))
+        .chain(
+            edges
+                .iter()
+                .flat_map(|&(s, l, d)| [s.index(), l.index(), d.index()]),
+        )
+        .chain(
+            (attrs(g).into_iter())
+                .flat_map(|(v, a, val)| [v.index(), a.index(), val.raw() as usize]),
+        );
+    words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// At one worker every search and enforcement runs in one fixed order, so
+/// the counters and the model are pinned: the grain units are dispatched
+/// at may change, the order of the work may not.
+#[test]
+fn the_one_worker_run_is_pinned_on_dbpedia_1000() {
+    // (seed, matches, pending, rechecks, model digest).
+    let pins: [(u64, u64, u64, u64, u64); 2] = [
+        (42, 3691, 2631, 0, 7172395783831483873),
+        (7, 3450, 2333, 0, 9830991814533649887),
+    ];
+    for (seed, matches, pending, rechecks, model_digest) in pins {
+        let w = real_life_workload(Dataset::DBpedia, 1000, seed, None);
+        let (model, stats) = model(&w.sigma, &ReasonConfig::with_workers(1));
+        let got = (stats.matches, stats.pending, stats.rechecks, digest(&model));
+        assert_eq!(
+            got,
+            (matches, pending, rechecks, model_digest),
+            "seed {seed}: (matches, pending, rechecks, digest)"
+        );
+    }
+}
+
+/// The Imp probes generated with the same Σ keep one definite verdict,
+/// the one they were generated to have, at every worker count.
+#[test]
+fn dbpedia_1000_probe_verdicts_are_the_same_at_every_worker_count() {
+    for seed in [42u64, 7] {
+        let w = real_life_workload(Dataset::DBpedia, 1000, seed, None);
+        assert!(!w.probes.is_empty());
+        for probe in &w.probes {
+            for workers in [1usize, 2, 8] {
+                let result =
+                    imp_with_config(&w.sigma, &probe.phi, &ReasonConfig::with_workers(workers));
+                let implied = match result.outcome {
+                    ImpOutcome::Implied(_) => true,
+                    ImpOutcome::NotImplied => false,
+                    ImpOutcome::Unknown(i) => panic!("{}: {i:?}", probe.phi.name),
+                };
+                assert_eq!(
+                    implied, probe.expect_implied,
+                    "seed {seed}, {workers} workers: {}",
+                    probe.phi.name
+                );
+            }
         }
     }
 }

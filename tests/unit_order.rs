@@ -3,7 +3,7 @@
 //!
 //! * every unit's priority is its position, `0..n`;
 //! * each rule's units form one run, in the order `generate_units` made
-//!   them (pivot order);
+//!   them, every pivot of every batch in pivot order;
 //! * boosted rules come first;
 //! * for every edge ψ → φ of the rule-level relation where φ does not
 //!   reach ψ, all of ψ's units precede φ's (unless only φ is boosted).
@@ -104,10 +104,11 @@ fn ordered(
         last[g] = i;
     }
     for g in 0..sigma.len() {
+        // Every pivot of every batch, not just each unit's first.
         let mine = |us: &[WorkUnit]| -> Vec<NodeId> {
             us.iter()
                 .filter(|u| u.gfd.index() == g)
-                .map(WorkUnit::pivot)
+                .flat_map(|u| u.prefix.starts().flatten().copied())
                 .collect()
         };
         let run = mine(&units);
