@@ -630,10 +630,10 @@ fn bench_intersect_crossover(_c: &mut Criterion) {
 /// own a unit. That must cost one linear pass over Σ: under 5 ms a probe
 /// at |Σ| = 4000 and within 12x of |Σ| = 500 (8x the rules). Building
 /// Σ's whole producer→consumer graph to rank five units read ≈114 ms and
-/// grew with |Σ|·cap. `order_units` alone on `GΣ` (57 k units at 4000)
-/// must stay as linear and under 5 ms (≈1.4 ms quiet on a 2-core host;
-/// the headroom is for host load): ordering units one by one along their
-/// pivots' balls read ≈19 ms.
+/// grew with |Σ|·cap. `order_units` alone on `GΣ` (4 000 per-rule batches
+/// of 57 k pivots at 4000) must stay as linear and under 5 ms (≈1.4 ms
+/// quiet on a 2-core host; the headroom is for host load): ordering units
+/// one by one along their pivots' balls read ≈19 ms.
 fn bench_unit_setup(_c: &mut Criterion) {
     use gfd_bench::fmt_duration;
     use gfd_core::{build_plans_lazy, generate_units, order_units, CanonicalGraph};

@@ -1,10 +1,10 @@
 //! The unified reasoning driver: one fixpoint loop for `SeqSat`, `SeqImp`,
 //! `ParSat` and `ParImp`, run on the `gfd-runtime` work-stealing scheduler.
 //!
-//! Pivoted work units `(Q[z], ϕ)` are generated and priority-ordered by
-//! [`crate::unit`] and matched by the search-unit engine
-//! ([`crate::engine::SearchTask`], which owns the per-worker `HomSearch`,
-//! the TTL slices and straggler splitting). What reasoning adds is its
+//! Work units — per-rule batches of pivots `(Q[z], ϕ)` — are generated
+//! and priority-ordered by [`crate::unit`] and matched by the search-unit
+//! engine ([`crate::engine::SearchTask`], which owns the per-worker
+//! `HomSearch`, the TTL slices and straggler splitting). What reasoning adds is its
 //! match-action, `ReasonAction`: every match is enforced into a per-worker
 //! [`EnforceEngine`], with
 //!
@@ -75,10 +75,12 @@ pub enum TerminalEvent {
 pub struct ReasonConfig {
     /// Number of workers `p`. `1` runs inline on the calling thread.
     pub workers: usize,
-    /// Straggler threshold: a work unit matching longer than this is split
-    /// (the paper's TTL, Exp-4 varies it from 0.1 s to 8 s). `None` — the
-    /// paper's `*nb` variants — never splits: stragglers run to completion
-    /// on one worker.
+    /// Straggler threshold: a work unit — one rule's batch of pivots —
+    /// matching longer than this, counted from its first poll across all
+    /// its searches, is split into its current search's untried branches
+    /// and its untried pivots (the paper's TTL, Exp-4 varies it from 0.1 s
+    /// to 8 s). `None` — the paper's `*nb` variants — never splits:
+    /// stragglers run to completion on one worker.
     pub ttl: Option<Duration>,
     /// Pipelined parallelism: enforce each match as soon as it is found.
     /// With `false` (the paper's `*np` variants) a unit first enumerates

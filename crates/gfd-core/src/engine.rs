@@ -3,11 +3,17 @@
 //!
 //! The paper's §V workload model is one loop: enumerate the matches of a
 //! unit's pattern from its fixed prefix, hand each to the analysis, and
-//! when a TTL slice expires carve the untried sibling branches into prefix
-//! units for idle workers. [`SearchTask`] owns that loop and what makes it
+//! when the unit's TTL expires carve what it has not reached into units
+//! for idle workers. [`SearchTask`] owns that loop and what makes it
 //! fast: the per-worker [`HomSearch`] kept for the whole run (`rebind` per
 //! unit, `reset` per start, so a warmed worker enumerates without
 //! allocating — DESIGN.md §15.5), stop polling and the `RuleEval` span.
+//!
+//! The TTL is the unit's, counted across all its searches (DESIGN.md
+//! §7): on expiry the current search's untried branches and the batch's
+//! untried pivots go back to the owner's queue, in the order that keeps
+//! one worker's searches in the unsplit order.
+//!
 //! What an analysis *does* with a match is its [`MatchAction`]: reasoning
 //! enforces it (`crate::driver`), detection checks it against the data
 //! graph (`gfd-detect`). `HomSearch::run_admitting → admit / on_match` is
@@ -28,7 +34,7 @@ use gfd_runtime::EventKind;
 use std::cell::Cell;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A set of the members of a unit's group: bit `i` is member `i`. A group
 /// has at most [`GROUP_WIDTH`] members.
@@ -137,8 +143,9 @@ pub struct SearchTask<'a, A, I: MatchIndex = LabelIndex> {
     pub graph: &'a Graph,
     /// Its index (a frozen `LabelIndex`, or a `DeltaIndex` overlay).
     pub index: &'a I,
-    /// Straggler threshold: a search running longer than this is split.
-    /// `None` never splits (the paper's `*nb` ablation).
+    /// Straggler threshold: a unit running longer than this — counted from
+    /// its first poll, across all its searches — is split. `None` never
+    /// splits (the paper's `*nb` ablation).
     pub ttl: Option<Duration>,
     /// The run's stop flag (the one handed to the scheduler): polled
     /// between units and starts and inside the search.
@@ -148,23 +155,26 @@ pub struct SearchTask<'a, A, I: MatchIndex = LabelIndex> {
 }
 
 impl<'a, A: MatchAction<'a>, I: MatchIndex> SearchTask<'a, A, I> {
-    /// Run one search to its end in TTL slices, splitting at each expiry.
-    /// (Its own function on purpose: folded into `run_unit`, the kernel
-    /// loop inlines into a body large enough to cost `sat_dbpedia` ≈ 2 %
-    /// of its worker time.)
+    /// Run one search to its end in TTL slices, splitting at each expiry;
+    /// `rest` are the unit's pivots after this search, carved off at the
+    /// first expiry. Returns whether they were. (Its own function on
+    /// purpose: folded into `run_unit`, the kernel loop inlines into a
+    /// body large enough to cost `sat_dbpedia` ≈ 2 % of its worker time.)
     fn run_slices(
         &self,
         w: &mut SearchWorker<'a, I, A::Worker>,
         search: &mut HomSearch<'a, I>,
         unit: &WorkUnit,
+        mut rest: &[NodeId],
         ctx: &WorkerCtx<'_, WorkUnit>,
-    ) {
+    ) -> bool {
         let rule = unit.gfd;
+        let limits = SearchLimits {
+            ttl: self.ttl,
+            stop: Some(self.stop),
+        };
+        let mut carved = false;
         loop {
-            let limits = SearchLimits {
-                deadline: self.ttl.map(|ttl| Instant::now() + ttl),
-                stop: Some(self.stop),
-            };
             let (state, matches, alive) = (&mut w.state, &mut w.matches, &w.alive[..]);
             // The search admits positions in order — a fixed or resumed
             // prefix included — so `alive[pos]` always belongs to the
@@ -184,20 +194,23 @@ impl<'a, A: MatchAction<'a>, I: MatchIndex> SearchTask<'a, A, I> {
                 // Straggler: carve the untried sibling branches of the
                 // shallowest open level into prefix units — the owner end
                 // of this worker's queue, the parent's priority (paper's
-                // Example 6) — and keep going locally.
-                let rest = search.split_shallowest().into_iter();
-                ctx.split(
-                    rest.map(|prefix| WorkUnit {
-                        gfd: rule,
-                        prefix: Prefix::Split(prefix.into()),
-                        priority: unit.priority,
-                    })
-                    .collect(),
-                );
+                // Example 6) — then the batch's untried pivots, which the
+                // owner pops after the branches, and keep going locally.
+                let unit = |prefix| WorkUnit {
+                    gfd: rule,
+                    prefix,
+                    priority: unit.priority,
+                };
+                let branches = search.split_shallowest().into_iter();
+                let branches = branches.map(|prefix| unit(Prefix::Split(prefix.into())));
+                let pivots = (!rest.is_empty()).then(|| unit(Prefix::Pivots(rest.into())));
+                carved |= pivots.is_some();
+                rest = &[];
+                ctx.split(branches.chain(pivots).collect());
             }
             self.action.after_slice(&mut w.state, rule, last);
             if last {
-                return;
+                return carved;
             }
         }
     }
@@ -242,7 +255,9 @@ impl<'a, A: MatchAction<'a>, I: MatchIndex> Task for SearchTask<'a, A, I> {
             } else {
                 search.reset(start);
             }
-            self.run_slices(w, &mut search, &unit, ctx);
+            if self.run_slices(w, &mut search, &unit, unit.prefix.after(i), ctx) {
+                break;
+            }
         }
         w.search = Some(search);
         ctx.trace_span(
@@ -474,7 +489,7 @@ mod tests {
         for workers in [1usize, 2] {
             let (got, metrics) = lent(
                 VarId::new(0),
-                |_| Prefix::Pivot(NodeId::new(0)),
+                |_| Prefix::Pivots([NodeId::new(0)].into()),
                 Some(Duration::ZERO),
                 workers,
                 false,

@@ -1,9 +1,14 @@
 //! Work units and their dependency order (§V-B).
 //!
-//! A work unit `(Q[z], ϕ)` asks one worker to find and enforce every match
-//! of ϕ's pattern whose pivot variable maps to canonical node `z`. Units
-//! are the grain of data-partitioned parallelism; splitting a straggler
-//! produces *prefix units* that resume deeper search-tree branches.
+//! The paper's work unit `(Q[z], ϕ)` asks one worker to find and enforce
+//! every match of ϕ's pattern whose pivot variable maps to canonical node
+//! `z`. Here a unit is a *batch* of them: one rule and up to
+//! `PIVOT_BATCH` of its pivot candidates, searched one after the other —
+//! an owned deviation (DESIGN.md §4, "unit grain"), since one pivot's
+//! search is far less work than dispatching it. Units are the grain of
+//! data-partitioned parallelism; a unit that outlives its TTL is carved
+//! into *prefix units* that resume deeper search-tree branches and one
+//! batch of the pivots it had not reached (`crate::engine`).
 //!
 //! The driver seeds units so that producers run before consumers and
 //! pending re-checks are few: rule ψ precedes rule φ when ψ's consequence
@@ -14,7 +19,7 @@
 //! and the parallel algorithms get their order here (they are the same
 //! driver at different worker counts).
 //!
-//! Set-up is serial, so it costs `O(‖Σ‖ + units)`, and only over the
+//! Set-up is serial, so it costs `O(‖Σ‖ + pivots)`, and only over the
 //! rules that own a unit.
 
 use crate::canonical::CanonicalGraph;
@@ -22,18 +27,20 @@ use crate::dependency::{Consequence, DepSet};
 use gfd_graph::{strongly_connected, AttrId, GfdId, LabelId, NodeId, VarId};
 use rustc_hash::FxHashMap;
 
+/// The most pivots one initial reasoning unit carries. Measured on
+/// `sat_dbpedia`, whose rules have at most 205 candidates (every rule one
+/// batch), and on Exp-4's wildcard stragglers, whose pivot is every node
+/// of `GΣ` (DESIGN.md §4, "unit grain").
+const PIVOT_BATCH: usize = 1024;
+
 /// Where a unit's searches start: the fixed assignments of the leading
-/// plan positions (position 0 is the pivot node `z`). Initial reasoning
-/// units vastly outnumber split remainders, so their one-node prefix is
-/// inline: no allocation per generated unit.
+/// plan positions (position 0 is the pivot node `z`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Prefix {
-    /// An initial unit `(Q[z], ϕ)`: only the pivot is fixed.
-    Pivot(NodeId),
     /// A split remainder: plan positions `0..len` are fixed (never empty).
     Split(Box<[NodeId]>),
-    /// A batch of pivots, searched one after the other (never empty) —
-    /// detection's grain, where one pivot is too little work to dispatch.
+    /// A batch of pivots, searched one after the other (never empty): the
+    /// initial units of reasoning and of detection.
     Pivots(Box<[NodeId]>),
 }
 
@@ -42,10 +49,18 @@ impl Prefix {
     /// the plan ↦ `start[i]`.
     pub fn starts(&self) -> std::slice::Chunks<'_, NodeId> {
         match self {
-            Prefix::Pivot(z) => std::slice::from_ref(z).chunks(1),
             // One chunk: the whole prefix.
             Prefix::Split(p) => p.chunks(p.len().max(1)),
             Prefix::Pivots(batch) => batch.chunks(1),
+        }
+    }
+
+    /// The pivots of the searches after search `i`: what a unit that
+    /// expires during search `i` hands back untried.
+    pub fn after(&self, i: usize) -> &[NodeId] {
+        match self {
+            Prefix::Split(_) => &[],
+            Prefix::Pivots(batch) => &batch[i + 1..],
         }
     }
 }
@@ -62,19 +77,9 @@ pub struct WorkUnit {
     pub priority: u32,
 }
 
-impl WorkUnit {
-    /// The pivot node (`z` of the paper's `(Q[z], ϕ)`; the first one of
-    /// a batch).
-    pub fn pivot(&self) -> NodeId {
-        match &self.prefix {
-            Prefix::Pivot(z) => *z,
-            Prefix::Split(p) | Prefix::Pivots(p) => p[0],
-        }
-    }
-}
-
-/// Generate the initial unit list: one unit per (GFD, feasible pivot
-/// candidate) pair.
+/// Generate the initial unit list: each rule's feasible pivot candidates,
+/// in candidate order, as batches of at most `PIVOT_BATCH`, rule by
+/// rule.
 pub fn generate_units(
     sigma: &DepSet,
     canon: &CanonicalGraph,
@@ -91,9 +96,9 @@ pub fn generate_units(
         } else {
             canon.index.candidates(gfd.pattern.label(pivot))
         };
-        units.extend(candidates.iter().map(|&z| WorkUnit {
+        units.extend(candidates.chunks(PIVOT_BATCH).map(|batch| WorkUnit {
             gfd: id,
-            prefix: Prefix::Pivot(z),
+            prefix: Prefix::Pivots(batch.into()),
             priority: 0,
         }));
     }
@@ -102,7 +107,7 @@ pub fn generate_units(
 
 /// Order `units` so that producers run before consumers, and set each
 /// unit's priority to its position. `units` are initial units, as
-/// `generate_units` makes them: a split or batched prefix panics.
+/// `generate_units` makes them: each rule's units one contiguous run.
 ///
 /// The order is decided per rule, over the rules that own a unit. A
 /// literal side `x.A` names the key `(A, label of x)`, and ψ → φ iff a key
@@ -123,7 +128,8 @@ pub fn generate_units(
 /// (implication's X-subsumption boost) to the front, and empty-premise
 /// rules after them; of the two, only a boost can put a rule before a
 /// producer it does not feed back. Units take their rule's rank and keep
-/// their generation order within it.
+/// their generation order within it: whole batches move, in one stable
+/// sort by rank.
 ///
 /// `_canon` and `_pivots` are read by no one: ROADMAP [bench (b)] drops
 /// them with gfdbench's replay of the driver, which calls this signature.
@@ -134,21 +140,16 @@ pub fn order_units(
     _pivots: &[VarId],
     boosted: Option<&[bool]>,
 ) {
-    let n = units.len();
-    if n == 0 {
+    if units.is_empty() {
         return;
     }
 
     // The rules that own a unit, in unit order (`generate_units` emits
     // units rule-major, rules ascending), with `local[g]` the index `r` of
-    // rule `g` in `rules`; and the units as runs of one rule.
-    let runs: Vec<(GfdId, u32)> = units
-        .chunk_by(|a, b| a.gfd == b.gfd)
-        .map(|run| (run[0].gfd, run.len() as u32))
-        .collect();
-    let mut local = vec![u32::MAX; runs.iter().map(|&(g, _)| g.index() + 1).max().unwrap_or(0)];
+    // rule `g` in `rules`.
+    let mut local = vec![u32::MAX; units.iter().map(|u| u.gfd.index() + 1).max().unwrap_or(0)];
     let mut rules: Vec<GfdId> = Vec::new();
-    for &(g, _) in &runs {
+    for g in units.chunk_by(|a, b| a.gfd == b.gfd).map(|run| run[0].gfd) {
         if local[g.index()] == u32::MAX {
             local[g.index()] = rules.len() as u32;
             rules.push(g);
@@ -236,34 +237,10 @@ pub fn order_units(
         }
     }
 
-    // Units take their rule's rank, generation order within it: a counting
-    // pass gives each run its first slot, and one scatter moves every unit
-    // to its slot as an 8-byte `(rule, pivot)` pair. Scattering whole
-    // `WorkUnit`s through a fresh buffer read ≈ 1 ms more at 57 k units.
-    let mut start = vec![0u32; nr + 1];
-    for &(g, len) in &runs {
-        start[rank[local[g.index()] as usize] + 1] += len;
-    }
-    for i in 0..nr {
-        start[i + 1] += start[i];
-    }
-    let mut moved = vec![(GfdId::new(0), NodeId::new(0)); n];
-    for run in units.chunk_by(|a, b| a.gfd == b.gfd) {
-        let slot = &mut start[rank[local[run[0].gfd.index()] as usize]];
-        for u in run {
-            let Prefix::Pivot(z) = u.prefix else {
-                panic!("order_units orders initial units, one pivot each");
-            };
-            moved[*slot as usize] = (u.gfd, z);
-            *slot += 1;
-        }
-    }
-    for (i, (u, &(gfd, z))) in units.iter_mut().zip(&moved).enumerate() {
-        *u = WorkUnit {
-            gfd,
-            prefix: Prefix::Pivot(z),
-            priority: i as u32,
-        };
+    // Units take their rule's rank, generation order within it.
+    units.sort_by_key(|u| rank[local[u.gfd.index()] as usize]);
+    for (i, u) in units.iter_mut().enumerate() {
+        u.priority = i as u32;
     }
 }
 
@@ -316,11 +293,16 @@ mod tests {
         let units = generate_units(&sigma, &canon, &pivots, true);
         // 2 GFDs × (their own 2-node component + the other pattern's
         // identical component) = 2 × 4 pivots... pivot var has label t and
-        // both components host the pattern: 4 candidates each.
-        assert_eq!(units.len(), 8);
-        for u in &units {
-            assert!(matches!(u.prefix, Prefix::Pivot(_)));
-        }
+        // both components host the pattern: 4 candidates each, one batch
+        // per rule.
+        let batches: Vec<(usize, usize)> = units
+            .iter()
+            .map(|u| match &u.prefix {
+                Prefix::Pivots(batch) => (u.gfd.index(), batch.len()),
+                Prefix::Split(_) => panic!("an initial unit is a pivot batch"),
+            })
+            .collect();
+        assert_eq!(batches, vec![(0, 4), (1, 4)]);
     }
 
     #[test]
@@ -331,14 +313,16 @@ mod tests {
         let (pivots, _) = build_plans_lazy(&sigma, &canon.index);
         let mut units = generate_units(&sigma, &canon, &pivots, true);
         order_units(&mut units, &sigma, &canon, &pivots, None);
-        // The seed GFD (index 1) has the empty premise: all its units come
-        // first.
-        let first_half: Vec<usize> = units[..4].iter().map(|u| u.gfd.index()).collect();
-        assert_eq!(first_half, vec![1, 1, 1, 1], "{units:?}");
-        // Priorities are a permutation of 0..n.
-        let mut ps: Vec<u32> = units.iter().map(|u| u.priority).collect();
-        ps.sort_unstable();
-        assert_eq!(ps, (0..8).collect::<Vec<u32>>());
+        // The seed GFD (index 1) has the empty premise: its batch, all four
+        // pivots, comes first.
+        let order: Vec<(usize, usize)> = units
+            .iter()
+            .map(|u| (u.gfd.index(), u.prefix.starts().len()))
+            .collect();
+        assert_eq!(order, vec![(1, 4), (0, 4)], "{units:?}");
+        // Priorities are the positions.
+        let ps: Vec<u32> = units.iter().map(|u| u.priority).collect();
+        assert_eq!(ps, vec![0, 1]);
     }
 
     #[test]
@@ -370,16 +354,20 @@ mod tests {
         )
     }
 
-    /// The rule order of the units pivoted at canonical node 0.
+    /// The rule order of the units that search canonical node 0.
     fn rule_order_at_first_node(sigma: &DepSet) -> Vec<usize> {
         let (canon, _) = CanonicalGraph::for_sigma(sigma);
         let (pivots, _) = build_plans_lazy(sigma, &canon.index);
         let mut units = generate_units(sigma, &canon, &pivots, true);
         order_units(&mut units, sigma, &canon, &pivots, None);
-        assert_eq!(units.len(), sigma.len() * sigma.len());
+        let searched = |u: &WorkUnit| u.prefix.starts().len();
+        assert_eq!(
+            units.iter().map(searched).sum::<usize>(),
+            sigma.len() * sigma.len()
+        );
         units
             .iter()
-            .filter(|u| u.pivot() == NodeId::new(0))
+            .filter(|u| u.prefix.starts().any(|z| z[0] == NodeId::new(0)))
             .map(|u| u.gfd.index())
             .collect()
     }
@@ -458,6 +446,50 @@ mod tests {
             labelled_rule(&mut vocab, "_", "A", "B"),
         ]);
         assert_eq!(rule_runs(&sigma), vec![0, 1]);
+    }
+
+    #[test]
+    fn batch_cap_splits_a_wildcard_rule_into_ordered_batches() {
+        // Rule 0 pivots on the wildcard, so every node of `GΣ` is its
+        // candidate: its own, and one per single-node rule after it, each
+        // on a label of its own (one candidate apiece).
+        let mut vocab = Vocab::new();
+        let attr = vocab.attr("A");
+        let one_node = |label: LabelId| {
+            let mut p = Pattern::new();
+            let x = p.add_node(label, "x");
+            let then = vec![Literal::eq_const(x, attr, 1i64)];
+            Dependency::new(format!("{label:?}"), p, vec![], then)
+        };
+        let mut rules = vec![one_node(LabelId::WILDCARD)];
+        for i in 0..2 * PIVOT_BATCH + 100 {
+            rules.push(one_node(vocab.label(&format!("l{i}"))));
+        }
+        let sigma = DepSet::from_vec(rules);
+        let (canon, _) = CanonicalGraph::for_sigma(&sigma);
+        let (pivots, _) = build_plans_lazy(&sigma, &canon.index);
+        let wildcard = GfdId::new(0);
+        let candidates = canon.pivot_candidates(&sigma[wildcard].pattern, pivots[0]);
+        let n = candidates.len();
+        assert_eq!(n, sigma.len());
+        for prune in [true, false] {
+            let units = generate_units(&sigma, &canon, &pivots, prune);
+            let batches: Vec<&[NodeId]> = (units.iter().filter(|u| u.gfd == wildcard))
+                .map(|u| match &u.prefix {
+                    Prefix::Pivots(batch) => &batch[..],
+                    Prefix::Split(_) => panic!("an initial unit is a pivot batch"),
+                })
+                .collect();
+            assert_eq!(batches.len(), n.div_ceil(PIVOT_BATCH), "prune={prune}");
+            assert!(batches.iter().all(|b| b.len() <= PIVOT_BATCH));
+            assert_eq!(batches.concat(), candidates, "prune={prune}");
+            // The other rules: one batch of one pivot each, in rule order.
+            assert_eq!(units.len(), batches.len() + sigma.len() - 1);
+            assert!(units[batches.len()..]
+                .iter()
+                .enumerate()
+                .all(|(i, u)| u.gfd.index() == i + 1 && u.prefix.starts().len() == 1));
+        }
     }
 
     #[test]

@@ -27,8 +27,10 @@ use std::time::{Duration, Instant};
 pub struct DetectConfig {
     /// Worker threads (`p` in the paper). 0 means "number of CPUs".
     pub workers: usize,
-    /// Straggler threshold: a unit running longer than this is split and
-    /// its untried branches are offered to other workers (§V, Example 6).
+    /// Straggler threshold: a unit running longer than this — counted from
+    /// its first poll, across every pivot of its batch — is split: its
+    /// current search's untried branches and its batch's untried pivots
+    /// are offered to other workers (§V, Example 6).
     pub ttl: Duration,
     /// Stop after this many violations (`usize::MAX` = find all).
     pub max_violations: usize,

@@ -1,9 +1,10 @@
 //! Detection work units: pivot batches over the *data* graph.
 //!
-//! A detection unit mirrors the paper's reasoning unit `(Q[z], ϕ)` — and
-//! is the same type, [`WorkUnit`]: one rule plus a batch of candidate
-//! pivot nodes ([`Prefix::Pivots`]). TTL splitting turns a straggler's
-//! untried branches into prefix units exactly like `ParSat`'s Example 6.
+//! A detection unit has the shape of an initial reasoning unit — the same
+//! type, [`WorkUnit`]: one rule plus a batch of candidate pivot nodes
+//! ([`Prefix::Pivots`]). TTL splitting turns a straggler's untried
+//! branches into prefix units exactly like `ParSat`'s Example 6, and its
+//! untried pivots into one batch.
 //!
 //! One deviation (DESIGN.md §7): rules whose patterns are structurally
 //! identical share their units. A unit's rule is the leader of a

@@ -6,7 +6,7 @@
 //! parallel algorithms need:
 //!
 //! * **deadline interruption** — [`HomSearch::run`] can stop mid-search when
-//!   a TTL expires and later continue where it left off;
+//!   a unit's TTL expires and later continue where it left off;
 //! * **bind-time admission** — [`HomSearch::run_admitting`] lets its caller
 //!   refuse a partial assignment the moment a position is bound;
 //! * **work-unit splitting** — [`HomSearch::split_shallowest`] carves the
@@ -24,7 +24,7 @@ use gfd_graph::{
 };
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// An *owned* complete match: `match_[v.index()]` is the graph node
 /// assigned to pattern variable `v`. [`HomSearch::run`] lends each match
@@ -47,8 +47,10 @@ pub enum RunOutcome {
 /// External limits checked periodically during the search.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SearchLimits<'a> {
-    /// Hard deadline; `run` returns [`RunOutcome::Deadline`] soon after.
-    pub deadline: Option<Instant>,
+    /// The slice's time to live, from its first poll, where the clock is
+    /// first read: `run` returns [`RunOutcome::Deadline`] at the first poll
+    /// past it (a zero TTL: at the first poll).
+    pub ttl: Option<Duration>,
     /// Cooperative cancellation (e.g. another worker found a conflict).
     pub stop: Option<&'a AtomicBool>,
 }
@@ -59,16 +61,18 @@ impl<'a> SearchLimits<'a> {
         Self::default()
     }
 
-    /// Limit by deadline only.
-    pub fn with_deadline(deadline: Instant) -> Self {
+    /// Limit by time to live only.
+    pub fn with_ttl(ttl: Duration) -> Self {
         SearchLimits {
-            deadline: Some(deadline),
+            ttl: Some(ttl),
             stop: None,
         }
     }
 }
 
-/// How often (in search steps) the limits are polled.
+/// How often (in search steps) the limits are polled. Steps are counted
+/// across a unit's searches, from [`HomSearch::rebind`] on, so a unit of
+/// many short searches polls too.
 const CHECK_INTERVAL: u32 = 256;
 
 /// One open level of the search: the candidates of a plan position and
@@ -124,6 +128,10 @@ pub struct HomSearch<'a, I: MatchIndex = LabelIndex> {
     emit: Vec<NodeId>,
     /// Was frame 0 pushed? Started with no open frame means exhausted.
     started: bool,
+    /// Steps since the limits were last polled.
+    ticks: u32,
+    /// The current slice's deadline, set at its first poll.
+    deadline: Option<Instant>,
     /// Scratch bitsets for the word-at-a-time anchor merge, sized once
     /// to the graph and left empty by every frame that uses them
     /// (DESIGN.md §15).
@@ -149,6 +157,8 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
             assignment: vec![NodeId::new(0); plan.len()],
             emit: vec![NodeId::new(0); plan.len()],
             started: false,
+            ticks: 0,
+            deadline: None,
             scratch_cand: NodeSet::default(),
             scratch_adj: NodeSet::default(),
         }
@@ -158,7 +168,8 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
     /// ↦ `prefix[i]`; one element is pivoted search, longer prefixes
     /// resume split work units), whatever state it was in — fresh,
     /// interrupted or exhausted. Every buffer keeps its capacity, so a
-    /// warmed search restarts without allocating.
+    /// warmed search restarts without allocating. The unit's step count
+    /// and slice deadline carry over.
     pub fn reset(&mut self, prefix: &[NodeId]) {
         assert!(
             prefix.len() <= self.plan.len(),
@@ -172,10 +183,12 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
     }
 
     /// [`HomSearch::reset`] onto another pattern of the same graph, of
-    /// any arity.
+    /// any arity: the first search of a new unit.
     pub fn rebind(&mut self, pattern: &'a Pattern, plan: &'a MatchPlan, prefix: &[NodeId]) {
         self.pattern = pattern;
         self.plan = plan;
+        self.ticks = 0;
+        self.deadline = None;
         // Stale bindings are harmless: a position is bound before it is read.
         self.assignment.resize(plan.len(), NodeId::new(0));
         self.emit.resize(plan.len(), NodeId::new(0));
@@ -371,19 +384,19 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
             self.push_frame(0);
         }
 
-        let mut ticks: u32 = 0;
-        loop {
+        let mut ticks = self.ticks;
+        let outcome = loop {
             ticks += 1;
             if ticks >= CHECK_INTERVAL {
                 ticks = 0;
-                if let Some(stop) = limits.stop {
-                    if stop.load(Ordering::Relaxed) {
-                        return RunOutcome::Stopped;
-                    }
+                if limits.stop.is_some_and(|stop| stop.load(Ordering::Relaxed)) {
+                    break RunOutcome::Stopped;
                 }
-                if let Some(deadline) = limits.deadline {
-                    if Instant::now() >= deadline {
-                        return RunOutcome::Deadline;
+                if let Some(ttl) = limits.ttl {
+                    let now = Instant::now();
+                    if now >= *self.deadline.get_or_insert(now + ttl) {
+                        self.deadline = None;
+                        break RunOutcome::Deadline;
                     }
                 }
             }
@@ -391,7 +404,7 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
             let depth = match self.frames.len() {
                 0 => {
                     debug_assert!(self.pool.is_empty(), "frames own the whole pool");
-                    return RunOutcome::Exhausted;
+                    break RunOutcome::Exhausted;
                 }
                 d => d - 1,
             };
@@ -406,7 +419,7 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
                     }
                     if depth + 1 == self.plan.len() {
                         if on_match(&self.emit).is_break() {
-                            return RunOutcome::Stopped;
+                            break RunOutcome::Stopped;
                         }
                     } else {
                         self.push_frame(depth + 1);
@@ -417,14 +430,19 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
                     self.frames.pop();
                 }
             }
-        }
+        };
+        self.ticks = ticks;
+        outcome
     }
 
     /// Split the untried sibling branches at the shallowest open level into
     /// prefix assignments (plan positions `0..=d`), removing them from this
     /// search. Returns an empty vector when there is nothing to split.
+    /// Fixed prefix positions are never split: one not yet bound (a poll
+    /// can come first) would hand off its node without those after it.
     pub fn split_shallowest(&mut self) -> Vec<Vec<NodeId>> {
-        for (depth, frame) in self.frames.iter_mut().enumerate() {
+        let fixed = self.prefix.len();
+        for (depth, frame) in self.frames.iter_mut().enumerate().skip(fixed) {
             let untried = frame.untried(&self.pool);
             if untried.is_empty() {
                 continue;
@@ -870,7 +888,7 @@ mod tests {
                 n += 1;
                 ControlFlow::Continue(())
             },
-            SearchLimits::with_deadline(Instant::now()),
+            SearchLimits::with_ttl(Duration::ZERO),
         );
         assert_eq!(outcome, RunOutcome::Deadline);
         assert!(n < 40 * 40 * 40);
@@ -894,7 +912,7 @@ mod tests {
         let plan = MatchPlan::build(&p, None, Some(&idx));
         let stop = AtomicBool::new(true);
         let limits = SearchLimits {
-            deadline: None,
+            ttl: None,
             stop: Some(&stop),
         };
         let mut s = HomSearch::new(&g, &idx, &p, &plan);

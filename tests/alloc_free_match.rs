@@ -16,7 +16,7 @@
 //! `cargo test --release --test alloc_free_match -- --ignored --nocapture`
 //! prints the full-size allocation scoreboard recorded in CHANGES.md.
 
-use gfd::core::{CanonicalGraph, EnforceEngine};
+use gfd::core::{build_plans_lazy, generate_units, CanonicalGraph, EnforceEngine};
 use gfd::detect::{detect, DetectConfig};
 use gfd::gen::{hub_workload, real_life_workload, Dataset, HubGenConfig};
 use gfd::graph::{GfdId, LabelIndex};
@@ -225,30 +225,39 @@ fn detect_allocates_per_unit_not_per_match() {
 
 #[test]
 fn reasoning_unit_costs_no_allocation_of_its_own() {
-    // Without component pruning the same Σ dispatches several times the
-    // units, and every extra one matches nothing (its component cannot
-    // host the pattern). Such a unit must be free: the worker rebinds its
-    // one search and the pivot sits inline in the unit. A search built per
-    // unit reads ≈ 6 allocations for each of them.
+    // Without component pruning the same Σ searches several times the
+    // pivots, in about as many units (each rule's pivots are one batch),
+    // and every extra pivot matches nothing (its component cannot host
+    // the pattern). Such a pivot must be free: the worker resets its one
+    // search for it. A search built per pivot reads ≈ 6 allocations for
+    // each of them.
     let w = real_life_workload(Dataset::DBpedia, 400, 42, None);
+    let (canon, _) = CanonicalGraph::for_sigma(&w.sigma);
+    let (pivot_vars, _) = build_plans_lazy(&w.sigma, &canon.index);
     let run = |prune_components| {
+        let pivots: usize = generate_units(&w.sigma, &canon, &pivot_vars, prune_components)
+            .iter()
+            .map(|u| u.prefix.starts().len())
+            .sum();
         let config = ReasonConfig {
             prune_components,
             ..ReasonConfig::with_workers(1)
         };
         let (result, allocs) = allocations_of(|| sat_with_config(&w.sigma, &config));
         assert!(result.is_satisfiable());
-        (result.stats.units_dispatched, allocs)
+        (pivots as u64, allocs)
     };
-    let (units, allocs) = run(true);
-    let (more_units, more_allocs) = run(false);
-    println!("pruned: {units} units, {allocs} allocations; unpruned: {more_units}, {more_allocs}");
-    assert!(more_units > 2 * units, "{units} → {more_units} units");
+    let (pivots, allocs) = run(true);
+    let (more_pivots, more_allocs) = run(false);
+    println!(
+        "pruned: {pivots} pivots, {allocs} allocations; unpruned: {more_pivots}, {more_allocs}"
+    );
+    assert!(more_pivots > 2 * pivots, "{pivots} → {more_pivots} pivots");
     assert!(
-        more_allocs.saturating_sub(allocs) < more_units - units,
-        "{} extra allocations for {} extra units",
+        more_allocs.saturating_sub(allocs) < more_pivots - pivots,
+        "{} extra allocations for {} extra pivots",
         more_allocs.saturating_sub(allocs),
-        more_units - units
+        more_pivots - pivots
     );
 }
 

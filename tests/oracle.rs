@@ -23,7 +23,7 @@ use gfd::matching::{
 use gfd::prelude::*;
 use proptest::prelude::*;
 use std::ops::ControlFlow;
-use std::time::Instant;
+use std::time::Duration;
 
 type Matches = Vec<Vec<NodeId>>;
 
@@ -217,7 +217,7 @@ fn check_split_and_resume<I: MatchIndex>(
                     out.push(m.to_vec());
                     ControlFlow::Continue(())
                 },
-                SearchLimits::with_deadline(Instant::now()),
+                SearchLimits::with_ttl(Duration::ZERO),
             );
             match outcome {
                 RunOutcome::Exhausted => break,

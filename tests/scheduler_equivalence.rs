@@ -122,13 +122,16 @@ fn detect_agrees_with_the_oracle_under_forced_splitting() {
     }
 }
 
-/// A deliberately skewed Σ: one fat star pattern whose hub-pivoted unit
-/// dwarfs everything else, plus trivial unary rules contributing a crowd
-/// of near-instant units.
+/// A deliberately skewed Σ: one fat star pattern whose unit dwarfs
+/// everything else, plus trivial unary rules contributing a crowd of
+/// near-instant units. The unary rules read the attribute the fat rule
+/// writes, so the fat unit is ordered first: the worker it lands on still
+/// holds a queue of them while it runs.
 fn skewed_sigma(vocab: &mut Vocab) -> DepSet {
     let t = vocab.label("hub");
     let e = vocab.label("link");
     let a = vocab.attr("attr");
+    let mark = vocab.attr("mark");
     let mut gfds = Vec::new();
     let mut fat = Pattern::new();
     let hub = fat.add_node(t, "hub");
@@ -149,8 +152,8 @@ fn skewed_sigma(vocab: &mut Vocab) -> DepSet {
         gfds.push(Dependency::new(
             format!("tiny{i}"),
             p,
-            vec![],
             vec![Literal::eq_const(VarId::new(0), a, 1i64)],
+            vec![Literal::eq_const(VarId::new(0), mark, 1i64)],
         ));
     }
     DepSet::from_vec(gfds)
