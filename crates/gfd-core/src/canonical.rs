@@ -515,10 +515,11 @@ mod tests {
         assert!(!canon.component_may_host(&q, 0));
     }
 
-    /// The host filter `pivot_candidates` ran before components and
-    /// patterns carried a label signature, as it was: the needs of the
-    /// pivot's pattern component (`Pattern::components`), tested one
-    /// candidate at a time by binary search. Kept as the oracle.
+    /// The host filter as a definition, read off `canon.graph` itself: a
+    /// candidate of the pivot's label is kept iff its canonical component
+    /// offers every concrete node and edge label the pivot's pattern
+    /// component (`Pattern::components`) needs, and an edge if that
+    /// component has one. Kept as the oracle.
     fn pivot_candidates_reference(
         canon: &CanonicalGraph,
         pattern: &Pattern,
@@ -526,48 +527,56 @@ mod tests {
     ) -> Vec<NodeId> {
         let (comp, _) = pattern.components();
         let inside = |v: VarId| comp[v.index()] == comp[pivot.index()];
-        let mut node_labels: Vec<LabelId> = pattern
+        let node_needs: Vec<LabelId> = pattern
             .vars()
             .filter(|&v| inside(v) && !pattern.label(v).is_wildcard())
             .map(|v| pattern.label(v))
             .collect();
-        node_labels.sort_unstable();
-        node_labels.dedup();
-        let mut edge_labels = Vec::new();
-        let mut wildcard_edge = false;
-        for e in pattern.edges().iter().filter(|e| inside(e.src)) {
-            if e.label.is_wildcard() {
-                wildcard_edge = true;
-            } else {
-                edge_labels.push(e.label);
-            }
+        let edges = pattern.edges().iter().filter(|e| inside(e.src));
+        let edge_needs: Vec<LabelId> = edges.clone().map(|e| e.label).collect();
+        let wildcard_edge = edges.clone().any(|e| e.label.is_wildcard());
+        // Per canonical component: its node labels and its edge labels.
+        let mut offered: Vec<(Vec<LabelId>, Vec<LabelId>)> = Vec::new();
+        for v in canon.graph.nodes() {
+            let c = canon.component_of(v) as usize;
+            offered.resize_with(offered.len().max(c + 1), Default::default);
+            offered[c].0.push(canon.graph.label(v));
         }
-        edge_labels.sort_unstable();
-        edge_labels.dedup();
+        for (src, label, _) in canon.graph.edges() {
+            offered[canon.component_of(src) as usize].1.push(label);
+        }
         let hosts = |c: u32| {
-            let profile = &canon.profiles[c as usize];
-            let present = |have: &[LabelId], need: &[LabelId]| {
-                need.iter().all(|l| have.binary_search(l).is_ok())
-            };
-            present(&profile.node_labels, &node_labels)
-                && present(&profile.edge_labels, &edge_labels)
-                && (!wildcard_edge || profile.has_edge)
+            let (nodes, edges) = &offered[c as usize];
+            node_needs.iter().all(|l| nodes.contains(l))
+                && edge_needs
+                    .iter()
+                    .all(|l| l.is_wildcard() || edges.contains(l))
+                && (!wildcard_edge || !edges.is_empty())
         };
         let candidates = canon.index.candidates(pattern.label(pivot));
         let kept = candidates.iter().copied();
         kept.filter(|&z| hosts(canon.component_of(z))).collect()
     }
 
-    /// Labels `1` and `65` (and `2` and `66`) share a signature bit, so a
-    /// component offering one and a pattern needing the other get past
-    /// the one-word prefilter and must be told apart by the exact test.
+    /// Ids past 64 and 128 put a pattern's labels in more than one bit
+    /// word, and draws from three hundred labels give a large Σ more
+    /// labels than one word holds.
     fn arb_label() -> impl Strategy<Value = LabelId> {
+        let wide = || (3..300usize).prop_map(LabelId::new);
         prop_oneof![
             Just(LabelId::WILDCARD),
             Just(LabelId::new(1)),
-            Just(LabelId::new(2)),
             Just(LabelId::new(65)),
-            Just(LabelId::new(66)),
+            prop_oneof![
+                Just(LabelId::new(2)),
+                Just(LabelId::new(66)),
+                Just(LabelId::new(129)),
+                Just(LabelId::new(130)),
+            ],
+            wide(),
+            wide(),
+            wide(),
+            wide(),
         ]
     }
 
@@ -600,7 +609,7 @@ mod tests {
         /// candidates the per-candidate filter kept, in the same order.
         #[test]
         fn signature_host_filter_keeps_what_the_exact_filter_kept(
-            sigma in proptest::collection::vec(arb_pattern(), 1..6),
+            sigma in proptest::collection::vec(arb_pattern(), 1..24),
             probes in proptest::collection::vec(arb_pattern(), 1..4),
         ) {
             let rules = sigma.iter().map(|p| Dependency::new("g", p.clone(), vec![], vec![]));
