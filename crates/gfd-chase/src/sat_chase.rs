@@ -28,7 +28,7 @@ pub fn chase_sat_with_config(sigma: &DepSet, config: &ChaseConfig) -> DepSatResu
     let outcome = match outcome {
         DepChaseOutcome::Conflict(c) => SatOutcome::Unsatisfiable(c),
         DepChaseOutcome::Fixpoint { mut graph, mut eq } => {
-            populate_model(&mut graph, &mut eq);
+            populate_model(&mut graph, &mut eq, sigma.fresh_spelled());
             SatOutcome::Satisfiable(graph)
         }
         DepChaseOutcome::Interrupted(i) => SatOutcome::Unknown(i),
@@ -46,6 +46,56 @@ mod tests {
     use super::*;
     use gfd_core::{graph_satisfies_all, seq_sat, Dependency, Literal};
     use gfd_graph::{LabelId, Pattern, VarId, Vocab};
+
+    /// Fresh constants are fresh for Σ, also when Σ spells one: the first
+    /// unbound class (node 0's `A` = `B`) must not read out as `⊥1`, which
+    /// `trap`'s premise tests and whose consequence `seed` contradicts.
+    /// Both read-out paths, the driver's at one and two workers and the
+    /// chase's, must return a population that satisfies Σ.
+    #[test]
+    fn fresh_constants_skip_the_constants_sigma_mentions() {
+        use gfd_core::model::FRESH_PREFIX;
+        use gfd_core::{sat_with_config, ReasonConfig};
+        let mut vocab = Vocab::new();
+        let t = vocab.label("t");
+        let (a, b, c) = (vocab.attr("A"), vocab.attr("B"), vocab.attr("C"));
+        let x = VarId::new(0);
+        let rule = |name: &str, premise: Vec<Literal>, consequence: Vec<Literal>| {
+            let mut p = Pattern::new();
+            p.add_node(t, "x");
+            Dependency::new(name, p, premise, consequence)
+        };
+        let spelled = format!("{FRESH_PREFIX}1");
+        let sigma = DepSet::from_vec(vec![
+            rule("merge", vec![], vec![Literal::eq_attr(x, a, x, b)]),
+            rule(
+                "trap",
+                vec![Literal::eq_const(x, a, spelled.as_str())],
+                vec![Literal::eq_const(x, c, "1")],
+            ),
+            rule("seed", vec![], vec![Literal::eq_const(x, c, "2")]),
+        ]);
+        let models = [1, 2]
+            .map(|p| {
+                (
+                    p,
+                    sat_with_config(&sigma, &ReasonConfig::with_workers(p)).outcome,
+                )
+            })
+            .into_iter()
+            .chain([(
+                0,
+                chase_sat_with_config(&sigma, &ChaseConfig::default()).outcome,
+            )]);
+        for (workers, outcome) in models {
+            match outcome {
+                SatOutcome::Satisfiable(m) => {
+                    assert!(graph_satisfies_all(&m, &sigma), "p = {workers} (0: chase)")
+                }
+                other => panic!("p = {workers} (0: chase): {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn agrees_with_seq_sat() {

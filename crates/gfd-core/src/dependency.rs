@@ -20,7 +20,10 @@
 
 use crate::error::Conflict;
 use crate::literal::{Literal, Operand};
-use gfd_graph::{AttrId, GfdId, MatchIndex, NodeId, Pattern, TopologyView, Value, VarId, Vocab};
+use crate::model::is_fresh_id;
+use gfd_graph::{
+    AttrId, GfdId, MatchIndex, NodeId, Pattern, TopologyView, Value, ValueId, VarId, Vocab,
+};
 use std::fmt;
 
 /// The reserved attribute used to encode the Boolean constant `false` as a
@@ -557,6 +560,9 @@ pub struct DepSet {
     deps: Vec<Dependency>,
     /// How many of `deps` have a generating consequence.
     generating: usize,
+    /// The distinct constants of `deps` spelled like a fresh constant
+    /// ([`crate::model::FRESH_PREFIX`]), recorded as rules enter.
+    fresh_spelled: Vec<ValueId>,
 }
 
 impl DepSet {
@@ -567,8 +573,14 @@ impl DepSet {
 
     /// Build from a vector of dependencies.
     pub fn from_vec(deps: Vec<Dependency>) -> Self {
-        let generating = deps.iter().filter(|d| d.is_generating()).count();
-        DepSet { deps, generating }
+        let mut set = DepSet {
+            deps: Vec::with_capacity(deps.len()),
+            ..DepSet::default()
+        };
+        for dep in deps {
+            set.push(dep);
+        }
+        set
     }
 
     /// The identity — what is left of the pre-merge set conversion, alive
@@ -588,6 +600,17 @@ impl DepSet {
     pub fn push(&mut self, dep: Dependency) -> GfdId {
         let id = GfdId::new(self.deps.len());
         self.generating += usize::from(dep.is_generating());
+        let consequence = match &dep.consequence {
+            Consequence::Literals(lits) => lits.as_slice(),
+            Consequence::Generate(gen) => &gen.attrs,
+        };
+        for lit in dep.premise.iter().chain(consequence) {
+            if let Operand::Const(c) = lit.rhs {
+                if is_fresh_id(c) && !self.fresh_spelled.contains(&c) {
+                    self.fresh_spelled.push(c);
+                }
+            }
+        }
         self.deps.push(dep);
         id
     }
@@ -613,6 +636,13 @@ impl DepSet {
     /// enter.
     pub fn has_generating(&self) -> bool {
         self.generating > 0
+    }
+
+    /// The constants of Σ spelled like a fresh constant `⊥n`: a model
+    /// read-out skips them when it numbers fresh constants
+    /// ([`crate::populate_model`]), so they stay fresh for Σ.
+    pub fn fresh_spelled(&self) -> &[ValueId] {
+        &self.fresh_spelled
     }
 
     /// Iterate `(id, dependency)` pairs.

@@ -792,7 +792,7 @@ pub(crate) mod tests {
                 for _ in 0..6 {
                     model.add_node(LabelId::new(0));
                 }
-                populate_model(&mut model, &mut eq.clone());
+                populate_model(&mut model, &mut eq.clone(), &[]);
                 let got: Vec<(AttrKey, ValueId)> = (model.nodes())
                     .flat_map(|n| model.attrs(n).iter().map(move |&(a, v)| ((n, a), v)))
                     .collect();

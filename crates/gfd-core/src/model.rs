@@ -7,30 +7,34 @@ use crate::error::AttrKey;
 use gfd_graph::{Graph, Value, ValueId, ValueTable};
 use std::fmt::Write;
 
-/// Prefix of the fresh constants assigned to unbound classes. Reserved:
-/// generators and the DSL never produce values starting with it, so fresh
-/// values are distinct from every constant in Σ (required for the
-/// population to satisfy Σ — see §IV-C, step (c)).
+/// Prefix of the fresh constants assigned to unbound classes. Generators
+/// never produce values starting with it, but a Σ may spell one: the
+/// read-out skips those ([`populate_model`]), so fresh values are distinct
+/// from every constant in Σ (required for the population to satisfy Σ —
+/// see §IV-C, step (c)).
 pub const FRESH_PREFIX: &str = "\u{22a5}"; // ⊥
 
-/// A copy of `canonical` populated by [`populate_model`].
+/// A copy of `canonical` populated by [`populate_model`], for a Σ that
+/// spells no fresh constant.
 pub fn extract_model(canonical: &Graph, eq: &mut EqRel) -> Graph {
     let mut model = canonical.clone();
-    populate_model(&mut model, eq);
+    populate_model(&mut model, eq, &[]);
     model
 }
 
 /// Populate `graph` — the canonical graph, owned by the caller — with the
 /// attributes of `eq`: bound classes get their constant, unbound classes
 /// get pairwise-distinct fresh constants `⊥1, ⊥2, …` numbered by each
-/// class's least key, so the model is the same at every worker count.
+/// class's least key, so the model is the same at every worker count;
+/// a number whose spelling is in `spelled` (Σ's
+/// [`crate::DepSet::fresh_spelled`]) is skipped.
 /// Only *materialized* keys are populated — attributes that premises
 /// merely mentioned stay absent, as the population is free to omit them.
 ///
 /// No allocation per class: one pass over the materialized slots finds
 /// each unbound class's least key (indexed by root slot), a sort of those
 /// numbers the classes, and a second pass writes every key's value.
-pub fn populate_model(graph: &mut Graph, eq: &mut EqRel) {
+pub fn populate_model(graph: &mut Graph, eq: &mut EqRel, spelled: &[ValueId]) {
     let mut least: Vec<Option<AttrKey>> = vec![None; eq.key_count()];
     for (key, root, constant) in eq.materialized_keys() {
         let l = &mut least[root as usize];
@@ -44,10 +48,18 @@ pub fn populate_model(graph: &mut Graph, eq: &mut EqRel) {
     unbound.sort_unstable();
     let mut fresh = vec![ValueId::NONE; least.len()];
     let mut name = String::new();
-    for (i, &(_, root)) in unbound.iter().enumerate() {
-        name.clear();
-        write!(name, "{FRESH_PREFIX}{}", i + 1).expect("writing to a String");
-        fresh[root as usize] = ValueTable::intern_str(&name);
+    let mut n = 0;
+    for &(_, root) in &unbound {
+        let value = loop {
+            n += 1;
+            name.clear();
+            write!(name, "{FRESH_PREFIX}{n}").expect("writing to a String");
+            let value = ValueTable::intern_str(&name);
+            if !spelled.contains(&value) {
+                break value;
+            }
+        };
+        fresh[root as usize] = value;
     }
     for ((node, attr), root, constant) in eq.materialized_keys() {
         graph.set_attr_id(node, attr, constant.unwrap_or(fresh[root as usize]));

@@ -107,7 +107,7 @@ pub fn sat_with_config(sigma: &DepSet, cfg: &ReasonConfig) -> SatResult {
             None => {
                 let mut engine = run.engine.expect("quiescent run produces merged state");
                 let mut model = canon.graph;
-                populate_model(&mut model, &mut engine.eq);
+                populate_model(&mut model, &mut engine.eq, sigma.fresh_spelled());
                 SatOutcome::Satisfiable(Box::new(model))
             }
         },
