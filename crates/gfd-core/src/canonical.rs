@@ -15,81 +15,190 @@ use crate::error::Conflict;
 use crate::literal::Operand;
 use gfd_graph::{Graph, LabelId, LabelIndex, MatchIndex, NodeId, Pattern, VarId};
 use gfd_match::MatchPlan;
+use rustc_hash::FxHashMap;
 
-/// The concrete labels of a connected piece of graph, used to prune
-/// impossible (pattern, component) pairs before any matching runs: what a
-/// canonical component offers, or what a connected (sub-)pattern needs of
-/// the one component every match of it lies in.
+/// Which canonical components can host a connected pattern piece, so
+/// impossible (pattern, component) pairs are pruned before any matching
+/// runs. Every concrete label the graph carries on a node is a *feature*,
+/// so is every one it carries on an edge, and feature 0 is "has an edge"
+/// (what a wildcard-labelled pattern edge needs; the wildcard id is 0
+/// too). A component holds its features as exact bit-words, and each
+/// feature lists the components that hold it, so a pattern walks only
+/// the components holding its rarest feature.
 #[derive(Clone, Debug, Default)]
-struct LabelProfile {
-    /// Sorted distinct concrete node labels.
-    node_labels: Vec<LabelId>,
-    /// Sorted distinct concrete edge labels.
-    edge_labels: Vec<LabelId>,
-    /// Is there any edge at all? (A wildcard-labelled pattern edge needs
-    /// one; a concrete-labelled one needs it too, but its label says so.)
-    has_edge: bool,
-    /// One-word Bloom signature of both label lists (bit `id mod 64`): a
-    /// needed bit that is not offered settles most tests — the common
-    /// outcome — without touching the lists.
-    signature: u64,
+struct Hosts {
+    /// Per concrete label: its node feature and its edge feature, or
+    /// `NO_FEATURE` where the graph has no such node or edge.
+    feature_of: FxHashMap<LabelId, [u32; 2]>,
+    /// Bit-words per component: the feature count over 64, rounded up.
+    width: usize,
+    /// Component `c`'s features: feature `f` is bit `f % 64` of word
+    /// `c * width + f / 64`.
+    bits: Vec<u64>,
+    /// Per component, the OR of its bit-words: a one-word prefilter
+    /// (`width` times smaller than `bits`) that settles most misses.
+    summary: Vec<u64>,
+    /// The components holding feature `f`, in id order:
+    /// `hosts[host_start[f]..host_start[f + 1]]`.
+    host_start: Vec<u32>,
+    hosts: Vec<u32>,
+    /// The nodes of component `c`, in id order:
+    /// `members[member_start[c]..member_start[c + 1]]`.
+    member_start: Vec<u32>,
+    members: Vec<NodeId>,
 }
 
-impl LabelProfile {
-    fn add_node(&mut self, label: LabelId) {
-        if !label.is_wildcard() {
-            self.node_labels.push(label);
-        }
-    }
+const NO_FEATURE: u32 = u32::MAX;
+/// Index into `Hosts::feature_of`'s pairs.
+const NODE: usize = 0;
+const EDGE: usize = 1;
 
-    fn add_edge(&mut self, label: LabelId) {
-        self.has_edge = true;
-        if !label.is_wildcard() {
-            self.edge_labels.push(label);
-        }
-    }
-
-    /// Sort and deduplicate the lists and derive the signature.
-    fn seal(&mut self) {
-        for labels in [&mut self.node_labels, &mut self.edge_labels] {
-            labels.sort_unstable();
-            labels.dedup();
-            for l in labels.iter() {
-                self.signature |= 1u64 << (l.index() % 64);
+impl Hosts {
+    /// `O(|G| + components × features / 64)`.
+    fn build(graph: &Graph, comp: &[u32], comps: usize) -> Self {
+        let mut feature_of: FxHashMap<LabelId, [u32; 2]> = FxHashMap::default();
+        let mut features = 1;
+        let mut feature = |label: LabelId, role: usize| {
+            let slot = &mut feature_of.entry(label).or_insert([NO_FEATURE; 2])[role];
+            if *slot == NO_FEATURE {
+                *slot = features;
+                features += 1;
+            }
+            *slot
+        };
+        // (component, feature) of every node and edge, before the width
+        // is known.
+        let mut held = Vec::with_capacity(graph.node_count() + 2 * graph.edge_count());
+        for v in graph.nodes() {
+            let label = graph.label(v);
+            if !label.is_wildcard() {
+                held.push((comp[v.index()], feature(label, NODE)));
             }
         }
+        for (src, label, _) in graph.edges() {
+            let c = comp[src.index()];
+            held.push((c, 0));
+            if !label.is_wildcard() {
+                held.push((c, feature(label, EDGE)));
+            }
+        }
+        let width = (features as usize).div_ceil(64);
+        let mut bits = vec![0u64; comps * width];
+        for (c, f) in held {
+            bits[c as usize * width + f as usize / 64] |= 1 << (f % 64);
+        }
+        let summary = (bits.chunks(width))
+            .map(|words| words.iter().fold(0, |a, w| a | w))
+            .collect();
+        // Postings by a count and a fill over every component's set bits,
+        // in component order.
+        let set_bits = |c: usize| {
+            let words = bits[c * width..(c + 1) * width].iter().enumerate();
+            words.flat_map(|(i, &w)| {
+                let mut w = w;
+                std::iter::from_fn(move || {
+                    (w != 0).then(|| {
+                        let b = w.trailing_zeros();
+                        w &= w - 1;
+                        i * 64 + b as usize
+                    })
+                })
+            })
+        };
+        let mut host_start = vec![0u32; features as usize + 1];
+        for c in 0..comps {
+            set_bits(c).for_each(|f| host_start[f + 1] += 1);
+        }
+        for f in 0..features as usize {
+            host_start[f + 1] += host_start[f];
+        }
+        let mut hosts = vec![0u32; host_start[features as usize] as usize];
+        let mut next = host_start.clone();
+        for c in 0..comps {
+            for f in set_bits(c) {
+                hosts[next[f] as usize] = c as u32;
+                next[f] += 1;
+            }
+        }
+        let mut member_start = vec![0u32; comps + 1];
+        comp.iter().for_each(|&c| member_start[c as usize + 1] += 1);
+        for c in 0..comps {
+            member_start[c + 1] += member_start[c];
+        }
+        let mut members = vec![NodeId::new(0); comp.len()];
+        let mut next = member_start.clone();
+        for v in graph.nodes() {
+            let slot = &mut next[comp[v.index()] as usize];
+            members[*slot as usize] = v;
+            *slot += 1;
+        }
+        Hosts {
+            feature_of,
+            width,
+            bits,
+            summary,
+            host_start,
+            hosts,
+            member_start,
+            members,
+        }
     }
 
-    /// Label-subset test; homomorphism is non-injective, so counts don't
-    /// matter, presence does.
-    fn offers(&self, needs: &LabelProfile) -> bool {
-        let present =
-            |have: &[LabelId], need: &[LabelId]| need.iter().all(|l| have.binary_search(l).is_ok());
-        needs.signature & !self.signature == 0
-            && (!needs.has_edge || self.has_edge)
-            && present(&self.node_labels, &needs.node_labels)
-            && present(&self.edge_labels, &needs.edge_labels)
+    /// The components holding feature `f`.
+    fn hosts(&self, f: u32) -> &[u32] {
+        let f = f as usize;
+        &self.hosts[self.host_start[f] as usize..self.host_start[f + 1] as usize]
     }
 
-    /// The needs of the pattern component containing `within`, or of the
-    /// whole pattern for `None`.
-    fn needs_of(pattern: &Pattern, within: Option<VarId>) -> Self {
-        let reach = within.map(|w| pattern.distances_from(w));
-        let inside = |v: VarId| reach.as_ref().is_none_or(|d| d[v.index()] != u32::MAX);
-        let mut needs = LabelProfile::default();
-        for v in pattern.vars().filter(|&v| inside(v)) {
-            needs.add_node(pattern.label(v));
+    /// The nodes of component `c`.
+    fn members(&self, c: u32) -> &[NodeId] {
+        let c = c as usize;
+        &self.members[self.member_start[c] as usize..self.member_start[c + 1] as usize]
+    }
+
+    /// Does component `c` hold every feature of `need`, whose OR is
+    /// `need_summary`?
+    fn holds(&self, c: u32, need: &[u64], need_summary: u64) -> bool {
+        let c = c as usize;
+        need_summary & !self.summary[c] == 0
+            && (need.iter())
+                .zip(&self.bits[c * self.width..])
+                .all(|(n, h)| n & !h == 0)
+    }
+}
+
+/// Run `f` on `len` zeroed words, on the stack when they fit.
+fn with_words<R>(len: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
+    const INLINE: usize = 16;
+    if len <= INLINE {
+        f(&mut [0; INLINE][..len])
+    } else {
+        f(&mut vec![0; len])
+    }
+}
+
+/// Mark in `reach` (one bit per variable) the pattern component of
+/// `start`: grow it over the edge list until no edge leaves it.
+fn reach_from(pattern: &Pattern, start: VarId, reach: &mut [u64]) {
+    let bit = |v: VarId| (v.index() / 64, 1u64 << (v.index() % 64));
+    let (w, b) = bit(start);
+    reach[w] |= b;
+    let mut grew = true;
+    while grew {
+        grew = false;
+        for e in pattern.edges() {
+            let ((ws, bs), (wd, bd)) = (bit(e.src), bit(e.dst));
+            if (reach[ws] & bs == 0) != (reach[wd] & bd == 0) {
+                reach[ws] |= bs;
+                reach[wd] |= bd;
+                grew = true;
+            }
         }
-        for e in pattern.edges().iter().filter(|e| inside(e.src)) {
-            needs.add_edge(e.label);
-        }
-        needs.seal();
-        needs
     }
 }
 
 /// A canonical graph with its label index, connected components and
-/// per-component pruning profiles.
+/// per-component host index.
 #[derive(Clone, Debug)]
 pub struct CanonicalGraph {
     /// The underlying graph (`GΣ` or `G^X_Q`).
@@ -97,27 +206,21 @@ pub struct CanonicalGraph {
     /// Label index over the graph.
     pub index: LabelIndex,
     comp: Vec<u32>,
-    profiles: Vec<LabelProfile>,
+    hosts: Hosts,
 }
 
 impl CanonicalGraph {
-    /// Wrap a prepared graph, computing the index and profiles.
+    /// Wrap a prepared graph, computing the index, the components and the
+    /// host index.
     pub fn from_graph(graph: Graph) -> Self {
         let index = LabelIndex::build(&graph);
-        let (comp, comp_count) = graph.components();
-        let mut profiles = vec![LabelProfile::default(); comp_count];
-        for v in graph.nodes() {
-            profiles[comp[v.index()] as usize].add_node(graph.label(v));
-        }
-        for (src, label, _) in graph.edges() {
-            profiles[comp[src.index()] as usize].add_edge(label);
-        }
-        profiles.iter_mut().for_each(LabelProfile::seal);
+        let (comp, comps) = graph.components();
+        let hosts = Hosts::build(&graph, &comp, comps);
         CanonicalGraph {
             graph,
             index,
             comp,
-            profiles,
+            hosts,
         }
     }
 
@@ -173,14 +276,12 @@ impl CanonicalGraph {
         self.comp[node.index()]
     }
 
-    /// Cheap necessary condition: can `pattern` possibly match with its
-    /// pivot inside component `comp`?
-    pub fn component_may_host(&self, pattern: &Pattern, comp: u32) -> bool {
-        self.profiles[comp as usize].offers(&LabelProfile::needs_of(pattern, None))
-    }
-
     /// Pivot candidates for a pattern whose plan starts at `pivot_var`:
-    /// label-compatible nodes whose component passes the host filter.
+    /// the nodes of `pivot_var`'s label, in id order, whose component
+    /// holds every concrete node and edge label of the pivot's pattern
+    /// component, and an edge if that component has one (homomorphism is
+    /// not injective: presence counts, multiplicity does not). Only the
+    /// components holding the rarest of those features are visited.
     ///
     /// Note: for disconnected patterns only the pivot's own pattern
     /// component is filtered (a connected sub-pattern maps into a single
@@ -190,26 +291,64 @@ impl CanonicalGraph {
     /// deviation from the paper's per-component pivot tuples, documented
     /// in DESIGN.md).
     pub fn pivot_candidates(&self, pattern: &Pattern, pivot_var: VarId) -> Vec<NodeId> {
-        let candidates = self.index.candidates(pattern.label(pivot_var));
+        let label = pattern.label(pivot_var);
+        let candidates = self.index.candidates(label);
         if candidates.is_empty() {
             // Nearly every rule of a large Σ on a pattern-sized `G^X_Q`.
             return Vec::new();
         }
-        let needs = LabelProfile::needs_of(pattern, Some(pivot_var));
-        // Candidates are node-id sorted and `GΣ` lays each component out
-        // contiguously, so one remembered verdict serves a whole run.
-        let mut last = (u32::MAX, false);
-        candidates
-            .iter()
-            .copied()
-            .filter(|&z| {
-                let comp = self.component_of(z);
-                if comp != last.0 {
-                    last = (comp, self.profiles[comp as usize].offers(&needs));
+        let hosts = &self.hosts;
+        let reach_len = pattern.node_count().div_ceil(64);
+        with_words(reach_len + hosts.width, |words| {
+            let (reach, need) = words.split_at_mut(reach_len);
+            reach_from(pattern, pivot_var, reach);
+            let inside = |v: VarId| reach[v.index() / 64] & (1 << (v.index() % 64)) != 0;
+            // Collect the needed features and the rarest of them; a label
+            // the graph lacks in that role rules out every component.
+            let mut rarest: Option<(usize, u32)> = None;
+            let mut require = |f: u32| {
+                need[f as usize / 64] |= 1 << (f % 64);
+                let count = hosts.hosts(f).len();
+                if rarest.is_none_or(|(n, _)| count < n) {
+                    rarest = Some((count, f));
                 }
-                last.1
-            })
-            .collect()
+            };
+            let roles = (pattern.vars().filter(|&v| inside(v)))
+                .map(|v| (pattern.label(v), NODE))
+                .chain(
+                    (pattern.edges().iter().filter(|e| inside(e.src)))
+                        .flat_map(|e| [(LabelId::WILDCARD, EDGE), (e.label, EDGE)]),
+                );
+            for (l, role) in roles {
+                if l.is_wildcard() {
+                    if role == EDGE {
+                        require(0);
+                    }
+                    continue;
+                }
+                match hosts.feature_of.get(&l).map(|fs| fs[role]) {
+                    Some(f) if f != NO_FEATURE => require(f),
+                    _ => return Vec::new(),
+                }
+            }
+            let Some((_, rarest)) = rarest else {
+                // Only wildcard nodes: every component hosts the piece.
+                return candidates.to_vec();
+            };
+            let need_summary = need.iter().fold(0, |a, w| a | w);
+            let mut kept = Vec::new();
+            for &c in hosts.hosts(rarest) {
+                if hosts.holds(c, need, need_summary) {
+                    let members = hosts.members(c).iter().copied();
+                    kept.extend(members.filter(|&z| label.pattern_matches(self.graph.label(z))));
+                }
+            }
+            // Components of a disconnected Σ pattern interleave in `GΣ`.
+            if !kept.is_sorted() {
+                kept.sort_unstable();
+            }
+            kept
+        })
     }
 }
 
@@ -348,16 +487,20 @@ mod tests {
         let mut vocab = Vocab::new();
         let sigma = two_pattern_sigma(&mut vocab);
         let (canon, node_of) = CanonicalGraph::for_sigma(&sigma);
-        let p0 = &sigma[gfd_graph::GfdId::new(0)].pattern;
-        let p1 = &sigma[gfd_graph::GfdId::new(1)].pattern;
-        let comp0 = canon.component_of(node_of[0][0]);
-        let comp1 = canon.component_of(node_of[1][0]);
-        // g0's pattern (t--e-->t) cannot live in g1's component (a single
-        // `u` node) and vice versa.
-        assert!(canon.component_may_host(p0, comp0));
-        assert!(!canon.component_may_host(p0, comp1));
-        assert!(canon.component_may_host(p1, comp1));
-        assert!(!canon.component_may_host(p1, comp0));
+        let (t, u, e) = (vocab.label("t"), vocab.label("u"), vocab.label("e"));
+        // A wildcard pivot whose piece needs `t` and `e` lives only in g0's
+        // component (t--e-->t), one that needs `u` and an edge nowhere: g1's
+        // component is a single `u` node.
+        let mut q = Pattern::new();
+        let w = q.add_node(LabelId::WILDCARD, "w");
+        let y = q.add_node(t, "y");
+        q.add_edge(w, e, y);
+        assert_eq!(canon.pivot_candidates(&q, w), node_of[0]);
+        let mut r = Pattern::new();
+        let w = r.add_node(LabelId::WILDCARD, "w");
+        let z = r.add_node(u, "z");
+        r.add_edge(w, LabelId::WILDCARD, z);
+        assert!(canon.pivot_candidates(&r, w).is_empty());
     }
 
     #[test]
@@ -506,13 +649,15 @@ mod tests {
             vec![],
             vec![Literal::eq_const(x, a, 1i64)],
         )]);
-        let (canon, _) = CanonicalGraph::for_sigma(&sigma);
-        assert!(canon.component_may_host(&p, 0));
-        // A concrete-labelled pattern is rejected: wildcard canonical nodes
+        let (canon, node_of) = CanonicalGraph::for_sigma(&sigma);
+        assert_eq!(canon.pivot_candidates(&p, x), node_of[0]);
+        // A concrete-labelled piece is rejected: wildcard canonical nodes
         // do not satisfy concrete labels.
         let mut q = Pattern::new();
-        q.add_node(vocab.label("t"), "z");
-        assert!(!canon.component_may_host(&q, 0));
+        let z = q.add_node(LabelId::WILDCARD, "z");
+        let t = q.add_node(vocab.label("t"), "t");
+        q.add_edge(z, LabelId::WILDCARD, t);
+        assert!(canon.pivot_candidates(&q, z).is_empty());
     }
 
     /// The host filter as a definition, read off `canon.graph` itself: a
