@@ -538,7 +538,8 @@ fn bench_intersect_crossover(_c: &mut Criterion) {
     let stats_plan = MatchPlan::build(&pat, None, Some(&idx));
     let last = stats_plan.steps().last().expect("non-empty plan");
     assert_eq!(last.var, d, "spoke variable must close the plan");
-    assert_eq!(last.anchors.len(), 5, "closing step must carry all anchors");
+    let closing = stats_plan.anchors(stats_plan.len() - 1);
+    assert_eq!(closing.len(), 5, "closing step must carry all anchors");
     assert_eq!(
         last.strategy,
         IntersectStrategy::Bitset,

@@ -336,7 +336,7 @@ impl CanonicalGraph {
                 return candidates.to_vec();
             };
             let need_summary = need.iter().fold(0, |a, w| a | w);
-            let mut kept = Vec::new();
+            let mut kept = Vec::with_capacity(candidates.len());
             for &c in hosts.hosts(rarest) {
                 if hosts.holds(c, need, need_summary) {
                     let members = hosts.members(c).iter().copied();

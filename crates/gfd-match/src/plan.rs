@@ -6,7 +6,8 @@
 //! adjacency lists instead of the whole graph (the VF2-style expansion the
 //! paper adapts to homomorphism in §IV-C).
 
-use gfd_graph::{LabelIndex, MatchIndex, Pattern, VarId};
+use gfd_graph::{LabelId, LabelIndex, MatchIndex, Pattern, VarId};
+use std::ops::Range;
 
 /// Direction of an anchoring pattern edge relative to the new variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,7 +26,7 @@ pub struct Anchor {
     /// Earlier plan position the edge connects to.
     pub pos: usize,
     /// The pattern edge label (possibly wildcard).
-    pub label: gfd_graph::LabelId,
+    pub label: LabelId,
     /// Whether the edge leaves or enters the anchor.
     pub dir: AnchorDir,
 }
@@ -60,27 +61,31 @@ pub const BITSET_ANCHOR_DEGREE: usize = 64;
 /// `PROBE_FACTOR`, past which it probes per candidate instead of merging).
 const SKEW_FACTOR: usize = 8;
 
-/// One step of a plan: which variable to place and how it connects to the
-/// already-placed prefix.
+/// One step of a plan: which variable to place and how to merge the
+/// candidates of its anchors. The anchors and self-loops themselves sit
+/// in the plan's flat arrays ([`MatchPlan::anchors`],
+/// [`MatchPlan::self_loops`]), so a plan is a handful of allocations
+/// however many steps it has.
 #[derive(Clone, Debug)]
 pub struct PlanStep {
     /// The pattern variable placed at this position.
     pub var: VarId,
-    /// Anchors to earlier positions; empty exactly for component roots.
-    pub anchors: Vec<Anchor>,
-    /// Labels of self-loop pattern edges `var --l--> var`; a candidate node
-    /// must carry a matching self-loop.
-    pub self_loops: Vec<gfd_graph::LabelId>,
     /// How to merge this step's anchor adjacencies into the candidates.
     pub strategy: IntersectStrategy,
+    /// This step's slices of the plan's anchor and self-loop arrays.
+    anchors: Range<u32>,
+    self_loops: Range<u32>,
 }
 
 /// A complete variable ordering for a pattern.
 #[derive(Clone, Debug)]
 pub struct MatchPlan {
     steps: Vec<PlanStep>,
+    /// Every step's anchors, step after step.
+    anchors: Vec<Anchor>,
+    /// Every step's self-loop labels, step after step.
+    self_loops: Vec<LabelId>,
     var_to_pos: Vec<usize>,
-    component_roots: Vec<usize>,
 }
 
 impl MatchPlan {
@@ -111,94 +116,66 @@ impl MatchPlan {
         if let Some(p) = pivot {
             assert!(p.index() < n, "pivot out of range");
         }
-        let freq =
-            |v: VarId| -> usize { stats.map_or(usize::MAX, |s| s.frequency(pattern.label(v))) };
-
-        // Estimated candidate count when `v` is placed next to the
-        // current prefix: the node-label frequency, sharpened by the real
-        // `(edge label, endpoint label)` pair frequencies of the view —
-        // an upper bound on the anchored-expansion fan, which is what the
-        // matcher actually enumerates.
-        let anchored_estimate = |v: VarId, placed: &[bool]| -> usize {
-            let Some(s) = stats else {
-                return usize::MAX;
-            };
-            let mut est = s.frequency(pattern.label(v));
-            for &(elabel, u) in pattern.in_edges(v) {
-                // Pattern edge u --elabel--> v: candidates come from the
-                // anchor's out-slice, so at most `out_pair_frequency`
-                // edges can produce one.
-                if u != v && placed[u.index()] {
-                    est = est.min(s.out_pair_frequency(elabel, pattern.label(v)));
-                }
-            }
-            for &(elabel, u) in pattern.out_edges(v) {
-                if u != v && placed[u.index()] {
-                    est = est.min(s.in_pair_frequency(elabel, pattern.label(v)));
-                }
-            }
-            est
-        };
-
-        let mut placed = vec![false; n];
+        // `pos_of[v]` is `usize::MAX` until `v` is placed.
         let mut pos_of = vec![usize::MAX; n];
-        let mut steps: Vec<PlanStep> = Vec::with_capacity(n);
-        let mut component_roots = Vec::new();
-
-        // Number of edges from `v` to already-placed variables.
-        let connectivity = |v: VarId, placed: &[bool]| -> usize {
-            pattern
-                .out_edges(v)
-                .iter()
-                .chain(pattern.in_edges(v))
-                .filter(|(_, u)| placed[u.index()])
-                .count()
+        let placed = |pos_of: &[usize], u: VarId| pos_of[u.index()] != usize::MAX;
+        // Per variable, kept up to date as its neighbours are placed: the
+        // number of edges to placed variables, and the estimated candidate
+        // count when it is placed next — the node-label frequency,
+        // sharpened by the real `(edge label, endpoint label)` pair
+        // frequencies of the view: an upper bound on the anchored-expansion
+        // fan, which is what the matcher actually enumerates. Until a
+        // neighbour is placed the estimate is the label frequency.
+        let mut fan: Vec<(usize, usize)> = pattern
+            .vars()
+            .map(|v| {
+                (
+                    0,
+                    stats.map_or(usize::MAX, |s| s.frequency(pattern.label(v))),
+                )
+            })
+            .collect();
+        // The most selective unplaced variable: min label frequency, then
+        // max degree.
+        let most_selective = |pos_of: &[usize], fan: &[(usize, usize)]| {
+            (pattern.vars().filter(|&v| !placed(pos_of, v)))
+                .min_by_key(|&v| (fan[v.index()].1, usize::MAX - pattern.degree(v)))
+                .expect("loop invariant: some variable unplaced")
         };
 
-        while steps.len() < n {
-            let next = if steps.is_empty() {
-                pivot.unwrap_or_else(|| {
-                    // Most selective start: min label frequency, then max
-                    // degree for tie-breaking.
-                    pattern
-                        .vars()
-                        .min_by_key(|&v| (freq(v), usize::MAX - pattern.degree(v)))
-                        .expect("non-empty pattern")
-                })
+        let mut plan = MatchPlan {
+            steps: Vec::with_capacity(n),
+            anchors: Vec::with_capacity(pattern.edge_count()),
+            self_loops: Vec::new(),
+            var_to_pos: Vec::new(),
+        };
+        while plan.steps.len() < n {
+            let next = if plan.steps.is_empty() {
+                pivot.unwrap_or_else(|| most_selective(&pos_of, &fan))
             } else {
                 // Prefer variables connected to the placed prefix; among
-                // those, max connectivity then min estimated fan-out
-                // (label-pair frequency, falling back to label frequency).
-                let best_connected = pattern
-                    .vars()
-                    .filter(|&v| !placed[v.index()])
-                    .filter(|&v| connectivity(v, &placed) > 0)
-                    .max_by_key(|&v| {
-                        (
-                            connectivity(v, &placed),
-                            usize::MAX - anchored_estimate(v, &placed),
-                        )
-                    });
-                match best_connected {
-                    Some(v) => v,
-                    // New component: start a fresh root at the most
-                    // selective remaining variable.
-                    None => pattern
-                        .vars()
-                        .filter(|&v| !placed[v.index()])
-                        .min_by_key(|&v| (freq(v), usize::MAX - pattern.degree(v)))
-                        .expect("loop invariant: some variable unplaced"),
+                // those, max connectivity then min estimated fan-out, the
+                // last of equals winning.
+                let mut best: Option<((usize, usize), VarId)> = None;
+                for v in pattern.vars().filter(|&v| !placed(&pos_of, v)) {
+                    let (conn, est) = fan[v.index()];
+                    let key = (conn, usize::MAX - est);
+                    if conn > 0 && best.is_none_or(|(b, _)| key >= b) {
+                        best = Some((key, v));
+                    }
                 }
+                // None: a new component, rooted at the most selective
+                // remaining variable.
+                best.map_or_else(|| most_selective(&pos_of, &fan), |(_, v)| v)
             };
 
-            let mut anchors = Vec::new();
-            let mut self_loops = Vec::new();
+            let (anchors_start, loops_start) = (plan.anchors.len(), plan.self_loops.len());
             for &(label, u) in pattern.in_edges(next) {
                 // Pattern edge u --label--> next.
                 if u == next {
-                    self_loops.push(label);
-                } else if placed[u.index()] {
-                    anchors.push(Anchor {
+                    plan.self_loops.push(label);
+                } else if placed(&pos_of, u) {
+                    plan.anchors.push(Anchor {
                         pos: pos_of[u.index()],
                         label,
                         dir: AnchorDir::FromAnchor,
@@ -208,38 +185,66 @@ impl MatchPlan {
             for &(label, u) in pattern.out_edges(next) {
                 // Pattern edge next --label--> u. Self-loops were already
                 // collected from the in-edge list.
-                if u != next && placed[u.index()] {
-                    anchors.push(Anchor {
+                if u != next && placed(&pos_of, u) {
+                    plan.anchors.push(Anchor {
                         pos: pos_of[u.index()],
                         label,
                         dir: AnchorDir::ToAnchor,
                     });
                 }
             }
-            if anchors.is_empty() {
-                component_roots.push(steps.len());
+            let anchors = &plan.anchors[anchors_start..];
+            let strategy = choose_strategy(pattern, next, anchors, stats);
+            pos_of[next.index()] = plan.steps.len();
+            // Edge next --l--> w: w's candidates would come from next's
+            // out-slice, so at most `out_pair_frequency` edges produce one;
+            // an edge w --l--> next bounds them by the in-slice.
+            let out = pattern.out_edges(next).iter().map(|e| (e, true));
+            let inn = pattern.in_edges(next).iter().map(|e| (e, false));
+            for (&(label, w), from_next) in out.chain(inn) {
+                if placed(&pos_of, w) {
+                    continue;
+                }
+                let (conn, est) = &mut fan[w.index()];
+                *conn += 1;
+                if let Some(s) = stats {
+                    let pair = if from_next {
+                        s.out_pair_frequency(label, pattern.label(w))
+                    } else {
+                        s.in_pair_frequency(label, pattern.label(w))
+                    };
+                    *est = (*est).min(pair);
+                }
             }
-            let strategy = choose_strategy(pattern, next, &anchors, stats);
-            placed[next.index()] = true;
-            pos_of[next.index()] = steps.len();
-            steps.push(PlanStep {
+            let range = |start: usize, end: usize| start as u32..end as u32;
+            plan.steps.push(PlanStep {
                 var: next,
-                anchors,
-                self_loops,
                 strategy,
+                anchors: range(anchors_start, plan.anchors.len()),
+                self_loops: range(loops_start, plan.self_loops.len()),
             });
         }
-
-        MatchPlan {
-            steps,
-            var_to_pos: pos_of,
-            component_roots,
-        }
+        plan.var_to_pos = pos_of;
+        plan
     }
 
     /// The plan steps in placement order.
     pub fn steps(&self) -> &[PlanStep] {
         &self.steps
+    }
+
+    /// The anchors of the step at `pos`: edges to earlier positions,
+    /// empty exactly for component roots.
+    pub fn anchors(&self, pos: usize) -> &[Anchor] {
+        let r = &self.steps[pos].anchors;
+        &self.anchors[r.start as usize..r.end as usize]
+    }
+
+    /// Labels of the self-loop pattern edges `var --l--> var` of the step
+    /// at `pos`; a candidate node must carry a matching self-loop.
+    pub fn self_loops(&self, pos: usize) -> &[LabelId] {
+        let r = &self.steps[pos].self_loops;
+        &self.self_loops[r.start as usize..r.end as usize]
     }
 
     /// Number of positions (= pattern variables).
@@ -264,8 +269,8 @@ impl MatchPlan {
 
     /// Positions that start a new connected component (position 0 is always
     /// one of them).
-    pub fn component_roots(&self) -> &[usize] {
-        &self.component_roots
+    pub fn component_roots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).filter(|&pos| self.anchors(pos).is_empty())
     }
 
     /// A copy of this plan with every [`IntersectStrategy::Bitset`] step
@@ -300,33 +305,36 @@ fn choose_strategy<I: MatchIndex>(
     let Some(s) = stats else {
         return IntersectStrategy::TwoPointer;
     };
-    let mut ests: Vec<usize> = anchors
-        .iter()
-        .filter(|a| !a.label.is_wildcard())
-        .map(|a| match a.dir {
+    // The smallest, second-smallest and largest estimate, in one pass.
+    let (mut lo, mut second, mut hi, mut count) = (usize::MAX, usize::MAX, 0, 0);
+    for a in anchors.iter().filter(|a| !a.label.is_wildcard()) {
+        let est = match a.dir {
             AnchorDir::FromAnchor => s.out_pair_frequency(a.label, pattern.label(var)),
             AnchorDir::ToAnchor => s.in_pair_frequency(a.label, pattern.label(var)),
-        })
-        .collect();
-    ests.sort_unstable();
-    match ests.as_slice() {
-        [] | [_] => IntersectStrategy::TwoPointer,
-        [lo, .., hi] => {
-            if ests[1] >= BITSET_ANCHOR_DEGREE {
-                IntersectStrategy::Bitset
-            } else if *hi >= SKEW_FACTOR * (*lo).max(1) {
-                IntersectStrategy::Gallop
-            } else {
-                IntersectStrategy::TwoPointer
-            }
+        };
+        if est < lo {
+            (lo, second) = (est, lo);
+        } else if est < second {
+            second = est;
         }
+        hi = hi.max(est);
+        count += 1;
+    }
+    if count < 2 {
+        IntersectStrategy::TwoPointer
+    } else if second >= BITSET_ANCHOR_DEGREE {
+        IntersectStrategy::Bitset
+    } else if hi >= SKEW_FACTOR * lo.max(1) {
+        IntersectStrategy::Gallop
+    } else {
+        IntersectStrategy::TwoPointer
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_graph::{Graph, LabelId, Vocab};
+    use gfd_graph::{Graph, Vocab};
 
     fn diamond(v: &mut Vocab) -> Pattern {
         // x -> y, x -> z, y -> w, z -> w
@@ -350,10 +358,10 @@ mod tests {
         let p = diamond(&mut v);
         let plan = MatchPlan::structural(&p, None);
         assert_eq!(plan.len(), 4);
-        assert_eq!(plan.component_roots(), &[0]);
-        for (i, step) in plan.steps().iter().enumerate().skip(1) {
-            assert!(!step.anchors.is_empty(), "step {i} lost connectivity");
-            for a in &step.anchors {
+        assert!(plan.component_roots().eq([0]));
+        for i in 1..plan.len() {
+            assert!(!plan.anchors(i).is_empty(), "step {i} lost connectivity");
+            for a in plan.anchors(i) {
                 assert!(a.pos < i);
             }
         }
@@ -390,7 +398,7 @@ mod tests {
         p.add_node(t, "c"); // isolated
         p.add_edge(a, v.label("e"), b);
         let plan = MatchPlan::structural(&p, None);
-        assert_eq!(plan.component_roots().len(), 2);
+        assert_eq!(plan.component_roots().count(), 2);
     }
 
     #[test]
@@ -428,17 +436,16 @@ mod tests {
         let y = p.add_node(t, "y");
         p.add_edge(x, e, y); // x -> y
         let plan = MatchPlan::structural(&p, Some(x));
-        let step1 = &plan.steps()[1];
-        assert_eq!(step1.var, y);
-        assert_eq!(step1.anchors.len(), 1);
+        assert_eq!(plan.var_at(1), y);
+        let anchors = plan.anchors(1);
+        assert_eq!(anchors.len(), 1);
         // Edge runs from the anchor (x at pos 0) to y.
-        assert_eq!(step1.anchors[0].dir, AnchorDir::FromAnchor);
-        assert_eq!(step1.anchors[0].pos, 0);
+        assert_eq!(anchors[0].dir, AnchorDir::FromAnchor);
+        assert_eq!(anchors[0].pos, 0);
 
         let plan2 = MatchPlan::structural(&p, Some(y));
-        let step1 = &plan2.steps()[1];
-        assert_eq!(step1.var, x);
-        assert_eq!(step1.anchors[0].dir, AnchorDir::ToAnchor);
+        assert_eq!(plan2.var_at(1), x);
+        assert_eq!(plan2.anchors(1)[0].dir, AnchorDir::ToAnchor);
     }
 
     /// The streaming-planner regression: a delta batch inverts which
@@ -505,15 +512,13 @@ mod tests {
         let idx = LabelIndex::build(&g);
         let p = diamond(&mut v);
         let plan = MatchPlan::build(&p, None, Some(&idx));
-        let multi = plan
-            .steps()
-            .iter()
-            .find(|s| s.anchors.len() >= 2)
+        let multi = (0..plan.len())
+            .find(|&i| plan.anchors(i).len() >= 2)
             .expect("diamond has a doubly-anchored step");
-        assert_eq!(multi.strategy, IntersectStrategy::Bitset);
+        assert_eq!(plan.steps()[multi].strategy, IntersectStrategy::Bitset);
         // Singly-anchored steps never pay for the bitset.
-        for s in plan.steps().iter().filter(|s| s.anchors.len() < 2) {
-            assert_ne!(s.strategy, IntersectStrategy::Bitset);
+        for i in (0..plan.len()).filter(|&i| plan.anchors(i).len() < 2) {
+            assert_ne!(plan.steps()[i].strategy, IntersectStrategy::Bitset);
         }
     }
 

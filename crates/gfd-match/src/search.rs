@@ -203,7 +203,8 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
     /// to grow.
     fn push_frame(&mut self, pos: usize) {
         let (graph, index, view) = (self.graph, self.index, self.view);
-        let step = &self.plan.steps()[pos];
+        let (plan, step) = (self.plan, &self.plan.steps()[pos]);
+        let (anchors, self_loops) = (plan.anchors(pos), plan.self_loops(pos));
         let var_label = self.pattern.label(step.var);
         let assignment = &self.assignment;
         let probe_for = |a: &Anchor| -> (NodeId, Dir) {
@@ -222,11 +223,11 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
             // Fixed prefix positions carry exactly one candidate, validated
             // by the filter pass like any other.
             pool.push(node);
-        } else if step.anchors.is_empty() {
+        } else if anchors.is_empty() {
             // Component root: candidates from the label index, read in
             // place when there is nothing to filter them by.
             let base = index.candidates(var_label);
-            if step.self_loops.is_empty() {
+            if self_loops.is_empty() {
                 self.frames.push(Frame {
                     root: Some(base),
                     start,
@@ -248,8 +249,8 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
                 let (v, dir) = probe_for(a);
                 view.matching_len(v, dir, a.label)
             };
-            let best_i = (0..step.anchors.len())
-                .min_by_key(|&i| len_for(&step.anchors[i]))
+            let best_i = (0..anchors.len())
+                .min_by_key(|&i| len_for(&anchors[i]))
                 .expect("anchored step has anchors");
             seed_i = Some(best_i);
 
@@ -258,7 +259,7 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
             // increase; under a wildcard anchor label the same node can
             // recur across label groups, so sort once and dedup adjacently
             // — never an O(d·c) `contains`.
-            let seed = &step.anchors[best_i];
+            let seed = &anchors[best_i];
             let (seed_v, seed_dir) = probe_for(seed);
             view.for_each_matching(seed_v, seed_dir, seed.label, |(_, n)| pool.push(n));
             if seed.label.is_wildcard() {
@@ -270,8 +271,7 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
             // Non-seed concrete anchors; wildcard anchors have no single
             // sorted sub-slice, so they always stay per-candidate probes.
             let extra = || {
-                (0..step.anchors.len())
-                    .filter(move |&i| i != best_i && !step.anchors[i].label.is_wildcard())
+                (0..anchors.len()).filter(move |&i| i != best_i && !anchors[i].label.is_wildcard())
             };
             use_bitset = step.strategy == IntersectStrategy::Bitset
                 && extra().next().is_some()
@@ -294,16 +294,14 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
                     cand.insert(c);
                 }
                 for i in extra() {
-                    let a = &step.anchors[i];
+                    let a = &anchors[i];
                     let (v, dir) = probe_for(a);
                     view.collect_matching_into(v, dir, a.label, adj);
                     if cand.intersect_with_drain(adj) == 0 {
                         break;
                     }
                 }
-            } else if let Some((adj_len, mi)) =
-                extra().map(|i| (len_for(&step.anchors[i]), i)).min()
-            {
+            } else if let Some((adj_len, mi)) = extra().map(|i| (len_for(&anchors[i]), i)).min() {
                 // Sorted-merge intersection with the next-smallest concrete
                 // anchor adjacency: both sequences are ascending, so one
                 // streamed two-pointer pass replaces per-candidate edge
@@ -314,7 +312,7 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
                 // them. (The opposite skew cannot occur: the seed is the
                 // smallest adjacency, so candidates never outnumber it.)
                 if adj_len < PROBE_FACTOR * (pool.len() - start) {
-                    let merge = &step.anchors[mi];
+                    let merge = &anchors[mi];
                     let (v, dir) = probe_for(merge);
                     intersect_tail(view, pool, start, v, dir, merge.label);
                     merged_i = Some(mi);
@@ -329,14 +327,13 @@ impl<'a, I: MatchIndex> HomSearch<'a, I> {
             // once every candidate was visited.
             (!use_bitset || scratch_cand.remove(node))
                 && var_label.pattern_matches(graph.label(node))
-                && step
-                    .self_loops
+                && self_loops
                     .iter()
                     .all(|&l| view.has_edge_pattern(node, l, node))
                 // Homomorphism: no injectivity check; just the anchors not
                 // already covered by the seed slice, the merge, or the
                 // bitset fold.
-                && step.anchors.iter().enumerate().all(|(i, a)| {
+                && anchors.iter().enumerate().all(|(i, a)| {
                     Some(i) == seed_i
                         || Some(i) == merged_i
                         || (use_bitset && !a.label.is_wildcard())

@@ -92,15 +92,15 @@ fn plan_digest<'p>(plans: impl IntoIterator<Item = Option<&'p MatchPlan>>) -> u6
             continue;
         };
         words.push(plan.len());
-        for step in plan.steps() {
+        for (pos, step) in plan.steps().iter().enumerate() {
             words.push(step.var.index());
-            let anchors = &step.anchors;
+            let anchors = plan.anchors(pos);
             words.push(anchors.len());
             for a in anchors {
                 let dir = usize::from(a.dir == AnchorDir::ToAnchor);
                 words.extend([a.pos, a.label.index(), dir]);
             }
-            let self_loops = &step.self_loops;
+            let self_loops = plan.self_loops(pos);
             words.push(self_loops.len());
             words.extend(self_loops.iter().map(|l| l.index()));
             words.push(match step.strategy {
@@ -109,7 +109,7 @@ fn plan_digest<'p>(plans: impl IntoIterator<Item = Option<&'p MatchPlan>>) -> u6
                 IntersectStrategy::Bitset => 2,
             });
         }
-        words.push(plan.component_roots().len());
+        words.push(plan.component_roots().count());
         words.extend(plan.component_roots());
     }
     words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
