@@ -634,15 +634,22 @@ fn bench_intersect_crossover(_c: &mut Criterion) {
 /// grew with |Σ|·cap. `order_units` alone on `GΣ` (4 000 per-rule batches
 /// of 57 k pivots at 4000) must stay as linear and under 5 ms (≈1.4 ms
 /// quiet on a 2-core host; the headroom is for host load): ordering units
-/// one by one along their pivots' balls read ≈19 ms.
+/// one by one along their pivots' balls read ≈19 ms. Plans and units
+/// on `GΣ` at |Σ| = 4000 (`build_plans_lazy` and `generate_units`) must
+/// stay under `SETUP_BOUND`, 1.5x the quiet best-of-nine reading; a
+/// per-step-`Vec` plan builder and a pivot filter that tested every
+/// pivot-label node read ≈ 15 ms.
 fn bench_unit_setup(_c: &mut Criterion) {
     use gfd_bench::fmt_duration;
     use gfd_core::{build_plans_lazy, generate_units, order_units, CanonicalGraph};
     use gfd_gen::{real_life_workload, Dataset};
     use std::time::{Duration, Instant};
+    // 1.5x the quietest reading, 8.1 ms on a 2-core host.
+    const SETUP_BOUND: Duration = Duration::from_millis(12);
 
-    // (per-probe set-up, `order_units` on `GΣ`), best of nine each.
-    let measure = |size: usize| -> (Duration, Duration) {
+    // (per-probe set-up, `order_units` on `GΣ`, plans + units on `GΣ`),
+    // best of nine each.
+    let measure = |size: usize| -> (Duration, Duration, Duration) {
         let w = real_life_workload(Dataset::DBpedia, size, 42, None);
         let probes: Vec<CanonicalGraph> = w
             .probes
@@ -667,6 +674,18 @@ fn bench_unit_setup(_c: &mut Criterion) {
         sweep(); // warm-up
         let best = (0..9).map(|_| sweep()).min().expect("nine sweeps");
         let (canon, _) = CanonicalGraph::for_sigma(&w.sigma);
+        let setup = (0..10)
+            .map(|_| {
+                let start = Instant::now();
+                let (pivots, plans) = build_plans_lazy(&w.sigma, &canon.index);
+                let units = generate_units(&w.sigma, &canon, &pivots, true);
+                let took = start.elapsed();
+                black_box((plans, units));
+                took
+            })
+            .skip(1)
+            .min()
+            .expect("nine set-ups");
         let (pivots, _) = build_plans_lazy(&w.sigma, &canon.index);
         let units = generate_units(&w.sigma, &canon, &pivots, true);
         let order = (0..10)
@@ -680,10 +699,10 @@ fn bench_unit_setup(_c: &mut Criterion) {
             .skip(1)
             .min()
             .expect("nine orders");
-        (best / probes.len() as u32, order)
+        (best / probes.len() as u32, order, setup)
     };
-    let (small, small_order) = measure(500);
-    let (large, large_order) = measure(4000);
+    let (small, small_order, _) = measure(500);
+    let (large, large_order, large_setup) = measure(4000);
     println!(
         "unit_setup/per_probe: sigma_500 {}  sigma_4000 {}  ({:.1}x)",
         fmt_duration(small),
@@ -703,6 +722,14 @@ fn bench_unit_setup(_c: &mut Criterion) {
     assert!(
         large_order < Duration::from_millis(5),
         "order_units on GΣ at |Σ| = 4000 must stay under 5 ms, got {large_order:?}"
+    );
+    println!(
+        "unit_setup/plans_units_g_sigma: sigma_4000 {}",
+        fmt_duration(large_setup)
+    );
+    assert!(
+        large_setup < SETUP_BOUND,
+        "build_plans_lazy + generate_units on GΣ at |Σ| = 4000 must stay under {SETUP_BOUND:?}, got {large_setup:?}"
     );
     // 12x for 8x the rules, plus an absolute floor against timer noise on
     // the sub-millisecond small side.

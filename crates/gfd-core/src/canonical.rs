@@ -25,7 +25,7 @@ use rustc_hash::FxHashMap;
 /// too). A component holds its features as exact bit-words, and each
 /// feature lists the components that hold it, so a pattern walks only
 /// the components holding its rarest feature.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct Hosts {
     /// Per concrete label: its node feature and its edge feature, or
     /// `NO_FEATURE` where the graph has no such node or edge.
@@ -38,14 +38,10 @@ struct Hosts {
     /// Per component, the OR of its bit-words: a one-word prefilter
     /// (`width` times smaller than `bits`) that settles most misses.
     summary: Vec<u64>,
-    /// The components holding feature `f`, in id order:
-    /// `hosts[host_start[f]..host_start[f + 1]]`.
-    host_start: Vec<u32>,
-    hosts: Vec<u32>,
-    /// The nodes of component `c`, in id order:
-    /// `members[member_start[c]..member_start[c + 1]]`.
-    member_start: Vec<u32>,
-    members: Vec<NodeId>,
+    /// Per feature, the components holding it, in id order.
+    hosts: Groups<u32>,
+    /// Per component, its nodes, in id order.
+    members: Groups<NodeId>,
 }
 
 const NO_FEATURE: u32 = u32::MAX;
@@ -69,17 +65,13 @@ impl Hosts {
         // (component, feature) of every node and edge, before the width
         // is known.
         let mut held = Vec::with_capacity(graph.node_count() + 2 * graph.edge_count());
-        for v in graph.nodes() {
-            let label = graph.label(v);
-            if !label.is_wildcard() {
-                held.push((comp[v.index()], feature(label, NODE)));
-            }
+        for v in graph.nodes().filter(|&v| !graph.label(v).is_wildcard()) {
+            held.push((comp[v.index()], feature(graph.label(v), NODE)));
         }
         for (src, label, _) in graph.edges() {
-            let c = comp[src.index()];
-            held.push((c, 0));
+            held.push((comp[src.index()], 0));
             if !label.is_wildcard() {
-                held.push((c, feature(label, EDGE)));
+                held.push((comp[src.index()], feature(label, EDGE)));
             }
         }
         let width = (features as usize).div_ceil(64);
@@ -90,70 +82,28 @@ impl Hosts {
         let summary = (bits.chunks(width))
             .map(|words| words.iter().fold(0, |a, w| a | w))
             .collect();
-        // Postings by a count and a fill over every component's set bits,
-        // in component order.
-        let set_bits = |c: usize| {
-            let words = bits[c * width..(c + 1) * width].iter().enumerate();
-            words.flat_map(|(i, &w)| {
+        // Every component's features, in component order.
+        let held_by = (bits.chunks(width).enumerate()).flat_map(|(c, words)| {
+            (words.iter().enumerate()).flat_map(move |(i, &w)| {
                 let mut w = w;
                 std::iter::from_fn(move || {
-                    (w != 0).then(|| {
-                        let b = w.trailing_zeros();
-                        w &= w - 1;
-                        i * 64 + b as usize
-                    })
+                    let b = w.trailing_zeros() as usize;
+                    w &= w.wrapping_sub(1);
+                    (b < 64).then_some((i * 64 + b, c as u32))
                 })
             })
-        };
-        let mut host_start = vec![0u32; features as usize + 1];
-        for c in 0..comps {
-            set_bits(c).for_each(|f| host_start[f + 1] += 1);
-        }
-        for f in 0..features as usize {
-            host_start[f + 1] += host_start[f];
-        }
-        let mut hosts = vec![0u32; host_start[features as usize] as usize];
-        let mut next = host_start.clone();
-        for c in 0..comps {
-            for f in set_bits(c) {
-                hosts[next[f] as usize] = c as u32;
-                next[f] += 1;
-            }
-        }
-        let mut member_start = vec![0u32; comps + 1];
-        comp.iter().for_each(|&c| member_start[c as usize + 1] += 1);
-        for c in 0..comps {
-            member_start[c + 1] += member_start[c];
-        }
-        let mut members = vec![NodeId::new(0); comp.len()];
-        let mut next = member_start.clone();
-        for v in graph.nodes() {
-            let slot = &mut next[comp[v.index()] as usize];
-            members[*slot as usize] = v;
-            *slot += 1;
-        }
+        });
+        let hosts = Groups::new(features as usize, 0, held_by);
+        let by_comp = (comp.iter().enumerate()).map(|(v, &c)| (c as usize, NodeId::new(v)));
+        let members = Groups::new(comps, NodeId::new(0), by_comp);
         Hosts {
             feature_of,
             width,
             bits,
             summary,
-            host_start,
             hosts,
-            member_start,
             members,
         }
-    }
-
-    /// The components holding feature `f`.
-    fn hosts(&self, f: u32) -> &[u32] {
-        let f = f as usize;
-        &self.hosts[self.host_start[f] as usize..self.host_start[f + 1] as usize]
-    }
-
-    /// The nodes of component `c`.
-    fn members(&self, c: u32) -> &[NodeId] {
-        let c = c as usize;
-        &self.members[self.member_start[c] as usize..self.member_start[c + 1] as usize]
     }
 
     /// Does component `c` hold every feature of `need`, whose OR is
@@ -164,6 +114,37 @@ impl Hosts {
             && (need.iter())
                 .zip(&self.bits[c * self.width..])
                 .all(|(n, h)| n & !h == 0)
+    }
+}
+
+/// Values grouped by a dense key, each group in the order it was given:
+/// group `k` is `values[start[k]..start[k + 1]]`.
+#[derive(Clone, Debug)]
+struct Groups<T> {
+    start: Vec<u32>,
+    values: Vec<T>,
+}
+
+impl<T: Copy> Groups<T> {
+    /// Group `items` (key, value) under `keys` keys, by a count and a
+    /// fill; `fill` only pre-sizes the values.
+    fn new(keys: usize, fill: T, items: impl Iterator<Item = (usize, T)> + Clone) -> Self {
+        let mut start = vec![0u32; keys + 1];
+        items.clone().for_each(|(k, _)| start[k + 1] += 1);
+        for k in 0..keys {
+            start[k + 1] += start[k];
+        }
+        let mut values = vec![fill; start[keys] as usize];
+        let mut next = start.clone();
+        for (k, v) in items {
+            values[next[k] as usize] = v;
+            next[k] += 1;
+        }
+        Groups { start, values }
+    }
+
+    fn get(&self, k: usize) -> &[T] {
+        &self.values[self.start[k] as usize..self.start[k + 1] as usize]
     }
 }
 
@@ -308,22 +289,20 @@ impl CanonicalGraph {
             let mut rarest: Option<(usize, u32)> = None;
             let mut require = |f: u32| {
                 need[f as usize / 64] |= 1 << (f % 64);
-                let count = hosts.hosts(f).len();
+                let count = hosts.hosts.get(f as usize).len();
                 if rarest.is_none_or(|(n, _)| count < n) {
                     rarest = Some((count, f));
                 }
             };
-            let roles = (pattern.vars().filter(|&v| inside(v)))
-                .map(|v| (pattern.label(v), NODE))
-                .chain(
-                    (pattern.edges().iter().filter(|e| inside(e.src)))
-                        .flat_map(|e| [(LabelId::WILDCARD, EDGE), (e.label, EDGE)]),
-                );
-            for (l, role) in roles {
+            let nodes = pattern.vars().filter(|&v| inside(v));
+            let edges = pattern.edges().iter().filter(|e| inside(e.src));
+            let needed =
+                (nodes.map(|v| (pattern.label(v), NODE))).chain(edges.map(|e| (e.label, EDGE)));
+            for (l, role) in needed {
+                if role == EDGE {
+                    require(0);
+                }
                 if l.is_wildcard() {
-                    if role == EDGE {
-                        require(0);
-                    }
                     continue;
                 }
                 match hosts.feature_of.get(&l).map(|fs| fs[role]) {
@@ -337,9 +316,9 @@ impl CanonicalGraph {
             };
             let need_summary = need.iter().fold(0, |a, w| a | w);
             let mut kept = Vec::with_capacity(candidates.len());
-            for &c in hosts.hosts(rarest) {
+            for &c in hosts.hosts.get(rarest as usize) {
                 if hosts.holds(c, need, need_summary) {
-                    let members = hosts.members(c).iter().copied();
+                    let members = hosts.members.get(c as usize).iter().copied();
                     kept.extend(members.filter(|&z| label.pattern_matches(self.graph.label(z))));
                 }
             }

@@ -573,10 +573,7 @@ impl DepSet {
 
     /// Build from a vector of dependencies.
     pub fn from_vec(deps: Vec<Dependency>) -> Self {
-        let mut set = DepSet {
-            deps: Vec::with_capacity(deps.len()),
-            ..DepSet::default()
-        };
+        let mut set = DepSet::default();
         for dep in deps {
             set.push(dep);
         }
