@@ -682,9 +682,10 @@ mod tests {
         kept.filter(|&z| hosts(canon.component_of(z))).collect()
     }
 
-    /// Ids past 64 and 128 put a pattern's labels in more than one bit
-    /// word, and draws from three hundred labels give a large Σ more
-    /// labels than one word holds.
+    /// Ids past 64 and 128, and draws from three hundred labels. Features
+    /// are numbered by first appearance in `GΣ`, not by id, so what puts
+    /// labels in several bit words is how many distinct ones Σ carries
+    /// (and the proptest's filler rules).
     fn arb_label() -> impl Strategy<Value = LabelId> {
         let wide = || (3..300usize).prop_map(LabelId::new);
         prop_oneof![
@@ -731,12 +732,25 @@ mod tests {
         /// Every pivot of Σ's own patterns and of patterns foreign to `GΣ`
         /// (whose labels some component may lack) keeps exactly the
         /// candidates the per-candidate filter kept, in the same order.
+        /// `filler` one-node rules of labels no other rule uses sit
+        /// between the two halves of Σ, so the second half's new labels
+        /// are numbered past 64 or 128 and one component can hold two
+        /// labels that share a bit of its one-word summary.
         #[test]
         fn signature_host_filter_keeps_what_the_exact_filter_kept(
             sigma in proptest::collection::vec(arb_pattern(), 1..24),
+            filler in 0..130usize,
             probes in proptest::collection::vec(arb_pattern(), 1..4),
         ) {
-            let rules = sigma.iter().map(|p| Dependency::new("g", p.clone(), vec![], vec![]));
+            let one_node = |i: usize| {
+                let mut p = Pattern::new();
+                p.add_anon_node(LabelId::new(1000 + i));
+                p
+            };
+            let (head, tail) = sigma.split_at(sigma.len() / 2);
+            let fillers = (0..filler).map(one_node);
+            let layout = head.iter().cloned().chain(fillers).chain(tail.iter().cloned());
+            let rules = layout.map(|p| Dependency::new("g", p, vec![], vec![]));
             let (canon, _) = CanonicalGraph::for_sigma(&DepSet::from_vec(rules.collect()));
             for pattern in sigma.iter().chain(&probes) {
                 for pivot in pattern.vars() {
