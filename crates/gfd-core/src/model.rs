@@ -50,7 +50,7 @@ pub fn populate_model(graph: &mut Graph, eq: &mut EqRel, spelled: &[ValueId]) {
     let mut name = String::new();
     let mut n = 0;
     for &(_, root) in &unbound {
-        let value = loop {
+        fresh[root as usize] = loop {
             n += 1;
             name.clear();
             write!(name, "{FRESH_PREFIX}{n}").expect("writing to a String");
@@ -59,7 +59,6 @@ pub fn populate_model(graph: &mut Graph, eq: &mut EqRel, spelled: &[ValueId]) {
                 break value;
             }
         };
-        fresh[root as usize] = value;
     }
     for ((node, attr), root, constant) in eq.materialized_keys() {
         graph.set_attr_id(node, attr, constant.unwrap_or(fresh[root as usize]));
