@@ -82,20 +82,22 @@ impl Hosts {
         let summary = (bits.chunks(width))
             .map(|words| words.iter().fold(0, |a, w| a | w))
             .collect();
-        // Every component's features, in component order.
-        let held_by = (bits.chunks(width).enumerate()).flat_map(|(c, words)| {
-            (words.iter().enumerate()).flat_map(move |(i, &w)| {
-                let mut w = w;
-                std::iter::from_fn(move || {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w.wrapping_sub(1);
-                    (b < 64).then_some((i * 64 + b, c as u32))
-                })
-            })
+        let hosts = Groups::new(features as usize, 0, |put| {
+            for (c, words) in bits.chunks(width).enumerate() {
+                for (i, &w) in words.iter().enumerate() {
+                    let mut w = w;
+                    while w != 0 {
+                        put(i * 64 + w.trailing_zeros() as usize, c as u32);
+                        w &= w - 1;
+                    }
+                }
+            }
         });
-        let hosts = Groups::new(features as usize, 0, held_by);
-        let by_comp = (comp.iter().enumerate()).map(|(v, &c)| (c as usize, NodeId::new(v)));
-        let members = Groups::new(comps, NodeId::new(0), by_comp);
+        let members = Groups::new(comps, NodeId::new(0), |put| {
+            for (v, &c) in comp.iter().enumerate() {
+                put(c as usize, NodeId::new(v));
+            }
+        });
         Hosts {
             feature_of,
             width,
@@ -126,20 +128,21 @@ struct Groups<T> {
 }
 
 impl<T: Copy> Groups<T> {
-    /// Group `items` (key, value) under `keys` keys, by a count and a
-    /// fill; `fill` only pre-sizes the values.
-    fn new(keys: usize, fill: T, items: impl Iterator<Item = (usize, T)> + Clone) -> Self {
+    /// Group the (key, value) pairs `each` puts under `keys` keys, by a
+    /// count and a fill (so `each` runs twice); `fill` only pre-sizes the
+    /// values.
+    fn new(keys: usize, fill: T, each: impl Fn(&mut dyn FnMut(usize, T))) -> Self {
         let mut start = vec![0u32; keys + 1];
-        items.clone().for_each(|(k, _)| start[k + 1] += 1);
+        each(&mut |k, _| start[k + 1] += 1);
         for k in 0..keys {
             start[k + 1] += start[k];
         }
         let mut values = vec![fill; start[keys] as usize];
         let mut next = start.clone();
-        for (k, v) in items {
+        each(&mut |k, v| {
             values[next[k] as usize] = v;
             next[k] += 1;
-        }
+        });
         Groups { start, values }
     }
 
