@@ -45,7 +45,7 @@ struct Hosts {
 }
 
 const NO_FEATURE: u32 = u32::MAX;
-/// Index into `Hosts::feature_of`'s pairs.
+// The two roles of a label, indices into `Hosts::feature_of`'s pairs.
 const NODE: usize = 0;
 const EDGE: usize = 1;
 
