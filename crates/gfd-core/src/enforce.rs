@@ -261,7 +261,8 @@ fn enforce_consequence(
 mod tests {
     use super::*;
     use crate::literal::Literal;
-    use gfd_graph::{NodeId, Pattern, ValueId, VarId, Vocab};
+    use gfd_graph::{AttrId, NodeId, Pattern, ValueId, VarId, Vocab};
+    use proptest::prelude::*;
 
     impl EnforceEngine {
         /// Number of unresolved pending matches.
@@ -580,6 +581,259 @@ mod tests {
             e.delta,
             vec![EqOp::Bind((NodeId::new(0), b), ValueId::of(1i64))]
         );
+    }
+
+    /// `g0: x.a = y.b → x.c = 1` over a two-node pattern, with the
+    /// one-node seeds `g1: ∅ → x.a = 5` and `g2: ∅ → x.b = 5`, and
+    /// `g3: ∅ → x.a = y.b` over the same pair.
+    fn attr_pair_sigma() -> DepSet {
+        let mut vocab = Vocab::new();
+        let [a, b, c] = ["a", "b", "c"].map(|n| vocab.attr(n));
+        let (x, y) = (VarId::new(0), VarId::new(1));
+        let mut pair = Pattern::new();
+        pair.add_node(vocab.label("t"), "x");
+        pair.add_node(vocab.label("t"), "y");
+        DepSet::from_vec(vec![
+            Dependency::new(
+                "g0",
+                pair.clone(),
+                vec![Literal::eq_attr(x, a, y, b)],
+                vec![Literal::eq_const(x, c, 1i64)],
+            ),
+            unary_gfd(
+                &mut vocab,
+                "g1",
+                vec![],
+                vec![Literal::eq_const(x, a, 5i64)],
+            ),
+            unary_gfd(
+                &mut vocab,
+                "g2",
+                vec![],
+                vec![Literal::eq_const(x, b, 5i64)],
+            ),
+            Dependency::new("g3", pair, vec![], vec![Literal::eq_attr(x, a, y, b)]),
+        ])
+    }
+
+    /// Run `steps` — `(rule, match)` pairs — through a fresh engine and
+    /// report whether `n0.c = 1` was deduced.
+    fn fires(sigma: &DepSet, steps: &[(usize, &[usize])]) -> bool {
+        let mut e = EnforceEngine::new();
+        for &(rule, m) in steps {
+            let m: Vec<NodeId> = m.iter().map(|&n| NodeId::new(n)).collect();
+            e.process_match(sigma, GfdId::new(rule), &m).unwrap();
+        }
+        let c = sigma[GfdId::new(0)].consequence.literals().unwrap()[0].attr;
+        e.eq.deduces_const((NodeId::new(0), c), ValueId::of(1i64))
+    }
+
+    #[test]
+    fn attr_premise_fires_when_its_left_side_was_bound_first() {
+        // n0.a = 5 before the match parks; n1.b = 5 after.
+        let sigma = attr_pair_sigma();
+        assert!(!fires(&sigma, &[(1, &[0]), (0, &[0, 1])]));
+        assert!(fires(&sigma, &[(1, &[0]), (0, &[0, 1]), (2, &[1])]));
+    }
+
+    #[test]
+    fn attr_premise_fires_when_its_right_side_was_bound_first() {
+        // n1.b = 5 before the match parks; n0.a = 5 after.
+        let sigma = attr_pair_sigma();
+        assert!(!fires(&sigma, &[(2, &[1]), (0, &[0, 1])]));
+        assert!(fires(&sigma, &[(2, &[1]), (0, &[0, 1]), (1, &[0])]));
+    }
+
+    #[test]
+    fn attr_premise_fires_when_bound_side_by_side_after_parking() {
+        // Both sides unbound when the match parks; the first bind leaves
+        // it pending on the other side, the second fires it — in either
+        // order.
+        let sigma = attr_pair_sigma();
+        assert!(fires(&sigma, &[(0, &[0, 1]), (1, &[0]), (2, &[1])]));
+        assert!(fires(&sigma, &[(0, &[0, 1]), (2, &[1]), (1, &[0])]));
+    }
+
+    #[test]
+    fn attr_premise_fires_when_its_classes_merge() {
+        let sigma = attr_pair_sigma();
+        assert!(fires(&sigma, &[(0, &[0, 1]), (3, &[0, 1])]));
+        // Bound on one side first, then merged: the merge still wakes it.
+        assert!(fires(&sigma, &[(1, &[0]), (0, &[0, 1]), (3, &[0, 1])]));
+        assert!(fires(&sigma, &[(2, &[1]), (0, &[0, 1]), (3, &[0, 1])]));
+    }
+
+    /// A premise or consequence literal over variables `0..vars` and
+    /// attributes `a0..a2`.
+    #[derive(Clone, Debug)]
+    enum Lit {
+        Const(usize, usize, i64),
+        Attr((usize, usize), (usize, usize)),
+        Reflexive(usize, usize),
+    }
+
+    fn arb_lit(vars: usize) -> impl Strategy<Value = Lit> {
+        let side = move || (0..vars, 0..3usize);
+        prop_oneof![
+            (side(), 0..2i64).prop_map(|((v, a), c)| Lit::Const(v, a, c)),
+            (side(), side()).prop_map(|(l, r)| Lit::Attr(l, r)),
+            side().prop_map(|(v, a)| Lit::Reflexive(v, a)),
+        ]
+    }
+
+    /// One rule over `vars` variables: 1–3 premise literals, 1–2
+    /// consequence literals.
+    fn arb_rule() -> impl Strategy<Value = (usize, Vec<Lit>, Vec<Lit>)> {
+        (2..4usize).prop_flat_map(|vars| {
+            let lits = move |n| proptest::collection::vec(arb_lit(vars), n);
+            (Just(vars), lits(1..4), lits(1..3))
+        })
+    }
+
+    /// A step of a run: a match of a rule (index taken modulo Σ), or a
+    /// remote bind or merge, over nodes `0..4` and attributes `a0..a2`.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Match(usize, [usize; 3]),
+        Bind((usize, usize), i64),
+        Merge((usize, usize), (usize, usize)),
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        let key = || (0..4usize, 0..3usize);
+        let matched = || {
+            (0..8usize, (0..4usize, 0..4usize, 0..4usize))
+                .prop_map(|(r, (m0, m1, m2))| Step::Match(r, [m0, m1, m2]))
+        };
+        prop_oneof![
+            matched(),
+            matched(),
+            (key(), 0..2i64).prop_map(|(k, v)| Step::Bind(k, v)),
+            (key(), key()).prop_map(|(k1, k2)| Step::Merge(k1, k2)),
+        ]
+    }
+
+    /// Does `lit` hold at `m` — read straight off the relation's
+    /// deductions, not through [`eval_premise`]?
+    fn holds(eq: &EqRel, lit: &Literal, m: &[NodeId]) -> bool {
+        let k1 = (m[lit.var.index()], lit.attr);
+        match lit.rhs {
+            Operand::Const(c) => eq.deduces_const(k1, c),
+            Operand::Attr(v2, a2) => eq.deduces_eq(k1, (m[v2.index()], a2)),
+        }
+    }
+
+    /// The naive fixpoint, sharing no code with the pending index: every
+    /// remote op, then pass after pass over every match, enforcing each
+    /// whose premise holds, until a pass changes nothing.
+    fn naive_fixpoint(
+        sigma: &DepSet,
+        matches: &[(GfdId, Vec<NodeId>)],
+        remote: &[EqOp],
+    ) -> Result<EqRel, Conflict> {
+        let mut eq = EqRel::new();
+        for op in remote {
+            eq.apply_op(op)?;
+        }
+        loop {
+            let mut changed = false;
+            for (rule, m) in matches {
+                let gfd = &sigma[*rule];
+                if gfd.premise.iter().all(|lit| holds(&eq, lit, m)) {
+                    for lit in gfd.consequence.literals().unwrap() {
+                        let k1 = (m[lit.var.index()], lit.attr);
+                        let op = match lit.rhs {
+                            Operand::Const(c) => EqOp::Bind(k1, c),
+                            Operand::Attr(v2, a2) => EqOp::Merge(k1, (m[v2.index()], a2)),
+                        };
+                        changed |= eq.apply_op(&op)?;
+                    }
+                }
+            }
+            if !changed {
+                return Ok(eq);
+            }
+        }
+    }
+
+    /// The materialized classes with members sorted: what two relations
+    /// holding the same deductions share, whatever order built them.
+    fn classes(eq: &mut EqRel) -> Vec<(Option<ValueId>, Vec<AttrKey>)> {
+        let mut classes = crate::eq::tests::materialized_classes(eq);
+        classes.iter_mut().for_each(|(_, members)| members.sort());
+        classes.sort();
+        classes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Random rules over 2–3 variables (constant, attribute and
+        /// reflexive literals), their matches in random order over four
+        /// nodes, some ops arriving through `apply_remote_ops`: the
+        /// engine's relation has the naive fixpoint's materialized
+        /// classes, and it conflicts exactly when the fixpoint does.
+        #[test]
+        fn engine_reaches_the_naive_fixpoint(
+            rules in proptest::collection::vec(arb_rule(), 1..5),
+            steps in proptest::collection::vec(arb_step(), 0..24),
+        ) {
+            let mut vocab = Vocab::new();
+            let attrs: Vec<AttrId> = (0..3).map(|i| vocab.attr(&format!("a{i}"))).collect();
+            let literal = |lit: &Lit| match *lit {
+                Lit::Const(v, a, c) => Literal::eq_const(VarId::new(v), attrs[a], c),
+                Lit::Attr((v1, a1), (v2, a2)) => {
+                    Literal::eq_attr(VarId::new(v1), attrs[a1], VarId::new(v2), attrs[a2])
+                }
+                Lit::Reflexive(v, a) => {
+                    Literal::eq_attr(VarId::new(v), attrs[a], VarId::new(v), attrs[a])
+                }
+            };
+            let sigma = DepSet::from_vec(
+                (rules.iter().enumerate())
+                    .map(|(i, (vars, premise, consequence))| {
+                        let mut p = Pattern::new();
+                        for v in 0..*vars {
+                            p.add_node(vocab.label("t"), format!("v{v}"));
+                        }
+                        let premise = premise.iter().map(literal).collect();
+                        let consequence: Vec<Literal> = consequence.iter().map(literal).collect();
+                        Dependency::new(format!("g{i}"), p, premise, consequence)
+                    })
+                    .collect(),
+            );
+            let key = |(n, a): (usize, usize)| (NodeId::new(n), attrs[a]);
+            let (mut matches, mut remote) = (Vec::new(), Vec::new());
+            let mut engine = EnforceEngine::new();
+            let run = steps.iter().try_for_each(|step| {
+                let op = match *step {
+                    Step::Match(r, m) => {
+                        let rule = GfdId::new(r % rules.len());
+                        let m: Vec<NodeId> =
+                            m[..rules[rule.index()].0].iter().map(|&n| NodeId::new(n)).collect();
+                        let done = engine.process_match(&sigma, rule, &m);
+                        matches.push((rule, m));
+                        return done;
+                    }
+                    Step::Bind(k, v) => EqOp::Bind(key(k), ValueId::of(v)),
+                    Step::Merge(k1, k2) => EqOp::Merge(key(k1), key(k2)),
+                };
+                remote.push(op);
+                engine.apply_remote_ops(&sigma, &[op])
+            });
+            match (run, naive_fixpoint(&sigma, &matches, &remote)) {
+                (Ok(()), Ok(mut expect)) => {
+                    prop_assert_eq!(classes(&mut engine.eq), classes(&mut expect));
+                }
+                (Err(_), Err(_)) => {}
+                (run, expect) => prop_assert!(
+                    false,
+                    "engine conflict {:?}, naive conflict {:?}",
+                    run.err(),
+                    expect.err()
+                ),
+            }
+        }
     }
 
     #[test]
