@@ -469,7 +469,6 @@ pub fn run_reason(
 
     let ReasonAction { log, terminal, .. } = task.action;
     let mut terminal = terminal.into_inner();
-    metrics.early_terminated = terminal.is_some();
 
     // A degraded run (deadline, unit budget, panic abort) did not reach
     // the fixpoint: its caught-up state must never be read as a model. Any
@@ -494,6 +493,9 @@ pub fn run_reason(
             }
         }
     }
+    // Set from the final event: a conflict or consequence first met in
+    // the catch-up ends the run as surely as one a worker raised.
+    metrics.early_terminated = terminal.is_some();
     if let Some(log) = log {
         metrics.delta_ops_broadcast = log.segments.into_inner().0.len() as u64;
     }

@@ -182,6 +182,28 @@ fn agrees_with_seq_sat_on_unsat_wildcard_conflict() {
     }
 }
 
+/// The two-wildcard conflict at two workers: a worker or the catch-up
+/// may meet it first (the catch-up in about 2 % of runs), and either way
+/// the run reports that it ended on it.
+#[test]
+fn early_termination_is_reported_whoever_meets_the_conflict() {
+    let mut vocab = Vocab::new();
+    let a = vocab.attr("A");
+    let x = VarId::new(0);
+    let sigma = DepSet::from_vec(vec![
+        wildcard_unary("phi5", vec![Literal::eq_const(x, a, 0i64)], vec![]),
+        wildcard_unary("phi6", vec![Literal::eq_const(x, a, 1i64)], vec![]),
+    ]);
+    for run in 0..500 {
+        let r = gfd::sat_with_config(&sigma, &ReasonConfig::with_workers(2));
+        assert!(
+            matches!(r.outcome, SatOutcome::Unsatisfiable(_)),
+            "run {run}"
+        );
+        assert!(r.stats.early_terminated, "run {run}");
+    }
+}
+
 #[test]
 fn agrees_with_seq_sat_on_satisfiable_set() {
     let mut vocab = Vocab::new();
