@@ -61,22 +61,23 @@ fn the_model_is_the_same_at_every_worker_count() {
 }
 
 /// FNV-1a over a model's labels, edges and attribute triples: a digest
-/// that moves with any byte of the population.
+/// that moves with any byte of the population. A value is hashed as what
+/// it resolves to, not as its `ValueId`, whose bits follow the order the
+/// whole process interned values in.
 fn digest(g: &Graph) -> u64 {
+    let fnv = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    let word = |h: u64, w: usize| (w as u64).to_le_bytes().into_iter().fold(h, fnv);
     let (labels, edges) = structure(g);
-    let words = (labels.iter().map(|l| l.index()))
-        .chain(
-            edges
-                .iter()
-                .flat_map(|&(s, l, d)| [s.index(), l.index(), d.index()]),
-        )
-        .chain(
-            (attrs(g).into_iter())
-                .flat_map(|(v, a, val)| [v.index(), a.index(), val.raw() as usize]),
-        );
-    words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
-        (h ^ w as u64).wrapping_mul(0x0100_0000_01b3)
-    })
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    h = labels.iter().fold(h, |h, l| word(h, l.index()));
+    for (s, l, d) in edges {
+        h = [s.index(), l.index(), d.index()].into_iter().fold(h, word);
+    }
+    for (v, a, val) in attrs(g) {
+        h = word(word(h, v.index()), a.index());
+        h = format!("{val:?};").into_bytes().into_iter().fold(h, fnv);
+    }
+    h
 }
 
 /// At one worker every search and enforcement runs in one fixed order, so
@@ -86,8 +87,8 @@ fn digest(g: &Graph) -> u64 {
 fn the_one_worker_run_is_pinned_on_dbpedia_1000() {
     // (seed, matches, pending, rechecks, model digest).
     let pins: [(u64, u64, u64, u64, u64); 2] = [
-        (42, 3691, 2631, 0, 7172395783831483873),
-        (7, 3450, 2333, 0, 9830991814533649887),
+        (42, 3691, 2631, 0, 6029307853845826914),
+        (7, 3450, 2333, 0, 15741811214073565067),
     ];
     for (seed, matches, pending, rechecks, model_digest) in pins {
         let w = real_life_workload(Dataset::DBpedia, 1000, seed, None);
