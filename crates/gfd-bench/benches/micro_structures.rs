@@ -2,13 +2,35 @@
 //! asserted guards CI runs on their own
 //! (`cargo bench -p gfd-bench --bench micro_structures guards_only`: the
 //! filter matches no benchmark id, so only the guard functions do work).
+//! Every guard runs and prints its verdict; the program fails at the end,
+//! listing every bound that tripped.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{BenchmarkId, Criterion};
 use gfd_core::{sat_with_config, EqRel, ReasonConfig};
 use gfd_gen::synthetic_workload;
 use gfd_graph::{AttrId, Graph, LabelIndex, NodeId, Pattern, Vocab};
 use gfd_match::MatchPlan;
 use std::hint::black_box;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
+
+/// The guard bounds that tripped so far. A trip is recorded rather than
+/// raised, so a bound tripped by host load hides none of the guards after
+/// it; `main` fails once they all ran.
+static TRIPS: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+/// Check a guard bound: print its verdict, and record a trip for `main`.
+macro_rules! guard {
+    ($cond:expr, $($msg:tt)+) => {
+        if $cond {
+            println!("guard ok: {}", stringify!($cond));
+        } else {
+            let trip = format!($($msg)+);
+            println!("guard TRIPPED: {trip}");
+            TRIPS.lock().unwrap().push(trip);
+        }
+    };
+}
 
 fn bench_eq_rel(c: &mut Criterion) {
     let mut g = c.benchmark_group("eq_rel");
@@ -228,7 +250,7 @@ fn bench_trace_overhead(_c: &mut Criterion) {
     black_box(&mut buf);
     let per_site = start.elapsed().as_nanos() as f64 / f64::from(SITES);
     println!("trace_disabled_event_site: {per_site:.2} ns/site ({SITES} sites)");
-    assert!(
+    guard!(
         per_site < 5.0,
         "disabled event site must stay branch-cheap, got {per_site:.2} ns"
     );
@@ -261,7 +283,7 @@ fn bench_trace_overhead(_c: &mut Criterion) {
     );
     // 2% relative plus a 2ms absolute floor: quick-scale runs are a few
     // tens of ms, where a bare percentage would amplify timer noise.
-    assert!(
+    guard!(
         on <= off.mul_f64(1.02) + Duration::from_millis(2),
         "tracing overhead exceeded 2%: off={off:?} on={on:?}"
     );
@@ -334,7 +356,7 @@ fn bench_atomics_zero_cost(_c: &mut Criterion) {
     // 10% relative plus a 2ms absolute floor: the loops should be
     // instruction-identical, but micro-loop timing wobbles with
     // alignment and machine load.
-    assert!(
+    guard!(
         generic_t <= raw_t.mul_f64(1.10) + Duration::from_millis(2),
         "Atomics parameterization is not zero-cost: generic={generic_t:?} raw={raw_t:?}"
     );
@@ -413,7 +435,7 @@ fn bench_literal_interning(_c: &mut Criterion) {
             fmt_duration(vals_t),
             fmt_duration(ids_t),
         );
-        assert!(
+        guard!(
             ids_t.mul_f64(min_ratio) <= vals_t + Duration::from_millis(2),
             "{label}: interned check only {ratio:.2}x faster (need ≥ {min_ratio}x): \
              values={vals_t:?} ids={ids_t:?}"
@@ -605,7 +627,7 @@ fn bench_intersect_crossover(_c: &mut Criterion) {
         fmt_duration(hub_bit),
         hub_merge.as_secs_f64() / hub_bit.as_secs_f64().max(1e-9),
     );
-    assert!(
+    guard!(
         hub_bit <= hub_merge + floor,
         "bitset plan must win the hub regime: merge={hub_merge:?} bitset={hub_bit:?}"
     );
@@ -617,7 +639,7 @@ fn bench_intersect_crossover(_c: &mut Criterion) {
         fmt_duration(bal_two),
         fmt_duration(bal_bit),
     );
-    assert!(
+    guard!(
         bal_two <= bal_bit + floor,
         "two-pointer must stay ahead on the balanced sparse case: \
          two={bal_two:?} bitset={bal_bit:?}"
@@ -716,11 +738,11 @@ fn bench_unit_setup(_c: &mut Criterion) {
         fmt_duration(large_order),
         large_order.as_secs_f64() / small_order.as_secs_f64().max(1e-9),
     );
-    assert!(
+    guard!(
         large < Duration::from_millis(5),
         "per-probe unit set-up at |Σ| = 4000 must stay under 5 ms, got {large:?}"
     );
-    assert!(
+    guard!(
         large_order < Duration::from_millis(5),
         "order_units on GΣ at |Σ| = 4000 must stay under 5 ms, got {large_order:?}"
     );
@@ -728,14 +750,14 @@ fn bench_unit_setup(_c: &mut Criterion) {
         "unit_setup/plans_units_g_sigma: sigma_4000 {}",
         fmt_duration(large_setup)
     );
-    assert!(
+    guard!(
         large_setup < SETUP_BOUND,
         "build_plans_lazy + generate_units on GΣ at |Σ| = 4000 must stay under {SETUP_BOUND:?}, got {large_setup:?}"
     );
     // 12x for 8x the rules, plus an absolute floor against timer noise on
     // the sub-millisecond small side.
     for (small, large) in [(small, large), (small_order, large_order)] {
-        assert!(
+        guard!(
             large <= small.mul_f64(12.0) + Duration::from_micros(200),
             "unit set-up must scale linearly in |Σ|: sigma_500={small:?} sigma_4000={large:?}"
         );
@@ -785,11 +807,11 @@ fn bench_dispatch_overhead(_c: &mut Criterion) {
         .min_by(|a, b| a.0.total_cmp(&b.0))
         .expect("five runs");
     println!("dispatch_overhead: {ns_per_unit:.0} ns/unit  busy {busy:?} of wall {wall:?}");
-    assert!(
+    guard!(
         ns_per_unit <= 150.0,
         "dispatching a no-op unit must stay under 150 ns, got {ns_per_unit:.0}"
     );
-    assert!(
+    guard!(
         !busy.is_zero() && busy <= wall,
         "one worker's busy time is non-zero CPU time within the wall time: {busy:?} vs {wall:?}"
     );
@@ -828,12 +850,12 @@ fn bench_model_readout(_c: &mut Criterion) {
         "model_readout: sigma_500 {:?} ({} keys, {:.0} ns/key)  sigma_4000 {:?} ({} keys, {:.0} ns/key)",
         small.0, small.1, per_key(small), large.0, large.1, per_key(large),
     );
-    assert!(
+    guard!(
         large.0 <= Duration::from_millis(10),
         "model read-out at |Σ| = 4000 must stay under 10 ms, got {:?}",
         large.0
     );
-    assert!(
+    guard!(
         per_key(large) <= 1.5 * per_key(small),
         "model read-out must stay linear in the keys read: {small:?} vs {large:?}"
     );
@@ -875,8 +897,8 @@ fn bench_premise_pushdown(_c: &mut Criterion) {
     println!(
         "premise_pushdown: {enumerated} pattern matches, {on_premise} on-premise, {lent} lent"
     );
-    assert_eq!(lent, on_premise, "detect is lent the on-premise matches");
-    assert!(
+    guard!(lent == on_premise, "detect is lent the on-premise matches");
+    guard!(
         0 < lent && 100 * lent <= enumerated,
         "the premise must cut the hub's {enumerated} matches to ≤ 1 %, got {lent}"
     );
@@ -927,27 +949,42 @@ fn bench_shared_pattern(_c: &mut Criterion) {
         let all = best(&DepSet::from_vec(six));
         let ratio = all.as_secs_f64() / one.as_secs_f64();
         println!("shared_pattern/{shape}: one rule {one:?}  six rules {all:?}  ({ratio:.2}x)");
-        assert!(
+        guard!(
             ratio <= 2.5,
             "six {shape} sharing one pattern must cost ≤ 2.5x one of them, got {ratio:.2}x"
         );
     }
 }
 
-criterion_group!(
-    benches,
-    bench_eq_rel,
-    bench_structures,
-    bench_matching,
-    bench_literal_interning,
-    bench_intersect_crossover,
-    bench_scheduler,
-    bench_trace_overhead,
-    bench_atomics_zero_cost,
-    bench_unit_setup,
-    bench_dispatch_overhead,
-    bench_model_readout,
-    bench_premise_pushdown,
-    bench_shared_pattern
-);
-criterion_main!(benches);
+fn main() {
+    let mut c = Criterion::default();
+    let groups: [(&str, fn(&mut Criterion)); 13] = [
+        ("eq_rel", bench_eq_rel),
+        ("structures", bench_structures),
+        ("matching", bench_matching),
+        ("literal_interning", bench_literal_interning),
+        ("intersect_crossover", bench_intersect_crossover),
+        ("scheduler", bench_scheduler),
+        ("trace_overhead", bench_trace_overhead),
+        ("atomics_zero_cost", bench_atomics_zero_cost),
+        ("unit_setup", bench_unit_setup),
+        ("dispatch_overhead", bench_dispatch_overhead),
+        ("model_readout", bench_model_readout),
+        ("premise_pushdown", bench_premise_pushdown),
+        ("shared_pattern", bench_shared_pattern),
+    ];
+    for (name, group) in groups {
+        // A failed fixture check ends its own group, not the run.
+        if catch_unwind(AssertUnwindSafe(|| group(&mut c))).is_err() {
+            TRIPS.lock().unwrap().push(format!("{name} panicked"));
+        }
+    }
+    let trips = TRIPS.lock().unwrap();
+    if !trips.is_empty() {
+        eprintln!("{} guard(s) tripped:", trips.len());
+        for trip in trips.iter() {
+            eprintln!("  {trip}");
+        }
+        std::process::exit(1);
+    }
+}
