@@ -956,9 +956,12 @@ fn bench_shared_pattern(_c: &mut Criterion) {
     }
 }
 
+/// A benchmark group: a function of the harness.
+type Group = fn(&mut Criterion);
+
 fn main() {
     let mut c = Criterion::default();
-    let groups: [(&str, fn(&mut Criterion)); 13] = [
+    let groups: [(&str, Group); 13] = [
         ("eq_rel", bench_eq_rel),
         ("structures", bench_structures),
         ("matching", bench_matching),
