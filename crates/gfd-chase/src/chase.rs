@@ -48,8 +48,8 @@
 //! fresh-node budget is one more interrupt, not a separate kind of answer.
 
 use gfd_core::{
-    eval_premise, generate_deducible, run_task, AttrKey, Budget, Conflict, Consequence, DepSet,
-    Dependency, EqRel, Interrupt, Literal, Operand, PremiseStatus,
+    eval_premise, generate_deducible, run_task, Budget, Conflict, Consequence, DepSet, Dependency,
+    EqRel, Interrupt, Literal, Operand, PremiseStatus,
 };
 use gfd_graph::{GfdId, Graph, LabelId, LabelIndex, NodeId, Pattern, VarId};
 use gfd_match::{for_each_match, HomSearch, MatchPlan, SearchLimits};
@@ -356,8 +356,7 @@ fn offer_rest(ctx: &WorkerCtx<'_, ScanUnit>, deadline: Instant, unit: ScanUnit, 
 struct ScanWorker {
     /// The rows whose premise the round-start relation satisfies.
     fired: Vec<Firing>,
-    /// Scratch: a pending premise's keys, a realization check's extension.
-    waiting: Vec<AttrKey>,
+    /// Scratch: a realization check's extension.
     asn: Vec<NodeId>,
     premise_evals: u64,
     realization_checks: u64,
@@ -383,7 +382,6 @@ impl Task for ScanTask<'_> {
     fn worker(&self, _id: usize) -> ScanWorker {
         ScanWorker {
             fired: Vec::new(),
-            waiting: Vec::new(),
             asn: Vec::new(),
             premise_evals: 0,
             realization_checks: 0,
@@ -401,8 +399,7 @@ impl Task for ScanTask<'_> {
             let row = table.live[pos as usize];
             let m = table.get(row as usize);
             w.premise_evals += 1;
-            let status = eval_premise(self.eq, &rule.premise, m, &mut w.waiting);
-            if status == PremiseStatus::Satisfied {
+            if eval_premise(self.eq, &rule.premise, m) == PremiseStatus::Satisfied {
                 let realized = match &rule.consequence {
                     Consequence::Generate(gen) => {
                         w.realization_checks += 1;

@@ -7,10 +7,12 @@
 //! 2. enforces the consequence `Y` with the two expansion rules (constant
 //!    binding, attribute merging), keeping the resulting [`EqOp`]s until
 //!    the driver appends them to its `ΔEq` log;
-//! 3. keeps the paper's *inverted index*: matches whose premise is pending
-//!    are registered as watchers on the attributes they wait for, and are
-//!    rechecked (cascaded) when those attributes are instantiated or
-//!    merged.
+//! 3. keeps the paper's *inverted index*: a match whose premise is pending
+//!    watches one attribute it waits for — the key [`eval_premise`] names
+//!    for its first unsatisfied literal — and is rechecked (cascaded) when
+//!    that attribute's class is instantiated or merged; a recheck that
+//!    finds it still pending moves the watch to the new first such key
+//!    (the SAT solvers' watched literal).
 //!
 //! The same engine backs `SeqSat`, `SeqImp`, the parallel workers, and the
 //! chase baseline.
@@ -29,29 +31,27 @@ pub enum PremiseStatus {
     /// Some literal compares two distinct constants — since constants never
     /// change, the premise can never hold: drop the match.
     Falsified,
-    /// Some literal waits on uninstantiated attributes (the keys
-    /// [`eval_premise`] wrote to its `waiting` buffer); the match must be
-    /// rechecked when they change.
-    Pending,
+    /// Some literal waits on uninstantiated attributes; the match must be
+    /// rechecked when the key named here changes — the first unsatisfied
+    /// literal's (see [`eval_premise`]).
+    Pending(AttrKey),
 }
 
 /// Evaluate a rule's premise literals at `m` against `eq`, which it only
-/// reads. `waiting` is a scratch buffer the caller lends: it is cleared,
-/// and on `Pending` holds the keys the premise waits on.
-pub fn eval_premise(
-    eq: &EqRel,
-    premise: &[Literal],
-    m: &[NodeId],
-    waiting: &mut Vec<AttrKey>,
-) -> PremiseStatus {
-    waiting.clear();
+/// reads. An unsatisfied literal names one key: its own for `x.A = c` and
+/// for a reflexive `x.A = x.A`, and the unbound side of `x.A = y.B` (`x.A`
+/// when both are unbound). That literal cannot hold before the named key's
+/// class is bound or merged, which wakes its watchers; a bound side never
+/// changes again, so it must not be the one named.
+pub fn eval_premise(eq: &EqRel, premise: &[Literal], m: &[NodeId]) -> PremiseStatus {
+    let mut first = None;
     for lit in premise {
         let k1: AttrKey = (m[lit.var.index()], lit.attr);
-        match &lit.rhs {
+        let waits_on = match &lit.rhs {
             Operand::Const(c) => match eq.const_of(k1) {
-                Some(v) if v == *c => {}
+                Some(v) if v == *c => continue,
                 Some(_) => return PremiseStatus::Falsified,
-                None => waiting.push(k1),
+                None => k1,
             },
             Operand::Attr(var2, attr2) => {
                 let k2: AttrKey = (m[var2.index()], *attr2);
@@ -60,42 +60,36 @@ pub fn eval_premise(
                     // the attribute is forced to exist. A latent class
                     // (created only by watcher registration) does not
                     // count — the population may omit it.
-                    if !eq.is_materialized(k1) {
-                        waiting.push(k1);
+                    if eq.is_materialized(k1) {
+                        continue;
                     }
+                    k1
+                } else if eq.same_class(k1, k2) {
                     continue;
-                }
-                if eq.same_class(k1, k2) {
-                    continue;
-                }
-                match (eq.const_of(k1), eq.const_of(k2)) {
-                    (Some(a), Some(b)) if a == b => {}
-                    (Some(_), Some(_)) => return PremiseStatus::Falsified,
-                    _ => {
-                        waiting.push(k1);
-                        waiting.push(k2);
+                } else {
+                    match (eq.const_of(k1), eq.const_of(k2)) {
+                        (Some(a), Some(b)) if a == b => continue,
+                        (Some(_), Some(_)) => return PremiseStatus::Falsified,
+                        (Some(_), None) => k2,
+                        (None, _) => k1,
                     }
                 }
             }
-        }
+        };
+        first.get_or_insert(waits_on);
     }
-    if waiting.is_empty() {
-        PremiseStatus::Satisfied
-    } else {
-        PremiseStatus::Pending
-    }
+    first.map_or(PremiseStatus::Satisfied, PremiseStatus::Pending)
 }
 
 /// A match whose premise was pending when first seen. Its nodes are
-/// `EnforceEngine::matches[offset..offset + arity]`.
+/// `EnforceEngine::matches[offset..offset + arity]`. It has exactly one
+/// watcher until it is resolved, and none after.
 #[derive(Clone, Copy, Debug)]
 struct PendingEntry {
     rule: GfdId,
     offset: u32,
     arity: u32,
     resolved: bool,
-    /// Bumped on each (re-)registration; stale watcher copies are skipped.
-    epoch: u32,
 }
 
 impl PendingEntry {
@@ -125,8 +119,6 @@ pub struct EnforceEngine {
     pending: Vec<PendingEntry>,
     /// The pending matches' nodes.
     matches: Vec<NodeId>,
-    /// [`eval_premise`]'s scratch: the keys the last pending premise waits on.
-    waiting: Vec<AttrKey>,
     /// The ops enforced since the driver last appended them to its `ΔEq`
     /// log.
     pub(crate) delta: Vec<EqOp>,
@@ -160,21 +152,21 @@ impl EnforceEngine {
         m: &[NodeId],
     ) -> Result<(), Conflict> {
         let gfd = &sigma[id];
-        match eval_premise(&self.eq, &gfd.premise, m, &mut self.waiting) {
+        match eval_premise(&self.eq, &gfd.premise, m) {
             PremiseStatus::Falsified => Ok(()),
             PremiseStatus::Satisfied => {
                 enforce_consequence(&mut self.eq, &mut self.delta, gfd, id, m)?;
                 self.cascade(sigma)
             }
-            PremiseStatus::Pending => {
-                self.register_pending(id, m);
+            PremiseStatus::Pending(key) => {
+                self.register_pending(id, m, key);
                 Ok(())
             }
         }
     }
 
-    /// Copy `m` into the arena and watch the keys in `waiting`.
-    fn register_pending(&mut self, rule: GfdId, m: &[NodeId]) {
+    /// Copy `m` into the arena and watch `key`.
+    fn register_pending(&mut self, rule: GfdId, m: &[NodeId], key: AttrKey) {
         self.stats.pending_registered += 1;
         let id = self.pending.len() as u32;
         let offset = u32::try_from(self.matches.len()).expect("pending arena overflow");
@@ -184,39 +176,30 @@ impl EnforceEngine {
             offset,
             arity: m.len() as u32,
             resolved: false,
-            epoch: 0,
         });
-        for &key in &self.waiting {
-            self.eq.add_watcher(key, (id, 0));
-        }
+        self.eq.add_watcher(key, id);
     }
 
     /// Recheck woken pending matches until the wake queue drains (the
     /// fixpoint cascade driven by the inverted index). A match is read in
     /// place: enforcement writes the relation, the log and the queue,
-    /// never the pending arena.
+    /// never the pending arena. A woken watcher was its entry's only one,
+    /// so the entry is unresolved, and one that stays pending is watched
+    /// again on the key its premise now waits on.
     pub fn cascade(&mut self, sigma: &DepSet) -> Result<(), Conflict> {
-        while let Some((id, epoch)) = self.eq.pop_woken() {
+        while let Some(id) = self.eq.pop_woken() {
             let entry = self.pending[id as usize];
-            if entry.resolved || entry.epoch != epoch {
-                continue;
-            }
+            debug_assert!(!entry.resolved, "a resolved match has no watcher");
             self.stats.rechecks += 1;
             let gfd = &sigma[entry.rule];
             let m = entry.m(&self.matches);
-            match eval_premise(&self.eq, &gfd.premise, m, &mut self.waiting) {
+            match eval_premise(&self.eq, &gfd.premise, m) {
                 PremiseStatus::Falsified => self.pending[id as usize].resolved = true,
                 PremiseStatus::Satisfied => {
                     self.pending[id as usize].resolved = true;
                     enforce_consequence(&mut self.eq, &mut self.delta, gfd, entry.rule, m)?;
                 }
-                PremiseStatus::Pending => {
-                    let epoch = entry.epoch + 1;
-                    self.pending[id as usize].epoch = epoch;
-                    for &key in &self.waiting {
-                        self.eq.add_watcher(key, (id, epoch));
-                    }
-                }
+                PremiseStatus::Pending(key) => self.eq.add_watcher(key, id),
             }
         }
         Ok(())
@@ -581,6 +564,44 @@ mod tests {
             e.delta,
             vec![EqOp::Bind((NodeId::new(0), b), ValueId::of(1i64))]
         );
+    }
+
+    #[test]
+    fn a_pending_match_watches_one_key() {
+        // g0: x.a = 1 ∧ x.b = 2 ∧ x.c = x.d → x.e = 1 waits on three
+        // literals; g1: ∅ → x.a = 1 satisfies the first.
+        let mut vocab = Vocab::new();
+        let [a, b, c, d, e] = ["a", "b", "c", "d", "e"].map(|n| vocab.attr(n));
+        let x = VarId::new(0);
+        let premise = vec![
+            Literal::eq_const(x, a, 1i64),
+            Literal::eq_const(x, b, 2i64),
+            Literal::eq_attr(x, c, x, d),
+        ];
+        let sigma = DepSet::from_vec(vec![
+            unary_gfd(
+                &mut vocab,
+                "g0",
+                premise,
+                vec![Literal::eq_const(x, e, 1i64)],
+            ),
+            unary_gfd(
+                &mut vocab,
+                "g1",
+                vec![],
+                vec![Literal::eq_const(x, a, 1i64)],
+            ),
+        ]);
+        let mut eng = EnforceEngine::new();
+        eng.process_match(&sigma, GfdId::new(0), &m0()).unwrap();
+        assert_eq!((eng.eq.key_count(), eng.eq.watcher_count()), (1, 1));
+        assert!(eng.eq.has_class((NodeId::new(0), a)));
+        // The recheck moves the one watcher to the next literal's key.
+        eng.process_match(&sigma, GfdId::new(1), &m0()).unwrap();
+        assert_eq!(eng.stats.rechecks, 1);
+        assert_eq!((eng.eq.key_count(), eng.eq.watcher_count()), (2, 1));
+        assert!(eng.eq.has_class((NodeId::new(0), b)));
+        assert_eq!(eng.pending_count(), 1);
     }
 
     /// `g0: x.a = y.b → x.c = 1` over a two-node pattern, with the

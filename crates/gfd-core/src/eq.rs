@@ -11,9 +11,9 @@
 //! * per-class constant bindings (merging classes with distinct constants
 //!   raises [`Conflict`]);
 //! * per-class *watchers* — registrations of pending matches (the paper's
-//!   inverted index) that must be rechecked when the class gains a constant
-//!   or is merged — and the queue of woken ones, as linked lists threaded
-//!   through one arena;
+//!   inverted index), one per match on the one key it waits on, that must
+//!   be rechecked when the class gains a constant or is merged — and the
+//!   queue of woken ones, as linked lists threaded through one arena;
 //! * monotone *ops* ([`EqOp`]) replayable on another copy, in any order —
 //!   what the parallel workers share as `ΔEq`;
 //! * a key index with no hash map: each node heads a chain of its keys'
@@ -33,9 +33,9 @@ pub enum EqOp {
     Merge(AttrKey, AttrKey),
 }
 
-/// A watcher registration: pending-entry id plus the registration epoch
-/// (stale duplicates are skipped on wake).
-pub type Watcher = (u32, u32);
+/// A watcher registration: the id of a pending match. A match has at most
+/// one live watcher, so a woken one is never stale.
+pub type Watcher = u32;
 
 /// A list of watchers in the watcher arena, oldest first, as the indices
 /// of its first and last node (`0`, the arena's sentinel, for none).
@@ -325,7 +325,7 @@ impl EqRel {
         let node = match self.free {
             0 => {
                 if self.arena.is_empty() {
-                    self.arena.push(((0, 0), 0));
+                    self.arena.push((0, 0));
                 }
                 self.arena.push((watcher, 0));
                 u32::try_from(self.arena.len() - 1).expect("watcher arena overflow")
@@ -348,8 +348,7 @@ impl EqRel {
         if node == 0 {
             return None;
         }
-        let (watcher, next) =
-            std::mem::replace(&mut self.arena[node as usize], ((0, 0), self.free));
+        let (watcher, next) = std::mem::replace(&mut self.arena[node as usize], (0, self.free));
         self.woken.head = next;
         self.free = node;
         Some(watcher)
@@ -397,6 +396,17 @@ pub(crate) mod tests {
     /// Pop every woken watcher.
     fn drain(eq: &mut EqRel) -> Vec<Watcher> {
         std::iter::from_fn(|| eq.pop_woken()).collect()
+    }
+
+    impl EqRel {
+        /// The live watchers, in class lists or the wake queue: the arena's
+        /// nodes less the sentinel and the free list.
+        pub(crate) fn watcher_count(&self) -> usize {
+            let free = std::iter::successors(Some(self.free), |&n| Some(self.arena[n as usize].1))
+                .take_while(|&n| n != 0)
+                .count();
+            self.arena.len().saturating_sub(1) - free
+        }
     }
 
     /// The relation's classes as `(bound constant, member keys)`, keeping
@@ -488,17 +498,17 @@ pub(crate) mod tests {
     #[test]
     fn watchers_wake_on_bind_and_merge() {
         let mut eq = EqRel::new();
-        eq.add_watcher(k(0, 0), (10, 0));
-        eq.add_watcher(k(1, 0), (11, 0));
+        eq.add_watcher(k(0, 0), 10);
+        eq.add_watcher(k(1, 0), 11);
         // Bind wakes the watcher of that class only.
         eq.bind(k(0, 0), ValueId::of(1)).unwrap();
-        assert_eq!(drain(&mut eq), vec![(10, 0)]);
+        assert_eq!(drain(&mut eq), vec![10]);
         // Merge wakes the watchers of both classes (drained).
-        eq.add_watcher(k(0, 0), (12, 0));
+        eq.add_watcher(k(0, 0), 12);
         eq.merge(k(0, 0), k(1, 0)).unwrap();
         let mut woken = drain(&mut eq);
         woken.sort();
-        assert_eq!(woken, vec![(11, 0), (12, 0)]);
+        assert_eq!(woken, vec![11, 12]);
         // Drained: binding again wakes nothing.
         eq.merge(k(0, 0), k(1, 0)).unwrap();
         assert!(drain(&mut eq).is_empty());
@@ -507,14 +517,14 @@ pub(crate) mod tests {
     #[test]
     fn watchers_follow_merges() {
         let mut eq = EqRel::new();
-        eq.add_watcher(k(0, 0), (1, 0));
+        eq.add_watcher(k(0, 0), 1);
         eq.merge(k(0, 0), k(1, 0)).unwrap();
-        assert_eq!(drain(&mut eq), vec![(1, 0)]);
+        assert_eq!(drain(&mut eq), vec![1]);
         // Watcher was woken by the merge; re-register and bind through the
         // *other* key of the class.
-        eq.add_watcher(k(0, 0), (1, 1));
+        eq.add_watcher(k(0, 0), 2);
         eq.bind(k(1, 0), ValueId::of(3)).unwrap();
-        assert_eq!(drain(&mut eq), vec![(1, 1)]);
+        assert_eq!(drain(&mut eq), vec![2]);
     }
 
     #[test]
@@ -549,7 +559,7 @@ pub(crate) mod tests {
         eq.bind(k(2, 0), ValueId::of(1)).unwrap();
         eq.merge(k(0, 0), k(1, 0)).unwrap();
         // A watcher-only key stays latent and is not enumerated.
-        eq.add_watcher(k(0, 1), (0, 0));
+        eq.add_watcher(k(0, 1), 0);
         let classes = materialized_classes(&mut eq);
         assert_eq!(classes.len(), 2);
         assert_eq!(classes[0], (None, vec![k(0, 0), k(1, 0)]));
@@ -686,7 +696,7 @@ pub(crate) mod tests {
                     Step::Ensure(n, a) => {
                         eq.ensure(k(n, a));
                     }
-                    Step::Watch(n, a) => eq.add_watcher(k(n, a), (i as u32, 0)),
+                    Step::Watch(n, a) => eq.add_watcher(k(n, a), i as u32),
                     Step::Bind(n, a, v) => {
                         let _ = eq.bind(k(n, a), ValueId::of(v));
                     }
@@ -734,7 +744,7 @@ pub(crate) mod tests {
                         vec![at(n, a)]
                     }
                     Step::Watch(n, a) => {
-                        eq.add_watcher(at(n, a), (i as u32, 0));
+                        eq.add_watcher(at(n, a), i as u32);
                         vec![at(n, a)]
                     }
                     Step::Bind(n, a, v) => {
@@ -779,7 +789,7 @@ pub(crate) mod tests {
                     Step::Ensure(n, a) => {
                         eq.ensure(k(n, a));
                     }
-                    Step::Watch(n, a) => eq.add_watcher(k(n, a), (i as u32, 0)),
+                    Step::Watch(n, a) => eq.add_watcher(k(n, a), i as u32),
                     Step::Bind(n, a, v) => {
                         let _ = eq.bind(k(n, a), ValueId::of(v));
                     }
@@ -821,9 +831,9 @@ pub(crate) mod tests {
                         eq.ensure(k(n, a));
                     }
                     Step::Watch(n, a) => {
-                        eq.add_watcher(k(n, a), (i as u32, 0));
+                        eq.add_watcher(k(n, a), i as u32);
                         lists.resize(eq.key_count(), Vec::new());
-                        lists[eq.root_of(k(n, a)).unwrap() as usize].push((i as u32, 0));
+                        lists[eq.root_of(k(n, a)).unwrap() as usize].push(i as u32);
                     }
                     Step::Bind(n, a, v) => {
                         let (root, was) = (eq.root_of(k(n, a)), eq.const_of(k(n, a)));

@@ -9,8 +9,8 @@
 
 use gfd::core::model::is_fresh_id;
 use gfd::core::{
-    imp_with_config, sat_with_config, DepSet, Dependency, ImpOutcome, Literal, ReasonConfig,
-    SatOutcome,
+    imp_with_config, run_reason, sat_with_config, CanonicalGraph, DepSet, Dependency, EqRel, Goal,
+    ImpOutcome, Literal, ReasonConfig, SatOutcome,
 };
 use gfd::gen::{real_life_workload, Dataset, Workload};
 use gfd::graph::{AttrId, Graph, LabelId, NodeId, Pattern, ValueId, VarId};
@@ -100,6 +100,19 @@ fn the_one_worker_run_is_pinned_on_dbpedia_1000() {
             "seed {seed}: (matches, pending, rechecks, digest)"
         );
     }
+}
+
+/// The relation a one-worker run ends with: the keys enforcement
+/// materialized, plus the one key each pending match watches when it is
+/// latent. Watching every key a pending premise waits on read 13 539.
+#[test]
+fn the_one_worker_relation_size_is_pinned_on_dbpedia_1000() {
+    let w = real_life_workload(Dataset::DBpedia, 1000, 42, None);
+    let (canon, _) = CanonicalGraph::for_sigma(&w.sigma);
+    let cfg = ReasonConfig::with_workers(1);
+    let run = run_reason(&w.sigma, Goal::Sat, EqRel::new(), &canon, &cfg);
+    let eq = run.engine.expect("DBpedia-1000 is satisfiable").eq;
+    assert_eq!(eq.key_count(), 6524);
 }
 
 /// The Imp probes generated with the same Σ keep one definite verdict,
