@@ -530,8 +530,7 @@ fn catch_up(sigma: &DepSet, log: &DeltaLog, workers: &mut [ReasonWorker]) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eq::tests::materialized_classes;
-    use crate::error::AttrKey;
+    use crate::eq::tests::relation;
     use crate::literal::Literal;
     use gfd_graph::{AttrId, ValueId, VarId, Vocab};
     use proptest::prelude::*;
@@ -573,15 +572,6 @@ mod tests {
         fn attr(&mut self, name: &str) -> AttrId {
             self.vocab.attr(name)
         }
-    }
-
-    /// The relation's materialized classes with their members sorted: what
-    /// two relations holding the same ops share, whatever order the ops
-    /// arrived in (slot order follows that history).
-    fn relation(eq: &mut EqRel) -> Vec<(Option<ValueId>, Vec<AttrKey>)> {
-        let mut classes = materialized_classes(eq);
-        classes.iter_mut().for_each(|(_, members)| members.sort());
-        classes
     }
 
     /// Worker `id` after it processed `matches` in order, having heard

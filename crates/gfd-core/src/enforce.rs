@@ -243,6 +243,7 @@ fn enforce_consequence(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eq::tests::relation;
     use crate::literal::Literal;
     use gfd_graph::{AttrId, NodeId, Pattern, ValueId, VarId, Vocab};
     use proptest::prelude::*;
@@ -777,15 +778,6 @@ mod tests {
         }
     }
 
-    /// The materialized classes with members sorted: what two relations
-    /// holding the same deductions share, whatever order built them.
-    fn classes(eq: &mut EqRel) -> Vec<(Option<ValueId>, Vec<AttrKey>)> {
-        let mut classes = crate::eq::tests::materialized_classes(eq);
-        classes.iter_mut().for_each(|(_, members)| members.sort());
-        classes.sort();
-        classes
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
@@ -844,7 +836,7 @@ mod tests {
             });
             match (run, naive_fixpoint(&sigma, &matches, &remote)) {
                 (Ok(()), Ok(mut expect)) => {
-                    prop_assert_eq!(classes(&mut engine.eq), classes(&mut expect));
+                    prop_assert_eq!(relation(&mut engine.eq), relation(&mut expect));
                 }
                 (Err(_), Err(_)) => {}
                 (run, expect) => prop_assert!(

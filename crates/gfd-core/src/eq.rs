@@ -427,6 +427,15 @@ pub(crate) mod tests {
         classes
     }
 
+    /// The relation's materialized classes with their members sorted: what
+    /// two relations holding the same ops share, whatever order the ops
+    /// arrived in (slot order follows that history).
+    pub(crate) fn relation(eq: &mut EqRel) -> Vec<(Option<ValueId>, Vec<AttrKey>)> {
+        let mut classes = materialized_classes(eq);
+        classes.iter_mut().for_each(|(_, members)| members.sort());
+        classes
+    }
+
     #[test]
     fn ensure_is_idempotent() {
         let mut eq = EqRel::new();
