@@ -239,17 +239,22 @@ fn bench_trace_overhead(_c: &mut Criterion) {
     use gfd_runtime::{EventKind, TraceBuf, TraceSpec};
     use std::time::{Duration, Instant};
 
-    // Half 1: the no-op event site, measured directly.
+    // Half 1: the no-op event site, measured directly. Host load only
+    // adds time, so the best of five passes is the site's own cost.
     const SITES: u32 = 4_000_000;
     let mut buf = TraceBuf::new(black_box(TraceSpec::disabled()), 0);
-    let start = Instant::now();
-    for i in 0..SITES {
-        let span = buf.start();
-        buf.span(EventKind::RuleEval, i, span, 1, 0);
+    let mut best = Duration::MAX;
+    for _ in 0..5 {
+        let start = Instant::now();
+        for i in 0..SITES {
+            let span = buf.start();
+            buf.span(EventKind::RuleEval, i, span, 1, 0);
+        }
+        black_box(&mut buf);
+        best = best.min(start.elapsed());
     }
-    black_box(&mut buf);
-    let per_site = start.elapsed().as_nanos() as f64 / f64::from(SITES);
-    println!("trace_disabled_event_site: {per_site:.2} ns/site ({SITES} sites)");
+    let per_site = best.as_nanos() as f64 / f64::from(SITES);
+    println!("trace_disabled_event_site: {per_site:.2} ns/site (best of 5 × {SITES} sites)");
     guard!(
         per_site < 5.0,
         "disabled event site must stay branch-cheap, got {per_site:.2} ns"

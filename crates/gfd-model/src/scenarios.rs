@@ -19,6 +19,90 @@ use std::sync::{Arc, Mutex};
 type MUsize = <ModelAtomics as Atomics>::Usize;
 type MBool = <ModelAtomics as Atomics>::Bool;
 
+/// The shared state of a split scenario: the quiescence counter, a
+/// counter standing in for the queues, and the tallies the exit licence
+/// reads.
+#[derive(Clone)]
+struct Units {
+    q: Arc<Quiesce<ModelAtomics>>,
+    queue: Arc<MUsize>,
+    executed: Arc<MUsize>,
+    created: Arc<MUsize>,
+    split_claim: Arc<MUsize>,
+}
+
+impl Units {
+    /// One seed unit, queued and counted.
+    fn seeded() -> Self {
+        Units {
+            q: Arc::new(Quiesce::new(1)),
+            queue: Arc::new(MUsize::new(1)),
+            executed: Arc::new(MUsize::new(0)),
+            created: Arc::new(MUsize::new(1)),
+            split_claim: Arc::new(MUsize::new(0)),
+        }
+    }
+
+    /// Take one queued unit, if any.
+    fn claim(&self) -> bool {
+        let n = self.queue.load(SeqCst);
+        n > 0
+            && self
+                .queue
+                .compare_exchange(n, n - 1, SeqCst, SeqCst)
+                .is_ok()
+    }
+
+    /// Publish two children of the running unit through [`Quiesce::split`].
+    fn split_two(&self) {
+        self.q.split(2, || {
+            self.queue.fetch_add(2, SeqCst);
+            self.created.fetch_add(2, SeqCst);
+        });
+    }
+
+    fn complete(&self) {
+        self.executed.fetch_add(1, SeqCst);
+        self.q.complete_one();
+    }
+
+    /// A worker's loop, at most six rounds: claim and run units, the
+    /// first claimed anywhere splitting in two. A worker that observes
+    /// `quiescent()` asserts the exit licence — zero in-flight must mean
+    /// no queued work and every created unit executed — and exits.
+    fn drain(&self) {
+        for _ in 0..6 {
+            if self.q.quiescent() {
+                let queued = self.queue.load(SeqCst);
+                let done = self.executed.load(SeqCst);
+                let total = self.created.load(SeqCst);
+                assert!(
+                    queued == 0 && done == total,
+                    "early exit: queued={queued} executed={done} created={total}"
+                );
+                break;
+            }
+            if self.claim() {
+                if self
+                    .split_claim
+                    .compare_exchange(0, 1, SeqCst, SeqCst)
+                    .is_ok()
+                {
+                    self.split_two();
+                }
+                self.complete();
+            }
+        }
+    }
+
+    /// After every worker joined: `n` units ran, none is left.
+    fn assert_drained(&self, n: usize) {
+        assert_eq!(self.executed.load(SeqCst), n);
+        assert_eq!(self.queue.load(SeqCst), 0);
+        assert!(self.q.quiescent());
+    }
+}
+
 /// The quiescence split protocol: two workers drain a shared counter
 /// "queue" seeded with one unit; whichever worker executes the seed
 /// splits two child units into the queue through [`Quiesce::split`].
@@ -28,53 +112,39 @@ type MBool = <ModelAtomics as Atomics>::Bool;
 /// sound; `Weaken::QuiesceSplitPublish` flips it and an early-exit
 /// schedule fires the assertion.
 pub fn quiesce_split_protocol(env: &Env) {
-    let q = Arc::new(Quiesce::<ModelAtomics>::new(1));
-    let queue = Arc::new(MUsize::new(1));
-    let executed = Arc::new(MUsize::new(0));
-    let created = Arc::new(MUsize::new(1));
-    let split_claim = Arc::new(MUsize::new(0));
-    let mut workers = Vec::new();
-    for _ in 0..2 {
-        let q = Arc::clone(&q);
-        let queue = Arc::clone(&queue);
-        let executed = Arc::clone(&executed);
-        let created = Arc::clone(&created);
-        let split_claim = Arc::clone(&split_claim);
-        workers.push(env.spawn(move || {
-            for _ in 0..6 {
-                if q.quiescent() {
-                    // The exit licence: zero in-flight must mean no
-                    // queued work and every created unit executed.
-                    let queued = queue.load(SeqCst);
-                    let done = executed.load(SeqCst);
-                    let total = created.load(SeqCst);
-                    assert!(
-                        queued == 0 && done == total,
-                        "early exit: queued={queued} executed={done} created={total}"
-                    );
-                    break;
-                }
-                let n = queue.load(SeqCst);
-                if n > 0 && queue.compare_exchange(n, n - 1, SeqCst, SeqCst).is_ok() {
-                    if split_claim.compare_exchange(0, 1, SeqCst, SeqCst).is_ok() {
-                        // The seed unit splits into two children.
-                        q.split(2, || {
-                            queue.fetch_add(2, SeqCst);
-                            created.fetch_add(2, SeqCst);
-                        });
-                    }
-                    executed.fetch_add(1, SeqCst);
-                    q.complete_one();
-                }
-            }
-        }));
-    }
+    let units = Units::seeded();
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let units = units.clone();
+            env.spawn(move || units.drain())
+        })
+        .collect();
     for w in workers {
         w.join();
     }
-    assert_eq!(executed.load(SeqCst), 3);
-    assert_eq!(queue.load(SeqCst), 0);
-    assert!(q.quiescent());
+    units.assert_drained(3);
+}
+
+/// Workers on demand (DESIGN.md §7): worker 0 is the scenario's root,
+/// the calling thread. Alone, it runs the seed unit, which splits two
+/// children, and only then spawns its helper. Both drain the queue, and
+/// the first child run splits two more. Every worker that observes
+/// `quiescent()` asserts the exit licence, so the spawn must carry the
+/// counts of the split made alone, and the split made after it must
+/// publish count-first. `Weaken::QuiesceSplitPublish` flips that order
+/// and an early-exit schedule fires the assertion.
+pub fn late_helper_quiescence(env: &Env) {
+    let units = Units::seeded();
+    assert!(units.claim());
+    units.split_two();
+    units.complete();
+    let helper = {
+        let units = units.clone();
+        env.spawn(move || units.drain())
+    };
+    units.drain();
+    helper.join();
+    units.assert_drained(5);
 }
 
 /// The cancellation handshake done right: the canceller writes its

@@ -1,6 +1,7 @@
 //! Model-checking the scheduler's quiescence and cancellation
 //! protocols (DESIGN.md §14.5): the count-first split order explores
-//! clean, the flipped order is caught as an early-exit assertion, and
+//! clean, also when worker 0 splits alone before it starts its helper,
+//! the flipped order is caught as an early-exit assertion, and
 //! the stop-flag handshake demonstrates both the sound (join-edge) and
 //! unsound (relaxed-poll read) verdict paths.
 
@@ -40,6 +41,31 @@ fn flipped_split_order_exits_early_and_replays() {
 }
 
 #[test]
+fn late_helper_quiescence_explores_clean() {
+    let report = explore(Config::exhaustive(2), scenarios::late_helper_quiescence);
+    assert!(report.complete, "exploration did not drain the space");
+    assert!(
+        report.explored > 100,
+        "suspiciously small space: {} schedules",
+        report.explored
+    );
+    report.assert_clean();
+}
+
+#[test]
+fn late_helper_with_flipped_split_order_exits_early() {
+    let report = explore(
+        Config::exhaustive(2).weaken(Weaken::QuiesceSplitPublish),
+        scenarios::late_helper_quiescence,
+    );
+    let failure = report
+        .failure
+        .expect("a split published before it is counted must be caught after the helper starts");
+    assert_eq!(failure.kind, FailureKind::Assertion, "{failure}");
+    assert!(failure.message.contains("early exit"), "{failure}");
+}
+
+#[test]
 fn stop_flag_handshake_explores_clean() {
     let report = explore(Config::exhaustive(2), scenarios::stop_flag_handshake);
     assert!(report.complete);
@@ -76,6 +102,18 @@ fn deep_quiesce_split_protocol_explores_clean() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(3);
     let report = explore(Config::exhaustive(bound), scenarios::quiesce_split_protocol);
+    assert!(report.complete);
+    report.assert_clean();
+}
+
+#[test]
+#[ignore = "deep exploration; run via `cargo test -p gfd-model -- --ignored`"]
+fn deep_late_helper_quiescence_explores_clean() {
+    let bound = std::env::var("GFD_MODEL_BOUND")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(3);
+    let report = explore(Config::exhaustive(bound), scenarios::late_helper_quiescence);
     assert!(report.complete);
     report.assert_clean();
 }

@@ -60,6 +60,7 @@ fn corpus_relaxed_poll_verdict_race() {
 fn corpus_default_schedules_stay_clean() {
     for scenario in [
         scenarios::quiesce_split_protocol,
+        scenarios::late_helper_quiescence,
         scenarios::stop_flag_handshake,
     ] {
         if let Some(failure) = replay("", None, scenario) {

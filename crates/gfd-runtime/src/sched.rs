@@ -19,6 +19,12 @@
 //!   (or the shared stop flag is raised). Because a split happens *while
 //!   its parent unit is still counted*, the counter can only reach zero
 //!   when every unit, split or not, has been fully executed.
+//! * Worker 0 is the calling thread, and it starts alone. Until
+//!   `HELPER_GRACE` has passed it runs the one-worker order: its own
+//!   split children first, else the next seed queue's back in turn. At
+//!   its first unit boundary or split past the grace, with work still
+//!   queued, it spawns the other `p − 1` workers, which then steal as
+//!   above. A run that reaches quiescence first spawns no thread.
 //!
 //! # Fault tolerance (DESIGN.md §11)
 //!
@@ -43,11 +49,18 @@ use crate::quiesce::Quiesce;
 use gfd_trace::{EventKind, SpanStart, Trace, TraceBuf, TraceSpec};
 use parking_lot::Mutex;
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+/// How long worker 0 of a `p > 1` run works alone before it starts its
+/// helpers (DESIGN.md §7). A scoped spawn + join costs ≈ 17–25 µs for one
+/// thread and ≈ 80 µs for three on the 2-core reference host (medians of
+/// 2 000), so a run shorter than this pays none of it and a longer one
+/// loses at most the grace's worth of parallel time.
+const HELPER_GRACE: Duration = Duration::from_micros(100);
 
 /// How units travel from the queues to the workers: one topology, so one
 /// variant. The type (and [`run_scheduler_with`], which takes one) stays
@@ -230,21 +243,6 @@ struct Shared<'s, U> {
 }
 
 impl<U> Shared<'_, U> {
-    /// Next unit for worker `id`: own back (highest priority first),
-    /// else steal half of a victim's queue. A unit that arrived via a
-    /// steal is reported with the claim count and victim id so the
-    /// worker loop can trace it — the steal logic itself is identical
-    /// with tracing on or off (the non-interference contract of
-    /// DESIGN.md §13).
-    fn pop(&self, id: usize) -> Option<(Envelope<U>, Option<StolenFrom>)> {
-        failpoint::maybe_panic("sched/dispatch");
-        let own = self.queues[id].lock().pop_back();
-        match own {
-            Some(u) => Some((u, None)),
-            None => self.steal(id),
-        }
-    }
-
     fn steal(&self, thief: usize) -> Option<(Envelope<U>, Option<StolenFrom>)> {
         failpoint::maybe_panic("sched/steal");
         let p = self.queues.len();
@@ -310,6 +308,19 @@ fn payload_str(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
+/// Worker 0 of a `p > 1` run while its helpers have not started.
+#[derive(Clone, Copy)]
+struct Solo<'h> {
+    /// Spawns workers `1..p`; called at most once.
+    start_helpers: &'h dyn Fn(),
+    since: Instant,
+    /// The seed queue whose back holds the next seed unit.
+    cursor: usize,
+    /// Units this worker pushed onto its own back (split children,
+    /// retried clones) that pop before the cursor moves on.
+    stacked: usize,
+}
+
 /// The scheduler handle a [`Task`] uses from inside `run_unit`/`on_idle`.
 pub struct WorkerCtx<'s, U> {
     shared: &'s Shared<'s, U>,
@@ -318,9 +329,63 @@ pub struct WorkerCtx<'s, U> {
     /// shared by reference between the worker loop and the task's
     /// `run_unit`, but only ever touched from the owning worker's thread.
     trace: RefCell<TraceBuf>,
+    /// `Some` while this worker is worker 0 of a `p > 1` run and alone.
+    solo: Cell<Option<Solo<'s>>>,
 }
 
 impl<U> WorkerCtx<'_, U> {
+    /// Next unit for this worker. Alone, worker 0 takes the one-worker
+    /// order: its stacked units first, else the next seed queue's back in
+    /// turn. Otherwise its own back (highest priority first), else half of
+    /// a victim's queue. A unit that arrived via a steal is reported with
+    /// the claim count and victim id so the worker loop can trace it — the
+    /// steal logic itself is identical with tracing on or off (the
+    /// non-interference contract of DESIGN.md §13).
+    fn pop(&self) -> Option<(Envelope<U>, Option<StolenFrom>)> {
+        failpoint::maybe_panic("sched/dispatch");
+        let queues = &self.shared.queues;
+        let Some(mut solo) = self.solo.get() else {
+            let own = queues[self.worker].lock().pop_back();
+            return match own {
+                Some(u) => Some((u, None)),
+                None => self.shared.steal(self.worker),
+            };
+        };
+        let unit = if solo.stacked > 0 {
+            solo.stacked -= 1;
+            queues[0].lock().pop_back()
+        } else {
+            (0..queues.len()).find_map(|_| {
+                let next = solo.cursor;
+                solo.cursor = (next + 1) % queues.len();
+                queues[next].lock().pop_back()
+            })
+        };
+        self.solo.set(Some(solo));
+        unit.map(|u| (u, None))
+    }
+
+    /// Push `units` onto this worker's own back, the last one on top.
+    /// Alone, worker 0 counts them, so they pop before its seed cursor
+    /// moves on, as at one worker.
+    fn push_own(&self, units: impl ExactSizeIterator<Item = Envelope<U>>) {
+        if let Some(mut solo) = self.solo.get() {
+            solo.stacked += units.len();
+            self.solo.set(Some(solo));
+        }
+        self.shared.queues[self.worker].lock().extend(units);
+    }
+
+    /// Start the helpers if this is worker 0, alone, past the grace.
+    fn start_helpers_after_grace(&self) {
+        if let Some(solo) = self.solo.get() {
+            if solo.since.elapsed() >= HELPER_GRACE {
+                self.solo.set(None);
+                (solo.start_helpers)();
+            }
+        }
+    }
+
     /// Open a span (reads the clock only when tracing is enabled).
     pub fn trace_start(&self) -> SpanStart {
         self.trace.borrow().start()
@@ -354,9 +419,11 @@ impl<U> WorkerCtx<'_, U> {
         self.shared.quiesce.split(units.len(), || {
             // Pushed in reverse: the first split unit lands at the back,
             // so this worker pops it next.
-            let mut q = self.shared.queues[self.worker].lock();
-            q.extend(units.into_iter().rev().map(|u| (u, 0)));
+            self.push_own(units.into_iter().rev().map(|u| (u, 0)));
         });
+        // The children are queued work: a long unit past the grace
+        // starts the helpers here rather than at its end.
+        self.start_helpers_after_grace();
     }
 }
 
@@ -395,14 +462,20 @@ pub struct SchedRun<W> {
 /// panicked outside a unit envelope.
 type WorkerState<T> = Option<(<T as Task>::Worker, Duration, Duration, TraceBuf)>;
 
-fn worker_loop<T: Task>(task: &T, shared: &Shared<'_, T::Unit>, id: usize) -> WorkerState<T> {
-    let mut worker = match catch_unwind(AssertUnwindSafe(|| task.worker(id))) {
-        Ok(w) => w,
-        Err(payload) => {
-            shared.abort(id, "<worker-init>".to_string(), payload);
-            return None;
-        }
-    };
+/// Worker `id`'s task state; a panic in [`Task::worker`] aborts the run.
+fn init_worker<T: Task>(task: &T, shared: &Shared<'_, T::Unit>, id: usize) -> Option<T::Worker> {
+    catch_unwind(AssertUnwindSafe(|| task.worker(id)))
+        .map_err(|payload| shared.abort(id, "<worker-init>".to_string(), payload))
+        .ok()
+}
+
+fn worker_loop<T: Task>(
+    task: &T,
+    shared: &Shared<'_, T::Unit>,
+    id: usize,
+    solo: Option<Solo<'_>>,
+) -> WorkerState<T> {
+    let mut worker = init_worker(task, shared, id)?;
     // Busy time is booked per *stretch* — from the first unit popped after
     // start or an idle wait to the next wait or the loop's exit — so a run
     // of microsecond units pays two CPU-clock reads a stretch, not a unit.
@@ -414,6 +487,7 @@ fn worker_loop<T: Task>(task: &T, shared: &Shared<'_, T::Unit>, id: usize) -> Wo
         shared,
         worker: id,
         trace: RefCell::new(TraceBuf::new(shared.opts.trace, id as u32)),
+        solo: Cell::new(solo),
     };
     loop {
         if Quiesce::<StdAtomics>::stop_requested(shared.stop) {
@@ -443,7 +517,12 @@ fn worker_loop<T: Task>(task: &T, shared: &Shared<'_, T::Unit>, id: usize) -> Wo
                 break;
             }
         }
-        let popped = match catch_unwind(AssertUnwindSafe(|| shared.pop(id))) {
+        // Alone between units nothing runs, so a run that is not
+        // quiescent has work queued.
+        if ctx.solo.get().is_some() && !shared.quiesce.quiescent() {
+            ctx.start_helpers_after_grace();
+        }
+        let popped = match catch_unwind(AssertUnwindSafe(|| ctx.pop())) {
             Ok(p) => p,
             Err(payload) => {
                 // A panic while acquiring a unit (e.g. an armed steal
@@ -486,7 +565,7 @@ fn worker_loop<T: Task>(task: &T, shared: &Shared<'_, T::Unit>, id: usize) -> Wo
                         // attempt count bumped.
                         shared.units_retried.fetch_add(1, Ordering::Relaxed);
                         ctx.trace_instant(EventKind::PanicRetry, 0, attempt as u64, 0);
-                        shared.queues[id].lock().push_back((clone, attempt + 1));
+                        ctx.push_own(std::iter::once((clone, attempt + 1)));
                     } else {
                         shared.quiesce.complete_one();
                         shared.abort(id, label, payload);
@@ -545,9 +624,17 @@ pub fn run_scheduler_with<T: Task>(
 /// given order, so seeding in priority order has every queue pop its
 /// highest-priority unit first.
 ///
-/// With `workers == 1` the single worker runs inline on the calling
-/// thread — the sequential algorithms are exactly this instantiation and
-/// pay no thread-spawn cost.
+/// Worker 0 runs inline on the calling thread. With `workers == 1` it is
+/// the only worker — the sequential algorithms are exactly this
+/// instantiation. With more, it runs alone in the one-worker order until
+/// the run has lasted `HELPER_GRACE` and still has work queued, and only
+/// then spawns the other workers; a shorter run pays no thread-spawn cost.
+/// [`SchedRun`] has `workers` entries either way: a helper that never
+/// started gets its [`Task::worker`] state built on the calling thread
+/// after the run, with zero busy and idle time.
+///
+/// Task code must not wait for another worker's progress: until the
+/// grace passes there is no other worker.
 ///
 /// Unit panics are isolated: see the module docs and [`RunOutcome`].
 pub fn run_scheduler<T: Task>(
@@ -586,28 +673,48 @@ pub fn run_scheduler<T: Task>(
     };
 
     let mut states: Vec<WorkerState<T>> = if p == 1 {
-        vec![worker_loop(task, &shared, 0)]
+        vec![worker_loop(task, &shared, 0, None)]
     } else {
         std::thread::scope(|scope| {
             let shared = &shared;
-            let handles: Vec<_> = (0..p)
-                .map(|id| scope.spawn(move || worker_loop(task, shared, id)))
-                .collect();
-            // Re-derive ids from spawn order: handles join in id order.
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(id, h)| match h.join() {
-                    Ok(state) => state,
-                    Err(payload) => {
-                        // Should be unreachable — every panic source in
-                        // the loop is wrapped — but a worker thread dying
-                        // must still surface as a structured abort.
-                        shared.abort(id, "<worker>".to_string(), payload);
-                        None
-                    }
-                })
-                .collect()
+            let helpers = RefCell::new(Vec::with_capacity(p - 1));
+            let start_helpers = || {
+                let mut helpers = helpers.borrow_mut();
+                for id in 1..p {
+                    let spawn = std::thread::Builder::new()
+                        .spawn_scoped(scope, move || worker_loop(task, shared, id, None));
+                    // A helper the OS will not start is one that never
+                    // started: worker 0 and the rest still finish the run.
+                    let Ok(handle) = spawn else { break };
+                    helpers.push(handle);
+                }
+            };
+            let solo = Solo {
+                start_helpers: &start_helpers,
+                since: Instant::now(),
+                cursor: 0,
+                stacked: 0,
+            };
+            let mut states = vec![worker_loop(task, shared, 0, Some(solo))];
+            for (id, handle) in (1..).zip(helpers.take()) {
+                states.push(handle.join().unwrap_or_else(|payload| {
+                    // Should be unreachable — every panic source in the
+                    // loop is wrapped — but a worker thread dying must
+                    // still surface as a structured abort.
+                    shared.abort(id, "<worker>".to_string(), payload);
+                    None
+                }));
+            }
+            // Helpers that never started: their state, built here after
+            // the run, did no work.
+            for id in states.len()..p {
+                let untraced = TraceBuf::new(TraceSpec::default(), id as u32);
+                states.push(
+                    init_worker(task, shared, id)
+                        .map(|w| (w, Duration::ZERO, Duration::ZERO, untraced)),
+                );
+            }
+            states
         })
     };
 
@@ -778,7 +885,9 @@ mod tests {
 
     /// Records which worker ran which unit, in order. Unit 1 splits into
     /// 100, 101, 102; unit 0 holds its worker until `hold_for` units from
-    /// `stolen_from` have run on another worker (or 5 s pass).
+    /// `stolen_from` have run on another worker (or 5 s pass). Units from
+    /// `WARM_UP` on sleep for the grace, so a run seeded with one first
+    /// has its helpers running before unit 0 holds.
     struct OrderTask {
         log: Mutex<Vec<(usize, u32)>>,
         stolen_from: fn(u32) -> bool,
@@ -796,6 +905,9 @@ mod tests {
         fn run_unit(&self, worker: &mut usize, unit: u32, ctx: &WorkerCtx<'_, u32>) {
             let id = *worker;
             self.log.lock().push((id, unit));
+            if unit >= WARM_UP {
+                std::thread::sleep(HELPER_GRACE);
+            }
             if unit == 1 {
                 ctx.split(vec![100, 101, 102]);
             }
@@ -814,6 +926,8 @@ mod tests {
             }
         }
     }
+
+    const WARM_UP: u32 = 200;
 
     /// Every test that could lose a unit runs under a deadline, so a
     /// lost unit fails the run instead of hanging it.
@@ -839,20 +953,42 @@ mod tests {
     }
 
     #[test]
+    fn queue_discipline_worker_0_alone_runs_the_one_worker_order() {
+        let task = OrderTask {
+            log: Mutex::new(Vec::new()),
+            stolen_from: |_| false,
+            hold_for: 0,
+        };
+        let stop = AtomicBool::new(false);
+        let run = run_scheduler(&task, vec![0, 1, 2, 3, 4], 4, &stop, guarded());
+        assert_eq!(run.outcome, RunOutcome::Completed);
+        let log = task.log.into_inner();
+        // A run this short ends within the grace on worker 0 alone (a
+        // host that stalls it past the grace has it start helpers, and
+        // then the order is theirs).
+        if log.iter().all(|&(w, _)| w == 0) {
+            let order: Vec<u32> = log.into_iter().map(|(_, u)| u).collect();
+            assert_eq!(order, vec![0, 1, 100, 101, 102, 2, 3, 4]);
+        }
+    }
+
+    #[test]
     fn queue_discipline_thief_takes_the_low_priority_half() {
         // Round-robin over p = 2: worker 0 gets the even units, worker 1
-        // the odd ones. Unit 0 holds worker 0 until worker 1 has run four
-        // even units, so worker 0's queue [2, 4, …, 14] is untouched by
-        // its owner when worker 1, out of odd units, steals from it. The
-        // thief must take the low-priority half {8, 10, 12, 14}, run its
-        // best unit first and the rest in priority order.
+        // the odd ones. Worker 0's warm-up unit outlasts the grace, so
+        // worker 1 is running when unit 0 holds worker 0 until worker 1
+        // has run four even units. So worker 0's queue [2, 4, …, 14] is
+        // untouched by its owner when worker 1, out of odd units, steals
+        // from it. The thief must take the low-priority half {8, 10, 12,
+        // 14}, run its best unit first and the rest in priority order.
         let task = OrderTask {
             log: Mutex::new(Vec::new()),
             stolen_from: |u| u < 16 && u.is_multiple_of(2),
             hold_for: 4,
         };
         let stop = AtomicBool::new(false);
-        let run = run_scheduler(&task, (0..16).collect(), 2, &stop, guarded());
+        let seed = [WARM_UP, WARM_UP + 1].into_iter().chain(0..16).collect();
+        let run = run_scheduler(&task, seed, 2, &stop, guarded());
         assert_eq!(run.outcome, RunOutcome::Completed);
         let log = task.log.into_inner();
         let thief: Vec<u32> = log
@@ -904,6 +1040,42 @@ mod tests {
             assert_eq!(run.units_executed, u64::from(total), "p={p}");
             assert_eq!(run.units_split, u64::from(total - STRESS_UNITS), "p={p}");
             for (unit, runs) in task.runs.iter().enumerate() {
+                assert_eq!(runs.load(Ordering::Relaxed), 1, "p={p} unit {unit}");
+            }
+        }
+    }
+
+    /// [`CountTask`] whose unit 0 first sleeps the grace: its split then
+    /// starts the helpers mid-run, from worker 0's stacked children and
+    /// seed cursor, under any clock (Miri's included).
+    struct LateCountTask(CountTask);
+
+    impl Task for LateCountTask {
+        type Unit = u32;
+        type Worker = ();
+
+        fn worker(&self, _id: usize) {}
+
+        fn run_unit(&self, w: &mut (), unit: u32, ctx: &WorkerCtx<'_, u32>) {
+            if unit == 0 {
+                std::thread::sleep(HELPER_GRACE);
+            }
+            self.0.run_unit(w, unit, ctx);
+        }
+    }
+
+    #[test]
+    fn helpers_started_mid_run_keep_every_unit_exactly_once() {
+        let total = STRESS_UNITS + 3 * STRESS_UNITS.div_ceil(5);
+        for p in [2usize, 4, 8] {
+            let task = LateCountTask(CountTask {
+                runs: (0..total).map(|_| Default::default()).collect(),
+            });
+            let stop = AtomicBool::new(false);
+            let run = run_scheduler(&task, (0..STRESS_UNITS).collect(), p, &stop, guarded());
+            assert_eq!(run.outcome, RunOutcome::Completed, "p={p}");
+            assert_eq!(run.units_executed, u64::from(total), "p={p}");
+            for (unit, runs) in task.0.runs.iter().enumerate() {
                 assert_eq!(runs.load(Ordering::Relaxed), 1, "p={p} unit {unit}");
             }
         }
@@ -1225,11 +1397,13 @@ mod tests {
     }
 
     /// Two bursts on worker 1 with a forced idle wait between them. A unit
-    /// is its burst's number. Both workers run one unit of burst 1 (the
-    /// barrier holds each to its own); worker 0's then waits until worker
-    /// 1 has idled before splitting off the two units of burst 2, of which
-    /// the barrier again gives each worker one. Every unit logs the clock
-    /// reads of its thread.
+    /// is its burst's number. Burst 0 is worker 0's warm-up: it outlasts
+    /// the grace, so worker 1 is running before the barrier. Both workers
+    /// run one unit of burst 1 (the barrier holds each to its own); worker
+    /// 0's then waits until worker 1 has idled before splitting off the
+    /// two units of burst 2, of which the barrier again gives each worker
+    /// one. Every unit after the warm-up logs the clock reads of its
+    /// thread.
     struct BurstTask {
         barrier: std::sync::Barrier,
         peer_idled: AtomicBool,
@@ -1244,6 +1418,10 @@ mod tests {
         }
 
         fn run_unit(&self, w: &mut Self::Worker, burst: u8, ctx: &WorkerCtx<'_, u8>) {
+            if burst == 0 {
+                std::thread::sleep(HELPER_GRACE);
+                return;
+            }
             w.1.push(clock_reads());
             self.barrier.wait();
             if burst == 1 && w.0 == 0 {
@@ -1268,7 +1446,7 @@ mod tests {
             peer_idled: AtomicBool::new(false),
         };
         let stop = AtomicBool::new(false);
-        let run = run_default(&task, vec![1, 1], 2, &stop);
+        let run = run_default(&task, vec![0, 1, 1], 2, &stop);
         assert_eq!(run.outcome, RunOutcome::Completed);
         // Worker 0 never waited between its two units: one stretch.
         assert_eq!(run.workers[0].1, vec![1, 1]);
@@ -1329,6 +1507,147 @@ mod tests {
         for busy in &run.worker_busy {
             assert!(*busy < Duration::from_millis(40), "wait booked: {busy:?}");
         }
+    }
+
+    /// Logs the thread of every unit and of every [`Task::worker`] call.
+    /// Unit 0 sleeps past the grace, then splits off `children` units
+    /// (100, 101, …) and waits until they ran, then panics if `panic`.
+    /// Every other unit below 100 waits until units ran on `meet` threads.
+    struct ThreadTask {
+        units: Mutex<Vec<(u32, std::thread::ThreadId)>>,
+        builders: Mutex<Vec<std::thread::ThreadId>>,
+        children: u32,
+        meet: usize,
+        panic: bool,
+    }
+
+    impl ThreadTask {
+        fn new(children: u32, meet: usize, panic: bool) -> Self {
+            ThreadTask {
+                units: Mutex::new(Vec::new()),
+                builders: Mutex::new(Vec::new()),
+                children,
+                meet,
+                panic,
+            }
+        }
+
+        fn threads(&self) -> std::collections::HashSet<std::thread::ThreadId> {
+            self.units.lock().iter().map(|&(_, t)| t).collect()
+        }
+
+        /// Wait for `done`, at most 10 s; a unit asserts the answer, so a
+        /// broken contract aborts the run instead of hanging it.
+        fn wait_until(&self, done: impl Fn() -> bool) -> bool {
+            let until = Instant::now() + Duration::from_secs(10);
+            while !done() {
+                if Instant::now() >= until {
+                    return false;
+                }
+                std::thread::yield_now();
+            }
+            true
+        }
+    }
+
+    impl Task for ThreadTask {
+        type Unit = u32;
+        type Worker = usize;
+
+        fn worker(&self, id: usize) -> usize {
+            self.builders.lock().push(std::thread::current().id());
+            id
+        }
+
+        fn run_unit(&self, _w: &mut usize, unit: u32, ctx: &WorkerCtx<'_, u32>) {
+            self.units.lock().push((unit, std::thread::current().id()));
+            if unit == 0 {
+                std::thread::sleep(HELPER_GRACE);
+                if self.children > 0 {
+                    ctx.split((100..100 + self.children).collect());
+                    let ran = || self.units.lock().iter().filter(|u| u.0 >= 100).count();
+                    let helped = self.wait_until(|| ran() == self.children as usize);
+                    assert!(helped, "no helper ran the children");
+                }
+                assert!(!self.panic, "worker 0 fails after starting its helpers");
+            } else if unit < 100 {
+                let met = self.wait_until(|| self.threads().len() >= self.meet);
+                assert!(met, "units ran on fewer than {} threads", self.meet);
+            }
+        }
+    }
+
+    #[test]
+    fn helpers_never_start_for_a_one_unit_seed() {
+        let task = ThreadTask::new(0, 0, false);
+        let stop = AtomicBool::new(false);
+        let run = run_default(&task, vec![0], 4, &stop);
+        assert_eq!(run.outcome, RunOutcome::Completed);
+        let caller = std::thread::current().id();
+        assert_eq!(*task.units.lock(), vec![(0, caller)]);
+        // Four worker states, every one built on the calling thread; the
+        // helpers' carry no time.
+        assert_eq!(run.workers, vec![0, 1, 2, 3]);
+        assert_eq!(*task.builders.lock(), vec![caller; 4]);
+        assert_eq!(run.worker_busy.len(), 4);
+        assert_eq!(run.worker_idle.len(), 4);
+        assert!(run.worker_busy[1..].iter().all(|b| b.is_zero()));
+        assert!(run.worker_idle[1..].iter().all(|i| i.is_zero()));
+    }
+
+    #[test]
+    fn helpers_start_at_the_first_boundary_past_the_grace() {
+        // Unit 0 outlasts the grace with seven units queued; each later
+        // unit holds its worker until units ran on four threads, so every
+        // helper must take one.
+        let p = 4;
+        let task = ThreadTask::new(0, p, false);
+        let stop = AtomicBool::new(false);
+        let run = run_scheduler(&task, (0..8).collect(), p, &stop, guarded());
+        assert_eq!(run.outcome, RunOutcome::Completed);
+        assert_eq!(run.units_executed, 8);
+        assert_eq!(task.threads().len(), p);
+        assert_eq!(task.units.lock()[0], (0, std::thread::current().id()));
+        assert_eq!(run.workers, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn helpers_start_at_a_split_past_the_grace() {
+        // The one seed unit splits past the grace and waits for its
+        // children: only the helpers it started can run them.
+        let task = ThreadTask::new(3, 0, false);
+        let stop = AtomicBool::new(false);
+        let run = run_scheduler(&task, vec![0], 4, &stop, guarded());
+        assert_eq!(run.outcome, RunOutcome::Completed);
+        assert_eq!(run.units_executed, 4);
+        let caller = std::thread::current().id();
+        let units = task.units.lock();
+        assert_eq!(units[0], (0, caller));
+        assert!(units[1..].iter().all(|&(u, t)| u >= 100 && t != caller));
+        assert!(run.units_stolen >= 3, "the children were stolen");
+    }
+
+    #[test]
+    fn helpers_are_joined_when_worker_0_panics_after_starting_them() {
+        let task = ThreadTask::new(3, 0, true);
+        let stop = AtomicBool::new(false);
+        let run = run_default(&task, vec![0], 4, &stop);
+        let RunOutcome::Aborted(info) = &run.outcome else {
+            panic!("expected Aborted, got {:?}", run.outcome);
+        };
+        assert_eq!(info.worker, 0);
+        assert!(
+            info.payload.contains("after starting its helpers"),
+            "{info}"
+        );
+        assert_eq!(run.units_panicked, 1);
+        // Every helper was built on a thread of its own and handed its
+        // state back through the join.
+        let caller = std::thread::current().id();
+        let builders = task.builders.lock();
+        assert_eq!(builders.iter().filter(|&&t| t != caller).count(), 3);
+        assert_eq!(run.workers.len(), 4);
+        assert!(stop.load(Ordering::SeqCst));
     }
 
     #[test]
