@@ -2,12 +2,15 @@
 //! (`Vec`-scan) adjacency it is derived from: every probe the matching
 //! hot path performs must return identical results on both
 //! representations, for arbitrary graphs including parallel edges with
-//! distinct labels and wildcard-labelled canonical nodes/edges.
+//! distinct labels and wildcard-labelled canonical nodes/edges. The
+//! builder's own rows are pinned to a naive `Vec`-per-node reference
+//! (`row_oracle_*`).
 
 #![cfg(test)]
 
 use crate::graph::{Adj, Graph};
-use crate::ids::{LabelId, NodeId};
+use crate::ids::{AttrId, LabelId, NodeId};
+use crate::value::{ValueId, ValueTable};
 use proptest::prelude::*;
 
 /// Random graphs over up to 10 nodes, node labels 0..4 (0 is the
@@ -273,4 +276,165 @@ fn parallel_edges_with_distinct_labels_regression() {
     cands.dedup();
     assert_eq!(cands, vec![b]);
     assert!(csr.has_edge_pattern(a, LabelId::WILDCARD, b));
+}
+
+/// The naive reference for [`Graph`]'s rows: one `Vec` per node and
+/// direction in insertion order, and one sorted `(attr, value)` `Vec` per
+/// node.
+#[derive(Default)]
+struct NaiveRows {
+    labels: Vec<LabelId>,
+    out: Vec<Vec<Adj>>,
+    inn: Vec<Vec<Adj>>,
+    attrs: Vec<Vec<(AttrId, ValueId)>>,
+}
+
+impl NaiveRows {
+    fn add_node(&mut self, label: LabelId) {
+        self.labels.push(label);
+        self.out.push(Vec::new());
+        self.inn.push(Vec::new());
+        self.attrs.push(Vec::new());
+    }
+
+    fn add_edge(&mut self, s: NodeId, l: LabelId, d: NodeId) {
+        if !self.out[s.index()].contains(&(l, d)) {
+            self.out[s.index()].push((l, d));
+            self.inn[d.index()].push((l, s));
+        }
+    }
+
+    fn remove_edge(&mut self, s: NodeId, l: LabelId, d: NodeId) -> bool {
+        let Some(i) = self.out[s.index()].iter().position(|&e| e == (l, d)) else {
+            return false;
+        };
+        self.out[s.index()].remove(i);
+        let j = self.inn[d.index()].iter().position(|&e| e == (l, s));
+        self.inn[d.index()].remove(j.unwrap());
+        true
+    }
+
+    fn set_attr(&mut self, v: NodeId, a: AttrId, value: ValueId) {
+        let row = &mut self.attrs[v.index()];
+        match row.binary_search_by_key(&a, |&(a, _)| a) {
+            Ok(i) => row[i].1 = value,
+            Err(i) => row.insert(i, (a, value)),
+        }
+    }
+
+    /// Component ids numbered by each component's least node, which is
+    /// how [`Graph::components`] numbers them.
+    fn components(&self) -> Vec<u32> {
+        let n = self.labels.len();
+        let mut parent: Vec<usize> = (0..n).collect();
+        fn root(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                x = parent[x];
+            }
+            x
+        }
+        for (s, row) in self.out.iter().enumerate() {
+            for &(_, d) in row {
+                let (a, b) = (root(&mut parent, s), root(&mut parent, d.index()));
+                parent[a.max(b)] = a.min(b);
+            }
+        }
+        let mut id_of_root = vec![u32::MAX; n];
+        let mut next = 0;
+        (0..n)
+            .map(|v| {
+                let r = root(&mut parent, v);
+                if id_of_root[r] == u32::MAX {
+                    id_of_root[r] = next;
+                    next += 1;
+                }
+                id_of_root[r]
+            })
+            .collect()
+    }
+}
+
+/// Mutation sequences over a graph of one to six starting nodes: node
+/// inserts, edge inserts (duplicates and self-loops included, on few
+/// nodes so rows grow past any inline capacity), edge deletes (absent
+/// edges included) and attribute writes (overwrites included).
+fn arb_row_ops() -> impl Strategy<Value = (usize, Vec<(u8, usize, u32, usize)>)> {
+    (
+        1usize..7,
+        proptest::collection::vec((0u8..6, 0usize..8, 0u32..4, 0usize..8), 0..60),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// `Graph` holds what the naive per-node `Vec` rows hold after every
+    /// mutation: both adjacency directions in insertion order, the
+    /// attributes in attribute-id order, every point probe, the
+    /// components and the counts.
+    #[test]
+    fn row_oracle_graph_matches_naive_rows(case in arb_row_ops()) {
+        let (start, ops) = case;
+        let mut g = Graph::new();
+        let mut naive = NaiveRows::default();
+        for i in 0..start {
+            g.add_node(LabelId(i as u32 % 3));
+            naive.add_node(LabelId(i as u32 % 3));
+        }
+        for (kind, s, l, d) in ops {
+            let n = g.node_count();
+            let (src, dst, label) = (NodeId::new(s % n), NodeId::new(d % n), LabelId(l));
+            match kind {
+                0 => {
+                    g.add_node(label);
+                    naive.add_node(label);
+                }
+                1 | 2 => {
+                    g.add_edge(src, label, dst);
+                    naive.add_edge(src, label, dst);
+                }
+                3 => {
+                    prop_assert_eq!(
+                        g.remove_edge(src, label, dst),
+                        naive.remove_edge(src, label, dst)
+                    );
+                }
+                _ => {
+                    let (attr, value) = (AttrId(l + d as u32 % 2), ValueTable::intern_int(s as i64));
+                    g.set_attr_id(dst, attr, value);
+                    naive.set_attr(dst, attr, value);
+                }
+            }
+            prop_assert_eq!(g.node_count(), naive.labels.len());
+            for v in g.nodes() {
+                prop_assert_eq!(g.label(v), naive.labels[v.index()]);
+                prop_assert_eq!(g.out_edges(v), &naive.out[v.index()][..]);
+                prop_assert_eq!(g.in_edges(v), &naive.inn[v.index()][..]);
+            }
+        }
+        let edges: usize = naive.out.iter().map(Vec::len).sum();
+        prop_assert_eq!(g.edge_count(), edges);
+        prop_assert_eq!(g.edges().count(), edges);
+        let attrs: usize = naive.attrs.iter().map(Vec::len).sum();
+        prop_assert_eq!(g.attr_count(), attrs);
+        prop_assert_eq!(g.size(), g.node_count() + edges + attrs);
+        for v in g.nodes() {
+            let row = &naive.attrs[v.index()];
+            prop_assert_eq!(g.attrs(v).to_vec(), row.clone());
+            for a in 0u32..6 {
+                let want = row.iter().find(|&&(ra, _)| ra == AttrId(a)).map(|&(_, x)| x);
+                prop_assert_eq!(g.attr(v, AttrId(a)), want);
+            }
+            for u in g.nodes() {
+                for l in 0u32..4 {
+                    let want = naive.out[v.index()].contains(&(LabelId(l), u));
+                    prop_assert_eq!(g.has_edge(v, LabelId(l), u), want);
+                }
+            }
+        }
+        let (comp, count) = g.components();
+        let want = naive.components();
+        prop_assert_eq!(count, want.iter().max().map_or(0, |&c| c as usize + 1));
+        prop_assert_eq!(comp, want);
+    }
 }
