@@ -183,14 +183,21 @@ fn dispatch_and_steal_failpoints_abort_cleanly() {
 fn steal_storm_executes_every_unit_exactly_once() {
     let _g = serial();
 
+    /// The first unit to run sleeps past the scheduler's 100 µs helper
+    /// grace, so the helpers start with the other units still queued and
+    /// the storm happens in a release build too.
     struct CountTask {
         executed: Vec<AtomicU8>,
+        warmed: AtomicBool,
     }
     impl Task for CountTask {
         type Unit = u32;
         type Worker = ();
         fn worker(&self, _id: usize) -> Self::Worker {}
         fn run_unit(&self, _w: &mut Self::Worker, unit: u32, _ctx: &WorkerCtx<'_, u32>) {
+            if !self.warmed.swap(true, Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_micros(200));
+            }
             self.executed[unit as usize].fetch_add(1, Ordering::SeqCst);
         }
         fn describe_unit(&self, unit: &u32) -> String {
@@ -202,6 +209,7 @@ fn steal_storm_executes_every_unit_exactly_once() {
     for _round in 0..8 {
         let task = CountTask {
             executed: (0..512).map(|_| AtomicU8::new(0)).collect(),
+            warmed: AtomicBool::new(false),
         };
         let stop = AtomicBool::new(false);
         let run = run_scheduler(
@@ -232,15 +240,18 @@ fn steal_storm_executes_every_unit_exactly_once() {
 /// workers with TTL zero and singleton batches (maximal splitting). A
 /// seeded `sched/steal` failpoint mid-storm maps to a clean unknown;
 /// disarmed, the same storm lands on the serial fixpoint bit for bit.
+/// Helpers start only once a scheduler run outlasts `HELPER_GRACE`, so
+/// the chain is deep enough (≈ 6 000 generated nodes) that its later
+/// scan rounds run several times the grace in a release build.
 #[test]
 fn steal_storm_chase_stays_invariant_under_failpoints() {
     let _g = serial();
     let mut vocab = Vocab::new();
     let deps = gfd::gen::ggd_overlap_workload(
         &gfd::gen::GgdGenConfig {
-            chain_depth: 2,
+            chain_depth: 5,
             gen_per_tier: 2,
-            fanout: 2,
+            fanout: 3,
             literal_rules: 2,
             seed: 23,
         },
