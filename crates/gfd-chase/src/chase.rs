@@ -858,17 +858,16 @@ mod tests {
     }
 
     /// Chase a literal Σ over its own `GΣ` (what `chase_sat` runs),
-    /// returning the fixpoint relation and the `GΣ` node of every
-    /// pattern variable.
+    /// returning the fixpoint relation and the `GΣ` node offset of every
+    /// rule's pattern.
     fn chase_literal(
         sigma: &DepSet,
         cfg: &ChaseConfig,
-    ) -> (EqRel, Vec<Vec<NodeId>>, ChaseStats, RunMetrics) {
-        let (canon, node_of) = CanonicalGraph::for_sigma(sigma);
-        let (outcome, stats, metrics) =
-            dep_chase_with_config(sigma, canon.graph, EqRel::new(), cfg);
+    ) -> (EqRel, Vec<usize>, ChaseStats, RunMetrics) {
+        let (graph, offsets) = gfd_core::sigma_union(sigma);
+        let (outcome, stats, metrics) = dep_chase_with_config(sigma, graph, EqRel::new(), cfg);
         match outcome {
-            DepChaseOutcome::Fixpoint { eq, .. } => (*eq, node_of, stats, metrics),
+            DepChaseOutcome::Fixpoint { eq, .. } => (*eq, offsets, stats, metrics),
             DepChaseOutcome::Conflict(c) => panic!("unexpected conflict: {c}"),
             DepChaseOutcome::Interrupted(i) => panic!("unexpected interrupt: {i}"),
         }
@@ -879,10 +878,10 @@ mod tests {
         let mut vocab = Vocab::new();
         let c = vocab.attr("c");
         let sigma = chain_sigma(&mut vocab);
-        let (eq, node_of, stats, _) = chase_literal(&sigma, &ChaseConfig::default());
+        let (eq, offsets, stats, _) = chase_literal(&sigma, &ChaseConfig::default());
         // Every t-node (one per unary pattern copy) derives c=1.
-        for nodes in &node_of {
-            assert!(eq.deduces_const((nodes[0], c), VId::of(1i64)));
+        for &offset in &offsets {
+            assert!(eq.deduces_const((NodeId::new(offset), c), VId::of(1i64)));
         }
         // The chain needs multiple rounds — the naive overhead the paper
         // measures.
@@ -922,9 +921,10 @@ mod tests {
                 batch: 1,
                 ..ChaseConfig::default()
             };
-            let (eq, node_of, stats, metrics) = chase_literal(&sigma, &cfg);
-            for nodes in &node_of {
-                assert!(eq.deduces_const((nodes[0], c), VId::of(1i64)), "p={p}");
+            let (eq, offsets, stats, metrics) = chase_literal(&sigma, &cfg);
+            for &offset in &offsets {
+                let node = NodeId::new(offset);
+                assert!(eq.deduces_const((node, c), VId::of(1i64)), "p={p}");
             }
             assert!(stats.rounds >= 3);
             assert_eq!(metrics.workers, p);

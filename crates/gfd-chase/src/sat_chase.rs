@@ -7,7 +7,7 @@
 
 use crate::chase::{dep_chase_with_config, ChaseConfig, DepChaseOutcome};
 use crate::ggd::DepSatResult;
-use gfd_core::{populate_model, CanonicalGraph, DepSet, EqRel, SatOutcome};
+use gfd_core::{populate_model, sigma_union, DepSet, EqRel, SatOutcome};
 use std::time::Instant;
 
 /// Check the satisfiability of Σ by chasing `GΣ` to fixpoint with the
@@ -22,9 +22,8 @@ pub fn chase_sat(sigma: &DepSet) -> DepSatResult {
 /// covers the whole check, model extraction included.
 pub fn chase_sat_with_config(sigma: &DepSet, config: &ChaseConfig) -> DepSatResult {
     let start = Instant::now();
-    let (canon, _) = CanonicalGraph::for_sigma(sigma);
-    let (outcome, stats, mut metrics) =
-        dep_chase_with_config(sigma, canon.graph, EqRel::new(), config);
+    let (graph, _) = sigma_union(sigma);
+    let (outcome, stats, mut metrics) = dep_chase_with_config(sigma, graph, EqRel::new(), config);
     let outcome = match outcome {
         DepChaseOutcome::Conflict(c) => SatOutcome::Unsatisfiable(c),
         DepChaseOutcome::Fixpoint { mut graph, mut eq } => {

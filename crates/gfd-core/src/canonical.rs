@@ -193,6 +193,32 @@ pub struct CanonicalGraph {
     hosts: Hosts,
 }
 
+/// The disjoint union of every (premise) pattern in Σ — a generating rule
+/// contributes its premise side only — laid out rule by rule as
+/// `to_graph` + `append_disjoint` would, edges source-major. Returns the
+/// graph and, per rule, the node offset of its pattern: the graph alone
+/// is what the chase starts from, and [`CanonicalGraph::for_sigma`] adds
+/// the index, components and host index the reasoning driver reads.
+pub fn sigma_union(sigma: &DepSet) -> (Graph, Vec<usize>) {
+    let mut graph = Graph::new();
+    let mut offsets = Vec::with_capacity(sigma.len());
+    for (_, dep) in sigma.iter() {
+        let pattern = &dep.pattern;
+        let offset = graph.node_count();
+        let at = |v: VarId| NodeId::new(v.index() + offset);
+        for v in pattern.vars() {
+            graph.add_node(pattern.label(v));
+        }
+        for v in pattern.vars() {
+            for &(label, dst) in pattern.out_edges(v) {
+                graph.add_edge(at(v), label, at(dst));
+            }
+        }
+        offsets.push(offset);
+    }
+    (graph, offsets)
+}
+
 impl CanonicalGraph {
     /// Wrap a prepared graph, computing the index, the components and the
     /// host index.
@@ -208,29 +234,13 @@ impl CanonicalGraph {
         }
     }
 
-    /// Build `GΣ`: the disjoint union of every (premise) pattern in Σ — a
-    /// generating rule contributes its premise side only. Returns the
-    /// canonical graph and, per rule, the node each pattern variable became.
-    pub fn for_sigma(sigma: &DepSet) -> (Self, Vec<Vec<NodeId>>) {
-        let mut graph = Graph::new();
-        let mut node_of = Vec::with_capacity(sigma.len());
-        for (_, gfd) in sigma.iter() {
-            // The pattern laid out as `to_graph` + `append_disjoint` would,
-            // edges source-major, without the throw-away copy.
-            let pattern = &gfd.pattern;
-            let offset = graph.node_count();
-            let at = |v: VarId| NodeId::new(v.index() + offset);
-            for v in pattern.vars() {
-                graph.add_node(pattern.label(v));
-            }
-            for v in pattern.vars() {
-                for &(label, dst) in pattern.out_edges(v) {
-                    graph.add_edge(at(v), label, at(dst));
-                }
-            }
-            node_of.push(pattern.vars().map(at).collect());
-        }
-        (Self::from_graph(graph), node_of)
+    /// Build `GΣ`: the disjoint union of every (premise) pattern in Σ
+    /// ([`sigma_union`]) with its index, components and host index.
+    /// Returns the canonical graph and, per rule, its pattern's node
+    /// offset (variable `v` is node `offset + v`).
+    pub fn for_sigma(sigma: &DepSet) -> (Self, Vec<usize>) {
+        let (graph, offsets) = sigma_union(sigma);
+        (Self::from_graph(graph), offsets)
     }
 
     /// Build `G^X_Q` for ϕ: the pattern as a graph (variable `i` is node
@@ -421,6 +431,12 @@ mod tests {
     use gfd_graph::{ValueId, Vocab};
     use proptest::prelude::*;
 
+    /// The `GΣ` nodes of rule `i`'s pattern, from `for_sigma`'s offsets.
+    fn nodes_of(sigma: &DepSet, offsets: &[usize], i: usize) -> Vec<NodeId> {
+        let n = sigma.as_slice()[i].pattern.node_count();
+        (offsets[i]..offsets[i] + n).map(NodeId::new).collect()
+    }
+
     fn two_pattern_sigma(vocab: &mut Vocab) -> DepSet {
         let t = vocab.label("t");
         let u = vocab.label("u");
@@ -445,15 +461,16 @@ mod tests {
     fn sigma_canonical_is_disjoint_union() {
         let mut vocab = Vocab::new();
         let sigma = two_pattern_sigma(&mut vocab);
-        let (canon, node_of) = CanonicalGraph::for_sigma(&sigma);
+        let (canon, offsets) = CanonicalGraph::for_sigma(&sigma);
+        let node_of = |i| nodes_of(&sigma, &offsets, i);
         assert_eq!(canon.graph.node_count(), 3);
         assert_eq!(canon.graph.edge_count(), 1);
-        assert_eq!(node_of[0].len(), 2);
-        assert_eq!(node_of[1].len(), 1);
+        assert_eq!(node_of(0).len(), 2);
+        assert_eq!(node_of(1).len(), 1);
         // The two patterns are in different components.
         assert_ne!(
-            canon.component_of(node_of[0][0]),
-            canon.component_of(node_of[1][0])
+            canon.component_of(node_of(0)[0]),
+            canon.component_of(node_of(1)[0])
         );
         // Each pattern matches its own copy (identity): required for the
         // model condition.
@@ -468,7 +485,8 @@ mod tests {
     fn component_host_filter_prunes_cross_pattern_units() {
         let mut vocab = Vocab::new();
         let sigma = two_pattern_sigma(&mut vocab);
-        let (canon, node_of) = CanonicalGraph::for_sigma(&sigma);
+        let (canon, offsets) = CanonicalGraph::for_sigma(&sigma);
+        let node_of = |i| nodes_of(&sigma, &offsets, i);
         let (t, u, e) = (vocab.label("t"), vocab.label("u"), vocab.label("e"));
         // A wildcard pivot whose piece needs `t` and `e` lives only in g0's
         // component (t--e-->t), one that needs `u` and an edge nowhere: g1's
@@ -477,7 +495,7 @@ mod tests {
         let w = q.add_node(LabelId::WILDCARD, "w");
         let y = q.add_node(t, "y");
         q.add_edge(w, e, y);
-        assert_eq!(canon.pivot_candidates(&q, w), node_of[0]);
+        assert_eq!(canon.pivot_candidates(&q, w), node_of(0));
         let mut r = Pattern::new();
         let w = r.add_node(LabelId::WILDCARD, "w");
         let z = r.add_node(u, "z");
@@ -503,7 +521,8 @@ mod tests {
     fn disconnected_pattern_filters_on_the_pivots_own_component() {
         let mut vocab = Vocab::new();
         let sigma = two_pattern_sigma(&mut vocab);
-        let (canon, node_of) = CanonicalGraph::for_sigma(&sigma);
+        let (canon, offsets) = CanonicalGraph::for_sigma(&sigma);
+        let node_of = |i| nodes_of(&sigma, &offsets, i);
         let (t, u, e) = (vocab.label("t"), vocab.label("u"), vocab.label("e"));
         // Q = (x:t -e-> y:t) ⊎ (z:u): no canonical component hosts all of
         // Q's labels, but each pattern component has a host.
@@ -512,8 +531,8 @@ mod tests {
         let y = q.add_node(t, "y");
         q.add_edge(x, e, y);
         let z = q.add_node(u, "z");
-        assert_eq!(canon.pivot_candidates(&q, x), node_of[0]);
-        assert_eq!(canon.pivot_candidates(&q, z), node_of[1]);
+        assert_eq!(canon.pivot_candidates(&q, x), node_of(0));
+        assert_eq!(canon.pivot_candidates(&q, z), node_of(1));
         // A `t` pivot whose own component needs an edge label GΣ lacks
         // anywhere near a `t` node has no candidate at all.
         let mut r = Pattern::new();
@@ -631,8 +650,9 @@ mod tests {
             vec![],
             vec![Literal::eq_const(x, a, 1i64)],
         )]);
-        let (canon, node_of) = CanonicalGraph::for_sigma(&sigma);
-        assert_eq!(canon.pivot_candidates(&p, x), node_of[0]);
+        let (canon, offsets) = CanonicalGraph::for_sigma(&sigma);
+        let node_of = |i| nodes_of(&sigma, &offsets, i);
+        assert_eq!(canon.pivot_candidates(&p, x), node_of(0));
         // A concrete-labelled piece is rejected: wildcard canonical nodes
         // do not satisfy concrete labels.
         let mut q = Pattern::new();

@@ -44,7 +44,9 @@ pub mod validate;
 
 pub use budget::{run_task, Budget, Interrupt, TaskRun};
 pub use canonical::consequence_deducible; // gfdbench-pin
-pub use canonical::{build_plans_lazy, choose_pivot, consequence_deducible_on, CanonicalGraph};
+pub use canonical::{
+    build_plans_lazy, choose_pivot, consequence_deducible_on, sigma_union, CanonicalGraph,
+};
 pub use dependency::{
     generate_deducible, Consequence, DepSet, Dependency, GenerateConsequence, FALSE_ATTR_NAME,
 };
