@@ -813,7 +813,7 @@ pub(crate) mod tests {
                 }
                 populate_model(&mut model, &mut eq.clone(), &[]);
                 let got: Vec<(AttrKey, ValueId)> = (model.nodes())
-                    .flat_map(|n| model.attrs(n).iter().map(move |&(a, v)| ((n, a), v)))
+                    .flat_map(|n| model.attrs(n).map(move |(a, v)| ((n, a), v)))
                     .collect();
                 prop_assert_eq!(got, numbered_oracle(&mut eq.clone()), "after step {}", i);
                 let expect = classes_then_retain(&mut eq.clone());

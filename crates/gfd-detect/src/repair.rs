@@ -333,7 +333,7 @@ pub fn apply_repair(graph: &mut Graph, repair: &Repair) {
                 rebuilt.add_edge(s, l, d);
             }
             for v in graph.nodes() {
-                for &(a, val) in graph.attrs(v) {
+                for (a, val) in graph.attrs(v) {
                     rebuilt.set_attr_id(v, a, val);
                 }
             }

@@ -245,17 +245,17 @@ pub fn print_graph(name: &str, graph: &Graph, vocab: &Vocab) -> String {
             v.index(),
             vocab.label_name(graph.label(v))
         );
-        let attrs = graph.attrs(v);
-        if attrs.is_empty() {
+        let mut attrs = graph.attrs(v).peekable();
+        if attrs.peek().is_none() {
             out.push('\n');
         } else {
             out.push_str(" { ");
-            for (i, (attr, value)) in attrs.iter().enumerate() {
+            for (i, (attr, value)) in attrs.enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "{} = ", vocab.attr_name(*attr));
-                print_value_id(value, &mut out);
+                let _ = write!(out, "{} = ", vocab.attr_name(attr));
+                print_value_id(&value, &mut out);
             }
             out.push_str(" }\n");
         }

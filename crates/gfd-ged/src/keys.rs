@@ -86,7 +86,7 @@ fn quotient_with_attrs(
     let mut q = Quotient::build(graph, uf, |root| graph.label(root));
     for v in graph.nodes() {
         let new = q.of[v.index()];
-        for &(attr, value) in graph.attrs(v) {
+        for (attr, value) in graph.attrs(v) {
             match q.graph.attr(new, attr) {
                 None => q.graph.set_attr_id(new, attr, value),
                 Some(existing) if existing == value => {}

@@ -8,27 +8,86 @@ use rustc_hash::FxHashMap;
 /// endpoint)`.
 pub type Adj = (LabelId, NodeId);
 
+/// How many entries an adjacency [`Row`] holds before it moves to a `Vec`.
+const INLINE: usize = 2;
+
+/// One node's out or in adjacency, in insertion order: up to [`INLINE`]
+/// entries inline, a `Vec` only past that. Most nodes of a canonical
+/// graph, and every node a chase generates, have at most two edges each
+/// way, so their rows never touch the allocator.
+#[derive(Clone, Debug)]
+enum Row {
+    Inline { len: u8, items: [Adj; INLINE] },
+    Spilled(Vec<Adj>),
+}
+
+// A row costs a node no more than a `Vec` header and a tag.
+const _: () = assert!(std::mem::size_of::<Row>() <= 32);
+
+impl Row {
+    const EMPTY: Row = Row::Inline {
+        len: 0,
+        items: [(LabelId(0), NodeId(0)); INLINE],
+    };
+
+    #[inline]
+    fn as_slice(&self) -> &[Adj] {
+        match self {
+            Row::Inline { len, items } => &items[..*len as usize],
+            Row::Spilled(v) => v,
+        }
+    }
+
+    fn push(&mut self, entry: Adj) {
+        match self {
+            Row::Inline { len, items } if usize::from(*len) < INLINE => {
+                items[usize::from(*len)] = entry;
+                *len += 1;
+            }
+            Row::Inline { items, .. } => {
+                let mut v = Vec::with_capacity(2 * INLINE);
+                v.extend_from_slice(items);
+                v.push(entry);
+                *self = Row::Spilled(v);
+            }
+            Row::Spilled(v) => v.push(entry),
+        }
+    }
+
+    fn remove(&mut self, pos: usize) {
+        match self {
+            Row::Inline { len, items } => {
+                items.copy_within(pos + 1..usize::from(*len), pos);
+                *len -= 1;
+            }
+            Row::Spilled(v) => {
+                v.remove(pos);
+            }
+        }
+    }
+}
+
 /// A directed graph with labelled nodes and edges and per-node attribute
 /// tuples, as defined in §II of the paper.
 ///
 /// Nodes are dense `NodeId`s; adjacency is stored both ways so matching can
-/// traverse pattern edges in either direction. Attributes are interned
-/// [`ValueId`]s, stored twice: as small sorted rows per node (the
-/// authoritative store, cheap to enumerate and clone) and as a columnar
-/// mirror indexed `[attr][node]` so the literal-evaluation hot path reads
-/// one value with two indexed loads instead of a per-node binary search.
+/// traverse pattern edges in either direction, one [`Row`] per node and
+/// direction (two entries inline, a `Vec` past that). Attributes are
+/// interned [`ValueId`]s in one columnar store indexed `[attr][node]`:
+/// the literal-evaluation hot path reads one value with two indexed
+/// loads, a write touches one column, and a node owns no attribute
+/// allocation of its own. The distinct-attribute count is small in every
+/// workload, so the store costs one dense `u32` column per attribute.
 #[derive(Clone, Debug, Default)]
 pub struct Graph {
     labels: Vec<LabelId>,
-    out: Vec<Vec<Adj>>,
-    inn: Vec<Vec<Adj>>,
-    attrs: Vec<Vec<(AttrId, ValueId)>>,
-    /// Columnar mirror of `attrs`: `cols[attr][node]`, `ValueId::NONE`
-    /// where the attribute is absent. Maintained by `set_attr_id`; the
-    /// distinct-attribute count is small in every workload, so the
-    /// mirror costs one dense `u32` column per attribute.
+    out: Vec<Row>,
+    inn: Vec<Row>,
+    /// `cols[attr][node]`, `ValueId::NONE` where the attribute is absent
+    /// (or past the column's end).
     cols: Vec<Vec<ValueId>>,
     edge_count: usize,
+    attr_count: usize,
     /// Bumped on every topology mutation (node or edge insertion, not
     /// attribute updates). Frozen views record the version they were built
     /// at and fail fast on a mismatch (DESIGN.md §1).
@@ -47,10 +106,7 @@ impl Graph {
             labels: Vec::with_capacity(nodes),
             out: Vec::with_capacity(nodes),
             inn: Vec::with_capacity(nodes),
-            attrs: Vec::with_capacity(nodes),
-            cols: Vec::new(),
-            edge_count: 0,
-            topology_version: 0,
+            ..Self::default()
         }
     }
 
@@ -67,9 +123,8 @@ impl Graph {
     pub fn add_node(&mut self, label: LabelId) -> NodeId {
         let id = NodeId::new(self.labels.len());
         self.labels.push(label);
-        self.out.push(Vec::new());
-        self.inn.push(Vec::new());
-        self.attrs.push(Vec::new());
+        self.out.push(Row::EMPTY);
+        self.inn.push(Row::EMPTY);
         self.topology_version += 1;
         id
     }
@@ -80,7 +135,7 @@ impl Graph {
     pub fn add_edge(&mut self, src: NodeId, label: LabelId, dst: NodeId) {
         assert!(src.index() < self.labels.len(), "add_edge: bad src");
         assert!(dst.index() < self.labels.len(), "add_edge: bad dst");
-        if self.out[src.index()].contains(&(label, dst)) {
+        if self.out_edges(src).contains(&(label, dst)) {
             return;
         }
         self.out[src.index()].push((label, dst));
@@ -93,17 +148,16 @@ impl Graph {
     /// it existed. Bumps the topology version on success (frozen views
     /// must be re-frozen or routed through a delta overlay).
     pub fn remove_edge(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        let out = &mut self.out[src.index()];
-        let Some(pos) = out.iter().position(|&e| e == (label, dst)) else {
+        let Some(pos) = self.out_edges(src).iter().position(|&e| e == (label, dst)) else {
             return false;
         };
-        out.remove(pos);
-        let inn = &mut self.inn[dst.index()];
-        let pos = inn
+        self.out[src.index()].remove(pos);
+        let pos = self
+            .in_edges(dst)
             .iter()
             .position(|&e| e == (label, src))
             .expect("in/out adjacency out of sync");
-        inn.remove(pos);
+        self.inn[dst.index()].remove(pos);
         self.edge_count -= 1;
         self.topology_version += 1;
         true
@@ -116,14 +170,11 @@ impl Graph {
         self.set_attr_id(node, attr, ValueTable::intern(&value.into()));
     }
 
-    /// Set (or overwrite) attribute `attr` of `node` to an interned id.
+    /// Set (or overwrite) attribute `attr` of `node` to an interned id:
+    /// one column write.
     pub fn set_attr_id(&mut self, node: NodeId, attr: AttrId, value: ValueId) {
         debug_assert!(value.is_some(), "NONE is not a storable value");
-        let attrs = &mut self.attrs[node.index()];
-        match attrs.binary_search_by_key(&attr, |(a, _)| *a) {
-            Ok(i) => attrs[i].1 = value,
-            Err(i) => attrs.insert(i, (attr, value)),
-        }
+        assert!(node.index() < self.labels.len(), "set_attr_id: bad node");
         let ai = attr.index();
         if self.cols.len() <= ai {
             self.cols.resize_with(ai + 1, Vec::new);
@@ -132,7 +183,9 @@ impl Graph {
         if col.len() <= node.index() {
             col.resize(node.index() + 1, ValueId::NONE);
         }
-        col[node.index()] = value;
+        let slot = &mut col[node.index()];
+        self.attr_count += usize::from(slot.is_none());
+        *slot = value;
     }
 
     /// The interned value of attribute `attr` at `node`, if present.
@@ -147,9 +200,14 @@ impl Graph {
         }
     }
 
-    /// All attributes of `node`, sorted by attribute id.
-    pub fn attrs(&self, node: NodeId) -> &[(AttrId, ValueId)] {
-        &self.attrs[node.index()]
+    /// All attributes of `node`, in attribute-id order, read across the
+    /// columns.
+    pub fn attrs(&self, node: NodeId) -> impl Iterator<Item = (AttrId, ValueId)> + '_ {
+        let i = node.index();
+        self.cols.iter().enumerate().filter_map(move |(a, col)| {
+            let v = *col.get(i)?;
+            v.is_some().then(|| (AttrId::new(a), v))
+        })
     }
 
     /// The label of `node`.
@@ -158,23 +216,25 @@ impl Graph {
         self.labels[node.index()]
     }
 
-    /// Out-edges of `node` as `(edge label, target)` pairs.
+    /// Out-edges of `node` as `(edge label, target)` pairs, in insertion
+    /// order.
     #[inline]
     pub fn out_edges(&self, node: NodeId) -> &[Adj] {
-        &self.out[node.index()]
+        self.out[node.index()].as_slice()
     }
 
-    /// In-edges of `node` as `(edge label, source)` pairs.
+    /// In-edges of `node` as `(edge label, source)` pairs, in insertion
+    /// order.
     #[inline]
     pub fn in_edges(&self, node: NodeId) -> &[Adj] {
-        &self.inn[node.index()]
+        self.inn[node.index()].as_slice()
     }
 
     /// True iff the edge `src --label--> dst` exists.
     pub fn has_edge(&self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
         // Scan the smaller endpoint list.
-        let o = &self.out[src.index()];
-        let i = &self.inn[dst.index()];
+        let o = self.out_edges(src);
+        let i = self.in_edges(dst);
         if o.len() <= i.len() {
             o.contains(&(label, dst))
         } else {
@@ -188,8 +248,8 @@ impl Graph {
         if !label.is_wildcard() {
             return self.has_edge(src, label, dst);
         }
-        let o = &self.out[src.index()];
-        let i = &self.inn[dst.index()];
+        let o = self.out_edges(src);
+        let i = self.in_edges(dst);
         if o.len() <= i.len() {
             o.iter().any(|&(_, d)| d == dst)
         } else {
@@ -209,7 +269,7 @@ impl Graph {
 
     /// Total number of attribute entries across all nodes.
     pub fn attr_count(&self) -> usize {
-        self.attrs.iter().map(Vec::len).sum()
+        self.attr_count
     }
 
     /// The size `|G|` = nodes + edges + attribute entries, the measure used
@@ -225,8 +285,9 @@ impl Graph {
 
     /// Iterate all edges as `(src, label, dst)` triples.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, LabelId, NodeId)> + '_ {
-        self.out.iter().enumerate().flat_map(|(src, adj)| {
-            adj.iter()
+        self.out.iter().enumerate().flat_map(|(src, row)| {
+            row.as_slice()
+                .iter()
                 .map(move |&(label, dst)| (NodeId::new(src), label, dst))
         })
     }
@@ -245,7 +306,8 @@ impl Graph {
             comp[start] = count;
             stack.push(start);
             while let Some(v) = stack.pop() {
-                for &(_, u) in self.out[v].iter().chain(self.inn[v].iter()) {
+                let v = NodeId::new(v);
+                for &(_, u) in self.out_edges(v).iter().chain(self.in_edges(v)) {
                     if comp[u.index()] == u32::MAX {
                         comp[u.index()] = count;
                         stack.push(u.index());
@@ -272,9 +334,11 @@ impl Graph {
                 NodeId::new(dst.index() + offset),
             );
         }
-        for v in other.nodes() {
-            for (attr, value) in other.attrs(v) {
-                self.set_attr_id(NodeId::new(v.index() + offset), *attr, *value);
+        for (a, col) in other.cols.iter().enumerate() {
+            for (v, &value) in col.iter().enumerate() {
+                if value.is_some() {
+                    self.set_attr_id(NodeId::new(v + offset), AttrId::new(a), value);
+                }
             }
         }
         offset
@@ -414,7 +478,7 @@ mod tests {
         let a = v.attr("aaa");
         g.set_attr(NodeId::new(2), z, Value::int(1));
         g.set_attr(NodeId::new(2), a, Value::int(2));
-        let ids: Vec<AttrId> = g.attrs(NodeId::new(2)).iter().map(|(a, _)| *a).collect();
+        let ids: Vec<AttrId> = g.attrs(NodeId::new(2)).map(|(a, _)| a).collect();
         let mut sorted = ids.clone();
         sorted.sort();
         assert_eq!(ids, sorted);

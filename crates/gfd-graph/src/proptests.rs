@@ -420,7 +420,7 @@ proptest! {
         prop_assert_eq!(g.size(), g.node_count() + edges + attrs);
         for v in g.nodes() {
             let row = &naive.attrs[v.index()];
-            prop_assert_eq!(g.attrs(v).to_vec(), row.clone());
+            prop_assert_eq!(g.attrs(v).collect::<Vec<_>>(), row.clone());
             for a in 0u32..6 {
                 let want = row.iter().find(|&&(ra, _)| ra == AttrId(a)).map(|&(_, x)| x);
                 prop_assert_eq!(g.attr(v, AttrId(a)), want);

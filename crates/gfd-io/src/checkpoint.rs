@@ -74,7 +74,7 @@ pub fn checkpoint_to_string(ckpt: &Checkpoint, vocab: &Vocab) -> String {
     // docs for why the order (not the ids) is what gets persisted.
     let mut seen = std::collections::BTreeSet::new();
     for n in ckpt.graph.nodes() {
-        for &(_, value) in ckpt.graph.attrs(n) {
+        for (_, value) in ckpt.graph.attrs(n) {
             if seen.insert(value.raw()) {
                 let _ = writeln!(out, "value {}", crate::deltalog::fmt_value_id(value));
             }
@@ -89,8 +89,8 @@ pub fn checkpoint_to_string(ckpt: &Checkpoint, vocab: &Vocab) -> String {
                 out,
                 "attr {} {}={}",
                 n.index(),
-                vocab.attr_name(*attr),
-                crate::deltalog::fmt_value_id(*value)
+                vocab.attr_name(attr),
+                crate::deltalog::fmt_value_id(value)
             );
         }
     }

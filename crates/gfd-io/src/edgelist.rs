@@ -218,7 +218,7 @@ pub fn load_node_table(
             rebuilt.add_edge(s, l, d);
         }
         for v in graph.nodes() {
-            for &(a, val) in graph.attrs(v) {
+            for (a, val) in graph.attrs(v) {
                 rebuilt.set_attr_id(v, a, val);
             }
         }

@@ -117,8 +117,7 @@ pub fn graph_to_json(graph: &Graph, vocab: &Vocab) -> String {
             // produced; omitted when empty.
             let mut attrs: Vec<(String, Json)> = graph
                 .attrs(v)
-                .iter()
-                .map(|(a, val)| (vocab.attr_name(*a).to_string(), value_id_to_json(*val)))
+                .map(|(a, val)| (vocab.attr_name(a).to_string(), value_id_to_json(val)))
                 .collect();
             attrs.sort_by(|(a, _), (b, _)| a.cmp(b));
             if !attrs.is_empty() {

@@ -69,9 +69,9 @@ proptest! {
             );
             // Attributes match by name and value.
             for (a, val) in g.attrs(v) {
-                let name = vocab.attr_name(*a);
+                let name = vocab.attr_name(a);
                 let a2 = vocab2.attr(name);
-                prop_assert_eq!(g2.attr(v, a2), Some(*val), "attr {} diverged", name);
+                prop_assert_eq!(g2.attr(v, a2), Some(val), "attr {} diverged", name);
             }
         }
         for (s, l, d) in g.edges() {

@@ -11,14 +11,24 @@
 //!   through, of which detection is lent only those whose premise holds;
 //! * enforcing a Sat run's matches allocates only when one of the
 //!   engine's arenas grows — `O(log matches)`, not one or more per
-//!   pending match.
+//!   pending match;
+//! * a graph row is not a heap object: building `GΣ`, reading a model
+//!   out into it and chasing a GGD set allocate per *spilled* adjacency
+//!   row (one with more than two entries) and per attribute column, not
+//!   per node.
 //!
 //! `cargo test --release --test alloc_free_match -- --ignored --nocapture`
 //! prints the full-size allocation scoreboard recorded in CHANGES.md.
 
-use gfd::core::{build_plans_lazy, generate_units, CanonicalGraph, EnforceEngine};
+use gfd::chase::{dep_sat_with_config, ChaseConfig};
+use gfd::core::{
+    build_plans_lazy, generate_units, populate_model, run_reason, sigma_union, CanonicalGraph,
+    EnforceEngine, EqRel, Goal,
+};
 use gfd::detect::{detect, DetectConfig};
-use gfd::gen::{hub_workload, real_life_workload, Dataset, HubGenConfig};
+use gfd::gen::{
+    hub_workload, mixed_ggd_workload, real_life_workload, Dataset, GgdGenConfig, HubGenConfig,
+};
 use gfd::graph::{GfdId, LabelIndex};
 use gfd::matching::{count_matches, HomSearch, IntersectStrategy, MatchPlan, SearchLimits};
 use gfd::prelude::*;
@@ -313,6 +323,121 @@ fn enforcement_allocates_per_arena_growth_not_per_match() {
     assert!(allocs <= 12 * bits, "{allocs} allocations, {bits} bits");
 }
 
+/// Bits in `n`: how many times a buffer that doubles grows on its way to
+/// `n` entries.
+fn bits(n: usize) -> u64 {
+    u64::from(usize::BITS - n.leading_zeros())
+}
+
+/// `(spilled rows, allocations they cost)` over both directions of every
+/// node: a row of at most two entries is inline and costs nothing, a
+/// longer one moved to a `Vec` of four and doubled from there.
+fn spilled_rows(graph: &Graph) -> (usize, u64) {
+    let (mut rows, mut allocs) = (0, 0);
+    for v in graph.nodes() {
+        for len in [graph.out_edges(v).len(), graph.in_edges(v).len()] {
+            if len > 2 {
+                rows += 1;
+                allocs += 1 + bits((len - 1) / 4);
+            }
+        }
+    }
+    (rows, allocs)
+}
+
+/// Attribute columns `graph` holds: distinct attributes set on any node.
+fn attribute_columns(graph: &Graph) -> usize {
+    let mut attrs: Vec<AttrId> = graph
+        .nodes()
+        .flat_map(|v| graph.attrs(v))
+        .map(|(a, _)| a)
+        .collect();
+    attrs.sort_unstable();
+    attrs.dedup();
+    attrs.len()
+}
+
+#[test]
+fn sigma_graph_allocates_per_spilled_row_not_per_node() {
+    let w = real_life_workload(Dataset::DBpedia, 1000, 42, None);
+    let ((graph, _), allocs) = allocations_of(|| sigma_union(&w.sigma));
+    let (spilled, row_allocs) = spilled_rows(&graph);
+    println!(
+        "GΣ(DBpedia 1000): {} nodes, {spilled} spilled rows: {allocs} allocations",
+        graph.node_count()
+    );
+    // Bound: O(spilled rows). Besides them only the label vector and the
+    // two row tables grow (doubling to the node count) and the offsets
+    // are sized once.
+    let bound = row_allocs + 3 * bits(graph.node_count()) + 1;
+    assert!(
+        allocs <= bound,
+        "{allocs} allocations, {row_allocs} for spilled rows, bound {bound}"
+    );
+}
+
+#[test]
+fn readout_allocates_per_attribute_column_not_per_node() {
+    let w = real_life_workload(Dataset::DBpedia, 1000, 42, None);
+    let (canon, _) = CanonicalGraph::for_sigma(&w.sigma);
+    let run = run_reason(
+        &w.sigma,
+        Goal::Sat,
+        EqRel::new(),
+        &canon,
+        &ReasonConfig::with_workers(1),
+    );
+    let eq = run.engine.expect("DBpedia-1000 is satisfiable").eq;
+    let spelled = w.sigma.fresh_spelled();
+    // The first read-out interns the fresh names in the process-wide
+    // value table; the one counted finds them there.
+    populate_model(&mut canon.graph.clone(), &mut eq.clone(), spelled);
+    let (mut model, mut eq) = (canon.graph.clone(), eq);
+    let keys = eq.key_count();
+    let ((), allocs) = allocations_of(|| populate_model(&mut model, &mut eq, spelled));
+    let columns = attribute_columns(&model) as u64;
+    println!(
+        "read-out(DBpedia 1000): {} nodes, {} attributes in {columns} columns, {keys} keys: {allocs} allocations",
+        model.node_count(),
+        model.attr_count()
+    );
+    // Bound: O(attribute columns), each doubling on its way to the node
+    // count, plus the read-out's own key-indexed buffers.
+    let bound = columns * bits(model.node_count()) + 8 * bits(keys);
+    assert!(allocs <= bound, "{allocs} allocations, bound {bound}");
+}
+
+#[test]
+fn chase_allocates_per_spilled_row_not_per_generated_node() {
+    let mut vocab = Vocab::new();
+    let config = GgdGenConfig {
+        chain_depth: 3,
+        gen_per_tier: 3,
+        fanout: 3,
+        literal_rules: 8,
+        seed: 1,
+    };
+    let deps = mixed_ggd_workload(&config, &mut vocab);
+    let chase = || dep_sat_with_config(&deps, &ChaseConfig::with_workers(1));
+    let _ = chase();
+    let (r, allocs) = allocations_of(chase);
+    let SatOutcome::Satisfiable(model) = &r.outcome else {
+        panic!("{:?}", r.outcome)
+    };
+    let (spilled, row_allocs) = spilled_rows(model);
+    let columns = attribute_columns(model) as u64;
+    let (rules, rounds) = (deps.len() as u64, r.stats.rounds);
+    println!(
+        "chase: {} generated nodes, {spilled} spilled rows, {columns} columns, {rules} rules × {rounds} rounds: {allocs} allocations",
+        r.stats.generated_nodes
+    );
+    assert!(r.stats.generated_nodes > 2_000, "{:?}", r.stats);
+    // Bound: O(spilled rows + attribute columns), plus the per-(rule,
+    // round) match tables and scan units, none of them per node.
+    let bound = row_allocs + columns * bits(model.node_count()) + 16 * rules * rounds;
+    assert!(allocs <= bound, "{allocs} allocations, bound {bound}");
+}
+
 /// The full-size numbers of CHANGES.md / ROADMAP (parents: 6 570 079
 /// allocations for `detect`; 1 120 032, later 359 183, for one
 /// `sat_with_config`).
@@ -330,15 +455,41 @@ fn allocation_scoreboard() {
     );
     assert!(detect_allocs <= 10_000);
 
+    // gfdbench's `sat_dbpedia` op, warmed as its timed loop is (the
+    // first run interns Σ's fresh names process-wide).
     let w = real_life_workload(Dataset::DBpedia, 4000, 42, None);
     let config = ReasonConfig::with_workers(1);
+    let _ = sat_with_config(&w.sigma, &config);
     let (result, sat_allocs) = allocations_of(|| sat_with_config(&w.sigma, &config));
     println!(
         "sat_with_config(DBpedia 4000): {sat_allocs} allocations, satisfiable = {}",
         result.is_satisfiable()
     );
-    // No allocation per pending match, class or watcher is left: what
-    // remains is per unit, per canonical node's attribute row, and the
-    // arenas' growth.
-    assert!(sat_allocs <= 200_000);
+    // No allocation per pending match, class, watcher or canonical node
+    // is left: what remains is per unit, per spilled row, and the
+    // arenas' and columns' growth.
+    assert!(sat_allocs <= 40_000);
+
+    // gfdbench's `chase_ggd` op at `--seed 42`: the rule set its band
+    // draws first (generator seed 42·φ + 1272; 49 825 generated nodes).
+    let mut vocab = Vocab::new();
+    let deps = mixed_ggd_workload(
+        &GgdGenConfig {
+            chain_depth: 5,
+            gen_per_tier: 3,
+            fanout: 3,
+            literal_rules: 8,
+            seed: 42u64.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1272),
+        },
+        &mut vocab,
+    );
+    let chase = || dep_sat_with_config(&deps, &ChaseConfig::with_workers(1));
+    let _ = chase();
+    let (r, chase_allocs) = allocations_of(chase);
+    println!(
+        "dep_sat_with_config(chase_ggd seed 42): {chase_allocs} allocations, {} generated nodes",
+        r.stats.generated_nodes
+    );
+    assert_eq!(r.stats.generated_nodes, 49_825);
+    assert!(chase_allocs <= 30_000);
 }

@@ -47,7 +47,7 @@ fn chase_cfg(p: usize) -> ChaseConfig {
 fn fingerprint(g: &Graph) -> (usize, usize, Vec<(LabelId, usize, usize)>) {
     let mut per_node: Vec<(LabelId, usize, usize)> = g
         .nodes()
-        .map(|n| (g.label(n), g.attrs(n).len(), g.out_edges(n).len()))
+        .map(|n| (g.label(n), g.attrs(n).count(), g.out_edges(n).len()))
         .collect();
     per_node.sort();
     (g.node_count(), g.edge_count(), per_node)
@@ -569,7 +569,7 @@ proptest! {
         let g = pool_graph(n, &picks, &mut vocab);
         let ids: Vec<ValueId> = g
             .nodes()
-            .flat_map(|v| g.attrs(v).iter().map(|&(_, id)| id).collect::<Vec<_>>())
+            .flat_map(|v| g.attrs(v).map(|(_, id)| id).collect::<Vec<_>>())
             .collect();
         for &x in &ids {
             prop_assert_eq!(ValueId::of(x.resolve()), x, "re-intern must be stable");

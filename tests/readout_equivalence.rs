@@ -25,7 +25,7 @@ fn structure(g: &Graph) -> (Vec<LabelId>, Vec<(NodeId, LabelId, NodeId)>) {
 
 fn attrs(g: &Graph) -> Attrs {
     g.nodes()
-        .flat_map(|v| g.attrs(v).iter().map(move |&(a, val)| (v, a, val)))
+        .flat_map(|v| g.attrs(v).map(move |(a, val)| (v, a, val)))
         .collect()
 }
 

@@ -65,7 +65,7 @@ fn model_attribute_values_are_sigma_constants_or_fresh() {
         for v in model.nodes() {
             for (_, value) in model.attrs(v) {
                 assert!(
-                    gfd::core::model::is_fresh_id(*value) || constants.contains(value),
+                    gfd::core::model::is_fresh_id(value) || constants.contains(&value),
                     "model value {value:?} is neither a Σ constant nor fresh"
                 );
             }
