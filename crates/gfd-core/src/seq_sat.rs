@@ -92,7 +92,7 @@ pub fn sat_with_config(sigma: &DepSet, cfg: &ReasonConfig) -> SatResult {
         };
     }
 
-    let (canon, _node_of) = CanonicalGraph::for_sigma(sigma);
+    let (canon, _) = CanonicalGraph::for_sigma(sigma);
     let run = run_reason(sigma, Goal::Sat, EqRel::new(), &canon, cfg);
     let outcome = match run.terminal {
         Some(TerminalEvent::Conflict(c)) => SatOutcome::Unsatisfiable(c),

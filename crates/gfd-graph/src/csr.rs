@@ -2,8 +2,8 @@
 //! adjacency — the query-optimized graph representation the matching hot
 //! path runs on.
 //!
-//! [`Graph`] stays the mutable *builder* representation
-//! (`Vec<Vec<(LabelId, NodeId)>>` adjacency, cheap to append to);
+//! [`Graph`] stays the mutable *builder* representation (per-node
+//! adjacency rows in insertion order, cheap to append to);
 //! [`CsrTopology`] is built once per finished graph ([`Graph::freeze`],
 //! or implicitly by [`crate::LabelIndex::build`]) and never mutated.
 //! Out- and in-adjacency live in flat `(offsets, Box<[Adj]>)` arrays and

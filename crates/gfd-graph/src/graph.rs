@@ -334,11 +334,9 @@ impl Graph {
                 NodeId::new(dst.index() + offset),
             );
         }
-        for (a, col) in other.cols.iter().enumerate() {
-            for (v, &value) in col.iter().enumerate() {
-                if value.is_some() {
-                    self.set_attr_id(NodeId::new(v + offset), AttrId::new(a), value);
-                }
+        for v in other.nodes() {
+            for (attr, value) in other.attrs(v) {
+                self.set_attr_id(NodeId::new(v.index() + offset), attr, value);
             }
         }
         offset
