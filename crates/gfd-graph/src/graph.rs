@@ -71,7 +71,7 @@ impl Row {
 /// tuples, as defined in §II of the paper.
 ///
 /// Nodes are dense `NodeId`s; adjacency is stored both ways so matching can
-/// traverse pattern edges in either direction, one [`Row`] per node and
+/// traverse pattern edges in either direction, one row per node and
 /// direction (two entries inline, a `Vec` past that). Attributes are
 /// interned [`ValueId`]s in one columnar store indexed `[attr][node]`:
 /// the literal-evaluation hot path reads one value with two indexed
