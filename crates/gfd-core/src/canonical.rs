@@ -662,18 +662,62 @@ mod tests {
         assert!(canon.pivot_candidates(&q, z).is_empty());
     }
 
-    /// The host filter as a definition, read off `canon.graph` itself: a
-    /// candidate of the pivot's label is kept iff its canonical component
-    /// offers every concrete node and edge label the pivot's pattern
-    /// component (`Pattern::components`) needs, and an edge if that
-    /// component has one. Kept as the oracle.
+    /// Undirected components of `graph` by BFS, numbered by least node:
+    /// the canonical components as a definition, independent of how
+    /// `CanonicalGraph` derives them.
+    fn naive_components(graph: &Graph) -> Vec<u32> {
+        let mut comp = vec![u32::MAX; graph.node_count()];
+        let mut count = 0;
+        for start in graph.nodes() {
+            if comp[start.index()] != u32::MAX {
+                continue;
+            }
+            comp[start.index()] = count;
+            let mut queue = std::collections::VecDeque::from([start]);
+            while let Some(v) = queue.pop_front() {
+                for &(_, u) in graph.out_edges(v).iter().chain(graph.in_edges(v)) {
+                    if comp[u.index()] == u32::MAX {
+                        comp[u.index()] = count;
+                        queue.push_back(u);
+                    }
+                }
+            }
+            count += 1;
+        }
+        comp
+    }
+
+    /// Which variables share `pivot`'s pattern component: grown from the
+    /// pivot over the edge list until no edge leaves it.
+    fn pattern_component(pattern: &Pattern, pivot: VarId) -> Vec<bool> {
+        let mut inside = vec![false; pattern.node_count()];
+        inside[pivot.index()] = true;
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for e in pattern.edges() {
+                let (s, d) = (e.src.index(), e.dst.index());
+                if inside[s] != inside[d] {
+                    (inside[s], inside[d], grew) = (true, true, true);
+                }
+            }
+        }
+        inside
+    }
+
+    /// The host filter as a definition, read off `canon.graph` itself
+    /// (`comp` is [`naive_components`] of it): a candidate of the pivot's
+    /// label is kept iff its canonical component offers every concrete
+    /// node and edge label the pivot's pattern component needs, and an
+    /// edge if that component has one. Kept as the oracle.
     fn pivot_candidates_reference(
         canon: &CanonicalGraph,
+        comp: &[u32],
         pattern: &Pattern,
         pivot: VarId,
     ) -> Vec<NodeId> {
-        let (comp, _) = pattern.components();
-        let inside = |v: VarId| comp[v.index()] == comp[pivot.index()];
+        let reach = pattern_component(pattern, pivot);
+        let inside = |v: VarId| reach[v.index()];
         let node_needs: Vec<LabelId> = pattern
             .vars()
             .filter(|&v| inside(v) && !pattern.label(v).is_wildcard())
@@ -685,12 +729,12 @@ mod tests {
         // Per canonical component: its node labels and its edge labels.
         let mut offered: Vec<(Vec<LabelId>, Vec<LabelId>)> = Vec::new();
         for v in canon.graph.nodes() {
-            let c = canon.component_of(v) as usize;
+            let c = comp[v.index()] as usize;
             offered.resize_with(offered.len().max(c + 1), Default::default);
             offered[c].0.push(canon.graph.label(v));
         }
         for (src, label, _) in canon.graph.edges() {
-            offered[canon.component_of(src) as usize].1.push(label);
+            offered[comp[src.index()] as usize].1.push(label);
         }
         let hosts = |c: u32| {
             let (nodes, edges) = &offered[c as usize];
@@ -702,7 +746,7 @@ mod tests {
         };
         let candidates = canon.index.candidates(pattern.label(pivot));
         let kept = candidates.iter().copied();
-        kept.filter(|&z| hosts(canon.component_of(z))).collect()
+        kept.filter(|&z| hosts(comp[z.index()])).collect()
     }
 
     /// Ids past 64 and 128, and draws from three hundred labels. Features
@@ -758,7 +802,9 @@ mod tests {
         /// `filler` one-node rules of labels no other rule uses sit
         /// between the two halves of Σ, so the second half's new labels
         /// are numbered past 64 or 128 and one component can hold two
-        /// labels that share a bit of its one-word summary.
+        /// labels that share a bit of its one-word summary. The same
+        /// holds on each rule's own `G^X_Q`, and every canonical graph's
+        /// components are the BFS's.
         #[test]
         fn signature_host_filter_keeps_what_the_exact_filter_kept(
             sigma in proptest::collection::vec(arb_pattern(), 1..24),
@@ -774,14 +820,24 @@ mod tests {
             let fillers = (0..filler).map(one_node);
             let layout = head.iter().cloned().chain(fillers).chain(tail.iter().cloned());
             let rules = layout.map(|p| Dependency::new("g", p, vec![], vec![]));
-            let (canon, _) = CanonicalGraph::for_sigma(&DepSet::from_vec(rules.collect()));
-            for pattern in sigma.iter().chain(&probes) {
-                for pivot in pattern.vars() {
-                    prop_assert_eq!(
-                        canon.pivot_candidates(pattern, pivot),
-                        pivot_candidates_reference(&canon, pattern, pivot),
-                        "pattern {:?} pivot {:?}", pattern, pivot
-                    );
+            let (g_sigma, _) = CanonicalGraph::for_sigma(&DepSet::from_vec(rules.collect()));
+            let g_phis = sigma.iter().map(|p| {
+                let phi = Dependency::new("phi", p.clone(), vec![], vec![]);
+                CanonicalGraph::for_phi(&phi).unwrap().0
+            });
+            for canon in std::iter::once(g_sigma).chain(g_phis) {
+                let comp = naive_components(&canon.graph);
+                for v in canon.graph.nodes() {
+                    prop_assert_eq!(canon.component_of(v), comp[v.index()], "node {:?}", v);
+                }
+                for pattern in sigma.iter().chain(&probes) {
+                    for pivot in pattern.vars() {
+                        prop_assert_eq!(
+                            canon.pivot_candidates(pattern, pivot),
+                            pivot_candidates_reference(&canon, &comp, pattern, pivot),
+                            "pattern {:?} pivot {:?}", pattern, pivot
+                        );
+                    }
                 }
             }
         }

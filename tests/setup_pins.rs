@@ -1,8 +1,9 @@
 //! Σ's set-up at DBpedia scale, against a definition and against pins:
 //!
-//! * every rule's `pivot_candidates` equals the host filter read off
-//!   `GΣ` itself — candidates of the pivot's label whose component
-//!   offers every label the pivot's pattern component needs;
+//! * `GΣ`'s components are a BFS's, and every rule's `pivot_candidates`
+//!   equals the host filter read off `GΣ` itself — candidates of the
+//!   pivot's label whose component offers every label the pivot's
+//!   pattern component needs;
 //! * every rule's match plan (steps, anchors, self-loops, strategies,
 //!   component roots) digests to the numbers pinned here, on `GΣ` and on
 //!   the hub graph detection runs on.
@@ -12,32 +13,79 @@ use gfd::gen::{hub_workload, real_life_workload, Dataset, HubGenConfig};
 use gfd::graph::LabelIndex;
 use gfd::matching::{AnchorDir, IntersectStrategy, MatchPlan};
 use gfd::prelude::*;
+use std::collections::VecDeque;
 
-/// Per canonical component: its node labels and its edge labels.
-fn offered(canon: &CanonicalGraph) -> Vec<(Vec<LabelId>, Vec<LabelId>)> {
-    let mut offered: Vec<(Vec<LabelId>, Vec<LabelId>)> = Vec::new();
-    for v in canon.graph.nodes() {
-        let c = canon.component_of(v) as usize;
-        offered.resize_with(offered.len().max(c + 1), Default::default);
-        offered[c].0.push(canon.graph.label(v));
+/// Undirected components of `graph` by BFS, numbered by least node: the
+/// canonical components as a definition, independent of how
+/// `CanonicalGraph` derives them.
+fn naive_components(graph: &Graph) -> Vec<u32> {
+    let mut comp = vec![u32::MAX; graph.node_count()];
+    let mut count = 0;
+    for start in graph.nodes() {
+        if comp[start.index()] != u32::MAX {
+            continue;
+        }
+        comp[start.index()] = count;
+        let mut queue = VecDeque::from([start]);
+        while let Some(v) = queue.pop_front() {
+            for &(_, u) in graph.out_edges(v).iter().chain(graph.in_edges(v)) {
+                if comp[u.index()] == u32::MAX {
+                    comp[u.index()] = count;
+                    queue.push_back(u);
+                }
+            }
+        }
+        count += 1;
     }
-    for (src, label, _) in canon.graph.edges() {
-        offered[canon.component_of(src) as usize].1.push(label);
+    comp
+}
+
+/// Per canonical component (`comp`, per node): its node labels and its
+/// edge labels.
+fn offered(graph: &Graph, comp: &[u32]) -> Vec<(Vec<LabelId>, Vec<LabelId>)> {
+    let mut offered: Vec<(Vec<LabelId>, Vec<LabelId>)> = Vec::new();
+    for v in graph.nodes() {
+        let c = comp[v.index()] as usize;
+        offered.resize_with(offered.len().max(c + 1), Default::default);
+        offered[c].0.push(graph.label(v));
+    }
+    for (src, label, _) in graph.edges() {
+        offered[comp[src.index()] as usize].1.push(label);
     }
     offered
 }
 
+/// Which variables share `pivot`'s pattern component: grown from the
+/// pivot over the edge list until no edge leaves it.
+fn pattern_component(pattern: &Pattern, pivot: VarId) -> Vec<bool> {
+    let mut inside = vec![false; pattern.node_count()];
+    inside[pivot.index()] = true;
+    let mut grew = true;
+    while grew {
+        grew = false;
+        for e in pattern.edges() {
+            let (s, d) = (e.src.index(), e.dst.index());
+            if inside[s] != inside[d] {
+                (inside[s], inside[d], grew) = (true, true, true);
+            }
+        }
+    }
+    inside
+}
+
 /// The host filter by definition: a candidate of the pivot's label is
-/// kept iff its component offers every concrete node and edge label of
-/// the pivot's pattern component, and an edge if that component has one.
+/// kept iff its component (`comp`) offers every concrete node and edge
+/// label of the pivot's pattern component, and an edge if that
+/// component has one.
 fn reference(
     canon: &CanonicalGraph,
+    comp: &[u32],
     offered: &[(Vec<LabelId>, Vec<LabelId>)],
     pattern: &Pattern,
     pivot: VarId,
 ) -> Vec<NodeId> {
-    let (comp, _) = pattern.components();
-    let inside = |v: VarId| comp[v.index()] == comp[pivot.index()];
+    let reach = pattern_component(pattern, pivot);
+    let inside = |v: VarId| reach[v.index()];
     let hosts = |c: u32| {
         let (nodes, edges) = &offered[c as usize];
         let node_ok = pattern
@@ -51,7 +99,7 @@ fn reference(
     let candidates = canon.index.candidates(pattern.label(pivot)).iter();
     candidates
         .copied()
-        .filter(|&z| hosts(canon.component_of(z)))
+        .filter(|&z| hosts(comp[z.index()]))
         .collect()
 }
 
@@ -60,13 +108,17 @@ fn pivot_candidates_equal_the_reference_on_dbpedia_1000() {
     for seed in [42u64, 7] {
         let w = real_life_workload(Dataset::DBpedia, 1000, seed, None);
         let (canon, _) = CanonicalGraph::for_sigma(&w.sigma);
-        let offered = offered(&canon);
+        let comp = naive_components(&canon.graph);
+        for v in canon.graph.nodes() {
+            assert_eq!(canon.component_of(v), comp[v.index()], "seed {seed}");
+        }
+        let offered = offered(&canon.graph, &comp);
         let (pivots, _) = build_plans_lazy(&w.sigma, &canon.index);
         let mut kept = 0;
         for (id, rule) in w.sigma.iter() {
             let pivot = pivots[id.index()];
             let got = canon.pivot_candidates(&rule.pattern, pivot);
-            let want = reference(&canon, &offered, &rule.pattern, pivot);
+            let want = reference(&canon, &comp, &offered, &rule.pattern, pivot);
             assert_eq!(got, want, "seed {seed}, rule {}", rule.name);
             kept += got.len();
         }
