@@ -50,8 +50,15 @@ const NODE: usize = 0;
 const EDGE: usize = 1;
 
 impl Hosts {
-    /// `O(|G| + components × features / 64)`.
-    fn build(graph: &Graph, comp: &[u32], comps: usize) -> Self {
+    /// Read off the pieces, whose nodes lie in components `comp`, with
+    /// features numbered as a graph walk meets them: node labels first,
+    /// then edges source-major. `O(|G| + components × features / 64)`.
+    fn build<'p>(
+        pieces: impl Iterator<Item = (usize, &'p Pattern)> + Clone,
+        comp: &[u32],
+        comps: usize,
+        edges: usize,
+    ) -> Self {
         let mut feature_of: FxHashMap<LabelId, [u32; 2]> = FxHashMap::default();
         let mut features = 1;
         let mut feature = |label: LabelId, role: usize| {
@@ -64,14 +71,21 @@ impl Hosts {
         };
         // (component, feature) of every node and edge, before the width
         // is known.
-        let mut held = Vec::with_capacity(graph.node_count() + 2 * graph.edge_count());
-        for v in graph.nodes().filter(|&v| !graph.label(v).is_wildcard()) {
-            held.push((comp[v.index()], feature(graph.label(v), NODE)));
+        let mut held = Vec::with_capacity(comp.len() + 2 * edges);
+        for (offset, pattern) in pieces.clone() {
+            for v in pattern.vars().filter(|&v| !pattern.label(v).is_wildcard()) {
+                held.push((comp[offset + v.index()], feature(pattern.label(v), NODE)));
+            }
         }
-        for (src, label, _) in graph.edges() {
-            held.push((comp[src.index()], 0));
-            if !label.is_wildcard() {
-                held.push((comp[src.index()], feature(label, EDGE)));
+        for (offset, pattern) in pieces {
+            for v in pattern.vars() {
+                let c = comp[offset + v.index()];
+                for &(label, _) in pattern.out_edges(v) {
+                    held.push((c, 0));
+                    if !label.is_wildcard() {
+                        held.push((c, feature(label, EDGE)));
+                    }
+                }
             }
         }
         let width = (features as usize).div_ceil(64);
@@ -151,33 +165,13 @@ impl<T: Copy> Groups<T> {
     }
 }
 
-/// Run `f` on `len` zeroed words, on the stack when they fit.
-fn with_words<R>(len: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
+/// Run `f` on `len` zeroed values, on the stack when they fit.
+fn with_zeroed<T: Copy + Default, R>(len: usize, f: impl FnOnce(&mut [T]) -> R) -> R {
     const INLINE: usize = 16;
     if len <= INLINE {
-        f(&mut [0; INLINE][..len])
+        f(&mut [T::default(); INLINE][..len])
     } else {
-        f(&mut vec![0; len])
-    }
-}
-
-/// Mark in `reach` (one bit per variable) the pattern component of
-/// `start`: grow it over the edge list until no edge leaves it.
-fn reach_from(pattern: &Pattern, start: VarId, reach: &mut [u64]) {
-    let bit = |v: VarId| (v.index() / 64, 1u64 << (v.index() % 64));
-    let (w, b) = bit(start);
-    reach[w] |= b;
-    let mut grew = true;
-    while grew {
-        grew = false;
-        for e in pattern.edges() {
-            let ((ws, bs), (wd, bd)) = (bit(e.src), bit(e.dst));
-            if (reach[ws] & bs == 0) != (reach[wd] & bd == 0) {
-                reach[ws] |= bs;
-                reach[wd] |= bd;
-                grew = true;
-            }
-        }
+        f(&mut vec![T::default(); len])
     }
 }
 
@@ -220,12 +214,25 @@ pub fn sigma_union(sigma: &DepSet) -> (Graph, Vec<usize>) {
 }
 
 impl CanonicalGraph {
-    /// Wrap a prepared graph, computing the index, the components and the
-    /// host index.
-    pub fn from_graph(graph: Graph) -> Self {
+    /// Index `graph`, the disjoint union of `pieces` with each piece's
+    /// edges inside its node range, and read its components and host
+    /// index off the pieces: a piece's components, numbered by least
+    /// variable and shifted past the pieces before it, are the graph's,
+    /// numbered by least node.
+    fn from_pieces<'p>(
+        graph: Graph,
+        pieces: impl Iterator<Item = (usize, &'p Pattern)> + Clone,
+    ) -> Self {
         let index = LabelIndex::build(&graph);
-        let (comp, comps) = graph.components();
-        let hosts = Hosts::build(&graph, &comp, comps);
+        let mut comp = vec![0; graph.node_count()];
+        let mut comps = 0;
+        for (offset, pattern) in pieces.clone() {
+            let piece = &mut comp[offset..offset + pattern.node_count()];
+            let count = pattern.label_components(piece);
+            piece.iter_mut().for_each(|c| *c += comps);
+            comps += count;
+        }
+        let hosts = Hosts::build(pieces, &comp, comps as usize, graph.edge_count());
         CanonicalGraph {
             graph,
             index,
@@ -240,7 +247,9 @@ impl CanonicalGraph {
     /// offset (variable `v` is node `offset + v`).
     pub fn for_sigma(sigma: &DepSet) -> (Self, Vec<usize>) {
         let (graph, offsets) = sigma_union(sigma);
-        (Self::from_graph(graph), offsets)
+        let patterns = sigma.as_slice().iter().map(|dep| &dep.pattern);
+        let canon = Self::from_pieces(graph, offsets.iter().copied().zip(patterns));
+        (canon, offsets)
     }
 
     /// Build `G^X_Q` for ϕ: the pattern as a graph (variable `i` is node
@@ -262,7 +271,8 @@ impl CanonicalGraph {
                 }
             }
         }
-        Ok((Self::from_graph(graph), eq))
+        let canon = Self::from_pieces(graph, std::iter::once((0, &phi.pattern)));
+        Ok((canon, eq))
     }
 
     /// The component of a node.
@@ -292,54 +302,55 @@ impl CanonicalGraph {
             return Vec::new();
         }
         let hosts = &self.hosts;
-        let reach_len = pattern.node_count().div_ceil(64);
-        with_words(reach_len + hosts.width, |words| {
-            let (reach, need) = words.split_at_mut(reach_len);
-            reach_from(pattern, pivot_var, reach);
-            let inside = |v: VarId| reach[v.index() / 64] & (1 << (v.index() % 64)) != 0;
-            // Collect the needed features and the rarest of them; a label
-            // the graph lacks in that role rules out every component.
-            let mut rarest: Option<(usize, u32)> = None;
-            let mut require = |f: u32| {
-                need[f as usize / 64] |= 1 << (f % 64);
-                let count = hosts.hosts.get(f as usize).len();
-                if rarest.is_none_or(|(n, _)| count < n) {
-                    rarest = Some((count, f));
+        with_zeroed(pattern.node_count(), |comp| {
+            pattern.label_components(comp);
+            let inside = |v: VarId| comp[v.index()] == comp[pivot_var.index()];
+            with_zeroed(hosts.width, |need| {
+                // Collect the needed features and the rarest of them; a label
+                // the graph lacks in that role rules out every component.
+                let mut rarest: Option<(usize, u32)> = None;
+                let mut require = |f: u32| {
+                    need[f as usize / 64] |= 1 << (f % 64);
+                    let count = hosts.hosts.get(f as usize).len();
+                    if rarest.is_none_or(|(n, _)| count < n) {
+                        rarest = Some((count, f));
+                    }
+                };
+                let nodes = pattern.vars().filter(|&v| inside(v));
+                let edges = pattern.edges().iter().filter(|e| inside(e.src));
+                let needed =
+                    (nodes.map(|v| (pattern.label(v), NODE))).chain(edges.map(|e| (e.label, EDGE)));
+                for (l, role) in needed {
+                    if role == EDGE {
+                        require(0);
+                    }
+                    if l.is_wildcard() {
+                        continue;
+                    }
+                    match hosts.feature_of.get(&l).map(|fs| fs[role]) {
+                        Some(f) if f != NO_FEATURE => require(f),
+                        _ => return Vec::new(),
+                    }
                 }
-            };
-            let nodes = pattern.vars().filter(|&v| inside(v));
-            let edges = pattern.edges().iter().filter(|e| inside(e.src));
-            let needed =
-                (nodes.map(|v| (pattern.label(v), NODE))).chain(edges.map(|e| (e.label, EDGE)));
-            for (l, role) in needed {
-                if role == EDGE {
-                    require(0);
+                let Some((_, rarest)) = rarest else {
+                    // Only wildcard nodes: every component hosts the piece.
+                    return candidates.to_vec();
+                };
+                let need_summary = need.iter().fold(0, |a, w| a | w);
+                let mut kept = Vec::with_capacity(candidates.len());
+                for &c in hosts.hosts.get(rarest as usize) {
+                    if hosts.holds(c, need, need_summary) {
+                        let members = hosts.members.get(c as usize).iter().copied();
+                        let labelled = |&z: &NodeId| label.pattern_matches(self.graph.label(z));
+                        kept.extend(members.filter(labelled));
+                    }
                 }
-                if l.is_wildcard() {
-                    continue;
+                // Components of a disconnected Σ pattern interleave in `GΣ`.
+                if !kept.is_sorted() {
+                    kept.sort_unstable();
                 }
-                match hosts.feature_of.get(&l).map(|fs| fs[role]) {
-                    Some(f) if f != NO_FEATURE => require(f),
-                    _ => return Vec::new(),
-                }
-            }
-            let Some((_, rarest)) = rarest else {
-                // Only wildcard nodes: every component hosts the piece.
-                return candidates.to_vec();
-            };
-            let need_summary = need.iter().fold(0, |a, w| a | w);
-            let mut kept = Vec::with_capacity(candidates.len());
-            for &c in hosts.hosts.get(rarest as usize) {
-                if hosts.holds(c, need, need_summary) {
-                    let members = hosts.members.get(c as usize).iter().copied();
-                    kept.extend(members.filter(|&z| label.pattern_matches(self.graph.label(z))));
-                }
-            }
-            // Components of a disconnected Σ pattern interleave in `GΣ`.
-            if !kept.is_sorted() {
-                kept.sort_unstable();
-            }
-            kept
+                kept
+            })
         })
     }
 }

@@ -292,33 +292,6 @@ impl Graph {
         })
     }
 
-    /// Undirected connected components: returns `(component id per node,
-    /// component count)`.
-    pub fn components(&self) -> (Vec<u32>, usize) {
-        let n = self.node_count();
-        let mut comp = vec![u32::MAX; n];
-        let mut count = 0u32;
-        let mut stack = Vec::new();
-        for start in 0..n {
-            if comp[start] != u32::MAX {
-                continue;
-            }
-            comp[start] = count;
-            stack.push(start);
-            while let Some(v) = stack.pop() {
-                let v = NodeId::new(v);
-                for &(_, u) in self.out_edges(v).iter().chain(self.in_edges(v)) {
-                    if comp[u.index()] == u32::MAX {
-                        comp[u.index()] = count;
-                        stack.push(u.index());
-                    }
-                }
-            }
-            count += 1;
-        }
-        (comp, count as usize)
-    }
-
     /// Copy another graph into this one, returning the node-id offset that
     /// was applied to the copied nodes. Used to build canonical graphs as
     /// disjoint unions of patterns.
@@ -507,20 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn components_of_disjoint_graph() {
-        let (mut g, mut v) = tiny();
-        let l = v.label("island");
-        g.add_node(l);
-        g.add_node(l);
-        let (comp, count) = g.components();
-        assert_eq!(count, 3);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[0], comp[2]);
-        assert_ne!(comp[3], comp[0]);
-        assert_ne!(comp[3], comp[4]);
-    }
-
-    #[test]
     fn append_disjoint_offsets_everything() {
         let (g1, _) = tiny();
         let mut g = Graph::new();
@@ -531,8 +490,6 @@ mod tests {
         assert_eq!(g.node_count(), 6);
         assert_eq!(g.edge_count(), 4);
         assert_eq!(g.attr_count(), 2);
-        let (_, count) = g.components();
-        assert_eq!(count, 2);
     }
 
     #[test]

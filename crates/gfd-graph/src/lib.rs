@@ -14,7 +14,7 @@
 //! * graph patterns with wildcard labels ([`Pattern`]);
 //! * interned vocabularies mapping names to dense ids ([`Vocab`]);
 //! * strongly connected components ([`strongly_connected`]);
-//! * small utilities: node bitsets, label indexes, DOT export.
+//! * small utilities: node bitsets and label indexes.
 //!
 //! Everything downstream (`gfd-match`, `gfd-core`, `gfd-detect`) works
 //! purely on the integer ids defined here.

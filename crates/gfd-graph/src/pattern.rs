@@ -118,37 +118,49 @@ impl Pattern {
         self.out[v.index()].len() + self.inn[v.index()].len()
     }
 
-    /// Undirected connected components: `(component id per var, count)`.
+    /// Undirected connected components: `(component id per var, count)`,
+    /// numbered as [`Pattern::label_components`] numbers them.
     pub fn components(&self) -> (Vec<u32>, usize) {
-        let n = self.node_count();
-        let mut comp = vec![u32::MAX; n];
-        let mut count = 0u32;
-        let mut stack = Vec::new();
-        for start in 0..n {
-            if comp[start] != u32::MAX {
-                continue;
-            }
-            comp[start] = count;
-            stack.push(start);
-            while let Some(v) = stack.pop() {
-                for &(_, u) in self.out[v].iter().chain(self.inn[v].iter()) {
-                    if comp[u.index()] == u32::MAX {
-                        comp[u.index()] = count;
-                        stack.push(u.index());
-                    }
-                }
-            }
-            count += 1;
-        }
+        let mut comp = vec![0; self.node_count()];
+        let count = self.label_components(&mut comp);
         (comp, count as usize)
+    }
+
+    /// Write each variable's undirected connected component into `comp`
+    /// (one slot per variable), numbered from 0 in the order of each
+    /// component's least variable, and return the count. Allocates
+    /// nothing: `comp` first holds a union-find forest whose parents
+    /// are never above their children, so one ascending pass meets every
+    /// root (a component's least variable) before its members.
+    pub fn label_components(&self, comp: &mut [u32]) -> u32 {
+        let n = self.node_count();
+        assert_eq!(comp.len(), n, "label_components: one slot per variable");
+        comp.iter_mut().enumerate().for_each(|(v, c)| *c = v as u32);
+        let root = |comp: &mut [u32], mut v: u32| {
+            while comp[v as usize] != v {
+                let up = comp[comp[v as usize] as usize];
+                comp[v as usize] = up;
+                v = up;
+            }
+            v
+        };
+        for e in &self.edges {
+            let (a, b) = (root(comp, e.src.0), root(comp, e.dst.0));
+            comp[a.max(b) as usize] = a.min(b);
+        }
+        let mut count = 0;
+        for v in 0..n {
+            // A parent below `v` already holds its id; a root takes the next.
+            let parent = comp[v] as usize;
+            comp[v] = if parent < v { comp[parent] } else { count };
+            count += u32::from(parent == v);
+        }
+        count
     }
 
     /// True iff the pattern is connected (and non-empty).
     pub fn is_connected(&self) -> bool {
-        if self.node_count() == 0 {
-            return false;
-        }
-        self.components().1 == 1
+        self.node_count() > 0 && self.components().1 == 1
     }
 
     /// Undirected BFS distances from `start`; unreachable vars get
@@ -274,6 +286,23 @@ mod tests {
         assert_eq!(p.radius_at(a), 1);
         let d = p.distances_from(a);
         assert_eq!(d[2], u32::MAX);
+    }
+
+    #[test]
+    fn components_are_numbered_by_least_variable() {
+        let mut v = Vocab::new();
+        let (l, e) = (v.label("t"), v.label("e"));
+        let mut p = Pattern::new();
+        let x: Vec<VarId> = (0..5).map(|_| p.add_anon_node(l)).collect();
+        // Edges run from higher to lower variables, and {1, 3, 4} is
+        // joined last through its largest member.
+        p.add_edge(x[4], e, x[3]);
+        p.add_edge(x[2], e, x[0]);
+        p.add_edge(x[4], e, x[1]);
+        let mut comp = [u32::MAX; 5];
+        assert_eq!(p.label_components(&mut comp), 2);
+        assert_eq!(comp, [0, 1, 0, 1, 1]);
+        assert_eq!(p.components(), (comp.to_vec(), 2));
     }
 
     #[test]

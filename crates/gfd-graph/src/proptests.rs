@@ -321,37 +321,6 @@ impl NaiveRows {
             Err(i) => row.insert(i, (a, value)),
         }
     }
-
-    /// Component ids numbered by each component's least node, which is
-    /// how [`Graph::components`] numbers them.
-    fn components(&self) -> Vec<u32> {
-        let n = self.labels.len();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn root(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                x = parent[x];
-            }
-            x
-        }
-        for (s, row) in self.out.iter().enumerate() {
-            for &(_, d) in row {
-                let (a, b) = (root(&mut parent, s), root(&mut parent, d.index()));
-                parent[a.max(b)] = a.min(b);
-            }
-        }
-        let mut id_of_root = vec![u32::MAX; n];
-        let mut next = 0;
-        (0..n)
-            .map(|v| {
-                let r = root(&mut parent, v);
-                if id_of_root[r] == u32::MAX {
-                    id_of_root[r] = next;
-                    next += 1;
-                }
-                id_of_root[r]
-            })
-            .collect()
-    }
 }
 
 /// Mutation sequences over a graph of one to six starting nodes: node
@@ -370,8 +339,8 @@ proptest! {
 
     /// `Graph` holds what the naive per-node `Vec` rows hold after every
     /// mutation: both adjacency directions in insertion order, the
-    /// attributes in attribute-id order, every point probe, the
-    /// components and the counts.
+    /// attributes in attribute-id order, every point probe and the
+    /// counts.
     #[test]
     fn row_oracle_graph_matches_naive_rows(case in arb_row_ops()) {
         let (start, ops) = case;
@@ -432,9 +401,5 @@ proptest! {
                 }
             }
         }
-        let (comp, count) = g.components();
-        let want = naive.components();
-        prop_assert_eq!(count, want.iter().max().map_or(0, |&c| c as usize + 1));
-        prop_assert_eq!(comp, want);
     }
 }
