@@ -239,9 +239,9 @@ fn bench_trace_overhead(_c: &mut Criterion) {
     use gfd_runtime::{EventKind, TraceBuf, TraceSpec};
     use std::time::{Duration, Instant};
 
-    // Half 1: the no-op event site against the same loop without it, in
-    // alternating passes so host load reaches both. Load only adds time:
-    // each side's best of 101 is its own cost, the difference the site's.
+    // Half 1: the no-op event site against the same loop without it
+    // (`black_box` keeps that loop), alternating so host load reaches
+    // both. Load only adds time: the difference of the bests is the site's.
     const SITES: u32 = 100_000;
     let mut buf = TraceBuf::new(black_box(TraceSpec::disabled()), 0);
     let mut pass = |site: bool| {
