@@ -115,17 +115,14 @@ pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
 }
 
 /// Render an interrupted run as the uniform exit-2 diagnostic, with the
-/// budget context (panics, retries, deadline slack) that explains it.
+/// budget context (panics, deadline slack) that explains it.
 pub(crate) fn interrupted(i: &Interrupt, m: &gfd_runtime::RunMetrics) -> ArgError {
     let mut msg = format!("run interrupted: {i}");
     if let Some(slack) = m.deadline_slack_ms {
         msg.push_str(&format!(" (deadline slack {slack}ms)"));
     }
     if m.units_panicked > 0 {
-        msg.push_str(&format!(
-            "; {} unit(s) panicked, {} retried",
-            m.units_panicked, m.units_retried
-        ));
+        msg.push_str(&format!("; {} unit(s) panicked", m.units_panicked));
     }
     msg.push_str("; raise --deadline-ms/--max-units to keep going");
     ArgError::new(msg)

@@ -33,8 +33,8 @@ pub fn fmt_metrics(m: &RunMetrics) -> String {
     ));
     out.push_str(&format!("  branches explored: {}\n", m.branches));
     out.push_str(&format!(
-        "  faults: {} unit(s) panicked, {} retried\n",
-        m.units_panicked, m.units_retried
+        "  faults: {} unit(s) panicked\n",
+        m.units_panicked
     ));
     if let Some(slack) = m.deadline_slack_ms {
         out.push_str(&format!("  deadline slack: {slack}ms\n"));
@@ -84,7 +84,6 @@ mod tests {
     fn metrics_report_faults_and_slack() {
         let m = RunMetrics {
             units_panicked: 2,
-            units_retried: 1,
             deadline_slack_ms: Some(-7),
             worker_busy: vec![Duration::from_millis(3), Duration::from_millis(45)],
             ..Default::default()
@@ -92,18 +91,12 @@ mod tests {
         let text = fmt_metrics(&m);
         assert!(text.contains("max worker busy: 45ms (idle: "), "{text}");
         assert!(!text.contains("makespan"), "a simulated time: {text}");
-        assert!(
-            text.contains("faults: 2 unit(s) panicked, 1 retried"),
-            "{text}"
-        );
+        assert!(text.contains("faults: 2 unit(s) panicked\n"), "{text}");
         assert!(text.contains("deadline slack: -7ms"), "{text}");
         // Without a deadline the slack line disappears; the fault line
         // prints unconditionally like every other counter.
         let text = fmt_metrics(&RunMetrics::default());
-        assert!(
-            text.contains("faults: 0 unit(s) panicked, 0 retried"),
-            "{text}"
-        );
+        assert!(text.contains("faults: 0 unit(s) panicked\n"), "{text}");
         assert!(!text.contains("deadline slack"), "{text}");
     }
 

@@ -127,7 +127,6 @@ pub fn run_task<T: Task>(
         max_units: budget
             .max_units
             .map(|max| max.saturating_sub(metrics.units_dispatched)),
-        unit_retries: 0,
         trace,
     };
     let run = run_scheduler(task, units, workers, stop, opts);
@@ -275,7 +274,7 @@ mod tests {
         );
         let aborted = RunOutcome::Aborted(AbortInfo {
             worker: 1,
-            unit: "u".into(),
+            site: "unit",
             payload: "boom".into(),
         });
         let i = Interrupt::from_outcome(&aborted).unwrap();

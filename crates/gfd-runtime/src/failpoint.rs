@@ -23,7 +23,7 @@
 //! panic isolation), parsers return their structured error type, the
 //! compactor defers work to the next batch. A failpoint never changes
 //! what a run *computes* — only whether it completes, degrades, or
-//! retries — which is exactly the property the fault-injection suite
+//! defers — which is exactly the property the fault-injection suite
 //! pins.
 //!
 //! The registry is global, so tests that arm failpoints must serialize

@@ -38,8 +38,6 @@ pub struct RunMetrics {
     /// Unit executions that panicked and were caught by the scheduler's
     /// isolation envelope.
     pub units_panicked: u64,
-    /// Panicked units requeued for another attempt.
-    pub units_retried: u64,
     /// When the run had a wall-clock deadline: the slack left at the end,
     /// in milliseconds (negative = the run overshot the deadline while
     /// finishing its last units).
@@ -113,7 +111,6 @@ impl RunMetrics {
         self.units_split += run.units_split;
         self.units_stolen += run.units_stolen;
         self.units_panicked += run.units_panicked;
-        self.units_retried += run.units_retried;
         if self.worker_busy.is_empty() && self.worker_idle.is_empty() {
             self.worker_busy = run.worker_busy;
             self.worker_idle = run.worker_idle;
@@ -150,7 +147,6 @@ impl RunMetrics {
         self.rechecks += other.rechecks;
         self.delta_ops_broadcast += other.delta_ops_broadcast;
         self.units_panicked += other.units_panicked;
-        self.units_retried += other.units_retried;
         if other.deadline_slack_ms.is_some() {
             self.deadline_slack_ms = other.deadline_slack_ms;
         }
@@ -185,10 +181,7 @@ impl RunMetrics {
              \"rechecks\": {}, \"delta_ops_broadcast\": {},\n",
             self.matches, self.branches, self.pending, self.rechecks, self.delta_ops_broadcast
         ));
-        out.push_str(&format!(
-            "  \"units_panicked\": {}, \"units_retried\": {},\n",
-            self.units_panicked, self.units_retried
-        ));
+        out.push_str(&format!("  \"units_panicked\": {},\n", self.units_panicked));
         out.push_str(&format!(
             "  \"deadline_slack_ms\": {},\n",
             match self.deadline_slack_ms {
@@ -355,7 +348,6 @@ mod tests {
             units_stolen: 3 * n,
             units_split: 2 * n,
             units_panicked: n,
-            units_retried: n + 1,
             worker_idle: busy.iter().map(|d| *d + ms(1)).collect(),
             worker_busy: busy,
             trace: Trace {

@@ -33,14 +33,12 @@
 //! decremented on the unwind path too, no task code runs under a queue
 //! lock (and the vendored `parking_lot` recovers a poisoned one), and
 //! the run terminates with a structured [`RunOutcome::Aborted`]
-//! carrying the worker id, the unit description
-//! and the panic payload — all worker threads joined. With
-//! [`SchedOptions::unit_retries`] > 0 a panicked unit is requeued (from
-//! a clone taken before execution, see [`Task::clone_unit`]) up to that
-//! many times before the run aborts. Cooperative resource limits — a
-//! wall-clock deadline and a max-units budget — are checked at unit
-//! boundaries and degrade the run to [`RunOutcome::BudgetExceeded`]
-//! rather than panicking.
+//! carrying the worker id, the site that panicked and the panic payload
+//! — all worker threads joined. A unit runs once: a panicked one is
+//! never entered again. Cooperative resource limits — a wall-clock
+//! deadline and a max-units budget — are checked at unit boundaries and
+//! degrade the run to [`RunOutcome::BudgetExceeded`] rather than
+//! panicking.
 
 use crate::atomics::StdAtomics;
 use crate::cputime::BusyTimer;
@@ -102,26 +100,9 @@ pub trait Task: Sync {
     /// steals failed) but the run is not yet quiescent — a chance to drain
     /// inboxes while another worker's straggler may still split.
     fn on_idle(&self, _worker: &mut Self::Worker, _ctx: &WorkerCtx<'_, Self::Unit>) {}
-
-    /// A short human-readable label for `unit`, used in
-    /// [`AbortInfo::unit`] when the unit panics. The default is the empty
-    /// string (rendered as `"unit"`), so tasks that do not care pay no
-    /// per-unit allocation.
-    fn describe_unit(&self, _unit: &Self::Unit) -> String {
-        String::new()
-    }
-
-    /// Clone `unit` for the retry path. Returns `None` (the default) when
-    /// units are not retryable; then a panicking unit always aborts the
-    /// run regardless of [`SchedOptions::unit_retries`]. Tasks opting in
-    /// must tolerate a unit re-running against worker state the failed
-    /// attempt may have partially mutated.
-    fn clone_unit(&self, _unit: &Self::Unit) -> Option<Self::Unit> {
-        None
-    }
 }
 
-/// Cooperative limits and fault-handling knobs for one scheduler run.
+/// Cooperative limits and tracing for one scheduler run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SchedOptions {
     /// Abort dispatch (degrading to [`RunOutcome::BudgetExceeded`]) once
@@ -131,9 +112,6 @@ pub struct SchedOptions {
     pub deadline: Option<Instant>,
     /// Stop dispatching after this many units have executed.
     pub max_units: Option<u64>,
-    /// Requeue a panicked unit (cloned before execution) up to this many
-    /// times before aborting the run. Requires [`Task::clone_unit`].
-    pub unit_retries: u32,
     /// Structured tracing (DESIGN.md §13): when enabled, every worker
     /// records scheduler events into a private bounded ring drained into
     /// [`SchedRun::trace`] at quiescence. Disabled (the default) the
@@ -164,26 +142,21 @@ impl std::fmt::Display for Exhaustion {
 pub struct AbortInfo {
     /// Worker that observed the panic.
     pub worker: usize,
-    /// [`Task::describe_unit`] of the panicking unit (`"unit"` when the
-    /// task provides no description; `"<dispatch>"` for a panic raised
-    /// while acquiring a unit, `"<worker-init>"` for one in
-    /// [`Task::worker`]).
-    pub unit: String,
+    /// Where it panicked: `"unit"` ([`Task::run_unit`]), `"<dispatch>"`
+    /// (acquiring a unit), `"<on-idle>"` ([`Task::on_idle`]),
+    /// `"<worker-init>"` ([`Task::worker`]) or `"<worker>"` (a worker
+    /// thread that died outside every envelope).
+    pub site: &'static str,
     /// The panic payload, when it was a string (the common case).
     pub payload: String,
 }
 
 impl std::fmt::Display for AbortInfo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let unit = if self.unit.is_empty() {
-            "unit"
-        } else {
-            &self.unit
-        };
         write!(
             f,
             "worker {} panicked in {}: {}",
-            self.worker, unit, self.payload
+            self.worker, self.site, self.payload
         )
     }
 }
@@ -200,8 +173,8 @@ pub enum RunOutcome {
     /// A cooperative limit from [`SchedOptions`] tripped; the run stopped
     /// cleanly with work left undone.
     BudgetExceeded(Exhaustion),
-    /// A unit panicked (with retries exhausted): the run was cancelled,
-    /// all workers joined, partial worker states returned.
+    /// Task code panicked ([`AbortInfo::site`] says where): the run was
+    /// cancelled, all workers joined, partial worker states returned.
     Aborted(AbortInfo),
 }
 
@@ -211,9 +184,6 @@ impl RunOutcome {
         matches!(self, RunOutcome::Aborted(_))
     }
 }
-
-/// A queued unit plus how many times it has been retried.
-type Envelope<U> = (U, u32);
 
 /// How a popped unit arrived when it came from a steal: the victim and
 /// the number of units the steal claimed (used only for trace events).
@@ -226,7 +196,7 @@ struct StolenFrom {
 struct Shared<'s, U> {
     /// One queue per worker: worker `i` pushes and pops the back of
     /// `queues[i]`, a thief drains its front.
-    queues: Vec<Mutex<VecDeque<Envelope<U>>>>,
+    queues: Vec<Mutex<VecDeque<U>>>,
     /// Units seeded or split but not yet fully executed — the quiescence
     /// protocol, model-checked in `gfd-model` (DESIGN.md §14.4).
     quiesce: Quiesce,
@@ -236,14 +206,13 @@ struct Shared<'s, U> {
     units_stolen: AtomicU64,
     units_split: AtomicU64,
     units_panicked: AtomicU64,
-    units_retried: AtomicU64,
     /// First scheduler-raised stop cause wins; task-raised stops leave
     /// this empty and resolve to [`RunOutcome::Stopped`] at the end.
     verdict: Mutex<Option<RunOutcome>>,
 }
 
 impl<U> Shared<'_, U> {
-    fn steal(&self, thief: usize) -> Option<(Envelope<U>, Option<StolenFrom>)> {
+    fn steal(&self, thief: usize) -> Option<(U, Option<StolenFrom>)> {
         failpoint::maybe_panic("sched/steal");
         let p = self.queues.len();
         for k in 1..p {
@@ -252,7 +221,7 @@ impl<U> Shared<'_, U> {
             // lowest-priority end, so the victim keeps the units the
             // priority order wanted it to run next. The victim's lock is
             // released before the thief's own is taken.
-            let mut loot: Vec<Envelope<U>> = {
+            let mut loot: Vec<U> = {
                 let mut q = self.queues[victim].lock();
                 let n = q.len().div_ceil(2);
                 q.drain(..n).collect()
@@ -289,10 +258,10 @@ impl<U> Shared<'_, U> {
         Quiesce::<StdAtomics>::raise_stop(self.stop);
     }
 
-    fn abort(&self, worker: usize, unit: String, payload: Box<dyn Any + Send>) {
+    fn abort(&self, worker: usize, site: &'static str, payload: Box<dyn Any + Send>) {
         self.cancel(RunOutcome::Aborted(AbortInfo {
             worker,
-            unit,
+            site,
             payload: payload_str(payload),
         }));
     }
@@ -316,8 +285,8 @@ struct Solo<'h> {
     since: Instant,
     /// The seed queue whose back holds the next seed unit.
     cursor: usize,
-    /// Units this worker pushed onto its own back (split children,
-    /// retried clones) that pop before the cursor moves on.
+    /// Split children this worker pushed onto its own back, which pop
+    /// before the cursor moves on.
     stacked: usize,
 }
 
@@ -341,7 +310,7 @@ impl<U> WorkerCtx<'_, U> {
     /// the claim count and victim id so the worker loop can trace it — the
     /// steal logic itself is identical with tracing on or off (the
     /// non-interference contract of DESIGN.md §13).
-    fn pop(&self) -> Option<(Envelope<U>, Option<StolenFrom>)> {
+    fn pop(&self) -> Option<(U, Option<StolenFrom>)> {
         failpoint::maybe_panic("sched/dispatch");
         let queues = &self.shared.queues;
         let Some(mut solo) = self.solo.get() else {
@@ -363,17 +332,6 @@ impl<U> WorkerCtx<'_, U> {
         };
         self.solo.set(Some(solo));
         unit.map(|u| (u, None))
-    }
-
-    /// Push `units` onto this worker's own back, the last one on top.
-    /// Alone, worker 0 counts them, so they pop before its seed cursor
-    /// moves on, as at one worker.
-    fn push_own(&self, units: impl ExactSizeIterator<Item = Envelope<U>>) {
-        if let Some(mut solo) = self.solo.get() {
-            solo.stacked += units.len();
-            self.solo.set(Some(solo));
-        }
-        self.shared.queues[self.worker].lock().extend(units);
     }
 
     /// Start the helpers if this is worker 0, alone, past the grace.
@@ -399,7 +357,7 @@ impl<U> WorkerCtx<'_, U> {
     }
 
     /// Record an instant event into this worker's private ring.
-    pub fn trace_instant(&self, kind: EventKind, id: u32, a: u64, b: u64) {
+    fn trace_instant(&self, kind: EventKind, id: u32, a: u64, b: u64) {
         self.trace.borrow_mut().instant(kind, id, a, b);
     }
 
@@ -417,9 +375,17 @@ impl<U> WorkerCtx<'_, U> {
         // Count-first split publication (the Quiesce protocol invariant):
         // the in-flight counter rises before any unit becomes stealable.
         self.shared.quiesce.split(units.len(), || {
+            // Alone, worker 0 counts its children, so they pop before its
+            // seed cursor moves on, as at one worker.
+            if let Some(mut solo) = self.solo.get() {
+                solo.stacked += units.len();
+                self.solo.set(Some(solo));
+            }
             // Pushed in reverse: the first split unit lands at the back,
             // so this worker pops it next.
-            self.push_own(units.into_iter().rev().map(|u| (u, 0)));
+            self.shared.queues[self.worker]
+                .lock()
+                .extend(units.into_iter().rev());
         });
         // The children are queued work: a long unit past the grace
         // starts the helpers here rather than at its end.
@@ -436,7 +402,7 @@ pub struct SchedRun<W> {
     pub workers: Vec<W>,
     /// How the run ended.
     pub outcome: RunOutcome,
-    /// Units executed (seeded + split; panicked attempts count).
+    /// Units executed (seeded + split; a panicked unit counts).
     pub units_executed: u64,
     /// Units moved from another worker's queue by steals: each steal
     /// counts its whole loot, the unit the thief runs at once included.
@@ -445,8 +411,6 @@ pub struct SchedRun<W> {
     pub units_split: u64,
     /// Unit executions that panicked (caught by the isolation envelope).
     pub units_panicked: u64,
-    /// Panicked units that were requeued for another attempt.
-    pub units_retried: u64,
     /// Busy time per worker: thread CPU time over its non-idle stretches
     /// ([`crate::cputime`]).
     pub worker_busy: Vec<Duration>,
@@ -465,7 +429,7 @@ type WorkerState<T> = Option<(<T as Task>::Worker, Duration, Duration, TraceBuf)
 /// Worker `id`'s task state; a panic in [`Task::worker`] aborts the run.
 fn init_worker<T: Task>(task: &T, shared: &Shared<'_, T::Unit>, id: usize) -> Option<T::Worker> {
     catch_unwind(AssertUnwindSafe(|| task.worker(id)))
-        .map_err(|payload| shared.abort(id, "<worker-init>".to_string(), payload))
+        .map_err(|payload| shared.abort(id, "<worker-init>", payload))
         .ok()
 }
 
@@ -528,50 +492,30 @@ fn worker_loop<T: Task>(
                 // A panic while acquiring a unit (e.g. an armed steal
                 // failpoint) happens before any queue mutation for this
                 // worker; the run aborts cleanly.
-                shared.abort(id, "<dispatch>".to_string(), payload);
+                shared.abort(id, "<dispatch>", payload);
                 break;
             }
         };
-        if let Some(((unit, attempt), stolen)) = popped {
+        if let Some((unit, stolen)) = popped {
             spins = 0;
             // Trace the steal after the claim completed: recording is a
             // worker-local ring write and cannot perturb the steal count.
             if let Some(s) = stolen {
                 ctx.trace_instant(EventKind::Steal, 0, s.claimed, s.victim as u64);
             }
-            let retry = if attempt < shared.opts.unit_retries {
-                task.clone_unit(&unit)
-            } else {
-                None
-            };
-            let label = task.describe_unit(&unit);
             let span = ctx.trace_start();
             stretch.get_or_insert_with(BusyTimer::start);
             let result = catch_unwind(AssertUnwindSafe(|| {
                 failpoint::maybe_panic("sched/unit");
                 task.run_unit(&mut worker, unit, &ctx);
             }));
-            ctx.trace_span(EventKind::UnitExec, 0, span, attempt as u64, 0);
+            ctx.trace_span(EventKind::UnitExec, 0, span, 0, 0);
             shared.units_executed.fetch_add(1, Ordering::Relaxed);
-            match result {
-                Ok(()) => {
-                    shared.quiesce.complete_one();
-                }
-                Err(payload) => {
-                    shared.units_panicked.fetch_add(1, Ordering::Relaxed);
-                    if let Some(clone) = retry {
-                        // The unit stays in flight: requeue the clone at
-                        // this worker's back (owner end) with its
-                        // attempt count bumped.
-                        shared.units_retried.fetch_add(1, Ordering::Relaxed);
-                        ctx.trace_instant(EventKind::PanicRetry, 0, attempt as u64, 0);
-                        ctx.push_own(std::iter::once((clone, attempt + 1)));
-                    } else {
-                        shared.quiesce.complete_one();
-                        shared.abort(id, label, payload);
-                        break;
-                    }
-                }
+            shared.quiesce.complete_one();
+            if let Err(payload) = result {
+                shared.units_panicked.fetch_add(1, Ordering::Relaxed);
+                shared.abort(id, "unit", payload);
+                break;
             }
             continue;
         }
@@ -587,7 +531,7 @@ fn worker_loop<T: Task>(
         let idled = catch_unwind(AssertUnwindSafe(|| task.on_idle(&mut worker, &ctx)));
         busy += timer.elapsed();
         if let Err(payload) = idled {
-            shared.abort(id, "<on-idle>".to_string(), payload);
+            shared.abort(id, "<on-idle>", payload);
             break;
         }
         let idle_start = Instant::now();
@@ -648,9 +592,9 @@ pub fn run_scheduler<T: Task>(
     let in_flight = seed.len();
     // Deal round-robin, then reverse each worker's share: the owner pops
     // the back, so the highest-priority unit must land there.
-    let mut dealt: Vec<Vec<Envelope<T::Unit>>> = (0..p).map(|_| Vec::new()).collect();
+    let mut dealt: Vec<Vec<T::Unit>> = (0..p).map(|_| Vec::new()).collect();
     for (i, unit) in seed.into_iter().enumerate() {
-        dealt[i % p].push((unit, 0));
+        dealt[i % p].push(unit);
     }
     let queues = dealt
         .into_iter()
@@ -668,7 +612,6 @@ pub fn run_scheduler<T: Task>(
         units_stolen: AtomicU64::new(0),
         units_split: AtomicU64::new(0),
         units_panicked: AtomicU64::new(0),
-        units_retried: AtomicU64::new(0),
         verdict: Mutex::new(None),
     };
 
@@ -701,7 +644,7 @@ pub fn run_scheduler<T: Task>(
                     // Should be unreachable — every panic source in the
                     // loop is wrapped — but a worker thread dying must
                     // still surface as a structured abort.
-                    shared.abort(id, "<worker>".to_string(), payload);
+                    shared.abort(id, "<worker>", payload);
                     None
                 }));
             }
@@ -732,7 +675,6 @@ pub fn run_scheduler<T: Task>(
         units_stolen: shared.units_stolen.load(Ordering::Relaxed),
         units_split: shared.units_split.load(Ordering::Relaxed),
         units_panicked: shared.units_panicked.load(Ordering::Relaxed),
-        units_retried: shared.units_retried.load(Ordering::Relaxed),
         worker_busy: Vec::with_capacity(p),
         worker_idle: Vec::with_capacity(p),
         trace: Trace::default(),
@@ -786,7 +728,7 @@ mod tests {
         seed.iter().sum()
     }
 
-    /// [`run_scheduler`] under default options (no limits, no retries).
+    /// [`run_scheduler`] under default options (no limits, no tracing).
     fn run_default<T: Task>(
         task: &T,
         seed: Vec<T::Unit>,
@@ -1094,14 +1036,11 @@ mod tests {
         assert_eq!(run.outcome, RunOutcome::Completed);
     }
 
-    /// A task whose units panic when the payload exceeds a threshold,
-    /// used to pin panic isolation and the retry path.
+    /// A task whose units above 100 panic, used to pin panic isolation.
+    #[derive(Default)]
     struct FaultyTask {
-        panic_above: u64,
-        /// When set, a unit only panics on its first attempt — the retry
-        /// succeeds, modelling a transient fault.
-        transient: bool,
-        attempts: TestCounter,
+        /// Entries into a unit above 100.
+        entries: TestCounter,
     }
 
     impl Task for FaultyTask {
@@ -1113,21 +1052,11 @@ mod tests {
         }
 
         fn run_unit(&self, acc: &mut u64, unit: u64, _ctx: &WorkerCtx<'_, u64>) {
-            if unit > self.panic_above {
-                let n = self.attempts.fetch_add(1, Ordering::SeqCst);
-                if !self.transient || n == 0 {
-                    panic!("injected unit failure (payload {unit})");
-                }
+            if unit > 100 {
+                self.entries.fetch_add(1, Ordering::SeqCst);
+                panic!("injected unit failure (payload {unit})");
             }
             *acc += unit;
-        }
-
-        fn describe_unit(&self, unit: &u64) -> String {
-            format!("unit({unit})")
-        }
-
-        fn clone_unit(&self, unit: &u64) -> Option<u64> {
-            Some(*unit)
         }
     }
 
@@ -1136,74 +1065,20 @@ mod tests {
         for p in [1usize, 2, 4] {
             let mut seed: Vec<u64> = vec![1; 40];
             seed[17] = 1000; // the poisoned unit
-            let task = FaultyTask {
-                panic_above: 100,
-                transient: false,
-                attempts: TestCounter::new(0),
-            };
+            let task = FaultyTask::default();
             let stop = AtomicBool::new(false);
             let run = run_default(&task, seed, p, &stop);
             let RunOutcome::Aborted(info) = &run.outcome else {
                 panic!("p={p}: expected Aborted, got {:?}", run.outcome);
             };
-            assert_eq!(info.unit, "unit(1000)", "p={p}");
+            assert_eq!(info.site, "unit", "p={p}");
             assert!(info.payload.contains("injected unit failure"), "p={p}");
             assert!(info.worker < p, "p={p}");
-            assert!(run.units_panicked >= 1, "p={p}");
-            assert_eq!(run.units_retried, 0, "p={p}");
+            // A unit runs once: the poisoned one is never entered again.
+            assert_eq!(task.entries.load(Ordering::SeqCst), 1, "p={p}");
+            assert_eq!(run.units_panicked, 1, "p={p}");
             assert!(stop.load(Ordering::SeqCst), "p={p}: stop flag raised");
         }
-    }
-
-    #[test]
-    fn transient_panic_is_retried_and_the_run_completes() {
-        let mut seed: Vec<u64> = vec![1; 20];
-        seed[5] = 1000;
-        let task = FaultyTask {
-            panic_above: 100,
-            transient: true,
-            attempts: TestCounter::new(0),
-        };
-        let stop = AtomicBool::new(false);
-        let run = run_scheduler(
-            &task,
-            seed,
-            2,
-            &stop,
-            SchedOptions {
-                unit_retries: 1,
-                ..Default::default()
-            },
-        );
-        assert_eq!(run.outcome, RunOutcome::Completed);
-        assert_eq!(run.units_panicked, 1);
-        assert_eq!(run.units_retried, 1);
-        // 19 ones + the retried 1000 all landed.
-        assert_eq!(run.workers.iter().sum::<u64>(), 19 + 1000);
-    }
-
-    #[test]
-    fn persistent_panic_exhausts_retries_then_aborts() {
-        let seed: Vec<u64> = vec![1000];
-        let task = FaultyTask {
-            panic_above: 100,
-            transient: false,
-            attempts: TestCounter::new(0),
-        };
-        let stop = AtomicBool::new(false);
-        let run = run_scheduler(
-            &task,
-            seed,
-            1,
-            &stop,
-            SchedOptions {
-                unit_retries: 1,
-                ..Default::default()
-            },
-        );
-        assert!(run.outcome.is_aborted());
-        assert_eq!(run.units_panicked, 2, "original + one retry");
-        assert_eq!(run.units_retried, 1);
     }
 
     #[test]
@@ -1322,35 +1197,7 @@ mod tests {
     }
 
     #[test]
-    fn tracing_records_the_retry_and_budget_cut_instants() {
-        let mut seed: Vec<u64> = vec![1; 20];
-        seed[5] = 1000;
-        let task = FaultyTask {
-            panic_above: 100,
-            transient: true,
-            attempts: TestCounter::new(0),
-        };
-        let stop = AtomicBool::new(false);
-        let run = run_scheduler(
-            &task,
-            seed,
-            2,
-            &stop,
-            SchedOptions {
-                unit_retries: 1,
-                trace: TraceSpec::enabled(),
-                ..Default::default()
-            },
-        );
-        assert_eq!(run.outcome, RunOutcome::Completed);
-        let retries = run
-            .trace
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::PanicRetry)
-            .count() as u64;
-        assert_eq!(retries, run.units_retried);
-
+    fn tracing_records_the_budget_cut_instant() {
         let task = SumTask {
             split_above: u64::MAX,
             executed: TestCounter::new(0),
@@ -1461,29 +1308,13 @@ mod tests {
 
     #[test]
     fn a_panicking_unit_still_closes_its_stretch() {
-        for (retries, transient) in [(0, false), (1, true), (1, false)] {
-            let task = FaultyTask {
-                panic_above: 100,
-                transient,
-                attempts: TestCounter::new(0),
-            };
-            let stop = AtomicBool::new(false);
-            let before = clock_reads();
-            let run = run_scheduler(
-                &task,
-                vec![1, 1000, 1],
-                1,
-                &stop,
-                SchedOptions {
-                    unit_retries: retries,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(run.outcome.is_aborted(), !transient);
-            assert_eq!(run.units_retried, retries as u64);
-            assert_eq!(clock_reads() - before, 2, "retries={retries}");
-            assert!(run.worker_busy[0] > Duration::ZERO, "retries={retries}");
-        }
+        let task = FaultyTask::default();
+        let stop = AtomicBool::new(false);
+        let before = clock_reads();
+        let run = run_default(&task, vec![1, 1000, 1], 1, &stop);
+        assert!(run.outcome.is_aborted());
+        assert_eq!(clock_reads() - before, 2);
+        assert!(run.worker_busy[0] > Duration::ZERO);
     }
 
     #[test]
@@ -1654,9 +1485,107 @@ mod tests {
     fn abort_info_displays_defaults() {
         let info = AbortInfo {
             worker: 3,
-            unit: String::new(),
+            site: "unit",
             payload: "boom".into(),
         };
         assert_eq!(info.to_string(), "worker 3 panicked in unit: boom");
+    }
+
+    /// Panics outside [`Task::run_unit`]: in [`Task::worker`] for the
+    /// worker `init_panic` names, or in [`Task::on_idle`] when
+    /// `idle_panic`. Unit 0 sleeps past the grace, so a `p > 1` run has
+    /// started its helpers when it ends; with `idle_panic` every other
+    /// unit holds its worker until a worker has idled (at most 10 s).
+    #[derive(Default)]
+    struct SiteTask {
+        init_panic: Option<usize>,
+        idle_panic: bool,
+        /// The worker that idled, plus one (0: none yet).
+        idler: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Task for SiteTask {
+        type Unit = u32;
+        type Worker = usize;
+
+        fn worker(&self, id: usize) -> usize {
+            assert_ne!(self.init_panic, Some(id), "worker {id} fails to start");
+            id
+        }
+
+        fn run_unit(&self, _w: &mut usize, unit: u32, _ctx: &WorkerCtx<'_, u32>) {
+            if unit == 0 {
+                std::thread::sleep(HELPER_GRACE);
+            } else if self.idle_panic {
+                let until = Instant::now() + Duration::from_secs(10);
+                while self.idler.load(Ordering::SeqCst) == 0 && Instant::now() < until {
+                    std::thread::yield_now();
+                }
+            }
+        }
+
+        fn on_idle(&self, w: &mut usize, _ctx: &WorkerCtx<'_, u32>) {
+            if self.idle_panic {
+                self.idler.store(*w + 1, Ordering::SeqCst);
+                panic!("idle worker fails");
+            }
+        }
+    }
+
+    /// Run `task` over units 0 and 1 at width `p` and return its abort,
+    /// after checking that a fresh run at the same width completes.
+    /// Returning at all proves every worker joined.
+    fn abort_of(task: &SiteTask, p: usize) -> AbortInfo {
+        let stop = AtomicBool::new(false);
+        let run = run_scheduler(task, vec![0, 1], p, &stop, guarded());
+        let RunOutcome::Aborted(info) = run.outcome else {
+            panic!("p={p}: expected Aborted, got {:?}", run.outcome);
+        };
+        assert!(stop.load(Ordering::SeqCst), "p={p}: stop flag raised");
+
+        let stop = AtomicBool::new(false);
+        let run = run_scheduler(&SiteTask::default(), vec![0, 1], p, &stop, guarded());
+        assert_eq!(run.outcome, RunOutcome::Completed, "p={p}");
+        assert_eq!(run.units_executed, 2, "p={p}");
+        assert_eq!(run.workers.len(), p, "p={p}");
+        info
+    }
+
+    #[test]
+    fn an_on_idle_panic_aborts_the_run() {
+        // Whichever worker does not hold unit 1 idles and panics.
+        let task = SiteTask {
+            idle_panic: true,
+            ..Default::default()
+        };
+        let info = abort_of(&task, 2);
+        let idler = task.idler.load(Ordering::SeqCst);
+        assert!(idler > 0, "no worker idled: {info}");
+        assert_eq!((info.site, info.worker), ("<on-idle>", idler - 1), "{info}");
+        assert!(info.payload.contains("idle worker fails"), "{info}");
+    }
+
+    #[test]
+    fn a_worker_init_panic_on_worker_0_aborts_the_run() {
+        let task = SiteTask {
+            init_panic: Some(0),
+            ..Default::default()
+        };
+        let info = abort_of(&task, 1);
+        assert_eq!((info.site, info.worker), ("<worker-init>", 0), "{info}");
+        assert!(info.payload.contains("worker 0 fails to start"), "{info}");
+    }
+
+    #[test]
+    fn a_worker_init_panic_on_a_late_helper_aborts_the_run() {
+        // Unit 0 outlasts the grace with unit 1 queued, so worker 1 is
+        // spawned, and fails, mid-run.
+        let task = SiteTask {
+            init_panic: Some(1),
+            ..Default::default()
+        };
+        let info = abort_of(&task, 2);
+        assert_eq!((info.site, info.worker), ("<worker-init>", 1), "{info}");
+        assert!(info.payload.contains("worker 1 fails to start"), "{info}");
     }
 }

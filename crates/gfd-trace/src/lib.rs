@@ -34,16 +34,13 @@ pub const CONTROL_WORKER: u32 = u32::MAX;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum EventKind {
-    /// One work-unit execution on a scheduler worker (span; `a` = attempt).
+    /// One work-unit execution on a scheduler worker (span; no payload).
     UnitExec,
     /// A successful steal: claimed units from a victim's queue (instant;
     /// `a` = units claimed, `b` = victim worker).
     Steal,
     /// TTL straggler split (instant; `a` = units pushed).
     Split,
-    /// A panicked unit was requeued for another attempt (instant;
-    /// `a` = attempt number of the failed try).
-    PanicRetry,
     /// A cooperative budget tripped on this worker (instant;
     /// `a` = units executed so far, `b` = 0 deadline / 1 max-units).
     BudgetCut,
@@ -83,7 +80,6 @@ impl EventKind {
             EventKind::UnitExec => "UnitExec",
             EventKind::Steal => "Steal",
             EventKind::Split => "Split",
-            EventKind::PanicRetry => "PanicRetry",
             EventKind::BudgetCut => "BudgetCut",
             EventKind::RuleEval => "RuleEval",
             EventKind::ChaseRound => "ChaseRound",
@@ -100,10 +96,9 @@ impl EventKind {
     /// Names for the two payload counters (`""` = counter unused).
     pub fn payload_names(self) -> (&'static str, &'static str) {
         match self {
-            EventKind::UnitExec => ("attempt", ""),
+            EventKind::UnitExec => ("", ""),
             EventKind::Steal => ("claimed", "victim"),
             EventKind::Split => ("units", ""),
-            EventKind::PanicRetry => ("attempt", ""),
             EventKind::BudgetCut => ("units_executed", "cause"),
             EventKind::RuleEval => ("matches", "violations"),
             EventKind::ChaseRound => ("matches", "rules"),
@@ -268,6 +263,7 @@ impl TraceBuf {
     }
 
     /// Capture a span start. Reads the clock only when enabled.
+    #[inline]
     pub fn start(&self) -> SpanStart {
         if self.spec.enabled {
             SpanStart(Some(Instant::now()))
@@ -278,6 +274,7 @@ impl TraceBuf {
 
     /// Record a span opened by [`TraceBuf::start`]. A `SpanStart` taken
     /// while disabled records nothing.
+    #[inline]
     pub fn span(&mut self, kind: EventKind, id: u32, start: SpanStart, a: u64, b: u64) {
         let Some(t0) = start.0 else { return };
         if !self.spec.enabled {
@@ -297,6 +294,7 @@ impl TraceBuf {
     }
 
     /// Record an instant event (duration zero).
+    #[inline]
     pub fn instant(&mut self, kind: EventKind, id: u32, a: u64, b: u64) {
         if !self.spec.enabled {
             return;
@@ -455,7 +453,6 @@ impl Trace {
                 EventKind::UnitExec
                 | EventKind::Steal
                 | EventKind::Split
-                | EventKind::PanicRetry
                 | EventKind::BudgetCut => {
                     let row = match workers.iter_mut().find(|w| w.worker == e.worker) {
                         Some(row) => row,
@@ -480,7 +477,6 @@ impl Trace {
                             row.splits += 1;
                             row.split_units += e.a;
                         }
-                        EventKind::PanicRetry => row.retries += 1,
                         EventKind::BudgetCut => row.budget_cuts += 1,
                         _ => unreachable!(),
                     }
@@ -575,8 +571,6 @@ pub struct WorkerProfile {
     pub splits: u64,
     /// Units pushed by those splits.
     pub split_units: u64,
-    /// Panicked units this worker requeued.
-    pub retries: u64,
     /// Budget cuts this worker observed first.
     pub budget_cuts: u64,
 }
@@ -653,8 +647,8 @@ impl Profile {
         if !self.workers.is_empty() {
             out.push_str("profile: per-worker scheduler\n");
             out.push_str(&format!(
-                "  {:<8} {:>8} {:>10} {:>7} {:>7} {:>7} {:>8}\n",
-                "worker", "units", "exec", "steals", "stolen", "splits", "retries"
+                "  {:<8} {:>8} {:>10} {:>7} {:>7} {:>7}\n",
+                "worker", "units", "exec", "steals", "stolen", "splits"
             ));
             for w in &self.workers {
                 let label = if w.worker == CONTROL_WORKER {
@@ -663,14 +657,13 @@ impl Profile {
                     w.worker.to_string()
                 };
                 out.push_str(&format!(
-                    "  {:<8} {:>8} {:>10} {:>7} {:>7} {:>7} {:>8}\n",
+                    "  {:<8} {:>8} {:>10} {:>7} {:>7} {:>7}\n",
                     label,
                     w.units,
                     fmt_ns(w.exec_ns),
                     w.steals,
                     w.stolen,
-                    w.splits,
-                    w.retries
+                    w.splits
                 ));
             }
         }
@@ -734,15 +727,14 @@ impl Profile {
         for (i, w) in self.workers.iter().enumerate() {
             out.push_str(&format!(
                 "{}{{\"worker\": {}, \"units\": {}, \"exec_ns\": {}, \"steals\": {}, \
-                 \"stolen\": {}, \"splits\": {}, \"retries\": {}}}",
+                 \"stolen\": {}, \"splits\": {}}}",
                 if i == 0 { "" } else { ", " },
                 i64::from(w.worker as i32),
                 w.units,
                 w.exec_ns,
                 w.steals,
                 w.stolen,
-                w.splits,
-                w.retries
+                w.splits
             ));
         }
         out.push_str("],\n");
@@ -795,7 +787,7 @@ mod tests {
         let mut buf = TraceBuf::new(TraceSpec::disabled(), 0);
         assert!(!buf.enabled());
         let s = buf.start();
-        buf.span(EventKind::UnitExec, 0, s, 1, 0);
+        buf.span(EventKind::UnitExec, 0, s, 0, 0);
         buf.instant(EventKind::Steal, 0, 3, 1);
         assert!(buf.is_empty());
         assert_eq!(buf.events.capacity(), 0, "disabled ring must not allocate");
@@ -845,7 +837,7 @@ mod tests {
     #[test]
     fn merge_concatenates_events_and_drops() {
         let mut a = Trace {
-            events: vec![event(EventKind::UnitExec, 0, 0, 5, 10, 1, 0)],
+            events: vec![event(EventKind::UnitExec, 0, 0, 5, 10, 0, 0)],
             dropped: 2,
         };
         let b = Trace {
@@ -864,7 +856,7 @@ mod tests {
                 event(EventKind::RuleEval, 0, 2, 0, 100, 5, 1),
                 event(EventKind::RuleEval, 1, 2, 50, 300, 7, 0),
                 event(EventKind::RuleEval, 1, 0, 60, 50, 1, 1),
-                event(EventKind::UnitExec, 0, 0, 0, 400, 1, 0),
+                event(EventKind::UnitExec, 0, 0, 0, 400, 0, 0),
                 event(EventKind::Steal, 0, 0, 10, 0, 4, 1),
                 event(EventKind::ChaseRound, CONTROL_WORKER, 0, 0, 900, 12, 3),
                 event(EventKind::ChaseRound, CONTROL_WORKER, 1, 1000, 100, 2, 3),
@@ -899,7 +891,7 @@ mod tests {
         let t = Trace {
             events: vec![
                 event(EventKind::RuleEval, 0, 1, 5_000, 2_000, 3, 0),
-                event(EventKind::UnitExec, 0, 0, 1_000, 9_000, 1, 0),
+                event(EventKind::UnitExec, 0, 0, 1_000, 9_000, 0, 0),
                 event(EventKind::Steal, 1, 0, 3_000, 0, 2, 0),
             ],
             dropped: 0,

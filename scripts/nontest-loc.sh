@@ -21,7 +21,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=22693
+CEILING=22616
 BENCH_CEILING=1736
 
 total=0

@@ -47,14 +47,12 @@ fn worker_counts() -> Vec<usize> {
 /// workers reach their steal path) and bumps a counter.
 struct SleepTask {
     executed: AtomicU64,
-    retryable: bool,
 }
 
 impl SleepTask {
-    fn new(retryable: bool) -> Self {
+    fn new() -> Self {
         SleepTask {
             executed: AtomicU64::new(0),
-            retryable,
         }
     }
 }
@@ -69,27 +67,16 @@ impl Task for SleepTask {
         std::thread::sleep(Duration::from_millis(2));
         self.executed.fetch_add(1, Ordering::SeqCst);
     }
-
-    fn describe_unit(&self, unit: &u32) -> String {
-        format!("sleep-unit-{unit}")
-    }
-
-    fn clone_unit(&self, unit: &u32) -> Option<u32> {
-        self.retryable.then_some(*unit)
-    }
 }
 
-fn run_sleep_task(task: &SleepTask, units: usize, workers: usize, retries: u32) -> SchedRun<()> {
+fn run_sleep_task(task: &SleepTask, units: usize, workers: usize) -> SchedRun<()> {
     let stop = AtomicBool::new(false);
     run_scheduler(
         task,
         (0..units as u32).collect(),
         workers,
         &stop,
-        SchedOptions {
-            unit_retries: retries,
-            ..SchedOptions::default()
-        },
+        SchedOptions::default(),
     )
 }
 
@@ -98,52 +85,26 @@ fn forced_unit_panic_aborts_cleanly_at_every_worker_count() {
     let _g = serial();
     for p in worker_counts() {
         failpoint::arm("sched/unit=1").unwrap();
-        let task = SleepTask::new(false);
+        let task = SleepTask::new();
         // Returning at all proves every worker joined (no hang); the
         // other units may or may not have run before cancellation.
-        let run = run_sleep_task(&task, 16, p, 0);
+        let run = run_sleep_task(&task, 16, p);
         let RunOutcome::Aborted(info) = &run.outcome else {
             panic!("p={p}: expected Aborted, got {:?}", run.outcome);
         };
-        assert!(info.unit.starts_with("sleep-unit-"), "{info}");
+        assert_eq!(info.site, "unit", "{info}");
         assert!(info.payload.contains("sched/unit"), "{info}");
+        assert_eq!(run.units_panicked, 1, "p={p}: the failpoint fires once");
         assert_eq!(run.workers.len(), p, "p={p}: partial states returned");
         failpoint::disarm_all();
 
         // The scheduler state is not poisoned: a fresh run at the same
         // width completes every unit.
-        let task = SleepTask::new(false);
-        let run = run_sleep_task(&task, 16, p, 0);
+        let task = SleepTask::new();
+        let run = run_sleep_task(&task, 16, p);
         assert_eq!(run.outcome, RunOutcome::Completed, "p={p}");
         assert_eq!(task.executed.load(Ordering::SeqCst), 16, "p={p}");
     }
-}
-
-#[test]
-fn panicked_unit_is_requeued_once_then_aborts() {
-    let _g = serial();
-    // One retry budget, one forced panic: the requeued clone succeeds.
-    failpoint::arm("sched/unit=1").unwrap();
-    let task = SleepTask::new(true);
-    let run = run_sleep_task(&task, 8, 2, 1);
-    assert_eq!(
-        run.outcome,
-        RunOutcome::Completed,
-        "retry absorbs the panic"
-    );
-    assert_eq!(run.units_panicked, 1);
-    assert_eq!(run.units_retried, 1);
-    assert_eq!(task.executed.load(Ordering::SeqCst), 8);
-    failpoint::disarm_all();
-
-    // Every attempt panics (seeded denominator 1) against a budget of
-    // one retry: the second failure of some unit aborts the run.
-    failpoint::arm("sched/unit=~1:1").unwrap();
-    let task = SleepTask::new(true);
-    let run = run_sleep_task(&task, 8, 2, 1);
-    assert!(run.outcome.is_aborted(), "{:?}", run.outcome);
-    assert!(run.units_retried >= 1, "the retry path was exercised");
-    failpoint::disarm_all();
 }
 
 #[test]
@@ -152,20 +113,20 @@ fn dispatch_and_steal_failpoints_abort_cleanly() {
     // A panic while *acquiring* a unit (outside any unit envelope) must
     // still cancel the run and join every worker.
     failpoint::arm("sched/dispatch=1").unwrap();
-    let task = SleepTask::new(false);
-    let run = run_sleep_task(&task, 16, 2, 0);
+    let task = SleepTask::new();
+    let run = run_sleep_task(&task, 16, 2);
     let RunOutcome::Aborted(info) = &run.outcome else {
         panic!("expected Aborted, got {:?}", run.outcome);
     };
-    assert_eq!(info.unit, "<dispatch>", "{info}");
+    assert_eq!(info.site, "<dispatch>", "{info}");
     assert!(info.payload.contains("sched/dispatch"), "{info}");
     failpoint::disarm_all();
 
     // Same for the steal path: with more workers than units, idle
     // workers must attempt steals while the slow units run.
     failpoint::arm("sched/steal=~1:7").unwrap();
-    let task = SleepTask::new(false);
-    let run = run_sleep_task(&task, 4, 8, 0);
+    let task = SleepTask::new();
+    let run = run_sleep_task(&task, 4, 8);
     let RunOutcome::Aborted(info) = &run.outcome else {
         panic!("expected Aborted, got {:?}", run.outcome);
     };
@@ -199,9 +160,6 @@ fn steal_storm_executes_every_unit_exactly_once() {
                 std::thread::sleep(Duration::from_micros(200));
             }
             self.executed[unit as usize].fetch_add(1, Ordering::SeqCst);
-        }
-        fn describe_unit(&self, unit: &u32) -> String {
-            format!("count-unit-{unit}")
         }
     }
 
