@@ -14,7 +14,8 @@ pub struct RunMetrics {
     /// Wall-clock time of the whole run (including setup and the
     /// reasoning driver's catch-up).
     pub elapsed: Duration,
-    /// Number of workers used.
+    /// The worker count asked for (the width; a run that never needed
+    /// its helpers started fewer).
     pub workers: usize,
     /// Initial work units generated from pivot candidates.
     pub units_generated: usize,
@@ -42,13 +43,13 @@ pub struct RunMetrics {
     /// in milliseconds (negative = the run overshot the deadline while
     /// finishing its last units).
     pub deadline_slack_ms: Option<i64>,
-    /// Busy time per worker: thread CPU time over the worker's non-idle
-    /// stretches — units, the dispatch (pop / steal) between them and
-    /// `on_idle` work included, yield/sleep waits excluded (see
-    /// [`crate::cputime`]).
+    /// Busy time per started worker, one entry each in worker-id order:
+    /// thread CPU time over the worker's non-idle stretches — units, the
+    /// dispatch (pop / steal) between them and `on_idle` work included,
+    /// yield/sleep waits excluded (see [`crate::cputime`]).
     pub worker_busy: Vec<Duration>,
-    /// Wall time each worker spent waiting (yield/sleep) with no runnable
-    /// unit, for quiescence or new splits.
+    /// Wall time each started worker spent waiting (yield/sleep) with no
+    /// runnable unit, for quiescence or new splits.
     pub worker_idle: Vec<Duration>,
     /// Did the run end early (conflict / consequence / budget reached)?
     pub early_terminated: bool,
@@ -77,8 +78,9 @@ impl RunMetrics {
         self.worker_idle.iter().sum()
     }
 
-    /// Load imbalance: max busy time over mean busy time (1.0 = perfectly
-    /// balanced). `None` when per-worker times were not collected.
+    /// Load imbalance over the started workers: max busy time over mean
+    /// busy time (1.0 = perfectly balanced). `None` when per-worker times
+    /// were not collected.
     pub fn imbalance(&self) -> Option<f64> {
         if self.worker_busy.is_empty() {
             return None;

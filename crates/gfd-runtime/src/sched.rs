@@ -2,9 +2,9 @@
 //!
 //! Dispatch topology:
 //!
-//! * Seed units are dealt round-robin across `p` per-worker queues in
-//!   priority order; each queue is a `parking_lot::Mutex<VecDeque>`
-//!   loaded in reverse, so its back holds the highest-priority unit.
+//! * Each worker has a queue, a `parking_lot::Mutex<VecDeque>` whose
+//!   back holds its highest-priority unit. The seed, in priority order,
+//!   is worker 0's queue; the others start empty.
 //! * A worker pops its **own queue's back** (highest priority first).
 //!   Split units produced mid-run are pushed to the owner's back, in
 //!   reverse: a straggler's remainder inherits its parent's priority and
@@ -19,12 +19,13 @@
 //!   (or the shared stop flag is raised). Because a split happens *while
 //!   its parent unit is still counted*, the counter can only reach zero
 //!   when every unit, split or not, has been fully executed.
-//! * Worker 0 is the calling thread, and it starts alone. Until
-//!   `HELPER_GRACE` has passed it runs the one-worker order: its own
-//!   split children first, else the next seed queue's back in turn. At
-//!   its first unit boundary or split past the grace, with work still
-//!   queued, it spawns the other `p − 1` workers, which then steal as
-//!   above. A run that reaches quiescence first spawns no thread.
+//! * Worker 0 is the calling thread, and every run starts as the
+//!   one-worker run: worker 0 alone, popping its own back. At its first
+//!   unit boundary or split past `HELPER_GRACE`, with work still queued
+//!   and `p > 1`, it deals its queue round-robin across the `p` queues in
+//!   priority order and spawns the other `p − 1` workers, which then pop
+//!   and steal as above. A run that reaches quiescence first is the
+//!   one-worker run: no thread, one worker state.
 //!
 //! # Fault tolerance (DESIGN.md §11)
 //!
@@ -246,6 +247,24 @@ impl<U> Shared<'_, U> {
         None
     }
 
+    /// Deal worker 0's queue round-robin across every queue in priority
+    /// order, its best unit to worker 0, each queue keeping its
+    /// highest-priority unit at the back. Runs once, just before the
+    /// helpers start, so queues `1..p` are empty until then.
+    fn deal(&self) {
+        let p = self.queues.len();
+        let units = std::mem::take(&mut *self.queues[0].lock());
+        let share = units.len().div_ceil(p);
+        let mut dealt: Vec<VecDeque<U>> = (0..p).map(|_| VecDeque::with_capacity(share)).collect();
+        // Back first, i.e. best first; each lower unit goes in front.
+        for (i, unit) in units.into_iter().rev().enumerate() {
+            dealt[i % p].push_front(unit);
+        }
+        for (queue, units) in self.queues.iter().zip(dealt) {
+            *queue.lock() = units;
+        }
+    }
+
     /// Record a scheduler-raised stop cause (first writer wins) and raise
     /// the stop flag so every worker exits its loop.
     fn cancel(&self, outcome: RunOutcome) {
@@ -280,14 +299,10 @@ fn payload_str(payload: Box<dyn Any + Send>) -> String {
 /// Worker 0 of a `p > 1` run while its helpers have not started.
 #[derive(Clone, Copy)]
 struct Solo<'h> {
-    /// Spawns workers `1..p`; called at most once.
+    /// Deals worker 0's queue and spawns workers `1..p`; called at most
+    /// once.
     start_helpers: &'h dyn Fn(),
     since: Instant,
-    /// The seed queue whose back holds the next seed unit.
-    cursor: usize,
-    /// Split children this worker pushed onto its own back, which pop
-    /// before the cursor moves on.
-    stacked: usize,
 }
 
 /// The scheduler handle a [`Task`] uses from inside `run_unit`/`on_idle`.
@@ -303,35 +318,18 @@ pub struct WorkerCtx<'s, U> {
 }
 
 impl<U> WorkerCtx<'_, U> {
-    /// Next unit for this worker. Alone, worker 0 takes the one-worker
-    /// order: its stacked units first, else the next seed queue's back in
-    /// turn. Otherwise its own back (highest priority first), else half of
-    /// a victim's queue. A unit that arrived via a steal is reported with
-    /// the claim count and victim id so the worker loop can trace it — the
-    /// steal logic itself is identical with tracing on or off (the
-    /// non-interference contract of DESIGN.md §13).
+    /// Next unit for this worker: its own back (highest priority first),
+    /// else half of a victim's queue. A unit that arrived via a steal is
+    /// reported with the claim count and victim id so the worker loop can
+    /// trace it — the steal logic itself is identical with tracing on or
+    /// off (the non-interference contract of DESIGN.md §13).
     fn pop(&self) -> Option<(U, Option<StolenFrom>)> {
         failpoint::maybe_panic("sched/dispatch");
-        let queues = &self.shared.queues;
-        let Some(mut solo) = self.solo.get() else {
-            let own = queues[self.worker].lock().pop_back();
-            return match own {
-                Some(u) => Some((u, None)),
-                None => self.shared.steal(self.worker),
-            };
-        };
-        let unit = if solo.stacked > 0 {
-            solo.stacked -= 1;
-            queues[0].lock().pop_back()
-        } else {
-            (0..queues.len()).find_map(|_| {
-                let next = solo.cursor;
-                solo.cursor = (next + 1) % queues.len();
-                queues[next].lock().pop_back()
-            })
-        };
-        self.solo.set(Some(solo));
-        unit.map(|u| (u, None))
+        let own = self.shared.queues[self.worker].lock().pop_back();
+        match own {
+            Some(u) => Some((u, None)),
+            None => self.shared.steal(self.worker),
+        }
     }
 
     /// Start the helpers if this is worker 0, alone, past the grace.
@@ -375,12 +373,6 @@ impl<U> WorkerCtx<'_, U> {
         // Count-first split publication (the Quiesce protocol invariant):
         // the in-flight counter rises before any unit becomes stealable.
         self.shared.quiesce.split(units.len(), || {
-            // Alone, worker 0 counts its children, so they pop before its
-            // seed cursor moves on, as at one worker.
-            if let Some(mut solo) = self.solo.get() {
-                solo.stacked += units.len();
-                self.solo.set(Some(solo));
-            }
             // Pushed in reverse: the first split unit lands at the back,
             // so this worker pops it next.
             self.shared.queues[self.worker]
@@ -395,10 +387,10 @@ impl<U> WorkerCtx<'_, U> {
 
 /// What a finished scheduler run hands back to the caller.
 pub struct SchedRun<W> {
-    /// Per-worker final states, in worker-id order. Complete on every
-    /// outcome except [`RunOutcome::Aborted`], where the state of a
-    /// worker whose thread died outside the per-unit envelope may be
-    /// missing.
+    /// The final states of the workers that started, in worker-id order:
+    /// worker 0 alone when the run never started its helpers. On
+    /// [`RunOutcome::Aborted`] the state of a worker whose thread died
+    /// outside the per-unit envelope is missing.
     pub workers: Vec<W>,
     /// How the run ended.
     pub outcome: RunOutcome,
@@ -411,10 +403,10 @@ pub struct SchedRun<W> {
     pub units_split: u64,
     /// Unit executions that panicked (caught by the isolation envelope).
     pub units_panicked: u64,
-    /// Busy time per worker: thread CPU time over its non-idle stretches
-    /// ([`crate::cputime`]).
+    /// Busy time per started worker: thread CPU time over its non-idle
+    /// stretches ([`crate::cputime`]).
     pub worker_busy: Vec<Duration>,
-    /// Idle (wall) time per worker.
+    /// Idle (wall) time per started worker.
     pub worker_idle: Vec<Duration>,
     /// The merged trace rings of every worker (empty unless
     /// [`SchedOptions::trace`] enabled recording).
@@ -561,21 +553,16 @@ pub fn run_scheduler_with<T: Task>(
     run_scheduler(task, seed, workers, stop, opts)
 }
 
-/// Run `task` over `seed` units on `workers` threads until quiescence,
-/// until `stop` is raised, or until a limit in `opts` trips.
+/// Run `task` over `seed` units on up to `workers` threads until
+/// quiescence, until `stop` is raised, or until a limit in `opts` trips.
 ///
-/// Seed units are dealt round-robin across the per-worker queues in the
-/// given order, so seeding in priority order has every queue pop its
-/// highest-priority unit first.
-///
-/// Worker 0 runs inline on the calling thread. With `workers == 1` it is
-/// the only worker — the sequential algorithms are exactly this
-/// instantiation. With more, it runs alone in the one-worker order until
-/// the run has lasted `HELPER_GRACE` and still has work queued, and only
-/// then spawns the other workers; a shorter run pays no thread-spawn cost.
-/// [`SchedRun`] has `workers` entries either way: a helper that never
-/// started gets its [`Task::worker`] state built on the calling thread
-/// after the run, with zero busy and idle time.
+/// The seed, in the given (priority) order, is worker 0's queue, and
+/// worker 0 runs inline on the calling thread, alone: every run starts
+/// as the one-worker run, which is what the sequential algorithms are.
+/// With `workers > 1`, once the run has lasted `HELPER_GRACE` and still
+/// has work queued, worker 0 deals its queue round-robin across the
+/// per-worker queues and spawns the other workers; a shorter run pays no
+/// thread-spawn cost. [`SchedRun`] holds the workers that started.
 ///
 /// Task code must not wait for another worker's progress: until the
 /// grace passes there is no other worker.
@@ -590,18 +577,11 @@ pub fn run_scheduler<T: Task>(
 ) -> SchedRun<T::Worker> {
     let p = workers.max(1);
     let in_flight = seed.len();
-    // Deal round-robin, then reverse each worker's share: the owner pops
-    // the back, so the highest-priority unit must land there.
-    let mut dealt: Vec<Vec<T::Unit>> = (0..p).map(|_| Vec::new()).collect();
-    for (i, unit) in seed.into_iter().enumerate() {
-        dealt[i % p].push(unit);
-    }
-    let queues = dealt
-        .into_iter()
-        .map(|mut units| {
-            units.reverse();
-            Mutex::new(VecDeque::from(units))
-        })
+    // Reversed: the owner pops the back, so the highest-priority unit
+    // must land there.
+    let queues = std::iter::once(seed.into_iter().rev().collect())
+        .chain((1..p).map(|_| VecDeque::new()))
+        .map(Mutex::new)
         .collect();
     let shared = Shared {
         queues,
@@ -615,51 +595,37 @@ pub fn run_scheduler<T: Task>(
         verdict: Mutex::new(None),
     };
 
-    let mut states: Vec<WorkerState<T>> = if p == 1 {
-        vec![worker_loop(task, &shared, 0, None)]
-    } else {
-        std::thread::scope(|scope| {
-            let shared = &shared;
-            let helpers = RefCell::new(Vec::with_capacity(p - 1));
-            let start_helpers = || {
-                let mut helpers = helpers.borrow_mut();
-                for id in 1..p {
-                    let spawn = std::thread::Builder::new()
-                        .spawn_scoped(scope, move || worker_loop(task, shared, id, None));
-                    // A helper the OS will not start is one that never
-                    // started: worker 0 and the rest still finish the run.
-                    let Ok(handle) = spawn else { break };
-                    helpers.push(handle);
-                }
-            };
-            let solo = Solo {
-                start_helpers: &start_helpers,
-                since: Instant::now(),
-                cursor: 0,
-                stacked: 0,
-            };
-            let mut states = vec![worker_loop(task, shared, 0, Some(solo))];
-            for (id, handle) in (1..).zip(helpers.take()) {
-                states.push(handle.join().unwrap_or_else(|payload| {
-                    // Should be unreachable — every panic source in the
-                    // loop is wrapped — but a worker thread dying must
-                    // still surface as a structured abort.
-                    shared.abort(id, "<worker>", payload);
-                    None
-                }));
+    let states: Vec<WorkerState<T>> = std::thread::scope(|scope| {
+        let shared = &shared;
+        let helpers = RefCell::new(Vec::with_capacity(p - 1));
+        let start_helpers = || {
+            shared.deal();
+            let mut helpers = helpers.borrow_mut();
+            for id in 1..p {
+                let spawn = std::thread::Builder::new()
+                    .spawn_scoped(scope, move || worker_loop(task, shared, id, None));
+                // A helper the OS will not start is one that never
+                // started: worker 0 and the rest steal its dealt units.
+                let Ok(handle) = spawn else { break };
+                helpers.push(handle);
             }
-            // Helpers that never started: their state, built here after
-            // the run, did no work.
-            for id in states.len()..p {
-                let untraced = TraceBuf::new(TraceSpec::default(), id as u32);
-                states.push(
-                    init_worker(task, shared, id)
-                        .map(|w| (w, Duration::ZERO, Duration::ZERO, untraced)),
-                );
-            }
-            states
-        })
-    };
+        };
+        let solo = (p > 1).then(|| Solo {
+            start_helpers: &start_helpers,
+            since: Instant::now(),
+        });
+        let mut states = vec![worker_loop(task, shared, 0, solo)];
+        for (id, handle) in (1..).zip(helpers.take()) {
+            states.push(handle.join().unwrap_or_else(|payload| {
+                // Should be unreachable — every panic source in the
+                // loop is wrapped — but a worker thread dying must
+                // still surface as a structured abort.
+                shared.abort(id, "<worker>", payload);
+                None
+            }));
+        }
+        states
+    });
 
     let outcome = shared.verdict.lock().take().unwrap_or_else(|| {
         if stop.load(Ordering::SeqCst) {
@@ -669,17 +635,17 @@ pub fn run_scheduler<T: Task>(
         }
     });
     let mut run = SchedRun {
-        workers: Vec::with_capacity(p),
+        workers: Vec::with_capacity(states.len()),
         outcome,
         units_executed: shared.units_executed.load(Ordering::Relaxed),
         units_stolen: shared.units_stolen.load(Ordering::Relaxed),
         units_split: shared.units_split.load(Ordering::Relaxed),
         units_panicked: shared.units_panicked.load(Ordering::Relaxed),
-        worker_busy: Vec::with_capacity(p),
-        worker_idle: Vec::with_capacity(p),
+        worker_busy: Vec::with_capacity(states.len()),
+        worker_idle: Vec::with_capacity(states.len()),
         trace: Trace::default(),
     };
-    for state in states.drain(..) {
+    for state in states {
         let Some((worker, busy, idle, tbuf)) = state else {
             continue;
         };
@@ -753,7 +719,7 @@ mod tests {
             assert_eq!(run.units_split, 0);
             assert_eq!(run.units_panicked, 0);
             assert_eq!(run.outcome, RunOutcome::Completed);
-            assert_eq!(run.worker_busy.len(), p);
+            assert!((1..=p).contains(&run.worker_busy.len()), "p={p}");
         }
     }
 
@@ -789,7 +755,8 @@ mod tests {
         // Pre-raised stop: nothing (or at most a unit per worker mid-pop)
         // runs.
         assert!(run.units_executed <= 4);
-        assert_eq!(run.workers.len(), 4);
+        // Worker 0 stops before its first unit: no helper starts.
+        assert_eq!(run.workers.len(), 1);
         assert_eq!(run.outcome, RunOutcome::Stopped);
     }
 
@@ -916,23 +883,34 @@ mod tests {
 
     #[test]
     fn queue_discipline_thief_takes_the_low_priority_half() {
-        // Round-robin over p = 2: worker 0 gets the even units, worker 1
-        // the odd ones. Worker 0's warm-up unit outlasts the grace, so
-        // worker 1 is running when unit 0 holds worker 0 until worker 1
-        // has run four even units. So worker 0's queue [2, 4, …, 14] is
-        // untouched by its owner when worker 1, out of odd units, steals
-        // from it. The thief must take the low-priority half {8, 10, 12,
-        // 14}, run its best unit first and the rest in priority order.
+        // Worker 0's warm-up unit outlasts the grace, so at its end worker
+        // 0 deals [0, 16) round-robin over p = 2 in priority order: the
+        // even units to itself, the odd ones to worker 1, which it then
+        // starts. Unit 0 holds worker 0 until worker 1 has run four even
+        // units. So worker 0's queue [2, 4, …, 14] is untouched by its
+        // owner when worker 1, out of odd units, steals from it. The thief
+        // must take the low-priority half {8, 10, 12, 14}, run its best
+        // unit first and the rest in priority order.
         let task = OrderTask {
             log: Mutex::new(Vec::new()),
             stolen_from: |u| u < 16 && u.is_multiple_of(2),
             hold_for: 4,
         };
         let stop = AtomicBool::new(false);
-        let seed = [WARM_UP, WARM_UP + 1].into_iter().chain(0..16).collect();
+        let seed = [WARM_UP].into_iter().chain(0..16).collect();
         let run = run_scheduler(&task, seed, 2, &stop, guarded());
         assert_eq!(run.outcome, RunOutcome::Completed);
         let log = task.log.into_inner();
+        // The deal's interleave: worker 1 runs its odd units in priority
+        // order (unit 1's children 100–102 right after it), then its loot.
+        let mine: Vec<u32> = log
+            .iter()
+            .filter(|&&(w, u)| w == 1 && u < 16)
+            .map(|&(_, u)| u)
+            .take(12)
+            .collect();
+        let dealt = (1..16).step_by(2).chain([8, 10, 12, 14]);
+        assert_eq!(mine, dealt.collect::<Vec<_>>(), "{log:?}");
         let thief: Vec<u32> = log
             .iter()
             .filter(|&&(w, u)| w == 1 && (task.stolen_from)(u))
@@ -988,8 +966,8 @@ mod tests {
     }
 
     /// [`CountTask`] whose unit 0 first sleeps the grace: its split then
-    /// starts the helpers mid-run, from worker 0's stacked children and
-    /// seed cursor, under any clock (Miri's included).
+    /// deals worker 0's queue, children included, and starts the helpers
+    /// mid-run, under any clock (Miri's included).
     struct LateCountTask(CountTask);
 
     impl Task for LateCountTask {
@@ -1032,7 +1010,7 @@ mod tests {
         let stop = AtomicBool::new(false);
         let run = run_default(&task, Vec::new(), 8, &stop);
         assert_eq!(run.units_executed, 0);
-        assert_eq!(run.workers.len(), 8);
+        assert_eq!(run.workers.len(), 1);
         assert_eq!(run.outcome, RunOutcome::Completed);
     }
 
@@ -1416,14 +1394,12 @@ mod tests {
         assert_eq!(run.outcome, RunOutcome::Completed);
         let caller = std::thread::current().id();
         assert_eq!(*task.units.lock(), vec![(0, caller)]);
-        // Four worker states, every one built on the calling thread; the
-        // helpers' carry no time.
-        assert_eq!(run.workers, vec![0, 1, 2, 3]);
-        assert_eq!(*task.builders.lock(), vec![caller; 4]);
-        assert_eq!(run.worker_busy.len(), 4);
-        assert_eq!(run.worker_idle.len(), 4);
-        assert!(run.worker_busy[1..].iter().all(|b| b.is_zero()));
-        assert!(run.worker_idle[1..].iter().all(|i| i.is_zero()));
+        // The one-worker run: one worker state, built on the calling
+        // thread, and no state for the helpers that never started.
+        assert_eq!(run.workers, vec![0]);
+        assert_eq!(*task.builders.lock(), vec![caller]);
+        assert_eq!(run.worker_busy.len(), 1);
+        assert_eq!(run.worker_idle.len(), 1);
     }
 
     #[test]
@@ -1455,7 +1431,9 @@ mod tests {
         let units = task.units.lock();
         assert_eq!(units[0], (0, caller));
         assert!(units[1..].iter().all(|&(u, t)| u >= 100 && t != caller));
-        assert!(run.units_stolen >= 3, "the children were stolen");
+        // Children 101 and 102 are dealt to helpers; 100 stays on worker
+        // 0's queue, and a helper steals it.
+        assert!(run.units_stolen >= 1, "child 100 was not stolen");
     }
 
     #[test]

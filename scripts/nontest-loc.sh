@@ -21,7 +21,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=22616
+CEILING=22584
 BENCH_CEILING=1736
 
 total=0

@@ -95,7 +95,9 @@ fn forced_unit_panic_aborts_cleanly_at_every_worker_count() {
         assert_eq!(info.site, "unit", "{info}");
         assert!(info.payload.contains("sched/unit"), "{info}");
         assert_eq!(run.units_panicked, 1, "p={p}: the failpoint fires once");
-        assert_eq!(run.workers.len(), p, "p={p}: partial states returned");
+        // The first unit panics before any helper starts: worker 0's
+        // state alone comes back.
+        assert_eq!(run.workers.len(), 1, "p={p}: partial states returned");
         failpoint::disarm_all();
 
         // The scheduler state is not poisoned: a fresh run at the same

@@ -14,7 +14,7 @@ use gfd::core::{
 };
 use gfd::gen::{real_life_workload, Dataset, Workload};
 use gfd::graph::{AttrId, Graph, LabelId, NodeId, Pattern, ValueId, VarId};
-use gfd::runtime::RunMetrics;
+use gfd::runtime::{EventKind, RunMetrics, TraceSpec};
 use std::time::Duration;
 
 type Attrs = Vec<(NodeId, AttrId, ValueId)>;
@@ -116,16 +116,30 @@ fn the_one_worker_relation_size_is_pinned_on_dbpedia_1000() {
 }
 
 /// The Imp probes generated with the same Σ keep one definite verdict,
-/// the one they were generated to have, at every worker count.
+/// the one they were generated to have, at every worker count. A run at
+/// p > 1 that started no helper is the one-worker run: the same counts
+/// and the same rules evaluated in the same order as at p = 1.
 #[test]
 fn dbpedia_1000_probe_verdicts_are_the_same_at_every_worker_count() {
+    // Counts and the `RuleEval` rule ids in trace order.
+    let solo_run = |m: &RunMetrics| {
+        let evals = m
+            .trace
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::RuleEval);
+        let rules: Vec<u32> = evals.map(|e| e.id).collect();
+        (m.matches, m.pending, m.rechecks, m.units_dispatched, rules)
+    };
+    let (mut compared, mut multi_unit) = (0, 0);
     for seed in [42u64, 7] {
         let w = real_life_workload(Dataset::DBpedia, 1000, seed, None);
         assert!(!w.probes.is_empty());
         for probe in &w.probes {
+            let mut one_worker = None;
             for workers in [1usize, 2, 8] {
-                let result =
-                    imp_with_config(&w.sigma, &probe.phi, &ReasonConfig::with_workers(workers));
+                let cfg = ReasonConfig::with_workers(workers).with_trace(TraceSpec::enabled());
+                let result = imp_with_config(&w.sigma, &probe.phi, &cfg);
                 let implied = match result.outcome {
                     ImpOutcome::Implied(_) => true,
                     ImpOutcome::NotImplied => false,
@@ -136,9 +150,26 @@ fn dbpedia_1000_probe_verdicts_are_the_same_at_every_worker_count() {
                     "seed {seed}, {workers} workers: {}",
                     probe.phi.name
                 );
+                let stats = &result.stats;
+                assert_eq!(stats.trace.dropped, 0, "{}", probe.phi.name);
+                if workers == 1 {
+                    one_worker = Some(solo_run(stats));
+                } else if stats.worker_busy.len() == 1 {
+                    assert_eq!(
+                        Some(solo_run(stats)),
+                        one_worker,
+                        "seed {seed}, {workers} workers, no helper started: {}",
+                        probe.phi.name
+                    );
+                    compared += 1;
+                    multi_unit += usize::from(stats.units_dispatched >= 2);
+                }
             }
         }
     }
+    println!("{compared} helperless p > 1 probe runs matched their p = 1 run ({multi_unit} of them ran 2+ units)");
+    assert!(compared > 0, "no p > 1 probe run stayed on one worker");
+    assert!(multi_unit > 0, "every compared probe run was a single unit");
 }
 
 /// `w`'s Σ plus a straggler: a hub rule whose one unit outlives a zero
