@@ -504,8 +504,6 @@ const GGD_CHASE: Variant = Variant("GGD-chase", Swept, |w, cfg| {
         let counters = vec![
             ("scan_us", s.scan_time.as_micros() as u64),
             ("apply_us", s.apply_time.as_micros() as u64),
-            ("apply_independent", s.apply_independent),
-            ("apply_conflicts", s.apply_conflicts),
             ("rounds", s.rounds),
             ("generated_nodes", s.generated_nodes),
             ("premise_evals", s.premise_evals),

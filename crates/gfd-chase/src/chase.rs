@@ -82,8 +82,8 @@ pub struct ChaseConfig {
     /// outcome — the chase never claims a fixpoint it did not reach.
     pub budget: Budget,
     /// Structured tracing (DESIGN.md §13): per-rule scan spans on the
-    /// scheduler workers, `ChaseRound`/`ApplyPlan`/`ApplyCommit` phase
-    /// spans on the control track. Off by default.
+    /// scheduler workers, `ChaseRound`/`ApplyCommit` phase spans on the
+    /// control track. Off by default.
     pub trace: gfd_runtime::TraceSpec,
 }
 
@@ -137,21 +137,20 @@ pub struct ChaseStats {
     /// one per generating firing.
     pub realization_checks: u64,
     /// Of those checks, the firings found already realized (nothing to
-    /// commit). `apply_independent + apply_conflicts + realized` is the
-    /// number of distinct `(rule, row)` firings of the run.
+    /// commit). The rest of the run's distinct `(rule, row)` firings are
+    /// committed, each once (the `ApplyCommit` spans count them).
     pub realized: u64,
-    /// Firings committed from the parallel-independent set of the round's
-    /// conflict partition (DESIGN.md §12.2).
-    pub apply_independent: u64,
-    /// Firings committed whose touched classes or nodes overlapped an
-    /// earlier firing of the same round.
-    pub apply_conflicts: u64,
+    /// Always 0: the chase no longer splits its commits into independent
+    /// and conflicting ones (DESIGN.md §12.1). Kept because gfdbench
+    /// reads it.
+    pub apply_independent: u64, // gfdbench-pin
+    /// Always 0, like the field above, and kept for the same reason.
+    pub apply_conflicts: u64, // gfdbench-pin
     /// Wall time spent in premise scans, across all rounds — the
     /// realization checks of the generating firings included.
     pub scan_time: Duration,
-    /// Wall time spent partitioning and committing the fired rows, across
-    /// all completed apply phases (a round cut short mid-apply is not
-    /// booked).
+    /// Wall time spent committing the fired rows, across all completed
+    /// commit walks (a round cut short mid-walk is not booked).
     pub apply_time: Duration,
 }
 
@@ -464,15 +463,10 @@ struct Chase<'a> {
     index: LabelIndex,
     /// Per rule, every premise match enumerated so far.
     tables: Vec<MatchTable>,
-    /// The partition's claims, by root slot and by node id: the number of
-    /// the partition (`stamp`) that last claimed each, so none is cleared.
-    claimed_classes: Vec<u32>,
-    claimed_nodes: Vec<u32>,
-    stamp: u32,
     stats: ChaseStats,
     metrics: RunMetrics,
     /// The control-track ring buffer the run records its phase spans into
-    /// (`ChaseRound`, `ApplyPlan`, `ApplyCommit` — DESIGN.md §13). The
+    /// (`ChaseRound`, `ApplyCommit` — DESIGN.md §13). The
     /// rounds run on the calling thread, outside any scheduler worker, so
     /// these spans carry [`CONTROL_WORKER`] and are absorbed into the
     /// run's merged trace when it finishes.
@@ -503,9 +497,6 @@ impl<'a> Chase<'a> {
             eq,
             index,
             tables,
-            claimed_classes: Vec::new(),
-            claimed_nodes: Vec::new(),
-            stamp: 0,
         }
     }
 
@@ -555,75 +546,7 @@ impl<'a> Chase<'a> {
         }
     }
 
-    /// The greedy conflict partition (DESIGN.md §12.1). Walk the round's
-    /// firings in deterministic `(rule, row)` order; each firing claims
-    /// its touched equivalence *classes* — the root slots of the premise
-    /// attribute keys its literals bind or merge, in the live relation
-    /// the commit walk is about to write — and its touched premise *nodes*
-    /// (adjacency-list writes of generated edges). A firing whose claims
-    /// are all unclaimed joins the independent set; any overlap books it
-    /// as a conflict. Fresh nodes and their keys are a firing's own by
-    /// construction and claim nothing.
-    ///
-    /// Class-level (not key-level) resolution is what makes the criterion
-    /// the commutation condition of attributed-graph parallel independence:
-    /// two independent firings write disjoint union-find components, touch
-    /// disjoint adjacency lists, and create disjoint fresh-node ranges, so
-    /// their commits compose in either order with identical outcome —
-    /// including identical conflict behaviour.
-    ///
-    /// Resolving a key creates the latent singleton the commit walk would
-    /// create for it, and path-compresses: neither changes which keys
-    /// share a class, so the partition is the same at every worker count.
-    fn partition(&mut self, fired: &[Firing]) -> Vec<bool> {
-        self.stamp += 1;
-        let (stamp, eq) = (self.stamp, &mut self.eq);
-        let (claimed_classes, claimed_nodes) = (&mut self.claimed_classes, &mut self.claimed_nodes);
-        claimed_nodes.resize(self.graph.node_count(), 0);
-        let (mut classes, mut nodes) = (Vec::new(), Vec::new());
-        fired
-            .iter()
-            .map(|&(rule, row, realized)| {
-                if realized {
-                    // Writes nothing, independent of everything.
-                    return true;
-                }
-                classes.clear();
-                nodes.clear();
-                let m = self.tables[rule as usize].get(row as usize);
-                let (lits, shared) = match &self.rules[rule as usize].consequence {
-                    Consequence::Literals(lits) => (lits.as_slice(), m.len()),
-                    Consequence::Generate(gen) => {
-                        let ends = gen.pattern.edges().iter().flat_map(|e| [e.src, e.dst]);
-                        let old = ends.filter(|v| v.index() < gen.shared);
-                        nodes.extend(old.map(|v| m[v.index()].index()));
-                        (gen.attrs.as_slice(), gen.shared)
-                    }
-                };
-                let mut class = |v: VarId, a| {
-                    if v.index() < shared {
-                        classes.push(eq.class_id((m[v.index()], a)) as usize);
-                    }
-                };
-                for lit in lits {
-                    class(lit.var, lit.attr);
-                    if let Operand::Attr(v2, a2) = &lit.rhs {
-                        class(*v2, *a2);
-                    }
-                }
-                claimed_classes.resize(eq.key_count(), 0);
-                let free = classes.iter().all(|&c| claimed_classes[c] != stamp)
-                    && nodes.iter().all(|&n| claimed_nodes[n] != stamp);
-                if free {
-                    classes.iter().for_each(|&c| claimed_classes[c] = stamp);
-                    nodes.iter().for_each(|&n| claimed_nodes[n] = stamp);
-                }
-                free
-            })
-            .collect()
-    }
-
-    /// Run one round — scan, partition, commit, and the table update a
+    /// Run one round — scan, commit, and the table update a
     /// grown topology calls for. `Ok(changed)`: the round ran to its end,
     /// and the fixpoint is reached when it changed nothing; `Err`: the run
     /// ends here without one.
@@ -635,53 +558,32 @@ impl<'a> Chase<'a> {
         self.stats.rounds += 1;
         let round = self.stats.rounds as u32;
         let round_span = self.ctl.start();
-        let checks0 = self.stats.realization_checks;
         let fired = self.scan().map_err(Interrupted)?;
 
-        // ---- apply phase: partition, then commit in order ----
         if failpoint::triggered("chase/apply") {
             return Err(Interrupted(Interrupt::Aborted(
                 "failpoint chase/apply fired".to_string(),
             )));
         }
         // Every fired row is live, so none has fired before: a (rule, row)
-        // key fires at most once across rounds. The greedy partition
-        // splits the round into the parallel-independent set (disjoint
-        // touched classes, nodes, and fresh ranges — those commits
-        // commute) and the conflicting residual.
+        // key fires at most once across rounds. The deterministic commit
+        // walk goes in sorted (rule, row) order, every mutation derived
+        // from the firing's rule and row as a fully serial apply would —
+        // so node ids, conflict attribution and budget cut points are
+        // identical at every worker count.
         let apply_start = Instant::now();
-        let plan_span = self.ctl.start();
-        let independent = self.partition(&fired);
-        self.ctl.span(
-            EventKind::ApplyPlan,
-            round,
-            plan_span,
-            fired.len() as u64,
-            self.stats.realization_checks - checks0,
-        );
-
-        // Deterministic commit walk in sorted (rule, row) order, every
-        // mutation derived from the firing's rule and row as a fully
-        // serial apply would — so node ids, conflict attribution and
-        // budget cut points are identical at every worker count, and the
-        // partition only decides where a firing is booked.
         let commit_span = self.ctl.start();
-        let independent0 = self.stats.apply_independent;
-        let conflicts0 = self.stats.apply_conflicts;
         let topo_before = self.graph.topology_version();
         let first_new = self.graph.node_count();
         let mut new_edges: Vec<(NodeId, LabelId, NodeId)> = Vec::new();
         let mut asn: Vec<NodeId> = Vec::new();
         let mut changed = false;
-        for (&(rule, row, realized), independent) in fired.iter().zip(independent) {
+        let mut committed = 0u64;
+        for &(rule, row, realized) in &fired {
             if realized {
                 continue;
             }
-            if independent {
-                self.stats.apply_independent += 1;
-            } else {
-                self.stats.apply_conflicts += 1;
-            }
+            committed += 1;
             let m = self.tables[rule as usize].get(row as usize);
             let eq = &mut self.eq;
             let applied = match &self.rules[rule as usize].consequence {
@@ -723,8 +625,8 @@ impl<'a> Chase<'a> {
             EventKind::ApplyCommit,
             round,
             commit_span,
-            self.stats.apply_independent - independent0,
-            self.stats.apply_conflicts - conflicts0,
+            committed,
+            fired.len() as u64 - committed,
         );
         self.ctl.span(
             EventKind::ChaseRound,
@@ -763,11 +665,7 @@ impl<'a> Chase<'a> {
 /// walk** in sorted `(rule, row)` order: each firing's binds, merges,
 /// fresh nodes and edges are derived from its rule and row exactly as a
 /// fully serial apply would, so node ids, conflict attribution, and budget
-/// cut points are identical at every worker count. The greedy conflict
-/// partition (DESIGN.md §12.2) books each firing in the
-/// parallel-independent set — disjoint touched equivalence classes,
-/// premise nodes, and fresh-node ranges, whose commits provably commute —
-/// or the conflicting residual.
+/// cut points are identical at every worker count (DESIGN.md §12.2).
 ///
 /// When a round materialized topology, the index is re-frozen and each
 /// rule's table gains the matches that use a generated node or edge
@@ -815,9 +713,9 @@ mod tests {
     use super::*;
     use crate::sat_chase::{chase_sat, chase_sat_with_config};
     use gfd_core::{CanonicalGraph, DepSet, Dependency, Literal, SatOutcome};
-    use gfd_graph::{LabelId, Pattern, ValueId as VId, VarId, Vocab};
+    use gfd_graph::{AttrId, LabelId, Pattern, ValueId as VId, VarId, Vocab};
     use gfd_runtime::TraceSpec;
-    use rustc_hash::FxHashSet;
+    use rustc_hash::{FxHashMap, FxHashSet};
 
     fn unary(vocab: &mut Vocab, name: &str, pre: Vec<Literal>, post: Vec<Literal>) -> Dependency {
         let mut p = Pattern::new();
@@ -934,7 +832,7 @@ mod tests {
     }
 
     /// Tracing on: the run's merged trace carries per-rule scan spans
-    /// from the workers and round/apply phase spans from the control
+    /// from the workers and round/commit phase spans from the control
     /// track, one `ChaseRound` per round. Tracing off (the default):
     /// nothing is recorded.
     #[test]
@@ -950,12 +848,11 @@ mod tests {
             |k: EventKind| metrics.trace.events.iter().filter(|e| e.kind == k).count() as u64;
         assert!(count(EventKind::RuleEval) > 0, "no scan spans recorded");
         assert_eq!(count(EventKind::ChaseRound), stats.rounds);
-        assert_eq!(count(EventKind::ApplyPlan), stats.rounds);
         assert_eq!(count(EventKind::ApplyCommit), stats.rounds);
         // Control spans carry the control worker id; scan spans do not.
         for e in &metrics.trace.events {
             match e.kind {
-                EventKind::ChaseRound | EventKind::ApplyPlan | EventKind::ApplyCommit => {
+                EventKind::ChaseRound | EventKind::ApplyCommit => {
                     assert_eq!(e.worker, CONTROL_WORKER, "{:?}", e.kind);
                 }
                 EventKind::RuleEval => assert_ne!(e.worker, CONTROL_WORKER),
@@ -967,10 +864,12 @@ mod tests {
         assert!(quiet.trace.is_empty(), "default config must not trace");
     }
 
-    /// The Σs the round-verdict tests run: the mixed and the overlap
-    /// workloads, and [`old_edge_sigma`] — the generated Σs find nothing
+    /// The Σs the round-verdict test runs, each with whether two of its
+    /// rules write one key: the mixed workload (no), the overlap workloads
+    /// the equivalence suites chase (their same-key rider cliques), and
+    /// [`old_edge_sigma`] (its merges) — the generated Σs find nothing
     /// realized; that one does.
-    fn partition_sigmas() -> [DepSet; 3] {
+    fn round_sigmas() -> [(DepSet, bool); 6] {
         let gen = |chain_depth, fanout, literal_rules, seed| gfd_gen::GgdGenConfig {
             chain_depth,
             gen_per_tier: 2,
@@ -978,117 +877,71 @@ mod tests {
             literal_rules,
             seed,
         };
+        let overlap = |cfg| (gfd_gen::ggd_overlap_workload(&cfg, &mut Vocab::new()), true);
         [
-            gfd_gen::mixed_ggd_workload(&gen(4, 3, 6, 5), &mut Vocab::new()),
-            gfd_gen::ggd_overlap_workload(&gen(3, 2, 2, 37), &mut Vocab::new()),
-            old_edge_sigma(&mut Vocab::new()),
+            (
+                gfd_gen::mixed_ggd_workload(&gen(4, 3, 6, 5), &mut Vocab::new()),
+                false,
+            ),
+            overlap(gen(3, 2, 2, 37)),
+            overlap(gen(3, 2, 3, 37)),
+            overlap(gen(5, 3, 2, 23)),
+            overlap(gen(3, 2, 3, 11)),
+            (old_edge_sigma(&mut Vocab::new()), true),
         ]
     }
 
-    /// The partition as it was before claims became stamps, kept as the
-    /// oracle: each firing's claims sorted and deduplicated, resolved
-    /// against `probe` — a clone of the round-start relation — and checked
-    /// and recorded through two hash sets.
-    fn partition_by_hash_sets(
+    /// A round's write footprint, key by key: how many of its committed
+    /// (not realized) firings write a premise key or a premise node's
+    /// adjacency that an earlier firing of the round already wrote — the
+    /// firings whose commits do not commute with the walk before them —
+    /// and how many write a premise key that an earlier firing of another
+    /// rule wrote first. Keys are compared as keys, so no relation is read.
+    fn overlapping_firings(
         rules: &[Dependency],
         tables: &[MatchTable],
         fired: &[Firing],
-        mut probe: EqRel,
-    ) -> Vec<bool> {
-        let mut independent = vec![false; fired.len()];
-        let mut claimed_classes: FxHashSet<u32> = FxHashSet::default();
-        let mut claimed_nodes: FxHashSet<NodeId> = FxHashSet::default();
-        let mut classes: Vec<u32> = Vec::new();
-        let mut nodes: Vec<NodeId> = Vec::new();
-        for (i, &(rule, row, realized)) in fired.iter().enumerate() {
-            if realized {
-                independent[i] = true;
-                continue;
-            }
-            classes.clear();
-            nodes.clear();
+    ) -> (usize, usize) {
+        let mut writer: FxHashMap<(NodeId, AttrId), u32> = FxHashMap::default();
+        let mut nodes: FxHashSet<NodeId> = FxHashSet::default();
+        let (mut overlapping, mut contended) = (0, 0);
+        for &(rule, row, _) in fired.iter().filter(|f| !f.2) {
             let m = tables[rule as usize].get(row as usize);
-            let (lits, shared) = match &rules[rule as usize].consequence {
-                Consequence::Literals(lits) => (lits.as_slice(), m.len()),
+            let (lits, shared, edges) = match &rules[rule as usize].consequence {
+                Consequence::Literals(lits) => (lits.as_slice(), m.len(), &[][..]),
                 Consequence::Generate(gen) => {
-                    let ends = gen.pattern.edges().iter().flat_map(|e| [e.src, e.dst]);
-                    nodes.extend(
-                        ends.filter(|v| v.index() < gen.shared)
-                            .map(|v| m[v.index()]),
-                    );
-                    (gen.attrs.as_slice(), gen.shared)
+                    (gen.attrs.as_slice(), gen.shared, gen.pattern.edges())
                 }
             };
-            let mut claim = |v: VarId, a| {
-                if v.index() < shared {
-                    classes.push(probe.class_id((m[v.index()], a)));
-                }
+            let node = |v: VarId| (v.index() < shared).then(|| m[v.index()]);
+            let key = |v, a| node(v).map(|n| (n, a));
+            let rhs = |lit: &Literal| match &lit.rhs {
+                Operand::Attr(v2, a2) => key(*v2, *a2),
+                Operand::Const(_) => None,
             };
-            for lit in lits {
-                claim(lit.var, lit.attr);
-                if let Operand::Attr(v2, a2) = &lit.rhs {
-                    claim(*v2, *a2);
-                }
+            let keys: Vec<_> = lits
+                .iter()
+                .flat_map(|lit| [key(lit.var, lit.attr), rhs(lit)])
+                .flatten()
+                .collect();
+            let ends: Vec<NodeId> = edges
+                .iter()
+                .flat_map(|e| [e.src, e.dst])
+                .filter_map(node)
+                .collect();
+            let firsts: Vec<u32> = keys.iter().filter_map(|k| writer.get(k).copied()).collect();
+            if !firsts.is_empty() || ends.iter().any(|n| nodes.contains(n)) {
+                overlapping += 1;
             }
-            classes.sort_unstable();
-            classes.dedup();
-            nodes.sort_unstable();
-            nodes.dedup();
-            let free = classes.iter().all(|c| !claimed_classes.contains(c))
-                && nodes.iter().all(|n| !claimed_nodes.contains(n));
-            if free {
-                claimed_classes.extend(classes.iter().copied());
-                claimed_nodes.extend(nodes.iter().copied());
-                independent[i] = true;
+            if firsts.iter().any(|&first| first != rule) {
+                contended += 1;
             }
+            for &k in &keys {
+                writer.entry(k).or_insert(rule);
+            }
+            nodes.extend(ends);
         }
-        independent
-    }
-
-    /// The stamped partition books every firing where the hash-set
-    /// partition over a clone of the round-start relation books it, every
-    /// round, at p ∈ {1, 2, 8} with TTL 0 and one-row units: once run
-    /// ahead of the round, and once inside it, where the round's
-    /// `apply_independent` / `apply_conflicts` counts are the oracle's.
-    #[test]
-    fn partition_oracle_stamps_equal_the_hash_set_partition_every_round() {
-        for deps in &partition_sigmas() {
-            for p in [1usize, 2, 8] {
-                let cfg = ChaseConfig {
-                    workers: p,
-                    ttl: Duration::ZERO,
-                    batch: 1,
-                    ..ChaseConfig::default()
-                };
-                let (canon, _) = CanonicalGraph::for_sigma(deps);
-                let mut chase = Chase::new(deps.as_slice(), canon.graph, EqRel::new(), &cfg);
-                let mut conflicts = 0;
-                loop {
-                    let round = chase.stats.rounds + 1;
-                    let fired = chase.scan().unwrap();
-                    let probe = chase.eq.clone();
-                    let expect =
-                        partition_by_hash_sets(deps.as_slice(), &chase.tables, &fired, probe);
-                    assert_eq!(chase.partition(&fired), expect, "p={p}, round {round}");
-                    let committed = fired.iter().zip(&expect).filter(|(f, _)| !f.2);
-                    let independent = committed.clone().filter(|(_, i)| **i).count() as u64;
-                    let booked = (chase.stats.apply_independent, chase.stats.apply_conflicts);
-                    let changed = chase.round().unwrap_or_else(|_| panic!("no fixpoint"));
-                    let (i, c) = (chase.stats.apply_independent, chase.stats.apply_conflicts);
-                    let expect_booked = (independent, committed.count() as u64 - independent);
-                    assert_eq!(
-                        (i - booked.0, c - booked.1),
-                        expect_booked,
-                        "p={p}, round {round}"
-                    );
-                    conflicts += c - booked.1;
-                    if !changed {
-                        break;
-                    }
-                }
-                assert!(conflicts > 0, "no conflicting firing to compare");
-            }
-        }
+        (overlapping, contended)
     }
 
     /// Run `deps` over `GΣ` a round at a time and check, after every
@@ -1221,23 +1074,16 @@ mod tests {
         assert!(stats.realized > 0, "{stats:?}");
     }
 
-    /// The once-only property as counts: every distinct `(rule, row)` is
-    /// enumerated once, evaluated while live, checked once and committed
-    /// (or found realized) once.
-    #[test]
-    fn once_only_every_firing_is_planned_and_committed_once() {
-        let deps = gfd_gen::mixed_ggd_workload(
-            &gfd_gen::GgdGenConfig {
-                chain_depth: 4,
-                gen_per_tier: 2,
-                fanout: 3,
-                literal_rules: 6,
-                seed: 5,
-            },
-            &mut Vocab::new(),
-        );
-        let cfg = ChaseConfig::with_workers(2);
-        let (canon, _) = CanonicalGraph::for_sigma(&deps);
+    /// Chase `deps` a round at a time, traced, and check the once-only
+    /// property as counts: every distinct `(rule, row)` is enumerated
+    /// once, evaluated while live, checked once and committed (or found
+    /// realized) once — the commits counted by the `ApplyCommit` spans.
+    fn check_once_only(deps: &DepSet) -> ChaseStats {
+        let cfg = ChaseConfig {
+            trace: TraceSpec::enabled(),
+            ..ChaseConfig::with_workers(2)
+        };
+        let (canon, _) = CanonicalGraph::for_sigma(deps);
         let mut chase = Chase::new(deps.as_slice(), canon.graph, EqRel::new(), &cfg);
         let mut evals = 0u64;
         loop {
@@ -1251,6 +1097,14 @@ mod tests {
             }
         }
         let stats = chase.stats;
+        assert_eq!(chase.ctl.dropped(), 0);
+        let mut trace = chase.metrics.trace.clone();
+        trace.absorb_buf(chase.ctl);
+        let commits = trace
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::ApplyCommit);
+        let committed: u64 = commits.map(|e| e.a).sum();
         let fired = |t: &MatchTable| (t.len() - t.live.len()) as u64;
         let all_fired: u64 = chase.tables.iter().map(fired).sum();
         let generating =
@@ -1261,19 +1115,35 @@ mod tests {
             .zip(deps.as_slice())
             .filter_map(generating)
             .sum();
-        assert!(
-            stats.rounds >= 5 && stats.generated_nodes > 500,
-            "{stats:?}"
-        );
-        assert_eq!(
-            stats.apply_independent + stats.apply_conflicts + stats.realized,
-            all_fired,
-            "{stats:?}"
-        );
+        assert_eq!(committed + stats.realized, all_fired, "{stats:?}");
         assert_eq!(stats.realization_checks, gen_fired, "{stats:?}");
         assert_eq!(stats.premise_evals, evals, "{stats:?}");
         let rows: u64 = chase.tables.iter().map(|t| t.len() as u64).sum();
         assert_eq!(stats.matches_enumerated, rows, "{stats:?}");
+        stats
+    }
+
+    /// The once-only counts on a Σ that generates many nodes over many
+    /// rounds, and on one whose firings are often found realized.
+    #[test]
+    fn once_only_every_firing_is_checked_and_committed_once() {
+        let mixed = gfd_gen::mixed_ggd_workload(
+            &gfd_gen::GgdGenConfig {
+                chain_depth: 4,
+                gen_per_tier: 2,
+                fanout: 3,
+                literal_rules: 6,
+                seed: 5,
+            },
+            &mut Vocab::new(),
+        );
+        let stats = check_once_only(&mixed);
+        assert!(
+            stats.rounds >= 5 && stats.generated_nodes > 500,
+            "{stats:?}"
+        );
+        let stats = check_once_only(&old_edge_sigma(&mut Vocab::new()));
+        assert!(stats.realized > 0, "{stats:?}");
     }
 
     /// A TTL of zero with the default batch: scan units hold enough rows
@@ -1345,17 +1215,17 @@ mod tests {
         );
     }
 
-    /// Every round's fired `(rule, row, realized)` list and the partition's
-    /// independence flags, each round scanned and partitioned once ahead
-    /// of the round itself (both only read the round-start state).
-    fn firings_every_round(deps: &DepSet, cfg: &ChaseConfig) -> Vec<(Vec<Firing>, Vec<bool>)> {
+    /// Every round's fired `(rule, row, realized)` list and its
+    /// [`overlapping_firings`] counts, each round scanned once ahead of
+    /// the round itself (the scan only reads the round-start state).
+    fn firings_every_round(deps: &DepSet, cfg: &ChaseConfig) -> Vec<(Vec<Firing>, (usize, usize))> {
         let (canon, _) = CanonicalGraph::for_sigma(deps);
         let mut chase = Chase::new(deps.as_slice(), canon.graph, EqRel::new(), cfg);
         let mut rounds = Vec::new();
         loop {
             let fired = chase.scan().unwrap();
-            let independent = chase.partition(&fired);
-            rounds.push((fired, independent));
+            let overlaps = overlapping_firings(deps.as_slice(), &chase.tables, &fired);
+            rounds.push((fired, overlaps));
             if !chase.round().unwrap_or_else(|_| panic!("no fixpoint")) {
                 return rounds;
             }
@@ -1363,18 +1233,20 @@ mod tests {
     }
 
     /// Whichever worker checks a firing's realization, a round decides the
-    /// same:
-    /// per round, the `(fired, realized)` list and the independence flags
-    /// at p = 1 (default TTL) equal those at p ∈ {2, 8} with TTL 0 and
-    /// one-row units.
+    /// same: per round, the `(fired, realized)` list at p = 1 (default
+    /// TTL) equals those at p ∈ {2, 8} with TTL 0 and one-row units — on
+    /// Σs each of whose runs commits firings that overlap, and where two
+    /// rules write one key, firings of both in one round.
     #[test]
     fn one_pass_round_verdicts_are_worker_count_invariant() {
         let mut realized = 0;
-        for deps in &partition_sigmas() {
+        for (i, (deps, shares_keys)) in round_sigmas().iter().enumerate() {
             let base = firings_every_round(deps, &ChaseConfig::default());
-            assert!(base.len() >= 3, "rounds = {}", base.len());
-            let conflicts = base.iter().flat_map(|r| &r.1).filter(|i| !**i).count();
-            assert!(conflicts > 0, "no conflicting firing to compare");
+            assert!(base.len() >= 3, "Σ {i}: rounds = {}", base.len());
+            let overlapping: usize = base.iter().map(|r| r.1 .0).sum();
+            let contended: usize = base.iter().map(|r| r.1 .1).sum();
+            assert!(overlapping > 0, "Σ {i}: no overlapping firings");
+            assert!(!shares_keys || contended > 0, "Σ {i}: no contended key");
             realized += base.iter().flat_map(|r| &r.0).filter(|f| f.2).count();
             for p in [2usize, 8] {
                 let cfg = ChaseConfig {

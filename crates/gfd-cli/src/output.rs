@@ -61,16 +61,13 @@ pub fn fmt_chase_stats(s: &gfd_chase::ChaseStats) -> String {
     format!(
         "  chase: {} round(s), {} premise eval(s), {} match(es) enumerated, \
          {} node(s) generated, {} realization check(s) ({} already realized)\n\
-         \x20 apply: {} independent firing(s), {} conflicting; \
-         scan {}, apply {}\n",
+         \x20 scan {}, apply {}\n",
         s.rounds,
         s.premise_evals,
         s.matches_enumerated,
         s.generated_nodes,
         s.realization_checks,
         s.realized,
-        s.apply_independent,
-        s.apply_conflicts,
         fmt_duration(s.scan_time),
         fmt_duration(s.apply_time),
     )

@@ -190,16 +190,6 @@ impl EqRel {
         self.constant[self.root_of(key)? as usize]
     }
 
-    /// The canonical class id of `key` (creating a latent singleton when
-    /// the key is new): two keys report the same id iff they are in the
-    /// same class. The id is an internal slot index, stable only until
-    /// the next merge — meant for transient grouping (the chase's
-    /// conflict partition keys on it), never for persistence.
-    pub fn class_id(&mut self, key: AttrKey) -> u32 {
-        let (s, _) = self.ensure(key);
-        self.find(s)
-    }
-
     /// Are the two keys in the same class? (`false` if either is missing.)
     pub fn same_class(&self, k1: AttrKey, k2: AttrKey) -> bool {
         match (self.root_of(k1), self.root_of(k2)) {

@@ -50,12 +50,8 @@ pub enum EventKind {
     /// One chase round's premise scan (span; `id` = round, `a` = matches
     /// enumerated, `b` = rules scanned).
     ChaseRound,
-    /// The conflict partition of one chase round (span; `id` = round,
-    /// `a` = firings partitioned, `b` = realization checks the round's
-    /// scan ran).
-    ApplyPlan,
     /// The commit walk of one chase round (span; `id` = round,
-    /// `a` = independent firings, `b` = conflicting firings).
+    /// `a` = firings committed, `b` = firings found realized).
     ApplyCommit,
     /// One dirty-frontier search in the incremental engine (span;
     /// `a` = dirty seed nodes, `b` = nodes visited, by the forward levels
@@ -83,7 +79,6 @@ impl EventKind {
             EventKind::BudgetCut => "BudgetCut",
             EventKind::RuleEval => "RuleEval",
             EventKind::ChaseRound => "ChaseRound",
-            EventKind::ApplyPlan => "ApplyPlan",
             EventKind::ApplyCommit => "ApplyCommit",
             EventKind::FrontierBfs => "FrontierBfs",
             EventKind::Batch => "Batch",
@@ -102,8 +97,7 @@ impl EventKind {
             EventKind::BudgetCut => ("units_executed", "cause"),
             EventKind::RuleEval => ("matches", "violations"),
             EventKind::ChaseRound => ("matches", "rules"),
-            EventKind::ApplyPlan => ("fired", "checks"),
-            EventKind::ApplyCommit => ("independent", "conflicts"),
+            EventKind::ApplyCommit => ("committed", "realized"),
             EventKind::FrontierBfs => ("dirty", "visited"),
             EventKind::Batch => ("ops", "rerun_pivots"),
             EventKind::Compact => ("ops", ""),

@@ -189,12 +189,13 @@ fn ggd_chase_sat_is_worker_count_invariant() {
     }
 }
 
-/// Adversarial case for the parallel apply: the overlap workload is
-/// built so that almost every round's firings collide in the conflict
-/// partition (same-key rider cliques, cross-node merges along generated
-/// edges, sibling generators on one premise node). The chase must book
-/// the residual as conflicts and still land on the serial fixpoint — bit
-/// for bit, at every worker count, under forced maximal splitting.
+/// Adversarial case for the commit walk: the overlap workload is built so
+/// that almost every round's firings write what an earlier firing of the
+/// round wrote (same-key rider cliques, cross-node merges along generated
+/// edges, sibling generators on one premise node; `gfd-chase`'s
+/// `one_pass` test counts them). The chase must still land on the serial
+/// fixpoint — bit for bit, at every worker count, under forced maximal
+/// splitting.
 #[test]
 fn conflict_heavy_chase_is_worker_count_invariant() {
     let cfg = GgdGenConfig {
@@ -208,11 +209,6 @@ fn conflict_heavy_chase_is_worker_count_invariant() {
     let deps = ggd_overlap_workload(&cfg, &mut vocab);
     let base = dep_sat_with_config(&deps, &chase_cfg(1));
     assert!(base.is_satisfiable());
-    assert!(
-        base.stats.apply_conflicts > 0,
-        "workload must actually exercise the serial fallback: {:?}",
-        base.stats
-    );
     let base_fp = fingerprint(base.model().unwrap());
     for p in worker_counts() {
         let mut ccfg = chase_cfg(p);
@@ -222,14 +218,6 @@ fn conflict_heavy_chase_is_worker_count_invariant() {
         assert!(r.is_satisfiable(), "p={p}");
         assert_eq!(r.stats.rounds, base.stats.rounds, "p={p}");
         assert_eq!(r.stats.generated_nodes, base.stats.generated_nodes, "p={p}");
-        assert_eq!(
-            r.stats.apply_conflicts, base.stats.apply_conflicts,
-            "the conflict partition is deterministic, p={p}"
-        );
-        assert_eq!(
-            r.stats.apply_independent, base.stats.apply_independent,
-            "p={p}"
-        );
         assert_eq!(fingerprint(r.model().unwrap()), base_fp, "p={p}");
     }
 }
@@ -403,8 +391,8 @@ proptest! {
 
     /// Conflict-heavy variant of worker independence: random overlap
     /// workloads whose firings share touched attrs and premise nodes,
-    /// chased at p ∈ {1, 2, 8} with forced splitting. Parallel apply ≡
-    /// serial apply even when the partition is mostly conflicts.
+    /// chased at p ∈ {1, 2, 8} with forced splitting. The fixpoint is the
+    /// p = 1 one even when most firings overlap.
     #[test]
     fn conflict_heavy_chase_is_worker_independent(
         depth in 1usize..3,
@@ -432,7 +420,6 @@ proptest! {
             prop_assert!(r.is_satisfiable(), "p={}", p);
             prop_assert_eq!(r.stats.rounds, base.stats.rounds);
             prop_assert_eq!(r.stats.generated_nodes, base.stats.generated_nodes);
-            prop_assert_eq!(r.stats.apply_conflicts, base.stats.apply_conflicts);
             prop_assert_eq!(fingerprint(r.model().unwrap()), base_fp.clone());
         }
     }
