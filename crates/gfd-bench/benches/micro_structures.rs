@@ -300,79 +300,6 @@ fn bench_trace_overhead(_c: &mut Criterion) {
     );
 }
 
-/// Zero-cost guard for the `Atomics` family parameterization
-/// (DESIGN.md §14.2): the production `Quiesce<StdAtomics>` — the
-/// quiescence counter instantiated with the delegating family — must
-/// run the scheduler's split / complete / quiescent traffic no slower
-/// than the same operations written directly against a raw
-/// `AtomicUsize`. `StdAtomics` is `#[inline(always)]` delegation over
-/// the std types, so the two loops should compile to the same code; the
-/// assertion (min-of-interleaved-runs, with an absolute floor against
-/// timer noise) catches any future indirection creeping into the family
-/// traits.
-fn bench_atomics_zero_cost(_c: &mut Criterion) {
-    use gfd_bench::fmt_duration;
-    use gfd_runtime::quiesce::Quiesce;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::{Duration, Instant};
-
-    const UNITS: usize = 250_000;
-
-    // Each iteration counts a unit in, splits two children off it,
-    // completes all three and polls: the counter is zero once a round.
-    let generic: Quiesce = Quiesce::new(0);
-    let run_generic = || {
-        let start = Instant::now();
-        let mut quiescent = 0usize;
-        for _ in 0..UNITS {
-            generic.split(1, || {});
-            generic.split(2, || {});
-            for _ in 0..3 {
-                generic.complete_one();
-            }
-            quiescent += usize::from(generic.quiescent());
-        }
-        black_box(quiescent);
-        start.elapsed()
-    };
-    let raw = AtomicUsize::new(0);
-    let run_raw = || {
-        let start = Instant::now();
-        let mut quiescent = 0usize;
-        for _ in 0..UNITS {
-            raw.fetch_add(1, Ordering::SeqCst);
-            raw.fetch_add(2, Ordering::SeqCst);
-            for _ in 0..3 {
-                raw.fetch_sub(1, Ordering::SeqCst);
-            }
-            quiescent += usize::from(raw.load(Ordering::SeqCst) == 0);
-        }
-        black_box(quiescent);
-        start.elapsed()
-    };
-
-    let (_, _) = (run_generic(), run_raw()); // warm-up
-    let (mut generic_t, mut raw_t) = (Duration::MAX, Duration::MAX);
-    for _ in 0..9 {
-        generic_t = generic_t.min(run_generic());
-        raw_t = raw_t.min(run_raw());
-    }
-    let overhead = generic_t.as_secs_f64() / raw_t.as_secs_f64() - 1.0;
-    println!(
-        "atomics_zero_cost: generic {}  monomorphic {}  overhead {:+.2}%",
-        fmt_duration(generic_t),
-        fmt_duration(raw_t),
-        overhead * 100.0,
-    );
-    // 10% relative plus a 2ms absolute floor: the loops should be
-    // instruction-identical, but micro-loop timing wobbles with
-    // alignment and machine load.
-    guard!(
-        generic_t <= raw_t.mul_f64(1.10) + Duration::from_millis(2),
-        "Atomics parameterization is not zero-cost: generic={generic_t:?} raw={raw_t:?}"
-    );
-}
-
 /// Asserted guard for the interned-value literal path (DESIGN.md §15):
 /// a `ValueId` equality check must beat the `Value::Str(Arc<str>)`
 /// content compare by ≥ 3x on a string-heavy mix, and must not regress
@@ -972,7 +899,7 @@ type Group = fn(&mut Criterion);
 
 fn main() {
     let mut c = Criterion::default();
-    let groups: [(&str, Group); 13] = [
+    let groups: [(&str, Group); 12] = [
         ("eq_rel", bench_eq_rel),
         ("structures", bench_structures),
         ("matching", bench_matching),
@@ -980,7 +907,6 @@ fn main() {
         ("intersect_crossover", bench_intersect_crossover),
         ("scheduler", bench_scheduler),
         ("trace_overhead", bench_trace_overhead),
-        ("atomics_zero_cost", bench_atomics_zero_cost),
         ("unit_setup", bench_unit_setup),
         ("dispatch_overhead", bench_dispatch_overhead),
         ("model_readout", bench_model_readout),

@@ -844,11 +844,18 @@ mod tests {
             ..ChaseConfig::with_workers(2)
         };
         let (_, _, stats, metrics) = chase_literal(&sigma, &cfg);
-        let count =
-            |k: EventKind| metrics.trace.events.iter().filter(|e| e.kind == k).count() as u64;
+        let events = |k: EventKind| metrics.trace.events.iter().filter(move |e| e.kind == k);
+        let count = |k: EventKind| events(k).count() as u64;
         assert!(count(EventKind::RuleEval) > 0, "no scan spans recorded");
         assert_eq!(count(EventKind::ChaseRound), stats.rounds);
         assert_eq!(count(EventKind::ApplyCommit), stats.rounds);
+        // A round's firings are its commit walk's committed + realized.
+        let commits: std::collections::HashMap<u32, u64> = events(EventKind::ApplyCommit)
+            .map(|e| (e.id, e.a + e.b))
+            .collect();
+        for e in events(EventKind::ChaseRound) {
+            assert_eq!(e.a, commits[&e.id], "round {}", e.id);
+        }
         // Control spans carry the control worker id; scan spans do not.
         for e in &metrics.trace.events {
             match e.kind {

@@ -13,8 +13,8 @@
 //!   victim drains its lowest-priority front), and pushes split units to
 //!   its own back so straggler remainders inherit their parent's priority
 //!   and cache locality;
-//! * quiescence detection via an in-flight unit counter, a shared stop flag
-//!   for early termination, and per-worker busy (thread CPU time) and idle
+//! * quiescence detection via an in-flight unit count under a lock, a
+//!   shared stop flag for early termination, and per-worker busy (thread CPU time) and idle
 //!   accounting;
 //! * the unified [`RunMetrics`] every layer reports.
 //!
@@ -31,11 +31,9 @@
 
 #![warn(missing_docs)]
 
-pub mod atomics;
 pub mod cputime;
 pub mod failpoint;
 pub mod metrics;
-pub mod quiesce;
 pub mod sched;
 
 pub use metrics::RunMetrics;

@@ -14,11 +14,13 @@
 //!   work — so the victim keeps the units the priority order wanted it
 //!   to run next. The thief runs the best unit of its loot and appends
 //!   the rest to its own queue.
-//! * Quiescence is an in-flight counter: seeded and split units increment
-//!   it, completed units decrement it; workers exit when it reaches zero
-//!   (or the shared stop flag is raised). Because a split happens *while
-//!   its parent unit is still counted*, the counter can only reach zero
-//!   when every unit, split or not, has been fully executed.
+//! * Quiescence is an in-flight count under a lock: seeded and split
+//!   units add to it, completed units subtract; workers exit when it
+//!   reaches zero (or the shared stop flag is raised). A split holds the
+//!   count's lock until its children are queued, so no thief can complete
+//!   a child before it is counted; and because a split happens *while its
+//!   parent unit is still counted*, the count can only reach zero when
+//!   every unit, split or not, has been fully executed.
 //! * Worker 0 is the calling thread, and every run starts as the
 //!   one-worker run: worker 0 alone, popping its own back. At its first
 //!   unit boundary or split past `HELPER_GRACE`, with work still queued
@@ -30,21 +32,19 @@
 //! # Fault tolerance (DESIGN.md §11)
 //!
 //! Every unit executes inside a `catch_unwind` envelope. A panicking
-//! unit can therefore never wedge the run: the in-flight counter is
+//! unit can therefore never wedge the run: the in-flight count is
 //! decremented on the unwind path too, no task code runs under a queue
-//! lock (and the vendored `parking_lot` recovers a poisoned one), and
-//! the run terminates with a structured [`RunOutcome::Aborted`]
-//! carrying the worker id, the site that panicked and the panic payload
-//! — all worker threads joined. A unit runs once: a panicked one is
-//! never entered again. Cooperative resource limits — a wall-clock
-//! deadline and a max-units budget — are checked at unit boundaries and
-//! degrade the run to [`RunOutcome::BudgetExceeded`] rather than
-//! panicking.
+//! lock or the count's lock (and the vendored `parking_lot` recovers a
+//! poisoned one), and the run terminates with a structured
+//! [`RunOutcome::Aborted`] carrying the worker id, the site that
+//! panicked and the panic payload — all worker threads joined. A unit
+//! runs once: a panicked one is never entered again. Cooperative
+//! resource limits — a wall-clock deadline and a max-units budget — are
+//! checked at unit boundaries and degrade the run to
+//! [`RunOutcome::BudgetExceeded`] rather than panicking.
 
-use crate::atomics::StdAtomics;
 use crate::cputime::BusyTimer;
 use crate::failpoint;
-use crate::quiesce::Quiesce;
 use gfd_trace::{EventKind, SpanStart, Trace, TraceBuf, TraceSpec};
 use parking_lot::Mutex;
 use std::any::Any;
@@ -198,9 +198,12 @@ struct Shared<'s, U> {
     /// One queue per worker: worker `i` pushes and pops the back of
     /// `queues[i]`, a thief drains its front.
     queues: Vec<Mutex<VecDeque<U>>>,
-    /// Units seeded or split but not yet fully executed — the quiescence
-    /// protocol, model-checked in `gfd-model` (DESIGN.md §14.4).
-    quiesce: Quiesce,
+    /// Units seeded or split but not yet fully executed (DESIGN.md §14):
+    /// [`WorkerCtx::split`] holds this lock until its children are queued.
+    in_flight: Mutex<usize>,
+    /// Raised with a SeqCst store, polled relaxed: a missed poll costs one
+    /// more unit of latency, and the verdict travels through `verdict` and
+    /// the joins, never through the flag.
     stop: &'s AtomicBool,
     opts: SchedOptions,
     units_executed: AtomicU64,
@@ -212,7 +215,33 @@ struct Shared<'s, U> {
     verdict: Mutex<Option<RunOutcome>>,
 }
 
-impl<U> Shared<'_, U> {
+impl<'s, U> Shared<'s, U> {
+    /// `p` queues, the seed in worker 0's, all of it counted.
+    fn new(seed: Vec<U>, p: usize, stop: &'s AtomicBool, opts: SchedOptions) -> Self {
+        Shared {
+            in_flight: Mutex::new(seed.len()),
+            // Reversed: the owner pops the back, so the highest-priority
+            // unit must land there.
+            queues: std::iter::once(seed.into_iter().rev().collect())
+                .chain((1..p).map(|_| VecDeque::new()))
+                .map(Mutex::new)
+                .collect(),
+            stop,
+            opts,
+            units_executed: AtomicU64::new(0),
+            units_stolen: AtomicU64::new(0),
+            units_split: AtomicU64::new(0),
+            units_panicked: AtomicU64::new(0),
+            verdict: Mutex::new(None),
+        }
+    }
+
+    /// Has every counted unit finished? A worker's licence to exit: zero
+    /// means no unit is queued anywhere and none is running.
+    fn quiescent(&self) -> bool {
+        *self.in_flight.lock() == 0
+    }
+
     fn steal(&self, thief: usize) -> Option<(U, Option<StolenFrom>)> {
         failpoint::maybe_panic("sched/steal");
         let p = self.queues.len();
@@ -274,7 +303,7 @@ impl<U> Shared<'_, U> {
                 *v = Some(outcome);
             }
         }
-        Quiesce::<StdAtomics>::raise_stop(self.stop);
+        self.stop.store(true, Ordering::SeqCst);
     }
 
     fn abort(&self, worker: usize, site: &'static str, payload: Box<dyn Any + Send>) {
@@ -317,7 +346,16 @@ pub struct WorkerCtx<'s, U> {
     solo: Cell<Option<Solo<'s>>>,
 }
 
-impl<U> WorkerCtx<'_, U> {
+impl<'s, U> WorkerCtx<'s, U> {
+    fn new(shared: &'s Shared<'s, U>, worker: usize, solo: Option<Solo<'s>>) -> Self {
+        WorkerCtx {
+            shared,
+            worker,
+            trace: RefCell::new(TraceBuf::new(shared.opts.trace, worker as u32)),
+            solo: Cell::new(solo),
+        }
+    }
+
     /// Next unit for this worker: its own back (highest priority first),
     /// else half of a victim's queue. A unit that arrived via a steal is
     /// reported with the claim count and victim id so the worker loop can
@@ -370,15 +408,17 @@ impl<U> WorkerCtx<'_, U> {
         self.shared
             .units_split
             .fetch_add(units.len() as u64, Ordering::Relaxed);
-        // Count-first split publication (the Quiesce protocol invariant):
-        // the in-flight counter rises before any unit becomes stealable.
-        self.shared.quiesce.split(units.len(), || {
-            // Pushed in reverse: the first split unit lands at the back,
-            // so this worker pops it next.
-            self.shared.queues[self.worker]
-                .lock()
-                .extend(units.into_iter().rev());
-        });
+        // The count's lock is held across the push: a thief that takes a
+        // child and completes it must lock the count after this split
+        // released it, so it finds the child counted.
+        let mut in_flight = self.shared.in_flight.lock();
+        *in_flight += units.len();
+        // Pushed in reverse: the first split unit lands at the back, so
+        // this worker pops it next.
+        self.shared.queues[self.worker]
+            .lock()
+            .extend(units.into_iter().rev());
+        drop(in_flight);
         // The children are queued work: a long unit past the grace
         // starts the helpers here rather than at its end.
         self.start_helpers_after_grace();
@@ -439,14 +479,9 @@ fn worker_loop<T: Task>(
     let mut stretch: Option<BusyTimer> = None;
     let mut idle = Duration::ZERO;
     let mut spins = 0u32;
-    let ctx = WorkerCtx {
-        shared,
-        worker: id,
-        trace: RefCell::new(TraceBuf::new(shared.opts.trace, id as u32)),
-        solo: Cell::new(solo),
-    };
+    let ctx = WorkerCtx::new(shared, id, solo);
     loop {
-        if Quiesce::<StdAtomics>::stop_requested(shared.stop) {
+        if shared.stop.load(Ordering::Relaxed) {
             break;
         }
         if let Some(deadline) = shared.opts.deadline {
@@ -475,7 +510,7 @@ fn worker_loop<T: Task>(
         }
         // Alone between units nothing runs, so a run that is not
         // quiescent has work queued.
-        if ctx.solo.get().is_some() && !shared.quiesce.quiescent() {
+        if ctx.solo.get().is_some() && !shared.quiescent() {
             ctx.start_helpers_after_grace();
         }
         let popped = match catch_unwind(AssertUnwindSafe(|| ctx.pop())) {
@@ -503,7 +538,7 @@ fn worker_loop<T: Task>(
             }));
             ctx.trace_span(EventKind::UnitExec, 0, span, 0, 0);
             shared.units_executed.fetch_add(1, Ordering::Relaxed);
-            shared.quiesce.complete_one();
+            *shared.in_flight.lock() -= 1;
             if let Err(payload) = result {
                 shared.units_panicked.fetch_add(1, Ordering::Relaxed);
                 shared.abort(id, "unit", payload);
@@ -511,7 +546,7 @@ fn worker_loop<T: Task>(
             }
             continue;
         }
-        if shared.quiesce.quiescent() {
+        if shared.quiescent() {
             break;
         }
         // No runnable unit, but a straggler elsewhere may still split.
@@ -576,24 +611,7 @@ pub fn run_scheduler<T: Task>(
     opts: SchedOptions,
 ) -> SchedRun<T::Worker> {
     let p = workers.max(1);
-    let in_flight = seed.len();
-    // Reversed: the owner pops the back, so the highest-priority unit
-    // must land there.
-    let queues = std::iter::once(seed.into_iter().rev().collect())
-        .chain((1..p).map(|_| VecDeque::new()))
-        .map(Mutex::new)
-        .collect();
-    let shared = Shared {
-        queues,
-        quiesce: Quiesce::new(in_flight),
-        stop,
-        opts,
-        units_executed: AtomicU64::new(0),
-        units_stolen: AtomicU64::new(0),
-        units_split: AtomicU64::new(0),
-        units_panicked: AtomicU64::new(0),
-        verdict: Mutex::new(None),
-    };
+    let shared = Shared::new(seed, p, stop, opts);
 
     let states: Vec<WorkerState<T>> = std::thread::scope(|scope| {
         let shared = &shared;
@@ -1002,6 +1020,45 @@ mod tests {
     }
 
     #[test]
+    fn a_running_unit_is_counted() {
+        struct CountedTask;
+        impl Task for CountedTask {
+            type Unit = ();
+            type Worker = ();
+            fn worker(&self, _id: usize) {}
+            fn run_unit(&self, _w: &mut (), _u: (), ctx: &WorkerCtx<'_, ()>) {
+                assert!(!ctx.shared.quiescent(), "the running unit is not counted");
+            }
+        }
+        let stop = AtomicBool::new(false);
+        let run = run_default(&CountedTask, vec![()], 1, &stop);
+        assert_eq!(run.outcome, RunOutcome::Completed);
+    }
+
+    #[test]
+    fn a_split_publishes_nothing_while_the_count_is_held() {
+        let window = Duration::from_millis(if cfg!(miri) { 1 } else { 50 });
+        let stop = AtomicBool::new(false);
+        let shared = Shared::new(vec![0u32], 2, &stop, SchedOptions::default());
+        // Worker 0 has taken unit 0, which splits while it is counted.
+        shared.queues[0].lock().pop_back();
+        std::thread::scope(|scope| {
+            let held = shared.in_flight.lock();
+            let splitter = scope.spawn(|| WorkerCtx::new(&shared, 0, None).split(vec![1, 2]));
+            let until = Instant::now() + window;
+            while Instant::now() < until {
+                let loot = shared.steal(1).map(|(unit, _)| unit);
+                assert_eq!(loot, None, "a child was stealable before it was counted");
+                std::thread::yield_now();
+            }
+            drop(held);
+            splitter.join().unwrap();
+        });
+        assert_eq!(*shared.in_flight.lock(), 3);
+        assert_eq!(*shared.queues[0].lock(), [2, 1]);
+    }
+
+    #[test]
     fn empty_seed_returns_immediately() {
         let task = SumTask {
             split_above: u64::MAX,
@@ -1223,15 +1280,25 @@ mod tests {
 
     /// Two bursts on worker 1 with a forced idle wait between them. A unit
     /// is its burst's number. Burst 0 is worker 0's warm-up: it outlasts
-    /// the grace, so worker 1 is running before the barrier. Both workers
-    /// run one unit of burst 1 (the barrier holds each to its own); worker
-    /// 0's then waits until worker 1 has idled before splitting off the
-    /// two units of burst 2, of which the barrier again gives each worker
-    /// one. Every unit after the warm-up logs the clock reads of its
-    /// thread.
+    /// the grace, so worker 1 is running before the rendezvous. Both
+    /// workers run one unit of burst 1 (the rendezvous holds each to its
+    /// own); worker 0's then waits until worker 1 has idled before
+    /// splitting off the two units of burst 2, of which the rendezvous
+    /// again gives each worker one. Every unit after the warm-up logs the
+    /// clock reads of its thread. Each wait fails its unit after 10 s, so
+    /// a worker that exits early aborts the run instead of hanging it.
     struct BurstTask {
-        barrier: std::sync::Barrier,
+        /// Units of bursts 1 and 2 that reached the rendezvous.
+        arrived: std::sync::atomic::AtomicUsize,
         peer_idled: AtomicBool,
+    }
+
+    fn wait_at_most_10s(done: impl Fn() -> bool, what: &str) {
+        let until = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < until, "waited 10 s for {what}");
+            std::thread::yield_now();
+        }
     }
 
     impl Task for BurstTask {
@@ -1248,11 +1315,12 @@ mod tests {
                 return;
             }
             w.1.push(clock_reads());
-            self.barrier.wait();
+            // A worker's n-th unit here waits for both workers' n-th.
+            self.arrived.fetch_add(1, Ordering::SeqCst);
+            let both = 2 * w.1.len();
+            wait_at_most_10s(|| self.arrived.load(Ordering::SeqCst) >= both, "the peer");
             if burst == 1 && w.0 == 0 {
-                while !self.peer_idled.load(Ordering::SeqCst) {
-                    std::thread::yield_now();
-                }
+                wait_at_most_10s(|| self.peer_idled.load(Ordering::SeqCst), "an idle peer");
                 ctx.split(vec![2, 2]);
             }
         }
@@ -1267,7 +1335,7 @@ mod tests {
     #[test]
     fn idling_between_bursts_opens_a_second_stretch() {
         let task = BurstTask {
-            barrier: std::sync::Barrier::new(2),
+            arrived: Default::default(),
             peer_idled: AtomicBool::new(false),
         };
         let stop = AtomicBool::new(false);

@@ -47,8 +47,8 @@ pub enum EventKind {
     /// One rule evaluation (span; `id` = rule index, `a` = matches lent (in
     /// detection: on-premise ones), `b` = violations / consequences fired).
     RuleEval,
-    /// One chase round's premise scan (span; `id` = round, `a` = matches
-    /// enumerated, `b` = rules scanned).
+    /// One chase round, its premise scan and its commit walk (span;
+    /// `id` = round, `a` = firings, `b` = rules scanned).
     ChaseRound,
     /// The commit walk of one chase round (span; `id` = round,
     /// `a` = firings committed, `b` = firings found realized).
@@ -96,7 +96,7 @@ impl EventKind {
             EventKind::Split => ("units", ""),
             EventKind::BudgetCut => ("units_executed", "cause"),
             EventKind::RuleEval => ("matches", "violations"),
-            EventKind::ChaseRound => ("matches", "rules"),
+            EventKind::ChaseRound => ("firings", "rules"),
             EventKind::ApplyCommit => ("committed", "realized"),
             EventKind::FrontierBfs => ("dirty", "visited"),
             EventKind::Batch => ("ops", "rerun_pivots"),

@@ -21,8 +21,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=22462
-BENCH_CEILING=1734
+CEILING=20584
+BENCH_CEILING=1660
 
 total=0
 for crate in crates/*/; do
