@@ -190,46 +190,40 @@ pub struct Report {
 
 /// The one emitter: every experiment of a run as one JSON document —
 /// integer microseconds (the interchange parser is integer-only, as in
-/// `RunMetrics::to_json`), `wall_us` first in every row, host core count
+/// `gfd_io::report::run_report`), `wall_us` first in every row, host core count
 /// and scale at the top, and no derived ratio anywhere.
 pub fn report_json(scale: &str, reports: &[Report]) -> Json {
-    let text = |s: &str| Json::Str(s.to_string());
-    let int = |n: u64| Json::Int(i64::try_from(n).unwrap_or(i64::MAX));
-    let object = |fields: Vec<(&str, Json)>| {
-        let owned = fields.into_iter().map(|(k, v)| (k.to_string(), v));
-        Json::Object(owned.collect())
-    };
     let row = |r: &Row| {
         let mut fields = vec![
-            ("wall_us", int(r.sample.wall.as_micros() as u64)),
-            ("dataset", text(&r.dataset)),
+            ("wall_us", Json::int(r.sample.wall.as_micros())),
+            ("dataset", Json::string(&r.dataset)),
             ("x", r.x.clone()),
-            ("variant", text(r.variant)),
+            ("variant", Json::string(r.variant)),
         ];
         if let Some(m) = &r.sample.metrics {
-            let makespan = m.makespan().unwrap_or_default().as_micros() as u64;
-            fields.push(("simulated_makespan_us", int(makespan)));
-            fields.push(("units_dispatched", int(m.units_dispatched)));
-            fields.push(("units_split", int(m.units_split)));
-            fields.push(("units_stolen", int(m.units_stolen)));
+            let makespan = m.makespan().unwrap_or_default();
+            fields.push(("simulated_makespan_us", Json::int(makespan.as_micros())));
+            fields.push(("units_dispatched", Json::int(m.units_dispatched)));
+            fields.push(("units_split", Json::int(m.units_split)));
+            fields.push(("units_stolen", Json::int(m.units_stolen)));
         }
-        fields.extend(r.sample.counters.iter().map(|&(k, n)| (k, int(n))));
-        object(fields)
+        fields.extend(r.sample.counters.iter().map(|&(k, n)| (k, Json::int(n))));
+        Json::object(fields)
     };
     let experiment = |e: &Report| {
-        object(vec![
-            ("id", text(e.id)),
-            ("figure", text(e.figure)),
-            ("paper_shape", text(e.paper_shape)),
-            ("axis", text(e.axis)),
+        Json::object([
+            ("id", Json::string(e.id)),
+            ("figure", Json::string(e.figure)),
+            ("paper_shape", Json::string(e.paper_shape)),
+            ("axis", Json::string(e.axis)),
             ("rows", Json::Array(e.rows.iter().map(row).collect())),
         ])
     };
     let experiments = Json::Array(reports.iter().map(experiment).collect());
-    object(vec![
-        ("benchmark", text("paper")),
-        ("scale", text(scale)),
-        ("nproc", int(nproc() as u64)),
+    Json::object([
+        ("benchmark", Json::string("paper")),
+        ("scale", Json::string(scale)),
+        ("nproc", Json::int(nproc())),
         ("experiments", experiments),
     ])
 }

@@ -1133,13 +1133,11 @@ mod tests {
         let (code, text) = run_vec(&["ged-sat", rules, "--trace", trace]);
         assert_eq!(code, 1, "{text}");
         let timeline = std::fs::read_to_string(trace).unwrap();
-        let pruned: u64 = timeline
-            .split("\"pruned\": ")
-            .skip(1)
-            .map(|rest| {
-                let digits = rest.split(|c: char| !c.is_ascii_digit()).next().unwrap();
-                digits.parse::<u64>().unwrap()
-            })
+        let doc = gfd_io::jsonval::parse(&timeline).expect("trace JSON parses");
+        let events = doc.get("traceEvents").and_then(|e| e.as_array()).unwrap();
+        let pruned: i64 = events
+            .iter()
+            .filter_map(|e| e.get("args")?.get("pruned")?.as_int())
             .sum();
         assert!(pruned > 0, "no pruned branch booked: {timeline}");
     }

@@ -6,6 +6,7 @@
 //! tracing on for the run (the default stays the zero-cost disabled path).
 
 use crate::args::{ArgError, Parsed};
+use gfd_io::report;
 use gfd_runtime::{RunMetrics, TraceSpec};
 use std::io::Write;
 
@@ -59,7 +60,7 @@ impl TraceArgs {
         out: &mut dyn Write,
     ) -> Result<(), ArgError> {
         if let Some(path) = &self.trace {
-            std::fs::write(path, metrics.trace.to_chrome_json(rule_names))
+            std::fs::write(path, report::chrome_trace(&metrics.trace, rule_names))
                 .map_err(|e| ArgError::new(format!("cannot write trace {path}: {e}")))?;
             let _ = writeln!(
                 out,
@@ -77,7 +78,7 @@ impl TraceArgs {
             }
         }
         if let Some(path) = &self.metrics_json {
-            std::fs::write(path, metrics.to_json(rule_names))
+            std::fs::write(path, report::run_report(metrics, rule_names))
                 .map_err(|e| ArgError::new(format!("cannot write metrics {path}: {e}")))?;
             let _ = writeln!(out, "wrote metrics {path}");
         }

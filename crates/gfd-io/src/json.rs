@@ -52,7 +52,7 @@ fn value_to_json(v: &Value) -> Json {
     match v {
         Value::Int(i) => Json::Int(*i),
         Value::Bool(b) => Json::Bool(*b),
-        Value::Str(s) => Json::Str(s.to_string()),
+        Value::Str(s) => Json::string(&**s),
     }
 }
 
@@ -109,10 +109,7 @@ pub fn graph_to_json(graph: &Graph, vocab: &Vocab) -> String {
     let nodes: Vec<Json> = graph
         .nodes()
         .map(|v| {
-            let mut fields = vec![(
-                "label".to_string(),
-                Json::Str(vocab.label_name(graph.label(v)).to_string()),
-            )];
+            let mut fields = vec![("label", Json::string(vocab.label_name(graph.label(v))))];
             // Name-sorted attributes, as the previous BTreeMap encoding
             // produced; omitted when empty.
             let mut attrs: Vec<(String, Json)> = graph
@@ -121,29 +118,22 @@ pub fn graph_to_json(graph: &Graph, vocab: &Vocab) -> String {
                 .collect();
             attrs.sort_by(|(a, _), (b, _)| a.cmp(b));
             if !attrs.is_empty() {
-                fields.push(("attrs".to_string(), Json::Object(attrs)));
+                fields.push(("attrs", Json::Object(attrs)));
             }
-            Json::Object(fields)
+            Json::object(fields)
         })
         .collect();
     let edges: Vec<Json> = graph
         .edges()
         .map(|(s, l, d)| {
-            Json::Object(vec![
-                ("src".to_string(), Json::Int(s.index() as i64)),
-                (
-                    "label".to_string(),
-                    Json::Str(vocab.label_name(l).to_string()),
-                ),
-                ("dst".to_string(), Json::Int(d.index() as i64)),
+            Json::object([
+                ("src", Json::int(s.index())),
+                ("label", Json::string(vocab.label_name(l))),
+                ("dst", Json::int(d.index())),
             ])
         })
         .collect();
-    Json::Object(vec![
-        ("nodes".to_string(), Json::Array(nodes)),
-        ("edges".to_string(), Json::Array(edges)),
-    ])
-    .pretty()
+    Json::object([("nodes", Json::Array(nodes)), ("edges", Json::Array(edges))]).pretty()
 }
 
 /// Load a graph from JSON, interning names into `vocab`.
@@ -180,29 +170,17 @@ pub fn graph_from_json(src: &str, vocab: &mut Vocab) -> Result<Graph, JsonError>
 
 fn literal_to_json(lit: &Literal, pattern: &Pattern, vocab: &Vocab) -> Json {
     let mut fields = vec![
-        (
-            "var".to_string(),
-            Json::Str(pattern.var_name(lit.var).to_string()),
-        ),
-        (
-            "attr".to_string(),
-            Json::Str(vocab.attr_name(lit.attr).to_string()),
-        ),
+        ("var", Json::string(pattern.var_name(lit.var))),
+        ("attr", Json::string(vocab.attr_name(lit.attr))),
     ];
     match &lit.rhs {
-        Operand::Const(c) => fields.push(("value".to_string(), value_id_to_json(*c))),
+        Operand::Const(c) => fields.push(("value", value_id_to_json(*c))),
         Operand::Attr(v, a) => {
-            fields.push((
-                "rhs_var".to_string(),
-                Json::Str(pattern.var_name(*v).to_string()),
-            ));
-            fields.push((
-                "rhs_attr".to_string(),
-                Json::Str(vocab.attr_name(*a).to_string()),
-            ));
+            fields.push(("rhs_var", Json::string(pattern.var_name(*v))));
+            fields.push(("rhs_attr", Json::string(vocab.attr_name(*a))));
         }
     }
-    Json::Object(fields)
+    Json::object(fields)
 }
 
 fn literal_from_json(
@@ -255,15 +233,9 @@ pub fn sigma_to_json(sigma: &DepSet, vocab: &Vocab) -> Result<String, JsonError>
                 .pattern
                 .vars()
                 .map(|v| {
-                    Json::Object(vec![
-                        (
-                            "var".to_string(),
-                            Json::Str(g.pattern.var_name(v).to_string()),
-                        ),
-                        (
-                            "label".to_string(),
-                            Json::Str(vocab.label_name(g.pattern.label(v)).to_string()),
-                        ),
+                    Json::object([
+                        ("var", Json::string(g.pattern.var_name(v))),
+                        ("label", Json::string(vocab.label_name(g.pattern.label(v)))),
                     ])
                 })
                 .collect();
@@ -272,19 +244,10 @@ pub fn sigma_to_json(sigma: &DepSet, vocab: &Vocab) -> Result<String, JsonError>
                 .edges()
                 .iter()
                 .map(|e| {
-                    Json::Object(vec![
-                        (
-                            "src".to_string(),
-                            Json::Str(g.pattern.var_name(e.src).to_string()),
-                        ),
-                        (
-                            "label".to_string(),
-                            Json::Str(vocab.label_name(e.label).to_string()),
-                        ),
-                        (
-                            "dst".to_string(),
-                            Json::Str(g.pattern.var_name(e.dst).to_string()),
-                        ),
+                    Json::object([
+                        ("src", Json::string(g.pattern.var_name(e.src))),
+                        ("label", Json::string(vocab.label_name(e.label))),
+                        ("dst", Json::string(g.pattern.var_name(e.dst))),
                     ])
                 })
                 .collect();
@@ -298,20 +261,20 @@ pub fn sigma_to_json(sigma: &DepSet, vocab: &Vocab) -> Result<String, JsonError>
                 .map(|l| literal_to_json(l, &g.pattern, vocab))
                 .collect();
             let mut fields = vec![
-                ("name".to_string(), Json::Str(g.name.clone())),
-                ("nodes".to_string(), Json::Array(nodes)),
+                ("name", Json::string(g.name.as_str())),
+                ("nodes", Json::Array(nodes)),
             ];
             if !edges.is_empty() {
-                fields.push(("edges".to_string(), Json::Array(edges)));
+                fields.push(("edges", Json::Array(edges)));
             }
             if !when.is_empty() {
-                fields.push(("when".to_string(), Json::Array(when)));
+                fields.push(("when", Json::Array(when)));
             }
-            fields.push(("then".to_string(), Json::Array(then)));
-            Ok(Json::Object(fields))
+            fields.push(("then", Json::Array(then)));
+            Ok(Json::object(fields))
         })
         .collect::<Result<Vec<Json>, JsonError>>()?;
-    Ok(Json::Object(vec![("gfds".to_string(), Json::Array(gfds))]).pretty())
+    Ok(Json::object([("gfds", Json::Array(gfds))]).pretty())
 }
 
 /// Load a rule set from JSON, interning names into `vocab`.

@@ -27,6 +27,25 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object with `fields` in order.
+    pub fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        let fields = fields
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value));
+        Json::Object(fields.collect())
+    }
+
+    /// A string.
+    pub fn string(s: impl Into<String>) -> Json {
+        Json::Str(s.into())
+    }
+
+    /// An integer, saturating at `i64::MAX` (counters are unsigned; the
+    /// parser reads 64-bit signed integers).
+    pub fn int(n: impl TryInto<i64>) -> Json {
+        Json::Int(n.try_into().unwrap_or(i64::MAX))
+    }
+
     /// Object field lookup (first match).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -63,61 +82,71 @@ impl Json {
     /// final line, mirroring `serde_json::to_string_pretty`.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
+        self.write(&mut out, Some(0));
         out
     }
 
-    fn write_pretty(&self, out: &mut String, depth: usize) {
+    /// Print on one line with no whitespace (large machine-read documents,
+    /// such as the Chrome trace).
+    pub fn compact(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// The one writer: `depth` is the indent level when pretty-printing,
+    /// `None` for compact output.
+    fn write(&self, out: &mut String, depth: Option<usize>) {
+        let inner = depth.map(|d| d + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Int(i) => out.push_str(&i.to_string()),
             Json::Str(s) => write_escaped(out, s),
             Json::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    item.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
+                write_items(out, depth, "[]", items, |out, item| item.write(out, inner))
             }
-            Json::Object(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    write_escaped(out, key);
-                    out.push_str(": ");
-                    value.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
-            }
+            Json::Object(fields) => write_items(out, depth, "{}", fields, |out, (key, value)| {
+                write_escaped(out, key);
+                out.push_str(if depth.is_some() { ": " } else { ":" });
+                value.write(out, inner);
+            }),
         }
     }
 }
 
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
+/// `items` between the two `brackets`, comma-separated; pretty output
+/// puts each item on its own line one level deeper.
+fn write_items<T>(
+    out: &mut String,
+    depth: Option<usize>,
+    brackets: &str,
+    items: &[T],
+    mut write_item: impl FnMut(&mut String, &T),
+) {
+    let (open, close) = brackets.split_at(1);
+    out.push_str(open);
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        newline(out, depth.map(|d| d + 1));
+        write_item(out, item);
+    }
+    if !items.is_empty() {
+        newline(out, depth);
+    }
+    out.push_str(close);
+}
+
+/// A line break and `depth` indents when pretty-printing; nothing when
+/// compact.
+fn newline(out: &mut String, depth: Option<usize>) {
+    if let Some(depth) = depth {
+        out.push('\n');
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
     }
 }
 
@@ -409,6 +438,20 @@ mod tests {
         let text = doc.pretty();
         let back = parse(&text).unwrap();
         assert_eq!(back, doc);
+        assert_eq!(parse(&doc.compact()).unwrap(), doc);
+    }
+
+    #[test]
+    fn compact_output_has_no_whitespace() {
+        let doc = Json::Object(vec![
+            (
+                "a".into(),
+                Json::Array(vec![Json::Int(1), Json::Str("x y".into())]),
+            ),
+            ("e".into(), Json::Object(vec![])),
+            ("n".into(), Json::Array(vec![])),
+        ]);
+        assert_eq!(doc.compact(), r#"{"a":[1,"x y"],"e":{},"n":[]}"#);
     }
 
     #[test]

@@ -17,12 +17,17 @@
 //!   (graph + violation cache + batch cursor), written atomically so a
 //!   crash mid-write never loses the previous checkpoint.
 //!
+//! [`report`] writes the two documents a run exports for observability:
+//! the Chrome trace-event timeline (`--trace FILE`) and the run report of
+//! counters and aggregated profile (`--metrics-json FILE`).
+//!
 //! The DSL in `gfd-dsl` remains the *human-authored* format; this crate
 //! covers the machine-interchange cases.
 //!
 //! Dependency note (DESIGN.md §5): the workspace builds fully offline,
 //! so JSON is hand-rolled in [`jsonval`] — the wire format matches what
-//! the earlier serde-based encoder produced.
+//! the earlier serde-based encoder produced. Every JSON document the
+//! workspace writes is a [`jsonval::Json`] tree printed by its one writer.
 
 #![warn(missing_docs)]
 
@@ -32,6 +37,7 @@ pub mod edgelist;
 pub mod json;
 pub mod jsonval;
 mod proptests;
+pub mod report;
 
 pub use checkpoint::{
     checkpoint_to_string, load_checkpoint, parse_checkpoint, save_checkpoint, Checkpoint,

@@ -5,6 +5,7 @@
 //! interchange files and `BENCH_paper.json` are written with it.
 
 use gfd_io::jsonval::{self, Json};
+use gfd_io::report;
 use gfd_runtime::RunMetrics;
 use gfd_trace::{EventKind, Trace, TraceEvent, CONTROL_WORKER};
 use std::time::Duration;
@@ -81,7 +82,9 @@ fn fixed_metrics() -> RunMetrics {
     }
 }
 
-/// `Trace::to_chrome_json` of [`fixed_trace`], as first written.
+/// The Chrome trace of [`fixed_trace`], byte for byte as recorded from
+/// the hand-assembled exporter `gfd-trace` had before the document moved
+/// to `gfd_io::report`.
 const CHROME_TRACE: &str = r#"{
   "displayTimeUnit": "ms",
   "otherData": {"dropped_events": 5},
@@ -102,7 +105,8 @@ const CHROME_TRACE: &str = r#"{
 }
 "#;
 
-/// `RunMetrics::to_json` of [`fixed_metrics`], as first written.
+/// The run report of [`fixed_metrics`], recorded the same way from the
+/// exporter `gfd-runtime` had.
 const RUN_REPORT: &str = r#"{
   "workers": 2,
   "elapsed_us": 12345,
@@ -125,8 +129,8 @@ const RUN_REPORT: &str = r#"{
 #[test]
 fn exports_parse_to_the_recorded_documents() {
     let names = rule_names();
-    let chrome = fixed_trace().to_chrome_json(&names);
-    let report = fixed_metrics().to_json(&names);
+    let chrome = report::chrome_trace(&fixed_trace(), &names);
+    let report = report::run_report(&fixed_metrics(), &names);
     let parsed = |text: &str| jsonval::parse(text).expect("well-formed JSON");
     assert_eq!(parsed(&chrome), parsed(CHROME_TRACE));
     assert_eq!(parsed(&report), parsed(RUN_REPORT));
@@ -172,7 +176,8 @@ fn nested_document() -> Json {
     ])
 }
 
-/// `Json::pretty` bytes as first written.
+/// `Json::pretty` of [`nested_document`], recorded before the printer
+/// gained its compact mode.
 const PRETTY: &str = r#"{
   "name": "a \"q\" b\\c\nd\te\u0001f ☃",
   "n": -42,

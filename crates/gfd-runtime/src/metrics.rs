@@ -9,7 +9,7 @@ use std::time::Duration;
 
 /// Counters and timings for one scheduler run (`SeqSat`/`SeqImp`,
 /// `ParSat`/`ParImp`, or a detection pass).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunMetrics {
     /// Wall-clock time of the whole run (including setup and the
     /// reasoning driver's catch-up).
@@ -156,56 +156,6 @@ impl RunMetrics {
         add_per_worker(&mut self.worker_idle, &other.worker_idle);
         self.early_terminated |= other.early_terminated;
         self.trace.merge(&other.trace);
-    }
-
-    /// Serialize as a machine-readable JSON object: every counter, the
-    /// per-worker timings (integer microseconds — the interchange parser
-    /// is integer-only), and the aggregated trace profile. One schema
-    /// serves the CLI's `--metrics-json` and the bench harness.
-    pub fn to_json(&self, rule_names: &[String]) -> String {
-        let durs = |v: &[Duration]| {
-            let items: Vec<String> = v.iter().map(|d| d.as_micros().to_string()).collect();
-            format!("[{}]", items.join(", "))
-        };
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str(&format!(
-            "  \"elapsed_us\": {},\n",
-            self.elapsed.as_micros()
-        ));
-        out.push_str(&format!(
-            "  \"units_generated\": {}, \"units_dispatched\": {}, \
-             \"units_split\": {}, \"units_stolen\": {},\n",
-            self.units_generated, self.units_dispatched, self.units_split, self.units_stolen
-        ));
-        out.push_str(&format!(
-            "  \"matches\": {}, \"branches\": {}, \"pending\": {}, \
-             \"rechecks\": {}, \"delta_ops_broadcast\": {},\n",
-            self.matches, self.branches, self.pending, self.rechecks, self.delta_ops_broadcast
-        ));
-        out.push_str(&format!("  \"units_panicked\": {},\n", self.units_panicked));
-        out.push_str(&format!(
-            "  \"deadline_slack_ms\": {},\n",
-            match self.deadline_slack_ms {
-                Some(ms) => ms.to_string(),
-                None => "null".to_string(),
-            }
-        ));
-        out.push_str(&format!(
-            "  \"early_terminated\": {},\n",
-            self.early_terminated
-        ));
-        out.push_str(&format!(
-            "  \"worker_busy_us\": {},\n  \"worker_idle_us\": {},\n",
-            durs(&self.worker_busy),
-            durs(&self.worker_idle)
-        ));
-        out.push_str(&format!(
-            "  \"profile\": {}\n",
-            self.trace.profile().to_json(rule_names, 1)
-        ));
-        out.push('}');
-        out
     }
 }
 
@@ -392,9 +342,8 @@ mod tests {
         assert_eq!(absorbed.units_dispatched, 30);
         assert_eq!(absorbed.worker_busy, vec![ms(11), ms(22), ms(3)]);
         assert_eq!(absorbed.worker_idle, vec![ms(13), ms(24), ms(4)]);
-        assert_eq!(absorbed.to_json(&[]), merged.to_json(&[]));
-        assert_eq!(absorbed.trace.events, merged.trace.events);
         assert_eq!(absorbed.trace.dropped, 3);
+        assert_eq!(absorbed, merged);
     }
 
     #[test]
@@ -426,24 +375,5 @@ mod tests {
         total.merge(&batch);
         assert_eq!(total.trace.events.len(), 3);
         assert_eq!(total.trace.dropped, 1);
-    }
-
-    #[test]
-    fn json_export_is_integer_only_and_complete() {
-        let m = RunMetrics {
-            workers: 2,
-            units_dispatched: 3,
-            deadline_slack_ms: Some(-7),
-            worker_busy: vec![Duration::from_micros(1500), Duration::from_micros(200)],
-            ..Default::default()
-        };
-        let json = m.to_json(&[]);
-        assert!(json.contains("\"workers\": 2"), "{json}");
-        assert!(json.contains("\"deadline_slack_ms\": -7"), "{json}");
-        assert!(json.contains("\"worker_busy_us\": [1500, 200]"), "{json}");
-        assert!(json.contains("\"profile\""), "{json}");
-        assert!(!json.contains('.'), "floats would break the parser: {json}");
-        let none = RunMetrics::default().to_json(&[]);
-        assert!(none.contains("\"deadline_slack_ms\": null"), "{none}");
     }
 }

@@ -8,13 +8,11 @@
 //! scheduler drains every ring into one [`Trace`], which rides the
 //! existing `RunMetrics` return path up to the CLI.
 //!
-//! Two exporters consume a [`Trace`]:
-//!
-//! * [`Trace::to_chrome_json`] — the Chrome trace-event format, loadable
-//!   in `chrome://tracing` and Perfetto (`gfd ... --trace FILE`);
-//! * [`Trace::profile`] — an aggregated [`Profile`] (per-rule
-//!   time/matches/violations, per-worker busy/steal counters, per-phase
-//!   breakdown) rendered as text (`--profile`) or JSON (`--metrics-json`).
+//! [`Trace::profile`] aggregates a [`Trace`] into a [`Profile`] (per-rule
+//! time/matches/violations, per-worker busy/steal counters, per-phase
+//! breakdown), rendered as text by `--profile`. The wire formats — the
+//! Chrome trace (`--trace FILE`) and the run report (`--metrics-json`) —
+//! are built in `gfd_io::report`; this crate only records and aggregates.
 //!
 //! The crate is dependency-free and knows nothing about graphs or
 //! schedulers: layers record events through the [`TraceBuf`] they were
@@ -330,7 +328,7 @@ impl TraceBuf {
 }
 
 /// The merged whole-run event collection every layer's metrics carry.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     /// All drained events.
     pub events: Vec<TraceEvent>,
@@ -360,65 +358,6 @@ impl Trace {
     pub fn merge(&mut self, other: &Trace) {
         self.events.extend_from_slice(&other.events);
         self.dropped += other.dropped;
-    }
-
-    /// Export as a Chrome trace-event JSON document (the `traceEvents`
-    /// object form), loadable in `chrome://tracing` / Perfetto.
-    ///
-    /// `rule_names[i]` labels `RuleEval` events with `id == i`; out-of-range
-    /// ids fall back to `rule<id>`. Events are emitted sorted by
-    /// `(worker, start)`, so timestamps are monotone per `tid` — the
-    /// property `gfd trace-check` validates. Timestamps and durations are
-    /// integer microseconds (the format's unit).
-    pub fn to_chrome_json(&self, rule_names: &[String]) -> String {
-        let mut events = self.events.clone();
-        events.sort_by_key(|e| (e.worker, e.t0_ns, e.dur_ns));
-        let mut out = String::from("{\n  \"displayTimeUnit\": \"ms\",\n");
-        out.push_str(&format!(
-            "  \"otherData\": {{\"dropped_events\": {}}},\n",
-            self.dropped
-        ));
-        out.push_str("  \"traceEvents\": [\n");
-        for (i, e) in events.iter().enumerate() {
-            let name = match e.kind {
-                EventKind::RuleEval => format!("RuleEval:{}", rule_label(rule_names, e.id)),
-                k => k.name().to_string(),
-            };
-            // CONTROL_WORKER renders as tid 0; real workers as 1-based
-            // tids, keeping every tid a small non-negative integer.
-            let tid = if e.worker == CONTROL_WORKER {
-                0
-            } else {
-                e.worker as u64 + 1
-            };
-            let (an, bn) = e.kind.payload_names();
-            let mut args = format!("{{\"id\": {}", e.id);
-            if !an.is_empty() {
-                args.push_str(&format!(", \"{}\": {}", an, e.a));
-            }
-            if !bn.is_empty() {
-                args.push_str(&format!(", \"{}\": {}", bn, e.b));
-            }
-            args.push('}');
-            let common = format!(
-                "\"name\": {}, \"cat\": \"gfd\", \"pid\": 1, \"tid\": {}, \
-                 \"ts\": {}, \"args\": {}",
-                json_string(&name),
-                tid,
-                e.t0_ns / 1_000,
-                args
-            );
-            let body = if e.dur_ns == 0 {
-                format!("{{\"ph\": \"i\", \"s\": \"t\", {common}}}")
-            } else {
-                format!("{{\"ph\": \"X\", \"dur\": {}, {common}}}", e.dur_ns / 1_000)
-            };
-            out.push_str("    ");
-            out.push_str(&body);
-            out.push_str(if i + 1 == events.len() { "\n" } else { ",\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
     }
 
     /// Aggregate into the per-rule / per-worker / per-phase [`Profile`].
@@ -514,23 +453,6 @@ pub fn rule_label(names: &[String], id: u32) -> String {
         .get(id as usize)
         .cloned()
         .unwrap_or_else(|| format!("rule{id}"))
-}
-
-/// `s` as a JSON string literal: quotes, backslashes and control
-/// characters escaped, so any rule name survives both exporters.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Aggregated evaluation profile for one rule.
@@ -694,62 +616,6 @@ impl Profile {
         }
         out
     }
-
-    /// Render the profile as a JSON object (embedded by `--metrics-json`
-    /// and the bench harness; integer fields only).
-    pub fn to_json(&self, rule_names: &[String], indent: usize) -> String {
-        let pad = "  ".repeat(indent);
-        let inner = "  ".repeat(indent + 1);
-        let mut out = String::from("{\n");
-        out.push_str(&format!("{inner}\"dropped\": {},\n", self.dropped));
-        out.push_str(&format!("{inner}\"rules\": ["));
-        for (i, r) in self.rules.iter().enumerate() {
-            out.push_str(&format!(
-                "{}{{\"rule\": {}, \"id\": {}, \"evals\": {}, \"time_ns\": {}, \
-                 \"matches\": {}, \"violations\": {}}}",
-                if i == 0 { "" } else { ", " },
-                json_string(&rule_label(rule_names, r.id)),
-                r.id,
-                r.evals,
-                r.time_ns,
-                r.matches,
-                r.violations
-            ));
-        }
-        out.push_str("],\n");
-        out.push_str(&format!("{inner}\"workers\": ["));
-        for (i, w) in self.workers.iter().enumerate() {
-            out.push_str(&format!(
-                "{}{{\"worker\": {}, \"units\": {}, \"exec_ns\": {}, \"steals\": {}, \
-                 \"stolen\": {}, \"splits\": {}}}",
-                if i == 0 { "" } else { ", " },
-                i64::from(w.worker as i32),
-                w.units,
-                w.exec_ns,
-                w.steals,
-                w.stolen,
-                w.splits
-            ));
-        }
-        out.push_str("],\n");
-        out.push_str(&format!("{inner}\"phases\": ["));
-        for (i, p) in self.phases.iter().enumerate() {
-            out.push_str(&format!(
-                "{}{{\"kind\": \"{}\", \"id\": {}, \"count\": {}, \"time_ns\": {}, \
-                 \"a\": {}, \"b\": {}}}",
-                if i == 0 { "" } else { ", " },
-                p.kind.name(),
-                p.id,
-                p.count,
-                p.time_ns,
-                p.a,
-                p.b
-            ));
-        }
-        out.push_str("]\n");
-        out.push_str(&format!("{pad}}}"));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -874,33 +740,5 @@ mod tests {
         assert!(text.contains("phi3"), "{text}");
         assert!(text.contains("ChaseRound"), "{text}");
         assert!(text.contains("dropped"), "{text}");
-        let json = p.to_json(&[], 0);
-        assert!(json.contains("\"rule\": \"rule2\""), "{json}");
-    }
-
-    #[test]
-    fn chrome_export_sorts_per_worker_and_distinguishes_spans() {
-        // Worker 0's events recorded out of t0 order (inner span ends
-        // before its enclosing UnitExec is pushed).
-        let t = Trace {
-            events: vec![
-                event(EventKind::RuleEval, 0, 1, 5_000, 2_000, 3, 0),
-                event(EventKind::UnitExec, 0, 0, 1_000, 9_000, 0, 0),
-                event(EventKind::Steal, 1, 0, 3_000, 0, 2, 0),
-            ],
-            dropped: 0,
-        };
-        let json = t.to_chrome_json(&["r0".into(), "r1".into()]);
-        assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("RuleEval:r1"), "{json}");
-        assert!(json.contains("\"ph\": \"X\""), "{json}");
-        assert!(json.contains("\"ph\": \"i\""), "{json}");
-        // Emitted order is (worker, t0): UnitExec(ts=1µs) before
-        // RuleEval(ts=5µs), then worker 1's Steal.
-        let unit_pos = json.find("\"UnitExec\"").unwrap();
-        let rule_pos = json.find("RuleEval:r1").unwrap();
-        let steal_pos = json.find("\"Steal\"").unwrap();
-        assert!(unit_pos < rule_pos && rule_pos < steal_pos, "{json}");
-        assert!(json.contains("\"dropped_events\": 0"), "{json}");
     }
 }

@@ -143,6 +143,7 @@ fn json_errors_surface_cleanly_across_the_facade() {
 #[test]
 fn trace_exports_escape_rule_names() {
     use gfd::io::jsonval::{self, Json};
+    use gfd::io::report;
     let names = ["q\"uote", "back\\slash", "new\nline"];
     let mut vocab = Vocab::new();
     let (t, a) = (vocab.label("t"), vocab.attr("a"));
@@ -159,7 +160,8 @@ fn trace_exports_escape_rule_names() {
     let cfg = ReasonConfig::with_workers(1).with_trace(gfd::runtime::TraceSpec::enabled());
     let metrics = sat_with_config(&sigma, &cfg).stats;
 
-    let chrome = jsonval::parse(&metrics.trace.to_chrome_json(&names)).expect("Chrome trace");
+    let chrome =
+        jsonval::parse(&report::chrome_trace(&metrics.trace, &names)).expect("Chrome trace");
     let events = chrome.get("traceEvents").and_then(Json::as_array).unwrap();
     let mut seen: Vec<&str> = events
         .iter()
@@ -171,7 +173,7 @@ fn trace_exports_escape_rule_names() {
     want.sort_unstable();
     assert_eq!(seen, want);
 
-    let report = jsonval::parse(&metrics.to_json(&names)).expect("run report");
+    let report = jsonval::parse(&report::run_report(&metrics, &names)).expect("run report");
     let profile = report.get("profile").and_then(|p| p.get("rules"));
     let rows = profile.and_then(Json::as_array).unwrap();
     assert_eq!(rows.len(), names.len());
