@@ -4,9 +4,10 @@
 //! document is well-formed integer-only JSON, every event carries the
 //! fields the Chrome trace viewer requires, and timestamps are monotone
 //! non-decreasing per `tid` (the exporter sorts per worker). This command
-//! re-checks all three against the checked-in schema
-//! (`schemas/chrome-trace.schema.json`), so a regression in the exporter
-//! fails fast instead of producing a file Perfetto silently mis-renders.
+//! re-checks all three — the required fields from a built-in copy of the
+//! checked-in schema's list (`schemas/chrome-trace.schema.json`), or from
+//! the schema named by `--schema` — so a regression in the exporter fails
+//! fast instead of producing a file Perfetto silently mis-renders.
 
 use crate::args::{ArgError, Parsed};
 use gfd_io::jsonval::{self, Json};
@@ -18,15 +19,16 @@ gfd trace-check FILE [--schema PATH] [--quiet]
 Validates a Chrome trace-event JSON file written by `--trace FILE`:
 well-formed JSON, the required fields on every event (per the schema),
 legal phase types, and monotone non-decreasing timestamps per tid.
-  --schema PATH  the schema listing required event fields
-                 (default: schemas/chrome-trace.schema.json next to the
-                 repo root, falling back to the built-in field list)
+  --schema PATH  read the required event fields from this schema
+                 (e.g. schemas/chrome-trace.schema.json); without it the
+                 built-in copy of that schema's field list is used
   --quiet        print nothing on success
 Exit code: 0 valid, 2 invalid or unreadable.
 ";
 
 /// The field list the built-in check enforces when no schema file is
-/// given; mirrors `schemas/chrome-trace.schema.json`.
+/// given: a copy of `schemas/chrome-trace.schema.json`'s list, kept equal
+/// by a test.
 const REQUIRED_FIELDS: &[&str] = &["name", "cat", "ph", "pid", "tid", "ts"];
 
 pub(crate) fn run(args: Parsed, out: &mut dyn Write) -> Result<i32, ArgError> {
@@ -245,5 +247,11 @@ mod tests {
             vec!["name", "ph", "ts"]
         );
         assert!(required_fields_from_schema("{}").is_err());
+    }
+
+    #[test]
+    fn built_in_fields_equal_the_checked_in_schema() {
+        let schema = include_str!("../../../schemas/chrome-trace.schema.json");
+        assert_eq!(required_fields_from_schema(schema).unwrap(), req());
     }
 }
