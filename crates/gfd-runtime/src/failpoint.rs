@@ -9,14 +9,14 @@
 //! release builds and the fault-injection suite exercises the exact
 //! binary users run.
 //!
-//! Arming is either programmatic ([`arm`], used by `tests/fault_injection.rs`)
-//! or via the `GFD_FAILPOINTS` environment variable, read once on first
-//! use:
+//! Arming is programmatic only ([`arm`], used by `tests/fault_injection.rs`);
+//! no environment variable or flag reaches it, so nothing outside the
+//! program can make a release binary fail on purpose:
 //!
 //! ```text
-//! GFD_FAILPOINTS="sched/unit=3,io/deltalog=1"        # fire on the Nth hit
-//! GFD_FAILPOINTS="sched/steal=~8:42"                  # seeded: each hit fires
-//!                                                     # with prob 1/8 (LCG seed 42)
+//! arm("sched/unit=3,io/deltalog=1")   // fire on the Nth hit
+//! arm("sched/steal=~8:42")            // seeded: each hit fires with
+//!                                     // prob 1/8 (LCG seed 42)
 //! ```
 //!
 //! Each site decides what "firing" means: the scheduler panics (to prove
@@ -62,17 +62,7 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 
 fn registry() -> &'static Mutex<HashMap<String, Site>> {
     static REGISTRY: OnceLock<Mutex<HashMap<String, Site>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let map = Mutex::new(HashMap::new());
-        if let Ok(spec) = std::env::var("GFD_FAILPOINTS") {
-            if let Err(e) = arm_into(&map, &spec) {
-                // Env arming has no caller to return an error to; a bad
-                // spec must not silently disable injection.
-                panic!("invalid GFD_FAILPOINTS: {e}");
-            }
-        }
-        map
-    })
+    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 fn parse_entry(entry: &str) -> Result<(String, Trigger), String> {
@@ -110,8 +100,12 @@ fn parse_entry(entry: &str) -> Result<(String, Trigger), String> {
     Ok((site.to_string(), trigger))
 }
 
-fn arm_into(map: &Mutex<HashMap<String, Site>>, spec: &str) -> Result<(), String> {
-    let mut guard = map.lock();
+/// Arm failpoints from a spec string: comma-separated `SITE=N` (fire on
+/// the `N`-th hit) or `SITE=~DENOM:SEED` (fire with probability
+/// `1/DENOM`, seeded). Entries add to — and override — whatever is
+/// already armed.
+pub fn arm(spec: &str) -> Result<(), String> {
+    let mut guard = registry().lock();
     for entry in spec.split(',') {
         let entry = entry.trim();
         if entry.is_empty() {
@@ -133,12 +127,6 @@ fn arm_into(map: &Mutex<HashMap<String, Site>>, spec: &str) -> Result<(), String
     Ok(())
 }
 
-/// Arm failpoints from a spec string (same grammar as `GFD_FAILPOINTS`).
-/// Entries add to — and override — whatever is already armed.
-pub fn arm(spec: &str) -> Result<(), String> {
-    arm_into(registry(), spec)
-}
-
 /// Disarm every failpoint and reset hit counters. Restores the zero-cost
 /// fast path.
 pub fn disarm_all() {
@@ -156,21 +144,11 @@ pub fn fired(site: &str) -> u64 {
 
 /// Record a hit on `site` and report whether the armed trigger fires.
 ///
-/// Always false when nothing is armed (one completed-`Once` check plus
-/// one relaxed atomic load). The caller decides the failure semantics:
-/// panic, structured error, or deferred work.
+/// Always false when nothing is armed (one relaxed atomic load). The
+/// caller decides the failure semantics: panic, structured error, or
+/// deferred work.
 #[inline]
 pub fn triggered(site: &str) -> bool {
-    // Env arming must happen before the `ARMED` fast path is trusted:
-    // the registry is initialized lazily, but a process that only ever
-    // calls `triggered` (the production binary under `GFD_FAILPOINTS`)
-    // would otherwise never reach the initializer that reads the env.
-    static ENV_CHECKED: std::sync::Once = std::sync::Once::new();
-    ENV_CHECKED.call_once(|| {
-        if std::env::var_os("GFD_FAILPOINTS").is_some() {
-            let _ = registry();
-        }
-    });
     if !ARMED.load(Ordering::Relaxed) {
         return false;
     }
