@@ -193,14 +193,11 @@ impl<'a, A: MatchAction<'a>, I: MatchIndex> SearchTask<'a, A, I> {
             if !last {
                 // Straggler: carve the untried sibling branches of the
                 // shallowest open level into prefix units — the owner end
-                // of this worker's queue, the parent's priority (paper's
-                // Example 6) — then the batch's untried pivots, which the
-                // owner pops after the branches, and keep going locally.
-                let unit = |prefix| WorkUnit {
-                    gfd: rule,
-                    prefix,
-                    priority: unit.priority,
-                };
+                // of this worker's queue, where they keep the parent's
+                // place in the order (paper's Example 6) — then the batch's
+                // untried pivots, which the owner pops after the branches,
+                // and keep going locally.
+                let unit = |prefix| WorkUnit { gfd: rule, prefix };
                 let branches = search.split_shallowest().into_iter();
                 let branches = branches.map(|prefix| unit(Prefix::Split(prefix.into())));
                 let pivots = (!rest.is_empty()).then(|| unit(Prefix::Pivots(rest.into())));
@@ -393,7 +390,6 @@ mod tests {
         let unit = WorkUnit {
             gfd: GfdId::new(0),
             prefix: prefix(&plan),
-            priority: 0,
         };
         let stop = AtomicBool::new(false);
         let task = SearchTask {

@@ -72,9 +72,6 @@ pub struct WorkUnit {
     pub gfd: GfdId,
     /// Where the unit's searches start.
     pub prefix: Prefix,
-    /// Position in the topological order (0 = run first). Split units
-    /// inherit their parent's priority.
-    pub priority: u32,
 }
 
 /// Generate the initial unit list: each rule's feasible pivot candidates,
@@ -99,14 +96,13 @@ pub fn generate_units(
         units.extend(candidates.chunks(PIVOT_BATCH).map(|batch| WorkUnit {
             gfd: id,
             prefix: Prefix::Pivots(batch.into()),
-            priority: 0,
         }));
     }
     units
 }
 
-/// Order `units` so that producers run before consumers, and set each
-/// unit's priority to its position. `units` are initial units, as
+/// Order `units` so that producers run before consumers: the scheduler
+/// runs them in queue position order. `units` are initial units, as
 /// `generate_units` makes them: each rule's units one contiguous run.
 ///
 /// The order is decided per rule, over the rules that own a unit. A
@@ -239,9 +235,6 @@ pub fn order_units(
 
     // Units take their rule's rank, generation order within it.
     units.sort_by_key(|u| rank[local[u.gfd.index()] as usize]);
-    for (i, u) in units.iter_mut().enumerate() {
-        u.priority = i as u32;
-    }
 }
 
 #[cfg(test)]
@@ -320,9 +313,6 @@ mod tests {
             .map(|u| (u.gfd.index(), u.prefix.starts().len()))
             .collect();
         assert_eq!(order, vec![(1, 4), (0, 4)], "{units:?}");
-        // Priorities are the positions.
-        let ps: Vec<u32> = units.iter().map(|u| u.priority).collect();
-        assert_eq!(ps, vec![0, 1]);
     }
 
     #[test]

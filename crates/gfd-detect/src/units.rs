@@ -189,7 +189,6 @@ pub fn units_for_pivots(
             .map(|chunk| WorkUnit {
                 gfd: id,
                 prefix: Prefix::Pivots(chunk.into()),
-                priority: 0,
             })
             .collect();
         per_group.push(batches.into_iter());
