@@ -1081,6 +1081,65 @@ mod tests {
         assert!(stats.realized > 0, "{stats:?}");
     }
 
+    /// A realized firing of a node-creating rule commits nothing: every
+    /// person lives in a city and every city lies in a country, and only
+    /// the premise matches with no such node yet get one — the cities of
+    /// round 1 get their countries in round 2.
+    #[test]
+    fn realized_firing_of_a_node_creating_rule_materializes_nothing() {
+        use gfd_core::{graph_satisfies_all, GenerateConsequence};
+        let mut vocab = Vocab::new();
+        let (person, city, country) = (
+            vocab.label("person"),
+            vocab.label("city"),
+            vocab.label("country"),
+        );
+        let (lives_in, lies_in) = (vocab.label("lives_in"), vocab.label("lies_in"));
+        let create = |name: &str, label: LabelId, edge: LabelId, target: LabelId| {
+            let mut p = Pattern::new();
+            let x = p.add_node(label, "x");
+            let mut gen = GenerateConsequence::over(&p);
+            let y = gen.add_fresh(target, "y");
+            gen.add_edge(x, edge, y);
+            Dependency::new(name, p, vec![], gen)
+        };
+        let sigma = DepSet::from_vec(vec![
+            create("lives_somewhere", person, lives_in, city),
+            create("lies_somewhere", city, lies_in, country),
+        ]);
+        // Six persons, three of them in a city; two cities, one of them
+        // in a country.
+        let mut graph = Graph::new();
+        let persons: Vec<NodeId> = (0..6).map(|_| graph.add_node(person)).collect();
+        let (c0, c1) = (graph.add_node(city), graph.add_node(city));
+        let home = graph.add_node(country);
+        for (p, c) in [(persons[0], c0), (persons[1], c1), (persons[2], c0)] {
+            graph.add_edge(p, lives_in, c);
+        }
+        graph.add_edge(c0, lies_in, home);
+        for p in [1usize, 2, 8] {
+            let cfg = ChaseConfig {
+                workers: p,
+                batch: 1,
+                ..ChaseConfig::default()
+            };
+            let (outcome, stats, _) =
+                dep_chase_with_config(&sigma, graph.clone(), EqRel::new(), &cfg);
+            let DepChaseOutcome::Fixpoint {
+                graph: fixpoint, ..
+            } = outcome
+            else {
+                panic!("p={p}: no fixpoint")
+            };
+            // Round 1: three cities and one country (for c1); round 2: a
+            // country for each of the three new cities. Realized: three
+            // persons and c0.
+            assert_eq!((stats.generated_nodes, stats.realized), (7, 4), "p={p}");
+            assert_eq!(fixpoint.node_count(), 9 + 7, "p={p}");
+            assert!(graph_satisfies_all(&fixpoint, &sigma), "p={p}");
+        }
+    }
+
     /// Chase `deps` a round at a time, traced, and check the once-only
     /// property as counts: every distinct `(rule, row)` is enumerated
     /// once, evaluated while live, checked once and committed (or found
