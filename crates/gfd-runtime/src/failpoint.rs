@@ -103,15 +103,16 @@ fn parse_entry(entry: &str) -> Result<(String, Trigger), String> {
 /// Arm failpoints from a spec string: comma-separated `SITE=N` (fire on
 /// the `N`-th hit) or `SITE=~DENOM:SEED` (fire with probability
 /// `1/DENOM`, seeded). Entries add to — and override — whatever is
-/// already armed.
+/// already armed. A spec with a bad entry arms none of its entries.
 pub fn arm(spec: &str) -> Result<(), String> {
+    let entries = spec
+        .split(',')
+        .map(str::trim)
+        .filter(|entry| !entry.is_empty())
+        .map(parse_entry)
+        .collect::<Result<Vec<_>, _>>()?;
     let mut guard = registry().lock();
-    for entry in spec.split(',') {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            continue;
-        }
-        let (site, trigger) = parse_entry(entry)?;
+    for (site, trigger) in entries {
         guard.insert(
             site,
             Site {
@@ -245,6 +246,17 @@ mod tests {
         }
         // A rejected spec arms nothing.
         assert!(!triggered("x"));
+    }
+
+    #[test]
+    fn a_rejected_spec_arms_none_of_its_entries() {
+        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        disarm_all();
+        arm("t/ok=5").unwrap();
+        assert!(arm("t/partial=1,bad").is_err());
+        let fired = triggered("t/partial");
+        disarm_all();
+        assert!(!fired, "an entry of a rejected spec fired");
     }
 
     #[test]
