@@ -36,7 +36,7 @@
 //! the property the crash-recovery test in `tests/fault_injection.rs`
 //! relies on.
 
-use crate::edgelist::LoadError;
+use crate::edgelist::{err, LoadError};
 use gfd_detect::ViolationRecord;
 use gfd_graph::{Graph, NodeId, Vocab};
 use std::fmt::Write as _;
@@ -58,13 +58,6 @@ pub struct Checkpoint {
     pub violations: Vec<ViolationRecord>,
 }
 
-fn err(line: usize, message: impl Into<String>) -> LoadError {
-    LoadError {
-        line,
-        message: message.into(),
-    }
-}
-
 /// Render a checkpoint into its text form.
 pub fn checkpoint_to_string(ckpt: &Checkpoint, vocab: &Vocab) -> String {
     let mut out = String::new();
@@ -76,7 +69,7 @@ pub fn checkpoint_to_string(ckpt: &Checkpoint, vocab: &Vocab) -> String {
     for n in ckpt.graph.nodes() {
         for (_, value) in ckpt.graph.attrs(n) {
             if seen.insert(value.raw()) {
-                let _ = writeln!(out, "value {}", crate::deltalog::fmt_value_id(value));
+                let _ = writeln!(out, "value {}", crate::deltalog::fmt_value(value));
             }
         }
     }
@@ -90,7 +83,7 @@ pub fn checkpoint_to_string(ckpt: &Checkpoint, vocab: &Vocab) -> String {
                 "attr {} {}={}",
                 n.index(),
                 vocab.attr_name(attr),
-                crate::deltalog::fmt_value_id(value)
+                crate::deltalog::fmt_value(value)
             );
         }
     }
@@ -135,13 +128,13 @@ pub fn parse_checkpoint(src: &str, vocab: &mut Vocab) -> Result<Checkpoint, Load
     let mut violations = Vec::new();
     let mut ended = false;
     for (line_no, line) in lines {
-        if line.is_empty() || line.starts_with('#') {
+        let tokens = crate::edgelist::tokenize(line);
+        if tokens.is_empty() {
             continue;
         }
         if ended {
             return Err(err(line_no, "content after `end` marker"));
         }
-        let tokens = crate::edgelist::tokenize(line);
         let mut parts = tokens.iter().map(String::as_str);
         let keyword = parts.next().expect("non-empty line");
         let parse_usize = |tok: Option<&str>, what: &str| -> Result<usize, LoadError> {
@@ -350,6 +343,41 @@ mod tests {
             back.graph.attr(NodeId::new(0), vocab.attr("name")),
             Some(gfd_graph::ValueId::of("dup"))
         );
+    }
+
+    /// Strings holding a newline, a quote, a backslash or a `#` load back
+    /// unchanged (the DSL's `\n` escape can put a newline in a value).
+    #[test]
+    fn special_characters_in_strings_round_trip() {
+        let mut vocab = Vocab::new();
+        let mut g = Graph::new();
+        let s = vocab.attr("s");
+        let values = ["two\nlines", "say \"hi\"", "C:\\dir\\", "a#b", "\\n"];
+        for v in values {
+            let n = g.add_node(vocab.label("T"));
+            g.set_attr(n, s, Value::str(v));
+        }
+        let ckpt = Checkpoint {
+            batches_applied: 1,
+            graph: g,
+            violations: vec![],
+        };
+        let text = checkpoint_to_string(&ckpt, &vocab);
+        let mut vocab2 = Vocab::new();
+        let back = parse_checkpoint(&text, &mut vocab2).unwrap();
+        for (i, v) in values.into_iter().enumerate() {
+            let got = back.graph.attr(NodeId::new(i), vocab2.attr("s"));
+            assert_eq!(got, Some(gfd_graph::ValueId::of(v)), "{text}");
+        }
+    }
+
+    /// A `#` outside quotes starts a comment, as in the module docs.
+    #[test]
+    fn trailing_comments_are_ignored() {
+        let src = "GFDCKPT v1\ncursor 3   # batches applied\nnode T # one\nend\n";
+        let back = parse_checkpoint(src, &mut Vocab::new()).unwrap();
+        assert_eq!(back.batches_applied, 3);
+        assert_eq!(back.graph.node_count(), 1);
     }
 
     #[test]

@@ -16,22 +16,18 @@
 //! attr 4 age=31
 //! ```
 //!
+//! A quoted string spells `\`, `"` and newline as the DSL does (`\\`,
+//! `\"`, `\n`), and a `#` inside quotes is part of the value.
+//!
 //! Node references are the dense ids of the target graph; `node` lines
 //! create ids in order (`graph.node_count()` at replay time), so a log
 //! can wire up nodes it created earlier — the same convention as
 //! [`gfd_graph::DeltaBatch`]. A leading `batch` header is optional.
 
-use crate::edgelist::LoadError;
+use crate::edgelist::{err, LoadError};
 use gfd_graph::{DeltaBatch, DeltaOp, NodeId, Value, ValueId, Vocab};
 use gfd_runtime::failpoint;
 use std::fmt::Write as _;
-
-fn err(line: usize, message: impl Into<String>) -> LoadError {
-    LoadError {
-        line,
-        message: message.into(),
-    }
-}
 
 /// Parse a node reference, rejecting anything that does not round-trip
 /// through the dense `u32` id space: negatives and non-numbers fail the
@@ -212,11 +208,10 @@ fn parse_inner(
     let mut known_nodes = bound;
     for (i, raw) in src.lines().enumerate() {
         let line_no = i + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
+        let tokens = crate::edgelist::tokenize(raw);
+        if tokens.is_empty() {
             continue;
         }
-        let tokens = crate::edgelist::tokenize(line);
         let action = match parse_line(&tokens, vocab, known_nodes, line_no) {
             Ok(action) => action,
             Err(e) => match lenient.as_deref_mut() {
@@ -251,15 +246,19 @@ fn parse_inner(
     })
 }
 
-pub(crate) fn fmt_value_id(value: ValueId) -> String {
-    fmt_value(&value.resolve())
-}
-
-pub(crate) fn fmt_value(value: &Value) -> String {
-    match value {
+/// A value as the text formats spell it: a string is quoted, with `\`,
+/// `"` and newline escaped as in the DSL.
+pub(crate) fn fmt_value(value: ValueId) -> String {
+    match value.resolve() {
         Value::Int(i) => i.to_string(),
         Value::Bool(b) => b.to_string(),
-        Value::Str(s) => format!("\"{s}\""),
+        Value::Str(s) => {
+            let escaped = s
+                .replace('\\', "\\\\")
+                .replace('"', "\\\"")
+                .replace('\n', "\\n");
+            format!("\"{escaped}\"")
+        }
     }
 }
 
@@ -297,7 +296,7 @@ pub fn delta_log_to_string(batches: &[DeltaBatch], vocab: &Vocab) -> String {
                         "attr {} {}={}",
                         node.index(),
                         vocab.attr_name(*attr),
-                        fmt_value_id(*value)
+                        fmt_value(*value)
                     );
                 }
             }
@@ -420,6 +419,22 @@ attr 4 verified=true
         let text = delta_log_to_string(&batches, &vocab);
         let reparsed = parse_delta_log(&text, &mut vocab).expect("round-trip parses");
         assert_eq!(batches, reparsed);
+    }
+
+    /// A `#` inside a quoted value is part of the value, not a comment.
+    #[test]
+    fn hash_inside_quotes_round_trips() {
+        let mut vocab = Vocab::new();
+        let mut batch = DeltaBatch::new();
+        batch.add_node(vocab.label("t"));
+        for (i, s) in ["a#b", "#", "x # y", "#lead"].into_iter().enumerate() {
+            batch.set_attr(NodeId::new(0), vocab.attr(&format!("a{i}")), Value::str(s));
+        }
+        let batches = vec![batch];
+        let text = delta_log_to_string(&batches, &vocab);
+        assert!(text.contains("a0=\"a#b\""), "{text}");
+        let reparsed = parse_delta_log_for(&text, &mut vocab, 0).expect("round-trip parses");
+        assert_eq!(reparsed, batches);
     }
 
     #[test]

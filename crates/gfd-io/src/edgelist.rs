@@ -53,7 +53,7 @@ impl fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-fn err(line: usize, message: impl Into<String>) -> LoadError {
+pub(crate) fn err(line: usize, message: impl Into<String>) -> LoadError {
     LoadError {
         line,
         message: message.into(),
@@ -122,33 +122,61 @@ pub(crate) fn parse_attr(token: &str, line: usize) -> Result<(&str, ValueId), Lo
 
 /// Parse one bare value token (shared by `attr=value` pairs and the
 /// checkpoint `value` section): integers, `true`/`false`, quoted or bare
-/// strings. Interning at the parse boundary dedups repeated values: one
-/// table entry (and one string allocation) per distinct value, however
-/// many times a log repeats it.
+/// strings. A quoted string reads the DSL's escapes `\\`, `\"` and `\n`
+/// back; any other backslash stays literal. Interning at the parse
+/// boundary dedups repeated values: one table entry (and one string
+/// allocation) per distinct value, however many times a log repeats it.
 pub(crate) fn parse_value(raw: &str) -> ValueId {
     if let Ok(i) = raw.parse::<i64>() {
         ValueTable::intern_int(i)
     } else if raw == "true" || raw == "false" {
         ValueTable::intern_bool(raw == "true")
-    } else if let Some(stripped) = raw.strip_prefix('"').and_then(|r| r.strip_suffix('"')) {
-        ValueTable::intern_str(stripped)
+    } else if let Some(quoted) = raw.strip_prefix('"').and_then(|r| r.strip_suffix('"')) {
+        if quoted.contains('\\') {
+            ValueTable::intern_str(&unescape(quoted))
+        } else {
+            ValueTable::intern_str(quoted)
+        }
     } else {
         ValueTable::intern_str(raw)
     }
 }
 
-/// Tokenize a node-table (or delta-log) line, keeping double-quoted
-/// segments (which may contain spaces) as single tokens.
+fn unescape(quoted: &str) -> String {
+    let mut out = String::with_capacity(quoted.len());
+    let mut chars = quoted.chars();
+    while let Some(c) = chars.next() {
+        match (c, chars.as_str().chars().next()) {
+            ('\\', Some(e @ ('\\' | '"' | 'n'))) => {
+                out.push(if e == 'n' { '\n' } else { e });
+                chars.next();
+            }
+            _ => out.push(c),
+        }
+    }
+    out
+}
+
+/// Tokenize a node-table, delta-log or checkpoint line. Whitespace
+/// separates tokens; a double-quoted segment (which may hold spaces, `#`
+/// and backslash escapes) stays inside one token; a `#` outside quotes
+/// starts a comment that runs to the end of the line.
 pub(crate) fn tokenize(line: &str) -> Vec<String> {
     let mut tokens = Vec::new();
     let mut current = String::new();
     let mut in_quotes = false;
-    for c in line.chars() {
+    let mut chars = line.chars();
+    while let Some(c) = chars.next() {
         match c {
             '"' => {
                 in_quotes = !in_quotes;
                 current.push(c);
             }
+            '\\' if in_quotes => {
+                current.push(c);
+                current.extend(chars.next());
+            }
+            '#' if !in_quotes => break,
             c if c.is_whitespace() && !in_quotes => {
                 if !current.is_empty() {
                     tokens.push(std::mem::take(&mut current));
@@ -177,11 +205,10 @@ pub fn load_node_table(
     let mut relabel: Vec<(NodeId, LabelId)> = Vec::new();
     for (i, raw) in src.lines().enumerate() {
         let line_no = i + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
+        let tokens = tokenize(raw);
+        if tokens.is_empty() {
             continue;
         }
-        let tokens = tokenize(line);
         if tokens.len() < 2 {
             return Err(err(line_no, "expected `id label [attr=value]...`"));
         }
@@ -317,6 +344,15 @@ mod tests {
         assert!(err.message.contains("attr=value"), "{err}");
         let err = load_node_table("0 person =5\n", &mut g, &mut ids, &mut vocab).unwrap_err();
         assert!(err.message.contains("empty attribute name"));
+    }
+
+    #[test]
+    fn node_table_keeps_hash_inside_quotes() {
+        let mut vocab = Vocab::new();
+        let (mut g, mut ids) = load_edge_list("", &mut vocab, &EdgeListOptions::default()).unwrap();
+        let table = "0 place tag=\"a#b\" # a trailing comment\n";
+        load_node_table(table, &mut g, &mut ids, &mut vocab).unwrap();
+        assert_eq!(g.attr(ids[&0], vocab.attr("tag")), Some(ValueId::of("a#b")));
     }
 
     #[test]

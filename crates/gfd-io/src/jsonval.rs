@@ -1,11 +1,12 @@
 //! A small self-contained JSON tree, parser and pretty-printer.
 //!
-//! This replaces `serde_json` for the interchange formats (DESIGN.md §5:
-//! the workspace builds offline, so serialization is hand-rolled). The
-//! subset is exactly what the wire formats need: objects with ordered
-//! keys, arrays, strings, 64-bit integers, booleans and null. Floats are
-//! rejected — no GFD value is a float, and silently truncating one on
-//! import would corrupt data.
+//! This replaces `serde_json` for the documents a run writes about itself
+//! — the Chrome trace, the run report, `BENCH_paper.json` — and the
+//! readers that check them (DESIGN.md §5: the workspace builds offline,
+//! so serialization is hand-rolled). The subset is exactly what those
+//! documents need: objects with ordered keys, arrays, strings, 64-bit
+//! integers, booleans and null. Floats are rejected — none of them holds
+//! one, and silently truncating one on read would corrupt data.
 
 use std::fmt;
 

@@ -1,11 +1,7 @@
-//! Interchange formats for GFD reasoning.
+//! Graph input and run output formats for GFD reasoning.
 //!
-//! Four ways data and rules enter or leave the system:
+//! Three ways a graph and its updates enter or leave the system:
 //!
-//! * [`json`] — a self-describing JSON representation of graphs and GFD
-//!   sets (labels and attribute names as strings, resolved through a
-//!   [`gfd_graph::Vocab`] on load). Stable across processes and languages;
-//!   the natural export target for dashboards and notebooks.
 //! * [`edgelist`] — SNAP-style whitespace-separated edge lists plus a
 //!   simple node-table format. This is how the paper's datasets actually
 //!   ship (Pokec is distributed as `soc-pokec-relationships.txt`), so a
@@ -21,12 +17,11 @@
 //! the Chrome trace-event timeline (`--trace FILE`) and the run report of
 //! counters and aggregated profile (`--metrics-json FILE`).
 //!
-//! The DSL in `gfd-dsl` remains the *human-authored* format; this crate
-//! covers the machine-interchange cases.
+//! Rule sets are read from the DSL in `gfd-dsl`; this crate covers the
+//! graph-side and run-side formats.
 //!
 //! Dependency note (DESIGN.md §5): the workspace builds fully offline,
-//! so JSON is hand-rolled in [`jsonval`] — the wire format matches what
-//! the earlier serde-based encoder produced. Every JSON document the
+//! so JSON is hand-rolled in [`jsonval`]. Every JSON document the
 //! workspace writes is a [`jsonval::Json`] tree printed by its one writer.
 
 #![warn(missing_docs)]
@@ -34,7 +29,6 @@
 pub mod checkpoint;
 pub mod deltalog;
 pub mod edgelist;
-pub mod json;
 pub mod jsonval;
 mod proptests;
 pub mod report;
@@ -47,4 +41,3 @@ pub use deltalog::{
     LenientParse,
 };
 pub use edgelist::{load_edge_list, load_node_table, EdgeListOptions};
-pub use json::{graph_from_json, graph_to_json, sigma_from_json, sigma_to_json, JsonError};

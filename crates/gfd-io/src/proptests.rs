@@ -1,95 +1,9 @@
-//! Property-based round-trip tests for the interchange formats.
+//! Property-based tests for the text formats: round trips and fuzzing.
 
 #![cfg(test)]
 
-use crate::json::{graph_from_json, graph_to_json};
 use gfd_graph::{Graph, NodeId, Value, Vocab};
 use proptest::prelude::*;
-
-/// Random graphs with string-named labels/attrs drawn from small pools,
-/// and all three value types.
-fn arb_named_graph() -> impl Strategy<Value = (Graph, Vocab)> {
-    let label_pool = ["person", "place", "thing", "_"];
-    let attr_pool = ["age", "name", "flag"];
-    (1usize..7).prop_flat_map(move |n| {
-        let labels = proptest::collection::vec(0usize..label_pool.len(), n);
-        let edges = proptest::collection::vec(((0..n), 0usize..2, (0..n)), 0..(2 * n));
-        let attrs = proptest::collection::vec(
-            proptest::collection::vec(
-                (
-                    0usize..attr_pool.len(),
-                    prop_oneof![
-                        (-5i64..5).prop_map(Value::Int),
-                        any::<bool>().prop_map(Value::Bool),
-                        "[a-z ]{0,6}".prop_map(|s| Value::str(&s)),
-                    ],
-                ),
-                0..3,
-            ),
-            n,
-        );
-        (labels, edges, attrs).prop_map(move |(labels, edges, attrs)| {
-            let mut vocab = Vocab::new();
-            let edge_labels = [vocab.label("knows"), vocab.label("near")];
-            let mut g = Graph::new();
-            for l in &labels {
-                g.add_node(vocab.label(label_pool[*l]));
-            }
-            for (s, l, d) in edges {
-                g.add_edge(NodeId::new(s), edge_labels[l], NodeId::new(d));
-            }
-            for (i, node_attrs) in attrs.iter().enumerate() {
-                for (a, v) in node_attrs {
-                    g.set_attr(NodeId::new(i), vocab.attr(attr_pool[*a]), v.clone());
-                }
-            }
-            (g, vocab)
-        })
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// JSON round trips preserve structure, labels and attribute values
-    /// exactly (modulo vocabulary renumbering).
-    #[test]
-    fn graph_json_round_trip((g, vocab) in arb_named_graph()) {
-        let json = graph_to_json(&g, &vocab);
-        let mut vocab2 = Vocab::new();
-        let g2 = graph_from_json(&json, &mut vocab2).unwrap();
-        prop_assert_eq!(g2.node_count(), g.node_count());
-        prop_assert_eq!(g2.edge_count(), g.edge_count());
-        prop_assert_eq!(g2.attr_count(), g.attr_count());
-        for v in g.nodes() {
-            // Labels match by *name*.
-            prop_assert_eq!(
-                vocab.label_name(g.label(v)),
-                vocab2.label_name(g2.label(v))
-            );
-            // Attributes match by name and value.
-            for (a, val) in g.attrs(v) {
-                let name = vocab.attr_name(a);
-                let a2 = vocab2.attr(name);
-                prop_assert_eq!(g2.attr(v, a2), Some(val), "attr {} diverged", name);
-            }
-        }
-        for (s, l, d) in g.edges() {
-            let l2 = vocab2.label(vocab.label_name(l));
-            prop_assert!(g2.has_edge(s, l2, d));
-        }
-        // Wildcards stay wildcards.
-        for v in g.nodes() {
-            prop_assert_eq!(g.label(v).is_wildcard(), g2.label(v).is_wildcard());
-        }
-    }
-
-    /// Serialization is deterministic: same graph, same bytes.
-    #[test]
-    fn graph_json_is_deterministic((g, vocab) in arb_named_graph()) {
-        prop_assert_eq!(graph_to_json(&g, &vocab), graph_to_json(&g, &vocab));
-    }
-}
 
 mod edgelist_props {
     use super::*;
@@ -235,6 +149,60 @@ mod fuzz_props {
             bytes[i] = 'Z';
             let flipped: String = bytes.into_iter().collect();
             let _ = parse_checkpoint(&flipped, &mut vocab);
+        }
+    }
+}
+
+/// Checkpoint and delta-log round trips are the identity on string
+/// values, whatever they hold: `#`, `"`, `\` and newline are escaped on
+/// write and read back.
+mod string_value_props {
+    use super::*;
+    use crate::{
+        checkpoint_to_string, delta_log_to_string, parse_checkpoint, parse_delta_log_for,
+        Checkpoint,
+    };
+    use gfd_graph::{DeltaBatch, ValueId};
+
+    /// The characters the formats treat specially, or any character at
+    /// all (the vendored regex subset has no `\PC`).
+    fn arb_string() -> impl Strategy<Value = String> {
+        prop_oneof![
+            "[a-z#\"\\\n =]{0,8}",
+            "[\u{0}-\u{7f}\u{80}-\u{d7ff}\u{e000}-\u{10ffff}]{0,8}",
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn string_values_survive_checkpoint_and_delta_log(
+            values in proptest::collection::vec(arb_string(), 1..6),
+        ) {
+            let mut vocab = Vocab::new();
+            let (t, s) = (vocab.label("t"), vocab.attr("s"));
+            let mut batch = DeltaBatch::new();
+            let mut graph = Graph::new();
+            for (i, v) in values.iter().enumerate() {
+                batch.add_node(t);
+                batch.set_attr(NodeId::new(i), s, Value::str(v));
+                let n = graph.add_node(t);
+                graph.set_attr(n, s, Value::str(v));
+            }
+            let batches = vec![batch];
+            let log = delta_log_to_string(&batches, &vocab);
+            prop_assert_eq!(parse_delta_log_for(&log, &mut vocab, 0).unwrap(), batches);
+
+            let ckpt = Checkpoint { batches_applied: 1, graph, violations: vec![] };
+            let text = checkpoint_to_string(&ckpt, &vocab);
+            let mut vocab2 = Vocab::new();
+            let back = parse_checkpoint(&text, &mut vocab2).unwrap();
+            let s2 = vocab2.attr("s");
+            for (i, v) in values.iter().enumerate() {
+                prop_assert_eq!(back.graph.attr(NodeId::new(i), s2), Some(ValueId::of(v.as_str())));
+            }
+            prop_assert_eq!(checkpoint_to_string(&back, &vocab2), text);
         }
     }
 }

@@ -48,7 +48,7 @@
 //! | [`detect`] | parallel violation detection on data graphs (a match-action on the engine) |
 //! | [`incr`] | incremental detection over streaming delta batches |
 //! | [`ged`] | GEDs: id literals, order predicates, disjunction (§IX) |
-//! | [`io`] | JSON and SNAP edge-list interchange |
+//! | [`io`] | SNAP edge lists, delta logs, checkpoints, and the trace and run-report exports |
 
 #![warn(missing_docs)]
 
@@ -83,7 +83,8 @@ pub use gfd_incr as incr;
 /// Graph entity dependencies — the §IX extension (re-export of `gfd-ged`).
 pub use gfd_ged as ged;
 
-/// Interchange formats: JSON and SNAP edge lists (re-export of `gfd-io`).
+/// Graph input and run output: SNAP edge lists, delta logs, checkpoints,
+/// trace and run-report JSON (re-export of `gfd-io`).
 pub use gfd_io as io;
 
 pub use gfd_chase::{chase_imp, chase_sat, dep_imp, dep_sat};

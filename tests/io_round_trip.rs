@@ -1,93 +1,8 @@
-//! Interchange-format round trips across crates: DSL ↔ JSON ↔ core
-//! types must preserve reasoning outcomes, and edge-list loading must
-//! feed detection correctly.
+//! The I/O formats across crates: edge-list loading must feed detection
+//! correctly, and the trace exports must carry any rule name.
 
-use gfd::io::{
-    graph_from_json, graph_to_json, load_edge_list, load_node_table, sigma_from_json,
-    sigma_to_json, EdgeListOptions,
-};
+use gfd::io::{load_edge_list, load_node_table, EdgeListOptions};
 use gfd::prelude::*;
-
-#[test]
-fn generated_sigma_survives_json_round_trip() {
-    for seed in [2u64, 9, 17] {
-        let w = gfd::gen::synthetic_workload(15, 4, 3, seed);
-        let json = sigma_to_json(&w.sigma, &w.vocab).unwrap();
-        let mut vocab2 = Vocab::new();
-        let sigma2 = sigma_from_json(&json, &mut vocab2).unwrap();
-        assert_eq!(sigma2.len(), w.sigma.len());
-        // Reasoning is preserved.
-        assert_eq!(
-            gfd::seq_sat(&w.sigma).is_satisfiable(),
-            gfd::seq_sat(&sigma2).is_satisfiable(),
-            "sat diverged after JSON round trip (seed {seed})"
-        );
-        // Sizes (the small-model bound input) are preserved.
-        assert_eq!(w.sigma.total_size(), sigma2.total_size());
-    }
-}
-
-#[test]
-fn dsl_and_json_express_the_same_rules() {
-    let mut vocab = Vocab::new();
-    let doc = gfd::dsl::parse_document(
-        "gfd a { pattern { node x: _ node y: speed edge x -topSpeed-> y }
-                 when { x.kind = 1 } then { y.val = x.best } }",
-        &mut vocab,
-    )
-    .unwrap();
-    let json = sigma_to_json(&doc.deps, &vocab).unwrap();
-    let mut vocab2 = Vocab::new();
-    let from_json = sigma_from_json(&json, &mut vocab2).unwrap();
-    let printed_a = gfd::dsl::print_dep_set(&doc.deps, &vocab);
-    let printed_b = gfd::dsl::print_dep_set(&from_json, &vocab2);
-    assert_eq!(
-        printed_a, printed_b,
-        "DSL render must match after JSON trip"
-    );
-}
-
-#[test]
-fn graph_json_round_trip_preserves_validation() {
-    let mut vocab = Vocab::new();
-    let doc = gfd::dsl::parse_document(
-        r#"
-        graph g {
-          node a: place { name = "x" }
-          node b: place { name = "y" }
-          edge a -locateIn-> b
-          edge b -partOf-> a
-        }
-        gfd phi1 {
-          pattern { node x: place node y: place
-                    edge x -locateIn-> y edge y -partOf-> x }
-          then { false }
-        }
-        "#,
-        &mut vocab,
-    )
-    .unwrap();
-    let graph = &doc.graphs[0].1;
-    assert!(!gfd::graph_satisfies(
-        graph,
-        &doc.deps[gfd::graph::GfdId::new(0)]
-    ));
-
-    let json = graph_to_json(graph, &vocab);
-    let mut vocab2 = Vocab::new();
-    let graph2 = graph_from_json(&json, &mut vocab2).unwrap();
-    // Re-parse the rule against the new vocabulary so label ids line up.
-    let doc2 = gfd::dsl::parse_document(
-        "gfd phi1 { pattern { node x: place node y: place
-                    edge x -locateIn-> y edge y -partOf-> x } then { false } }",
-        &mut vocab2,
-    )
-    .unwrap();
-    assert!(!gfd::graph_satisfies(
-        &graph2,
-        &doc2.deps[gfd::graph::GfdId::new(0)]
-    ));
-}
 
 #[test]
 fn edge_list_to_detection_pipeline() {
@@ -125,18 +40,6 @@ fn edge_list_to_detection_pipeline() {
     assert_eq!(report.violations[0].m[0], ids[&4]);
 }
 
-#[test]
-fn json_errors_surface_cleanly_across_the_facade() {
-    let mut vocab = Vocab::new();
-    assert!(graph_from_json("[1,2,3]", &mut vocab).is_err());
-    assert!(sigma_from_json("{}", &mut vocab).is_err());
-    // Empty rule list is fine.
-    assert_eq!(
-        sigma_from_json("{\"gfds\": []}", &mut vocab).unwrap().len(),
-        0
-    );
-}
-
 /// A rule name may hold any character, and both trace exporters — the
 /// Chrome trace and the `--metrics-json` run report — must write it as a
 /// JSON string that parses and gives the name back exactly.
@@ -152,10 +55,8 @@ fn trace_exports_escape_rule_names() {
         let x = p.add_node(t, "x");
         Dependency::new(*name, p, vec![], vec![Literal::eq_const(x, a, 1i64)])
     });
-    let json = sigma_to_json(&DepSet::from_vec(rules.collect()), &vocab).unwrap();
-    let sigma = sigma_from_json(&json, &mut Vocab::new()).unwrap();
+    let sigma = DepSet::from_vec(rules.collect());
     let names: Vec<String> = sigma.iter().map(|(_, d)| d.name.clone()).collect();
-    assert_eq!(names, ["q\"uote", "back\\slash", "new\nline"]);
 
     let cfg = ReasonConfig::with_workers(1).with_trace(gfd::runtime::TraceSpec::enabled());
     let metrics = sat_with_config(&sigma, &cfg).stats;
