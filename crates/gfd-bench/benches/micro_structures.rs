@@ -755,15 +755,15 @@ fn bench_dispatch_overhead(_c: &mut Criterion) {
     );
 }
 
-/// Asserted guard for the model read-out (DESIGN.md §4): `extract_model`
-/// after `sat` is the graph clone plus two linear passes over the
+/// Asserted guard for the model read-out (DESIGN.md §4): after `sat`, a
+/// graph clone plus `populate_model`'s two linear passes over the
 /// materialized slots — no hash map, no allocation per class. Under 10 ms
 /// at |Σ| = 4000 (14.0 ms for the per-class `Vec` read-out, 8.8 ms now, on
 /// one 2-core host), and linear: the relation itself holds 17x the keys of
 /// |Σ| = 500 (8x the rules — cross-pattern matches grow with Σ), so the
 /// bound is on the cost per key, which must not rise by more than half.
 fn bench_model_readout(_c: &mut Criterion) {
-    use gfd_core::{extract_model, run_reason, CanonicalGraph, Goal};
+    use gfd_core::{populate_model, run_reason, CanonicalGraph, Goal};
     use gfd_gen::{real_life_workload, Dataset};
     use std::time::{Duration, Instant};
 
@@ -777,7 +777,9 @@ fn bench_model_readout(_c: &mut Criterion) {
         let best = (0..9).map(|_| {
             let mut eq = eq.clone();
             let start = Instant::now();
-            black_box(extract_model(&canon.graph, &mut eq));
+            let mut model = canon.graph.clone();
+            populate_model(&mut model, &mut eq, w.sigma.fresh_spelled());
+            black_box(model);
             start.elapsed()
         });
         (best.min().expect("nine read-outs"), eq.key_count())

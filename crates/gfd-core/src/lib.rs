@@ -57,7 +57,8 @@ pub use engine::{MatchAction, Members, SearchTask, SearchWorker, GROUP_WIDTH};
 pub use eq::{EqOp, EqRel};
 pub use error::{AttrKey, Conflict};
 pub use literal::{Literal, Operand};
-pub use model::{extract_model, populate_model};
+pub use model::extract_model; // gfdbench-pin
+pub use model::populate_model;
 pub use seq_imp::{imp_canonical, imp_with_config, seq_imp, ImpOutcome, ImpResult, ImpliedVia};
 pub use seq_sat::{sat_with_config, seq_sat, SatOutcome, SatResult};
 pub use unit::{generate_units, order_units, Prefix, WorkUnit};

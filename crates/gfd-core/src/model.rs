@@ -15,8 +15,9 @@ use std::fmt::Write;
 pub const FRESH_PREFIX: &str = "\u{22a5}"; // ⊥
 
 /// A copy of `canonical` populated by [`populate_model`], for a Σ that
-/// spells no fresh constant.
-pub fn extract_model(canonical: &Graph, eq: &mut EqRel) -> Graph {
+/// spells no fresh constant. Kept for gfdbench; everything else clones
+/// and calls [`populate_model`] with Σ's spelled constants.
+pub fn extract_model(canonical: &Graph, eq: &mut EqRel) -> Graph /* gfdbench-pin */ {
     let mut model = canonical.clone();
     populate_model(&mut model, eq, &[]);
     model
@@ -65,7 +66,7 @@ pub fn populate_model(graph: &mut Graph, eq: &mut EqRel, spelled: &[ValueId]) {
     }
 }
 
-/// Is `value` one of the fresh constants invented by [`extract_model`]?
+/// Is `value` one of the fresh constants invented by [`populate_model`]?
 pub fn is_fresh(value: &Value) -> bool {
     value.as_str().is_some_and(|s| s.starts_with(FRESH_PREFIX))
 }
@@ -79,6 +80,13 @@ pub fn is_fresh_id(value: ValueId) -> bool {
 mod tests {
     use super::*;
     use gfd_graph::Vocab;
+
+    /// The model of `g` under `eq` for a Σ that spells no fresh constant.
+    fn model_of(g: &Graph, eq: &mut EqRel) -> Graph {
+        let mut model = g.clone();
+        populate_model(&mut model, eq, &[]);
+        model
+    }
 
     #[test]
     fn bound_and_unbound_classes_materialize() {
@@ -95,7 +103,7 @@ mod tests {
         eq.merge((n0, b), (n1, a)).unwrap();
         eq.ensure((n1, b));
 
-        let model = extract_model(&g, &mut eq);
+        let model = model_of(&g, &mut eq);
         assert_eq!(model.attr(n0, a), Some(ValueId::of(7i64)));
         // Merged class shares one fresh value.
         let v1 = model.attr(n0, b).unwrap();
@@ -125,7 +133,7 @@ mod tests {
         assert!(!eq.is_materialized((n0, a)));
         // A merge endpoint is forced to exist: it materializes.
         eq.merge((n0, a), (n0, b)).unwrap();
-        let model = extract_model(&g, &mut eq);
+        let model = model_of(&g, &mut eq);
         assert!(model.attr(n0, a).is_some());
         assert_eq!(model.attr(n0, a), model.attr(n0, b));
         assert_eq!(model.attr_count(), 2);
@@ -141,7 +149,7 @@ mod tests {
         let n1 = g.add_node(t);
         g.add_edge(n0, e, n1);
         let mut eq = EqRel::new();
-        let model = extract_model(&g, &mut eq);
+        let model = model_of(&g, &mut eq);
         assert_eq!(model.node_count(), 2);
         assert!(model.has_edge(n0, e, n1));
         assert_eq!(model.attr_count(), 0);

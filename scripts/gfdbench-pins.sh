@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PINNED='Gfd|GfdSet|from_gfds|DispatchMode|consequence_deducible|DepSatOutcome|apply_independent|apply_conflicts'
+PINNED='Gfd|GfdSet|from_gfds|DispatchMode|consequence_deducible|DepSatOutcome|apply_independent|apply_conflicts|extract_model'
 
 if grep -rnwE "$PINNED" crates src tests examples --include='*.rs' | grep -v 'gfdbench-pin'; then
     echo "a gfdbench-pinned name is used off a line marked gfdbench-pin" >&2
